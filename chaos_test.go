@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/everest-project/everest/internal/faultinject"
+	"github.com/everest-project/everest/internal/oraclemux"
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
@@ -521,4 +522,124 @@ func TestChaosSlowFaultsChargeOnly(t *testing.T) {
 	if st.Slow == 0 || st.SpikeMS != float64(st.Slow)*40 {
 		t.Fatalf("spike accounting off: %+v", st)
 	}
+}
+
+// TestChaosParallelSharesDispatchBoundary locks what RunParallel gained
+// by becoming an engine stage: its Phase 2 confirmations pass through
+// the engine's one dispatch boundary, so everything that boundary and
+// the plan promise — typed panic recovery, retry convergence with
+// simulated backoff, the deadline with and without degradation, the
+// §4.3 ablation knobs and the mux — holds under scale-out exactly as it
+// does for Run. Every leg is compared against one fault-free 2-worker
+// baseline.
+func TestChaosParallelSharesDispatchBoundary(t *testing.T) {
+	src := testSource(t, 2000, 21)
+	udf := vision.CountUDF{Class: video.ClassCar}
+	const workers = 2
+	baseCfg := func() Config {
+		cfg := smallCfg(10)
+		cfg.Threshold = 0.99
+		cfg.MinSamples = 150
+		cfg.BatchSize = 2
+		return cfg
+	}
+	want, err := RunParallel(src, udf, baseCfg(), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.EngineStats.Iterations < 10 || want.EngineStats.Pruned == 0 {
+		t.Fatalf("baseline too easy to show the knobs: %+v", want.EngineStats)
+	}
+	chaotic := func(schedule string) *faultinject.UDF {
+		return faultinject.WrapUDF(udf, faultinject.MustParse(schedule), 1)
+	}
+
+	t.Run("panic", func(t *testing.T) {
+		_, err := RunParallel(src, chaotic("panic:1"), baseCfg(), workers)
+		var oe *OracleError
+		if !errors.As(err, &oe) {
+			t.Fatalf("panicking Phase 2 batch returned %v (%T), want a typed *OracleError", err, err)
+		}
+		if _, ok := oe.Panic.(faultinject.PanicValue); !ok || len(oe.Frames) == 0 {
+			t.Fatalf("OracleError lost the panic value or the batch: %+v", oe)
+		}
+	})
+
+	t.Run("retries", func(t *testing.T) {
+		cfg := baseCfg()
+		cfg.Retries = 5
+		got, err := RunParallel(src, chaotic("err:3"), cfg, workers)
+		if err != nil {
+			t.Fatalf("transient faults within the retry budget must converge: %v", err)
+		}
+		if !reflect.DeepEqual(got.IDs, want.IDs) || !reflect.DeepEqual(got.Scores, want.Scores) ||
+			got.Confidence != want.Confidence || !reflect.DeepEqual(got.EngineStats, want.EngineStats) {
+			t.Fatal("converged result differs from the fault-free run")
+		}
+		if got.Retries != 3 || got.RetryBackoffMS != 700 || got.Clock.PhaseMS(simclock.PhaseRetryBackoff) != 700 {
+			t.Fatalf("retries=%d backoff=%v charged=%v, want 3 retries and 100+200+400=700 ms",
+				got.Retries, got.RetryBackoffMS, got.Clock.PhaseMS(simclock.PhaseRetryBackoff))
+		}
+		if got.Clock.TotalMS() != want.Clock.TotalMS()+700 {
+			t.Fatalf("retried run cost %v, want fault-free %v + 700", got.Clock.TotalMS(), want.Clock.TotalMS())
+		}
+	})
+
+	t.Run("deadline", func(t *testing.T) {
+		cfg := baseCfg()
+		cfg.DeadlineMS = 1 // Phase 1 alone overshoots it
+		if _, err := RunParallel(src, udf, cfg, workers); !errors.Is(err, ErrDeadline) {
+			t.Fatalf("expired deadline returned %v, want ErrDeadline", err)
+		}
+		cfg.DegradedOK = true
+		got, err := RunParallel(src, udf, cfg, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Degraded == nil || got.Degraded.Reason != "deadline" || len(got.IDs) != cfg.K {
+			t.Fatalf("degraded answer missing or mislabelled: %+v", got.Degraded)
+		}
+	})
+
+	t.Run("ablation-knobs", func(t *testing.T) {
+		cfg := baseCfg()
+		cfg.DisableEarlyStop = true
+		cfg.ResortOnce = true
+		cfg.DisablePrefetch = true
+		got, err := RunParallel(src, udf, cfg, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := got.EngineStats
+		if st.Pruned != 0 || st.Examined <= want.EngineStats.Examined {
+			t.Fatalf("DisableEarlyStop dropped: pruned %d, examined %d vs %d", st.Pruned, st.Examined, want.EngineStats.Examined)
+		}
+		if st.Iterations < 10 || st.Resorts != 1 {
+			t.Fatalf("ResortOnce dropped: %d resorts over %d iterations", st.Resorts, st.Iterations)
+		}
+		// Confirmation costs ⌈misses/workers⌉ inferences per batch plus
+		// the launch overhead; only unhidden decode adds a per-frame term.
+		cost := cfg.withDefaults().Cost
+		perBatch := math.Ceil(float64(cfg.BatchSize)/workers)*udf.OracleCostMS(cost) + cost.OracleCallMS
+		prefetched := float64(st.OracleCalls) * perBatch
+		if got := got.Clock.PhaseMS(simclock.PhaseConfirm) - prefetched; math.Abs(got-float64(st.Cleaned)*cost.DecodeMS) > 1e-6 {
+			t.Fatalf("DisablePrefetch dropped: unhidden decode charge %v, want %d × %v", got, st.Cleaned, cost.DecodeMS)
+		}
+	})
+
+	t.Run("mux", func(t *testing.T) {
+		cfg := baseCfg()
+		cfg.UseMux = true
+		before := oraclemux.Shared().Stats()
+		got, err := RunParallel(src, udf, cfg, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oraclemux.Shared().Stats().Requests <= before.Requests {
+			t.Fatal("UseMux dropped: no confirmation batch reached the process-wide mux")
+		}
+		if !reflect.DeepEqual(goldenOf(&got.Result), goldenOf(&want.Result)) {
+			t.Fatal("mux-routed scale-out diverged from direct dispatch")
+		}
+	})
 }

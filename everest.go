@@ -23,8 +23,10 @@
 // Beyond one-shot queries, the package implements the paper's stated
 // future work and the multi-query layer it enables:
 //
-//   - RunParallel executes a query with P-way scale-out (partitioned
-//     Phase 1, parallel batched cleaning — the RAM3S direction of §3.5).
+//   - RunParallel executes a query with P-way scale-out (the RAM3S
+//     direction of §3.5) as a stage of the same engine pipeline: Phase 1
+//     is ingested per shard and merged into one artifact, and Phase 2's
+//     confirmation batches are spread over the P accelerators.
 //   - Config.Stride turns window queries into sliding windows; when
 //     windows overlap the engine switches to a dependence-safe union
 //     bound so the guarantee survives correlation.
@@ -39,8 +41,9 @@
 //     labels overlapping frames once (bit-identical to serial
 //     execution in submission order).
 //
-// Every entrypoint compiles its Config to an explicit query plan
-// executed by the one pipeline in internal/engine; see DESIGN.md's
+// Every entrypoint, RunParallel included, compiles its Config to an
+// explicit query plan executed by the one pipeline in internal/engine
+// (Ingest → Artifact → Execute); see DESIGN.md's
 // "Engine pipeline & scheduler" contract.
 //
 // All "runtimes" are simulated milliseconds accumulated on a
@@ -110,11 +113,10 @@ type Config struct {
 	Seed uint64
 	// Procs bounds the real CPU workers used by the execution engine
 	// (CMDN grid training, holdout evaluation, feature extraction, D0
-	// proxy-inference sweeps, the difference detector, window
-	// aggregation and Phase 2 candidate selection). Zero or negative
-	// means GOMAXPROCS. The knob trades wall-clock only: results are
-	// bit-identical for every value, and simulated (simclock) charges do
-	// not change.
+	// proxy-inference sweeps, the difference detector and window
+	// aggregation). Zero or negative means GOMAXPROCS. The knob trades
+	// wall-clock only: results are bit-identical for every value, and
+	// simulated (simclock) charges do not change.
 	Procs int
 	// MaxCleaned caps Phase 2 oracle invocations (0 = none); a test and
 	// safety valve, not a paper knob.
@@ -257,8 +259,8 @@ func (c Config) withDefaults() Config {
 }
 
 // phase1Options maps the user-facing Config onto Phase 1's options. The
-// seed is supplied by the caller because the scale-out and append paths
-// derive their own per-shard streams.
+// seed is supplied by the caller because the append path derives its
+// own per-tail stream.
 func (c Config) phase1Options(seed uint64) phase1.Options {
 	return phase1.Options{
 		SampleFrac:  c.SampleFrac,

@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"github.com/everest-project/everest/internal/cmdn"
+	"github.com/everest-project/everest/internal/engine"
 	"github.com/everest-project/everest/internal/phase1"
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/skyline"
@@ -40,26 +41,30 @@ func main() {
 			Seed:  seed,
 		}
 	}
-	cars, err := phase1.Run(src, vision.CountUDF{Class: video.ClassCar}, opts(1), simclock.NewClock())
-	if err != nil {
-		log.Fatal(err)
+	qopt := uncertain.DefaultCountingOptions()
+	relationOf := func(class string, seed uint64) uncertain.Relation {
+		art, err := engine.Ingest(src, vision.CountUDF{Class: class}, opts(seed), simclock.NewClock())
+		if err != nil {
+			log.Fatal(err)
+		}
+		rel, err := art.FrameRelation(qopt, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rel
 	}
-	people, err := phase1.Run(src, vision.CountUDF{Class: video.ClassPerson}, opts(2), simclock.NewClock())
-	if err != nil {
-		log.Fatal(err)
-	}
+	carRel := relationOf(video.ClassCar, 1)
+	peopleRel := relationOf(video.ClassPerson, 2)
 
 	// Assemble the two-dimensional uncertain relation over frames both
 	// pipelines retained; thin it to every 10th frame to keep the O(n²)
 	// skyline operator snappy for the demo.
-	qopt := uncertain.DefaultCountingOptions()
-	carRel := cars.FrameRelation(qopt)
 	carDist := make(map[int]uncertain.Dist, len(carRel))
 	for _, x := range carRel {
 		carDist[x.ID] = x.Dist
 	}
 	var rel skyline.Relation
-	for i, x := range people.FrameRelation(qopt) {
+	for i, x := range peopleRel {
 		if i%10 != 0 {
 			continue
 		}

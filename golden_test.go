@@ -16,7 +16,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/golden_determinism.json from the current engine output")
+	"rewrite the testdata/golden_*.json snapshots from the current engine output")
 
 const goldenPath = "testdata/golden_determinism.json"
 
@@ -153,26 +153,33 @@ func TestGoldenDeterminism(t *testing.T) {
 		}
 	}
 
+	checkGolden(t, goldenPath, got)
+}
+
+// checkGolden compares got, scenario by scenario, with the committed
+// snapshot at path — or rewrites the snapshot under -update-golden.
+func checkGolden[T any](t *testing.T, path string, got map[string]T) {
+	t.Helper()
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s with %d scenarios", goldenPath, len(got))
+		t.Logf("rewrote %s with %d scenarios", path, len(got))
 		return
 	}
 
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading golden snapshot (run with -update-golden to create): %v", err)
 	}
-	var want map[string]goldenResult
+	var want map[string]T
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}

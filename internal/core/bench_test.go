@@ -5,7 +5,6 @@ import (
 
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/uncertain"
-	"github.com/everest-project/everest/internal/workpool"
 	"github.com/everest-project/everest/internal/xrand"
 )
 
@@ -56,42 +55,17 @@ func BenchmarkSelectBatch(b *testing.B) {
 	}
 }
 
-// benchExhaustiveEngine builds an engine whose selection scan cannot
-// early-stop (ablation A1's worst case): every selectBatch call
-// evaluates E[X_f] for all ~49.5k uncertain candidates, the regime
-// where the speculative-block fan-out dominates and per-block worker
-// spawn overhead is visible.
-func benchExhaustiveEngine(b *testing.B, pool *workpool.Pool) *Engine {
-	b.Helper()
+// BenchmarkSelectBatchExhaustive is the scan that cannot early-stop
+// (ablation A1's worst case): every selectBatch call evaluates E[X_f]
+// for all ~49.5k uncertain candidates.
+func BenchmarkSelectBatchExhaustive(b *testing.B) {
 	rel, oracle := benchRelation(50000, 500)
 	e, err := NewEngine(rel, Config{
-		K: 50, Threshold: 0.9, BatchSize: 8,
-		DisableEarlyStop: true, Procs: 8, Pool: pool,
+		K: 50, Threshold: 0.9, BatchSize: 8, DisableEarlyStop: true,
 	}, oracle, nil, simclock.Default())
 	if err != nil {
 		b.Fatal(err)
 	}
-	return e
-}
-
-// BenchmarkSelectBatchExhaustive spawns a transient worker set per
-// speculative block (the pre-resident-pool behaviour, Pool == nil).
-func BenchmarkSelectBatchExhaustive(b *testing.B) {
-	e := benchExhaustiveEngine(b, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.sel.sorted = false
-		_ = e.sel.selectBatch()
-	}
-}
-
-// BenchmarkSelectBatchExhaustivePool runs the same scan on a resident
-// workpool.Pool, as the serving path does: the goroutines are spawned
-// once and every block reuses them.
-func BenchmarkSelectBatchExhaustivePool(b *testing.B) {
-	pool := workpool.NewPool(8)
-	defer pool.Close()
-	e := benchExhaustiveEngine(b, pool)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.sel.sorted = false

@@ -28,7 +28,6 @@ import (
 
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/uncertain"
-	"github.com/everest-project/everest/internal/workpool"
 )
 
 // Oracle reveals exact score levels for frames (or windows). Implementations
@@ -70,17 +69,6 @@ type Config struct {
 	// independent product (default) or the dependence-safe union bound
 	// required for overlapping sliding windows.
 	Bound BoundKind
-	// Procs bounds the workers Select-candidate evaluates E[X_f] on,
-	// following the engine-wide convention: zero or negative means
-	// GOMAXPROCS. The knob trades wall-clock only — the selected batches,
-	// counters and simulated charges are bit-identical for every value.
-	Procs int
-	// Pool, when non-nil, is a caller-owned resident worker pool the
-	// speculative E[X_f] blocks fan out on. Select-candidate dispatches
-	// thousands of blocks per query, so resident workers remove a
-	// goroutine-spawn-and-join per block; nil falls back to transient
-	// workers. Never affects results.
-	Pool *workpool.Pool
 	// Ctx, when non-nil, cancels the run: the loop checks it at every
 	// select-and-clean boundary and returns ctx.Err() — cancellation is
 	// caller abandonment, never a degraded answer. nil means no

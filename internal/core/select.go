@@ -6,7 +6,6 @@ import (
 
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/uncertain"
-	"github.com/everest-project/everest/internal/workpool"
 )
 
 // selector implements Select-candidate (§3.3.2): it picks, per iteration,
@@ -31,21 +30,8 @@ type selector struct {
 	sortSk       int
 	sortSp       int
 
-	heap  batchHeap // selectBatch scratch, reused across iterations
-	evBuf []float64 // speculative E[X_f] block scratch (parallel scan)
+	heap batchHeap // selectBatch scratch, reused across iterations
 }
-
-// minParallelSelect is the live-candidate count below which selectBatch
-// stays serial: with the ψ early stop the scan typically examines a few
-// dozen candidates, so fan-out overhead only pays off on large relations
-// (or when the early stop is disabled). The cutover affects wall-clock
-// only — both paths produce bit-identical batches.
-const minParallelSelect = 1024
-
-// speculationFactor sizes the parallel scan's speculative block as a
-// multiple of the worker count. Any value yields identical results; it
-// bounds how many E[X_f] evaluations past the early-stop point are wasted.
-const speculationFactor = 32
 
 func newSelector(e *Engine) *selector {
 	return &selector{e: e}
@@ -269,80 +255,27 @@ func (s *selector) selectBatch() []int {
 		s.heap = make(batchHeap, 0, b)
 	}
 	h := s.heap[:0]
-	insert := func(id int, ev float64) {
-		if len(h) < b {
-			h = append(h, batchItem{id: id, e: ev, pos: len(h)})
-			h.siftUp(len(h) - 1)
-			return
-		}
-		if ev > h[0].e {
-			h[0] = batchItem{id: id, e: ev, pos: h[0].pos}
-			h.siftDown(0)
-		}
-	}
-
-	// replay consumes one candidate in scan order: it applies the ψ
-	// early-stop check against the running heap and, if the scan
-	// survives, inserts the candidate's E[X_f]. Shared by the serial scan
-	// (ev computed inline) and the parallel scan (ev precomputed
-	// speculatively); both therefore build the exact same heap, counters
-	// and early-stop point.
 	examined := 0
-	replay := func(i int, ev float64) (stop bool) {
-		if !e.cfg.DisableEarlyStop && len(h) == b {
-			// ψ_j is stale (computed at an earlier, lower S_k/S_p) and
-			// therefore an over-estimate: the bound is sound (Eq. 8).
-			bound := base + gamma*s.psi[i]
-			if bound <= h[0].e {
-				e.stats.Pruned += remainingLive(s.order[i:], e.dists)
-				return true
-			}
+	for i, id := range s.order {
+		d, ok := e.dists[id]
+		if !ok {
+			continue // cleaned since the last re-sort
+		}
+		// ψ_j is stale (computed at an earlier, lower S_k/S_p) and
+		// therefore an over-estimate: the bound is sound (Eq. 8).
+		if !e.cfg.DisableEarlyStop && len(h) == b && base+gamma*s.psi[i] <= h[0].e {
+			e.stats.Pruned += remainingLive(s.order[i:], e.dists)
+			break
 		}
 		examined++
-		insert(s.order[i], ev)
-		return false
-	}
-	if procs := workpool.Procs(e.cfg.Procs); procs > 1 && len(e.dists) >= minParallelSelect {
-		// Parallel scan: candidates are evaluated speculatively in
-		// index-ordered blocks — each E[X_f] is a pure read of the engine
-		// state, which is frozen during selection — then replayed serially
-		// in scan order. The replay makes the batch bit-identical to the
-		// serial scan; speculation past the early-stop point wastes real
-		// CPU only, never simulated charges (those follow `examined`).
-		block := speculationFactor * procs
-		if cap(s.evBuf) < block {
-			s.evBuf = make([]float64, block)
-		}
-	scan:
-		for lo := 0; lo < len(s.order); lo += block {
-			hi := min(lo+block, len(s.order))
-			evs := s.evBuf[:hi-lo]
-			workpool.ForEachOn(e.cfg.Pool, procs, hi-lo, func(_, k int) {
-				if d, ok := e.dists[s.order[lo+k]]; ok {
-					evs[k] = s.expectedConfidence(d, sk, sp)
-				}
-			})
-			for i := lo; i < hi; i++ {
-				if _, ok := e.dists[s.order[i]]; !ok {
-					continue // cleaned since the last re-sort
-				}
-				if replay(i, evs[i-lo]) {
-					break scan
-				}
-			}
-		}
-	} else {
-		for i, id := range s.order {
-			d, ok := e.dists[id]
-			if !ok {
-				continue // cleaned since the last re-sort
-			}
-			// E[X_f] is computed before replay's early-stop check — one
-			// speculative evaluation in the stopping iteration — so the
-			// serial and parallel paths share the exact same replay.
-			if replay(i, s.expectedConfidence(d, sk, sp)) {
-				break
-			}
+		ev := s.expectedConfidence(d, sk, sp)
+		switch {
+		case len(h) < b:
+			h = append(h, batchItem{id: id, e: ev, pos: len(h)})
+			h.siftUp(len(h) - 1)
+		case ev > h[0].e:
+			h[0] = batchItem{id: id, e: ev, pos: h[0].pos}
+			h.siftDown(0)
 		}
 	}
 	s.heap = h

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/everest-project/everest/internal/core"
 	"github.com/everest-project/everest/internal/labelstore"
@@ -37,8 +38,9 @@ type Binding struct {
 	// pass the ingest clock so the Result carries the full breakdown.
 	Clock *simclock.Clock
 	// Pool, when non-nil, is a caller-owned resident worker pool
-	// (ingest-plus-query runs and coalesced groups share one); nil makes
-	// Execute create and close its own when Procs > 1.
+	// (ingest-plus-query runs and coalesced groups share one) for window
+	// aggregation; nil makes a window plan's Execute create and close
+	// its own when Procs > 1.
 	Pool *workpool.Pool
 	// Dispatch, when non-nil, routes the plan's oracle confirmation
 	// batches through this multiplexer instead of invoking the UDF
@@ -53,6 +55,10 @@ type Binding struct {
 	// means context.Background(). Cancellation never perturbs sibling
 	// plans sharing a coalesced group, mux batch or label cache.
 	Ctx context.Context
+	// lanes is the number of accelerators a confirmation batch is spread
+	// over: a batch of m misses costs ⌈m/lanes⌉ serial inferences. Only
+	// RunSharded sets it; zero means 1.
+	lanes int
 }
 
 // Outcome is the engine's answer to one plan.
@@ -105,16 +111,6 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 	if clock == nil {
 		clock = simclock.NewClock()
 	}
-	pool := b.Pool
-	if pool == nil {
-		// One resident worker pool serves the whole execution: window
-		// aggregation and Phase 2's speculative selection blocks reuse the
-		// same goroutines instead of spawning a worker set per block.
-		if pool = p.WorkerPool(); pool != nil {
-			defer pool.Close()
-		}
-	}
-
 	// dispatch resolves the oracle transport: a caller-injected mux, the
 	// process-wide one when the plan asks for it, or direct UDF calls.
 	// The transport changes which device launch carries a confirmation
@@ -125,6 +121,7 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 	}
 
 	qopt := b.UDF.Quantize()
+	lanes := float64(max(1, b.lanes))
 	// dispatchScore is the single oracle dispatch boundary — every Phase 2
 	// confirmation, mux-routed or direct, passes through here with the
 	// error-returning contract (vision.SafeScore: a panicking UDF becomes
@@ -194,7 +191,7 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 				scores[i] = fresh[j]
 				b.Labels.Set(missIDs[j], fresh[j])
 			}
-			clock.Charge(simclock.PhaseConfirm, float64(len(missIDs))*b.UDF.OracleCostMS(p.Cost))
+			clock.Charge(simclock.PhaseConfirm, math.Ceil(float64(len(missIDs))/lanes)*b.UDF.OracleCostMS(p.Cost))
 		}
 		return scores, nil
 	}
@@ -207,6 +204,14 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 	engineCost.OracleMS = 0
 	var err error
 	if p.Window.Enabled() {
+		// Window aggregation is Execute's one fan-out: it runs on the
+		// caller's resident pool, or on one made for this call.
+		pool := b.Pool
+		if pool == nil {
+			if pool = p.WorkerPool(); pool != nil {
+				defer pool.Close()
+			}
+		}
 		rel, err = b.Artifact.WindowRelation(p.Window, qopt, b.Labels, p.Procs, pool)
 		if err != nil {
 			return nil, err
@@ -248,8 +253,6 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 		DisableEarlyStop: p.DisableEarlyStop,
 		ResortOnce:       p.ResortOnce,
 		Bound:            p.Bound(),
-		Procs:            p.Procs,
-		Pool:             pool,
 		Ctx:              ctx,
 		BudgetMS:         p.DeadlineMS,
 		DegradedOK:       p.DegradedOK,

@@ -1,8 +1,9 @@
 // Package engine owns the unified Everest query pipeline. Every public
-// entrypoint — everest.Run, Index.Query, Index.Extend, Session.Query and
-// its batch/coalesced variants — compiles the user-facing Config down to
-// an explicit Plan and submits it here, so the pipeline exists exactly
-// once and each stage is individually testable:
+// entrypoint — everest.Run, RunParallel, Index.Query, Index.Extend,
+// Session.Query and its batch/coalesced variants — compiles the
+// user-facing Config down to an explicit Plan and submits it here, so
+// the pipeline exists exactly once and each stage is individually
+// testable:
 //
 //	Plan          a validated, normalized query description (result size,
 //	              guarantee, window spec, bound kind, ingest options)
@@ -15,6 +16,9 @@
 //	TopKLoop      Phase 2 — oracle-in-the-loop uncertain Top-K cleaning
 //	              (internal/core) fed by an overlay-aware frame oracle
 //
+// Run composes Ingest and Execute for one-shot queries; RunSharded is the
+// same composition with Ingest partitioned over contiguous shards whose
+// artifacts are merged before the one Execute (scale-out, sharded.go).
 // On top of the single pipeline, Scheduler coalesces compatible plans
 // from different callers into one engine run (see scheduler.go).
 //

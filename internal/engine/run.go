@@ -17,9 +17,8 @@ import (
 // completion — it is the reusable artifact, not per-query work.
 func Run(ctx context.Context, src video.Source, udf vision.UDF, p Plan) (*Artifact, *Outcome, error) {
 	clock := simclock.NewClock()
-	// One resident worker pool serves the whole query: Phase 1 fan-outs,
-	// window aggregation and Phase 2's speculative selection blocks all
-	// reuse the same goroutines.
+	// One resident worker pool serves the whole query: Phase 1 fan-outs
+	// and window aggregation reuse the same goroutines.
 	pool := p.WorkerPool()
 	if pool != nil {
 		defer pool.Close()

@@ -6,6 +6,7 @@ import (
 
 	everest "github.com/everest-project/everest"
 	"github.com/everest-project/everest/internal/core"
+	"github.com/everest-project/everest/internal/engine"
 	"github.com/everest-project/everest/internal/metrics"
 	"github.com/everest-project/everest/internal/phase1"
 	"github.com/everest-project/everest/internal/simclock"
@@ -195,13 +196,16 @@ func AblationSemantics(scale Scale, k int, thres float64) ([]AblationRow, error)
 
 	// Build the same D0 and answer from the prior alone. The DP is
 	// O(n²k)-ish; cap the relation at the most promising tuples by mean.
-	st, err := phase1.Run(src, udf, phase1.Options{
+	art, err := engine.Ingest(src, udf, phase1.Options{
 		Proxy: scale.proxyConfig(), Cost: simclock.Default(), Seed: scale.Seed,
 	}, simclock.NewClock())
 	if err != nil {
 		return nil, err
 	}
-	rel := st.FrameRelation(udf.Quantize())
+	rel, err := art.FrameRelation(udf.Quantize(), nil)
+	if err != nil {
+		return nil, err
+	}
 	rel = topByMean(rel, 600)
 
 	uk := core.UKRanks(rel, kk)

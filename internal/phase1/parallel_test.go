@@ -4,87 +4,9 @@ import (
 	"testing"
 
 	"github.com/everest-project/everest/internal/simclock"
-	"github.com/everest-project/everest/internal/uncertain"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
-	"github.com/everest-project/everest/internal/windows"
 )
-
-func relationsEqual(t *testing.T, tag string, a, b uncertain.Relation) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: relation sizes %d vs %d", tag, len(a), len(b))
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID {
-			t.Fatalf("%s: tuple %d ID %d vs %d", tag, i, a[i].ID, b[i].ID)
-		}
-		da, db := a[i].Dist, b[i].Dist
-		if da.Min != db.Min || len(da.P) != len(db.P) {
-			t.Fatalf("%s: tuple %d support differs", tag, i)
-		}
-		for j := range da.P {
-			if da.P[j] != db.P[j] {
-				t.Fatalf("%s: tuple %d prob[%d] %v vs %v", tag, i, j, da.P[j], db.P[j])
-			}
-		}
-	}
-}
-
-// TestPhase1ProcsBitIdentical runs the whole Phase 1 pipeline — sampling,
-// feature extraction, grid training, D0 population (frame and window) —
-// at several worker counts and requires byte-identical outputs and
-// simulated charges.
-func TestPhase1ProcsBitIdentical(t *testing.T) {
-	src := testSource(t, 4000)
-	udf := vision.CountUDF{Class: video.ClassCar}
-	qopt := udf.Quantize()
-
-	type outcome struct {
-		frameRel  uncertain.Relation
-		windowRel uncertain.Relation
-		nll       float64
-		calib     float64
-		totalMS   float64
-	}
-	run := func(procs int) outcome {
-		opt := testOpts()
-		opt.Procs = procs
-		clock := simclock.NewClock()
-		st, err := Run(src, udf, opt, clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frameRel := st.FrameRelation(qopt)
-		windowRel, err := st.WindowRelationStrided(40, 20, qopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{
-			frameRel:  frameRel,
-			windowRel: windowRel,
-			nll:       st.Proxy.HoldoutNLL(),
-			calib:     st.Proxy.Calibration(),
-			totalMS:   clock.TotalMS(),
-		}
-	}
-
-	serial := run(1)
-	for _, procs := range []int{2, 8} {
-		par := run(procs)
-		if par.nll != serial.nll {
-			t.Fatalf("procs=%d: holdout NLL %v != serial %v", procs, par.nll, serial.nll)
-		}
-		if par.calib != serial.calib {
-			t.Fatalf("procs=%d: calibration %v != serial %v", procs, par.calib, serial.calib)
-		}
-		if par.totalMS != serial.totalMS {
-			t.Fatalf("procs=%d: simulated charge %v != serial %v", procs, par.totalMS, serial.totalMS)
-		}
-		relationsEqual(t, "frame", serial.frameRel, par.frameRel)
-		relationsEqual(t, "window", serial.windowRel, par.windowRel)
-	}
-}
 
 func TestInferMixturesMatchesSerial(t *testing.T) {
 	src := testSource(t, 2000)
@@ -105,32 +27,5 @@ func TestInferMixturesMatchesSerial(t *testing.T) {
 				t.Fatalf("frame %d component %d: %+v vs %+v", id, c, got[k][c], want[c])
 			}
 		}
-	}
-}
-
-// TestWindowRepsMatchLazyCharge pins the precomputed inference set to the
-// serial lazy-cache behavior: the simulated PopulateD0 charge equals
-// ProxyMS times the number of distinct unlabeled representatives.
-func TestWindowRepsMatchLazyCharge(t *testing.T) {
-	src := testSource(t, 3000)
-	udf := vision.CountUDF{Class: video.ClassCar}
-	st, err := Run(src, udf, testOpts(), simclock.NewClock())
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := st.clock.PhaseMS(simclock.PhasePopulateD0)
-	if _, err := st.WindowRelation(30, udf.Quantize()); err != nil {
-		t.Fatal(err)
-	}
-	charged := st.clock.PhaseMS(simclock.PhasePopulateD0) - before
-	unlabeled := 0
-	for _, rep := range windows.Reps(st.Diff, windows.Options{Size: 30, Stride: 30}) {
-		if _, ok := st.Labeled[rep]; !ok {
-			unlabeled++
-		}
-	}
-	want := float64(unlabeled) * st.cost.ProxyMS
-	if charged != want {
-		t.Fatalf("window inference charged %v, want %v (%d unlabeled reps)", charged, want, unlabeled)
 	}
 }

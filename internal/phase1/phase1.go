@@ -1,9 +1,9 @@
 // Package phase1 implements Everest's first phase (§3.2): sample frames,
 // label them with the oracle UDF, train the CMDN grid and select by
-// holdout NLL, run the difference detector, and build the initial
-// uncertain relation D0 (frame-level or window-level). It is shared by
-// the Everest engine and by the baselines that reuse parts of the
-// pipeline (CMDN-only, Select-and-Topk).
+// holdout NLL and run the difference detector. The uncertain relation D0
+// is built from the resulting State by engine.Capture and the Artifact's
+// relation builders. Shared by the Everest engine and by the baselines
+// that reuse parts of the pipeline (CMDN-only, Select-and-Topk).
 package phase1
 
 import (
@@ -15,7 +15,6 @@ import (
 	"github.com/everest-project/everest/internal/uncertain"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
-	"github.com/everest-project/everest/internal/windows"
 	"github.com/everest-project/everest/internal/workpool"
 	"github.com/everest-project/everest/internal/xrand"
 )
@@ -48,9 +47,9 @@ type Options struct {
 	Procs int
 	// Pool, when non-nil, is a caller-owned resident worker pool the
 	// fan-outs (feature extraction, the difference detector, proxy
-	// inference, window aggregation) run on instead of transient
-	// goroutines. The State keeps it for the relation builders, so it
-	// must outlive them. Never affects results.
+	// inference) run on instead of transient goroutines. The State keeps
+	// it for InferMixtures, so it must outlive that. Never affects
+	// results.
 	Pool *workpool.Pool
 }
 
@@ -99,9 +98,6 @@ type State struct {
 	// Info is the statistics summary.
 	Info Info
 
-	arch  cmdn.Arch
-	clock *simclock.Clock
-	cost  simclock.CostModel
 	procs int
 	pool  *workpool.Pool
 }
@@ -291,9 +287,6 @@ func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan Sample
 		Proxy:   proxy,
 		Diff:    diff,
 		Labeled: labeled,
-		arch:    opt.Proxy.Arch,
-		clock:   clock,
-		cost:    opt.Cost,
 		procs:   opt.Procs,
 		pool:    opt.Pool,
 		Info: Info{
@@ -336,98 +329,6 @@ func (s *State) InferRetainedMixtures() ([]int, []uncertain.Mixture) {
 		}
 	}
 	return ids, s.InferMixtures(ids)
-}
-
-// FrameRelation builds D0 over retained frames: labelled frames enter as
-// certain tuples (§3.2), the rest get their quantized CMDN distribution.
-// Tuples are computed on all configured workers and emitted in retained
-// order, bit-identical to the serial scan. Proxy inference cost is
-// charged per inferred frame.
-func (s *State) FrameRelation(qopt uncertain.QuantizeOptions) uncertain.Relation {
-	type tupleOut struct {
-		dist     uncertain.Dist
-		inferred bool
-	}
-	outs := workpool.MapWithOn(s.pool, s.procs, len(s.Diff.Retained), s.Proxy.CloneForInference,
-		func(p *cmdn.Proxy, k int) tupleOut {
-			i := s.Diff.Retained[k]
-			if score, ok := s.Labeled[i]; ok {
-				return tupleOut{dist: uncertain.Certain(ClampLevel(uncertain.LevelOf(score, qopt.Step), qopt))}
-			}
-			mix := p.PredictFrame(s.Src.Render(i))
-			d, err := uncertain.Quantize(mix, qopt)
-			if err != nil {
-				// Degenerate mixture: fall back to a point mass at its mean.
-				d = uncertain.Certain(ClampLevel(uncertain.LevelOf(mix.Mean(), qopt.Step), qopt))
-			}
-			return tupleOut{dist: d, inferred: true}
-		})
-	rel := make(uncertain.Relation, len(outs))
-	inferred := 0
-	for k, o := range outs {
-		rel[k] = uncertain.XTuple{ID: s.Diff.Retained[k], Dist: o.dist}
-		if o.inferred {
-			inferred++
-		}
-	}
-	s.clock.Charge(simclock.PhasePopulateD0, float64(inferred)*s.cost.ProxyMS)
-	return rel
-}
-
-// WindowRelation builds the window-level D0 of §3.4 for tumbling windows
-// of the given size.
-func (s *State) WindowRelation(size int, qopt uncertain.QuantizeOptions) (uncertain.Relation, error) {
-	return s.WindowRelationStrided(size, size, qopt)
-}
-
-// WindowRelationStrided builds the window-level D0 for windows of the
-// given size starting every stride frames. Stride < size produces
-// overlapping (correlated) windows; the caller must then run Phase 2 with
-// the union bound.
-//
-// The representatives the window aggregation consults are enumerated up
-// front (a cheap segment walk, no pixels touched), their mixtures are
-// inferred on all configured workers, and the relation itself is then
-// assembled serially from the cache — so the result, and the simulated
-// inference charge, match the serial lazy-cache path exactly.
-func (s *State) WindowRelationStrided(size, stride int, qopt uncertain.QuantizeOptions) (uncertain.Relation, error) {
-	maxLevel := 0
-	if qopt.MaxLevel > 0 && qopt.MaxLevel < int(^uint(0)>>1) {
-		maxLevel = qopt.MaxLevel
-	}
-	wopt := windows.Options{
-		Size:     size,
-		Stride:   stride,
-		Step:     qopt.Step,
-		MaxLevel: maxLevel,
-		Procs:    s.procs,
-		Pool:     s.pool,
-	}
-	reps := windows.Reps(s.Diff, wopt)
-	inferIDs := make([]int, 0, len(reps))
-	mixCache := make(map[int]windows.FrameScore, len(reps))
-	for _, rep := range reps {
-		if score, ok := s.Labeled[rep]; ok {
-			mixCache[rep] = windows.FrameScore{IsExact: true, Exact: score}
-		} else {
-			inferIDs = append(inferIDs, rep)
-		}
-	}
-	for k, mix := range s.InferMixtures(inferIDs) {
-		mixCache[inferIDs[k]] = windows.FrameScore{Mix: mix}
-	}
-	rel, err := windows.BuildRelation(func(rep int) windows.FrameScore {
-		fs, ok := mixCache[rep]
-		if !ok {
-			// windows.Reps enumerates exactly BuildRelation's requests; a
-			// miss means the two went out of sync and the window means
-			// would silently be wrong.
-			panic(fmt.Sprintf("phase1: representative %d missing from precomputed window cache", rep))
-		}
-		return fs
-	}, s.Diff, wopt)
-	s.clock.Charge(simclock.PhasePopulateD0, float64(len(inferIDs))*s.cost.ProxyMS)
-	return rel, err
 }
 
 // ClampLevel clips a level into the quantization bounds.

@@ -1,7 +1,6 @@
 package phase1
 
 import (
-	"math"
 	"testing"
 
 	"github.com/everest-project/everest/internal/cmdn"
@@ -61,74 +60,6 @@ func TestRunProducesState(t *testing.T) {
 	}
 	if clock.PhaseMS(simclock.PhaseTrainCMDN) <= 0 {
 		t.Fatal("train phase not charged")
-	}
-}
-
-func TestFrameRelationInvariants(t *testing.T) {
-	src := testSource(t, 6000)
-	udf := vision.CountUDF{Class: video.ClassCar}
-	st, err := Run(src, udf, testOpts(), simclock.NewClock())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := st.FrameRelation(udf.Quantize())
-	if len(rel) != st.Info.Retained {
-		t.Fatalf("relation size %d, retained %d", len(rel), st.Info.Retained)
-	}
-	certain := 0
-	for _, x := range rel {
-		if err := x.Dist.Validate(); err != nil {
-			t.Fatalf("tuple %d: %v", x.ID, err)
-		}
-		if x.Dist.Min < 0 {
-			t.Fatalf("tuple %d has negative support %d", x.ID, x.Dist.Min)
-		}
-		if x.Dist.IsCertain() {
-			certain++
-			// Certain tuples are exactly the labelled retained frames.
-			if s, ok := st.Labeled[x.ID]; ok {
-				if x.Dist.Min != int(s) {
-					t.Fatalf("labelled frame %d entered at level %d, truth %v", x.ID, x.Dist.Min, s)
-				}
-			}
-		}
-	}
-	if certain == 0 {
-		t.Fatal("no labelled frames entered the relation as certain")
-	}
-}
-
-func TestWindowRelationInvariants(t *testing.T) {
-	src := testSource(t, 6000)
-	udf := vision.CountUDF{Class: video.ClassCar}
-	st, err := Run(src, udf, testOpts(), simclock.NewClock())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := st.WindowRelation(30, udf.Quantize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rel) != 200 {
-		t.Fatalf("window relation size %d, want 200", len(rel))
-	}
-	for _, x := range rel {
-		if err := x.Dist.Validate(); err != nil {
-			t.Fatalf("window %d: %v", x.ID, err)
-		}
-	}
-	// Window means should track true window means loosely.
-	var mae float64
-	for _, x := range rel {
-		trueMean := 0.0
-		for f := x.ID * 30; f < (x.ID+1)*30; f++ {
-			trueMean += float64(src.TrueCountFast(f))
-		}
-		trueMean /= 30
-		mae += math.Abs(x.Dist.Mean() - trueMean)
-	}
-	if mae/float64(len(rel)) > 2.5 {
-		t.Fatalf("window relation MAE %.2f too large", mae/float64(len(rel)))
 	}
 }
 

@@ -83,33 +83,8 @@ func NumSlidingWindows(n, size, stride int) int {
 // (requiring the union-bound engine).
 func (o Options) Overlapping() bool { return o.stride() < o.Size }
 
-// Reps returns the distinct retained representatives BuildRelation will
-// consult for the same (diff, opt), in first-touch order — the exact
-// inference set a caller must precompute to serve BuildRelation from a
-// cache. It walks windows and segments only; no scores are touched.
-func Reps(diff diffdet.Result, opt Options) []int {
-	if opt.Size <= 0 {
-		return nil
-	}
-	stride := opt.stride()
-	nw := NumSlidingWindows(diff.NumFrames(), opt.Size, stride)
-	seen := make(map[int]bool)
-	var reps []int
-	for w := 0; w < nw; w++ {
-		lo, hi := w*stride, w*stride+opt.Size
-		for _, seg := range diff.Segments(lo, hi) {
-			if !seen[seg.Rep] {
-				seen[seg.Rep] = true
-				reps = append(reps, seg.Rep)
-			}
-		}
-	}
-	return reps
-}
-
 // BuildRelation constructs the window uncertain relation. scoreOf must
-// return the Phase 1 knowledge for any retained frame index (Reps
-// enumerates exactly the indices that will be requested); diff supplies
+// return the Phase 1 knowledge for any retained frame index; diff supplies
 // the segment structure (frames represented by each retained frame).
 //
 // Per Eq. 9, window w with segments s_1..s_l represented by frames

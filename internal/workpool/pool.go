@@ -6,9 +6,9 @@ import (
 )
 
 // Pool is a resident worker pool: its goroutines are spawned once and
-// reused for every batch, so hot paths that fan out thousands of times
-// per query (the speculative blocks of Phase 2's Select-candidate, for
-// example) pay no per-batch goroutine spawn, WaitGroup or channel
+// reused for every batch, so a caller that fans out repeatedly (the
+// Phase 1 stages of one ingest, the window aggregations of a coalesced
+// group) pays no per-batch goroutine spawn, WaitGroup or channel
 // construction — dispatching a batch allocates nothing.
 //
 // A Pool runs one batch at a time (ForEach serializes callers), and it

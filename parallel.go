@@ -1,8 +1,7 @@
 package everest
 
 import (
-	"github.com/everest-project/everest/internal/scaleout"
-	"github.com/everest-project/everest/internal/uncertain"
+	"github.com/everest-project/everest/internal/engine"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
 )
@@ -19,69 +18,38 @@ type ParallelResult struct {
 	// the bill, as opposed to Result.Clock's latency.
 	WorkerSumMS float64
 	// Shards summarizes each worker's Phase 1.
-	Shards []scaleout.ShardInfo
+	Shards []engine.ShardInfo
 }
 
 // RunParallel executes a Top-K query with workers-way scale-out: Phase 1
 // runs partitioned across per-shard specialized proxies on parallel
 // simulated accelerators, and Phase 2 cleans batches spread over the same
 // accelerators (the RAM3S-style framework the paper names as future work,
-// §3.5). workers == 1 is semantically equivalent to Run up to sampling
+// §3.5). It is the engine's sharded stage (engine.RunSharded) behind the
+// same Config → plan compilation every other entrypoint uses, so retries,
+// deadlines, degradation, the mux and the ablation knobs apply unchanged.
+// workers == 1 is semantically equivalent to Run up to sampling
 // randomness.
 func RunParallel(src video.Source, udf vision.UDF, cfg Config, workers int) (*ParallelResult, error) {
 	cfg = cfg.withDefaults()
-	rep, err := scaleout.Run(src, udf, scaleout.Options{
-		Workers:          workers,
-		K:                cfg.K,
-		Threshold:        cfg.Threshold,
-		BatchSize:        cfg.BatchSize,
-		MaxCleaned:       cfg.MaxCleaned,
-		Window:           cfg.Window,
-		Stride:           cfg.Stride,
-		WindowSampleFrac: cfg.WindowSampleFrac,
-		UnionBound:       cfg.UnionBound,
-		// Seed 0 here: scaleout ignores Phase1.Seed and derives per-shard
-		// streams from its own Seed. Procs rides along, so each shard's
-		// inner pipeline also uses the multi-core engine.
-		Phase1: cfg.phase1Options(0),
-		Seed:   cfg.Seed,
-	})
+	plan := cfg.plan()
+	sh, err := engine.RunSharded(src, udf, plan, workers)
 	if err != nil {
 		return nil, err
 	}
-
-	qopt := udf.Quantize()
-	scores := make([]float64, len(rep.Core.Levels))
-	for i, lvl := range rep.Core.Levels {
-		scores[i] = uncertain.LevelValue(lvl, qopt.Step)
-	}
-	// The normalized plan resolves the effective stride (tumbling when
-	// unset); scale-out reuses the same normalization as the engine path.
-	stride := 0
-	if w := cfg.plan().Window; w.Enabled() {
-		stride = w.Stride
-	}
-	info := Phase1Info{TotalFrames: src.NumFrames(), Tuples: rep.Tuples}
-	for _, sh := range rep.Shards {
-		info.TrainSamples += sh.Info.TrainSamples
-		info.HoldoutSamples += sh.Info.HoldoutSamples
-		info.Retained += sh.Info.Retained
+	// Each shard selected its own grid point, so the merged report
+	// carries the summed sample counts and no single Hyper/HoldoutNLL.
+	in := sh.Artifact.Info
+	info := Phase1Info{
+		TotalFrames:    in.TotalFrames,
+		TrainSamples:   in.TrainSamples,
+		HoldoutSamples: in.HoldoutSamples,
+		Retained:       in.Retained,
 	}
 	return &ParallelResult{
-		Result: Result{
-			IDs:          rep.Core.IDs,
-			Scores:       scores,
-			Confidence:   rep.Core.Confidence,
-			Bound:        rep.Core.Bound,
-			IsWindow:     cfg.Window > 0,
-			WindowSize:   cfg.Window,
-			WindowStride: stride,
-			Clock:        rep.Clock,
-			EngineStats:  rep.Core.Stats,
-			Phase1:       info,
-		},
+		Result:      *resultOf(sh.Outcome, plan, info),
 		Workers:     workers,
-		WorkerSumMS: rep.WorkerSumMS,
-		Shards:      rep.Shards,
+		WorkerSumMS: sh.WorkerSumMS,
+		Shards:      sh.Shards,
 	}, nil
 }
