@@ -7,8 +7,10 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# go vet, plus formatting as a gate: any file gofmt would rewrite fails.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -19,10 +21,12 @@ test:
 testbuild:
 	$(GO) test -run '^$$' -count=1 ./...
 
-# Race-check the concurrency packages and the engine determinism tests;
-# the full suite under -race is too slow for a quick gate.
+# Race-check the concurrency packages (internal/video among them: every
+# worker renders into and releases to its sources' buffer pools) and the
+# engine determinism tests; the full suite under -race is too slow for a
+# quick gate.
 race:
-	$(GO) test -race ./internal/workpool/ ./internal/labelstore/ ./internal/engine/ ./internal/oraclemux/ ./internal/faultinject/ ./internal/durable/ ./internal/cmdn/ ./internal/phase1/ ./internal/nn/ ./internal/diffdet/ ./internal/windows/ ./internal/core/ ./internal/stream/
+	$(GO) test -race ./internal/workpool/ ./internal/labelstore/ ./internal/engine/ ./internal/oraclemux/ ./internal/faultinject/ ./internal/durable/ ./internal/cmdn/ ./internal/phase1/ ./internal/nn/ ./internal/diffdet/ ./internal/windows/ ./internal/core/ ./internal/stream/ ./internal/video/
 	$(GO) test -race -run 'ProcsBitIdentical|GoldenConcurrent|GoldenCoalesced|SessionConcurrent|QueryBatch|SharedSession|AdmissionLimit|Coalesced|CoalesceWait|OracleMux' .
 
 # The fault-tolerance suite under the race detector: chaos-injected

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/everest-project/everest/internal/cmdn"
+	"github.com/everest-project/everest/internal/diffdet"
 	"github.com/everest-project/everest/internal/metrics"
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/video"
@@ -63,6 +64,17 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(src, nil, Config{K: 1}); err == nil {
 		t.Fatal("nil UDF should be rejected")
+	}
+}
+
+// TestNegativeClipSizeIsAnError: a negative difference-detector clip
+// size is user input and comes back as an error, not as a makeslice
+// panic from inside the detector.
+func TestNegativeClipSizeIsAnError(t *testing.T) {
+	cfg := smallCfg(5)
+	cfg.Diff = diffdet.Options{ClipSize: -5}
+	if _, err := Run(testSource(t, 1000, 1), vision.CountUDF{Class: video.ClassCar}, cfg); err == nil {
+		t.Fatal("Diff.ClipSize -5 should be rejected")
 	}
 }
 

@@ -93,10 +93,29 @@ type Segment struct {
 // Run executes the difference detector over all frames of src, charging
 // per-frame decode and MSE cost to the given phase.
 func Run(src video.Source, opt Options, clock *simclock.Clock, cost simclock.CostModel, phase simclock.Phase) (Result, error) {
+	return RunVisit(src, opt, clock, cost, phase, nil)
+}
+
+// RunVisit is Run with a visitor on the detector's one pass over the
+// video: every frame is decoded exactly once, and the visitor sees it —
+// with the decision whether it is retained — on the worker that decoded
+// it, before its pixels are released. The pixels are the visitor's only
+// for the duration of the call. newVisitor runs at most once per
+// worker, so a visitor may own scratch (a model clone) that is not safe
+// to share; what it computes must be a pure function of the frame for
+// the result to stay identical at any worker count. A nil newVisitor
+// visits nothing.
+func RunVisit(src video.Source, opt Options, clock *simclock.Clock, cost simclock.CostModel, phase simclock.Phase, newVisitor func() func(f video.Frame, retained bool)) (Result, error) {
 	opt = opt.withDefaults()
+	if opt.ClipSize < 0 {
+		return Result{}, fmt.Errorf("diffdet: negative clip size %d", opt.ClipSize)
+	}
 	n := src.NumFrames()
 	if n == 0 {
 		return Result{}, fmt.Errorf("diffdet: empty source")
+	}
+	if newVisitor == nil {
+		newVisitor = func() func(video.Frame, bool) { return func(video.Frame, bool) {} }
 	}
 	res := Result{RepOf: make([]int32, n)}
 	retained := make([]bool, n)
@@ -105,14 +124,17 @@ func Run(src video.Source, opt Options, clock *simclock.Clock, cost simclock.Cos
 	// are independent workpool items; errors collect into per-clip slots
 	// and the first (lowest-clip) one is reported, as in the serial loop.
 	nClips := (n + opt.ClipSize - 1) / opt.ClipSize
-	errs := make([]error, nClips)
-	workpool.ForEachOn(opt.Pool, opt.Procs, nClips, func(_, c int) {
+	errs := workpool.MapWithOn(opt.Pool, opt.Procs, nClips, newVisitor, func(visit func(video.Frame, bool), c int) error {
 		lo := c * opt.ClipSize
 		hi := min(lo+opt.ClipSize, n)
 		mid := lo + (hi-lo)/2
+		// The middle frame stays decoded for the whole clip; every other
+		// frame is compared, visited and released before the next.
 		midFrame := src.Render(mid)
+		defer midFrame.Release()
 		retained[mid] = true
 		res.RepOf[mid] = int32(mid)
+		visit(midFrame, true)
 		for i := lo; i < hi; i++ {
 			if i == mid {
 				continue
@@ -120,16 +142,19 @@ func Run(src video.Source, opt Options, clock *simclock.Clock, cost simclock.Cos
 			f := src.Render(i)
 			mse, err := f.MSE(midFrame)
 			if err != nil {
-				errs[c] = err
-				return
+				return err
 			}
-			if mse < opt.MSEThreshold {
-				res.RepOf[i] = int32(mid)
-			} else {
+			keep := !(mse < opt.MSEThreshold) // a NaN error retains, as it always has
+			if keep {
 				retained[i] = true
 				res.RepOf[i] = int32(i)
+			} else {
+				res.RepOf[i] = int32(mid)
 			}
+			visit(f, keep)
+			f.Release()
 		}
+		return nil
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"github.com/everest-project/everest/internal/simclock"
@@ -184,4 +185,76 @@ func TestShortVideo(t *testing.T) {
 	if len(res.Retained) == 0 {
 		t.Fatal("short video retained nothing")
 	}
+}
+
+func TestNegativeClipSizeIsAnError(t *testing.T) {
+	if _, err := Run(testSource(t, 100), Options{ClipSize: -5}, nil, simclock.Default(), simclock.PhaseDiffDetect); err == nil {
+		t.Fatal("ClipSize -5 accepted")
+	}
+}
+
+// TestVisitorSeesEveryFrameOnce: the visitor form decodes each frame
+// exactly once and shows it — live pixels, right retain decision — to
+// one visitor per worker, with the Result of the plain Run, at every
+// worker count and on a resident pool.
+func TestVisitorSeesEveryFrameOnce(t *testing.T) {
+	src := testSource(t, 1000)
+	plain := mustRun(t, src, Options{Procs: 1})
+	want := make([]float64, src.NumFrames())
+	for i := range want {
+		want[i] = src.Render(i).Pix[i] // one probe pixel per frame, never released
+	}
+	pool := workpool.NewPool(4)
+	defer pool.Close()
+	for _, opt := range []Options{{Procs: 1}, {Procs: 2}, {Procs: 8}, {Pool: pool}} {
+		counted := &countedSource{Source: src}
+		var visitors atomic.Int32
+		seen := make([]int32, src.NumFrames())
+		kept := make([]bool, src.NumFrames())
+		res, err := RunVisit(counted, opt, nil, simclock.Default(), simclock.PhaseDiffDetect, func() func(video.Frame, bool) {
+			visitors.Add(1)
+			return func(f video.Frame, retained bool) {
+				seen[f.Index]++
+				kept[f.Index] = retained
+				if f.Pix[f.Index] != want[f.Index] {
+					t.Errorf("frame %d visited with stale pixels", f.Index)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, res) {
+			t.Fatalf("%+v: visited run diverged from the plain run", opt)
+		}
+		if got := counted.renders.Load(); int(got) != src.NumFrames() {
+			t.Fatalf("%+v: %d renders for %d frames", opt, got, src.NumFrames())
+		}
+		workers := opt.Procs
+		if opt.Pool != nil {
+			workers = opt.Pool.Workers()
+		}
+		if v := int(visitors.Load()); v < 1 || v > workers {
+			t.Fatalf("%+v: %d visitors made for %d workers", opt, v, workers)
+		}
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("%+v: frame %d visited %d times", opt, i, c)
+			}
+			if kept[i] != (int(res.RepOf[i]) == i) {
+				t.Fatalf("%+v: frame %d visited as retained=%v, result says %v", opt, i, kept[i], !kept[i])
+			}
+		}
+	}
+}
+
+// countedSource counts Render calls behind the Source interface.
+type countedSource struct {
+	video.Source
+	renders atomic.Int64
+}
+
+func (s *countedSource) Render(i int) video.Frame {
+	s.renders.Add(1)
+	return s.Source.Render(i)
 }

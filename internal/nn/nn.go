@@ -188,6 +188,27 @@ func (d *Dense) Backward(grad []float64) []float64 {
 	return dx
 }
 
+// backwardParams is Backward for a caller that discards dLoss/dInput
+// (the first layer under Fit): it accumulates the parameter gradients
+// only — the input gradient is a third of Backward's flops — and skips
+// units whose upstream gradient is exactly zero, which is every unit
+// behind a closed ReLU. The accumulated gradients are bit-identical to
+// Backward's: an accumulator starts at +0 and sums in round-to-nearest
+// never produce -0, so adding the skipped 0·x (x finite) changes no bit.
+func (d *Dense) backwardParams(grad []float64) {
+	for o := 0; o < d.out; o++ {
+		g := grad[o]
+		if g == 0 {
+			continue
+		}
+		d.b.G[o] += g
+		growRow := d.w.G[o*d.in : (o+1)*d.in]
+		for i, xi := range d.x {
+			growRow[i] += g * xi
+		}
+	}
+}
+
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
@@ -263,6 +284,23 @@ func (s *Sequential) Backward(grad []float64) []float64 {
 		grad = s.layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// backwardParams backpropagates grad through l for a caller that has no
+// use for dLoss/dInput: the layer at the bottom of l skips computing it
+// when it can (a Dense), every other layer runs its ordinary Backward.
+func backwardParams(l Layer, grad []float64) {
+	switch v := l.(type) {
+	case *Sequential:
+		for i := len(v.layers) - 1; i > 0; i-- {
+			grad = v.layers[i].Backward(grad)
+		}
+		backwardParams(v.layers[0], grad)
+	case *Dense:
+		v.backwardParams(grad)
+	default:
+		l.Backward(grad)
+	}
 }
 
 // Params implements Layer.

@@ -137,3 +137,46 @@ func TestTrainConfigDefaults(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 }
+
+// TestBackwardParamsMatchesBackward: the params-only backward Fit uses
+// on the backbone accumulates, bit for bit, the parameter gradients of
+// the ordinary Backward — across several samples into one accumulator,
+// with closed ReLU units (exact +0 upstream gradients) and a negative
+// zero among the gradients.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	build := func() *Sequential {
+		r := xrand.New(7)
+		return NewSequential(NewDense(6, 5, r), NewReLU(5), NewDense(5, 4, r), NewReLU(4))
+	}
+	full, lean := build(), build()
+	r := xrand.New(11)
+	negZero := math.Copysign(0, -1)
+	closed := 0
+	for sample := 0; sample < 20; sample++ {
+		x := make([]float64, 6)
+		for i := range x {
+			x[i] = r.Norm()
+		}
+		grad := []float64{r.Norm(), negZero, r.Norm(), 0}
+		out := full.Forward(x)
+		lean.Forward(x)
+		for _, v := range out {
+			if v == 0 {
+				closed++
+			}
+		}
+		full.Backward(grad)
+		backwardParams(lean, grad)
+	}
+	if closed == 0 {
+		t.Fatal("no ReLU unit ever closed; the zero-gradient skip went untested")
+	}
+	fp, lp := full.Params(), lean.Params()
+	for k := range fp {
+		for j := range fp[k].G {
+			if math.Float64bits(fp[k].G[j]) != math.Float64bits(lp[k].G[j]) {
+				t.Fatalf("param %d gradient %d: Backward %v, backwardParams %v", k, j, fp[k].G[j], lp[k].G[j])
+			}
+		}
+	}
+}

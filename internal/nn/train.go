@@ -113,7 +113,9 @@ func (m *Model) Fit(xs [][]float64, ys []float64, cfg TrainConfig) (float64, err
 			total += m.Head.NLL(ys[i])
 			gradFeat := m.Head.Backward(ys[i])
 			if m.Backbone != nil {
-				m.Backbone.Backward(gradFeat)
+				// Nothing sits below the backbone, so its input gradient
+				// is never computed.
+				backwardParams(m.Backbone, gradFeat)
 			}
 			inBatch++
 			if inBatch == cfg.BatchSize {

@@ -98,6 +98,10 @@ type State struct {
 	// Info is the statistics summary.
 	Info Info
 
+	// mixes holds, per frame, the proxy's score mixture when the
+	// difference detector's pass already computed it (retained frames
+	// without a Phase 1 label); nil elsewhere.
+	mixes []uncertain.Mixture
 	procs int
 	pool  *workpool.Pool
 }
@@ -180,8 +184,10 @@ func Label(src video.Source, udf vision.UDF, ids []int, opt Options, clock *simc
 // obtained, and feature extraction rides the training charge.
 func Samples(src video.Source, arch cmdn.Arch, idx []int, scores []float64, procs int, pool *workpool.Pool) []cmdn.Sample {
 	return workpool.MapOn(pool, procs, len(idx), func(_, k int) cmdn.Sample {
-		i := idx[k]
-		return cmdn.Sample{Frame: i, X: cmdn.InputFor(arch, src.Render(i)), Y: scores[k]}
+		f := src.Render(idx[k])
+		x := cmdn.InputFor(arch, f)
+		f.Release()
+		return cmdn.Sample{Frame: idx[k], X: x, Y: scores[k]}
 	})
 }
 
@@ -240,6 +246,13 @@ func RunLabelled(src video.Source, opt Options, plan SamplePlan, trainScores, ho
 // proxy with its labelled samples into the State Phase 2 consumes — the
 // shared tail of Run and of warm-start streaming ingestion, whose proxy
 // came from cmdn.Refresh instead of a full grid train.
+//
+// The detector's pass is the one decode of every frame, so proxy
+// inference rides it: each retained frame without a Phase 1 label is
+// predicted while its pixels are decoded (on per-worker inference
+// clones, whose predictions are bit-identical to the proxy's) and the
+// mixture kept in the State for InferRetainedMixtures to serve. Nothing
+// is charged for it here; Capture charges the inference it collects.
 func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan SamplePlan, trainScores, holdScores []float64, clock *simclock.Clock) (*State, error) {
 	opt = opt.withDefaults()
 	if clock == nil {
@@ -247,7 +260,16 @@ func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan Sample
 	}
 	n := src.NumFrames()
 
+	labeled := make(map[int]float64, len(plan.TrainIdx)+len(plan.HoldIdx))
+	for k, i := range plan.TrainIdx {
+		labeled[i] = trainScores[k]
+	}
+	for k, i := range plan.HoldIdx {
+		labeled[i] = holdScores[k]
+	}
+
 	var diff diffdet.Result
+	var mixes []uncertain.Mixture
 	var err error
 	if opt.DisableDiff {
 		rep := make([]int32, n)
@@ -268,18 +290,18 @@ func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan Sample
 		if dopt.Pool == nil {
 			dopt.Pool = opt.Pool
 		}
-		diff, err = diffdet.Run(src, dopt, clock, opt.Cost, simclock.PhasePopulateD0)
+		mixes = make([]uncertain.Mixture, n)
+		diff, err = diffdet.RunVisit(src, dopt, clock, opt.Cost, simclock.PhasePopulateD0, func() func(video.Frame, bool) {
+			p := proxy.CloneForInference()
+			return func(f video.Frame, retained bool) {
+				if _, exact := labeled[f.Index]; retained && !exact {
+					mixes[f.Index] = p.PredictFrame(f)
+				}
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	labeled := make(map[int]float64, len(plan.TrainIdx)+len(plan.HoldIdx))
-	for k, i := range plan.TrainIdx {
-		labeled[i] = trainScores[k]
-	}
-	for k, i := range plan.HoldIdx {
-		labeled[i] = holdScores[k]
 	}
 
 	return &State{
@@ -287,6 +309,7 @@ func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan Sample
 		Proxy:   proxy,
 		Diff:    diff,
 		Labeled: labeled,
+		mixes:   mixes,
 		procs:   opt.Procs,
 		pool:    opt.Pool,
 		Info: Info{
@@ -300,26 +323,36 @@ func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan Sample
 	}, nil
 }
 
-// MixtureOf runs proxy inference for one frame (not charged; charging
-// happens where inference volume is decided).
+// MixtureOf returns the proxy's score mixture of one frame (not
+// charged; charging happens where inference volume is decided).
 func (s *State) MixtureOf(i int) uncertain.Mixture {
-	return s.Proxy.PredictFrame(s.Src.Render(i))
+	return s.mixtureOn(s.Proxy, i)
 }
 
-// InferMixtures runs proxy inference for the given frames on all
-// configured workers and returns the mixtures in input order, identical
-// to calling MixtureOf serially. No cost is charged; charging happens
-// where inference volume is decided.
+// mixtureOn serves frame i's mixture from the detector pass when it was
+// computed there, and otherwise decodes the frame and predicts it on p
+// (DisableDiff, labelled or discarded frames a baseline asks for).
+func (s *State) mixtureOn(p *cmdn.Proxy, i int) uncertain.Mixture {
+	if i < len(s.mixes) && s.mixes[i] != nil {
+		return s.mixes[i]
+	}
+	f := s.Src.Render(i)
+	defer f.Release()
+	return p.PredictFrame(f)
+}
+
+// InferMixtures returns the proxy's score mixtures of the given frames
+// in input order, identical to calling MixtureOf serially; frames the
+// detector pass did not predict are decoded and predicted on all
+// configured workers. No cost is charged; charging happens where
+// inference volume is decided.
 func (s *State) InferMixtures(ids []int) []uncertain.Mixture {
 	return workpool.MapWithOn(s.pool, s.procs, len(ids), s.Proxy.CloneForInference,
-		func(p *cmdn.Proxy, k int) uncertain.Mixture {
-			return p.PredictFrame(s.Src.Render(ids[k]))
-		})
+		func(p *cmdn.Proxy, k int) uncertain.Mixture { return s.mixtureOn(p, ids[k]) })
 }
 
-// InferRetainedMixtures runs proxy inference for every retained frame
-// without an exact Phase 1 label, on all configured workers, and returns
-// those frame IDs with their mixtures in retained order. No cost is
+// InferRetainedMixtures returns every retained frame without an exact
+// Phase 1 label with its score mixture, in retained order. No cost is
 // charged; callers charge where the inference volume is decided.
 func (s *State) InferRetainedMixtures() ([]int, []uncertain.Mixture) {
 	ids := make([]int, 0, len(s.Diff.Retained))

@@ -546,4 +546,3 @@ func (g *Ingestor) updateReservoir(hold []cmdn.Sample) {
 		}
 	}
 }
-

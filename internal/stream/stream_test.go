@@ -2,6 +2,7 @@ package stream
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"github.com/everest-project/everest/internal/cmdn"
@@ -366,5 +367,62 @@ func TestSharedConfirmations(t *testing.T) {
 	}
 	if g.Stats().Evaluations != 1 {
 		t.Fatalf("evaluations %d, want 1", g.Stats().Evaluations)
+	}
+}
+
+// countedSource counts Render calls from behind the video.Source
+// interface, as opaque to the ingestor as a tracing wrapper.
+type countedSource struct {
+	video.Source
+	renders atomic.Int64
+}
+
+func (s *countedSource) Render(i int) video.Frame {
+	s.renders.Add(1)
+	return s.Source.Render(i)
+}
+
+// TestSegmentCloseRenderBudget: every segment close decodes its span
+// once (the difference detector's pass, which proxy inference rides)
+// plus one decode per labelled sample for its features — on full-train
+// and warm closes alike. A drift fallback featurizes the holdout set
+// for the drift check and again inside the full train, and adds exactly
+// that.
+func TestSegmentCloseRenderBudget(t *testing.T) {
+	const n, seg = 1800, 600
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"full", Config{Refresh: RefreshFull}},
+		{"warm", Config{Refresh: RefreshWarm}},
+		{"drift-fallback", Config{Refresh: RefreshAuto, DriftNLL: -1}},
+	} {
+		src := &countedSource{Source: feed(t, n)}
+		tc.cfg.SegmentFrames = seg
+		tc.cfg.Ingest = testIngest(5)
+		g, err := NewIngestor(src, countUDF(), tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var renders, train, hold, fallbacks int
+		for i := 0; i < n/seg; i++ {
+			if err := g.Append(seg); err != nil {
+				t.Fatal(err)
+			}
+			info, st := g.Artifact().Info, g.Stats()
+			dTrain, dHold := info.TrainSamples-train, info.HoldoutSamples-hold
+			want := seg + dTrain + dHold + (st.DriftFallbacks-fallbacks)*dHold
+			got := int(src.renders.Load()) - renders
+			if got != want {
+				t.Errorf("%s close %d: %d renders, want %d (%d frames, %d+%d labelled samples, %d drift fallbacks)",
+					tc.name, i, got, want, seg, dTrain, dHold, st.DriftFallbacks-fallbacks)
+			}
+			renders, train, hold, fallbacks = renders+got, info.TrainSamples, info.HoldoutSamples, st.DriftFallbacks
+		}
+		if st := g.Stats(); tc.name == "warm" && st.WarmRefreshes != 2 || tc.name == "drift-fallback" && st.DriftFallbacks != 2 {
+			t.Errorf("%s: closes did not take the path under test: %+v", tc.name, st)
+		}
+		g.Close()
 	}
 }

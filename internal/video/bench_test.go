@@ -23,9 +23,10 @@ func BenchmarkGenerate(b *testing.B) {
 
 func BenchmarkRender(b *testing.B) {
 	s := benchSource(b, 10000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.Render(i % 10000)
+		s.Render(i % 10000).Release()
 	}
 }
 

@@ -3,6 +3,7 @@ package video
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/everest-project/everest/internal/xrand"
 )
@@ -115,6 +116,13 @@ type Synthetic struct {
 	leadGap []float32 // dashcam only
 	happy   []float32 // street only
 	bgSeed  uint64
+	// staticBG is the background of a camera that does not drift, which
+	// no frame index enters: rendered by the first Render (sources that
+	// are only queried never pay for it), copied by every one.
+	staticBG     []float64
+	staticBGOnce sync.Once
+	// bufs recycles the pixel buffers of released frames (*pixBuf).
+	bufs sync.Pool
 }
 
 const chunkLen = 256

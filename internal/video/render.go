@@ -9,21 +9,27 @@ import "math"
 // matters to the pipeline is that (a) pixel content correlates with the
 // ground-truth score (so the CMDN has signal to learn), (b) consecutive
 // frames are similar (so the difference detector has duplicates to
-// discard), and (c) rendering is cheap and allocation-light.
+// discard), and (c) rendering is cheap and allocation-free when callers
+// release their frames: the pixels land in a buffer recycled through
+// Frame.Release, and every pixel of it is overwritten here.
 func (s *Synthetic) Render(i int) Frame {
 	w, h := s.cfg.W, s.cfg.H
-	pix := make([]float64, w*h)
+	buf, _ := s.bufs.Get().(*pixBuf)
+	if buf == nil {
+		buf = &pixBuf{pix: make([]float64, w*h), pool: &s.bufs}
+	}
+	pix := buf.pix
 
-	// Background: a smooth per-dataset texture, shifted by camera drift.
-	driftPx := s.cfg.CameraDrift * float64(i) / float64(s.cfg.FPS) * float64(w)
-	for y := 0; y < h; y++ {
-		fy := float64(y) / float64(h)
-		rowBase := 0.28 + 0.12*fy
-		for x := 0; x < w; x++ {
-			fx := float64(x) + driftPx
-			tex := 0.06*math.Sin(fx*0.55) + 0.04*math.Sin(fx*0.17+fy*9)
-			pix[y*w+x] = rowBase + tex
-		}
+	// Background: a fixed camera's is the same in every frame and is
+	// rendered once; a moving camera's shifts with the frame.
+	if s.cfg.CameraDrift == 0 {
+		s.staticBGOnce.Do(func() {
+			s.staticBG = make([]float64, w*h)
+			s.background(s.staticBG, 0)
+		})
+		copy(pix, s.staticBG)
+	} else {
+		s.background(pix, s.cfg.CameraDrift*float64(i)/float64(s.cfg.FPS)*float64(w))
 	}
 
 	// Illumination: a slow ambient-light cycle (clouds, sun angle) plus a
@@ -71,7 +77,22 @@ func (s *Synthetic) Render(i int) Frame {
 		v := pix[p]*illum + amp*(hash01(base+uint64(p))-0.5)
 		pix[p] = math.Max(0, math.Min(1, v))
 	}
-	return Frame{Index: i, W: w, H: h, Pix: pix}
+	return Frame{Index: i, W: w, H: h, Pix: pix, buf: buf}
+}
+
+// background fills pix with the smooth per-dataset texture, shifted
+// horizontally by driftPx pixels of camera drift.
+func (s *Synthetic) background(pix []float64, driftPx float64) {
+	w, h := s.cfg.W, s.cfg.H
+	for y := 0; y < h; y++ {
+		fy := float64(y) / float64(h)
+		rowBase := 0.28 + 0.12*fy
+		for x := 0; x < w; x++ {
+			fx := float64(x) + driftPx
+			tex := 0.06*math.Sin(fx*0.55) + 0.04*math.Sin(fx*0.17+fy*9)
+			pix[y*w+x] = rowBase + tex
+		}
+	}
 }
 
 // hash01 maps a 64-bit value to [0,1) via splitmix64 finalization.

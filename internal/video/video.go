@@ -9,10 +9,17 @@
 // object arrival/departure processes with temporal locality — bursts,
 // daily cycles, camera motion — so Top-K targets are rare, clustered
 // moments, as in real footage. Pixels are rendered lazily and
-// deterministically; no frame data is stored.
+// deterministically; no frame is stored. What a Synthetic does keep is
+// the static background of a fixed camera (rendered once, copied into
+// every frame) and a pool of pixel buffers that released frames return
+// to (Frame.Release), so a pass that decodes a frame, consumes it and
+// releases it runs in constant memory.
 package video
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Class labels used by the simulator and detectors.
 const (
@@ -59,7 +66,9 @@ func (s Scene) CountClass(class string) int {
 	return n
 }
 
-// Frame is one decoded grayscale frame.
+// Frame is one decoded grayscale frame. It belongs to the caller of
+// Render, which may hand its pixel buffer back with Release; copies of
+// a Frame value share that buffer.
 type Frame struct {
 	// Index is the frame's position in the video.
 	Index int
@@ -67,6 +76,30 @@ type Frame struct {
 	W, H int
 	// Pix holds W*H row-major grayscale intensities in [0,1].
 	Pix []float64
+
+	// buf is the recyclable buffer behind Pix; nil when the frame's
+	// source does not recycle.
+	buf *pixBuf
+}
+
+// pixBuf is a pixel buffer that remembers the pool it returns to, so a
+// Frame finds its way home through any Source wrapper that passed it
+// along by value.
+type pixBuf struct {
+	pix  []float64
+	pool *sync.Pool
+}
+
+// Release returns the frame's pixel buffer to the source that rendered
+// it, for a later Render to reuse. Call it at most once per rendered
+// frame — copies of the Frame value included — and only after the last
+// read of Pix. Never releasing is always safe: the buffer is then
+// ordinary garbage. On the zero Frame, and on a frame from a Source
+// that does not recycle, it is a no-op.
+func (f Frame) Release() {
+	if f.buf != nil {
+		f.buf.pool.Put(f.buf)
+	}
 }
 
 // MSE returns the mean squared error between two frames of equal size.
@@ -96,7 +129,11 @@ type Source interface {
 	TargetClass() string
 	// Scene returns frame i's ground truth. Only detectors may call this.
 	Scene(i int) Scene
-	// Render decodes frame i's pixels.
+	// Render decodes frame i's pixels. The returned frame is the
+	// caller's: nothing else reads or writes its Pix until the caller
+	// releases it (Frame.Release), which is optional. A wrapper returns
+	// the frame it was given, by value, so Release still reaches the
+	// source that owns the buffer.
 	Render(i int) Frame
 	// Resolution returns the rendered width and height.
 	Resolution() (w, h int)
