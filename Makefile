@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test testbuild vet race chaos crash fuzz bench bench-diff bench-smoke follow experiments
+.PHONY: build test testbuild vet race chaos crash fuzz bench bench-diff bench-smoke follow experiments loc
 
 build:
 	$(GO) build ./...
@@ -24,7 +24,10 @@ testbuild:
 # Race-check the concurrency packages (internal/video among them: every
 # worker renders into and releases to its sources' buffer pools) and the
 # engine determinism tests; the full suite under -race is too slow for a
-# quick gate.
+# quick gate. internal/eql is not listed: it has no goroutines of its own,
+# and under -race its suite still takes ~16 min here (969 s; ~45 s
+# without), past go test's 10-minute timeout — every ingest pays the
+# same fixed labelling and CMDN-training bill however short the video.
 race:
 	$(GO) test -race ./internal/workpool/ ./internal/labelstore/ ./internal/engine/ ./internal/oraclemux/ ./internal/faultinject/ ./internal/durable/ ./internal/cmdn/ ./internal/phase1/ ./internal/nn/ ./internal/diffdet/ ./internal/windows/ ./internal/core/ ./internal/stream/ ./internal/video/
 	$(GO) test -race -run 'ProcsBitIdentical|GoldenConcurrent|GoldenCoalesced|SessionConcurrent|QueryBatch|SharedSession|AdmissionLimit|Coalesced|CoalesceWait|OracleMux' .
@@ -90,3 +93,10 @@ follow:
 
 experiments:
 	$(GO) run ./cmd/experiments
+
+# Non-test and test Go lines (wc -l) per package directory outside
+# benchmark/, and the total — the before/after numbers a refactor PR
+# quotes, from one command on each side.
+loc:
+	@printf '%-28s %8s %8s\n' package non-test test
+	@find . -name '*.go' -not -path './benchmark/*' | xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if ($$2 ~ /_test\.go$$/) t[d] += $$1; else n[d] += $$1; seen[d] = 1 } END { for (d in seen) { printf "%-28s %8d %8d\n", d, n[d], t[d] | "sort"; N += n[d]; T += t[d] }; close("sort"); printf "%-28s %8d %8d\n", "total", N, T }'

@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -94,46 +95,16 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		runScript(string(data), *explain)
+		if err := runScript(os.Stdout, string(data), *explain); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
 	if *query != "" {
-		sc, err := eql.ParseScript(*query)
-		if err != nil {
+		if err := runQuery(os.Stdout, *query, *explain); err != nil {
 			fatal(err)
 		}
-		if len(sc.Statements) == 1 {
-			q := sc.Statements[0]
-			single := !q.Stream && len(q.Sources) == 1 && len(q.Predicates) == 1
-			if q.Analyze {
-				rep, err := eql.Analyze(*query)
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Print(rep.String())
-				return
-			}
-			if single && (q.Explain || *explain) {
-				out, err := eql.Explain(*query)
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Print(out)
-				return
-			}
-			if single && !q.Explain {
-				res, plan, err := eql.Execute(*query)
-				if err != nil {
-					fatal(err)
-				}
-				printResult(res, plan.Source.FPS(), *query)
-				return
-			}
-		}
-		// Scripts and multi-unit statements run as one coordinated plan
-		// graph on a shared script session.
-		runScript(*query, *explain)
 		return
 	}
 
@@ -239,7 +210,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		printResult(res, src.FPS(), "")
+		printResult(os.Stdout, res, src.FPS(), "")
 		maybePrintMuxStats(*mux)
 		maybePrintChaosStats(chaosUDF)
 		return
@@ -272,7 +243,7 @@ func main() {
 		}
 	}
 
-	printResult(res, src.FPS(), "")
+	printResult(os.Stdout, res, src.FPS(), "")
 	maybePrintMuxStats(*mux)
 	maybePrintChaosStats(chaosUDF)
 }
@@ -449,7 +420,7 @@ func runConcurrent(src video.Source, udf vision.UDF, cfg everest.Config, path st
 	}
 	printServingStats(results)
 	fmt.Printf("\nfirst answer (all %d are bit-identical):\n", n)
-	printResult(results[0], src.FPS(), "")
+	printResult(os.Stdout, results[0], src.FPS(), "")
 	return nil
 }
 
@@ -567,59 +538,93 @@ func runShared(src video.Source, udf vision.UDF, cfg everest.Config, ix *everest
 		paid, n, totalCleaned, lone)
 	printServingStats(results)
 	fmt.Printf("\nfirst answer:\n")
-	printResult(results[0], src.FPS(), "")
+	printResult(os.Stdout, results[0], src.FPS(), "")
 	return nil
 }
 
-func printResult(res *everest.Result, fps int, query string) {
+func printResult(w io.Writer, res *everest.Result, fps int, query string) {
 	unit := "frame"
 	if res.IsWindow {
 		unit = "window"
 	}
 	if query != "" {
-		fmt.Printf("query: %s\n", query)
+		fmt.Fprintf(w, "query: %s\n", query)
 	}
 	if res.Degraded != nil {
-		fmt.Printf("\nDEGRADED result (%s; %d of %d entries unconfirmed proxy estimates; %.0f sim-ms spent):\n",
+		fmt.Fprintf(w, "\nDEGRADED result (%s; %d of %d entries unconfirmed proxy estimates; %.0f sim-ms spent):\n",
 			res.Degraded.Reason, len(res.Degraded.Unconfirmed), len(res.IDs), res.Degraded.SpentMS)
 	}
-	fmt.Printf("\nresult (confidence %.4f):\n", res.Confidence)
+	fmt.Fprintf(w, "\nresult (confidence %.4f):\n", res.Confidence)
 	for i, id := range res.IDs {
 		sec := float64(id) / float64(fps)
 		if res.IsWindow {
 			sec = float64(id*res.WindowStride) / float64(fps)
 		}
-		fmt.Printf("  #%-3d %s %-8d t=%8.1fs  score %.2f\n", i+1, unit, id, sec, res.Scores[i])
+		fmt.Fprintf(w, "  #%-3d %s %-8d t=%8.1fs  score %.2f\n", i+1, unit, id, sec, res.Scores[i])
 	}
-	fmt.Printf("\nphase 1: %d+%d oracle-labelled samples, %d/%d frames retained, CMDN g=%d h=%d (holdout NLL %.3f)\n",
+	fmt.Fprintf(w, "\nphase 1: %d+%d oracle-labelled samples, %d/%d frames retained, CMDN g=%d h=%d (holdout NLL %.3f)\n",
 		res.Phase1.TrainSamples, res.Phase1.HoldoutSamples,
 		res.Phase1.Retained, res.Phase1.TotalFrames,
 		res.Phase1.Hyper.G, res.Phase1.Hyper.H, res.Phase1.HoldoutNLL)
-	fmt.Printf("phase 2: %d iterations, %d tuples confirmed by the oracle\n",
+	fmt.Fprintf(w, "phase 2: %d iterations, %d tuples confirmed by the oracle\n",
 		res.EngineStats.Iterations, res.EngineStats.Cleaned)
 	if res.Retries > 0 {
-		fmt.Printf("fault layer: %d transient oracle failures retried (+%.0f sim-ms simulated backoff)\n",
+		fmt.Fprintf(w, "fault layer: %d transient oracle failures retried (+%.0f sim-ms simulated backoff)\n",
 			res.Retries, res.RetryBackoffMS)
 	}
-	fmt.Printf("\nsimulated cost:\n%s", res.Clock)
+	fmt.Fprintf(w, "\nsimulated cost:\n%s", res.Clock)
 }
 
 // runScript executes (or, with explainOnly, describes) an EQL script on
 // one shared script session: statements over the same (dataset, frames,
 // UDF, seed) share one ingestion and one label cache under a single
 // serving budget, bit-identical to running them one at a time in order.
-func runScript(src string, explainOnly bool) {
+func runScript(w io.Writer, src string, explainOnly bool) error {
 	if explainOnly {
 		out, err := eql.ExplainScript(src)
-		if err != nil {
-			fatal(err)
+		fmt.Fprint(w, out)
+		return err
+	}
+	return repl.New(w).ExecLine(src)
+}
+
+// runQuery serves -query. A lone statement with one unit and no live
+// stream has a standalone form — analyzed with its own ingest, explained,
+// or run without a session — chosen by its kind; scripts, STREAM and
+// multi-unit statements run as one coordinated plan graph on a shared
+// script session.
+func runQuery(w io.Writer, query string, explainOnly bool) error {
+	sc, err := eql.ParseScript(query)
+	if err != nil {
+		return err
+	}
+	if len(sc.Statements) == 1 {
+		q := sc.Statements[0]
+		oneUnit := !q.Stream && len(q.Sources) == 1 && len(q.Predicates) == 1
+		switch kind := q.Kind(); kind {
+		case eql.KindAnalyze:
+			rep, err := eql.Analyze(query, eql.AnalyzeOptions{})
+			if err == nil {
+				fmt.Fprint(w, rep.String())
+			}
+			return err
+		case eql.KindExplain, eql.KindQuery, eql.KindScaleOut:
+			if !oneUnit {
+				break
+			}
+			if kind == eql.KindExplain || explainOnly {
+				out, err := eql.Explain(query)
+				fmt.Fprint(w, out)
+				return err
+			}
+			res, u, err := eql.Execute(query)
+			if err == nil {
+				printResult(w, res, u.Source.FPS(), query)
+			}
+			return err
 		}
-		fmt.Print(out)
-		return
 	}
-	if err := repl.New(os.Stdout).ExecLine(src); err != nil {
-		fatal(err)
-	}
+	return runScript(w, query, explainOnly)
 }
 
 func fatal(err error) {

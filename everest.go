@@ -96,7 +96,7 @@ type Config struct {
 	// SampleCap bounds the absolute number of training samples; zero
 	// means 30000 (the paper's cap).
 	SampleCap int
-	// MinSamples floors the number of training samples; zero means 400.
+	// MinSamples floors the number of training samples; zero means 600.
 	MinSamples int
 	// HoldoutFrac sizes the holdout set relative to the training set;
 	// zero means 0.1 (the paper's 3000-of-30000 ratio).

@@ -1,6 +1,7 @@
 package eql
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -34,8 +35,6 @@ type PhaseRow struct {
 type AnalyzeReport struct {
 	// Statement echoes the analyzed EQL text.
 	Statement string
-	// Plan is the bound query.
-	Plan *Plan
 	// Config is the final engine configuration the planner chose — the
 	// exact Config a caller would hand-set to reproduce the run
 	// bit-identically.
@@ -98,18 +97,14 @@ func (r *AnalyzeReport) String() string {
 	return b.String()
 }
 
-// Analyze parses an EQL statement (with or without the EXPLAIN ANALYZE
-// prefix), lets the planner choose every engine knob, runs the chosen
-// plan, and reports predicted vs actual simulated cost per phase.
-func Analyze(src string) (*AnalyzeReport, error) {
-	return AnalyzeWithOptions(src, AnalyzeOptions{})
-}
-
-// AnalyzeWithOptions is Analyze with pinned options. It ingests its own
-// index (paying Phase 1 under the planner's cascade and procs choices),
-// so the report covers both phases; use AnalyzeOnSession to analyze
-// against an existing session instead.
-func AnalyzeWithOptions(src string, opt AnalyzeOptions) (*AnalyzeReport, error) {
+// Analyze parses and binds a single-unit EQL statement (with or without
+// the EXPLAIN ANALYZE prefix), lets the planner choose every engine
+// knob, runs the chosen plan, and reports predicted vs actual simulated
+// cost per phase. It ingests its own index — paying Phase 1 under the
+// planner's cascade and procs choices — so the report covers both
+// phases; inside a ScriptSession an EXPLAIN ANALYZE statement runs on
+// its relation's existing session instead and plans Phase 2 only.
+func Analyze(src string, opt AnalyzeOptions) (*AnalyzeReport, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return nil, err
@@ -117,30 +112,30 @@ func AnalyzeWithOptions(src string, opt AnalyzeOptions) (*AnalyzeReport, error) 
 	if q.Parallel > 1 {
 		return nil, fmt.Errorf("eql: EXPLAIN ANALYZE does not support PARALLEL scale-out; the planner sets procs itself")
 	}
-	plan, err := Bind(q)
+	u, err := bindOne(q)
 	if err != nil {
 		return nil, err
 	}
 
 	// Pre-ingest planning: the cascade depth and worker count must be
 	// fixed before Phase 1 runs.
-	in := plannerInput(plan)
+	in := plannerInput(u)
 	in.Concurrency = opt.Concurrency
 	in.PinProcs = opt.Procs
 	pre := planner.Choose(in)
-	cfg := plan.Config
+	cfg := u.Config
 	cfg.DisableDiff = pre.Knobs.DisableDiff
 	cfg.Procs = pre.Knobs.Procs
 
-	ix, err := everest.BuildIndex(plan.Source, plan.UDF, cfg)
+	ix, err := everest.BuildIndex(u.Source, u.UDF, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := everest.NewSession(ix, plan.Source, plan.UDF)
+	sess, err := everest.NewSession(ix, u.Source, u.UDF)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := analyzeOn(plan, ix, sess, cfg, opt)
+	rep, err := analyzeOn(u, ix, sess, cfg, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -149,36 +144,14 @@ func AnalyzeWithOptions(src string, opt AnalyzeOptions) (*AnalyzeReport, error) 
 	return rep, nil
 }
 
-// AnalyzeOnSession analyzes a statement against an existing index and
-// session (the REPL's serving path): Phase 1 is already paid, so the
-// planner inherits the cascade and ranges over the Phase 2 knobs only.
-func AnalyzeOnSession(src string, ix *everest.Index, sess *everest.Session, opt AnalyzeOptions) (*AnalyzeReport, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if q.Parallel > 1 {
-		return nil, fmt.Errorf("eql: EXPLAIN ANALYZE does not support PARALLEL scale-out; the planner sets procs itself")
-	}
-	plan, err := Bind(q)
-	if err != nil {
-		return nil, err
-	}
-	cfg := plan.Config
-	rep, err := analyzeOn(plan, ix, sess, cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	rep.Statement = src
-	return rep, nil
-}
-
-// analyzeOn runs the post-ingest half of EXPLAIN ANALYZE: refine the
-// planner input with the index's measured Phase 1 statistics, choose
-// the Phase 2 knobs, execute on the session, and assemble the report.
-func analyzeOn(plan *Plan, ix *everest.Index, sess *everest.Session, cfg everest.Config, opt AnalyzeOptions) (*AnalyzeReport, error) {
+// analyzeOn runs the post-ingest half of EXPLAIN ANALYZE against an
+// existing index and session: Phase 1 is already paid, so the planner
+// inherits the cascade, refines its input with the index's measured
+// Phase 1 statistics, chooses the Phase 2 knobs, executes on the
+// session, and assembles the report (the caller fills in Statement).
+func analyzeOn(u *Unit, ix *everest.Index, sess *everest.Session, cfg everest.Config, opt AnalyzeOptions) (*AnalyzeReport, error) {
 	info := ix.Info()
-	in := plannerInput(plan)
+	in := plannerInput(u)
 	in.Concurrency = opt.Concurrency
 	in.TrainSamples = info.TrainSamples + info.HoldoutSamples
 	in.Retained = info.Retained
@@ -188,11 +161,7 @@ func analyzeOn(plan *Plan, ix *everest.Index, sess *everest.Session, cfg everest
 	in.DisableDiff = cfg.DisableDiff
 	// Procs was fixed before ingest (or by the caller); keep it stable so
 	// the reported Config reproduces the whole run, ingest included.
-	if cfg.Procs > 0 {
-		in.PinProcs = cfg.Procs
-	} else if opt.Procs > 0 {
-		in.PinProcs = opt.Procs
-	}
+	in.PinProcs = cmp.Or(cfg.Procs, opt.Procs)
 
 	chosen := planner.Choose(in)
 	cands := planner.Enumerate(in)
@@ -220,7 +189,6 @@ func analyzeOn(plan *Plan, ix *everest.Index, sess *everest.Session, cfg everest
 	selectActual := res.Clock.PhaseMS(simclock.PhaseSelect) + res.Clock.PhaseMS(simclock.PhaseTopkProb)
 	confirmActual := res.Clock.PhaseMS(simclock.PhaseConfirm)
 	rep := &AnalyzeReport{
-		Plan:       plan,
 		Config:     cfg,
 		Chosen:     chosen,
 		Candidates: cands,

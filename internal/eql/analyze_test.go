@@ -36,14 +36,14 @@ func TestExecuteRejectsAnalyze(t *testing.T) {
 }
 
 func TestAnalyzeRejectsParallel(t *testing.T) {
-	_, err := Analyze("EXPLAIN ANALYZE SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) PARALLEL 4 LIMIT FRAMES 6000")
+	_, err := Analyze("EXPLAIN ANALYZE SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) PARALLEL 4 LIMIT FRAMES 1500", AnalyzeOptions{})
 	if err == nil || !strings.Contains(err.Error(), "PARALLEL") {
 		t.Fatalf("PARALLEL under EXPLAIN ANALYZE should be rejected, got %v", err)
 	}
 }
 
 func TestAnalyzeReportShape(t *testing.T) {
-	rep, err := Analyze("EXPLAIN ANALYZE SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 6000 SEED 3")
+	rep, err := Analyze("EXPLAIN ANALYZE SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 1500 SEED 3", AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,10 @@ func TestAnalyzeReportShape(t *testing.T) {
 // to also lock the engine's procs-never-affect-results property through
 // the EXPLAIN ANALYZE path.
 func TestAnalyzeGoldenMatchesHandSetKnobs(t *testing.T) {
-	const stmt = "SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) THRESHOLD 0.9 LIMIT FRAMES 6000 SEED 3"
+	const stmt = "SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) THRESHOLD 0.9 LIMIT FRAMES 1500 SEED 3"
 	var ref *everest.Result
 	for _, procs := range []int{1, 2, 8} {
-		rep, err := AnalyzeWithOptions(stmt, AnalyzeOptions{Procs: procs})
+		rep, err := Analyze(stmt, AnalyzeOptions{Procs: procs})
 		if err != nil {
 			t.Fatalf("procs %d: %v", procs, err)
 		}
@@ -104,14 +104,11 @@ func TestAnalyzeGoldenMatchesHandSetKnobs(t *testing.T) {
 
 		// Hand-set run: a user reading the report sets rep.Config on the
 		// public API. Fresh bind, fresh ingest, fresh session.
-		q, err := Parse(stmt)
+		units, err := bindUnits(t, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := Bind(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := units[0]
 		ix, err := everest.BuildIndex(plan.Source, plan.UDF, rep.Config)
 		if err != nil {
 			t.Fatal(err)
@@ -149,30 +146,29 @@ func TestAnalyzeGoldenMatchesHandSetKnobs(t *testing.T) {
 	}
 }
 
-// TestAnalyzeOnSessionSkipsIngest: the serving-path variant inherits the
-// session's index — no new Phase 1, IngestMS 0, and the executed result
-// matches a direct session query with the reported config.
+// TestAnalyzeOnSessionSkipsIngest: an EXPLAIN ANALYZE statement in a
+// ScriptSession inherits its relation's index — a plain statement
+// ingests, the analyze that follows pays no new Phase 1 (IngestMS 0,
+// still one entry), and re-querying the session with the reported
+// config reproduces the analyzed answer.
 func TestAnalyzeOnSessionSkipsIngest(t *testing.T) {
-	const stmt = "SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 6000 SEED 3"
-	q, err := Parse(stmt)
+	const stmt = "SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 1500 SEED 3"
+	ss := NewScriptSession()
+	ingests := 0
+	ss.OnIngestStart = func(string, string) { ingests++ }
+	if _, err := ss.Exec("SELECT TOP 3 WINDOWS OF 30 FROM Archie RANK BY count(car) LIMIT FRAMES 1500 SEED 3"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ss.Exec("EXPLAIN ANALYZE " + stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Bind(q)
-	if err != nil {
-		t.Fatal(err)
+	if ingests != 1 || len(ss.Entries()) != 1 {
+		t.Fatalf("%d ingests, %d entries: the analyze must run on the relation the plain statement opened", ingests, len(ss.Entries()))
 	}
-	ix, err := everest.BuildIndex(plan.Source, plan.UDF, plan.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := everest.NewSession(ix, plan.Source, plan.UDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := AnalyzeOnSession(stmt, ix, sess, AnalyzeOptions{})
-	if err != nil {
-		t.Fatal(err)
+	rep := res.Statements[0].Analyze
+	if rep == nil {
+		t.Fatal("EXPLAIN ANALYZE statement carries no report")
 	}
 	if rep.IngestMS != 0 {
 		t.Fatalf("session analyze reported fresh ingest cost %v", rep.IngestMS)
@@ -180,13 +176,13 @@ func TestAnalyzeOnSessionSkipsIngest(t *testing.T) {
 	if rep.Result == nil || len(rep.Result.IDs) != 5 {
 		t.Fatalf("session analyze did not execute: %+v", rep.Result)
 	}
-	// The session's cache now holds the confirmed labels; a re-run with
-	// the reported config must terminate on the same answer.
-	res, err := sess.Query(rep.Config)
+	// The session's cache now holds the confirmed labels; a re-run of the
+	// statement must terminate on the same answer.
+	again, err := ss.Exec(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.IDs, rep.Result.IDs) {
-		t.Fatalf("session re-query diverged: %v vs %v", res.IDs, rep.Result.IDs)
+	if got := again.Statements[0].Units[0].Result; !reflect.DeepEqual(got.IDs, rep.Result.IDs) {
+		t.Fatalf("session re-query diverged: %v vs %v", got.IDs, rep.Result.IDs)
 	}
 }

@@ -100,29 +100,47 @@ func (p Predicate) String() string {
 	return fmt.Sprintf("%s(%s)", printName(p.UDF), printArg(p.Arg))
 }
 
-// Dataset returns the first source's name — the whole statement's
-// dataset for the common single-source case.
-func (s *Statement) Dataset() string {
-	if len(s.Sources) == 0 {
-		return ""
-	}
-	return s.Sources[0].Name
-}
+// Kind is what executing a statement means. It is decided once, by
+// Statement.Kind, and carried on every Unit the statement binds to; the
+// binder, the executor, the REPL's printer and cmd/everest's -query
+// dispatch switch on it instead of each re-deriving it from the
+// modifiers (DESIGN.md "Multi-statement EQL" has the full table).
+type Kind int
 
-// UDF returns the first predicate's function name.
-func (s *Statement) UDF() string {
-	if len(s.Predicates) == 0 {
-		return ""
-	}
-	return s.Predicates[0].UDF
-}
+const (
+	// KindQuery: a batch top-K query; its units join shared relations and
+	// run, in statement order, as coalesced groups on their sessions.
+	KindQuery Kind = iota
+	// KindScaleOut: PARALLEL w, w > 1; each unit runs standalone through
+	// RunParallel, outside the session machinery.
+	KindScaleOut
+	// KindFollow: SELECT STREAM; each unit registers a follower on the
+	// attached live stream its source names.
+	KindFollow
+	// KindAnalyze: EXPLAIN ANALYZE; the one unit is planned by the cost
+	// model, run at its position on its relation's session, and reported.
+	KindAnalyze
+	// KindExplain: EXPLAIN of anything; binds as the statement under it,
+	// is rendered, and has no effect — nothing ingests, runs or registers.
+	KindExplain
+)
 
-// UDFArg returns the first predicate's argument.
-func (s *Statement) UDFArg() string {
-	if len(s.Predicates) == 0 {
-		return ""
+// Kind classifies the statement — a pure function of the AST in which
+// the EXPLAIN [ANALYZE] prefix wins over every other modifier, then
+// STREAM, then PARALLEL.
+func (s *Statement) Kind() Kind {
+	switch {
+	case s.Analyze:
+		return KindAnalyze
+	case s.Explain:
+		return KindExplain
+	case s.Stream:
+		return KindFollow
+	case s.Parallel > 1:
+		return KindScaleOut
+	default:
+		return KindQuery
 	}
-	return s.Predicates[0].Arg
 }
 
 // String renders the statement in canonical form: keywords uppercase,

@@ -11,10 +11,10 @@ func TestParseFrameQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.K != 50 || q.Window != 0 || q.Dataset() != "Taipei-bus" {
+	if q.K != 50 || q.Window != 0 || q.Sources[0].Name != "Taipei-bus" {
 		t.Fatalf("parsed %+v", q)
 	}
-	if q.UDF() != "count" || q.UDFArg() != "car" || q.Threshold != 0.9 {
+	if p := q.Predicates[0]; p.UDF != "count" || p.Arg != "car" || q.Threshold != 0.9 {
 		t.Fatalf("parsed %+v", q)
 	}
 }
@@ -27,8 +27,8 @@ func TestParseWindowQuery(t *testing.T) {
 	if q.Window != 150 || q.K != 10 || q.SampleFrac != 0.2 || q.Seed != 7 {
 		t.Fatalf("parsed %+v", q)
 	}
-	if q.UDFArg() != "" {
-		t.Fatalf("empty arg expected, got %q", q.UDFArg())
+	if arg := q.Predicates[0].Arg; arg != "" {
+		t.Fatalf("empty arg expected, got %q", arg)
 	}
 }
 
@@ -226,6 +226,21 @@ func TestStatementPositions(t *testing.T) {
 	}
 }
 
+// bindUnits parses and binds src through the one binder and returns
+// the script's units.
+func bindUnits(t *testing.T, src string) ([]*Unit, error) {
+	t.Helper()
+	script, err := ParseScript(src)
+	if err != nil {
+		t.Fatalf("ParseScript(%q): %v", src, err)
+	}
+	sp, err := BindScript(script)
+	if err != nil {
+		return nil, err
+	}
+	return sp.Units, nil
+}
+
 func TestBindValidation(t *testing.T) {
 	cases := []string{
 		`SELECT TOP 5 FRAMES FROM "no-such-video" RANK BY count(car)`,
@@ -234,33 +249,25 @@ func TestBindValidation(t *testing.T) {
 		`SELECT TOP 5 FRAMES FROM Archie RANK BY sentiment()`, // not a street
 	}
 	for _, src := range cases {
-		q, err := Parse(src)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", src, err)
-		}
-		if _, err := Bind(q); err == nil {
-			t.Fatalf("Bind(%q) should fail", src)
+		if _, err := bindUnits(t, src); err == nil {
+			t.Fatalf("BindScript(%q) should fail", src)
 		}
 	}
 }
 
 func TestBindDefaultsClassToDatasetTarget(t *testing.T) {
-	q, err := Parse(`SELECT TOP 5 FRAMES FROM "Grand-Canal" RANK BY count() LIMIT FRAMES 2000`)
+	units, err := bindUnits(t, `SELECT TOP 5 FRAMES FROM "Grand-Canal" RANK BY count() LIMIT FRAMES 2000`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Bind(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plan.UDF.Name(); got != "count(boat)" {
+	if got := units[0].UDF.Name(); got != "count(boat)" {
 		t.Fatalf("bound UDF %q, want count(boat)", got)
 	}
 }
 
 func TestExecuteEndToEnd(t *testing.T) {
 	res, plan, err := Execute(
-		`SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) THRESHOLD 0.9 LIMIT FRAMES 6000 SEED 3`)
+		`SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) THRESHOLD 0.9 LIMIT FRAMES 1500 SEED 3`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +277,7 @@ func TestExecuteEndToEnd(t *testing.T) {
 	if res.Confidence < 0.9 {
 		t.Fatalf("confidence %v", res.Confidence)
 	}
-	if plan.Source.NumFrames() != 6000 {
+	if plan.Source.NumFrames() != 1500 {
 		t.Fatalf("frame limit not applied: %d", plan.Source.NumFrames())
 	}
 	// Certain-result condition flows through the language layer.
@@ -283,7 +290,7 @@ func TestExecuteEndToEnd(t *testing.T) {
 
 func TestExecuteWindowQuery(t *testing.T) {
 	res, _, err := Execute(
-		`SELECT TOP 3 WINDOWS OF 30 FROM Archie RANK BY count(car) LIMIT FRAMES 6000 SEED 3`)
+		`SELECT TOP 3 WINDOWS OF 30 FROM Archie RANK BY count(car) LIMIT FRAMES 1500 SEED 3`)
 	if err != nil {
 		t.Fatal(err)
 	}

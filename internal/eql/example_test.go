@@ -14,8 +14,9 @@ func ExampleParse() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	p := q.Predicates[0]
 	fmt.Printf("top %d windows of %d from %s by %s(%s) at %.2f\n",
-		q.K, q.Window, q.Dataset(), q.UDF(), q.UDFArg(), q.Threshold)
+		q.K, q.Window, q.Sources[0].Name, p.UDF, p.Arg, q.Threshold)
 	// Output:
 	// top 50 windows of 150 from Taipei-bus by count(car) at 0.95
 }

@@ -8,20 +8,6 @@ import (
 	"github.com/everest-project/everest/internal/vision"
 )
 
-// Plan is a validated, executable single-unit query: the bound dataset,
-// UDF and engine configuration. Scripts, cross-video and AND-predicate
-// statements bind to a ScriptPlan of many units instead (BindScript).
-type Plan struct {
-	// Source is the bound video.
-	Source *video.Synthetic
-	// UDF is the bound scoring function.
-	UDF vision.UDF
-	// Config is the engine configuration derived from the query.
-	Config everest.Config
-	// Workers is the scale-out degree (1 = serial).
-	Workers int
-}
-
 // RelationKey identifies a shared ingest/relation sub-plan: statements
 // over the same (video, frame count, UDF, seed) bind to one relation,
 // pay Phase 1 once, and share every oracle label through one session
@@ -54,12 +40,18 @@ type Relation struct {
 // Unit is one executable engine plan of a script: one (statement,
 // source, predicate) combination.
 type Unit struct {
-	// Stmt, SourceIdx and PredIdx locate the unit in the script.
+	// Stmt, SourceIdx and PredIdx locate the unit in the script; Slot is
+	// its index in its statement's unit list (and result list).
 	Stmt      int
 	SourceIdx int
 	PredIdx   int
+	Slot      int
+	// Kind is the statement's kind — what executing the unit means.
+	Kind Kind
 	// Rel is the shared relation the unit runs against; nil for
-	// scale-out (PARALLEL) units, which bypass the session machinery.
+	// scale-out (PARALLEL) and STREAM units, which bypass the session
+	// machinery. An explained unit binds as the statement under the
+	// EXPLAIN would.
 	Rel *Relation
 	// Source and UDF are the unit's own bindings (== Rel's when set).
 	Source *video.Synthetic
@@ -70,27 +62,21 @@ type Unit struct {
 	Workers int
 }
 
-// StatementPlan is one statement's bound form: its executable units in
-// (source-major, predicate-minor) order, or its follower units for a
-// STREAM statement.
+// StatementPlan is one statement's bound form: its units in
+// (source-major, predicate-minor) order, all of the statement's Kind.
 type StatementPlan struct {
-	Stmt *Statement
-	// Units is empty for STREAM statements; stream units live in
-	// StreamUnits and compile to follower registrations instead of
-	// batch runs.
-	Units       []*Unit
-	StreamUnits []*Unit
+	Stmt  *Statement
+	Units []*Unit
 }
 
 // ScriptPlan is a script bound to a coordinated plan graph: every
 // statement's units plus the deduplicated relations they share.
 type ScriptPlan struct {
-	Script     *Script
 	Statements []*StatementPlan
 	// Relations lists the distinct (video, frames, UDF, seed) sub-plans
 	// in first-appearance order — the script's shared work.
 	Relations []*Relation
-	// Units lists every batch-executable unit in statement order.
+	// Units lists every unit in statement order.
 	Units []*Unit
 }
 
@@ -163,26 +149,26 @@ func statementConfig(q *Statement) everest.Config {
 
 // BindScript resolves every statement of a script against the catalog
 // and produces the coordinated plan set: one Unit per (statement,
-// source, predicate) combination, with units over the same (video,
-// frames, UDF, seed) identity bound to one shared Relation. Binding is
-// all-or-nothing — a script with any unresolvable name fails as a
-// whole, before anything runs.
+// source, predicate) combination, each carrying its statement's Kind,
+// with units over the same (video, frames, UDF, seed) identity bound to
+// one shared Relation. Binding is all-or-nothing — a script with any
+// unresolvable name fails as a whole, before anything runs.
 func BindScript(s *Script) (*ScriptPlan, error) {
-	sp := &ScriptPlan{Script: s}
+	sp := &ScriptPlan{}
 	rels := make(map[RelationKey]*Relation)
 	for si, stmt := range s.Statements {
 		stp := &StatementPlan{Stmt: stmt}
-		if stmt.Stream {
-			if stmt.Parallel > 1 {
-				return nil, &ParseError{Pos: stmt.Pos, Msg: "STREAM statements cannot use PARALLEL scale-out"}
-			}
-			if stmt.Analyze {
+		kind := stmt.Kind()
+		if stmt.Stream && stmt.Parallel > 1 {
+			return nil, &ParseError{Pos: stmt.Pos, Msg: "STREAM statements cannot use PARALLEL scale-out"}
+		}
+		if kind == KindAnalyze {
+			// EXPLAIN ANALYZE prices and measures one plan on a session;
+			// reject the unsupported shapes here so a bad statement costs
+			// nothing.
+			if stmt.Stream {
 				return nil, &ParseError{Pos: stmt.Pos, Msg: "EXPLAIN ANALYZE is not supported for STREAM statements"}
 			}
-		}
-		if stmt.Analyze {
-			// EXPLAIN ANALYZE prices and measures one plan; reject the
-			// unsupported shapes here so a bad statement costs nothing.
 			if stmt.Parallel > 1 {
 				return nil, &ParseError{Pos: stmt.Pos,
 					Msg: "EXPLAIN ANALYZE does not support PARALLEL scale-out; the planner sets procs itself"}
@@ -211,18 +197,17 @@ func BindScript(s *Script) (*ScriptPlan, error) {
 					Stmt:      si,
 					SourceIdx: srcIdx,
 					PredIdx:   predIdx,
+					Slot:      len(stp.Units),
+					Kind:      kind,
 					Source:    src,
 					UDF:       udf,
 					Config:    cfg,
 					Workers:   workers,
 				}
-				if stmt.Stream {
-					// Followers run against a live stream's own ingestor;
-					// they never join a batch relation.
-					stp.StreamUnits = append(stp.StreamUnits, u)
-					continue
-				}
-				if workers <= 1 {
+				// Followers live on a stream's own ingestor and scale-out
+				// runs standalone; every other unit joins its relation —
+				// explained ones too, so an EXPLAIN prices their sharing.
+				if !stmt.Stream && workers <= 1 {
 					key := RelationKey{
 						Dataset: src.Name(),
 						Frames:  src.NumFrames(),
@@ -252,10 +237,11 @@ func BindScript(s *Script) (*ScriptPlan, error) {
 	return sp, nil
 }
 
-// Bind resolves a single-unit statement — one source, one predicate, no
-// STREAM — and produces an executable plan. Multi-unit statements must
-// go through BindScript.
-func Bind(q *Statement) (*Plan, error) {
+// bindOne binds a parsed statement as a one-statement script and
+// returns its one unit — the form Execute, Explain and Analyze work on.
+// STREAM and multi-unit statements have no single unit; they execute
+// and explain through a ScriptSession / ExplainScript.
+func bindOne(q *Statement) (*Unit, error) {
 	if q.Stream {
 		return nil, &ParseError{Pos: q.Pos, Msg: "STREAM statements compile to follower registrations; execute them through a ScriptSession with an attached live stream"}
 	}
@@ -263,49 +249,50 @@ func Bind(q *Statement) (*Plan, error) {
 		return nil, &ParseError{Pos: q.Pos,
 			Msg: fmt.Sprintf("statement has %d sources and %d predicates; multi-unit statements bind through BindScript", len(q.Sources), len(q.Predicates))}
 	}
-	src, spec, err := bindSource(q.Sources[0], q.Frames)
+	sp, err := BindScript(&Script{Statements: []*Statement{q}})
 	if err != nil {
 		return nil, err
 	}
-	udf, err := bindUDF(q.Predicates[0], spec, src)
-	if err != nil {
-		return nil, err
-	}
-	workers := q.Parallel
-	if workers == 0 {
-		workers = 1
-	}
-	return &Plan{Source: src, UDF: udf, Config: statementConfig(q), Workers: workers}, nil
+	return sp.Units[0], nil
 }
 
-// Execute parses, binds and runs a single-unit EQL statement. EXPLAIN
-// statements are rejected here (use Explain); scripts and multi-unit
-// statements are rejected too (use ScriptSession).
-func Execute(src string) (*everest.Result, *Plan, error) {
+// Execute parses, binds and runs a single-unit EQL statement, returning
+// the result and the unit it ran. EXPLAIN statements are rejected here
+// (use Explain or Analyze); scripts and multi-unit statements are
+// rejected too (use ScriptSession).
+func Execute(src string) (*everest.Result, *Unit, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	if q.Analyze {
+	switch q.Kind() {
+	case KindAnalyze:
 		return nil, nil, fmt.Errorf("eql: EXPLAIN ANALYZE statements plan and measure; use Analyze")
-	}
-	if q.Explain {
+	case KindExplain:
 		return nil, nil, fmt.Errorf("eql: EXPLAIN statements describe a plan; use Explain")
 	}
-	plan, err := Bind(q)
+	u, err := bindOne(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	if plan.Workers > 1 {
-		pres, err := everest.RunParallel(plan.Source, plan.UDF, plan.Config, plan.Workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &pres.Result, plan, nil
+	var res *everest.Result
+	switch u.Kind {
+	case KindScaleOut:
+		res, err = runScaleOut(u)
+	default:
+		res, err = everest.Run(u.Source, u.UDF, u.Config)
 	}
-	res, err := everest.Run(plan.Source, plan.UDF, plan.Config)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, plan, nil
+	return res, u, nil
+}
+
+// runScaleOut runs a PARALLEL unit standalone, outside any session.
+func runScaleOut(u *Unit) (*everest.Result, error) {
+	pres, err := everest.RunParallel(u.Source, u.UDF, u.Config, u.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return &pres.Result, nil
 }

@@ -5,64 +5,39 @@ import (
 	"strings"
 
 	"github.com/everest-project/everest/internal/eql/planner"
+	"github.com/everest-project/everest/internal/phase1"
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/windows"
 )
 
-// plannedSamples mirrors Phase 1's sampling arithmetic (fraction,
-// floor, cap, holdout) so cost predictions price the label bill the
-// engine will actually pay.
-func plannedSamples(sampleFrac float64, minSamples, sampleCap, n int) int {
-	if sampleFrac == 0 {
-		sampleFrac = 0.02
-	}
-	trainN := int(sampleFrac * float64(n))
-	floor := minSamples
-	if floor == 0 {
-		floor = 600
-	}
-	if trainN < floor {
-		trainN = floor
-	}
-	ceil := sampleCap
-	if ceil == 0 {
-		ceil = 30000
-	}
-	if trainN > ceil {
-		trainN = ceil
-	}
-	holdN := trainN / 10
-	if holdN < 100 {
-		holdN = 100
-	}
-	return trainN + holdN
-}
-
-// plannerInput assembles the planner's view of a bound plan. Callers
-// holding an index refine it with measured Phase 1 statistics.
-func plannerInput(plan *Plan) planner.Input {
-	cfg := plan.Config
+// plannerInput assembles the planner's view of a bound unit. The
+// planned label count is Phase 1's own sizing, so cost predictions price
+// the label bill the engine will actually pay (a video too short to
+// ingest plans zero labels; running it reports the error). Callers
+// holding an index refine the input with measured Phase 1 statistics.
+func plannerInput(u *Unit) planner.Input {
+	cfg := u.Config
 	cost := cfg.Cost
 	if cost == (simclock.CostModel{}) {
 		cost = simclock.Default()
 	}
-	n := plan.Source.NumFrames()
+	n := u.Source.NumFrames()
+	train, hold, _ := phase1.SampleCounts(n, phase1.Options{
+		SampleFrac:  cfg.SampleFrac,
+		SampleCap:   cfg.SampleCap,
+		MinSamples:  cfg.MinSamples,
+		HoldoutFrac: cfg.HoldoutFrac,
+	})
 	return planner.Input{
 		Frames:           n,
 		K:                cfg.K,
 		Window:           cfg.Window,
 		Stride:           cfg.Stride,
 		WindowSampleFrac: cfg.WindowSampleFrac,
-		UDFFrameMS:       plan.UDF.OracleCostMS(cost),
+		UDFFrameMS:       u.UDF.OracleCostMS(cost),
 		Cost:             cost,
-		TrainSamples:     plannedSamples(cfg.SampleFrac, cfg.MinSamples, cfg.SampleCap, n),
+		TrainSamples:     train + hold,
 	}
-}
-
-// unitPlannerInput assembles the planner's view of one script plan
-// unit.
-func unitPlannerInput(u *Unit) planner.Input {
-	return plannerInput(&Plan{Source: u.Source, UDF: u.UDF, Config: u.Config, Workers: u.Workers})
 }
 
 // candidateTable renders a planner enumeration as the table EXPLAIN and
@@ -81,14 +56,14 @@ func candidateTable(b *strings.Builder, cands []planner.Candidate) {
 	}
 }
 
-// Explain parses and binds an EQL statement (with or without the EXPLAIN
-// keyword) and renders the execution plan without running it: the bound
-// dataset and UDF, the query shape (frames vs windows, stride, bound
-// kind, scale-out degree), and the planner's knob choices with their
-// predicted costs under the simulated cost model — the candidate table,
-// the chosen batch size and cascade depth, the Phase 1 bill, the
-// expected Phase 2 oracle bill, and the naive scan-and-test cost the
-// optimizer avoids. Phase 2's actual bill depends on the score
+// Explain parses and binds a single-unit EQL statement (with or without
+// the EXPLAIN keyword) and renders the execution plan without running
+// it: the bound dataset and UDF, the query shape (frames vs windows,
+// stride, bound kind, scale-out degree), and the planner's knob choices
+// with their predicted costs under the simulated cost model — the
+// candidate table, the chosen batch size and cascade depth, the Phase 1
+// bill, the expected Phase 2 oracle bill, and the naive scan-and-test
+// cost the optimizer avoids. Phase 2's actual bill depends on the score
 // distribution; EXPLAIN ANALYZE (Analyze) runs the chosen plan and
 // reports predicted vs actual.
 func Explain(src string) (string, error) {
@@ -96,22 +71,23 @@ func Explain(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	plan, err := Bind(q)
+	u, err := bindOne(q)
 	if err != nil {
 		return "", err
 	}
+	return explainUnit(q, u, 1), nil
+}
 
-	in := plannerInput(plan)
-	in.Concurrency = 1
-	if plan.Workers > 1 {
-		in.PinProcs = plan.Workers
+// explainUnit renders the full single-unit plan of a bound statement,
+// planned for the given expected concurrency.
+func explainUnit(q *Statement, u *Unit, concurrency int) string {
+	in := plannerInput(u)
+	in.Concurrency = concurrency
+	if u.Workers > 1 {
+		in.PinProcs = u.Workers
 	}
 	chosen := planner.Choose(in)
 	cands := planner.Enumerate(in)
-
-	cost := in.Cost
-	n := in.Frames
-	scanMS := float64(n) * (in.UDFFrameMS + cost.DecodeMS)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan: everest top-%d", q.K)
@@ -129,27 +105,28 @@ func Explain(src string) (string, error) {
 		b.WriteString(" frames")
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "  dataset   %s (%d frames, %d fps)\n", plan.Source.Name(), n, plan.Source.FPS())
-	fmt.Fprintf(&b, "  rank by   %s\n", plan.UDF.Name())
+	fmt.Fprintf(&b, "  dataset   %s (%d frames, %d fps)\n", u.Source.Name(), in.Frames, u.Source.FPS())
+	fmt.Fprintf(&b, "  rank by   %s\n", u.UDF.Name())
 	thres := q.Threshold
 	if thres == 0 {
 		thres = 0.9
 	}
 	fmt.Fprintf(&b, "  guarantee Pr(result = exact top-k) ≥ %.2f, certain-result condition\n", thres)
-	if plan.Workers > 1 {
-		fmt.Fprintf(&b, "  scale-out %d workers (partitioned phase 1, parallel cleaning)\n", plan.Workers)
+	if u.Workers > 1 {
+		fmt.Fprintf(&b, "  scale-out %d workers (partitioned phase 1, parallel cleaning)\n", u.Workers)
 	}
 	fmt.Fprintf(&b, "  phase 1   label ≈%d samples + train grid + cascade %s ≈ %.0f ms\n",
 		in.TrainSamples, planner.CascadeName(chosen.Knobs.DisableDiff), chosen.Pred.Phase1MS)
 	fmt.Fprintf(&b, "  phase 2   batch %d → ≈%d confirmations in %d launches ≈ %.0f ms (bill depends on score skew; typically <2%% of frames)\n",
 		chosen.Knobs.BatchSize, chosen.Pred.Cleaned, chosen.Pred.Launches, chosen.Pred.ConfirmMS)
-	fmt.Fprintf(&b, "  baseline  scan-and-test would cost %.0f ms\n", scanMS)
+	fmt.Fprintf(&b, "  baseline  scan-and-test would cost %.0f ms\n",
+		float64(in.Frames)*(in.UDFFrameMS+in.Cost.DecodeMS))
 	candidateTable(&b, cands)
 	b.WriteString("  reasons:\n")
 	for _, w := range chosen.Why {
 		fmt.Fprintf(&b, "    - %s\n", w)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // ExplainScript parses and binds a whole script and renders its
@@ -176,57 +153,28 @@ func explainScriptPlan(sp *ScriptPlan) string {
 	// Every relation-bound unit participates: the whole script is being
 	// explained, so EXPLAIN statements inside it price like the rest.
 	var units []*Unit
-	idx := make(map[*Unit]int)
-	in := planner.SetInput{}
 	for _, u := range sp.Units {
-		if u.Rel == nil {
-			continue
-		}
-		idx[u] = len(units)
-		units = append(units, u)
-		in.Units = append(in.Units, unitPlannerInput(u))
-	}
-	for _, rel := range sp.Relations {
-		var g []int
-		for _, u := range rel.Units {
-			if i, ok := idx[u]; ok {
-				g = append(g, i)
-			}
-		}
-		if len(g) > 0 {
-			in.Shared = append(in.Shared, g)
+		if u.Rel != nil {
+			units = append(units, u)
 		}
 	}
-	setPlan := planner.ChooseSet(in)
+	setPlan := planner.ChooseSet(setInput(sp, units, 0))
+	chosen := make(map[*Unit]planner.Candidate, len(units))
+	for i, u := range units {
+		chosen[u] = setPlan.Units[i]
+	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "script: %d statement(s), %d plan unit(s), %d relation(s), %d shared\n",
-		len(sp.Statements), len(sp.Units)+streamUnitCount(sp), len(sp.Relations), sp.SharedUnits())
+		len(sp.Statements), len(sp.Units), len(sp.Relations), sp.SharedUnits())
 	b.WriteString(budgetLine(setPlan))
 	for si, stp := range sp.Statements {
 		fmt.Fprintf(&b, "  [%d] %s\n", si+1, stp.Stmt.String())
 		for _, u := range stp.Units {
-			switch {
-			case u.Workers > 1:
-				fmt.Fprintf(&b, "      %s rank-by %s: scale-out %d workers, runs standalone\n",
-					u.Source.Name(), u.UDF.Name(), u.Workers)
-			case u.Rel != nil:
-				c := setPlan.Units[idx[u]]
-				shared := ""
-				if len(u.Rel.Units) > 1 {
-					shared = fmt.Sprintf("  [shares relation %s with %d more]", u.Rel.Key.String(), len(u.Rel.Units)-1)
-				}
-				fmt.Fprintf(&b, "      %s rank-by %s: batch %d, cascade %s, predicted ≈%.0f ms%s\n",
-					u.Source.Name(), u.UDF.Name(), c.Knobs.BatchSize,
-					planner.CascadeName(c.Knobs.DisableDiff), c.Pred.TotalMS, shared)
-			}
-		}
-		for _, u := range stp.StreamUnits {
-			fmt.Fprintf(&b, "      %s rank-by %s: continuous — compiles to a follower registration on the attached live stream\n",
-				u.Source.Name(), u.UDF.Name())
+			fmt.Fprintf(&b, "      %s\n", unitLine(u, chosen[u]))
 		}
 		if len(stp.Stmt.Predicates) > 1 {
-			b.WriteString("      AND: per source, IDs in every predicate's top-K, ordered by the first predicate's rank\n")
+			fmt.Fprintf(&b, "      %s\n", andLine)
 		}
 	}
 	if sp.SharedUnits() > 0 {
@@ -247,12 +195,28 @@ func explainScriptPlan(sp *ScriptPlan) string {
 	return b.String()
 }
 
-func streamUnitCount(sp *ScriptPlan) int {
-	n := 0
-	for _, stp := range sp.Statements {
-		n += len(stp.StreamUnits)
+// andLine describes the AND-combination of a multi-predicate statement.
+const andLine = "AND: per source, IDs in every predicate's top-K, ordered by the first predicate's rank"
+
+// unitLine renders one unit of a plan listing from the unit's own data:
+// scale-out units run standalone, relation-bound units show the chosen
+// knobs c and who they share with, and what is left — a STREAM unit —
+// is a follower registration.
+func unitLine(u *Unit, c planner.Candidate) string {
+	head := fmt.Sprintf("%s rank-by %s: ", u.Source.Name(), u.UDF.Name())
+	switch {
+	case u.Workers > 1:
+		return head + fmt.Sprintf("scale-out %d workers, runs standalone", u.Workers)
+	case u.Rel != nil:
+		shared := ""
+		if len(u.Rel.Units) > 1 {
+			shared = fmt.Sprintf("  [shares relation %s with %d more]", u.Rel.Key.String(), len(u.Rel.Units)-1)
+		}
+		return head + fmt.Sprintf("batch %d, cascade %s, predicted ≈%.0f ms%s",
+			c.Knobs.BatchSize, planner.CascadeName(c.Knobs.DisableDiff), c.Pred.TotalMS, shared)
+	default:
+		return head + "continuous — compiles to a follower registration on the attached live stream"
 	}
-	return n
 }
 
 // budgetLine renders the set planner's one-budget choice.
@@ -268,21 +232,20 @@ func onOff(v bool) string {
 	return "off"
 }
 
-// explainStatementPlan renders an EXPLAIN statement inside a script:
-// single-unit statements get the full single-statement rendering plus
-// the script's budget; multi-unit statements a per-unit plan listing.
-func explainStatementPlan(stp *StatementPlan, sp *ScriptPlan, setPlan planner.SetPlan) string {
+// explainStatement renders an EXPLAIN statement inside a script, planned
+// at the script's concurrency: single-unit statements get the full
+// single-statement rendering plus the script's budget; multi-unit
+// statements a per-unit plan listing.
+func explainStatement(stp *StatementPlan, setPlan planner.SetPlan) string {
 	stmt := stp.Stmt
 	if stmt.Stream {
 		return fmt.Sprintf("plan: continuous query — compiles to %d follower registration(s) on the attached live stream; no batch plan\n",
-			len(stp.StreamUnits))
+			len(stp.Units))
 	}
 	if len(stp.Units) == 1 {
-		text, err := Explain(stmt.String())
-		if err != nil {
-			return "explain: " + err.Error() + "\n"
-		}
-		if u := stp.Units[0]; u.Rel != nil && len(u.Rel.Units) > 1 {
+		u := stp.Units[0]
+		text := explainUnit(stmt, u, setPlan.Concurrency)
+		if u.Rel != nil && len(u.Rel.Units) > 1 {
 			text += fmt.Sprintf("  shares relation %s with %d more unit(s) in this script\n",
 				u.Rel.Key.String(), len(u.Rel.Units)-1)
 		}
@@ -292,24 +255,16 @@ func explainStatementPlan(stp *StatementPlan, sp *ScriptPlan, setPlan planner.Se
 	fmt.Fprintf(&b, "plan: %d coordinated units (%d sources × %d predicates)\n",
 		len(stp.Units), len(stmt.Sources), len(stmt.Predicates))
 	for i, u := range stp.Units {
-		if u.Workers > 1 {
-			fmt.Fprintf(&b, "  [%d] %s rank-by %s: scale-out %d workers, runs standalone\n",
-				i+1, u.Source.Name(), u.UDF.Name(), u.Workers)
-			continue
+		var c planner.Candidate
+		if u.Rel != nil {
+			in := plannerInput(u)
+			in.Concurrency = setPlan.Concurrency
+			c = planner.Choose(in)
 		}
-		in := unitPlannerInput(u)
-		in.Concurrency = setPlan.Concurrency
-		c := planner.Choose(in)
-		shared := ""
-		if u.Rel != nil && len(u.Rel.Units) > 1 {
-			shared = fmt.Sprintf("  [shares relation %s with %d more]", u.Rel.Key.String(), len(u.Rel.Units)-1)
-		}
-		fmt.Fprintf(&b, "  [%d] %s rank-by %s: batch %d, cascade %s, predicted ≈%.0f ms%s\n",
-			i+1, u.Source.Name(), u.UDF.Name(), c.Knobs.BatchSize,
-			planner.CascadeName(c.Knobs.DisableDiff), c.Pred.TotalMS, shared)
+		fmt.Fprintf(&b, "  [%d] %s\n", i+1, unitLine(u, c))
 	}
 	if len(stmt.Predicates) > 1 {
-		b.WriteString("  AND: per source, IDs in every predicate's top-K, ordered by the first predicate's rank\n")
+		fmt.Fprintf(&b, "  %s\n", andLine)
 	}
 	b.WriteString(budgetLine(setPlan))
 	return b.String()

@@ -1,8 +1,11 @@
 package eql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/everest-project/everest/internal/phase1"
 )
 
 func TestParseSlidingWindowClause(t *testing.T) {
@@ -68,7 +71,7 @@ func TestExecuteRejectsExplain(t *testing.T) {
 }
 
 func TestExplainDescribesPlan(t *testing.T) {
-	out, err := Explain("EXPLAIN SELECT TOP 10 WINDOWS OF 300 EVERY 30 FROM Archie RANK BY count(car) THRESHOLD 0.95 PARALLEL 4 LIMIT FRAMES 9000")
+	out, err := Explain("EXPLAIN SELECT TOP 10 WINDOWS OF 300 EVERY 30 FROM Archie RANK BY count(car) THRESHOLD 0.95 PARALLEL 4 LIMIT FRAMES 1500")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestExplainDescribesPlan(t *testing.T) {
 }
 
 func TestExplainWorksWithoutKeyword(t *testing.T) {
-	out, err := Explain("SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 6000")
+	out, err := Explain("SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 1500")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,24 +102,21 @@ func TestExplainBindErrorsSurface(t *testing.T) {
 }
 
 func TestBindPropagatesStrideAndWorkers(t *testing.T) {
-	q, err := Parse("SELECT TOP 3 WINDOWS OF 60 EVERY 20 FROM Archie RANK BY count(car) PARALLEL 2 LIMIT FRAMES 6000")
+	units, err := bindUnits(t, "SELECT TOP 3 WINDOWS OF 60 EVERY 20 FROM Archie RANK BY count(car) PARALLEL 2 LIMIT FRAMES 1500")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Bind(q)
-	if err != nil {
-		t.Fatal(err)
+	u := units[0]
+	if u.Config.Window != 60 || u.Config.Stride != 20 {
+		t.Fatalf("unit window/stride = %d/%d", u.Config.Window, u.Config.Stride)
 	}
-	if plan.Config.Window != 60 || plan.Config.Stride != 20 {
-		t.Fatalf("plan window/stride = %d/%d", plan.Config.Window, plan.Config.Stride)
-	}
-	if plan.Workers != 2 {
-		t.Fatalf("plan workers = %d, want 2", plan.Workers)
+	if u.Workers != 2 || u.Kind != KindScaleOut || u.Rel != nil {
+		t.Fatalf("unit workers/kind/rel = %d/%d/%v, want 2, scale-out, no relation", u.Workers, u.Kind, u.Rel)
 	}
 }
 
 func TestExecuteSlidingWindowStatement(t *testing.T) {
-	res, plan, err := Execute("SELECT TOP 3 WINDOWS OF 60 EVERY 30 FROM Archie RANK BY count(car) LIMIT FRAMES 6000 SEED 4")
+	res, plan, err := Execute("SELECT TOP 3 WINDOWS OF 60 EVERY 30 FROM Archie RANK BY count(car) LIMIT FRAMES 1500 SEED 4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestExecuteSlidingWindowStatement(t *testing.T) {
 }
 
 func TestExecuteParallelStatement(t *testing.T) {
-	res, plan, err := Execute("SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) PARALLEL 2 LIMIT FRAMES 6000 SEED 4")
+	res, plan, err := Execute("SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) PARALLEL 2 LIMIT FRAMES 2000 SEED 4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,5 +144,25 @@ func TestExecuteParallelStatement(t *testing.T) {
 	}
 	if len(res.IDs) != 5 || res.Confidence < 0.9 {
 		t.Fatalf("parallel EQL result: %d ids, confidence %v", len(res.IDs), res.Confidence)
+	}
+}
+
+// TestExplainSampleEstimateMatchesPhase1: EXPLAIN's "label ≈N samples"
+// is the number of frames Phase 1 will label for a video of that
+// length — tiny-video fallback, floor and fraction regimes alike.
+func TestExplainSampleEstimateMatchesPhase1(t *testing.T) {
+	for _, n := range []int{640, 1200, 4000, 2000000} {
+		out, err := Explain(fmt.Sprintf("SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES %d", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := phase1.PlanSamples(n, phase1.Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("label ≈%d samples", len(plan.TrainIdx)+len(plan.HoldIdx))
+		if !strings.Contains(out, want) {
+			t.Fatalf("%d frames: EXPLAIN does not say %q:\n%s", n, want, out)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 //     canonical rendering reparses, and reparsing it prints the same
 //     canonical text (so the printer emits exactly the language the
 //     parser accepts — quoting, float formatting, option order and
-//     all).
+//     all), and every statement keeps its Kind across the round trip.
 func FuzzParseEQL(f *testing.F) {
 	seeds := []string{
 		``,
@@ -58,6 +58,11 @@ func FuzzParseEQL(f *testing.F) {
 		}
 		if got := s2.String(); got != printed {
 			t.Fatalf("canonical form is not a fixed point:\nsource %q\n first %q\nsecond %q", src, printed, got)
+		}
+		for i, st := range s.Statements {
+			if got, want := s2.Statements[i].Kind(), st.Kind(); got != want {
+				t.Fatalf("statement %d of %q changes kind across print→parse: %d, was %d", i, src, got, want)
+			}
 		}
 	})
 }

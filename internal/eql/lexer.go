@@ -19,7 +19,10 @@
 // bound to a coordinated plan set (BindScript) and executed over shared
 // sub-plans with one scheduling budget (ScriptSession) — statements
 // over the same (video, frames, UDF, seed) relation ingest once and
-// share oracle labels, bit-identical to running them one at a time.
+// share oracle labels, bit-identical to running them one at a time. A
+// single statement is a one-statement script: Execute, Explain and
+// Analyze bind through the same BindScript and work on its one Unit,
+// and what executing any statement means is its Kind.
 package eql
 
 import (

@@ -195,17 +195,10 @@ func (in Input) uncertainTuples(disableDiff bool) int {
 	return u
 }
 
-// samplesPerWindow mirrors windows.Oracle.SamplesPerWindow.
+// samplesPerWindow is how many frames one window confirmation scores.
 func (in Input) samplesPerWindow() int {
-	frac := in.WindowSampleFrac
-	if frac == 0 {
-		frac = 0.1
-	}
-	k := int(math.Ceil(frac * float64(in.Window)))
-	if k < 1 {
-		k = 1
-	}
-	return k
+	o := windows.Oracle{Size: in.Window, SampleFrac: in.WindowSampleFrac}
+	return o.SamplesPerWindow()
 }
 
 // expectedCleaned is the statistics-free confirmation estimate: Phase 2
@@ -386,11 +379,11 @@ func Choose(in Input) Candidate {
 	case in.HasIndex:
 		why = append(why, "cascade inherited: Phase 1 already paid by the index, ingest knobs are fixed")
 	case in.CascadeFixed:
-		why = append(why, fmt.Sprintf("cascade pinned by the caller: %s", cascadeName(kn.DisableDiff)))
+		why = append(why, fmt.Sprintf("cascade pinned by the caller: %s", CascadeName(kn.DisableDiff)))
 	default:
 		other := Predict(in, withDisableDiff(kn, !kn.DisableDiff))
 		why = append(why, fmt.Sprintf("cascade %s: %.0f ms predicted vs %.0f ms at %s",
-			cascadeName(kn.DisableDiff), chosen.Pred.TotalMS, other.TotalMS, cascadeName(!kn.DisableDiff)))
+			CascadeName(kn.DisableDiff), chosen.Pred.TotalMS, other.TotalMS, CascadeName(!kn.DisableDiff)))
 	}
 	why = append(why, fmt.Sprintf("batch %d: %d expected confirmations in %d launches — %.0f ms launch overhead vs %.0f ms at b=1",
 		kn.BatchSize, chosen.Pred.Cleaned, chosen.Pred.Launches, chosen.Pred.LaunchMS,
@@ -524,13 +517,10 @@ func ChooseSet(in SetInput) SetPlan {
 func withBatch(kn Knobs, b int) Knobs        { kn.BatchSize = b; return kn }
 func withDisableDiff(kn Knobs, d bool) Knobs { kn.DisableDiff = d; return kn }
 
-// cascadeName renders a cascade depth for reports.
-func cascadeName(disableDiff bool) string {
+// CascadeName renders a cascade depth for reports.
+func CascadeName(disableDiff bool) string {
 	if disableDiff {
 		return "decode→proxy (depth 2)"
 	}
 	return "decode→diff→proxy (depth 3)"
 }
-
-// CascadeName is cascadeName for report rendering outside the package.
-func CascadeName(disableDiff bool) string { return cascadeName(disableDiff) }

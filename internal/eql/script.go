@@ -52,9 +52,8 @@ type ScriptSession struct {
 }
 
 type scriptEntry struct {
-	ix       *everest.Index
-	sess     *everest.Session
-	ingestMS float64
+	ix   *everest.Index
+	sess *everest.Session
 }
 
 // NewScriptSession returns an empty script session.
@@ -167,153 +166,111 @@ func (ss *ScriptSession) ExecScript(script *Script, opt ScriptOptions) (*ScriptR
 			Text: stp.Stmt.String(),
 		})
 	}
-
-	// Ensure the shared sub-plans: one index + session per relation that
-	// some statement will actually run against (EXPLAIN statements
-	// describe, they never ingest).
 	var firstErr error
 	keep := func(err error) {
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	needed := ss.neededRelations(sp)
+
+	// The units that run on a relation's session — queries and EXPLAIN
+	// ANALYZE — are the set planned under one budget; their relations
+	// are ensured (one index + session each) in first-appearance order.
+	// A relation only explained statements touch is never ingested.
+	var runnable []*Unit
+	needed := make(map[*Relation]bool)
+	for _, u := range sp.Units {
+		switch u.Kind {
+		case KindQuery, KindAnalyze:
+			runnable = append(runnable, u)
+			needed[u.Rel] = true
+		}
+	}
 	entries := make(map[*Relation]*scriptEntry, len(needed))
-	for _, rel := range needed {
+	observed := 0
+	for _, rel := range sp.Relations {
+		if !needed[rel] {
+			continue
+		}
 		ent, err := ss.entryFor(rel, opt)
 		if err != nil {
 			return res, err
 		}
 		entries[rel] = ent
+		observed = max(observed, ent.sess.ObservedInFlight())
 	}
 
 	// One scheduling budget for the whole set: concurrency derived from
 	// the script's own unit count plus the scheduler's observed
 	// in-flight arrivals — never a caller hint.
-	units := runnableUnits(sp)
-	observed := 0
-	for _, ent := range entries {
-		if n := ent.sess.ObservedInFlight(); n > observed {
-			observed = n
-		}
-	}
-	setPlan := planner.ChooseSet(setInput(sp, units, observed))
+	setPlan := planner.ChooseSet(setInput(sp, runnable, observed))
 	res.Concurrency = setPlan.Concurrency
 	res.Coalesce = setPlan.Coalesce
 	res.UseMux = setPlan.UseMux
 	res.PredictedSavedMS = setPlan.SavedMS()
 
-	// EXPLAIN statements render without executing.
-	for i, stp := range sp.Statements {
-		if stp.Stmt.Explain && !stp.Stmt.Analyze {
-			res.Statements[i].Explain = explainStatementPlan(stp, sp, setPlan)
-		}
-	}
-
 	// Execute each relation's units in statement order as coalesced
 	// groups; EXPLAIN ANALYZE units break the group at their position so
 	// the whole per-relation sequence stays bit-identical to serial
 	// statement order.
-	for _, rel := range needed {
-		keep(ss.runRelation(rel, entries[rel], sp, res, setPlan, opt))
+	for _, rel := range sp.Relations {
+		if ent := entries[rel]; ent != nil {
+			runRelation(rel, ent, res, setPlan, opt, keep)
+		}
 	}
 
-	// Scale-out (PARALLEL) units bypass the session machinery, exactly
-	// like the REPL's scale-out path.
-	for _, stp := range sp.Statements {
-		for ui, u := range stp.Units {
-			if u.Workers <= 1 {
-				continue
-			}
-			pres, err := everest.RunParallel(u.Source, u.UDF, u.Config, u.Workers)
-			if err != nil {
+	// Everything else is per statement: render, run standalone, or
+	// register — then the AND-combinations and totals.
+	for si, stp := range sp.Statements {
+		sr := res.Statements[si]
+		switch stp.Stmt.Kind() {
+		case KindExplain:
+			sr.Explain = explainStatement(stp, setPlan)
+		case KindScaleOut:
+			// Scale-out units bypass the session machinery.
+			for _, u := range stp.Units {
+				r, err := runScaleOut(u)
 				keep(err)
-				setUnitResult(res.Statements[u.Stmt], ui, u, nil)
-				continue
+				setUnitResult(sr, u, r)
 			}
-			setUnitResult(res.Statements[u.Stmt], ui, u, &pres.Result)
+		case KindFollow:
+			keep(ss.registerFollowers(stp, sr, opt))
 		}
-	}
-
-	// STREAM statements register followers on attached live streams.
-	for i, stp := range sp.Statements {
-		if !stp.Stmt.Stream {
-			continue
-		}
-		keep(ss.registerFollowers(stp, res.Statements[i], opt))
-	}
-
-	// Statement-level post-processing: AND-combinations and totals.
-	for _, sr := range res.Statements {
 		sr.And = andCombine(sr)
 		for _, ur := range sr.Units {
-			if ur != nil && ur.Result != nil {
-				res.OracleCalls += ur.Result.EngineStats.OracleCalls
-				res.Cleaned += ur.Result.EngineStats.Cleaned
-				res.TotalMS += ur.Result.Clock.TotalMS()
+			if ur != nil {
+				res.charge(ur.Result)
 			}
 		}
-		if sr.Analyze != nil && sr.Analyze.Result != nil {
-			res.OracleCalls += sr.Analyze.Result.EngineStats.OracleCalls
-			res.Cleaned += sr.Analyze.Result.EngineStats.Cleaned
-			res.TotalMS += sr.Analyze.Result.Clock.TotalMS()
+		if sr.Analyze != nil {
+			res.charge(sr.Analyze.Result)
 		}
 	}
 	return res, firstErr
 }
 
-// neededRelations filters a plan's relations to those with at least one
-// unit that will execute (EXPLAIN-only relations never ingest),
-// preserving first-appearance order.
-func (ss *ScriptSession) neededRelations(sp *ScriptPlan) []*Relation {
-	var out []*Relation
-	for _, rel := range sp.Relations {
-		for _, u := range rel.Units {
-			stmt := sp.Statements[u.Stmt].Stmt
-			if !stmt.Explain || stmt.Analyze {
-				out = append(out, rel)
-				break
-			}
-		}
+// charge adds one executed result's bill to the script's totals.
+func (res *ScriptResult) charge(r *everest.Result) {
+	if r != nil {
+		res.OracleCalls += r.EngineStats.OracleCalls
+		res.Cleaned += r.EngineStats.Cleaned
+		res.TotalMS += r.Clock.TotalMS()
 	}
-	return out
 }
 
-// runnableUnits lists the units the batch executor will submit (bound
-// to a relation, not EXPLAIN-only, not EXPLAIN ANALYZE — those run via
-// the analyze path but still share the relation's cache and budget).
-func runnableUnits(sp *ScriptPlan) []*Unit {
-	var out []*Unit
-	for _, u := range sp.Units {
-		if u.Rel == nil {
-			continue
-		}
-		stmt := sp.Statements[u.Stmt].Stmt
-		if stmt.Explain && !stmt.Analyze {
-			continue
-		}
-		out = append(out, u)
-	}
-	return out
-}
-
-// setInput assembles the joint planner's view of the runnable set.
+// setInput assembles the joint planner's view of a set of
+// relation-bound units: the units in the given order, grouped by the
+// relations they share.
 func setInput(sp *ScriptPlan, units []*Unit, observed int) planner.SetInput {
 	in := planner.SetInput{Observed: observed}
-	idx := make(map[*Unit]int, len(units))
+	groups := make(map[*Relation][]int)
 	for i, u := range units {
-		idx[u] = i
-		in.Units = append(in.Units, unitPlannerInput(u))
+		in.Units = append(in.Units, plannerInput(u))
+		groups[u.Rel] = append(groups[u.Rel], i)
 	}
 	for _, rel := range sp.Relations {
-		var group []int
-		for _, u := range rel.Units {
-			if i, ok := idx[u]; ok {
-				group = append(group, i)
-			}
-		}
-		if len(group) > 0 {
-			in.Shared = append(in.Shared, group)
+		if g := groups[rel]; len(g) > 0 {
+			in.Shared = append(in.Shared, g)
 		}
 	}
 	return in
@@ -341,48 +298,22 @@ func (ss *ScriptSession) entryFor(rel *Relation, opt ScriptOptions) (*scriptEntr
 	if err != nil {
 		return nil, err
 	}
-	ent := &scriptEntry{ix: ix, sess: sess, ingestMS: ix.IngestMS()}
+	ent := &scriptEntry{ix: ix, sess: sess}
 	ss.entries[rel.Key] = ent
 	if ss.OnIngestDone != nil {
-		ss.OnIngestDone(rel.Source.Name(), rel.UDF.Name(), ent.ingestMS)
+		ss.OnIngestDone(rel.Source.Name(), rel.UDF.Name(), ix.IngestMS())
 	}
 	return ent, nil
 }
 
-// SessionFor exposes the (index, session) pair for a bound single-unit
-// plan, ingesting on first use — the REPL's EXPLAIN ANALYZE hook.
-func (ss *ScriptSession) SessionFor(plan *Plan, opt ScriptOptions) (*everest.Index, *everest.Session, error) {
-	rel := &Relation{
-		Key: RelationKey{
-			Dataset: plan.Source.Name(),
-			Frames:  plan.Source.NumFrames(),
-			UDF:     plan.UDF.Name(),
-			Seed:    plan.Config.Seed,
-		},
-		Source: plan.Source,
-		UDF:    plan.UDF,
-		Units:  []*Unit{{Source: plan.Source, UDF: plan.UDF, Config: plan.Config, Workers: plan.Workers}},
-	}
-	ent, err := ss.entryFor(rel, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ent.ix, ent.sess, nil
-}
-
 // runRelation executes one relation's units in statement order:
-// consecutive plain units form one coalesced group (SubmitGroup over
+// consecutive query units form one coalesced group (SubmitGroup over
 // the shared cache — bit-identical to running them serially), and an
 // EXPLAIN ANALYZE unit flushes the pending group and runs at its exact
 // position, so the relation's full sequence equals serial statement
-// order.
-func (ss *ScriptSession) runRelation(rel *Relation, ent *scriptEntry, sp *ScriptPlan, res *ScriptResult, setPlan planner.SetPlan, opt ScriptOptions) error {
-	var firstErr error
-	keep := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+// order. Explained units are no case of the switch: they do nothing.
+// Failures go to keep; the failing unit's slot stays nil.
+func runRelation(rel *Relation, ent *scriptEntry, res *ScriptResult, setPlan planner.SetPlan, opt ScriptOptions, keep func(error)) {
 	var pending []*Unit
 	flush := func() {
 		if len(pending) == 0 {
@@ -408,42 +339,40 @@ func (ss *ScriptSession) runRelation(rel *Relation, ent *scriptEntry, sp *Script
 			if results != nil {
 				r = results[i]
 			}
-			setUnitResult(res.Statements[u.Stmt], unitIndexIn(sp.Statements[u.Stmt], u), u, r)
+			setUnitResult(res.Statements[u.Stmt], u, r)
 		}
 		pending = pending[:0]
 	}
 
 	for _, u := range rel.Units {
-		stmt := sp.Statements[u.Stmt].Stmt
-		switch {
-		case stmt.Explain && !stmt.Analyze:
-			continue
-		case stmt.Analyze:
+		switch u.Kind {
+		case KindQuery:
+			pending = append(pending, u)
+		case KindAnalyze:
 			flush()
-			rep, err := AnalyzeOnSession(stmt.String(), ent.ix, ent.sess,
+			sr := res.Statements[u.Stmt]
+			rep, err := analyzeOn(u, ent.ix, ent.sess, u.Config,
 				AnalyzeOptions{Procs: opt.Procs, Concurrency: setPlan.Concurrency})
 			if err != nil {
 				keep(err)
 				continue
 			}
-			res.Statements[u.Stmt].Analyze = rep
-		default:
-			pending = append(pending, u)
+			rep.Statement = sr.Text
+			sr.Analyze = rep
 		}
 	}
 	flush()
-	return firstErr
 }
 
 // registerFollowers compiles a STREAM statement to follower
 // registrations on the attached live stream.
 func (ss *ScriptSession) registerFollowers(stp *StatementPlan, sr *StatementResult, opt ScriptOptions) error {
-	stmt := stp.Stmt
-	for _, u := range stp.StreamUnits {
-		ls, ok := ss.live[stmt.Sources[u.SourceIdx].Name]
+	for _, u := range stp.Units {
+		ref := stp.Stmt.Sources[u.SourceIdx]
+		ls, ok := ss.live[ref.Name]
 		if !ok {
-			return &ParseError{Pos: stmt.Sources[u.SourceIdx].Pos,
-				Msg: fmt.Sprintf("no live stream attached as %q (ScriptSession.AttachLive)", stmt.Sources[u.SourceIdx].Name)}
+			return &ParseError{Pos: ref.Pos,
+				Msg: fmt.Sprintf("no live stream attached as %q (ScriptSession.AttachLive)", ref.Name)}
 		}
 		fol, err := ls.Follow(u.Config, opt.MaxLagChunks, nil)
 		if err != nil {
@@ -454,26 +383,13 @@ func (ss *ScriptSession) registerFollowers(stp *StatementPlan, sr *StatementResu
 	return nil
 }
 
-// unitIndexIn locates a unit within its statement plan's unit list.
-func unitIndexIn(stp *StatementPlan, u *Unit) int {
-	for i, v := range stp.Units {
-		if v == u {
-			return i
-		}
-	}
-	return -1
-}
-
 // setUnitResult records a unit's outcome at its slot in the statement's
-// result, growing the slice to the statement's unit count on first use.
-func setUnitResult(sr *StatementResult, idx int, u *Unit, r *everest.Result) {
-	if idx < 0 {
-		return
-	}
-	for len(sr.Units) <= idx {
+// result, growing the slice to the slot on first use.
+func setUnitResult(sr *StatementResult, u *Unit, r *everest.Result) {
+	for len(sr.Units) <= u.Slot {
 		sr.Units = append(sr.Units, nil)
 	}
-	sr.Units[idx] = &UnitResult{
+	sr.Units[u.Slot] = &UnitResult{
 		Dataset:   u.Source.Name(),
 		Predicate: u.UDF.Name(),
 		FPS:       u.Source.FPS(),
@@ -556,7 +472,7 @@ func (ss *ScriptSession) Entries() []EntryInfo {
 			Key:          k.String(),
 			Queries:      ent.sess.Queries(),
 			CachedLabels: ent.sess.CachedLabels(),
-			IngestMS:     ent.ingestMS,
+			IngestMS:     ent.ix.IngestMS(),
 		})
 	}
 	return out

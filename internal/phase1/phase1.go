@@ -117,33 +117,45 @@ type SamplePlan struct {
 	TrainIdx, HoldIdx []int
 }
 
-// PlanSamples computes the labelling plan Run uses for an n-frame
-// video: sample-fraction sizing with cap/floor, the tiny-video
-// fallback, and the seed-derived draw and train/holdout split.
-func PlanSamples(n int, opt Options) (SamplePlan, error) {
+// SampleCounts sizes the labelling plan of an n-frame video: how many
+// frames Phase 1 labels for training and for holdout — sample-fraction
+// sizing with floor and cap, the holdout fraction, and the tiny-video
+// fallback. It is the arithmetic PlanSamples draws with, exported so
+// cost predictions price the label bill the engine will actually pay.
+func SampleCounts(n int, opt Options) (train, hold int, err error) {
 	opt = opt.withDefaults()
-	rng := xrand.New(opt.Seed).Split("everest/phase1")
-
-	trainN := int(opt.SampleFrac * float64(n))
-	if trainN < opt.MinSamples {
-		trainN = opt.MinSamples
+	train = int(opt.SampleFrac * float64(n))
+	if train < opt.MinSamples {
+		train = opt.MinSamples
 	}
-	if trainN > opt.SampleCap {
-		trainN = opt.SampleCap
+	if train > opt.SampleCap {
+		train = opt.SampleCap
 	}
-	holdN := int(opt.HoldoutFrac * float64(trainN))
-	if holdN < 100 {
-		holdN = 100
+	hold = int(opt.HoldoutFrac * float64(train))
+	if hold < 100 {
+		hold = 100
 	}
-	if trainN+holdN > n {
+	if train+hold > n {
 		// Tiny videos: label at most half the video, split 80/20.
 		total := n / 2
 		if total < 5 {
-			return SamplePlan{}, fmt.Errorf("phase1: video of %d frames is too short", n)
+			return 0, 0, fmt.Errorf("phase1: video of %d frames is too short", n)
 		}
-		trainN = total * 4 / 5
-		holdN = total - trainN
+		train = total * 4 / 5
+		hold = total - train
 	}
+	return train, hold, nil
+}
+
+// PlanSamples computes the labelling plan Run uses for an n-frame
+// video: SampleCounts' sizing and the seed-derived draw and
+// train/holdout split.
+func PlanSamples(n int, opt Options) (SamplePlan, error) {
+	trainN, holdN, err := SampleCounts(n, opt)
+	if err != nil {
+		return SamplePlan{}, err
+	}
+	rng := xrand.New(opt.Seed).Split("everest/phase1")
 
 	all := rng.Split("sample").SampleK(n, trainN+holdN)
 	perm := rng.Split("split").Perm(len(all))

@@ -169,18 +169,22 @@ func (r *REPL) printScript(res *eql.ScriptResult) {
 		if multi {
 			fmt.Fprintf(r.out, "[%d] %s\n", i+1, sr.Text)
 		}
-		switch {
-		case sr.Explain != "":
+		switch sr.Stmt.Kind() {
+		case eql.KindExplain:
 			fmt.Fprint(r.out, sr.Explain)
-		case sr.Analyze != nil:
-			fmt.Fprint(r.out, sr.Analyze.String())
-		case len(sr.Followers) > 0:
-			fmt.Fprintf(r.out, "(continuous: %d follower(s) registered on the live stream; deltas accumulate as footage arrives)\n",
-				len(sr.Followers))
-		default:
-			if sr.Stmt != nil && sr.Stmt.Parallel > 1 {
-				fmt.Fprintf(r.out, "(scale-out: %d workers)\n", sr.Stmt.Parallel)
+		case eql.KindAnalyze:
+			if sr.Analyze != nil {
+				fmt.Fprint(r.out, sr.Analyze.String())
 			}
+		case eql.KindFollow:
+			if len(sr.Followers) > 0 {
+				fmt.Fprintf(r.out, "(continuous: %d follower(s) registered on the live stream; deltas accumulate as footage arrives)\n",
+					len(sr.Followers))
+			}
+		case eql.KindScaleOut:
+			fmt.Fprintf(r.out, "(scale-out: %d workers)\n", sr.Stmt.Parallel)
+			fallthrough
+		case eql.KindQuery:
 			for _, ur := range sr.Units {
 				if ur == nil || ur.Result == nil {
 					continue
@@ -227,13 +231,14 @@ func (r *REPL) printResult(res *everest.Result, fps int) {
 
 func (r *REPL) help() {
 	fmt.Fprint(r.out, `statements:
-  SELECT TOP k FRAMES FROM dataset RANK BY udf(arg) [THRESHOLD p] [LIMIT FRAMES n] [SEED s] [PARALLEL w]
+  SELECT TOP k FRAMES FROM dataset RANK BY udf(arg) [THRESHOLD p] [SAMPLE f] [LIMIT FRAMES n] [SEED s] [PARALLEL w]
   SELECT TOP k WINDOWS OF n [EVERY m] FROM dataset RANK BY udf(arg) [...]
+                            SAMPLE f: fraction of a window's frames a confirmation scores
   SELECT STREAM TOP k ... FROM live-stream ...
                             register a continuous query on an attached live stream
   RANK BY udf(a) AND udf(b) per-source AND of the predicates' top-K sets
   FROM a, b                 run the same query over several videos
-  EXPLAIN SELECT ...        describe the plan without running it
+  EXPLAIN SELECT ...        describe the plan; runs, ingests and registers nothing
   EXPLAIN ANALYZE SELECT ...plan with the cost-based optimizer, run the
                             chosen plan, report predicted vs actual cost
 scripts:

@@ -25,7 +25,7 @@ func TestCommands(t *testing.T) {
 func TestExplainStatement(t *testing.T) {
 	var out bytes.Buffer
 	r := New(&out)
-	err := r.ExecLine("EXPLAIN SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 6000")
+	err := r.ExecLine("EXPLAIN SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 1500")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestExplainStatement(t *testing.T) {
 func TestExplainAnalyzeStatementRunsOnSession(t *testing.T) {
 	var out bytes.Buffer
 	r := New(&out)
-	err := r.ExecLine("EXPLAIN ANALYZE SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 4000 SEED 4")
+	err := r.ExecLine("EXPLAIN ANALYZE SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 2000 SEED 4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestExplainAnalyzeStatementRunsOnSession(t *testing.T) {
 	// A later plain query on the same pair reuses the index and the
 	// labels the analyzed run revealed.
 	out.Reset()
-	if err := r.ExecLine("SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 4000 SEED 4"); err != nil {
+	if err := r.ExecLine("SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 2000 SEED 4"); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out.String(), "ingesting") {
@@ -70,7 +70,7 @@ func TestExplainAnalyzeStatementRunsOnSession(t *testing.T) {
 func TestExplainAnalyzeRejectsParallel(t *testing.T) {
 	var out bytes.Buffer
 	r := New(&out)
-	err := r.ExecLine("EXPLAIN ANALYZE SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) PARALLEL 2 LIMIT FRAMES 4000")
+	err := r.ExecLine("EXPLAIN ANALYZE SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) PARALLEL 2 LIMIT FRAMES 2000")
 	if err == nil || !strings.Contains(err.Error(), "PARALLEL") {
 		t.Fatalf("PARALLEL under EXPLAIN ANALYZE should be rejected, got %v", err)
 	}
@@ -96,7 +96,7 @@ func TestParseAndBindErrorsAreReturned(t *testing.T) {
 func TestQueriesShareOneSession(t *testing.T) {
 	var out bytes.Buffer
 	r := New(&out)
-	stmt := "SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 4000 SEED 4"
+	stmt := "SELECT TOP 5 FRAMES FROM Archie RANK BY count(car) LIMIT FRAMES 2000 SEED 4"
 	if err := r.ExecLine(stmt); err != nil {
 		t.Fatal(err)
 	}
