@@ -4,30 +4,10 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/everest-project/everest/internal/engine"
 	"github.com/everest-project/everest/internal/stream"
-	"github.com/everest-project/everest/internal/uncertain"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
 )
-
-// copyArtifactForTest deep-copies an artifact so a streaming run can
-// mutate it without disturbing the batch baseline. Mixture values are
-// shared — appends only ever add entries.
-func copyArtifactForTest(a *engine.Artifact) *engine.Artifact {
-	c := *a
-	c.RepOf = append([]int32(nil), a.RepOf...)
-	c.Retained = append([]int32(nil), a.Retained...)
-	c.Exact = make(map[int32]float64, len(a.Exact))
-	for k, v := range a.Exact {
-		c.Exact[k] = v
-	}
-	c.Mixtures = make(map[int32]uncertain.Mixture, len(a.Mixtures))
-	for k, v := range a.Mixtures {
-		c.Mixtures[k] = v
-	}
-	return &c
-}
 
 // streamTail replays the feed's tail through an ingestor in fixed-size
 // chunks (chunk <= 0 delivers everything at once) and seals it.
@@ -70,7 +50,7 @@ func TestGoldenStreamingMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batchIx := &Index{art: copyArtifactForTest(base.art)}
+		batchIx := &Index{art: base.art.Clone()}
 		batchIx.info = phase1InfoOf(batchIx.art.Info)
 		tailMS, err := batchIx.Extend(full, udf, cfg)
 		if err != nil {
@@ -84,7 +64,7 @@ func TestGoldenStreamingMatchesBatch(t *testing.T) {
 		batchGold := goldenOf(batchRes)
 
 		for _, chunk := range []int{1, 7, 0} {
-			art := copyArtifactForTest(base.art)
+			art := base.art.Clone()
 			scfg := stream.Config{
 				SegmentFrames: long - short,
 				Refresh:       stream.RefreshFull,
@@ -97,7 +77,7 @@ func TestGoldenStreamingMatchesBatch(t *testing.T) {
 			streamTail(t, g, long-short, chunk)
 			g.Close()
 
-			if !reflect.DeepEqual(batchIx.art, art) {
+			if !reflect.DeepEqual(batchIx.art.Clone(), art.Clone()) {
 				t.Fatalf("procs=%d chunk=%d: streamed artifact differs from batch Extend", procs, chunk)
 			}
 			if g.IngestMS() != tailMS {
@@ -130,7 +110,7 @@ func TestGoldenStreamingMultiSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batchIx := &Index{art: copyArtifactForTest(base.art)}
+	batchIx := &Index{art: base.art.Clone()}
 	batchIx.info = phase1InfoOf(batchIx.art.Info)
 	var batchMS float64
 	for hi := short + seg; hi <= long; hi += seg {
@@ -146,7 +126,7 @@ func TestGoldenStreamingMultiSegment(t *testing.T) {
 	}
 	batchIx.Close()
 
-	art := copyArtifactForTest(base.art)
+	art := base.art.Clone()
 	g, err := stream.NewIngestorFrom(art, full, udf, stream.Config{
 		SegmentFrames: seg,
 		Refresh:       stream.RefreshFull,
@@ -158,7 +138,7 @@ func TestGoldenStreamingMultiSegment(t *testing.T) {
 	streamTail(t, g, long-short, 700)
 	g.Close()
 
-	if !reflect.DeepEqual(batchIx.art, art) {
+	if !reflect.DeepEqual(batchIx.art.Clone(), art.Clone()) {
 		t.Fatal("multi-segment stream differs from repeated batch Extends")
 	}
 	if g.IngestMS() != batchMS {
@@ -184,7 +164,7 @@ func TestGoldenFollowerConvergesToBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batchIx := &Index{art: copyArtifactForTest(base.art)}
+		batchIx := &Index{art: base.art.Clone()}
 		batchIx.info = phase1InfoOf(batchIx.art.Info)
 		if _, err := batchIx.Extend(full, udf, cfg); err != nil {
 			t.Fatal(err)
@@ -195,7 +175,7 @@ func TestGoldenFollowerConvergesToBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		art := copyArtifactForTest(base.art)
+		art := base.art.Clone()
 		g, err := stream.NewIngestorFrom(art, full, udf, stream.Config{
 			SegmentFrames: long - short,
 			Refresh:       stream.RefreshFull,

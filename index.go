@@ -388,25 +388,28 @@ func decodeIndexGob(data []byte, path string, formatVersion uint32) (ix *Index, 
 			Reason:        fmt.Sprintf("index version %d not supported (want %d)", c.Version, indexVersion),
 		}
 	}
-	return &Index{
-		art: &engine.Artifact{
-			Dataset:     c.Dataset,
-			UDFName:     c.UDFName,
-			TotalFrames: c.TotalFrames,
-			Retained:    c.Retained,
-			RepOf:       c.RepOf,
-			Exact:       c.Exact,
-			Mixtures:    c.Mixtures,
-			Info: phase1.Info{
-				TotalFrames:    c.Info.TotalFrames,
-				TrainSamples:   c.Info.TrainSamples,
-				HoldoutSamples: c.Info.HoldoutSamples,
-				Retained:       c.Info.Retained,
-				Hyper:          c.Info.Hyper,
-				HoldoutNLL:     c.Info.HoldoutNLL,
-			},
+	art := &engine.Artifact{
+		Dataset:     c.Dataset,
+		UDFName:     c.UDFName,
+		TotalFrames: c.TotalFrames,
+		Retained:    c.Retained,
+		RepOf:       c.RepOf,
+		Exact:       c.Exact,
+		Mixtures:    c.Mixtures,
+		Info: phase1.Info{
+			TotalFrames:    c.Info.TotalFrames,
+			TrainSamples:   c.Info.TrainSamples,
+			HoldoutSamples: c.Info.HoldoutSamples,
+			Retained:       c.Info.Retained,
+			Hyper:          c.Info.Hyper,
+			HoldoutNLL:     c.Info.HoldoutNLL,
 		},
-		info:     c.Info,
-		ingestMS: c.IngestMS,
-	}, nil
+	}
+	// A checksum says the bytes are the ones written, not that they
+	// describe an index: queries index positional tables by frame, so an
+	// inconsistent artifact is refused here, not discovered by one.
+	if verr := art.Validate(); verr != nil {
+		return nil, &IndexFormatError{Path: path, FormatVersion: formatVersion, Reason: "inconsistent index", Err: verr}
+	}
+	return &Index{art: art, info: c.Info, ingestMS: c.IngestMS}, nil
 }

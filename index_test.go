@@ -5,9 +5,12 @@ import (
 	"encoding/gob"
 	"errors"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
+	"github.com/everest-project/everest/internal/engine"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
 )
@@ -276,4 +279,108 @@ func TestIndexFileFormat(t *testing.T) {
 			t.Fatalf("garbage error should mention the unversioned compat path, got %q", ferr.Reason)
 		}
 	})
+}
+
+// TestLoadIndexRejectsInconsistentArtifact: a checksum-valid file whose
+// payload is not a consistent artifact is refused at load with a typed
+// error. Such a file used to load with err == nil and then answer a
+// window query over half the video, or fail (frame query) or silently
+// score a frame N(0, 0) (window query) at the first query.
+func TestLoadIndexRejectsInconsistentArtifact(t *testing.T) {
+	src := testSource(t, 1200, 67)
+	udf := vision.CountUDF{Class: video.ClassCar}
+	ix, err := BuildIndex(src, udf, smallCfg(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlabelled := ix.art.Retained[0]
+	for _, f := range ix.art.Retained {
+		if _, ok := ix.art.Mixtures[f]; ok {
+			unlabelled = f
+			break
+		}
+	}
+	cases := map[string]func(a *engine.Artifact){
+		"short RepOf":                  func(a *engine.Artifact) { a.RepOf = a.RepOf[:600] },
+		"out-of-range representative":  func(a *engine.Artifact) { a.RepOf[17] = 1200 },
+		"unsorted Retained":            func(a *engine.Artifact) { a.Retained[3], a.Retained[4] = a.Retained[4], a.Retained[3] },
+		"retained frame with no score": func(a *engine.Artifact) { delete(a.Mixtures, unlabelled) },
+	}
+	for name, corrupt := range cases {
+		bad := &Index{art: ix.art.Clone(), info: ix.info, ingestMS: ix.ingestMS}
+		corrupt(bad.art)
+		var file bytes.Buffer
+		if err := bad.Save(&file); err != nil {
+			t.Fatal(err)
+		}
+		var ferr *IndexFormatError
+		if _, err := LoadIndex(&file); !errors.As(err, &ferr) {
+			t.Fatalf("%s: LoadIndex error %v, want *IndexFormatError", name, err)
+		}
+		if ferr.FormatVersion != indexFormatVersion || ferr.Err == nil {
+			t.Fatalf("%s: error %+v names neither the format version nor what is inconsistent", name, ferr)
+		}
+	}
+	// Uncorrupted, it loads.
+	var file bytes.Buffer
+	if err := ix.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadIndex(&file); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueryAllocationBudget: a query against a warm index pays for its
+// own copy of D0 and the Phase 2 loop, not for re-deriving D0 — an
+// uncached frame query over 4,000 frames (about 3,800 retained) stays
+// under 0.8 MB and 1,000 allocations. Re-quantizing every mixture and
+// re-hashing every tuple per query took about 1.5 MB in 11,000.
+func TestQueryAllocationBudget(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's own allocations are counted")
+	}
+	spec, err := video.DatasetByName("Archie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := spec.Build(4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	udf := vision.CountUDF{Class: video.ClassCar}
+	cfg := smallCfg(10)
+	cfg.Procs = 1
+	ix, err := BuildIndex(src, udf, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Query(src, udf, cfg); err != nil { // builds the D0 base
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ix.Query(src, udf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	n := after.Mallocs - before.Mallocs
+	t.Logf("%d retained frames: %.2f MB in %d allocations", len(ix.art.Retained), mb, n)
+	if mb >= 0.8 || n >= 1000 {
+		t.Fatalf("a warm frame query allocated %.2f MB in %d allocations, budget 0.8 MB in 1,000", mb, n)
+	}
+}
+
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

@@ -30,6 +30,21 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 }
 
+// BenchmarkNewEngine is the per-query cost of indexing D0 at a served
+// index's size (4,000 tuples, an eighth already certain): the
+// ascending-ID check, the live table and the joint-CDF build, whose logs
+// are each Dist's own.
+func BenchmarkNewEngine(b *testing.B) {
+	rel, oracle := benchRelation(4000, 500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewEngine(rel, Config{K: 10, Threshold: 0.9}, oracle, nil, simclock.Default()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTopkProb(b *testing.B) {
 	rel, oracle := benchRelation(50000, 500)
 	e, err := NewEngine(rel, Config{K: 50, Threshold: 0.9}, oracle, nil, simclock.Default())

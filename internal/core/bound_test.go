@@ -79,7 +79,7 @@ func TestUnionEngineMeetsGuarantee(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if union.Confidence < 0.9 && len(e.dists) > 0 {
+		if union.Confidence < 0.9 && len(liveDists(e)) > 0 {
 			return false // stopped early without meeting thres
 		}
 		if union.Bound != BoundUnion || len(union.IDs) != k {
@@ -88,7 +88,7 @@ func TestUnionEngineMeetsGuarantee(t *testing.T) {
 		// Weierstrass check on the final state: 1 − Σ tails ≤ Π CDFs.
 		sk := union.Levels[len(union.Levels)-1]
 		exact := 1.0
-		for _, d := range e.dists {
+		for _, d := range liveDists(e) {
 			exact *= d.CDF(sk)
 		}
 		return union.Confidence <= exact+1e-9
@@ -139,7 +139,7 @@ func TestUnionUpperBoundDominatesExpectedConfidence(t *testing.T) {
 		} else {
 			base = e.prob.Prob(sp)
 		}
-		for _, d := range e.dists {
+		for _, d := range liveDists(e) {
 			ev := e.sel.expectedConfidence(d, sk, sp)
 			bound := base + psiOf(d, sk, sp, BoundUnion)
 			if ev > bound+1e-9 {
@@ -174,7 +174,7 @@ func TestUnionResultHonestAgainstBruteForce(t *testing.T) {
 		// their oracle level.
 		post := make(uncertain.Relation, len(rel))
 		for i, x := range rel {
-			if _, cleaned := e.dists[x.ID]; cleaned {
+			if _, cleaned := liveDists(e)[x.ID]; cleaned {
 				post[i] = x // still uncertain
 			} else {
 				post[i] = uncertain.XTuple{ID: x.ID, Dist: uncertain.Certain(oracle.levels[x.ID])}

@@ -179,13 +179,25 @@ var ErrDeadline = errors.New("core: simulated deadline exceeded")
 
 // Engine runs Phase 2 over one uncertain relation. An Engine is
 // single-use: construct with NewEngine, call Run once.
+//
+// Tuples are addressed by their position in rel, which is in strictly
+// ascending ID order, so ascending position is ascending ID: the
+// selector's scan order, the bootstrap and degraded rankings and the
+// oracle call order need no per-tuple hashing, and an ID is turned back
+// into a position by binary search.
 type Engine struct {
 	cfg    Config
 	oracle Oracle
 	clock  *simclock.Clock
 	cost   simclock.CostModel
 
-	dists   map[int]uncertain.Dist // uncertain tuples only
+	// rel is D0 — the caller's slice, read only, when it was already
+	// ascending (every relation the query engine builds is), a sorted
+	// copy otherwise. live[i] is true while rel[i] is uncertain and not
+	// yet cleaned; nLive counts them.
+	rel     uncertain.Relation
+	live    []bool
+	nLive   int
 	prob    noExceed
 	certain *certainSet
 	sel     *selector
@@ -208,30 +220,57 @@ func NewEngine(rel uncertain.Relation, cfg Config, oracle Oracle, clock *simcloc
 	if clock == nil {
 		clock = simclock.NewClock()
 	}
+	rel, err := ascendingByID(rel)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		cfg:     cfg,
 		oracle:  oracle,
 		clock:   clock,
 		cost:    cost,
-		dists:   make(map[int]uncertain.Dist),
+		rel:     rel,
+		live:    make([]bool, len(rel)),
 		certain: newCertainSet(),
 	}
 	e.certain.reserve(cfg.K)
-	seen := make(map[int]bool, len(rel))
-	for _, x := range rel {
-		if seen[x.ID] {
-			return nil, fmt.Errorf("core: duplicate tuple ID %d", x.ID)
-		}
-		seen[x.ID] = true
+	for i, x := range rel {
 		if x.Dist.IsCertain() {
 			e.certain.add(x.ID, x.Dist.Min)
 		} else {
-			e.dists[x.ID] = x.Dist
+			e.live[i] = true
+			e.nLive++
 		}
 	}
 	e.prob = newNoExceed(rel, cfg.Bound)
 	e.sel = newSelector(e)
 	return e, nil
+}
+
+// ascendingByID returns rel in strictly ascending ID order: rel itself
+// when it already is, else a stably sorted copy (the caller's slice is
+// never reordered). Two tuples with one ID are an error either way.
+func ascendingByID(rel uncertain.Relation) (uncertain.Relation, error) {
+	sorted := true
+	for i := 1; i < len(rel) && sorted; i++ {
+		sorted = rel[i-1].ID <= rel[i].ID
+	}
+	if !sorted {
+		rel = append(uncertain.Relation(nil), rel...)
+		sort.SliceStable(rel, func(i, j int) bool { return rel[i].ID < rel[j].ID })
+	}
+	for i := 1; i < len(rel); i++ {
+		if rel[i].ID == rel[i-1].ID {
+			return nil, fmt.Errorf("core: duplicate tuple ID %d", rel[i].ID)
+		}
+	}
+	return rel, nil
+}
+
+// position returns the index in rel of the tuple with the given ID.
+func (e *Engine) position(id int) (int, bool) {
+	i := sort.Search(len(e.rel), func(i int) bool { return e.rel[i].ID >= id })
+	return i, i < len(e.rel) && e.rel[i].ID == id
 }
 
 // Run executes Phase 2 to completion and returns the guaranteed Top-K.
@@ -249,7 +288,7 @@ func (e *Engine) Run() (Result, error) {
 	for {
 		sk, _ := e.thresholds()
 		phat := e.prob.Prob(sk)
-		if phat >= e.cfg.Threshold || len(e.dists) == 0 {
+		if phat >= e.cfg.Threshold || e.nLive == 0 {
 			return e.finish(phat), nil
 		}
 		if e.cfg.MaxCleaned > 0 && e.stats.Cleaned >= e.cfg.MaxCleaned {
@@ -326,9 +365,11 @@ func (e *Engine) bootstrap() error {
 		id   int
 		mean float64
 	}
-	cands := make([]cand, 0, len(e.dists))
-	for id, d := range e.dists {
-		cands = append(cands, cand{id, d.Mean()})
+	cands := make([]cand, 0, e.nLive)
+	for i, x := range e.rel {
+		if e.live[i] {
+			cands = append(cands, cand{x.ID, x.Dist.Mean()})
+		}
 	}
 	if len(cands) < need {
 		return fmt.Errorf("core: relation has only %d tuples but K=%d", e.certain.len()+len(cands), e.cfg.K)
@@ -365,12 +406,13 @@ func (e *Engine) clean(ids []int) error {
 		float64(len(ids))*(e.cost.OracleMS+e.cfg.UnhiddenDecodeMS)+e.cost.OracleCallMS)
 	e.stats.OracleCalls++
 	for i, id := range ids {
-		d, ok := e.dists[id]
-		if !ok {
+		pos, ok := e.position(id)
+		if !ok || !e.live[pos] {
 			return fmt.Errorf("core: cleaning unknown or already-certain tuple %d", id)
 		}
-		e.prob.Remove(d)
-		delete(e.dists, id)
+		e.prob.Remove(e.rel[pos].Dist)
+		e.live[pos] = false
+		e.nLive--
 		e.certain.add(id, levels[i])
 	}
 	e.stats.Cleaned += len(ids)
@@ -396,12 +438,14 @@ func (e *Engine) finishDegraded(reason string) Result {
 		id, level int
 		confirmed bool
 	}
-	cands := make([]cand, 0, len(e.certain.top)+len(e.dists))
+	cands := make([]cand, 0, len(e.certain.top)+e.nLive)
 	for _, c := range e.certain.top {
 		cands = append(cands, cand{id: c.id, level: c.level, confirmed: true})
 	}
-	for id, d := range e.dists {
-		cands = append(cands, cand{id: id, level: int(math.Round(d.Mean()))})
+	for i, x := range e.rel {
+		if e.live[i] {
+			cands = append(cands, cand{id: x.ID, level: int(math.Round(x.Dist.Mean()))})
+		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -173,7 +175,7 @@ func TestEngineConfidenceMatchesBruteForce(t *testing.T) {
 	}
 	sk := res.Levels[len(res.Levels)-1]
 	var unc uncertain.Relation
-	for id, d := range e.dists {
+	for id, d := range liveDists(e) {
 		unc = append(unc, uncertain.XTuple{ID: id, Dist: d})
 	}
 	want := uncertain.BruteTopkProb(unc, sk)
@@ -277,7 +279,7 @@ func TestExpectedConfidenceMatchesBruteForce(t *testing.T) {
 			return true // bootstrap case, covered elsewhere
 		}
 		sk, sp := e.thresholds()
-		for id, d := range e.dists {
+		for id, d := range liveDists(e) {
 			got := e.sel.expectedConfidence(d, sk, sp)
 			want := bruteExpectedConfidence(e, id, d, k)
 			if math.Abs(got-want) > 1e-9 {
@@ -315,7 +317,7 @@ func bruteExpectedConfidence(e *Engine, fid int, d uncertain.Dist, k int) float6
 		})
 		skNew := pool[k-1].level
 		phat := 1.0
-		for id, du := range e.dists {
+		for id, du := range liveDists(e) {
 			if id == fid {
 				continue
 			}
@@ -518,4 +520,84 @@ func TestConfidenceMonotoneInCleaning(t *testing.T) {
 	if res.Confidence != 1 {
 		t.Fatalf("confidence = %v, want exactly 1", res.Confidence)
 	}
+}
+
+// TestNewEngineUnorderedRelation: the engine addresses tuples by their
+// position in ID order, whatever order the caller listed them in — a
+// shuffled or descending relation gives the same Result, Stats and
+// simulated charges as the ascending one (whose slice is used in place;
+// the others are sorted into a copy, never reordered under the caller),
+// and two tuples with one ID are rejected wherever they sit.
+func TestNewEngineUnorderedRelation(t *testing.T) {
+	for _, bound := range []BoundKind{BoundIndependent, BoundUnion} {
+		r := xrand.New(4242)
+		asc, oracle := randomRelation(r, 400, 12, 6, 20)
+		for i := range asc {
+			asc[i].ID = 3*i + 7 // sparse IDs: positions are not IDs
+		}
+		levels := make(map[int]int, len(asc))
+		for i, x := range asc {
+			levels[x.ID] = oracle.levels[i]
+		}
+		oracle.levels = levels
+		desc := make(uncertain.Relation, len(asc))
+		for i, x := range asc {
+			desc[len(asc)-1-i] = x
+		}
+		shuffled := make(uncertain.Relation, len(asc))
+		for i, j := range r.Perm(len(asc)) {
+			shuffled[i] = asc[j]
+		}
+		cfg := Config{K: 8, Threshold: 0.95, BatchSize: 4, Bound: bound}
+		run := func(rel uncertain.Relation) (Result, float64) {
+			t.Helper()
+			given := append(uncertain.Relation(nil), rel...)
+			clock := simclock.NewClock()
+			e, err := NewEngine(rel, cfg, oracle, clock, simclock.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range rel {
+				if rel[i].ID != given[i].ID {
+					t.Fatalf("bound %v: the engine reordered the caller's relation", bound)
+				}
+			}
+			return res, clock.TotalMS()
+		}
+		want, wantMS := run(asc)
+		if want.Stats.Cleaned == 0 {
+			t.Fatalf("bound %v: nothing was cleaned; the comparison is vacuous", bound)
+		}
+		for name, rel := range map[string]uncertain.Relation{"descending": desc, "shuffled": shuffled} {
+			got, gotMS := run(rel)
+			if !reflect.DeepEqual(got, want) || gotMS != wantMS {
+				t.Fatalf("bound %v, %s relation: result %+v (%.3f sim ms), ascending gave %+v (%.3f)",
+					bound, name, got, gotMS, want, wantMS)
+			}
+		}
+
+		for _, at := range [][2]int{{0, 1}, {5, 300}, {399, 0}} {
+			dup := append(uncertain.Relation(nil), shuffled...)
+			dup[at[0]].ID = dup[at[1]].ID
+			_, err := NewEngine(dup, cfg, oracle, nil, simclock.Default())
+			if want := fmt.Sprintf("core: duplicate tuple ID %d", dup[at[1]].ID); err == nil || err.Error() != want {
+				t.Fatalf("duplicate at %v: error %v, want %q", at, err, want)
+			}
+		}
+	}
+}
+
+// liveDists returns the engine's still-uncertain tuples by ID.
+func liveDists(e *Engine) map[int]uncertain.Dist {
+	m := make(map[int]uncertain.Dist, e.nLive)
+	for i, x := range e.rel {
+		if e.live[i] {
+			m[x.ID] = x.Dist
+		}
+	}
+	return m
 }

@@ -22,7 +22,7 @@ import (
 type selector struct {
 	e *Engine
 
-	order  []int     // uncertain IDs, descending ψ at last sort
+	order  []int     // positions in e.rel of the tuples uncertain at the last sort, descending ψ
 	psi    []float64 // ψ value parallel to order
 	sorted bool
 
@@ -84,21 +84,20 @@ func psiOf(d uncertain.Dist, sk, sp int, bound BoundKind) float64 {
 }
 
 func (s *selector) resort(sk, sp int) {
-	n := len(s.e.dists)
+	n := s.e.nLive
 	if cap(s.order) < n {
 		s.order = make([]int, 0, n)
 		s.psi = make([]float64, 0, n)
 	}
 	s.order = s.order[:0]
 	s.psi = s.psi[:0]
-	for id := range s.e.dists {
-		s.order = append(s.order, id)
-	}
-	// Deterministic scan order under ψ ties.
-	sort.Ints(s.order)
-	s.psi = s.psi[:len(s.order)]
-	for i, id := range s.order {
-		s.psi[i] = psiOf(s.e.dists[id], sk, sp, s.e.cfg.Bound)
+	// Ascending position is ascending ID: the deterministic scan order
+	// under ψ ties.
+	for pos, live := range s.e.live {
+		if live {
+			s.order = append(s.order, pos)
+			s.psi = append(s.psi, psiOf(s.e.rel[pos].Dist, sk, sp, s.e.cfg.Bound))
+		}
 	}
 	sortByPsi(s.order, s.psi)
 	s.sorted = true
@@ -121,7 +120,7 @@ func (p *psiSorter) Swap(a, b int) {
 }
 
 // sortByPsi sorts (order, psi) jointly by ψ descending; ties keep the
-// pre-existing ascending-ID order (stable). The joint in-place sort
+// pre-existing ascending order (stable). The joint in-place sort
 // replaces an index-permutation pass that allocated three O(n) slices on
 // every resort.
 func sortByPsi(order []int, psi []float64) {
@@ -218,7 +217,7 @@ func (h batchHeap) siftDown(i int) {
 // remain.
 func (s *selector) selectBatch() []int {
 	e := s.e
-	if len(e.dists) == 0 {
+	if e.nLive == 0 {
 		return nil
 	}
 	sk, sp := e.thresholds()
@@ -244,10 +243,7 @@ func (s *selector) selectBatch() []int {
 		}
 	}
 
-	b := e.cfg.batch()
-	if b > len(e.dists) {
-		b = len(e.dists)
-	}
+	b := min(e.cfg.batch(), e.nLive)
 	// The running batch is a min-heap over (E, slot): peeking the worst
 	// member and replacing it are O(1)/O(log b) instead of the old O(b)
 	// scans, and the heap storage is selector-owned scratch.
@@ -256,15 +252,15 @@ func (s *selector) selectBatch() []int {
 	}
 	h := s.heap[:0]
 	examined := 0
-	for i, id := range s.order {
-		d, ok := e.dists[id]
-		if !ok {
+	for i, pos := range s.order {
+		if !e.live[pos] {
 			continue // cleaned since the last re-sort
 		}
+		id, d := e.rel[pos].ID, e.rel[pos].Dist
 		// ψ_j is stale (computed at an earlier, lower S_k/S_p) and
 		// therefore an over-estimate: the bound is sound (Eq. 8).
 		if !e.cfg.DisableEarlyStop && len(h) == b && base+gamma*s.psi[i] <= h[0].e {
-			e.stats.Pruned += remainingLive(s.order[i:], e.dists)
+			e.stats.Pruned += remainingLive(s.order[i:], e.live)
 			break
 		}
 		examined++
@@ -290,10 +286,10 @@ func (s *selector) selectBatch() []int {
 	return ids
 }
 
-func remainingLive(tail []int, dists map[int]uncertain.Dist) int {
+func remainingLive(tail []int, live []bool) int {
 	n := 0
-	for _, id := range tail {
-		if _, ok := dists[id]; ok {
+	for _, pos := range tail {
+		if live[pos] {
 			n++
 		}
 	}

@@ -78,7 +78,7 @@ func TestUpperBoundDominatesExpectedConfidence(t *testing.T) {
 		} else {
 			gamma = e.prob.Prob(sp)
 		}
-		for _, d := range e.dists {
+		for _, d := range liveDists(e) {
 			ev := e.sel.expectedConfidence(d, sk, sp)
 			bound := phat + gamma*psiOf(d, sk, sp, BoundIndependent)
 			if ev > bound+1e-9 {

@@ -66,19 +66,25 @@ type Result struct {
 // NumFrames returns the total frame count covered.
 func (r Result) NumFrames() int { return len(r.RepOf) }
 
-// Segments returns, for the frame range [from, to), the maximal runs of
-// consecutive frames sharing one representative — the segments of Eq. 9.
-func (r Result) Segments(from, to int) []Segment {
-	var segs []Segment
+// EachSegment calls visit, in frame order, for each maximal run of
+// consecutive frames in [from, to) sharing one representative — the
+// segments of Eq. 9 — without materializing them.
+func (r Result) EachSegment(from, to int, visit func(Segment)) {
 	for i := from; i < to; {
 		rep := r.RepOf[i]
 		j := i + 1
 		for j < to && r.RepOf[j] == rep {
 			j++
 		}
-		segs = append(segs, Segment{Rep: int(rep), Size: j - i})
+		visit(Segment{Rep: int(rep), Size: j - i})
 		i = j
 	}
+}
+
+// Segments returns the segments of [from, to) as a slice.
+func (r Result) Segments(from, to int) []Segment {
+	var segs []Segment
+	r.EachSegment(from, to, func(s Segment) { segs = append(segs, s) })
 	return segs
 }
 

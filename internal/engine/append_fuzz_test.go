@@ -64,21 +64,6 @@ func fuzzBase() *Artifact {
 	}
 }
 
-func copyArtifact(a *Artifact) *Artifact {
-	c := *a
-	c.RepOf = append([]int32(nil), a.RepOf...)
-	c.Retained = append([]int32(nil), a.Retained...)
-	c.Exact = make(map[int32]float64, len(a.Exact))
-	for k, v := range a.Exact {
-		c.Exact[k] = v
-	}
-	c.Mixtures = make(map[int32]uncertain.Mixture, len(a.Mixtures))
-	for k, v := range a.Mixtures {
-		c.Mixtures[k] = v
-	}
-	return &c
-}
-
 // FuzzArtifactAppend: for any decodable tail, Append either merges and
 // the merged artifact satisfies every structural invariant, or rejects
 // and leaves the receiver bit-identical — never a panic, never a
@@ -98,7 +83,7 @@ func FuzzArtifactAppend(f *testing.F) {
 		if err := base.check(); err != nil {
 			t.Fatalf("fuzz base invalid: %v", err)
 		}
-		snap := copyArtifact(base)
+		snap := base.Clone()
 		tail := artifactFromBytes(data)
 		wrongLo := len(data) > 0 && data[len(data)-1]%5 == 0
 
@@ -111,7 +96,7 @@ func FuzzArtifactAppend(f *testing.F) {
 			t.Fatal("append at wrong offset accepted")
 		}
 		if err != nil {
-			if !reflect.DeepEqual(base, snap) {
+			if !reflect.DeepEqual(base.Clone(), snap) {
 				t.Fatalf("rejected append mutated the artifact: %v", err)
 			}
 			return

@@ -3,12 +3,16 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"sync"
 
 	"github.com/everest-project/everest/internal/phase1"
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/uncertain"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
+	"github.com/everest-project/everest/internal/windows"
 )
 
 // Artifact is the captured product of the Ingest stage: everything Phase
@@ -34,6 +38,37 @@ type Artifact struct {
 	Mixtures map[int32]uncertain.Mixture
 	// Info is the Phase 1 statistics summary.
 	Info phase1.Info
+
+	// The query-independent base of D0 (relation.go), built at the first
+	// relation build and extended over the tail after an Append: scores
+	// is Phase 1's knowledge per frame, d0 the quantized frame relation
+	// under d0Opt. mu guards the three fields, never the data above —
+	// concurrent queries share one artifact, and Append keeps its "no
+	// query in flight" contract. An Artifact must not be copied by
+	// value; use Clone.
+	mu     sync.Mutex
+	scores []windows.FrameScore
+	d0     uncertain.Relation
+	d0Opt  uncertain.QuantizeOptions
+}
+
+// Clone returns a deep copy of the artifact's data with an empty memo:
+// what tests and callers that used to copy the struct by value want.
+func (a *Artifact) Clone() *Artifact {
+	mixtures := maps.Clone(a.Mixtures)
+	for f, m := range mixtures {
+		mixtures[f] = slices.Clone(m)
+	}
+	return &Artifact{
+		Dataset:     a.Dataset,
+		UDFName:     a.UDFName,
+		TotalFrames: a.TotalFrames,
+		Retained:    slices.Clone(a.Retained),
+		RepOf:       slices.Clone(a.RepOf),
+		Exact:       maps.Clone(a.Exact),
+		Mixtures:    mixtures,
+		Info:        a.Info,
+	}
 }
 
 // Ingest runs Phase 1 over src and captures its outputs. Proxy inference
@@ -133,6 +168,21 @@ func (a *Artifact) Append(tail *Artifact, lo int) error {
 	a.Info.HoldoutSamples += tail.Info.HoldoutSamples
 	a.Info.Retained += tail.Info.Retained
 	return nil
+}
+
+// Validate is the check an artifact from outside the process (a loaded
+// index file) must pass before any query indexes into it: the
+// structural invariants of check, and a Phase 1 label or a mixture for
+// every retained frame — through frameScores, so the relation builders
+// and the loader agree on what a scoreless frame is.
+func (a *Artifact) Validate() error {
+	if err := a.check(); err != nil {
+		return err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	_, err := a.frameScores()
+	return err
 }
 
 // check verifies the structural invariants every ingested artifact

@@ -17,13 +17,20 @@ import (
 
 // Dist is a discrete probability distribution over integer score levels.
 // P[i] is the probability of level Min+i. Distributions are normalized and
-// trimmed so that P[0] > 0 and P[len(P)-1] > 0.
+// trimmed so that P[0] > 0 and P[len(P)-1] > 0. A Dist is immutable once
+// built and carries its CDF and log-CDF tables, so CDF and LogCDF are
+// lookups: whoever builds a Dist once (the engine builds D0 once per
+// index) pays its logs once.
 type Dist struct {
 	// Min is the lowest level with non-zero probability.
 	Min int
 	// P holds probabilities for levels Min, Min+1, ..., Min+len(P)-1.
 	P []float64
-	// cum[i] = Pr(level <= Min+i); cum[len(P)-1] == 1.
+	// cum holds two tables of len(P) entries back to back, in P's backing
+	// array: cum[i] = Pr(level <= Min+i), with cum[len(P)-1] == 1, then
+	// cum[len(P)+i] = log cum[i]. The logs are taken once, when the
+	// distribution is built, so the joint CDF (and every later query over
+	// a memoized D0) only adds them.
 	cum []float64
 }
 
@@ -49,11 +56,14 @@ func NewDist(min int, probs []float64) (Dist, error) {
 	for hi > lo && probs[hi-1] == 0 {
 		hi--
 	}
-	p := make([]float64, hi-lo)
-	for i := range p {
-		p[i] = probs[lo+i] / sum
+	// P and the cum/log tables are one array: a Dist costs one allocation
+	// and stays 56 bytes however many tables it carries.
+	n := hi - lo
+	back := make([]float64, 3*n)
+	d := Dist{Min: min + lo, P: back[:n:n], cum: back[n:]}
+	for i := range d.P {
+		d.P[i] = probs[lo+i] / sum
 	}
-	d := Dist{Min: min + lo, P: p}
 	d.buildCum()
 	return d, nil
 }
@@ -72,20 +82,23 @@ func MustDist(min int, probs []float64) Dist {
 // frame's exact score is known (cleaned by the oracle or labelled during
 // Phase 1 sampling).
 func Certain(level int) Dist {
-	d := Dist{Min: level, P: []float64{1}}
-	d.buildCum()
-	return d
+	back := [...]float64{1, 1, 0} // P, cum, log cum
+	return Dist{Min: level, P: back[:1:1], cum: back[1:]}
 }
 
+// buildCum fills the CDF table from P and the log-CDF table from that.
 func (d *Dist) buildCum() {
-	d.cum = make([]float64, len(d.P))
+	n := len(d.P)
 	s := 0.0
 	for i, p := range d.P {
 		s += p
 		d.cum[i] = s
 	}
 	// Clamp the final entry to exactly 1 to absorb float drift.
-	d.cum[len(d.cum)-1] = 1
+	d.cum[n-1] = 1
+	for i, c := range d.cum[:n] {
+		d.cum[n+i] = math.Log(c) // -Inf at 0, exactly 0 at 1
+	}
 }
 
 // Max returns the highest level with non-zero probability.
@@ -113,13 +126,16 @@ func (d Dist) CDF(t int) float64 {
 	return d.cum[t-d.Min]
 }
 
-// LogCDF returns log F(t), with -Inf when F(t) == 0.
+// LogCDF returns log F(t), with -Inf when F(t) == 0. It reads the table
+// built with the distribution: the same math.Log(CDF(t)), taken once.
 func (d Dist) LogCDF(t int) float64 {
-	f := d.CDF(t)
-	if f == 0 {
+	if t < d.Min {
 		return math.Inf(-1)
 	}
-	return math.Log(f)
+	if t >= d.Max() {
+		return 0
+	}
+	return d.cum[len(d.P)+t-d.Min]
 }
 
 // Mean returns the expected level.

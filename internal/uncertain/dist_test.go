@@ -79,6 +79,47 @@ func TestLogCDF(t *testing.T) {
 	}
 }
 
+// TestLogCDFTableBitIdentical: the log-CDF table a Dist is built with
+// reads back, bit for bit, the math.Log(CDF(t)) that LogCDF used to
+// take on every call — below, inside and above the support, for random
+// distributions, quantized mixtures, point masses, and mixtures the
+// clamp collapses onto a single level.
+func TestLogCDFTableBitIdentical(t *testing.T) {
+	r := xrand.New(77).Split("logcdf")
+	dists := []Dist{Certain(0), Certain(-3), Certain(41)}
+	for i := 0; i < 300; i++ {
+		dists = append(dists, randomDist(r, 12, 40))
+		q, err := Quantize(randomMixture(r), DefaultCountingOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dists = append(dists, q)
+	}
+	for _, clamp := range []QuantizeOptions{
+		{Step: 1, MinLevel: 50, MaxLevel: 60, TruncSigma: 3}, // wholly below the clamp
+		{Step: 1, MinLevel: 0, MaxLevel: 2, TruncSigma: 3},   // wholly above it
+		{Step: 1, MinLevel: 7, MaxLevel: 7, TruncSigma: 3},   // one level left
+	} {
+		q, err := Quantize(Mixture{{Weight: 0.5, Mean: 6, Sigma: 1}, {Weight: 0.5, Mean: 9, Sigma: 0.5}}, clamp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !q.IsCertain() {
+			t.Fatalf("clamp %+v left %d levels, want 1", clamp, len(q.P))
+		}
+		dists = append(dists, q)
+	}
+	for _, d := range dists {
+		for lvl := d.Min - 2; lvl <= d.Max()+2; lvl++ {
+			got, want := d.LogCDF(lvl), math.Log(d.CDF(lvl))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("LogCDF(%d) = %v (%#x), math.Log(CDF) = %v (%#x) for %+v",
+					lvl, got, math.Float64bits(got), want, math.Float64bits(want), d)
+			}
+		}
+	}
+}
+
 func TestMeanVariance(t *testing.T) {
 	d := MustDist(0, []float64{0.5, 0, 0.5}) // levels 0 and 2... trims? middle zero is interior, kept.
 	if math.Abs(d.Mean()-1) > 1e-12 {

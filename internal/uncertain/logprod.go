@@ -8,8 +8,11 @@ import "math"
 // per-level count of zero factors: H(t) = 0 exactly when some member has
 // F_f(t) == 0 (that frame is certain to exceed t).
 //
-// Building over n tuples costs O(Σ support). Removing a tuple (when Phase 2
-// cleans it) costs O(its support + its Min − lo). Queries are O(1).
+// Building over n tuples costs O(Σ support) additions — the logs
+// themselves are each Dist's own table, taken once when the Dist was
+// built, so a relation whose Dists are memoized pays no math.Log per
+// query. Removing a tuple (when Phase 2 cleans it) costs O(its support +
+// its Min − lo). Queries are O(1).
 type JointCDF struct {
 	lo, hi int
 	// zeros[i] counts members with F_f(lo+i) == 0.

@@ -145,7 +145,6 @@ func Quantize(m Mixture, opt QuantizeOptions) (Dist, error) {
 		// (the paper: "set to zero and evenly distributed to the rest").
 		tail := 2 * (1 - stdNormCDF(trunc))
 		even := tail / float64(ch-cl+1)
-		var acc float64
 		for b := cl; b <= ch; b++ {
 			// Mass of bucket b: Gaussian mass in [(b-0.5)step, (b+0.5)step],
 			// clipped to the truncation interval. Boundary buckets absorb
@@ -167,9 +166,7 @@ func Quantize(m Mixture, opt QuantizeOptions) (Dist, error) {
 				mass = stdNormCDF(zHi) - stdNormCDF(zLo)
 			}
 			probs[b-lo] += c.Weight * (mass + even)
-			acc += mass + even
 		}
-		_ = acc
 	}
 	return NewDist(lo, probs)
 }

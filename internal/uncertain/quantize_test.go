@@ -232,3 +232,21 @@ func TestStdNormCDF(t *testing.T) {
 		}
 	}
 }
+
+var quantizeSink Dist
+
+// BenchmarkQuantize is one mixture to one Dist, CDF and log-CDF tables
+// included — what D0's base build pays per unlabelled retained frame.
+func BenchmarkQuantize(b *testing.B) {
+	r := xrand.New(5).Split("bench/quantize")
+	mixes := make([]Mixture, 256)
+	for i := range mixes {
+		mixes[i] = randomMixture(r)
+	}
+	opt := DefaultCountingOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		quantizeSink, _ = Quantize(mixes[i%len(mixes)], opt)
+	}
+}

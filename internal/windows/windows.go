@@ -123,19 +123,19 @@ func BuildRelation(scoreOf func(rep int) FrameScore, diff diffdet.Result, opt Op
 		lo, hi := w*stride, w*stride+opt.Size
 		var mean, variance float64
 		allExact := true
-		for _, seg := range diff.Segments(lo, hi) {
+		diff.EachSegment(lo, hi, func(seg diffdet.Segment) {
 			fs := scoreOf(seg.Rep)
 			frac := float64(seg.Size) / float64(opt.Size)
 			if fs.IsExact {
 				mean += frac * fs.Exact
-				continue
+				return
 			}
 			allExact = false
 			mean += frac * fs.Mix.Mean()
 			// Eq. 9 uses (1/L)·Σ|s_t|·σ̄², i.e. segment-weighted total
 			// variance (conservative vs. the independent-average 1/L²).
 			variance += frac * fs.Mix.Variance()
-		}
+		})
 		if allExact {
 			lvl := uncertain.LevelOf(mean, opt.Step)
 			return windowOut{d: uncertain.Certain(min(max(lvl, 0), maxLevel))}
