@@ -80,9 +80,12 @@ bench-diff:
 
 # One-iteration serving-path smoke run: catches regressions that compile
 # but explode allocations (also the CI benchmark smoke job, which
-# additionally runs bench-diff against the committed baseline).
+# additionally runs bench-diff against the committed baseline). The
+# internal/eql line is a script's bind at two video lengths (equal B/op
+# means bind reads no frame) and a warm execution.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SessionConcurrent|SessionSharedCache|SessionCoalesced|OracleMux|StreamingIngest|FollowDeltas|EQLScript' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BindScript|ExecWarm' -benchtime 1x -benchmem ./internal/eql
 
 # Live-camera smoke run: replay a bounded feed through the streaming
 # ingestor with a continuous top-K follower and print the answer deltas

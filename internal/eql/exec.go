@@ -92,7 +92,9 @@ func (sp *ScriptPlan) SharedUnits() int {
 	return n
 }
 
-// bindSource resolves one FROM operand against the dataset catalog.
+// bindSource resolves one FROM operand against the dataset catalog. The
+// source it builds is a description (video.NewSynthetic generates
+// nothing), so binding costs the same for any video length.
 func bindSource(ref SourceRef, frames int) (*video.Synthetic, video.DatasetSpec, error) {
 	spec, err := video.DatasetByName(ref.Name)
 	if err != nil {
@@ -151,11 +153,23 @@ func statementConfig(q *Statement) everest.Config {
 // and produces the coordinated plan set: one Unit per (statement,
 // source, predicate) combination, each carrying its statement's Kind,
 // with units over the same (video, frames, UDF, seed) identity bound to
-// one shared Relation. Binding is all-or-nothing — a script with any
-// unresolvable name fails as a whole, before anything runs.
+// one shared Relation. Each distinct (dataset, frames) operand is
+// resolved once, so the plan holds one source per operand. Binding is
+// all-or-nothing — a script with any unresolvable name fails as a whole,
+// before anything runs.
 func BindScript(s *Script) (*ScriptPlan, error) {
 	sp := &ScriptPlan{}
 	rels := make(map[RelationKey]*Relation)
+	// One source per distinct FROM operand, for the length of this call.
+	type operand struct {
+		name   string
+		frames int
+	}
+	type bound struct {
+		src  *video.Synthetic
+		spec video.DatasetSpec
+	}
+	sources := make(map[operand]bound)
 	for si, stmt := range s.Statements {
 		stp := &StatementPlan{Stmt: stmt}
 		kind := stmt.Kind()
@@ -184,12 +198,19 @@ func BindScript(s *Script) (*ScriptPlan, error) {
 		}
 		cfg := statementConfig(stmt)
 		for srcIdx, ref := range stmt.Sources {
-			src, spec, err := bindSource(ref, stmt.Frames)
-			if err != nil {
-				return nil, err
+			op := operand{ref.Name, stmt.Frames}
+			b, ok := sources[op]
+			if !ok {
+				src, spec, err := bindSource(ref, stmt.Frames)
+				if err != nil {
+					return nil, err
+				}
+				b = bound{src, spec}
+				sources[op] = b
 			}
+			src := b.src
 			for predIdx, pred := range stmt.Predicates {
-				udf, err := bindUDF(pred, spec, src)
+				udf, err := bindUDF(pred, b.spec, src)
 				if err != nil {
 					return nil, err
 				}
@@ -220,9 +241,10 @@ func BindScript(s *Script) (*ScriptPlan, error) {
 						rels[key] = rel
 						sp.Relations = append(sp.Relations, rel)
 					}
-					// All units of one relation run over the relation's own
-					// bound source/UDF instance, so the shared session sees
-					// one identity.
+					// A unit runs over its relation's own source and UDF, so the
+					// shared session sees one identity. They already are the
+					// unit's unless one statement spells the catalog's default
+					// frame count out and another leaves it to the catalog.
 					u.Rel = rel
 					u.Source = rel.Source
 					u.UDF = rel.UDF

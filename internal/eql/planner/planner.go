@@ -163,7 +163,8 @@ type Prediction struct {
 type Candidate struct {
 	Knobs Knobs
 	Pred  Prediction
-	// Why explains each phase decision (filled on the chosen candidate).
+	// Why explains each phase decision (filled by Choose on the
+	// candidate it returns; ChooseSet's units carry none).
 	Why []string
 	// Chosen marks the winner in an Enumerate table.
 	Chosen bool
@@ -362,17 +363,21 @@ func better(a, b Candidate) bool {
 	return a.Knobs.BatchSize < b.Knobs.BatchSize
 }
 
-// Choose runs the greedy phases and returns the chosen candidate with
-// its per-phase reasoning filled in.
-func Choose(in Input) Candidate {
-	cands := Enumerate(in)
-	var chosen Candidate
-	for _, c := range cands {
+// cheapest is the chosen entry of the candidate grid: its knobs and
+// prediction, which is all executing a plan needs.
+func cheapest(in Input) Candidate {
+	for _, c := range Enumerate(in) {
 		if c.Chosen {
-			chosen = c
-			break
+			return c
 		}
 	}
+	panic("planner: Enumerate marked no candidate")
+}
+
+// Choose runs the greedy phases and returns the chosen candidate with
+// its per-phase reasoning filled in — the form EXPLAIN renders.
+func Choose(in Input) Candidate {
+	chosen := cheapest(in)
 	kn := chosen.Knobs
 	var why []string
 	switch {
@@ -450,7 +455,9 @@ type SetPlan struct {
 func (sp SetPlan) SavedMS() float64 { return sp.IndependentMS - sp.TotalMS }
 
 // ChooseSet prices a statement set jointly. Per-unit knobs (batch,
-// cascade, procs) are chosen per unit as usual, but the serving knobs
+// cascade, procs) are chosen per unit as usual — knobs and prediction
+// only: this runs on every script execution, and a unit's reasoning is
+// rendered by Choose where a plan is explained — but the serving knobs
 // are decided once for the whole set from its own width plus the
 // scheduler's observed in-flight arrivals — no caller hint. The shared
 // groups are priced under the coalesced-group contract: one ingest per
@@ -472,7 +479,7 @@ func ChooseSet(in SetInput) SetPlan {
 	for i := range in.Units {
 		u := in.Units[i]
 		u.Concurrency = sp.Concurrency
-		c := Choose(u)
+		c := cheapest(u)
 		sp.Units = append(sp.Units, c)
 		sp.IndependentMS += c.Pred.TotalMS
 		grouped[i] = false

@@ -105,10 +105,21 @@ type event struct {
 	phase0 float64
 }
 
-// Synthetic is a procedurally generated video Source.
+// Synthetic is a procedurally generated video Source. Constructing one
+// validates the configuration and derives its seeds; the event timeline
+// and the tables derived from it are generated by the first call that
+// reads a frame (Scene — and through it Render —, TrueCountFast, LeadGap,
+// Happiness), so a source that is only described (Name, NumFrames, FPS,
+// TargetClass, Resolution — what binding a query needs) costs nothing
+// that grows with its length.
 type Synthetic struct {
-	cfg    Config
-	events []event
+	cfg Config
+	// timelineOnce guards the five fields below: generated once, from
+	// RNG streams that depend only on (Seed, Name), so every frame is
+	// bit-identical whenever — and from whichever reader — the first
+	// touch comes.
+	timelineOnce sync.Once
+	events       []event
 	// chunk index: chunks[c] lists events overlapping frames
 	// [c*chunkLen, (c+1)*chunkLen).
 	chunks  [][]int32
@@ -129,7 +140,8 @@ const chunkLen = 256
 
 var _ Source = (*Synthetic)(nil)
 
-// NewSynthetic generates a deterministic synthetic video from cfg.
+// NewSynthetic validates cfg and returns the deterministic synthetic
+// video it describes. Nothing proportional to cfg.Frames happens here.
 func NewSynthetic(cfg Config) (*Synthetic, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Frames <= 0 {
@@ -139,19 +151,31 @@ func NewSynthetic(cfg Config) (*Synthetic, error) {
 		return nil, fmt.Errorf("video: negative population")
 	}
 	s := &Synthetic{cfg: cfg}
-	root := xrand.New(cfg.Seed).Split("video/" + cfg.Name)
-	s.bgSeed = root.Split("background").Uint64()
+	s.bgSeed = s.rootRNG().Split("background").Uint64()
+	return s, nil
+}
 
+// rootRNG is the source's root stream, a function of (Seed, Name) alone.
+func (s *Synthetic) rootRNG() *xrand.RNG {
+	return xrand.New(s.cfg.Seed).Split("video/" + s.cfg.Name)
+}
+
+// timeline generates the event timeline and its derived tables on the
+// first call and is a single atomic load on every later one.
+func (s *Synthetic) timeline() { s.timelineOnce.Do(s.generate) }
+
+// generate is timeline's one-time body.
+func (s *Synthetic) generate() {
+	root := s.rootRNG()
 	s.generateEvents(root)
 	s.buildIndex()
 	s.buildCounts()
-	switch cfg.Kind {
+	switch s.cfg.Kind {
 	case KindDashcam:
 		s.buildLeadGap(root.Split("leadgap"))
 	case KindStreet:
 		s.buildHappiness(root.Split("happiness"))
 	}
-	return s, nil
 }
 
 // generateEvents draws object passages as a non-homogeneous Poisson
@@ -456,13 +480,17 @@ func (s *Synthetic) Resolution() (int, int) { return s.cfg.W, s.cfg.H }
 // TrueCountFast returns the precomputed target-class count of frame i
 // without materializing the scene; detectors use Scene, the test suite and
 // workload analysis use this.
-func (s *Synthetic) TrueCountFast(i int) int { return int(s.counts[i]) }
+func (s *Synthetic) TrueCountFast(i int) int {
+	s.timeline()
+	return int(s.counts[i])
+}
 
 // Scene implements Source.
 func (s *Synthetic) Scene(i int) Scene {
 	if i < 0 || i >= s.cfg.Frames {
 		panic(fmt.Sprintf("video: frame %d out of range [0,%d)", i, s.cfg.Frames))
 	}
+	s.timeline()
 	var sc Scene
 	for _, ei := range s.chunks[i/chunkLen] {
 		e := s.events[ei]
@@ -507,6 +535,7 @@ func (s *Synthetic) Scene(i int) Scene {
 // LeadGap returns the dashcam lead-vehicle gap for frame i (metres) or 0
 // for non-dashcam sources.
 func (s *Synthetic) LeadGap(i int) float64 {
+	s.timeline()
 	if s.leadGap == nil {
 		return 0
 	}
@@ -516,6 +545,7 @@ func (s *Synthetic) LeadGap(i int) float64 {
 // Happiness returns the sentiment signal for frame i, or 0 for sources
 // without one.
 func (s *Synthetic) Happiness(i int) float64 {
+	s.timeline()
 	if s.happy == nil {
 		return 0
 	}

@@ -68,6 +68,20 @@ func renderHashes(t *testing.T) map[string][]string {
 	return out
 }
 
+// readGoldenRender loads the committed hashes.
+func readGoldenRender(t *testing.T) map[string][]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenRenderPath)
+	if err != nil {
+		t.Fatalf("%v (generate with -update-golden)", err)
+	}
+	var want map[string][]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 // TestRenderGolden pins the renderer's pixels bit for bit: every
 // downstream golden (difference detector, CMDN features, Top-K
 // answers) is a function of them, and a renderer optimization must not
@@ -88,14 +102,7 @@ func TestRenderGolden(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(goldenRenderPath)
-	if err != nil {
-		t.Fatalf("%v (generate with -update-golden)", err)
-	}
-	var want map[string][]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readGoldenRender(t)
 	if len(got) != len(want) {
 		t.Fatalf("%d pinned configurations, golden has %d", len(got), len(want))
 	}

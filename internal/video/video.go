@@ -10,9 +10,11 @@
 // daily cycles, camera motion — so Top-K targets are rare, clustered
 // moments, as in real footage. Pixels are rendered lazily and
 // deterministically; no frame is stored. What a Synthetic does keep is
-// the static background of a fixed camera (rendered once, copied into
-// every frame) and a pool of pixel buffers that released frames return
-// to (Frame.Release), so a pass that decodes a frame, consumes it and
+// the event timeline (generated once, by the first frame read — not by
+// NewSynthetic, so describing a video costs nothing), the static
+// background of a fixed camera (rendered once, copied into every frame)
+// and a pool of pixel buffers that released frames return to
+// (Frame.Release), so a pass that decodes a frame, consumes it and
 // releases it runs in constant memory.
 package video
 

@@ -18,12 +18,20 @@ func testSource(t *testing.T, frames int) *Synthetic {
 	return s
 }
 
+// TestNewSyntheticValidation: a bad configuration is rejected by the
+// constructor, not by the first frame read.
 func TestNewSyntheticValidation(t *testing.T) {
 	if _, err := NewSynthetic(Config{Frames: 0}); err == nil {
 		t.Fatal("zero frames should fail")
 	}
+	if _, err := NewSynthetic(Config{Frames: -5}); err == nil {
+		t.Fatal("negative frames should fail")
+	}
 	if _, err := NewSynthetic(Config{Frames: 10, MeanPopulation: -1}); err == nil {
 		t.Fatal("negative population should fail")
+	}
+	if _, err := NewSynthetic(Config{Frames: 10, DistractorPopulation: -1}); err == nil {
+		t.Fatal("negative distractor population should fail")
 	}
 }
 
