@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test testbuild vet race chaos crash fuzz bench bench-diff bench-smoke follow experiments loc
+.PHONY: build test testbuild vet race chaos crash fuzz bench bench-diff bench-smoke follow experiments loc api
 
 build:
 	$(GO) build ./...
@@ -103,3 +103,9 @@ experiments:
 loc:
 	@printf '%-28s %8s %8s\n' package non-test test
 	@find . -name '*.go' -not -path './benchmark/*' | xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if ($$2 ~ /_test\.go$$/) t[d] += $$1; else n[d] += $$1; seen[d] = 1 } END { for (d in seen) { printf "%-28s %8d %8d\n", d, n[d], t[d] | "sort"; N += n[d]; T += t[d] }; close("sort"); printf "%-28s %8d %8d\n", "total", N, T }'
+
+# Exported identifiers in non-test Go files outside benchmark/ —
+# top-level declarations, struct fields and interface methods — the
+# second number a refactor PR quotes before/after, beside `make loc`.
+api:
+	@$(GO) run internal/tools/apicount.go

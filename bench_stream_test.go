@@ -1,6 +1,7 @@
 package everest_test
 
 import (
+	"math"
 	"testing"
 
 	"github.com/everest-project/everest/internal/cmdn"
@@ -43,6 +44,7 @@ func runStream(b *testing.B, src video.Source, mode stream.RefreshMode, seg, chu
 	g, err := stream.NewIngestor(src, vision.CountUDF{Class: video.ClassCar}, stream.Config{
 		SegmentFrames: seg,
 		Refresh:       mode,
+		DriftNLL:      math.Inf(1), // "warm" never falls back to a full train
 		Ingest:        streamBenchOptions(),
 	})
 	if err != nil {
@@ -77,7 +79,7 @@ func BenchmarkStreamingIngest(b *testing.B) {
 	for _, mode := range []struct {
 		name string
 		m    stream.RefreshMode
-	}{{"full", stream.RefreshFull}, {"warm", stream.RefreshWarm}} {
+	}{{"full", stream.RefreshFull}, {"warm", stream.RefreshAuto}} {
 		b.Run(mode.name, func(b *testing.B) {
 			src := streamBenchFeed(b, frames)
 			b.ReportAllocs()
@@ -105,7 +107,7 @@ func BenchmarkFollowDeltas(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g, err := stream.NewIngestor(src, vision.CountUDF{Class: video.ClassCar}, stream.Config{
 			SegmentFrames: seg,
-			Refresh:       stream.RefreshWarm,
+			DriftNLL:      math.Inf(1), // always warm-start
 			Ingest:        streamBenchOptions(),
 		})
 		if err != nil {

@@ -11,6 +11,7 @@
 package everest_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -289,12 +290,12 @@ func BenchmarkSessionConcurrent(b *testing.B) {
 	}
 	// One untimed run of the serving batch itself, so every timed
 	// iteration is oracle-free and identical.
-	if _, err := sess.RunConcurrent(cfg, callers); err != nil {
+	if _, err := sess.QueryBatch(slices.Repeat([]everest.Config{cfg}, callers)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := sess.RunConcurrent(cfg, callers)
+		results, err := sess.QueryBatch(slices.Repeat([]everest.Config{cfg}, callers))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	everest "github.com/everest-project/everest"
@@ -55,7 +56,7 @@ func main() {
 		udfName      = flag.String("udf", "count", "scoring UDF: count | tailgate | sentiment")
 		seed         = flag.Uint64("seed", 1, "random seed")
 		procs        = flag.Int("procs", 0, "CPU workers for the execution engine (0 = all cores; results are identical for any value)")
-		conc         = flag.Int("concurrent", 0, "serve the query N times concurrently from one shared session (builds or loads an index first)")
+		conc         = flag.Int("concurrent", 0, "serve the query N times at once as one Session.QueryBatch of N copies over one private session, or with -shared from N sessions on one cache (builds or loads an index first)")
 		shared       = flag.Bool("shared", false, "with -concurrent: serve from N distinct sessions joined to the process-wide (video, UDF) label cache instead of one private session")
 		admit        = flag.Int("admit", 0, "admission control: cap on concurrent oracle-heavy query batches per label cache (0 = no cap)")
 		coalesce     = flag.Bool("coalesce", false, "with -concurrent: route queries through the cross-query coalescing scheduler (one engine run per compatible group; overlapping frames labeled and charged once)")
@@ -404,7 +405,7 @@ func runConcurrent(src video.Source, udf vision.UDF, cfg everest.Config, path st
 	if err != nil {
 		return err
 	}
-	results, err := sess.RunConcurrent(cfg, n)
+	results, err := sess.QueryBatch(slices.Repeat([]everest.Config{cfg}, n))
 	if err != nil {
 		return err
 	}

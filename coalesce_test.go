@@ -1,7 +1,11 @@
 package everest
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -68,6 +72,103 @@ func TestCoalescedSharedSessionsShareOneScheduler(t *testing.T) {
 	}
 }
 
+// TestCoalescedQueryCancelledWhileQueued is the regression lock for the
+// queued-cancellation rule through the public serving path: a coalesced
+// query — lone, or a QueryBatchCtx group withdrawn whole — that is
+// cancelled while queued behind another session's held-open group
+// returns ctx.Err() at once, not when that group finally runs. The
+// hold is an injected wait clock, so "at once" is "before the clock is
+// released", not a timing: when the scheduler's group wait ignored the
+// member's context this test hung until the release.
+func TestCoalescedQueryCancelledWhileQueued(t *testing.T) {
+	src := testSource(t, 3000, 53)
+	udf := vision.CountUDF{Class: video.ClassCar}
+	ix, err := BuildIndex(src, udf, smallCfg(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone, err := ix.Query(src, udf, smallCfg(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := smallCfg(5)
+	held.Coalesce = true
+	held.CoalesceWait = 50 * time.Millisecond
+	victim := smallCfg(3)
+	victim.Coalesce = true
+
+	for _, members := range []int{1, 2} {
+		labelstore.ResetForTest()
+		first, err := NewSharedSession(ix, src, udf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := NewSharedSession(ix, src, udf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := first.scheduler()
+		release := make(chan struct{})
+		sched.SetWaitClockForTest(func(time.Duration) { <-release })
+
+		var firstRes *Result
+		var firstErr error
+		firstDone := make(chan struct{})
+		go func() {
+			defer close(firstDone)
+			firstRes, firstErr = first.Query(held)
+		}()
+		waitUntil(t, func() bool { return sched.QueuedForTest() == 1 })
+
+		ctx, cancel := context.WithCancel(context.Background())
+		var results []*Result
+		victimErr := make(chan error, 1)
+		go func() {
+			var err error
+			if members == 1 {
+				_, err = second.QueryCtx(ctx, victim)
+			} else {
+				results, err = second.QueryBatchCtx(ctx, slices.Repeat([]Config{victim}, members))
+			}
+			victimErr <- err
+		}()
+		waitUntil(t, func() bool { return sched.QueuedForTest() == 1+members })
+		cancel()
+		select {
+		case err := <-victimErr:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%d queued member(s) cancelled: got %v, want context.Canceled", members, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%d queued member(s) cancelled: still waiting on the held group", members)
+		}
+		for i, res := range results {
+			if res != nil {
+				t.Errorf("withdrawn batch member %d produced a result", i)
+			}
+		}
+		if q, f := sched.QueuedForTest(), sched.InFlight(); q != 1 || f != 1 {
+			t.Errorf("after the withdrawal %d queued / %d in flight, want the held query alone (1 / 1)", q, f)
+		}
+		close(release)
+		<-firstDone
+		if firstErr != nil {
+			t.Fatal(firstErr)
+		}
+		if !reflect.DeepEqual(firstRes.IDs, lone.IDs) || !reflect.DeepEqual(firstRes.Scores, lone.Scores) ||
+			firstRes.Clock.TotalMS() != lone.Clock.TotalMS() {
+			t.Errorf("held query perturbed by the withdrawal of %d sibling(s)", members)
+		}
+		if f, a := sched.InFlight(), first.cache.InFlight(); f != 0 || a != 0 {
+			t.Errorf("leaked %d scheduler submission(s) and %d admission slot(s)", f, a)
+		}
+		if got := second.Queries(); got != 0 {
+			t.Errorf("cancelled session counts %d completed queries", got)
+		}
+	}
+	labelstore.ResetForTest()
+}
+
 // TestQueryBatchPartialFailureKeepsResults is the regression lock for
 // the partly-failed batch contract, in both batch modes and at both
 // failure stages: whether a member fails mid-engine (a K larger than
@@ -78,7 +179,11 @@ func TestCoalescedSharedSessionsShareOneScheduler(t *testing.T) {
 // baselines, and their paid-for labels must reach the cache, so a
 // follow-up query rides them oracle-free. Before the fix the
 // coalesced path returned nil (or short) results on the first error,
-// vanishing every paid-for member's answer.
+// vanishing every paid-for member's answer. The same table pins error
+// attribution: a lone query's error is verbatim, a batch member's is
+// that error under "everest: batch query i:", in both modes and at both
+// stages, and when both stages fail in one batch the documented
+// per-mode precedence picks the one reported.
 func TestQueryBatchPartialFailureKeepsResults(t *testing.T) {
 	src := testSource(t, 9000, 99)
 	udf := vision.CountUDF{Class: video.ClassCar}
@@ -133,9 +238,16 @@ func TestQueryBatchPartialFailureKeepsResults(t *testing.T) {
 			for i := range cfgs {
 				cfgs[i].Coalesce = coalesce
 			}
+			// A lone query's error is verbatim — what the uncached indexed
+			// query says, whatever the mode — and a batch member's is the
+			// same error under its batch index.
+			_, loneErr := ix.Query(src, udf, tc.bad)
+			if _, err := sess.Query(cfgs[1]); err == nil || err.Error() != loneErr.Error() {
+				t.Fatalf("%s: lone query error %q, want verbatim %q", mode, err, loneErr)
+			}
 			results, err := sess.QueryBatch(cfgs)
-			if err == nil {
-				t.Fatalf("%s: bad member must surface an error", mode)
+			if want := "everest: batch query 1: " + loneErr.Error(); err == nil || err.Error() != want {
+				t.Fatalf("%s: batch error %q, want %q", mode, err, want)
 			}
 			if len(results) != len(cfgs) {
 				t.Fatalf("%s: got %d results for %d queries", mode, len(results), len(cfgs))
@@ -161,6 +273,29 @@ func TestQueryBatchPartialFailureKeepsResults(t *testing.T) {
 			if repeat.EngineStats.Cleaned != 0 {
 				t.Fatalf("%s: survivors' labels were not published — repeat cleaned %d frames", mode, repeat.EngineStats.Cleaned)
 			}
+		}
+	}
+
+	// Precedence when both stages fail in one batch: the lowest index,
+	// except that a coalesced batch reports compile-stage failures first.
+	for _, coalesce := range []bool{false, true} {
+		sess, err := NewSession(ix, src, udf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs := []Config{badExec, smallCfg(3), badCompile}
+		want := "everest: batch query 0: "
+		if coalesce {
+			want = "everest: batch query 2: "
+		}
+		for i := range cfgs {
+			cfgs[i].Coalesce = coalesce
+		}
+		if _, err := sess.QueryBatch(cfgs); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("coalesce=%t: two-stage failure reported as %q, want prefix %q", coalesce, err, want)
+		}
+		if got := sess.Queries(); got != 1 {
+			t.Fatalf("coalesce=%t: session counts %d completed queries, want the one survivor", coalesce, got)
 		}
 	}
 }

@@ -312,9 +312,7 @@ func (c Config) plan() engine.Plan {
 
 // PlanKnob is one engine setting of a compiled Config, rendered for
 // plan introspection (EXPLAIN / EXPLAIN ANALYZE reports).
-type PlanKnob struct {
-	Name, Value string
-}
+type PlanKnob = engine.Knob
 
 // PlanKnobs renders the engine knob settings this Config compiles to,
 // in a fixed deterministic order. Coalesce is prepended because it
@@ -322,11 +320,7 @@ type PlanKnob struct {
 // on the engine plan itself.
 func (c Config) PlanKnobs() []PlanKnob {
 	c = c.withDefaults()
-	ks := []PlanKnob{{"coalesce", fmt.Sprintf("%t", c.Coalesce)}}
-	for _, k := range c.plan().Knobs() {
-		ks = append(ks, PlanKnob(k))
-	}
-	return ks
+	return append([]PlanKnob{{Name: "coalesce", Value: fmt.Sprintf("%t", c.Coalesce)}}, c.plan().Knobs()...)
 }
 
 // Phase1Info reports what Phase 1 did.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/everest-project/everest/internal/cmdn"
@@ -392,7 +393,7 @@ func TestGoldenIndexSaveLoadRoundTrip(t *testing.T) {
 	}
 	ccfg := cfg
 	ccfg.Coalesce = true
-	results, err := sess.RunConcurrent(ccfg, 3)
+	results, err := sess.QueryBatch(slices.Repeat([]Config{ccfg}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +443,7 @@ func TestGoldenConcurrentSession(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := sess.RunConcurrent(qcfg, 4)
+		results, err := sess.QueryBatch(slices.Repeat([]Config{qcfg}, 4))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 
 	"github.com/everest-project/everest/internal/engine"
-	"github.com/everest-project/everest/internal/labelstore"
 	"github.com/everest-project/everest/internal/phase1"
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/uncertain"
@@ -125,14 +124,25 @@ func BuildIndex(src video.Source, udf vision.UDF, cfg Config) (*Index, error) {
 // Query runs Phase 2 against the index. The source and UDF must be the
 // ones the index was built from; only Phase 2 costs are charged.
 func (ix *Index) Query(src video.Source, udf vision.UDF, cfg Config) (*Result, error) {
-	return ix.query(nil, src, udf, cfg, nil)
+	return ix.QueryCtx(context.Background(), src, udf, cfg)
 }
 
 // QueryCtx is Query with a cancellable context: a cancelled ctx stops
 // the Phase 2 loop and returns ctx.Err(). Cancellation never degrades —
-// Config.DegradedOK applies to oracle failures and deadlines only.
+// Config.DegradedOK applies to oracle failures and deadlines only. It
+// is the uncached path: nothing is reused or recorded, and every oracle
+// confirmation is charged.
 func (ix *Index) QueryCtx(ctx context.Context, src video.Source, udf vision.UDF, cfg Config) (*Result, error) {
-	return ix.query(ctx, src, udf, cfg, nil)
+	plan, binding, err := ix.planFor(src, udf, cfg)
+	if err != nil {
+		return nil, err
+	}
+	binding.Ctx = ctx
+	out, err := engine.Execute(plan, binding)
+	if err != nil {
+		return nil, err
+	}
+	return resultOf(out, plan, ix.info), nil
 }
 
 // validateFor checks that (src, udf) is what the index was built from.
@@ -142,7 +152,7 @@ func (ix *Index) validateFor(src video.Source, udf vision.UDF) error {
 
 // planFor compiles cfg into a validated engine plan plus the binding to
 // this index — the shared front half of every indexed query path
-// (Query, Session.Query, batches, the coalescing scheduler).
+// (Query and Session.QueryBatchCtx).
 func (ix *Index) planFor(src video.Source, udf vision.UDF, cfg Config) (engine.Plan, engine.Binding, error) {
 	if err := ix.validateFor(src, udf); err != nil {
 		return engine.Plan{}, engine.Binding{}, err
@@ -156,25 +166,6 @@ func (ix *Index) planFor(src video.Source, udf vision.UDF, cfg Config) (engine.P
 		return engine.Plan{}, engine.Binding{}, err
 	}
 	return plan, engine.Binding{Src: src, UDF: udf, Artifact: ix.art}, nil
-}
-
-// query is the shared Phase 2 path for Index.Query and Session.Query.
-// When labels is non-nil it is the query's private overlay over the
-// session cache snapshot: frames in it enter D0 certain, cleaned frames
-// are recorded into its fresh set, and oracle cost is charged only for
-// cache misses. A nil ctx means no cancellation.
-func (ix *Index) query(ctx context.Context, src video.Source, udf vision.UDF, cfg Config, labels *labelstore.Overlay) (*Result, error) {
-	plan, binding, err := ix.planFor(src, udf, cfg)
-	if err != nil {
-		return nil, err
-	}
-	binding.Labels = labels
-	binding.Ctx = ctx
-	out, err := engine.Execute(plan, binding)
-	if err != nil {
-		return nil, err
-	}
-	return resultOf(out, plan, ix.info), nil
 }
 
 // indexCodec is the gob wire form of an Index.

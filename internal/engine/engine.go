@@ -37,8 +37,8 @@ type Binding struct {
 	// clock. Entrypoints that ingest and query in one call (everest.Run)
 	// pass the ingest clock so the Result carries the full breakdown.
 	Clock *simclock.Clock
-	// Pool, when non-nil, is a caller-owned resident worker pool
-	// (ingest-plus-query runs and coalesced groups share one) for window
+	// Pool, when non-nil, is a caller-owned resident worker pool (an
+	// ingest-plus-query run shares one across both stages) for window
 	// aggregation; nil makes a window plan's Execute create and close
 	// its own when Procs > 1.
 	Pool *workpool.Pool

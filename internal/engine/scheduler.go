@@ -2,19 +2,19 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"github.com/everest-project/everest/internal/labelstore"
-	"github.com/everest-project/everest/internal/workpool"
 )
 
 // Scheduler coalesces compatible plans submitted by different callers
 // into one engine run, so N overlapping queries pay the oracle roughly
 // once: the group shares a single label overlay (a frame one plan's
 // cleaning confirmed is already certain in every later plan's D0, and is
-// charged once), a single resident worker pool, and one merged
-// oracle-selection pass in submission order.
+// charged once) and one merged oracle-selection pass in submission
+// order.
 //
 // Scheduling is group-commit by default: the first submitter becomes
 // the leader and executes whatever is queued; submissions arriving
@@ -73,13 +73,9 @@ func (s *Scheduler) InFlight() int {
 	return s.inflight
 }
 
-// NewScheduler wires a scheduler to one label cache. snapshot and
-// publish must not be nil; admit may be nil when the cache has no
-// admission gate.
+// NewScheduler wires a scheduler to one label cache through the three
+// hooks documented on the struct; none may be nil.
 func NewScheduler(snapshot func() *labelstore.Overlay, publish func(fresh map[int]float64), admit func(limit int) (release func())) *Scheduler {
-	if admit == nil {
-		admit = func(int) func() { return func() {} }
-	}
 	return &Scheduler{snapshot: snapshot, publish: publish, admit: admit, wait: time.Sleep}
 }
 
@@ -122,7 +118,10 @@ func (s *Scheduler) QueuedForTest() int {
 	return len(s.queue)
 }
 
-// submission is one queued plan with its delivery channel.
+// submission is one queued plan with its delivery channel: done is
+// closed exactly once, by the run that took the submission into its
+// group (or by SubmitGroup itself for a member it never queued), after
+// out and err are final.
 type submission struct {
 	plan Plan
 	bind Binding
@@ -131,50 +130,67 @@ type submission struct {
 	done chan struct{}
 }
 
-func (s *submission) deliver() {
-	select {
-	case <-s.done:
-	default:
-		close(s.done)
-	}
-}
-
-// Submit queues one plan and blocks until its coalesced run completes.
-// The binding's Labels, Clock and Pool must be nil: the scheduler
-// supplies the group's shared overlay and pool, and every plan gets its
-// own fresh clock (per-plan charges stay separable).
+// SubmitGroup queues plans as one atomic block — no foreign submission
+// interleaves them — and blocks until every member is delivered; a lone
+// query is a group of one. Each binding's Labels, Clock and Pool must
+// be nil: the scheduler supplies the group's shared overlay and every
+// plan gets its own fresh clock (per-plan charges stay separable).
+// Outcomes are in input order, nil exactly where a member failed, and
+// the lowest-index failure's error is returned alongside them verbatim
+// (callers that know their members name the index: it is the first nil
+// outcome).
 //
-// A non-nil Binding.Ctx bounds the wait: a submission cancelled while
-// still queued withdraws — it leaves the queue without joining any
-// group, so siblings coalesce exactly as if it were never submitted —
-// and Submit returns ctx.Err(). Once a leader has taken the submission
-// into a group, Submit waits for the group (the engine run itself
-// observes the cancellation and returns ctx.Err() without poisoning
-// the group's other members).
-func (s *Scheduler) Submit(p Plan, b Binding) (*Outcome, error) {
-	ctx := b.Ctx
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+// This is the scheduler's one wait loop, and a non-nil Binding.Ctx
+// bounds it per member: a member whose context is already done is
+// never queued, and one cancelled while still queued withdraws — it
+// leaves the queue without joining any group, so siblings coalesce
+// exactly as if it were never submitted — and fails with ctx.Err().
+// Once a leader has taken a member into a group the wait is for the
+// group (the engine run itself observes the cancellation and returns
+// ctx.Err() without poisoning the group's other members).
+func (s *Scheduler) SubmitGroup(ps []Plan, bs []Binding) ([]*Outcome, error) {
+	if len(ps) != len(bs) {
+		return nil, fmt.Errorf("everest: scheduler group has %d plans but %d bindings", len(ps), len(bs))
 	}
-	sub := &submission{plan: p, bind: b, done: make(chan struct{})}
-	s.enqueue([]*submission{sub})
-	if ctx != nil {
+	subs := make([]*submission, len(ps))
+	live := make([]*submission, 0, len(ps))
+	for i := range ps {
+		subs[i] = &submission{plan: ps[i], bind: bs[i], done: make(chan struct{})}
+		if ctx := bs[i].Ctx; ctx != nil && ctx.Err() != nil {
+			subs[i].err = ctx.Err()
+			close(subs[i].done)
+			continue
+		}
+		live = append(live, subs[i])
+	}
+	if len(live) > 0 {
+		s.enqueue(live)
+	}
+	outs := make([]*Outcome, len(subs))
+	var firstErr error
+	for i, sub := range subs {
+		var cancelled <-chan struct{} // nil, which never fires, without a context
+		if ctx := sub.bind.Ctx; ctx != nil {
+			cancelled = ctx.Done()
+		}
 		select {
 		case <-sub.done:
-		case <-ctx.Done():
+		case <-cancelled:
 			if s.withdraw(sub) {
-				return nil, ctx.Err()
+				sub.err = sub.bind.Ctx.Err()
+			} else {
+				// Already delivered, or a leader took the member into a
+				// group and its run delivers (Execute returns ctx.Err()
+				// for a cancelled member).
+				<-sub.done
 			}
-			// A leader already took the submission into a group; its run
-			// delivers (Execute returns ctx.Err() for a cancelled member).
-			<-sub.done
 		}
-	} else {
-		<-sub.done
+		outs[i] = sub.out
+		if firstErr == nil {
+			firstErr = sub.err
+		}
 	}
-	return sub.out, sub.err
+	return outs, firstErr
 }
 
 // withdraw removes a still-queued submission (cancelled by its
@@ -183,70 +199,32 @@ func (s *Scheduler) Submit(p Plan, b Binding) (*Outcome, error) {
 func (s *Scheduler) withdraw(sub *submission) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, q := range s.queue {
-		if q == sub {
-			// Shift left and nil the vacated trailing slot: the backing
-			// array must not keep a dead *submission alive (the aliasing
-			// the resurrection bug exploited) nor pin its bindings for GC.
-			copy(s.queue[i:], s.queue[i+1:])
-			last := len(s.queue) - 1
-			s.queue[last] = nil
-			s.queue = s.queue[:last]
-			s.inflight--
-			return true
-		}
+	i := slices.Index(s.queue, sub)
+	if i < 0 {
+		return false
 	}
-	return false
-}
-
-// SubmitGroup queues plans as one atomic block — no foreign submission
-// interleaves them — and blocks until all complete. Outcomes and errors
-// are in input order; the first non-nil error is returned alongside the
-// outcomes.
-func (s *Scheduler) SubmitGroup(ps []Plan, bs []Binding) ([]*Outcome, error) {
-	if len(ps) != len(bs) {
-		return nil, fmt.Errorf("everest: scheduler group has %d plans but %d bindings", len(ps), len(bs))
-	}
-	if len(ps) == 0 {
-		return nil, nil
-	}
-	subs := make([]*submission, len(ps))
-	for i := range ps {
-		subs[i] = &submission{plan: ps[i], bind: bs[i], done: make(chan struct{})}
-	}
-	s.enqueue(subs)
-	outs := make([]*Outcome, len(subs))
-	var firstErr error
-	for i, sub := range subs {
-		<-sub.done
-		outs[i] = sub.out
-		if sub.err != nil && firstErr == nil {
-			firstErr = sub.err
-			// A group of one is a lone query: surface its error verbatim
-			// so the Coalesce flag never changes an error message.
-			if len(subs) > 1 {
-				firstErr = fmt.Errorf("everest: coalesced query %d: %w", i, sub.err)
-			}
-		}
-	}
-	return outs, firstErr
+	// slices.Delete shifts left and zeroes the vacated trailing slot: the
+	// backing array must not keep a dead *submission alive (the aliasing
+	// the resurrection bug exploited) nor pin its bindings for GC.
+	s.queue = slices.Delete(s.queue, i, i+1)
+	s.inflight--
+	return true
 }
 
 // enqueue appends subs to the queue and, if no leader is running, makes
 // the calling goroutine the leader. Followers return immediately and
 // wait on their done channels.
-func (s *Scheduler) enqueue(subs []*submission) []*submission {
+func (s *Scheduler) enqueue(subs []*submission) {
 	s.mu.Lock()
 	s.queue = append(s.queue, subs...)
 	s.inflight += len(subs)
 	if s.busy {
 		s.mu.Unlock()
-		return subs
+		return
 	}
 	s.busy = true
 	s.mu.Unlock()
 	s.lead(subs)
-	return subs
 }
 
 // lead drains the queue: each iteration takes the longest compatible
@@ -287,7 +265,8 @@ func (s *Scheduler) lead(mine []*submission) {
 			go s.lead(nil)
 			return
 		}
-		if w := maxCoalesceWait(s.queue); w > 0 {
+		n, w := nextGroup(s.queue)
+		if w > 0 {
 			wait := s.wait
 			s.mu.Unlock()
 			wait(w)
@@ -296,18 +275,14 @@ func (s *Scheduler) lead(mine []*submission) {
 			// The queue's slice header is then empty, but its backing array
 			// still holds the dead *submission — and s.queue[:1:1] on a
 			// zero-length slice with spare capacity would legally slice the
-			// withdrawn submission back into a group after its Submit
-			// already returned ctx.Err(). Re-check emptiness and recompute
-			// the prefix from scratch; the loop top releases leadership
-			// atomically with its own empty-queue check.
-			if len(s.queue) == 0 {
+			// withdrawn submission back into a group after its SubmitGroup
+			// already returned ctx.Err(). Recompute the group from scratch;
+			// on an empty queue the loop top releases leadership atomically
+			// with its own empty-queue check.
+			if n, _ = nextGroup(s.queue); n == 0 {
 				s.mu.Unlock()
 				continue
 			}
-		}
-		n := 1
-		for n < len(s.queue) && Compatible(s.queue[0].plan, s.queue[n].plan) {
-			n++
 		}
 		group := s.queue[:n:n]
 		s.queue = append([]*submission(nil), s.queue[n:]...)
@@ -316,21 +291,16 @@ func (s *Scheduler) lead(mine []*submission) {
 	}
 }
 
-// maxCoalesceWait returns the largest latency budget among the queue's
-// leading compatible run — the plans that would form the next group.
-// Incompatible neighbours further back never stretch a group they
-// cannot join. Caller holds s.mu.
-func maxCoalesceWait(queue []*submission) time.Duration {
-	var w time.Duration
-	for i, sub := range queue {
-		if i > 0 && !Compatible(queue[0].plan, sub.plan) {
-			break
-		}
-		if sub.plan.CoalesceWait > w {
-			w = sub.plan.CoalesceWait
-		}
+// nextGroup returns the length of the queue's leading compatible run —
+// the plans that form the next group — and the largest latency budget
+// among them. Incompatible neighbours further back never stretch a
+// group they cannot join. Caller holds s.mu.
+func nextGroup(queue []*submission) (n int, wait time.Duration) {
+	for n < len(queue) && (n == 0 || Compatible(queue[0].plan, queue[n].plan)) {
+		wait = max(wait, queue[n].plan.CoalesceWait)
+		n++
 	}
-	return w
+	return n, wait
 }
 
 // allDelivered reports whether every submission has been delivered.
@@ -373,45 +343,39 @@ func (s *Scheduler) runGroup(group []*submission) {
 		s.inflight -= len(group)
 		s.mu.Unlock()
 		for _, sub := range group {
-			sub.deliver()
+			close(sub.done)
 		}
 	}()
 
 	limit := 0
 	for _, sub := range group {
-		if l := sub.plan.AdmissionLimit; l > 0 && (limit == 0 || l < limit) {
-			limit = l
-		}
+		limit = TighterLimit(limit, sub.plan.AdmissionLimit)
 	}
 	release := s.admit(limit)
 	defer release()
 
 	overlay = s.snapshot()
-	procs := 1
-	for _, sub := range group {
-		if p := workpool.Procs(sub.plan.Procs); p > procs {
-			procs = p
-		}
-	}
-	var pool *workpool.Pool
-	if procs > 1 {
-		pool = workpool.NewPool(procs)
-		defer pool.Close()
-	}
 	for _, sub := range group {
 		b := sub.bind
 		b.Labels = overlay
-		b.Clock = nil
-		// The group pool is sized for the widest member; a plan that
-		// requested serial execution (effective Procs 1) runs serially —
-		// exactly as it would alone — rather than inheriting its
-		// neighbours' workers. (Results are worker-count-independent
-		// either way; this keeps each member's execution mode the one
-		// its plan asked for.)
-		b.Pool = nil
-		if workpool.Procs(sub.plan.Procs) > 1 {
-			b.Pool = pool
-		}
+		// Every plan charges a clock of its own, and a window plan makes
+		// and closes its own worker pool inside Execute at the width it
+		// asked for — exactly as it would alone.
+		b.Clock, b.Pool = nil, nil
 		sub.out, sub.err = Execute(sub.plan, b)
 	}
+}
+
+// TighterLimit folds one member's AdmissionLimit into the cap of the
+// unit it is admitted with: the strictest positive limit wins. Zero and
+// negative limits mean "uncapped" for that member and are ignored — a
+// unit whose members all leave the knob unset (or explicitly disable
+// it) is admitted without queueing, and one capped member is enough to
+// gate the whole unit (it runs as a single oracle-heavy unit, so the
+// strictest member's budget must hold for all of it). Start from 0.
+func TighterLimit(limit, member int) int {
+	if member > 0 && (limit == 0 || member < limit) {
+		return member
+	}
+	return limit
 }

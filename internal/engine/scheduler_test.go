@@ -17,6 +17,12 @@ func schedulerOver(cache *labelstore.SharedCache) *Scheduler {
 	return s
 }
 
+// submit queues one plan: a lone coalesced query is a group of one.
+func submit(s *Scheduler, p Plan, b Binding) (*Outcome, error) {
+	outs, err := s.SubmitGroup([]Plan{p}, []Binding{b})
+	return outs[0], err
+}
+
 // countingSchedulerOver wires a scheduler to cache and counts groups:
 // the scheduler snapshots exactly once per group, so the counter is
 // the number of engine runs the queue was split into.
@@ -102,8 +108,8 @@ func TestSchedulerGroupMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSchedulerCoalescesConcurrentSubmitters drives concurrent Submit
-// callers (the race-gate workload) and checks group-commit batching:
+// TestSchedulerCoalescesConcurrentSubmitters drives concurrent lone
+// submitters (the race-gate workload) and checks group-commit batching:
 // everyone gets the right answer, and the total oracle bill is at most
 // what the first caller alone paid — coalescing plus the shared cache
 // make every repeat free, whatever the interleaving.
@@ -131,7 +137,7 @@ func TestSchedulerCoalescesConcurrentSubmitters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = sched.Submit(plan, bind)
+			outs[i], errs[i] = submit(sched, plan, bind)
 		}(i)
 	}
 	wg.Wait()
@@ -184,13 +190,12 @@ func TestSchedulerSplitsIncompatibleRuns(t *testing.T) {
 
 // TestSchedulerMixedProcsMatchesSerial locks the mixed-worker-count
 // binding rule: a group whose members request different Procs — here
-// serial, wide and narrow — hands the group pool only to members that
-// asked for parallel execution, and every member's outcome (results
-// AND simulated charges) is bit-identical to its own serial baseline,
-// i.e. the plan executed alone with its own Procs over the label state
-// its predecessors left behind. Runs under the race gate: a Procs-1
-// member sharing its neighbours' pool is exactly the kind of bug the
-// detector would catch here.
+// serial, wide and narrow — runs each member in the mode it asked for
+// (the group keeps no pool; Execute makes one per parallel window
+// plan), and every member's outcome (results AND simulated charges) is
+// bit-identical to its own serial baseline, i.e. the plan executed
+// alone with its own Procs over the label state its predecessors left
+// behind. Runs under the race gate.
 func TestSchedulerMixedProcsMatchesSerial(t *testing.T) {
 	art, src, udf := fixture(t)
 	procsOf := []int{1, 8, 2, 1}
@@ -301,7 +306,7 @@ func TestSchedulerCoalesceWaitGroupsArrivals(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		outs[0], errs[0] = sched.Submit(plans[0], bind)
+		outs[0], errs[0] = submit(sched, plans[0], bind)
 	}()
 	// The first submitter becomes leader and blocks in the wait with its
 	// own submission still queued.
@@ -310,7 +315,7 @@ func TestSchedulerCoalesceWaitGroupsArrivals(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = sched.Submit(plans[i], bind)
+			outs[i], errs[i] = submit(sched, plans[i], bind)
 		}(i)
 	}
 	waitFor(t, func() bool { return sched.QueuedForTest() == len(plans) })
@@ -352,7 +357,7 @@ func TestSchedulerNoWaitWithoutBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sched.Submit(plan, Binding{Src: src, UDF: udf, Artifact: art}); err != nil {
+	if _, err := submit(sched, plan, Binding{Src: src, UDF: udf, Artifact: art}); err != nil {
 		t.Fatal(err)
 	}
 	if w := waits.Load(); w != 0 {
@@ -395,13 +400,13 @@ func TestSchedulerValidationErrorDelivered(t *testing.T) {
 		t.Fatal("healthy plan was starved by its failed neighbour")
 	}
 	// The scheduler stays usable.
-	if _, err := sched.Submit(good, bind); err != nil {
+	if _, err := submit(sched, good, bind); err != nil {
 		t.Fatalf("scheduler wedged after a failed group: %v", err)
 	}
 }
 
-// TestSchedulerSubmitPreCancelled pins the cheap path: a submission
-// whose context is already cancelled never enters the queue.
+// TestSchedulerSubmitPreCancelled pins the cheap path: a member whose
+// context is already cancelled never enters the queue.
 func TestSchedulerSubmitPreCancelled(t *testing.T) {
 	art, src, udf := fixture(t)
 	cache := labelstore.NewSharedCache()
@@ -412,15 +417,15 @@ func TestSchedulerSubmitPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := sched.Submit(plan, Binding{Src: src, UDF: udf, Artifact: art, Ctx: ctx})
+	out, err := submit(sched, plan, Binding{Src: src, UDF: udf, Artifact: art, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("pre-cancelled Submit returned (%v, %v), want (nil, context.Canceled)", out, err)
+		t.Fatalf("pre-cancelled submission returned (%v, %v), want (nil, context.Canceled)", out, err)
 	}
 	if q := sched.QueuedForTest(); q != 0 {
 		t.Fatalf("pre-cancelled submission left %d entries queued", q)
 	}
 	// The scheduler is untouched: a live submission still runs.
-	if _, err := sched.Submit(plan, Binding{Src: src, UDF: udf, Artifact: art}); err != nil {
+	if _, err := submit(sched, plan, Binding{Src: src, UDF: udf, Artifact: art}); err != nil {
 		t.Fatalf("scheduler unusable after pre-cancelled submit: %v", err)
 	}
 }
@@ -464,7 +469,7 @@ func TestSchedulerCancelWhileQueuedWithdraws(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		leaderOut, leaderErr = sched.Submit(mkPlan(5), bind)
+		leaderOut, leaderErr = submit(sched, mkPlan(5), bind)
 	}()
 	waitFor(t, func() bool { return sched.QueuedForTest() == 1 })
 
@@ -476,7 +481,7 @@ func TestSchedulerCancelWhileQueuedWithdraws(t *testing.T) {
 		defer wg.Done()
 		b := bind
 		b.Ctx = ctx
-		victimOut, victimErr = sched.Submit(mkPlan(3), b)
+		victimOut, victimErr = submit(sched, mkPlan(3), b)
 	}()
 	waitFor(t, func() bool { return sched.QueuedForTest() == 2 })
 
@@ -510,7 +515,20 @@ func TestSchedulerCancelWhileQueuedWithdraws(t *testing.T) {
 func TestSchedulerCancelledMemberInsideGroup(t *testing.T) {
 	art, src, udf := fixture(t)
 	cache := labelstore.NewSharedCache()
-	sched := schedulerOver(cache)
+	ctx, cancel := context.WithCancel(context.Background())
+	// Cancel at the group's snapshot: the leader has already taken both
+	// members, so the cancelled one can no longer withdraw. (A member
+	// cancelled before submission is never queued at all —
+	// TestSchedulerSubmitPreCancelled.)
+	sched := NewScheduler(
+		func() *labelstore.Overlay {
+			cancel()
+			snap, _ := cache.Snapshot()
+			return labelstore.NewOverlay(snap)
+		},
+		func(fresh map[int]float64) { cache.Publish(fresh) },
+		cache.Admit,
+	)
 	a, err := NewPlan(testPlan(5))
 	if err != nil {
 		t.Fatal(err)
@@ -519,8 +537,6 @@ func TestSchedulerCancelledMemberInsideGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already cancelled when the group executes it
 	bind := Binding{Src: src, UDF: udf, Artifact: art}
 	cancelledBind := bind
 	cancelledBind.Ctx = ctx
@@ -538,7 +554,7 @@ func TestSchedulerCancelledMemberInsideGroup(t *testing.T) {
 		t.Fatal("group's confirmed labels were not published")
 	}
 	// The scheduler stays usable and the repeat rides the published labels.
-	repeat, err := sched.Submit(a, bind)
+	repeat, err := submit(sched, a, bind)
 	if err != nil {
 		t.Fatalf("scheduler wedged after a cancelled member: %v", err)
 	}

@@ -32,21 +32,21 @@ func TestWithdrawDuringCoalesceWaitRepro(t *testing.T) {
 	waited := make(chan struct{})
 	s.SetWaitClockForTest(func(time.Duration) {
 		cancel() // B's submitter cancels while the leader sleeps
-		<-bDone  // B withdraws and Submit returns
+		<-bDone  // B withdraws and its SubmitGroup returns
 		close(waited)
 	})
 
 	// A: leader, no ctx, no wait; blocks in runGroup via the admit hook.
 	aOut := make(chan error)
 	go func() {
-		_, err := s.Submit(Plan{K: 1, Threshold: 0.9}.Normalize(), Binding{})
+		_, err := submit(s, Plan{K: 1, Threshold: 0.9}.Normalize(), Binding{})
 		aOut <- err
 	}()
 	<-aInGroup
 
 	// B: follower with a coalesce wait and a cancellable ctx.
 	go func() {
-		_, err := s.Submit(Plan{K: 1, Threshold: 0.9, CoalesceWait: time.Millisecond}.Normalize(), Binding{Ctx: ctx})
+		_, err := submit(s, Plan{K: 1, Threshold: 0.9, CoalesceWait: time.Millisecond}.Normalize(), Binding{Ctx: ctx})
 		if err != context.Canceled {
 			t.Errorf("B: got err %v, want context.Canceled", err)
 		}

@@ -55,7 +55,7 @@ func TestSchedulerWithdrawAllDuringWaitReleasesLeadership(t *testing.T) {
 	// hook so B is provably queued before A's group finishes.
 	aErr := make(chan error, 1)
 	go func() {
-		_, err := s.Submit(Plan{K: 1, Threshold: 0.9}.Normalize(), Binding{})
+		_, err := submit(s, Plan{K: 1, Threshold: 0.9}.Normalize(), Binding{})
 		aErr <- err
 	}()
 	<-aInGroup
@@ -63,7 +63,7 @@ func TestSchedulerWithdrawAllDuringWaitReleasesLeadership(t *testing.T) {
 	// B: follower with a coalesce wait and a cancellable ctx.
 	bErr := make(chan error, 1)
 	go func() {
-		_, err := s.Submit(Plan{K: 1, Threshold: 0.9, CoalesceWait: time.Millisecond}.Normalize(), Binding{Ctx: ctx})
+		_, err := submit(s, Plan{K: 1, Threshold: 0.9, CoalesceWait: time.Millisecond}.Normalize(), Binding{Ctx: ctx})
 		bErr <- err
 	}()
 	waitFor(t, func() bool { return s.QueuedForTest() == 1 })
@@ -79,7 +79,7 @@ func TestSchedulerWithdrawAllDuringWaitReleasesLeadership(t *testing.T) {
 	// leadership: a fresh submission must find a working scheduler. (A
 	// leader wedged with busy set would queue C forever and trip the
 	// test timeout.)
-	if _, err := s.Submit(Plan{K: 1, Threshold: 0.9}.Normalize(), Binding{}); err == nil {
+	if _, err := submit(s, Plan{K: 1, Threshold: 0.9}.Normalize(), Binding{}); err == nil {
 		t.Fatal("empty-binding submission unexpectedly succeeded; fixture drift")
 	}
 
@@ -143,7 +143,7 @@ func TestSchedulerPartialWithdrawDuringWaitShrinksGroup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		aOut, aErr = sched.Submit(mkPlan(10), bind)
+		aOut, aErr = submit(sched, mkPlan(10), bind)
 	}()
 	waitFor(t, func() bool { return sched.QueuedForTest() == 1 })
 
@@ -155,14 +155,14 @@ func TestSchedulerPartialWithdrawDuringWaitShrinksGroup(t *testing.T) {
 		defer wg.Done()
 		b := bind
 		b.Ctx = ctx
-		bOut, bErr = sched.Submit(mkPlan(5), b)
+		bOut, bErr = submit(sched, mkPlan(5), b)
 	}()
 	waitFor(t, func() bool { return sched.QueuedForTest() == 2 })
 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cOut, cErr = sched.Submit(mkPlan(3), bind)
+		cOut, cErr = submit(sched, mkPlan(3), bind)
 	}()
 	waitFor(t, func() bool { return sched.QueuedForTest() == 3 })
 

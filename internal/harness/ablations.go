@@ -37,134 +37,93 @@ func ablationDataset(scale Scale) (*video.Synthetic, vision.CountUDF, error) {
 	return src, vision.CountUDF{Class: src.TargetClass()}, nil
 }
 
-func evalEverest(src *video.Synthetic, udf vision.UDF, res *everest.Result, k int) Quality {
+// variant is one arm of an ablation study: its row label and the
+// Config switch it flips (nil for the arm that runs the defaults).
+type variant struct {
+	name   string
+	mutate func(*everest.Config)
+}
+
+// ablate runs one study over the default ablation workload: one
+// everest.Run per variant at the same K and threshold, each scored
+// against the ground truth (computed once — it scores every frame of
+// the video with the UDF), with note rendering the engine counters the
+// study is about.
+func ablate(scale Scale, k int, thres float64, note func(*everest.Result) string, variants []variant) ([]AblationRow, error) {
+	scale = scale.withDefaults()
+	src, udf, err := ablationDataset(scale)
+	if err != nil {
+		return nil, err
+	}
+	k = boundK(k, src.NumFrames()/10)
 	truth := frameTruth(src, udf)
 	top := metrics.TrueTopK(truth, k)
-	return evalIDs(res.IDs, func(i int) float64 { return truth[i].Score }, top)
+	rows := make([]AblationRow, 0, len(variants))
+	for _, v := range variants {
+		cfg := scale.everestConfig(k, thres)
+		if v.mutate != nil {
+			v.mutate(&cfg)
+		}
+		res, err := everest.Run(src, udf, cfg)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, AblationRow{
+			Dataset: src.Name(),
+			Variant: v.name,
+			MS:      res.Clock.TotalMS(),
+			Quality: evalIDs(res.IDs, func(i int) float64 { return truth[i].Score }, top),
+			Note:    note(res),
+		})
+	}
+	return rows, nil
 }
 
 // AblationEarlyStop (A1) contrasts the ψ-bound pruning of §3.3.2 with
 // exhaustive E[X_f] evaluation.
 func AblationEarlyStop(scale Scale, k int, thres float64) ([]AblationRow, error) {
-	scale = scale.withDefaults()
-	src, udf, err := ablationDataset(scale)
-	if err != nil {
-		return nil, err
-	}
-	kk := boundK(k, src.NumFrames()/10)
-	var rows []AblationRow
-	for _, variant := range []struct {
-		name    string
-		disable bool
-	}{{"psi-early-stop", false}, {"exhaustive", true}} {
-		cfg := scale.everestConfig(kk, thres)
-		cfg.DisableEarlyStop = variant.disable
-		res, err := everest.Run(src, udf, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Dataset: src.Name(),
-			Variant: variant.name,
-			MS:      res.Clock.TotalMS(),
-			Quality: evalEverest(src, udf, res, kk),
-			Note: fmt.Sprintf("examined=%d pruned=%d iters=%d",
-				res.EngineStats.Examined, res.EngineStats.Pruned, res.EngineStats.Iterations),
-		})
-	}
-	return rows, nil
+	return ablate(scale, k, thres, func(res *everest.Result) string {
+		return fmt.Sprintf("examined=%d pruned=%d iters=%d",
+			res.EngineStats.Examined, res.EngineStats.Pruned, res.EngineStats.Iterations)
+	}, []variant{
+		{"psi-early-stop", nil},
+		{"exhaustive", func(c *everest.Config) { c.DisableEarlyStop = true }},
+	})
 }
 
 // AblationResort (A2) contrasts the paper's adaptive ψ re-sort schedule
 // with sorting only once at iteration 0.
 func AblationResort(scale Scale, k int, thres float64) ([]AblationRow, error) {
-	scale = scale.withDefaults()
-	src, udf, err := ablationDataset(scale)
-	if err != nil {
-		return nil, err
-	}
-	kk := boundK(k, src.NumFrames()/10)
-	var rows []AblationRow
-	for _, variant := range []struct {
-		name string
-		once bool
-	}{{"adaptive-resort", false}, {"sort-once", true}} {
-		cfg := scale.everestConfig(kk, thres)
-		cfg.ResortOnce = variant.once
-		res, err := everest.Run(src, udf, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Dataset: src.Name(),
-			Variant: variant.name,
-			MS:      res.Clock.TotalMS(),
-			Quality: evalEverest(src, udf, res, kk),
-			Note: fmt.Sprintf("resorts=%d examined=%d cleaned=%d",
-				res.EngineStats.Resorts, res.EngineStats.Examined, res.EngineStats.Cleaned),
-		})
-	}
-	return rows, nil
+	return ablate(scale, k, thres, func(res *everest.Result) string {
+		return fmt.Sprintf("resorts=%d examined=%d cleaned=%d",
+			res.EngineStats.Resorts, res.EngineStats.Examined, res.EngineStats.Cleaned)
+	}, []variant{
+		{"adaptive-resort", nil},
+		{"sort-once", func(c *everest.Config) { c.ResortOnce = true }},
+	})
 }
 
 // AblationBatch (A3) sweeps the Phase 2 batch size b (§3.5).
 func AblationBatch(scale Scale, k int, thres float64) ([]AblationRow, error) {
-	scale = scale.withDefaults()
-	src, udf, err := ablationDataset(scale)
-	if err != nil {
-		return nil, err
-	}
-	kk := boundK(k, src.NumFrames()/10)
-	var rows []AblationRow
+	var variants []variant
 	for _, b := range []int{1, 2, 4, 8, 16, 32} {
-		cfg := scale.everestConfig(kk, thres)
-		cfg.BatchSize = b
-		res, err := everest.Run(src, udf, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Dataset: src.Name(),
-			Variant: fmt.Sprintf("b=%d", b),
-			MS:      res.Clock.TotalMS(),
-			Quality: evalEverest(src, udf, res, kk),
-			Note: fmt.Sprintf("iters=%d cleaned=%d",
-				res.EngineStats.Iterations, res.EngineStats.Cleaned),
-		})
+		variants = append(variants, variant{fmt.Sprintf("b=%d", b), func(c *everest.Config) { c.BatchSize = b }})
 	}
-	return rows, nil
+	return ablate(scale, k, thres, func(res *everest.Result) string {
+		return fmt.Sprintf("iters=%d cleaned=%d", res.EngineStats.Iterations, res.EngineStats.Cleaned)
+	}, variants)
 }
 
 // AblationDiff (A4) contrasts running with and without the difference
 // detector.
 func AblationDiff(scale Scale, k int, thres float64) ([]AblationRow, error) {
-	scale = scale.withDefaults()
-	src, udf, err := ablationDataset(scale)
-	if err != nil {
-		return nil, err
-	}
-	kk := boundK(k, src.NumFrames()/10)
-	var rows []AblationRow
-	for _, variant := range []struct {
-		name    string
-		disable bool
-	}{{"diff-detector", false}, {"no-diff", true}} {
-		cfg := scale.everestConfig(kk, thres)
-		cfg.DisableDiff = variant.disable
-		res, err := everest.Run(src, udf, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Dataset: src.Name(),
-			Variant: variant.name,
-			MS:      res.Clock.TotalMS(),
-			Quality: evalEverest(src, udf, res, kk),
-			Note: fmt.Sprintf("retained=%d/%d cleaned=%d",
-				res.Phase1.Retained, res.Phase1.TotalFrames, res.EngineStats.Cleaned),
-		})
-	}
-	return rows, nil
+	return ablate(scale, k, thres, func(res *everest.Result) string {
+		return fmt.Sprintf("retained=%d/%d cleaned=%d",
+			res.Phase1.Retained, res.Phase1.TotalFrames, res.EngineStats.Cleaned)
+	}, []variant{
+		{"diff-detector", nil},
+		{"no-diff", func(c *everest.Config) { c.DisableDiff = true }},
+	})
 }
 
 // AblationSemantics (A5) contrasts Everest's oracle-in-the-loop guarantee
@@ -258,31 +217,11 @@ func dedupe(ids []int) []int {
 // hides cleaned frames' decode latency behind oracle compute — with
 // synchronous decode-then-infer cleaning.
 func AblationPrefetch(scale Scale, k int, thres float64) ([]AblationRow, error) {
-	scale = scale.withDefaults()
-	src, udf, err := ablationDataset(scale)
-	if err != nil {
-		return nil, err
-	}
-	kk := boundK(k, src.NumFrames()/10)
-	var rows []AblationRow
-	for _, variant := range []struct {
-		name    string
-		disable bool
-	}{{"prefetch", false}, {"no-prefetch", true}} {
-		cfg := scale.everestConfig(kk, thres)
-		cfg.DisablePrefetch = variant.disable
-		res, err := everest.Run(src, udf, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Dataset: src.Name(),
-			Variant: variant.name,
-			MS:      res.Clock.TotalMS(),
-			Quality: evalEverest(src, udf, res, kk),
-			Note: fmt.Sprintf("cleaned=%d confirmMS=%.0f",
-				res.EngineStats.Cleaned, res.Clock.PhaseMS(simclock.PhaseConfirm)),
-		})
-	}
-	return rows, nil
+	return ablate(scale, k, thres, func(res *everest.Result) string {
+		return fmt.Sprintf("cleaned=%d confirmMS=%.0f",
+			res.EngineStats.Cleaned, res.Clock.PhaseMS(simclock.PhaseConfirm))
+	}, []variant{
+		{"prefetch", nil},
+		{"no-prefetch", func(c *everest.Config) { c.DisablePrefetch = true }},
+	})
 }

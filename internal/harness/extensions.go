@@ -263,39 +263,13 @@ func slidingWindowTruth(src video.Source, udf vision.UDF, size, stride int) []me
 // against the conservative union bound on the same frame query: same
 // guarantee target, different cleaning bills.
 func AblationBound(scale Scale, k int, thres float64) ([]AblationRow, error) {
-	scale = scale.withDefaults()
-	src, udf, err := ablationDataset(scale)
-	if err != nil {
-		return nil, err
-	}
-	truth := frameTruth(src, udf)
-	k = boundK(k, src.NumFrames()/10)
-	top := metrics.TrueTopK(truth, k)
-
-	var rows []AblationRow
-	for _, v := range []struct {
-		name  string
-		union bool
-	}{
-		{"exact product (Eq. 3)", false},
-		{"union bound", true},
-	} {
-		cfg := scale.everestConfig(k, thres)
-		cfg.UnionBound = v.union
-		res, err := everest.Run(src, udf, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Dataset: src.Name(),
-			Variant: v.name,
-			MS:      res.Clock.TotalMS(),
-			Quality: evalIDs(res.IDs, func(i int) float64 { return truth[i].Score }, top),
-			Note: fmt.Sprintf("cleaned %d (%.2f%%), confidence %.3f",
-				res.EngineStats.Cleaned,
-				100*float64(res.EngineStats.Cleaned)/float64(res.Phase1.Tuples),
-				res.Confidence),
-		})
-	}
-	return rows, nil
+	return ablate(scale, k, thres, func(res *everest.Result) string {
+		return fmt.Sprintf("cleaned %d (%.2f%%), confidence %.3f",
+			res.EngineStats.Cleaned,
+			100*float64(res.EngineStats.Cleaned)/float64(res.Phase1.Tuples),
+			res.Confidence)
+	}, []variant{
+		{"exact product (Eq. 3)", nil},
+		{"union bound", func(c *everest.Config) { c.UnionBound = true }},
+	})
 }

@@ -286,29 +286,19 @@ func (c *SharedCache) Version() uint64 {
 // caller enforces its own limit against the shared in-flight count, so
 // heterogeneous configs degrade gracefully: the strictest in-flight
 // caller waits the longest. Admission changes scheduling only, never
-// results.
+// results. It is AdmitCtx without a context.
 func (c *SharedCache) Admit(limit int) (release func()) {
-	c.mu.Lock()
-	for limit > 0 && c.inflight >= limit {
-		c.cond.Wait()
-	}
-	c.inflight++
-	c.mu.Unlock()
-	return func() {
-		c.mu.Lock()
-		c.inflight--
-		c.mu.Unlock()
-		c.cond.Broadcast()
-	}
+	release, _ = c.AdmitCtx(context.Background(), limit) // never cancelled, so never an error
+	return release
 }
 
 // AdmitCtx is Admit with a cancellable wait: a caller cancelled while
 // blocked at the gate stops waiting and gets ctx.Err() with a nil
 // release — no slot was reserved, so cancellation can never leak
-// admission capacity. A nil ctx behaves exactly as Admit.
+// admission capacity. A nil ctx never cancels.
 func (c *SharedCache) AdmitCtx(ctx context.Context, limit int) (release func(), err error) {
 	if ctx == nil {
-		return c.Admit(limit), nil
+		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -316,12 +306,14 @@ func (c *SharedCache) AdmitCtx(ctx context.Context, limit int) (release func(), 
 	// Cancellation wakes every gate waiter; the loop below re-checks its
 	// own ctx, so only the cancelled caller gives up. Taking the lock in
 	// the callback orders the broadcast after the waiter is parked.
-	stop := context.AfterFunc(ctx, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.cond.Broadcast()
-	})
-	defer stop()
+	if ctx.Done() != nil { // a context that cannot be cancelled (Admit's) needs no wake-up
+		stop := context.AfterFunc(ctx, func() {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			c.cond.Broadcast()
+		})
+		defer stop()
+	}
 	c.mu.Lock()
 	for limit > 0 && c.inflight >= limit {
 		if err := ctx.Err(); err != nil {

@@ -84,9 +84,6 @@ func (m *MDN) clone() *MDN {
 	return c
 }
 
-// Components returns g.
-func (m *MDN) Components() int { return m.g }
-
 // Params returns the head's trainable parameters.
 func (m *MDN) Params() []*Param { return m.dense.Params() }
 

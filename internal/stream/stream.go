@@ -65,9 +65,6 @@ const (
 	// is bit-identical (results and charges) to repeated Index.Extend
 	// calls at the same segment boundaries.
 	RefreshFull
-	// RefreshWarm always warm-starts (after the first segment), with no
-	// drift check. For measurement; Auto is the safe default.
-	RefreshWarm
 )
 
 // Config parameterizes an Ingestor.
@@ -83,7 +80,7 @@ type Config struct {
 	// previous model's mean NLL on the new segment's holdout samples
 	// stays within this margin of its selection-time holdout NLL. Zero
 	// means 0.5; negative disables warm starts entirely (every auto
-	// close counts as a drift fallback).
+	// close counts as a drift fallback), +Inf disables the fallback.
 	DriftNLL float64
 	// RefreshEpochs is the warm fine-tune epoch count; zero means the
 	// cmdn.RefreshConfig default (5).
@@ -230,9 +227,6 @@ func newIngestor(art *engine.Artifact, src video.Source, udf vision.UDF, cfg Con
 
 // Frontier returns how many frames have arrived.
 func (g *Ingestor) Frontier() int { return g.frontier }
-
-// Ingested returns how many frames the artifact covers.
-func (g *Ingestor) Ingested() int { return g.ingested }
 
 // Artifact exposes the growing artifact. It only ever changes at
 // segment closes; between closes it is safe to query.
@@ -410,8 +404,7 @@ func (g *Ingestor) Seal() error {
 // and evaluates followers.
 func (g *Ingestor) closeSegment(spanL int) error {
 	opt := g.optFor(g.segLo)
-	view := g.segSrc
-	plan := g.segPlan
+	view, plan := g.segSrc, g.segPlan
 	if spanL != g.segSpan {
 		// Closed short of the planned span: the labelling plan is a
 		// function of the segment length, so re-plan for the actual
@@ -425,42 +418,30 @@ func (g *Ingestor) closeSegment(spanL int) error {
 		if plan, err = phase1.PlanSamples(spanL, opt); err != nil {
 			return fmt.Errorf("stream: segment at frame %d closed at %d frames: %w", g.segLo, spanL, err)
 		}
-		reused := make(map[int]bool, len(g.eager))
-		label := func(ids []int) []float64 {
-			scores := make([]float64, len(ids))
-			var miss []int
-			for _, f := range ids {
-				if _, ok := g.eager[f]; !ok {
-					miss = append(miss, f)
-				}
-			}
-			for k, s := range phase1.Label(view, g.udf, miss, opt, g.clock) {
-				g.eager[miss[k]] = s
-			}
-			for k, f := range ids {
-				scores[k] = g.eager[f]
-				reused[f] = true
-			}
-			return scores
-		}
-		trainScores := label(plan.TrainIdx)
-		holdScores := label(plan.HoldIdx)
-		for f := range g.eager {
-			if !reused[f] {
-				g.stats.WastedLabels++
+	}
+	// At the planned span every planned frame has arrived and is
+	// labelled, so nothing misses and nothing is wasted.
+	label := func(ids []int) []float64 {
+		var miss []int
+		for _, f := range ids {
+			if _, ok := g.eager[f]; !ok {
+				miss = append(miss, f)
 			}
 		}
-		return g.finishSegment(view, opt, plan, trainScores, holdScores, spanL)
+		for k, s := range phase1.Label(view, g.udf, miss, opt, g.clock) {
+			g.eager[miss[k]] = s
+		}
+		scores := make([]float64, len(ids))
+		for k, f := range ids {
+			scores[k] = g.eager[f]
+		}
+		return scores
 	}
-	// Full segment: every planned frame has arrived and is labelled.
-	trainScores := make([]float64, len(plan.TrainIdx))
-	for k, f := range plan.TrainIdx {
-		trainScores[k] = g.eager[f]
-	}
-	holdScores := make([]float64, len(plan.HoldIdx))
-	for k, f := range plan.HoldIdx {
-		holdScores[k] = g.eager[f]
-	}
+	trainScores := label(plan.TrainIdx)
+	holdScores := label(plan.HoldIdx)
+	// A plan's frames are distinct and now all labelled; every other
+	// eager label of this segment fell outside the plan it closed with.
+	g.stats.WastedLabels += len(g.eager) - len(plan.TrainIdx) - len(plan.HoldIdx)
 	return g.finishSegment(view, opt, plan, trainScores, holdScores, spanL)
 }
 
@@ -497,15 +478,13 @@ func (g *Ingestor) segmentState(view video.Source, opt phase1.Options, plan phas
 	var hold []cmdn.Sample
 	if warm {
 		hold = phase1.Samples(view, opt.Proxy.Arch, plan.HoldIdx, holdScores, opt.Procs, g.pool)
-		if g.cfg.Refresh == RefreshAuto {
-			tol := g.cfg.DriftNLL
-			if tol == 0 {
-				tol = 0.5
-			}
-			if tol < 0 || g.prevProxy.DriftNLL(hold) > g.prevProxy.HoldoutNLL()+tol {
-				warm = false
-				g.stats.DriftFallbacks++
-			}
+		tol := g.cfg.DriftNLL
+		if tol == 0 {
+			tol = 0.5
+		}
+		if tol < 0 || g.prevProxy.DriftNLL(hold) > g.prevProxy.HoldoutNLL()+tol {
+			warm = false
+			g.stats.DriftFallbacks++
 		}
 	}
 	if !warm {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -127,14 +128,14 @@ func TestSealedShortSegmentIsPure(t *testing.T) {
 	}
 }
 
-// TestWarmRefreshCheaperThanFull: on a stationary feed, RefreshWarm
-// segments charge less simulated training time than RefreshFull at the
+// TestWarmRefreshCheaperThanFull: on a stationary feed, warm-started
+// (RefreshAuto with the drift fallback off) segments charge less simulated training time than RefreshFull at the
 // same boundaries, and the counters record the modes.
 func TestWarmRefreshCheaperThanFull(t *testing.T) {
 	const n, seg = 1800, 600
 	run := func(mode RefreshMode) (*Ingestor, error) {
 		src := feed(t, n)
-		cfg := Config{SegmentFrames: seg, Refresh: mode, Ingest: testIngest(5)}
+		cfg := Config{SegmentFrames: seg, Refresh: mode, DriftNLL: math.Inf(1), Ingest: testIngest(5)}
 		g, err := NewIngestor(src, countUDF(), cfg)
 		if err != nil {
 			return nil, err
@@ -152,7 +153,7 @@ func TestWarmRefreshCheaperThanFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := run(RefreshWarm)
+	warm, err := run(RefreshAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestDriftFallback(t *testing.T) {
 func TestReservoirBounded(t *testing.T) {
 	const n, seg = 2400, 600
 	src := feed(t, n)
-	cfg := Config{SegmentFrames: seg, Refresh: RefreshWarm, ReservoirCap: 50, Ingest: testIngest(5)}
+	cfg := Config{SegmentFrames: seg, DriftNLL: math.Inf(1), ReservoirCap: 50, Ingest: testIngest(5)}
 	g, err := NewIngestor(src, countUDF(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +396,7 @@ func TestSegmentCloseRenderBudget(t *testing.T) {
 		cfg  Config
 	}{
 		{"full", Config{Refresh: RefreshFull}},
-		{"warm", Config{Refresh: RefreshWarm}},
+		{"warm", Config{Refresh: RefreshAuto, DriftNLL: math.Inf(1)}},
 		{"drift-fallback", Config{Refresh: RefreshAuto, DriftNLL: -1}},
 	} {
 		src := &countedSource{Source: feed(t, n)}

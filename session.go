@@ -3,6 +3,7 @@ package everest
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,10 +31,9 @@ import (
 // finishes, so a query's result is a deterministic function of
 // (snapshot, Config) — the engine never observes another query's labels
 // mid-flight, and snapshot cost no longer grows with the cache. For
-// bit-reproducible concurrent execution use QueryBatch (or
-// RunConcurrent), which gives every query of the batch the same snapshot
-// and merges in query order; see DESIGN.md's shared-label-cache
-// contract.
+// bit-reproducible concurrent execution use QueryBatch, which gives
+// every query of the batch the same snapshot and merges in query order;
+// see DESIGN.md's shared-label-cache contract.
 //
 // Every query compiles to an engine.Plan executed by the one engine
 // pipeline (internal/engine). With Config.Coalesce, queries additionally
@@ -58,15 +58,7 @@ type Session struct {
 // NewSession validates that (src, udf) matches the index and returns a
 // session with a private, empty label cache.
 func NewSession(ix *Index, src video.Source, udf vision.UDF) (*Session, error) {
-	if err := ix.validateFor(src, udf); err != nil {
-		return nil, err
-	}
-	return &Session{
-		ix:    ix,
-		src:   src,
-		udf:   udf,
-		cache: labelstore.NewSharedCache(),
-	}, nil
+	return newSession(ix, src, udf, labelstore.NewSharedCache())
 }
 
 // NewSharedSession is NewSession on the process-wide label cache for
@@ -79,15 +71,14 @@ func NewSession(ix *Index, src video.Source, udf vision.UDF) (*Session, error) {
 // pair's coalescing scheduler, so Coalesce batches queries across
 // users, not just within one session.
 func NewSharedSession(ix *Index, src video.Source, udf vision.UDF) (*Session, error) {
+	return newSession(ix, src, udf, labelstore.For(sharedCacheKey(ix)))
+}
+
+func newSession(ix *Index, src video.Source, udf vision.UDF, cache *labelstore.SharedCache) (*Session, error) {
 	if err := ix.validateFor(src, udf); err != nil {
 		return nil, err
 	}
-	return &Session{
-		ix:    ix,
-		src:   src,
-		udf:   udf,
-		cache: labelstore.For(sharedCacheKey(ix)),
-	}, nil
+	return &Session{ix: ix, src: src, udf: udf, cache: cache}, nil
 }
 
 // sharedCacheKey identifies the label-reuse domain: same video content
@@ -150,50 +141,20 @@ func (s *Session) Query(cfg Config) (*Result, error) {
 // group (and any mux batch) without perturbing the others' results or
 // charges, and its admission slot is always released.
 //
-// Failure semantics (see DESIGN.md "Failure semantics"): a UDF that
-// fails or panics surfaces as a typed *OracleError — a tenant's
-// panicking oracle never crashes the serving process — and the
-// confirmed labels a failed query already paid for are still published
-// to the session's cache. Unconfirmed (degraded) estimates never are.
-func (s *Session) QueryCtx(ctx context.Context, cfg Config) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, oraclePanicError(s.udf, r)
-		}
-	}()
-	if err := ensureDurable(s.cache, cfg.DurableDir); err != nil {
-		return nil, err
-	}
-	s.applyCachePolicy(cfg)
-	if cfg.Coalesce {
-		results, err := s.queryCoalesced(ctx, []Config{cfg})
-		if err != nil {
-			return nil, err
-		}
-		return results[0], nil
-	}
-	release, err := s.cache.AdmitCtx(ctx, cfg.AdmissionLimit)
+// A lone query is a batch of one whose error comes back verbatim: it
+// runs through QueryBatchCtx, whose failure semantics are this one's.
+func (s *Session) QueryCtx(ctx context.Context, cfg Config) (*Result, error) {
+	results, err := s.QueryBatchCtx(ctx, []Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	snap, _ := s.cache.Snapshot()
-	overlay := labelstore.NewOverlay(snap)
-	res, qerr := s.ix.query(ctx, s.src, s.udf, cfg, overlay)
-	// Publish before checking the error: a query that failed mid-cleaning
-	// already paid the oracle for every label in its fresh set (only
-	// successful dispatches enter the overlay), and paid-for work is
-	// never lost — the same contract the coalesced path keeps.
-	s.cache.Publish(overlay.Fresh())
-	if qerr != nil {
-		return nil, qerr
-	}
-	s.queries.Add(1)
-	return res, nil
+	return results[0], nil
 }
 
 // QueryBatch runs the given queries over one shared cache snapshot and
-// returns their results in input order.
+// returns their results in input order. To run n copies of one query —
+// the N-concurrent-callers serving scenario — pass
+// slices.Repeat([]Config{cfg}, n).
 //
 // By default the queries run concurrently, each over its own private
 // overlay of the snapshot: every query of the batch sees the same
@@ -217,21 +178,31 @@ func (s *Session) QueryCtx(ctx context.Context, cfg Config) (res *Result, err er
 // (the strictest positive AdmissionLimit in the batch applies). On
 // failure the first failing query's error (lowest index; in coalesced
 // mode, plan-compilation errors are reported ahead of execution-stage
-// ones) is returned alongside the results: successful members keep
-// their Result (failed slots are nil), and their confirmed labels are
-// still published, so the oracle work a partly-failed batch paid for
-// is never lost — the same per-member contract in both the
-// independent and the coalesced mode.
+// ones) is returned alongside the results, prefixed "everest: batch
+// query i:" when the batch has more than one member: successful
+// members keep their Result (failed slots are nil), and their confirmed
+// labels are still published, so the oracle work a partly-failed batch
+// paid for is never lost — the same per-member contract in both the
+// independent and the coalesced mode, for a Config that fails plan
+// compilation as for a member that fails mid-engine.
 func (s *Session) QueryBatch(cfgs []Config) ([]*Result, error) {
 	return s.QueryBatchCtx(context.Background(), cfgs)
 }
 
 // QueryBatchCtx is QueryBatch with a cancellable context governing the
 // whole batch: cancellation stops every member with ctx.Err() (slots
-// nil), releases the batch's admission slot, and still publishes the
-// confirmed labels completed members paid for. A member's UDF panic is
-// recovered per member — it fails only its own slot, as a typed
-// *OracleError, exactly like an error return.
+// nil) — at the admission gate, queued behind another group at the
+// scheduler, or mid-Phase 2 — releases the batch's admission slot, and
+// still publishes the confirmed labels completed members paid for.
+//
+// Failure semantics (see DESIGN.md "Failure semantics"): a UDF that
+// fails or panics surfaces as a typed *OracleError in its own slot
+// only — a tenant's panicking oracle never crashes the serving process
+// — and unconfirmed (degraded) estimates are never published.
+//
+// It is the session's one serving path: prepare the cache, compile
+// every member, dispatch the compiled plans to the scheduler or to
+// runIndependent, map outcomes to Results.
 func (s *Session) QueryBatchCtx(ctx context.Context, cfgs []Config) (_ []*Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -241,86 +212,25 @@ func (s *Session) QueryBatchCtx(ctx context.Context, cfgs []Config) (_ []*Result
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
+	// Prepare the cache and compile, member by member: a Config that is
+	// rejected is dropped from the dispatch (its slot stays nil) and the
+	// rest still run.
 	coalesce := false
-	for _, cfg := range cfgs {
+	plans := make([]engine.Plan, 0, len(cfgs))
+	binds := make([]engine.Binding, 0, len(cfgs))
+	slot := make([]int, 0, len(cfgs))
+	var firstErr error
+	firstAt := -1
+	for i, cfg := range cfgs {
 		if err := ensureDurable(s.cache, cfg.DurableDir); err != nil {
 			return nil, err
 		}
 		s.applyCachePolicy(cfg)
 		coalesce = coalesce || cfg.Coalesce
-	}
-	if coalesce {
-		return s.queryCoalesced(ctx, cfgs)
-	}
-	release, err := s.cache.AdmitCtx(ctx, batchAdmissionLimit(cfgs))
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	snap, _ := s.cache.Snapshot()
-	overlays := make([]*labelstore.Overlay, len(cfgs))
-	results := make([]*Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i := range cfgs {
-		overlays[i] = labelstore.NewOverlay(snap)
-		cfg := cfgs[i]
-		cfg.Procs = max(1, workpool.Procs(cfg.Procs)/len(cfgs))
-		wg.Add(1)
-		go func(i int, cfg Config) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					results[i], errs[i] = nil, oraclePanicError(s.udf, r)
-				}
-			}()
-			results[i], errs[i] = s.ix.query(ctx, s.src, s.udf, cfg, overlays[i])
-		}(i, cfg)
-	}
-	wg.Wait()
-	var firstErr error
-	for i := range cfgs {
-		// A failed member's confirmed labels are published too: only
-		// successful oracle dispatches ever enter an overlay, so this is
-		// paid-for exact work, never speculation.
-		s.cache.Publish(overlays[i].Fresh())
-		if errs[i] != nil {
-			results[i] = nil
-			if firstErr == nil {
-				firstErr = fmt.Errorf("everest: batch query %d: %w", i, errs[i])
-			}
-			continue
-		}
-		s.queries.Add(1)
-	}
-	return results, firstErr
-}
-
-// queryCoalesced submits the queries to the cache's scheduler as one
-// atomic group: plans execute in input order over one shared overlay.
-// It is the single coalesced entry sequence — a lone Coalesce Query is
-// a group of one. Like the independent batch path, a failing member
-// costs only itself, at either stage: a member whose Config fails plan
-// compilation is dropped from the group (its slot stays nil) and the
-// rest still run, and a member that fails mid-engine loses only its
-// own outcome. Successful members' Results come back alongside the
-// first error — compile-stage errors reported first — and their labels
-// were already published by the scheduler, so paid-for oracle work
-// survives a partly-failed group.
-func (s *Session) queryCoalesced(ctx context.Context, cfgs []Config) ([]*Result, error) {
-	results := make([]*Result, len(cfgs))
-	var firstErr error
-	plans := make([]engine.Plan, 0, len(cfgs))
-	binds := make([]engine.Binding, 0, len(cfgs))
-	slot := make([]int, 0, len(cfgs))
-	for i, cfg := range cfgs {
 		p, b, err := s.ix.planFor(s.src, s.udf, cfg)
 		if err != nil {
-			if len(cfgs) > 1 {
-				err = fmt.Errorf("everest: batch query %d: %w", i, err)
-			}
 			if firstErr == nil {
-				firstErr = err
+				firstAt, firstErr = i, err
 			}
 			continue
 		}
@@ -329,58 +239,89 @@ func (s *Session) queryCoalesced(ctx context.Context, cfgs []Config) ([]*Result,
 		binds = append(binds, b)
 		slot = append(slot, i)
 	}
-	outs, err := s.scheduler().SubmitGroup(plans, binds)
-	if firstErr == nil {
-		firstErr = err
+
+	// Dispatch. Either runner returns one outcome per plan — nil exactly
+	// where that member failed — and the lowest-index failure's error.
+	var outs []*engine.Outcome
+	var execErr error
+	if coalesce {
+		outs, execErr = s.scheduler().SubmitGroup(plans, binds)
+	} else {
+		outs, execErr = s.runIndependent(ctx, plans, binds)
 	}
-	for j, out := range outs {
-		if out == nil {
-			continue
+	if execErr != nil {
+		// The documented precedence: lowest index, except that a
+		// coalesced batch reports compile-stage failures first (its
+		// group never contained those members).
+		if at := slot[slices.Index(outs, nil)]; firstErr == nil || (!coalesce && at < firstAt) {
+			firstAt, firstErr = at, execErr
 		}
-		results[slot[j]] = resultOf(out, plans[j], s.ix.info)
-		s.queries.Add(1)
+	}
+	// A batch of one is a lone query: its error is never decorated.
+	if firstErr != nil && len(cfgs) > 1 {
+		firstErr = fmt.Errorf("everest: batch query %d: %w", firstAt, firstErr)
+	}
+	results := make([]*Result, len(cfgs))
+	for j, out := range outs {
+		if out != nil {
+			results[slot[j]] = resultOf(out, plans[j], s.ix.info)
+			s.queries.Add(1)
+		}
 	}
 	return results, firstErr
 }
 
-// batchAdmissionLimit resolves a batch's admission cap: the strictest
-// positive limit any member requests. Zero and negative limits mean
-// "uncapped" for that member and are ignored — a batch whose members
-// all leave the knob unset (or explicitly disable it) is admitted
-// without queueing, and one capped member is enough to gate the whole
-// batch (it runs as a single oracle-heavy unit, so the strictest
-// member's budget must hold for all of it). An empty batch is uncapped.
-func batchAdmissionLimit(cfgs []Config) int {
+// runIndependent executes compiled plans concurrently, each over its
+// own private overlay of one cache snapshot — the session's one place
+// that admits, snapshots and publishes (the scheduler holds the other,
+// for coalesced groups). The plans are one admission unit under the
+// strictest positive AdmissionLimit among them, waited for at the
+// cancellable gate; a cancellation there fails every member. Each
+// member's worker budget is its Procs divided by the width, so a wide
+// batch does not oversubscribe the cores. Overlays publish in input
+// order after all members finish, a failed member's included: only
+// successful oracle dispatches ever enter an overlay, so that is
+// paid-for exact work, never speculation.
+func (s *Session) runIndependent(ctx context.Context, plans []engine.Plan, binds []engine.Binding) ([]*engine.Outcome, error) {
+	outs := make([]*engine.Outcome, len(plans))
+	if len(plans) == 0 {
+		return outs, nil
+	}
 	limit := 0
-	for _, cfg := range cfgs {
-		if cfg.AdmissionLimit > 0 && (limit == 0 || cfg.AdmissionLimit < limit) {
-			limit = cfg.AdmissionLimit
+	for i := range plans {
+		limit = engine.TighterLimit(limit, plans[i].AdmissionLimit)
+	}
+	release, err := s.cache.AdmitCtx(ctx, limit)
+	if err != nil {
+		return outs, err
+	}
+	defer release()
+	snap, _ := s.cache.Snapshot()
+	errs := make([]error, len(plans))
+	var wg sync.WaitGroup
+	for i := range plans {
+		binds[i].Labels = labelstore.NewOverlay(snap)
+		plans[i].Procs = max(1, workpool.Procs(plans[i].Procs)/len(plans))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = oraclePanicError(s.udf, r)
+				}
+			}()
+			outs[i], errs[i] = engine.Execute(plans[i], binds[i])
+		}()
+	}
+	wg.Wait()
+	var firstErr error
+	for i := range plans {
+		s.cache.Publish(binds[i].Labels.Fresh())
+		if firstErr == nil {
+			firstErr = errs[i]
 		}
 	}
-	return limit
-}
-
-// RunConcurrent runs n copies of the same query concurrently via
-// QueryBatch — the N-concurrent-callers serving scenario. All n results
-// are bit-identical to each other and to a single Query from the same
-// cache state. (With cfg.Coalesce the copies instead run as one
-// coalesced group: the first pays the oracle, the repeats ride its
-// labels — results still bit-identical to serial repeats.)
-func (s *Session) RunConcurrent(cfg Config, n int) ([]*Result, error) {
-	return s.RunConcurrentCtx(context.Background(), cfg, n)
-}
-
-// RunConcurrentCtx is RunConcurrent with a cancellable context
-// governing all n copies (see QueryBatchCtx).
-func (s *Session) RunConcurrentCtx(ctx context.Context, cfg Config, n int) ([]*Result, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("everest: concurrent query count must be positive, got %d", n)
-	}
-	cfgs := make([]Config, n)
-	for i := range cfgs {
-		cfgs[i] = cfg
-	}
-	return s.QueryBatchCtx(ctx, cfgs)
+	return outs, firstErr
 }
 
 // oraclePanicError is the public API's last-resort recovery: any panic

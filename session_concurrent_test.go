@@ -1,6 +1,7 @@
 package everest
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestQueryBatchBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := sess.RunConcurrent(cfg, 4)
+	conc, err := sess.QueryBatch(slices.Repeat([]Config{cfg}, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

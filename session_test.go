@@ -3,6 +3,7 @@ package everest
 import (
 	"testing"
 
+	"github.com/everest-project/everest/internal/engine"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
 )
@@ -191,6 +192,10 @@ func TestSessionWindowQuerySeedsFrameCache(t *testing.T) {
 	}
 }
 
+// TestBatchAdmissionLimit is the strictest-positive-limit table: the cap
+// a batch is admitted under, folded with engine.TighterLimit over its
+// members' compiled plans the way Session.runIndependent and the
+// scheduler's runGroup fold it.
 func TestBatchAdmissionLimit(t *testing.T) {
 	lim := func(ls ...int) []Config {
 		cfgs := make([]Config, len(ls))
@@ -219,8 +224,12 @@ func TestBatchAdmissionLimit(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := batchAdmissionLimit(c.cfgs); got != c.want {
-				t.Fatalf("batchAdmissionLimit(%v) = %d, want %d", c.cfgs, got, c.want)
+			got := 0
+			for _, cfg := range c.cfgs {
+				got = engine.TighterLimit(got, cfg.plan().AdmissionLimit)
+			}
+			if got != c.want {
+				t.Fatalf("admission limit of %v = %d, want %d", c.cfgs, got, c.want)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package everest
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -194,7 +195,7 @@ func TestSessionAdmissionLimitDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unconstrained, err := free.RunConcurrent(cfg, 3)
+	unconstrained, err := free.QueryBatch(slices.Repeat([]Config{cfg}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestSessionAdmissionLimitDeterminism(t *testing.T) {
 	}
 	gcfg := cfg
 	gcfg.AdmissionLimit = 1
-	limited, err := gated.RunConcurrent(gcfg, 3)
+	limited, err := gated.QueryBatch(slices.Repeat([]Config{gcfg}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
