@@ -82,10 +82,12 @@ bench-diff:
 # but explode allocations (also the CI benchmark smoke job, which
 # additionally runs bench-diff against the committed baseline). The
 # internal/eql line is a script's bind at two video lengths (equal B/op
-# means bind reads no frame) and a warm execution.
+# means bind reads no frame) and a warm execution; the last line is the
+# Phase 1 kernels — one Fit, one grid point, one decoded frame (0 allocs).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SessionConcurrent|SessionSharedCache|SessionCoalesced|OracleMux|StreamingIngest|FollowDeltas|EQLScript' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BindScript|ExecWarm' -benchtime 1x -benchmem ./internal/eql
+	$(GO) test -run '^$$' -bench 'Fit$$|TrainGridPoint|Render$$' -benchtime 1x -benchmem ./internal/nn ./internal/cmdn ./internal/video
 
 # Live-camera smoke run: replay a bounded feed through the streaming
 # ingestor with a continuous top-K follower and print the answer deltas

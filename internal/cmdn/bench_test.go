@@ -34,6 +34,7 @@ func BenchmarkTrainGridPoint(b *testing.B) {
 	src := trafficSource(b, 2000)
 	train := makeSamples(src, ArchPooled, sampleEvery(2000, 7))
 	holdout := makeSamples(src, ArchPooled, offsetEvery(2000, 13, 3))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Train(train, holdout, Config{Grid: []Hyper{{G: 5, H: 20}}, Epochs: 5, Seed: 1}, nil, simclock.Default()); err != nil {

@@ -278,7 +278,9 @@ func buildModel(cfg Config, hy Hyper, r *xrand.RNG) (*nn.Model, error) {
 
 // Train fits one model per grid point on the training samples, evaluates
 // each on the holdout set, and returns the model with the smallest holdout
-// NLL (§3.2). Training cost is charged to PhaseTrainCMDN.
+// NLL (§3.2). Training cost is charged to PhaseTrainCMDN. The proxy, the
+// reports and the charge are bit-identical for every Procs and do not
+// depend on which worker trains which point or in what order.
 func Train(train, holdout []Sample, cfg Config, clock *simclock.Clock, cost simclock.CostModel) (*Proxy, []CandidateReport, error) {
 	cfg = cfg.withDefaults()
 	if len(train) == 0 {
@@ -317,41 +319,49 @@ func Train(train, holdout []Sample, cfg Config, clock *simclock.Clock, cost simc
 	}
 
 	// Each grid point draws from an independent RNG stream keyed by its
-	// index (SplitIndex does not advance the parent), so candidates may
-	// train on any worker in any order and still come out bit-identical
-	// to the serial loop.
+	// index (SplitIndex does not advance the parent) — first its initial
+	// weights, then its shuffling seed — so candidates may train on any
+	// worker in any order and still come out bit-identical to the serial
+	// loop. Building is cheap and happens here, in grid order; only the
+	// fits are farmed out.
 	root := xrand.New(cfg.Seed).Split("cmdn/train")
-	seeds := make([]*xrand.RNG, len(cfg.Grid))
-	for gi := range seeds {
-		seeds[gi] = root.SplitIndex(uint64(gi))
-	}
-	procs := workpool.Procs(cfg.Procs)
-
-	type gridOut struct {
-		model *nn.Model
-		err   error
-	}
-	outs := workpool.Map(procs, len(cfg.Grid), func(_, gi int) gridOut {
-		r := seeds[gi]
-		model, err := buildModel(cfg, cfg.Grid[gi], r)
+	models := make([]*nn.Model, len(cfg.Grid))
+	fitSeeds := make([]uint64, len(cfg.Grid))
+	weight := make([]int, len(cfg.Grid))
+	for gi, hyp := range cfg.Grid {
+		r := root.SplitIndex(uint64(gi))
+		model, err := buildModel(cfg, hyp, r)
 		if err != nil {
-			return gridOut{err: err}
+			return nil, nil, err
 		}
-		if _, err := model.Fit(xs, ys, nn.TrainConfig{
+		models[gi], fitSeeds[gi], weight[gi] = model, r.Uint64(), model.NumParams()
+	}
+
+	// Longest processing time first: a fit's cost is proportional to its
+	// parameter count, and workers claim positions of this order one by
+	// one, so issuing the big points first keeps a small one, not a big
+	// one, as the last to finish. The order decides only who trains what
+	// when — models and errors are stored by grid index, and no fit reads
+	// another's state — so it cannot change a result.
+	order := make([]int, len(cfg.Grid))
+	for gi := range order {
+		order[gi] = gi
+	}
+	sort.SliceStable(order, func(a, b int) bool { return weight[order[a]] > weight[order[b]] })
+	procs := workpool.Procs(cfg.Procs)
+	fitErrs := make([]error, len(cfg.Grid))
+	workpool.ForEach(procs, len(order), func(_, k int) {
+		gi := order[k]
+		_, fitErrs[gi] = models[gi].Fit(xs, ys, nn.TrainConfig{
 			Epochs:       cfg.Epochs,
 			LearningRate: cfg.LearningRate,
-			Seed:         r.Uint64(),
-		}); err != nil {
-			return gridOut{err: err}
-		}
-		return gridOut{model: model}
+			Seed:         fitSeeds[gi],
+		})
 	})
-	models := make([]*nn.Model, len(outs))
-	for gi, o := range outs {
-		if o.err != nil {
-			return nil, nil, o.err
+	for _, err := range fitErrs {
+		if err != nil {
+			return nil, nil, err
 		}
-		models[gi] = o.model
 	}
 
 	nlls := holdoutNLLs(models, hx, hy, procs)

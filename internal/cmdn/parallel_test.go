@@ -1,6 +1,8 @@
 package cmdn
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/everest-project/everest/internal/simclock"
@@ -52,6 +54,88 @@ func TestTrainProcsBitIdentical(t *testing.T) {
 					t.Fatalf("procs=%d frame %d component %d: %+v != %+v", procs, f, c, pm[c], sm[c])
 				}
 			}
+		}
+	}
+}
+
+// TestTrainIssueOrderIrrelevant: grid points are built in grid order but
+// issued to the workers largest-first, so which point trains when, and
+// next to which others, depends on how the grid is listed and on Procs.
+// Neither may show: for every listing — ascending cost (issue order is
+// the reverse of grid order), descending, mixed with a tie — the proxy,
+// every report, the clock charge and a prediction are bit-identical on 1,
+// 2 and 8 workers; and the point at index 0, whose RNG stream is keyed by
+// that index, scores the holdout NLL it scores as a grid of one.
+func TestTrainIssueOrderIrrelevant(t *testing.T) {
+	src := trafficSource(t, 1200)
+	train := makeSamples(src, ArchPooled, sampleEvery(1200, 9))
+	holdout := makeSamples(src, ArchPooled, offsetEvery(1200, 21, 4))
+	small, mid, big := Hyper{G: 5, H: 20}, Hyper{G: 8, H: 30}, Hyper{G: 12, H: 40}
+	listings := [][]Hyper{
+		{small, mid, big, mid},
+		{big, mid, mid, small},
+		{mid, big, small, mid},
+	}
+	type outcome struct {
+		Hyper      Hyper
+		NLL, Calib float64
+		Reports    []CandidateReport
+		ChargeMS   float64
+		Mix        []float64
+	}
+	run := func(grid []Hyper, procs int) outcome {
+		clock := simclock.NewClock()
+		p, reports, err := Train(train, holdout, Config{Grid: grid, Epochs: 3, Seed: 11, Procs: procs}, clock, simclock.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := outcome{Hyper: p.Hyper(), NLL: p.HoldoutNLL(), Calib: p.Calibration(), Reports: reports, ChargeMS: clock.TotalMS()}
+		for _, c := range p.PredictFrame(src.Render(430)) {
+			o.Mix = append(o.Mix, c.Weight, c.Mean, c.Sigma)
+		}
+		return o
+	}
+	for li, grid := range listings {
+		serial := run(grid, 1)
+		if serial.ChargeMS == 0 {
+			t.Fatal("training charged nothing to the clock")
+		}
+		for _, procs := range []int{2, 8} {
+			if got := run(grid, procs); !reflect.DeepEqual(got, serial) {
+				t.Fatalf("listing %d procs=%d: %+v, serial %+v", li, procs, got, serial)
+			}
+		}
+		alone := run(grid[:1], 1).Reports[0]
+		found := false
+		for _, r := range serial.Reports {
+			found = found || r == alone
+		}
+		if !found {
+			t.Fatalf("listing %d: point 0 reports %+v as a grid of one but not among %+v", li, alone, serial.Reports)
+		}
+	}
+}
+
+// TestTrainErrorSameOnAnyWorkers: fits run out of grid order and on other
+// goroutines, but Train still returns the failing point of lowest grid
+// index — here every point fails alike, on a short input row, and the
+// error is the same on 1, 2 and 8 workers.
+func TestTrainErrorSameOnAnyWorkers(t *testing.T) {
+	src := trafficSource(t, 300)
+	train := makeSamples(src, ArchPooled, sampleEvery(300, 9))
+	holdout := makeSamples(src, ArchPooled, offsetEvery(300, 21, 4))
+	train[5].X = train[5].X[:10]
+	var want string
+	for _, procs := range []int{1, 2, 8} {
+		_, _, err := Train(train, holdout, Config{Grid: []Hyper{{G: 5, H: 20}, {G: 12, H: 40}, {G: 8, H: 30}}, Epochs: 1, Seed: 3, Procs: procs}, nil, simclock.Default())
+		if err == nil || !strings.Contains(err.Error(), "input 5") {
+			t.Fatalf("procs=%d: error %v, want the trainer's complaint about input 5", procs, err)
+		}
+		if want == "" {
+			want = err.Error()
+		}
+		if err.Error() != want {
+			t.Fatalf("procs=%d: error %q, procs=1 gave %q", procs, err, want)
 		}
 	}
 }

@@ -13,28 +13,42 @@ type Adam struct {
 // NewAdam creates an optimizer with the usual defaults (β1=0.9, β2=0.999).
 func NewAdam(params []*Param, lr float64) *Adam {
 	a := &Adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, params: params}
-	a.m = make([][]float64, len(params))
-	a.v = make([][]float64, len(params))
+	total := 0
+	for _, p := range params {
+		total += len(p.W)
+	}
+	// One block holds every moment; a.m[i] and a.v[i] are views of it.
+	moments := make([]float64, 2*total)
+	views := make([][]float64, 2*len(params))
+	a.m, a.v = views[:len(params)], views[len(params):]
 	for i, p := range params {
-		a.m[i] = make([]float64, len(p.W))
-		a.v[i] = make([]float64, len(p.W))
+		a.m[i], moments = moments[:len(p.W):len(p.W)], moments[len(p.W):]
+		a.v[i], moments = moments[:len(p.W):len(p.W)], moments[len(p.W):]
 	}
 	return a
 }
 
-// Step applies one update from the accumulated gradients and clears them.
+// Step applies one update from the accumulated gradients and clears each
+// gradient as it consumes it. Every parameter is updated independently by
+// the expression below, exactly as written — three divisions and a square
+// root, which is what bounds the step (≈ 18 cycles per parameter, the
+// divider's throughput); only the slice headers are hoisted.
 func (a *Adam) Step() {
 	a.t++
 	c1 := 1 - math.Pow(a.beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.beta2, float64(a.t))
+	lr, beta1, beta2, eps := a.lr, a.beta1, a.beta2, a.eps
 	for i, p := range a.params {
-		for j, g := range p.G {
-			a.m[i][j] = a.beta1*a.m[i][j] + (1-a.beta1)*g
-			a.v[i][j] = a.beta2*a.v[i][j] + (1-a.beta2)*g*g
-			mhat := a.m[i][j] / c1
-			vhat := a.v[i][j] / c2
-			p.W[j] -= a.lr * mhat / (math.Sqrt(vhat) + a.eps)
+		grad := p.G
+		w, m, v := p.W[:len(grad)], a.m[i][:len(grad)], a.v[i][:len(grad)]
+		for j, g := range grad {
+			mj := beta1*m[j] + (1-beta1)*g
+			vj := beta2*v[j] + (1-beta2)*g*g
+			m[j], v[j] = mj, vj
+			mhat := mj / c1
+			vhat := vj / c2
+			w[j] -= lr * mhat / (math.Sqrt(vhat) + eps)
+			grad[j] = 0
 		}
-		p.ZeroGrad()
 	}
 }

@@ -35,11 +35,12 @@ func TestTrainStepAllocationFree(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i) * 0.1
 	}
+	ys := []float64{0.5}
 	step := func() {
 		feat := m.Backbone.Forward(x)
 		m.Head.Forward(feat)
-		gradFeat := m.Head.Backward(0.5)
-		m.Backbone.Backward(gradFeat)
+		gradFeat := m.Head.Backward(ys)
+		m.Backbone.Backward(gradFeat, true)
 	}
 	step() // warm up scratch
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
@@ -62,7 +63,7 @@ func TestConvStackAllocationFree(t *testing.T) {
 	grad := []float64{1, -1, 0.5}
 	step := func() {
 		seq.Forward(x)
-		seq.Backward(grad)
+		seq.Backward(grad, true)
 	}
 	step()
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {

@@ -1,0 +1,362 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"github.com/everest-project/everest/internal/xrand"
+)
+
+var negZero = math.Copysign(0, -1)
+
+// sameBits fails the test at the first element of got whose bit pattern
+// differs from want's.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, reference has %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d]: %v (%#x), reference %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// sameParams compares every weight and every gradient accumulator.
+func sameParams(t *testing.T, what string, got, want []*Param) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d tensors, reference has %d", what, len(got), len(want))
+	}
+	for k := range want {
+		sameBits(t, fmt.Sprintf("%s tensor %d weights", what, k), got[k].W, want[k].W)
+		sameBits(t, fmt.Sprintf("%s tensor %d gradients", what, k), got[k].G, want[k].G)
+	}
+}
+
+// pooledModel is the ArchPooled shape: Dense → ReLU → MDN.
+func pooledModel(in, h, g int, seed uint64) *Model {
+	r := xrand.New(seed)
+	return &Model{Backbone: NewSequential(NewDense(in, h, r), NewReLU(h)), Head: NewMDN(h, g, r)}
+}
+
+// convModel is the ArchConv shape at 8×8: three conv/ReLU/pool stages, a
+// dense layer and the head.
+func convModel(h, g int, seed uint64) *Model {
+	r := xrand.New(seed)
+	return &Model{
+		Backbone: NewSequential(
+			NewConv2D(1, 8, 8, 2, r), NewReLU(2*8*8), NewMaxPool2D(2, 8, 8),
+			NewConv2D(2, 4, 4, 3, r), NewReLU(3*4*4), NewMaxPool2D(3, 4, 4),
+			NewConv2D(3, 2, 2, 4, r), NewReLU(4*2*2), NewMaxPool2D(4, 2, 2),
+			NewDense(4, h, r), NewReLU(h),
+		),
+		Head: NewMDN(h, g, r),
+	}
+}
+
+// trainingSet draws n inputs of the given size with the awkward values
+// mixed in: negative zeros inside ordinary rows, and whole rows of +0 and
+// of −0 (which close every ReLU of a freshly initialized backbone, whose
+// biases are 0).
+func trainingSet(n, in int, seed uint64) ([][]float64, []float64) {
+	r := xrand.New(seed)
+	xs := make([][]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		x := make([]float64, in)
+		switch {
+		case i%11 == 3:
+			// all +0
+		case i%11 == 7:
+			for j := range x {
+				x[j] = negZero
+			}
+		default:
+			for j := range x {
+				x[j] = r.Norm()
+				if r.Float64() < 0.05 {
+					x[j] = negZero
+				}
+			}
+		}
+		xs[i] = x
+		ys[i] = x[0] - 0.5*x[in-1] + 0.3*r.Norm()
+	}
+	return xs, ys
+}
+
+// deadBackbone pushes every first-layer pre-activation far below zero: no
+// ReLU opens, and every upstream gradient of the first layer is exactly 0.
+func deadBackbone(m *Model) {
+	first := m.Backbone.(*Sequential).layers[0].(*Dense)
+	for o := range first.b.W {
+		first.b.W[o] = -1e6
+	}
+}
+
+// clampedSigma puts log σ far below minLogSigma for two of every three
+// components (all of them when g = 1).
+func clampedSigma(m *Model) {
+	g := m.Head.g
+	for j := 0; j < g; j++ {
+		if j%3 != 1 {
+			m.Head.dense.b.W[2*g+j] = -100
+		}
+	}
+}
+
+// TestFitMatchesReference is the trainer's contract: moving a minibatch
+// through the layers leaves, bit for bit, the weights, the returned NLL
+// and the predictions of the per-sample loop in reference_test.go — over
+// both architectures, mixture sizes whose 3g crosses every remainder of
+// the four-wide kernels, batch sizes with a ragged last batch, a training
+// set smaller than one batch, a backbone whose ReLUs never open and a
+// head whose σ sits on its floor.
+func TestFitMatchesReference(t *testing.T) {
+	type fitCase struct {
+		name   string
+		model  func(g int) *Model
+		n, in  int
+		epochs int
+		adjust func(*Model) // nil, or a weight edit applied before training
+	}
+	cases := []fitCase{
+		{name: "pooled", model: func(g int) *Model { return pooledModel(97, 20, g, 5) }, n: 600, in: 97, epochs: 3},
+		{name: "pooled-h30", model: func(g int) *Model { return pooledModel(33, 30, g, 6) }, n: 70, in: 33, epochs: 4},
+		{name: "conv", model: func(g int) *Model { return convModel(6, g, 7) }, n: 40, in: 64, epochs: 2},
+		{name: "head-only", model: func(g int) *Model { return &Model{Head: NewMDN(9, g, xrand.New(8))} }, n: 50, in: 9, epochs: 4},
+		{name: "smaller-than-a-batch", model: func(g int) *Model { return pooledModel(12, 10, g, 9) }, n: 5, in: 12, epochs: 6},
+		{name: "dead-backbone", model: func(g int) *Model { return pooledModel(12, 10, g, 10) }, n: 40, in: 12, epochs: 3, adjust: deadBackbone},
+		{name: "clamped-sigma", model: func(g int) *Model { return pooledModel(12, 10, g, 11) }, n: 40, in: 12, epochs: 3, adjust: clampedSigma},
+	}
+	for _, c := range cases {
+		for _, g := range []int{1, 5, 12} {
+			for _, batch := range []int{1, 4, 16} {
+				if c.n >= 600 && (batch == 1) != (g == 5) {
+					continue // the big case: batch 1 once, the others at two g each
+				}
+				t.Run(fmt.Sprintf("%s/g=%d/batch=%d", c.name, g, batch), func(t *testing.T) {
+					xs, ys := trainingSet(c.n, c.in, 21)
+					m := c.model(g)
+					if c.adjust != nil {
+						c.adjust(m)
+					}
+					ref := newRef(m)
+					cfg := TrainConfig{Epochs: c.epochs, BatchSize: batch, Seed: 31, LearningRate: 1e-2}
+
+					wantNLL := ref.fit(xs, ys, cfg)
+					gotNLL, err := m.Fit(xs, ys, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, "returned NLL", []float64{gotNLL}, []float64{wantNLL})
+					sameParams(t, "after Fit", m.params(), ref.params())
+					for _, i := range []int{0, 3, c.n / 2, c.n - 1} {
+						sameBits(t, fmt.Sprintf("prediction %d", i), flatMix(m.Predict(xs[i])), ref.predict(xs[i]))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFitCasesReachTheirEdges: the awkward cases above are awkward — an
+// all-zero row closes every ReLU of a fresh backbone, the dead backbone
+// has no open unit on any row, and the clamped head's σ sits on its floor.
+func TestFitCasesReachTheirEdges(t *testing.T) {
+	xs, _ := trainingSet(40, 12, 21)
+	m := pooledModel(12, 10, 5, 10)
+	for _, v := range m.Backbone.Forward(xs[3]) { // row 3 is all +0
+		if v != 0 {
+			t.Fatalf("an all-zero row opened a ReLU of a fresh backbone: %v", v)
+		}
+	}
+	deadBackbone(m)
+	for i, x := range xs {
+		for _, v := range m.Backbone.Forward(x) {
+			if v != 0 {
+				t.Fatalf("row %d opened a ReLU of the dead backbone: %v", i, v)
+			}
+		}
+	}
+	clampedSigma(m)
+	if mix := m.Predict(xs[0]); mix[0].Sigma != math.Exp(minLogSigma) {
+		t.Fatalf("σ %v is not on its floor %v", mix[0].Sigma, math.Exp(minLogSigma))
+	}
+}
+
+// TestBatchMatchesPerSampleCalls: Forward and Backward over a batch of n
+// leave the activations, input gradients and accumulated parameter
+// gradients of n one-row calls made in order — for each layer type alone,
+// for both stacks, with and without the input gradient.
+func TestBatchMatchesPerSampleCalls(t *testing.T) {
+	type layerCase struct {
+		name  string
+		build func() Layer
+		in    int
+	}
+	cases := []layerCase{
+		{"dense-7x5", func() Layer { return NewDense(7, 5, xrand.New(1)) }, 7},
+		{"dense-3x9", func() Layer { return NewDense(3, 9, xrand.New(2)) }, 3},
+		{"conv", func() Layer { return NewConv2D(2, 4, 4, 3, xrand.New(3)) }, 2 * 4 * 4},
+		{"pool", func() Layer { return NewMaxPool2D(3, 4, 4) }, 3 * 4 * 4},
+		{"pooled-stack", func() Layer { return pooledModel(11, 6, 2, 4).Backbone }, 11},
+		{"conv-stack", func() Layer { return convModel(5, 2, 5).Backbone }, 64},
+	}
+	for _, c := range cases {
+		for _, n := range []int{1, 3, 4, 9} {
+			for _, wantInput := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/n=%d/wantInput=%v", c.name, n, wantInput), func(t *testing.T) {
+					whole, single := c.build(), c.build()
+					r := xrand.New(uint64(17 + n))
+					x := make([]float64, n*c.in)
+					for i := range x {
+						x[i] = r.Norm()
+					}
+					x[0], x[len(x)-1] = negZero, 0
+					grad := make([]float64, n*whole.OutSize())
+					for i := range grad {
+						grad[i] = r.Norm()
+						if i%5 == 2 {
+							grad[i] = 0
+						}
+					}
+					// Two rounds, so the second accumulates onto nonzero gradients.
+					for round := 0; round < 2; round++ {
+						out := whole.Forward(x)
+						dx := whole.Backward(grad, wantInput)
+						var wantOut, wantDx []float64
+						for s := 0; s < n; s++ {
+							wantOut = append(wantOut, single.Forward(x[s*c.in:(s+1)*c.in])...)
+							wantDx = append(wantDx, single.Backward(grad[s*whole.OutSize():(s+1)*whole.OutSize()], wantInput)...)
+						}
+						sameBits(t, "activations", out, wantOut)
+						if wantInput {
+							sameBits(t, "input gradient", dx, wantDx)
+						}
+						sameParams(t, "accumulated", whole.Params(), single.Params())
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestKernelsMatchReference pins each rewritten kernel on its own to the
+// per-sample code it replaced: the dense forward and backward at shapes
+// that leave every remainder of the four-wide loops, the MDN head's
+// forward / NLL / backward, and the Adam step.
+func TestKernelsMatchReference(t *testing.T) {
+	r := xrand.New(41)
+	for _, shape := range [][2]int{{1, 1}, {5, 3}, {8, 4}, {13, 7}, {97, 40}, {40, 36}, {6, 45}} {
+		in, out := shape[0], shape[1]
+		d := NewDense(in, out, r)
+		for o := range d.b.W {
+			d.b.W[o] = r.Norm()
+		}
+		ref := refDenseOf(d)
+		const n = 6
+		x := make([]float64, n*in)
+		grad := make([]float64, n*out)
+		for i := range x {
+			x[i] = r.Norm()
+		}
+		for i := range grad {
+			grad[i] = r.Norm()
+		}
+		grad[0], grad[len(grad)-1] = negZero, 0
+		y := d.Forward(x)
+		dx := d.Backward(grad, true)
+		for s := 0; s < n; s++ {
+			what := fmt.Sprintf("dense %dx%d row %d", in, out, s)
+			sameBits(t, what+" forward", y[s*out:(s+1)*out], ref.forward(x[s*in:(s+1)*in]))
+			sameBits(t, what+" input gradient", dx[s*in:(s+1)*in], ref.backward(grad[s*out:(s+1)*out]))
+		}
+		sameParams(t, fmt.Sprintf("dense %dx%d", in, out), d.Params(), ref.params())
+	}
+
+	for _, g := range []int{1, 5, 12} {
+		const in, n = 7, 5
+		m := NewMDN(in, g, r)
+		m.dense.b.W[2*g] = -100 // component 0 clamped
+		ref := &refMDN{g: g, dense: refDenseOf(m.dense)}
+		feat := make([]float64, n*in)
+		for i := range feat {
+			feat[i] = r.Norm()
+		}
+		ys := []float64{0.3, -1.2, 4, 0, negZero}
+		m.Forward(feat)
+		var nlls, wantNLLs []float64
+		for s, y := range ys {
+			nlls = append(nlls, m.rowNLL(s, y))
+		}
+		dFeat := m.Backward(ys)
+		for s, y := range ys {
+			ref.forward(feat[s*in : (s+1)*in])
+			wantNLLs = append(wantNLLs, ref.nll(y))
+			sameBits(t, fmt.Sprintf("mdn g=%d row %d feature gradient", g, s), dFeat[s*in:(s+1)*in], ref.backward(y))
+		}
+		sameBits(t, fmt.Sprintf("mdn g=%d NLL", g), nlls, wantNLLs)
+		sameParams(t, fmt.Sprintf("mdn g=%d", g), m.Params(), ref.dense.params())
+	}
+
+	p := newParam(23)
+	for i := range p.W {
+		p.W[i] = r.Norm()
+	}
+	q := p.clone()
+	opt, refOpt := NewAdam([]*Param{p}, 3e-3), newRefAdam([]*Param{q}, 3e-3)
+	for step := 0; step < 5; step++ {
+		for i := range p.G {
+			p.G[i] = r.Norm() * float64(i%3) // every third gradient exactly 0
+			q.G[i] = p.G[i]
+		}
+		opt.Step()
+		refOpt.step()
+		sameParams(t, fmt.Sprintf("adam step %d", step), []*Param{p}, []*Param{q})
+	}
+}
+
+// TestFitRejectsRaggedInputs: rows are gathered into one block, so a row
+// of another length is an error, not a silent misread.
+func TestFitRejectsRaggedInputs(t *testing.T) {
+	m := pooledModel(3, 4, 2, 1)
+	if _, err := m.Fit([][]float64{{1, 2, 3}, {1, 2}}, []float64{0, 1}, TrainConfig{Epochs: 1}); err == nil {
+		t.Fatal("a short input row should fail")
+	}
+}
+
+// TestFitAllocationBudget: what Fit allocates is per Fit — the
+// permutation, the batch block, the Adam moments, the layers' scratch —
+// and does not grow with the number of epochs.
+func TestFitAllocationBudget(t *testing.T) {
+	xs, ys := trainingSet(100, 12, 3)
+	allocs := func(epochs int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			m := pooledModel(12, 10, 5, 2)
+			if _, err := m.Fit(xs, ys, TrainConfig{Epochs: epochs, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(9); many != one {
+		t.Fatalf("Fit allocates %v objects over 1 epoch but %v over 9", one, many)
+	}
+}
+
+// BenchmarkFit is one grid point of the harness shape: 600 samples of 97
+// features, 40 hidden units, 12 components, 5 epochs.
+func BenchmarkFit(b *testing.B) {
+	xs, ys := trainingSet(600, 97, 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		m := pooledModel(97, 40, 12, 2)
+		if _, err := m.Fit(xs, ys, TrainConfig{Epochs: 5, Seed: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/everest-project/everest/internal/xrand"
@@ -40,14 +39,20 @@ func (c *Conv2D) inSize() int { return c.inC * c.inH * c.inW }
 // OutSize implements Layer.
 func (c *Conv2D) OutSize() int { return c.outC * c.inH * c.inW }
 
-// Forward implements Layer.
+// Forward implements Layer: the batch's samples are convolved one after
+// another.
 func (c *Conv2D) Forward(x []float64) []float64 {
-	if len(x) != c.inSize() {
-		panic(fmt.Sprintf("nn: Conv2D input %d, want %d", len(x), c.inSize()))
-	}
+	in, out := c.inSize(), c.OutSize()
+	n := rows("Conv2D", x, in)
 	c.x = x
-	c.fwd = scratch(c.fwd, c.OutSize())
-	out := c.fwd
+	c.fwd = scratch(c.fwd, n*out)
+	for s := 0; s < n; s++ {
+		c.forwardSample(c.fwd[s*out:(s+1)*out], x[s*in:(s+1)*in])
+	}
+	return c.fwd
+}
+
+func (c *Conv2D) forwardSample(out, x []float64) {
 	pad := c.k / 2
 	for oc := 0; oc < c.outC; oc++ {
 		for y := 0; y < c.inH; y++ {
@@ -72,13 +77,33 @@ func (c *Conv2D) Forward(x []float64) []float64 {
 			}
 		}
 	}
-	return out
 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(grad []float64) []float64 {
-	c.din = zeroed(c.din, c.inSize())
-	din := c.din
+// Backward implements Layer. Samples are visited in batch order and each
+// in raster order, so every kernel-weight accumulator receives its terms
+// in the order of per-sample calls. Without wantInput (the first stage of
+// the backbone) the input gradient's share of the inner loop is skipped.
+func (c *Conv2D) Backward(grad []float64, wantInput bool) []float64 {
+	in, out := c.inSize(), c.OutSize()
+	n := rows("Conv2D gradient", grad, out)
+	var din []float64
+	if wantInput {
+		c.din = zeroed(c.din, n*in)
+		din = c.din
+	}
+	for s := 0; s < n; s++ {
+		var dinRow []float64
+		if wantInput {
+			dinRow = din[s*in : (s+1)*in]
+		}
+		c.backwardSample(dinRow, grad[s*out:(s+1)*out], c.x[s*in:(s+1)*in])
+	}
+	return din
+}
+
+// backwardSample accumulates one sample's parameter gradients and, when
+// din is non-nil (and zeroed), its input gradient.
+func (c *Conv2D) backwardSample(din, grad, x []float64) {
 	pad := c.k / 2
 	for oc := 0; oc < c.outC; oc++ {
 		for y := 0; y < c.inH; y++ {
@@ -101,15 +126,16 @@ func (c *Conv2D) Backward(grad []float64) []float64 {
 							}
 							wi := ((oc*c.inC+ic)*c.k+dy)*c.k + dx
 							xi := (ic*c.inH+sy)*c.inW + sx
-							c.w.G[wi] += g * c.x[xi]
-							din[xi] += g * c.w.W[wi]
+							c.w.G[wi] += g * x[xi]
+							if din != nil {
+								din[xi] += g * c.w.W[wi]
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-	return din
 }
 
 // Params implements Layer.
@@ -117,8 +143,8 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 
 // MaxPool2D is a 2×2 stride-2 max pool over (C,H,W) activations.
 type MaxPool2D struct {
-	c, h, w int // input geometry; h and w must be even
-	argmax  []int
+	c, h, w int   // input geometry; h and w must be even
+	argmax  []int // per output of the batch, its winner's index in the batch input
 	fwd     []float64
 	dx      []float64
 }
@@ -128,18 +154,24 @@ func NewMaxPool2D(c, h, w int) *MaxPool2D {
 	if h%2 != 0 || w%2 != 0 {
 		panic("nn: MaxPool2D requires even input dimensions")
 	}
-	return &MaxPool2D{c: c, h: h, w: w, argmax: make([]int, c*(h/2)*(w/2))}
+	return &MaxPool2D{c: c, h: h, w: w}
 }
 
 // OutSize implements Layer.
 func (m *MaxPool2D) OutSize() int { return m.c * (m.h / 2) * (m.w / 2) }
 
-// Forward implements Layer.
+// Forward implements Layer. Channels are independent, so a batch of n
+// samples pools as one sample of n·c channels.
 func (m *MaxPool2D) Forward(x []float64) []float64 {
 	oh, ow := m.h/2, m.w/2
-	m.fwd = scratch(m.fwd, m.OutSize())
+	chans := rows("MaxPool2D", x, m.c*m.h*m.w) * m.c
+	m.fwd = scratch(m.fwd, chans*oh*ow)
+	if cap(m.argmax) < len(m.fwd) {
+		m.argmax = make([]int, len(m.fwd))
+	}
+	m.argmax = m.argmax[:len(m.fwd)]
 	out := m.fwd
-	for c := 0; c < m.c; c++ {
+	for c := 0; c < chans; c++ {
 		for y := 0; y < oh; y++ {
 			for xx := 0; xx < ow; xx++ {
 				best := math.Inf(-1)
@@ -163,8 +195,8 @@ func (m *MaxPool2D) Forward(x []float64) []float64 {
 }
 
 // Backward implements Layer.
-func (m *MaxPool2D) Backward(grad []float64) []float64 {
-	m.dx = zeroed(m.dx, m.c*m.h*m.w)
+func (m *MaxPool2D) Backward(grad []float64, _ bool) []float64 {
+	m.dx = zeroed(m.dx, len(grad)*4)
 	dx := m.dx
 	for o, g := range grad {
 		dx[m.argmax[o]] += g

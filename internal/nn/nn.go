@@ -1,16 +1,39 @@
 // Package nn is a small from-scratch neural-network substrate built for
 // the CMDN proxy scorer (§3.2): dense and convolutional layers, ReLU,
 // max-pooling, an Adam optimizer and a mixture-density output head trained
-// by negative log-likelihood. It is slice-based and deliberately free of
-// cleverness — the reproduction needs a correct, deterministic trainer at
-// sample counts of a few thousand, not a framework.
+// by negative log-likelihood. It is slice-based and imports nothing
+// outside this module — the reproduction needs a correct, deterministic
+// trainer at sample counts of a few thousand, not a framework.
 //
-// Memory discipline: layers own reusable scratch buffers, so the
-// steady-state forward/backward hot path allocates nothing. The slices
-// returned by Forward and Backward are owned by the layer and remain valid
-// only until its next call; callers that retain results must copy.
+// Batch-major: a minibatch, not a sample, moves through each layer.
+// Activations are row-major [n][size] in one slice, Fit gathers each
+// minibatch's rows into such a slice, and Predict is the n = 1 case of the
+// same kernels — there is one trainer and one dense kernel for every
+// architecture.
 //
-// Concurrency: a Layer or Model instance processes one sample at a time
+// Summation order is part of the contract. Every result is pinned bit for
+// bit (the goldens, the Procs-independence tests, the per-sample reference
+// trainer in reference_test.go), so a kernel may change which sums are in
+// flight together but never the order of the terms inside one sum:
+//
+//   - an activation is b + Σᵢ wᵢxᵢ with i ascending;
+//   - an input gradient is 0 + Σₒ gₒwₒᵢ with o ascending;
+//   - a parameter-gradient accumulator receives its terms in sample order
+//     (and, inside one convolution sample, in raster order).
+//
+// Floating-point addition is not associative, but two different sums share
+// no state: computing four of them interleaved, or one sample's after
+// another's, yields the bits of computing each alone. That is the whole
+// licence the kernels here use. Nothing is re-associated, fused (no FMA)
+// or narrowed to float32.
+//
+// Memory discipline: layers own reusable scratch buffers sized by the
+// largest batch seen, so the steady-state forward/backward hot path
+// allocates nothing. The slices returned by Forward and Backward are owned
+// by the layer and remain valid only until its next call; callers that
+// retain results must copy. A layer never writes to its input.
+//
+// Concurrency: a Layer or Model instance processes one batch at a time
 // and is NOT safe for concurrent use. Model.CloneForInference returns a
 // clone that shares the trained weights but owns private scratch, so N
 // clones can run Forward/Predict on N goroutines as long as nobody trains
@@ -51,18 +74,28 @@ func (p *Param) clone() *Param {
 	return c
 }
 
-// Layer is a differentiable transform. Forward caches whatever Backward
-// needs, so a Layer instance processes one sample at a time. Forward and
-// Backward return layer-owned scratch, valid until the next call.
+// Layer is a differentiable transform over a batch of n samples stored
+// contiguously, row-major: Forward's input holds n·inSize values and its
+// output n·OutSize(). Forward caches whatever Backward needs, so a Layer
+// instance processes one batch at a time. Forward and Backward return
+// layer-owned scratch, valid until the next call, and leave their
+// arguments untouched.
+//
+// Every row of a batch is computed exactly as it would be alone, and a
+// parameter's gradient accumulator receives the batch's terms in row
+// order, so Forward/Backward over n rows leave the bits that n one-row
+// calls in sequence would.
 type Layer interface {
-	// Forward maps the input activation to the output activation.
+	// Forward maps the input activations to the output activations.
 	Forward(x []float64) []float64
-	// Backward takes dLoss/dOutput, accumulates parameter gradients and
-	// returns dLoss/dInput.
-	Backward(grad []float64) []float64
+	// Backward takes dLoss/dOutput for the batch last passed to Forward
+	// and accumulates parameter gradients. With wantInput it returns
+	// dLoss/dInput; without — the bottom layer under Fit, whose input
+	// gradient nobody reads — it may skip that work and return nil.
+	Backward(grad []float64, wantInput bool) []float64
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param
-	// OutSize is the length of the output activation vector.
+	// OutSize is the length of one sample's output activation vector.
 	OutSize() int
 }
 
@@ -77,10 +110,17 @@ func scratch(buf []float64, n int) []float64 {
 // zeroed returns buf resized to n with every element cleared.
 func zeroed(buf []float64, n int) []float64 {
 	buf = scratch(buf, n)
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	return buf
+}
+
+// rows returns how many samples of the given size x holds, panicking on
+// an empty or ragged batch.
+func rows(layer string, x []float64, size int) int {
+	if len(x) == 0 || len(x)%size != 0 {
+		panic(fmt.Sprintf("nn: %s input %d, want a multiple of %d", layer, len(x), size))
+	}
+	return len(x) / size
 }
 
 // cloneLayerForInference returns a layer sharing l's trainable parameters
@@ -133,13 +173,14 @@ func cloneLayerForTraining(l Layer) Layer {
 	}
 }
 
-// Dense is a fully connected layer: out = W·x + b.
+// Dense is a fully connected layer: out = W·x + b per row.
 type Dense struct {
 	in, out int
 	w, b    *Param
-	x       []float64 // cached input
-	fwd     []float64 // Forward scratch
-	dx      []float64 // Backward scratch
+	x       []float64 // cached input batch
+	fwd     []float64 // Forward scratch, n·out
+	dx      []float64 // Backward scratch, n·in
+	nz      []int     // Backward scratch: the batch rows whose gradient for one unit is nonzero
 }
 
 // NewDense creates a dense layer with He-initialized weights.
@@ -152,61 +193,142 @@ func NewDense(in, out int, r *xrand.RNG) *Dense {
 	return d
 }
 
-// Forward implements Layer.
+// Forward implements Layer: one affine kernel call per row, for training
+// batches and for Predict's single row alike.
 func (d *Dense) Forward(x []float64) []float64 {
-	if len(x) != d.in {
-		panic(fmt.Sprintf("nn: Dense input %d, want %d", len(x), d.in))
-	}
+	n := rows("Dense", x, d.in)
 	d.x = x
-	d.fwd = scratch(d.fwd, d.out)
-	out := d.fwd
-	for o := 0; o < d.out; o++ {
-		s := d.b.W[o]
-		row := d.w.W[o*d.in : (o+1)*d.in]
+	d.fwd = scratch(d.fwd, n*d.out)
+	for s := 0; s < n; s++ {
+		affine(d.fwd[s*d.out:(s+1)*d.out], d.w.W, d.b.W, x[s*d.in:(s+1)*d.in])
+	}
+	return d.fwd
+}
+
+// affine computes y[o] = b[o] + Σᵢ w[o·len(x)+i]·x[i], each sum taken in
+// index order, four outputs per pass over x and then one at a time.
+func affine(y, w, b, x []float64) {
+	in := len(x)
+	o := 0
+	for ; o+4 <= len(y); o += 4 {
+		y[o], y[o+1], y[o+2], y[o+3] = dot4(w[o*in:(o+4)*in], x, b[o], b[o+1], b[o+2], b[o+3])
+	}
+	for ; o < len(y); o++ {
+		s := b[o]
+		row := w[o*in:][:len(x)]
 		for i, xi := range x {
 			s += row[i] * xi
 		}
-		out[o] = s
+		y[o] = s
 	}
-	return out
+}
+
+// dot4 returns sₖ + Σᵢ w[k·len(x)+i]·x[i] for the four consecutive weight
+// rows in w, each sum taken in index order. The four accumulators are
+// independent, so their floating-point add chains overlap where one
+// output at a time would wait out every add's latency; and since no term
+// moves between sums, each result has the bits of the one-row loop. (A
+// function of its own so the loop's few live values all stay in
+// registers.)
+func dot4(w, x []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	n := len(x)
+	w0, w1, w2, w3 := w[:len(x)], w[n:][:len(x)], w[2*n:][:len(x)], w[3*n:][:len(x)]
+	for i, xi := range x {
+		s0 += w0[i] * xi
+		s1 += w1[i] * xi
+		s2 += w2[i] * xi
+		s3 += w3[i] * xi
+	}
+	return s0, s1, s2, s3
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(grad []float64) []float64 {
-	d.dx = zeroed(d.dx, d.in)
-	dx := d.dx
-	for o := 0; o < d.out; o++ {
-		g := grad[o]
-		d.b.G[o] += g
-		row := d.w.W[o*d.in : (o+1)*d.in]
-		growRow := d.w.G[o*d.in : (o+1)*d.in]
-		for i := range row {
-			growRow[i] += g * d.x[i]
-			dx[i] += g * row[i]
+//
+// Parameter gradients: unit o's accumulators G[o][·] and b.G[o] receive
+// g·x[s] for the batch's rows s in ascending order — the order of n
+// per-sample calls — four rows per pass over the accumulator row, each
+// element adding its four terms one after another. A term whose upstream
+// gradient is exactly zero (every unit behind a closed ReLU, about half
+// of them) is skipped: an accumulator starts at +0 and sums in
+// round-to-nearest never produce −0, so adding the skipped 0·x (x finite)
+// would change no bit.
+//
+// Input gradients: dx[s][i] = 0 + Σₒ g[s][o]·w[o][i] with o ascending, four
+// weight rows per pass, again one add after another per element.
+func (d *Dense) Backward(grad []float64, wantInput bool) []float64 {
+	in, out := d.in, d.out
+	n := rows("Dense gradient", grad, out)
+	x := d.x
+	if cap(d.nz) < n {
+		d.nz = make([]int, n)
+	}
+	for o := 0; o < out; o++ {
+		nz := d.nz[:0]
+		bias := d.b.G[o]
+		for s := 0; s < n; s++ {
+			if g := grad[s*out+o]; g != 0 {
+				bias += g
+				nz = append(nz, s)
+			}
+		}
+		d.b.G[o] = bias
+		acc := d.w.G[o*in : (o+1)*in]
+		j := 0
+		for ; j+4 <= len(nz); j += 4 {
+			s0, s1, s2, s3 := nz[j], nz[j+1], nz[j+2], nz[j+3]
+			g0, g1, g2, g3 := grad[s0*out+o], grad[s1*out+o], grad[s2*out+o], grad[s3*out+o]
+			x0 := x[s0*in:][:len(acc)]
+			x1 := x[s1*in:][:len(acc)]
+			x2 := x[s2*in:][:len(acc)]
+			x3 := x[s3*in:][:len(acc)]
+			for i, a := range acc {
+				a += g0 * x0[i]
+				a += g1 * x1[i]
+				a += g2 * x2[i]
+				a += g3 * x3[i]
+				acc[i] = a
+			}
+		}
+		for _, s := range nz[j:] {
+			g := grad[s*out+o]
+			xs := x[s*in:][:len(acc)]
+			for i := range acc {
+				acc[i] += g * xs[i]
+			}
 		}
 	}
-	return dx
-}
-
-// backwardParams is Backward for a caller that discards dLoss/dInput
-// (the first layer under Fit): it accumulates the parameter gradients
-// only — the input gradient is a third of Backward's flops — and skips
-// units whose upstream gradient is exactly zero, which is every unit
-// behind a closed ReLU. The accumulated gradients are bit-identical to
-// Backward's: an accumulator starts at +0 and sums in round-to-nearest
-// never produce -0, so adding the skipped 0·x (x finite) changes no bit.
-func (d *Dense) backwardParams(grad []float64) {
-	for o := 0; o < d.out; o++ {
-		g := grad[o]
-		if g == 0 {
-			continue
+	if !wantInput {
+		return nil
+	}
+	d.dx = zeroed(d.dx, n*in)
+	w := d.w.W
+	for s := 0; s < n; s++ {
+		dx := d.dx[s*in : (s+1)*in]
+		g := grad[s*out : (s+1)*out]
+		o := 0
+		for ; o+4 <= out; o += 4 {
+			g0, g1, g2, g3 := g[o], g[o+1], g[o+2], g[o+3]
+			w0 := w[o*in:][:len(dx)]
+			w1 := w[(o+1)*in:][:len(dx)]
+			w2 := w[(o+2)*in:][:len(dx)]
+			w3 := w[(o+3)*in:][:len(dx)]
+			for i, a := range dx {
+				a += g0 * w0[i]
+				a += g1 * w1[i]
+				a += g2 * w2[i]
+				a += g3 * w3[i]
+				dx[i] = a
+			}
 		}
-		d.b.G[o] += g
-		growRow := d.w.G[o*d.in : (o+1)*d.in]
-		for i, xi := range d.x {
-			growRow[i] += g * xi
+		for ; o < out; o++ {
+			gv := g[o]
+			row := w[o*in:][:len(dx)]
+			for i := range dx {
+				dx[i] += gv * row[i]
+			}
 		}
 	}
+	return d.dx
 }
 
 // Params implements Layer.
@@ -215,16 +337,16 @@ func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 // OutSize implements Layer.
 func (d *Dense) OutSize() int { return d.out }
 
-// ReLU is the rectified linear activation.
+// ReLU is the rectified linear activation. It is elementwise, so a batch
+// is just a longer vector.
 type ReLU struct {
-	n    int
-	mask []bool
-	fwd  []float64
-	dx   []float64
+	n   int
+	fwd []float64
+	dx  []float64
 }
 
 // NewReLU creates a ReLU over n units.
-func NewReLU(n int) *ReLU { return &ReLU{n: n, mask: make([]bool, n)} }
+func NewReLU(n int) *ReLU { return &ReLU{n: n} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x []float64) []float64 {
@@ -233,21 +355,21 @@ func (r *ReLU) Forward(x []float64) []float64 {
 	for i, v := range x {
 		if v > 0 {
 			out[i] = v
-			r.mask[i] = true
 		} else {
 			out[i] = 0
-			r.mask[i] = false
 		}
 	}
 	return out
 }
 
-// Backward implements Layer.
-func (r *ReLU) Backward(grad []float64) []float64 {
+// Backward implements Layer. A unit was open exactly when its cached
+// output is positive, so the output doubles as the mask.
+func (r *ReLU) Backward(grad []float64, _ bool) []float64 {
 	r.dx = scratch(r.dx, len(grad))
 	dx := r.dx
+	out := r.fwd[:len(grad)]
 	for i, g := range grad {
-		if r.mask[i] {
+		if out[i] > 0 {
 			dx[i] = g
 		} else {
 			dx[i] = 0
@@ -278,29 +400,13 @@ func (s *Sequential) Forward(x []float64) []float64 {
 	return x
 }
 
-// Backward implements Layer.
-func (s *Sequential) Backward(grad []float64) []float64 {
+// Backward implements Layer. Every layer but the bottom one must hand its
+// input gradient down; the bottom one does so only if the caller wants it.
+func (s *Sequential) Backward(grad []float64, wantInput bool) []float64 {
 	for i := len(s.layers) - 1; i >= 0; i-- {
-		grad = s.layers[i].Backward(grad)
+		grad = s.layers[i].Backward(grad, wantInput || i > 0)
 	}
 	return grad
-}
-
-// backwardParams backpropagates grad through l for a caller that has no
-// use for dLoss/dInput: the layer at the bottom of l skips computing it
-// when it can (a Dense), every other layer runs its ordinary Backward.
-func backwardParams(l Layer, grad []float64) {
-	switch v := l.(type) {
-	case *Sequential:
-		for i := len(v.layers) - 1; i > 0; i-- {
-			grad = v.layers[i].Backward(grad)
-		}
-		backwardParams(v.layers[0], grad)
-	case *Dense:
-		v.backwardParams(grad)
-	default:
-		l.Backward(grad)
-	}
 }
 
 // Params implements Layer.

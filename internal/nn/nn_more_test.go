@@ -138,11 +138,11 @@ func TestTrainConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestBackwardParamsMatchesBackward: the params-only backward Fit uses
-// on the backbone accumulates, bit for bit, the parameter gradients of
-// the ordinary Backward — across several samples into one accumulator,
-// with closed ReLU units (exact +0 upstream gradients) and a negative
-// zero among the gradients.
+// TestBackwardParamsMatchesBackward: Backward without wantInput — what
+// Fit asks of the backbone — accumulates, bit for bit, the parameter
+// gradients of Backward with it, across several batches into one
+// accumulator, with closed ReLU units (exact +0 upstream gradients) and a
+// negative zero among the gradients.
 func TestBackwardParamsMatchesBackward(t *testing.T) {
 	build := func() *Sequential {
 		r := xrand.New(7)
@@ -152,12 +152,16 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 	r := xrand.New(11)
 	negZero := math.Copysign(0, -1)
 	closed := 0
-	for sample := 0; sample < 20; sample++ {
-		x := make([]float64, 6)
+	for batch := 0; batch < 10; batch++ {
+		const n = 3
+		x := make([]float64, n*6)
 		for i := range x {
 			x[i] = r.Norm()
 		}
-		grad := []float64{r.Norm(), negZero, r.Norm(), 0}
+		var grad []float64
+		for s := 0; s < n; s++ {
+			grad = append(grad, r.Norm(), negZero, r.Norm(), 0)
+		}
 		out := full.Forward(x)
 		lean.Forward(x)
 		for _, v := range out {
@@ -165,8 +169,10 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 				closed++
 			}
 		}
-		full.Backward(grad)
-		backwardParams(lean, grad)
+		full.Backward(grad, true)
+		if dx := lean.Backward(grad, false); dx != nil {
+			t.Fatal("a Dense asked for no input gradient computed one")
+		}
 	}
 	if closed == 0 {
 		t.Fatal("no ReLU unit ever closed; the zero-gradient skip went untested")
@@ -175,7 +181,7 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 	for k := range fp {
 		for j := range fp[k].G {
 			if math.Float64bits(fp[k].G[j]) != math.Float64bits(lp[k].G[j]) {
-				t.Fatalf("param %d gradient %d: Backward %v, backwardParams %v", k, j, fp[k].G[j], lp[k].G[j])
+				t.Fatalf("param %d gradient %d: wantInput %v, without %v", k, j, fp[k].G[j], lp[k].G[j])
 			}
 		}
 	}

@@ -7,18 +7,18 @@ import (
 	"github.com/everest-project/everest/internal/xrand"
 )
 
-// gradCheck compares analytic parameter gradients of a scalar loss against
-// central finite differences.
-func gradCheck(t *testing.T, layer Layer, inSize int, seed uint64, tol float64) {
+// gradCheck compares analytic parameter and input gradients of a scalar
+// loss over a batch of n samples against central finite differences.
+func gradCheck(t *testing.T, layer Layer, inSize, n int, seed uint64, tol float64) {
 	t.Helper()
 	r := xrand.New(seed)
-	x := make([]float64, inSize)
+	x := make([]float64, n*inSize)
 	for i := range x {
 		x[i] = r.Norm()
 	}
-	// Loss: weighted sum of outputs with fixed random weights (so the
-	// output gradient is nontrivial).
-	wOut := make([]float64, layer.OutSize())
+	// Loss: weighted sum of the batch's outputs with fixed random weights
+	// (so the output gradient is nontrivial and differs per row).
+	wOut := make([]float64, n*layer.OutSize())
 	for i := range wOut {
 		wOut[i] = r.Norm()
 	}
@@ -35,7 +35,7 @@ func gradCheck(t *testing.T, layer Layer, inSize int, seed uint64, tol float64) 
 	for _, p := range layer.Params() {
 		p.ZeroGrad()
 	}
-	dx := layer.Backward(wOut)
+	dx := append([]float64(nil), layer.Backward(wOut, true)...)
 
 	const h = 1e-5
 	for pi, p := range layer.Params() {
@@ -48,12 +48,12 @@ func gradCheck(t *testing.T, layer Layer, inSize int, seed uint64, tol float64) 
 			p.W[wi] = orig
 			want := (up - down) / (2 * h)
 			if math.Abs(want-p.G[wi]) > tol*(1+math.Abs(want)) {
-				t.Fatalf("param %d[%d]: analytic %v, numeric %v", pi, wi, p.G[wi], want)
+				t.Fatalf("n=%d param %d[%d]: analytic %v, numeric %v", n, pi, wi, p.G[wi], want)
 			}
 		}
 	}
 	// Input gradients.
-	for i := 0; i < inSize; i += 1 + inSize/25 {
+	for i := 0; i < len(x); i += 1 + len(x)/25 {
 		orig := x[i]
 		x[i] = orig + h
 		up := loss()
@@ -62,38 +62,51 @@ func gradCheck(t *testing.T, layer Layer, inSize int, seed uint64, tol float64) 
 		x[i] = orig
 		want := (up - down) / (2 * h)
 		if math.Abs(want-dx[i]) > tol*(1+math.Abs(want)) {
-			t.Fatalf("input[%d]: analytic %v, numeric %v", i, dx[i], want)
+			t.Fatalf("n=%d input[%d]: analytic %v, numeric %v", n, i, dx[i], want)
 		}
 	}
 }
 
+// gradBatches are the batch sizes every gradient check runs at: the
+// single row Predict uses and a batch whose rows must not leak into each
+// other.
+var gradBatches = []int{1, 3}
+
 func TestDenseGradients(t *testing.T) {
-	gradCheck(t, NewDense(7, 5, xrand.New(1)), 7, 2, 1e-6)
+	for _, n := range gradBatches {
+		gradCheck(t, NewDense(7, 5, xrand.New(1)), 7, n, 2, 1e-6)
+	}
 }
 
 func TestConvGradients(t *testing.T) {
-	gradCheck(t, NewConv2D(2, 6, 6, 3, xrand.New(3)), 2*6*6, 4, 1e-5)
+	for _, n := range gradBatches {
+		gradCheck(t, NewConv2D(2, 6, 6, 3, xrand.New(3)), 2*6*6, n, 4, 1e-5)
+	}
 }
 
 func TestSequentialGradients(t *testing.T) {
-	r := xrand.New(5)
-	seq := NewSequential(
-		NewDense(6, 8, r),
-		NewReLU(8),
-		NewDense(8, 4, r),
-	)
-	gradCheck(t, seq, 6, 6, 1e-6)
+	for _, n := range gradBatches {
+		r := xrand.New(5)
+		seq := NewSequential(
+			NewDense(6, 8, r),
+			NewReLU(8),
+			NewDense(8, 4, r),
+		)
+		gradCheck(t, seq, 6, n, 6, 1e-6)
+	}
 }
 
 func TestConvPoolStackGradients(t *testing.T) {
-	r := xrand.New(7)
-	seq := NewSequential(
-		NewConv2D(1, 8, 8, 2, r),
-		NewReLU(2*8*8),
-		NewMaxPool2D(2, 8, 8),
-		NewDense(2*4*4, 3, r),
-	)
-	gradCheck(t, seq, 64, 8, 1e-5)
+	for _, n := range gradBatches {
+		r := xrand.New(7)
+		seq := NewSequential(
+			NewConv2D(1, 8, 8, 2, r),
+			NewReLU(2*8*8),
+			NewMaxPool2D(2, 8, 8),
+			NewDense(2*4*4, 3, r),
+		)
+		gradCheck(t, seq, 64, n, 8, 1e-5)
+	}
 }
 
 func TestMaxPoolForward(t *testing.T) {
@@ -102,7 +115,7 @@ func TestMaxPoolForward(t *testing.T) {
 	if len(out) != 1 || out[0] != 5 {
 		t.Fatalf("pool output %v", out)
 	}
-	dx := p.Backward([]float64{2})
+	dx := p.Backward([]float64{2}, true)
 	want := []float64{0, 2, 0, 0}
 	for i := range want {
 		if dx[i] != want[i] {
@@ -117,54 +130,61 @@ func TestReLU(t *testing.T) {
 	if out[0] != 0 || out[1] != 0 || out[2] != 2 {
 		t.Fatalf("relu forward %v", out)
 	}
-	dx := r.Backward([]float64{1, 1, 1})
+	dx := r.Backward([]float64{1, 1, 1}, true)
 	if dx[0] != 0 || dx[1] != 0 || dx[2] != 1 {
 		t.Fatalf("relu backward %v", dx)
 	}
 }
 
 func TestMDNGradients(t *testing.T) {
-	r := xrand.New(11)
-	mdn := NewMDN(5, 3, r)
-	x := make([]float64, 5)
-	for i := range x {
-		x[i] = r.Norm()
-	}
-	y := 0.7
-	loss := func() float64 {
-		mdn.Forward(x)
-		return mdn.NLL(y)
-	}
-	loss()
-	for _, p := range mdn.Params() {
-		p.ZeroGrad()
-	}
-	dx := mdn.Backward(y)
-	const h = 1e-5
-	for pi, p := range mdn.Params() {
-		for wi := range p.W {
-			orig := p.W[wi]
-			p.W[wi] = orig + h
-			up := loss()
-			p.W[wi] = orig - h
-			down := loss()
-			p.W[wi] = orig
-			want := (up - down) / (2 * h)
-			if math.Abs(want-p.G[wi]) > 1e-5*(1+math.Abs(want)) {
-				t.Fatalf("mdn param %d[%d]: analytic %v numeric %v", pi, wi, p.G[wi], want)
+	for _, n := range gradBatches {
+		r := xrand.New(11)
+		mdn := NewMDN(5, 3, r)
+		x := make([]float64, n*5)
+		for i := range x {
+			x[i] = r.Norm()
+		}
+		ys := []float64{0.7, -0.4, 2.1}[:n]
+		// Loss: the batch's summed NLL.
+		loss := func() float64 {
+			mdn.Forward(x)
+			s := 0.0
+			for row, y := range ys {
+				s += mdn.rowNLL(row, y)
+			}
+			return s
+		}
+		loss()
+		for _, p := range mdn.Params() {
+			p.ZeroGrad()
+		}
+		dx := append([]float64(nil), mdn.Backward(ys)...)
+		const h = 1e-5
+		for pi, p := range mdn.Params() {
+			for wi := range p.W {
+				orig := p.W[wi]
+				p.W[wi] = orig + h
+				up := loss()
+				p.W[wi] = orig - h
+				down := loss()
+				p.W[wi] = orig
+				want := (up - down) / (2 * h)
+				if math.Abs(want-p.G[wi]) > 1e-5*(1+math.Abs(want)) {
+					t.Fatalf("n=%d mdn param %d[%d]: analytic %v numeric %v", n, pi, wi, p.G[wi], want)
+				}
 			}
 		}
-	}
-	for i := range x {
-		orig := x[i]
-		x[i] = orig + h
-		up := loss()
-		x[i] = orig - h
-		down := loss()
-		x[i] = orig
-		want := (up - down) / (2 * h)
-		if math.Abs(want-dx[i]) > 1e-5*(1+math.Abs(want)) {
-			t.Fatalf("mdn input[%d]: analytic %v numeric %v", i, dx[i], want)
+		for i := range x {
+			orig := x[i]
+			x[i] = orig + h
+			up := loss()
+			x[i] = orig - h
+			down := loss()
+			x[i] = orig
+			want := (up - down) / (2 * h)
+			if math.Abs(want-dx[i]) > 1e-5*(1+math.Abs(want)) {
+				t.Fatalf("n=%d mdn input[%d]: analytic %v numeric %v", n, i, dx[i], want)
+			}
 		}
 	}
 }

@@ -46,6 +46,7 @@ func BenchmarkRender(b *testing.B) {
 func BenchmarkScene(b *testing.B) {
 	s := benchSource(b, 10000)
 	s.timeline()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Scene(i % 10000)

@@ -485,13 +485,27 @@ func (s *Synthetic) TrueCountFast(i int) int {
 	return int(s.counts[i])
 }
 
-// Scene implements Source.
+// Scene implements Source. The returned Objects slice is freshly
+// allocated and the caller's to keep.
 func (s *Synthetic) Scene(i int) Scene {
+	sc := Scene{Objects: s.appendObjects(nil, i)}
+	if s.leadGap != nil {
+		sc.LeadGap = float64(s.leadGap[i])
+	}
+	if s.happy != nil {
+		sc.Happiness = float64(s.happy[i])
+	}
+	return sc
+}
+
+// appendObjects appends the objects visible in frame i to dst, in the
+// order Scene lists them, and returns the extended slice — the scene walk
+// itself, for Render to run into recycled scratch.
+func (s *Synthetic) appendObjects(dst []Object, i int) []Object {
 	if i < 0 || i >= s.cfg.Frames {
 		panic(fmt.Sprintf("video: frame %d out of range [0,%d)", i, s.cfg.Frames))
 	}
 	s.timeline()
-	var sc Scene
 	for _, ei := range s.chunks[i/chunkLen] {
 		e := s.events[ei]
 		if i < e.t0 || i >= e.t0+e.dur {
@@ -501,7 +515,7 @@ func (s *Synthetic) Scene(i int) Scene {
 			continue
 		}
 		x := eventX(e, i)
-		sc.Objects = append(sc.Objects, Object{
+		dst = append(dst, Object{
 			ID:    e.id,
 			Class: e.class,
 			X:     x,
@@ -512,11 +526,10 @@ func (s *Synthetic) Scene(i int) Scene {
 		})
 	}
 	if s.leadGap != nil {
-		sc.LeadGap = float64(s.leadGap[i])
 		// The leading vehicle is itself an object whose apparent size grows
 		// as the gap shrinks; this is the pixel signal the CMDN learns.
-		size := 0.5 * 6 / math.Max(3, sc.LeadGap)
-		sc.Objects = append(sc.Objects, Object{
+		size := 0.5 * 6 / math.Max(3, float64(s.leadGap[i]))
+		dst = append(dst, Object{
 			ID:    0,
 			Class: ClassCar,
 			X:     0.5 - size/2,
@@ -526,10 +539,7 @@ func (s *Synthetic) Scene(i int) Scene {
 			Shade: 0.8,
 		})
 	}
-	if s.happy != nil {
-		sc.Happiness = float64(s.happy[i])
-	}
-	return sc
+	return dst
 }
 
 // LeadGap returns the dashcam lead-vehicle gap for frame i (metres) or 0

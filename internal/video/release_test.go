@@ -115,3 +115,64 @@ func TestReleaseNoOp(t *testing.T) {
 		t.Fatal("Release touched a frame its source does not recycle")
 	}
 }
+
+// TestRenderAllocatesNothingWhenReleased is Render's doc comment as a
+// test: rendering into a buffer that has been released allocates nothing
+// — not the pixels, not the scene's object list. The released buffer is
+// handed back directly, not through the sync.Pool, whose Get may miss
+// (always after a GC, at random under the race detector); BenchmarkRender
+// reports the same 0 allocs/op through the pool.
+func TestRenderAllocatesNothingWhenReleased(t *testing.T) {
+	for name, s := range releaseSources(t) {
+		busiest := 0
+		for i := 0; i < s.NumFrames(); i++ {
+			if len(s.Scene(i).Objects) > len(s.Scene(busiest).Objects) {
+				busiest = i
+			}
+		}
+		buf := s.Render(busiest).buf // warm: pixels, and scratch for the longest object list
+		i := 0
+		if allocs := testing.AllocsPerRun(200, func() {
+			s.renderInto(buf, i%s.NumFrames())
+			i += 7
+		}); allocs != 0 {
+			t.Errorf("%s: rendering into a released buffer allocates %v objects per frame, want 0", name, allocs)
+		}
+	}
+}
+
+// TestLiveFramesShareNoScratch: the scene-walk scratch travels with the
+// pixel buffer, so two frames held at once never share it, and a frame's
+// scratch is not rewritten while the frame is live.
+func TestLiveFramesShareNoScratch(t *testing.T) {
+	for name, s := range releaseSources(t) {
+		var busy []int
+		for i := 0; i < s.NumFrames() && len(busy) < 2; i++ {
+			if len(s.Scene(i).Objects) > 0 {
+				busy = append(busy, i)
+			}
+		}
+		if len(busy) < 2 {
+			t.Fatalf("%s: fewer than two frames with objects", name)
+		}
+		f := s.Render(busy[0])
+		objs := slices.Clone(f.buf.objs)
+		if !slices.Equal(objs, s.Scene(busy[0]).Objects) {
+			t.Errorf("%s: Render walked a different scene than Scene returns", name)
+		}
+		g := s.Render(busy[1])
+		if f.buf == g.buf || &f.buf.objs[0] == &g.buf.objs[0] {
+			t.Errorf("%s: two live frames share scene scratch", name)
+		}
+		if !slices.Equal(f.buf.objs, objs) {
+			t.Errorf("%s: rendering another frame rewrote a live frame's scratch", name)
+		}
+		// The exported Scene hands out memory of its own.
+		sc := s.Scene(busy[1])
+		if &sc.Objects[0] == &g.buf.objs[0] {
+			t.Errorf("%s: Scene returned Render's scratch", name)
+		}
+		f.Release()
+		g.Release()
+	}
+}

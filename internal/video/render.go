@@ -11,13 +11,19 @@ import "math"
 // frames are similar (so the difference detector has duplicates to
 // discard), and (c) rendering is cheap and allocation-free when callers
 // release their frames: the pixels land in a buffer recycled through
-// Frame.Release, and every pixel of it is overwritten here.
+// Frame.Release, every pixel of it is overwritten here, and the scene's
+// object list is walked into scratch that travels with that buffer.
 func (s *Synthetic) Render(i int) Frame {
-	w, h := s.cfg.W, s.cfg.H
 	buf, _ := s.bufs.Get().(*pixBuf)
 	if buf == nil {
-		buf = &pixBuf{pix: make([]float64, w*h), pool: &s.bufs}
+		buf = &pixBuf{pix: make([]float64, s.cfg.W*s.cfg.H), pool: &s.bufs}
 	}
+	return s.renderInto(buf, i)
+}
+
+// renderInto rasterizes frame i into buf, a buffer of this source's.
+func (s *Synthetic) renderInto(buf *pixBuf, i int) Frame {
+	w, h := s.cfg.W, s.cfg.H
 	pix := buf.pix
 
 	// Background: a fixed camera's is the same in every frame and is
@@ -40,8 +46,8 @@ func (s *Synthetic) Render(i int) Frame {
 	illum := 1 + 0.12*math.Sin(cyc+float64(s.bgSeed%7)) + 0.01*math.Sin(float64(i)*0.002)
 
 	// Objects: filled rectangles at their normalized positions.
-	sc := s.Scene(i)
-	for _, o := range sc.Objects {
+	buf.objs = s.appendObjects(buf.objs[:0], i)
+	for _, o := range buf.objs {
 		x0 := int(o.X * float64(w))
 		y0 := int(o.Y * float64(h))
 		x1 := int((o.X + o.W) * float64(w))
@@ -75,7 +81,7 @@ func (s *Synthetic) Render(i int) Frame {
 	base := s.bgSeed ^ uint64(i)*0x9e3779b97f4a7c15
 	for p := range pix {
 		v := pix[p]*illum + amp*(hash01(base+uint64(p))-0.5)
-		pix[p] = math.Max(0, math.Min(1, v))
+		pix[p] = max(0, min(1, v))
 	}
 	return Frame{Index: i, W: w, H: h, Pix: pix, buf: buf}
 }

@@ -89,6 +89,7 @@ type Frame struct {
 // along by value.
 type pixBuf struct {
 	pix  []float64
+	objs []Object // Render's scene-walk scratch; never reachable from a Frame
 	pool *sync.Pool
 }
 

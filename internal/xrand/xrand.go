@@ -126,7 +126,18 @@ func (r *RNG) Poisson(lambda float64) int {
 
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+	return r.PermInto(nil, n)
+}
+
+// PermInto is Perm into caller-owned memory: it writes the permutation
+// into p's backing array (growing it only if its capacity is below n) and
+// returns it. The draws, and so the permutation, are Perm's exactly — for
+// loops that shuffle once per pass and can reuse one buffer.
+func (r *RNG) PermInto(p []int, n int) []int {
+	if cap(p) < n {
+		p = make([]int, n)
+	}
+	p = p[:n]
 	for i := range p {
 		p[i] = i
 	}

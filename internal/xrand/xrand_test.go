@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -175,6 +176,37 @@ func TestPermIsPermutation(t *testing.T) {
 			}
 			seen[v] = true
 		}
+	}
+}
+
+// TestPermIntoMatchesPerm: on a shared seed PermInto draws Perm's
+// permutation and leaves the generator where Perm does — into a nil
+// buffer, a short one, and a long dirty one it must reuse — and reusing a
+// buffer allocates nothing.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	dirty := make([]int, 300)
+	for _, n := range []int{0, 1, 2, 17, 100, 257} {
+		for name, buf := range map[string][]int{"nil": nil, "short": make([]int, 0, 1), "dirty": dirty} {
+			for i := range buf[:cap(buf)] {
+				buf[:cap(buf)][i] = -7
+			}
+			a, b := New(99), New(99)
+			want := a.Perm(n)
+			got := b.PermInto(buf, n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d %s buffer: PermInto %v, Perm %v", n, name, got, want)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("n=%d %s buffer: generators diverge after the shuffle", n, name)
+			}
+			if cap(buf) >= n && n > 0 && &got[0] != &buf[:1][0] {
+				t.Fatalf("n=%d %s buffer: PermInto left a large-enough buffer unused", n, name)
+			}
+		}
+	}
+	r := New(5)
+	if allocs := testing.AllocsPerRun(50, func() { dirty = r.PermInto(dirty, 257) }); allocs != 0 {
+		t.Fatalf("PermInto into a large-enough buffer allocates %v objects", allocs)
 	}
 }
 
