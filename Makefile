@@ -30,7 +30,7 @@ testbuild:
 # same fixed labelling and CMDN-training bill however short the video.
 race:
 	$(GO) test -race ./internal/workpool/ ./internal/labelstore/ ./internal/engine/ ./internal/oraclemux/ ./internal/faultinject/ ./internal/durable/ ./internal/cmdn/ ./internal/phase1/ ./internal/nn/ ./internal/diffdet/ ./internal/windows/ ./internal/core/ ./internal/stream/ ./internal/video/
-	$(GO) test -race -run 'ProcsBitIdentical|GoldenConcurrent|GoldenCoalesced|SessionConcurrent|QueryBatch|SharedSession|AdmissionLimit|Coalesced|CoalesceWait|OracleMux' .
+	$(GO) test -race -run 'ProcsBitIdentical|GoldenConcurrent|GoldenCoalesced|SessionConcurrent|QueryBatch|SharedSession|AdmissionLimit|Coalesced|OracleMux' .
 
 # The fault-tolerance suite under the race detector: chaos-injected
 # oracle failures through the full serving pipeline (retry convergence,

@@ -10,7 +10,6 @@
 //	everest -dataset Archie -k 50 -parallel 4              # scale-out
 //	everest -dataset Archie -k 10 -concurrent 8            # concurrent serving from one session
 //	everest -dataset Archie -k 10 -concurrent 8 -coalesce  # one coalesced engine run for all 8
-//	everest -dataset Archie -k 10 -concurrent 8 -coalesce -coalesce-wait 50ms  # hold groups open for late arrivals
 //	everest -dataset Archie -k 10 -concurrent 8 -shared -mux  # one oracle dispatch queue across sessions
 //	everest -dataset Archie -k 10 -deadline 50000 -degraded-ok  # bounded: best-effort answer if the simulated budget expires
 //	everest -dataset Archie -k 10 -chaos 'err:3' -retries 5     # inject transient oracle faults, retry through them
@@ -60,7 +59,6 @@ func main() {
 		shared       = flag.Bool("shared", false, "with -concurrent: serve from N distinct sessions joined to the process-wide (video, UDF) label cache instead of one private session")
 		admit        = flag.Int("admit", 0, "admission control: cap on concurrent oracle-heavy query batches per label cache (0 = no cap)")
 		coalesce     = flag.Bool("coalesce", false, "with -concurrent: route queries through the cross-query coalescing scheduler (one engine run per compatible group; overlapping frames labeled and charged once)")
-		coalesceWait = flag.Duration("coalesce-wait", 0, "with -coalesce: latency budget for the group close — the leader holds a group open up to this long so compatible arrivals join one engine run (0 = commit immediately; results never change)")
 		mux          = flag.Bool("mux", false, "route Phase 2 oracle confirmation batches through the process-wide oracle multiplexer: in-flight batches from all runs consolidate into device batches (fewer simulated launches; results and per-query charges unchanged)")
 		deadline     = flag.Float64("deadline", 0, "simulated deadline budget per query in ms (0 = none); an expired deadline fails the query unless -degraded-ok")
 		retries      = flag.Int("retries", 0, "retries per transient oracle failure before the query fails (capped exponential simulated backoff)")
@@ -161,7 +159,6 @@ func main() {
 		Procs:          *procs,
 		AdmissionLimit: *admit,
 		Coalesce:       *coalesce,
-		CoalesceWait:   *coalesceWait,
 		UseMux:         *mux,
 		DeadlineMS:     *deadline,
 		Retries:        *retries,

@@ -72,14 +72,33 @@ func TestCoalescedSharedSessionsShareOneScheduler(t *testing.T) {
 	}
 }
 
+// gateUDF is a UDF under its inner UDF's name — so it binds to the
+// same index, cache and scheduler — whose first Score call blocks until
+// release is closed: a query scoring through it holds its group's
+// leader inside Phase 2 while the test queues others behind it.
+type gateUDF struct {
+	vision.UDF
+	once    sync.Once
+	started chan struct{}
+	release chan struct{}
+}
+
+func (g *gateUDF) Score(src video.Source, ids []int) []float64 {
+	g.once.Do(func() {
+		close(g.started)
+		<-g.release
+	})
+	return g.UDF.Score(src, ids)
+}
+
 // TestCoalescedQueryCancelledWhileQueued is the regression lock for the
 // queued-cancellation rule through the public serving path: a coalesced
 // query — lone, or a QueryBatchCtx group withdrawn whole — that is
-// cancelled while queued behind another session's held-open group
-// returns ctx.Err() at once, not when that group finally runs. The
-// hold is an injected wait clock, so "at once" is "before the clock is
-// released", not a timing: when the scheduler's group wait ignored the
-// member's context this test hung until the release.
+// cancelled while queued behind another session's running group
+// returns ctx.Err() at once, not when that group finishes. The running
+// group is held inside its oracle call, so "at once" is "before the
+// hold is released", not a timing: a wait that ignored the member's
+// context would hang this test until the release.
 func TestCoalescedQueryCancelledWhileQueued(t *testing.T) {
 	src := testSource(t, 3000, 53)
 	udf := vision.CountUDF{Class: video.ClassCar}
@@ -93,13 +112,13 @@ func TestCoalescedQueryCancelledWhileQueued(t *testing.T) {
 	}
 	held := smallCfg(5)
 	held.Coalesce = true
-	held.CoalesceWait = 50 * time.Millisecond
 	victim := smallCfg(3)
 	victim.Coalesce = true
 
 	for _, members := range []int{1, 2} {
 		labelstore.ResetForTest()
-		first, err := NewSharedSession(ix, src, udf)
+		gate := &gateUDF{UDF: udf, started: make(chan struct{}), release: make(chan struct{})}
+		first, err := NewSharedSession(ix, src, gate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,8 +127,6 @@ func TestCoalescedQueryCancelledWhileQueued(t *testing.T) {
 			t.Fatal(err)
 		}
 		sched := first.scheduler()
-		release := make(chan struct{})
-		sched.SetWaitClockForTest(func(time.Duration) { <-release })
 
 		var firstRes *Result
 		var firstErr error
@@ -118,7 +135,7 @@ func TestCoalescedQueryCancelledWhileQueued(t *testing.T) {
 			defer close(firstDone)
 			firstRes, firstErr = first.Query(held)
 		}()
-		waitUntil(t, func() bool { return sched.QueuedForTest() == 1 })
+		<-gate.started
 
 		ctx, cancel := context.WithCancel(context.Background())
 		var results []*Result
@@ -132,7 +149,7 @@ func TestCoalescedQueryCancelledWhileQueued(t *testing.T) {
 			}
 			victimErr <- err
 		}()
-		waitUntil(t, func() bool { return sched.QueuedForTest() == 1+members })
+		waitUntil(t, func() bool { return sched.QueuedForTest() == members })
 		cancel()
 		select {
 		case err := <-victimErr:
@@ -140,27 +157,27 @@ func TestCoalescedQueryCancelledWhileQueued(t *testing.T) {
 				t.Errorf("%d queued member(s) cancelled: got %v, want context.Canceled", members, err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Errorf("%d queued member(s) cancelled: still waiting on the held group", members)
+			t.Errorf("%d queued member(s) cancelled: still waiting on the running group", members)
 		}
 		for i, res := range results {
 			if res != nil {
 				t.Errorf("withdrawn batch member %d produced a result", i)
 			}
 		}
-		if q, f := sched.QueuedForTest(), sched.InFlight(); q != 1 || f != 1 {
-			t.Errorf("after the withdrawal %d queued / %d in flight, want the held query alone (1 / 1)", q, f)
+		if q, a := sched.QueuedForTest(), first.cache.InFlight(); q != 0 || a != 1 {
+			t.Errorf("after the withdrawal %d queued / %d admitted, want the running query alone (0 / 1)", q, a)
 		}
-		close(release)
+		close(gate.release)
 		<-firstDone
 		if firstErr != nil {
 			t.Fatal(firstErr)
 		}
 		if !reflect.DeepEqual(firstRes.IDs, lone.IDs) || !reflect.DeepEqual(firstRes.Scores, lone.Scores) ||
 			firstRes.Clock.TotalMS() != lone.Clock.TotalMS() {
-			t.Errorf("held query perturbed by the withdrawal of %d sibling(s)", members)
+			t.Errorf("running query perturbed by the withdrawal of %d sibling(s)", members)
 		}
-		if f, a := sched.InFlight(), first.cache.InFlight(); f != 0 || a != 0 {
-			t.Errorf("leaked %d scheduler submission(s) and %d admission slot(s)", f, a)
+		if q, a := sched.QueuedForTest(), first.cache.InFlight(); q != 0 || a != 0 {
+			t.Errorf("leaked %d queued submission(s) and %d admission slot(s)", q, a)
 		}
 		if got := second.Queries(); got != 0 {
 			t.Errorf("cancelled session counts %d completed queries", got)
@@ -461,5 +478,17 @@ func TestSessionCacheTTLPolicy(t *testing.T) {
 	}
 	if sess.CachedLabels() != first.EngineStats.Cleaned {
 		t.Fatalf("TTL policy lost labels: %d vs %d", sess.CachedLabels(), first.EngineStats.Cleaned)
+	}
+}
+
+// waitUntil polls cond until it holds or the deadline passes.
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached in time")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

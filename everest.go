@@ -139,15 +139,6 @@ type Config struct {
 	// scheduler"). A coalesced QueryBatch runs its queries as one
 	// pre-formed group in input order.
 	Coalesce bool
-	// CoalesceWait is the latency budget a coalesced query grants the
-	// scheduler: the group leader holds the group open up to the longest
-	// wait its queued queries request, so compatible near-simultaneous
-	// arrivals land in one engine run instead of the group committing on
-	// first-submitter timing. Zero (the default) commits immediately.
-	// Trades bounded added latency for wider groups under load;
-	// scheduling only — results and per-query charges never change.
-	// Ignored without Coalesce.
-	CoalesceWait time.Duration
 	// UseMux routes the query's Phase 2 oracle confirmation batches
 	// through the process-wide oracle multiplexer (internal/oraclemux),
 	// which consolidates in-flight confirmation batches from all runs —
@@ -300,7 +291,6 @@ func (c Config) plan() engine.Plan {
 		Seed:             c.Seed,
 		Cost:             c.Cost,
 		AdmissionLimit:   c.AdmissionLimit,
-		CoalesceWait:     c.CoalesceWait,
 		UseMux:           c.UseMux,
 		DeadlineMS:       c.DeadlineMS,
 		Retries:          c.Retries,

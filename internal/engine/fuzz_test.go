@@ -3,7 +3,6 @@ package engine
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/everest-project/everest/internal/core"
 )
@@ -12,21 +11,21 @@ import (
 // the raw config takes, NewPlan either rejects it or returns a plan
 // that is normalized (idempotently), self-consistently validated, and
 // carries a sound bound kind — overlapping windows can never slip
-// through with the independent bound, and a scheduling wait budget can
-// never go negative.
+// through with the independent bound, and a retry budget can never go
+// negative.
 func FuzzPlanNormalize(f *testing.F) {
 	f.Add(5, 0.9, 0, 0, false, int64(0))
-	f.Add(10, 0.99, 30, 0, false, int64(time.Millisecond))
+	f.Add(10, 0.99, 30, 0, false, int64(3))
 	f.Add(3, 0.5, 300, 30, true, int64(-1))
-	f.Add(0, 0.0, -1, -5, false, int64(-time.Hour))
-	f.Add(1, 1.0, 1, 1, true, int64(time.Second))
-	f.Fuzz(func(t *testing.T, k int, thres float64, window, stride int, union bool, waitNS int64) {
+	f.Add(0, 0.0, -1, -5, false, int64(-1<<40))
+	f.Add(1, 1.0, 1, 1, true, int64(1<<40))
+	f.Fuzz(func(t *testing.T, k int, thres float64, window, stride int, union bool, retries int64) {
 		p, err := NewPlan(Plan{
 			K:               k,
 			Threshold:       thres,
 			Window:          WindowSpec{Size: window, Stride: stride},
 			ForceUnionBound: union,
-			CoalesceWait:    time.Duration(waitNS),
+			Retries:         int(retries),
 		})
 		if err != nil {
 			return
@@ -43,8 +42,8 @@ func FuzzPlanNormalize(f *testing.F) {
 		if !p.Window.Enabled() && p.Window.Stride != 0 {
 			t.Fatalf("frame plan kept a stride: %+v", p.Window)
 		}
-		if p.CoalesceWait < 0 {
-			t.Fatalf("negative coalesce wait survived normalization: %v", p.CoalesceWait)
+		if want := max(int(retries), 0); p.Retries != want {
+			t.Fatalf("Retries = %d after normalization, want %d", p.Retries, want)
 		}
 		if p.Window.Overlapping() && p.Bound() != core.BoundUnion {
 			t.Fatalf("overlapping windows with bound %v", p.Bound())

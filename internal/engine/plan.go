@@ -30,7 +30,6 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/everest-project/everest/internal/core"
 	"github.com/everest-project/everest/internal/phase1"
@@ -102,13 +101,6 @@ type Plan struct {
 	// cache; scheduling only, never results. A coalesced group applies
 	// the strictest positive limit of its members.
 	AdmissionLimit int
-	// CoalesceWait is the latency budget this plan grants a coalescing
-	// scheduler: a group leader may hold the group open up to the
-	// longest wait requested by its queued plans, letting compatible
-	// arrivals join instead of committing on first-submitter timing.
-	// Zero (the default) commits immediately — pure group-commit.
-	// Scheduling only, never results; Normalize clamps negatives to 0.
-	CoalesceWait time.Duration
 	// UseMux routes this plan's Phase 2 confirmation batches through
 	// the process-wide oracle multiplexer (internal/oraclemux), which
 	// consolidates in-flight batches from all runs into device batches.
@@ -147,8 +139,8 @@ type Plan struct {
 
 // Normalize resolves derived fields: a windowed plan with an unset
 // (zero or negative) stride becomes tumbling, a frame plan's negative
-// "unset" stride is cleared so equal plans compare equal, and a
-// negative coalesce wait (meaning "no budget") becomes zero.
+// "unset" stride is cleared so equal plans compare equal, and negative
+// deadline, retry and backoff knobs (meaning "none") become zero.
 // Idempotent.
 func (p Plan) Normalize() Plan {
 	if p.Window.Enabled() {
@@ -157,9 +149,6 @@ func (p Plan) Normalize() Plan {
 		}
 	} else if p.Window.Stride < 0 {
 		p.Window.Stride = 0
-	}
-	if p.CoalesceWait < 0 {
-		p.CoalesceWait = 0
 	}
 	if p.DeadlineMS < 0 {
 		p.DeadlineMS = 0
@@ -270,7 +259,6 @@ func (p Plan) Knobs() []Knob {
 	}
 	ks = append(ks,
 		Knob{"procs", procs},
-		Knob{"coalesce-wait", p.CoalesceWait.String()},
 		Knob{"use-mux", fmt.Sprintf("%t", p.UseMux)},
 	)
 	if p.Ingest.DisableDiff {

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/everest-project/everest/internal/core"
 )
@@ -70,6 +69,27 @@ func TestPlanNormalizeTumblingAndIdempotence(t *testing.T) {
 	}
 }
 
+// TestPlanNormalizeClampsFaultKnobs: negative deadline, retry and
+// backoff knobs mean "none" and normalize to zero; positive values pass
+// through, and a zeroed knob drops out of the introspection list.
+func TestPlanNormalizeClampsFaultKnobs(t *testing.T) {
+	p := validPlan()
+	p.DeadlineMS, p.Retries, p.RetryBackoffMS = -5, -3, -1
+	n := p.Normalize()
+	if n.DeadlineMS != 0 || n.Retries != 0 || n.RetryBackoffMS != 0 {
+		t.Fatalf("negative fault knobs survived normalization: %+v", n)
+	}
+	for _, k := range n.Knobs() {
+		if k.Name == "deadline-ms" || k.Name == "retries" {
+			t.Fatalf("clamped knob %q still listed: %v", k.Name, n.Knobs())
+		}
+	}
+	p.DeadlineMS, p.Retries, p.RetryBackoffMS = 250, 3, 10
+	if n := p.Normalize(); n.DeadlineMS != 250 || n.Retries != 3 || n.RetryBackoffMS != 10 {
+		t.Fatalf("positive fault knobs changed by normalization: %+v", n)
+	}
+}
+
 func TestPlanBoundKind(t *testing.T) {
 	p := validPlan()
 	if p.Bound() != core.BoundIndependent {
@@ -128,13 +148,12 @@ func TestPlanCompatible(t *testing.T) {
 func TestPlanKnobsIntrospection(t *testing.T) {
 	p := Plan{
 		K: 7, Threshold: 0.95,
-		Window:       WindowSpec{Size: 300, Stride: 30, SampleFrac: 0.2},
-		BatchSize:    8,
-		Procs:        4,
-		CoalesceWait: 25 * time.Millisecond,
-		UseMux:       true,
-		Retries:      3,
-		Seed:         11,
+		Window:    WindowSpec{Size: 300, Stride: 30, SampleFrac: 0.2},
+		BatchSize: 8,
+		Procs:     4,
+		UseMux:    true,
+		Retries:   3,
+		Seed:      11,
 	}.Normalize()
 	got := map[string]string{}
 	var order []string
@@ -145,7 +164,7 @@ func TestPlanKnobsIntrospection(t *testing.T) {
 	want := map[string]string{
 		"k": "7", "threshold": "0.95",
 		"window-size": "300", "window-stride": "30", "window-sample-frac": "0.2",
-		"batch-size": "8", "procs": "4", "coalesce-wait": "25ms",
+		"batch-size": "8", "procs": "4",
 		"use-mux": "true", "proxy-cascade": "decode→diff→proxy",
 		"retries": "3", "seed": "11",
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"github.com/everest-project/everest/internal/labelstore"
 )
@@ -16,17 +15,10 @@ import (
 // charged once) and one merged oracle-selection pass in submission
 // order.
 //
-// Scheduling is group-commit by default: the first submitter becomes
-// the leader and executes whatever is queued; submissions arriving
-// while a run is in flight queue up and are coalesced into the next
-// run, so coalescing width adapts to load with no added latency when
-// idle. Plans may additionally grant a latency budget
-// (Plan.CoalesceWait): before committing a group, the leader holds it
-// open for the longest wait any queued compatible plan requests, so
-// near-simultaneous arrivals land in one run even when they would have
-// missed the first submitter's commit. The wait clock is injectable
-// (SetWaitClockForTest) so tests make the grouping itself
-// deterministic.
+// Scheduling is group-commit: the first submitter becomes the leader
+// and executes whatever is queued; submissions arriving while a run is
+// in flight queue up and are coalesced into the next run, so coalescing
+// width adapts to load with no added latency when idle.
 //
 // Determinism contract (locked by the coalesced golden test): a group's
 // outcomes are bit-identical to executing the same plans serially in
@@ -50,33 +42,15 @@ type Scheduler struct {
 	publish  func(fresh map[int]float64)
 	admit    func(limit int) (release func())
 
-	// wait sleeps the leader for a group's latency budget; time.Sleep
-	// in production, injectable for deterministic grouping in tests.
-	wait func(time.Duration)
-
 	mu    sync.Mutex
 	busy  bool
 	queue []*submission
-	// inflight counts submissions accepted and not yet delivered (queued
-	// or executing) — the observed-arrivals signal the EQL set planner
-	// reads to size its concurrency budget.
-	inflight int
-}
-
-// InFlight reports how many submissions are currently queued or
-// executing. It is the scheduler's observed-load signal: the EQL
-// planner's ChooseSet derives its concurrency budget from this instead
-// of a caller-supplied hint.
-func (s *Scheduler) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inflight
 }
 
 // NewScheduler wires a scheduler to one label cache through the three
 // hooks documented on the struct; none may be nil.
 func NewScheduler(snapshot func() *labelstore.Overlay, publish func(fresh map[int]float64), admit func(limit int) (release func())) *Scheduler {
-	return &Scheduler{snapshot: snapshot, publish: publish, admit: admit, wait: time.Sleep}
+	return &Scheduler{snapshot: snapshot, publish: publish, admit: admit}
 }
 
 // NewCacheScheduler wires a scheduler to a shared label cache the
@@ -95,23 +69,9 @@ func NewCacheScheduler(cache *labelstore.SharedCache) *Scheduler {
 	)
 }
 
-// SetWaitClockForTest replaces the leader's wait clock (nil restores
-// time.Sleep) — the labelstore.SetClockForTest pattern. Tests inject a
-// clock that blocks until the submissions they launched are queued, so
-// group membership stops depending on goroutine scheduling. Tests
-// only; call before any submission is in flight.
-func (s *Scheduler) SetWaitClockForTest(wait func(time.Duration)) {
-	if wait == nil {
-		wait = time.Sleep
-	}
-	s.mu.Lock()
-	s.wait = wait
-	s.mu.Unlock()
-}
-
 // QueuedForTest reports how many submissions are queued and not yet
-// taken into a group — what an injected wait clock polls to decide the
-// group is complete. Tests only.
+// taken into a group — what a test holding the leader inside a running
+// group polls to know its arrivals are queued. Tests only.
 func (s *Scheduler) QueuedForTest() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -203,11 +163,9 @@ func (s *Scheduler) withdraw(sub *submission) bool {
 	if i < 0 {
 		return false
 	}
-	// slices.Delete shifts left and zeroes the vacated trailing slot: the
-	// backing array must not keep a dead *submission alive (the aliasing
-	// the resurrection bug exploited) nor pin its bindings for GC.
+	// slices.Delete shifts left and zeroes the vacated trailing slot, so
+	// the backing array never pins a withdrawn submission's bindings.
 	s.queue = slices.Delete(s.queue, i, i+1)
-	s.inflight--
 	return true
 }
 
@@ -217,7 +175,6 @@ func (s *Scheduler) withdraw(sub *submission) bool {
 func (s *Scheduler) enqueue(subs []*submission) {
 	s.mu.Lock()
 	s.queue = append(s.queue, subs...)
-	s.inflight += len(subs)
 	if s.busy {
 		s.mu.Unlock()
 		return
@@ -229,16 +186,10 @@ func (s *Scheduler) enqueue(subs []*submission) {
 
 // lead drains the queue: each iteration takes the longest compatible
 // prefix as one group and executes it. New submissions keep queueing
-// while a group runs and are picked up by the next iteration.
-//
-// Latency-bounded close: when any plan of the compatible prefix grants
-// a CoalesceWait budget, the leader sleeps the largest such budget
-// before committing, so compatible arrivals during the wait join the
-// group (the prefix is re-computed after the wait). One wait per
-// group: arrivals cannot extend a wait already under way, which keeps
-// every plan's added latency bounded by the largest budget in its
-// group. Waiting changes group membership only — results are
-// bit-identical to serial submission order regardless of grouping.
+// while a group runs and are picked up by the next iteration. The
+// prefix is taken under the same lock hold that found the queue
+// non-empty, so a withdrawal either precedes the take (the member never
+// joins) or follows it (withdraw reports false and the run delivers).
 //
 // A submitter-leader (mine non-nil) leads only until its own
 // submissions are served: once they are, any remaining work is handed
@@ -265,25 +216,7 @@ func (s *Scheduler) lead(mine []*submission) {
 			go s.lead(nil)
 			return
 		}
-		n, w := nextGroup(s.queue)
-		if w > 0 {
-			wait := s.wait
-			s.mu.Unlock()
-			wait(w)
-			s.mu.Lock()
-			// Every queued submission may have withdrawn during the wait.
-			// The queue's slice header is then empty, but its backing array
-			// still holds the dead *submission — and s.queue[:1:1] on a
-			// zero-length slice with spare capacity would legally slice the
-			// withdrawn submission back into a group after its SubmitGroup
-			// already returned ctx.Err(). Recompute the group from scratch;
-			// on an empty queue the loop top releases leadership atomically
-			// with its own empty-queue check.
-			if n, _ = nextGroup(s.queue); n == 0 {
-				s.mu.Unlock()
-				continue
-			}
-		}
+		n := nextGroup(s.queue)
 		group := s.queue[:n:n]
 		s.queue = append([]*submission(nil), s.queue[n:]...)
 		s.mu.Unlock()
@@ -292,15 +225,12 @@ func (s *Scheduler) lead(mine []*submission) {
 }
 
 // nextGroup returns the length of the queue's leading compatible run —
-// the plans that form the next group — and the largest latency budget
-// among them. Incompatible neighbours further back never stretch a
-// group they cannot join. Caller holds s.mu.
-func nextGroup(queue []*submission) (n int, wait time.Duration) {
+// the plans that form the next group. Caller holds s.mu.
+func nextGroup(queue []*submission) (n int) {
 	for n < len(queue) && (n == 0 || Compatible(queue[0].plan, queue[n].plan)) {
-		wait = max(wait, queue[n].plan.CoalesceWait)
 		n++
 	}
-	return n, wait
+	return n
 }
 
 // allDelivered reports whether every submission has been delivered.
@@ -339,9 +269,6 @@ func (s *Scheduler) runGroup(group []*submission) {
 		// overlay — so publishing after a partial failure is always safe.
 		// A nil overlay (snapshot itself failed) publishes nothing.
 		s.publish(overlay.Fresh())
-		s.mu.Lock()
-		s.inflight -= len(group)
-		s.mu.Unlock()
 		for _, sub := range group {
 			close(sub.done)
 		}

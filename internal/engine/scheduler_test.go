@@ -27,16 +27,67 @@ func submit(s *Scheduler, p Plan, b Binding) (*Outcome, error) {
 // the scheduler snapshots exactly once per group, so the counter is
 // the number of engine runs the queue was split into.
 func countingSchedulerOver(cache *labelstore.SharedCache) (*Scheduler, *atomic.Int64) {
+	unheld := make(chan struct{})
+	close(unheld)
+	s, groups, _ := heldSchedulerOver(cache, unheld)
+	return s, groups
+}
+
+// heldSchedulerOver is countingSchedulerOver whose first group blocks at
+// its snapshot until release is closed: the leader is inside a running
+// group, so later submissions queue behind it. started is closed once
+// the first group is held.
+func heldSchedulerOver(cache *labelstore.SharedCache, release <-chan struct{}) (*Scheduler, *atomic.Int64, <-chan struct{}) {
 	groups := new(atomic.Int64)
+	started := make(chan struct{})
 	return NewScheduler(
 		func() *labelstore.Overlay {
-			groups.Add(1)
+			if groups.Add(1) == 1 {
+				close(started)
+				<-release
+			}
 			snap, _ := cache.Snapshot()
 			return labelstore.NewOverlay(snap)
 		},
 		func(fresh map[int]float64) { cache.Publish(fresh) },
 		cache.Admit,
-	), groups
+	), groups, started
+}
+
+// serialOutcomes is the reference every coalescing test compares to:
+// each plan executed alone over the label state its predecessors
+// published (snapshot → execute → publish). It returns the outcomes and
+// the cache they left behind.
+func serialOutcomes(t *testing.T, plans []Plan, bind Binding) ([]*Outcome, *labelstore.SharedCache) {
+	t.Helper()
+	cache := labelstore.NewSharedCache()
+	outs := make([]*Outcome, len(plans))
+	for i, p := range plans {
+		snap, _ := cache.Snapshot()
+		overlay := labelstore.NewOverlay(snap)
+		b := bind
+		b.Labels = overlay
+		out, err := Execute(p, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache.Publish(overlay.Fresh())
+		outs[i] = out
+	}
+	return outs, cache
+}
+
+// mustPlans normalizes and validates one test plan per K.
+func mustPlans(t *testing.T, ks ...int) []Plan {
+	t.Helper()
+	plans := make([]Plan, len(ks))
+	for i, k := range ks {
+		var err error
+		if plans[i], err = NewPlan(testPlan(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return plans
 }
 
 // TestSchedulerGroupMatchesSerial is the scheduler's determinism
@@ -63,23 +114,7 @@ func TestSchedulerGroupMatchesSerial(t *testing.T) {
 	}
 	bind := Binding{Src: src, UDF: udf, Artifact: art}
 
-	// Serial reference: each plan runs alone over the cache state left by
-	// its predecessors (snapshot → execute → publish).
-	serialCache := labelstore.NewSharedCache()
-	plans := mkPlans()
-	serial := make([]*Outcome, len(plans))
-	for i, p := range plans {
-		snap, _ := serialCache.Snapshot()
-		overlay := labelstore.NewOverlay(snap)
-		b := bind
-		b.Labels = overlay
-		out, err := Execute(p, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serialCache.Publish(overlay.Fresh())
-		serial[i] = out
-	}
+	serial, serialCache := serialOutcomes(t, mkPlans(), bind)
 
 	coalescedCache := labelstore.NewSharedCache()
 	outs, err := schedulerOver(coalescedCache).SubmitGroup(mkPlans(), []Binding{bind, bind, bind})
@@ -188,6 +223,34 @@ func TestSchedulerSplitsIncompatibleRuns(t *testing.T) {
 	}
 }
 
+// TestNextGroupTakesLeadingCompatibleRun pins the leader's one locked
+// take: the next group is the queue's longest compatible prefix, and it
+// never reaches past an incompatible neighbour to a later compatible
+// plan.
+func TestNextGroupTakesLeadingCompatibleRun(t *testing.T) {
+	a := validPlan().Normalize()
+	b := a
+	b.Cost.OracleMS++
+	for _, c := range []struct {
+		queue []Plan
+		want  int
+	}{
+		{[]Plan{a}, 1},
+		{[]Plan{a, a, a}, 3},
+		{[]Plan{a, a, b, a}, 2},
+		{[]Plan{b, a, a}, 1},
+		{[]Plan{b, b, a}, 2},
+	} {
+		queue := make([]*submission, len(c.queue))
+		for i, p := range c.queue {
+			queue[i] = &submission{plan: p}
+		}
+		if got := nextGroup(queue); got != c.want {
+			t.Fatalf("nextGroup over %d plans = %d, want %d", len(c.queue), got, c.want)
+		}
+	}
+}
+
 // TestSchedulerMixedProcsMatchesSerial locks the mixed-worker-count
 // binding rule: a group whose members request different Procs — here
 // serial, wide and narrow — runs each member in the mode it asked for
@@ -217,21 +280,8 @@ func TestSchedulerMixedProcsMatchesSerial(t *testing.T) {
 
 	// Serial baselines: each plan alone, at its own Procs, over its
 	// predecessors' published labels.
-	serialCache := labelstore.NewSharedCache()
 	plans := mkPlans()
-	serial := make([]*Outcome, len(plans))
-	for i, p := range plans {
-		snap, _ := serialCache.Snapshot()
-		overlay := labelstore.NewOverlay(snap)
-		b := bind
-		b.Labels = overlay
-		out, err := Execute(p, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serialCache.Publish(overlay.Fresh())
-		serial[i] = out
-	}
+	serial, _ := serialOutcomes(t, plans, bind)
 
 	cache := labelstore.NewSharedCache()
 	sched, groups := countingSchedulerOver(cache)
@@ -254,114 +304,55 @@ func TestSchedulerMixedProcsMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSchedulerCoalesceWaitGroupsArrivals is the latency-bounded
-// group-close contract under a deterministic clock: the leader of a
-// group whose plans grant a CoalesceWait budget holds the group open —
-// blocked in the injected wait — while later compatible submissions
-// arrive, then commits them all as ONE group. Without the wait the
-// first submitter would have committed alone. Grouping changes who
-// shares a run, never what anyone gets: every outcome still matches
-// serial submission order.
-func TestSchedulerCoalesceWaitGroupsArrivals(t *testing.T) {
+// TestSchedulerArrivalsDuringRunFormOneGroup is the group-commit
+// contract: submissions that arrive while a group runs queue behind it
+// and are committed together as exactly ONE next group, and every
+// outcome still matches serial submission order.
+func TestSchedulerArrivalsDuringRunFormOneGroup(t *testing.T) {
 	art, src, udf := fixture(t)
-	mkPlan := func(k int) Plan {
-		p := testPlan(k)
-		p.CoalesceWait = 50 * time.Millisecond
-		plan, err := NewPlan(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plan
-	}
-	plans := []Plan{mkPlan(10), mkPlan(5), mkPlan(3)}
+	plans := mustPlans(t, 3, 10, 5, 8)
 	bind := Binding{Src: src, UDF: udf, Artifact: art}
+	serial, _ := serialOutcomes(t, plans, bind)
 
-	// Serial reference for the submission order the test enforces.
-	serialCache := labelstore.NewSharedCache()
-	serial := make([]*Outcome, len(plans))
-	for i, p := range plans {
-		snap, _ := serialCache.Snapshot()
-		overlay := labelstore.NewOverlay(snap)
-		b := bind
-		b.Labels = overlay
-		out, err := Execute(p, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serialCache.Publish(overlay.Fresh())
-		serial[i] = out
-	}
-
-	cache := labelstore.NewSharedCache()
-	sched, groups := countingSchedulerOver(cache)
-	// The injected clock blocks the leader until every submission the
-	// test launches is queued — grouping no longer depends on goroutine
-	// scheduling. Later wait calls (none expected) return immediately.
 	release := make(chan struct{})
-	sched.SetWaitClockForTest(func(time.Duration) { <-release })
-
+	sched, groups, started := heldSchedulerOver(labelstore.NewSharedCache(), release)
 	outs := make([]*Outcome, len(plans))
 	errs := make([]error, len(plans))
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		outs[0], errs[0] = submit(sched, plans[0], bind)
-	}()
-	// The first submitter becomes leader and blocks in the wait with its
-	// own submission still queued.
-	waitFor(t, func() bool { return sched.QueuedForTest() == 1 })
-	for i := 1; i < len(plans); i++ {
+	launch := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			outs[i], errs[i] = submit(sched, plans[i], bind)
-		}(i)
+		}()
 	}
-	waitFor(t, func() bool { return sched.QueuedForTest() == len(plans) })
-	close(release) // budget elapses; the leader re-reads the queue
+	launch(0)
+	<-started // the first group holds the leader
+	for i := 1; i < len(plans); i++ {
+		// One at a time, so the queue order is the submission order.
+		launch(i)
+		waitFor(t, func() bool { return sched.QueuedForTest() == i })
+	}
+	close(release)
 	wg.Wait()
 
-	if g := groups.Load(); g != 1 {
-		t.Fatalf("latency-bounded close formed %d groups, want 1 — arrivals during the wait did not join", g)
+	if g := groups.Load(); g != 2 {
+		t.Fatalf("%d arrivals behind a running group formed %d groups in all, want 2", len(plans)-1, g)
 	}
 	for i := range outs {
 		if errs[i] != nil {
 			t.Fatalf("plan %d: %v", i, errs[i])
 		}
 		if !reflect.DeepEqual(keyOf(outs[i]), keyOf(serial[i])) {
-			t.Fatalf("waited group member %d diverged from serial submission order:\n%+v\nvs\n%+v",
+			t.Fatalf("member %d diverged from serial submission order:\n%+v\nvs\n%+v",
 				i, keyOf(outs[i]), keyOf(serial[i]))
 		}
 	}
-	// The whole group shared one overlay: only the first member paid for
-	// the overlapping frames.
-	if outs[0].Stats.Cleaned == 0 {
-		t.Fatal("leader cleaned nothing; grouping assertions are vacuous")
+	if outs[1].Stats.Cleaned == 0 {
+		t.Fatal("second group's first member cleaned nothing; sharing assertions are vacuous")
 	}
 	if outs[2].Stats.Cleaned != 0 {
-		t.Fatalf("member 2 cleaned %d frames inside a single group, want 0", outs[2].Stats.Cleaned)
-	}
-}
-
-// TestSchedulerNoWaitWithoutBudget pins the default: plans with a zero
-// CoalesceWait never invoke the wait clock — pure group-commit, no
-// added latency when idle.
-func TestSchedulerNoWaitWithoutBudget(t *testing.T) {
-	art, src, udf := fixture(t)
-	cache := labelstore.NewSharedCache()
-	sched := schedulerOver(cache)
-	var waits atomic.Int64
-	sched.SetWaitClockForTest(func(time.Duration) { waits.Add(1) })
-	plan, err := NewPlan(testPlan(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := submit(sched, plan, Binding{Src: src, UDF: udf, Artifact: art}); err != nil {
-		t.Fatal(err)
-	}
-	if w := waits.Load(); w != 0 {
-		t.Fatalf("zero-budget submission slept %d times, want 0", w)
+		t.Fatalf("member 2 (K=5 after K=10) cleaned %d frames inside the shared group, want 0", outs[2].Stats.Cleaned)
 	}
 }
 
@@ -431,79 +422,79 @@ func TestSchedulerSubmitPreCancelled(t *testing.T) {
 }
 
 // TestSchedulerCancelWhileQueuedWithdraws is the sibling-isolation
-// contract for cancellation: a submission cancelled while still queued
-// leaves the queue without joining any group — the surviving sibling
-// coalesces and answers exactly as if the cancelled query were never
-// submitted, and the canceller gets ctx.Err() promptly instead of
-// waiting out a run it no longer wants.
+// contract for cancellation: a submission cancelled while queued behind
+// a running group leaves the queue without joining any group — the
+// surviving sibling answers exactly as if the cancelled query were
+// never submitted, the canceller gets ctx.Err() without waiting out the
+// running group, and nothing is left queued or admitted afterwards.
 func TestSchedulerCancelWhileQueuedWithdraws(t *testing.T) {
 	art, src, udf := fixture(t)
-	mkPlan := func(k int) Plan {
-		p := testPlan(k)
-		p.CoalesceWait = 50 * time.Millisecond
-		plan, err := NewPlan(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plan
-	}
+	plans := mustPlans(t, 10, 5, 3) // the running group, the victim, the survivor
 	bind := Binding{Src: src, UDF: udf, Artifact: art}
-
-	// Baseline: the surviving plan alone on an empty cache.
-	lone, err := Execute(mkPlan(5), Binding{Src: src, UDF: udf, Artifact: art,
-		Labels: labelstore.NewOverlay(labelstore.Map{})})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, _ := serialOutcomes(t, []Plan{plans[0], plans[2]}, bind)
 
 	cache := labelstore.NewSharedCache()
-	sched, groups := countingSchedulerOver(cache)
-	// Hold the leader open in the injected wait so the test controls
-	// exactly what is queued when the group commits.
 	release := make(chan struct{})
-	sched.SetWaitClockForTest(func(time.Duration) { <-release })
-
-	var leaderOut *Outcome
-	var leaderErr error
+	sched, groups, started := heldSchedulerOver(cache, release)
+	var leadOut, survivorOut *Outcome
+	var leadErr, survivorErr error
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		leaderOut, leaderErr = submit(sched, mkPlan(5), bind)
+		leadOut, leadErr = submit(sched, plans[0], bind)
 	}()
-	waitFor(t, func() bool { return sched.QueuedForTest() == 1 })
+	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())
-	var victimOut *Outcome
-	var victimErr error
+	victimDone := make(chan error, 1)
+	go func() {
+		b := bind
+		b.Ctx = ctx
+		out, err := submit(sched, plans[1], b)
+		if out != nil {
+			err = errors.New("cancelled submission produced an outcome")
+		}
+		victimDone <- err
+	}()
+	waitFor(t, func() bool { return sched.QueuedForTest() == 1 })
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		b := bind
-		b.Ctx = ctx
-		victimOut, victimErr = submit(sched, mkPlan(3), b)
+		survivorOut, survivorErr = submit(sched, plans[2], bind)
 	}()
 	waitFor(t, func() bool { return sched.QueuedForTest() == 2 })
 
-	// Cancel while the leader is still holding the group open: the victim
-	// must withdraw and return without waiting for the run.
+	// The victim returns while the first group still holds the leader.
 	cancel()
-	waitFor(t, func() bool { return sched.QueuedForTest() == 1 })
+	select {
+	case err := <-victimDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled submission returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled submission still waiting on the running group")
+	}
+	if q := sched.QueuedForTest(); q != 1 {
+		t.Fatalf("%d submissions queued after the withdrawal, want 1", q)
+	}
 	close(release)
 	wg.Wait()
 
-	if !errors.Is(victimErr, context.Canceled) || victimOut != nil {
-		t.Fatalf("cancelled submission returned (%v, %v), want (nil, context.Canceled)", victimOut, victimErr)
+	if leadErr != nil || survivorErr != nil {
+		t.Fatalf("siblings errored: %v, %v", leadErr, survivorErr)
 	}
-	if leaderErr != nil {
-		t.Fatalf("surviving sibling: %v", leaderErr)
+	if g := groups.Load(); g != 2 {
+		t.Fatalf("%d groups ran, want 2 — the running one and the survivor's", g)
 	}
-	if g := groups.Load(); g != 1 {
-		t.Fatalf("queue split into %d groups, want 1", g)
+	for i, out := range []*Outcome{leadOut, survivorOut} {
+		if !reflect.DeepEqual(keyOf(out), keyOf(serial[i])) {
+			t.Fatalf("sibling %d perturbed by its neighbour's withdrawal:\n%+v\nvs\n%+v",
+				i, keyOf(out), keyOf(serial[i]))
+		}
 	}
-	if !reflect.DeepEqual(keyOf(leaderOut), keyOf(lone)) {
-		t.Fatalf("surviving sibling perturbed by its neighbour's withdrawal:\n%+v\nvs\n%+v",
-			keyOf(leaderOut), keyOf(lone))
+	if q, a := sched.QueuedForTest(), cache.InFlight(); q != 0 || a != 0 {
+		t.Fatalf("drained scheduler leaked %d queued submissions and %d admission slots", q, a)
 	}
 }
 
@@ -560,58 +551,5 @@ func TestSchedulerCancelledMemberInsideGroup(t *testing.T) {
 	}
 	if repeat.Stats.Cleaned != 0 {
 		t.Fatalf("repeat cleaned %d frames, want 0 via the published cache", repeat.Stats.Cleaned)
-	}
-}
-
-// TestSchedulerInFlight locks the observed-load signal the EQL set
-// planner consumes: submissions count from acceptance to delivery, so
-// a blocked group is visible as backlog while it runs and invisible
-// once drained.
-func TestSchedulerInFlight(t *testing.T) {
-	art, src, udf := fixture(t)
-	cache := labelstore.NewSharedCache()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s := NewScheduler(
-		func() *labelstore.Overlay {
-			// Block the first group at its snapshot so the test can
-			// observe the queue mid-flight.
-			once.Do(func() { close(started); <-release })
-			snap, _ := cache.Snapshot()
-			return labelstore.NewOverlay(snap)
-		},
-		func(fresh map[int]float64) { cache.Publish(fresh) },
-		cache.Admit,
-	)
-	if got := s.InFlight(); got != 0 {
-		t.Fatalf("idle scheduler reports %d in flight", got)
-	}
-
-	p1, err := NewPlan(testPlan(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := NewPlan(testPlan(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bind := Binding{Src: src, UDF: udf, Artifact: art}
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.SubmitGroup([]Plan{p1, p2}, []Binding{bind, bind})
-		done <- err
-	}()
-
-	<-started
-	if got := s.InFlight(); got != 2 {
-		t.Fatalf("blocked group reports %d in flight, want 2", got)
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := s.InFlight(); got != 0 {
-		t.Fatalf("drained scheduler reports %d in flight", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	everest "github.com/everest-project/everest"
 	"github.com/everest-project/everest/internal/eql/planner"
-	"github.com/everest-project/everest/internal/oraclemux"
 	"github.com/everest-project/everest/internal/simclock"
 )
 
@@ -16,10 +15,6 @@ type AnalyzeOptions struct {
 	// Procs pins the worker count (0 lets the planner choose). Wall-clock
 	// only: results and simulated charges are identical for any value.
 	Procs int
-	// Concurrency tells the planner how many compatible queries to expect
-	// in flight together (≤ 1 plans for a lone query, leaving the serving
-	// knobs — coalesce, mux — off).
-	Concurrency int
 }
 
 // PhaseRow is one line of the predicted-vs-actual cost table.
@@ -56,11 +51,6 @@ type AnalyzeReport struct {
 	ActualLaunches    int
 	PredictedCleaned  int
 	ActualCleaned     int
-	// Mux accounting deltas for the run (zero unless the chosen plan
-	// routed through the shared oracle multiplexer).
-	MuxRequests int
-	MuxLaunches int
-	MuxSavedMS  float64
 }
 
 // String renders the report.
@@ -87,10 +77,6 @@ func (r *AnalyzeReport) String() string {
 	}
 	fmt.Fprintf(&b, "  oracle launches  predicted %d, actual %d\n", r.PredictedLaunches, r.ActualLaunches)
 	fmt.Fprintf(&b, "  confirmations    predicted %d, actual %d\n", r.PredictedCleaned, r.ActualCleaned)
-	if r.Config.UseMux {
-		fmt.Fprintf(&b, "  mux              %d requests in %d device launches, %.0f ms launch overhead saved\n",
-			r.MuxRequests, r.MuxLaunches, r.MuxSavedMS)
-	}
 	if res := r.Result; res != nil {
 		fmt.Fprintf(&b, "  result           top-%d ids=%v confidence=%.4f\n", len(res.IDs), res.IDs, res.Confidence)
 	}
@@ -120,7 +106,6 @@ func Analyze(src string, opt AnalyzeOptions) (*AnalyzeReport, error) {
 	// Pre-ingest planning: the cascade depth and worker count must be
 	// fixed before Phase 1 runs.
 	in := plannerInput(u)
-	in.Concurrency = opt.Concurrency
 	in.PinProcs = opt.Procs
 	pre := planner.Choose(in)
 	cfg := u.Config
@@ -149,10 +134,11 @@ func Analyze(src string, opt AnalyzeOptions) (*AnalyzeReport, error) {
 // inherits the cascade, refines its input with the index's measured
 // Phase 1 statistics, chooses the Phase 2 knobs, executes on the
 // session, and assembles the report (the caller fills in Statement).
+// The analyzed query runs alone, so it is planned as a lone query and
+// the serving knobs (coalesce, mux) stay off.
 func analyzeOn(u *Unit, ix *everest.Index, sess *everest.Session, cfg everest.Config, opt AnalyzeOptions) (*AnalyzeReport, error) {
 	info := ix.Info()
 	in := plannerInput(u)
-	in.Concurrency = opt.Concurrency
 	in.TrainSamples = info.TrainSamples + info.HoldoutSamples
 	in.Retained = info.Retained
 	in.Certain = ix.CertainFrames()
@@ -167,14 +153,7 @@ func analyzeOn(u *Unit, ix *everest.Index, sess *everest.Session, cfg everest.Co
 	cands := planner.Enumerate(in)
 	cfg.BatchSize = chosen.Knobs.BatchSize
 	cfg.Procs = chosen.Knobs.Procs
-	cfg.Coalesce = chosen.Knobs.Coalesce
-	cfg.CoalesceWait = chosen.Knobs.CoalesceWait
-	cfg.UseMux = chosen.Knobs.UseMux
 
-	var muxBefore oraclemux.Stats
-	if cfg.UseMux {
-		muxBefore = oraclemux.Shared().Stats()
-	}
 	res, err := sess.Query(cfg)
 	if err != nil {
 		return nil, err
@@ -203,12 +182,6 @@ func analyzeOn(u *Unit, ix *everest.Index, sess *everest.Session, cfg everest.Co
 		ActualLaunches:    res.EngineStats.OracleCalls,
 		PredictedCleaned:  chosen.Pred.Cleaned,
 		ActualCleaned:     res.EngineStats.Cleaned,
-	}
-	if cfg.UseMux {
-		after := oraclemux.Shared().Stats()
-		rep.MuxRequests = after.Requests - muxBefore.Requests
-		rep.MuxLaunches = after.Launches - muxBefore.Launches
-		rep.MuxSavedMS = after.SavedMS - muxBefore.SavedMS
 	}
 	return rep, nil
 }

@@ -87,7 +87,7 @@ func BenchmarkChooseSet(b *testing.B) {
 			runnable = append(runnable, u)
 		}
 	}
-	in := setInput(sp, runnable, 0)
+	in := setInput(sp, runnable)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

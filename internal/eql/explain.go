@@ -133,8 +133,7 @@ func explainUnit(q *Statement, u *Unit, concurrency int) string {
 // coordinated plan graph without running it: every statement's units,
 // the relations they share, the one serving budget the set planner
 // chose, and the predicted coordinated-vs-independent cost with the
-// shared-work breakdown. Observed in-flight arrivals are 0 here (no
-// session is attached); ExecScript re-prices with the live count.
+// shared-work breakdown.
 func ExplainScript(src string) (string, error) {
 	script, err := ParseScript(src)
 	if err != nil {
@@ -158,7 +157,7 @@ func explainScriptPlan(sp *ScriptPlan) string {
 			units = append(units, u)
 		}
 	}
-	setPlan := planner.ChooseSet(setInput(sp, units, 0))
+	setPlan := planner.ChooseSet(setInput(sp, units))
 	chosen := make(map[*Unit]planner.Candidate, len(units))
 	for i, u := range units {
 		chosen[u] = setPlan.Units[i]

@@ -18,7 +18,7 @@
 //	procs     real CPU workers. Wall-clock only — simulated charges and
 //	          results are bit-identical for every value — so it is a
 //	          workload-size heuristic, never a cost term.
-//	serving   Coalesce / CoalesceWait / UseMux. Pure scheduling: they
+//	serving   Coalesce / UseMux. Pure scheduling: they
 //	          change who shares a run and what the device pays, never a
 //	          single query's results or charges, so they switch on
 //	          expected concurrency, with the amortized per-query cost
@@ -30,15 +30,14 @@
 //
 // ChooseSet extends the same pricing to a coordinated statement set (an
 // EQL script): per-unit knobs are chosen per unit, but the serving
-// knobs become one budget for the whole set, with Concurrency derived
-// from the set's own width plus the scheduler's observed in-flight
-// arrivals instead of a caller hint, and shared relations priced once.
+// knobs become one budget for the whole set, with Concurrency the
+// number of units the set runs instead of a caller hint, and shared
+// relations priced once.
 package planner
 
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/windows"
@@ -61,10 +60,6 @@ const (
 	// large workloads. A fixed constant (not NumCPU) so planner output
 	// is machine-independent.
 	WideProcs = 8
-	// ServingWait is the CoalesceWait budget granted under expected
-	// concurrency: long enough for near-simultaneous arrivals to join
-	// one group, short enough to bound added latency. Wall-clock only.
-	ServingWait = 25 * time.Millisecond
 )
 
 // batchGrid is the candidate batch sizes the batch phase prices.
@@ -117,11 +112,10 @@ type Input struct {
 // Knobs is one concrete setting of the engine knobs the planner ranges
 // over.
 type Knobs struct {
-	BatchSize    int
-	Procs        int
-	Coalesce     bool
-	CoalesceWait time.Duration
-	UseMux       bool
+	BatchSize int
+	Procs     int
+	Coalesce  bool
+	UseMux    bool
 	// DisableDiff false is the depth-3 ingest cascade
 	// (decode→diff→proxy); true skips the filter (depth 2).
 	DisableDiff bool
@@ -298,15 +292,15 @@ func (in Input) chooseProcs(uncertain int) (int, string) {
 
 // servingKnobs is the concurrency phase: scheduling-only knobs that
 // never change a query's own results or charges.
-func (in Input) servingKnobs() (coalesce bool, wait time.Duration, mux bool, why []string) {
+func (in Input) servingKnobs() (coalesce, mux bool, why []string) {
 	if in.Concurrency <= 1 {
-		return false, 0, false, []string{
+		return false, false, []string{
 			"coalesce off: lone query (concurrency ≤ 1), nothing to share a run with",
 			"mux off: lone query, no in-flight batches to consolidate",
 		}
 	}
-	return true, ServingWait, true, []string{
-		fmt.Sprintf("coalesce on, wait %s: %d expected compatible queries share one engine run — the group pays the confirmation bill once", ServingWait, in.Concurrency),
+	return true, true, []string{
+		fmt.Sprintf("coalesce on: %d expected compatible queries share one engine run — the group pays the confirmation bill once", in.Concurrency),
 		fmt.Sprintf("mux on: %d concurrent confirmation streams consolidate per device launch", in.Concurrency),
 	}
 }
@@ -324,18 +318,17 @@ func (in Input) cascadeOptions() []bool {
 // with the procs and serving phases applied uniformly — and marks the
 // chosen (cheapest) entry. The table is what EXPLAIN renders.
 func Enumerate(in Input) []Candidate {
-	coalesce, wait, mux, _ := in.servingKnobs()
+	coalesce, mux, _ := in.servingKnobs()
 	var cands []Candidate
 	for _, disableDiff := range in.cascadeOptions() {
 		procs, _ := in.chooseProcs(in.uncertainTuples(disableDiff))
 		for _, b := range batchGrid {
 			kn := Knobs{
-				BatchSize:    b,
-				Procs:        procs,
-				Coalesce:     coalesce,
-				CoalesceWait: wait,
-				UseMux:       mux,
-				DisableDiff:  disableDiff,
+				BatchSize:   b,
+				Procs:       procs,
+				Coalesce:    coalesce,
+				UseMux:      mux,
+				DisableDiff: disableDiff,
 			}
 			cands = append(cands, Candidate{Knobs: kn, Pred: Predict(in, kn)})
 		}
@@ -395,15 +388,14 @@ func Choose(in Input) Candidate {
 		Predict(in, withBatch(kn, 1)).LaunchMS))
 	_, procsWhy := in.chooseProcs(in.uncertainTuples(kn.DisableDiff))
 	why = append(why, "procs: "+procsWhy)
-	_, _, _, servingWhy := in.servingKnobs()
+	_, _, servingWhy := in.servingKnobs()
 	why = append(why, servingWhy...)
 	chosen.Why = why
 	return chosen
 }
 
-// SetInput is a coordinated statement set to price jointly: one script
-// (or one scheduler backlog) of units that will execute together over
-// shared relations.
+// SetInput is a coordinated statement set to price jointly: one
+// script's units that will execute together over shared relations.
 type SetInput struct {
 	// Units are the per-unit planner inputs, in statement order. Each
 	// unit's Concurrency field is ignored — the set derives one value.
@@ -413,25 +405,17 @@ type SetInput struct {
 	// shares confirmations through one session cache. Units absent from
 	// every group are priced alone. Groups must not overlap.
 	Shared [][]int
-	// Observed is the scheduler's in-flight submission count at plan
-	// time (engine.Scheduler.InFlight via Session.ObservedInFlight):
-	// queries already queued or running that the set's members will
-	// coalesce with. It replaces the caller-supplied concurrency hint.
-	Observed int
 }
 
 // SetPlan is the jointly priced outcome: one serving budget for the
 // whole set plus per-unit chosen candidates.
 type SetPlan struct {
-	// Concurrency is the derived expected in-flight count: the set's own
-	// unit count plus the observed scheduler backlog.
+	// Concurrency is the number of units the set runs.
 	Concurrency int
-	// Coalesce/CoalesceWait/UseMux is the one scheduling budget every
-	// unit of the set shares — scheduling only, never results or
-	// charges.
-	Coalesce     bool
-	CoalesceWait time.Duration
-	UseMux       bool
+	// Coalesce/UseMux is the one scheduling budget every unit of the set
+	// shares — scheduling only, never results or charges.
+	Coalesce bool
+	UseMux   bool
 	// Units are the chosen candidates, aligned with SetInput.Units.
 	Units []Candidate
 	// IndependentMS prices the set as isolated runs: every unit pays its
@@ -458,21 +442,21 @@ func (sp SetPlan) SavedMS() float64 { return sp.IndependentMS - sp.TotalMS }
 // cascade, procs) are chosen per unit as usual — knobs and prediction
 // only: this runs on every script execution, and a unit's reasoning is
 // rendered by Choose where a plan is explained — but the serving knobs
-// are decided once for the whole set from its own width plus the
-// scheduler's observed in-flight arrivals — no caller hint. The shared
+// are decided once for the whole set from its own width — no caller
+// hint. The shared
 // groups are priced under the coalesced-group contract: one ingest per
 // relation, and each group's confirmation bill charged once (later
 // members ride the shared overlay; the golden suite locks the
 // bit-identity of that sharing, this prices it).
 func ChooseSet(in SetInput) SetPlan {
-	sp := SetPlan{Concurrency: len(in.Units) + in.Observed}
+	sp := SetPlan{Concurrency: len(in.Units)}
 	if sp.Concurrency > 1 {
-		sp.Coalesce, sp.CoalesceWait, sp.UseMux = true, ServingWait, true
+		sp.Coalesce, sp.UseMux = true, true
 		sp.Why = append(sp.Why, fmt.Sprintf(
-			"one budget: %d units + %d observed in flight → coalesce on, mux on (scheduling only; results and charges identical)",
-			len(in.Units), in.Observed))
+			"one budget: %d units → coalesce on, mux on (scheduling only; results and charges identical)",
+			len(in.Units)))
 	} else {
-		sp.Why = append(sp.Why, "one budget: lone unit and idle scheduler → coalesce off, mux off")
+		sp.Why = append(sp.Why, "one budget: lone unit → coalesce off, mux off")
 	}
 
 	grouped := make(map[int]bool)

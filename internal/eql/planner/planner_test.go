@@ -78,7 +78,7 @@ func TestEnumerateMarksExactlyOneChosen(t *testing.T) {
 // and device savings predicted), off for a lone query.
 func TestServingKnobsFollowConcurrency(t *testing.T) {
 	lone := Choose(servedInput())
-	if lone.Knobs.Coalesce || lone.Knobs.UseMux || lone.Knobs.CoalesceWait != 0 {
+	if lone.Knobs.Coalesce || lone.Knobs.UseMux {
 		t.Fatalf("lone query chose serving knobs: %+v", lone.Knobs)
 	}
 	if lone.Pred.PerQueryMS != lone.Pred.TotalMS || lone.Pred.MuxSavedMS != 0 {
@@ -90,9 +90,6 @@ func TestServingKnobsFollowConcurrency(t *testing.T) {
 	shared := Choose(in)
 	if !shared.Knobs.Coalesce || !shared.Knobs.UseMux {
 		t.Fatalf("concurrency 4 left serving knobs off: %+v", shared.Knobs)
-	}
-	if shared.Knobs.CoalesceWait != ServingWait {
-		t.Fatalf("CoalesceWait = %v, want %v", shared.Knobs.CoalesceWait, ServingWait)
 	}
 	if shared.Pred.PerQueryMS >= shared.Pred.TotalMS {
 		t.Fatalf("coalesced per-query cost %v not below total %v", shared.Pred.PerQueryMS, shared.Pred.TotalMS)
@@ -216,8 +213,8 @@ func freshInput() Input {
 }
 
 // TestChooseSetOneBudget locks the joint serving budget: the set's own
-// width plus the observed scheduler backlog decides coalesce and mux
-// once for every unit — never a caller hint.
+// width decides coalesce and mux once for every unit — never a caller
+// hint.
 func TestChooseSetOneBudget(t *testing.T) {
 	lone := ChooseSet(SetInput{Units: []Input{freshInput()}})
 	if lone.Concurrency != 1 || lone.Coalesce || lone.UseMux {
@@ -227,14 +224,37 @@ func TestChooseSetOneBudget(t *testing.T) {
 		t.Fatalf("lone unit must price as an independent run: %+v", lone)
 	}
 
-	// The same lone unit with an observed backlog turns the serving
-	// knobs on: arrivals are facts, not hints.
-	busy := ChooseSet(SetInput{Units: []Input{freshInput()}, Observed: 2})
-	if busy.Concurrency != 3 || !busy.Coalesce || !busy.UseMux {
-		t.Fatalf("observed backlog ignored: %+v", busy)
+	// Three units turn the serving knobs on for all of them.
+	wide := ChooseSet(SetInput{Units: []Input{freshInput(), freshInput(), freshInput()}})
+	if wide.Concurrency != 3 || !wide.Coalesce || !wide.UseMux {
+		t.Fatalf("three-unit budget wrong: %+v", wide)
 	}
-	if busy.CoalesceWait != ServingWait {
-		t.Fatalf("CoalesceWait = %v, want ServingWait", busy.CoalesceWait)
+	for i, u := range wide.Units {
+		if !u.Knobs.Coalesce || !u.Knobs.UseMux {
+			t.Fatalf("unit %d left out of the set's budget: %+v", i, u.Knobs)
+		}
+	}
+}
+
+// TestChooseSetConcurrencyCountsUnits: the set's concurrency is exactly
+// its unit count — nothing else widens it — and serving turns on from
+// two units up, for every unit alike.
+func TestChooseSetConcurrencyCountsUnits(t *testing.T) {
+	for n := 1; n <= 4; n++ {
+		units := make([]Input, n)
+		for i := range units {
+			units[i] = freshInput()
+		}
+		set := ChooseSet(SetInput{Units: units})
+		if set.Concurrency != n || set.Coalesce != (n > 1) || set.UseMux != (n > 1) {
+			t.Fatalf("%d units: budget concurrency %d, coalesce %t, mux %t",
+				n, set.Concurrency, set.Coalesce, set.UseMux)
+		}
+		for i, u := range set.Units {
+			if u.Knobs.Coalesce != set.Coalesce || u.Knobs.UseMux != set.UseMux {
+				t.Fatalf("%d units: unit %d knobs %+v disagree with the set's budget", n, i, u.Knobs)
+			}
+		}
 	}
 }
 

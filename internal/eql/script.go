@@ -119,7 +119,7 @@ type ScriptResult struct {
 	Relations   int
 	SharedUnits int
 	// Concurrency, Coalesce and UseMux echo the joint serving budget the
-	// set planner chose (script width + observed in-flight arrivals).
+	// set planner chose (the script's runnable unit count).
 	Concurrency int
 	Coalesce    bool
 	UseMux      bool
@@ -187,7 +187,6 @@ func (ss *ScriptSession) ExecScript(script *Script, opt ScriptOptions) (*ScriptR
 		}
 	}
 	entries := make(map[*Relation]*scriptEntry, len(needed))
-	observed := 0
 	for _, rel := range sp.Relations {
 		if !needed[rel] {
 			continue
@@ -197,13 +196,11 @@ func (ss *ScriptSession) ExecScript(script *Script, opt ScriptOptions) (*ScriptR
 			return res, err
 		}
 		entries[rel] = ent
-		observed = max(observed, ent.sess.ObservedInFlight())
 	}
 
-	// One scheduling budget for the whole set: concurrency derived from
-	// the script's own unit count plus the scheduler's observed
-	// in-flight arrivals — never a caller hint.
-	setPlan := planner.ChooseSet(setInput(sp, runnable, observed))
+	// One scheduling budget for the whole set: concurrency is the
+	// script's own runnable unit count — never a caller hint.
+	setPlan := planner.ChooseSet(setInput(sp, runnable))
 	res.Concurrency = setPlan.Concurrency
 	res.Coalesce = setPlan.Coalesce
 	res.UseMux = setPlan.UseMux
@@ -261,8 +258,8 @@ func (res *ScriptResult) charge(r *everest.Result) {
 // setInput assembles the joint planner's view of a set of
 // relation-bound units: the units in the given order, grouped by the
 // relations they share.
-func setInput(sp *ScriptPlan, units []*Unit, observed int) planner.SetInput {
-	in := planner.SetInput{Observed: observed}
+func setInput(sp *ScriptPlan, units []*Unit) planner.SetInput {
+	var in planner.SetInput
 	groups := make(map[*Relation][]int)
 	for i, u := range units {
 		in.Units = append(in.Units, plannerInput(u))
@@ -309,9 +306,10 @@ func (ss *ScriptSession) entryFor(rel *Relation, opt ScriptOptions) (*scriptEntr
 // runRelation executes one relation's units in statement order:
 // consecutive query units form one coalesced group (SubmitGroup over
 // the shared cache — bit-identical to running them serially), and an
-// EXPLAIN ANALYZE unit flushes the pending group and runs at its exact
-// position, so the relation's full sequence equals serial statement
-// order. Explained units are no case of the switch: they do nothing.
+// EXPLAIN ANALYZE unit flushes the pending group and runs alone at its
+// exact position (planned as a lone query), so the relation's full
+// sequence equals serial statement order. Explained units are no case
+// of the switch: they do nothing.
 // Failures go to keep; the failing unit's slot stays nil.
 func runRelation(rel *Relation, ent *scriptEntry, res *ScriptResult, setPlan planner.SetPlan, opt ScriptOptions, keep func(error)) {
 	var pending []*Unit
@@ -326,8 +324,7 @@ func runRelation(rel *Relation, ent *scriptEntry, res *ScriptResult, setPlan pla
 				cfg.Procs = opt.Procs
 			}
 			// The group is pre-formed, so Coalesce routes it through
-			// SubmitGroup; no CoalesceWait — there is nothing to hold the
-			// group open for. UseMux is the set's one budget.
+			// SubmitGroup. UseMux is the set's one budget.
 			cfg.Coalesce = true
 			cfg.UseMux = setPlan.UseMux
 			cfgs[i] = cfg
@@ -351,8 +348,7 @@ func runRelation(rel *Relation, ent *scriptEntry, res *ScriptResult, setPlan pla
 		case KindAnalyze:
 			flush()
 			sr := res.Statements[u.Stmt]
-			rep, err := analyzeOn(u, ent.ix, ent.sess, u.Config,
-				AnalyzeOptions{Procs: opt.Procs, Concurrency: setPlan.Concurrency})
+			rep, err := analyzeOn(u, ent.ix, ent.sess, u.Config, AnalyzeOptions{Procs: opt.Procs})
 			if err != nil {
 				keep(err)
 				continue

@@ -265,6 +265,38 @@ func TestScriptExplainAndAnalyze(t *testing.T) {
 	}
 }
 
+// TestInScriptAnalyzeIsPlannedAlone: an EXPLAIN ANALYZE inside a wide
+// script flushes the pending group and runs by itself, so its report
+// plans a lone query — serving knobs off, no coalesce claim — while the
+// script's own budget still counts every runnable unit.
+func TestInScriptAnalyzeIsPlannedAlone(t *testing.T) {
+	ss := NewScriptSession()
+	res, err := ss.Exec(scriptA + "; EXPLAIN ANALYZE " + scriptC + ";" + scriptB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Concurrency != 3 || !res.Coalesce || !res.UseMux {
+		t.Fatalf("script budget: concurrency %d, coalesce %t, mux %t; want 3, on, on",
+			res.Concurrency, res.Coalesce, res.UseMux)
+	}
+	rep := res.Statements[1].Analyze
+	if rep == nil {
+		t.Fatal("EXPLAIN ANALYZE statement must carry a report")
+	}
+	if rep.Config.Coalesce || rep.Config.UseMux || rep.Chosen.Knobs.Coalesce || rep.Chosen.Knobs.UseMux {
+		t.Fatalf("in-script ANALYZE planned serving knobs: config %+v, chosen %+v", rep.Config, rep.Chosen.Knobs)
+	}
+	text := rep.String()
+	for _, want := range []string{"coalesce off: lone query", "mux off: lone query", "use-mux              false"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("in-script ANALYZE report missing %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "coalesce on") || strings.Contains(text, "mux on") {
+		t.Fatalf("in-script ANALYZE report claims a shared run:\n%s", text)
+	}
+}
+
 func TestExplainScriptRendering(t *testing.T) {
 	out, err := ExplainScript(scriptA + ";" + scriptB)
 	if err != nil {

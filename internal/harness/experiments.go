@@ -199,7 +199,7 @@ func runCountingPoint(src *video.Synthetic, cfg everest.Config, x float64) (Swee
 	var q Quality
 	var note string
 	if cfg.Window > 0 {
-		truth := windowTruth(src, udf, cfg.Window)
+		truth := slidingWindowTruth(src, udf, cfg.Window, cfg.Window)
 		top := metrics.TrueTopK(truth, cfg.K)
 		q = evalIDs(res.IDs, func(w int) float64 { return truth[w].Score }, top)
 	} else {
@@ -357,7 +357,7 @@ func Fig9(scale Scale) ([]SystemRow, error) {
 			}
 			var q Quality
 			if sc.window > 0 {
-				truth := windowTruth(src, udf, sc.window)
+				truth := slidingWindowTruth(src, udf, sc.window, sc.window)
 				top := metrics.TrueTopK(truth, cfg.K)
 				q = evalIDs(res.IDs, func(w int) float64 { return truth[w].Score }, top)
 			} else {

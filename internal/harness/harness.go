@@ -14,7 +14,6 @@ import (
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
-	"github.com/everest-project/everest/internal/windows"
 )
 
 // Scale sizes the experiments.
@@ -108,21 +107,6 @@ func frameTruth(src video.Source, udf vision.UDF) []metrics.Ranked {
 	out := make([]metrics.Ranked, n)
 	for i := range out {
 		out[i] = metrics.Ranked{ID: i, Score: scores[i]}
-	}
-	return out
-}
-
-// windowTruth computes ground-truth window mean scores.
-func windowTruth(src video.Source, udf vision.UDF, size int) []metrics.Ranked {
-	frames := frameTruth(src, udf)
-	nw := windows.NumWindows(len(frames), size)
-	out := make([]metrics.Ranked, nw)
-	for w := 0; w < nw; w++ {
-		sum := 0.0
-		for f := w * size; f < (w+1)*size; f++ {
-			sum += frames[f].Score
-		}
-		out[w] = metrics.Ranked{ID: w, Score: sum / float64(size)}
 	}
 	return out
 }

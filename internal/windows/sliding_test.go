@@ -16,6 +16,9 @@ func testMixture(mean, sigma float64) uncertain.Mixture {
 func TestNumSlidingWindows(t *testing.T) {
 	cases := []struct{ n, size, stride, want int }{
 		{100, 10, 10, 10}, // tumbling
+		{100, 30, 30, 3},  // tumbling, partial tail dropped
+		{90, 30, 30, 3},   // tumbling, exact fit
+		{29, 30, 30, 0},   // tumbling, too short
 		{100, 10, 5, 19},  // half-overlap
 		{100, 10, 1, 91},  // per-frame
 		{100, 10, 30, 4},  // gaps

@@ -67,9 +67,6 @@ func (o Options) stride() int {
 	return o.Stride
 }
 
-// NumWindows returns the number of complete windows of size L in n frames.
-func NumWindows(n, size int) int { return n / size }
-
 // NumSlidingWindows returns the number of complete windows of the given
 // size starting every stride frames in n frames.
 func NumSlidingWindows(n, size, stride int) int {

@@ -122,18 +122,6 @@ func TestWindowLevelsClamped(t *testing.T) {
 	}
 }
 
-func TestNumWindows(t *testing.T) {
-	if NumWindows(100, 30) != 3 {
-		t.Fatal("NumWindows(100,30) != 3")
-	}
-	if NumWindows(90, 30) != 3 {
-		t.Fatal("NumWindows(90,30) != 3")
-	}
-	if NumWindows(29, 30) != 0 {
-		t.Fatal("NumWindows(29,30) != 0")
-	}
-}
-
 func TestOracleSampleMean(t *testing.T) {
 	// Frame score = frame index; window 2 of size 10 covers frames 20..29
 	// whose mean is 24.5. The sampled mean should land near that.

@@ -81,14 +81,15 @@ type LiveStats struct {
 // follower attached. Not safe for concurrent use; one goroutine owns
 // it. See DESIGN.md "Streaming ingestion & incremental top-K".
 type LiveStream struct {
-	ing *stream.Ingestor
-	fol *stream.Follower
+	ing     *stream.Ingestor
+	primary *LiveFollower
 }
 
 // OpenLive starts live ingestion of src: the feed is modelled as a
 // growing prefix of src, delivered by Append calls. The query compiled
-// from cfg is kept continuously answered; deltas arrive via
-// live.OnDelta and accumulate in Deltas.
+// from cfg is kept continuously answered by the stream's primary
+// follower, registered exactly as Follow registers any other; deltas
+// arrive via live.OnDelta and accumulate in Deltas.
 func OpenLive(src video.Source, udf vision.UDF, cfg Config, live LiveConfig) (*LiveStream, error) {
 	if src == nil || udf == nil {
 		return nil, errors.New("everest: nil source or UDF")
@@ -107,21 +108,12 @@ func OpenLive(src video.Source, udf vision.UDF, cfg Config, live LiveConfig) (*L
 	if err != nil {
 		return nil, err
 	}
-	var onDelta func(stream.Delta)
-	if live.OnDelta != nil {
-		cb := live.OnDelta
-		onDelta = func(d stream.Delta) { cb(liveDeltaOf(d)) }
-	}
-	fol, err := ing.Follow(stream.FollowConfig{
-		Plan:         cfg.plan(),
-		MaxLagChunks: live.MaxLagChunks,
-		OnDelta:      onDelta,
-	})
-	if err != nil {
+	ls := &LiveStream{ing: ing}
+	if ls.primary, err = ls.Follow(cfg, live.MaxLagChunks, live.OnDelta); err != nil {
 		ing.Close()
 		return nil, err
 	}
-	return &LiveStream{ing: ing, fol: fol}, nil
+	return ls, nil
 }
 
 func liveDeltaOf(d stream.Delta) LiveDelta {
@@ -211,25 +203,11 @@ func (ls *LiveStream) Frontier() int { return ls.ing.Frontier() }
 func (ls *LiveStream) IngestMS() float64 { return ls.ing.IngestMS() }
 
 // Deltas returns every answer update delivered so far, in order.
-func (ls *LiveStream) Deltas() []LiveDelta {
-	ds := ls.fol.Deltas()
-	out := make([]LiveDelta, len(ds))
-	for i, d := range ds {
-		out[i] = liveDeltaOf(d)
-	}
-	return out
-}
+func (ls *LiveStream) Deltas() []LiveDelta { return ls.primary.Deltas() }
 
 // Answer is the most recent full answer as a LiveDelta snapshot, or nil
 // before the first evaluation.
-func (ls *LiveStream) Answer() *LiveDelta {
-	ds := ls.fol.Deltas()
-	if len(ds) == 0 {
-		return nil
-	}
-	d := liveDeltaOf(ds[len(ds)-1])
-	return &d
-}
+func (ls *LiveStream) Answer() *LiveDelta { return ls.primary.Answer() }
 
 // Stats reports the stream's ingestion counters.
 func (ls *LiveStream) Stats() LiveStats {
@@ -243,6 +221,6 @@ func (ls *LiveStream) Stats() LiveStats {
 		EagerLabels:    st.EagerLabels,
 		WastedLabels:   st.WastedLabels,
 		ForcedCloses:   st.ForcedCloses,
-		Deltas:         len(ls.fol.Deltas()),
+		Deltas:         len(ls.primary.fol.Deltas()),
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/everest-project/everest/internal/oraclemux"
 	"github.com/everest-project/everest/internal/video"
@@ -88,88 +87,5 @@ func TestOracleMuxCrossVideoBitIdentical(t *testing.T) {
 					ti, qi, g, baseline[ti][qi])
 			}
 		}
-	}
-}
-
-// TestSessionCoalesceWaitDeterministicGrouping drives the
-// latency-bounded group close through the public serving path under an
-// injected wait clock: the leader of a Coalesce+CoalesceWait query
-// holds the group open while the remaining callers arrive, so all N
-// land in ONE engine run — observed as exactly one cache publish and a
-// single oracle payer — with every answer bit-identical to the lone
-// indexed query.
-func TestSessionCoalesceWaitDeterministicGrouping(t *testing.T) {
-	src := testSource(t, 3000, 47)
-	udf := vision.CountUDF{Class: video.ClassCar}
-	ix, err := BuildIndex(src, udf, smallCfg(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lone, err := ix.Query(src, udf, smallCfg(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSession(ix, src, udf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := sess.scheduler()
-	release := make(chan struct{})
-	sched.SetWaitClockForTest(func(time.Duration) { <-release })
-
-	cfg := smallCfg(5)
-	cfg.Coalesce = true
-	cfg.CoalesceWait = 50 * time.Millisecond
-	const callers = 4
-	results := make([]*Result, callers)
-	errs := make([]error, callers)
-	var wg sync.WaitGroup
-	launch := func(i int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = sess.Query(cfg)
-		}()
-	}
-	versionBefore := sess.CacheVersion()
-	launch(0)
-	waitUntil(t, func() bool { return sched.QueuedForTest() == 1 })
-	for i := 1; i < callers; i++ {
-		launch(i)
-	}
-	waitUntil(t, func() bool { return sched.QueuedForTest() == callers })
-	close(release)
-	wg.Wait()
-
-	paid := 0
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if !reflect.DeepEqual(results[i].IDs, lone.IDs) || !reflect.DeepEqual(results[i].Scores, lone.Scores) {
-			t.Fatalf("caller %d got a different answer", i)
-		}
-		if results[i].EngineStats.Cleaned > 0 {
-			paid++
-		}
-	}
-	if paid != 1 {
-		t.Fatalf("%d callers paid the oracle, want exactly 1 — the wait did not close all %d into one group",
-			paid, callers)
-	}
-	if got := sess.CacheVersion() - versionBefore; got != 1 {
-		t.Fatalf("cache published %d times, want 1 — the group did not run as one engine run", got)
-	}
-}
-
-// waitUntil polls cond until it holds or the deadline passes.
-func waitUntil(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -354,12 +354,3 @@ func (s *Session) CacheVersion() uint64 {
 func (s *Session) Queries() int {
 	return int(s.queries.Load())
 }
-
-// ObservedInFlight reports how many coalesced submissions are queued or
-// executing right now on the session's scheduler (for shared sessions,
-// across every session on the pair's process-wide cache). It is the
-// observed-arrivals signal the EQL script planner feeds its joint
-// concurrency budget instead of a caller-supplied hint.
-func (s *Session) ObservedInFlight() int {
-	return s.scheduler().InFlight()
-}
