@@ -82,11 +82,14 @@ bench-diff:
 # but explode allocations (also the CI benchmark smoke job, which
 # additionally runs bench-diff against the committed baseline). The
 # internal/eql line is a script's bind at two video lengths (equal B/op
-# means bind reads no frame) and a warm execution; the last line is the
-# Phase 1 kernels — one Fit, one grid point, one decoded frame (0 allocs).
+# means bind reads no frame) and a warm execution; the core/engine line
+# is Phase 2's start — preparing D0, starting a run with and without an
+# overlay, and a frame query's Execute; the last line is the Phase 1
+# kernels — one Fit, one grid point, one decoded frame (0 allocs).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SessionConcurrent|SessionSharedCache|SessionCoalesced|OracleMux|StreamingIngest|FollowDeltas|EQLScript' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BindScript|ExecWarm' -benchtime 1x -benchmem ./internal/eql
+	$(GO) test -run '^$$' -bench 'Prepare|Start|Execute' -benchtime 1x -benchmem ./internal/core ./internal/engine
 	$(GO) test -run '^$$' -bench 'Fit$$|TrainGridPoint|Render$$' -benchtime 1x -benchmem ./internal/nn ./internal/cmdn ./internal/video
 
 # Live-camera smoke run: replay a bounded feed through the streaming

@@ -58,6 +58,8 @@ type noExceed interface {
 	Remove(d uncertain.Dist)
 	// Len returns the member count.
 	Len() int
+	// clone returns an independent copy.
+	clone() noExceed
 }
 
 // indepProb is the exact product form backed by the log-space JointCDF.
@@ -69,6 +71,7 @@ func (p indepProb) ProbExcluding(d uncertain.Dist, t int) float64 {
 }
 func (p indepProb) Remove(d uncertain.Dist) { p.j.Remove(d) }
 func (p indepProb) Len() int                { return p.j.Len() }
+func (p indepProb) clone() noExceed         { return indepProb{p.j.Clone()} }
 
 // unionProb is the Bonferroni form backed by the tail-sum accumulator.
 type unionProb struct{ ts *uncertain.TailSum }
@@ -79,6 +82,7 @@ func (p unionProb) ProbExcluding(d uncertain.Dist, t int) float64 {
 }
 func (p unionProb) Remove(d uncertain.Dist) { p.ts.Remove(d) }
 func (p unionProb) Len() int                { return p.ts.Len() }
+func (p unionProb) clone() noExceed         { return unionProb{p.ts.Clone()} }
 
 func clamp01(x float64) float64 {
 	if x < 0 {
@@ -91,12 +95,12 @@ func clamp01(x float64) float64 {
 }
 
 // newNoExceed builds the accumulator for the configured bound over the
-// relation's uncertain tuples.
-func newNoExceed(rel uncertain.Relation, kind BoundKind) noExceed {
+// live tuples of rel, in position order, covering levels [lo, hi].
+func newNoExceed(rel uncertain.Relation, live []bool, lo, hi int, kind BoundKind) noExceed {
 	switch kind {
 	case BoundUnion:
-		return unionProb{uncertain.NewTailSumFromRelation(rel)}
+		return unionProb{uncertain.NewTailSumFromRelation(rel, live, lo, hi)}
 	default:
-		return indepProb{uncertain.NewJointCDFFromRelation(rel)}
+		return indepProb{uncertain.NewJointCDFFromRelation(rel, live, lo, hi)}
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"sort"
+)
 
 // certainSet tracks the tuples whose exact scores are known and answers
 // order-statistics queries for the top of the score order.
@@ -32,17 +35,28 @@ func (s *certainSet) reserve(k int) {
 	}
 }
 
+// compareRank orders certain entries the way the set keeps them: level
+// descending, then ID ascending.
+func compareRank(a, b certEntry) int {
+	if a.level != b.level {
+		return cmp.Compare(b.level, a.level)
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// seed fills an empty set from all of its certain tuples, already in
+// compareRank order: the first cap of them are its top.
+func (s *certainSet) seed(ranked []certEntry) {
+	s.top = append(make([]certEntry, 0, s.cap+1), ranked[:min(len(ranked), s.cap)]...)
+	s.n = len(ranked)
+}
+
 // add records a confirmed (id, level) pair.
 func (s *certainSet) add(id, level int) {
 	s.n++
 	e := certEntry{id: id, level: level}
 	// Find insertion point in the descending order.
-	i := sort.Search(len(s.top), func(i int) bool {
-		if s.top[i].level != e.level {
-			return s.top[i].level < e.level
-		}
-		return s.top[i].id > e.id
-	})
+	i := sort.Search(len(s.top), func(i int) bool { return compareRank(s.top[i], e) > 0 })
 	if i >= s.cap {
 		return // below the retained top
 	}

@@ -17,6 +17,17 @@
 // All probability products are maintained in log space by
 // uncertain.JointCDF; selection work and oracle invocations are charged to
 // a simclock.Clock so experiments report the paper's cost breakdown.
+//
+// D0 is prepared once and read in place, as §3.3.1 computes F_f and H
+// once: Prepare validates a relation and returns an immutable Base that
+// any number of runs share, and Base.Start begins one run over it,
+// optionally under an overlay view that makes some tuples certain (the
+// labels a cache already holds). A run the overlay leaves untouched
+// clones the base's joint CDF — built once, by the first such run —
+// instead of rebuilding it; a run the overlay changes builds it over the
+// view, in the order and over the level range a materialized copy of the
+// view would have. Either way the run is bit-identical to NewEngine over
+// that materialized relation.
 package core
 
 import (
@@ -24,7 +35,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/uncertain"
@@ -177,8 +190,60 @@ var ErrEmptyRelation = errors.New("core: empty relation")
 // budget expires and the plan did not allow degraded answers.
 var ErrDeadline = errors.New("core: simulated deadline exceeded")
 
+// Base is D0 prepared for Phase 2: in strictly ascending ID order, with
+// its uncertain positions marked, its certain tuples ranked in the
+// certain set's order (level descending, ID ascending) and its level
+// range. It is immutable once prepared and safe to share between
+// goroutines; the relation it was prepared from must not be written
+// afterwards. The no-exceed accumulator over every uncertain tuple is
+// the one thing built later: once, by the first Start the overlay
+// leaves untouched.
+type Base struct {
+	rel    uncertain.Relation
+	bound  BoundKind
+	live   []bool
+	nLive  int
+	ranked []certEntry
+	lo, hi int
+
+	accOnce sync.Once
+	acc     noExceed
+}
+
+// Prepare validates a relation — non-empty, distinct IDs, in any order
+// (an unordered relation is sorted into a copy; the caller's slice is
+// never reordered) — and indexes it for any number of runs under the
+// given bound.
+func Prepare(rel uncertain.Relation, bound BoundKind) (*Base, error) {
+	if len(rel) == 0 {
+		return nil, ErrEmptyRelation
+	}
+	if err := bound.validate(); err != nil {
+		return nil, err
+	}
+	rel, err := ascendingByID(rel)
+	if err != nil {
+		return nil, err
+	}
+	b := &Base{rel: rel, bound: bound, live: make([]bool, len(rel)), lo: math.MaxInt, hi: math.MinInt}
+	for i, x := range rel {
+		b.lo, b.hi = min(b.lo, x.Dist.Min), max(b.hi, x.Dist.Max())
+		if x.Dist.IsCertain() {
+			b.ranked = append(b.ranked, certEntry{id: x.ID, level: x.Dist.Min})
+		} else {
+			b.live[i] = true
+			b.nLive++
+		}
+	}
+	slices.SortFunc(b.ranked, compareRank)
+	return b, nil
+}
+
+// Len returns the number of tuples, |D0|.
+func (b *Base) Len() int { return len(b.rel) }
+
 // Engine runs Phase 2 over one uncertain relation. An Engine is
-// single-use: construct with NewEngine, call Run once.
+// single-use: construct with Base.Start (or NewEngine), call Run once.
 //
 // Tuples are addressed by their position in rel, which is in strictly
 // ascending ID order, so ascending position is ascending ID: the
@@ -191,10 +256,10 @@ type Engine struct {
 	clock  *simclock.Clock
 	cost   simclock.CostModel
 
-	// rel is D0 — the caller's slice, read only, when it was already
-	// ascending (every relation the query engine builds is), a sorted
-	// copy otherwise. live[i] is true while rel[i] is uncertain and not
-	// yet cleaned; nLive counts them.
+	// rel is the base's relation, shared and read only; the engine reads
+	// a tuple's distribution only while its position is live. live[i] is
+	// true while rel[i] is uncertain and not yet cleaned — never for a
+	// tuple the overlay made certain; nLive counts them.
 	rel     uncertain.Relation
 	live    []bool
 	nLive   int
@@ -204,15 +269,29 @@ type Engine struct {
 	stats   Stats
 }
 
-// NewEngine validates inputs and indexes the relation. Tuples whose
-// distribution is already a point mass (Phase 1 training/holdout samples)
-// enter the certain set directly, so no oracle work is wasted (§3.2).
+// NewEngine is Prepare and Start with no overlay in one call, for a
+// relation that serves one run.
 func NewEngine(rel uncertain.Relation, cfg Config, oracle Oracle, clock *simclock.Clock, cost simclock.CostModel) (*Engine, error) {
-	if len(rel) == 0 {
-		return nil, ErrEmptyRelation
-	}
-	if err := cfg.validate(len(rel)); err != nil {
+	b, err := Prepare(rel, cfg.Bound)
+	if err != nil {
 		return nil, err
+	}
+	return b.Start(cfg, nil, oracle, clock, cost)
+}
+
+// Start begins one run over the base. over, when non-nil, is the run's
+// overlay view: over(id) reports an exact level known for a tuple, which
+// then enters the run certain at that level in place of its base
+// distribution (a certain base tuple is overridden too). Start consults
+// it once per tuple; Run never does. Tuples whose distribution is
+// already a point mass (Phase 1 training/holdout samples) enter the
+// certain set directly, so no oracle work is wasted (§3.2).
+func (b *Base) Start(cfg Config, over func(id int) (level int, ok bool), oracle Oracle, clock *simclock.Clock, cost simclock.CostModel) (*Engine, error) {
+	if err := cfg.validate(len(b.rel)); err != nil {
+		return nil, err
+	}
+	if cfg.Bound != b.bound {
+		return nil, fmt.Errorf("core: a run under the %v bound over a base prepared for %v", cfg.Bound, b.bound)
 	}
 	if oracle == nil {
 		return nil, errors.New("core: nil oracle")
@@ -220,31 +299,77 @@ func NewEngine(rel uncertain.Relation, cfg Config, oracle Oracle, clock *simcloc
 	if clock == nil {
 		clock = simclock.NewClock()
 	}
-	rel, err := ascendingByID(rel)
-	if err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		cfg:     cfg,
 		oracle:  oracle,
 		clock:   clock,
 		cost:    cost,
-		rel:     rel,
-		live:    make([]bool, len(rel)),
+		rel:     b.rel,
 		certain: newCertainSet(),
 	}
 	e.certain.reserve(cfg.K)
-	for i, x := range rel {
-		if x.Dist.IsCertain() {
-			e.certain.add(x.ID, x.Dist.Min)
-		} else {
-			e.live[i] = true
-			e.nLive++
-		}
+	if first, level, ok := b.firstOverride(over); ok {
+		e.startView(b, over, first, level)
+	} else {
+		e.startBase(b)
 	}
-	e.prob = newNoExceed(rel, cfg.Bound)
 	e.sel = newSelector(e)
 	return e, nil
+}
+
+// firstOverride returns the first position the overlay replaces, with
+// its level.
+func (b *Base) firstOverride(over func(int) (int, bool)) (pos, level int, ok bool) {
+	if over == nil {
+		return 0, 0, false
+	}
+	for i, x := range b.rel {
+		if level, ok := over(x.ID); ok {
+			return i, level, true
+		}
+	}
+	return 0, 0, false
+}
+
+// startBase starts a run the overlay leaves untouched: the live mask is
+// a copy of the base's, the certain set the top-K prefix of its ranked
+// certain tuples, and the accumulator a clone of its own — O(levels),
+// not O(tuples).
+func (e *Engine) startBase(b *Base) {
+	e.live = slices.Clone(b.live)
+	e.nLive = b.nLive
+	e.certain.seed(b.ranked)
+	b.accOnce.Do(func() { b.acc = newNoExceed(b.rel, b.live, b.lo, b.hi, b.bound) })
+	e.prob = b.acc.clone()
+}
+
+// startView starts a run under an overlay that replaces at least one
+// tuple, the first at position first with the given level: the build
+// NewEngine would run over the materialized view — certain tuples added
+// and the accumulator summed in position order, over the view's level
+// range — with nothing materialized.
+func (e *Engine) startView(b *Base, over func(int) (int, bool), first, level int) {
+	e.live = make([]bool, len(b.rel))
+	lo, hi := math.MaxInt, math.MinInt
+	for i, x := range b.rel {
+		ok := i == first
+		if i > first {
+			level, ok = over(x.ID)
+		}
+		if ok {
+			e.certain.add(x.ID, level)
+			lo, hi = min(lo, level), max(hi, level)
+			continue
+		}
+		lo, hi = min(lo, x.Dist.Min), max(hi, x.Dist.Max())
+		if b.live[i] {
+			e.live[i] = true
+			e.nLive++
+		} else {
+			e.certain.add(x.ID, x.Dist.Min)
+		}
+	}
+	e.prob = newNoExceed(b.rel, e.live, lo, hi, b.bound)
 }
 
 // ascendingByID returns rel in strictly ascending ID order: rel itself

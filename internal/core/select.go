@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/everest-project/everest/internal/simclock"
@@ -19,12 +20,28 @@ import (
 // Re-sort schedule (paper §3.3.2): during the first 100 iterations ψ is
 // recomputed every 10 iterations; afterwards it is recomputed whenever S_k
 // or S_p changes.
+//
+// A re-sort does not sort: it heapifies the live positions with ψ > 0
+// in O(n), leaving those with ψ = 0 — frames that cannot exceed S_k —
+// behind the heap in position order, which is their stable order
+// already; a scan pops the heap only as far as it reaches, a few
+// dozen entries when the bound prunes early.
 type selector struct {
 	e *Engine
 
-	order  []int     // positions in e.rel of the tuples uncertain at the last sort, descending ψ
-	psi    []float64 // ψ value parallel to order
-	sorted bool
+	// order holds one entry per position uncertain at the last re-sort,
+	// those with ψ > 0 first. order[:heapLen] is a max-heap over (ψ
+	// descending, position ascending); order[heapLen:positive] holds the
+	// entries popped from it, the first popped last. Read from
+	// positive−1 backwards, popping on reaching the heap, and then
+	// order[positive:] — the ψ = 0 entries (frames that cannot reach S_k),
+	// kept in ascending position — it is the order a stable sort by ψ
+	// gives (ties in ascending position, which is ascending ID).
+	order    []psiEntry
+	heapLen  int
+	positive int
+	zeros    int // ψ = 0 entries placed so far during a re-sort
+	sorted   bool
 
 	lastSortIter int
 	sortSk       int
@@ -84,47 +101,94 @@ func psiOf(d uncertain.Dist, sk, sp int, bound BoundKind) float64 {
 }
 
 func (s *selector) resort(sk, sp int) {
-	n := s.e.nLive
-	if cap(s.order) < n {
-		s.order = make([]int, 0, n)
-		s.psi = make([]float64, 0, n)
+	if cap(s.order) < s.e.nLive {
+		s.order = make([]psiEntry, 0, s.e.nLive)
 	}
-	s.order = s.order[:0]
-	s.psi = s.psi[:0]
-	// Ascending position is ascending ID: the deterministic scan order
-	// under ψ ties.
+	s.order = s.order[:s.e.nLive]
+	s.positive, s.zeros = 0, 0
 	for pos, live := range s.e.live {
 		if live {
-			s.order = append(s.order, pos)
-			s.psi = append(s.psi, psiOf(s.e.rel[pos].Dist, sk, sp, s.e.cfg.Bound))
+			s.place(psiEntry{psi: psiOf(s.e.rel[pos].Dist, sk, sp, s.e.cfg.Bound), pos: pos})
 		}
 	}
-	sortByPsi(s.order, s.psi)
+	s.heapify()
 	s.sorted = true
 	s.lastSortIter = s.e.stats.Iterations
 	s.sortSk, s.sortSp = sk, sp
 	s.e.stats.Resorts++
 }
 
-// psiSorter sorts (order, psi) jointly in place.
-type psiSorter struct {
-	order []int
-	psi   []float64
+// psiEntry is an uncertain position with its sort factor ψ.
+type psiEntry struct {
+	psi float64
+	pos int
 }
 
-func (p *psiSorter) Len() int           { return len(p.order) }
-func (p *psiSorter) Less(a, b int) bool { return p.psi[a] > p.psi[b] }
-func (p *psiSorter) Swap(a, b int) {
-	p.order[a], p.order[b] = p.order[b], p.order[a]
-	p.psi[a], p.psi[b] = p.psi[b], p.psi[a]
+// before reports whether a comes before b in the scan order. Positions
+// are distinct, so the order is total and a heap pops it exactly.
+func (a psiEntry) before(b psiEntry) bool {
+	if a.psi != b.psi {
+		return a.psi > b.psi
+	}
+	return a.pos < b.pos
 }
 
-// sortByPsi sorts (order, psi) jointly by ψ descending; ties keep the
-// pre-existing ascending order (stable). The joint in-place sort
-// replaces an index-permutation pass that allocated three O(n) slices on
-// every resort.
-func sortByPsi(order []int, psi []float64) {
-	sort.Stable(&psiSorter{order: order, psi: psi})
+// place adds one entry to a re-sort's order, entries arriving in
+// ascending position: ψ > 0 ones fill it from the front, ψ = 0 ones from
+// the back, so those end up in descending position until heapify.
+func (s *selector) place(e psiEntry) {
+	if e.psi > 0 {
+		s.order[s.positive] = e
+		s.positive++
+		return
+	}
+	s.zeros++
+	s.order[len(s.order)-s.zeros] = e
+}
+
+// heapify turns the placed entries into the scan order's start state:
+// the ψ = 0 ones in ascending position, the ψ > 0 ones the heap, nothing
+// popped.
+func (s *selector) heapify() {
+	slices.Reverse(s.order[s.positive:])
+	s.heapLen = s.positive
+	for i := s.heapLen/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
+	}
+}
+
+// siftDown restores the heap property below i.
+func (s *selector) siftDown(i int) {
+	h := s.order[:s.heapLen]
+	for {
+		first := i
+		if l := 2*i + 1; l < len(h) && h[l].before(h[first]) {
+			first = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].before(h[first]) {
+			first = r
+		}
+		if first == i {
+			return
+		}
+		h[i], h[first] = h[first], h[i]
+		i = first
+	}
+}
+
+// at returns the j-th entry of the scan order, popping the heap as far
+// as that: the j-th pop lands at order[positive-1-j].
+func (s *selector) at(j int) psiEntry {
+	if j >= s.positive {
+		return s.order[j]
+	}
+	slot := s.positive - 1 - j
+	for s.heapLen > slot {
+		s.heapLen--
+		s.order[0], s.order[s.heapLen] = s.order[s.heapLen], s.order[0]
+		s.siftDown(0)
+	}
+	return s.order[slot]
 }
 
 // expectedConfidence evaluates E[X_f] (Eq. 6) for the uncertain tuple with
@@ -252,15 +316,18 @@ func (s *selector) selectBatch() []int {
 	}
 	h := s.heap[:0]
 	examined := 0
-	for i, pos := range s.order {
-		if !e.live[pos] {
+	for j := range len(s.order) {
+		it := s.at(j)
+		if !e.live[it.pos] {
 			continue // cleaned since the last re-sort
 		}
-		id, d := e.rel[pos].ID, e.rel[pos].Dist
+		id, d := e.rel[it.pos].ID, e.rel[it.pos].Dist
 		// ψ_j is stale (computed at an earlier, lower S_k/S_p) and
 		// therefore an over-estimate: the bound is sound (Eq. 8).
-		if !e.cfg.DisableEarlyStop && len(h) == b && base+gamma*s.psi[i] <= h[0].e {
-			e.stats.Pruned += remainingLive(s.order[i:], e.live)
+		if !e.cfg.DisableEarlyStop && len(h) == b && base+gamma*it.psi <= h[0].e {
+			// Every live position is in order, and this scan examined
+			// each live one before this entry: the rest are pruned.
+			e.stats.Pruned += e.nLive - examined
 			break
 		}
 		examined++
@@ -284,14 +351,4 @@ func (s *selector) selectBatch() []int {
 	}
 	sort.Ints(ids) // deterministic oracle call order
 	return ids
-}
-
-func remainingLive(tail []int, live []bool) int {
-	n := 0
-	for _, pos := range tail {
-		if live[pos] {
-			n++
-		}
-	}
-	return n
 }

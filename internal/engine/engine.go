@@ -196,7 +196,12 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 		return scores, nil
 	}
 
+	// A window query builds its relation; a frame query reads the
+	// artifact's prepared D0 in place, under the overlay as a view.
 	var rel uncertain.Relation
+	var base *core.Base
+	var frames []windows.FrameScore
+	var tuples int
 	var oracle core.Oracle
 	// The frame-level oracle above charges its own per-frame cost, so the
 	// engine charges only the per-call overhead (and unhidden decode).
@@ -216,6 +221,7 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
+		tuples = len(rel)
 		oracle = &windows.Oracle{
 			ScoreFrames: scoreFrames,
 			Size:        p.Window.Size,
@@ -225,10 +231,11 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 			Seed:        p.Seed,
 		}
 	} else {
-		rel, err = b.Artifact.FrameRelation(qopt, b.Labels)
+		base, frames, err = b.Artifact.frameBase(qopt, p.Bound())
 		if err != nil {
 			return nil, err
 		}
+		tuples = base.Len()
 		oracle = core.OracleFunc(func(ids []int) ([]int, error) {
 			scores, err := scoreFrames(ids)
 			if err != nil {
@@ -241,8 +248,8 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 			return levels, nil
 		})
 	}
-	if p.K > len(rel) {
-		return nil, fmt.Errorf("everest: K=%d exceeds relation size %d", p.K, len(rel))
+	if p.K > tuples {
+		return nil, fmt.Errorf("everest: K=%d exceeds relation size %d", p.K, tuples)
 	}
 
 	coreCfg := core.Config{
@@ -260,7 +267,12 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 	if p.DisablePrefetch {
 		coreCfg.UnhiddenDecodeMS = p.Cost.DecodeMS
 	}
-	eng, err := core.NewEngine(rel, coreCfg, oracle, clock, engineCost)
+	var eng *core.Engine
+	if base != nil {
+		eng, err = base.Start(coreCfg, overlayView(b.Labels, frames, qopt), oracle, clock, engineCost)
+	} else {
+		eng, err = core.NewEngine(rel, coreCfg, oracle, clock, engineCost)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +291,7 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 		Confidence: coreRes.Confidence,
 		Bound:      coreRes.Bound,
 		Stats:      coreRes.Stats,
-		Tuples:     len(rel),
+		Tuples:     tuples,
 		Clock:      clock,
 		Retries:    retries,
 		BackoffMS:  backoffMS,

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/everest-project/everest/internal/core"
 	"github.com/everest-project/everest/internal/phase1"
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/uncertain"
@@ -42,14 +43,17 @@ type Artifact struct {
 	// The query-independent base of D0 (relation.go), built at the first
 	// relation build and extended over the tail after an Append: scores
 	// is Phase 1's knowledge per frame, d0 the quantized frame relation
-	// under d0Opt. mu guards the three fields, never the data above —
-	// concurrent queries share one artifact, and Append keeps its "no
-	// query in flight" contract. An Artifact must not be copied by
-	// value; use Clone.
-	mu     sync.Mutex
-	scores []windows.FrameScore
-	d0     uncertain.Relation
-	d0Opt  uncertain.QuantizeOptions
+	// under d0Opt, d0Prep that relation prepared for Phase 2 under
+	// d0Bound (nil until a frame query asks). mu guards these fields,
+	// never the data above — concurrent queries share one artifact, and
+	// Append keeps its "no query in flight" contract. An Artifact must
+	// not be copied by value; use Clone.
+	mu      sync.Mutex
+	scores  []windows.FrameScore
+	d0      uncertain.Relation
+	d0Opt   uncertain.QuantizeOptions
+	d0Prep  *core.Base
+	d0Bound core.BoundKind
 }
 
 // Clone returns a deep copy of the artifact's data with an empty memo:

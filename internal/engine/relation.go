@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/everest-project/everest/internal/core"
 	"github.com/everest-project/everest/internal/diffdet"
 	"github.com/everest-project/everest/internal/labelstore"
 	"github.com/everest-project/everest/internal/phase1"
@@ -59,10 +60,9 @@ func (a *Artifact) frameScores() ([]windows.FrameScore, error) {
 // so a different qopt simply rebuilds); after an Append only the tail
 // is quantized. Both are allocated at exact size and never written
 // again once returned, so queries share them without copying the
-// distributions.
+// distributions. Rebuilding or extending d0 drops the prepared base
+// (frameBase) made from it. The caller holds a.mu.
 func (a *Artifact) baseRelation(qopt uncertain.QuantizeOptions) (uncertain.Relation, []windows.FrameScore, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	scores, err := a.frameScores()
 	if err != nil {
 		return nil, nil, err
@@ -73,6 +73,7 @@ func (a *Artifact) baseRelation(qopt uncertain.QuantizeOptions) (uncertain.Relat
 	if len(a.d0) == len(a.Retained) {
 		return a.d0, scores, nil
 	}
+	a.d0Prep = nil
 	rel := make(uncertain.Relation, len(a.Retained))
 	done := copy(rel, a.d0)
 	for i, f := range a.Retained[done:] {
@@ -89,9 +90,55 @@ func (a *Artifact) baseRelation(qopt uncertain.QuantizeOptions) (uncertain.Relat
 	return rel, scores, nil
 }
 
+// frameBase returns the frame-level D0 prepared for Phase 2 under the
+// given bound, with the frame table. The prepared base is memoized
+// beside d0, keyed like it (the quantization, plus the bound), and is
+// valid exactly as long as d0 is: it is dropped whenever d0 is rebuilt
+// or extended, and prepared again by the next frame query — never by
+// Append. Queries read it in place; none copies the relation.
+func (a *Artifact) frameBase(qopt uncertain.QuantizeOptions, bound core.BoundKind) (*core.Base, []windows.FrameScore, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	rel, scores, err := a.baseRelation(qopt)
+	if err != nil {
+		return nil, nil, err
+	}
+	if a.d0Prep == nil || a.d0Bound != bound {
+		if a.d0Prep, err = core.Prepare(rel, bound); err != nil {
+			return nil, nil, err
+		}
+		a.d0Bound = bound
+	}
+	return a.d0Prep, scores, nil
+}
+
+// levelAt is the clamped level of an exact (or stand-in) score.
+func levelAt(score float64, qopt uncertain.QuantizeOptions) int {
+	return phase1.ClampLevel(uncertain.LevelOf(score, qopt.Step), qopt)
+}
+
 // certainAt is the point-mass tuple of an exact (or stand-in) score.
 func certainAt(score float64, qopt uncertain.QuantizeOptions) uncertain.Dist {
-	return uncertain.Certain(phase1.ClampLevel(uncertain.LevelOf(score, qopt.Step), qopt))
+	return uncertain.Certain(levelAt(score, qopt))
+}
+
+// overlayView is the label overlay as a view over D0: the level of a
+// cache label on a frame Phase 1 did not label — the precedence rule
+// above. A nil overlay is the nil view.
+func overlayView(labels *labelstore.Overlay, scores []windows.FrameScore, qopt uncertain.QuantizeOptions) func(id int) (int, bool) {
+	if labels == nil {
+		return nil
+	}
+	return func(id int) (int, bool) {
+		if scores[id].IsExact {
+			return 0, false
+		}
+		s, ok := labels.Get(id)
+		if !ok {
+			return 0, false
+		}
+		return levelAt(s, qopt), true
+	}
 }
 
 // FrameRelation builds the frame-level D0: a copy of the artifact's
@@ -101,23 +148,22 @@ func certainAt(score float64, qopt uncertain.QuantizeOptions) uncertain.Dist {
 // overlay, or the running overlay of a coalesced group). A nil overlay
 // is the uncached path: every uncertain frame keeps its mixture. The
 // returned slice is the caller's; the distributions in it are shared
-// and immutable.
+// and immutable. Execute does not call it — it reads the prepared base
+// in place (frameBase) — but callers that want the relation itself do.
 func (a *Artifact) FrameRelation(qopt uncertain.QuantizeOptions, labels *labelstore.Overlay) (uncertain.Relation, error) {
+	a.mu.Lock()
 	base, scores, err := a.baseRelation(qopt)
+	a.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	rel := make(uncertain.Relation, len(base))
 	copy(rel, base)
-	if labels == nil {
-		return rel, nil
-	}
-	for i := range rel {
-		if scores[rel[i].ID].IsExact {
-			continue
-		}
-		if s, ok := labels.Get(rel[i].ID); ok {
-			rel[i].Dist = certainAt(s, qopt)
+	if view := overlayView(labels, scores, qopt); view != nil {
+		for i := range rel {
+			if lvl, ok := view(rel[i].ID); ok {
+				rel[i].Dist = uncertain.Certain(lvl)
+			}
 		}
 	}
 	return rel, nil

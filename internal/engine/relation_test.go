@@ -2,15 +2,22 @@ package engine
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/everest-project/everest/internal/core"
 	"github.com/everest-project/everest/internal/diffdet"
 	"github.com/everest-project/everest/internal/labelstore"
 	"github.com/everest-project/everest/internal/phase1"
+	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/uncertain"
+	"github.com/everest-project/everest/internal/video"
+	"github.com/everest-project/everest/internal/vision"
 	"github.com/everest-project/everest/internal/windows"
 	"github.com/everest-project/everest/internal/xrand"
 )
@@ -169,27 +176,178 @@ func assertMatchesReference(t *testing.T, when string, a *Artifact, qopt uncerta
 	}
 }
 
+// tableUDF is an oracle for artifacts with no video behind them: frame
+// f scores (7f mod 13) / 2, under the given quantization.
+type tableUDF struct{ qopt uncertain.QuantizeOptions }
+
+func (tableUDF) Name() string { return "count" }
+func (tableUDF) Score(_ video.Source, ids []int) []float64 {
+	out := make([]float64, len(ids))
+	for i, id := range ids {
+		out[i] = float64(7*id%13) / 2
+	}
+	return out
+}
+func (u tableUDF) Quantize() uncertain.QuantizeOptions        { return u.qopt }
+func (tableUDF) OracleCostMS(cost simclock.CostModel) float64 { return cost.OracleMS }
+
+// referenceExecute is a frame plan's Execute the way it ran before it
+// read the prepared D0 in place: referenceFrameRelation materializes the
+// relation under the overlay and core.NewEngine runs over the copy. The
+// oracle is Execute's own frame oracle without retries, mux or lanes:
+// overlay hits are free, misses are scored, recorded and charged.
+func referenceExecute(p Plan, a *Artifact, src video.Source, udf vision.UDF, labels *labelstore.Overlay) (*Outcome, error) {
+	qopt := udf.Quantize()
+	rel, err := referenceFrameRelation(a, qopt, labels)
+	if err != nil {
+		return nil, err
+	}
+	clock := simclock.NewClock()
+	oracle := core.OracleFunc(func(ids []int) ([]int, error) {
+		scores := make([]float64, len(ids))
+		var missAt, missIDs []int
+		for i, id := range ids {
+			if s, ok := labels.Get(id); ok {
+				scores[i] = s
+				continue
+			}
+			missAt = append(missAt, i)
+			missIDs = append(missIDs, id)
+		}
+		if len(missIDs) > 0 {
+			fresh := udf.Score(src, missIDs)
+			for j, i := range missAt {
+				scores[i] = fresh[j]
+				labels.Set(missIDs[j], fresh[j])
+			}
+			clock.Charge(simclock.PhaseConfirm, float64(len(missIDs))*udf.OracleCostMS(p.Cost))
+		}
+		levels := make([]int, len(ids))
+		for i, s := range scores {
+			levels[i] = uncertain.LevelOf(s, qopt.Step)
+		}
+		return levels, nil
+	})
+	cost := p.Cost
+	cost.OracleMS = 0
+	eng, err := core.NewEngine(rel, core.Config{
+		K: p.K, Threshold: p.Threshold, BatchSize: p.BatchSize, MaxCleaned: p.MaxCleaned,
+		DisableEarlyStop: p.DisableEarlyStop, ResortOnce: p.ResortOnce, Bound: p.Bound(),
+		BudgetMS: p.DeadlineMS, DegradedOK: p.DegradedOK,
+	}, oracle, clock, cost)
+	if err != nil {
+		return nil, err
+	}
+	res, err := eng.Run()
+	if err != nil {
+		return nil, err
+	}
+	scores := make([]float64, len(res.Levels))
+	for i, lvl := range res.Levels {
+		scores[i] = uncertain.LevelValue(lvl, qopt.Step)
+	}
+	return &Outcome{IDs: res.IDs, Levels: res.Levels, Scores: scores, Confidence: res.Confidence, Bound: res.Bound,
+		Stats: res.Stats, Tuples: len(rel), Clock: clock, Degraded: res.Degraded}, nil
+}
+
+// outcomeBits is everything an Outcome reports — each float as its bits
+// — plus the labels the run recorded into its overlay.
+func outcomeBits(o *Outcome, err error, labels *labelstore.Overlay) string {
+	if err != nil {
+		return "error " + err.Error()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "ids %v levels %v conf %x bound %v stats %+v tuples %d", o.IDs, o.Levels,
+		math.Float64bits(o.Confidence), o.Bound, o.Stats, o.Tuples)
+	for _, s := range o.Scores {
+		fmt.Fprintf(&b, " %x", math.Float64bits(s))
+	}
+	if d := o.Degraded; d != nil {
+		fmt.Fprintf(&b, " degraded %s %v %x", d.Reason, d.Unconfirmed, math.Float64bits(d.SpentMS))
+	}
+	for _, ps := range o.Clock.Breakdown() {
+		fmt.Fprintf(&b, " %s %x", ps.Phase, math.Float64bits(ps.MS))
+	}
+	fresh := labels.Fresh()
+	ids := slices.Sorted(maps.Keys(fresh))
+	for _, id := range ids {
+		fmt.Fprintf(&b, " fresh %d %x", id, math.Float64bits(fresh[id]))
+	}
+	return b.String()
+}
+
+// executePlans are the frame plans Execute is checked under: K of one
+// and of four, the union bound (a second prepared base on the same
+// artifact), and a deadline answered degraded.
+func executePlans(t *testing.T) map[string]Plan {
+	t.Helper()
+	shapes := map[string]func(p *Plan){
+		"K=1":               func(p *Plan) { p.K = 1 },
+		"K=4":               func(p *Plan) {},
+		"union bound":       func(p *Plan) { p.ForceUnionBound = true },
+		"degraded deadline": func(p *Plan) { p.DeadlineMS, p.DegradedOK = 40, true },
+	}
+	plans := make(map[string]Plan, len(shapes))
+	for name, shape := range shapes {
+		p := testPlan(4)
+		p.BatchSize = 3
+		shape(&p)
+		plan, err := NewPlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[name] = plan
+	}
+	return plans
+}
+
+// assertExecuteMatchesReference checks Execute over the artifact's
+// prepared D0 against referenceExecute, bit for bit, under every
+// overlay of overlaysFor and every plan of executePlans. Each side runs
+// on its own copy of the overlay (both draw it from seed), since a run
+// records its confirmations into it.
+func assertExecuteMatchesReference(t *testing.T, when string, a *Artifact, src video.Source, udf vision.UDF, seed uint64) {
+	t.Helper()
+	for pname, p := range executePlans(t) {
+		gotOverlays := overlaysFor(xrand.New(seed).Split("overlays"), a)
+		wantOverlays := overlaysFor(xrand.New(seed).Split("overlays"), a)
+		for name, labels := range gotOverlays {
+			got, gerr := Execute(p, Binding{Src: src, UDF: udf, Artifact: a, Labels: labels})
+			want, werr := referenceExecute(p, a, src, udf, wantOverlays[name])
+			if g, w := outcomeBits(got, gerr, labels), outcomeBits(want, werr, wantOverlays[name]); g != w {
+				t.Fatalf("%s, plan %s, overlay %s: Execute differs from the reference:\n got %s\nwant %s", when, pname, name, g, w)
+			}
+		}
+	}
+}
+
 // TestMemoizedRelationsMatchReference: on the ingested fixture and on
 // random artifacts, the memoized builders return exactly what deriving
-// D0 from scratch returns — on the first (cold) build, on later (warm)
-// ones, after 1–3 Appends extend the memo (quantizing only the tail),
-// and across a change of quantization and back.
+// D0 from scratch returns, and Execute over the prepared D0 answers what
+// NewEngine over that derived relation answers — on the first (cold)
+// build, on later (warm) ones, after 1–3 Appends extend the memo
+// (quantizing only the tail), and across a change of quantization and
+// back.
 func TestMemoizedRelationsMatchReference(t *testing.T) {
-	fix, _, udf := fixture(t)
+	fix, src, udf := fixture(t)
 	r := xrand.New(20).Split("relation-test")
 	assertMatchesReference(t, "fixture", fix, udf.Quantize(), overlaysFor(r, fix))
+	assertExecuteMatchesReference(t, "fixture", fix, src, udf, r.Uint64())
 
 	counting := uncertain.DefaultCountingOptions()
 	capped := uncertain.QuantizeOptions{Step: 0.5, MinLevel: 0, MaxLevel: 12, TruncSigma: 2}
 	for trial := 0; trial < 6; trial++ {
 		a := randomArtifact(r, 60+r.Intn(200))
+		assertExecuteMatchesReference(t, "cold", a, nil, tableUDF{counting}, r.Uint64())
 		assertMatchesReference(t, "cold", a, counting, overlaysFor(r, a))
 		assertMatchesReference(t, "warm", a, counting, overlaysFor(r, a))
+		assertExecuteMatchesReference(t, "warm", a, nil, tableUDF{counting}, r.Uint64())
 		for appends := 1 + trial%3; appends > 0; appends-- {
 			before, _ := a.FrameRelation(counting, nil)
 			if err := a.Append(randomArtifact(r, 35+r.Intn(120)), a.TotalFrames); err != nil {
 				t.Fatal(err)
 			}
+			assertExecuteMatchesReference(t, "after append", a, nil, tableUDF{counting}, r.Uint64())
 			assertMatchesReference(t, "after append", a, counting, overlaysFor(r, a))
 			// Extended, not rebuilt: the prefix still holds the very
 			// distributions quantized before the append.
@@ -201,18 +359,23 @@ func TestMemoizedRelationsMatchReference(t *testing.T) {
 			}
 		}
 		assertMatchesReference(t, "other quantization", a, capped, overlaysFor(r, a))
+		assertExecuteMatchesReference(t, "other quantization", a, nil, tableUDF{capped}, r.Uint64())
 		assertMatchesReference(t, "first quantization again", a, counting, overlaysFor(r, a))
+		assertExecuteMatchesReference(t, "first quantization again", a, nil, tableUDF{counting}, r.Uint64())
 	}
 }
 
-// TestMemoizedRelationsConcurrent builds relations on one cold artifact
-// from 8 goroutines at once (the memo's first build races with its
-// first readers; run under -race): every goroutine gets the reference
-// relation.
+// TestMemoizedRelationsConcurrent builds relations and executes frame
+// plans on one cold artifact from 8 goroutines at once (the memo's
+// first build, the base's preparation and its joint CDF's first build
+// race with their first readers; run under -race): every goroutine gets
+// the reference relation, and every execution — uncached or over its
+// own copy of a warm overlay — the reference outcome.
 func TestMemoizedRelationsConcurrent(t *testing.T) {
 	r := xrand.New(21).Split("relation-test")
 	a := randomArtifact(r, 900)
 	qopt := uncertain.DefaultCountingOptions()
+	udf := tableUDF{qopt}
 	overlays := overlaysFor(r, a)
 	wantFrame, err := referenceFrameRelation(a, qopt, overlays["every-kind"])
 	if err != nil {
@@ -222,11 +385,28 @@ func TestMemoizedRelationsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := executePlans(t)["K=4"]
+	overlaySeed := r.Uint64()
+	warm := func() *labelstore.Overlay { return overlaysFor(xrand.New(overlaySeed), a)["base-and-fresh"] }
+	wantCold, err := referenceExecute(plan, a, nil, udf, nil)
+	wantColdBits := outcomeBits(wantCold, err, nil)
+	wantLabels := warm()
+	wantWarm, err := referenceExecute(plan, a, nil, udf, wantLabels)
+	wantWarmBits := outcomeBits(wantWarm, err, wantLabels)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var labels *labelstore.Overlay
+			want := wantColdBits
+			if g%2 == 1 {
+				labels, want = warm(), wantWarmBits
+			}
+			out, err := Execute(plan, Binding{UDF: udf, Artifact: a, Labels: labels})
+			if got := outcomeBits(out, err, labels); got != want {
+				t.Errorf("goroutine %d: Execute differs from the reference:\n got %s\nwant %s", g, got, want)
+			}
 			for i := 0; i < 4; i++ {
 				if (g+i)%2 == 0 {
 					got, err := a.FrameRelation(qopt, overlays["every-kind"])
@@ -298,8 +478,8 @@ func TestWindowRelationMissingMixtureIsAnError(t *testing.T) {
 var relationSink uncertain.Relation
 
 // benchArtifact is a 4,000-frame random artifact (about 1,600 retained
-// frames) and an overlay labelling a quarter of them.
-func benchArtifact() (*Artifact, *labelstore.Overlay) {
+// frames) and a cache snapshot labelling a quarter of them.
+func benchArtifact() (*Artifact, labelstore.Map) {
 	r := xrand.New(24).Split("relation-bench")
 	a := randomArtifact(r, 4000)
 	var base labelstore.Map
@@ -308,14 +488,48 @@ func benchArtifact() (*Artifact, *labelstore.Overlay) {
 			base = base.Set(int(f), float64(r.Intn(12)))
 		}
 	}
-	return a, labelstore.NewOverlay(base)
+	return a, base
+}
+
+// BenchmarkExecute is a warm frame query over the bench artifact:
+// uncached reads the prepared D0 as it is, overlay under a fresh overlay
+// over the cache snapshot (the view path: the joint CDF summed over the
+// view, as a materialized copy would have it).
+func BenchmarkExecute(b *testing.B) {
+	a, snapshot := benchArtifact()
+	udf := tableUDF{uncertain.DefaultCountingOptions()}
+	p := testPlan(10)
+	plan, err := NewPlan(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The first query memoizes D0 and prepares it; both cases time the
+	// warm path.
+	if _, err := Execute(plan, Binding{UDF: udf, Artifact: a}); err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"uncached", "overlay"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				var labels *labelstore.Overlay
+				if name == "overlay" {
+					labels = labelstore.NewOverlay(snapshot)
+				}
+				if _, err := Execute(plan, Binding{UDF: udf, Artifact: a, Labels: labels}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkFrameRelation: cold is the first build on an artifact
 // (quantizes every mixture: what every query used to pay), warm a
 // query's share once the base is memoized (a copy plus the overlay).
 func BenchmarkFrameRelation(b *testing.B) {
-	a, labels := benchArtifact()
+	a, snapshot := benchArtifact()
+	labels := labelstore.NewOverlay(snapshot)
 	qopt := uncertain.DefaultCountingOptions()
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
@@ -338,7 +552,8 @@ func BenchmarkFrameRelation(b *testing.B) {
 
 // BenchmarkWindowRelation is a warm 30-frame tumbling window build.
 func BenchmarkWindowRelation(b *testing.B) {
-	a, labels := benchArtifact()
+	a, snapshot := benchArtifact()
+	labels := labelstore.NewOverlay(snapshot)
 	qopt := uncertain.DefaultCountingOptions()
 	b.ReportAllocs()
 	relationSink, _ = a.WindowRelation(testWindows[0], qopt, labels, 1, nil)

@@ -1,6 +1,9 @@
 package uncertain
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // JointCDF maintains H(t) = Π_{f ∈ U} F_f(t) over a mutable set U of
 // uncertain tuples (§3.3.1, Eq. 3). Products over 10⁵–10⁶ frames underflow
@@ -35,17 +38,22 @@ func NewJointCDF(lo, hi int) *JointCDF {
 	}
 }
 
-// NewJointCDFFromRelation builds H over all uncertain tuples of rel,
-// sized to the relation's level range.
-func NewJointCDFFromRelation(rel Relation) *JointCDF {
-	lo, hi := relationRange(rel)
+// NewJointCDFFromRelation builds H over the tuples rel[i] with live[i]
+// set, in position order, covering levels [lo, hi].
+func NewJointCDFFromRelation(rel Relation, live []bool, lo, hi int) *JointCDF {
 	j := NewJointCDF(lo, hi)
-	for _, x := range rel {
-		if !x.Dist.IsCertain() {
+	for i, x := range rel {
+		if live[i] {
 			j.Add(x.Dist)
 		}
 	}
 	return j
+}
+
+// Clone returns an independent copy of the accumulator: O(levels),
+// whatever its member count.
+func (j *JointCDF) Clone() *JointCDF {
+	return &JointCDF{lo: j.lo, hi: j.hi, zeros: slices.Clone(j.zeros), logsum: slices.Clone(j.logsum), n: j.n}
 }
 
 // Lo returns the lowest covered level.

@@ -84,18 +84,27 @@ func TestJointCDFEmptyProductIsOne(t *testing.T) {
 	}
 }
 
-func TestJointCDFFromRelationSkipsCertain(t *testing.T) {
+// TestJointCDFFromRelationReadsLiveOnly: the builder adds exactly the
+// live tuples (a dead uncertain one included), and a clone is
+// independent of its original.
+func TestJointCDFFromRelationReadsLiveOnly(t *testing.T) {
 	rel := Relation{
 		{ID: 0, Dist: Certain(3)},
 		{ID: 1, Dist: MustDist(0, []float64{0.5, 0.5})},
 		{ID: 2, Dist: Certain(7)},
+		{ID: 3, Dist: MustDist(0, []float64{0.25, 0.75})},
 	}
-	j := NewJointCDFFromRelation(rel)
+	j := NewJointCDFFromRelation(rel, []bool{false, true, false, false}, 0, 7)
 	if j.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (certain tuples excluded)", j.Len())
+		t.Fatalf("Len = %d, want 1 (only live tuples)", j.Len())
 	}
 	if math.Abs(j.At(0)-0.5) > 1e-12 {
 		t.Fatalf("H(0) = %v, want 0.5", j.At(0))
+	}
+	c := j.Clone()
+	c.Remove(rel[1].Dist)
+	if c.Len() != 0 || c.At(0) != 1 || j.Len() != 1 || math.Abs(j.At(0)-0.5) > 1e-12 {
+		t.Fatalf("clone not independent: clone Len %d H(0) %v, original Len %d H(0) %v", c.Len(), c.At(0), j.Len(), j.At(0))
 	}
 }
 
@@ -117,15 +126,16 @@ func TestJointCDFPropertyAgainstEnumeration(t *testing.T) {
 		for i := range rel {
 			rel[i] = XTuple{ID: i, Dist: randomDist(r, 4, 6)}
 		}
-		j := NewJointCDFFromRelation(rel)
 		// H covers only the uncertain tuples (D_u0 in the paper); compare
 		// against enumeration over that same subset.
+		live := make([]bool, n)
 		var unc Relation
-		for _, x := range rel {
-			if !x.Dist.IsCertain() {
+		for i, x := range rel {
+			if live[i] = !x.Dist.IsCertain(); live[i] {
 				unc = append(unc, x)
 			}
 		}
+		j := NewJointCDFFromRelation(rel, live, 0, 10)
 		for tLvl := -1; tLvl <= 11; tLvl++ {
 			want := BruteTopkProb(unc, tLvl)
 			got := j.At(tLvl)

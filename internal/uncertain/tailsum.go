@@ -1,5 +1,7 @@
 package uncertain
 
+import "slices"
+
 // TailSum maintains T(t) = Σ_{f ∈ U} (1 − F_f(t)) over a mutable set U of
 // uncertain tuples. It is the Bonferroni (union-bound) counterpart of
 // JointCDF: by Boole's inequality,
@@ -40,17 +42,22 @@ func NewTailSum(lo, hi int) *TailSum {
 	}
 }
 
-// NewTailSumFromRelation builds T over all uncertain tuples of rel, sized
-// to the relation's level range.
-func NewTailSumFromRelation(rel Relation) *TailSum {
-	lo, hi := relationRange(rel)
+// NewTailSumFromRelation builds T over the tuples rel[i] with live[i]
+// set, in position order, covering levels [lo, hi].
+func NewTailSumFromRelation(rel Relation, live []bool, lo, hi int) *TailSum {
 	ts := NewTailSum(lo, hi)
-	for _, x := range rel {
-		if !x.Dist.IsCertain() {
+	for i, x := range rel {
+		if live[i] {
 			ts.Add(x.Dist)
 		}
 	}
 	return ts
+}
+
+// Clone returns an independent copy of the accumulator: O(levels),
+// whatever its member count.
+func (ts *TailSum) Clone() *TailSum {
+	return &TailSum{lo: ts.lo, hi: ts.hi, sum: slices.Clone(ts.sum), n: ts.n}
 }
 
 // Lo returns the lowest covered level.
@@ -123,18 +130,4 @@ func (ts *TailSum) AtExcluding(d Dist, t int) float64 {
 		return 0
 	}
 	return s
-}
-
-// relationRange returns the [lo, hi] level span of a relation, (0,0) when
-// empty.
-func relationRange(rel Relation) (lo, hi int) {
-	lo, hi = int(^uint(0)>>1), -int(^uint(0)>>1)-1
-	for _, x := range rel {
-		lo = min(lo, x.Dist.Min)
-		hi = max(hi, x.Dist.Max())
-	}
-	if lo > hi {
-		lo, hi = 0, 0
-	}
-	return lo, hi
 }

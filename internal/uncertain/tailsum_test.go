@@ -77,18 +77,27 @@ func TestTailSumEmptyIsZero(t *testing.T) {
 	}
 }
 
-func TestTailSumFromRelationSkipsCertain(t *testing.T) {
+// TestTailSumFromRelationReadsLiveOnly: the builder adds exactly the
+// live tuples (a dead uncertain one included), and a clone is
+// independent of its original.
+func TestTailSumFromRelationReadsLiveOnly(t *testing.T) {
 	rel := Relation{
 		{ID: 0, Dist: Certain(3)},
 		{ID: 1, Dist: MustDist(0, []float64{0.5, 0.5})},
 		{ID: 2, Dist: Certain(7)},
+		{ID: 3, Dist: MustDist(0, []float64{0.25, 0.75})},
 	}
-	ts := NewTailSumFromRelation(rel)
+	ts := NewTailSumFromRelation(rel, []bool{false, true, false, false}, 0, 7)
 	if ts.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (certain tuples excluded)", ts.Len())
+		t.Fatalf("Len = %d, want 1 (only live tuples)", ts.Len())
 	}
 	if math.Abs(ts.At(0)-0.5) > 1e-12 {
 		t.Fatalf("T(0) = %v, want 0.5", ts.At(0))
+	}
+	c := ts.Clone()
+	c.Remove(rel[1].Dist)
+	if c.Len() != 0 || c.At(0) != 0 || ts.Len() != 1 || math.Abs(ts.At(0)-0.5) > 1e-12 {
+		t.Fatalf("clone not independent: clone Len %d T(0) %v, original Len %d T(0) %v", c.Len(), c.At(0), ts.Len(), ts.At(0))
 	}
 }
 
@@ -121,13 +130,14 @@ func TestUnionBoundIsValidLowerBound(t *testing.T) {
 		for i := range rel {
 			rel[i] = XTuple{ID: i, Dist: randomDist(r, 4, 6)}
 		}
+		live := make([]bool, n)
 		var unc Relation
-		for _, x := range rel {
-			if !x.Dist.IsCertain() {
+		for i, x := range rel {
+			if live[i] = !x.Dist.IsCertain(); live[i] {
 				unc = append(unc, x)
 			}
 		}
-		ts := NewTailSumFromRelation(rel)
+		ts := NewTailSumFromRelation(rel, live, 0, 10)
 		for lvl := -1; lvl <= 11; lvl++ {
 			exact := BruteTopkProb(unc, lvl)
 			lower := 1 - ts.At(lvl)
