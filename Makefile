@@ -84,8 +84,9 @@ bench-diff:
 # internal/eql line is a script's bind at two video lengths (equal B/op
 # means bind reads no frame) and a warm execution; the core/engine line
 # is Phase 2's start — preparing D0, starting a run with and without an
-# overlay, and a frame query's Execute; the last line is the Phase 1
-# kernels — one Fit, one grid point, one decoded frame (0 allocs).
+# overlay, and a frame and a window query's Execute, uncached and under
+# an overlay; the last line is the Phase 1 kernels — one Fit, one grid
+# point, one decoded frame (0 allocs).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SessionConcurrent|SessionSharedCache|SessionCoalesced|OracleMux|StreamingIngest|FollowDeltas|EQLScript' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BindScript|ExecWarm' -benchtime 1x -benchmem ./internal/eql

@@ -298,3 +298,34 @@ func TestTailgateQuery(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAtResolutionsOffTheFeatureGrid: a resolution whose sides are
+// not multiples of 4 gets a partial edge band on each axis, and the
+// proxy's input width has to count it — at 66×66 and 60×62 Run used to
+// panic in its first Dense layer. Below 8×8 the pooled proxy has no
+// grid to pool over, and Run says so instead of fitting NaNs.
+func TestRunAtResolutionsOffTheFeatureGrid(t *testing.T) {
+	udf := vision.CountUDF{Class: video.ClassCar}
+	source := func(w, h int) *video.Synthetic {
+		s, err := video.NewSynthetic(video.Config{
+			Name: "e2e", Kind: video.KindTraffic, Class: video.ClassCar,
+			Frames: 1200, FPS: 30, W: w, H: h, Seed: 71, MeanPopulation: 3, BurstRate: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, wh := range [][2]int{{66, 66}, {60, 62}} {
+		res, err := Run(source(wh[0], wh[1]), udf, smallCfg(3))
+		if err != nil {
+			t.Fatalf("%dx%d: %v", wh[0], wh[1], err)
+		}
+		if len(res.IDs) != 3 {
+			t.Fatalf("%dx%d: %d results, want 3", wh[0], wh[1], len(res.IDs))
+		}
+	}
+	if _, err := Run(source(6, 6), udf, smallCfg(3)); err == nil {
+		t.Fatal("a 6x6 video ran with the pooled proxy")
+	}
+}

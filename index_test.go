@@ -301,8 +301,16 @@ func TestLoadIndexRejectsInconsistentArtifact(t *testing.T) {
 		}
 	}
 	cases := map[string]func(a *engine.Artifact){
-		"short RepOf":                  func(a *engine.Artifact) { a.RepOf = a.RepOf[:600] },
-		"out-of-range representative":  func(a *engine.Artifact) { a.RepOf[17] = 1200 },
+		"short RepOf":                 func(a *engine.Artifact) { a.RepOf = a.RepOf[:600] },
+		"out-of-range representative": func(a *engine.Artifact) { a.RepOf[17] = 1200 },
+		"representative represented elsewhere": func(a *engine.Artifact) {
+			for x, r := range a.RepOf {
+				if int(r) != x {
+					a.RepOf[r] = int32(x)
+					return
+				}
+			}
+		},
 		"unsorted Retained":            func(a *engine.Artifact) { a.Retained[3], a.Retained[4] = a.Retained[4], a.Retained[3] },
 		"retained frame with no score": func(a *engine.Artifact) { delete(a.Mixtures, unlabelled) },
 	}
@@ -349,9 +357,10 @@ func (u truthCount) Score(_ video.Source, ids []int) []float64 {
 }
 
 // uncachedQueryBytes ingests frames frames of Archie and returns the
-// bytes one uncached frame query allocates once the index is warm (the
-// mean of five), with the index's retained-frame count.
-func uncachedQueryBytes(t *testing.T, frames int) (float64, int) {
+// bytes one uncached query of window frames (0: a frame query)
+// allocates once the index is warm (the mean of five), with the size of
+// its relation: the retained frames, or the windows.
+func uncachedQueryBytes(t *testing.T, frames, window int) (float64, int) {
 	t.Helper()
 	spec, err := video.DatasetByName("Archie")
 	if err != nil {
@@ -368,6 +377,7 @@ func uncachedQueryBytes(t *testing.T, frames int) (float64, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Window = window
 	oracle := truthCount{udf, src}
 	if _, err := ix.Query(src, oracle, cfg); err != nil { // prepares the D0 base
 		t.Fatal(err)
@@ -381,7 +391,11 @@ func uncachedQueryBytes(t *testing.T, frames int) (float64, int) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / reps, len(ix.art.Retained)
+	tuples := len(ix.art.Retained)
+	if window > 0 {
+		tuples = frames / window
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / reps, tuples
 }
 
 // TestUncachedQueryCopiesNoRelation: an uncached query reads the index's
@@ -393,12 +407,33 @@ func TestUncachedQueryCopiesNoRelation(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's own allocations are counted")
 	}
-	shortB, shortN := uncachedQueryBytes(t, 2000)
-	longB, longN := uncachedQueryBytes(t, 8000)
+	shortB, shortN := uncachedQueryBytes(t, 2000, 0)
+	longB, longN := uncachedQueryBytes(t, 8000, 0)
 	perFrame := (longB - shortB) / float64(longN-shortN)
 	t.Logf("%d → %d retained frames: %.0f → %.0f B per query, %.1f B per added frame", shortN, longN, shortB, longB, perFrame)
 	if perFrame > 24 {
 		t.Fatalf("an uncached query allocates %.1f B per retained frame, budget 24", perFrame)
+	}
+}
+
+// TestUncachedWindowQueryBuildsNoRelation: an uncached window query
+// reads the shape's memoized, prepared relation in place — no window is
+// aggregated and no tuple copied. What it allocates grows by at most 48
+// bytes per window between two video lengths (a live flag and a 16-byte
+// ψ entry per uncertain window, and the confirmations of the few more
+// windows a longer video ranks: about 38 bytes in all); a per-query
+// copy of the 64-byte tuples alone would exceed it, and aggregating
+// every window and preparing the result per query cost about 450.
+func TestUncachedWindowQueryBuildsNoRelation(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's own allocations are counted")
+	}
+	shortB, shortN := uncachedQueryBytes(t, 2000, 10)
+	longB, longN := uncachedQueryBytes(t, 8000, 10)
+	perWindow := (longB - shortB) / float64(longN-shortN)
+	t.Logf("%d → %d windows: %.0f → %.0f B per query, %.1f B per added window", shortN, longN, shortB, longB, perWindow)
+	if perWindow > 48 {
+		t.Fatalf("an uncached window query allocates %.1f B per window, budget 48", perWindow)
 	}
 }
 
@@ -407,7 +442,11 @@ func TestUncachedQueryCopiesNoRelation(t *testing.T) {
 // query over 4,000 frames (about 3,800 retained) stays under 0.4 MB and
 // 550 allocations. Re-quantizing every mixture and re-hashing every
 // tuple per query took about 1.5 MB in 11,000; copying the base per
-// query, 0.57 MB in 496.
+// query, 0.57 MB in 496. An uncached query of 30-frame windows (133 of
+// them) reads the shape's memoized relation prepared, and stays under
+// 0.2 MB and 850 allocations — most of it the confirmations' decodes;
+// aggregating every window and preparing the result per query took
+// 0.23 MB in 1,027.
 func TestQueryAllocationBudget(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's own allocations are counted")
@@ -427,20 +466,31 @@ func TestQueryAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.Query(src, udf, cfg); err != nil { // builds the D0 base
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := ix.Query(src, udf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-	n := after.Mallocs - before.Mallocs
-	t.Logf("%d retained frames: %.2f MB in %d allocations", len(ix.art.Retained), mb, n)
-	if mb >= 0.4 || n >= 550 {
-		t.Fatalf("a warm frame query allocated %.2f MB in %d allocations, budget 0.4 MB in 550", mb, n)
+	for _, c := range []struct {
+		name   string
+		window int
+		mb     float64
+		allocs uint64
+	}{
+		{"frame", 0, 0.4, 550},
+		{"window", 30, 0.2, 850},
+	} {
+		cfg.Window = c.window
+		if _, err := ix.Query(src, udf, cfg); err != nil { // builds the D0 base
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ix.Query(src, udf, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		n := after.Mallocs - before.Mallocs
+		t.Logf("%s query, %d retained frames: %.2f MB in %d allocations", c.name, len(ix.art.Retained), mb, n)
+		if mb >= c.mb || n >= c.allocs {
+			t.Fatalf("a warm %s query allocated %.2f MB in %d allocations, budget %v MB in %d", c.name, mb, n, c.mb, c.allocs)
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ package cmdn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/everest-project/everest/internal/nn"
@@ -168,56 +169,89 @@ func ExtractFeatures(f video.Frame) []float64 {
 // AppendFeatures appends the ArchPooled feature vector of f to dst and
 // returns the extended slice — the allocation-free form of
 // ExtractFeatures for hot loops that reuse a scratch buffer.
+//
+// One raster pass advances the frame mean, the 8×8 cell sums and the
+// 4-row band sums together; the 4-column bands then run four at a time.
+// Every sum still adds its pixels in the order of the one-sum-per-pass
+// definition — a cell or row band row-major, a column band column by
+// column — so the features are bit-identical to it.
 func AppendFeatures(dst []float64, f video.Frame) []float64 {
-	// The inner sums range over contiguous row slices so the compiler can
-	// drop the per-pixel index arithmetic and bounds checks; the summation
-	// order is exactly the row-major order of the scalar-indexed original,
-	// so the emitted features are bit-identical.
 	const grid = 8
-	feats := dst
-	cellW, cellH := f.W/grid, f.H/grid
-	mean := 0.0
-	for _, v := range f.Pix {
-		mean += v
-	}
-	mean /= float64(len(f.Pix))
-	for gy := 0; gy < grid; gy++ {
-		for gx := 0; gx < grid; gx++ {
-			s := 0.0
-			x0 := gx * cellW
-			for y := gy * cellH; y < (gy+1)*cellH; y++ {
-				for _, v := range f.Pix[y*f.W+x0 : y*f.W+x0+cellW] {
+	w, h := f.W, f.H
+	cellW, cellH := w/grid, h/grid
+	rows, cols := (h+3)/4, (w+3)/4
+	at := len(dst)
+	feats := slices.Grow(dst, grid*grid+rows+cols+1)[:at+grid*grid+rows+cols+1]
+	out := feats[at:]
+	var cells [grid * grid]float64
+	mean, band := 0.0, 0.0
+	for y := 0; y < h; y++ {
+		row := f.Pix[y*w : (y+1)*w]
+		x := 0
+		if cellH > 0 && y < grid*cellH {
+			c := cells[y/cellH*grid:][:grid]
+			for gx := range c {
+				s := c[gx]
+				for _, v := range row[x : x+cellW] {
+					mean += v
+					band += v
 					s += v
 				}
+				c[gx] = s
+				x += cellW
 			}
-			feats = append(feats, s/float64(cellW*cellH)-mean)
+		}
+		for _, v := range row[x:] {
+			mean += v
+			band += v
+		}
+		if y%4 == 3 || y == h-1 {
+			out[grid*grid+y/4] = band
+			band = 0
 		}
 	}
-	// Coarse row/column profiles (4-pixel bands).
-	for y0 := 0; y0 < f.H; y0 += 4 {
+	mean /= float64(len(f.Pix))
+	for i, s := range cells {
+		out[i] = s/float64(cellW*cellH) - mean
+	}
+	for i, s := range out[grid*grid : grid*grid+rows] {
+		out[grid*grid+i] = s/float64(4*w) - mean
+	}
+	colOut := out[grid*grid+rows : grid*grid+rows+cols]
+	b := 0
+	for ; 4*b+16 <= w; b += 4 {
+		var s0, s1, s2, s3 float64
+		for x := 4 * b; x < 4*b+4; x++ {
+			for y := 0; y < h; y++ {
+				r := f.Pix[y*w+x:][:13]
+				s0 += r[0]
+				s1 += r[4]
+				s2 += r[8]
+				s3 += r[12]
+			}
+		}
+		colOut[b], colOut[b+1], colOut[b+2], colOut[b+3] = s0, s1, s2, s3
+	}
+	for ; b < cols; b++ {
 		s := 0.0
-		for y := y0; y < y0+4 && y < f.H; y++ {
-			for _, v := range f.Pix[y*f.W : (y+1)*f.W] {
-				s += v
+		for x := 4 * b; x < 4*b+4 && x < w; x++ {
+			for y := 0; y < h; y++ {
+				s += f.Pix[y*w+x]
 			}
 		}
-		feats = append(feats, s/float64(4*f.W)-mean)
+		colOut[b] = s
 	}
-	for x0 := 0; x0 < f.W; x0 += 4 {
-		s := 0.0
-		for x := x0; x < x0+4 && x < f.W; x++ {
-			for y := 0; y < f.H; y++ {
-				s += f.Pix[y*f.W+x]
-			}
-		}
-		feats = append(feats, s/float64(4*f.H)-mean)
+	for i, s := range colOut {
+		colOut[i] = s/float64(4*h) - mean
 	}
-	feats = append(feats, mean)
+	out[len(out)-1] = mean
 	return feats
 }
 
-// FeatureSize returns the ArchPooled feature length for a resolution.
-func FeatureSize(w, h int) int { return 64 + h/4 + w/4 + 1 }
+// FeatureSize returns the ArchPooled feature length for a resolution:
+// 64 cells, one per 4-row band and per 4-column band (a partial band at
+// the edge counts), and the mean.
+func FeatureSize(w, h int) int { return 64 + (h+3)/4 + (w+3)/4 + 1 }
 
 // InputFor prepares a frame for the given architecture: extracted features
 // for ArchPooled, raw pixels for ArchConv. The result is freshly
@@ -243,6 +277,9 @@ func AppendInput(dst []float64, arch Arch, f video.Frame) []float64 {
 func buildModel(cfg Config, hy Hyper, r *xrand.RNG) (*nn.Model, error) {
 	switch cfg.Arch {
 	case ArchPooled:
+		if cfg.FrameW < 8 || cfg.FrameH < 8 {
+			return nil, fmt.Errorf("cmdn: ArchPooled needs at least 8x8 pixels for its 8x8 grid, got %dx%d", cfg.FrameW, cfg.FrameH)
+		}
 		in := FeatureSize(cfg.FrameW, cfg.FrameH)
 		backbone := nn.NewSequential(
 			nn.NewDense(in, hy.H, r),

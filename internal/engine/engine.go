@@ -39,8 +39,8 @@ type Binding struct {
 	Clock *simclock.Clock
 	// Pool, when non-nil, is a caller-owned resident worker pool (an
 	// ingest-plus-query run shares one across both stages) for window
-	// aggregation; nil makes a window plan's Execute create and close
-	// its own when Procs > 1.
+	// aggregation — a shape's first build and a query's re-aggregation;
+	// nil runs them on transient goroutines when Procs > 1.
 	Pool *workpool.Pool
 	// Dispatch, when non-nil, routes the plan's oracle confirmation
 	// batches through this multiplexer instead of invoking the UDF
@@ -196,11 +196,12 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 		return scores, nil
 	}
 
-	// A window query builds its relation; a frame query reads the
-	// artifact's prepared D0 in place, under the overlay as a view.
+	// Both query kinds start from the artifact's memoized D0: a frame
+	// query reads it prepared, in place, under the overlay as a view; a
+	// window query reads its shape's memo as the branch below says.
 	var rel uncertain.Relation
 	var base *core.Base
-	var frames []windows.FrameScore
+	var over func(id int) (int, bool)
 	var tuples int
 	var oracle core.Oracle
 	// The frame-level oracle above charges its own per-frame cost, so the
@@ -209,19 +210,22 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 	engineCost.OracleMS = 0
 	var err error
 	if p.Window.Enabled() {
-		// Window aggregation is Execute's one fan-out: it runs on the
-		// caller's resident pool, or on one made for this call.
-		pool := b.Pool
-		if pool == nil {
-			if pool = p.WorkerPool(); pool != nil {
-				defer pool.Close()
-			}
+		// A window query reads the shape's memoized relation: prepared in
+		// place when the overlay touches no window, else a copy with the
+		// touched windows re-aggregated.
+		var v windowView
+		if v, err = b.Artifact.windowMemo(p.Window, qopt, p.Procs, b.Pool); err != nil {
+			return nil, err
 		}
-		rel, err = b.Artifact.WindowRelation(p.Window, qopt, b.Labels, p.Procs, pool)
+		if ids := v.touched(b.Labels); ids == nil {
+			base, err = b.Artifact.windowBase(v, p.Bound())
+		} else {
+			rel, err = v.relation(ids, b.Labels)
+		}
 		if err != nil {
 			return nil, err
 		}
-		tuples = len(rel)
+		tuples = len(v.rel)
 		oracle = &windows.Oracle{
 			ScoreFrames: scoreFrames,
 			Size:        p.Window.Size,
@@ -231,10 +235,11 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 			Seed:        p.Seed,
 		}
 	} else {
-		base, frames, err = b.Artifact.frameBase(qopt, p.Bound())
-		if err != nil {
+		var frames []windows.FrameScore
+		if base, frames, err = b.Artifact.frameBase(qopt, p.Bound()); err != nil {
 			return nil, err
 		}
+		over = overlayView(b.Labels, frames, qopt)
 		tuples = base.Len()
 		oracle = core.OracleFunc(func(ids []int) ([]int, error) {
 			scores, err := scoreFrames(ids)
@@ -269,7 +274,7 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 	}
 	var eng *core.Engine
 	if base != nil {
-		eng, err = base.Start(coreCfg, overlayView(b.Labels, frames, qopt), oracle, clock, engineCost)
+		eng, err = base.Start(coreCfg, over, oracle, clock, engineCost)
 	} else {
 		eng, err = core.NewEngine(rel, coreCfg, oracle, clock, engineCost)
 	}

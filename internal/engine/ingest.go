@@ -44,16 +44,20 @@ type Artifact struct {
 	// relation build and extended over the tail after an Append: scores
 	// is Phase 1's knowledge per frame, d0 the quantized frame relation
 	// under d0Opt, d0Prep that relation prepared for Phase 2 under
-	// d0Bound (nil until a frame query asks). mu guards these fields,
-	// never the data above — concurrent queries share one artifact, and
-	// Append keeps its "no query in flight" contract. An Artifact must
-	// not be copied by value; use Clone.
-	mu      sync.Mutex
-	scores  []windows.FrameScore
-	d0      uncertain.Relation
-	d0Opt   uncertain.QuantizeOptions
-	d0Prep  *core.Base
-	d0Bound core.BoundKind
+	// d0Bound (nil until a frame query asks), wins the window relations
+	// of the most recently used shapes, and span the largest distance
+	// from a frame to its representative over the first spanN frames.
+	// mu guards these fields, never the data above — concurrent queries
+	// share one artifact, and Append keeps its "no query in flight"
+	// contract. An Artifact must not be copied by value; use Clone.
+	mu          sync.Mutex
+	scores      []windows.FrameScore
+	d0          uncertain.Relation
+	d0Opt       uncertain.QuantizeOptions
+	d0Prep      *core.Base
+	d0Bound     core.BoundKind
+	wins        []*windowD0
+	span, spanN int
 }
 
 // Clone returns a deep copy of the artifact's data with an empty memo:
@@ -190,8 +194,9 @@ func (a *Artifact) Validate() error {
 }
 
 // check verifies the structural invariants every ingested artifact
-// holds: RepOf covers every frame, Retained is strictly ascending and
-// in range, and every labelled or mixture-scored frame is a real frame.
+// holds: RepOf covers every frame and maps it to a frame that
+// represents itself, Retained is strictly ascending and in range, and
+// every labelled or mixture-scored frame is a real frame.
 func (a *Artifact) check() error {
 	n := a.TotalFrames
 	if n < 0 {
@@ -203,6 +208,13 @@ func (a *Artifact) check() error {
 	for i, rep := range a.RepOf {
 		if rep < 0 || int(rep) >= n {
 			return fmt.Errorf("frame %d has out-of-range representative %d", i, rep)
+		}
+	}
+	// The window memo finds the frames a representative stands for by
+	// its own RepOf entry, so a representative must represent itself.
+	for i, rep := range a.RepOf {
+		if a.RepOf[rep] != rep {
+			return fmt.Errorf("frame %d is represented by frame %d, which is not its own representative", i, rep)
 		}
 	}
 	prev := int32(-1)

@@ -2,6 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/everest-project/everest/internal/core"
@@ -169,24 +172,223 @@ func (a *Artifact) FrameRelation(qopt uncertain.QuantizeOptions, labels *labelst
 	return rel, nil
 }
 
-// WindowRelation builds the window-level D0 (Eq. 9) from the artifact's
-// frame table and segment structure. labels, when non-nil, supplies
-// exact scores confirmed by earlier queries over the same cache; it
-// must not be mutated while this runs (the score lookup fans out over
-// the query's workers).
-func (a *Artifact) WindowRelation(w WindowSpec, qopt uncertain.QuantizeOptions, labels *labelstore.Overlay, procs int, pool *workpool.Pool) (uncertain.Relation, error) {
+// The window memo is the same idea one level up: per window shape, the
+// relation Eq. 9 gives with no overlay, built by the first query of the
+// shape and extended over the new windows after an Append (a window
+// that ends within the old frames reads only old frames and old
+// representatives, so it is unchanged). A query then re-aggregates only
+// the windows its overlay touches — those with a representative the
+// overlay labels and Phase 1 did not — with the very function that
+// built the memo, so every window is what a full build would give it.
+// A query that touches none reads the memo's prepared base in place.
+
+// maxWindowShapes bounds the window memo: the most recently used shapes
+// stay, the least recently used is dropped. No workload asks more than
+// three shapes of one index.
+const maxWindowShapes = 4
+
+// windowKey identifies a memoized window relation: the shape, stride
+// resolved, under one quantization.
+type windowKey struct {
+	size, stride int
+	qopt         uncertain.QuantizeOptions
+}
+
+// windowD0 is one shape's memo entry. rel is every window aggregated
+// with no overlay; failed lists the windows whose aggregation failed
+// (their tuples are placeholders, and every query re-aggregates them,
+// so its error is the lowest failing window under its own overlay);
+// prep is rel prepared for Phase 2 under bound, nil until a query that
+// touches no window asks, and dropped when rel is extended. Guarded by
+// the artifact's mu; a published tuple or failed entry is never written
+// again (an extension appends past the ones a query may hold).
+type windowD0 struct {
+	key    windowKey
+	rel    uncertain.Relation
+	failed []int
+	prep   *core.Base
+	bound  core.BoundKind
+}
+
+// windowView is what one query reads of a memo entry, taken under a.mu:
+// the entry's relation and failed windows, the frame table and segment
+// structure they were built from, the span D, and the aggregation
+// options (the query's workers).
+type windowView struct {
+	entry  *windowD0
+	rel    uncertain.Relation
+	failed []int
+	scores []windows.FrameScore
+	diff   diffdet.Result
+	span   int
+	opt    windows.Options
+}
+
+// windowMemo returns the view of the shape's memo entry, building the
+// entry — on the given workers — if the shape is new, and extending it
+// over the windows appended since it was built.
+func (a *Artifact) windowMemo(w WindowSpec, qopt uncertain.QuantizeOptions, procs int, pool *workpool.Pool) (windowView, error) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	scores, err := a.frameScores()
-	a.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return windowView{}, err
 	}
-	diff := diffdet.Result{RepOf: a.RepOf}
+	key := windowKey{size: w.Size, stride: w.Stride, qopt: qopt}
+	if key.stride <= 0 {
+		key.stride = key.size
+	}
 	maxLevel := 0
-	if qopt.MaxLevel > 0 && qopt.MaxLevel < int(^uint(0)>>1) {
+	if qopt.MaxLevel > 0 && qopt.MaxLevel < math.MaxInt {
 		maxLevel = qopt.MaxLevel
 	}
-	return windows.BuildRelation(func(rep int) windows.FrameScore {
+	v := windowView{
+		scores: scores,
+		diff:   diffdet.Result{RepOf: a.RepOf},
+		span:   a.repSpan(),
+		opt:    windows.Options{Size: key.size, Stride: key.stride, Step: qopt.Step, MaxLevel: maxLevel, Procs: procs, Pool: pool},
+	}
+	e := a.windowEntry(key)
+	fresh := e == nil
+	if fresh {
+		e = &windowD0{key: key}
+	}
+	if fresh || len(e.rel) < windows.NumSlidingWindows(a.TotalFrames, key.size, key.stride) {
+		rel, failed, err := windows.Extend(e.rel, func(rep int) windows.FrameScore { return scores[rep] }, v.diff, v.opt)
+		if err != nil {
+			return windowView{}, err
+		}
+		e.rel, e.prep = rel, nil
+		if len(failed) > 0 {
+			e.failed = append(slices.Clip(e.failed), failed...)
+		}
+		if fresh {
+			a.wins = append([]*windowD0{e}, a.wins[:min(len(a.wins), maxWindowShapes-1)]...)
+		}
+	}
+	v.entry, v.rel, v.failed = e, e.rel, e.failed
+	return v, nil
+}
+
+// windowEntry returns the memo entry for key, moved to the front of the
+// recency order, or nil. The caller holds a.mu.
+func (a *Artifact) windowEntry(key windowKey) *windowD0 {
+	for i, e := range a.wins {
+		if e.key == key {
+			copy(a.wins[1:i+1], a.wins[:i])
+			a.wins[0] = e
+			return e
+		}
+	}
+	return nil
+}
+
+// repSpan returns D = max |i − RepOf[i]|, the farthest any frame lies
+// from its representative, extending the memoized value over frames
+// appended since. The caller holds a.mu.
+func (a *Artifact) repSpan() int {
+	for i := a.spanN; i < len(a.RepOf); i++ {
+		d := i - int(a.RepOf[i])
+		a.span = max(a.span, d, -d)
+	}
+	a.spanN = len(a.RepOf)
+	return a.span
+}
+
+// windowBase returns the view's relation prepared for Phase 2 under the
+// given bound, memoized on its entry: for a query that re-aggregates no
+// window and so reads the memo as it is.
+func (a *Artifact) windowBase(v windowView, bound core.BoundKind) (*core.Base, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	e := v.entry
+	if e.prep == nil || e.bound != bound {
+		prep, err := core.Prepare(v.rel, bound)
+		if err != nil {
+			return nil, err
+		}
+		e.prep, e.bound = prep, bound
+	}
+	return e.prep, nil
+}
+
+// touched returns, ascending, the windows a query under labels must
+// re-aggregate — nil when it can read the memo as it is. A window is
+// touched when one of its representatives is labelled by the overlay
+// and not by Phase 1 (the only way an overlay changes Eq. 9), and
+// every failed window is touched. The overlay is walked, not the
+// windows: each representative it labels marks the windows overlapping
+// the frames it represents, found within ±D of it. Marking a window
+// that did not change is harmless — re-aggregating it gives it back.
+func (v windowView) touched(labels *labelstore.Overlay) []int {
+	n := len(v.rel)
+	var marks []uint64
+	mark := func(lo, hi int) {
+		if marks == nil {
+			marks = make([]uint64, (n+63)/64)
+		}
+		for w := lo; w <= hi; w++ {
+			marks[w>>6] |= 1 << (w & 63)
+		}
+	}
+	for _, w := range v.failed {
+		mark(w, w)
+	}
+	repOf, size, stride := v.diff.RepOf, v.opt.Size, v.opt.Stride
+	labels.Range(func(f int, _ float64) bool {
+		if f < 0 || f >= len(repOf) || int(repOf[f]) != f || v.scores[f].IsExact {
+			return true
+		}
+		lo, hi := f, f
+		for i := max(0, f-v.span); i < f; i++ {
+			if int(repOf[i]) == f {
+				lo = i
+				break
+			}
+		}
+		for i := min(len(repOf)-1, f+v.span); i > f; i-- {
+			if int(repOf[i]) == f {
+				hi = i
+				break
+			}
+		}
+		// Window w covers [w·stride, w·stride+size).
+		first := 0
+		if lo >= size {
+			first = (lo-size)/stride + 1
+		}
+		if last := min(n-1, hi/stride); first <= last {
+			mark(first, last)
+		}
+		return true
+	})
+	count := 0
+	for _, m := range marks {
+		count += bits.OnesCount64(m)
+	}
+	if count == 0 {
+		return nil
+	}
+	ids := make([]int, 0, count)
+	for i, m := range marks {
+		for ; m != 0; m &= m - 1 {
+			ids = append(ids, i<<6+bits.TrailingZeros64(m))
+		}
+	}
+	return ids
+}
+
+// relation returns a copy of the view's relation with the windows ids
+// re-aggregated under labels — Eq. 9 with the overlay's exact scores on
+// the representatives it labels and Phase 1 did not.
+func (v windowView) relation(ids []int, labels *labelstore.Overlay) (uncertain.Relation, error) {
+	rel := make(uncertain.Relation, len(v.rel))
+	copy(rel, v.rel)
+	if len(ids) == 0 {
+		return rel, nil
+	}
+	scores := v.scores
+	err := windows.Reaggregate(rel, ids, func(rep int) windows.FrameScore {
 		fs := scores[rep]
 		if !fs.IsExact {
 			if s, ok := labels.Get(rep); ok {
@@ -194,5 +396,25 @@ func (a *Artifact) WindowRelation(w WindowSpec, qopt uncertain.QuantizeOptions, 
 			}
 		}
 		return fs
-	}, diff, windows.Options{Size: w.Size, Stride: w.Stride, Step: qopt.Step, MaxLevel: maxLevel, Procs: procs, Pool: pool})
+	}, v.diff, v.opt)
+	if err != nil {
+		return nil, err
+	}
+	return rel, nil
+}
+
+// WindowRelation builds the window-level D0 (Eq. 9): a copy of the
+// shape's memoized relation with the windows the overlay touches
+// re-aggregated — what Execute runs a window query over whenever the
+// overlay touches a window. labels, when non-nil, supplies exact scores
+// confirmed by earlier queries over the same cache; it must not be
+// mutated while this runs. procs and pool are the workers the shape's
+// first build and the re-aggregation fan out on (nil pool: transient
+// goroutines).
+func (a *Artifact) WindowRelation(w WindowSpec, qopt uncertain.QuantizeOptions, labels *labelstore.Overlay, procs int, pool *workpool.Pool) (uncertain.Relation, error) {
+	v, err := a.windowMemo(w, qopt, procs, pool)
+	if err != nil {
+		return nil, err
+	}
+	return v.relation(v.touched(labels), labels)
 }

@@ -75,15 +75,18 @@ func referenceWindowRelation(a *Artifact, w WindowSpec, qopt uncertain.QuantizeO
 // frames labelled in Phase 1, the rest scored by a 1–3 component
 // mixture (some far below zero, so the clamp and collapse paths of
 // Quantize run too).
-func randomArtifact(r *xrand.RNG, n int) *Artifact {
+func randomArtifact(r *xrand.RNG, n int) *Artifact { return randomArtifactClips(r, n, 10) }
+
+// randomArtifactClips is randomArtifact with clips of the given length.
+func randomArtifactClips(r *xrand.RNG, n, clip int) *Artifact {
 	a := &Artifact{
 		Dataset: "random", UDFName: "count", TotalFrames: n,
 		RepOf:    make([]int32, n),
 		Exact:    map[int32]float64{},
 		Mixtures: map[int32]uncertain.Mixture{},
 	}
-	for lo := 0; lo < n; lo += 10 {
-		hi := min(lo+10, n)
+	for lo := 0; lo < n; lo += clip {
+		hi := min(lo+clip, n)
 		mid := int32(lo + (hi-lo)/2)
 		for f := lo; f < hi; f++ {
 			if int32(f) == mid || r.Intn(3) == 0 {
@@ -191,19 +194,16 @@ func (tableUDF) Score(_ video.Source, ids []int) []float64 {
 func (u tableUDF) Quantize() uncertain.QuantizeOptions        { return u.qopt }
 func (tableUDF) OracleCostMS(cost simclock.CostModel) float64 { return cost.OracleMS }
 
-// referenceExecute is a frame plan's Execute the way it ran before it
-// read the prepared D0 in place: referenceFrameRelation materializes the
-// relation under the overlay and core.NewEngine runs over the copy. The
+// referenceExecute is Execute the way it ran before it read a memoized
+// D0: the reference builders materialize the plan's relation — frames
+// or windows — under the overlay, and core.NewEngine runs over it. The
 // oracle is Execute's own frame oracle without retries, mux or lanes:
-// overlay hits are free, misses are scored, recorded and charged.
+// overlay hits are free, misses are scored, recorded and charged; a
+// window plan confirms through windows.Oracle on top of it.
 func referenceExecute(p Plan, a *Artifact, src video.Source, udf vision.UDF, labels *labelstore.Overlay) (*Outcome, error) {
 	qopt := udf.Quantize()
-	rel, err := referenceFrameRelation(a, qopt, labels)
-	if err != nil {
-		return nil, err
-	}
 	clock := simclock.NewClock()
-	oracle := core.OracleFunc(func(ids []int) ([]int, error) {
+	scoreFrames := func(ids []int) ([]float64, error) {
 		scores := make([]float64, len(ids))
 		var missAt, missIDs []int
 		for i, id := range ids {
@@ -222,12 +222,32 @@ func referenceExecute(p Plan, a *Artifact, src video.Source, udf vision.UDF, lab
 			}
 			clock.Charge(simclock.PhaseConfirm, float64(len(missIDs))*udf.OracleCostMS(p.Cost))
 		}
-		levels := make([]int, len(ids))
-		for i, s := range scores {
-			levels[i] = uncertain.LevelOf(s, qopt.Step)
-		}
-		return levels, nil
-	})
+		return scores, nil
+	}
+	var rel uncertain.Relation
+	var oracle core.Oracle
+	var err error
+	if p.Window.Enabled() {
+		rel, err = referenceWindowRelation(a, p.Window, qopt, labels)
+		oracle = &windows.Oracle{ScoreFrames: scoreFrames, Size: p.Window.Size, Stride: p.Window.Stride,
+			SampleFrac: p.Window.SampleFrac, Step: qopt.Step, Seed: p.Seed}
+	} else {
+		rel, err = referenceFrameRelation(a, qopt, labels)
+		oracle = core.OracleFunc(func(ids []int) ([]int, error) {
+			scores, _ := scoreFrames(ids)
+			levels := make([]int, len(ids))
+			for i, s := range scores {
+				levels[i] = uncertain.LevelOf(s, qopt.Step)
+			}
+			return levels, nil
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	if p.K > len(rel) {
+		return nil, fmt.Errorf("everest: K=%d exceeds relation size %d", p.K, len(rel))
+	}
 	cost := p.Cost
 	cost.OracleMS = 0
 	eng, err := core.NewEngine(rel, core.Config{
@@ -491,32 +511,51 @@ func benchArtifact() (*Artifact, labelstore.Map) {
 	return a, base
 }
 
-// BenchmarkExecute is a warm frame query over the bench artifact:
-// uncached reads the prepared D0 as it is, overlay under a fresh overlay
-// over the cache snapshot (the view path: the joint CDF summed over the
-// view, as a materialized copy would have it).
+// BenchmarkExecute is a warm query over the bench artifact, uncached
+// or under a fresh overlay over the cache snapshot. A frame query reads
+// the prepared D0 as it is (uncached) or through the overlay's view (the
+// joint CDF summed over the view, as a materialized copy would have
+// it); a 30-frame window query reads the shape's prepared relation as it
+// is (window_uncached) or copies it and re-aggregates the windows the
+// overlay touches (window_overlay).
 func BenchmarkExecute(b *testing.B) {
 	a, snapshot := benchArtifact()
 	udf := tableUDF{uncertain.DefaultCountingOptions()}
-	p := testPlan(10)
-	plan, err := NewPlan(p)
+	frame, err := NewPlan(testPlan(10))
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The first query memoizes D0 and prepares it; both cases time the
-	// warm path.
-	if _, err := Execute(plan, Binding{UDF: udf, Artifact: a}); err != nil {
+	p := testPlan(10)
+	p.Window = testWindows[0]
+	window, err := NewPlan(p)
+	if err != nil {
 		b.Fatal(err)
 	}
-	for _, name := range []string{"uncached", "overlay"} {
-		b.Run(name, func(b *testing.B) {
+	// The first query of each kind memoizes its D0 and prepares it; every
+	// case times the warm path.
+	for _, plan := range []Plan{frame, window} {
+		if _, err := Execute(plan, Binding{UDF: udf, Artifact: a}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		plan    Plan
+		overlay bool
+	}{
+		{"uncached", frame, false},
+		{"overlay", frame, true},
+		{"window_uncached", window, false},
+		{"window_overlay", window, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				var labels *labelstore.Overlay
-				if name == "overlay" {
+				if c.overlay {
 					labels = labelstore.NewOverlay(snapshot)
 				}
-				if _, err := Execute(plan, Binding{UDF: udf, Artifact: a, Labels: labels}); err != nil {
+				if _, err := Execute(c.plan, Binding{UDF: udf, Artifact: a, Labels: labels}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -253,6 +253,33 @@ func (o *Overlay) Set(f int, v float64) {
 	o.fresh[f] = v
 }
 
+// Range calls fn for every label the overlay holds, each frame once
+// with the score Get returns: the base snapshot's labels in ascending
+// frame order (skipping any a fresh label overrides), then the fresh
+// labels in no fixed order. It stops early when fn returns false. Like
+// Get, it must not run concurrently with Set.
+func (o *Overlay) Range(fn func(f int, v float64) bool) {
+	if o == nil {
+		return
+	}
+	stopped := false
+	o.base.Range(func(f int, v float64) bool {
+		if _, ok := o.fresh[f]; ok {
+			return true
+		}
+		stopped = !fn(f, v)
+		return !stopped
+	})
+	if stopped {
+		return
+	}
+	for f, v := range o.fresh {
+		if !fn(f, v) {
+			return
+		}
+	}
+}
+
 // Fresh returns the labels recorded since the overlay was created —
 // exactly what the query must publish back to the shared cache. The
 // map is the overlay's own; callers take ownership after the query

@@ -167,6 +167,45 @@ func TestOverlay(t *testing.T) {
 // TestSharedCacheVersioning checks the versioned-publish contract:
 // snapshots pin a version, publishes advance it monotonically, and a
 // pinned snapshot never sees later labels.
+// TestOverlayRange: Range visits every label once with the score Get
+// returns — base labels ascending, a fresh label in place of the base
+// one it overrides, then the fresh-only ones — and stops when told.
+func TestOverlayRange(t *testing.T) {
+	var nilOverlay *Overlay
+	nilOverlay.Range(func(int, float64) bool { t.Fatal("a nil overlay has no labels"); return true })
+	var base Map
+	for _, f := range []int{3, 40, 7, 1000} {
+		base = base.Set(f, float64(f))
+	}
+	o := NewOverlay(base)
+	o.Set(40, -1)
+	o.Set(5, -2)
+	seen := map[int]float64{}
+	var order []int
+	o.Range(func(f int, v float64) bool {
+		if _, dup := seen[f]; dup {
+			t.Fatalf("frame %d visited twice", f)
+		}
+		if want, _ := o.Get(f); v != want {
+			t.Fatalf("frame %d visited with %v, Get says %v", f, v, want)
+		}
+		seen[f] = v
+		order = append(order, f)
+		return true
+	})
+	if len(seen) != 5 {
+		t.Fatalf("visited %v, want 5 frames", seen)
+	}
+	if !sort.IntsAreSorted(order[:3]) || order[0] != 3 || order[2] != 1000 {
+		t.Fatalf("base labels visited in order %v, want 3 7 1000 first", order)
+	}
+	calls := 0
+	o.Range(func(int, float64) bool { calls++; return false })
+	if calls != 1 {
+		t.Fatalf("Range went on for %d calls after fn returned false", calls)
+	}
+}
+
 func TestSharedCacheVersioning(t *testing.T) {
 	c := NewSharedCache()
 	m0, v0 := c.Snapshot()

@@ -3,6 +3,7 @@ package windows
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/everest-project/everest/internal/uncertain"
@@ -76,5 +77,68 @@ func TestBuildRelationParallelErrorMatchesSerial(t *testing.T) {
 	}
 	if parErr.Error() != serialErr.Error() {
 		t.Fatalf("parallel error %q != serial %q", parErr, serialErr)
+	}
+}
+
+// TestExtendAndReaggregateMatchBuildRelation: extending a relation built
+// over a prefix of the frames gives BuildRelation's relation over all of
+// them — the prefix's tuples kept, not rebuilt — and reports the new
+// windows that fail; re-aggregating some windows under another scoreOf
+// gives them exactly BuildRelation's distributions under it, with the
+// lowest failing window's error.
+func TestExtendAndReaggregateMatchBuildRelation(t *testing.T) {
+	bad := func(rep int) FrameScore {
+		if rep == 140 || rep == 350 {
+			return FrameScore{Mix: uncertain.Mixture{{Weight: 1, Mean: 1, Sigma: math.NaN()}}}
+		}
+		return mixedScore(rep)
+	}
+	for _, opt := range []Options{{Size: 30, Step: 0.5}, {Size: 40, Stride: 15, Step: 0.5, MaxLevel: 12, Procs: 4}} {
+		short, err := BuildRelation(mixedScore, segDiff(200, 7), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		long := segDiff(500, 7)
+		kept := slices.Clone(short)
+		ext, failed, err := Extend(short, bad, long, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(short, kept) || &ext[0].Dist.P[0] != &short[0].Dist.P[0] {
+			t.Fatal("Extend wrote into its input or rebuilt the prefix")
+		}
+		var wantFailed []int
+		for w := len(short); w < len(ext); w++ {
+			// A bad representative stands for itself and the six frames
+			// after it, and no window of these shapes starts among them.
+			lo := w * opt.stride()
+			if (lo <= 140 && 140 < lo+opt.Size) || (lo <= 350 && 350 < lo+opt.Size) {
+				wantFailed = append(wantFailed, w)
+			}
+		}
+		if !reflect.DeepEqual(failed, wantFailed) {
+			t.Fatalf("%+v: Extend reports failed windows %v, want %v", opt, failed, wantFailed)
+		}
+		// Re-aggregating the failed windows under a clean scoreOf heals
+		// the relation into BuildRelation's.
+		want, err := BuildRelation(mixedScore, long, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Reaggregate(ext, failed, mixedScore, long, opt); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ext, want) {
+			t.Fatalf("%+v: extended and healed relation differs from BuildRelation's", opt)
+		}
+		// Under the failing scoreOf the error is BuildRelation's.
+		all := make([]int, len(ext))
+		for i := range all {
+			all[i] = i
+		}
+		_, wantErr := BuildRelation(bad, long, opt)
+		if err := Reaggregate(append(uncertain.Relation(nil), ext...), all, bad, long, opt); wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%+v: Reaggregate error %v, BuildRelation's %v", opt, err, wantErr)
+		}
 	}
 }

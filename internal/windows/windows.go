@@ -17,6 +17,8 @@ package windows
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"github.com/everest-project/everest/internal/diffdet"
 	"github.com/everest-project/everest/internal/uncertain"
@@ -47,16 +49,16 @@ type Options struct {
 	// MaxLevel clamps window levels (use the UDF's bound); zero means
 	// unbounded.
 	MaxLevel int
-	// Procs bounds the workers BuildRelation aggregates windows on,
-	// following the engine-wide Config.Procs convention: zero or negative
-	// means GOMAXPROCS. Results are bit-identical for every value. When
-	// the effective worker count exceeds 1, scoreOf must be safe for
-	// concurrent calls (a read of immutable state, e.g. a map populated
-	// before the call).
+	// Procs bounds the workers BuildRelation, Extend and Reaggregate
+	// aggregate windows on, following the engine-wide Config.Procs
+	// convention: zero or negative means GOMAXPROCS. Results are
+	// bit-identical for every value. When the effective worker count
+	// exceeds 1, scoreOf must be safe for concurrent calls (a read of
+	// immutable state, e.g. a map populated before the call).
 	Procs int
 	// Pool, when non-nil, aggregates the windows on a caller-owned
-	// resident worker pool instead of transient goroutines (serving
-	// paths reuse one pool per query). Never affects results.
+	// resident worker pool instead of transient goroutines. Never
+	// affects results.
 	Pool *workpool.Pool
 }
 
@@ -94,63 +96,149 @@ func (o Options) Overlapping() bool { return o.stride() < o.Size }
 // error, always the lowest failing window's — are bit-identical to the
 // serial scan for every worker count.
 func BuildRelation(scoreOf func(rep int) FrameScore, diff diffdet.Result, opt Options) (uncertain.Relation, error) {
-	if opt.Size <= 0 {
-		return nil, fmt.Errorf("windows: size must be positive, got %d", opt.Size)
+	s, err := shapeOf(diff, opt)
+	if err != nil {
+		return nil, err
 	}
-	if opt.Step <= 0 {
-		return nil, fmt.Errorf("windows: step must be positive, got %v", opt.Step)
-	}
-	stride := opt.stride()
-	n := diff.NumFrames()
-	nw := NumSlidingWindows(n, opt.Size, stride)
-	if nw == 0 {
-		return nil, fmt.Errorf("windows: no complete window of %d frames in %d", opt.Size, n)
-	}
-	maxLevel := opt.MaxLevel
-	if maxLevel == 0 {
-		maxLevel = math.MaxInt
-	}
-	qopt := uncertain.QuantizeOptions{Step: opt.Step, MinLevel: 0, MaxLevel: maxLevel}
-
-	type windowOut struct {
-		d   uncertain.Dist
-		err error
-	}
-	outs := workpool.MapOn(opt.Pool, opt.Procs, nw, func(_, w int) windowOut {
-		lo, hi := w*stride, w*stride+opt.Size
-		var mean, variance float64
-		allExact := true
-		diff.EachSegment(lo, hi, func(seg diffdet.Segment) {
-			fs := scoreOf(seg.Rep)
-			frac := float64(seg.Size) / float64(opt.Size)
-			if fs.IsExact {
-				mean += frac * fs.Exact
-				return
-			}
-			allExact = false
-			mean += frac * fs.Mix.Mean()
-			// Eq. 9 uses (1/L)·Σ|s_t|·σ̄², i.e. segment-weighted total
-			// variance (conservative vs. the independent-average 1/L²).
-			variance += frac * fs.Mix.Variance()
-		})
-		if allExact {
-			lvl := uncertain.LevelOf(mean, opt.Step)
-			return windowOut{d: uncertain.Certain(min(max(lvl, 0), maxLevel))}
-		}
-		d, err := uncertain.QuantizeNormal(mean, math.Sqrt(variance), qopt)
-		if err != nil {
-			return windowOut{err: fmt.Errorf("windows: window %d: %w", w, err)}
-		}
-		return windowOut{d: d}
+	rel := make(uncertain.Relation, s.n)
+	failed := s.run(scoreOf, diff, opt, s.n, func(i int) int { return i }, func(i int, d uncertain.Dist) {
+		rel[i] = uncertain.XTuple{ID: i, Dist: d}
 	})
-	rel := make(uncertain.Relation, 0, nw)
-	for w, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		rel = append(rel, uncertain.XTuple{ID: w, Dist: o.d})
+	if len(failed) > 0 {
+		return nil, failed[0].err
 	}
 	return rel, nil
+}
+
+// Extend returns rel, a prefix of the relation BuildRelation builds,
+// extended over the windows it does not yet hold — what a window
+// relation needs after frames are appended to the video, since a window
+// that ends within the old frames reads only old frames and old
+// representatives. It appends: rel's tuples are never written, but the
+// new ones go into its spare capacity when it has enough, so growing a
+// relation one append at a time costs amortized O(new windows).
+// failed lists, ascending, the new windows whose aggregation failed:
+// their tuples carry the ID and the zero distribution, and Reaggregate
+// reports their error. err is non-nil only for an invalid shape or a
+// video with no complete window.
+func Extend(rel uncertain.Relation, scoreOf func(rep int) FrameScore, diff diffdet.Result, opt Options) (ext uncertain.Relation, failed []int, err error) {
+	s, err := shapeOf(diff, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	done := len(rel)
+	if done >= s.n {
+		return rel, nil, nil
+	}
+	ext = slices.Grow(rel, s.n-done)[:s.n]
+	for w := done; w < s.n; w++ {
+		ext[w] = uncertain.XTuple{ID: w}
+	}
+	for _, f := range s.run(scoreOf, diff, opt, s.n-done, func(i int) int { return done + i }, func(i int, d uncertain.Dist) {
+		ext[done+i].Dist = d
+	}) {
+		failed = append(failed, done+f.i)
+	}
+	return ext, failed, nil
+}
+
+// Reaggregate recomputes, in place, the windows ids (ascending, each a
+// window of rel) under scoreOf: each gets exactly the distribution
+// BuildRelation would give it. The error, if any, is the lowest failing
+// window's; rel is then partly rewritten and must be discarded.
+func Reaggregate(rel uncertain.Relation, ids []int, scoreOf func(rep int) FrameScore, diff diffdet.Result, opt Options) error {
+	s, err := shapeOf(diff, opt)
+	if err != nil {
+		return err
+	}
+	failed := s.run(scoreOf, diff, opt, len(ids), func(i int) int { return ids[i] }, func(i int, d uncertain.Dist) {
+		rel[ids[i]].Dist = d
+	})
+	if len(failed) > 0 {
+		return failed[0].err
+	}
+	return nil
+}
+
+// shape is a validated window shape over one segment structure.
+type shape struct {
+	size, stride, maxLevel int
+	qopt                   uncertain.QuantizeOptions
+	n                      int // complete windows
+}
+
+func shapeOf(diff diffdet.Result, opt Options) (shape, error) {
+	if opt.Size <= 0 {
+		return shape{}, fmt.Errorf("windows: size must be positive, got %d", opt.Size)
+	}
+	if opt.Step <= 0 {
+		return shape{}, fmt.Errorf("windows: step must be positive, got %v", opt.Step)
+	}
+	s := shape{size: opt.Size, stride: opt.stride(), maxLevel: opt.MaxLevel}
+	n := diff.NumFrames()
+	if s.n = NumSlidingWindows(n, s.size, s.stride); s.n == 0 {
+		return shape{}, fmt.Errorf("windows: no complete window of %d frames in %d", opt.Size, n)
+	}
+	if s.maxLevel == 0 {
+		s.maxLevel = math.MaxInt
+	}
+	s.qopt = uncertain.QuantizeOptions{Step: opt.Step, MinLevel: 0, MaxLevel: s.maxLevel}
+	return s, nil
+}
+
+// failure is the i-th window of a run whose aggregation failed.
+type failure struct {
+	i   int
+	err error
+}
+
+// run aggregates the windows window(0) .. window(m-1), fanned out over
+// opt's workers, handing the i-th window's distribution to put (each i
+// once, from any worker). It returns the failures in ascending i.
+func (s shape) run(scoreOf func(rep int) FrameScore, diff diffdet.Result, opt Options, m int, window func(i int) int, put func(i int, d uncertain.Dist)) []failure {
+	var mu sync.Mutex
+	var failed []failure
+	workpool.ForEachOn(opt.Pool, opt.Procs, m, func(_, i int) {
+		d, err := s.aggregate(scoreOf, diff, window(i))
+		if err != nil {
+			mu.Lock()
+			failed = append(failed, failure{i, err})
+			mu.Unlock()
+			return
+		}
+		put(i, d)
+	})
+	slices.SortFunc(failed, func(a, b failure) int { return a.i - b.i })
+	return failed
+}
+
+// aggregate is the one per-window body (Eq. 9) every builder runs.
+func (s shape) aggregate(scoreOf func(rep int) FrameScore, diff diffdet.Result, w int) (uncertain.Dist, error) {
+	lo, hi := w*s.stride, w*s.stride+s.size
+	var mean, variance float64
+	allExact := true
+	diff.EachSegment(lo, hi, func(seg diffdet.Segment) {
+		fs := scoreOf(seg.Rep)
+		frac := float64(seg.Size) / float64(s.size)
+		if fs.IsExact {
+			mean += frac * fs.Exact
+			return
+		}
+		allExact = false
+		mean += frac * fs.Mix.Mean()
+		// Eq. 9 uses (1/L)·Σ|s_t|·σ̄², i.e. segment-weighted total
+		// variance (conservative vs. the independent-average 1/L²).
+		variance += frac * fs.Mix.Variance()
+	})
+	if allExact {
+		lvl := uncertain.LevelOf(mean, s.qopt.Step)
+		return uncertain.Certain(min(max(lvl, 0), s.maxLevel)), nil
+	}
+	d, err := uncertain.QuantizeNormal(mean, math.Sqrt(variance), s.qopt)
+	if err != nil {
+		return uncertain.Dist{}, fmt.Errorf("windows: window %d: %w", w, err)
+	}
+	return d, nil
 }
 
 // Oracle confirms windows by sampling a fraction of each window's frames,
