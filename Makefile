@@ -85,13 +85,14 @@ bench-diff:
 # means bind reads no frame) and a warm execution; the core/engine line
 # is Phase 2's start — preparing D0, starting a run with and without an
 # overlay, and a frame and a window query's Execute, uncached and under
-# an overlay; the last line is the Phase 1 kernels — one Fit, one grid
-# point, one decoded frame (0 allocs).
+# an overlay; the last line is the frame-level kernels — a Fit at 5 and
+# 35 epochs, one grid point, one decoded frame (0 allocs) and one
+# counting-oracle call over 32 frames (1 alloc: its output).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SessionConcurrent|SessionSharedCache|SessionCoalesced|OracleMux|StreamingIngest|FollowDeltas|EQLScript' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BindScript|ExecWarm' -benchtime 1x -benchmem ./internal/eql
 	$(GO) test -run '^$$' -bench 'Prepare|Start|Execute' -benchtime 1x -benchmem ./internal/core ./internal/engine
-	$(GO) test -run '^$$' -bench 'Fit$$|TrainGridPoint|Render$$' -benchtime 1x -benchmem ./internal/nn ./internal/cmdn ./internal/video
+	$(GO) test -run '^$$' -bench 'Fit$$|TrainGridPoint|Render$$|CountUDFScore' -benchtime 1x -benchmem ./internal/nn ./internal/cmdn ./internal/video ./internal/vision
 
 # Live-camera smoke run: replay a bounded feed through the streaming
 # ingestor with a continuous top-K follower and print the answer deltas

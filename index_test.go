@@ -439,14 +439,15 @@ func TestUncachedWindowQueryBuildsNoRelation(t *testing.T) {
 
 // TestQueryAllocationBudget: a query against a warm index pays for the
 // Phase 2 loop, not for re-deriving or copying D0 — an uncached frame
-// query over 4,000 frames (about 3,800 retained) stays under 0.4 MB and
-// 550 allocations. Re-quantizing every mixture and re-hashing every
+// query over 4,000 frames (about 3,800 retained) stays under 0.1 MB and
+// 150 allocations. Re-quantizing every mixture and re-hashing every
 // tuple per query took about 1.5 MB in 11,000; copying the base per
-// query, 0.57 MB in 496. An uncached query of 30-frame windows (133 of
-// them) reads the shape's memoized relation prepared, and stays under
-// 0.2 MB and 850 allocations — most of it the confirmations' decodes;
-// aggregating every window and preparing the result per query took
-// 0.23 MB in 1,027.
+// query, 0.57 MB in 496; building a scene and its detections per
+// confirmed frame, 0.34 MB in 484. An uncached query of 30-frame windows
+// (133 of them) reads the shape's memoized relation prepared, and stays
+// under 0.05 MB and 400 allocations; aggregating every window and
+// preparing the result per query took 0.23 MB in 1,027, building the
+// confirmations' scenes 0.19 MB in 751.
 func TestQueryAllocationBudget(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's own allocations are counted")
@@ -472,8 +473,8 @@ func TestQueryAllocationBudget(t *testing.T) {
 		mb     float64
 		allocs uint64
 	}{
-		{"frame", 0, 0.4, 550},
-		{"window", 30, 0.2, 850},
+		{"frame", 0, 0.1, 150},
+		{"window", 30, 0.05, 400},
 	} {
 		cfg.Window = c.window
 		if _, err := ix.Query(src, udf, cfg); err != nil { // builds the D0 base

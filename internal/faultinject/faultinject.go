@@ -174,9 +174,10 @@ func (u *UDF) TryScore(src video.Source, ids []int) ([]float64, error) {
 // Stats returns what the injector did so far.
 func (u *UDF) Stats() Stats { return u.in.snapshot() }
 
-// Source wraps a video.Source with a fault schedule on its Scene calls
-// — the decode/ground-truth path oracles read through. Sources have no
-// error channel, so both KindErr and KindPanic panic (the dispatch
+// Source wraps a video.Source with a fault schedule on its Scene and
+// CountObjects calls — the ground-truth paths detectors and oracles read
+// through; each call consumes one slot of the one schedule. Sources have
+// no error channel, so both KindErr and KindPanic panic (the dispatch
 // boundary's recovery converts them into typed errors); KindSlow
 // accumulates spike latency in Stats. All other methods delegate.
 type Source struct {
@@ -191,11 +192,23 @@ func WrapSource(src video.Source, sched Schedule, seed uint64) *Source {
 
 // Scene implements video.Source with fault injection.
 func (s *Source) Scene(i int) video.Scene {
+	s.inject()
+	return s.Source.Scene(i)
+}
+
+// CountObjects implements video.Source with fault injection.
+func (s *Source) CountObjects(i int, class string) int {
+	s.inject()
+	return s.Source.CountObjects(i, class)
+}
+
+// inject consumes one call slot and panics if an error or panic fault
+// fires on it.
+func (s *Source) inject() {
 	rule, call := s.in.next()
 	if rule != nil && (rule.Kind == KindErr || rule.Kind == KindPanic) {
 		panic(PanicValue{Call: call})
 	}
-	return s.Source.Scene(i)
 }
 
 // Stats returns what the injector did so far.

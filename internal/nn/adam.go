@@ -32,7 +32,10 @@ func NewAdam(params []*Param, lr float64) *Adam {
 // gradient as it consumes it. Every parameter is updated independently by
 // the expression below, exactly as written — three divisions and a square
 // root, which is what bounds the step (≈ 18 cycles per parameter, the
-// divider's throughput); only the slice headers are hoisted.
+// divider's throughput); only the slice headers are hoisted. From the
+// step on which the first bias correction c1 = 1 − β1^t rounds to exactly
+// 1 (t = 356 for β1 = 0.9), mj / c1 is mj for every float64 and is not
+// computed.
 func (a *Adam) Step() {
 	a.t++
 	c1 := 1 - math.Pow(a.beta1, float64(a.t))
@@ -45,7 +48,10 @@ func (a *Adam) Step() {
 			mj := beta1*m[j] + (1-beta1)*g
 			vj := beta2*v[j] + (1-beta2)*g*g
 			m[j], v[j] = mj, vj
-			mhat := mj / c1
+			mhat := mj
+			if c1 != 1 {
+				mhat = mj / c1
+			}
 			vhat := vj / c2
 			w[j] -= lr * mhat / (math.Sqrt(vhat) + eps)
 			grad[j] = 0

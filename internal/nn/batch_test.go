@@ -349,14 +349,58 @@ func TestFitAllocationBudget(t *testing.T) {
 }
 
 // BenchmarkFit is one grid point of the harness shape: 600 samples of 97
-// features, 40 hidden units, 12 components, 5 epochs.
+// features, 40 hidden units, 12 components, at 5 epochs (190 Adam steps)
+// and at 35 (1,330 steps, 975 of them past step 356, from which Adam's
+// first bias correction is exactly 1).
 func BenchmarkFit(b *testing.B) {
 	xs, ys := trainingSet(600, 97, 1)
-	b.ReportAllocs()
-	for b.Loop() {
-		m := pooledModel(97, 40, 12, 2)
-		if _, err := m.Fit(xs, ys, TrainConfig{Epochs: 5, Seed: 3}); err != nil {
-			b.Fatal(err)
+	for _, epochs := range []int{5, 35} {
+		b.Run(fmt.Sprintf("epochs=%d", epochs), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				m := pooledModel(97, 40, 12, 2)
+				if _, err := m.Fit(xs, ys, TrainConfig{Epochs: epochs, Seed: 3}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestAdamMatchesReferencePastBiasCorrection: Adam's updates equal the
+// reference's, which divides by the first bias correction on every step,
+// before and after that correction rounds to exactly 1 (step 356).
+func TestAdamMatchesReferencePastBiasCorrection(t *testing.T) {
+	for step := 355; step <= 356; step++ {
+		if c1 := 1 - math.Pow(0.9, float64(step)); (c1 == 1) != (step == 356) {
+			t.Fatalf("step %d: c1 = %v", step, c1)
 		}
+	}
+	r := xrand.New(41)
+	params := func() []*Param {
+		ps := []*Param{newParam(7), newParam(13)}
+		for _, p := range ps {
+			for j := range p.W {
+				p.W[j] = r.Norm()
+			}
+		}
+		return ps
+	}
+	got := params()
+	want := make([]*Param, len(got))
+	for i, p := range got {
+		want[i] = &Param{W: append([]float64(nil), p.W...), G: make([]float64, len(p.G))}
+	}
+	opt, ref := NewAdam(got, 1e-2), newRefAdam(want, 1e-2)
+	for step := 1; step <= 500; step++ {
+		for i, p := range got {
+			for j := range p.G {
+				g := r.Norm()
+				p.G[j], want[i].G[j] = g, g
+			}
+		}
+		opt.Step()
+		ref.step()
+		sameParams(t, fmt.Sprintf("after step %d", step), got, want)
 	}
 }

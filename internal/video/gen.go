@@ -108,10 +108,10 @@ type event struct {
 // Synthetic is a procedurally generated video Source. Constructing one
 // validates the configuration and derives its seeds; the event timeline
 // and the tables derived from it are generated by the first call that
-// reads a frame (Scene — and through it Render —, TrueCountFast, LeadGap,
-// Happiness), so a source that is only described (Name, NumFrames, FPS,
-// TargetClass, Resolution — what binding a query needs) costs nothing
-// that grows with its length.
+// reads a frame (Scene — and through it Render —, CountObjects — and
+// through it TrueCountFast —, LeadGap, Happiness), so a source that is
+// only described (Name, NumFrames, FPS, TargetClass, Resolution — what
+// binding a query needs) costs nothing that grows with its length.
 type Synthetic struct {
 	cfg Config
 	// timelineOnce guards the five fields below: generated once, from
@@ -123,7 +123,7 @@ type Synthetic struct {
 	// chunk index: chunks[c] lists events overlapping frames
 	// [c*chunkLen, (c+1)*chunkLen).
 	chunks  [][]int32
-	counts  []uint16  // per-frame target-class count (ground truth)
+	counts  []uint16  // per-frame target-class events in view (no lead vehicle)
 	leadGap []float32 // dashcam only
 	happy   []float32 // street only
 	bgSeed  uint64
@@ -358,7 +358,8 @@ func (s *Synthetic) buildIndex() {
 
 func (s *Synthetic) buildCounts() {
 	s.counts = make([]uint16, s.cfg.Frames)
-	for _, e := range s.events {
+	for k := range s.events {
+		e := &s.events[k]
 		if e.class != s.cfg.Class {
 			continue
 		}
@@ -376,14 +377,14 @@ func (s *Synthetic) buildCounts() {
 // counts and the renderer's ground truth. An object that has barely
 // entered (or nearly left) the view contributes almost no pixels, and no
 // real detector counts it either.
-func eventInView(e event, t int) bool {
+func eventInView(e *event, t int) bool {
 	x := eventX(e, t)
 	cx := x + e.size/2
 	return cx >= 0 && cx <= 1
 }
 
 // eventX returns the object's left edge at time t.
-func eventX(e event, t int) float64 {
+func eventX(e *event, t int) float64 {
 	frac := e.phase0 + (1-e.phase0)*float64(t-e.t0)/float64(e.dur)
 	x := frac*(1+2*e.size) - e.size
 	if e.speed < 0 {
@@ -477,12 +478,35 @@ func (s *Synthetic) TargetClass() string { return s.cfg.Class }
 // Resolution implements Source.
 func (s *Synthetic) Resolution() (int, int) { return s.cfg.W, s.cfg.H }
 
-// TrueCountFast returns the precomputed target-class count of frame i
-// without materializing the scene; detectors use Scene, the test suite and
+// TrueCountFast returns the ground-truth target-class count of frame i,
+// CountObjects(i, TargetClass()); detectors use Scene, the test suite and
 // workload analysis use this.
 func (s *Synthetic) TrueCountFast(i int) int {
+	return s.CountObjects(i, s.cfg.Class)
+}
+
+// CountObjects implements Source. The target class is read from the
+// per-frame count table (scanned when the entry is saturated), any other
+// class from the chunk index; a dashcam's lead vehicle counts as the car
+// appendObjects lists it as.
+func (s *Synthetic) CountObjects(i int, class string) int {
+	s.checkFrame(i)
 	s.timeline()
-	return int(s.counts[i])
+	n := 0
+	if c := s.counts[i]; class == s.cfg.Class && c < math.MaxUint16 {
+		n = int(c)
+	} else {
+		for _, ei := range s.chunks[i/chunkLen] {
+			e := &s.events[ei]
+			if e.class == class && i >= e.t0 && i < e.t0+e.dur && eventInView(e, i) {
+				n++
+			}
+		}
+	}
+	if s.leadGap != nil && class == leadClass {
+		n++
+	}
+	return n
 }
 
 // Scene implements Source. The returned Objects slice is freshly
@@ -502,12 +526,10 @@ func (s *Synthetic) Scene(i int) Scene {
 // order Scene lists them, and returns the extended slice — the scene walk
 // itself, for Render to run into recycled scratch.
 func (s *Synthetic) appendObjects(dst []Object, i int) []Object {
-	if i < 0 || i >= s.cfg.Frames {
-		panic(fmt.Sprintf("video: frame %d out of range [0,%d)", i, s.cfg.Frames))
-	}
+	s.checkFrame(i)
 	s.timeline()
 	for _, ei := range s.chunks[i/chunkLen] {
-		e := s.events[ei]
+		e := &s.events[ei]
 		if i < e.t0 || i >= e.t0+e.dur {
 			continue
 		}
@@ -531,7 +553,7 @@ func (s *Synthetic) appendObjects(dst []Object, i int) []Object {
 		size := 0.5 * 6 / math.Max(3, float64(s.leadGap[i]))
 		dst = append(dst, Object{
 			ID:    0,
-			Class: ClassCar,
+			Class: leadClass,
 			X:     0.5 - size/2,
 			Y:     0.55 - size*0.35,
 			W:     size,
@@ -540,6 +562,16 @@ func (s *Synthetic) appendObjects(dst []Object, i int) []Object {
 		})
 	}
 	return dst
+}
+
+// leadClass is the class of a dashcam's lead vehicle.
+const leadClass = ClassCar
+
+// checkFrame panics unless i is a frame of the video.
+func (s *Synthetic) checkFrame(i int) {
+	if i < 0 || i >= s.cfg.Frames {
+		panic(fmt.Sprintf("video: frame %d out of range [0,%d)", i, s.cfg.Frames))
+	}
 }
 
 // LeadGap returns the dashcam lead-vehicle gap for frame i (metres) or 0

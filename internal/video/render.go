@@ -80,8 +80,7 @@ func (s *Synthetic) renderInto(buf *pixBuf, i int) Frame {
 	amp := s.cfg.NoiseAmp
 	base := s.bgSeed ^ uint64(i)*0x9e3779b97f4a7c15
 	for p := range pix {
-		v := pix[p]*illum + amp*(hash01(base+uint64(p))-0.5)
-		pix[p] = max(0, min(1, v))
+		pix[p] = clamp01(pix[p]*illum + amp*(hash01(base+uint64(p))-0.5))
 	}
 	return Frame{Index: i, W: w, H: h, Pix: pix, buf: buf}
 }
@@ -101,11 +100,27 @@ func (s *Synthetic) background(pix []float64, driftPx float64) {
 	}
 }
 
-// hash01 maps a 64-bit value to [0,1) via splitmix64 finalization.
+// clamp01 is max(0, min(1, v)) bit for bit on every v but a NaN, which
+// it passes through where the builtins clear its sign; −0 becomes +0 as
+// there. Two compares instead of the builtins' NaN and zero-sign
+// handling.
+func clamp01(v float64) float64 {
+	if v >= 1 {
+		v = 1
+	}
+	if v <= 0 {
+		v = 0
+	}
+	return v
+}
+
+// hash01 maps a 64-bit value to [0,1) via splitmix64 finalization. The
+// top 53 bits convert exactly as a signed integer, which is one
+// instruction; an unsigned conversion is a branch.
 func hash01(x uint64) float64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
+	return float64(int64(x>>11)) / (1 << 53)
 }

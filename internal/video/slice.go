@@ -63,6 +63,11 @@ func (s *SliceSource) Lo() int { return s.lo }
 // Scene returns the ground truth of slice frame i (parent frame Lo+i).
 func (s *SliceSource) Scene(i int) Scene { return s.src.Scene(s.check(i)) }
 
+// CountObjects counts class in slice frame i (parent frame Lo+i).
+func (s *SliceSource) CountObjects(i int, class string) int {
+	return s.src.CountObjects(s.check(i), class)
+}
+
 // Render decodes slice frame i (parent frame Lo+i).
 func (s *SliceSource) Render(i int) Frame {
 	f := s.src.Render(s.check(i))

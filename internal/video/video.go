@@ -4,8 +4,10 @@
 //
 // A Source exposes exactly what the rest of the system consumes from a
 // video: decoded pixels per frame (for the difference detector and the
-// CMDN proxy) and a ground-truth scene graph per frame (read only by the
-// oracle detector in internal/vision). Scenes are generated from seeded
+// CMDN proxy), a ground-truth scene graph per frame (read only by the
+// detectors in internal/vision) and that scene's per-class object count
+// (read by the counting oracle and ground-truth tooling, without
+// building the scene). Scenes are generated from seeded
 // object arrival/departure processes with temporal locality — bursts,
 // daily cycles, camera motion — so Top-K targets are rare, clustered
 // moments, as in real footage. Pixels are rendered lazily and
@@ -132,6 +134,10 @@ type Source interface {
 	TargetClass() string
 	// Scene returns frame i's ground truth. Only detectors may call this.
 	Scene(i int) Scene
+	// CountObjects returns Scene(i).CountClass(class) without building
+	// the scene. Only oracles and ground-truth tooling may call this; a
+	// wrapper that intercepts Scene intercepts this the same way.
+	CountObjects(i int, class string) int
 	// Render decodes frame i's pixels. The returned frame is the
 	// caller's: nothing else reads or writes its Pix until the caller
 	// releases it (Frame.Release), which is optional. A wrapper returns
@@ -145,5 +151,5 @@ type Source interface {
 // TrueCount returns the ground-truth target-class count of frame i; it is
 // the score the default object-counting UDF computes via the oracle.
 func TrueCount(s Source, i int) int {
-	return s.Scene(i).CountClass(s.TargetClass())
+	return s.CountObjects(i, s.TargetClass())
 }

@@ -35,16 +35,19 @@ func TestNewSyntheticValidation(t *testing.T) {
 	}
 }
 
+// TestSceneCountsMatchPrecomputed: the ground-truth count is the count
+// the oracle sees, on every frame of every catalog dataset — a dashcam's
+// lead vehicle, which its scene lists as a car, included.
 func TestSceneCountsMatchPrecomputed(t *testing.T) {
-	s := testSource(t, 5000)
-	for i := 0; i < s.NumFrames(); i += 37 {
-		want := s.TrueCountFast(i)
-		got := s.Scene(i).CountClass(ClassCar)
-		if got != want {
-			t.Fatalf("frame %d: Scene count %d, precomputed %d", i, got, want)
-		}
-		if got != TrueCount(s, i) {
-			t.Fatalf("frame %d: TrueCount mismatch", i)
+	for _, s := range append(catalogSources(t), testSource(t, 5000)) {
+		for i := 0; i < s.NumFrames(); i++ {
+			want := s.Scene(i).CountClass(s.TargetClass())
+			if got := s.TrueCountFast(i); got != want {
+				t.Fatalf("%s frame %d: TrueCountFast = %d, scene lists %d", s.Name(), i, got, want)
+			}
+			if got := TrueCount(s, i); got != want {
+				t.Fatalf("%s frame %d: TrueCount = %d, scene lists %d", s.Name(), i, got, want)
+			}
 		}
 	}
 }

@@ -123,7 +123,10 @@ type UDF interface {
 }
 
 // CountUDF scores a frame by the number of objects of a class found by the
-// oracle detector — the paper's default UDF (Fig. 3).
+// oracle detector — the paper's default UDF (Fig. 3). It asks the source
+// for the count (video.Source.CountObjects), which is what
+// OracleDetector.Detect followed by CountClass returns, without building
+// the frame's scene or detections.
 type CountUDF struct {
 	// Class is the object-of-interest.
 	Class string
@@ -135,9 +138,8 @@ func (u CountUDF) Name() string { return fmt.Sprintf("count(%s)", u.Class) }
 // Score implements UDF.
 func (u CountUDF) Score(src video.Source, ids []int) []float64 {
 	out := make([]float64, len(ids))
-	det := OracleDetector{}
 	for k, i := range ids {
-		out[k] = float64(CountClass(det.Detect(src, i), u.Class))
+		out[k] = float64(src.CountObjects(i, u.Class))
 	}
 	return out
 }

@@ -70,13 +70,14 @@ func TestSentimentUDFRequiresSynthetic(t *testing.T) {
 // fakeSource is a minimal non-synthetic video.Source.
 type fakeSource struct{}
 
-func (fakeSource) Name() string           { return "fake" }
-func (fakeSource) NumFrames() int         { return 1 }
-func (fakeSource) FPS() int               { return 30 }
-func (fakeSource) TargetClass() string    { return video.ClassCar }
-func (fakeSource) Scene(int) video.Scene  { return video.Scene{} }
-func (fakeSource) Render(int) video.Frame { return video.Frame{W: 1, H: 1, Pix: []float64{0}} }
-func (fakeSource) Resolution() (int, int) { return 1, 1 }
+func (fakeSource) Name() string                 { return "fake" }
+func (fakeSource) NumFrames() int               { return 1 }
+func (fakeSource) FPS() int                     { return 30 }
+func (fakeSource) TargetClass() string          { return video.ClassCar }
+func (fakeSource) Scene(int) video.Scene        { return video.Scene{} }
+func (fakeSource) CountObjects(int, string) int { return 0 }
+func (fakeSource) Render(int) video.Frame       { return video.Frame{W: 1, H: 1, Pix: []float64{0}} }
+func (fakeSource) Resolution() (int, int)       { return 1, 1 }
 
 func TestTailgateCustomBounds(t *testing.T) {
 	u := TailgateUDF{MaxGap: 30, Step: 1}

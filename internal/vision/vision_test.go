@@ -47,17 +47,28 @@ func TestOracleDetectorExact(t *testing.T) {
 	}
 }
 
+// TestCountUDFMatchesOracle: the counting UDF scores every frame of every
+// catalog dataset, for every class the catalog generates, as the oracle
+// detector's detections count it.
 func TestCountUDFMatchesOracle(t *testing.T) {
-	src := trafficSource(t, 1000)
-	udf := CountUDF{Class: video.ClassCar}
-	ids := []int{0, 17, 400, 999}
-	scores := udf.Score(src, ids)
-	for k, i := range ids {
-		if int(scores[k]) != src.TrueCountFast(i) {
-			t.Fatalf("frame %d: UDF %v, truth %d", i, scores[k], src.TrueCountFast(i))
+	for _, spec := range video.Datasets() {
+		src, err := spec.Build(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]int, src.NumFrames())
+		for i := range ids {
+			ids[i] = i
+		}
+		for _, class := range []string{video.ClassCar, video.ClassBus, video.ClassPerson, video.ClassBoat} {
+			for i, s := range (CountUDF{Class: class}).Score(src, ids) {
+				if want := CountClass(OracleDetector{}.Detect(src, i), class); s != float64(want) {
+					t.Fatalf("%s frame %d: count(%s) scored %v, the oracle detects %d", spec.Name, i, class, s, want)
+				}
+			}
 		}
 	}
-	if udf.Quantize().Step != 1 {
+	if (CountUDF{}).Quantize().Step != 1 {
 		t.Fatal("counting UDF must quantize at unit step")
 	}
 }
