@@ -447,7 +447,8 @@ func TestUncachedWindowQueryBuildsNoRelation(t *testing.T) {
 // (133 of them) reads the shape's memoized relation prepared, and stays
 // under 0.05 MB and 400 allocations; aggregating every window and
 // preparing the result per query took 0.23 MB in 1,027, building the
-// confirmations' scenes 0.19 MB in 751.
+// confirmations' scenes 0.19 MB in 751. A frame query in a session
+// whose cache holds 512 labels stays under 0.015 MB and 45 allocations.
 func TestQueryAllocationBudget(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's own allocations are counted")
@@ -492,6 +493,36 @@ func TestQueryAllocationBudget(t *testing.T) {
 		if mb >= c.mb || n >= c.allocs {
 			t.Fatalf("a warm %s query allocated %.2f MB in %d allocations, budget %v MB in %d", c.name, mb, n, c.mb, c.allocs)
 		}
+	}
+
+	// A frame query under a session overlay of 512 labels starts from
+	// the overlay's overrides: it walks them once, allocating nothing per
+	// label or per tuple — 0.007 MB in 36 allocations, the cache already
+	// holding every label it confirms. Materializing the overrides as a
+	// slice would add about 0.016 MB in 10 allocations.
+	sess, err := NewSession(ix, src, udf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Window = 0
+	for _, k := range []int{10, 40, 80, 120} {
+		warm := cfg
+		warm.K, warm.Threshold = k, 0.99
+		if _, err := sess.Query(warm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := sess.Query(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	n := after.Mallocs - before.Mallocs
+	t.Logf("session frame query over %d cached labels: %.3f MB in %d allocations", sess.CachedLabels(), mb, n)
+	if mb >= 0.015 || n >= 45 {
+		t.Fatalf("a session frame query over %d cached labels allocated %.3f MB in %d allocations, budget 0.015 MB in 45", sess.CachedLabels(), mb, n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"testing"
 
 	"github.com/everest-project/everest/internal/simclock"
@@ -49,10 +50,14 @@ func BenchmarkPrepare(b *testing.B) {
 }
 
 // BenchmarkStart is the per-query cost of starting a run over that
-// prepared D0: base is a run no overlay touches (a clone of the memoized
+// prepared D0: base is a run with no overrides (a clone of the memoized
 // joint CDF, the top-K prefix of the certain tuples, a copy of the live
-// table), overlay one whose view makes every fourth tuple certain (the
-// joint CDF summed over the view, whose logs are each Dist's own).
+// table); overlay one whose overrides make every fourth tuple certain,
+// an eighth of them certain in the base already; overlay_live the
+// engine's shape, overrides on about a tenth of the uncertain tuples
+// only. An overlay run walks its overrides once, merges the ranked
+// certain tuples behind them, and sums the joint CDF over the view from
+// the K-th certain level up.
 func BenchmarkStart(b *testing.B) {
 	rel, oracle := benchRelation(4000, 500)
 	base, err := Prepare(rel, BoundIndependent)
@@ -60,12 +65,28 @@ func BenchmarkStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := Config{K: 10, Threshold: 0.9}
+	pairs := func(keep func(pos int) bool) iter.Seq2[int, int] {
+		var ps [][2]int
+		for pos, x := range rel {
+			if keep(pos) {
+				ps = append(ps, [2]int{pos, x.ID % 20})
+			}
+		}
+		return func(yield func(int, int) bool) {
+			for _, p := range ps {
+				if !yield(p[0], p[1]) {
+					return
+				}
+			}
+		}
+	}
 	views := []struct {
 		name string
-		over func(int) (int, bool)
+		over iter.Seq2[int, int]
 	}{
 		{"base", nil},
-		{"overlay", func(id int) (int, bool) { return id % 20, id%4 == 1 }},
+		{"overlay", pairs(func(pos int) bool { return rel[pos].ID%4 == 1 })},
+		{"overlay_live", pairs(func(pos int) bool { return !rel[pos].Dist.IsCertain() && pos%10 == 3 })},
 	}
 	for _, v := range views {
 		b.Run(v.name, func(b *testing.B) {

@@ -96,6 +96,15 @@ func clamp01(x float64) float64 {
 
 // newNoExceed builds the accumulator for the configured bound over the
 // live tuples of rel, in position order, covering levels [lo, hi].
+//
+// A run reads its accumulator only at levels at or above its current
+// S_k — Run's Prob(S_k), expectedConfidence at S_k, in (S_k, S_p] and
+// at S_p, selectBatch's Prob(S_p) and Prob(S_k), Confidence — and S_k
+// never falls, since the certain set only grows. So lo may be the S_k a
+// run starts with rather than the lowest level of any tuple: each
+// level's sum is the same position-order fold whatever the range, and
+// every level at or above lo reads the same bits (see JointCDF and
+// TailSum). A hi above every live tuple's Max is exact too.
 func newNoExceed(rel uncertain.Relation, live []bool, lo, hi int, kind BoundKind) noExceed {
 	switch kind {
 	case BoundUnion:

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"cmp"
-	"sort"
-)
+import "cmp"
 
 // certainSet tracks the tuples whose exact scores are known and answers
 // order-statistics queries for the top of the score order.
@@ -47,25 +44,62 @@ func compareRank(a, b certEntry) int {
 // seed fills an empty set from all of its certain tuples, already in
 // compareRank order: the first cap of them are its top.
 func (s *certainSet) seed(ranked []certEntry) {
-	s.top = append(make([]certEntry, 0, s.cap+1), ranked[:min(len(ranked), s.cap)]...)
+	s.top = append(make([]certEntry, 0, s.cap), ranked[:min(len(ranked), s.cap)]...)
 	s.n = len(ranked)
+}
+
+// merge adds to the set the base's certain tuples, ranked in
+// compareRank order, except the replaced ones skip reports (replaced
+// is their count): each enters as add would take it, until one ranks
+// after a full top — as every later one does too. It allocates nothing
+// and looks at no more than cap + 1 of them besides the replaced ones.
+func (s *certainSet) merge(ranked []certEntry, replaced int, skip func(id int) bool) {
+	s.n += len(ranked) - replaced
+	for _, c := range ranked {
+		if skip != nil && skip(c.id) {
+			continue
+		}
+		if !s.insert(c) {
+			return
+		}
+	}
 }
 
 // add records a confirmed (id, level) pair.
 func (s *certainSet) add(id, level int) {
 	s.n++
-	e := certEntry{id: id, level: level}
-	// Find insertion point in the descending order.
-	i := sort.Search(len(s.top), func(i int) bool { return compareRank(s.top[i], e) > 0 })
-	if i >= s.cap {
-		return // below the retained top
+	s.insert(certEntry{id: id, level: level})
+}
+
+// insert places e in the top, reporting false when it ranks after the
+// K-th of a full top: that is an O(1) reject, the common case once the
+// top has filled. Any other entry is placed by bisection, the entries
+// after it shifted down by one copy (the K-th of a full top drops out).
+func (s *certainSet) insert(e certEntry) bool {
+	last := len(s.top) - 1
+	if len(s.top) == s.cap {
+		if compareRank(e, s.top[last]) > 0 {
+			return false
+		}
+	} else {
+		if s.top == nil {
+			s.top = make([]certEntry, 0, s.cap)
+		}
+		s.top = append(s.top, e)
+		last++
 	}
-	s.top = append(s.top, certEntry{})
-	copy(s.top[i+1:], s.top[i:])
+	i, j := 0, last
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if compareRank(s.top[m], e) < 0 {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	copy(s.top[i+1:last+1], s.top[i:last])
 	s.top[i] = e
-	if len(s.top) > s.cap {
-		s.top = s.top[:s.cap]
-	}
+	return true
 }
 
 // len returns the total number of certain tuples.

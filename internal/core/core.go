@@ -21,19 +21,21 @@
 // D0 is prepared once and read in place, as §3.3.1 computes F_f and H
 // once: Prepare validates a relation and returns an immutable Base that
 // any number of runs share, and Base.Start begins one run over it,
-// optionally under an overlay view that makes some tuples certain (the
-// labels a cache already holds). A run the overlay leaves untouched
+// optionally under an enumeration of overrides that make some tuples
+// certain (the labels a cache already holds). A run with no override
 // clones the base's joint CDF — built once, by the first such run —
-// instead of rebuilding it; a run the overlay changes builds it over the
-// view, in the order and over the level range a materialized copy of the
-// view would have. Either way the run is bit-identical to NewEngine over
-// that materialized relation.
+// instead of rebuilding it; a run with overrides walks them once, merges
+// the base's ranked certain tuples behind them, and sums the joint CDF
+// over the view in the order a materialized copy of the view would, but
+// only from the first S_k up, the levels a run reads. Either way the run
+// is bit-identical to NewEngine over that materialized relation.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -279,14 +281,17 @@ func NewEngine(rel uncertain.Relation, cfg Config, oracle Oracle, clock *simcloc
 	return b.Start(cfg, nil, oracle, clock, cost)
 }
 
-// Start begins one run over the base. over, when non-nil, is the run's
-// overlay view: over(id) reports an exact level known for a tuple, which
-// then enters the run certain at that level in place of its base
-// distribution (a certain base tuple is overridden too). Start consults
-// it once per tuple; Run never does. Tuples whose distribution is
-// already a point mass (Phase 1 training/holdout samples) enter the
-// certain set directly, so no oracle work is wasted (§3.2).
-func (b *Base) Start(cfg Config, over func(id int) (level int, ok bool), oracle Oracle, clock *simclock.Clock, cost simclock.CostModel) (*Engine, error) {
+// Start begins one run over the base. over, when non-nil, enumerates
+// the run's overrides — the labels a cache already holds — as
+// (position, level) pairs: positions index the base's tuples in
+// ascending ID order, each at most once, in any order. An overridden
+// tuple enters the run certain at that level in place of its base
+// distribution (a certain base tuple is overridden too); a duplicate or
+// out-of-range position is an error. Start reads over once; Run never
+// does. Tuples whose distribution is already a point mass (Phase 1
+// training/holdout samples) enter the certain set directly, so no
+// oracle work is wasted (§3.2).
+func (b *Base) Start(cfg Config, over iter.Seq2[int, int], oracle Oracle, clock *simclock.Clock, cost simclock.CostModel) (*Engine, error) {
 	if err := cfg.validate(len(b.rel)); err != nil {
 		return nil, err
 	}
@@ -305,71 +310,108 @@ func (b *Base) Start(cfg Config, over func(id int) (level int, ok bool), oracle 
 		clock:   clock,
 		cost:    cost,
 		rel:     b.rel,
+		live:    slices.Clone(b.live),
+		nLive:   b.nLive,
 		certain: newCertainSet(),
 	}
 	e.certain.reserve(cfg.K)
-	if first, level, ok := b.firstOverride(over); ok {
-		e.startView(b, over, first, level)
-	} else {
+	if over == nil {
 		e.startBase(b)
+	} else if v := e.override(b, over); v.err != nil {
+		return nil, v.err
+	} else if v.n == 0 {
+		e.startBase(b)
+	} else {
+		e.startView(b, v)
 	}
 	e.sel = newSelector(e)
 	return e, nil
 }
 
-// firstOverride returns the first position the overlay replaces, with
-// its level.
-func (b *Base) firstOverride(over func(int) (int, bool)) (pos, level int, ok bool) {
-	if over == nil {
-		return 0, 0, false
-	}
-	for i, x := range b.rel {
-		if level, ok := over(x.ID); ok {
-			return i, level, true
-		}
-	}
-	return 0, 0, false
+// overrides is what one pass over a run's overrides leaves besides the
+// cleared live bits and the certain set: how many there were, the
+// certain base tuples they replaced (a bit per position, allocated on
+// the first — rare — such override) and their count, and the first
+// malformed pair's error.
+type overrides struct {
+	n         int
+	replaced  []uint64
+	nReplaced int
+	err       error
 }
 
-// startBase starts a run the overlay leaves untouched: the live mask is
-// a copy of the base's, the certain set the top-K prefix of its ranked
-// certain tuples, and the accumulator a clone of its own — O(levels),
-// not O(tuples).
+// override makes the one pass over the run's overrides: each clears its
+// tuple's live bit, enters the certain set (which rejects it in O(1)
+// once its top is full and the entry ranks below it), and, on the rare
+// tuple that was certain in the base already, marks it replaced. The
+// pass calls over directly rather than ranging over it, which would
+// add the loop's own state to what escapes with the callback.
+func (e *Engine) override(b *Base, over iter.Seq2[int, int]) overrides {
+	var v overrides
+	over(func(pos, level int) bool {
+		if pos < 0 || pos >= len(b.rel) {
+			v.err = fmt.Errorf("core: override position %d outside [0, %d)", pos, len(b.rel))
+			return false
+		}
+		twice := false
+		if b.live[pos] {
+			twice = !e.live[pos]
+			e.live[pos] = false
+		} else {
+			if v.replaced == nil {
+				v.replaced = make([]uint64, (len(b.rel)+63)/64)
+			}
+			w, bit := pos/64, uint64(1)<<(pos%64)
+			twice = v.replaced[w]&bit != 0
+			v.replaced[w] |= bit
+			v.nReplaced++
+		}
+		if twice {
+			v.err = fmt.Errorf("core: position %d overridden twice", pos)
+			return false
+		}
+		e.certain.add(b.rel[pos].ID, level)
+		v.n++
+		return true
+	})
+	e.nLive -= v.n - v.nReplaced
+	return v
+}
+
+// startBase starts a run the overlay leaves untouched: the certain set
+// is the top-K prefix of the base's ranked certain tuples and the
+// accumulator a clone of its own — O(levels), not O(tuples).
 func (e *Engine) startBase(b *Base) {
-	e.live = slices.Clone(b.live)
-	e.nLive = b.nLive
 	e.certain.seed(b.ranked)
 	b.accOnce.Do(func() { b.acc = newNoExceed(b.rel, b.live, b.lo, b.hi, b.bound) })
 	e.prob = b.acc.clone()
 }
 
-// startView starts a run under an overlay that replaces at least one
-// tuple, the first at position first with the given level: the build
-// NewEngine would run over the materialized view — certain tuples added
-// and the accumulator summed in position order, over the view's level
-// range — with nothing materialized.
-func (e *Engine) startView(b *Base, over func(int) (int, bool), first, level int) {
-	e.live = make([]bool, len(b.rel))
-	lo, hi := math.MaxInt, math.MinInt
-	for i, x := range b.rel {
-		ok := i == first
-		if i > first {
-			level, ok = over(x.ID)
-		}
-		if ok {
-			e.certain.add(x.ID, level)
-			lo, hi = min(lo, level), max(hi, level)
-			continue
-		}
-		lo, hi = min(lo, x.Dist.Min), max(hi, x.Dist.Max())
-		if b.live[i] {
-			e.live[i] = true
-			e.nLive++
-		} else {
-			e.certain.add(x.ID, x.Dist.Min)
+// startView finishes the start of a run under at least one override,
+// after the pass over them: the base's ranked certain tuples, less the
+// replaced ones, are merged into the certain set until its top is full,
+// and the accumulator is summed over the view's live tuples in position
+// order — as NewEngine over the materialized view would sum it — but
+// only over the levels a run can read: from the K-th certain level S_k⁰
+// up (see newNoExceed). With fewer than K certain tuples, bootstrap's
+// cleaning decides S_k, so the range starts at the base's lowest level.
+// The base's range covers every live tuple, and overrides never enter
+// the accumulator, so their levels do not widen it: at a level no live
+// tuple reaches, every range answers alike.
+func (e *Engine) startView(b *Base, v overrides) {
+	var skip func(id int) bool
+	if v.replaced != nil {
+		skip = func(id int) bool {
+			pos, _ := e.position(id)
+			return v.replaced[pos/64]&(1<<(pos%64)) != 0
 		}
 	}
-	e.prob = newNoExceed(b.rel, e.live, lo, hi, b.bound)
+	e.certain.merge(b.ranked, v.nReplaced, skip)
+	lo := b.lo
+	if e.certain.len() >= e.cfg.K {
+		lo = e.certain.kth(e.cfg.K)
+	}
+	e.prob = newNoExceed(b.rel, e.live, lo, b.hi, b.bound)
 }
 
 // ascendingByID returns rel in strictly ascending ID order: rel itself

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"iter"
 	"math"
 
 	"github.com/everest-project/everest/internal/core"
@@ -197,11 +198,11 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 	}
 
 	// Both query kinds start from the artifact's memoized D0: a frame
-	// query reads it prepared, in place, under the overlay as a view; a
+	// query reads it prepared, in place, under the overlay's overrides; a
 	// window query reads its shape's memo as the branch below says.
 	var rel uncertain.Relation
 	var base *core.Base
-	var over func(id int) (int, bool)
+	var over iter.Seq2[int, int]
 	var tuples int
 	var oracle core.Oracle
 	// The frame-level oracle above charges its own per-frame cost, so the
@@ -236,10 +237,11 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 		}
 	} else {
 		var frames []windows.FrameScore
-		if base, frames, err = b.Artifact.frameBase(qopt, p.Bound()); err != nil {
+		var d0 uncertain.Relation
+		if base, d0, frames, err = b.Artifact.frameBase(qopt, p.Bound()); err != nil {
 			return nil, err
 		}
-		over = overlayView(b.Labels, frames, qopt)
+		over = overrides(b.Labels, d0, frames, qopt)
 		tuples = base.Len()
 		oracle = core.OracleFunc(func(ids []int) ([]int, error) {
 			scores, err := scoreFrames(ids)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
 	"slices"
@@ -94,25 +95,26 @@ func (a *Artifact) baseRelation(qopt uncertain.QuantizeOptions) (uncertain.Relat
 }
 
 // frameBase returns the frame-level D0 prepared for Phase 2 under the
-// given bound, with the frame table. The prepared base is memoized
-// beside d0, keyed like it (the quantization, plus the bound), and is
-// valid exactly as long as d0 is: it is dropped whenever d0 is rebuilt
-// or extended, and prepared again by the next frame query — never by
-// Append. Queries read it in place; none copies the relation.
-func (a *Artifact) frameBase(qopt uncertain.QuantizeOptions, bound core.BoundKind) (*core.Base, []windows.FrameScore, error) {
+// given bound, with the relation it was prepared from and the frame
+// table. The prepared base is memoized beside d0, keyed like it (the
+// quantization, plus the bound), and is valid exactly as long as d0 is:
+// it is dropped whenever d0 is rebuilt or extended, and prepared again
+// by the next frame query — never by Append. Queries read it in place;
+// none copies the relation.
+func (a *Artifact) frameBase(qopt uncertain.QuantizeOptions, bound core.BoundKind) (*core.Base, uncertain.Relation, []windows.FrameScore, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	rel, scores, err := a.baseRelation(qopt)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if a.d0Prep == nil || a.d0Bound != bound {
 		if a.d0Prep, err = core.Prepare(rel, bound); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		a.d0Bound = bound
 	}
-	return a.d0Prep, scores, nil
+	return a.d0Prep, rel, scores, nil
 }
 
 // levelAt is the clamped level of an exact (or stand-in) score.
@@ -125,23 +127,59 @@ func certainAt(score float64, qopt uncertain.QuantizeOptions) uncertain.Dist {
 	return uncertain.Certain(levelAt(score, qopt))
 }
 
-// overlayView is the label overlay as a view over D0: the level of a
-// cache label on a frame Phase 1 did not label — the precedence rule
-// above. A nil overlay is the nil view.
-func overlayView(labels *labelstore.Overlay, scores []windows.FrameScore, qopt uncertain.QuantizeOptions) func(id int) (int, bool) {
+// overrides enumerates the label overlay as overrides of D0, rel (in
+// Retained order, which is ascending ID, as Prepare keeps it): for
+// every cache label on a retained frame Phase 1 did not label — the
+// precedence rule above — the frame's position in rel and the label's
+// level. It walks the overlay once, |labels| steps, each finding its
+// frame by a search forward from the last one found (the snapshot's
+// labels come in ascending frame order), so a label on a frame outside
+// D0 (one the difference detector discarded, or one at or past the
+// artifact's end) is never yielded. A nil overlay is the nil
+// enumeration: the run starts as an uncached one.
+func overrides(labels *labelstore.Overlay, rel uncertain.Relation, scores []windows.FrameScore, qopt uncertain.QuantizeOptions) iter.Seq2[int, int] {
 	if labels == nil {
 		return nil
 	}
-	return func(id int) (int, bool) {
-		if scores[id].IsExact {
-			return 0, false
-		}
-		s, ok := labels.Get(id)
-		if !ok {
-			return 0, false
-		}
-		return levelAt(s, qopt), true
+	return func(yield func(pos, level int) bool) {
+		next := 0
+		labels.Range(func(f int, s float64) bool {
+			if f < 0 || f >= len(scores) || scores[f].IsExact {
+				return true
+			}
+			pos, ok := positionFrom(rel, next, f)
+			next = pos
+			return !ok || yield(pos, levelAt(s, qopt))
+		})
 	}
+}
+
+// positionFrom returns the position of the tuple with the given ID in
+// rel (ascending ID), or where it would be, searching forward from
+// position from in doubling steps and then by bisection: O(log of the
+// distance) when the IDs asked for ascend. An ID below rel[from]'s is
+// searched for from the start.
+func positionFrom(rel uncertain.Relation, from, id int) (int, bool) {
+	lo := 0
+	if from < len(rel) && rel[from].ID <= id {
+		lo = from
+	}
+	// Every position below lo holds a smaller ID; hi is past the end or
+	// holds an ID at least id.
+	hi, step := lo, 1
+	for hi < len(rel) && rel[hi].ID < id {
+		lo, hi, step = hi+1, hi+step, 2*step
+	}
+	hi = min(hi, len(rel))
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if rel[m].ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(rel) && rel[lo].ID == id
 }
 
 // FrameRelation builds the frame-level D0: a copy of the artifact's
@@ -151,8 +189,9 @@ func overlayView(labels *labelstore.Overlay, scores []windows.FrameScore, qopt u
 // overlay, or the running overlay of a coalesced group). A nil overlay
 // is the uncached path: every uncertain frame keeps its mixture. The
 // returned slice is the caller's; the distributions in it are shared
-// and immutable. Execute does not call it — it reads the prepared base
-// in place (frameBase) — but callers that want the relation itself do.
+// and immutable. Execute does not call it — it starts a run over the
+// prepared base (frameBase) under the same overrides — but callers that
+// want the relation itself do.
 func (a *Artifact) FrameRelation(qopt uncertain.QuantizeOptions, labels *labelstore.Overlay) (uncertain.Relation, error) {
 	a.mu.Lock()
 	base, scores, err := a.baseRelation(qopt)
@@ -162,11 +201,9 @@ func (a *Artifact) FrameRelation(qopt uncertain.QuantizeOptions, labels *labelst
 	}
 	rel := make(uncertain.Relation, len(base))
 	copy(rel, base)
-	if view := overlayView(labels, scores, qopt); view != nil {
-		for i := range rel {
-			if lvl, ok := view(rel[i].ID); ok {
-				rel[i].Dist = uncertain.Certain(lvl)
-			}
+	if labels != nil {
+		for pos, lvl := range overrides(labels, base, scores, qopt) {
+			rel[pos].Dist = uncertain.Certain(lvl)
 		}
 	}
 	return rel, nil

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -467,6 +468,69 @@ func TestFrameRelationIsTheCallers(t *testing.T) {
 	}
 }
 
+// TestLabelsOutsideD0ChangeNothing: a label on a frame outside D0 — one
+// the difference detector discarded, or one at or past the artifact's
+// end — changes neither the frame relation nor any frame plan's
+// outcome: an overlay holding such labels beside labels on retained
+// frames answers what the retained labels alone answer.
+func TestLabelsOutsideD0ChangeNothing(t *testing.T) {
+	r := xrand.New(25).Split("relation-test")
+	qopt := uncertain.DefaultCountingOptions()
+	udf := tableUDF{qopt}
+	for trial := 0; trial < 4; trial++ {
+		a := randomArtifact(r, 80+r.Intn(200))
+		var inside, both labelstore.Map
+		for f := 0; f < a.TotalFrames; f++ {
+			score := float64(r.Intn(15)) + 0.25
+			switch {
+			case a.RepOf[f] != int32(f):
+				both = both.Set(f, score)
+			case r.Intn(4) == 0:
+				inside, both = inside.Set(f, score), both.Set(f, score)
+			}
+		}
+		for _, f := range []int{a.TotalFrames, a.TotalFrames + 1, a.TotalFrames + 37, 1 << 20} {
+			both = both.Set(f, 9.25)
+		}
+		want, werr := a.FrameRelation(qopt, labelstore.NewOverlay(inside))
+		got, gerr := a.FrameRelation(qopt, labelstore.NewOverlay(both))
+		if werr != nil || gerr != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: labels outside D0 changed the frame relation (errors %v, %v)", trial, gerr, werr)
+		}
+		for pname, p := range executePlans(t) {
+			wantLabels, gotLabels := labelstore.NewOverlay(inside), labelstore.NewOverlay(both)
+			want, werr := Execute(p, Binding{UDF: udf, Artifact: a, Labels: wantLabels})
+			got, gerr := Execute(p, Binding{UDF: udf, Artifact: a, Labels: gotLabels})
+			if g, w := outcomeBits(got, gerr, gotLabels), outcomeBits(want, werr, wantLabels); g != w {
+				t.Fatalf("trial %d, plan %s: labels outside D0 changed Execute:\n got %s\nwant %s", trial, pname, g, w)
+			}
+		}
+	}
+}
+
+// TestPositionFrom: the forward search finds what a bisection of the
+// whole relation finds, from every starting position, for IDs in it,
+// between its IDs, and beyond both ends.
+func TestPositionFrom(t *testing.T) {
+	r := xrand.New(26)
+	for trial := 0; trial < 50; trial++ {
+		var rel uncertain.Relation
+		n := r.Intn(40)
+		for id := r.Intn(3); len(rel) < n; id += 1 + r.Intn(3) {
+			rel = append(rel, uncertain.XTuple{ID: id})
+		}
+		for id := -2; id <= 2+3*len(rel)+2; id++ {
+			want := sort.Search(len(rel), func(i int) bool { return rel[i].ID >= id })
+			for from := 0; from <= len(rel); from++ {
+				pos, ok := positionFrom(rel, from, id)
+				if pos != want || ok != (want < len(rel) && rel[want].ID == id) {
+					t.Fatalf("trial %d: positionFrom(%d, %d) = %d, %v; want %d", trial, from, id, pos, ok, want)
+				}
+			}
+		}
+	}
+}
+
 // TestWindowRelationMissingMixtureIsAnError: a retained frame with
 // neither a Phase 1 label nor a mixture is the same error from both
 // builders — the window builder used to score it N(0, 0) in silence.
@@ -513,9 +577,9 @@ func benchArtifact() (*Artifact, labelstore.Map) {
 
 // BenchmarkExecute is a warm query over the bench artifact, uncached
 // or under a fresh overlay over the cache snapshot. A frame query reads
-// the prepared D0 as it is (uncached) or through the overlay's view (the
-// joint CDF summed over the view, as a materialized copy would have
-// it); a 30-frame window query reads the shape's prepared relation as it
+// the prepared D0 as it is (uncached) or under the overlay's overrides
+// (walked once; the joint CDF summed over the view from the K-th
+// certain level up); a 30-frame window query reads the shape's prepared relation as it
 // is (window_uncached) or copies it and re-aggregates the windows the
 // overlay touches (window_overlay).
 func BenchmarkExecute(b *testing.B) {

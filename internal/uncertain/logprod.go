@@ -16,6 +16,13 @@ import (
 // built, so a relation whose Dists are memoized pays no math.Log per
 // query. Removing a tuple (when Phase 2 cleans it) costs O(its support +
 // its Min − lo). Queries are O(1).
+//
+// Each level's sums are independent of the others and of the covered
+// range, so an accumulator over [L, hi] answers LogAt, At and
+// AtExcluding with the very bits of one over [lo, hi], lo < L, at every
+// t ≥ L, after any sequence of removals; below L it answers as if every
+// member exceeded t. Phase 2 relies on this to build it from the S_k a
+// run starts with: a run reads only levels at or above its starting S_k.
 type JointCDF struct {
 	lo, hi int
 	// zeros[i] counts members with F_f(lo+i) == 0.

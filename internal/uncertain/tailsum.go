@@ -23,6 +23,12 @@ import "slices"
 // product — but removal must reverse exactly what insertion added, so
 // contributions are recomputed from the member's distribution on both
 // sides.
+//
+// As with JointCDF, each level's sum is independent of the covered
+// range: an accumulator over [L, hi] answers At and AtExcluding with
+// the bits of one over [lo, hi], lo < L, at every t ≥ L, after any
+// sequence of removals — which lets Phase 2 build it from a run's
+// starting S_k, since a run reads only levels at or above it.
 type TailSum struct {
 	lo, hi int
 	// sum[i] = Σ (1 − F_f(lo+i)) over members.
