@@ -55,9 +55,10 @@ crash:
 
 # Short-budget fuzz of the workpool determinism contract, the engine
 # plan compiler's normalize/validate invariants, the oracle mux's
-# batch-consolidation splitter, the fault-schedule DSL round-trip, and
-# the durable store's WAL-replay and checkpoint decoders (never panic,
-# recover exactly the checksum-valid prefix).
+# batch-consolidation splitter, the fault-schedule DSL round-trip, the
+# durable store's WAL-replay and checkpoint decoders (never panic,
+# recover exactly the checksum-valid prefix), and the label map's set
+# and delete batches against a Go map and the per-key fold.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMapOrdering -fuzztime 30s ./internal/workpool/
 	$(GO) test -run '^$$' -fuzz FuzzPlanNormalize -fuzztime 30s ./internal/engine/
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 30s ./internal/faultinject/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 30s ./internal/durable/
+	$(GO) test -run '^$$' -fuzz FuzzMapBatch -fuzztime 30s ./internal/labelstore/
 	$(GO) test -run '^$$' -fuzz FuzzParseEQL -fuzztime 30s ./internal/eql/
 
 # Capture the engine benchmark suite into BENCH_engine.json so future
@@ -85,14 +87,17 @@ bench-diff:
 # means bind reads no frame) and a warm execution; the core/engine line
 # is Phase 2's start — preparing D0, starting a run with and without an
 # overlay, and a frame and a window query's Execute, uncached and under
-# an overlay; the last line is the frame-level kernels — a Fit at 5 and
+# an overlay; the next is the frame-level kernels — a Fit at 5 and
 # 35 epochs, one grid point, one decoded frame (0 allocs) and one
-# counting-oracle call over 32 frames (1 alloc: its output).
+# counting-oracle call over 32 frames (1 alloc: its output); the last is
+# the label cache's write path — a capped, durable publish plus its
+# eviction — and a recovery from a checkpoint and a WAL tail.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SessionConcurrent|SessionSharedCache|SessionCoalesced|OracleMux|StreamingIngest|FollowDeltas|EQLScript' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BindScript|ExecWarm' -benchtime 1x -benchmem ./internal/eql
 	$(GO) test -run '^$$' -bench 'Prepare|Start|Execute' -benchtime 1x -benchmem ./internal/core ./internal/engine
 	$(GO) test -run '^$$' -bench 'Fit$$|TrainGridPoint|Render$$|CountUDFScore' -benchtime 1x -benchmem ./internal/nn ./internal/cmdn ./internal/video ./internal/vision
+	$(GO) test -run '^$$' -bench 'Publish|Recover' -benchtime 1x -benchmem ./internal/labelstore ./internal/durable
 
 # Live-camera smoke run: replay a bounded feed through the streaming
 # ingestor with a continuous top-K follower and print the answer deltas

@@ -1,0 +1,52 @@
+package durable
+
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/everest-project/everest/internal/labelstore"
+)
+
+// BenchmarkRecover times Open on a directory a capped serving cache left
+// behind: ~96-frame publishes over 20,000 frames into a cache capped at
+// 4,000 labels, checkpointed every 64 records, so recovery decodes a
+// 4,000-label checkpoint and replays the publish and evict records
+// logged after it.
+func BenchmarkRecover(b *testing.B) {
+	const frames, batch, maxLabels, publishes = 20000, 96, 4000, 150
+	dir := b.TempDir()
+	s, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := labelstore.NewSharedCache()
+	c.SetPolicy(labelstore.Policy{MaxLabels: maxLabels})
+	if err := c.EnableDurable(s); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < publishes; i++ {
+		fresh := make(map[int]float64, batch)
+		for j := 0; j < batch; j++ {
+			fresh[rng.Intn(frames)] = rng.Float64()
+		}
+		c.Publish(fresh)
+	}
+	if err := c.DurableErr(); err != nil {
+		b.Fatal(err)
+	}
+	want := c.Version()
+	s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.Version() != want {
+			b.Fatalf("recovered version %d, want %d", r.Version(), want)
+		}
+		r.Close()
+	}
+}

@@ -17,7 +17,7 @@ import (
 //	8 bytes  magic "EVCKPT01" (identifies file type AND format version)
 //	uvarint  version — the cache version the snapshot represents
 //	uvarint  count   — number of labels
-//	count ×  (uvarint frame delta, 8-byte score bits), frames ascending
+//	count ×  (uvarint frame delta, 8-byte score bits), frames strictly ascending
 //	uint32   CRC32 (IEEE) of every preceding byte
 //
 // Frames are delta-encoded ascending, exactly the WAL's publish layout,
@@ -62,30 +62,37 @@ func decodeCheckpoint(data []byte) (labelstore.Map, uint64, error) {
 	}
 	p = p[n:]
 	count, n := binary.Uvarint(p)
-	if n <= 0 || count > maxRecordLen {
+	// Each label takes at least 9 bytes, so a count the body cannot hold
+	// is rejected before sizing the batch by it.
+	if n <= 0 || count > uint64(len(p)-n)/9 {
 		return labelstore.Map{}, 0, fmt.Errorf("durable: bad checkpoint label count")
 	}
 	p = p[n:]
-	var labels labelstore.Map
+	frames := make([]int, count)
+	scores := make([]float64, count)
 	prev := uint64(0)
-	for i := uint64(0); i < count; i++ {
+	for i := range frames {
 		delta, n := binary.Uvarint(p)
 		if n <= 0 {
 			return labelstore.Map{}, 0, fmt.Errorf("durable: bad checkpoint frame delta")
 		}
 		p = p[n:]
-		prev += delta
-		if prev > math.MaxInt32 {
+		if i > 0 && delta == 0 {
+			return labelstore.Map{}, 0, fmt.Errorf("durable: duplicate checkpoint frame %d", prev)
+		}
+		if delta > math.MaxInt32-prev {
 			return labelstore.Map{}, 0, fmt.Errorf("durable: checkpoint frame index out of range")
 		}
+		prev += delta
 		if len(p) < 8 {
 			return labelstore.Map{}, 0, fmt.Errorf("durable: truncated checkpoint score")
 		}
-		labels = labels.Set(int(prev), math.Float64frombits(binary.LittleEndian.Uint64(p)))
+		frames[i] = int(prev)
+		scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(p))
 		p = p[8:]
 	}
 	if len(p) != 0 {
 		return labelstore.Map{}, 0, fmt.Errorf("durable: %d trailing checkpoint bytes", len(p))
 	}
-	return labels, version, nil
+	return labelstore.Map{}.SetSorted(frames, scores), version, nil
 }

@@ -234,16 +234,7 @@ func (s *Store) replay(segs []uint64, labels labelstore.Map, version, limit uint
 				return labels, version, nil
 			}
 			if rec.Version == version+1 {
-				switch rec.Type {
-				case recPublish:
-					for i, f := range rec.Frames {
-						labels = labels.Set(f, rec.Scores[i])
-					}
-				case recEvict:
-					for _, f := range rec.Frames {
-						labels = labels.Delete(f)
-					}
-				}
+				labels = rec.apply(labels)
 				version = rec.Version
 			}
 			off = next
@@ -295,46 +286,44 @@ func (s *Store) Err() error {
 }
 
 // AppendPublish logs one publish batch as the record that produced
-// version. Frames must be sorted ascending (labelstore publishes in
-// sorted fold order); version must be exactly one past the store's.
+// version. Frames must be non-negative and strictly ascending
+// (labelstore publishes in sorted fold order), parallel to scores;
+// version must be exactly one past the store's.
 func (s *Store) AppendPublish(version uint64, frames []int, scores []float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(Record{Type: recPublish, Version: version, Frames: frames, Scores: scores}); err != nil {
-		return err
-	}
-	for i, f := range frames {
-		s.labels = s.labels.Set(f, scores[i])
-	}
-	s.version = version
-	return s.maybeCheckpointLocked()
+	return s.append(Record{Type: recPublish, Version: version, Frames: frames, Scores: scores})
 }
 
 // AppendEvict logs one eviction pass as the record that produced
-// version.
+// version. Frames must be non-negative and strictly ascending.
 func (s *Store) AppendEvict(version uint64, frames []int) error {
+	return s.append(Record{Type: recEvict, Version: version, Frames: frames})
+}
+
+// append logs rec, then folds it into the mirror state as one batch.
+func (s *Store) append(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sorted := append([]int(nil), frames...)
-	sort.Ints(sorted)
-	if err := s.appendLocked(Record{Type: recEvict, Version: version, Frames: sorted}); err != nil {
+	if err := s.appendLocked(rec); err != nil {
 		return err
 	}
-	for _, f := range sorted {
-		s.labels = s.labels.Delete(f)
-	}
-	s.version = version
+	s.labels = rec.apply(s.labels)
+	s.version = rec.Version
 	return s.maybeCheckpointLocked()
 }
 
-// appendLocked validates continuity, encodes and writes one record to
-// the active segment, syncing per the options. Caller holds s.mu.
+// appendLocked validates continuity and the record's frames, encodes
+// and writes one record to the active segment, syncing per the
+// options. A record that fails validation is rejected before anything
+// is written. Caller holds s.mu.
 func (s *Store) appendLocked(rec Record) error {
 	if s.sticky != nil {
 		return s.sticky
 	}
 	if rec.Version != s.version+1 {
 		return fmt.Errorf("durable: version discontinuity: appending %d onto %d", rec.Version, s.version)
+	}
+	if err := rec.validate(); err != nil {
+		return err
 	}
 	if s.seg == nil {
 		seg, err := s.fs.OpenAppend(s.path(segName(s.segSeq)))

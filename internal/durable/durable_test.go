@@ -1,7 +1,10 @@
 package durable
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -385,4 +388,83 @@ func TestStoreGarbageDirectoryNeverPanics(t *testing.T) {
 	if err := s.AppendPublish(1, []int{1}, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAppendRejectsUnsortedFrames feeds the writer batches it must not
+// encode — unsorted, duplicate, negative, and a publish whose scores do
+// not match its frames — and checks each is refused with nothing
+// written and the version unchanged, so the next valid record still
+// lands at the expected version and recovery keeps every record.
+func TestAppendRejectsUnsortedFrames(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishN(t, s, 1, 2)
+	size := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, segName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := size()
+	bad := map[string]func() error{
+		"unsorted publish":  func() error { return s.AppendPublish(3, []int{7, 3}, []float64{1, 2}) },
+		"duplicate publish": func() error { return s.AppendPublish(3, []int{3, 3}, []float64{1, 2}) },
+		"negative publish":  func() error { return s.AppendPublish(3, []int{-1, 3}, []float64{1, 2}) },
+		"short scores":      func() error { return s.AppendPublish(3, []int{3, 4}, []float64{1}) },
+		"unsorted evict":    func() error { return s.AppendEvict(3, []int{21, 20}) },
+		"duplicate evict":   func() error { return s.AppendEvict(3, []int{20, 20}) },
+	}
+	for name, fn := range bad {
+		if err := fn(); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+		if s.Version() != 2 || size() != before {
+			t.Fatalf("%s: version %d and segment %d bytes after a rejected append, want 2 and %d",
+				name, s.Version(), size(), before)
+		}
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("a rejected batch latched a sticky error: %v", err)
+	}
+	publishN(t, s, 3, 2)
+	s.Close()
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	m, v := r.Recovered()
+	assertState(t, m, v, 4)
+}
+
+// TestDecodersRejectDuplicateFrames: no writer emits a zero frame gap
+// after the first frame, so both decoders treat one as corruption.
+func TestDecodersRejectDuplicateFrames(t *testing.T) {
+	rec := appendRecord(nil, Record{Type: recPublish, Version: 1, Frames: []int{3, 3}, Scores: []float64{1, 2}})
+	if _, _, err := decodeRecord(rec, 0); err == nil {
+		t.Fatal("WAL record with a duplicate frame decoded")
+	}
+	if _, _, err := decodeCheckpoint(checkpointBytes(5, []int{4, 0}, []float64{1, 2})); err == nil {
+		t.Fatal("checkpoint with a duplicate frame decoded")
+	}
+	if _, _, err := decodeCheckpoint(checkpointBytes(5, []int{4, 1}, []float64{1, 2})); err != nil {
+		t.Fatalf("valid hand-built checkpoint rejected: %v", err)
+	}
+}
+
+// checkpointBytes builds a checkpoint from raw frame deltas, so a test
+// can write one no encoder would.
+func checkpointBytes(version uint64, deltas []int, scores []float64) []byte {
+	buf := append([]byte(nil), ckptMagic[:]...)
+	buf = binary.AppendUvarint(buf, version)
+	buf = binary.AppendUvarint(buf, uint64(len(deltas)))
+	for i, d := range deltas {
+		buf = binary.AppendUvarint(buf, uint64(d))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(scores[i]))
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }

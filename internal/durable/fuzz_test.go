@@ -62,7 +62,8 @@ func sameState(a labelstore.Map, av uint64, b labelstore.Map, bv uint64) bool {
 // recovery bit-for-bit.
 func FuzzWALReplay(f *testing.F) {
 	// Seed corpus: a clean two-record log, a publish-then-evict log, a
-	// truncated tail, a bit-flipped payload, garbage, and an empty file.
+	// truncated tail, a bit-flipped payload, garbage, an empty file, and
+	// a clean log followed by a publish or evict with a duplicate frame.
 	clean := appendRecord(nil, Record{Type: recPublish, Version: 1, Frames: []int{3, 7, 12}, Scores: []float64{0.5, 0.25, 0.875}})
 	clean = appendRecord(clean, Record{Type: recPublish, Version: 2, Frames: []int{20}, Scores: []float64{1}})
 	withEvict := appendRecord(append([]byte(nil), clean...), Record{Type: recEvict, Version: 3, Frames: []int{7, 20}})
@@ -74,6 +75,10 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("not a wal segment at all"))
 	f.Add([]byte{})
+	// A checksum-valid record with a duplicate frame: recovery must stop
+	// before it, keeping the clean prefix.
+	f.Add(appendRecord(append([]byte(nil), clean...), Record{Type: recPublish, Version: 3, Frames: []int{5, 5}, Scores: []float64{1, 2}}))
+	f.Add(appendRecord(append([]byte(nil), clean...), Record{Type: recEvict, Version: 3, Frames: []int{3, 3}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -117,6 +122,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(encodeCheckpoint(labelstore.Map{}, 0))
 	f.Add([]byte("EVCKPT01 but then junk"))
 	f.Add([]byte{})
+	// Header count 2, one distinct frame: a duplicate, rejected.
+	f.Add(checkpointBytes(3, []int{4, 0}, []float64{0.5, 0.75}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		labels, version, err := decodeCheckpoint(data)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"github.com/everest-project/everest/internal/labelstore"
 )
 
 // WAL record wire format. Each record is self-delimiting and
@@ -21,10 +23,12 @@ import (
 //	  publish: count × (uvarint frame delta, 8-byte score bits)
 //	  evict:   count × (uvarint frame delta)
 //
-// Frames are stored sorted ascending and delta-encoded (first frame
-// absolute, the rest as gaps), matching the sorted fold order
-// labelstore.SharedCache.Publish already guarantees. Scores are raw
-// IEEE-754 bits, so replay reproduces them bit-exactly.
+// Frames are stored strictly ascending and delta-encoded (first frame
+// absolute, the rest as positive gaps), matching the sorted fold order
+// labelstore.SharedCache.Publish already guarantees; the writer rejects
+// any other order and the decoder treats a zero gap after the first
+// frame as corruption. Scores are raw IEEE-754 bits, so replay
+// reproduces them bit-exactly.
 const (
 	recPublish byte = 1
 	recEvict   byte = 2
@@ -42,6 +46,31 @@ type Record struct {
 	Version uint64
 	Frames  []int
 	Scores  []float64 // publish records only, parallel to Frames
+}
+
+// validate checks what the encoder trusts: frames non-negative,
+// strictly ascending and within the decoder's range, and a publish's
+// scores parallel to them. A violating record would encode a delta the
+// decoder rejects, so recovery would stop there and drop every later
+// record.
+func (r Record) validate() error {
+	if r.Type == recPublish && len(r.Scores) != len(r.Frames) {
+		return fmt.Errorf("durable: publish of %d frames carries %d scores", len(r.Frames), len(r.Scores))
+	}
+	for i, f := range r.Frames {
+		if f < 0 || f > math.MaxInt32 || i > 0 && f <= r.Frames[i-1] {
+			return fmt.Errorf("durable: frame %d at position %d is negative, out of range or not strictly ascending", f, i)
+		}
+	}
+	return nil
+}
+
+// apply folds the record into labels as one sorted batch.
+func (r Record) apply(labels labelstore.Map) labelstore.Map {
+	if r.Type == recPublish {
+		return labels.SetSorted(r.Frames, r.Scores)
+	}
+	return labels.DeleteSorted(r.Frames)
 }
 
 // appendRecord encodes r onto buf and returns the extended slice.
@@ -111,7 +140,7 @@ func parsePayload(p []byte) (Record, error) {
 	p = p[n:]
 	rec.Version = version
 	count, n := binary.Uvarint(p)
-	if n <= 0 || count > maxRecordLen {
+	if n <= 0 || count > uint64(len(p)-n) { // every frame takes at least one byte
 		return Record{}, fmt.Errorf("bad record frame count")
 	}
 	p = p[n:]
@@ -126,10 +155,13 @@ func parsePayload(p []byte) (Record, error) {
 			return Record{}, fmt.Errorf("bad frame delta")
 		}
 		p = p[n:]
-		prev += delta
-		if prev > math.MaxInt32 {
-			return Record{}, fmt.Errorf("frame index %d out of range", prev)
+		if i > 0 && delta == 0 {
+			return Record{}, fmt.Errorf("duplicate frame %d", prev)
 		}
+		if delta > math.MaxInt32-prev {
+			return Record{}, fmt.Errorf("frame index out of range after %d", prev)
+		}
+		prev += delta
 		rec.Frames = append(rec.Frames, int(prev))
 		if rec.Type == recPublish {
 			if len(p) < 8 {

@@ -1,0 +1,48 @@
+package labelstore_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/everest-project/everest/internal/durable"
+	"github.com/everest-project/everest/internal/labelstore"
+)
+
+// BenchmarkPublish times the cache's write path as serve_shared drives
+// it: ~96-frame publishes over a 4,000-frame video into a cache capped
+// at 400 labels, so each publish also evicts an older batch, with a
+// durable store attached (no fsync, a checkpoint every 64 records) that
+// logs both and mirrors them into its own map.
+func BenchmarkPublish(b *testing.B) {
+	const frames, batch, maxLabels = 4000, 96, 400
+	rng := rand.New(rand.NewSource(1))
+	batches := make([]map[int]float64, 256)
+	for i := range batches {
+		batches[i] = make(map[int]float64, batch)
+		for j := 0; j < batch; j++ {
+			batches[i][rng.Intn(frames)] = rng.Float64()
+		}
+	}
+	store, err := durable.Open(b.TempDir(), durable.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	c := labelstore.NewSharedCache()
+	c.SetPolicy(labelstore.Policy{MaxLabels: maxLabels})
+	if err := c.EnableDurable(store); err != nil {
+		b.Fatal(err)
+	}
+	for _, fresh := range batches[:16] { // reach the cap's steady state
+		c.Publish(fresh)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Publish(batches[i%len(batches)])
+	}
+	b.StopTimer()
+	if err := c.DurableErr(); err != nil {
+		b.Fatal(err)
+	}
+}

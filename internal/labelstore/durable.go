@@ -17,6 +17,7 @@ type WAL interface {
 	// Frames are sorted ascending, parallel to scores.
 	AppendPublish(version uint64, frames []int, scores []float64) error
 	// AppendEvict logs the eviction pass that produced version.
+	// Frames are sorted ascending.
 	AppendEvict(version uint64, frames []int) error
 	// Adopt installs a warm cache's current state as the store baseline
 	// (only valid on a store with no recovered state).
@@ -133,13 +134,9 @@ func (c *SharedCache) SnapshotAt(version uint64) (Map, error) {
 
 // logPublish forwards a publish to the WAL (caller holds c.mu and has
 // already bumped the version). Failures latch into walErr.
-func (c *SharedCache) logPublish(version uint64, frames []int, fresh map[int]float64) {
+func (c *SharedCache) logPublish(version uint64, frames []int, scores []float64) {
 	if c.wal == nil {
 		return
-	}
-	scores := make([]float64, len(frames))
-	for i, f := range frames {
-		scores[i] = fresh[f]
 	}
 	if err := c.wal.AppendPublish(version, frames, scores); err != nil && c.walErr == nil {
 		c.walErr = err

@@ -12,8 +12,17 @@
 // path-copies O(log₃₂ n) nodes while every previously taken snapshot
 // stays frozen. This is the incremental-sharing lever of "Answering
 // FO+MOD queries under updates": previously computed answers stay
-// valid, verbatim, while the store advances underneath.
+// valid, verbatim, while the store advances underneath, and an update
+// costs in proportion to the update. Labels therefore move a batch at a
+// time: a publish or an eviction is one sorted batch (SetSorted,
+// DeleteSorted) that path-copies each trie node it touches once, not
+// once per label; Set and Delete are the one-key batches.
 package labelstore
+
+import (
+	"math/bits"
+	"sort"
+)
 
 // Trie geometry: 5 key bits per level, 32-way fan-out. Frame indices
 // are dense non-negative ints, so the trie is effectively a chunked
@@ -28,29 +37,48 @@ const (
 // node is one trie node. At depth 0 it is a leaf: vals/bits hold up to
 // 32 scores for consecutive frame indices. Above depth 0 it is a
 // branch: kids point at subtries. Only the slice its level uses is
-// allocated, so a path copy moves 32 words per node, not both arrays.
-// Nodes are immutable once published into a Map; Set copies the nodes
-// along the key's path only.
+// allocated, in the same allocation as the node itself (leafBox,
+// branchBox), so a path copy moves 32 words per node in one
+// allocation. Nodes are immutable once published into a Map; a batch
+// copies each node along its keys' paths once.
 type node struct {
 	kids []*node   // len fanout at branch levels, nil at leaves
 	vals []float64 // len fanout at leaves, nil at branch levels
 	bits uint32    // leaf occupancy
 }
 
-func newLeaf() *node   { return &node{vals: make([]float64, fanout)} }
-func newBranch() *node { return &node{kids: make([]*node, fanout)} }
+type leafBox struct {
+	n    node
+	vals [fanout]float64
+}
+
+type branchBox struct {
+	n    node
+	kids [fanout]*node
+}
+
+func newLeaf() *node {
+	b := new(leafBox)
+	b.n.vals = b.vals[:]
+	return &b.n
+}
+
+func newBranch() *node {
+	b := new(branchBox)
+	b.n.kids = b.kids[:]
+	return &b.n
+}
 
 // clone copies a node's occupied role for a path copy.
 func (n *node) clone() *node {
-	c := &node{bits: n.bits}
 	if n.kids != nil {
-		c.kids = make([]*node, fanout)
+		c := newBranch()
 		copy(c.kids, n.kids)
+		return c
 	}
-	if n.vals != nil {
-		c.vals = make([]float64, fanout)
-		copy(c.vals, n.vals)
-	}
+	c := newLeaf()
+	copy(c.vals, n.vals)
+	c.bits = n.bits
 	return c
 }
 
@@ -91,33 +119,52 @@ func (m Map) Get(f int) (float64, bool) {
 
 // Set returns a map holding every entry of m plus f→v. m itself — and
 // every snapshot taken from it — is unchanged. Frame indices must be
-// non-negative.
+// non-negative. It is the one-key case of SetSorted.
 func (m Map) Set(f int, v float64) Map {
-	if f < 0 {
+	return m.SetSorted([]int{f}, []float64{v})
+}
+
+// SetSorted returns a map holding every entry of m plus keys[i]→vals[i]
+// for each i. keys must be non-negative and strictly ascending, vals
+// parallel to them; it panics otherwise. The batch is one pass that
+// path-copies each node it touches once, however many of the keys fall
+// under it, and the result — content, Len and trie shape node for node
+// — is exactly that of folding Set over the keys in order. m itself,
+// and every snapshot taken from it, is unchanged.
+func (m Map) SetSorted(keys []int, vals []float64) Map {
+	if len(keys) != len(vals) {
+		panic("labelstore: SetSorted keys and vals differ in length")
+	}
+	if len(keys) == 0 {
+		return m
+	}
+	if keys[0] < 0 {
 		panic("labelstore: negative frame index")
 	}
+	mustAscend(keys)
 	if m.root == nil {
 		m.root = newLeaf()
 		m.depth = 0
 	}
-	// Grow the trie upward until the key fits: the old root becomes
-	// child 0 of each new root, preserving all existing entries.
-	for f >= capacity(m.depth) {
+	// Grow the trie upward until the largest key fits: the old root
+	// becomes child 0 of each new root, preserving all existing entries
+	// (the sequential fold grows the same chain, one key at a time).
+	for keys[len(keys)-1] >= capacity(m.depth) {
 		r := newBranch()
 		r.kids[0] = m.root
 		m.root = r
 		m.depth++
 	}
-	root, added := setAt(m.root, m.depth, f, v)
+	root, added := setSorted(m.root, m.depth, keys, vals)
 	m.root = root
-	if added {
-		m.count++
-	}
+	m.count += added
 	return m
 }
 
-// setAt path-copies n (and its ancestors via the caller) to hold f→v.
-func setAt(n *node, depth, f int, v float64) (*node, bool) {
+// setSorted path-copies n (nil: a fresh node) to hold every keys[i]→
+// vals[i]; all keys fall under n. It returns the copy and how many keys
+// were new.
+func setSorted(n *node, depth int, keys []int, vals []float64) (*node, int) {
 	var c *node
 	if n != nil {
 		c = n.clone()
@@ -126,60 +173,122 @@ func setAt(n *node, depth, f int, v float64) (*node, bool) {
 	} else {
 		c = newBranch()
 	}
+	added := 0
 	if depth == 0 {
-		i := f & levelMask
-		added := c.bits&(1<<i) == 0
-		c.vals[i] = v
-		c.bits |= 1 << i
+		for j, f := range keys {
+			i := f & levelMask
+			if c.bits&(1<<i) == 0 {
+				added++
+			}
+			c.vals[i] = vals[j]
+			c.bits |= 1 << i
+		}
 		return c, added
 	}
-	i := (f >> (bitsPerLevel * depth)) & levelMask
-	kid, added := setAt(c.kids[i], depth-1, f, v)
-	c.kids[i] = kid
+	shift := bitsPerLevel * depth
+	for len(keys) > 0 {
+		i, j := slotRun(keys, shift)
+		kid, a := setSorted(c.kids[i], depth-1, keys[:j], vals[:j])
+		c.kids[i] = kid
+		added += a
+		keys, vals = keys[j:], vals[j:]
+	}
 	return c, added
 }
 
 // Delete returns a map holding every entry of m except f. m itself —
-// and every snapshot taken from it — is unchanged; the delete
-// path-copies O(log₃₂ n) nodes like Set. Deleting an absent key
-// returns m unchanged without copying.
+// and every snapshot taken from it — is unchanged. Deleting an absent
+// key returns m unchanged without copying. It is the one-key case of
+// DeleteSorted.
 func (m Map) Delete(f int) Map {
-	if m.root == nil || f < 0 || f >= capacity(m.depth) {
+	return m.DeleteSorted([]int{f})
+}
+
+// DeleteSorted returns a map holding every entry of m except keys,
+// which must be strictly ascending (it panics otherwise); negative,
+// out-of-range and absent keys are ignored. Like SetSorted it is one
+// pass that path-copies each node holding a deleted key once, and the
+// result matches folding Delete over the keys node for node: empty
+// leaves are kept in place (the occupancy bitmap already marks them
+// absent, and frame indices are dense so the slot will likely refill),
+// and a batch that deletes nothing returns m without copying.
+func (m Map) DeleteSorted(keys []int) Map {
+	mustAscend(keys)
+	if m.root == nil {
 		return m
 	}
-	root, removed := deleteAt(m.root, m.depth, f)
-	if removed {
+	lo := sort.SearchInts(keys, 0)
+	hi := sort.SearchInts(keys, capacity(m.depth))
+	if lo == hi {
+		return m
+	}
+	if root, removed := deleteSorted(m.root, m.depth, keys[lo:hi]); removed > 0 {
 		m.root = root
-		m.count--
+		m.count -= removed
 	}
 	return m
 }
 
-// deleteAt path-copies n to drop f; empty leaves are kept in place (the
-// occupancy bitmap already marks them absent, and frame indices are
-// dense so the slot will likely refill).
-func deleteAt(n *node, depth, f int) (*node, bool) {
+// deleteSorted path-copies n to drop keys, all of which fall under n.
+// It returns n itself when none of them was present.
+func deleteSorted(n *node, depth int, keys []int) (*node, int) {
 	if n == nil {
-		return n, false
+		return nil, 0
 	}
 	if depth == 0 {
-		i := f & levelMask
-		if n.bits&(1<<i) == 0 {
-			return n, false
+		var drop uint32
+		for _, f := range keys {
+			drop |= 1 << (f & levelMask)
+		}
+		if drop &= n.bits; drop == 0 {
+			return n, 0
 		}
 		c := n.clone()
-		c.bits &^= 1 << i
-		c.vals[i] = 0
-		return c, true
+		c.bits &^= drop
+		for d := drop; d != 0; d &= d - 1 {
+			c.vals[bits.TrailingZeros32(d)] = 0
+		}
+		return c, bits.OnesCount32(drop)
 	}
-	i := (f >> (bitsPerLevel * depth)) & levelMask
-	kid, removed := deleteAt(n.kids[i], depth-1, f)
-	if !removed {
-		return n, false
+	var c *node
+	removed := 0
+	shift := bitsPerLevel * depth
+	for len(keys) > 0 {
+		i, j := slotRun(keys, shift)
+		if kid, r := deleteSorted(n.kids[i], depth-1, keys[:j]); r > 0 {
+			if c == nil {
+				c = n.clone()
+			}
+			c.kids[i] = kid
+			removed += r
+		}
+		keys = keys[j:]
 	}
-	c := n.clone()
-	c.kids[i] = kid
-	return c, true
+	if c == nil {
+		return n, 0
+	}
+	return c, removed
+}
+
+// slotRun returns the child slot of keys[0] at the level whose slot
+// bits start at shift, and the length of the run of keys sharing it.
+// Keys under one node are ascending, so each slot's keys are adjacent.
+func slotRun(keys []int, shift int) (slot, n int) {
+	slot = (keys[0] >> shift) & levelMask
+	n = 1
+	for n < len(keys) && (keys[n]>>shift)&levelMask == slot {
+		n++
+	}
+	return slot, n
+}
+
+// mustAscend panics unless keys are strictly ascending.
+func mustAscend(keys []int) {
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			panic("labelstore: batch keys not strictly ascending")
+		}
+	}
 }
 
 // Range calls fn for every entry in ascending frame order and stops

@@ -121,12 +121,13 @@ func (c *SharedCache) Snapshot() (Map, uint64) {
 }
 
 // Publish folds fresh labels into the cache and returns the new
-// version. Empty publishes do not bump the version. Keys are folded in
-// ascending order so the trie's internal shape — not just its content
-// — is independent of Go map iteration order. When an eviction policy
-// is active, the batch is logged and over-budget or expired batches are
-// evicted before returning (each eviction pass bumps the version once
-// more).
+// version. Empty publishes do not bump the version. The keys are
+// folded as one ascending batch (Map.SetSorted), so each touched trie
+// node is path-copied once, and the trie's internal shape — not just
+// its content — is independent of Go map iteration order. When an
+// eviction policy is active, the batch is logged and over-budget or
+// expired batches are evicted before returning (each eviction pass
+// bumps the version once more).
 func (c *SharedCache) Publish(fresh map[int]float64) uint64 {
 	if len(fresh) == 0 {
 		c.mu.Lock()
@@ -138,15 +139,15 @@ func (c *SharedCache) Publish(fresh map[int]float64) uint64 {
 		keys = append(keys, f)
 	}
 	sort.Ints(keys)
+	scores := make([]float64, len(keys))
+	for i, f := range keys {
+		scores[i] = fresh[f]
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.labels
-	for _, f := range keys {
-		m = m.Set(f, fresh[f])
-	}
-	c.labels = m
+	c.labels = c.labels.SetSorted(keys, scores)
 	c.version++
-	c.logPublish(c.version, keys, fresh)
+	c.logPublish(c.version, keys, scores)
 	if c.policy.active() {
 		c.pubSeq++
 		c.pubs = append(c.pubs, publishRecord{seq: c.pubSeq, at: c.clock()(), keys: keys})
@@ -229,8 +230,9 @@ func (c *SharedCache) clock() func() time.Time {
 // violated: the cache exceeds MaxLabels, or the oldest batch is older
 // than TTL. A frame is removed only if the batch being dropped is the
 // newest one that contained it — re-published frames survive their
-// original batch's eviction. Bumps the version once if anything was
-// evicted. Caller holds c.mu.
+// original batch's eviction. The removed frames are deleted as one
+// sorted batch (Map.DeleteSorted) and bump the version once. Caller
+// holds c.mu.
 func (c *SharedCache) evictLocked() {
 	now := c.clock()()
 	var removed []int
@@ -251,16 +253,20 @@ func (c *SharedCache) evictLocked() {
 		}
 		pub := c.pubs[0]
 		c.pubs = c.pubs[1:]
+		if removed == nil {
+			removed = make([]int, 0, len(pub.keys))
+		}
 		for _, f := range pub.keys {
 			if c.lastPub[f] != pub.seq {
 				continue
 			}
-			c.labels = c.labels.Delete(f)
 			delete(c.lastPub, f)
 			removed = append(removed, f)
 		}
 	}
 	if len(removed) > 0 {
+		sort.Ints(removed)
+		c.labels = c.labels.DeleteSorted(removed)
 		c.version++
 		c.logEvict(c.version, removed)
 	}
