@@ -57,10 +57,13 @@ crash:
 # plan compiler's normalize/validate invariants, the oracle mux's
 # batch-consolidation splitter, the fault-schedule DSL round-trip, the
 # durable store's WAL-replay and checkpoint decoders (never panic,
-# recover exactly the checksum-valid prefix), and the label map's set
-# and delete batches against a Go map and the per-key fold.
+# recover exactly the checksum-valid prefix), the label map's set and
+# delete batches against a Go map and the per-key fold, and Phase 2's
+# start under random overrides (an error exactly on malformed input,
+# else the run over the materialized relation).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMapOrdering -fuzztime 30s ./internal/workpool/
+	$(GO) test -run '^$$' -fuzz FuzzStartOverrides -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzPlanNormalize -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzArtifactAppend -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzConsolidate -fuzztime 30s ./internal/oraclemux/

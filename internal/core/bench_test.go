@@ -2,6 +2,7 @@ package core
 
 import (
 	"iter"
+	"slices"
 	"testing"
 
 	"github.com/everest-project/everest/internal/simclock"
@@ -15,7 +16,8 @@ func benchRelation(n, nCertain int) (uncertain.Relation, *trueWorldOracle) {
 	return randomRelation(r, n, nCertain, 6, 20)
 }
 
-// BenchmarkEngineRun is NewEngine plus Run over a 20,000-tuple relation.
+// BenchmarkEngineRun is Prepare, Start and Run over a 20,000-tuple
+// relation.
 // The relation is built once, outside the timed region: the engine never
 // writes to the relation it is given.
 func BenchmarkEngineRun(b *testing.B) {
@@ -23,7 +25,7 @@ func BenchmarkEngineRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := NewEngine(rel, Config{K: 50, Threshold: 0.9, BatchSize: 8}, oracle, nil, simclock.Default())
+		e, err := newEngine(rel, Config{K: 50, Threshold: 0.9, BatchSize: 8}, oracle, nil, simclock.Default())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,11 +55,14 @@ func BenchmarkPrepare(b *testing.B) {
 // prepared D0: base is a run with no overrides (a clone of the memoized
 // joint CDF, the top-K prefix of the certain tuples, a copy of the live
 // table); overlay one whose overrides make every fourth tuple certain,
-// an eighth of them certain in the base already; overlay_live the
-// engine's shape, overrides on about a tenth of the uncertain tuples
-// only. An overlay run walks its overrides once, merges the ranked
-// certain tuples behind them, and sums the joint CDF over the view from
-// the K-th certain level up.
+// an eighth of them certain in the base already; overlay_live the frame
+// query's shape, overrides on about a tenth of the uncertain tuples
+// only; window_overlay a window query's, a run relation with every
+// other tuple re-distributed — the certain ones to another point mass,
+// the uncertain ones to a fresh distribution in place — all of them
+// overrides. An overlay run walks its overrides once, merges the ranked
+// certain tuples behind them, and sums the joint CDF over the run
+// relation from the K-th certain level up.
 func BenchmarkStart(b *testing.B) {
 	rel, oracle := benchRelation(4000, 500)
 	base, err := Prepare(rel, BoundIndependent)
@@ -65,34 +70,51 @@ func BenchmarkStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := Config{K: 10, Threshold: 0.9}
-	pairs := func(keep func(pos int) bool) iter.Seq2[int, int] {
-		var ps [][2]int
-		for pos, x := range rel {
+	overridesOf := func(run uncertain.Relation, keep func(pos int) bool) iter.Seq2[int, uncertain.Dist] {
+		var ps []int
+		for pos := range run {
 			if keep(pos) {
-				ps = append(ps, [2]int{pos, x.ID % 20})
+				ps = append(ps, pos)
 			}
 		}
-		return func(yield func(int, int) bool) {
-			for _, p := range ps {
-				if !yield(p[0], p[1]) {
+		return func(yield func(int, uncertain.Dist) bool) {
+			for _, pos := range ps {
+				if !yield(pos, run[pos].Dist) {
 					return
 				}
 			}
 		}
 	}
+	certainAt := slices.Clone(rel)
+	for pos, x := range certainAt {
+		certainAt[pos].Dist = uncertain.Certain(x.ID % 20)
+	}
+	windowRun := slices.Clone(rel)
+	r := xrand.New(7)
+	for pos, x := range windowRun {
+		switch {
+		case pos%2 == 1:
+		case x.Dist.IsCertain():
+			windowRun[pos].Dist = uncertain.Certain(x.Dist.Min + 1)
+		default:
+			windowRun[pos].Dist = randomDist(r, x.Dist.Min+r.Intn(3)-1)
+		}
+	}
 	views := []struct {
 		name string
-		over iter.Seq2[int, int]
+		rel  uncertain.Relation
+		over iter.Seq2[int, uncertain.Dist]
 	}{
-		{"base", nil},
-		{"overlay", pairs(func(pos int) bool { return rel[pos].ID%4 == 1 })},
-		{"overlay_live", pairs(func(pos int) bool { return !rel[pos].Dist.IsCertain() && pos%10 == 3 })},
+		{"base", nil, nil},
+		{"overlay", nil, overridesOf(certainAt, func(pos int) bool { return rel[pos].ID%4 == 1 })},
+		{"overlay_live", nil, overridesOf(certainAt, func(pos int) bool { return !rel[pos].Dist.IsCertain() && pos%10 == 3 })},
+		{"window_overlay", windowRun, overridesOf(windowRun, func(pos int) bool { return pos%2 == 0 })},
 	}
 	for _, v := range views {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := base.Start(cfg, v.over, oracle, nil, simclock.Default()); err != nil {
+				if _, err := base.Start(cfg, v.rel, v.over, oracle, nil, simclock.Default()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -102,7 +124,7 @@ func BenchmarkStart(b *testing.B) {
 
 func BenchmarkTopkProb(b *testing.B) {
 	rel, oracle := benchRelation(50000, 500)
-	e, err := NewEngine(rel, Config{K: 50, Threshold: 0.9}, oracle, nil, simclock.Default())
+	e, err := newEngine(rel, Config{K: 50, Threshold: 0.9}, oracle, nil, simclock.Default())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -114,7 +136,7 @@ func BenchmarkTopkProb(b *testing.B) {
 
 func BenchmarkSelectBatch(b *testing.B) {
 	rel, oracle := benchRelation(50000, 500)
-	e, err := NewEngine(rel, Config{K: 50, Threshold: 0.9, BatchSize: 8}, oracle, nil, simclock.Default())
+	e, err := newEngine(rel, Config{K: 50, Threshold: 0.9, BatchSize: 8}, oracle, nil, simclock.Default())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +152,7 @@ func BenchmarkSelectBatch(b *testing.B) {
 // for all ~49.5k uncertain candidates.
 func BenchmarkSelectBatchExhaustive(b *testing.B) {
 	rel, oracle := benchRelation(50000, 500)
-	e, err := NewEngine(rel, Config{
+	e, err := newEngine(rel, Config{
 		K: 50, Threshold: 0.9, BatchSize: 8, DisableEarlyStop: true,
 	}, oracle, nil, simclock.Default())
 	if err != nil {

@@ -20,15 +20,18 @@
 //
 // D0 is prepared once and read in place, as §3.3.1 computes F_f and H
 // once: Prepare validates a relation and returns an immutable Base that
-// any number of runs share, and Base.Start begins one run over it,
-// optionally under an enumeration of overrides that make some tuples
-// certain (the labels a cache already holds). A run with no override
+// any number of runs share, and Base.Start — the one way a run begins —
+// starts a run over it, optionally under an enumeration of overrides
+// that give some tuples another distribution: a point mass for a label a
+// cache already holds, or a window's re-aggregated distribution, in
+// place in the run's own copy of the relation. A run with no override
 // clones the base's joint CDF — built once, by the first such run —
 // instead of rebuilding it; a run with overrides walks them once, merges
 // the base's ranked certain tuples behind them, and sums the joint CDF
 // over the view in the order a materialized copy of the view would, but
 // only from the first S_k up, the levels a run reads. Either way the run
-// is bit-identical to NewEngine over that materialized relation.
+// is bit-identical to Prepare and Start with no override over that
+// materialized relation.
 package core
 
 import (
@@ -212,10 +215,10 @@ type Base struct {
 	acc     noExceed
 }
 
-// Prepare validates a relation — non-empty, distinct IDs, in any order
-// (an unordered relation is sorted into a copy; the caller's slice is
-// never reordered) — and indexes it for any number of runs under the
-// given bound.
+// Prepare validates a relation — non-empty, in strictly ascending ID
+// order (an unordered relation or a duplicate ID is an error) — and
+// indexes it, in place, for any number of runs under the given bound.
+// The engine prepares each memoized D0 once, never per query.
 func Prepare(rel uncertain.Relation, bound BoundKind) (*Base, error) {
 	if len(rel) == 0 {
 		return nil, ErrEmptyRelation
@@ -223,12 +226,13 @@ func Prepare(rel uncertain.Relation, bound BoundKind) (*Base, error) {
 	if err := bound.validate(); err != nil {
 		return nil, err
 	}
-	rel, err := ascendingByID(rel)
-	if err != nil {
-		return nil, err
-	}
 	b := &Base{rel: rel, bound: bound, live: make([]bool, len(rel)), lo: math.MaxInt, hi: math.MinInt}
 	for i, x := range rel {
+		if i > 0 && x.ID == rel[i-1].ID {
+			return nil, fmt.Errorf("core: duplicate tuple ID %d", x.ID)
+		} else if i > 0 && x.ID < rel[i-1].ID {
+			return nil, fmt.Errorf("core: tuple ID %d follows %d: the relation is not in ascending ID order", x.ID, rel[i-1].ID)
+		}
 		b.lo, b.hi = min(b.lo, x.Dist.Min), max(b.hi, x.Dist.Max())
 		if x.Dist.IsCertain() {
 			b.ranked = append(b.ranked, certEntry{id: x.ID, level: x.Dist.Min})
@@ -245,7 +249,7 @@ func Prepare(rel uncertain.Relation, bound BoundKind) (*Base, error) {
 func (b *Base) Len() int { return len(b.rel) }
 
 // Engine runs Phase 2 over one uncertain relation. An Engine is
-// single-use: construct with Base.Start (or NewEngine), call Run once.
+// single-use: construct with Base.Start, call Run once.
 //
 // Tuples are addressed by their position in rel, which is in strictly
 // ascending ID order, so ascending position is ascending ID: the
@@ -258,10 +262,10 @@ type Engine struct {
 	clock  *simclock.Clock
 	cost   simclock.CostModel
 
-	// rel is the base's relation, shared and read only; the engine reads
+	// rel is the run's relation, shared and read only; the engine reads
 	// a tuple's distribution only while its position is live. live[i] is
 	// true while rel[i] is uncertain and not yet cleaned — never for a
-	// tuple the overlay made certain; nLive counts them.
+	// tuple an override made certain; nLive counts them.
 	rel     uncertain.Relation
 	live    []bool
 	nLive   int
@@ -271,27 +275,21 @@ type Engine struct {
 	stats   Stats
 }
 
-// NewEngine is Prepare and Start with no overlay in one call, for a
-// relation that serves one run.
-func NewEngine(rel uncertain.Relation, cfg Config, oracle Oracle, clock *simclock.Clock, cost simclock.CostModel) (*Engine, error) {
-	b, err := Prepare(rel, cfg.Bound)
-	if err != nil {
-		return nil, err
-	}
-	return b.Start(cfg, nil, oracle, clock, cost)
-}
-
-// Start begins one run over the base. over, when non-nil, enumerates
-// the run's overrides — the labels a cache already holds — as
-// (position, level) pairs: positions index the base's tuples in
-// ascending ID order, each at most once, in any order. An overridden
-// tuple enters the run certain at that level in place of its base
-// distribution (a certain base tuple is overridden too); a duplicate or
-// out-of-range position is an error. Start reads over once; Run never
-// does. Tuples whose distribution is already a point mass (Phase 1
-// training/holdout samples) enter the certain set directly, so no
-// oracle work is wasted (§3.2).
-func (b *Base) Start(cfg Config, over iter.Seq2[int, int], oracle Oracle, clock *simclock.Clock, cost simclock.CostModel) (*Engine, error) {
+// Start begins one run over the base. rel is the run's own relation,
+// nil meaning the base's; its tuples that are not overridden must be
+// the base's. over, when non-nil, enumerates the run's overrides as
+// (position, distribution) pairs, each position at most once, in any
+// order. A certain override (a point mass) makes its tuple certain at
+// that level, a certain base tuple too; an uncertain one must already
+// be in place in rel — the base tuple's ID, the very same table — and
+// leaves its tuple live, or makes a certain base tuple live. Start
+// never writes rel and reads over once; Run never does. A rel of
+// another length, a position outside the base or overridden twice, an
+// empty distribution or an uncertain override that is not rel's tuple
+// is an error. Point masses in the base (Phase 1 training/holdout
+// samples) enter the certain set directly, so no oracle work is wasted
+// (§3.2).
+func (b *Base) Start(cfg Config, rel uncertain.Relation, over iter.Seq2[int, uncertain.Dist], oracle Oracle, clock *simclock.Clock, cost simclock.CostModel) (*Engine, error) {
 	if err := cfg.validate(len(b.rel)); err != nil {
 		return nil, err
 	}
@@ -301,6 +299,11 @@ func (b *Base) Start(cfg Config, over iter.Seq2[int, int], oracle Oracle, clock 
 	if oracle == nil {
 		return nil, errors.New("core: nil oracle")
 	}
+	if rel == nil {
+		rel = b.rel
+	} else if len(rel) != len(b.rel) {
+		return nil, fmt.Errorf("core: a run relation of %d tuples over a base of %d", len(rel), len(b.rel))
+	}
 	if clock == nil {
 		clock = simclock.NewClock()
 	}
@@ -309,7 +312,7 @@ func (b *Base) Start(cfg Config, over iter.Seq2[int, int], oracle Oracle, clock 
 		oracle:  oracle,
 		clock:   clock,
 		cost:    cost,
-		rel:     b.rel,
+		rel:     rel,
 		live:    slices.Clone(b.live),
 		nLive:   b.nLive,
 		certain: newCertainSet(),
@@ -329,52 +332,71 @@ func (b *Base) Start(cfg Config, over iter.Seq2[int, int], oracle Oracle, clock 
 }
 
 // overrides is what one pass over a run's overrides leaves besides the
-// cleared live bits and the certain set: how many there were, the
-// certain base tuples they replaced (a bit per position, allocated on
-// the first — rare — such override) and their count, and the first
-// malformed pair's error.
+// live bits and the certain set: their count; a bit per position for
+// every override but a certain one of a live tuple (whose cleared live
+// bit records it), allocated on the first; the certain base tuples
+// replaced; the accumulator's level range, the base's widened by the
+// uncertain overrides; and the first malformed pair's error.
 type overrides struct {
 	n         int
-	replaced  []uint64
+	marked    []uint64
 	nReplaced int
+	lo, hi    int
 	err       error
 }
 
-// override makes the one pass over the run's overrides: each clears its
-// tuple's live bit, enters the certain set (which rejects it in O(1)
-// once its top is full and the entry ranks below it), and, on the rare
-// tuple that was certain in the base already, marks it replaced. The
-// pass calls over directly rather than ranging over it, which would
-// add the loop's own state to what escapes with the callback.
-func (e *Engine) override(b *Base, over iter.Seq2[int, int]) overrides {
-	var v overrides
-	over(func(pos, level int) bool {
-		if pos < 0 || pos >= len(b.rel) {
+func (v *overrides) isMarked(pos int) bool {
+	return v.marked != nil && v.marked[pos/64]&(1<<(pos%64)) != 0
+}
+
+// override makes the one pass over the run's overrides. A certain one
+// enters the certain set (which rejects it in O(1) once its top is full
+// and the entry ranks below it) and clears a live tuple's bit; an
+// uncertain one leaves its tuple live, or makes it live. The pass calls
+// over directly rather than ranging over it, which would add the loop's
+// own state to what escapes with the callback.
+func (e *Engine) override(b *Base, over iter.Seq2[int, uncertain.Dist]) overrides {
+	v := overrides{lo: b.lo, hi: b.hi}
+	over(func(pos int, d uncertain.Dist) bool {
+		switch {
+		case pos < 0 || pos >= len(b.rel):
 			v.err = fmt.Errorf("core: override position %d outside [0, %d)", pos, len(b.rel))
-			return false
-		}
-		twice := false
-		if b.live[pos] {
-			twice = !e.live[pos]
-			e.live[pos] = false
-		} else {
-			if v.replaced == nil {
-				v.replaced = make([]uint64, (len(b.rel)+63)/64)
-			}
-			w, bit := pos/64, uint64(1)<<(pos%64)
-			twice = v.replaced[w]&bit != 0
-			v.replaced[w] |= bit
-			v.nReplaced++
-		}
-		if twice {
+		case len(d.P) == 0:
+			v.err = fmt.Errorf("core: empty distribution overrides position %d", pos)
+		case v.isMarked(pos) || b.live[pos] && !e.live[pos]:
 			v.err = fmt.Errorf("core: position %d overridden twice", pos)
+		case !d.IsCertain() && (e.rel[pos].ID != b.rel[pos].ID || e.rel[pos].Dist.Min != d.Min ||
+			len(e.rel[pos].Dist.P) != len(d.P) || &e.rel[pos].Dist.P[0] != &d.P[0]):
+			v.err = fmt.Errorf("core: the uncertain override of position %d is not the run relation's tuple", pos)
+		}
+		if v.err != nil {
 			return false
 		}
-		e.certain.add(b.rel[pos].ID, level)
+		baseLive, certain := b.live[pos], d.IsCertain()
+		if certain {
+			e.certain.add(b.rel[pos].ID, d.Min)
+		} else {
+			v.lo, v.hi = min(v.lo, d.Min), max(v.hi, d.Max())
+		}
+		if baseLive && certain {
+			e.live[pos] = false
+			e.nLive--
+		} else {
+			if v.marked == nil {
+				v.marked = make([]uint64, (len(b.rel)+63)/64)
+			}
+			v.marked[pos/64] |= 1 << (pos % 64)
+		}
+		if !baseLive {
+			v.nReplaced++
+			if !certain {
+				e.live[pos] = true
+				e.nLive++
+			}
+		}
 		v.n++
 		return true
 	})
-	e.nLive -= v.n - v.nReplaced
 	return v
 }
 
@@ -390,48 +412,28 @@ func (e *Engine) startBase(b *Base) {
 // startView finishes the start of a run under at least one override,
 // after the pass over them: the base's ranked certain tuples, less the
 // replaced ones, are merged into the certain set until its top is full,
-// and the accumulator is summed over the view's live tuples in position
-// order — as NewEngine over the materialized view would sum it — but
-// only over the levels a run can read: from the K-th certain level S_k⁰
-// up (see newNoExceed). With fewer than K certain tuples, bootstrap's
-// cleaning decides S_k, so the range starts at the base's lowest level.
-// The base's range covers every live tuple, and overrides never enter
-// the accumulator, so their levels do not widen it: at a level no live
-// tuple reaches, every range answers alike.
+// and the accumulator is summed over the run relation's live tuples in
+// position order — as a run over the materialized view with no override
+// would sum it — but only over the levels a run can read: from the K-th
+// certain level S_k⁰ up (see newNoExceed). With fewer than K certain
+// tuples, bootstrap's cleaning decides S_k, so the range starts at the
+// lowest level of any live tuple, base or override. Certain overrides
+// never enter the accumulator, so their levels do not widen it: at a
+// level no live tuple reaches, every range answers alike.
 func (e *Engine) startView(b *Base, v overrides) {
 	var skip func(id int) bool
-	if v.replaced != nil {
+	if v.nReplaced > 0 {
 		skip = func(id int) bool {
 			pos, _ := e.position(id)
-			return v.replaced[pos/64]&(1<<(pos%64)) != 0
+			return v.isMarked(pos)
 		}
 	}
 	e.certain.merge(b.ranked, v.nReplaced, skip)
-	lo := b.lo
+	lo := v.lo
 	if e.certain.len() >= e.cfg.K {
 		lo = e.certain.kth(e.cfg.K)
 	}
-	e.prob = newNoExceed(b.rel, e.live, lo, b.hi, b.bound)
-}
-
-// ascendingByID returns rel in strictly ascending ID order: rel itself
-// when it already is, else a stably sorted copy (the caller's slice is
-// never reordered). Two tuples with one ID are an error either way.
-func ascendingByID(rel uncertain.Relation) (uncertain.Relation, error) {
-	sorted := true
-	for i := 1; i < len(rel) && sorted; i++ {
-		sorted = rel[i-1].ID <= rel[i].ID
-	}
-	if !sorted {
-		rel = append(uncertain.Relation(nil), rel...)
-		sort.SliceStable(rel, func(i, j int) bool { return rel[i].ID < rel[j].ID })
-	}
-	for i := 1; i < len(rel); i++ {
-		if rel[i].ID == rel[i-1].ID {
-			return nil, fmt.Errorf("core: duplicate tuple ID %d", rel[i].ID)
-		}
-	}
-	return rel, nil
+	e.prob = newNoExceed(e.rel, e.live, lo, v.hi, b.bound)
 }
 
 // position returns the index in rel of the tuple with the given ID.

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -72,6 +72,15 @@ func sampleLevel(r *xrand.RNG, d uncertain.Dist) int {
 	return d.Max()
 }
 
+// newEngine prepares rel and starts one run over it with no override.
+func newEngine(rel uncertain.Relation, cfg Config, oracle Oracle, clock *simclock.Clock, cost simclock.CostModel) (*Engine, error) {
+	b, err := Prepare(rel, cfg.Bound)
+	if err != nil {
+		return nil, err
+	}
+	return b.Start(cfg, nil, nil, oracle, clock, cost)
+}
+
 func defaultCfg(k int, thres float64) Config {
 	return Config{K: k, Threshold: thres, BatchSize: 1}
 }
@@ -86,18 +95,18 @@ func TestEngineValidation(t *testing.T) {
 		{K: 1, Threshold: 1.01}, // bad threshold
 	}
 	for _, cfg := range cases {
-		if _, err := NewEngine(rel, cfg, oracle, nil, simclock.Default()); err == nil {
+		if _, err := newEngine(rel, cfg, oracle, nil, simclock.Default()); err == nil {
 			t.Fatalf("config %+v should be rejected", cfg)
 		}
 	}
-	if _, err := NewEngine(nil, defaultCfg(1, 0.9), oracle, nil, simclock.Default()); !errors.Is(err, ErrEmptyRelation) {
+	if _, err := newEngine(nil, defaultCfg(1, 0.9), oracle, nil, simclock.Default()); !errors.Is(err, ErrEmptyRelation) {
 		t.Fatalf("empty relation error = %v", err)
 	}
-	if _, err := NewEngine(rel, defaultCfg(1, 0.9), nil, nil, simclock.Default()); err == nil {
+	if _, err := newEngine(rel, defaultCfg(1, 0.9), nil, nil, simclock.Default()); err == nil {
 		t.Fatal("nil oracle should be rejected")
 	}
 	dup := uncertain.Relation{{ID: 0, Dist: uncertain.Certain(1)}, {ID: 0, Dist: uncertain.Certain(2)}}
-	if _, err := NewEngine(dup, defaultCfg(1, 0.9), oracle, nil, simclock.Default()); err == nil {
+	if _, err := newEngine(dup, defaultCfg(1, 0.9), oracle, nil, simclock.Default()); err == nil {
 		t.Fatal("duplicate IDs should be rejected")
 	}
 }
@@ -109,7 +118,7 @@ func TestEngineAllCertain(t *testing.T) {
 		{ID: 2, Dist: uncertain.Certain(5)},
 	}
 	oracle := &trueWorldOracle{levels: map[int]int{}}
-	e, err := NewEngine(rel, defaultCfg(2, 0.99), oracle, nil, simclock.Default())
+	e, err := newEngine(rel, defaultCfg(2, 0.99), oracle, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +141,7 @@ func TestEngineReachesThreshold(t *testing.T) {
 	r := xrand.New(1)
 	rel, oracle := randomRelation(r, 200, 20, 5, 10)
 	cfg := defaultCfg(5, 0.9)
-	e, err := NewEngine(rel, cfg, oracle, nil, simclock.Default())
+	e, err := newEngine(rel, cfg, oracle, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestEngineConfidenceMatchesBruteForce(t *testing.T) {
 	// uncertain tuples.
 	r := xrand.New(7)
 	rel, oracle := randomRelation(r, 12, 4, 3, 6)
-	e, err := NewEngine(rel, defaultCfg(3, 0.8), oracle, nil, simclock.Default())
+	e, err := newEngine(rel, defaultCfg(3, 0.8), oracle, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +199,7 @@ func TestEngineExactWhenThresholdOne(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		r := xrand.New(seed)
 		rel, oracle := randomRelation(r, 60, 10, 4, 8)
-		e, err := NewEngine(rel, defaultCfg(4, 1.0), oracle, nil, simclock.Default())
+		e, err := newEngine(rel, defaultCfg(4, 1.0), oracle, nil, simclock.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +241,7 @@ func TestEngineGuaranteeCalibration(t *testing.T) {
 	for seed := uint64(0); seed < trials; seed++ {
 		r := xrand.New(seed + 1000)
 		rel, oracle := randomRelation(r, 40, 8, 4, 6)
-		e, err := NewEngine(rel, defaultCfg(3, thres), oracle, nil, simclock.Default())
+		e, err := newEngine(rel, defaultCfg(3, thres), oracle, nil, simclock.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +280,7 @@ func TestExpectedConfidenceMatchesBruteForce(t *testing.T) {
 		k := 1 + r.Intn(3)
 		nCertain := k + r.Intn(3)
 		rel, oracle := randomRelation(r, n, nCertain, 4, 6)
-		e, err := NewEngine(rel, defaultCfg(k, 0.99), oracle, nil, simclock.Default())
+		e, err := newEngine(rel, defaultCfg(k, 0.99), oracle, nil, simclock.Default())
 		if err != nil {
 			return false
 		}
@@ -332,7 +341,7 @@ func TestEngineBootstrap(t *testing.T) {
 	// No certain tuples at all: the engine must clean K frames first.
 	r := xrand.New(3)
 	rel, oracle := randomRelation(r, 30, 0, 4, 8)
-	e, err := NewEngine(rel, defaultCfg(5, 0.9), oracle, nil, simclock.Default())
+	e, err := newEngine(rel, defaultCfg(5, 0.9), oracle, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,8 +369,8 @@ func TestEngineEarlyStopMatchesExhaustive(t *testing.T) {
 		cfgSlow := defaultCfg(4, 0.9)
 		cfgSlow.DisableEarlyStop = true
 
-		e1, _ := NewEngine(rel1, cfgFast, oracle1, nil, simclock.Default())
-		e2, _ := NewEngine(rel2, cfgSlow, oracle2, nil, simclock.Default())
+		e1, _ := newEngine(rel1, cfgFast, oracle1, nil, simclock.Default())
+		e2, _ := newEngine(rel2, cfgSlow, oracle2, nil, simclock.Default())
 		res1, err1 := e1.Run()
 		res2, err2 := e2.Run()
 		if err1 != nil || err2 != nil {
@@ -387,7 +396,7 @@ func TestEngineResortOnceStillTerminates(t *testing.T) {
 	rel, oracle := randomRelation(r, 100, 15, 4, 8)
 	cfg := defaultCfg(4, 0.9)
 	cfg.ResortOnce = true
-	e, err := NewEngine(rel, cfg, oracle, nil, simclock.Default())
+	e, err := newEngine(rel, cfg, oracle, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +417,7 @@ func TestEngineBatchSizes(t *testing.T) {
 		r := xrand.New(11)
 		rel, oracle := randomRelation(r, 120, 20, 4, 8)
 		cfg := Config{K: 5, Threshold: 0.9, BatchSize: b}
-		e, err := NewEngine(rel, cfg, oracle, nil, simclock.Default())
+		e, err := newEngine(rel, cfg, oracle, nil, simclock.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +439,7 @@ func TestEngineOracleErrorPropagates(t *testing.T) {
 	rel, _ := randomRelation(r, 20, 5, 4, 6)
 	boom := errors.New("gpu on fire")
 	oracle := OracleFunc(func(ids []int) ([]int, error) { return nil, boom })
-	e, err := NewEngine(rel, defaultCfg(2, 0.99), oracle, nil, simclock.Default())
+	e, err := newEngine(rel, defaultCfg(2, 0.99), oracle, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +452,7 @@ func TestEngineMaxCleanedCap(t *testing.T) {
 	r := xrand.New(17)
 	rel, oracle := randomRelation(r, 300, 10, 5, 8)
 	cfg := Config{K: 5, Threshold: 0.9999, BatchSize: 4, MaxCleaned: 12}
-	e, err := NewEngine(rel, cfg, oracle, nil, simclock.Default())
+	e, err := newEngine(rel, cfg, oracle, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +470,7 @@ func TestEngineChargesClock(t *testing.T) {
 	rel, oracle := randomRelation(r, 100, 15, 4, 8)
 	clock := simclock.NewClock()
 	cost := simclock.Default()
-	e, err := NewEngine(rel, defaultCfg(5, 0.9), oracle, clock, cost)
+	e, err := newEngine(rel, defaultCfg(5, 0.9), oracle, clock, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +496,7 @@ func TestEngineK1(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		r := xrand.New(seed + 50)
 		rel, oracle := randomRelation(r, 40, 5, 4, 8)
-		e, err := NewEngine(rel, defaultCfg(1, 0.95), oracle, nil, simclock.Default())
+		e, err := newEngine(rel, defaultCfg(1, 0.95), oracle, nil, simclock.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -509,7 +518,7 @@ func TestConfidenceMonotoneInCleaning(t *testing.T) {
 	// p̂ must eventually hit exactly 1.
 	r := xrand.New(23)
 	rel, oracle := randomRelation(r, 50, 10, 4, 8)
-	e, err := NewEngine(rel, defaultCfg(3, 1.0), oracle, nil, simclock.Default())
+	e, err := newEngine(rel, defaultCfg(3, 1.0), oracle, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,13 +531,13 @@ func TestConfidenceMonotoneInCleaning(t *testing.T) {
 	}
 }
 
-// TestNewEngineUnorderedRelation: the engine addresses tuples by their
-// position in ID order, whatever order the caller listed them in — a
-// shuffled or descending relation gives the same Result, Stats and
-// simulated charges as the ascending one (whose slice is used in place;
-// the others are sorted into a copy, never reordered under the caller),
-// and two tuples with one ID are rejected wherever they sit.
-func TestNewEngineUnorderedRelation(t *testing.T) {
+// TestPrepareRejectsUnorderedRelation: the engine addresses tuples by
+// their position in ascending ID order, and Prepare reads the relation
+// in place, so a descending or shuffled relation is an error — as two
+// tuples with one ID are, wherever they sit — and the caller's slice is
+// never reordered. The ascending relation, with sparse IDs, prepares and
+// runs.
+func TestPrepareRejectsUnorderedRelation(t *testing.T) {
 	for _, bound := range []BoundKind{BoundIndependent, BoundUnion} {
 		r := xrand.New(4242)
 		asc, oracle := randomRelation(r, 400, 12, 6, 20)
@@ -540,6 +549,15 @@ func TestNewEngineUnorderedRelation(t *testing.T) {
 			levels[x.ID] = oracle.levels[i]
 		}
 		oracle.levels = levels
+		cfg := Config{K: 8, Threshold: 0.95, BatchSize: 4, Bound: bound}
+		e, err := newEngine(asc, cfg, oracle, nil, simclock.Default())
+		if err != nil {
+			t.Fatalf("bound %v: ascending relation: %v", bound, err)
+		}
+		if res, err := e.Run(); err != nil || res.Stats.Cleaned == 0 {
+			t.Fatalf("bound %v: ascending relation ran to %+v, %v", bound, res, err)
+		}
+
 		desc := make(uncertain.Relation, len(asc))
 		for i, x := range asc {
 			desc[len(asc)-1-i] = x
@@ -548,43 +566,23 @@ func TestNewEngineUnorderedRelation(t *testing.T) {
 		for i, j := range r.Perm(len(asc)) {
 			shuffled[i] = asc[j]
 		}
-		cfg := Config{K: 8, Threshold: 0.95, BatchSize: 4, Bound: bound}
-		run := func(rel uncertain.Relation) (Result, float64) {
-			t.Helper()
+		for name, rel := range map[string]uncertain.Relation{"descending": desc, "shuffled": shuffled} {
 			given := append(uncertain.Relation(nil), rel...)
-			clock := simclock.NewClock()
-			e, err := NewEngine(rel, cfg, oracle, clock, simclock.Default())
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
+			if _, err := Prepare(rel, bound); err == nil || !strings.Contains(err.Error(), "not in ascending ID order") {
+				t.Fatalf("bound %v, %s relation: error %v, want an unordered-relation error", bound, name, err)
 			}
 			for i := range rel {
 				if rel[i].ID != given[i].ID {
-					t.Fatalf("bound %v: the engine reordered the caller's relation", bound)
+					t.Fatalf("bound %v, %s relation: Prepare reordered the caller's relation", bound, name)
 				}
-			}
-			return res, clock.TotalMS()
-		}
-		want, wantMS := run(asc)
-		if want.Stats.Cleaned == 0 {
-			t.Fatalf("bound %v: nothing was cleaned; the comparison is vacuous", bound)
-		}
-		for name, rel := range map[string]uncertain.Relation{"descending": desc, "shuffled": shuffled} {
-			got, gotMS := run(rel)
-			if !reflect.DeepEqual(got, want) || gotMS != wantMS {
-				t.Fatalf("bound %v, %s relation: result %+v (%.3f sim ms), ascending gave %+v (%.3f)",
-					bound, name, got, gotMS, want, wantMS)
 			}
 		}
 
-		for _, at := range [][2]int{{0, 1}, {5, 300}, {399, 0}} {
-			dup := append(uncertain.Relation(nil), shuffled...)
-			dup[at[0]].ID = dup[at[1]].ID
-			_, err := NewEngine(dup, cfg, oracle, nil, simclock.Default())
-			if want := fmt.Sprintf("core: duplicate tuple ID %d", dup[at[1]].ID); err == nil || err.Error() != want {
+		for _, at := range [][2]int{{0, 1}, {299, 300}, {398, 399}} {
+			dup := append(uncertain.Relation(nil), asc...)
+			dup[at[1]].ID = dup[at[0]].ID
+			_, err := Prepare(dup, bound)
+			if want := fmt.Sprintf("core: duplicate tuple ID %d", dup[at[0]].ID); err == nil || err.Error() != want {
 				t.Fatalf("duplicate at %v: error %v, want %q", at, err, want)
 			}
 		}

@@ -42,36 +42,50 @@ func run(t *testing.T, start func(clock *simclock.Clock) (*Engine, error)) strin
 	return runKey(res, err, clock)
 }
 
-// view is a run's overrides as a table, tuple ID → exact level.
-type view map[int]int
+// view is a run's overrides as a table, tuple ID → the distribution it
+// takes in place of its base one: a point mass, or an uncertain
+// distribution the run relation holds.
+type view map[int]uncertain.Dist
 
 // materialize is the relation a view stands for: a copy of rel with
-// every tuple the view names certain at its level.
+// every tuple the view names given its distribution. It is also the run
+// relation Start reads the uncertain overrides from.
 func materialize(rel uncertain.Relation, v view) uncertain.Relation {
 	out := append(uncertain.Relation(nil), rel...)
 	for i := range out {
-		if lvl, ok := v[out[i].ID]; ok {
-			out[i].Dist = uncertain.Certain(lvl)
+		if d, ok := v[out[i].ID]; ok {
+			out[i].Dist = d
 		}
 	}
 	return out
 }
 
-// enumerate is the view as Start's overrides over rel: (position,
-// level) pairs in ascending position, or — given a generator — in an
-// order shuffled afresh by every call. A nil view is the nil
-// enumeration.
-func enumerate(rel uncertain.Relation, v view, shuffle *xrand.RNG) iter.Seq2[int, int] {
+// uncertainIn reports whether the view gives some tuple an uncertain
+// distribution, which only a run relation can carry.
+func (v view) uncertainIn() bool {
+	for _, d := range v {
+		if !d.IsCertain() {
+			return true
+		}
+	}
+	return false
+}
+
+// enumerate is the view as Start's overrides over the run relation mat:
+// (position, distribution) pairs in ascending position, or — given a
+// generator — in an order shuffled afresh by every call. A nil view is
+// the nil enumeration.
+func enumerate(mat uncertain.Relation, v view, shuffle *xrand.RNG) iter.Seq2[int, uncertain.Dist] {
 	if v == nil {
 		return nil
 	}
 	var pos []int
-	for i, x := range rel {
+	for i, x := range mat {
 		if _, ok := v[x.ID]; ok {
 			pos = append(pos, i)
 		}
 	}
-	return func(yield func(int, int) bool) {
+	return func(yield func(int, uncertain.Dist) bool) {
 		order := slices.Clone(pos)
 		if shuffle != nil {
 			for i := len(order) - 1; i > 0; i-- {
@@ -80,11 +94,20 @@ func enumerate(rel uncertain.Relation, v view, shuffle *xrand.RNG) iter.Seq2[int
 			}
 		}
 		for _, i := range order {
-			if !yield(i, v[rel[i].ID]) {
+			if !yield(i, mat[i].Dist) {
 				return
 			}
 		}
 	}
+}
+
+// randomDist is an uncertain distribution of 2 to 5 levels from min up.
+func randomDist(r *xrand.RNG, min int) uncertain.Dist {
+	probs := make([]float64, 2+r.Intn(4))
+	for k := range probs {
+		probs[k] = 0.05 + r.Float64()
+	}
+	return uncertain.MustDist(min, probs)
 }
 
 // viewsFor returns the views the bit-identity test runs under.
@@ -98,15 +121,16 @@ func viewsFor(r *xrand.RNG, rel uncertain.Relation) map[string]view {
 		}
 	}
 	slices.SortFunc(ranked, compareRank)
-	table := func(pick func(x uncertain.XTuple) (int, bool)) view {
+	table := func(pick func(x uncertain.XTuple) (uncertain.Dist, bool)) view {
 		v := view{}
 		for _, x := range rel {
-			if lvl, ok := pick(x); ok {
-				v[x.ID] = lvl
+			if d, ok := pick(x); ok {
+				v[x.ID] = d
 			}
 		}
 		return v
 	}
+	at := uncertain.Certain
 	// The base's top certain tuples, which a replacing override must
 	// push out of (or keep in) the top K the merge builds.
 	top := map[int]bool{}
@@ -116,58 +140,98 @@ func viewsFor(r *xrand.RNG, rel uncertain.Relation) map[string]view {
 	return map[string]view{
 		"nil":              nil,
 		"replaces nothing": view{},
-		"certain only, same levels": table(func(x uncertain.XTuple) (int, bool) {
-			return x.Dist.Min, x.Dist.IsCertain() && r.Intn(2) == 0
+		"certain only, same levels": table(func(x uncertain.XTuple) (uncertain.Dist, bool) {
+			return at(x.Dist.Min), x.Dist.IsCertain() && r.Intn(2) == 0
 		}),
-		"point mass moved": table(func(x uncertain.XTuple) (int, bool) {
-			return x.Dist.Min + 1 + r.Intn(4), x.Dist.IsCertain() && r.Intn(3) == 0
+		"point mass moved": table(func(x uncertain.XTuple) (uncertain.Dist, bool) {
+			return at(x.Dist.Min + 1 + r.Intn(4)), x.Dist.IsCertain() && r.Intn(3) == 0
 		}),
-		"base top certain demoted, some uncertain": table(func(x uncertain.XTuple) (int, bool) {
+		"base top certain demoted, some uncertain": table(func(x uncertain.XTuple) (uncertain.Dist, bool) {
 			if top[x.ID] {
-				return x.Dist.Min - 1 - r.Intn(3), r.Intn(3) > 0
+				return at(x.Dist.Min - 1 - r.Intn(3)), r.Intn(3) > 0
 			}
-			return x.Dist.Min + r.Intn(len(x.Dist.P)), !x.Dist.IsCertain() && r.Intn(6) == 0
+			return at(x.Dist.Min + r.Intn(len(x.Dist.P))), !x.Dist.IsCertain() && r.Intn(6) == 0
 		}),
-		"base top certain promoted": table(func(x uncertain.XTuple) (int, bool) {
-			return x.Dist.Min + r.Intn(3), top[x.ID] && r.Intn(2) == 0
+		"base top certain promoted": table(func(x uncertain.XTuple) (uncertain.Dist, bool) {
+			return at(x.Dist.Min + r.Intn(3)), top[x.ID] && r.Intn(2) == 0
 		}),
-		"uncertain, some outside the range": table(func(x uncertain.XTuple) (int, bool) {
+		"uncertain, some outside the range": table(func(x uncertain.XTuple) (uncertain.Dist, bool) {
 			switch r.Intn(8) {
 			case 0:
-				return hi + 1 + r.Intn(3), !x.Dist.IsCertain()
+				return at(hi + 1 + r.Intn(3)), !x.Dist.IsCertain()
 			case 1:
-				return lo - 1 - r.Intn(3), !x.Dist.IsCertain()
+				return at(lo - 1 - r.Intn(3)), !x.Dist.IsCertain()
 			case 2, 3:
-				return x.Dist.Min + r.Intn(len(x.Dist.P)), !x.Dist.IsCertain()
+				return at(x.Dist.Min + r.Intn(len(x.Dist.P))), !x.Dist.IsCertain()
 			}
-			return 0, false
+			return uncertain.Dist{}, false
 		}),
-		"certain, some outside the range": table(func(x uncertain.XTuple) (int, bool) {
+		"certain, some outside the range": table(func(x uncertain.XTuple) (uncertain.Dist, bool) {
 			switch r.Intn(6) {
 			case 0:
-				return hi + 1 + r.Intn(3), x.Dist.IsCertain()
+				return at(hi + 1 + r.Intn(3)), x.Dist.IsCertain()
 			case 1:
-				return lo - 1 - r.Intn(3), x.Dist.IsCertain()
+				return at(lo - 1 - r.Intn(3)), x.Dist.IsCertain()
 			}
-			return 0, false
+			return uncertain.Dist{}, false
 		}),
-		"every tuple": table(func(x uncertain.XTuple) (int, bool) {
-			return x.Dist.Min + r.Intn(len(x.Dist.P)), true
+		"every tuple": table(func(x uncertain.XTuple) (uncertain.Dist, bool) {
+			return at(x.Dist.Min + r.Intn(len(x.Dist.P))), true
+		}),
+		"live tuples re-distributed": table(func(x uncertain.XTuple) (uncertain.Dist, bool) {
+			return randomDist(r, x.Dist.Min+r.Intn(3)-1), !x.Dist.IsCertain() && r.Intn(3) == 0
+		}),
+		"base certain made uncertain": table(func(x uncertain.XTuple) (uncertain.Dist, bool) {
+			return randomDist(r, x.Dist.Min-r.Intn(2)), x.Dist.IsCertain() && (top[x.ID] || r.Intn(3) == 0)
+		}),
+		"re-distributed outside the range": table(func(x uncertain.XTuple) (uncertain.Dist, bool) {
+			switch r.Intn(6) {
+			case 0:
+				return randomDist(r, hi+r.Intn(3)), true
+			case 1:
+				return randomDist(r, lo-6-r.Intn(3)), true
+			}
+			return uncertain.Dist{}, false
+		}),
+		// With fewer than K certain tuples the accumulator starts at the
+		// lowest live level: here bootstrap cleans tuples to levels from
+		// the base's range, S_k falls to a point mass below it, and every
+		// live tuple reaches that low.
+		"every tuple below the range, two certain": table(func(x uncertain.XTuple) (uncertain.Dist, bool) {
+			if x.ID < 2 {
+				return at(lo - 8 - x.ID), true
+			}
+			return randomDist(r, lo-10-r.Intn(2)), true
+		}),
+		"mixed, as a window overlay": table(func(x uncertain.XTuple) (uncertain.Dist, bool) {
+			switch r.Intn(4) {
+			case 0:
+				return at(x.Dist.Min + r.Intn(3)), true
+			case 1:
+				return randomDist(r, x.Dist.Min+r.Intn(3)-1), true
+			}
+			return uncertain.Dist{}, false
 		}),
 	}
 }
 
 // TestStartMatchesMaterializedView: Prepare + Start under a view's
-// overrides is bit-identical to NewEngine over a materialized copy of
-// the view — result, stats, error and every simulated charge — for both
-// bounds; views that replace nothing (the empty enumeration), certain
-// tuples only, a point mass moved to another level, the base's top
-// certain tuples demoted or promoted (the merge's replaced entries),
-// uncertain or certain tuples at levels outside the base's range, and
-// every tuple; overrides yielded in ascending position and shuffled;
-// K ∈ {1, 5, n}; the paper's schedule, no early stop, one re-sort, and
-// a degraded deadline. One base serves every run, so a run that wrote
-// to the base would show in the ones after it.
+// overrides is bit-identical to Prepare + Start with no override over a
+// materialized copy of the view — result, stats, error and every
+// simulated charge — for both bounds; views that replace nothing (the
+// empty enumeration), certain tuples only, a point mass moved to another
+// level, the base's top certain tuples demoted or promoted (the merge's
+// replaced entries), uncertain or certain tuples at levels outside the
+// base's range, every tuple, live tuples given a new distribution, base
+// certain tuples made uncertain, new distributions reaching outside the
+// base's [lo, hi] (every tuple below it, with S_k falling there too),
+// and a window overlay's mix of both kinds; overrides
+// yielded in ascending position and shuffled; the run relation nil
+// (certain overrides only) or the materialized copy; K ∈ {1, 5, n};
+// the paper's schedule, no early stop, one re-sort, and a degraded
+// deadline. One base serves every run, so a run that wrote to the base
+// would show in the ones after it, and the run relation is checked
+// unwritten after its runs.
 func TestStartMatchesMaterializedView(t *testing.T) {
 	variants := map[string]func(Config) Config{
 		"default":           func(c Config) Config { return c },
@@ -187,30 +251,54 @@ func TestStartMatchesMaterializedView(t *testing.T) {
 			}
 			for name, v := range viewsFor(r, rel) {
 				mat := materialize(rel, v)
+				given := slices.Clone(mat)
+				runRels := map[string]uncertain.Relation{"run relation": mat}
+				if !v.uncertainIn() {
+					runRels["nil relation"] = nil
+				}
 				for _, order := range []string{"ascending", "shuffled"} {
 					var shuffle *xrand.RNG
 					if order == "shuffled" {
 						shuffle = r.Split(name)
 					}
-					over := enumerate(rel, v, shuffle)
+					over := enumerate(mat, v, shuffle)
 					for _, k := range []int{1, 5, n} {
 						for vname, variant := range variants {
 							cfg := variant(Config{K: k, Threshold: 0.95, BatchSize: 3, Bound: bound})
 							want := run(t, func(clock *simclock.Clock) (*Engine, error) {
-								return NewEngine(mat, cfg, oracle, clock, cost)
+								return newEngine(mat, cfg, oracle, clock, cost)
 							})
-							got := run(t, func(clock *simclock.Clock) (*Engine, error) {
-								return base.Start(cfg, over, oracle, clock, cost)
-							})
-							if got != want {
-								t.Fatalf("bound %v seed %d view %q %s K=%d %s:\n got %s\nwant %s", bound, seed, name, order, k, vname, got, want)
+							for rname, runRel := range runRels {
+								got := run(t, func(clock *simclock.Clock) (*Engine, error) {
+									return base.Start(cfg, runRel, over, oracle, clock, cost)
+								})
+								if got != want {
+									t.Fatalf("bound %v seed %d view %q %s %s K=%d %s:\n got %s\nwant %s", bound, seed, name, order, rname, k, vname, got, want)
+								}
 							}
 						}
 					}
 				}
+				if !sameTuples(mat, given) {
+					t.Fatalf("bound %v seed %d view %q: a run wrote its run relation", bound, seed, name)
+				}
 			}
 		}
 	}
+}
+
+// sameTuples reports whether a and b hold the same IDs and the very
+// same distribution tables.
+func sameTuples(a, b uncertain.Relation) bool {
+	return slices.EqualFunc(a, b, func(x, y uncertain.XTuple) bool {
+		return x.ID == y.ID && sameTable(x.Dist, y.Dist)
+	})
+}
+
+// sameTable reports whether two non-empty distributions are one: the
+// same levels over the very same table.
+func sameTable(a, b uncertain.Dist) bool {
+	return a.Min == b.Min && len(a.P) == len(b.P) && &a.P[0] == &b.P[0]
 }
 
 // TestStartEmptyEnumerationIsUncached: an enumeration that yields
@@ -224,50 +312,82 @@ func TestStartEmptyEnumerationIsUncached(t *testing.T) {
 	}
 	cfg := Config{K: 5, Threshold: 0.95, BatchSize: 3}
 	want := run(t, func(clock *simclock.Clock) (*Engine, error) {
-		return base.Start(cfg, nil, oracle, clock, simclock.Default())
+		return base.Start(cfg, nil, nil, oracle, clock, simclock.Default())
 	})
 	got := run(t, func(clock *simclock.Clock) (*Engine, error) {
-		return base.Start(cfg, func(func(int, int) bool) {}, oracle, clock, simclock.Default())
+		return base.Start(cfg, nil, func(func(int, uncertain.Dist) bool) {}, oracle, clock, simclock.Default())
 	})
 	if got != want {
 		t.Fatalf("empty enumeration:\n got %s\nwant %s", got, want)
 	}
 }
 
+// pairs enumerates the given (position, distribution) overrides in order.
+func pairs(ps ...overridePair) iter.Seq2[int, uncertain.Dist] {
+	return func(yield func(int, uncertain.Dist) bool) {
+		for _, p := range ps {
+			if !yield(p.pos, p.d) {
+				return
+			}
+		}
+	}
+}
+
+type overridePair struct {
+	pos int
+	d   uncertain.Dist
+}
+
 // TestStartRejectsMalformedOverrides: a position overridden twice —
-// uncertain or certain in the base — or outside the base is an error,
-// not a panic, and leaves the base serving runs as before.
+// uncertain or certain in the base, by certain or uncertain overrides in
+// either order — or outside the base, an empty distribution, an
+// uncertain override that is not the run relation's tuple (another
+// table, or another ID), and a run relation of another length are
+// errors, not panics, and leave the base serving runs as before.
 func TestStartRejectsMalformedOverrides(t *testing.T) {
-	rel, oracle := randomRelation(xrand.New(8), 40, 8, 5, 10)
+	r := xrand.New(8)
+	rel, oracle := randomRelation(r, 40, 8, 5, 10)
 	base, err := Prepare(rel, BoundIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{K: 3, Threshold: 0.95, BatchSize: 3}
 	want := run(t, func(clock *simclock.Clock) (*Engine, error) {
-		return base.Start(cfg, nil, oracle, clock, simclock.Default())
+		return base.Start(cfg, nil, nil, oracle, clock, simclock.Default())
 	})
-	pairs := func(ps ...[2]int) iter.Seq2[int, int] {
-		return func(yield func(int, int) bool) {
-			for _, p := range ps {
-				if !yield(p[0], p[1]) {
-					return
-				}
-			}
-		}
-	}
-	for name, over := range map[string]iter.Seq2[int, int]{
-		"uncertain twice":  pairs([2]int{20, 3}, [2]int{9, 1}, [2]int{20, 4}),
-		"certain twice":    pairs([2]int{2, 3}, [2]int{20, 1}, [2]int{2, 3}),
-		"negative":         pairs([2]int{20, 3}, [2]int{-1, 3}),
-		"past the end":     pairs([2]int{40, 3}),
-		"far past the end": pairs([2]int{5, 2}, [2]int{1 << 40, 3}),
+	at := func(pos, level int) overridePair { return overridePair{pos, uncertain.Certain(level)} }
+	// own is a run relation with fresh distributions at positions 2 (a
+	// certain base tuple) and 20 (an uncertain one).
+	own := slices.Clone(rel)
+	own[2].Dist, own[20].Dist = randomDist(r, 3), randomDist(r, 4)
+	renamed := slices.Clone(own)
+	renamed[20].ID = 1000
+	for name, c := range map[string]struct {
+		rel  uncertain.Relation
+		over iter.Seq2[int, uncertain.Dist]
+	}{
+		"uncertain twice":                  {nil, pairs(at(20, 3), at(9, 1), at(20, 4))},
+		"certain twice":                    {nil, pairs(at(2, 3), at(20, 1), at(2, 3))},
+		"negative":                         {nil, pairs(at(20, 3), at(-1, 3))},
+		"past the end":                     {nil, pairs(at(40, 3))},
+		"far past the end":                 {nil, pairs(at(5, 2), at(1<<40, 3))},
+		"empty distribution":               {nil, pairs(at(5, 2), overridePair{20, uncertain.Dist{}})},
+		"another table":                    {own, pairs(overridePair{20, randomDist(r, 4)})},
+		"the base's table, not the run's":  {own, pairs(overridePair{20, rel[20].Dist})},
+		"another ID":                       {renamed, pairs(overridePair{20, renamed[20].Dist})},
+		"uncertain, no run relation":       {nil, pairs(overridePair{20, own[20].Dist})},
+		"certain then uncertain":           {own, pairs(at(20, 3), overridePair{20, own[20].Dist})},
+		"uncertain then certain":           {own, pairs(overridePair{20, own[20].Dist}, at(20, 3))},
+		"base certain, uncertain twice":    {own, pairs(overridePair{2, own[2].Dist}, overridePair{2, own[2].Dist})},
+		"base certain, uncertain, certain": {own, pairs(overridePair{2, own[2].Dist}, at(2, 1))},
+		"short run relation":               {rel[:39], nil},
+		"long run relation":                {append(slices.Clone(rel), uncertain.XTuple{ID: 40, Dist: uncertain.Certain(1)}), pairs(at(20, 3))},
 	} {
-		if _, err := base.Start(cfg, over, oracle, nil, simclock.Default()); err == nil {
+		if _, err := base.Start(cfg, c.rel, c.over, oracle, nil, simclock.Default()); err == nil {
 			t.Fatalf("%s: Start accepted malformed overrides", name)
 		}
 		got := run(t, func(clock *simclock.Clock) (*Engine, error) {
-			return base.Start(cfg, nil, oracle, clock, simclock.Default())
+			return base.Start(cfg, nil, nil, oracle, clock, simclock.Default())
 		})
 		if got != want {
 			t.Fatalf("after %s, an uncached run differs:\n got %s\nwant %s", name, got, want)
@@ -283,7 +403,7 @@ func TestStartRejectsAnotherBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := base.Start(Config{K: 2, Threshold: 0.9, Bound: BoundUnion}, nil, oracle, nil, simclock.Default()); err == nil {
+	if _, err := base.Start(Config{K: 2, Threshold: 0.9, Bound: BoundUnion}, nil, nil, oracle, nil, simclock.Default()); err == nil {
 		t.Fatal("a union-bound run over an independent-bound base was accepted")
 	}
 }
@@ -297,7 +417,7 @@ func TestBaseSharedAcrossGoroutines(t *testing.T) {
 	levels := oracle.levels
 	cfg := Config{K: 8, Threshold: 0.95, BatchSize: 4}
 	want := run(t, func(clock *simclock.Clock) (*Engine, error) {
-		return NewEngine(rel, cfg, &trueWorldOracle{levels: levels}, clock, simclock.Default())
+		return newEngine(rel, cfg, &trueWorldOracle{levels: levels}, clock, simclock.Default())
 	})
 	base, err := Prepare(rel, BoundIndependent)
 	if err != nil {
@@ -309,7 +429,7 @@ func TestBaseSharedAcrossGoroutines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			clock := simclock.NewClock()
-			e, err := base.Start(cfg, nil, &trueWorldOracle{levels: levels}, clock, simclock.Default())
+			e, err := base.Start(cfg, nil, nil, &trueWorldOracle{levels: levels}, clock, simclock.Default())
 			if err != nil {
 				t.Error(err)
 				return

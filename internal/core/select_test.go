@@ -66,7 +66,7 @@ func TestUpperBoundDominatesExpectedConfidence(t *testing.T) {
 		n := 6 + r.Intn(8)
 		k := 1 + r.Intn(3)
 		rel, oracle := randomRelation(r, n, k+2, 4, 6)
-		e, err := NewEngine(rel, Config{K: k, Threshold: 0.99}, oracle, nil, simclock.Default())
+		e, err := newEngine(rel, Config{K: k, Threshold: 0.99}, oracle, nil, simclock.Default())
 		if err != nil {
 			return false
 		}
@@ -103,7 +103,7 @@ func TestSelectBatchPrefersHighImpactFrames(t *testing.T) {
 		{ID: 4, Dist: uncertain.MustDist(3, []float64{0.5, 0.5})}, // marginal
 	}
 	oracle := &trueWorldOracle{levels: map[int]int{2: 9, 3: 0, 4: 3}}
-	e, err := NewEngine(rel, Config{K: 2, Threshold: 0.99, BatchSize: 1}, oracle, nil, simclock.Default())
+	e, err := newEngine(rel, Config{K: 2, Threshold: 0.99, BatchSize: 1}, oracle, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestOracleIntermittentFailure(t *testing.T) {
 		}
 		return good.CleanBatch(ids)
 	})
-	e, err := NewEngine(rel, Config{K: 4, Threshold: 0.9999, BatchSize: 2}, flaky, nil, simclock.Default())
+	e, err := newEngine(rel, Config{K: 4, Threshold: 0.9999, BatchSize: 2}, flaky, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestOracleWrongLengthRejected(t *testing.T) {
 	r := xrand.New(79)
 	rel, _ := randomRelation(r, 20, 5, 4, 6)
 	bad := OracleFunc(func(ids []int) ([]int, error) { return []int{1}, nil })
-	e, err := NewEngine(rel, Config{K: 3, Threshold: 0.99, BatchSize: 4}, bad, nil, simclock.Default())
+	e, err := newEngine(rel, Config{K: 3, Threshold: 0.99, BatchSize: 4}, bad, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,11 +305,11 @@ func TestSelectorMatchesReference(t *testing.T) {
 				cfg.Bound = bound
 				r := xrand.New(400 + seed)
 				rel, oracle := randomRelation(r, 150+r.Intn(300), 10, 6, 12)
-				got, err := NewEngine(rel, cfg, oracle, simclock.NewClock(), simclock.Default())
+				got, err := newEngine(rel, cfg, oracle, simclock.NewClock(), simclock.Default())
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := NewEngine(rel, cfg, oracle, simclock.NewClock(), simclock.Default())
+				want, err := newEngine(rel, cfg, oracle, simclock.NewClock(), simclock.Default())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -335,7 +335,7 @@ func TestSelectorMatchesReference(t *testing.T) {
 func TestSelectBatchScratchReuse(t *testing.T) {
 	r := xrand.New(5)
 	rel, oracle := randomRelation(r, 5000, 100, 5, 12)
-	e, err := NewEngine(rel, Config{K: 20, Threshold: 0.9, BatchSize: 8}, oracle, nil, simclock.Default())
+	e, err := newEngine(rel, Config{K: 20, Threshold: 0.9, BatchSize: 8}, oracle, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func TestSemanticsComparisonShowsEverestAdvantage(t *testing.T) {
 	}
 
 	const k = 3
-	eng, err := NewEngine(rel, Config{K: k, Threshold: 0.95, BatchSize: 1}, oracle, nil, simclock.Default())
+	eng, err := newEngine(rel, Config{K: k, Threshold: 0.95, BatchSize: 1}, oracle, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

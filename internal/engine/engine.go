@@ -197,13 +197,12 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 		return scores, nil
 	}
 
-	// Both query kinds start from the artifact's memoized D0: a frame
-	// query reads it prepared, in place, under the overlay's overrides; a
-	// window query reads its shape's memo as the branch below says.
-	var rel uncertain.Relation
+	// Both query kinds start from a prepared memo: a frame query under
+	// its labels as point masses, a window query under the windows its
+	// overlay touches, re-aggregated in its own copy of the relation.
 	var base *core.Base
-	var over iter.Seq2[int, int]
-	var tuples int
+	var rel uncertain.Relation
+	var over iter.Seq2[int, uncertain.Dist]
 	var oracle core.Oracle
 	// The frame-level oracle above charges its own per-frame cost, so the
 	// engine charges only the per-call overhead (and unhidden decode).
@@ -211,22 +210,25 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 	engineCost.OracleMS = 0
 	var err error
 	if p.Window.Enabled() {
-		// A window query reads the shape's memoized relation: prepared in
-		// place when the overlay touches no window, else a copy with the
-		// touched windows re-aggregated.
 		var v windowView
 		if v, err = b.Artifact.windowMemo(p.Window, qopt, p.Procs, b.Pool); err != nil {
 			return nil, err
 		}
-		if ids := v.touched(b.Labels); ids == nil {
-			base, err = b.Artifact.windowBase(v, p.Bound())
-		} else {
-			rel, err = v.relation(ids, b.Labels)
+		if ids := v.touched(b.Labels); ids != nil {
+			if rel, err = v.relation(ids, b.Labels); err != nil {
+				return nil, err
+			}
+			over = func(yield func(int, uncertain.Dist) bool) {
+				for _, w := range ids { // a window's position is its ID
+					if !yield(w, rel[w].Dist) {
+						return
+					}
+				}
+			}
 		}
-		if err != nil {
+		if base, err = b.Artifact.windowBase(v, p.Bound()); err != nil {
 			return nil, err
 		}
-		tuples = len(v.rel)
 		oracle = &windows.Oracle{
 			ScoreFrames: scoreFrames,
 			Size:        p.Window.Size,
@@ -242,7 +244,6 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 			return nil, err
 		}
 		over = overrides(b.Labels, d0, frames, qopt)
-		tuples = base.Len()
 		oracle = core.OracleFunc(func(ids []int) ([]int, error) {
 			scores, err := scoreFrames(ids)
 			if err != nil {
@@ -255,8 +256,8 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 			return levels, nil
 		})
 	}
-	if p.K > tuples {
-		return nil, fmt.Errorf("everest: K=%d exceeds relation size %d", p.K, tuples)
+	if p.K > base.Len() {
+		return nil, fmt.Errorf("everest: K=%d exceeds relation size %d", p.K, base.Len())
 	}
 
 	coreCfg := core.Config{
@@ -274,12 +275,7 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 	if p.DisablePrefetch {
 		coreCfg.UnhiddenDecodeMS = p.Cost.DecodeMS
 	}
-	var eng *core.Engine
-	if base != nil {
-		eng, err = base.Start(coreCfg, over, oracle, clock, engineCost)
-	} else {
-		eng, err = core.NewEngine(rel, coreCfg, oracle, clock, engineCost)
-	}
+	eng, err := base.Start(coreCfg, rel, over, oracle, clock, engineCost)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +294,7 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 		Confidence: coreRes.Confidence,
 		Bound:      coreRes.Bound,
 		Stats:      coreRes.Stats,
-		Tuples:     tuples,
+		Tuples:     base.Len(),
 		Clock:      clock,
 		Retries:    retries,
 		BackoffMS:  backoffMS,

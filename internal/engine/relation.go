@@ -117,31 +117,26 @@ func (a *Artifact) frameBase(qopt uncertain.QuantizeOptions, bound core.BoundKin
 	return a.d0Prep, rel, scores, nil
 }
 
-// levelAt is the clamped level of an exact (or stand-in) score.
-func levelAt(score float64, qopt uncertain.QuantizeOptions) int {
-	return phase1.ClampLevel(uncertain.LevelOf(score, qopt.Step), qopt)
-}
-
-// certainAt is the point-mass tuple of an exact (or stand-in) score.
+// certainAt is the point mass at an exact (or stand-in) score's level.
 func certainAt(score float64, qopt uncertain.QuantizeOptions) uncertain.Dist {
-	return uncertain.Certain(levelAt(score, qopt))
+	return uncertain.Certain(phase1.ClampLevel(uncertain.LevelOf(score, qopt.Step), qopt))
 }
 
 // overrides enumerates the label overlay as overrides of D0, rel (in
-// Retained order, which is ascending ID, as Prepare keeps it): for
+// Retained order, which is ascending ID, as Prepare requires): for
 // every cache label on a retained frame Phase 1 did not label — the
-// precedence rule above — the frame's position in rel and the label's
-// level. It walks the overlay once, |labels| steps, each finding its
-// frame by a search forward from the last one found (the snapshot's
-// labels come in ascending frame order), so a label on a frame outside
-// D0 (one the difference detector discarded, or one at or past the
-// artifact's end) is never yielded. A nil overlay is the nil
+// precedence rule above — the frame's position in rel and the point
+// mass at the label's level. It walks the overlay once, |labels|
+// steps, each finding its frame by a search forward from the last one
+// found (the snapshot's labels come in ascending frame order), so a
+// label on a frame outside D0 (one the difference detector discarded,
+// or one at or past the artifact's end) is never yielded. A nil overlay is the nil
 // enumeration: the run starts as an uncached one.
-func overrides(labels *labelstore.Overlay, rel uncertain.Relation, scores []windows.FrameScore, qopt uncertain.QuantizeOptions) iter.Seq2[int, int] {
+func overrides(labels *labelstore.Overlay, rel uncertain.Relation, scores []windows.FrameScore, qopt uncertain.QuantizeOptions) iter.Seq2[int, uncertain.Dist] {
 	if labels == nil {
 		return nil
 	}
-	return func(yield func(pos, level int) bool) {
+	return func(yield func(int, uncertain.Dist) bool) {
 		next := 0
 		labels.Range(func(f int, s float64) bool {
 			if f < 0 || f >= len(scores) || scores[f].IsExact {
@@ -149,7 +144,7 @@ func overrides(labels *labelstore.Overlay, rel uncertain.Relation, scores []wind
 			}
 			pos, ok := positionFrom(rel, next, f)
 			next = pos
-			return !ok || yield(pos, levelAt(s, qopt))
+			return !ok || yield(pos, certainAt(s, qopt))
 		})
 	}
 }
@@ -202,8 +197,8 @@ func (a *Artifact) FrameRelation(qopt uncertain.QuantizeOptions, labels *labelst
 	rel := make(uncertain.Relation, len(base))
 	copy(rel, base)
 	if labels != nil {
-		for pos, lvl := range overrides(labels, base, scores, qopt) {
-			rel[pos].Dist = uncertain.Certain(lvl)
+		for pos, d := range overrides(labels, base, scores, qopt) {
+			rel[pos].Dist = d
 		}
 	}
 	return rel, nil
@@ -217,7 +212,8 @@ func (a *Artifact) FrameRelation(qopt uncertain.QuantizeOptions, labels *labelst
 // the windows its overlay touches — those with a representative the
 // overlay labels and Phase 1 did not — with the very function that
 // built the memo, so every window is what a full build would give it.
-// A query that touches none reads the memo's prepared base in place.
+// Every query starts from the memo's prepared base, the windows it
+// touches (re-aggregated in its own copy) as the run's overrides.
 
 // maxWindowShapes bounds the window memo: the most recently used shapes
 // stay, the least recently used is dropped. No workload asks more than
@@ -235,8 +231,8 @@ type windowKey struct {
 // with no overlay; failed lists the windows whose aggregation failed
 // (their tuples are placeholders, and every query re-aggregates them,
 // so its error is the lowest failing window under its own overlay);
-// prep is rel prepared for Phase 2 under bound, nil until a query that
-// touches no window asks, and dropped when rel is extended. Guarded by
+// prep is rel prepared for Phase 2 under bound, nil until a query asks,
+// and dropped when rel is extended. Guarded by
 // the artifact's mu; a published tuple or failed entry is never written
 // again (an extension appends past the ones a query may hold).
 type windowD0 struct {
@@ -333,8 +329,8 @@ func (a *Artifact) repSpan() int {
 }
 
 // windowBase returns the view's relation prepared for Phase 2 under the
-// given bound, memoized on its entry: for a query that re-aggregates no
-// window and so reads the memo as it is.
+// given bound, memoized on its entry: the base every window query of the
+// shape starts from, whatever windows its overlay touches.
 func (a *Artifact) windowBase(v windowView, bound core.BoundKind) (*core.Base, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -442,8 +438,8 @@ func (v windowView) relation(ids []int, labels *labelstore.Overlay) (uncertain.R
 
 // WindowRelation builds the window-level D0 (Eq. 9): a copy of the
 // shape's memoized relation with the windows the overlay touches
-// re-aggregated — what Execute runs a window query over whenever the
-// overlay touches a window. labels, when non-nil, supplies exact scores
+// re-aggregated — a window query's run relation whenever the overlay
+// touches a window. labels, when non-nil, supplies exact scores
 // confirmed by earlier queries over the same cache; it must not be
 // mutated while this runs. procs and pool are the workers the shape's
 // first build and the re-aggregation fan out on (nil pool: transient

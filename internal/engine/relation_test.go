@@ -197,10 +197,11 @@ func (tableUDF) OracleCostMS(cost simclock.CostModel) float64 { return cost.Orac
 
 // referenceExecute is Execute the way it ran before it read a memoized
 // D0: the reference builders materialize the plan's relation — frames
-// or windows — under the overlay, and core.NewEngine runs over it. The
-// oracle is Execute's own frame oracle without retries, mux or lanes:
-// overlay hits are free, misses are scored, recorded and charged; a
-// window plan confirms through windows.Oracle on top of it.
+// or windows — under the overlay, and a run with no override over it
+// prepared answers. The oracle is Execute's own frame oracle without
+// retries, mux or lanes: overlay hits are free, misses are scored,
+// recorded and charged; a window plan confirms through windows.Oracle
+// on top of it.
 func referenceExecute(p Plan, a *Artifact, src video.Source, udf vision.UDF, labels *labelstore.Overlay) (*Outcome, error) {
 	qopt := udf.Quantize()
 	clock := simclock.NewClock()
@@ -251,11 +252,15 @@ func referenceExecute(p Plan, a *Artifact, src video.Source, udf vision.UDF, lab
 	}
 	cost := p.Cost
 	cost.OracleMS = 0
-	eng, err := core.NewEngine(rel, core.Config{
+	base, err := core.Prepare(rel, p.Bound())
+	if err != nil {
+		return nil, err
+	}
+	eng, err := base.Start(core.Config{
 		K: p.K, Threshold: p.Threshold, BatchSize: p.BatchSize, MaxCleaned: p.MaxCleaned,
 		DisableEarlyStop: p.DisableEarlyStop, ResortOnce: p.ResortOnce, Bound: p.Bound(),
 		BudgetMS: p.DeadlineMS, DegradedOK: p.DegradedOK,
-	}, oracle, clock, cost)
+	}, nil, nil, oracle, clock, cost)
 	if err != nil {
 		return nil, err
 	}
@@ -345,10 +350,10 @@ func assertExecuteMatchesReference(t *testing.T, when string, a *Artifact, src v
 // TestMemoizedRelationsMatchReference: on the ingested fixture and on
 // random artifacts, the memoized builders return exactly what deriving
 // D0 from scratch returns, and Execute over the prepared D0 answers what
-// NewEngine over that derived relation answers — on the first (cold)
-// build, on later (warm) ones, after 1–3 Appends extend the memo
-// (quantizing only the tail), and across a change of quantization and
-// back.
+// a run with no override over that derived relation answers — on the
+// first (cold) build, on later (warm) ones, after 1–3 Appends extend the
+// memo (quantizing only the tail), and across a change of quantization
+// and back.
 func TestMemoizedRelationsMatchReference(t *testing.T) {
 	fix, src, udf := fixture(t)
 	r := xrand.New(20).Split("relation-test")
@@ -576,12 +581,14 @@ func benchArtifact() (*Artifact, labelstore.Map) {
 }
 
 // BenchmarkExecute is a warm query over the bench artifact, uncached
-// or under a fresh overlay over the cache snapshot. A frame query reads
-// the prepared D0 as it is (uncached) or under the overlay's overrides
-// (walked once; the joint CDF summed over the view from the K-th
-// certain level up); a 30-frame window query reads the shape's prepared relation as it
-// is (window_uncached) or copies it and re-aggregates the windows the
-// overlay touches (window_overlay).
+// or under a fresh overlay over the cache snapshot. Every case starts
+// its run from a prepared D0: a frame query reads it as it is
+// (uncached) or under the overlay's point-mass overrides (walked once;
+// the joint CDF summed over the view from the K-th certain level up); a
+// 30-frame window query reads the shape's prepared relation as it is
+// (window_uncached) or under the windows the overlay touches
+// (window_overlay): those re-aggregated in a copy of the relation and
+// passed as the run's overrides.
 func BenchmarkExecute(b *testing.B) {
 	a, snapshot := benchArtifact()
 	udf := tableUDF{uncertain.DefaultCountingOptions()}

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/everest-project/everest/internal/labelstore"
 	"github.com/everest-project/everest/internal/uncertain"
@@ -98,7 +100,7 @@ func windowOverlays(seed uint64, a *Artifact) map[string]*labelstore.Overlay {
 
 // assertWindowExecuteMatchesReference checks every window plan's
 // Execute over the memo against referenceExecute — the relation built
-// from scratch and core.NewEngine over it — bit for bit (outcome, Stats,
+// from scratch and a run with no override over it — bit for bit (outcome, Stats,
 // every clock phase, every recorded label), under every window overlay;
 // and WindowRelation against referenceWindowRelation.
 func assertWindowExecuteMatchesReference(t *testing.T, when string, a *Artifact, src video.Source, udf vision.UDF, seed uint64) {
@@ -165,20 +167,58 @@ func TestWindowMemoMatchesReference(t *testing.T) {
 			}
 			when := fmt.Sprintf("%s after append %d", name, appends)
 			assertWindowExecuteMatchesReference(t, when, a, nil, tableUDF{counting}, r.Uint64())
-			// Extended, not rebuilt: the old windows are the very
-			// distributions aggregated before the append.
+			// Extended, not rebuilt: the old uncertain windows are the
+			// very distributions aggregated before the append. (Every
+			// point mass shares one table, so a certain window's table
+			// says nothing about when it was built.)
 			after, err := a.WindowRelation(WindowSpec{Size: 30}, counting, nil, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			compared := 0
 			for i := range before {
-				if len(before[i].Dist.P) > 0 && &before[i].Dist.P[0] != &after[i].Dist.P[0] {
-					t.Fatalf("%s: append re-aggregated window %d", when, i)
+				if len(before[i].Dist.P) > 1 {
+					compared++
+					if &before[i].Dist.P[0] != &after[i].Dist.P[0] {
+						t.Fatalf("%s: append re-aggregated window %d", when, i)
+					}
 				}
+			}
+			if compared == 0 {
+				t.Fatalf("%s: no uncertain window before the append; the check is vacuous", when)
 			}
 		}
 		assertWindowExecuteMatchesReference(t, name+" other quantization", a, nil, tableUDF{capped}, r.Uint64())
 		assertWindowExecuteMatchesReference(t, name+" first quantization again", a, nil, tableUDF{counting}, r.Uint64())
+	}
+}
+
+// pointMassTable is the table every point mass shares: P, CDF and
+// log-CDF back to back, the three floats uncertain.Certain slices (P's
+// capacity is one, so only unsafe reads past it).
+func pointMassTable() [3]float64 {
+	d := uncertain.Certain(0)
+	return [3]float64(unsafe.Slice(&d.P[0], 3))
+}
+
+// TestExecuteLeavesPointMassTable: window queries under overlays that
+// touch windows (certain ones among them) and frame queries under
+// overlays pass point masses through Start as overrides, and none of
+// them writes the one table every point mass shares.
+func TestExecuteLeavesPointMassTable(t *testing.T) {
+	a := randomArtifactClips(xrand.New(43).Split("window-memo"), 400, 7)
+	udf := tableUDF{uncertain.DefaultCountingOptions()}
+	plans := windowPlans(t)
+	maps.Copy(plans, executePlans(t))
+	for pname, p := range plans {
+		for name, labels := range windowOverlays(44, a) {
+			if _, err := Execute(p, Binding{UDF: udf, Artifact: a, Labels: labels}); err != nil {
+				t.Fatalf("plan %s, overlay %s: %v", pname, name, err)
+			}
+			if got := pointMassTable(); got != [3]float64{1, 1, 0} {
+				t.Fatalf("after plan %s under overlay %s the point-mass table reads %v, want [1 1 0]", pname, name, got)
+			}
+		}
 	}
 }
 

@@ -78,12 +78,15 @@ func MustDist(min int, probs []float64) Dist {
 	return d
 }
 
-// Certain returns a point-mass distribution at the given level; used when a
-// frame's exact score is known (cleaned by the oracle or labelled during
-// Phase 1 sampling).
+// pointMass is the read-only table (P, CDF, log CDF) every point mass
+// shares: nothing writes a built Dist; only NewDist fills fresh tables.
+var pointMass = [...]float64{1, 1, 0}
+
+// Certain returns a point-mass distribution at the given level, without
+// allocating; used when a frame's exact score is known (cleaned by the
+// oracle or labelled during Phase 1 sampling).
 func Certain(level int) Dist {
-	back := [...]float64{1, 1, 0} // P, cum, log cum
-	return Dist{Min: level, P: back[:1:1], cum: back[1:]}
+	return Dist{Min: level, P: pointMass[:1:1], cum: pointMass[1:]}
 }
 
 // buildCum fills the CDF table from P and the log-CDF table from that.

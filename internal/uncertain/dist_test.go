@@ -53,6 +53,23 @@ func TestCertain(t *testing.T) {
 	}
 }
 
+// TestCertainAllocatesNothing: a point mass is its level and a slice of
+// the one read-only table every point mass shares, so building one
+// allocates nothing, and the table reads {1, 1, 0} — P, CDF, log-CDF.
+func TestCertainAllocatesNothing(t *testing.T) {
+	var d Dist
+	if n := testing.AllocsPerRun(100, func() { d = Certain(d.Min + 1) }); n != 0 {
+		t.Fatalf("Certain allocates %v times a call, want 0", n)
+	}
+	a, b := Certain(3), Certain(-8)
+	if &a.P[0] != &b.P[0] || &a.cum[0] != &b.cum[0] {
+		t.Fatal("two point masses do not share one table")
+	}
+	if pointMass != [...]float64{1, 1, 0} {
+		t.Fatalf("the point-mass table reads %v, want [1 1 0]", pointMass)
+	}
+}
+
 func TestCDFBounds(t *testing.T) {
 	d := MustDist(5, []float64{0.2, 0.3, 0.5})
 	if d.CDF(4) != 0 {
