@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/everest-project/everest/internal/uncertain"
@@ -65,7 +66,7 @@ func fuzzBase() *Artifact {
 }
 
 // FuzzArtifactAppend: for any decodable tail, Append either merges and
-// the merged artifact satisfies every structural invariant, or rejects
+// the merged artifact passes Validate, or rejects
 // and leaves the receiver bit-identical — never a panic, never a
 // silently corrupted artifact.
 func FuzzArtifactAppend(f *testing.F) {
@@ -77,10 +78,12 @@ func FuzzArtifactAppend(f *testing.F) {
 	f.Add([]byte{2, 2, 3, 4})
 	// Unordered Retained entries.
 	f.Add([]byte{8, 8, 4, 4, 4, 4, 5, 5, 5, 5, 9, 4, 4, 7, 4, 4})
+	// A retained frame with neither a label nor a mixture.
+	f.Add([]byte{1, 1, 4, 4})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		base := fuzzBase()
-		if err := base.check(); err != nil {
+		if err := base.Validate(); err != nil {
 			t.Fatalf("fuzz base invalid: %v", err)
 		}
 		snap := base.Clone()
@@ -101,11 +104,37 @@ func FuzzArtifactAppend(f *testing.F) {
 			}
 			return
 		}
-		if cerr := base.check(); cerr != nil {
+		if cerr := base.Validate(); cerr != nil {
 			t.Fatalf("accepted append broke invariants: %v", cerr)
 		}
 		if base.TotalFrames != snap.TotalFrames+tail.TotalFrames {
 			t.Fatalf("frame count %d after appending %d to %d", base.TotalFrames, tail.TotalFrames, snap.TotalFrames)
 		}
 	})
+}
+
+// TestAppendRejectsScorelessTail: a tail whose retained frame has
+// neither a label nor a mixture is refused, with the error Validate
+// gives the tail, and the receiver is left bit-identical and still
+// valid — merged, the scoreless frame would fail every later query.
+func TestAppendRejectsScorelessTail(t *testing.T) {
+	base := fuzzBase()
+	snap := base.Clone()
+	tail := &Artifact{
+		TotalFrames: 1,
+		RepOf:       []int32{0},
+		Retained:    []int32{0},
+		Exact:       map[int32]float64{},
+		Mixtures:    map[int32]uncertain.Mixture{},
+	}
+	err := base.Append(tail, base.TotalFrames)
+	if want := tail.Validate(); want == nil || err == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Fatalf("Append of a scoreless tail: %v, want the tail's %v", err, want)
+	}
+	if !reflect.DeepEqual(base.Clone(), snap) {
+		t.Fatal("the rejected append mutated the artifact")
+	}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("after the rejected append: %v", err)
+	}
 }

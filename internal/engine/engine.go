@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"iter"
 	"math"
 
 	"github.com/everest-project/everest/internal/core"
@@ -197,38 +196,39 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 		return scores, nil
 	}
 
-	// Both query kinds start from a prepared memo: a frame query under
-	// its labels as point masses, a window query under the windows its
-	// overlay touches, re-aggregated in its own copy of the relation.
-	var base *core.Base
-	var rel uncertain.Relation
-	var over iter.Seq2[int, uncertain.Dist]
-	var oracle core.Oracle
+	// Both query kinds start from their D0's prepared memo: a frame
+	// query under its labels as point masses, a window query under the
+	// windows its overlay touches, re-aggregated in its own copy of the
+	// relation. The iterator over those windows is built here, not
+	// returned by the view, so it stays on the stack.
+	v, err := b.Artifact.memo(p.Window.d0Key(qopt), p.Procs, b.Pool)
+	if err != nil {
+		return nil, err
+	}
+	rel, touched, err := v.runStart(b.Labels)
+	if err != nil {
+		return nil, err
+	}
+	base, err := b.Artifact.prepared(v, p.Bound())
+	if err != nil {
+		return nil, err
+	}
+	over := v.frameOverrides(b.Labels)
+	if touched != nil {
+		over = func(yield func(int, uncertain.Dist) bool) {
+			for _, w := range touched { // a window's position is its ID
+				if !yield(w, rel[w].Dist) {
+					return
+				}
+			}
+		}
+	}
 	// The frame-level oracle above charges its own per-frame cost, so the
 	// engine charges only the per-call overhead (and unhidden decode).
 	engineCost := p.Cost
 	engineCost.OracleMS = 0
-	var err error
+	var oracle core.Oracle
 	if p.Window.Enabled() {
-		var v windowView
-		if v, err = b.Artifact.windowMemo(p.Window, qopt, p.Procs, b.Pool); err != nil {
-			return nil, err
-		}
-		if ids := v.touched(b.Labels); ids != nil {
-			if rel, err = v.relation(ids, b.Labels); err != nil {
-				return nil, err
-			}
-			over = func(yield func(int, uncertain.Dist) bool) {
-				for _, w := range ids { // a window's position is its ID
-					if !yield(w, rel[w].Dist) {
-						return
-					}
-				}
-			}
-		}
-		if base, err = b.Artifact.windowBase(v, p.Bound()); err != nil {
-			return nil, err
-		}
 		oracle = &windows.Oracle{
 			ScoreFrames: scoreFrames,
 			Size:        p.Window.Size,
@@ -238,12 +238,6 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 			Seed:        p.Seed,
 		}
 	} else {
-		var frames []windows.FrameScore
-		var d0 uncertain.Relation
-		if base, d0, frames, err = b.Artifact.frameBase(qopt, p.Bound()); err != nil {
-			return nil, err
-		}
-		over = overrides(b.Labels, d0, frames, qopt)
 		oracle = core.OracleFunc(func(ids []int) ([]int, error) {
 			scores, err := scoreFrames(ids)
 			if err != nil {

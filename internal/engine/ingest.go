@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/everest-project/everest/internal/core"
 	"github.com/everest-project/everest/internal/phase1"
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/uncertain"
@@ -40,24 +39,20 @@ type Artifact struct {
 	// Info is the Phase 1 statistics summary.
 	Info phase1.Info
 
-	// The query-independent base of D0 (relation.go), built at the first
-	// relation build and extended over the tail after an Append: scores
-	// is Phase 1's knowledge per frame, d0 the quantized frame relation
-	// under d0Opt, d0Prep that relation prepared for Phase 2 under
-	// d0Bound (nil until a frame query asks), wins the window relations
-	// of the most recently used shapes, and span the largest distance
-	// from a frame to its representative over the first spanN frames.
-	// mu guards these fields, never the data above — concurrent queries
-	// share one artifact, and Append keeps its "no query in flight"
-	// contract. An Artifact must not be copied by value; use Clone.
-	mu          sync.Mutex
-	scores      []windows.FrameScore
-	d0          uncertain.Relation
-	d0Opt       uncertain.QuantizeOptions
-	d0Prep      *core.Base
-	d0Bound     core.BoundKind
-	wins        []*windowD0
-	span, spanN int
+	// The query-independent base of D0 (relation.go), built by the first
+	// query that asks and extended over the tail after an Append: scores
+	// is Phase 1's knowledge per frame and span the largest distance from
+	// a frame to its representative, both over the first len(scores)
+	// frames; memos the relations of the most recently used D0 keys — the
+	// frame relation and window shapes, each under one quantization, with
+	// its prepared base — most recent first. mu guards these fields, never
+	// the data above — concurrent queries share one artifact, and Append
+	// keeps its "no query in flight" contract. An Artifact must not be
+	// copied by value; use Clone.
+	mu     sync.Mutex
+	scores []windows.FrameScore
+	span   int
+	memos  []*d0Entry
 }
 
 // Clone returns a deep copy of the artifact's data with an empty memo:
@@ -155,7 +150,7 @@ func (a *Artifact) Append(tail *Artifact, lo int) error {
 	if lo != a.TotalFrames {
 		return fmt.Errorf("everest: append at frame %d, artifact covers %d", lo, a.TotalFrames)
 	}
-	if err := tail.check(); err != nil {
+	if err := tail.Validate(); err != nil {
 		return fmt.Errorf("everest: append tail: %w", err)
 	}
 	for _, rep := range tail.RepOf {
@@ -178,26 +173,15 @@ func (a *Artifact) Append(tail *Artifact, lo int) error {
 	return nil
 }
 
-// Validate is the check an artifact from outside the process (a loaded
-// index file) must pass before any query indexes into it: the
-// structural invariants of check, and a Phase 1 label or a mixture for
-// every retained frame — through frameScores, so the relation builders
-// and the loader agree on what a scoreless frame is.
+// Validate checks the invariants every artifact holds, which one from
+// outside the process — a loaded index file, an appended tail — must
+// pass before any query indexes into it: RepOf covers every frame and
+// maps it to a frame that represents itself, Retained is strictly
+// ascending and in range, every labelled or mixture-scored frame is a
+// real frame, and every retained frame has a Phase 1 label or a
+// mixture (the relation builders' error, if a later mutation breaks
+// that).
 func (a *Artifact) Validate() error {
-	if err := a.check(); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	_, err := a.frameScores()
-	return err
-}
-
-// check verifies the structural invariants every ingested artifact
-// holds: RepOf covers every frame and maps it to a frame that
-// represents itself, Retained is strictly ascending and in range, and
-// every labelled or mixture-scored frame is a real frame.
-func (a *Artifact) check() error {
 	n := a.TotalFrames
 	if n < 0 {
 		return fmt.Errorf("negative frame count %d", n)
@@ -234,5 +218,19 @@ func (a *Artifact) check() error {
 			return fmt.Errorf("mixture for out-of-range frame %d", f)
 		}
 	}
+	for _, f := range a.Retained {
+		if _, ok := a.Exact[f]; ok {
+			continue
+		}
+		if _, ok := a.Mixtures[f]; !ok {
+			return missingScore(f)
+		}
+	}
 	return nil
+}
+
+// missingScore is the error for a retained frame with neither a Phase 1
+// label nor a mixture.
+func missingScore(f int32) error {
+	return fmt.Errorf("everest: index missing mixture for frame %d", f)
 }

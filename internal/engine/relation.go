@@ -29,19 +29,175 @@ import (
 //
 // A cache label on a Phase 1 frame is ignored: the index's own oracle
 // label is what every query over the index, cached or not, agrees on.
+//
+// The memo is one list of relations, the frame relation and window
+// shapes alike, each under one quantization: built by the first query
+// that asks, extended after an Append, prepared for Phase 2 by the
+// first query that runs over it. A frame query starts its run from the
+// prepared relation under its labels as point masses; a window query
+// re-aggregates only the windows its overlay touches — those with a
+// representative the overlay labels and Phase 1 did not — with the very
+// function that built the memo, in its own copy of the relation, and
+// starts from the prepared relation under them.
+
+// maxMemos bounds the memo: the most recently used relations stay, the
+// least recently used is dropped. An artifact serves one UDF, so it has
+// one quantization and one frame relation: five entries hold it and the
+// four most recent window shapes. No workload asks for more than the
+// frame relation and three shapes.
+const maxMemos = 5
+
+// d0Key identifies a memoized D0: the frame relation (size 0) or a
+// window shape, stride resolved, under one quantization.
+type d0Key struct {
+	size, stride int
+	qopt         uncertain.QuantizeOptions
+}
+
+// d0Key is the key of a query's D0: the frame relation's when w is the
+// zero WindowSpec, else the window shape's.
+func (w WindowSpec) d0Key(qopt uncertain.QuantizeOptions) d0Key {
+	k := d0Key{size: w.Size, stride: w.Stride, qopt: qopt}
+	if k.stride <= 0 {
+		k.stride = k.size
+	}
+	return k
+}
+
+// d0Entry is one memo entry. rel is D0 with no overlay — a tuple per
+// retained frame in Retained order, or every window aggregated; failed
+// lists the windows whose aggregation failed (their tuples are
+// placeholders, and every query re-aggregates them, so its error is the
+// lowest failing window under its own overlay); prep is rel prepared
+// for Phase 2 under bound, nil until a query asks, and dropped when rel
+// is extended. Guarded by the artifact's mu; a published tuple or
+// failed entry is never written again (an extension writes only past
+// the ones a query may hold).
+type d0Entry struct {
+	key    d0Key
+	rel    uncertain.Relation
+	failed []int
+	prep   *core.Base
+	bound  core.BoundKind
+}
+
+// d0View is what one query reads of a memo entry, taken under a.mu:
+// the entry's relation and failed windows, the frame table and segment
+// structure they were built from, the span D, and the window
+// aggregation options (the query's workers; Size 0 for the frame
+// relation).
+type d0View struct {
+	entry  *d0Entry
+	rel    uncertain.Relation
+	failed []int
+	scores []windows.FrameScore
+	diff   diffdet.Result
+	span   int
+	opt    windows.Options
+}
+
+// memo returns the view of key's entry, building the entry — on the
+// given workers — if it is new, and extending it over the tuples
+// appended since it was built.
+func (a *Artifact) memo(key d0Key, procs int, pool *workpool.Pool) (d0View, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	scores, err := a.frameScores()
+	if err != nil {
+		return d0View{}, err
+	}
+	maxLevel := 0
+	if key.qopt.MaxLevel > 0 && key.qopt.MaxLevel < math.MaxInt {
+		maxLevel = key.qopt.MaxLevel
+	}
+	v := d0View{
+		entry:  a.entry(key),
+		scores: scores,
+		diff:   diffdet.Result{RepOf: a.RepOf},
+		span:   a.span,
+		opt:    windows.Options{Size: key.size, Stride: key.stride, Step: key.qopt.Step, MaxLevel: maxLevel, Procs: procs, Pool: pool},
+	}
+	fresh := v.entry == nil
+	if fresh {
+		v.entry = &d0Entry{key: key}
+	}
+	e := v.entry
+	n := len(a.Retained)
+	if key.size != 0 {
+		n = windows.NumSlidingWindows(a.TotalFrames, key.size, key.stride)
+	}
+	if fresh || len(e.rel) < n {
+		rel, failed, err := v.extend(a.Retained)
+		if err != nil {
+			return d0View{}, err
+		}
+		e.rel, e.prep = rel, nil
+		if len(failed) > 0 {
+			e.failed = append(slices.Clip(e.failed), failed...)
+		}
+		if fresh {
+			a.memos = append([]*d0Entry{e}, a.memos[:min(len(a.memos), maxMemos-1)]...)
+		}
+	}
+	v.rel, v.failed = e.rel, e.failed
+	return v, nil
+}
+
+// extend returns the view's entry's relation extended over the tuples
+// appended since it was built, with the new windows whose aggregation
+// failed. A frame relation quantizes the Retained tail into a new array,
+// so no tuple a query holds is written; a window relation aggregates
+// only the new windows (one that ends within the old frames reads only
+// old frames and old representatives, so it is unchanged).
+func (v d0View) extend(retained []int32) (uncertain.Relation, []int, error) {
+	old, scores := v.entry.rel, v.scores
+	if v.opt.Size != 0 {
+		return windows.Extend(old, func(rep int) windows.FrameScore { return scores[rep] }, v.diff, v.opt)
+	}
+	qopt := v.entry.key.qopt
+	rel := make(uncertain.Relation, len(retained))
+	done := copy(rel, old)
+	for i, f := range retained[done:] {
+		fs := scores[f]
+		var d uncertain.Dist
+		var err error
+		if fs.IsExact {
+			d = certainAt(fs.Exact, qopt)
+		} else if d, err = uncertain.Quantize(fs.Mix, qopt); err != nil {
+			d = certainAt(fs.Mix.Mean(), qopt)
+		}
+		rel[done+i] = uncertain.XTuple{ID: int(f), Dist: d}
+	}
+	return rel, nil, nil
+}
+
+// entry returns the memo entry for key, moved to the front of the
+// recency order, or nil. The caller holds a.mu.
+func (a *Artifact) entry(key d0Key) *d0Entry {
+	for i, e := range a.memos {
+		if e.key == key {
+			copy(a.memos[1:i+1], a.memos[:i])
+			a.memos[0] = e
+			return e
+		}
+	}
+	return nil
+}
 
 // frameScores returns Phase 1's knowledge of every retained frame,
 // indexed by frame (the zero FrameScore elsewhere), extending the
-// memoized table over frames appended since it was built. It is where
-// "every retained frame has a label or a mixture" is checked, for both
-// relation builders. The caller holds a.mu; the returned table is never
-// written again.
+// memoized table — and the span D = max |i − RepOf[i]|, the farthest
+// any frame lies from its representative — over frames appended since
+// it was built. A retained frame with neither a label nor a mixture is
+// an error (an artifact mutated after Validate). The caller holds a.mu;
+// the returned table is never written again.
 func (a *Artifact) frameScores() ([]windows.FrameScore, error) {
-	if len(a.scores) == a.TotalFrames {
+	done := len(a.scores)
+	if done == a.TotalFrames {
 		return a.scores, nil
 	}
 	scores := make([]windows.FrameScore, a.TotalFrames)
-	done := copy(scores, a.scores)
+	copy(scores, a.scores)
 	// Retained is ascending, so the frames not yet covered are a suffix.
 	tail := sort.Search(len(a.Retained), func(i int) bool { return int(a.Retained[i]) >= done })
 	for _, f := range a.Retained[tail:] {
@@ -50,71 +206,35 @@ func (a *Artifact) frameScores() ([]windows.FrameScore, error) {
 		} else if mix, ok := a.Mixtures[f]; ok {
 			scores[f] = windows.FrameScore{Mix: mix}
 		} else {
-			return nil, fmt.Errorf("everest: index missing mixture for frame %d", f)
+			return nil, missingScore(f)
 		}
+	}
+	for i := done; i < len(a.RepOf); i++ {
+		d := i - int(a.RepOf[i])
+		a.span = max(a.span, d, -d)
 	}
 	a.scores = scores
 	return scores, nil
 }
 
-// baseRelation returns the frame-level D0 before any label overlay —
-// one tuple per retained frame, in Retained order — with the frame
-// table it was built from. The memo holds one relation, for the
-// quantization it was last asked for (an artifact is bound to one UDF,
-// so a different qopt simply rebuilds); after an Append only the tail
-// is quantized. Both are allocated at exact size and never written
-// again once returned, so queries share them without copying the
-// distributions. Rebuilding or extending d0 drops the prepared base
-// (frameBase) made from it. The caller holds a.mu.
-func (a *Artifact) baseRelation(qopt uncertain.QuantizeOptions) (uncertain.Relation, []windows.FrameScore, error) {
-	scores, err := a.frameScores()
-	if err != nil {
-		return nil, nil, err
-	}
-	if a.d0Opt != qopt {
-		a.d0, a.d0Opt = nil, qopt
-	}
-	if len(a.d0) == len(a.Retained) {
-		return a.d0, scores, nil
-	}
-	a.d0Prep = nil
-	rel := make(uncertain.Relation, len(a.Retained))
-	done := copy(rel, a.d0)
-	for i, f := range a.Retained[done:] {
-		fs := scores[f]
-		var d uncertain.Dist
-		if fs.IsExact {
-			d = certainAt(fs.Exact, qopt)
-		} else if d, err = uncertain.Quantize(fs.Mix, qopt); err != nil {
-			d = certainAt(fs.Mix.Mean(), qopt)
-		}
-		rel[done+i] = uncertain.XTuple{ID: int(f), Dist: d}
-	}
-	a.d0 = rel
-	return rel, scores, nil
-}
-
-// frameBase returns the frame-level D0 prepared for Phase 2 under the
-// given bound, with the relation it was prepared from and the frame
-// table. The prepared base is memoized beside d0, keyed like it (the
-// quantization, plus the bound), and is valid exactly as long as d0 is:
-// it is dropped whenever d0 is rebuilt or extended, and prepared again
-// by the next frame query — never by Append. Queries read it in place;
-// none copies the relation.
-func (a *Artifact) frameBase(qopt uncertain.QuantizeOptions, bound core.BoundKind) (*core.Base, uncertain.Relation, []windows.FrameScore, error) {
+// prepared returns the view's relation prepared for Phase 2 under the
+// given bound, memoized on its entry: the base every query of the entry
+// starts from, whatever its overlay. It is valid exactly as long as the
+// entry's relation is — an extension drops it, and the next query
+// prepares it again, never Append. Queries read it in place; none
+// copies the relation.
+func (a *Artifact) prepared(v d0View, bound core.BoundKind) (*core.Base, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	rel, scores, err := a.baseRelation(qopt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if a.d0Prep == nil || a.d0Bound != bound {
-		if a.d0Prep, err = core.Prepare(rel, bound); err != nil {
-			return nil, nil, nil, err
+	e := v.entry
+	if e.prep == nil || e.bound != bound {
+		prep, err := core.Prepare(v.rel, bound)
+		if err != nil {
+			return nil, err
 		}
-		a.d0Bound = bound
+		e.prep, e.bound = prep, bound
 	}
-	return a.d0Prep, rel, scores, nil
+	return e.prep, nil
 }
 
 // certainAt is the point mass at an exact (or stand-in) score's level.
@@ -122,20 +242,22 @@ func certainAt(score float64, qopt uncertain.QuantizeOptions) uncertain.Dist {
 	return uncertain.Certain(phase1.ClampLevel(uncertain.LevelOf(score, qopt.Step), qopt))
 }
 
-// overrides enumerates the label overlay as overrides of D0, rel (in
-// Retained order, which is ascending ID, as Prepare requires): for
-// every cache label on a retained frame Phase 1 did not label — the
-// precedence rule above — the frame's position in rel and the point
-// mass at the label's level. It walks the overlay once, |labels|
-// steps, each finding its frame by a search forward from the last one
-// found (the snapshot's labels come in ascending frame order), so a
-// label on a frame outside D0 (one the difference detector discarded,
-// or one at or past the artifact's end) is never yielded. A nil overlay is the nil
-// enumeration: the run starts as an uncached one.
-func overrides(labels *labelstore.Overlay, rel uncertain.Relation, scores []windows.FrameScore, qopt uncertain.QuantizeOptions) iter.Seq2[int, uncertain.Dist] {
-	if labels == nil {
+// frameOverrides enumerates the label overlay as overrides of a frame
+// view's relation (in Retained order, which is ascending ID, as Prepare
+// requires): for every cache label on a retained frame Phase 1 did not
+// label — the precedence rule above — the frame's position in the
+// relation and the point mass at the label's level. It walks the
+// overlay once, |labels| steps, each finding its frame by a search
+// forward from the last one found (the snapshot's labels come in
+// ascending frame order), so a label on a frame outside D0 (one the
+// difference detector discarded, or one at or past the artifact's end)
+// is never yielded. A nil overlay, or a window view, is the nil
+// enumeration.
+func (v d0View) frameOverrides(labels *labelstore.Overlay) iter.Seq2[int, uncertain.Dist] {
+	if labels == nil || v.opt.Size != 0 {
 		return nil
 	}
+	rel, scores, qopt := v.rel, v.scores, v.entry.key.qopt
 	return func(yield func(int, uncertain.Dist) bool) {
 		next := 0
 		labels.Range(func(f int, s float64) bool {
@@ -178,171 +300,28 @@ func positionFrom(rel uncertain.Relation, from, id int) (int, bool) {
 }
 
 // FrameRelation builds the frame-level D0: a copy of the artifact's
-// base relation in which every frame the overlay knows — and Phase 1
-// did not label — is certain. labels, when non-nil, supplies exact
-// scores confirmed by earlier queries over the same cache (session
-// overlay, or the running overlay of a coalesced group). A nil overlay
-// is the uncached path: every uncertain frame keeps its mixture. The
-// returned slice is the caller's; the distributions in it are shared
-// and immutable. Execute does not call it — it starts a run over the
-// prepared base (frameBase) under the same overrides — but callers that
-// want the relation itself do.
+// memoized frame relation in which every frame the overlay knows — and
+// Phase 1 did not label — is certain. labels, when non-nil, supplies
+// exact scores confirmed by earlier queries over the same cache
+// (session overlay, or the running overlay of a coalesced group). A nil
+// overlay is the uncached path: every uncertain frame keeps its
+// mixture. The returned slice is the caller's; the distributions in it
+// are shared and immutable. Execute does not call it — it starts a run
+// over the prepared relation under the same overrides — but callers
+// that want the relation itself do.
 func (a *Artifact) FrameRelation(qopt uncertain.QuantizeOptions, labels *labelstore.Overlay) (uncertain.Relation, error) {
-	a.mu.Lock()
-	base, scores, err := a.baseRelation(qopt)
-	a.mu.Unlock()
+	v, err := a.memo(WindowSpec{}.d0Key(qopt), 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	rel := make(uncertain.Relation, len(base))
-	copy(rel, base)
+	rel := make(uncertain.Relation, len(v.rel))
+	copy(rel, v.rel)
 	if labels != nil {
-		for pos, d := range overrides(labels, base, scores, qopt) {
+		for pos, d := range v.frameOverrides(labels) {
 			rel[pos].Dist = d
 		}
 	}
 	return rel, nil
-}
-
-// The window memo is the same idea one level up: per window shape, the
-// relation Eq. 9 gives with no overlay, built by the first query of the
-// shape and extended over the new windows after an Append (a window
-// that ends within the old frames reads only old frames and old
-// representatives, so it is unchanged). A query then re-aggregates only
-// the windows its overlay touches — those with a representative the
-// overlay labels and Phase 1 did not — with the very function that
-// built the memo, so every window is what a full build would give it.
-// Every query starts from the memo's prepared base, the windows it
-// touches (re-aggregated in its own copy) as the run's overrides.
-
-// maxWindowShapes bounds the window memo: the most recently used shapes
-// stay, the least recently used is dropped. No workload asks more than
-// three shapes of one index.
-const maxWindowShapes = 4
-
-// windowKey identifies a memoized window relation: the shape, stride
-// resolved, under one quantization.
-type windowKey struct {
-	size, stride int
-	qopt         uncertain.QuantizeOptions
-}
-
-// windowD0 is one shape's memo entry. rel is every window aggregated
-// with no overlay; failed lists the windows whose aggregation failed
-// (their tuples are placeholders, and every query re-aggregates them,
-// so its error is the lowest failing window under its own overlay);
-// prep is rel prepared for Phase 2 under bound, nil until a query asks,
-// and dropped when rel is extended. Guarded by
-// the artifact's mu; a published tuple or failed entry is never written
-// again (an extension appends past the ones a query may hold).
-type windowD0 struct {
-	key    windowKey
-	rel    uncertain.Relation
-	failed []int
-	prep   *core.Base
-	bound  core.BoundKind
-}
-
-// windowView is what one query reads of a memo entry, taken under a.mu:
-// the entry's relation and failed windows, the frame table and segment
-// structure they were built from, the span D, and the aggregation
-// options (the query's workers).
-type windowView struct {
-	entry  *windowD0
-	rel    uncertain.Relation
-	failed []int
-	scores []windows.FrameScore
-	diff   diffdet.Result
-	span   int
-	opt    windows.Options
-}
-
-// windowMemo returns the view of the shape's memo entry, building the
-// entry — on the given workers — if the shape is new, and extending it
-// over the windows appended since it was built.
-func (a *Artifact) windowMemo(w WindowSpec, qopt uncertain.QuantizeOptions, procs int, pool *workpool.Pool) (windowView, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	scores, err := a.frameScores()
-	if err != nil {
-		return windowView{}, err
-	}
-	key := windowKey{size: w.Size, stride: w.Stride, qopt: qopt}
-	if key.stride <= 0 {
-		key.stride = key.size
-	}
-	maxLevel := 0
-	if qopt.MaxLevel > 0 && qopt.MaxLevel < math.MaxInt {
-		maxLevel = qopt.MaxLevel
-	}
-	v := windowView{
-		scores: scores,
-		diff:   diffdet.Result{RepOf: a.RepOf},
-		span:   a.repSpan(),
-		opt:    windows.Options{Size: key.size, Stride: key.stride, Step: qopt.Step, MaxLevel: maxLevel, Procs: procs, Pool: pool},
-	}
-	e := a.windowEntry(key)
-	fresh := e == nil
-	if fresh {
-		e = &windowD0{key: key}
-	}
-	if fresh || len(e.rel) < windows.NumSlidingWindows(a.TotalFrames, key.size, key.stride) {
-		rel, failed, err := windows.Extend(e.rel, func(rep int) windows.FrameScore { return scores[rep] }, v.diff, v.opt)
-		if err != nil {
-			return windowView{}, err
-		}
-		e.rel, e.prep = rel, nil
-		if len(failed) > 0 {
-			e.failed = append(slices.Clip(e.failed), failed...)
-		}
-		if fresh {
-			a.wins = append([]*windowD0{e}, a.wins[:min(len(a.wins), maxWindowShapes-1)]...)
-		}
-	}
-	v.entry, v.rel, v.failed = e, e.rel, e.failed
-	return v, nil
-}
-
-// windowEntry returns the memo entry for key, moved to the front of the
-// recency order, or nil. The caller holds a.mu.
-func (a *Artifact) windowEntry(key windowKey) *windowD0 {
-	for i, e := range a.wins {
-		if e.key == key {
-			copy(a.wins[1:i+1], a.wins[:i])
-			a.wins[0] = e
-			return e
-		}
-	}
-	return nil
-}
-
-// repSpan returns D = max |i − RepOf[i]|, the farthest any frame lies
-// from its representative, extending the memoized value over frames
-// appended since. The caller holds a.mu.
-func (a *Artifact) repSpan() int {
-	for i := a.spanN; i < len(a.RepOf); i++ {
-		d := i - int(a.RepOf[i])
-		a.span = max(a.span, d, -d)
-	}
-	a.spanN = len(a.RepOf)
-	return a.span
-}
-
-// windowBase returns the view's relation prepared for Phase 2 under the
-// given bound, memoized on its entry: the base every window query of the
-// shape starts from, whatever windows its overlay touches.
-func (a *Artifact) windowBase(v windowView, bound core.BoundKind) (*core.Base, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e := v.entry
-	if e.prep == nil || e.bound != bound {
-		prep, err := core.Prepare(v.rel, bound)
-		if err != nil {
-			return nil, err
-		}
-		e.prep, e.bound = prep, bound
-	}
-	return e.prep, nil
 }
 
 // touched returns, ascending, the windows a query under labels must
@@ -353,7 +332,7 @@ func (a *Artifact) windowBase(v windowView, bound core.BoundKind) (*core.Base, e
 // windows: each representative it labels marks the windows overlapping
 // the frames it represents, found within ±D of it. Marking a window
 // that did not change is harmless — re-aggregating it gives it back.
-func (v windowView) touched(labels *labelstore.Overlay) []int {
+func (v d0View) touched(labels *labelstore.Overlay) []int {
 	n := len(v.rel)
 	var marks []uint64
 	mark := func(lo, hi int) {
@@ -411,15 +390,22 @@ func (v windowView) touched(labels *labelstore.Overlay) []int {
 	return ids
 }
 
-// relation returns a copy of the view's relation with the windows ids
-// re-aggregated under labels — Eq. 9 with the overlay's exact scores on
-// the representatives it labels and Phase 1 did not.
-func (v windowView) relation(ids []int, labels *labelstore.Overlay) (uncertain.Relation, error) {
-	rel := make(uncertain.Relation, len(v.rel))
-	copy(rel, v.rel)
-	if len(ids) == 0 {
-		return rel, nil
+// runStart returns what a run over the view starts from besides the
+// prepared base: for a window view whose overlay touches windows, a
+// copy of the relation with those re-aggregated under labels — Eq. 9
+// with the overlay's exact scores on the representatives it labels and
+// Phase 1 did not — and the touched windows, ascending (a window's
+// position is its ID); else nil and nil, the run reading the base's
+// relation (a frame view under frameOverrides).
+func (v d0View) runStart(labels *labelstore.Overlay) (uncertain.Relation, []int, error) {
+	if v.opt.Size == 0 {
+		return nil, nil, nil
 	}
+	ids := v.touched(labels)
+	if ids == nil {
+		return nil, nil, nil
+	}
+	rel := slices.Clone(v.rel)
 	scores := v.scores
 	err := windows.Reaggregate(rel, ids, func(rep int) windows.FrameScore {
 		fs := scores[rep]
@@ -431,9 +417,9 @@ func (v windowView) relation(ids []int, labels *labelstore.Overlay) (uncertain.R
 		return fs
 	}, v.diff, v.opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return rel, nil
+	return rel, ids, nil
 }
 
 // WindowRelation builds the window-level D0 (Eq. 9): a copy of the
@@ -445,9 +431,16 @@ func (v windowView) relation(ids []int, labels *labelstore.Overlay) (uncertain.R
 // first build and the re-aggregation fan out on (nil pool: transient
 // goroutines).
 func (a *Artifact) WindowRelation(w WindowSpec, qopt uncertain.QuantizeOptions, labels *labelstore.Overlay, procs int, pool *workpool.Pool) (uncertain.Relation, error) {
-	v, err := a.windowMemo(w, qopt, procs, pool)
+	if !w.Enabled() {
+		return nil, fmt.Errorf("everest: window size must be positive, got %d", w.Size)
+	}
+	v, err := a.memo(w.d0Key(qopt), procs, pool)
 	if err != nil {
 		return nil, err
 	}
-	return v.relation(v.touched(labels), labels)
+	rel, _, err := v.runStart(labels)
+	if rel == nil && err == nil {
+		rel = slices.Clone(v.rel)
+	}
+	return rel, err
 }

@@ -127,7 +127,7 @@ func assertWindowExecuteMatchesReference(t *testing.T, when string, a *Artifact,
 // re-aggregates.
 func touchedUnder(t *testing.T, a *Artifact, w WindowSpec, qopt uncertain.QuantizeOptions, labels *labelstore.Overlay) []int {
 	t.Helper()
-	v, err := a.windowMemo(w, qopt, 1, nil)
+	v, err := a.memo(w.d0Key(qopt), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,53 +295,121 @@ func TestWindowMemoFailedWindowErrorParity(t *testing.T) {
 	}
 }
 
-// TestWindowMemoBound: however many shapes are asked of one artifact,
-// the memo holds at most maxWindowShapes of them, the most recently
-// used; a shape still held is not rebuilt.
-func TestWindowMemoBound(t *testing.T) {
+// TestWindowRelationRejectsNonPositiveSize: a window size of zero is
+// the frame relation's memo key, so WindowRelation refuses it (and a
+// negative one) rather than handing back the frame relation.
+func TestWindowRelationRejectsNonPositiveSize(t *testing.T) {
+	a := randomArtifact(xrand.New(46).Split("window-memo"), 200)
+	for _, size := range []int{0, -30} {
+		if rel, err := a.WindowRelation(WindowSpec{Size: size}, uncertain.DefaultCountingOptions(), nil, 1, nil); err == nil {
+			t.Fatalf("a window of size %d gave %d tuples and no error", size, len(rel))
+		}
+	}
+}
+
+// TestMemoBound: the frame relation and window shapes share one memo
+// of maxMemos entries, the most recently used; an entry of either kind
+// still held is not rebuilt. The frame relation and the three shapes
+// the benchmark asks of one index are all held once warm, in any order,
+// and a second quantization gets an entry of its own.
+func TestMemoBound(t *testing.T) {
 	a := randomArtifact(xrand.New(44).Split("window-memo"), 600)
-	qopt := uncertain.DefaultCountingOptions()
-	relOf := func(w WindowSpec) uncertain.Relation {
-		v, err := a.windowMemo(w, qopt, 1, nil)
+	counting := uncertain.DefaultCountingOptions()
+	capped := uncertain.QuantizeOptions{Step: 0.5, MinLevel: 0, MaxLevel: 12, TruncSigma: 2}
+	relOf := func(w WindowSpec, qopt uncertain.QuantizeOptions) uncertain.Relation {
+		t.Helper()
+		v, err := a.memo(w.d0Key(qopt), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return v.rel
 	}
-	for size := 10; size < 10+3*maxWindowShapes; size++ {
-		recent := relOf(WindowSpec{Size: size})
-		if n := len(a.wins); n > maxWindowShapes {
-			t.Fatalf("after shape %d the memo holds %d shapes, bound %d", size, n, maxWindowShapes)
+	held := func(w WindowSpec, qopt uncertain.QuantizeOptions, rel uncertain.Relation) bool {
+		t.Helper()
+		return &relOf(w, qopt)[0] == &rel[0]
+	}
+	frame := WindowSpec{}
+	for size := 10; size < 10+3*maxMemos; size++ {
+		recent := relOf(WindowSpec{Size: size}, counting)
+		if n := len(a.memos); n > maxMemos {
+			t.Fatalf("after shape %d the memo holds %d entries, bound %d", size, n, maxMemos)
 		}
 		// The previous shape is still held: asking it again is a hit
 		// that makes it the most recent, and the shape before stays too.
 		if size > 10 {
-			prev := relOf(WindowSpec{Size: size - 1})
-			if again := relOf(WindowSpec{Size: size - 1}); &again[0] != &prev[0] {
+			prev := relOf(WindowSpec{Size: size - 1}, counting)
+			if !held(WindowSpec{Size: size - 1}, counting, prev) {
 				t.Fatalf("shape %d was rebuilt while held", size-1)
 			}
 		}
-		if again := relOf(WindowSpec{Size: size, Stride: size}); &again[0] != &recent[0] {
+		if !held(WindowSpec{Size: size, Stride: size}, counting, recent) {
 			t.Fatalf("shape %d (stride resolved) was rebuilt while held", size)
 		}
+		// The frame relation, asked between shapes, stays held too.
+		rel := relOf(frame, counting)
+		if !held(frame, counting, rel) {
+			t.Fatalf("the frame relation was rebuilt while held, after shape %d", size)
+		}
 	}
-	if len(a.wins) != maxWindowShapes {
-		t.Fatalf("the memo holds %d shapes, want the bound %d", len(a.wins), maxWindowShapes)
+	if len(a.memos) != maxMemos {
+		t.Fatalf("the memo holds %d entries, want the bound %d", len(a.memos), maxMemos)
+	}
+
+	// The frame relation outlives maxMemos-1 other entries asked after
+	// it, and the next one evicts it.
+	rel := relOf(frame, counting)
+	for size := 100; size < 100+maxMemos-1; size++ {
+		relOf(WindowSpec{Size: size}, counting)
+	}
+	if !held(frame, counting, rel) {
+		t.Fatalf("the frame relation was evicted by %d other entries", maxMemos-1)
+	}
+	for size := 200; size < 200+maxMemos; size++ {
+		relOf(WindowSpec{Size: size}, counting)
+	}
+	if held(frame, counting, rel) {
+		t.Fatalf("the frame relation outlived %d other entries", maxMemos)
+	}
+
+	// Warm, the frame relation and the benchmark's shapes are all held,
+	// whatever order they are asked in.
+	keys := []WindowSpec{frame, {Size: 30}, {Size: 60}, {Size: 30, Stride: 15}}
+	rels := make([]uncertain.Relation, len(keys))
+	for i, w := range keys {
+		rels[i] = relOf(w, counting)
+	}
+	for _, order := range [][]int{{3, 2, 1, 0}, {1, 3, 0, 2}, {0, 1, 2, 3}} {
+		for _, i := range order {
+			if !held(keys[i], counting, rels[i]) {
+				t.Fatalf("%+v was rebuilt while the memo held the benchmark's entries", keys[i])
+			}
+		}
+	}
+
+	// A second quantization is its own entry: the first one's frame
+	// relation stays held beside it.
+	if other := relOf(frame, capped); &other[0] == &rels[0][0] {
+		t.Fatal("a second quantization shares the first one's frame relation")
+	}
+	if !held(frame, counting, rels[0]) {
+		t.Fatal("a second quantization evicted the first one's frame relation")
 	}
 }
 
-// TestWindowMemoConcurrent executes window plans of three shapes and
-// builds window relations on one cold artifact from 8 goroutines at once
-// — each shape's first build, its preparation and its joint CDF's first
-// build race with their first readers; run under -race — some on two
-// transient workers: every execution, uncached or over its own copy of
-// a warm overlay, answers the reference outcome.
+// TestWindowMemoConcurrent executes window plans of three shapes and a
+// frame plan, and builds window and frame relations, on one cold
+// artifact from 8 goroutines at once — each entry's first build, its
+// preparation and its joint CDF's first build race with their first
+// readers, all under the artifact's one lock; run under -race — some on
+// two transient workers: every execution, uncached or over its own copy
+// of a warm overlay, answers the reference outcome, and every relation
+// is the reference relation.
 func TestWindowMemoConcurrent(t *testing.T) {
 	r := xrand.New(45).Split("window-memo")
 	a := randomArtifactClips(r, 900, 13)
 	udf := tableUDF{uncertain.DefaultCountingOptions()}
 	qopt := udf.Quantize()
-	shapes := []WindowSpec{{Size: 30, Stride: 30}, {Size: 40, Stride: 15}, {Size: 60, Stride: 60}}
+	shapes := []WindowSpec{{Size: 30, Stride: 30}, {Size: 40, Stride: 15}, {Size: 60, Stride: 60}, {}}
 	plans := make([]Plan, len(shapes))
 	for i, w := range shapes {
 		p := testPlan(5)
@@ -354,6 +422,12 @@ func TestWindowMemoConcurrent(t *testing.T) {
 	}
 	overlaySeed := r.Uint64()
 	warm := func() *labelstore.Overlay { return windowOverlays(overlaySeed, a)["base-and-fresh"] }
+	relation := func(w WindowSpec, labels *labelstore.Overlay, procs int) (uncertain.Relation, error) {
+		if !w.Enabled() {
+			return a.FrameRelation(qopt, labels)
+		}
+		return a.WindowRelation(w, qopt, labels, procs, nil)
+	}
 	want := make([][2]string, len(shapes))
 	wantRel := make([]uncertain.Relation, len(shapes))
 	for i, p := range plans {
@@ -361,7 +435,12 @@ func TestWindowMemoConcurrent(t *testing.T) {
 		labels := warm()
 		hot, herr := referenceExecute(p, a, nil, udf, labels)
 		want[i] = [2]string{outcomeBits(cold, err, nil), outcomeBits(hot, herr, labels)}
-		if wantRel[i], err = referenceWindowRelation(a, shapes[i], qopt, warm()); err != nil {
+		if shapes[i].Enabled() {
+			wantRel[i], err = referenceWindowRelation(a, shapes[i], qopt, warm())
+		} else {
+			wantRel[i], err = referenceFrameRelation(a, qopt, warm())
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,19 +449,19 @@ func TestWindowMemoConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			p := plans[g%3]
+			p := plans[g%4]
 			p.Procs = 1 + g%2
 			var labels *labelstore.Overlay
-			if g%4 >= 2 {
+			if g >= 4 {
 				labels = warm()
 			}
 			out, err := Execute(p, Binding{UDF: udf, Artifact: a, Labels: labels})
-			if got, want := outcomeBits(out, err, labels), want[g%3][g%4/2]; got != want {
+			if got, want := outcomeBits(out, err, labels), want[g%4][g/4]; got != want {
 				t.Errorf("goroutine %d, shape %+v: Execute differs from the reference:\n got %s\nwant %s", g, p.Window, got, want)
 			}
-			i := (g + 1) % 3
-			if rel, err := a.WindowRelation(shapes[i], qopt, warm(), 1+g%2, nil); err != nil || !reflect.DeepEqual(rel, wantRel[i]) {
-				t.Errorf("goroutine %d: window relation %+v differs from the reference (err %v)", g, shapes[i], err)
+			i := (g + 1) % 4
+			if rel, err := relation(shapes[i], warm(), 1+g%2); err != nil || !reflect.DeepEqual(rel, wantRel[i]) {
+				t.Errorf("goroutine %d: relation %+v differs from the reference (err %v)", g, shapes[i], err)
 			}
 		}(g)
 	}
