@@ -58,9 +58,13 @@ crash:
 # batch-consolidation splitter, the fault-schedule DSL round-trip, the
 # durable store's WAL-replay and checkpoint decoders (never panic,
 # recover exactly the checksum-valid prefix), the label map's set and
-# delete batches against a Go map and the per-key fold, and Phase 2's
-# start under random overrides (an error exactly on malformed input,
-# else the run over the materialized relation).
+# delete batches against a Go map and the per-key fold, the label
+# cache's eviction cap under random publish / tighten / snapshot
+# sequences (within the cap, the newest batch and pre-cap labels kept,
+# one version bump per publish and per eviction pass, none per
+# snapshot), and Phase 2's start under random overrides (an error
+# exactly on malformed input, else the run over the materialized
+# relation).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMapOrdering -fuzztime 30s ./internal/workpool/
 	$(GO) test -run '^$$' -fuzz FuzzStartOverrides -fuzztime 30s ./internal/core/
@@ -71,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 30s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzMapBatch -fuzztime 30s ./internal/labelstore/
+	$(GO) test -run '^$$' -fuzz FuzzCachePolicy -fuzztime 30s ./internal/labelstore/
 	$(GO) test -run '^$$' -fuzz FuzzParseEQL -fuzztime 30s ./internal/eql/
 
 # Capture the engine benchmark suite into BENCH_engine.json so future

@@ -340,10 +340,8 @@ func TestSharedSessionsConflictingPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Session A asks for a TTL and a generous label cap; session B asks
-	// for a tight cap and no TTL.
+	// Session A asks for a generous label cap; session B for a tight one.
 	acfg := smallCfg(5)
-	acfg.CacheTTL = time.Hour
 	acfg.CacheMaxLabels = 1000
 	if _, err := a.Query(acfg); err != nil {
 		t.Fatal(err)
@@ -354,15 +352,15 @@ func TestSharedSessionsConflictingPolicies(t *testing.T) {
 	if _, err := b.Query(bcfg); err != nil {
 		t.Fatal(err)
 	}
-	// Effective policy is the pairwise strictest: B's cap of 1 holds, and
-	// A's TTL survived B's zero-TTL install. (TightenPolicy with a zero
-	// policy is a read — it merges nothing.)
+	// Effective policy is the strictest: B's cap of 1 holds.
+	// (TightenPolicy with a zero policy is a read — it merges nothing.)
 	got := a.cache.TightenPolicy(labelstore.Policy{})
-	want := labelstore.Policy{TTL: time.Hour, MaxLabels: 1}
+	want := labelstore.Policy{MaxLabels: 1}
 	if got != want {
 		t.Fatalf("conflicting installs resolved to %+v, want strictest-wins %+v", got, want)
 	}
-	// And the strict cap is live: the cache kept only the newest batch.
+	// And the strict cap is live — a query leaving the knob zero neither
+	// erases it nor escapes it: the cache kept only the newest batch.
 	third := smallCfg(3)
 	third.Threshold = 0.95
 	res, err := a.Query(third)
@@ -373,24 +371,25 @@ func TestSharedSessionsConflictingPolicies(t *testing.T) {
 		t.Fatalf("cache holds %d labels under a cap of 1 batch (newest cleaned %d) — the sibling's cap was lost",
 			a.CachedLabels(), res.EngineStats.Cleaned)
 	}
-	// A re-install with looser knobs does not loosen.
+	if got := a.cache.TightenPolicy(labelstore.Policy{}); got != want {
+		t.Fatalf("a zero-knob query changed the policy to %+v, want %+v kept", got, want)
+	}
+	// A re-install with a looser knob does not loosen.
 	if _, err := a.Query(acfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.cache.TightenPolicy(labelstore.Policy{}); got != want {
 		t.Fatalf("a later generous install loosened the policy to %+v, want %+v kept", got, want)
 	}
-	// The explicit escape hatch: a negative knob clears the whole policy
-	// first, and a positive knob in the same Config installs into the
-	// cleared state — the one way to loosen a shared bound.
-	loosen := smallCfg(5)
-	loosen.CacheTTL = -1
-	loosen.CacheMaxLabels = 400
-	if _, err := b.Query(loosen); err != nil {
+	// Nor does a negative knob: the cap only ever tightens, so there is
+	// no reset for a session to reach.
+	negative := smallCfg(5)
+	negative.CacheMaxLabels = -1
+	if _, err := b.Query(negative); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := a.cache.TightenPolicy(labelstore.Policy{}), (labelstore.Policy{MaxLabels: 400}); got != want {
-		t.Fatalf("reset-and-reinstall yielded %+v, want %+v (TTL cleared, fresh cap installed)", got, want)
+	if got := a.cache.TightenPolicy(labelstore.Policy{}); got != want {
+		t.Fatalf("a negative knob changed the policy to %+v, want %+v kept", got, want)
 	}
 }
 
@@ -449,10 +448,11 @@ func TestSessionCacheMaxLabelsPolicy(t *testing.T) {
 	}
 }
 
-// TestSessionCacheTTLPolicy exercises the Config.CacheTTL knob through
-// the public API: a TTL generous enough for the test's duration keeps
-// every label (no spurious eviction on the hot path).
-func TestSessionCacheTTLPolicy(t *testing.T) {
+// TestRejectedConfigLeavesCacheUntouched: a Config that fails plan
+// compilation must not change the label cache it was aimed at — no cap
+// installed, no durable directory bound — since a cap can never be
+// loosened again once installed.
+func TestRejectedConfigLeavesCacheUntouched(t *testing.T) {
 	src := testSource(t, 9000, 97)
 	udf := vision.CountUDF{Class: video.ClassCar}
 	ix, err := BuildIndex(src, udf, smallCfg(5))
@@ -463,21 +463,62 @@ func TestSessionCacheTTLPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := smallCfg(5)
-	cfg.CacheTTL = time.Hour
-	first, err := sess.Query(cfg)
+	dir := t.TempDir()
+	defer closeDurableForTest(dir)
+	bad := smallCfg(0) // K must be positive
+	bad.CacheMaxLabels = 1
+	bad.DurableDir = dir
+	if _, err := sess.Query(bad); err == nil {
+		t.Fatal("a K=0 query compiled")
+	}
+	if got := sess.cache.TightenPolicy(labelstore.Policy{}); got != (labelstore.Policy{}) {
+		t.Fatalf("rejected Config installed %+v", got)
+	}
+	if got := sess.DurableDir(); got != "" {
+		t.Fatalf("rejected Config bound the cache to %q", got)
+	}
+	// The directory is still free for another cache.
+	other, err := NewSession(ix, src, udf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repeat, err := sess.Query(cfg)
+	if err := other.EnableDurable(dir); err != nil {
+		t.Fatalf("the directory a rejected Config named is taken: %v", err)
+	}
+}
+
+// TestRejectedBatchMemberLeavesCacheUntouched: in a batch, only the
+// members that compiled prepare the cache. A rejected member's cap and
+// durable directory are not applied, while its compiled sibling still
+// runs and answers.
+func TestRejectedBatchMemberLeavesCacheUntouched(t *testing.T) {
+	src := testSource(t, 9000, 97)
+	udf := vision.CountUDF{Class: video.ClassCar}
+	ix, err := BuildIndex(src, udf, smallCfg(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repeat.EngineStats.Cleaned != 0 {
-		t.Fatalf("repeat within the TTL cleaned %d frames, want 0", repeat.EngineStats.Cleaned)
+	sess, err := NewSession(ix, src, udf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sess.CachedLabels() != first.EngineStats.Cleaned {
-		t.Fatalf("TTL policy lost labels: %d vs %d", sess.CachedLabels(), first.EngineStats.Cleaned)
+	dir := t.TempDir()
+	defer closeDurableForTest(dir)
+	bad := smallCfg(0) // K must be positive
+	bad.CacheMaxLabels = 1
+	bad.DurableDir = dir
+	res, err := sess.QueryBatch([]Config{bad, smallCfg(5)})
+	if err == nil || !strings.Contains(err.Error(), "batch query 0") {
+		t.Fatalf("batch error = %v, want member 0's compile error", err)
+	}
+	if res[0] != nil || res[1] == nil || len(res[1].IDs) != 5 {
+		t.Fatalf("batch results = %v, want only member 1 answered", res)
+	}
+	if got := sess.cache.TightenPolicy(labelstore.Policy{}); got != (labelstore.Policy{}) {
+		t.Fatalf("rejected member installed %+v", got)
+	}
+	if got := sess.DurableDir(); got != "" {
+		t.Fatalf("rejected member bound the cache to %q", got)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // enough that evictions interleave. Every crash-run cache and the
 // reference cache execute exactly this sequence.
 func crashScript(c *labelstore.SharedCache) {
-	c.SetPolicy(labelstore.Policy{MaxLabels: 9})
+	c.TightenPolicy(labelstore.Policy{MaxLabels: 9})
 	for i := 1; i <= 10; i++ {
 		c.Publish(map[int]float64{
 			10 * i:     float64(i),
@@ -228,9 +228,8 @@ func TestCrashDuringRecoveryStillConsistent(t *testing.T) {
 	}
 }
 
-// snapshotOf grabs the cache's current map without disturbing policy
-// state (Snapshot may evict under a TTL policy; the crash scripts use
-// MaxLabels only, so this is stable).
+// snapshotOf grabs the cache's current map (a snapshot never evicts,
+// so reading it leaves the cache's state as it was).
 func snapshotOf(c *labelstore.SharedCache) labelstore.Map {
 	m, _ := c.Snapshot()
 	return m

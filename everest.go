@@ -55,7 +55,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/everest-project/everest/internal/cmdn"
 	"github.com/everest-project/everest/internal/core"
@@ -118,9 +117,6 @@ type Config struct {
 	// wall-clock only: results are bit-identical for every value, and
 	// simulated (simclock) charges do not change.
 	Procs int
-	// MaxCleaned caps Phase 2 oracle invocations (0 = none); a test and
-	// safety valve, not a paper knob.
-	MaxCleaned int
 	// AdmissionLimit is the serving-path admission-control knob: it caps
 	// how many oracle-heavy units (a lone Session.Query, or one whole
 	// QueryBatch) may run concurrently against the session's label
@@ -148,26 +144,16 @@ type Config struct {
 	// query's own simulated charges are bit-identical to direct
 	// dispatch.
 	UseMux bool
-	// CacheTTL, when positive, bounds how long a published label batch
-	// stays in the session's label cache: on each publish or snapshot,
-	// batches older than the TTL are evicted (the eviction bumps the
-	// cache version; queries pinned to earlier snapshots are
-	// unaffected). Protects long-lived process-wide caches over
-	// drifting videos. Zero leaves the cache's current policy untouched
-	// (keep forever by default); a negative value clears an installed
-	// policy, restoring the unbounded default.
-	CacheTTL time.Duration
 	// CacheMaxLabels, when positive, caps how many policy-governed
-	// labels the cache holds: after a publish pushes it past the cap,
-	// the oldest publish batches are evicted until it fits. Zero leaves
-	// the current policy untouched (unbounded by default); negative
-	// clears it. Policies are per cache and install strictest-wins: on
-	// a shared cache, conflicting sessions resolve to the tightest
-	// bound per knob, and a zero knob never erases a bound a sibling
-	// session set. A negative knob is the explicit reset — it clears
-	// the whole policy for every session on the cache first; a
-	// positive knob alongside it then installs into the cleared state
-	// (the one way to loosen a shared bound).
+	// labels the session's label cache holds: after a publish pushes it
+	// past the cap, the oldest publish batches are evicted until it fits
+	// (the newest batch always stays; each eviction bumps the cache
+	// version, and queries pinned to earlier snapshots are unaffected).
+	// The cap is per cache, installs strictest-wins and only ever
+	// tightens: on a shared cache, conflicting sessions resolve to the
+	// smallest cap, and a zero or negative knob leaves the installed cap
+	// untouched (unbounded by default). A Config rejected at plan
+	// compilation installs nothing.
 	CacheMaxLabels int
 	// DurableDir, when non-empty, makes the session's label cache
 	// crash-safe: every publish and eviction is logged to a
@@ -282,7 +268,6 @@ func (c Config) plan() engine.Plan {
 			SampleFrac: c.WindowSampleFrac,
 		},
 		BatchSize:        c.BatchSize,
-		MaxCleaned:       c.MaxCleaned,
 		DisableEarlyStop: c.DisableEarlyStop,
 		ResortOnce:       c.ResortOnce,
 		DisablePrefetch:  c.DisablePrefetch,

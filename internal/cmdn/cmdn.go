@@ -44,6 +44,9 @@ const (
 	ArchConv
 )
 
+// learningRate is the Adam step size of a cold grid train.
+const learningRate = 5e-3
+
 // Hyper is one grid point: g Gaussians in the mixture and h hidden units
 // in the MDN layer (the paper's "hypotheses").
 type Hyper struct {
@@ -68,10 +71,8 @@ type Config struct {
 	Arch Arch
 	// Grid is the hyperparameter grid; nil means PaperGrid().
 	Grid []Hyper
-	// Epochs per candidate model; zero means 15.
+	// Epochs per candidate model; zero means 35.
 	Epochs int
-	// LearningRate for Adam; zero means 5e-3.
-	LearningRate float64
 	// Seed drives initialization and shuffling.
 	Seed uint64
 	// FrameW, FrameH are the source resolution (needed by ArchConv and
@@ -89,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 35
-	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 5e-3
 	}
 	if c.FrameW == 0 {
 		c.FrameW = 64
@@ -391,7 +389,7 @@ func Train(train, holdout []Sample, cfg Config, clock *simclock.Clock, cost simc
 		gi := order[k]
 		_, fitErrs[gi] = models[gi].Fit(xs, ys, nn.TrainConfig{
 			Epochs:       cfg.Epochs,
-			LearningRate: cfg.LearningRate,
+			LearningRate: learningRate,
 			Seed:         fitSeeds[gi],
 		})
 	})

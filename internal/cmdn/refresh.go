@@ -17,30 +17,22 @@ import (
 	"github.com/everest-project/everest/internal/xrand"
 )
 
+// A refresh fine-tunes for refreshEpochs (vs a full train's 35: the
+// weights start near an optimum for the previous segment) at
+// refreshLearningRate, lower than a cold train's learningRate so the
+// inherited weights are adjusted, not overwritten.
+const (
+	refreshEpochs       = 5
+	refreshLearningRate = 2e-3
+)
+
 // RefreshConfig controls a warm-start refresh.
 type RefreshConfig struct {
-	// Epochs of fine-tuning; zero means 5 (vs a full train's 35: the
-	// weights start near an optimum for the previous segment).
-	Epochs int
-	// LearningRate for the fine-tune Adam; zero means 2e-3, lower than
-	// a cold train's 5e-3 so the inherited weights are adjusted, not
-	// overwritten.
-	LearningRate float64
 	// Seed drives the fine-tune shuffling.
 	Seed uint64
 	// Procs bounds the calibration workers; ≤ 0 means GOMAXPROCS.
 	// Never affects results.
 	Procs int
-}
-
-func (c RefreshConfig) withDefaults() RefreshConfig {
-	if c.Epochs == 0 {
-		c.Epochs = 5
-	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 2e-3
-	}
-	return c
 }
 
 // DriftNLL measures how well the trained proxy explains newly labelled
@@ -74,7 +66,7 @@ func (p *Proxy) DriftNLL(holdout []Sample) float64 {
 // charge. A full Train costs ProxyTrainSampleMS per sample with the
 // grid width and epoch count baked into the constant, so the refresh
 // charges the fraction it actually trains: one model instead of
-// len(full.Grid), Epochs instead of full.Epochs. With the defaults
+// len(full.Grid), refreshEpochs instead of full.Epochs. With the defaults
 // (5 epochs, 12-point grid, 35 full epochs) that is ~1/84 of a full
 // specialize over the same samples — the O(retrain) → O(chunk) win the
 // streaming ingestor banks per segment.
@@ -88,7 +80,6 @@ func Refresh(prev *Proxy, train, holdout, calib []Sample, cfg RefreshConfig, ful
 	if len(holdout) == 0 {
 		return nil, fmt.Errorf("cmdn: no holdout samples")
 	}
-	cfg = cfg.withDefaults()
 	full = full.withDefaults()
 
 	xs := make([][]float64, len(train))
@@ -99,8 +90,8 @@ func Refresh(prev *Proxy, train, holdout, calib []Sample, cfg RefreshConfig, ful
 	}
 	model := prev.model.Clone()
 	if _, err := model.Fit(xs, ys, nn.TrainConfig{
-		Epochs:       cfg.Epochs,
-		LearningRate: cfg.LearningRate,
+		Epochs:       refreshEpochs,
+		LearningRate: refreshLearningRate,
 		Seed:         xrand.New(cfg.Seed).Split("cmdn/refresh").Uint64(),
 	}); err != nil {
 		return nil, err
@@ -131,7 +122,7 @@ func Refresh(prev *Proxy, train, holdout, calib []Sample, cfg RefreshConfig, ful
 	next.calibrate(cx, cy, workpool.Procs(cfg.Procs))
 
 	if clock != nil {
-		frac := float64(cfg.Epochs) / float64(full.Epochs) / float64(len(full.Grid))
+		frac := float64(refreshEpochs) / float64(full.Epochs) / float64(len(full.Grid))
 		clock.Charge(simclock.PhaseTrainCMDN,
 			cost.ProxyTrainSampleMS*float64(len(train)+len(holdout))*frac)
 	}

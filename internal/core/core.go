@@ -70,9 +70,6 @@ type Config struct {
 	Threshold float64
 	// BatchSize is b (§3.5 Batch Inference); 0 means 8, the paper default.
 	BatchSize int
-	// MaxCleaned caps the number of frames cleaned (0 = no cap); used only
-	// as a safety valve in tests.
-	MaxCleaned int
 	// DisableEarlyStop turns off the ψ-bound pruning so Select-candidate
 	// evaluates E[X_f] for every uncertain frame (ablation A1).
 	DisableEarlyStop bool
@@ -458,9 +455,6 @@ func (e *Engine) Run() (Result, error) {
 		sk, _ := e.thresholds()
 		phat := e.prob.Prob(sk)
 		if phat >= e.cfg.Threshold || e.nLive == 0 {
-			return e.finish(phat), nil
-		}
-		if e.cfg.MaxCleaned > 0 && e.stats.Cleaned >= e.cfg.MaxCleaned {
 			return e.finish(phat), nil
 		}
 		// Interrupt checks sit after the success checks: a run that meets

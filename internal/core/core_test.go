@@ -448,23 +448,6 @@ func TestEngineOracleErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestEngineMaxCleanedCap(t *testing.T) {
-	r := xrand.New(17)
-	rel, oracle := randomRelation(r, 300, 10, 5, 8)
-	cfg := Config{K: 5, Threshold: 0.9999, BatchSize: 4, MaxCleaned: 12}
-	e, err := newEngine(rel, cfg, oracle, nil, simclock.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Cleaned > 12+4 {
-		t.Fatalf("cleaned %d, cap 12 (+1 batch)", res.Stats.Cleaned)
-	}
-}
-
 func TestEngineChargesClock(t *testing.T) {
 	r := xrand.New(19)
 	rel, oracle := randomRelation(r, 100, 15, 4, 8)

@@ -20,7 +20,7 @@ func BenchmarkRecover(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := labelstore.NewSharedCache()
-	c.SetPolicy(labelstore.Policy{MaxLabels: maxLabels})
+	c.TightenPolicy(labelstore.Policy{MaxLabels: maxLabels})
 	if err := c.EnableDurable(s); err != nil {
 		b.Fatal(err)
 	}

@@ -258,7 +258,6 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 		K:                p.K,
 		Threshold:        p.Threshold,
 		BatchSize:        p.BatchSize,
-		MaxCleaned:       p.MaxCleaned,
 		DisableEarlyStop: p.DisableEarlyStop,
 		ResortOnce:       p.ResortOnce,
 		Bound:            p.Bound(),

@@ -79,8 +79,6 @@ type Plan struct {
 	Window WindowSpec
 	// BatchSize is the Phase 2 cleaning batch b.
 	BatchSize int
-	// MaxCleaned caps Phase 2 oracle invocations (0 = none).
-	MaxCleaned int
 	// DisableEarlyStop, ResortOnce and DisablePrefetch are the §4.3
 	// ablation knobs, forwarded to the Phase 2 loop.
 	DisableEarlyStop bool

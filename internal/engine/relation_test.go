@@ -257,7 +257,7 @@ func referenceExecute(p Plan, a *Artifact, src video.Source, udf vision.UDF, lab
 		return nil, err
 	}
 	eng, err := base.Start(core.Config{
-		K: p.K, Threshold: p.Threshold, BatchSize: p.BatchSize, MaxCleaned: p.MaxCleaned,
+		K: p.K, Threshold: p.Threshold, BatchSize: p.BatchSize,
 		DisableEarlyStop: p.DisableEarlyStop, ResortOnce: p.ResortOnce, Bound: p.Bound(),
 		BudgetMS: p.DeadlineMS, DegradedOK: p.DegradedOK,
 	}, nil, nil, oracle, clock, cost)

@@ -40,11 +40,10 @@ type Relation struct {
 // Unit is one executable engine plan of a script: one (statement,
 // source, predicate) combination.
 type Unit struct {
-	// Stmt, SourceIdx and PredIdx locate the unit in the script; Slot is
-	// its index in its statement's unit list (and result list).
+	// Stmt and SourceIdx locate the unit in the script; Slot is its
+	// index in its statement's unit list (and result list).
 	Stmt      int
 	SourceIdx int
-	PredIdx   int
 	Slot      int
 	// Kind is the statement's kind — what executing the unit means.
 	Kind Kind
@@ -209,7 +208,7 @@ func BindScript(s *Script) (*ScriptPlan, error) {
 				sources[op] = b
 			}
 			src := b.src
-			for predIdx, pred := range stmt.Predicates {
+			for _, pred := range stmt.Predicates {
 				udf, err := bindUDF(pred, b.spec, src)
 				if err != nil {
 					return nil, err
@@ -217,7 +216,6 @@ func BindScript(s *Script) (*ScriptPlan, error) {
 				u := &Unit{
 					Stmt:      si,
 					SourceIdx: srcIdx,
-					PredIdx:   predIdx,
 					Slot:      len(stp.Units),
 					Kind:      kind,
 					Source:    src,

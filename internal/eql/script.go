@@ -14,9 +14,6 @@ type ScriptOptions struct {
 	// default). Wall-clock only: results and simulated charges are
 	// bit-identical for any value.
 	Procs int
-	// MaxLagChunks is the staleness bound handed to STREAM follower
-	// registrations (0 = segment cadence only).
-	MaxLagChunks int
 }
 
 // ScriptSession executes EQL scripts over persistent shared sub-plans:
@@ -231,7 +228,7 @@ func (ss *ScriptSession) ExecScript(script *Script, opt ScriptOptions) (*ScriptR
 				setUnitResult(sr, u, r)
 			}
 		case KindFollow:
-			keep(ss.registerFollowers(stp, sr, opt))
+			keep(ss.registerFollowers(stp, sr))
 		}
 		sr.And = andCombine(sr)
 		for _, ur := range sr.Units {
@@ -361,8 +358,9 @@ func runRelation(rel *Relation, ent *scriptEntry, res *ScriptResult, setPlan pla
 }
 
 // registerFollowers compiles a STREAM statement to follower
-// registrations on the attached live stream.
-func (ss *ScriptSession) registerFollowers(stp *StatementPlan, sr *StatementResult, opt ScriptOptions) error {
+// registrations on the attached live stream, each at segment cadence
+// (no staleness bound).
+func (ss *ScriptSession) registerFollowers(stp *StatementPlan, sr *StatementResult) error {
 	for _, u := range stp.Units {
 		ref := stp.Stmt.Sources[u.SourceIdx]
 		ls, ok := ss.live[ref.Name]
@@ -370,7 +368,7 @@ func (ss *ScriptSession) registerFollowers(stp *StatementPlan, sr *StatementResu
 			return &ParseError{Pos: ref.Pos,
 				Msg: fmt.Sprintf("no live stream attached as %q (ScriptSession.AttachLive)", ref.Name)}
 		}
-		fol, err := ls.Follow(u.Config, opt.MaxLagChunks, nil)
+		fol, err := ls.Follow(u.Config, 0, nil)
 		if err != nil {
 			return err
 		}

@@ -29,7 +29,7 @@ func BenchmarkPublish(b *testing.B) {
 	}
 	defer store.Close()
 	c := labelstore.NewSharedCache()
-	c.SetPolicy(labelstore.Policy{MaxLabels: maxLabels})
+	c.TightenPolicy(labelstore.Policy{MaxLabels: maxLabels})
 	if err := c.EnableDurable(store); err != nil {
 		b.Fatal(err)
 	}

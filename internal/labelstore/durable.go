@@ -73,8 +73,8 @@ func (c *SharedCache) EnableDurable(w WAL) error {
 	if c.version == 0 && c.labels.Len() == 0 {
 		// Cold cache: resume exactly where the durable history ended.
 		// Recovered labels carry no publish-batch history, so they are
-		// policy-exempt (like pre-policy publishes): TTL/max-labels govern
-		// batches published from here on.
+		// policy-exempt (like pre-cap publishes): the cap governs batches
+		// published from here on.
 		c.labels, c.version = w.Recovered()
 	} else {
 		if err := w.Adopt(c.labels, c.version); err != nil {

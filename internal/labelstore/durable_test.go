@@ -174,7 +174,7 @@ func TestEnableDurableRejectsSecondDir(t *testing.T) {
 	}
 }
 
-// TestEvictionLoggedDurably: TTL/max-labels evictions bump the version
+// TestEvictionLoggedDurably: max-labels evictions bump the version
 // and are logged, so replay converges to the post-eviction state
 // instead of resurrecting evicted labels.
 func TestEvictionLoggedDurably(t *testing.T) {
@@ -183,7 +183,7 @@ func TestEvictionLoggedDurably(t *testing.T) {
 	if err := c.EnableDurable(openStore(t, dir, durable.Options{})); err != nil {
 		t.Fatal(err)
 	}
-	c.SetPolicy(labelstore.Policy{MaxLabels: 2})
+	c.TightenPolicy(labelstore.Policy{MaxLabels: 2})
 	c.Publish(map[int]float64{1: 1, 2: 2})
 	c.Publish(map[int]float64{3: 3, 4: 4}) // evicts batch {1,2}: versions 2 (publish) + 3 (evict)
 	if c.Version() != 3 || c.Len() != 2 {

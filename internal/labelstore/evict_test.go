@@ -1,9 +1,6 @@
 package labelstore
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestMapDelete(t *testing.T) {
 	var m Map
@@ -55,7 +52,7 @@ func publish(c *SharedCache, keys ...int) {
 
 func TestSharedCacheMaxLabelsEviction(t *testing.T) {
 	c := NewSharedCache()
-	c.SetPolicy(Policy{MaxLabels: 3})
+	c.TightenPolicy(Policy{MaxLabels: 3})
 	publish(c, 1, 2) // v1
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
@@ -83,7 +80,7 @@ func TestSharedCacheMaxLabelsEviction(t *testing.T) {
 
 func TestSharedCacheEvictionKeepsRepublishedLabels(t *testing.T) {
 	c := NewSharedCache()
-	c.SetPolicy(Policy{MaxLabels: 2})
+	c.TightenPolicy(Policy{MaxLabels: 2})
 	publish(c, 1, 2)
 	publish(c, 2, 3) // over budget: batch {1,2} is evicted, but 2 was re-published
 	snap, _ := c.Snapshot()
@@ -101,58 +98,9 @@ func TestSharedCacheEvictionKeepsRepublishedLabels(t *testing.T) {
 	}
 }
 
-func TestSharedCacheTTLEviction(t *testing.T) {
-	c := NewSharedCache()
-	now := time.Unix(1000, 0)
-	c.SetClockForTest(func() time.Time { return now })
-	c.SetPolicy(Policy{TTL: time.Minute})
-	publish(c, 1, 2)
-	// Within the TTL nothing moves.
-	now = now.Add(30 * time.Second)
-	publish(c, 3)
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d before expiry, want 3", c.Len())
-	}
-	// Past the TTL the old batch goes; the fresh publish stays.
-	now = now.Add(45 * time.Second) // batch {1,2} is now 75s old, batch {3} 45s
-	publish(c, 4)
-	snap, _ := c.Snapshot()
-	for _, gone := range []int{1, 2} {
-		if _, ok := snap.Get(gone); ok {
-			t.Fatalf("expired label %d still present", gone)
-		}
-	}
-	for _, kept := range []int{3, 4} {
-		if _, ok := snap.Get(kept); !ok {
-			t.Fatalf("unexpired label %d evicted", kept)
-		}
-	}
-}
-
-func TestSharedCacheTTLEvictsOnSnapshot(t *testing.T) {
-	// All-hit traffic never publishes, so expiry must also fire on the
-	// snapshot path — a warm cache cannot serve stale labels forever.
-	c := NewSharedCache()
-	now := time.Unix(1000, 0)
-	c.SetClockForTest(func() time.Time { return now })
-	c.SetPolicy(Policy{TTL: time.Minute})
-	publish(c, 1, 2)
-	now = now.Add(2 * time.Minute)
-	snap, v := c.Snapshot()
-	if _, ok := snap.Get(1); ok {
-		t.Fatal("expired label served from the snapshot path")
-	}
-	if snap.Len() != 0 {
-		t.Fatalf("snapshot holds %d labels, want 0", snap.Len())
-	}
-	if v != 2 {
-		t.Fatalf("version %d, want 2 (publish + eviction)", v)
-	}
-}
-
 func TestSharedCacheEvictionLeavesPinnedSnapshotsFrozen(t *testing.T) {
 	c := NewSharedCache()
-	c.SetPolicy(Policy{MaxLabels: 1})
+	c.TightenPolicy(Policy{MaxLabels: 1})
 	publish(c, 1)
 	pinned, pinnedV := c.Snapshot()
 	publish(c, 2) // evicts batch {1}
@@ -167,32 +115,12 @@ func TestSharedCacheEvictionLeavesPinnedSnapshotsFrozen(t *testing.T) {
 	}
 }
 
-func TestSharedCacheUnloggedRepublishSurvivesEviction(t *testing.T) {
-	// A frame published while a policy was active, then re-published
-	// while the policy was off (an unlogged, permanent publish), must
-	// not be evicted when its original logged batch later expires.
-	c := NewSharedCache()
-	now := time.Unix(1000, 0)
-	c.SetClockForTest(func() time.Time { return now })
-	c.SetPolicy(Policy{TTL: time.Minute})
-	publish(c, 7) // logged batch
-	c.SetPolicy(Policy{})
-	c.Publish(map[int]float64{7: 2.0}) // unlogged: now permanent
-	now = now.Add(2 * time.Minute)
-	c.SetPolicy(Policy{TTL: time.Minute}) // re-enable; batch {7} is expired
-	publish(c, 8)                         // triggers eviction of the logged batch
-	snap, _ := c.Snapshot()
-	if v, ok := snap.Get(7); !ok || v != 2.0 {
-		t.Fatalf("unlogged re-publish of 7 was evicted with its stale batch: %v %v", v, ok)
-	}
-}
-
 func TestSharedCacheCapCountsGovernedLabelsOnly(t *testing.T) {
-	// Pre-policy (permanent) labels must not count toward MaxLabels:
+	// Pre-cap (permanent) labels must not count toward MaxLabels:
 	// otherwise a cap below their count would thrash every new batch.
 	c := NewSharedCache()
 	publish(c, 1, 2, 3, 4, 5) // permanent, above the cap below
-	c.SetPolicy(Policy{MaxLabels: 3})
+	c.TightenPolicy(Policy{MaxLabels: 3})
 	publish(c, 10, 11)
 	publish(c, 12) // governed count 3, not over
 	snap, _ := c.Snapshot()
@@ -215,27 +143,15 @@ func TestSharedCacheCapCountsGovernedLabelsOnly(t *testing.T) {
 	}
 }
 
-func TestSharedCachePolicyClear(t *testing.T) {
-	c := NewSharedCache()
-	c.SetPolicy(Policy{MaxLabels: 2})
-	publish(c, 1, 2)
-	c.SetPolicy(Policy{}) // cleared: nothing evicts any more
-	publish(c, 3, 4)
-	publish(c, 5, 6)
-	if c.Len() != 6 {
-		t.Fatalf("cleared policy still evicted: Len = %d, want 6", c.Len())
-	}
-}
-
 func TestSharedCachePolicyOnlyGovernsLoggedBatches(t *testing.T) {
-	// Labels published before any policy was active carry no history and
-	// are never evicted — installing a policy later must not corrupt
-	// them, and the policy applies to publishes from then on.
+	// Labels published before any cap was installed carry no history and
+	// are never evicted — installing a cap later must not corrupt them,
+	// and the cap applies to publishes from then on.
 	c := NewSharedCache()
 	publish(c, 1, 2, 3)
-	c.SetPolicy(Policy{MaxLabels: 1})
+	c.TightenPolicy(Policy{MaxLabels: 1})
 	publish(c, 4)
-	publish(c, 5) // evicts batch {4}; pre-policy labels stay
+	publish(c, 5) // evicts batch {4}; pre-cap labels stay
 	snap, _ := c.Snapshot()
 	for _, kept := range []int{1, 2, 3, 5} {
 		if _, ok := snap.Get(kept); !ok {

@@ -44,7 +44,7 @@ func TestPublishAllocationBudget(t *testing.T) {
 	batches := publishBatches(3, warm+runs+1, 96, 4000)
 	newCache := func() *SharedCache {
 		c := NewSharedCache()
-		c.SetPolicy(Policy{MaxLabels: 400})
+		c.TightenPolicy(Policy{MaxLabels: 400})
 		for _, b := range batches[:warm] {
 			c.Publish(b)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"sync"
-	"time"
 )
 
 // SharedCache is a versioned label store many sessions read and
@@ -31,16 +30,14 @@ type SharedCache struct {
 	cond     *sync.Cond
 	inflight int
 
-	// Eviction policy state: pubs logs publish batches (kept only while
-	// a policy is active, so the unbounded-cache fast path records
-	// nothing), lastPub maps a frame to the sequence number of the
-	// newest publish that contained it, and now is the injectable clock
-	// for TTL tests.
+	// Eviction policy state: pubs logs publish batches (kept only once
+	// a cap is installed, so the unbounded-cache fast path records
+	// nothing), and lastPub maps a frame to the sequence number of the
+	// newest logged publish that contained it.
 	policy  Policy
 	pubs    []publishRecord
 	lastPub map[int]uint64
 	pubSeq  uint64
-	now     func() time.Time
 
 	// Durability hook (nil for RAM-only caches): every publish and
 	// eviction is logged, with the version it produced, before the
@@ -69,30 +66,26 @@ func (c *SharedCache) Attachment(mk func() any) any {
 }
 
 // Policy bounds a long-lived cache. The zero value keeps every label
-// forever (the default). Eviction runs at publish and snapshot time,
-// oldest publish batch first (the newest batch is exempt from the size
-// cap, so the publishing query can always reuse its own labels), and
-// each eviction pass bumps the cache version — queries pinned to
-// earlier snapshots hold immutable maps and are unaffected; an evicted
-// frame is simply re-charged by the next query that needs it. The
-// policy governs labels published after it is set: batches published
-// before any policy was active carry no history, are never evicted,
-// and do not count toward MaxLabels.
+// forever (the default). A cap is installed strictest-wins by
+// TightenPolicy and only ever tightens. Eviction runs when a batch is
+// published and when a tighter cap is installed — never on a read —
+// oldest publish batch first (the newest batch is exempt, so the
+// publishing query can always reuse its own labels), and each eviction
+// pass bumps the cache version: queries pinned to earlier snapshots
+// hold immutable maps and are unaffected; an evicted frame is simply
+// re-charged by the next query that needs it. The cap governs labels
+// published after it is installed: batches published before any cap
+// carry no history, are never evicted, and do not count toward
+// MaxLabels.
 type Policy struct {
-	// TTL, when positive, evicts publish batches older than this.
-	TTL time.Duration
 	// MaxLabels, when positive, evicts oldest batches until the cache
 	// holds at most this many policy-governed labels.
 	MaxLabels int
 }
 
-// active reports whether the policy bounds anything.
-func (p Policy) active() bool { return p.TTL > 0 || p.MaxLabels > 0 }
-
 // publishRecord remembers one publish batch for eviction.
 type publishRecord struct {
 	seq  uint64
-	at   time.Time
 	keys []int
 }
 
@@ -107,16 +100,12 @@ func NewSharedCache() *SharedCache {
 
 // Snapshot returns the current label map and the version it
 // represents. The map is immutable; the caller can read it — and layer
-// an Overlay over it — without further coordination. When a TTL policy
-// is active, expired batches are evicted first, so a warm cache whose
-// queries all hit (and therefore never publish) still ages labels out
-// on the snapshot path rather than serving them stale forever.
+// an Overlay over it — without further coordination. A snapshot never
+// evicts: every publish and every tightening leaves the cache within
+// its cap, and nothing else changes what the cap measures.
 func (c *SharedCache) Snapshot() (Map, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.policy.active() && len(c.pubs) > 0 {
-		c.evictLocked()
-	}
 	return c.labels, c.version
 }
 
@@ -124,10 +113,10 @@ func (c *SharedCache) Snapshot() (Map, uint64) {
 // version. Empty publishes do not bump the version. The keys are
 // folded as one ascending batch (Map.SetSorted), so each touched trie
 // node is path-copied once, and the trie's internal shape — not just
-// its content — is independent of Go map iteration order. When an
-// eviction policy is active, the batch is logged and over-budget or
-// expired batches are evicted before returning (each eviction pass
-// bumps the version once more).
+// its content — is independent of Go map iteration order. Once a cap
+// is installed, the batch is logged and over-budget batches are
+// evicted before returning (an eviction pass bumps the version once
+// more).
 func (c *SharedCache) Publish(fresh map[int]float64) uint64 {
 	if len(fresh) == 0 {
 		c.mu.Lock()
@@ -148,9 +137,9 @@ func (c *SharedCache) Publish(fresh map[int]float64) uint64 {
 	c.labels = c.labels.SetSorted(keys, scores)
 	c.version++
 	c.logPublish(c.version, keys, scores)
-	if c.policy.active() {
+	if c.policy.MaxLabels > 0 {
 		c.pubSeq++
-		c.pubs = append(c.pubs, publishRecord{seq: c.pubSeq, at: c.clock()(), keys: keys})
+		c.pubs = append(c.pubs, publishRecord{seq: c.pubSeq, keys: keys})
 		if c.lastPub == nil {
 			c.lastPub = make(map[int]uint64)
 		}
@@ -158,99 +147,44 @@ func (c *SharedCache) Publish(fresh map[int]float64) uint64 {
 			c.lastPub[f] = c.pubSeq
 		}
 		c.evictLocked()
-	} else if c.lastPub != nil {
-		// With the policy off, this publish is unlogged — the label is
-		// now permanent, so it must no longer be attributed to an older
-		// logged batch (re-enabling a policy later must not evict it).
-		for _, f := range keys {
-			delete(c.lastPub, f)
-		}
 	}
 	return c.version
 }
 
-// SetPolicy installs (or replaces) the cache's eviction policy and
-// immediately applies it to the logged batches. It is a whole-policy
-// overwrite — last writer wins, including clearing fields the previous
-// writer set — so it belongs to single-owner caches and explicit
-// administrative resets; sessions funneling per-query knobs into a
-// cache shared with siblings use TightenPolicy instead. The zero
-// Policy disables eviction (already-logged batches are kept but stop
-// being evicted).
-func (c *SharedCache) SetPolicy(p Policy) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.policy = p
-	if p.active() {
-		c.evictLocked()
-	}
-}
-
 // TightenPolicy merges p into the cache's policy strictest-wins and
-// returns the effective result: a positive TTL or MaxLabels in p takes
-// effect only where the cache has no bound yet or p's bound is
-// tighter, and p's zero fields never touch what another writer
-// installed. This is the sound resolution for a cache shared by
-// sessions with conflicting knobs — any limit a user was promised
-// still holds, because concurrent tightenings commute to the pairwise
-// minimum regardless of arrival order (unlike SetPolicy, where the
-// last writer silently erases its siblings' bounds). Loosening a
-// shared cache requires the explicit SetPolicy reset.
+// returns the effective result: a positive MaxLabels in p takes effect
+// only where the cache has no cap yet or p's is tighter, and a zero or
+// negative one changes nothing. The cap therefore only ever tightens —
+// the sound resolution for a cache shared by sessions with conflicting
+// knobs: any limit a user was promised still holds, because concurrent
+// tightenings commute to the minimum regardless of arrival order. A
+// tighter cap evicts the oldest logged batches right away.
 func (c *SharedCache) TightenPolicy(p Policy) Policy {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p.TTL > 0 && (c.policy.TTL == 0 || p.TTL < c.policy.TTL) {
-		c.policy.TTL = p.TTL
-	}
 	if p.MaxLabels > 0 && (c.policy.MaxLabels == 0 || p.MaxLabels < c.policy.MaxLabels) {
 		c.policy.MaxLabels = p.MaxLabels
-	}
-	if c.policy.active() {
 		c.evictLocked()
 	}
 	return c.policy
 }
 
-// SetClockForTest replaces the TTL clock (nil restores time.Now).
-// Tests only.
-func (c *SharedCache) SetClockForTest(now func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = now
-}
-
-func (c *SharedCache) clock() func() time.Time {
-	if c.now != nil {
-		return c.now
-	}
-	return time.Now
-}
-
-// evictLocked drops publish batches, oldest first, while the policy is
-// violated: the cache exceeds MaxLabels, or the oldest batch is older
-// than TTL. A frame is removed only if the batch being dropped is the
-// newest one that contained it — re-published frames survive their
-// original batch's eviction. The removed frames are deleted as one
-// sorted batch (Map.DeleteSorted) and bump the version once. Caller
-// holds c.mu.
+// evictLocked drops publish batches, oldest first, while the cache
+// exceeds MaxLabels. A frame is removed only if the batch being
+// dropped is the newest one that contained it — re-published frames
+// survive their original batch's eviction. The removed frames are
+// deleted as one sorted batch (Map.DeleteSorted) and bump the version
+// once. Caller holds c.mu.
 func (c *SharedCache) evictLocked() {
-	now := c.clock()()
 	var removed []int
-	for len(c.pubs) > 0 {
-		// The newest batch is never size-evicted: the query that just
-		// published it (and anyone coalesced behind it) must be able to
-		// reuse its own labels, so a cap smaller than one batch degrades
-		// to keeping the latest batch only. TTL eviction has no such
-		// exemption — a genuinely expired batch goes even if it is the
-		// last one. The cap is measured over the labels the policy
-		// governs (logged, un-evicted ones — len(lastPub)), not the
-		// whole map: pre-policy labels are permanent, and counting them
-		// would make an unreachable cap evict every new batch forever.
-		over := c.policy.MaxLabels > 0 && len(c.lastPub) > c.policy.MaxLabels && len(c.pubs) > 1
-		expired := c.policy.TTL > 0 && now.Sub(c.pubs[0].at) > c.policy.TTL
-		if !over && !expired {
-			break
-		}
+	// The newest batch is never evicted: the query that just published
+	// it (and anyone coalesced behind it) must be able to reuse its own
+	// labels, so a cap smaller than one batch degrades to keeping the
+	// latest batch only. The cap is measured over the labels the policy
+	// governs (logged, un-evicted ones — len(lastPub)), not the whole
+	// map: pre-cap labels are permanent, and counting them would make an
+	// unreachable cap evict every new batch forever.
+	for len(c.pubs) > 1 && len(c.lastPub) > c.policy.MaxLabels {
 		pub := c.pubs[0]
 		c.pubs = c.pubs[1:]
 		if removed == nil {

@@ -82,9 +82,6 @@ type Config struct {
 	// means 0.5; negative disables warm starts entirely (every auto
 	// close counts as a drift fallback), +Inf disables the fallback.
 	DriftNLL float64
-	// RefreshEpochs is the warm fine-tune epoch count; zero means the
-	// cmdn.RefreshConfig default (5).
-	RefreshEpochs int
 	// ReservoirCap bounds the cross-segment calibration reservoir of
 	// held-out samples; zero means 256.
 	ReservoirCap int
@@ -498,7 +495,7 @@ func (g *Ingestor) segmentState(view video.Source, opt phase1.Options, plan phas
 	calib = append(calib, g.reservoir...)
 	calib = append(calib, hold...)
 	proxy, err := cmdn.Refresh(g.prevProxy, train, hold, calib,
-		cmdn.RefreshConfig{Epochs: g.cfg.RefreshEpochs, Seed: opt.Seed, Procs: opt.Procs},
+		cmdn.RefreshConfig{Seed: opt.Seed, Procs: opt.Procs},
 		opt.Proxy, g.clock, opt.Cost)
 	if err != nil {
 		return nil, nil, fmt.Errorf("stream: warm refresh at frame %d: %w", g.segLo, err)

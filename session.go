@@ -99,28 +99,6 @@ func (s *Session) scheduler() *engine.Scheduler {
 	}).(*engine.Scheduler)
 }
 
-// applyCachePolicy forwards the Config's cache-eviction knobs to the
-// label cache. Installation is strictest-wins
-// (labelstore.TightenPolicy): a positive knob takes effect only where
-// it is tighter than what is already installed, so on a shared cache
-// the most recent session can never silently loosen — or, by leaving
-// a knob zero, erase — a bound a sibling session was promised;
-// conflicting knobs resolve to the pairwise minimum in any arrival
-// order. All-zero knobs leave the current policy untouched. A
-// negative knob is the explicit administrative reset: it clears the
-// whole installed policy first (on a shared cache, for every
-// session), and any positive knob in the same Config then installs
-// into the cleared state — the one way to loosen a shared bound. See
-// DESIGN.md's serving-layer contract.
-func (s *Session) applyCachePolicy(cfg Config) {
-	if cfg.CacheTTL < 0 || cfg.CacheMaxLabels < 0 {
-		s.cache.SetPolicy(labelstore.Policy{})
-	}
-	if cfg.CacheTTL > 0 || cfg.CacheMaxLabels > 0 {
-		s.cache.TightenPolicy(labelstore.Policy{TTL: max(cfg.CacheTTL, 0), MaxLabels: max(cfg.CacheMaxLabels, 0)})
-	}
-}
-
 // Query runs one Top-K (or Top-K-window) query, reusing every oracle
 // label revealed by earlier queries over this session's cache. Only the
 // marginal oracle cost — frames no previous query confirmed — is
@@ -200,9 +178,9 @@ func (s *Session) QueryBatch(cfgs []Config) ([]*Result, error) {
 // only — a tenant's panicking oracle never crashes the serving process
 // — and unconfirmed (degraded) estimates are never published.
 //
-// It is the session's one serving path: prepare the cache, compile
-// every member, dispatch the compiled plans to the scheduler or to
-// runIndependent, map outcomes to Results.
+// It is the session's one serving path: compile every member, prepare
+// the cache for those that compiled, dispatch the compiled plans to the
+// scheduler or to runIndependent, map outcomes to Results.
 func (s *Session) QueryBatchCtx(ctx context.Context, cfgs []Config) (_ []*Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -212,9 +190,8 @@ func (s *Session) QueryBatchCtx(ctx context.Context, cfgs []Config) (_ []*Result
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
-	// Prepare the cache and compile, member by member: a Config that is
-	// rejected is dropped from the dispatch (its slot stays nil) and the
-	// rest still run.
+	// Compile, member by member: a Config that is rejected is dropped
+	// from the dispatch (its slot stays nil) and the rest still run.
 	coalesce := false
 	plans := make([]engine.Plan, 0, len(cfgs))
 	binds := make([]engine.Binding, 0, len(cfgs))
@@ -222,10 +199,6 @@ func (s *Session) QueryBatchCtx(ctx context.Context, cfgs []Config) (_ []*Result
 	var firstErr error
 	firstAt := -1
 	for i, cfg := range cfgs {
-		if err := ensureDurable(s.cache, cfg.DurableDir); err != nil {
-			return nil, err
-		}
-		s.applyCachePolicy(cfg)
 		coalesce = coalesce || cfg.Coalesce
 		p, b, err := s.ix.planFor(s.src, s.udf, cfg)
 		if err != nil {
@@ -238,6 +211,18 @@ func (s *Session) QueryBatchCtx(ctx context.Context, cfgs []Config) (_ []*Result
 		plans = append(plans, p)
 		binds = append(binds, b)
 		slot = append(slot, i)
+	}
+	// Prepare the cache for the members that compiled only: a rejected
+	// Config leaves the cache's durability and cap as they were. The cap
+	// installs strictest-wins (see Config.CacheMaxLabels), so on a shared
+	// cache no session can loosen or erase a bound a sibling was promised.
+	for _, i := range slot {
+		if err := ensureDurable(s.cache, cfgs[i].DurableDir); err != nil {
+			return nil, err
+		}
+		if n := cfgs[i].CacheMaxLabels; n > 0 {
+			s.cache.TightenPolicy(labelstore.Policy{MaxLabels: n})
+		}
 	}
 
 	// Dispatch. Either runner returns one outcome per plan — nil exactly
