@@ -62,14 +62,17 @@ crash:
 # cache's eviction cap under random publish / tighten / snapshot
 # sequences (within the cap, the newest batch and pre-cap labels kept,
 # one version bump per publish and per eviction pass, none per
-# snapshot), and Phase 2's start under random overrides (an error
+# snapshot), Phase 2's start under random overrides (an error
 # exactly on malformed input, else the run over the materialized
-# relation).
+# relation), and the D0 memo across random Appends (extended in place,
+# its relations and answers equal to a fresh build's, every view and
+# base taken before an Append unchanged).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMapOrdering -fuzztime 30s ./internal/workpool/
 	$(GO) test -run '^$$' -fuzz FuzzStartOverrides -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzPlanNormalize -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzArtifactAppend -fuzztime 30s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz FuzzMemoExtend -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzConsolidate -fuzztime 30s ./internal/oraclemux/
 	$(GO) test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 30s ./internal/faultinject/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/durable/
@@ -91,6 +94,8 @@ bench-diff:
 # One-iteration serving-path smoke run: catches regressions that compile
 # but explode allocations (also the CI benchmark smoke job, which
 # additionally runs bench-diff against the committed baseline). The
+# first line includes one segment close at two stream ages (a close
+# costs what its segment adds, so the B/op stay near each other). The
 # internal/eql line is a script's bind at two video lengths (equal B/op
 # means bind reads no frame) and a warm execution; the core/engine line
 # is Phase 2's start — preparing D0, starting a run with and without an
@@ -101,7 +106,7 @@ bench-diff:
 # the label cache's write path — a capped, durable publish plus its
 # eviction — and a recovery from a checkpoint and a WAL tail.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SessionConcurrent|SessionSharedCache|SessionCoalesced|OracleMux|StreamingIngest|FollowDeltas|EQLScript' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'SessionConcurrent|SessionSharedCache|SessionCoalesced|OracleMux|StreamingIngest|FollowDeltas|SegmentClose|EQLScript' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BindScript|ExecWarm' -benchtime 1x -benchmem ./internal/eql
 	$(GO) test -run '^$$' -bench 'Prepare|Start|Execute' -benchtime 1x -benchmem ./internal/core ./internal/engine
 	$(GO) test -run '^$$' -bench 'Fit$$|TrainGridPoint|Render$$|CountUDFScore' -benchtime 1x -benchmem ./internal/nn ./internal/cmdn ./internal/video ./internal/vision

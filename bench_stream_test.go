@@ -1,7 +1,9 @@
 package everest_test
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/everest-project/everest/internal/cmdn"
@@ -15,7 +17,7 @@ import (
 
 // streamBenchFeed builds the live-camera fixture the streaming
 // benchmarks replay.
-func streamBenchFeed(b *testing.B, frames int) *video.Synthetic {
+func streamBenchFeed(b testing.TB, frames int) *video.Synthetic {
 	b.Helper()
 	src, err := video.NewSynthetic(video.Config{
 		Name: "livecam", Kind: video.KindTraffic, Class: video.ClassCar,
@@ -137,4 +139,74 @@ func BenchmarkFollowDeltas(b *testing.B) {
 	}
 	b.ReportMetric(simPerDelta, "sim-ms/delta")
 	b.ReportMetric(float64(deltas), "deltas")
+}
+
+// closeSegmentFrames is the segment length of closeStream.
+const closeSegmentFrames = 600
+
+// closeStream is a live stream with room for the given number of
+// 600-frame segments, followed by a frame query and a 30-frame window
+// query: every Append of closeSegmentFrames closes one segment — a warm
+// CMDN refresh, the artifact's Append, and both followers answered over
+// the extended D0 memo.
+func closeStream(tb testing.TB, segments int) *stream.Ingestor {
+	tb.Helper()
+	g, err := stream.NewIngestor(streamBenchFeed(tb, segments*closeSegmentFrames), vision.CountUDF{Class: video.ClassCar}, stream.Config{
+		SegmentFrames: closeSegmentFrames,
+		DriftNLL:      math.Inf(1), // always warm-start
+		Ingest:        streamBenchOptions(),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, w := range []engine.WindowSpec{{}, {Size: 30}} {
+		if _, err := g.Follow(stream.FollowConfig{
+			Plan: engine.Plan{K: 3, Threshold: 0.9, Seed: 9, Cost: simclock.Default(), Window: w},
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return g
+}
+
+// BenchmarkSegmentClose measures segment closes (closeStream) at two
+// stream ages. An op takes a stream from age segments to 2·age: one
+// period of the doubling by which the memo's tables grow, so the one
+// close of the period at which their capacity doubles is amortized over
+// the period, as the design amortizes it. B/close and ns/close are the
+// per-close means; a close that copied the stream's D0 would show them
+// growing with the age. Each op builds its own stream to the age with
+// the timer stopped.
+func BenchmarkSegmentClose(b *testing.B) {
+	for _, age := range []int{8, 64} {
+		b.Run(fmt.Sprintf("age=%d", age), func(b *testing.B) {
+			b.ReportAllocs()
+			var ms runtime.MemStats
+			var bytes uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g := closeStream(b, 2*age)
+				for s := 0; s < age; s++ {
+					if err := g.Append(closeSegmentFrames); err != nil {
+						b.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&ms)
+				bytes -= ms.TotalAlloc
+				b.StartTimer()
+				for s := 0; s < age; s++ {
+					if err := g.Append(closeSegmentFrames); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				bytes += ms.TotalAlloc
+				g.Close()
+			}
+			closes := float64(b.N * age)
+			b.ReportMetric(float64(bytes)/closes, "B/close")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/closes, "ns/close")
+		})
+	}
 }

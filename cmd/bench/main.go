@@ -71,7 +71,7 @@ type Report struct {
 func main() {
 	var (
 		out       = flag.String("out", "BENCH_engine.json", "output JSON path (empty to skip writing)")
-		pattern   = flag.String("bench", "Fig4Overall|CMDNGridTrain|ProxyPredict|TrainGridPoint|SelectBatch|EngineRun|Prepare|Start|Execute|FrameRelation|WindowRelation|Quantize|OracleMux|StreamingIngest|FollowDeltas|ParseScript|BindScript|ChooseSet|ExecWarm|NewSynthetic|Timeline|ExtractFeatures|CountUDFScore|Render|Fit|Publish|Recover", "benchmark regexp")
+		pattern   = flag.String("bench", "Fig4Overall|CMDNGridTrain|ProxyPredict|TrainGridPoint|SelectBatch|EngineRun|Prepare|Start|Execute|FrameRelation|WindowRelation|Quantize|OracleMux|StreamingIngest|FollowDeltas|SegmentClose|ParseScript|BindScript|ChooseSet|ExecWarm|NewSynthetic|Timeline|ExtractFeatures|CountUDFScore|Render|Fit|Publish|Recover", "benchmark regexp")
 		pkgs      = flag.String("pkg", ".,./internal/cmdn,./internal/core,./internal/engine,./internal/uncertain,./internal/eql,./internal/video,./internal/vision,./internal/nn,./internal/labelstore,./internal/durable", "comma-separated packages")
 		benchtime = flag.String("benchtime", "", "passed to -benchtime when non-empty (e.g. 1x, 2s)")
 		cpu       = flag.String("cpu", "1,8", "passed to -cpu: comma-separated GOMAXPROCS values per benchmark (empty for the go test default)")

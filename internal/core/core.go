@@ -18,9 +18,11 @@
 // uncertain.JointCDF; selection work and oracle invocations are charged to
 // a simclock.Clock so experiments report the paper's cost breakdown.
 //
-// D0 is prepared once and read in place, as §3.3.1 computes F_f and H
-// once: Prepare validates a relation and returns an immutable Base that
-// any number of runs share, and Base.Start — the one way a run begins —
+// D0 is prepared once, then extended over each appended tail, and read
+// in place, as §3.3.1 computes F_f and H once: Prepare validates a
+// relation and returns an immutable Base that any number of runs share,
+// Base.Extend indexes only a tail appended to its relation, and
+// Base.Start — the one way a run begins —
 // starts a run over it, optionally under an enumeration of overrides
 // that give some tuples another distribution: a point mass for a label a
 // cache already holds, or a window's re-aggregated distribution, in
@@ -197,9 +199,9 @@ var ErrDeadline = errors.New("core: simulated deadline exceeded")
 // certain set's order (level descending, ID ascending) and its level
 // range. It is immutable once prepared and safe to share between
 // goroutines; the relation it was prepared from must not be written
-// afterwards. The no-exceed accumulator over every uncertain tuple is
-// the one thing built later: once, by the first Start the overlay
-// leaves untouched.
+// afterwards, though it may grow past its length (Extend). The
+// no-exceed accumulator over every uncertain tuple is the one thing
+// built later: once, by the first Start the overlay leaves untouched.
 type Base struct {
 	rel    uncertain.Relation
 	bound  BoundKind
@@ -214,8 +216,9 @@ type Base struct {
 
 // Prepare validates a relation — non-empty, in strictly ascending ID
 // order (an unordered relation or a duplicate ID is an error) — and
-// indexes it, in place, for any number of runs under the given bound.
-// The engine prepares each memoized D0 once, never per query.
+// indexes it, in place, for any number of runs under the given bound:
+// the empty base extended over rel. The engine prepares each memoized
+// D0 once, then extends its base over each appended tail.
 func Prepare(rel uncertain.Relation, bound BoundKind) (*Base, error) {
 	if len(rel) == 0 {
 		return nil, ErrEmptyRelation
@@ -223,23 +226,82 @@ func Prepare(rel uncertain.Relation, bound BoundKind) (*Base, error) {
 	if err := bound.validate(); err != nil {
 		return nil, err
 	}
-	b := &Base{rel: rel, bound: bound, live: make([]bool, len(rel)), lo: math.MaxInt, hi: math.MinInt}
-	for i, x := range rel {
+	return (&Base{bound: bound, lo: math.MaxInt, hi: math.MinInt}).Extend(rel)
+}
+
+// Extend returns the base of rel, a relation whose first b.Len() tuples
+// are b's, indexing only the tail: the tail must continue the strictly
+// ascending IDs, its live bits go into the spare capacity of b's mask
+// when it has enough, and its certain tuples, sorted, are merged with
+// b's into a new ranking — exactly what Prepare(rel) gives. b is never
+// written: it stays valid for the runs that hold it, and on an error
+// nothing but spare capacity is touched. An extension writes past b's
+// mask, so only the latest base of a line of extensions may be
+// extended.
+func (b *Base) Extend(rel uncertain.Relation) (*Base, error) {
+	done := len(b.rel)
+	if len(rel) < done {
+		return nil, fmt.Errorf("core: extending a base of %d tuples to a relation of %d", done, len(rel))
+	}
+	e := &Base{rel: rel, bound: b.bound, live: growTo(b.live, len(rel)), nLive: b.nLive, lo: b.lo, hi: b.hi}
+	var tail []certEntry
+	for i := done; i < len(rel); i++ {
+		x := rel[i]
 		if i > 0 && x.ID == rel[i-1].ID {
 			return nil, fmt.Errorf("core: duplicate tuple ID %d", x.ID)
 		} else if i > 0 && x.ID < rel[i-1].ID {
 			return nil, fmt.Errorf("core: tuple ID %d follows %d: the relation is not in ascending ID order", x.ID, rel[i-1].ID)
 		}
-		b.lo, b.hi = min(b.lo, x.Dist.Min), max(b.hi, x.Dist.Max())
+		e.lo, e.hi = min(e.lo, x.Dist.Min), max(e.hi, x.Dist.Max())
 		if x.Dist.IsCertain() {
-			b.ranked = append(b.ranked, certEntry{id: x.ID, level: x.Dist.Min})
+			tail = append(tail, certEntry{id: x.ID, level: x.Dist.Min})
 		} else {
-			b.live[i] = true
-			b.nLive++
+			e.live[i] = true
+			e.nLive++
 		}
 	}
-	slices.SortFunc(b.ranked, compareRank)
-	return b, nil
+	slices.SortFunc(tail, compareRank)
+	e.ranked = mergeRanked(b.ranked, tail)
+	return e, nil
+}
+
+// mergeRanked merges two rankings in compareRank order — a total order
+// on distinct IDs, so the merge is the sort of their union. An empty
+// side returns the other, uncopied.
+func mergeRanked(a, b []certEntry) []certEntry {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]certEntry, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if compareRank(a[0], b[0]) < 0 {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
+}
+
+// growTo returns s lengthened to n ≥ len(s), its new elements zero: in
+// place when s's capacity allows, else in a new array of capacity
+// max(n, 2·cap(s)), so growing one tail at a time costs amortized
+// O(tail) and leaves at most as much slack as s holds. s's own elements
+// are never written, so a reader holding s is unaffected; the tail is
+// zeroed because a failed extension may have written it.
+func growTo[S ~[]E, E any](s S, n int) S {
+	if n <= cap(s) {
+		t := s[:n]
+		clear(t[len(s):])
+		return t
+	}
+	t := make(S, n, max(n, 2*cap(s)))
+	copy(t, s)
+	return t
 }
 
 // Len returns the number of tuples, |D0|.

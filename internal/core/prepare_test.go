@@ -442,3 +442,169 @@ func TestBaseSharedAcrossGoroutines(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// mixedRelation is a relation of n tuples with ascending, gapped IDs,
+// each certain with probability pCertain, uncertain tuples at most 6
+// levels wide starting in [minLo, minLo+10], and a true-world oracle.
+func mixedRelation(r *xrand.RNG, n int, pCertain float64, minLo int) (uncertain.Relation, *trueWorldOracle) {
+	rel := make(uncertain.Relation, 0, n)
+	oracle := &trueWorldOracle{levels: make(map[int]int)}
+	id := r.Intn(3)
+	for i := 0; i < n; i++ {
+		var d uncertain.Dist
+		if r.Float64() < pCertain {
+			d = uncertain.Certain(minLo + r.Intn(14))
+		} else {
+			probs := make([]float64, 2+r.Intn(5))
+			for k := range probs {
+				probs[k] = 0.05 + r.Float64()
+			}
+			d = uncertain.MustDist(minLo+r.Intn(11), probs)
+		}
+		rel = append(rel, uncertain.XTuple{ID: id, Dist: d})
+		oracle.levels[id] = sampleLevel(r, d)
+		id += 1 + r.Intn(3)
+	}
+	return rel, oracle
+}
+
+// sameBase reports how got differs from want field by field, or "".
+func sameBase(got, want *Base) string {
+	switch {
+	case !sameTuples(got.rel, want.rel):
+		return "rel"
+	case got.bound != want.bound:
+		return "bound"
+	case !slices.Equal(got.live, want.live):
+		return fmt.Sprintf("live %v, want %v", got.live, want.live)
+	case got.nLive != want.nLive:
+		return fmt.Sprintf("nLive %d, want %d", got.nLive, want.nLive)
+	case !slices.Equal(got.ranked, want.ranked):
+		return fmt.Sprintf("ranked %v, want %v", got.ranked, want.ranked)
+	case got.lo != want.lo || got.hi != want.hi:
+		return fmt.Sprintf("range [%d, %d], want [%d, %d]", got.lo, got.hi, want.lo, want.hi)
+	}
+	return ""
+}
+
+// TestBaseExtendMatchesPrepare: a base prepared over a prefix of a
+// relation and extended over the rest, one random tail at a time, has
+// after every step exactly the fields Prepare gives that prefix, and
+// runs over it are bit-identical, under both bounds — including an
+// empty tail, an all-certain tail and a tail that widens the level
+// range. A tail out of ID order (or repeating the last
+// ID) is an error that leaves the base untouched, and a valid retry
+// then equals Prepare although the failed attempt wrote live bits into
+// the spare capacity the retry reuses.
+func TestBaseExtendMatchesPrepare(t *testing.T) {
+	cost := simclock.Default()
+	check := func(t *testing.T, what string, got *Base, rel uncertain.Relation, oracle *trueWorldOracle, bound BoundKind) {
+		t.Helper()
+		want, err := Prepare(rel, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sameBase(got, want); d != "" {
+			t.Fatalf("%s: extended base differs from Prepare's: %s", what, d)
+		}
+		for _, k := range []int{1, 4} {
+			cfg := Config{K: min(k, len(rel)), Threshold: 0.95, BatchSize: 3, Bound: bound}
+			wantRun := run(t, func(clock *simclock.Clock) (*Engine, error) {
+				return want.Start(cfg, nil, nil, oracle, clock, cost)
+			})
+			if gotRun := run(t, func(clock *simclock.Clock) (*Engine, error) {
+				return got.Start(cfg, nil, nil, oracle, clock, cost)
+			}); gotRun != wantRun {
+				t.Fatalf("%s K=%d: run over the extended base:\n got %s\nwant %s", what, k, gotRun, wantRun)
+			}
+		}
+	}
+	for _, bound := range []BoundKind{BoundIndependent, BoundUnion} {
+		for seed := uint64(0); seed < 12; seed++ {
+			r := xrand.New(700 + seed)
+			n := 10 + r.Intn(90)
+			rel, oracle := mixedRelation(r, n, 0.3, 5)
+			switch seed % 4 {
+			case 1: // an all-certain tail
+				for i := n / 2; i < n; i++ {
+					rel[i].Dist = uncertain.Certain(rel[i].ID % 17)
+					oracle.levels[rel[i].ID] = rel[i].ID % 17
+				}
+			case 2: // a tail reaching below and above the prefix's levels
+				rel[n-2].Dist = uncertain.Certain(0)
+				oracle.levels[rel[n-2].ID] = 0
+				rel[n-1].Dist = uncertain.MustDist(20, []float64{1, 1, 1})
+				oracle.levels[rel[n-1].ID] = 21
+			}
+			cut := 1 + r.Intn(n/2)
+			base, err := Prepare(rel[:cut], bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cut < n {
+				if r.Intn(4) == 0 {
+					if base, err = base.Extend(rel[:cut]); err != nil {
+						t.Fatal(err)
+					}
+					check(t, fmt.Sprintf("bound %v seed %d empty tail at %d", bound, seed, cut), base, rel[:cut], oracle, bound)
+				}
+				next := cut + 1 + r.Intn(n-cut)
+				if base, err = base.Extend(rel[:next]); err != nil {
+					t.Fatal(err)
+				}
+				check(t, fmt.Sprintf("bound %v seed %d [0, %d)", bound, seed, next), base, rel[:next], oracle, bound)
+				cut = next
+			}
+			// The initial prefix ends by n/2, so the widening tuples came
+			// in a tail.
+			if narrow, err := Prepare(rel[:n-2], bound); err != nil {
+				t.Fatal(err)
+			} else if seed%4 == 2 && (base.lo >= narrow.lo || base.hi <= narrow.hi) {
+				t.Fatalf("seed %d: the tail did not widen [%d, %d] (got [%d, %d])", seed, narrow.lo, narrow.hi, base.lo, base.hi)
+			}
+		}
+	}
+
+	// The stale-spare-capacity case: a base with spare mask capacity, a
+	// rejected tail whose uncertain tuples wrote live bits into it before
+	// its bad ID, then a valid tail certain where the bad one was not.
+	r := xrand.New(799)
+	rel, oracle := mixedRelation(r, 24, 0, 5)
+	for i := 11; i < len(rel); i++ {
+		rel[i].Dist = uncertain.Certain(i % 9)
+		oracle.levels[rel[i].ID] = i % 9
+	}
+	first, err := Prepare(rel[:10], BoundIndependent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := first.Extend(rel[:11])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(base.live) < 18 {
+		t.Fatalf("the extended mask has capacity %d, want slack for the rejected tail", cap(base.live))
+	}
+	snap := &Base{rel: base.rel, bound: base.bound, live: slices.Clone(base.live), nLive: base.nLive, ranked: slices.Clone(base.ranked), lo: base.lo, hi: base.hi}
+	for _, badID := range []int{rel[10].ID + 6, rel[3].ID} {
+		bad := slices.Clone(rel[:11])
+		for i := 0; i < 6; i++ {
+			bad = append(bad, uncertain.XTuple{ID: rel[10].ID + 1 + i, Dist: uncertain.MustDist(5, []float64{1, 1})})
+		}
+		bad = append(bad, uncertain.XTuple{ID: badID, Dist: uncertain.Certain(1)})
+		if _, err := base.Extend(bad); err == nil {
+			t.Fatalf("a tail ending in ID %d after %d was accepted", badID, bad[len(bad)-2].ID)
+		}
+		if d := sameBase(base, snap); d != "" || len(base.rel) != 11 {
+			t.Fatalf("the rejected tail changed the base: %s", d)
+		}
+	}
+	retry, err := base.Extend(rel[:18])
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, "retry after a rejected tail", retry, rel[:18], oracle, BoundIndependent)
+	if _, err := retry.Extend(rel[:17]); err == nil {
+		t.Fatal("extending to a shorter relation succeeded")
+	}
+}

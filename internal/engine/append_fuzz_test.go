@@ -2,10 +2,13 @@ package engine
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/everest-project/everest/internal/core"
 	"github.com/everest-project/everest/internal/uncertain"
+	"github.com/everest-project/everest/internal/xrand"
 )
 
 // artifactFromBytes decodes a (possibly invariant-violating) tail
@@ -137,4 +140,107 @@ func TestAppendRejectsScorelessTail(t *testing.T) {
 	if err := base.Validate(); err != nil {
 		t.Fatalf("after the rejected append: %v", err)
 	}
+}
+
+// FuzzMemoExtend: across up to six Appends decoded from the input, each
+// made after a frame and a window query warmed the memo and prepared its
+// bases, the memo is extended in place, and after each accepted Append
+// its frame and window relations — and a frame and a window plan's
+// outcomes under one overlay — equal those of a Clone built from
+// scratch. The views and bases taken before an Append still read their
+// old tuples: an extension writes only past every prefix a query holds.
+// A tail whose retained frame lost its score is rejected and changes
+// nothing.
+//
+//	seed:  the starting artifact, the tails and the overlays
+//	steps: two bytes per Append — the tail's frames (1 + b mod 60) and
+//	       its clip length (1 + b mod 12; mod 5 = 4 drops a score)
+func FuzzMemoExtend(f *testing.F) {
+	f.Add(uint64(1), []byte{40, 3, 80, 7, 12, 2})
+	f.Add(uint64(7), []byte{0, 0, 59, 11, 4, 4, 200, 9})
+	f.Add(uint64(42), []byte{25, 5, 1, 1, 33, 0, 59, 6, 18, 3, 2, 10})
+	f.Fuzz(func(t *testing.T, seed uint64, steps []byte) {
+		r := xrand.New(seed)
+		a := randomArtifactClips(r, 20+int(seed%40), 1+int(seed%9))
+		qopt := uncertain.DefaultCountingOptions()
+		udf := tableUDF{qopt}
+		frameP, windowP := testPlan(3), testPlan(2)
+		frameP.BatchSize, windowP.BatchSize = 3, 2
+		windowP.Window = WindowSpec{Size: 12, Stride: 6}
+		plans := map[string]Plan{}
+		for name, p := range map[string]Plan{"frame": frameP, "window": windowP} {
+			plan, err := NewPlan(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans[name] = plan
+		}
+		keys := map[string]d0Key{"frame": WindowSpec{}.d0Key(qopt), "window": windowP.Window.d0Key(qopt)}
+		outcomes := func(a *Artifact, overlaySeed uint64) map[string]string {
+			out := map[string]string{}
+			for name, p := range plans {
+				labels := overlaysFor(xrand.New(overlaySeed), a)["base-and-fresh"]
+				o, err := Execute(p, Binding{UDF: udf, Artifact: a, Labels: labels})
+				out[name] = outcomeBits(o, err, labels)
+			}
+			return out
+		}
+		for step := 0; len(steps) >= 2 && step < 6; step, steps = step+1, steps[2:] {
+			outcomes(a, r.Uint64())
+			type held struct {
+				v      d0View
+				rel    uncertain.Relation
+				scores int
+				base   *core.Base
+			}
+			views := map[string]held{}
+			for name, key := range keys {
+				v, err := a.memo(key, 1, nil)
+				if err != nil {
+					continue // no complete window yet
+				}
+				base, err := a.prepared(v, plans[name].Bound())
+				if err != nil {
+					t.Fatal(err)
+				}
+				views[name] = held{v, slices.Clone(v.rel), len(v.scores), base}
+			}
+			tail := randomArtifactClips(r, 1+int(steps[0])%60, 1+int(steps[1])%12)
+			if steps[1]%5 == 4 {
+				for _, f := range tail.Retained {
+					if _, ok := tail.Exact[f]; !ok {
+						delete(tail.Mixtures, f)
+						break
+					}
+				}
+			}
+			snap := a.Clone()
+			if err := a.Append(tail, a.TotalFrames); err != nil {
+				if tail.Validate() == nil {
+					t.Fatalf("step %d: a valid tail was rejected: %v", step, err)
+				}
+				if !reflect.DeepEqual(a.Clone(), snap) {
+					t.Fatalf("step %d: a rejected tail changed the artifact", step)
+				}
+				continue
+			}
+			fresh := a.Clone()
+			for name, key := range keys {
+				got, gerr := a.memo(key, 1, nil)
+				want, werr := fresh.memo(key, 1, nil)
+				if (gerr == nil) != (werr == nil) || gerr == nil && (!reflect.DeepEqual(got.rel, want.rel) || !slices.Equal(got.failed, want.failed)) {
+					t.Fatalf("step %d: the extended %s memo differs from a fresh build (errors %v, %v)", step, name, gerr, werr)
+				}
+			}
+			overlaySeed := r.Uint64()
+			if got, want := outcomes(a, overlaySeed), outcomes(fresh, overlaySeed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: outcomes over the extended memo differ from a fresh build:\n got %v\nwant %v", step, got, want)
+			}
+			for name, h := range views {
+				if !reflect.DeepEqual(h.v.rel, h.rel) || len(h.v.scores) != h.scores || h.base.Len() != len(h.rel) {
+					t.Fatalf("step %d: the %s view or base held across the append changed", step, name)
+				}
+			}
+		}
+	})
 }

@@ -153,11 +153,14 @@ func (a *Artifact) Append(tail *Artifact, lo int) error {
 	if err := tail.Validate(); err != nil {
 		return fmt.Errorf("everest: append tail: %w", err)
 	}
-	for _, rep := range tail.RepOf {
-		a.RepOf = append(a.RepOf, int32(lo)+rep)
+	repOf, retained := len(a.RepOf), len(a.Retained)
+	a.RepOf = growTo(a.RepOf, repOf+len(tail.RepOf))
+	for i, rep := range tail.RepOf {
+		a.RepOf[repOf+i] = int32(lo) + rep
 	}
-	for _, f := range tail.Retained {
-		a.Retained = append(a.Retained, int32(lo)+f)
+	a.Retained = growTo(a.Retained, retained+len(tail.Retained))
+	for i, f := range tail.Retained {
+		a.Retained[retained+i] = int32(lo) + f
 	}
 	for f, s := range tail.Exact {
 		a.Exact[int32(lo)+f] = s

@@ -32,13 +32,14 @@ import (
 //
 // The memo is one list of relations, the frame relation and window
 // shapes alike, each under one quantization: built by the first query
-// that asks, extended after an Append, prepared for Phase 2 by the
-// first query that runs over it. A frame query starts its run from the
-// prepared relation under its labels as point masses; a window query
-// re-aggregates only the windows its overlay touches — those with a
-// representative the overlay labels and Phase 1 did not — with the very
-// function that built the memo, in its own copy of the relation, and
-// starts from the prepared relation under them.
+// that asks, extended in place after an Append, prepared for Phase 2 by
+// the first query that runs over it and extended with it. A frame query
+// starts its run from the prepared relation under its labels as point
+// masses; a window query re-aggregates only the windows its overlay
+// touches — those with a representative the overlay labels and Phase 1
+// did not — with the very function that built the memo, in its own
+// copy of the relation, and starts from the prepared relation under
+// them.
 
 // maxMemos bounds the memo: the most recently used relations stay, the
 // least recently used is dropped. An artifact serves one UDF, so it has
@@ -68,11 +69,12 @@ func (w WindowSpec) d0Key(qopt uncertain.QuantizeOptions) d0Key {
 // retained frame in Retained order, or every window aggregated; failed
 // lists the windows whose aggregation failed (their tuples are
 // placeholders, and every query re-aggregates them, so its error is the
-// lowest failing window under its own overlay); prep is rel prepared
-// for Phase 2 under bound, nil until a query asks, and dropped when rel
-// is extended. Guarded by the artifact's mu; a published tuple or
-// failed entry is never written again (an extension writes only past
-// the ones a query may hold).
+// lowest failing window under its own overlay); prep is rel, or a
+// prefix of it, prepared for Phase 2 under bound: nil until a query
+// asks, and extended over the tail by the first query after rel is.
+// Guarded by the artifact's mu. rel and failed grow in place (growTo), so an
+// extension costs what it adds: a query holds a prefix of each, and an
+// extension writes only past it — a published prefix is never written.
 type d0Entry struct {
 	key    d0Key
 	rel    uncertain.Relation
@@ -127,14 +129,12 @@ func (a *Artifact) memo(key d0Key, procs int, pool *workpool.Pool) (d0View, erro
 		n = windows.NumSlidingWindows(a.TotalFrames, key.size, key.stride)
 	}
 	if fresh || len(e.rel) < n {
-		rel, failed, err := v.extend(a.Retained)
+		rel, failed, err := v.extend(a.Retained, n)
 		if err != nil {
 			return d0View{}, err
 		}
-		e.rel, e.prep = rel, nil
-		if len(failed) > 0 {
-			e.failed = append(slices.Clip(e.failed), failed...)
-		}
+		e.rel = rel
+		e.failed = append(e.failed, failed...)
 		if fresh {
 			a.memos = append([]*d0Entry{e}, a.memos[:min(len(a.memos), maxMemos-1)]...)
 		}
@@ -143,20 +143,20 @@ func (a *Artifact) memo(key d0Key, procs int, pool *workpool.Pool) (d0View, erro
 	return v, nil
 }
 
-// extend returns the view's entry's relation extended over the tuples
-// appended since it was built, with the new windows whose aggregation
-// failed. A frame relation quantizes the Retained tail into a new array,
-// so no tuple a query holds is written; a window relation aggregates
-// only the new windows (one that ends within the old frames reads only
-// old frames and old representatives, so it is unchanged).
-func (v d0View) extend(retained []int32) (uncertain.Relation, []int, error) {
+// extend returns the view's entry's relation grown in place to its n
+// tuples — the Retained tail quantized, or the new windows aggregated
+// (one that ends within the old frames reads only old frames and old
+// representatives, so it is unchanged) — with the new windows whose
+// aggregation failed. Only the tail is written, past every prefix a
+// query holds.
+func (v d0View) extend(retained []int32, n int) (uncertain.Relation, []int, error) {
 	old, scores := v.entry.rel, v.scores
+	done, rel := len(old), growTo(old, n)
 	if v.opt.Size != 0 {
-		return windows.Extend(old, func(rep int) windows.FrameScore { return scores[rep] }, v.diff, v.opt)
+		failed, err := windows.Extend(rel, done, func(rep int) windows.FrameScore { return scores[rep] }, v.diff, v.opt)
+		return rel, failed, err
 	}
 	qopt := v.entry.key.qopt
-	rel := make(uncertain.Relation, len(retained))
-	done := copy(rel, old)
 	for i, f := range retained[done:] {
 		fs := scores[f]
 		var d uncertain.Dist
@@ -186,18 +186,18 @@ func (a *Artifact) entry(key d0Key) *d0Entry {
 
 // frameScores returns Phase 1's knowledge of every retained frame,
 // indexed by frame (the zero FrameScore elsewhere), extending the
-// memoized table — and the span D = max |i − RepOf[i]|, the farthest
-// any frame lies from its representative — over frames appended since
-// it was built. A retained frame with neither a label nor a mixture is
-// an error (an artifact mutated after Validate). The caller holds a.mu;
-// the returned table is never written again.
+// memoized table in place (growTo) — and the span D = max |i − RepOf[i]|,
+// the farthest any frame lies from its representative — over frames
+// appended since it was built. A retained frame with neither a label
+// nor a mixture is an error (an artifact mutated after Validate), after
+// which the table keeps its old length. The caller holds a.mu; the
+// returned table is never written again, only its spare capacity.
 func (a *Artifact) frameScores() ([]windows.FrameScore, error) {
 	done := len(a.scores)
 	if done == a.TotalFrames {
 		return a.scores, nil
 	}
-	scores := make([]windows.FrameScore, a.TotalFrames)
-	copy(scores, a.scores)
+	scores := growTo(a.scores, a.TotalFrames)
 	// Retained is ascending, so the frames not yet covered are a suffix.
 	tail := sort.Search(len(a.Retained), func(i int) bool { return int(a.Retained[i]) >= done })
 	for _, f := range a.Retained[tail:] {
@@ -219,22 +219,47 @@ func (a *Artifact) frameScores() ([]windows.FrameScore, error) {
 
 // prepared returns the view's relation prepared for Phase 2 under the
 // given bound, memoized on its entry: the base every query of the entry
-// starts from, whatever its overlay. It is valid exactly as long as the
-// entry's relation is — an extension drops it, and the next query
-// prepares it again, never Append. Queries read it in place; none
-// copies the relation.
+// starts from, whatever its overlay. The first query after the entry's
+// relation is extended extends the base over the tail (core.Base.Extend),
+// never Append; a query under another bound prepares it afresh. Queries
+// read it in place; none copies the relation.
 func (a *Artifact) prepared(v d0View, bound core.BoundKind) (*core.Base, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	e := v.entry
-	if e.prep == nil || e.bound != bound {
-		prep, err := core.Prepare(v.rel, bound)
-		if err != nil {
-			return nil, err
-		}
-		e.prep, e.bound = prep, bound
+	var prep *core.Base
+	var err error
+	switch {
+	case e.prep == nil || e.bound != bound:
+		prep, err = core.Prepare(v.rel, bound)
+	case e.prep.Len() < len(v.rel):
+		prep, err = e.prep.Extend(v.rel)
+	default:
+		return e.prep, nil
 	}
-	return e.prep, nil
+	if err != nil {
+		return nil, err
+	}
+	e.prep, e.bound = prep, bound
+	return prep, nil
+}
+
+// growTo returns s lengthened to n ≥ len(s), its new elements zero: in
+// place when s's capacity allows, else in a new array of capacity
+// max(n, 2·cap(s)), so growing one tail at a time costs amortized
+// O(tail) and leaves at most as much slack as s holds. s's own elements
+// are never written, so a reader holding s is unaffected; the tail is
+// zeroed because a failed extension may have written it. (core keeps
+// the same rule for a prepared base's live mask.)
+func growTo[S ~[]E, E any](s S, n int) S {
+	if n <= cap(s) {
+		t := s[:n]
+		clear(t[len(s):])
+		return t
+	}
+	t := make(S, n, max(n, 2*cap(s)))
+	copy(t, s)
+	return t
 }
 
 // certainAt is the point mass at an exact (or stand-in) score's level.

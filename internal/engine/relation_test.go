@@ -408,61 +408,73 @@ func TestMemoizedRelationsMatchReference(t *testing.T) {
 // TestMemoizedRelationsConcurrent builds relations and executes frame
 // plans on one cold artifact from 8 goroutines at once (the memo's
 // first build, the base's preparation and its joint CDF's first build
-// race with their first readers; run under -race): every goroutine gets
-// the reference relation, and every execution — uncached or over its
-// own copy of a warm overlay — the reference outcome.
+// race with their first readers; run under -race), then again right
+// after each of two Appends (the first goroutine to lock the artifact
+// extends the memo, the score table and the prepared base in place while
+// the others wait): every goroutine gets the reference relation, and
+// every execution — uncached or over its own copy of a warm overlay —
+// the reference outcome.
 func TestMemoizedRelationsConcurrent(t *testing.T) {
 	r := xrand.New(21).Split("relation-test")
 	a := randomArtifact(r, 900)
 	qopt := uncertain.DefaultCountingOptions()
 	udf := tableUDF{qopt}
-	overlays := overlaysFor(r, a)
-	wantFrame, err := referenceFrameRelation(a, qopt, overlays["every-kind"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantWindow, err := referenceWindowRelation(a, testWindows[1], qopt, overlays["every-kind"])
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan := executePlans(t)["K=4"]
-	overlaySeed := r.Uint64()
-	warm := func() *labelstore.Overlay { return overlaysFor(xrand.New(overlaySeed), a)["base-and-fresh"] }
-	wantCold, err := referenceExecute(plan, a, nil, udf, nil)
-	wantColdBits := outcomeBits(wantCold, err, nil)
-	wantLabels := warm()
-	wantWarm, err := referenceExecute(plan, a, nil, udf, wantLabels)
-	wantWarmBits := outcomeBits(wantWarm, err, wantLabels)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var labels *labelstore.Overlay
-			want := wantColdBits
-			if g%2 == 1 {
-				labels, want = warm(), wantWarmBits
-			}
-			out, err := Execute(plan, Binding{UDF: udf, Artifact: a, Labels: labels})
-			if got := outcomeBits(out, err, labels); got != want {
-				t.Errorf("goroutine %d: Execute differs from the reference:\n got %s\nwant %s", g, got, want)
-			}
-			for i := 0; i < 4; i++ {
-				if (g+i)%2 == 0 {
-					got, err := a.FrameRelation(qopt, overlays["every-kind"])
-					if err != nil || !reflect.DeepEqual(got, wantFrame) {
-						t.Errorf("goroutine %d: frame relation differs from the reference (err %v)", g, err)
+	wave := func(when string) {
+		overlays := overlaysFor(r, a)
+		wantFrame, err := referenceFrameRelation(a, qopt, overlays["every-kind"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWindow, err := referenceWindowRelation(a, testWindows[1], qopt, overlays["every-kind"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		overlaySeed := r.Uint64()
+		warm := func() *labelstore.Overlay { return overlaysFor(xrand.New(overlaySeed), a)["base-and-fresh"] }
+		wantCold, err := referenceExecute(plan, a, nil, udf, nil)
+		wantColdBits := outcomeBits(wantCold, err, nil)
+		wantLabels := warm()
+		wantWarm, err := referenceExecute(plan, a, nil, udf, wantLabels)
+		wantWarmBits := outcomeBits(wantWarm, err, wantLabels)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var labels *labelstore.Overlay
+				want := wantColdBits
+				if g%2 == 1 {
+					labels, want = warm(), wantWarmBits
+				}
+				out, err := Execute(plan, Binding{UDF: udf, Artifact: a, Labels: labels})
+				if got := outcomeBits(out, err, labels); got != want {
+					t.Errorf("%s, goroutine %d: Execute differs from the reference:\n got %s\nwant %s", when, g, got, want)
+				}
+				for i := 0; i < 4; i++ {
+					if (g+i)%2 == 0 {
+						got, err := a.FrameRelation(qopt, overlays["every-kind"])
+						if err != nil || !reflect.DeepEqual(got, wantFrame) {
+							t.Errorf("%s, goroutine %d: frame relation differs from the reference (err %v)", when, g, err)
+						}
+						continue
 					}
-					continue
+					got, err := a.WindowRelation(testWindows[1], qopt, overlays["every-kind"], 1, nil)
+					if err != nil || !reflect.DeepEqual(got, wantWindow) {
+						t.Errorf("%s, goroutine %d: window relation differs from the reference (err %v)", when, g, err)
+					}
 				}
-				got, err := a.WindowRelation(testWindows[1], qopt, overlays["every-kind"], 1, nil)
-				if err != nil || !reflect.DeepEqual(got, wantWindow) {
-					t.Errorf("goroutine %d: window relation differs from the reference (err %v)", g, err)
-				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	wave("cold")
+	for i := 1; i <= 2; i++ {
+		if err := a.Append(randomArtifact(r, 150+r.Intn(300)), a.TotalFrames); err != nil {
+			t.Fatal(err)
+		}
+		wave(fmt.Sprintf("after append %d", i))
+	}
 }
 
 // TestFrameRelationIsTheCallers: the returned slice is a copy of the

@@ -81,11 +81,12 @@ func TestBuildRelationParallelErrorMatchesSerial(t *testing.T) {
 }
 
 // TestExtendAndReaggregateMatchBuildRelation: extending a relation built
-// over a prefix of the frames gives BuildRelation's relation over all of
-// them — the prefix's tuples kept, not rebuilt — and reports the new
-// windows that fail; re-aggregating some windows under another scoreOf
-// gives them exactly BuildRelation's distributions under it, with the
-// lowest failing window's error.
+// over a prefix of the frames, lengthened over the rest, gives
+// BuildRelation's relation over all of them — the prefix's tuples kept,
+// not rebuilt — and reports the new windows that fail; a relation of
+// another length is an error; re-aggregating some windows under another
+// scoreOf gives them exactly BuildRelation's distributions under it,
+// with the lowest failing window's error.
 func TestExtendAndReaggregateMatchBuildRelation(t *testing.T) {
 	bad := func(rep int) FrameScore {
 		if rep == 140 || rep == 350 {
@@ -100,12 +101,17 @@ func TestExtendAndReaggregateMatchBuildRelation(t *testing.T) {
 		}
 		long := segDiff(500, 7)
 		kept := slices.Clone(short)
-		ext, failed, err := Extend(short, bad, long, opt)
+		n := NumSlidingWindows(long.NumFrames(), opt.Size, opt.stride())
+		if _, err := Extend(short, len(short), bad, long, opt); err == nil {
+			t.Fatalf("%+v: Extend of a relation of %d of %d windows succeeded", opt, len(short), n)
+		}
+		ext := append(short, make(uncertain.Relation, n-len(short))...)
+		failed, err := Extend(ext, len(short), bad, long, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(short, kept) || &ext[0].Dist.P[0] != &short[0].Dist.P[0] {
-			t.Fatal("Extend wrote into its input or rebuilt the prefix")
+		if !reflect.DeepEqual(ext[:len(short)], kept) || &ext[0].Dist.P[0] != &short[0].Dist.P[0] {
+			t.Fatal("Extend wrote into the prefix or rebuilt it")
 		}
 		var wantFailed []int
 		for w := len(short); w < len(ext); w++ {

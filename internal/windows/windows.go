@@ -110,36 +110,34 @@ func BuildRelation(scoreOf func(rep int) FrameScore, diff diffdet.Result, opt Op
 	return rel, nil
 }
 
-// Extend returns rel, a prefix of the relation BuildRelation builds,
-// extended over the windows it does not yet hold — what a window
-// relation needs after frames are appended to the video, since a window
-// that ends within the old frames reads only old frames and old
-// representatives. It appends: rel's tuples are never written, but the
-// new ones go into its spare capacity when it has enough, so growing a
-// relation one append at a time costs amortized O(new windows).
+// Extend aggregates, in place, the windows of rel from done on: rel
+// holds one tuple per complete window and its first done are already
+// BuildRelation's — what a window relation is after frames are appended
+// to the video and the caller lengthens it, since a window that ends
+// within the old frames reads only old frames and old representatives.
+// Only rel[done:] is written, so a reader of the prefix is unaffected
+// and growing a relation one append at a time costs O(new windows).
 // failed lists, ascending, the new windows whose aggregation failed:
 // their tuples carry the ID and the zero distribution, and Reaggregate
-// reports their error. err is non-nil only for an invalid shape or a
-// video with no complete window.
-func Extend(rel uncertain.Relation, scoreOf func(rep int) FrameScore, diff diffdet.Result, opt Options) (ext uncertain.Relation, failed []int, err error) {
+// reports their error. err is non-nil only for an invalid shape, a
+// video with no complete window, or a rel of another length.
+func Extend(rel uncertain.Relation, done int, scoreOf func(rep int) FrameScore, diff diffdet.Result, opt Options) (failed []int, err error) {
 	s, err := shapeOf(diff, opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	done := len(rel)
-	if done >= s.n {
-		return rel, nil, nil
+	if len(rel) != s.n || done < 0 || done > s.n {
+		return nil, fmt.Errorf("windows: extending %d of %d windows in a relation of %d", s.n-done, s.n, len(rel))
 	}
-	ext = slices.Grow(rel, s.n-done)[:s.n]
 	for w := done; w < s.n; w++ {
-		ext[w] = uncertain.XTuple{ID: w}
+		rel[w] = uncertain.XTuple{ID: w}
 	}
 	for _, f := range s.run(scoreOf, diff, opt, s.n-done, func(i int) int { return done + i }, func(i int, d uncertain.Dist) {
-		ext[done+i].Dist = d
+		rel[done+i].Dist = d
 	}) {
 		failed = append(failed, done+f.i)
 	}
-	return ext, failed, nil
+	return failed, nil
 }
 
 // Reaggregate recomputes, in place, the windows ids (ascending, each a
