@@ -64,15 +64,18 @@ crash:
 # one version bump per publish and per eviction pass, none per
 # snapshot), Phase 2's start under random overrides (an error
 # exactly on malformed input, else the run over the materialized
-# relation), and the D0 memo across random Appends (extended in place,
+# relation), the D0 memo across random Appends (extended in place,
 # its relations and answers equal to a fresh build's, every view and
-# base taken before an Append unchanged).
+# base taken before an Append unchanged), and the index file loader
+# (never panics, fails only typed, and what it accepts is valid and
+# re-saves to bytes that load and save again unchanged).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMapOrdering -fuzztime 30s ./internal/workpool/
 	$(GO) test -run '^$$' -fuzz FuzzStartOverrides -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzPlanNormalize -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzArtifactAppend -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzMemoExtend -fuzztime 30s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz FuzzLoadIndex -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzConsolidate -fuzztime 30s ./internal/oraclemux/
 	$(GO) test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 30s ./internal/faultinject/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/durable/

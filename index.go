@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/everest-project/everest/internal/engine"
 	"github.com/everest-project/everest/internal/phase1"
@@ -168,35 +170,58 @@ func (ix *Index) planFor(src video.Source, udf vision.UDF, cfg Config) (engine.P
 	return plan, engine.Binding{Src: src, UDF: udf, Artifact: ix.art}, nil
 }
 
-// indexCodec is the gob wire form of an Index.
+// indexCodec is the gob payload of format version 2: the artifact's
+// positional tables as they are in memory, and its exact labels as two
+// parallel slices in ascending frame order. No field is a map, so an
+// index encodes to the same bytes every time it is saved.
 type indexCodec struct {
-	Version     int
-	Dataset     string
-	UDFName     string
-	TotalFrames int
-	Retained    []int32
-	RepOf       []int32
-	Exact       map[int32]float64
-	Mixtures    map[int32]uncertain.Mixture
-	Info        Phase1Info
-	IngestMS    float64
+	Dataset          string
+	UDFName          string
+	TotalFrames      int
+	Retained         []int32
+	RepOf            []int32
+	RetainedMixtures []uncertain.Mixture
+	ExactFrames      []int32
+	ExactScores      []float64
+	Info             Phase1Info
+	IngestMS         float64
 }
 
-const indexVersion = 1
+// Gob numbers the types a process encodes in the order it first meets
+// them and writes the numbers into the stream. Meeting the payload's
+// types at init gives them the same numbers in every process, whatever
+// it encodes after init, so an index saves to the same bytes in any
+// program that encodes no gob value before this package initializes.
+func init() { _ = gob.NewEncoder(io.Discard).Encode(indexCodec{}) }
+
+// indexCodecV1 holds what only a version 1 payload carries: its
+// payload version, and the exact labels and mixtures as maps keyed by
+// frame. Gob matches fields by name, so a version 1 payload decodes into
+// indexCodec for the fields both versions share and into indexCodecV1
+// for these, which the loader converts to the positional form.
+type indexCodecV1 struct {
+	Version  int
+	Exact    map[int32]float64
+	Mixtures map[int32]uncertain.Mixture
+}
 
 // Index file wire format (Save / SaveFile):
 //
 //	8 bytes  magic "EVESTIDX" (identifies the file type)
-//	uint32   format version (little-endian; currently 1)
-//	gob      indexCodec payload
+//	uint32   format version (little-endian; 2 is written, 1 and 2 are read)
+//	gob      indexCodec payload (version 1: indexCodec's shared fields
+//	         and indexCodecV1's)
 //	uint32   CRC32 (IEEE) of every preceding byte
 //
-// Files written before the header existed are a bare gob stream;
-// LoadIndex still reads those through a compatibility path (they carry
-// no checksum — corruption surfaces as a gob decode failure instead).
+// Version 2 is byte-stable: saving an index twice, or saving one just
+// loaded, writes the same bytes. Version 1 files, whose payload held the
+// exact labels and mixtures as gob maps (written in random order), still
+// load and are converted on load; so are files from before the header
+// existed, a bare version 1 gob stream that carries no checksum
+// (corruption surfaces as a gob decode failure instead).
 var indexMagic = [8]byte{'E', 'V', 'E', 'S', 'T', 'I', 'D', 'X'}
 
-const indexFormatVersion = 1
+const indexFormatVersion = 2
 
 // IndexFormatError is the typed failure of loading a persisted index:
 // the bytes are not an index file, the header names a format this
@@ -232,7 +257,8 @@ func (e *IndexFormatError) Error() string {
 func (e *IndexFormatError) Unwrap() error { return e.Err }
 
 // Save persists the index to w in the headered, checksummed wire
-// format (magic, format version, gob payload, CRC32 trailer).
+// format (magic, format version, gob payload, CRC32 trailer). The same
+// index always saves to the same bytes.
 func (ix *Index) Save(w io.Writer) error {
 	var buf bytes.Buffer
 	buf.Write(indexMagic[:])
@@ -250,17 +276,22 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 func (ix *Index) codec() indexCodec {
+	frames := slices.Sorted(maps.Keys(ix.art.Exact))
+	scores := make([]float64, len(frames))
+	for i, f := range frames {
+		scores[i] = ix.art.Exact[f]
+	}
 	return indexCodec{
-		Version:     indexVersion,
-		Dataset:     ix.art.Dataset,
-		UDFName:     ix.art.UDFName,
-		TotalFrames: ix.art.TotalFrames,
-		Retained:    ix.art.Retained,
-		RepOf:       ix.art.RepOf,
-		Exact:       ix.art.Exact,
-		Mixtures:    ix.art.Mixtures,
-		Info:        ix.info,
-		IngestMS:    ix.ingestMS,
+		Dataset:          ix.art.Dataset,
+		UDFName:          ix.art.UDFName,
+		TotalFrames:      ix.art.TotalFrames,
+		Retained:         ix.art.Retained,
+		RepOf:            ix.art.RepOf,
+		RetainedMixtures: ix.art.Mixtures,
+		ExactFrames:      frames,
+		ExactScores:      scores,
+		Info:             ix.info,
+		IngestMS:         ix.ingestMS,
 	}
 }
 
@@ -298,8 +329,9 @@ func (ix *Index) SaveFile(path string) error {
 	return nil
 }
 
-// LoadFile restores an index saved with SaveFile (or an old
-// unversioned file). Format failures are typed *IndexFormatError.
+// LoadFile restores an index saved with SaveFile, by this build or an
+// older one (format version 1, headered or not). Format failures are
+// typed *IndexFormatError.
 func LoadFile(path string) (*Index, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -308,10 +340,11 @@ func LoadFile(path string) (*Index, error) {
 	return decodeIndex(data, path)
 }
 
-// LoadIndex restores an index written by Save. Headered files are
-// checksum-verified; files from before the header existed (a bare gob
-// stream) load through the unversioned compatibility path. Malformed
-// input yields a typed *IndexFormatError — never a panic.
+// LoadIndex restores an index written by Save. Headered files, of
+// format version 1 or 2, are checksum-verified; files from before the
+// header existed (a bare gob stream) load through the unversioned
+// compatibility path. Malformed input yields a typed *IndexFormatError
+// — never a panic.
 func LoadIndex(r io.Reader) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -341,11 +374,11 @@ func decodeIndex(data []byte, path string) (*Index, error) {
 		return nil, &IndexFormatError{Path: path, Reason: "truncated index header"}
 	}
 	version := binary.LittleEndian.Uint32(data[len(indexMagic):])
-	if version != indexFormatVersion {
+	if version != 1 && version != indexFormatVersion {
 		return nil, &IndexFormatError{
 			Path:          path,
 			FormatVersion: version,
-			Reason:        fmt.Sprintf("format version %d not supported (this build reads version %d)", version, indexFormatVersion),
+			Reason:        fmt.Sprintf("format version %d not supported (this build reads versions 1 to %d)", version, indexFormatVersion),
 		}
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
@@ -355,29 +388,46 @@ func decodeIndex(data []byte, path string) (*Index, error) {
 	return decodeIndexGob(body[len(indexMagic)+4:], path, version)
 }
 
-// decodeIndexGob decodes the gob payload. Gob panics on some malformed
-// inputs; the recover turns those into the same typed error as a
-// decode failure.
+// decodeIndexGob decodes the gob payload of the given format version
+// (0 for a bare legacy gob stream, which is a version 1 payload) and
+// converts a version 1 payload's maps to the artifact's positional form.
+// Gob panics on some malformed inputs; the recover turns those into the
+// same typed error as a decode failure.
 func decodeIndexGob(data []byte, path string, formatVersion uint32) (ix *Index, err error) {
+	fail := func(reason string, err error) *IndexFormatError {
+		return &IndexFormatError{Path: path, FormatVersion: formatVersion, Reason: reason, Err: err}
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			ix, err = nil, &IndexFormatError{
-				Path:          path,
-				FormatVersion: formatVersion,
-				Reason:        fmt.Sprintf("payload decode panicked: %v", r),
-			}
+			ix, err = nil, fail(fmt.Sprintf("payload decode panicked: %v", r), nil)
 		}
 	}()
 	var c indexCodec
 	if derr := gob.NewDecoder(bytes.NewReader(data)).Decode(&c); derr != nil {
-		return nil, &IndexFormatError{Path: path, FormatVersion: formatVersion, Reason: "payload decode failed", Err: derr}
+		return nil, fail("payload decode failed", derr)
 	}
-	if c.Version != indexVersion {
-		return nil, &IndexFormatError{
-			Path:          path,
-			FormatVersion: formatVersion,
-			Reason:        fmt.Sprintf("index version %d not supported (want %d)", c.Version, indexVersion),
+	if formatVersion < indexFormatVersion {
+		var v1 indexCodecV1
+		if derr := gob.NewDecoder(bytes.NewReader(data)).Decode(&v1); derr != nil {
+			return nil, fail("payload decode failed", derr)
 		}
+		if v1.Version != 1 {
+			return nil, fail(fmt.Sprintf("index version %d not supported (want 1)", v1.Version), nil)
+		}
+		c.RetainedMixtures = make([]uncertain.Mixture, len(c.Retained))
+		for i, f := range c.Retained {
+			if _, ok := v1.Exact[f]; !ok {
+				c.RetainedMixtures[i] = v1.Mixtures[f]
+			}
+		}
+		c.ExactFrames = slices.Sorted(maps.Keys(v1.Exact))
+		c.ExactScores = make([]float64, len(c.ExactFrames))
+		for i, f := range c.ExactFrames {
+			c.ExactScores[i] = v1.Exact[f]
+		}
+	}
+	if len(c.ExactFrames) != len(c.ExactScores) {
+		return nil, fail("inconsistent index", fmt.Errorf("%d exact frames with %d scores", len(c.ExactFrames), len(c.ExactScores)))
 	}
 	art := &engine.Artifact{
 		Dataset:     c.Dataset,
@@ -385,8 +435,8 @@ func decodeIndexGob(data []byte, path string, formatVersion uint32) (ix *Index, 
 		TotalFrames: c.TotalFrames,
 		Retained:    c.Retained,
 		RepOf:       c.RepOf,
-		Exact:       c.Exact,
-		Mixtures:    c.Mixtures,
+		Exact:       make(map[int32]float64, len(c.ExactFrames)),
+		Mixtures:    c.RetainedMixtures,
 		Info: phase1.Info{
 			TotalFrames:    c.Info.TotalFrames,
 			TrainSamples:   c.Info.TrainSamples,
@@ -396,11 +446,17 @@ func decodeIndexGob(data []byte, path string, formatVersion uint32) (ix *Index, 
 			HoldoutNLL:     c.Info.HoldoutNLL,
 		},
 	}
+	for i, f := range c.ExactFrames {
+		if i > 0 && f <= c.ExactFrames[i-1] {
+			return nil, fail("inconsistent index", fmt.Errorf("exact frame %d out of order (after %d)", f, c.ExactFrames[i-1]))
+		}
+		art.Exact[f] = c.ExactScores[i]
+	}
 	// A checksum says the bytes are the ones written, not that they
 	// describe an index: queries index positional tables by frame, so an
 	// inconsistent artifact is refused here, not discovered by one.
 	if verr := art.Validate(); verr != nil {
-		return nil, &IndexFormatError{Path: path, FormatVersion: formatVersion, Reason: "inconsistent index", Err: verr}
+		return nil, fail("inconsistent index", verr)
 	}
 	return &Index{art: art, info: c.Info, ingestMS: c.IngestMS}, nil
 }

@@ -2,15 +2,21 @@ package everest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
+	"io"
 	"os"
+	"os/exec"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/everest-project/everest/internal/engine"
+	"github.com/everest-project/everest/internal/uncertain"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
 )
@@ -256,11 +262,7 @@ func TestIndexFileFormat(t *testing.T) {
 
 	t.Run("unversioned legacy file loads", func(t *testing.T) {
 		// Files from before the header existed are a bare gob stream.
-		var legacy bytes.Buffer
-		if err := gob.NewEncoder(&legacy).Encode(ix.codec()); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadIndex(&legacy)
+		loaded, err := LoadIndex(bytes.NewReader(saveV1(t, ix, false)))
 		if err != nil {
 			t.Fatalf("legacy unversioned index: %v", err)
 		}
@@ -285,20 +287,24 @@ func TestIndexFileFormat(t *testing.T) {
 // payload is not a consistent artifact is refused at load with a typed
 // error. Such a file used to load with err == nil and then answer a
 // window query over half the video, or fail (frame query) or silently
-// score a frame N(0, 0) (window query) at the first query.
+// score a frame N(0, 0) (window query) at the first query. A version 1
+// file of a consistent artifact loads, answers as the index it was
+// written from, and re-saves as the version 2 file of that index.
 func TestLoadIndexRejectsInconsistentArtifact(t *testing.T) {
 	src := testSource(t, 1200, 67)
 	udf := vision.CountUDF{Class: video.ClassCar}
-	ix, err := BuildIndex(src, udf, smallCfg(3))
+	cfg := smallCfg(3)
+	ix, err := BuildIndex(src, udf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unlabelled := ix.art.Retained[0]
+	unlabelled := slices.IndexFunc(ix.art.Mixtures, func(m uncertain.Mixture) bool { return len(m) > 0 })
+	notRetained := int32(0)
 	for _, f := range ix.art.Retained {
-		if _, ok := ix.art.Mixtures[f]; ok {
-			unlabelled = f
+		if f != notRetained {
 			break
 		}
+		notRetained++
 	}
 	cases := map[string]func(a *engine.Artifact){
 		"short RepOf":                 func(a *engine.Artifact) { a.RepOf = a.RepOf[:600] },
@@ -311,8 +317,11 @@ func TestLoadIndexRejectsInconsistentArtifact(t *testing.T) {
 				}
 			}
 		},
-		"unsorted Retained":            func(a *engine.Artifact) { a.Retained[3], a.Retained[4] = a.Retained[4], a.Retained[3] },
-		"retained frame with no score": func(a *engine.Artifact) { delete(a.Mixtures, unlabelled) },
+		"unsorted Retained":                   func(a *engine.Artifact) { a.Retained[3], a.Retained[4] = a.Retained[4], a.Retained[3] },
+		"mixtures shorter than Retained":      func(a *engine.Artifact) { a.Mixtures = a.Mixtures[:len(a.Mixtures)-1] },
+		"mixtures longer than Retained":       func(a *engine.Artifact) { a.Mixtures = append(a.Mixtures, a.Mixtures[unlabelled]) },
+		"exact label on a non-retained frame": func(a *engine.Artifact) { a.Exact[notRetained] = 1 },
+		"empty mixture on a non-exact frame":  func(a *engine.Artifact) { a.Mixtures[unlabelled] = nil },
 	}
 	for name, corrupt := range cases {
 		bad := &Index{art: ix.art.Clone(), info: ix.info, ingestMS: ix.ingestMS}
@@ -334,9 +343,211 @@ func TestLoadIndexRejectsInconsistentArtifact(t *testing.T) {
 	if err := ix.Save(&file); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadIndex(&file); err != nil {
+	if _, err := LoadIndex(bytes.NewReader(file.Bytes())); err != nil {
 		t.Fatal(err)
 	}
+
+	want, err := ix.Query(src, udf, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, header := range []bool{true, false} {
+		loaded, err := LoadIndex(bytes.NewReader(saveV1(t, ix, header)))
+		if err != nil {
+			t.Fatalf("version 1 file (header %v): %v", header, err)
+		}
+		got, err := loaded.Query(src, udf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Scores, want.Scores) {
+			t.Fatalf("version 1 file (header %v) answers %v %v, want %v %v", header, got.IDs, got.Scores, want.IDs, want.Scores)
+		}
+		var resaved bytes.Buffer
+		if err := loaded.Save(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resaved.Bytes(), file.Bytes()) {
+			t.Fatalf("version 1 file (header %v) re-saves to %d bytes unlike the index's own %d-byte version 2 file", header, resaved.Len(), file.Len())
+		}
+	}
+}
+
+// TestIndexSaveByteStable: saving an index writes the same bytes every
+// time, and loading a file and saving it again reproduces the file.
+func TestIndexSaveByteStable(t *testing.T) {
+	ix, err := BuildIndex(testSource(t, 3000, 61), vision.CountUDF{Class: video.ClassCar}, smallCfg(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/archie.evidx"
+	var first []byte
+	for i := range 5 {
+		if err := ix.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = data
+		} else if !bytes.Equal(data, first) {
+			t.Fatalf("save %d wrote different bytes from the first save", i)
+		}
+	}
+	loaded, err := LoadIndex(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := loaded.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), first) {
+		t.Fatal("a loaded index saves to different bytes from its file")
+	}
+}
+
+// tinyIndex is a valid four-frame index, built without a video.
+func tinyIndex() *Index {
+	return &Index{
+		art: &engine.Artifact{
+			Dataset: "tiny", UDFName: "count", TotalFrames: 4,
+			RepOf:    []int32{0, 0, 2, 2},
+			Retained: []int32{0, 2},
+			Exact:    map[int32]float64{0: 3},
+			Mixtures: []uncertain.Mixture{nil, {{Weight: 1, Mean: 1, Sigma: 1}}},
+		},
+		info:     Phase1Info{TotalFrames: 4, Retained: 2},
+		ingestMS: 12.5,
+	}
+}
+
+// TestIndexSaveSameBytesInAnyProcess: gob numbers the types a process
+// encodes in the order it meets them, so a process that encodes another
+// type before its first save must still write the same index bytes. The
+// test reruns its own binary as that process.
+func TestIndexSaveSameBytesInAnyProcess(t *testing.T) {
+	if path := os.Getenv("EVEREST_TEST_SAVE_TO"); path != "" {
+		if err := gob.NewEncoder(io.Discard).Encode(struct{ A map[string][]int16 }{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tinyIndex().SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	var want bytes.Buffer
+	if err := tinyIndex().Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/tiny.evidx"
+	child := exec.Command(os.Args[0], "-test.run=^TestIndexSaveSameBytesInAnyProcess$")
+	child.Env = append(os.Environ(), "EVEREST_TEST_SAVE_TO="+path)
+	if out, err := child.CombinedOutput(); err != nil {
+		t.Fatalf("child process: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("another process saved the index to different bytes")
+	}
+}
+
+// legacyIndexCodec is the whole payload of format version 1, as older
+// builds wrote it.
+type legacyIndexCodec struct {
+	Version     int
+	Dataset     string
+	UDFName     string
+	TotalFrames int
+	Retained    []int32
+	RepOf       []int32
+	Exact       map[int32]float64
+	Mixtures    map[int32]uncertain.Mixture
+	Info        Phase1Info
+	IngestMS    float64
+}
+
+// saveV1 returns ix as a version 1 file: headered and checksummed, or
+// (header false) the bare gob stream written before the header existed.
+func saveV1(t testing.TB, ix *Index, header bool) []byte {
+	t.Helper()
+	c := legacyIndexCodec{
+		Version:     1,
+		Dataset:     ix.art.Dataset,
+		UDFName:     ix.art.UDFName,
+		TotalFrames: ix.art.TotalFrames,
+		Retained:    ix.art.Retained,
+		RepOf:       ix.art.RepOf,
+		Exact:       ix.art.Exact,
+		Mixtures:    map[int32]uncertain.Mixture{},
+		Info:        ix.info,
+		IngestMS:    ix.ingestMS,
+	}
+	for i, f := range ix.art.Retained {
+		if len(ix.art.Mixtures[i]) > 0 {
+			c.Mixtures[f] = ix.art.Mixtures[i]
+		}
+	}
+	var buf bytes.Buffer
+	if header {
+		buf.Write(indexMagic[:])
+		buf.Write(binary.LittleEndian.AppendUint32(nil, 1))
+	}
+	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+		t.Fatal(err)
+	}
+	if header {
+		buf.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(buf.Bytes())))
+	}
+	return buf.Bytes()
+}
+
+// FuzzLoadIndex: whatever the bytes, LoadIndex never panics and fails
+// only with an *IndexFormatError; an index it accepts is valid, and
+// saves to a file that loads again and saves to the same bytes.
+func FuzzLoadIndex(f *testing.F) {
+	ix := tinyIndex()
+	var v2 bytes.Buffer
+	if err := ix.Save(&v2); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
+	f.Add(saveV1(f, ix, true))
+	f.Add(saveV1(f, ix, false))
+	f.Add([]byte("not an index"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ix, err := LoadIndex(bytes.NewReader(data))
+		if err != nil {
+			var ferr *IndexFormatError
+			if !errors.As(err, &ferr) {
+				t.Fatalf("LoadIndex error %v, want *IndexFormatError", err)
+			}
+			return
+		}
+		if err := ix.art.Validate(); err != nil {
+			t.Fatalf("accepted an invalid index: %v", err)
+		}
+		var saved bytes.Buffer
+		if err := ix.Save(&saved); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadIndex(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatalf("a re-saved index does not load: %v", err)
+		}
+		var resaved bytes.Buffer
+		if err := again.Save(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
+			t.Fatal("a re-saved index saves to different bytes once loaded")
+		}
+	})
 }
 
 // truthCount is the car count read from the video's event timeline

@@ -22,9 +22,11 @@ import (
 //	then one byte per remaining input, round-robin:
 //	  0 mod 3 → append value to Retained (int(b) - 4)
 //	  1 mod 3 → Exact[int(b)-4] = 1
-//	  2 mod 3 → Mixtures[int(b)-4] = a one-component mixture
+//	  2 mod 3 → append to Mixtures a one-component mixture, or an
+//	            empty one when b is odd (so Mixtures may be shorter or
+//	            longer than Retained, or empty where a score is due)
 func artifactFromBytes(data []byte) *Artifact {
-	a := &Artifact{Exact: map[int32]float64{}, Mixtures: map[int32]uncertain.Mixture{}}
+	a := &Artifact{Exact: map[int32]float64{}}
 	if len(data) == 0 {
 		return a
 	}
@@ -51,7 +53,11 @@ func artifactFromBytes(data []byte) *Artifact {
 		case 1:
 			a.Exact[f] = 1
 		case 2:
-			a.Mixtures[f] = uncertain.Mixture{{Weight: 1, Mean: float64(f), Sigma: 1}}
+			var mix uncertain.Mixture
+			if b%2 == 0 {
+				mix = uncertain.Mixture{{Weight: 1, Mean: float64(f), Sigma: 1}}
+			}
+			a.Mixtures = append(a.Mixtures, mix)
 		}
 	}
 	return a
@@ -64,7 +70,7 @@ func fuzzBase() *Artifact {
 		RepOf:    []int32{0, 0, 2, 2},
 		Retained: []int32{0, 2},
 		Exact:    map[int32]float64{0: 3},
-		Mixtures: map[int32]uncertain.Mixture{2: {{Weight: 1, Mean: 1, Sigma: 1}}},
+		Mixtures: []uncertain.Mixture{nil, {{Weight: 1, Mean: 1, Sigma: 1}}},
 	}
 }
 
@@ -128,7 +134,7 @@ func TestAppendRejectsScorelessTail(t *testing.T) {
 		RepOf:       []int32{0},
 		Retained:    []int32{0},
 		Exact:       map[int32]float64{},
-		Mixtures:    map[int32]uncertain.Mixture{},
+		Mixtures:    []uncertain.Mixture{nil},
 	}
 	err := base.Append(tail, base.TotalFrames)
 	if want := tail.Validate(); want == nil || err == nil || !strings.Contains(err.Error(), want.Error()) {
@@ -207,9 +213,9 @@ func FuzzMemoExtend(f *testing.F) {
 			}
 			tail := randomArtifactClips(r, 1+int(steps[0])%60, 1+int(steps[1])%12)
 			if steps[1]%5 == 4 {
-				for _, f := range tail.Retained {
+				for i, f := range tail.Retained {
 					if _, ok := tail.Exact[f]; !ok {
-						delete(tail.Mixtures, f)
+						tail.Mixtures[i] = nil
 						break
 					}
 				}

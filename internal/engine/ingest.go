@@ -32,10 +32,12 @@ type Artifact struct {
 	// representative.
 	Retained []int32
 	RepOf    []int32
-	// Exact holds Phase 1 oracle labels; Mixtures the proxy's score
-	// mixtures for the remaining retained frames.
+	// Exact holds Phase 1 oracle labels, each on a retained frame;
+	// Mixtures, parallel to Retained, the proxy's score mixture of each
+	// retained frame, empty at exact ones. Index format 2 saves both as
+	// slices, byte-stably; format 1's maps by frame still load.
 	Exact    map[int32]float64
-	Mixtures map[int32]uncertain.Mixture
+	Mixtures []uncertain.Mixture
 	// Info is the Phase 1 statistics summary.
 	Info phase1.Info
 
@@ -58,9 +60,9 @@ type Artifact struct {
 // Clone returns a deep copy of the artifact's data with an empty memo:
 // what tests and callers that used to copy the struct by value want.
 func (a *Artifact) Clone() *Artifact {
-	mixtures := maps.Clone(a.Mixtures)
-	for f, m := range mixtures {
-		mixtures[f] = slices.Clone(m)
+	mixtures := slices.Clone(a.Mixtures)
+	for i, m := range mixtures {
+		mixtures[i] = slices.Clone(m)
 	}
 	return &Artifact{
 		Dataset:     a.Dataset,
@@ -103,19 +105,20 @@ func Capture(st *phase1.State, udf vision.UDF, cost simclock.CostModel, clock *s
 		UDFName:     udf.Name(),
 		TotalFrames: st.Src.NumFrames(),
 		RepOf:       append([]int32(nil), st.Diff.RepOf...),
+		Retained:    make([]int32, len(st.Diff.Retained)),
 		Exact:       make(map[int32]float64),
-		Mixtures:    make(map[int32]uncertain.Mixture),
+		Mixtures:    make([]uncertain.Mixture, len(st.Diff.Retained)),
 		Info:        st.Info,
 	}
-	for _, f := range st.Diff.Retained {
-		a.Retained = append(a.Retained, int32(f))
+	// mixes serves the unlabelled retained frames in retained order.
+	inferIDs, mixes := st.InferRetainedMixtures()
+	for i, f := range st.Diff.Retained {
+		a.Retained[i] = int32(f)
 		if s, ok := st.Labeled[f]; ok {
 			a.Exact[int32(f)] = s
+		} else {
+			a.Mixtures[i], mixes = mixes[0], mixes[1:]
 		}
-	}
-	inferIDs, mixes := st.InferRetainedMixtures()
-	for k, f := range inferIDs {
-		a.Mixtures[int32(f)] = mixes[k]
 	}
 	clock.Charge(simclock.PhasePopulateD0, float64(len(inferIDs))*cost.ProxyMS)
 	return a
@@ -162,11 +165,10 @@ func (a *Artifact) Append(tail *Artifact, lo int) error {
 	for i, f := range tail.Retained {
 		a.Retained[retained+i] = int32(lo) + f
 	}
+	a.Mixtures = growTo(a.Mixtures, retained+len(tail.Mixtures))
+	copy(a.Mixtures[retained:], tail.Mixtures)
 	for f, s := range tail.Exact {
 		a.Exact[int32(lo)+f] = s
-	}
-	for f, m := range tail.Mixtures {
-		a.Mixtures[int32(lo)+f] = m
 	}
 	a.TotalFrames = lo + tail.TotalFrames
 	a.Info.TotalFrames = a.TotalFrames
@@ -180,10 +182,10 @@ func (a *Artifact) Append(tail *Artifact, lo int) error {
 // outside the process — a loaded index file, an appended tail — must
 // pass before any query indexes into it: RepOf covers every frame and
 // maps it to a frame that represents itself, Retained is strictly
-// ascending and in range, every labelled or mixture-scored frame is a
-// real frame, and every retained frame has a Phase 1 label or a
-// mixture (the relation builders' error, if a later mutation breaks
-// that).
+// ascending and in range, Mixtures is parallel to Retained, every
+// labelled frame is retained, and every retained frame has a Phase 1
+// label or a non-empty mixture (the relation builders' error, if a
+// later mutation breaks that).
 func (a *Artifact) Validate() error {
 	n := a.TotalFrames
 	if n < 0 {
@@ -211,21 +213,16 @@ func (a *Artifact) Validate() error {
 		}
 		prev = f
 	}
+	if len(a.Mixtures) != len(a.Retained) {
+		return fmt.Errorf("%d mixtures for %d retained frames", len(a.Mixtures), len(a.Retained))
+	}
 	for f := range a.Exact {
-		if f < 0 || int(f) >= n {
-			return fmt.Errorf("exact label for out-of-range frame %d", f)
+		if _, ok := slices.BinarySearch(a.Retained, f); !ok {
+			return fmt.Errorf("exact label for frame %d, which is not retained", f)
 		}
 	}
-	for f := range a.Mixtures {
-		if f < 0 || int(f) >= n {
-			return fmt.Errorf("mixture for out-of-range frame %d", f)
-		}
-	}
-	for _, f := range a.Retained {
-		if _, ok := a.Exact[f]; ok {
-			continue
-		}
-		if _, ok := a.Mixtures[f]; !ok {
+	for i, f := range a.Retained {
+		if _, ok := a.Exact[f]; !ok && len(a.Mixtures[i]) == 0 {
 			return missingScore(f)
 		}
 	}

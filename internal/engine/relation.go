@@ -200,10 +200,10 @@ func (a *Artifact) frameScores() ([]windows.FrameScore, error) {
 	scores := growTo(a.scores, a.TotalFrames)
 	// Retained is ascending, so the frames not yet covered are a suffix.
 	tail := sort.Search(len(a.Retained), func(i int) bool { return int(a.Retained[i]) >= done })
-	for _, f := range a.Retained[tail:] {
+	for i, f := range a.Retained[tail:] {
 		if s, ok := a.Exact[f]; ok {
 			scores[f] = windows.FrameScore{IsExact: true, Exact: s}
-		} else if mix, ok := a.Mixtures[f]; ok {
+		} else if mix := a.Mixtures[tail+i]; len(mix) > 0 {
 			scores[f] = windows.FrameScore{Mix: mix}
 		} else {
 			return nil, missingScore(f)

@@ -24,11 +24,11 @@ import (
 )
 
 // referenceFrameRelation is the builder the memoized FrameRelation
-// replaced, kept verbatim as the tests' reference: it derives every
-// tuple from the artifact's maps on every call.
+// replaced, kept as the tests' reference: it derives every tuple from
+// the artifact's labels and mixtures on every call.
 func referenceFrameRelation(a *Artifact, qopt uncertain.QuantizeOptions, labels *labelstore.Overlay) (uncertain.Relation, error) {
 	rel := make(uncertain.Relation, 0, len(a.Retained))
-	for _, f := range a.Retained {
+	for i, f := range a.Retained {
 		if s, ok := a.Exact[f]; ok {
 			lvl := phase1.ClampLevel(uncertain.LevelOf(s, qopt.Step), qopt)
 			rel = append(rel, uncertain.XTuple{ID: int(f), Dist: uncertain.Certain(lvl)})
@@ -39,8 +39,8 @@ func referenceFrameRelation(a *Artifact, qopt uncertain.QuantizeOptions, labels 
 			rel = append(rel, uncertain.XTuple{ID: int(f), Dist: uncertain.Certain(lvl)})
 			continue
 		}
-		mix, ok := a.Mixtures[f]
-		if !ok {
+		mix := a.Mixtures[i]
+		if len(mix) == 0 {
 			return nil, fmt.Errorf("everest: index missing mixture for frame %d", f)
 		}
 		d, err := uncertain.Quantize(mix, qopt)
@@ -66,7 +66,10 @@ func referenceWindowRelation(a *Artifact, w WindowSpec, qopt uncertain.QuantizeO
 		if s, ok := labels.Get(rep); ok {
 			return windows.FrameScore{IsExact: true, Exact: s}
 		}
-		return windows.FrameScore{Mix: a.Mixtures[int32(rep)]}
+		if i, ok := slices.BinarySearch(a.Retained, int32(rep)); ok {
+			return windows.FrameScore{Mix: a.Mixtures[i]}
+		}
+		return windows.FrameScore{}
 	}, diff, windows.Options{Size: w.Size, Stride: w.Stride, Step: qopt.Step, MaxLevel: maxLevel, Procs: 1})
 }
 
@@ -82,9 +85,8 @@ func randomArtifact(r *xrand.RNG, n int) *Artifact { return randomArtifactClips(
 func randomArtifactClips(r *xrand.RNG, n, clip int) *Artifact {
 	a := &Artifact{
 		Dataset: "random", UDFName: "count", TotalFrames: n,
-		RepOf:    make([]int32, n),
-		Exact:    map[int32]float64{},
-		Mixtures: map[int32]uncertain.Mixture{},
+		RepOf: make([]int32, n),
+		Exact: map[int32]float64{},
 	}
 	for lo := 0; lo < n; lo += clip {
 		hi := min(lo+clip, n)
@@ -98,7 +100,8 @@ func randomArtifactClips(r *xrand.RNG, n, clip int) *Artifact {
 			}
 		}
 	}
-	for _, f := range a.Retained {
+	a.Mixtures = make([]uncertain.Mixture, len(a.Retained))
+	for i, f := range a.Retained {
 		if r.Intn(4) == 0 {
 			a.Exact[f] = float64(r.Intn(12))
 			continue
@@ -111,7 +114,7 @@ func randomArtifactClips(r *xrand.RNG, n, clip int) *Artifact {
 				Sigma:  0.05 + r.Float64()*2,
 			}
 		}
-		a.Mixtures[f] = mix
+		a.Mixtures[i] = mix
 	}
 	return a
 }
@@ -568,13 +571,13 @@ func TestPositionFrom(t *testing.T) {
 func TestWindowRelationMissingMixtureIsAnError(t *testing.T) {
 	a := randomArtifact(xrand.New(23).Split("relation-test"), 120)
 	var victim int32 = -1
-	for _, f := range a.Retained {
-		if _, ok := a.Mixtures[f]; ok {
+	for i, f := range a.Retained {
+		if len(a.Mixtures[i]) > 0 {
 			victim = f
+			a.Mixtures[i] = nil
 			break
 		}
 	}
-	delete(a.Mixtures, victim)
 	qopt := uncertain.DefaultCountingOptions()
 	_, ferr := a.FrameRelation(qopt, nil)
 	_, werr := a.WindowRelation(testWindows[0], qopt, nil, 1, nil)

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -267,7 +268,8 @@ func TestWindowMemoFailedWindowErrorParity(t *testing.T) {
 	reps := unlabelledReps(a)
 	bad := []int{reps[len(reps)/4], reps[3*len(reps)/4]}
 	for _, f := range bad {
-		a.Mixtures[int32(f)] = uncertain.Mixture{{Weight: 1, Mean: 2, Sigma: math.NaN()}}
+		i, _ := slices.BinarySearch(a.Retained, int32(f))
+		a.Mixtures[i] = uncertain.Mixture{{Weight: 1, Mean: 2, Sigma: math.NaN()}}
 	}
 	udf := tableUDF{uncertain.DefaultCountingOptions()}
 	var first, both labelstore.Map

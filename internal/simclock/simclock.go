@@ -27,7 +27,8 @@ import (
 // Phase identifies a stage of query execution for the Table 8 breakdown.
 type Phase string
 
-// Phases used by the Everest pipeline. Baselines use their own phases.
+// Phases the Everest pipeline charges (the baselines charge the same
+// ones).
 const (
 	PhaseLabelSamples Phase = "phase1/label-samples-by-oracle"
 	PhaseTrainCMDN    Phase = "phase1/train-cmdn"
@@ -39,9 +40,7 @@ const (
 	// PhaseRetryBackoff accounts the simulated waits the retry layer
 	// inserts between oracle dispatch attempts after transient failures.
 	// Zero on the golden path — it appears only when faults fire.
-	PhaseRetryBackoff  Phase = "phase2/retry-backoff"
-	PhaseBaselineScan  Phase = "baseline/scan"
-	PhaseBaselineTrain Phase = "baseline/train"
+	PhaseRetryBackoff Phase = "phase2/retry-backoff"
 )
 
 // CostModel holds per-operation simulated costs in milliseconds.
