@@ -104,15 +104,17 @@ bench-diff:
 # is Phase 2's start — preparing D0, starting a run with and without an
 # overlay, and a frame and a window query's Execute, uncached and under
 # an overlay; the next is the frame-level kernels — a Fit at 5 and
-# 35 epochs, one grid point, one decoded frame (0 allocs) and one
-# counting-oracle call over 32 frames (1 alloc: its output); the last is
+# 35 epochs, one grid point, one proxy prediction from a decoded frame
+# (features, then the model's Predict: what every retained frame pays at
+# ingest), one decoded frame (0 allocs) and one counting-oracle call over
+# 32 frames (1 alloc: its output); the last is
 # the label cache's write path — a capped, durable publish plus its
 # eviction — and a recovery from a checkpoint and a WAL tail.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SessionConcurrent|SessionSharedCache|SessionCoalesced|OracleMux|StreamingIngest|FollowDeltas|SegmentClose|EQLScript' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BindScript|ExecWarm' -benchtime 1x -benchmem ./internal/eql
 	$(GO) test -run '^$$' -bench 'Prepare|Start|Execute' -benchtime 1x -benchmem ./internal/core ./internal/engine
-	$(GO) test -run '^$$' -bench 'Fit$$|TrainGridPoint|Render$$|CountUDFScore' -benchtime 1x -benchmem ./internal/nn ./internal/cmdn ./internal/video ./internal/vision
+	$(GO) test -run '^$$' -bench 'Fit$$|TrainGridPoint|ProxyPredict|Render$$|CountUDFScore' -benchtime 1x -benchmem ./internal/nn ./internal/cmdn ./internal/video ./internal/vision
 	$(GO) test -run '^$$' -bench 'Publish|Recover' -benchtime 1x -benchmem ./internal/labelstore ./internal/durable
 
 # Live-camera smoke run: replay a bounded feed through the streaming

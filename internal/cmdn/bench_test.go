@@ -17,8 +17,8 @@ func BenchmarkExtractFeatures(b *testing.B) {
 
 func BenchmarkProxyPredict(b *testing.B) {
 	src := trafficSource(b, 2000)
-	train := makeSamples(src, ArchPooled, sampleEvery(2000, 7))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(2000, 13, 3))
+	train := makeSamples(src, sampleEvery(2000, 7))
+	holdout := makeSamples(src, offsetEvery(2000, 13, 3))
 	proxy, _, err := Train(train, holdout, Config{Grid: []Hyper{{G: 8, H: 30}}, Epochs: 5, Seed: 1}, nil, simclock.Default())
 	if err != nil {
 		b.Fatal(err)
@@ -32,8 +32,8 @@ func BenchmarkProxyPredict(b *testing.B) {
 
 func BenchmarkTrainGridPoint(b *testing.B) {
 	src := trafficSource(b, 2000)
-	train := makeSamples(src, ArchPooled, sampleEvery(2000, 7))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(2000, 13, 3))
+	train := makeSamples(src, sampleEvery(2000, 7))
+	holdout := makeSamples(src, offsetEvery(2000, 13, 3))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

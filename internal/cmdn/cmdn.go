@@ -1,23 +1,18 @@
-// Package cmdn implements Everest's proxy scorer (§3.2): a convolutional
-// mixture density network trained per query on oracle-labelled sample
-// frames, selected over a hyperparameter grid by holdout negative
-// log-likelihood, and applied to every retained frame to produce the score
-// distributions of the initial uncertain relation D0.
+// Package cmdn implements Everest's proxy scorer (§3.2): a mixture
+// density network trained per query on oracle-labelled sample frames,
+// selected over a hyperparameter grid by holdout negative log-likelihood,
+// and applied to every retained frame to produce the score distributions
+// of the initial uncertain relation D0.
 //
 // The paper's CMDN is five 3×3 conv + 2×2 max-pool stages over 128×128
-// inputs (Fig. 2) in PyTorch on a GPU. This reproduction offers two
-// backbones:
-//
-//   - ArchConv: the same conv/pool/MDN architecture scaled to the
-//     simulator's 32×32 frames (three stages, filter counts divided by 4) —
-//     faithful in structure, expensive on one CPU core;
-//   - ArchPooled: a fixed average-pooling feature pyramid feeding the same
-//     MDN head — the default, two orders of magnitude faster with
-//     equivalent proxy quality on the synthetic renderer.
-//
-// Either way the training pipeline — sample, label with the oracle, train
-// the g×h grid, pick by holdout NLL — is exactly the paper's, and the
-// simulated training cost charged to the clock is the same.
+// inputs (Fig. 2) in PyTorch on a GPU. Those conv stages are not
+// reproduced. The backbone here is a fixed average-pooling feature pyramid
+// (ExtractFeatures) feeding one trained dense ReLU layer and the MDN head
+// (nn.NewModel) — two orders of magnitude cheaper on one CPU core, and
+// enough for the synthetic renderer's frames. The training pipeline —
+// sample, label with the oracle, train the g×h grid, pick by holdout NLL —
+// is exactly the paper's, and so is the simulated training cost charged to
+// the clock.
 package cmdn
 
 import (
@@ -34,15 +29,12 @@ import (
 	"github.com/everest-project/everest/internal/xrand"
 )
 
-// Arch selects the feature backbone.
+// Arch names the feature backbone. ArchPooled, the fixed average-pooling
+// pyramid, is the only one; Train rejects any other value.
 type Arch int
 
-const (
-	// ArchPooled uses a fixed average-pooling pyramid (default).
-	ArchPooled Arch = iota
-	// ArchConv uses trained conv/pool stages per the paper's Fig. 2.
-	ArchConv
-)
+// ArchPooled is the average-pooling feature pyramid of ExtractFeatures.
+const ArchPooled Arch = 0
 
 // learningRate is the Adam step size of a cold grid train.
 const learningRate = 5e-3
@@ -67,7 +59,7 @@ func PaperGrid() []Hyper {
 
 // Config controls proxy training.
 type Config struct {
-	// Arch selects the backbone; default ArchPooled.
+	// Arch names the backbone; it must be ArchPooled (the zero value).
 	Arch Arch
 	// Grid is the hyperparameter grid; nil means PaperGrid().
 	Grid []Hyper
@@ -75,8 +67,8 @@ type Config struct {
 	Epochs int
 	// Seed drives initialization and shuffling.
 	Seed uint64
-	// FrameW, FrameH are the source resolution (needed by ArchConv and
-	// feature extraction).
+	// FrameW, FrameH are the source resolution, which fixes the feature
+	// width (FeatureSize); zero means 64.
 	FrameW, FrameH int
 	// Procs bounds the worker count for grid training, holdout NLL
 	// evaluation and calibration; ≤ 0 means GOMAXPROCS. Results are
@@ -104,7 +96,7 @@ func (c Config) withDefaults() Config {
 type Sample struct {
 	// Frame is the frame index (kept for bookkeeping).
 	Frame int
-	// X is the extracted feature vector (or raw pixels for ArchConv).
+	// X is the frame's feature vector (ExtractFeatures).
 	X []float64
 	// Y is the oracle score.
 	Y float64
@@ -115,12 +107,10 @@ type Sample struct {
 // use; CloneForInference returns weight-sharing clones for parallel
 // inference sweeps.
 type Proxy struct {
-	model        *nn.Model
-	arch         Arch
-	hyper        Hyper
-	yMean, yStd  float64
-	holdoutNLL   float64
-	featW, featH int
+	model       *nn.Model
+	hyper       Hyper
+	yMean, yStd float64
+	holdoutNLL  float64
 	// calib is a post-hoc variance calibration factor: the holdout RMS of
 	// standardized residuals. When the network's σ underestimates its own
 	// error, every predicted σ is inflated by calib, so Phase 2's p̂ stays
@@ -156,7 +146,7 @@ type CandidateReport struct {
 	HoldoutNLL float64
 }
 
-// ExtractFeatures computes the ArchPooled feature vector of a frame: an
+// ExtractFeatures computes the proxy's feature vector of a frame: an
 // 8×8 average-pool grid plus row and column means, centred around the
 // frame mean. The pyramid preserves spatial occupancy — the signal that
 // correlates with object counts and apparent object size.
@@ -164,7 +154,7 @@ func ExtractFeatures(f video.Frame) []float64 {
 	return AppendFeatures(make([]float64, 0, FeatureSize(f.W, f.H)), f)
 }
 
-// AppendFeatures appends the ArchPooled feature vector of f to dst and
+// AppendFeatures appends the feature vector of f to dst and
 // returns the extended slice — the allocation-free form of
 // ExtractFeatures for hot loops that reuse a scratch buffer.
 //
@@ -246,76 +236,29 @@ func AppendFeatures(dst []float64, f video.Frame) []float64 {
 	return feats
 }
 
-// FeatureSize returns the ArchPooled feature length for a resolution:
+// FeatureSize returns the feature length for a resolution:
 // 64 cells, one per 4-row band and per 4-column band (a partial band at
 // the edge counts), and the mean.
 func FeatureSize(w, h int) int { return 64 + (h+3)/4 + (w+3)/4 + 1 }
 
-// InputFor prepares a frame for the given architecture: extracted features
-// for ArchPooled, raw pixels for ArchConv. The result is freshly
-// allocated at exact size and safe to retain.
-func InputFor(arch Arch, f video.Frame) []float64 {
-	if arch == ArchConv {
-		x := make([]float64, len(f.Pix))
-		copy(x, f.Pix)
-		return x
-	}
-	return ExtractFeatures(f)
-}
-
-// AppendInput appends the architecture's prepared input for f to dst and
-// returns the extended slice — the allocation-free form of InputFor.
-func AppendInput(dst []float64, arch Arch, f video.Frame) []float64 {
-	if arch == ArchConv {
-		return append(dst, f.Pix...)
-	}
-	return AppendFeatures(dst, f)
-}
-
-func buildModel(cfg Config, hy Hyper, r *xrand.RNG) (*nn.Model, error) {
-	switch cfg.Arch {
-	case ArchPooled:
-		if cfg.FrameW < 8 || cfg.FrameH < 8 {
-			return nil, fmt.Errorf("cmdn: ArchPooled needs at least 8x8 pixels for its 8x8 grid, got %dx%d", cfg.FrameW, cfg.FrameH)
+// checkWidth returns an error naming the first sample whose feature
+// vector is not in values long.
+func checkWidth(what string, samples []Sample, in int) error {
+	for i, s := range samples {
+		if len(s.X) != in {
+			return fmt.Errorf("cmdn: %s sample %d has %d features, the model takes %d", what, i, len(s.X), in)
 		}
-		in := FeatureSize(cfg.FrameW, cfg.FrameH)
-		backbone := nn.NewSequential(
-			nn.NewDense(in, hy.H, r),
-			nn.NewReLU(hy.H),
-		)
-		return &nn.Model{Backbone: backbone, Head: nn.NewMDN(hy.H, hy.G, r)}, nil
-	case ArchConv:
-		w, h := cfg.FrameW, cfg.FrameH
-		if w%8 != 0 || h%8 != 0 {
-			return nil, fmt.Errorf("cmdn: ArchConv needs dimensions divisible by 8, got %dx%d", w, h)
-		}
-		// The paper's stage i has 2^(i+3) filters at 128×128; scaled to the
-		// simulator's resolution we keep three stages at one quarter the
-		// filter count.
-		backbone := nn.NewSequential(
-			nn.NewConv2D(1, h, w, 4, r),
-			nn.NewReLU(4*h*w),
-			nn.NewMaxPool2D(4, h, w),
-			nn.NewConv2D(4, h/2, w/2, 8, r),
-			nn.NewReLU(8*h/2*w/2),
-			nn.NewMaxPool2D(8, h/2, w/2),
-			nn.NewConv2D(8, h/4, w/4, 16, r),
-			nn.NewReLU(16*h/4*w/4),
-			nn.NewMaxPool2D(16, h/4, w/4),
-			nn.NewDense(16*h/8*w/8, hy.H, r),
-			nn.NewReLU(hy.H),
-		)
-		return &nn.Model{Backbone: backbone, Head: nn.NewMDN(hy.H, hy.G, r)}, nil
-	default:
-		return nil, fmt.Errorf("cmdn: unknown architecture %d", cfg.Arch)
 	}
+	return nil
 }
 
 // Train fits one model per grid point on the training samples, evaluates
 // each on the holdout set, and returns the model with the smallest holdout
-// NLL (§3.2). Training cost is charged to PhaseTrainCMDN. The proxy, the
-// reports and the charge are bit-identical for every Procs and do not
-// depend on which worker trains which point or in what order.
+// NLL (§3.2). Every sample's feature vector must be
+// FeatureSize(cfg.FrameW, cfg.FrameH) long; another width is an error.
+// Training cost is charged to PhaseTrainCMDN. The proxy, the reports and
+// the charge are bit-identical for every Procs and do not depend on which
+// worker trains which point or in what order.
 func Train(train, holdout []Sample, cfg Config, clock *simclock.Clock, cost simclock.CostModel) (*Proxy, []CandidateReport, error) {
 	cfg = cfg.withDefaults()
 	if len(train) == 0 {
@@ -323,6 +266,16 @@ func Train(train, holdout []Sample, cfg Config, clock *simclock.Clock, cost simc
 	}
 	if len(holdout) == 0 {
 		return nil, nil, fmt.Errorf("cmdn: no holdout samples")
+	}
+	if cfg.Arch != ArchPooled {
+		return nil, nil, fmt.Errorf("cmdn: unknown architecture %d", cfg.Arch)
+	}
+	if cfg.FrameW < 8 || cfg.FrameH < 8 {
+		return nil, nil, fmt.Errorf("cmdn: the feature pyramid needs at least 8x8 pixels for its 8x8 grid, got %dx%d", cfg.FrameW, cfg.FrameH)
+	}
+	in := FeatureSize(cfg.FrameW, cfg.FrameH)
+	if err := checkWidth("holdout", holdout, in); err != nil {
+		return nil, nil, err
 	}
 
 	// Normalize targets; the MDN trains in standardized space.
@@ -365,11 +318,8 @@ func Train(train, holdout []Sample, cfg Config, clock *simclock.Clock, cost simc
 	weight := make([]int, len(cfg.Grid))
 	for gi, hyp := range cfg.Grid {
 		r := root.SplitIndex(uint64(gi))
-		model, err := buildModel(cfg, hyp, r)
-		if err != nil {
-			return nil, nil, err
-		}
-		models[gi], fitSeeds[gi], weight[gi] = model, r.Uint64(), model.NumParams()
+		models[gi] = nn.NewModel(in, hyp.H, hyp.G, r)
+		fitSeeds[gi], weight[gi] = r.Uint64(), models[gi].NumParams()
 	}
 
 	// Longest processing time first: a fit's cost is proportional to its
@@ -405,11 +355,7 @@ func Train(train, holdout []Sample, cfg Config, clock *simclock.Clock, cost simc
 	for gi, hyp := range cfg.Grid {
 		reports = append(reports, CandidateReport{Hyper: hyp, HoldoutNLL: nlls[gi]})
 		if best == nil || nlls[gi] < best.holdoutNLL {
-			best = &Proxy{
-				model: models[gi], arch: cfg.Arch, hyper: hyp,
-				yMean: mean, yStd: std, holdoutNLL: nlls[gi],
-				featW: cfg.FrameW, featH: cfg.FrameH,
-			}
+			best = &Proxy{model: models[gi], hyper: hyp, yMean: mean, yStd: std, holdoutNLL: nlls[gi]}
 		}
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].HoldoutNLL < reports[j].HoldoutNLL })
@@ -438,8 +384,7 @@ func holdoutNLLs(models []*nn.Model, hx [][]float64, hy []float64, procs int) []
 			m = models[gi].CloneForInference()
 			clones[gi] = m
 		}
-		m.Predict(hx[i])
-		return m.Head.NLL(hy[i])
+		return m.NLL(hx[i], hy[i])
 	})
 	nlls := make([]float64, nModels)
 	for gi := 0; gi < nModels; gi++ {
@@ -489,7 +434,7 @@ func (p *Proxy) calibrate(hx [][]float64, hy []float64, procs int) {
 const pruneWeight = 0.02
 
 // Predict returns the de-standardized, calibration-inflated score mixture
-// for a prepared input, with vestigial components pruned and the remaining
+// for a feature vector, with vestigial components pruned and the remaining
 // weights renormalized.
 func (p *Proxy) Predict(x []float64) uncertain.Mixture {
 	mix := p.model.Predict(x)
@@ -531,9 +476,9 @@ func (p *Proxy) Predict(x []float64) uncertain.Mixture {
 	return out
 }
 
-// PredictFrame renders nothing; it prepares the given decoded frame for
-// the proxy's architecture (into proxy-owned scratch) and predicts.
+// PredictFrame renders nothing; it extracts the given decoded frame's
+// features (into proxy-owned scratch) and predicts.
 func (p *Proxy) PredictFrame(f video.Frame) uncertain.Mixture {
-	p.featBuf = AppendInput(p.featBuf[:0], p.arch, f)
+	p.featBuf = AppendFeatures(p.featBuf[:0], f)
 	return p.Predict(p.featBuf)
 }

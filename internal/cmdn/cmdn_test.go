@@ -2,6 +2,7 @@ package cmdn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/everest-project/everest/internal/simclock"
@@ -20,12 +21,12 @@ func trafficSource(t testing.TB, frames int) *video.Synthetic {
 	return s
 }
 
-func makeSamples(src *video.Synthetic, arch Arch, idxs []int) []Sample {
+func makeSamples(src *video.Synthetic, idxs []int) []Sample {
 	out := make([]Sample, len(idxs))
 	for k, i := range idxs {
 		out[k] = Sample{
 			Frame: i,
-			X:     InputFor(arch, src.Render(i)),
+			X:     ExtractFeatures(src.Render(i)),
 			Y:     float64(src.TrueCountFast(i)),
 		}
 	}
@@ -90,13 +91,50 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsAnotherFeatureWidth: samples whose feature vectors are
+// not FeatureSize(FrameW, FrameH) long are an error from Train, whether
+// they are the training rows (64×64 features for a 32×32 model: a
+// training worker used to panic on them) or only the holdout rows.
+func TestTrainRejectsAnotherFeatureWidth(t *testing.T) {
+	src := trafficSource(t, 300)
+	train := makeSamples(src, sampleEvery(300, 9))
+	holdout := makeSamples(src, offsetEvery(300, 21, 4))
+	if w, h := src.Resolution(); w != 64 || h != 64 || len(train[0].X) != 97 {
+		t.Fatalf("fixture is %dx%d with %d features, want 64x64 with 97", w, h, len(train[0].X))
+	}
+	cfg := Config{Grid: []Hyper{{G: 5, H: 20}, {G: 8, H: 30}}, Epochs: 1, Seed: 3, Procs: 2}
+
+	small := cfg
+	small.FrameW, small.FrameH = 32, 32
+	_, _, err := Train(train, holdout, small, nil, simclock.Default())
+	if err == nil || !strings.Contains(err.Error(), "has 97 features, the model takes 81") {
+		t.Fatalf("64x64 samples for a 32x32 model: error %v", err)
+	}
+	// Holdout rows of the model's width leave the training rows to Fit.
+	narrow := make([]Sample, len(holdout))
+	for i, s := range holdout {
+		narrow[i] = Sample{Frame: s.Frame, X: s.X[:81], Y: s.Y}
+	}
+	_, _, err = Train(train, narrow, small, nil, simclock.Default())
+	if err == nil || !strings.Contains(err.Error(), "input 0 has 97 values, the model takes 81") {
+		t.Fatalf("64x64 training rows for a 32x32 model: error %v", err)
+	}
+
+	wide := append([]Sample(nil), holdout...)
+	wide[2] = Sample{Frame: wide[2].Frame, X: append(append([]float64(nil), wide[2].X...), wide[2].X...), Y: wide[2].Y}
+	_, _, err = Train(train, wide, cfg, nil, simclock.Default())
+	if err == nil || !strings.Contains(err.Error(), "holdout sample 2 has 194 features, the model takes 97") {
+		t.Fatalf("a holdout row twice the width: error %v", err)
+	}
+}
+
 func TestTrainedProxyBeatsPrior(t *testing.T) {
 	// The selected proxy's holdout NLL must beat a data-independent
 	// Gaussian prior fit to the target moments — i.e., the CMDN learned
 	// something from pixels.
 	src := trafficSource(t, 6000)
-	train := makeSamples(src, ArchPooled, sampleEvery(6000, 7))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(6000, 13, 3))
+	train := makeSamples(src, sampleEvery(6000, 7))
+	holdout := makeSamples(src, offsetEvery(6000, 13, 3))
 
 	cfg := Config{Grid: []Hyper{{G: 5, H: 20}, {G: 8, H: 30}}, Epochs: 12, Seed: 1}
 	proxy, reports, err := Train(train, holdout, cfg, nil, simclock.Default())
@@ -120,8 +158,8 @@ func TestTrainedProxyBeatsPrior(t *testing.T) {
 
 func TestProxyPredictionsTrackScores(t *testing.T) {
 	src := trafficSource(t, 6000)
-	train := makeSamples(src, ArchPooled, sampleEvery(6000, 9))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(6000, 17, 4))
+	train := makeSamples(src, sampleEvery(6000, 9))
+	holdout := makeSamples(src, offsetEvery(6000, 17, 4))
 	cfg := Config{Grid: []Hyper{{G: 8, H: 30}}, Epochs: 15, Seed: 2}
 	proxy, _, err := Train(train, holdout, cfg, nil, simclock.Default())
 	if err != nil {
@@ -151,8 +189,8 @@ func TestProxyUncertaintyIsHonest(t *testing.T) {
 	// Roughly calibrated intervals: the truth should fall within ±2 total
 	// σ of the mixture mean for the large majority of frames.
 	src := trafficSource(t, 6000)
-	train := makeSamples(src, ArchPooled, sampleEvery(6000, 9))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(6000, 17, 4))
+	train := makeSamples(src, sampleEvery(6000, 9))
+	holdout := makeSamples(src, offsetEvery(6000, 17, 4))
 	proxy, _, err := Train(train, holdout, Config{Grid: []Hyper{{G: 8, H: 30}}, Epochs: 15, Seed: 4}, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +215,8 @@ func TestProxyUncertaintyIsHonest(t *testing.T) {
 
 func TestTrainChargesClock(t *testing.T) {
 	src := trafficSource(t, 800)
-	train := makeSamples(src, ArchPooled, sampleEvery(800, 11))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(800, 23, 5))
+	train := makeSamples(src, sampleEvery(800, 11))
+	holdout := makeSamples(src, offsetEvery(800, 23, 5))
 	clock := simclock.NewClock()
 	cost := simclock.Default()
 	if _, _, err := Train(train, holdout, Config{Grid: []Hyper{{G: 5, H: 20}}, Epochs: 3, Seed: 5}, clock, cost); err != nil {
@@ -192,8 +230,8 @@ func TestTrainChargesClock(t *testing.T) {
 
 func TestTrainDeterministic(t *testing.T) {
 	src := trafficSource(t, 1000)
-	train := makeSamples(src, ArchPooled, sampleEvery(1000, 13))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(1000, 29, 6))
+	train := makeSamples(src, sampleEvery(1000, 13))
+	holdout := makeSamples(src, offsetEvery(1000, 29, 6))
 	cfg := Config{Grid: []Hyper{{G: 5, H: 20}}, Epochs: 4, Seed: 7}
 	p1, _, err := Train(train, holdout, cfg, nil, simclock.Default())
 	if err != nil {
@@ -205,40 +243,6 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 	if p1.HoldoutNLL() != p2.HoldoutNLL() {
 		t.Fatalf("nondeterministic training: %v vs %v", p1.HoldoutNLL(), p2.HoldoutNLL())
-	}
-}
-
-func TestConvArchTrains(t *testing.T) {
-	// The faithful conv backbone must train end to end (small scale).
-	if testing.Short() {
-		t.Skip("conv training is slow")
-	}
-	src32, err := video.NewSynthetic(video.Config{
-		Name: "cmdnconv", Kind: video.KindTraffic, Class: video.ClassCar,
-		Frames: 2000, FPS: 30, Seed: 3, MeanPopulation: 3, BurstRate: 3,
-		W: 32, H: 32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := src32
-	train := makeSamples(src, ArchConv, sampleEvery(2000, 12))
-	holdout := makeSamples(src, ArchConv, offsetEvery(2000, 37, 7))
-	cfg := Config{
-		Arch: ArchConv, Grid: []Hyper{{G: 5, H: 20}},
-		Epochs: 4, Seed: 8, FrameW: 32, FrameH: 32,
-	}
-	proxy, _, err := Train(train, holdout, cfg, nil, simclock.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prior := 0.5 * math.Log(2*math.Pi*math.E)
-	if proxy.HoldoutNLL() >= prior+0.3 {
-		t.Fatalf("conv proxy NLL %.3f did not approach prior %.3f", proxy.HoldoutNLL(), prior)
-	}
-	mix := proxy.PredictFrame(src.Render(123))
-	if err := mix.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -38,8 +38,8 @@ func TestTrainGolden(t *testing.T) {
 		Epochs: 30, Seed: 17, FrameW: w, FrameH: h, Procs: 2,
 	}
 	cost := simclock.Default()
-	train := makeSamples(src, ArchPooled, offsetEvery(600, 5, 0))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(600, 23, 2))
+	train := makeSamples(src, offsetEvery(600, 5, 0))
+	holdout := makeSamples(src, offsetEvery(600, 23, 2))
 	frames := []int{7, 311, 598, 905, 1187}
 
 	var tr golden.Transcript
@@ -60,8 +60,8 @@ func TestTrainGolden(t *testing.T) {
 		tr.Add(fmt.Sprintf("predict/%d", f), fmt.Sprintf("PredictFrame(%d)", f), mixtureLines(proxy.PredictFrame(src.Render(f))), nil)
 	}
 
-	train2 := makeSamples(src, ArchPooled, offsetEvery(1200, 5, 600))
-	hold2 := makeSamples(src, ArchPooled, offsetEvery(1200, 23, 602))
+	train2 := makeSamples(src, offsetEvery(1200, 5, 600))
+	hold2 := makeSamples(src, offsetEvery(1200, 23, 602))
 	tr.Add("drift", fmt.Sprintf("DriftNLL(%d samples)", len(hold2)), bits(proxy.DriftNLL(hold2))+"\n", nil)
 	warmClock := simclock.NewClock()
 	warm, err := Refresh(proxy, train2, hold2, append(holdout[:len(holdout):len(holdout)], hold2...), RefreshConfig{Seed: 19, Procs: 2}, cfg, warmClock, cost)

@@ -14,8 +14,8 @@ import (
 // predictions must match the serial path bit for bit.
 func TestTrainProcsBitIdentical(t *testing.T) {
 	src := trafficSource(t, 1500)
-	train := makeSamples(src, ArchPooled, sampleEvery(1500, 9))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(1500, 21, 4))
+	train := makeSamples(src, sampleEvery(1500, 9))
+	holdout := makeSamples(src, offsetEvery(1500, 21, 4))
 	grid := []Hyper{{G: 5, H: 20}, {G: 8, H: 30}, {G: 12, H: 20}}
 
 	run := func(procs int) (*Proxy, []CandidateReport) {
@@ -68,8 +68,8 @@ func TestTrainProcsBitIdentical(t *testing.T) {
 // that index, scores the holdout NLL it scores as a grid of one.
 func TestTrainIssueOrderIrrelevant(t *testing.T) {
 	src := trafficSource(t, 1200)
-	train := makeSamples(src, ArchPooled, sampleEvery(1200, 9))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(1200, 21, 4))
+	train := makeSamples(src, sampleEvery(1200, 9))
+	holdout := makeSamples(src, offsetEvery(1200, 21, 4))
 	small, mid, big := Hyper{G: 5, H: 20}, Hyper{G: 8, H: 30}, Hyper{G: 12, H: 40}
 	listings := [][]Hyper{
 		{small, mid, big, mid},
@@ -122,8 +122,8 @@ func TestTrainIssueOrderIrrelevant(t *testing.T) {
 // error is the same on 1, 2 and 8 workers.
 func TestTrainErrorSameOnAnyWorkers(t *testing.T) {
 	src := trafficSource(t, 300)
-	train := makeSamples(src, ArchPooled, sampleEvery(300, 9))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(300, 21, 4))
+	train := makeSamples(src, sampleEvery(300, 9))
+	holdout := makeSamples(src, offsetEvery(300, 21, 4))
 	train[5].X = train[5].X[:10]
 	var want string
 	for _, procs := range []int{1, 2, 8} {
@@ -142,8 +142,8 @@ func TestTrainErrorSameOnAnyWorkers(t *testing.T) {
 
 func TestProxyCloneForInference(t *testing.T) {
 	src := trafficSource(t, 800)
-	train := makeSamples(src, ArchPooled, sampleEvery(800, 7))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(800, 19, 3))
+	train := makeSamples(src, sampleEvery(800, 7))
+	holdout := makeSamples(src, offsetEvery(800, 19, 3))
 	proxy, _, err := Train(train, holdout, Config{Grid: []Hyper{{G: 5, H: 20}}, Epochs: 4, Seed: 13}, nil, simclock.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +167,8 @@ func TestProxyCloneForInference(t *testing.T) {
 // the paper's full 12-point grid trained on one worker vs all cores.
 func benchGridTrain(b *testing.B, procs int) {
 	src := trafficSource(b, 2000)
-	train := makeSamples(src, ArchPooled, sampleEvery(2000, 7))
-	holdout := makeSamples(src, ArchPooled, offsetEvery(2000, 13, 3))
+	train := makeSamples(src, sampleEvery(2000, 7))
+	holdout := makeSamples(src, offsetEvery(2000, 13, 3))
 	cfg := Config{Epochs: 5, Seed: 1, Procs: procs} // nil Grid → full 12-point paper grid
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

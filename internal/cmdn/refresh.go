@@ -61,6 +61,8 @@ func (p *Proxy) DriftNLL(holdout []Sample) float64 {
 // the new holdout set and σ-recalibrated on calib (typically a
 // reservoir of held-out samples spanning past segments plus the new
 // holdout, so calibration reflects the whole stream, not one segment).
+// Every sample's feature vector must be as long as prev's input; another
+// width is an error.
 //
 // full is the Config a cold specialize would have used; it prices the
 // charge. A full Train costs ProxyTrainSampleMS per sample with the
@@ -81,6 +83,16 @@ func Refresh(prev *Proxy, train, holdout, calib []Sample, cfg RefreshConfig, ful
 		return nil, fmt.Errorf("cmdn: no holdout samples")
 	}
 	full = full.withDefaults()
+	if len(calib) == 0 {
+		calib = holdout
+	}
+	in := prev.model.InputSize()
+	if err := checkWidth("holdout", holdout, in); err != nil {
+		return nil, err
+	}
+	if err := checkWidth("calibration", calib, in); err != nil {
+		return nil, err
+	}
 
 	xs := make([][]float64, len(train))
 	ys := make([]float64, len(train))
@@ -104,15 +116,11 @@ func Refresh(prev *Proxy, train, holdout, calib []Sample, cfg RefreshConfig, ful
 		hy[i] = (s.Y - prev.yMean) / prev.yStd
 	}
 	next := &Proxy{
-		model: model, arch: prev.arch, hyper: prev.hyper,
+		model: model, hyper: prev.hyper,
 		yMean: prev.yMean, yStd: prev.yStd,
 		holdoutNLL: model.MeanNLL(hx, hy),
-		featW:      prev.featW, featH: prev.featH,
 	}
 
-	if len(calib) == 0 {
-		calib = holdout
-	}
 	cx := make([][]float64, len(calib))
 	cy := make([]float64, len(calib))
 	for i, s := range calib {

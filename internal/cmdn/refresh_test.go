@@ -2,6 +2,7 @@ package cmdn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/everest-project/everest/internal/simclock"
@@ -17,15 +18,15 @@ func refreshFixture(t *testing.T) (base *Proxy, train2, hold2 []Sample, cfg Conf
 	cfg = Config{Grid: []Hyper{{G: 5, H: 20}, {G: 8, H: 30}}, Epochs: 20, Seed: 9, FrameW: w, FrameH: h}
 	cost = simclock.Default()
 
-	train1 := makeSamples(src, cfg.Arch, offsetEvery(600, 7, 0))
-	hold1 := makeSamples(src, cfg.Arch, offsetEvery(600, 29, 3))
+	train1 := makeSamples(src, offsetEvery(600, 7, 0))
+	hold1 := makeSamples(src, offsetEvery(600, 29, 3))
 	var err error
 	base, _, err = Train(train1, hold1, cfg, nil, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	train2 = makeSamples(src, cfg.Arch, offsetEvery(1200, 7, 600))
-	hold2 = makeSamples(src, cfg.Arch, offsetEvery(1200, 29, 601))
+	train2 = makeSamples(src, offsetEvery(1200, 7, 600))
+	hold2 = makeSamples(src, offsetEvery(1200, 29, 601))
 	return base, train2, hold2, cfg, cost
 }
 
@@ -90,6 +91,33 @@ func TestDriftNLLDetectsShift(t *testing.T) {
 	far := base.DriftNLL(shifted)
 	if far < same+3 {
 		t.Fatalf("shifted targets drift NLL %v not clearly above in-distribution %v", far, same)
+	}
+}
+
+// TestRefreshRejectsAnotherFeatureWidth: a Refresh whose holdout or
+// calibration rows are not the previous proxy's input width is an error,
+// and so are training rows of another width.
+func TestRefreshRejectsAnotherFeatureWidth(t *testing.T) {
+	base, train2, hold2, cfg, cost := refreshFixture(t)
+	short := func(samples []Sample) []Sample {
+		out := append([]Sample(nil), samples...)
+		out[1] = Sample{Frame: out[1].Frame, X: out[1].X[:81], Y: out[1].Y}
+		return out
+	}
+	cases := []struct {
+		name                  string
+		train, holdout, calib []Sample
+		want                  string
+	}{
+		{"holdout", train2, short(hold2), nil, "holdout sample 1 has 81 features, the model takes 97"},
+		{"calibration", train2, hold2, short(hold2), "calibration sample 1 has 81 features, the model takes 97"},
+		{"train", short(train2), hold2, nil, "input 1 has 81 values, the model takes 97"},
+	}
+	for _, c := range cases {
+		_, err := Refresh(base, c.train, c.holdout, c.calib, RefreshConfig{Seed: 11}, cfg, nil, cost)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s rows of another width: error %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -2,21 +2,22 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"github.com/everest-project/everest/internal/uncertain"
 )
 
-// This file implements the alternative uncertain Top-K semantics surveyed
-// in §2 — U-TopK [57,61], U-KRanks [56,57] and probabilistic-threshold
-// Top-K (PT-k) [33] — for the no-oracle setting. They exist to reproduce
-// the paper's argument that none of these notions provides Everest's
-// guarantee: U-TopK's most probable set may still be very improbable,
-// U-KRanks' per-rank winners need not form a probable set, and PT-k may
-// return fewer (or more) than K tuples. The ablation harness contrasts
-// their precision against Everest's oracle-in-the-loop results.
+// This file implements two of the alternative uncertain Top-K semantics
+// surveyed in §2 — U-KRanks [56,57] and probabilistic-threshold Top-K
+// (PT-k) [33] — for the no-oracle setting. They exist to reproduce the
+// paper's argument that none of these notions provides Everest's
+// guarantee: U-KRanks' per-rank winners need not form a probable set, and
+// PT-k may return fewer (or more) than K tuples. The ablation harness
+// contrasts their precision against Everest's oracle-in-the-loop results.
+// The third, U-TopK [57,61] (the most probable set, which may still be
+// very improbable), is exponential and serves only as a reference in
+// semantics_test.go.
 //
-// All three assume independent x-tuples. Ranks are defined by the number
+// Both assume independent x-tuples. Ranks are defined by the number
 // of strictly greater scores (ties favour the tuple), matching the
 // tie-tolerant convention used elsewhere in this reproduction.
 
@@ -130,52 +131,4 @@ func UKRanks(rel uncertain.Relation, k int) []int {
 		}
 	}
 	return bestID
-}
-
-// UTopK returns the most probable Top-K set and its probability [57,61],
-// by exhaustive possible-world enumeration. Exponential — usable only on
-// small relations; it exists as a semantic reference, exactly the role it
-// plays in the paper's related-work discussion.
-func UTopK(rel uncertain.Relation, k int) ([]int, float64) {
-	type key string
-	setProb := make(map[key]float64)
-	setIDs := make(map[key][]int)
-	uncertain.EnumerateWorlds(rel, func(w uncertain.World) {
-		// Top-K of this world: k largest levels, ties by ascending ID.
-		idx := make([]int, len(rel))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			if w.Levels[idx[a]] != w.Levels[idx[b]] {
-				return w.Levels[idx[a]] > w.Levels[idx[b]]
-			}
-			return rel[idx[a]].ID < rel[idx[b]].ID
-		})
-		ids := make([]int, k)
-		for i := 0; i < k; i++ {
-			ids[i] = rel[idx[i]].ID
-		}
-		sort.Ints(ids)
-		kk := key(intsKey(ids))
-		setProb[kk] += w.Prob
-		setIDs[kk] = ids
-	})
-	bestP := -1.0
-	var bestKey key
-	for kk, p := range setProb {
-		if p > bestP || (p == bestP && kk < bestKey) {
-			bestP = p
-			bestKey = kk
-		}
-	}
-	return setIDs[bestKey], bestP
-}
-
-func intsKey(ids []int) string {
-	b := make([]byte, 0, len(ids)*3)
-	for _, id := range ids {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16))
-	}
-	return string(b)
 }

@@ -250,3 +250,51 @@ func overlap(got, want []int) float64 {
 	}
 	return float64(hit) / float64(len(want))
 }
+
+// UTopK returns the most probable Top-K set and its probability [57,61],
+// by exhaustive possible-world enumeration. Exponential — usable only on
+// small relations; it exists as a semantic reference, exactly the role it
+// plays in the paper's related-work discussion.
+func UTopK(rel uncertain.Relation, k int) ([]int, float64) {
+	type key string
+	setProb := make(map[key]float64)
+	setIDs := make(map[key][]int)
+	uncertain.EnumerateWorlds(rel, func(w uncertain.World) {
+		// Top-K of this world: k largest levels, ties by ascending ID.
+		idx := make([]int, len(rel))
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.Slice(idx, func(a, b int) bool {
+			if w.Levels[idx[a]] != w.Levels[idx[b]] {
+				return w.Levels[idx[a]] > w.Levels[idx[b]]
+			}
+			return rel[idx[a]].ID < rel[idx[b]].ID
+		})
+		ids := make([]int, k)
+		for i := 0; i < k; i++ {
+			ids[i] = rel[idx[i]].ID
+		}
+		sort.Ints(ids)
+		kk := key(intsKey(ids))
+		setProb[kk] += w.Prob
+		setIDs[kk] = ids
+	})
+	bestP := -1.0
+	var bestKey key
+	for kk, p := range setProb {
+		if p > bestP || (p == bestP && kk < bestKey) {
+			bestP = p
+			bestKey = kk
+		}
+	}
+	return setIDs[bestKey], bestP
+}
+
+func intsKey(ids []int) string {
+	b := make([]byte, 0, len(ids)*3)
+	for _, id := range ids {
+		b = append(b, byte(id), byte(id>>8), byte(id>>16))
+	}
+	return string(b)
+}

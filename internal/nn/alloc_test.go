@@ -7,15 +7,9 @@ import (
 	"github.com/everest-project/everest/internal/xrand"
 )
 
-// buildPredictModel mirrors the ArchPooled CMDN: Dense→ReLU backbone with
-// an MDN head — the shape Predict runs millions of times in Phase 1.
-func buildPredictModel() *Model {
-	r := xrand.New(99)
-	return &Model{
-		Backbone: NewSequential(NewDense(32, 24, r), NewReLU(24)),
-		Head:     NewMDN(24, 8, r),
-	}
-}
+// buildPredictModel is a CMDN of the shape Predict runs millions of times
+// in Phase 1.
+func buildPredictModel() *Model { return NewModel(32, 24, 8, xrand.New(99)) }
 
 func TestPredictAllocationFree(t *testing.T) {
 	m := buildPredictModel()
@@ -37,37 +31,12 @@ func TestTrainStepAllocationFree(t *testing.T) {
 	}
 	ys := []float64{0.5}
 	step := func() {
-		feat := m.Backbone.Forward(x)
-		m.Head.Forward(feat)
-		gradFeat := m.Head.Backward(ys)
-		m.Backbone.Backward(gradFeat, true)
+		m.forward(x)
+		m.hidden.Backward(m.relu.Backward(m.head.Backward(ys)), true)
 	}
 	step() // warm up scratch
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Fatalf("forward/backward allocates %v objects per call, want 0", allocs)
-	}
-}
-
-func TestConvStackAllocationFree(t *testing.T) {
-	r := xrand.New(7)
-	seq := NewSequential(
-		NewConv2D(1, 8, 8, 2, r),
-		NewReLU(2*8*8),
-		NewMaxPool2D(2, 8, 8),
-		NewDense(2*4*4, 3, r),
-	)
-	x := make([]float64, 64)
-	for i := range x {
-		x[i] = float64(i%5) * 0.2
-	}
-	grad := []float64{1, -1, 0.5}
-	step := func() {
-		seq.Forward(x)
-		seq.Backward(grad, true)
-	}
-	step()
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Fatalf("conv stack allocates %v objects per call, want 0", allocs)
 	}
 }
 
@@ -127,31 +96,6 @@ func TestCloneForInferenceConcurrent(t *testing.T) {
 	for _, e := range errs {
 		if e != "" {
 			t.Fatal(e)
-		}
-	}
-}
-
-func TestCloneConvModel(t *testing.T) {
-	r := xrand.New(11)
-	m := &Model{
-		Backbone: NewSequential(
-			NewConv2D(1, 8, 8, 2, r),
-			NewReLU(2*8*8),
-			NewMaxPool2D(2, 8, 8),
-			NewDense(2*4*4, 6, r),
-			NewReLU(6),
-		),
-		Head: NewMDN(6, 3, r),
-	}
-	x := make([]float64, 64)
-	for i := range x {
-		x[i] = float64(i%7) * 0.1
-	}
-	want := m.Predict(x)
-	got := m.CloneForInference().Predict(x)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("conv clone component %d: %+v vs %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/everest-project/everest/internal/xrand"
@@ -37,31 +38,13 @@ func sameParams(t *testing.T, what string, got, want []*Param) {
 	}
 }
 
-// pooledModel is the ArchPooled shape: Dense → ReLU → MDN.
-func pooledModel(in, h, g int, seed uint64) *Model {
-	r := xrand.New(seed)
-	return &Model{Backbone: NewSequential(NewDense(in, h, r), NewReLU(h)), Head: NewMDN(h, g, r)}
-}
-
-// convModel is the ArchConv shape at 8×8: three conv/ReLU/pool stages, a
-// dense layer and the head.
-func convModel(h, g int, seed uint64) *Model {
-	r := xrand.New(seed)
-	return &Model{
-		Backbone: NewSequential(
-			NewConv2D(1, 8, 8, 2, r), NewReLU(2*8*8), NewMaxPool2D(2, 8, 8),
-			NewConv2D(2, 4, 4, 3, r), NewReLU(3*4*4), NewMaxPool2D(3, 4, 4),
-			NewConv2D(3, 2, 2, 4, r), NewReLU(4*2*2), NewMaxPool2D(4, 2, 2),
-			NewDense(4, h, r), NewReLU(h),
-		),
-		Head: NewMDN(h, g, r),
-	}
-}
+// pooledModel is the CMDN's shape, Dense → ReLU → MDN, drawn from a seed.
+func pooledModel(in, h, g int, seed uint64) *Model { return NewModel(in, h, g, xrand.New(seed)) }
 
 // trainingSet draws n inputs of the given size with the awkward values
 // mixed in: negative zeros inside ordinary rows, and whole rows of +0 and
-// of −0 (which close every ReLU of a freshly initialized backbone, whose
-// biases are 0).
+// of −0 (which close every ReLU of a freshly initialized hidden layer,
+// whose biases are 0).
 func trainingSet(n, in int, seed uint64) ([][]float64, []float64) {
 	r := xrand.New(seed)
 	xs := make([][]float64, n)
@@ -89,22 +72,21 @@ func trainingSet(n, in int, seed uint64) ([][]float64, []float64) {
 	return xs, ys
 }
 
-// deadBackbone pushes every first-layer pre-activation far below zero: no
-// ReLU opens, and every upstream gradient of the first layer is exactly 0.
+// deadBackbone pushes every hidden pre-activation far below zero: no ReLU
+// opens, and every upstream gradient of the hidden layer is exactly 0.
 func deadBackbone(m *Model) {
-	first := m.Backbone.(*Sequential).layers[0].(*Dense)
-	for o := range first.b.W {
-		first.b.W[o] = -1e6
+	for o := range m.hidden.b.W {
+		m.hidden.b.W[o] = -1e6
 	}
 }
 
 // clampedSigma puts log σ far below minLogSigma for two of every three
 // components (all of them when g = 1).
 func clampedSigma(m *Model) {
-	g := m.Head.g
+	g := m.head.g
 	for j := 0; j < g; j++ {
 		if j%3 != 1 {
-			m.Head.dense.b.W[2*g+j] = -100
+			m.head.dense.b.W[2*g+j] = -100
 		}
 	}
 }
@@ -112,10 +94,10 @@ func clampedSigma(m *Model) {
 // TestFitMatchesReference is the trainer's contract: moving a minibatch
 // through the layers leaves, bit for bit, the weights, the returned NLL
 // and the predictions of the per-sample loop in reference_test.go — over
-// both architectures, mixture sizes whose 3g crosses every remainder of
-// the four-wide kernels, batch sizes with a ragged last batch, a training
-// set smaller than one batch, a backbone whose ReLUs never open and a
-// head whose σ sits on its floor.
+// hidden widths below, at and past a multiple of the four-wide kernels
+// (3, 13, 20, 30), mixture sizes whose 3g crosses every remainder of them, batch sizes with a ragged last batch, a training set
+// smaller than one batch, a hidden layer whose ReLUs never open and a head
+// whose σ sits on its floor.
 func TestFitMatchesReference(t *testing.T) {
 	type fitCase struct {
 		name   string
@@ -127,8 +109,8 @@ func TestFitMatchesReference(t *testing.T) {
 	cases := []fitCase{
 		{name: "pooled", model: func(g int) *Model { return pooledModel(97, 20, g, 5) }, n: 600, in: 97, epochs: 3},
 		{name: "pooled-h30", model: func(g int) *Model { return pooledModel(33, 30, g, 6) }, n: 70, in: 33, epochs: 4},
-		{name: "conv", model: func(g int) *Model { return convModel(6, g, 7) }, n: 40, in: 64, epochs: 2},
-		{name: "head-only", model: func(g int) *Model { return &Model{Head: NewMDN(9, g, xrand.New(8))} }, n: 50, in: 9, epochs: 4},
+		{name: "narrow-hidden", model: func(g int) *Model { return pooledModel(9, 3, g, 8) }, n: 50, in: 9, epochs: 4},
+		{name: "wide-input", model: func(g int) *Model { return pooledModel(64, 13, g, 7) }, n: 40, in: 64, epochs: 2},
 		{name: "smaller-than-a-batch", model: func(g int) *Model { return pooledModel(12, 10, g, 9) }, n: 5, in: 12, epochs: 6},
 		{name: "dead-backbone", model: func(g int) *Model { return pooledModel(12, 10, g, 10) }, n: 40, in: 12, epochs: 3, adjust: deadBackbone},
 		{name: "clamped-sigma", model: func(g int) *Model { return pooledModel(12, 10, g, 11) }, n: 40, in: 12, epochs: 3, adjust: clampedSigma},
@@ -165,21 +147,22 @@ func TestFitMatchesReference(t *testing.T) {
 }
 
 // TestFitCasesReachTheirEdges: the awkward cases above are awkward — an
-// all-zero row closes every ReLU of a fresh backbone, the dead backbone
-// has no open unit on any row, and the clamped head's σ sits on its floor.
+// all-zero row closes every ReLU of a fresh hidden layer, the dead one has
+// no open unit on any row, and the clamped head's σ sits on its floor.
 func TestFitCasesReachTheirEdges(t *testing.T) {
 	xs, _ := trainingSet(40, 12, 21)
 	m := pooledModel(12, 10, 5, 10)
-	for _, v := range m.Backbone.Forward(xs[3]) { // row 3 is all +0
+	hidden := func(x []float64) []float64 { return m.relu.Forward(m.hidden.Forward(x)) }
+	for _, v := range hidden(xs[3]) { // row 3 is all +0
 		if v != 0 {
-			t.Fatalf("an all-zero row opened a ReLU of a fresh backbone: %v", v)
+			t.Fatalf("an all-zero row opened a ReLU of a fresh hidden layer: %v", v)
 		}
 	}
 	deadBackbone(m)
 	for i, x := range xs {
-		for _, v := range m.Backbone.Forward(x) {
+		for _, v := range hidden(x) {
 			if v != 0 {
-				t.Fatalf("row %d opened a ReLU of the dead backbone: %v", i, v)
+				t.Fatalf("row %d opened a ReLU of the dead hidden layer: %v", i, v)
 			}
 		}
 	}
@@ -189,36 +172,75 @@ func TestFitCasesReachTheirEdges(t *testing.T) {
 	}
 }
 
+// layerUnderTest is a dense layer, or the hidden layer with its ReLU, as
+// a batch-shaped transform the batch and gradient tests can drive alike.
+type layerUnderTest struct {
+	forward  func(x []float64) []float64
+	backward func(grad []float64, wantInput bool) []float64
+	params   []*Param
+	in, out  int
+}
+
+func denseUnderTest(d *Dense) layerUnderTest {
+	return layerUnderTest{forward: d.Forward, backward: d.Backward, params: d.params(), in: d.in, out: d.out}
+}
+
+// hiddenUnderTest is Dense → ReLU, the model's hidden layer.
+func hiddenUnderTest(d *Dense) layerUnderTest {
+	r := &ReLU{}
+	return layerUnderTest{
+		forward: func(x []float64) []float64 { return r.Forward(d.Forward(x)) },
+		backward: func(grad []float64, wantInput bool) []float64 {
+			return d.Backward(r.Backward(grad), wantInput)
+		},
+		params: d.params(), in: d.in, out: d.out,
+	}
+}
+
+// reluUnderTest is a ReLU of the given width on its own; it has no
+// parameters.
+func reluUnderTest(width int) layerUnderTest {
+	r := &ReLU{}
+	return layerUnderTest{
+		forward:  r.Forward,
+		backward: func(grad []float64, _ bool) []float64 { return r.Backward(grad) },
+		in:       width, out: width,
+	}
+}
+
 // TestBatchMatchesPerSampleCalls: Forward and Backward over a batch of n
 // leave the activations, input gradients and accumulated parameter
-// gradients of n one-row calls made in order — for each layer type alone,
-// for both stacks, with and without the input gradient.
+// gradients of n one-row calls made in order — for a dense layer alone
+// (the smallest shape, and the MDN head's), a ReLU alone, and the hidden
+// layer with its ReLU (at the CMDN's 97 → 20 too), with and without the
+// input gradient.
 func TestBatchMatchesPerSampleCalls(t *testing.T) {
 	type layerCase struct {
 		name  string
-		build func() Layer
-		in    int
+		build func() layerUnderTest
 	}
 	cases := []layerCase{
-		{"dense-7x5", func() Layer { return NewDense(7, 5, xrand.New(1)) }, 7},
-		{"dense-3x9", func() Layer { return NewDense(3, 9, xrand.New(2)) }, 3},
-		{"conv", func() Layer { return NewConv2D(2, 4, 4, 3, xrand.New(3)) }, 2 * 4 * 4},
-		{"pool", func() Layer { return NewMaxPool2D(3, 4, 4) }, 3 * 4 * 4},
-		{"pooled-stack", func() Layer { return pooledModel(11, 6, 2, 4).Backbone }, 11},
-		{"conv-stack", func() Layer { return convModel(5, 2, 5).Backbone }, 64},
+		{"dense-7x5", func() layerUnderTest { return denseUnderTest(NewDense(7, 5, xrand.New(1))) }},
+		{"dense-3x9", func() layerUnderTest { return denseUnderTest(NewDense(3, 9, xrand.New(2))) }},
+		{"dense-1x1", func() layerUnderTest { return denseUnderTest(NewDense(1, 1, xrand.New(3))) }},
+		{"relu", func() layerUnderTest { return reluUnderTest(12) }},
+		{"pooled-stack", func() layerUnderTest { return hiddenUnderTest(pooledModel(11, 6, 2, 4).hidden) }},
+		{"pooled-stack-97x20", func() layerUnderTest { return hiddenUnderTest(pooledModel(97, 20, 5, 6).hidden) }},
+		{"head-dense", func() layerUnderTest { return denseUnderTest(pooledModel(11, 6, 5, 4).head.dense) }},
 	}
 	for _, c := range cases {
 		for _, n := range []int{1, 3, 4, 9} {
 			for _, wantInput := range []bool{true, false} {
 				t.Run(fmt.Sprintf("%s/n=%d/wantInput=%v", c.name, n, wantInput), func(t *testing.T) {
 					whole, single := c.build(), c.build()
+					in, out := whole.in, whole.out
 					r := xrand.New(uint64(17 + n))
-					x := make([]float64, n*c.in)
+					x := make([]float64, n*in)
 					for i := range x {
 						x[i] = r.Norm()
 					}
 					x[0], x[len(x)-1] = negZero, 0
-					grad := make([]float64, n*whole.OutSize())
+					grad := make([]float64, n*out)
 					for i := range grad {
 						grad[i] = r.Norm()
 						if i%5 == 2 {
@@ -227,18 +249,18 @@ func TestBatchMatchesPerSampleCalls(t *testing.T) {
 					}
 					// Two rounds, so the second accumulates onto nonzero gradients.
 					for round := 0; round < 2; round++ {
-						out := whole.Forward(x)
-						dx := whole.Backward(grad, wantInput)
+						got := whole.forward(x)
+						dx := whole.backward(grad, wantInput)
 						var wantOut, wantDx []float64
 						for s := 0; s < n; s++ {
-							wantOut = append(wantOut, single.Forward(x[s*c.in:(s+1)*c.in])...)
-							wantDx = append(wantDx, single.Backward(grad[s*whole.OutSize():(s+1)*whole.OutSize()], wantInput)...)
+							wantOut = append(wantOut, single.forward(x[s*in:(s+1)*in])...)
+							wantDx = append(wantDx, single.backward(grad[s*out:(s+1)*out], wantInput)...)
 						}
-						sameBits(t, "activations", out, wantOut)
+						sameBits(t, "activations", got, wantOut)
 						if wantInput {
 							sameBits(t, "input gradient", dx, wantDx)
 						}
-						sameParams(t, "accumulated", whole.Params(), single.Params())
+						sameParams(t, "accumulated", whole.params, single.params)
 					}
 				})
 			}
@@ -276,7 +298,7 @@ func TestKernelsMatchReference(t *testing.T) {
 			sameBits(t, what+" forward", y[s*out:(s+1)*out], ref.forward(x[s*in:(s+1)*in]))
 			sameBits(t, what+" input gradient", dx[s*in:(s+1)*in], ref.backward(grad[s*out:(s+1)*out]))
 		}
-		sameParams(t, fmt.Sprintf("dense %dx%d", in, out), d.Params(), ref.params())
+		sameParams(t, fmt.Sprintf("dense %dx%d", in, out), d.params(), ref.params())
 	}
 
 	for _, g := range []int{1, 5, 12} {
@@ -301,7 +323,7 @@ func TestKernelsMatchReference(t *testing.T) {
 			sameBits(t, fmt.Sprintf("mdn g=%d row %d feature gradient", g, s), dFeat[s*in:(s+1)*in], ref.backward(y))
 		}
 		sameBits(t, fmt.Sprintf("mdn g=%d NLL", g), nlls, wantNLLs)
-		sameParams(t, fmt.Sprintf("mdn g=%d", g), m.Params(), ref.dense.params())
+		sameParams(t, fmt.Sprintf("mdn g=%d", g), m.dense.params(), ref.dense.params())
 	}
 
 	p := newParam(23)
@@ -327,6 +349,18 @@ func TestFitRejectsRaggedInputs(t *testing.T) {
 	m := pooledModel(3, 4, 2, 1)
 	if _, err := m.Fit([][]float64{{1, 2, 3}, {1, 2}}, []float64{0, 1}, TrainConfig{Epochs: 1}); err == nil {
 		t.Fatal("a short input row should fail")
+	}
+}
+
+// TestFitRejectsAnotherWidth: rows that agree with each other but not with
+// the model's input width are an error too — gathered into a block, a
+// batch of them would read as some other number of rows, or panic.
+func TestFitRejectsAnotherWidth(t *testing.T) {
+	m := pooledModel(3, 4, 2, 1)
+	xs := [][]float64{{1, 2, 3, 4, 5, 6}, {1, 2, 3, 4, 5, 6}}
+	_, err := m.Fit(xs, []float64{0, 1}, TrainConfig{Epochs: 1})
+	if err == nil || !strings.Contains(err.Error(), "input 0 has 6 values, the model takes 3") {
+		t.Fatalf("rows twice the model's width: error %v", err)
 	}
 }
 

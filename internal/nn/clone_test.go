@@ -8,14 +8,7 @@ import (
 	"github.com/everest-project/everest/internal/xrand"
 )
 
-func cloneTestModel(seed uint64) *Model {
-	r := xrand.New(seed)
-	backbone := NewSequential(
-		NewDense(6, 8, r),
-		NewReLU(8),
-	)
-	return &Model{Backbone: backbone, Head: NewMDN(8, 3, r)}
-}
+func cloneTestModel(seed uint64) *Model { return NewModel(6, 8, 3, xrand.New(seed)) }
 
 func cloneTestData(seed uint64, n int) ([][]float64, []float64) {
 	r := xrand.New(seed)

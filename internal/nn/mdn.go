@@ -8,9 +8,9 @@ import (
 )
 
 // MDN is the mixture-density output head of the CMDN (Fig. 2): a dense
-// layer mapping the backbone's features to the parameters of g Gaussians —
-// mixing logits α, means μ and log-standard-deviations s — trained by
-// negative log-likelihood [23, 27].
+// layer mapping the hidden layer's activations to the parameters of g
+// Gaussians — mixing logits α, means μ and log-standard-deviations s —
+// trained by negative log-likelihood [23, 27].
 //
 // Like the layers it is batch-shaped: Forward takes n rows of features and
 // keeps every row's mixture parameters (and log π, log σ, each taken once)
@@ -66,22 +66,12 @@ func newMDN(g int, dense *Dense) *MDN {
 
 // cloneForInference returns a head sharing m's trained weights with
 // private scratch, safe for concurrent Forward/NLL against the original.
-func (m *MDN) cloneForInference() *MDN {
-	return newMDN(m.g, &Dense{in: m.dense.in, out: m.dense.out, w: m.dense.w, b: m.dense.b})
-}
+func (m *MDN) cloneForInference() *MDN { return newMDN(m.g, m.dense.shared()) }
 
 // clone returns a deep copy of the head: fresh dense parameters with
 // the trained weights copied, private scratch. The clone may keep
 // training independently of the original.
-func (m *MDN) clone() *MDN {
-	c := m.cloneForInference()
-	c.dense.w = m.dense.w.clone()
-	c.dense.b = m.dense.b.clone()
-	return c
-}
-
-// Params returns the head's trainable parameters.
-func (m *MDN) Params() []*Param { return m.dense.Params() }
+func (m *MDN) clone() *MDN { return newMDN(m.g, m.dense.clone()) }
 
 // Forward computes the predicted mixtures for n rows of features and
 // returns the first row's — the whole answer for Predict's n = 1. The

@@ -1,15 +1,20 @@
-// Package nn is a small from-scratch neural-network substrate built for
-// the CMDN proxy scorer (§3.2): dense and convolutional layers, ReLU,
-// max-pooling, an Adam optimizer and a mixture-density output head trained
-// by negative log-likelihood. It is slice-based and imports nothing
-// outside this module — the reproduction needs a correct, deterministic
-// trainer at sample counts of a few thousand, not a framework.
+// Package nn is the small from-scratch neural network behind the CMDN
+// proxy scorer (§3.2). It has one model and one trainer: a dense hidden
+// layer with ReLU activations feeding a mixture-density output head,
+// trained by minibatch Adam on the negative log-likelihood. There are no
+// convolutional or max-pooling layers and no layer interface: the CMDN's
+// backbone is the fixed feature pyramid that package cmdn extracts. The
+// package is slice-based and imports nothing outside this module — the
+// reproduction needs a correct, deterministic trainer at sample counts of
+// a few thousand, not a framework.
 //
 // Batch-major: a minibatch, not a sample, moves through each layer.
 // Activations are row-major [n][size] in one slice, Fit gathers each
 // minibatch's rows into such a slice, and Predict is the n = 1 case of the
-// same kernels — there is one trainer and one dense kernel for every
-// architecture.
+// same kernels. Every row of a batch is computed exactly as it would be
+// alone, and a parameter's gradient accumulator receives the batch's
+// terms in row order, so a layer's Forward/Backward over n rows leaves the
+// bits that n one-row calls in sequence would.
 //
 // Summation order is part of the contract. Every result is pinned bit for
 // bit (the goldens, the Procs-independence tests, the per-sample reference
@@ -18,8 +23,7 @@
 //
 //   - an activation is b + Σᵢ wᵢxᵢ with i ascending;
 //   - an input gradient is 0 + Σₒ gₒwₒᵢ with o ascending;
-//   - a parameter-gradient accumulator receives its terms in sample order
-//     (and, inside one convolution sample, in raster order).
+//   - a parameter-gradient accumulator receives its terms in sample order.
 //
 // Floating-point addition is not associative, but two different sums share
 // no state: computing four of them interleaved, or one sample's after
@@ -33,11 +37,10 @@
 // by the layer and remain valid only until its next call; callers that
 // retain results must copy. A layer never writes to its input.
 //
-// Concurrency: a Layer or Model instance processes one batch at a time
-// and is NOT safe for concurrent use. Model.CloneForInference returns a
-// clone that shares the trained weights but owns private scratch, so N
-// clones can run Forward/Predict on N goroutines as long as nobody trains
-// concurrently.
+// Concurrency: a Model processes one batch at a time and is NOT safe for
+// concurrent use. Model.CloneForInference returns a clone that shares the
+// trained weights but owns private scratch, so N clones can Predict on N
+// goroutines as long as nobody trains concurrently.
 package nn
 
 import (
@@ -74,31 +77,6 @@ func (p *Param) clone() *Param {
 	return c
 }
 
-// Layer is a differentiable transform over a batch of n samples stored
-// contiguously, row-major: Forward's input holds n·inSize values and its
-// output n·OutSize(). Forward caches whatever Backward needs, so a Layer
-// instance processes one batch at a time. Forward and Backward return
-// layer-owned scratch, valid until the next call, and leave their
-// arguments untouched.
-//
-// Every row of a batch is computed exactly as it would be alone, and a
-// parameter's gradient accumulator receives the batch's terms in row
-// order, so Forward/Backward over n rows leave the bits that n one-row
-// calls in sequence would.
-type Layer interface {
-	// Forward maps the input activations to the output activations.
-	Forward(x []float64) []float64
-	// Backward takes dLoss/dOutput for the batch last passed to Forward
-	// and accumulates parameter gradients. With wantInput it returns
-	// dLoss/dInput; without — the bottom layer under Fit, whose input
-	// gradient nobody reads — it may skip that work and return nil.
-	Backward(grad []float64, wantInput bool) []float64
-	// Params returns the layer's trainable parameters (possibly empty).
-	Params() []*Param
-	// OutSize is the length of one sample's output activation vector.
-	OutSize() int
-}
-
 // scratch returns buf resized to n, reusing its backing array when able.
 func scratch(buf []float64, n int) []float64 {
 	if cap(buf) < n {
@@ -123,56 +101,6 @@ func rows(layer string, x []float64, size int) int {
 	return len(x) / size
 }
 
-// cloneLayerForInference returns a layer sharing l's trainable parameters
-// but owning private activation scratch. All layer types defined in this
-// package are supported; cloning an unknown Layer implementation panics.
-func cloneLayerForInference(l Layer) Layer {
-	switch v := l.(type) {
-	case *Dense:
-		return &Dense{in: v.in, out: v.out, w: v.w, b: v.b}
-	case *ReLU:
-		return NewReLU(v.n)
-	case *Conv2D:
-		return &Conv2D{inC: v.inC, inH: v.inH, inW: v.inW, outC: v.outC, k: v.k, w: v.w, b: v.b}
-	case *MaxPool2D:
-		return NewMaxPool2D(v.c, v.h, v.w)
-	case *Sequential:
-		layers := make([]Layer, len(v.layers))
-		for i, l := range v.layers {
-			layers[i] = cloneLayerForInference(l)
-		}
-		return &Sequential{layers: layers}
-	default:
-		panic(fmt.Sprintf("nn: cannot clone layer of type %T", l))
-	}
-}
-
-// cloneLayerForTraining returns a deep copy of a layer: fresh parameter
-// tensors with the trained weights copied, so the clone can keep
-// training (warm-start fine-tuning) without mutating the original. All
-// layer types defined in this package are supported; cloning an unknown
-// Layer implementation panics.
-func cloneLayerForTraining(l Layer) Layer {
-	switch v := l.(type) {
-	case *Dense:
-		return &Dense{in: v.in, out: v.out, w: v.w.clone(), b: v.b.clone()}
-	case *ReLU:
-		return NewReLU(v.n)
-	case *Conv2D:
-		return &Conv2D{inC: v.inC, inH: v.inH, inW: v.inW, outC: v.outC, k: v.k, w: v.w.clone(), b: v.b.clone()}
-	case *MaxPool2D:
-		return NewMaxPool2D(v.c, v.h, v.w)
-	case *Sequential:
-		layers := make([]Layer, len(v.layers))
-		for i, l := range v.layers {
-			layers[i] = cloneLayerForTraining(l)
-		}
-		return &Sequential{layers: layers}
-	default:
-		panic(fmt.Sprintf("nn: cannot clone layer of type %T", l))
-	}
-}
-
 // Dense is a fully connected layer: out = W·x + b per row.
 type Dense struct {
 	in, out int
@@ -193,8 +121,8 @@ func NewDense(in, out int, r *xrand.RNG) *Dense {
 	return d
 }
 
-// Forward implements Layer: one affine kernel call per row, for training
-// batches and for Predict's single row alike.
+// Forward maps a batch of rows to their activations: one affine kernel
+// call per row, for training batches and for Predict's single row alike.
 func (d *Dense) Forward(x []float64) []float64 {
 	n := rows("Dense", x, d.in)
 	d.x = x
@@ -242,7 +170,10 @@ func dot4(w, x []float64, s0, s1, s2, s3 float64) (float64, float64, float64, fl
 	return s0, s1, s2, s3
 }
 
-// Backward implements Layer.
+// Backward takes dLoss/dOutput for the batch last passed to Forward and
+// accumulates the parameter gradients. With wantInput it returns
+// dLoss/dInput; without — the hidden layer under Fit, whose input gradient
+// nobody reads — it skips that work and returns nil.
 //
 // Parameter gradients: unit o's accumulators G[o][·] and b.G[o] receive
 // g·x[s] for the batch's rows s in ascending order — the order of n
@@ -331,24 +262,26 @@ func (d *Dense) Backward(grad []float64, wantInput bool) []float64 {
 	return d.dx
 }
 
-// Params implements Layer.
-func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
+// params lists the layer's weights and biases.
+func (d *Dense) params() []*Param { return []*Param{d.w, d.b} }
 
-// OutSize implements Layer.
-func (d *Dense) OutSize() int { return d.out }
+// shared returns a layer over d's parameters with private scratch.
+func (d *Dense) shared() *Dense { return &Dense{in: d.in, out: d.out, w: d.w, b: d.b} }
+
+// clone returns a layer over fresh copies of d's parameters (gradients
+// cleared) with private scratch.
+func (d *Dense) clone() *Dense {
+	return &Dense{in: d.in, out: d.out, w: d.w.clone(), b: d.b.clone()}
+}
 
 // ReLU is the rectified linear activation. It is elementwise, so a batch
 // is just a longer vector.
 type ReLU struct {
-	n   int
 	fwd []float64
 	dx  []float64
 }
 
-// NewReLU creates a ReLU over n units.
-func NewReLU(n int) *ReLU { return &ReLU{n: n} }
-
-// Forward implements Layer.
+// Forward rectifies x.
 func (r *ReLU) Forward(x []float64) []float64 {
 	r.fwd = scratch(r.fwd, len(x))
 	out := r.fwd
@@ -362,9 +295,10 @@ func (r *ReLU) Forward(x []float64) []float64 {
 	return out
 }
 
-// Backward implements Layer. A unit was open exactly when its cached
-// output is positive, so the output doubles as the mask.
-func (r *ReLU) Backward(grad []float64, _ bool) []float64 {
+// Backward returns dLoss/dInput for the batch last passed to Forward. A
+// unit was open exactly when its cached output is positive, so the output
+// doubles as the mask.
+func (r *ReLU) Backward(grad []float64) []float64 {
 	r.dx = scratch(r.dx, len(grad))
 	dx := r.dx
 	out := r.fwd[:len(grad)]
@@ -377,46 +311,3 @@ func (r *ReLU) Backward(grad []float64, _ bool) []float64 {
 	}
 	return dx
 }
-
-// Params implements Layer.
-func (r *ReLU) Params() []*Param { return nil }
-
-// OutSize implements Layer.
-func (r *ReLU) OutSize() int { return r.n }
-
-// Sequential chains layers.
-type Sequential struct {
-	layers []Layer
-}
-
-// NewSequential builds a chain.
-func NewSequential(layers ...Layer) *Sequential { return &Sequential{layers: layers} }
-
-// Forward implements Layer.
-func (s *Sequential) Forward(x []float64) []float64 {
-	for _, l := range s.layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward implements Layer. Every layer but the bottom one must hand its
-// input gradient down; the bottom one does so only if the caller wants it.
-func (s *Sequential) Backward(grad []float64, wantInput bool) []float64 {
-	for i := len(s.layers) - 1; i >= 0; i-- {
-		grad = s.layers[i].Backward(grad, wantInput || i > 0)
-	}
-	return grad
-}
-
-// Params implements Layer.
-func (s *Sequential) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
-
-// OutSize implements Layer.
-func (s *Sequential) OutSize() int { return s.layers[len(s.layers)-1].OutSize() }

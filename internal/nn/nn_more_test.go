@@ -54,36 +54,6 @@ func TestDenseInputSizePanic(t *testing.T) {
 	d.Forward([]float64{1, 2})
 }
 
-func TestConvInputSizePanic(t *testing.T) {
-	c := NewConv2D(1, 4, 4, 2, xrand.New(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong input size should panic")
-		}
-	}()
-	c.Forward(make([]float64, 15))
-}
-
-func TestMaxPoolOddDimsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("odd pooling dims should panic")
-		}
-	}()
-	NewMaxPool2D(1, 3, 4)
-}
-
-func TestSequentialOutSize(t *testing.T) {
-	r := xrand.New(2)
-	s := NewSequential(NewDense(4, 8, r), NewReLU(8), NewDense(8, 3, r))
-	if s.OutSize() != 3 {
-		t.Fatalf("OutSize = %d", s.OutSize())
-	}
-	if len(s.Params()) != 4 { // two dense layers × (w, b)
-		t.Fatalf("Params = %d", len(s.Params()))
-	}
-}
-
 func TestMDNSigmaFloor(t *testing.T) {
 	// Force tiny sigmas via the raw output and verify the floor holds.
 	r := xrand.New(3)
@@ -123,14 +93,6 @@ func TestMDNWeightsSumToOne(t *testing.T) {
 	}
 }
 
-func TestModelPredictWithoutBackbone(t *testing.T) {
-	m := &Model{Head: NewMDN(3, 2, xrand.New(7))}
-	mix := m.Predict([]float64{1, 2, 3})
-	if err := mix.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTrainConfigDefaults(t *testing.T) {
 	c := TrainConfig{}.withDefaults()
 	if c.Epochs == 0 || c.LearningRate == 0 || c.BatchSize == 0 {
@@ -139,14 +101,24 @@ func TestTrainConfigDefaults(t *testing.T) {
 }
 
 // TestBackwardParamsMatchesBackward: Backward without wantInput — what
-// Fit asks of the backbone — accumulates, bit for bit, the parameter
+// Fit asks of the hidden layer — accumulates, bit for bit, the parameter
 // gradients of Backward with it, across several batches into one
 // accumulator, with closed ReLU units (exact +0 upstream gradients) and a
 // negative zero among the gradients.
 func TestBackwardParamsMatchesBackward(t *testing.T) {
-	build := func() *Sequential {
+	// Two hidden layers stacked, so the lower one sees the closed units of
+	// the upper one's ReLU as exact +0 gradients.
+	build := func() layerUnderTest {
 		r := xrand.New(7)
-		return NewSequential(NewDense(6, 5, r), NewReLU(5), NewDense(5, 4, r), NewReLU(4))
+		lower, upper := hiddenUnderTest(NewDense(6, 5, r)), hiddenUnderTest(NewDense(5, 4, r))
+		return layerUnderTest{
+			forward: func(x []float64) []float64 { return upper.forward(lower.forward(x)) },
+			backward: func(grad []float64, wantInput bool) []float64 {
+				return lower.backward(upper.backward(grad, true), wantInput)
+			},
+			params: append(lower.params, upper.params...),
+			in:     6, out: 4,
+		}
 	}
 	full, lean := build(), build()
 	r := xrand.New(11)
@@ -162,22 +134,22 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 		for s := 0; s < n; s++ {
 			grad = append(grad, r.Norm(), negZero, r.Norm(), 0)
 		}
-		out := full.Forward(x)
-		lean.Forward(x)
+		out := full.forward(x)
+		lean.forward(x)
 		for _, v := range out {
 			if v == 0 {
 				closed++
 			}
 		}
-		full.Backward(grad, true)
-		if dx := lean.Backward(grad, false); dx != nil {
+		full.backward(grad, true)
+		if dx := lean.backward(grad, false); dx != nil {
 			t.Fatal("a Dense asked for no input gradient computed one")
 		}
 	}
 	if closed == 0 {
 		t.Fatal("no ReLU unit ever closed; the zero-gradient skip went untested")
 	}
-	fp, lp := full.Params(), lean.Params()
+	fp, lp := full.params, lean.params
 	for k := range fp {
 		for j := range fp[k].G {
 			if math.Float64bits(fp[k].G[j]) != math.Float64bits(lp[k].G[j]) {

@@ -9,21 +9,21 @@ import (
 
 // gradCheck compares analytic parameter and input gradients of a scalar
 // loss over a batch of n samples against central finite differences.
-func gradCheck(t *testing.T, layer Layer, inSize, n int, seed uint64, tol float64) {
+func gradCheck(t *testing.T, layer layerUnderTest, n int, seed uint64, tol float64) {
 	t.Helper()
 	r := xrand.New(seed)
-	x := make([]float64, n*inSize)
+	x := make([]float64, n*layer.in)
 	for i := range x {
 		x[i] = r.Norm()
 	}
 	// Loss: weighted sum of the batch's outputs with fixed random weights
 	// (so the output gradient is nontrivial and differs per row).
-	wOut := make([]float64, n*layer.OutSize())
+	wOut := make([]float64, n*layer.out)
 	for i := range wOut {
 		wOut[i] = r.Norm()
 	}
 	loss := func() float64 {
-		out := layer.Forward(x)
+		out := layer.forward(x)
 		s := 0.0
 		for i, v := range out {
 			s += wOut[i] * v
@@ -32,13 +32,13 @@ func gradCheck(t *testing.T, layer Layer, inSize, n int, seed uint64, tol float6
 	}
 	// Analytic gradients.
 	loss()
-	for _, p := range layer.Params() {
+	for _, p := range layer.params {
 		p.ZeroGrad()
 	}
-	dx := append([]float64(nil), layer.Backward(wOut, true)...)
+	dx := append([]float64(nil), layer.backward(wOut, true)...)
 
 	const h = 1e-5
-	for pi, p := range layer.Params() {
+	for pi, p := range layer.params {
 		for wi := 0; wi < len(p.W); wi += 1 + len(p.W)/25 { // sample entries
 			orig := p.W[wi]
 			p.W[wi] = orig + h
@@ -74,63 +74,36 @@ var gradBatches = []int{1, 3}
 
 func TestDenseGradients(t *testing.T) {
 	for _, n := range gradBatches {
-		gradCheck(t, NewDense(7, 5, xrand.New(1)), 7, n, 2, 1e-6)
+		gradCheck(t, denseUnderTest(NewDense(7, 5, xrand.New(1))), n, 2, 1e-6)
 	}
 }
 
-func TestConvGradients(t *testing.T) {
-	for _, n := range gradBatches {
-		gradCheck(t, NewConv2D(2, 6, 6, 3, xrand.New(3)), 2*6*6, n, 4, 1e-5)
-	}
-}
-
+// TestSequentialGradients checks a chain, Dense → ReLU → Dense, the way
+// Fit chains the hidden layer into the head's dense layer.
 func TestSequentialGradients(t *testing.T) {
 	for _, n := range gradBatches {
 		r := xrand.New(5)
-		seq := NewSequential(
-			NewDense(6, 8, r),
-			NewReLU(8),
-			NewDense(8, 4, r),
-		)
-		gradCheck(t, seq, 6, n, 6, 1e-6)
-	}
-}
-
-func TestConvPoolStackGradients(t *testing.T) {
-	for _, n := range gradBatches {
-		r := xrand.New(7)
-		seq := NewSequential(
-			NewConv2D(1, 8, 8, 2, r),
-			NewReLU(2*8*8),
-			NewMaxPool2D(2, 8, 8),
-			NewDense(2*4*4, 3, r),
-		)
-		gradCheck(t, seq, 64, n, 8, 1e-5)
-	}
-}
-
-func TestMaxPoolForward(t *testing.T) {
-	p := NewMaxPool2D(1, 2, 2)
-	out := p.Forward([]float64{1, 5, 3, 2})
-	if len(out) != 1 || out[0] != 5 {
-		t.Fatalf("pool output %v", out)
-	}
-	dx := p.Backward([]float64{2}, true)
-	want := []float64{0, 2, 0, 0}
-	for i := range want {
-		if dx[i] != want[i] {
-			t.Fatalf("pool backward %v", dx)
+		hidden := hiddenUnderTest(NewDense(6, 8, r))
+		top := NewDense(8, 4, r)
+		chain := layerUnderTest{
+			forward: func(x []float64) []float64 { return top.Forward(hidden.forward(x)) },
+			backward: func(grad []float64, wantInput bool) []float64 {
+				return hidden.backward(top.Backward(grad, true), wantInput)
+			},
+			params: append(hidden.params, top.params()...),
+			in:     6, out: 4,
 		}
+		gradCheck(t, chain, n, 6, 1e-6)
 	}
 }
 
 func TestReLU(t *testing.T) {
-	r := NewReLU(3)
+	r := &ReLU{}
 	out := r.Forward([]float64{-1, 0, 2})
 	if out[0] != 0 || out[1] != 0 || out[2] != 2 {
 		t.Fatalf("relu forward %v", out)
 	}
-	dx := r.Backward([]float64{1, 1, 1}, true)
+	dx := r.Backward([]float64{1, 1, 1})
 	if dx[0] != 0 || dx[1] != 0 || dx[2] != 1 {
 		t.Fatalf("relu backward %v", dx)
 	}
@@ -155,12 +128,12 @@ func TestMDNGradients(t *testing.T) {
 			return s
 		}
 		loss()
-		for _, p := range mdn.Params() {
+		for _, p := range mdn.dense.params() {
 			p.ZeroGrad()
 		}
 		dx := append([]float64(nil), mdn.Backward(ys)...)
 		const h = 1e-5
-		for pi, p := range mdn.Params() {
+		for pi, p := range mdn.dense.params() {
 			for wi := range p.W {
 				orig := p.W[wi]
 				p.W[wi] = orig + h
@@ -210,11 +183,7 @@ func TestFitLearnsConditionalMean(t *testing.T) {
 		xs = append(xs, []float64{x})
 		ys = append(ys, 3*x+1+0.1*r.Norm())
 	}
-	rr := xrand.New(18)
-	model := &Model{
-		Backbone: NewSequential(NewDense(1, 16, rr), NewReLU(16)),
-		Head:     NewMDN(16, 3, rr),
-	}
+	model := NewModel(1, 16, 3, xrand.New(18))
 	nll, err := model.Fit(xs, ys, TrainConfig{Epochs: 60, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
@@ -243,8 +212,7 @@ func TestFitLearnsBimodal(t *testing.T) {
 		}
 		ys = append(ys, mode+0.2*r.Norm())
 	}
-	rr := xrand.New(24)
-	model := &Model{Head: NewMDN(1, 4, rr)}
+	model := NewModel(1, 8, 4, xrand.New(24))
 	if _, err := model.Fit(xs, ys, TrainConfig{Epochs: 120, Seed: 25}); err != nil {
 		t.Fatal(err)
 	}
@@ -272,11 +240,7 @@ func TestFitReducesNLL(t *testing.T) {
 		xs = append(xs, []float64{x})
 		ys = append(ys, x*x+0.1*r.Norm())
 	}
-	rr := xrand.New(30)
-	model := &Model{
-		Backbone: NewSequential(NewDense(1, 12, rr), NewReLU(12)),
-		Head:     NewMDN(12, 3, rr),
-	}
+	model := NewModel(1, 12, 3, xrand.New(30))
 	before := model.MeanNLL(xs, ys)
 	after, err := model.Fit(xs, ys, TrainConfig{Epochs: 40, Seed: 31})
 	if err != nil {
@@ -288,7 +252,7 @@ func TestFitReducesNLL(t *testing.T) {
 }
 
 func TestFitValidation(t *testing.T) {
-	model := &Model{Head: NewMDN(1, 2, xrand.New(1))}
+	model := NewModel(1, 4, 2, xrand.New(1))
 	if _, err := model.Fit(nil, nil, TrainConfig{}); err == nil {
 		t.Fatal("empty training set should fail")
 	}
@@ -298,10 +262,7 @@ func TestFitValidation(t *testing.T) {
 }
 
 func TestFitDeterministic(t *testing.T) {
-	build := func() *Model {
-		rr := xrand.New(41)
-		return &Model{Head: NewMDN(2, 2, rr)}
-	}
+	build := func() *Model { return NewModel(2, 4, 2, xrand.New(41)) }
 	xs := [][]float64{{1, 0}, {0, 1}, {1, 1}}
 	ys := []float64{1, 2, 3}
 	m1, m2 := build(), build()

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/everest-project/everest/internal/xrand"
@@ -14,12 +13,6 @@ import (
 // call, and Adam indexes a.m[i][j] in its inner loop. Nothing here is
 // shared with the production kernels except Param and the layers'
 // geometry fields, which newRef reads to build the mirror of a Model.
-
-type refLayer interface {
-	forward(x []float64) []float64
-	backward(grad []float64) []float64
-	params() []*Param
-}
 
 type refDense struct {
 	in, out int
@@ -56,7 +49,7 @@ func (d *refDense) backward(grad []float64) []float64 {
 	return dx
 }
 
-// backwardParams is the old first-layer shortcut: parameter gradients
+// backwardParams is the old hidden-layer shortcut: parameter gradients
 // only, units with an exactly-zero upstream gradient skipped.
 func (d *refDense) backwardParams(grad []float64) {
 	for o := 0; o < d.out; o++ {
@@ -96,163 +89,6 @@ func (r *refReLU) backward(grad []float64) []float64 {
 		}
 	}
 	return dx
-}
-
-func (r *refReLU) params() []*Param { return nil }
-
-type refConv struct {
-	inC, inH, inW, outC, k int
-	w, b                   *Param
-	x                      []float64
-}
-
-func (c *refConv) forward(x []float64) []float64 {
-	c.x = x
-	out := make([]float64, c.outC*c.inH*c.inW)
-	pad := c.k / 2
-	for oc := 0; oc < c.outC; oc++ {
-		for y := 0; y < c.inH; y++ {
-			for xx := 0; xx < c.inW; xx++ {
-				s := c.b.W[oc]
-				for ic := 0; ic < c.inC; ic++ {
-					for dy := 0; dy < c.k; dy++ {
-						sy := y + dy - pad
-						if sy < 0 || sy >= c.inH {
-							continue
-						}
-						for dx := 0; dx < c.k; dx++ {
-							sx := xx + dx - pad
-							if sx < 0 || sx >= c.inW {
-								continue
-							}
-							s += c.w.W[((oc*c.inC+ic)*c.k+dy)*c.k+dx] * x[(ic*c.inH+sy)*c.inW+sx]
-						}
-					}
-				}
-				out[(oc*c.inH+y)*c.inW+xx] = s
-			}
-		}
-	}
-	return out
-}
-
-func (c *refConv) backward(grad []float64) []float64 {
-	din := make([]float64, c.inC*c.inH*c.inW)
-	pad := c.k / 2
-	for oc := 0; oc < c.outC; oc++ {
-		for y := 0; y < c.inH; y++ {
-			for xx := 0; xx < c.inW; xx++ {
-				g := grad[(oc*c.inH+y)*c.inW+xx]
-				if g == 0 {
-					continue
-				}
-				c.b.G[oc] += g
-				for ic := 0; ic < c.inC; ic++ {
-					for dy := 0; dy < c.k; dy++ {
-						sy := y + dy - pad
-						if sy < 0 || sy >= c.inH {
-							continue
-						}
-						for dx := 0; dx < c.k; dx++ {
-							sx := xx + dx - pad
-							if sx < 0 || sx >= c.inW {
-								continue
-							}
-							wi := ((oc*c.inC+ic)*c.k+dy)*c.k + dx
-							xi := (ic*c.inH+sy)*c.inW + sx
-							c.w.G[wi] += g * c.x[xi]
-							din[xi] += g * c.w.W[wi]
-						}
-					}
-				}
-			}
-		}
-	}
-	return din
-}
-
-func (c *refConv) params() []*Param { return []*Param{c.w, c.b} }
-
-type refPool struct {
-	c, h, w int
-	argmax  []int
-}
-
-func (m *refPool) forward(x []float64) []float64 {
-	oh, ow := m.h/2, m.w/2
-	out := make([]float64, m.c*oh*ow)
-	m.argmax = make([]int, len(out))
-	for c := 0; c < m.c; c++ {
-		for y := 0; y < oh; y++ {
-			for xx := 0; xx < ow; xx++ {
-				best := math.Inf(-1)
-				bestI := -1
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						i := (c*m.h+2*y+dy)*m.w + 2*xx + dx
-						if x[i] > best {
-							best = x[i]
-							bestI = i
-						}
-					}
-				}
-				o := (c*oh+y)*ow + xx
-				out[o] = best
-				m.argmax[o] = bestI
-			}
-		}
-	}
-	return out
-}
-
-func (m *refPool) backward(grad []float64) []float64 {
-	dx := make([]float64, m.c*m.h*m.w)
-	for o, g := range grad {
-		dx[m.argmax[o]] += g
-	}
-	return dx
-}
-
-func (m *refPool) params() []*Param { return nil }
-
-type refSequential struct{ layers []refLayer }
-
-func (s *refSequential) forward(x []float64) []float64 {
-	for _, l := range s.layers {
-		x = l.forward(x)
-	}
-	return x
-}
-
-func (s *refSequential) backward(grad []float64) []float64 {
-	for i := len(s.layers) - 1; i >= 0; i-- {
-		grad = s.layers[i].backward(grad)
-	}
-	return grad
-}
-
-func (s *refSequential) params() []*Param {
-	var ps []*Param
-	for _, l := range s.layers {
-		ps = append(ps, l.params()...)
-	}
-	return ps
-}
-
-// refBackwardParams is the old dispatch for a backbone whose input
-// gradient nobody reads.
-func refBackwardParams(l refLayer, grad []float64) {
-	switch v := l.(type) {
-	case *refSequential:
-		for i := len(v.layers) - 1; i > 0; i-- {
-			grad = v.layers[i].backward(grad)
-		}
-		refBackwardParams(v.layers[0], grad)
-	case *refDense:
-		v.backwardParams(grad)
-	default:
-		l.backward(grad)
-	}
 }
 
 type refMDN struct {
@@ -365,59 +201,32 @@ func (a *refAdam) step() {
 // refModel mirrors a Model with reference layers over its own deep copy
 // of the parameters.
 type refModel struct {
-	backbone refLayer // nil for a head-only model
-	head     *refMDN
+	hidden *refDense
+	relu   *refReLU
+	head   *refMDN
 }
 
 func refDenseOf(d *Dense) *refDense {
 	return &refDense{in: d.in, out: d.out, w: d.w.clone(), b: d.b.clone()}
 }
 
-func refLayerOf(l Layer) refLayer {
-	switch v := l.(type) {
-	case *Dense:
-		return refDenseOf(v)
-	case *ReLU:
-		return &refReLU{}
-	case *Conv2D:
-		return &refConv{inC: v.inC, inH: v.inH, inW: v.inW, outC: v.outC, k: v.k, w: v.w.clone(), b: v.b.clone()}
-	case *MaxPool2D:
-		return &refPool{c: v.c, h: v.h, w: v.w}
-	case *Sequential:
-		s := &refSequential{}
-		for _, l := range v.layers {
-			s.layers = append(s.layers, refLayerOf(l))
-		}
-		return s
-	default:
-		panic(fmt.Sprintf("no reference for layer %T", l))
-	}
-}
-
 // newRef copies m's current weights into a reference model.
 func newRef(m *Model) *refModel {
-	r := &refModel{head: &refMDN{g: m.Head.g, dense: refDenseOf(m.Head.dense)}}
-	if m.Backbone != nil {
-		r.backbone = refLayerOf(m.Backbone)
+	return &refModel{
+		hidden: refDenseOf(m.hidden),
+		relu:   &refReLU{},
+		head:   &refMDN{g: m.head.g, dense: refDenseOf(m.head.dense)},
 	}
-	return r
 }
 
 // params lists the parameters in Model.params' order.
 func (m *refModel) params() []*Param {
-	var ps []*Param
-	if m.backbone != nil {
-		ps = append(ps, m.backbone.params()...)
-	}
-	return append(ps, m.head.dense.params()...)
+	return append(m.hidden.params(), m.head.dense.params()...)
 }
 
 // predict returns the flattened (π, μ, σ) of x's mixture.
 func (m *refModel) predict(x []float64) []float64 {
-	if m.backbone != nil {
-		x = m.backbone.forward(x)
-	}
-	m.head.forward(x)
+	m.head.forward(m.relu.forward(m.hidden.forward(x)))
 	out := make([]float64, 0, 3*m.head.g)
 	for j := 0; j < m.head.g; j++ {
 		out = append(out, m.head.pi[j], m.head.mu[j], m.head.sigma[j])
@@ -437,16 +246,9 @@ func (m *refModel) fit(xs [][]float64, ys []float64, cfg TrainConfig) float64 {
 		total := 0.0
 		inBatch := 0
 		for _, i := range perm {
-			x := xs[i]
-			if m.backbone != nil {
-				x = m.backbone.forward(x)
-			}
-			m.head.forward(x)
+			m.head.forward(m.relu.forward(m.hidden.forward(xs[i])))
 			total += m.head.nll(ys[i])
-			gradFeat := m.head.backward(ys[i])
-			if m.backbone != nil {
-				refBackwardParams(m.backbone, gradFeat)
-			}
+			m.hidden.backwardParams(m.relu.backward(m.head.backward(ys[i])))
 			inBatch++
 			if inBatch == cfg.BatchSize {
 				opt.step()

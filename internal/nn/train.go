@@ -7,23 +7,41 @@ import (
 	"github.com/everest-project/everest/internal/xrand"
 )
 
-// Model is a complete density network: a feature backbone followed by an
-// MDN head. Predict yields the score mixture for one input.
+// Model is the CMDN's density network: a dense hidden layer with ReLU
+// activations feeding an MDN head. Predict yields the score mixture for
+// one input.
 type Model struct {
-	// Backbone maps raw inputs to features (may be nil for identity).
-	Backbone Layer
-	// Head is the mixture-density output.
-	Head *MDN
+	hidden *Dense
+	relu   *ReLU
+	head   *MDN
+}
+
+// NewModel builds Dense(in→h) → ReLU → MDN(h, g), drawing the hidden
+// layer's initial weights from r before the head's.
+func NewModel(in, h, g int, r *xrand.RNG) *Model {
+	hidden := NewDense(in, h, r)
+	return &Model{hidden: hidden, relu: &ReLU{}, head: NewMDN(h, g, r)}
+}
+
+// InputSize is the length of one input row.
+func (m *Model) InputSize() int { return m.hidden.in }
+
+// forward moves a batch of rows through the model and returns the first
+// row's mixture.
+func (m *Model) forward(x []float64) uncertain.Mixture {
+	return m.head.Forward(m.relu.Forward(m.hidden.Forward(x)))
 }
 
 // Predict returns the predicted score distribution for input x. The
 // returned Mixture is backed by model-owned scratch and valid until the
-// next Predict/Forward on this model; callers that retain it must copy.
-func (m *Model) Predict(x []float64) uncertain.Mixture {
-	if m.Backbone != nil {
-		x = m.Backbone.Forward(x)
-	}
-	return m.Head.Forward(x)
+// next Predict/NLL on this model; callers that retain it must copy.
+func (m *Model) Predict(x []float64) uncertain.Mixture { return m.forward(x) }
+
+// NLL returns the negative log-likelihood of target y under the mixture
+// predicted for input x.
+func (m *Model) NLL(x []float64, y float64) float64 {
+	m.forward(x)
+	return m.head.NLL(y)
 }
 
 // CloneForInference returns a model that shares m's trained weights but
@@ -31,11 +49,7 @@ func (m *Model) Predict(x []float64) uncertain.Mixture {
 // goroutine per clone) as long as no goroutine trains the shared weights
 // at the same time.
 func (m *Model) CloneForInference() *Model {
-	c := &Model{Head: m.Head.cloneForInference()}
-	if m.Backbone != nil {
-		c.Backbone = cloneLayerForInference(m.Backbone)
-	}
-	return c
+	return &Model{hidden: m.hidden.shared(), relu: &ReLU{}, head: m.head.cloneForInference()}
 }
 
 // Clone returns a deep copy of the model: fresh parameter tensors with
@@ -46,20 +60,12 @@ func (m *Model) CloneForInference() *Model {
 // state is not part of a Model; a subsequent Fit starts fresh Adam
 // moments, as any Fit does.
 func (m *Model) Clone() *Model {
-	c := &Model{Head: m.Head.clone()}
-	if m.Backbone != nil {
-		c.Backbone = cloneLayerForTraining(m.Backbone)
-	}
-	return c
+	return &Model{hidden: m.hidden.clone(), relu: &ReLU{}, head: m.head.clone()}
 }
 
-// params collects all trainable parameters.
+// params lists the trainable parameters, hidden layer first.
 func (m *Model) params() []*Param {
-	var ps []*Param
-	if m.Backbone != nil {
-		ps = append(ps, m.Backbone.Params()...)
-	}
-	return append(ps, m.Head.Params()...)
+	return append(m.hidden.params(), m.head.dense.params()...)
 }
 
 // NumParams is the model's trainable-parameter count — what one sample's
@@ -102,15 +108,15 @@ func (c TrainConfig) withDefaults() TrainConfig {
 // before its batch's step; earlier epochs' losses are never read, so they
 // are not computed).
 //
-// There is one training loop, whatever the architecture: each epoch draws
-// a permutation, and each minibatch — BatchSize consecutive entries of it,
-// the last one possibly short — is gathered into one contiguous block and
-// moves through the backbone and the head as a unit. Rows are independent
-// on the way up, and on the way down every gradient accumulator receives
-// its terms in row order, so the weights are bit for bit those of visiting
-// the permutation one sample at a time (reference_test.go keeps that loop
-// and compares). The permutation, the batch block and the Adam moments are
-// allocated once per Fit.
+// Each epoch draws a permutation, and each minibatch — BatchSize
+// consecutive entries of it, the last one possibly short — is gathered
+// into one contiguous block and moves through the hidden layer and the
+// head as a unit. Rows are independent on the way up, and on the way down
+// every gradient accumulator receives its terms in row order, so the
+// weights are bit for bit those of visiting the permutation one sample at
+// a time (reference_test.go keeps that loop and compares). A row whose
+// length is not InputSize is an error, not a misread. The permutation,
+// the batch block and the Adam moments are allocated once per Fit.
 func (m *Model) Fit(xs [][]float64, ys []float64, cfg TrainConfig) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("nn: %d inputs but %d targets", len(xs), len(ys))
@@ -119,10 +125,10 @@ func (m *Model) Fit(xs [][]float64, ys []float64, cfg TrainConfig) (float64, err
 		return 0, fmt.Errorf("nn: empty training set")
 	}
 	cfg = cfg.withDefaults()
-	in := len(xs[0])
+	in := m.hidden.in
 	for i, x := range xs {
 		if len(x) != in {
-			return 0, fmt.Errorf("nn: input %d has %d values, input 0 has %d", i, len(x), in)
+			return 0, fmt.Errorf("nn: input %d has %d values, the model takes %d", i, len(x), in)
 		}
 	}
 	opt := NewAdam(m.params(), cfg.LearningRate)
@@ -141,22 +147,16 @@ func (m *Model) Fit(xs [][]float64, ys []float64, cfg TrainConfig) (float64, err
 				copy(bx[s*in:(s+1)*in], xs[i])
 				by[s] = ys[i]
 			}
-			x, y := bx[:len(idx)*in], by[:len(idx)]
-			if m.Backbone != nil {
-				x = m.Backbone.Forward(x)
-			}
-			m.Head.Forward(x)
+			y := by[:len(idx)]
+			m.forward(bx[:len(idx)*in])
 			if ep == cfg.Epochs-1 {
 				for s, target := range y {
-					total += m.Head.rowNLL(s, target)
+					total += m.head.rowNLL(s, target)
 				}
 			}
-			gradFeat := m.Head.Backward(y)
-			if m.Backbone != nil {
-				// Nothing sits below the backbone, so its input gradient
-				// is never computed.
-				m.Backbone.Backward(gradFeat, false)
-			}
+			// Nothing sits below the hidden layer, so its input gradient
+			// is never computed.
+			m.hidden.Backward(m.relu.Backward(m.head.Backward(y)), false)
 			opt.Step()
 		}
 	}
@@ -171,8 +171,7 @@ func (m *Model) MeanNLL(xs [][]float64, ys []float64) float64 {
 	}
 	total := 0.0
 	for i, x := range xs {
-		m.Predict(x)
-		total += m.Head.NLL(ys[i])
+		total += m.NLL(x, ys[i])
 	}
 	return total / float64(len(xs))
 }

@@ -193,11 +193,12 @@ func Label(src video.Source, udf vision.UDF, ids []int, opt Options, clock *simc
 // training samples, fanned out over the configured workers with
 // index-ordered emission — a pure function of (src, idx, scores). No
 // cost is charged: labelling cost was charged where the scores were
-// obtained, and feature extraction rides the training charge.
-func Samples(src video.Source, arch cmdn.Arch, idx []int, scores []float64, procs int, pool *workpool.Pool) []cmdn.Sample {
+// obtained, and feature extraction rides the training charge. The Arch
+// argument is unused: the feature pyramid is the one backbone.
+func Samples(src video.Source, _ cmdn.Arch, idx []int, scores []float64, procs int, pool *workpool.Pool) []cmdn.Sample {
 	return workpool.MapOn(pool, procs, len(idx), func(_, k int) cmdn.Sample {
 		f := src.Render(idx[k])
-		x := cmdn.InputFor(arch, f)
+		x := cmdn.ExtractFeatures(f)
 		f.Release()
 		return cmdn.Sample{Frame: idx[k], X: x, Y: scores[k]}
 	})
@@ -232,7 +233,6 @@ func RunLabelled(src video.Source, opt Options, plan SamplePlan, trainScores, ho
 	if clock == nil {
 		clock = simclock.NewClock()
 	}
-	arch := opt.Proxy.Arch
 	proxyCfg := opt.Proxy
 	w, h := src.Resolution()
 	proxyCfg.FrameW, proxyCfg.FrameH = w, h
@@ -245,8 +245,8 @@ func RunLabelled(src video.Source, opt Options, plan SamplePlan, trainScores, ho
 	if proxyCfg.Procs == 0 {
 		proxyCfg.Procs = opt.Procs
 	}
-	train := Samples(src, arch, plan.TrainIdx, trainScores, opt.Procs, opt.Pool)
-	hold := Samples(src, arch, plan.HoldIdx, holdScores, opt.Procs, opt.Pool)
+	train := Samples(src, opt.Proxy.Arch, plan.TrainIdx, trainScores, opt.Procs, opt.Pool)
+	hold := Samples(src, opt.Proxy.Arch, plan.HoldIdx, holdScores, opt.Procs, opt.Pool)
 	proxy, _, err := cmdn.Train(train, hold, proxyCfg, clock, opt.Cost)
 	if err != nil {
 		return nil, err

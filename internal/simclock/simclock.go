@@ -66,9 +66,6 @@ type CostModel struct {
 	// HOGMS is the HOG+SVM baseline's per-frame cost (hundreds of SVM
 	// evaluations over sub-regions make it slower than the deep proxy).
 	HOGMS float64
-	// SpecializedNNMS is the per-frame cost of a NoScope-style specialized
-	// binary classifier used by the Select-and-Topk baseline.
-	SpecializedNNMS float64
 	// SelectPerFrameMS is the algorithmic cost of scoring one candidate in
 	// Select-candidate (Eq. 6); it is orders of magnitude below inference.
 	SelectPerFrameMS float64
@@ -86,7 +83,6 @@ func Default() CostModel {
 		ProxyTrainSampleMS: 18,   // all 12 configs, per sample-epoch
 		TinyMS:             22,   // TinyYOLOv3 ≈ 45 fps
 		HOGMS:              260,  // hundreds of SVM sub-region evaluations
-		SpecializedNNMS:    2,    // NoScope specialized model
 		SelectPerFrameMS:   1e-4, // CPU-side arithmetic per candidate
 	}
 }
