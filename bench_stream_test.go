@@ -65,7 +65,6 @@ func runStream(b *testing.B, src video.Source, mode stream.RefreshMode, seg, chu
 	if err := g.Seal(); err != nil {
 		b.Fatal(err)
 	}
-	g.Close()
 	return g
 }
 
@@ -129,7 +128,6 @@ func BenchmarkFollowDeltas(b *testing.B) {
 		if err := g.Seal(); err != nil {
 			b.Fatal(err)
 		}
-		g.Close()
 		var totalMS float64
 		for _, d := range f.Deltas() {
 			totalMS += d.QueryMS
@@ -202,7 +200,6 @@ func BenchmarkSegmentClose(b *testing.B) {
 				b.StopTimer()
 				runtime.ReadMemStats(&ms)
 				bytes += ms.TotalAlloc
-				g.Close()
 			}
 			closes := float64(b.N * age)
 			b.ReportMetric(float64(bytes)/closes, "B/close")

@@ -313,7 +313,7 @@ func TestChaosAdmissionGateNeverLeaks(t *testing.T) {
 	ix, src, udf := chaosFixture(t)
 	s, _ := chaosSession(t, ix, src, udf, "err:100000")
 
-	// Warm the resident machinery (mux dispatcher, pools) before counting
+	// Warm the resident machinery (the mux dispatcher) before counting
 	// goroutines, so the settle check below measures leaks, not lazies.
 	warm := smallCfg(5)
 	warm.UseMux = true

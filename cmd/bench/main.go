@@ -10,7 +10,11 @@
 // numbers were taken under. Each benchmark additionally records the
 // GOMAXPROCS it ran at (parsed from the -N name suffix), and -cpu runs
 // the suite at several worker counts so parallel-path wins are visible
-// in the captured file, not hidden behind a serial-only run.
+// in the captured file, not hidden behind a serial-only run. The default
+// is 1 and the machine's core count: a count above the cores measures
+// oversubscription, not parallelism. With -compare and no -cpu, the
+// fresh run uses the baseline's recorded -cpu, so the two reports hold
+// the same benchmark names.
 //
 // Usage:
 //
@@ -74,7 +78,7 @@ func main() {
 		pattern   = flag.String("bench", "Fig4Overall|CMDNGridTrain|ProxyPredict|TrainGridPoint|SelectBatch|EngineRun|Prepare|Start|Execute|FrameRelation|WindowRelation|Quantize|OracleMux|StreamingIngest|FollowDeltas|SegmentClose|ParseScript|BindScript|ChooseSet|ExecWarm|NewSynthetic|Timeline|ExtractFeatures|CountUDFScore|Render|Fit|Publish|Recover", "benchmark regexp")
 		pkgs      = flag.String("pkg", ".,./internal/cmdn,./internal/core,./internal/engine,./internal/uncertain,./internal/eql,./internal/video,./internal/vision,./internal/nn,./internal/labelstore,./internal/durable", "comma-separated packages")
 		benchtime = flag.String("benchtime", "", "passed to -benchtime when non-empty (e.g. 1x, 2s)")
-		cpu       = flag.String("cpu", "1,8", "passed to -cpu: comma-separated GOMAXPROCS values per benchmark (empty for the go test default)")
+		cpu       = flag.String("cpu", defaultCPU(), "passed to -cpu: comma-separated GOMAXPROCS values per benchmark (empty for the go test default); with -compare, defaults to the baseline's")
 		compare   = flag.String("compare", "", "baseline JSON to diff the fresh run against (e.g. the committed BENCH_engine.json)")
 	)
 	flag.Parse()
@@ -90,15 +94,16 @@ func main() {
 			fatalf("parsing baseline %s: %v", *compare, err)
 		}
 		// In compare mode the default output would clobber the baseline
-		// being compared; write only where -out was given explicitly.
-		explicitOut := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "out" {
-				explicitOut = true
-			}
-		})
-		if !explicitOut {
+		// being compared; write only where -out was given explicitly. The
+		// fresh run follows the baseline's worker counts unless -cpu was
+		// given, so both reports name the same benchmarks.
+		explicit := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+		if !explicit["out"] {
 			*out = ""
+		}
+		if !explicit["cpu"] {
+			*cpu = baseline.CPU
 		}
 	}
 
@@ -150,6 +155,14 @@ func main() {
 			fatalf("%v", err)
 		}
 	}
+}
+
+// defaultCPU is "1,N" for N = runtime.NumCPU(), or "1" on one core.
+func defaultCPU() string {
+	if n := runtime.NumCPU(); n > 1 {
+		return "1," + strconv.Itoa(n)
+	}
+	return "1"
 }
 
 func fatalf(format string, args ...any) {

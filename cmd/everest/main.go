@@ -269,7 +269,6 @@ func runFollow(src video.Source, udf vision.UDF, cfg everest.Config, segment, ch
 	if err != nil {
 		return err
 	}
-	defer ls.Close()
 
 	n := src.NumFrames()
 	for sent := 0; sent < n; sent += chunk {

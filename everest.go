@@ -128,12 +128,11 @@ type Config struct {
 	// Coalesce routes Session queries through the label cache's
 	// cross-query scheduler: compatible queries submitted while another
 	// runs are batched into one engine run that shares a single label
-	// overlay and worker pool, so overlapping frames are labeled once
-	// and charged once. Results are bit-identical to executing the same
-	// queries serially in submission order, each seeing its
-	// predecessors' labels (see DESIGN.md "Engine pipeline &
-	// scheduler"). A coalesced QueryBatch runs its queries as one
-	// pre-formed group in input order.
+	// overlay, so overlapping frames are labeled once and charged once.
+	// Results are bit-identical to executing the same queries serially
+	// in submission order, each seeing its predecessors' labels (see
+	// DESIGN.md "Engine pipeline & scheduler"). A coalesced QueryBatch
+	// runs its queries as one pre-formed group in input order.
 	Coalesce bool
 	// UseMux routes the query's Phase 2 oracle confirmation batches
 	// through the process-wide oracle multiplexer (internal/oraclemux),
@@ -410,8 +409,7 @@ func resultOf(out *engine.Outcome, p engine.Plan, info Phase1Info) *Result {
 // Run executes a Top-K query over src with the given scoring UDF: it
 // compiles the Config to an engine plan, ingests Phase 1 into an
 // artifact and executes the plan against it — the same pipeline every
-// other entrypoint uses, sharing one clock and worker pool across both
-// stages.
+// other entrypoint uses, sharing one clock across both stages.
 func Run(src video.Source, udf vision.UDF, cfg Config) (*Result, error) {
 	return RunCtx(context.Background(), src, udf, cfg)
 }

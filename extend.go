@@ -49,13 +49,8 @@ func (ix *Index) Extend(src video.Source, udf vision.UDF, cfg Config) (tailMS fl
 		return 0, err
 	}
 	clock := simclock.NewClock()
-	// The resident pool outlives this call: nightly appends reuse the
-	// same workers instead of paying a pool build/teardown per Extend.
-	pool := ix.residentPool(cfg.plan())
 	// cfg.Seed ^ lo: a fresh stream per append.
-	opt := cfg.phase1Options(cfg.Seed ^ uint64(lo))
-	opt.Pool = pool
-	tailArt, err := engine.Ingest(tail, udf, opt, clock)
+	tailArt, err := engine.Ingest(tail, udf, cfg.phase1Options(cfg.Seed^uint64(lo)), clock)
 	if err != nil {
 		return 0, fmt.Errorf("everest: extending index: %w", err)
 	}

@@ -56,7 +56,6 @@ func TestGoldenStreamingMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batchIx.Close()
 		batchRes, err := batchIx.Query(full, udf, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +74,6 @@ func TestGoldenStreamingMatchesBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			streamTail(t, g, long-short, chunk)
-			g.Close()
 
 			if !reflect.DeepEqual(batchIx.art.Clone(), art.Clone()) {
 				t.Fatalf("procs=%d chunk=%d: streamed artifact differs from batch Extend", procs, chunk)
@@ -124,7 +122,6 @@ func TestGoldenStreamingMultiSegment(t *testing.T) {
 		}
 		batchMS += ms
 	}
-	batchIx.Close()
 
 	art := base.art.Clone()
 	g, err := stream.NewIngestorFrom(art, full, udf, stream.Config{
@@ -136,7 +133,6 @@ func TestGoldenStreamingMultiSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamTail(t, g, long-short, 700)
-	g.Close()
 
 	if !reflect.DeepEqual(batchIx.art.Clone(), art.Clone()) {
 		t.Fatal("multi-segment stream differs from repeated batch Extends")
@@ -169,7 +165,6 @@ func TestGoldenFollowerConvergesToBatch(t *testing.T) {
 		if _, err := batchIx.Extend(full, udf, cfg); err != nil {
 			t.Fatal(err)
 		}
-		batchIx.Close()
 		want, err := batchIx.Query(full, udf, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -193,7 +188,6 @@ func TestGoldenFollowerConvergesToBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		streamTail(t, g, long-short, 997)
-		g.Close()
 
 		got := f.Answer()
 		if got == nil {

@@ -20,7 +20,6 @@ import (
 	"github.com/everest-project/everest/internal/uncertain"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
-	"github.com/everest-project/everest/internal/workpool"
 )
 
 // Index is a precomputed Phase 1 artifact: the difference-detector
@@ -40,45 +39,11 @@ type Index struct {
 	art      *engine.Artifact
 	info     Phase1Info
 	ingestMS float64
-
-	// appendPool is the resident worker pool shared by successive
-	// Extend calls — built lazily on the first append, rebuilt only when
-	// the configured width changes, released by Close. A zero-value
-	// (freshly loaded) index has none; nothing else reads these fields.
-	appendPool  *workpool.Pool
-	appendProcs int
 }
 
-// residentPool returns the index's resident append pool at the plan's
-// worker width, (re)building it only when the width changed since the
-// last append. Nil when the effective worker count is 1 — serial paths
-// are exact without a pool.
-func (ix *Index) residentPool(plan engine.Plan) *workpool.Pool {
-	procs := workpool.Procs(plan.Procs)
-	if procs == 1 {
-		ix.releasePool()
-		return nil
-	}
-	if ix.appendPool == nil || ix.appendProcs != procs {
-		ix.releasePool()
-		ix.appendPool = workpool.NewPool(plan.Procs)
-		ix.appendProcs = procs
-	}
-	return ix.appendPool
-}
-
-func (ix *Index) releasePool() {
-	if ix.appendPool != nil {
-		ix.appendPool.Close()
-		ix.appendPool = nil
-	}
-	ix.appendProcs = 0
-}
-
-// Close releases the resident append pool, if any. Queries never need
-// it; only call paths that Extend the index hold one. Idempotent, and
-// safe on a loaded or zero-value index.
-func (ix *Index) Close() { ix.releasePool() }
+// Close releases nothing: an index holds no goroutine between calls.
+// It remains only for the benchmark driver, which still calls it.
+func (ix *Index) Close() {}
 
 // Dataset returns the indexed video's name.
 func (ix *Index) Dataset() string { return ix.art.Dataset }
@@ -104,15 +69,8 @@ func BuildIndex(src video.Source, udf vision.UDF, cfg Config) (*Index, error) {
 		return nil, errors.New("everest: nil source or UDF")
 	}
 	cfg = cfg.withDefaults()
-	plan := cfg.plan()
 	clock := simclock.NewClock()
-	pool := plan.WorkerPool()
-	if pool != nil {
-		defer pool.Close()
-	}
-	opt := plan.Ingest
-	opt.Pool = pool
-	art, err := engine.Ingest(src, udf, opt, clock)
+	art, err := engine.Ingest(src, udf, cfg.plan().Ingest, clock)
 	if err != nil {
 		return nil, err
 	}

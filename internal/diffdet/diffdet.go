@@ -35,10 +35,9 @@ type Options struct {
 	// Config.Procs convention: zero or negative means GOMAXPROCS. Results
 	// are bit-identical for every value.
 	Procs int
-	// Pool, when non-nil, runs the clips on a caller-owned resident
-	// worker pool instead of transient goroutines; ingestion paths that
-	// already hold a pool for the rest of the pipeline reuse it here.
-	// Never affects results.
+	// Pool is ignored: the clips always run on transient workers bounded
+	// by Procs. The field remains only for the benchmark driver, which
+	// still sets it.
 	Pool *workpool.Pool
 }
 
@@ -130,7 +129,7 @@ func RunVisit(src video.Source, opt Options, clock *simclock.Clock, cost simcloc
 	// are independent workpool items; errors collect into per-clip slots
 	// and the first (lowest-clip) one is reported, as in the serial loop.
 	nClips := (n + opt.ClipSize - 1) / opt.ClipSize
-	errs := workpool.MapWithOn(opt.Pool, opt.Procs, nClips, newVisitor, func(visit func(video.Frame, bool), c int) error {
+	errs := workpool.MapWith(opt.Procs, nClips, newVisitor, func(visit func(video.Frame, bool), c int) error {
 		lo := c * opt.ClipSize
 		hi := min(lo+opt.ClipSize, n)
 		mid := lo + (hi-lo)/2

@@ -9,7 +9,6 @@ import (
 
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/video"
-	"github.com/everest-project/everest/internal/workpool"
 )
 
 func testSource(t *testing.T, frames int) *video.Synthetic {
@@ -159,8 +158,7 @@ func TestClockCharging(t *testing.T) {
 
 // TestDeterministicAcrossProcs is the workpool-era determinism contract:
 // the detector result — retained set and representative map — must be
-// bit-identical for every worker count, whether the clips run on
-// transient workers or on a caller-owned resident pool.
+// bit-identical for every worker count.
 func TestDeterministicAcrossProcs(t *testing.T) {
 	src := testSource(t, 2000)
 	serial := mustRun(t, src, Options{Procs: 1})
@@ -174,9 +172,6 @@ func TestDeterministicAcrossProcs(t *testing.T) {
 		check(fmt.Sprintf("procs=%d", procs), mustRun(t, src, Options{Procs: procs}))
 	}
 	check("procs=0 (GOMAXPROCS)", mustRun(t, src, Options{}))
-	pool := workpool.NewPool(8)
-	defer pool.Close()
-	check("resident pool (8 workers)", mustRun(t, src, Options{Pool: pool}))
 }
 
 func TestShortVideo(t *testing.T) {
@@ -196,7 +191,7 @@ func TestNegativeClipSizeIsAnError(t *testing.T) {
 // TestVisitorSeesEveryFrameOnce: the visitor form decodes each frame
 // exactly once and shows it — live pixels, right retain decision — to
 // one visitor per worker, with the Result of the plain Run, at every
-// worker count and on a resident pool.
+// worker count.
 func TestVisitorSeesEveryFrameOnce(t *testing.T) {
 	src := testSource(t, 1000)
 	plain := mustRun(t, src, Options{Procs: 1})
@@ -204,9 +199,7 @@ func TestVisitorSeesEveryFrameOnce(t *testing.T) {
 	for i := range want {
 		want[i] = src.Render(i).Pix[i] // one probe pixel per frame, never released
 	}
-	pool := workpool.NewPool(4)
-	defer pool.Close()
-	for _, opt := range []Options{{Procs: 1}, {Procs: 2}, {Procs: 8}, {Pool: pool}} {
+	for _, opt := range []Options{{Procs: 1}, {Procs: 2}, {Procs: 8}} {
 		counted := &countedSource{Source: src}
 		var visitors atomic.Int32
 		seen := make([]int32, src.NumFrames())
@@ -230,12 +223,8 @@ func TestVisitorSeesEveryFrameOnce(t *testing.T) {
 		if got := counted.renders.Load(); int(got) != src.NumFrames() {
 			t.Fatalf("%+v: %d renders for %d frames", opt, got, src.NumFrames())
 		}
-		workers := opt.Procs
-		if opt.Pool != nil {
-			workers = opt.Pool.Workers()
-		}
-		if v := int(visitors.Load()); v < 1 || v > workers {
-			t.Fatalf("%+v: %d visitors made for %d workers", opt, v, workers)
+		if v := int(visitors.Load()); v < 1 || v > opt.Procs {
+			t.Fatalf("%+v: %d visitors made for %d workers", opt, v, opt.Procs)
 		}
 		for i, c := range seen {
 			if c != 1 {

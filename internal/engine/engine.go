@@ -18,8 +18,7 @@ import (
 
 // Binding is what a plan executes against: the artifact plus the live
 // (video, UDF) pair, and the execution context the caller wants shared —
-// a label overlay, a clock that may already carry ingest charges, a
-// resident worker pool.
+// a label overlay, a clock that may already carry ingest charges.
 type Binding struct {
 	// Src and UDF are the live pair; they must match the artifact
 	// (callers validate via Artifact.ValidateFor).
@@ -37,10 +36,9 @@ type Binding struct {
 	// clock. Entrypoints that ingest and query in one call (everest.Run)
 	// pass the ingest clock so the Result carries the full breakdown.
 	Clock *simclock.Clock
-	// Pool, when non-nil, is a caller-owned resident worker pool (an
-	// ingest-plus-query run shares one across both stages) for window
-	// aggregation — a shape's first build and a query's re-aggregation;
-	// nil runs them on transient goroutines when Procs > 1.
+	// Pool is ignored: window aggregation runs on transient workers
+	// bounded by Plan.Procs. The field remains only for the benchmark
+	// driver, which still sets it.
 	Pool *workpool.Pool
 	// Dispatch, when non-nil, routes the plan's oracle confirmation
 	// batches through this multiplexer instead of invoking the UDF
@@ -97,7 +95,7 @@ type Outcome struct {
 // binding's artifact must match its source and UDF.
 //
 // The outcome is a pure function of (plan, artifact, overlay snapshot):
-// Procs and Pool change wall-clock only, and a nil overlay behaves as a
+// Procs changes wall-clock only, and a nil overlay behaves as a
 // frozen empty cache.
 func Execute(p Plan, b Binding) (*Outcome, error) {
 	ctx := b.Ctx
@@ -201,7 +199,7 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 	// windows its overlay touches, re-aggregated in its own copy of the
 	// relation. The iterator over those windows is built here, not
 	// returned by the view, so it stays on the stack.
-	v, err := b.Artifact.memo(p.Window.d0Key(qopt), p.Procs, b.Pool)
+	v, err := b.Artifact.memo(p.Window.d0Key(qopt), p.Procs)
 	if err != nil {
 		return nil, err
 	}

@@ -79,7 +79,7 @@ func (a *Artifact) Clone() *Artifact {
 // Ingest runs Phase 1 over src and captures its outputs. Proxy inference
 // for unlabeled retained frames runs on the configured workers and is
 // charged to clock (PhasePopulateD0), exactly like the lazy relation
-// build it replaces. opt.Pool should carry the caller's resident pool.
+// build it replaces.
 func Ingest(src video.Source, udf vision.UDF, opt phase1.Options, clock *simclock.Clock) (*Artifact, error) {
 	if src == nil || udf == nil {
 		return nil, errors.New("everest: nil source or UDF")

@@ -23,9 +23,10 @@
 // from different callers into one engine run (see scheduler.go).
 //
 // Determinism: an Outcome is a pure function of (Plan, Artifact, overlay
-// snapshot). Procs and Pool trade wall-clock only; simulated charges and
-// results are bit-identical for every worker count, the property the
-// golden suite locks.
+// snapshot). Procs trades wall-clock only: every fan-out runs on
+// transient workers bounded by it, and simulated charges and results
+// are bit-identical for every worker count, the property the golden
+// suite locks.
 package engine
 
 import (
@@ -277,14 +278,8 @@ func (p Plan) Knobs() []Knob {
 	return ks
 }
 
-// WorkerPool returns a resident worker pool for one plan execution or
-// ingestion run (nil when the effective worker count is 1, where
-// transient serial paths are exact already). The caller owns it: pass
-// it down via the Pool options and Close it when the operation
-// finishes.
-func (p Plan) WorkerPool() *workpool.Pool {
-	if workpool.Procs(p.Procs) == 1 {
-		return nil
-	}
-	return workpool.NewPool(p.Procs)
-}
+// WorkerPool returns an inert workpool.Pool: nothing in the library
+// reads one, and every fan-out runs on transient workers bounded by
+// p.Procs. It remains only for the benchmark driver, which still calls
+// it.
+func (p Plan) WorkerPool() *workpool.Pool { return workpool.NewPool(p.Procs) }

@@ -101,7 +101,7 @@ type d0View struct {
 // memo returns the view of key's entry, building the entry — on the
 // given workers — if it is new, and extending it over the tuples
 // appended since it was built.
-func (a *Artifact) memo(key d0Key, procs int, pool *workpool.Pool) (d0View, error) {
+func (a *Artifact) memo(key d0Key, procs int) (d0View, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	scores, err := a.frameScores()
@@ -117,7 +117,7 @@ func (a *Artifact) memo(key d0Key, procs int, pool *workpool.Pool) (d0View, erro
 		scores: scores,
 		diff:   diffdet.Result{RepOf: a.RepOf},
 		span:   a.span,
-		opt:    windows.Options{Size: key.size, Stride: key.stride, Step: key.qopt.Step, MaxLevel: maxLevel, Procs: procs, Pool: pool},
+		opt:    windows.Options{Size: key.size, Stride: key.stride, Step: key.qopt.Step, MaxLevel: maxLevel, Procs: procs},
 	}
 	fresh := v.entry == nil
 	if fresh {
@@ -335,7 +335,7 @@ func positionFrom(rel uncertain.Relation, from, id int) (int, bool) {
 // over the prepared relation under the same overrides — but callers
 // that want the relation itself do.
 func (a *Artifact) FrameRelation(qopt uncertain.QuantizeOptions, labels *labelstore.Overlay) (uncertain.Relation, error) {
-	v, err := a.memo(WindowSpec{}.d0Key(qopt), 0, nil)
+	v, err := a.memo(WindowSpec{}.d0Key(qopt), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -452,14 +452,14 @@ func (v d0View) runStart(labels *labelstore.Overlay) (uncertain.Relation, []int,
 // re-aggregated — a window query's run relation whenever the overlay
 // touches a window. labels, when non-nil, supplies exact scores
 // confirmed by earlier queries over the same cache; it must not be
-// mutated while this runs. procs and pool are the workers the shape's
-// first build and the re-aggregation fan out on (nil pool: transient
-// goroutines).
-func (a *Artifact) WindowRelation(w WindowSpec, qopt uncertain.QuantizeOptions, labels *labelstore.Overlay, procs int, pool *workpool.Pool) (uncertain.Relation, error) {
+// mutated while this runs. procs bounds the transient workers the
+// shape's first build and the re-aggregation fan out on. The pool
+// argument is ignored; it remains for the benchmark driver.
+func (a *Artifact) WindowRelation(w WindowSpec, qopt uncertain.QuantizeOptions, labels *labelstore.Overlay, procs int, _ *workpool.Pool) (uncertain.Relation, error) {
 	if !w.Enabled() {
 		return nil, fmt.Errorf("everest: window size must be positive, got %d", w.Size)
 	}
-	v, err := a.memo(w.d0Key(qopt), procs, pool)
+	v, err := a.memo(w.d0Key(qopt), procs)
 	if err != nil {
 		return nil, err
 	}

@@ -92,8 +92,8 @@ type submission struct {
 
 // SubmitGroup queues plans as one atomic block — no foreign submission
 // interleaves them — and blocks until every member is delivered; a lone
-// query is a group of one. Each binding's Labels, Clock and Pool must
-// be nil: the scheduler supplies the group's shared overlay and every
+// query is a group of one. Each binding's Labels and Clock must be
+// nil: the scheduler supplies the group's shared overlay and every
 // plan gets its own fresh clock (per-plan charges stay separable).
 // Outcomes are in input order, nil exactly where a member failed, and
 // the lowest-index failure's error is returned alongside them verbatim
@@ -285,10 +285,9 @@ func (s *Scheduler) runGroup(group []*submission) {
 	for _, sub := range group {
 		b := sub.bind
 		b.Labels = overlay
-		// Every plan charges a clock of its own, and a window plan makes
-		// and closes its own worker pool inside Execute at the width it
-		// asked for — exactly as it would alone.
-		b.Clock, b.Pool = nil, nil
+		// Every plan charges a clock of its own, exactly as it would
+		// alone.
+		b.Clock = nil
 		sub.out, sub.err = Execute(sub.plan, b)
 	}
 }

@@ -128,7 +128,7 @@ func assertWindowExecuteMatchesReference(t *testing.T, when string, a *Artifact,
 // re-aggregates.
 func touchedUnder(t *testing.T, a *Artifact, w WindowSpec, qopt uncertain.QuantizeOptions, labels *labelstore.Overlay) []int {
 	t.Helper()
-	v, err := a.memo(w.d0Key(qopt), 1, nil)
+	v, err := a.memo(w.d0Key(qopt), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestMemoBound(t *testing.T) {
 	capped := uncertain.QuantizeOptions{Step: 0.5, MinLevel: 0, MaxLevel: 12, TruncSigma: 2}
 	relOf := func(w WindowSpec, qopt uncertain.QuantizeOptions) uncertain.Relation {
 		t.Helper()
-		v, err := a.memo(w.d0Key(qopt), 1, nil)
+		v, err := a.memo(w.d0Key(qopt), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,11 +45,9 @@ type Options struct {
 	// training and D0 proxy-inference sweeps; ≤ 0 means GOMAXPROCS.
 	// Results are bit-identical for every value.
 	Procs int
-	// Pool, when non-nil, is a caller-owned resident worker pool the
-	// fan-outs (feature extraction, the difference detector, proxy
-	// inference) run on instead of transient goroutines. The State keeps
-	// it for InferMixtures, so it must outlive that. Never affects
-	// results.
+	// Pool is ignored: every fan-out runs on transient workers bounded
+	// by Procs. The field remains only for the benchmark driver, which
+	// still sets it.
 	Pool *workpool.Pool
 }
 
@@ -103,7 +101,6 @@ type State struct {
 	// without a Phase 1 label); nil elsewhere.
 	mixes []uncertain.Mixture
 	procs int
-	pool  *workpool.Pool
 }
 
 // SamplePlan is the deterministic labelling plan for a video of a given
@@ -194,9 +191,10 @@ func Label(src video.Source, udf vision.UDF, ids []int, opt Options, clock *simc
 // index-ordered emission — a pure function of (src, idx, scores). No
 // cost is charged: labelling cost was charged where the scores were
 // obtained, and feature extraction rides the training charge. The Arch
-// argument is unused: the feature pyramid is the one backbone.
-func Samples(src video.Source, _ cmdn.Arch, idx []int, scores []float64, procs int, pool *workpool.Pool) []cmdn.Sample {
-	return workpool.MapOn(pool, procs, len(idx), func(_, k int) cmdn.Sample {
+// argument is unused: the feature pyramid is the one backbone. The pool
+// argument is ignored too; it remains for the benchmark driver.
+func Samples(src video.Source, _ cmdn.Arch, idx []int, scores []float64, procs int, _ *workpool.Pool) []cmdn.Sample {
+	return workpool.Map(procs, len(idx), func(_, k int) cmdn.Sample {
 		f := src.Render(idx[k])
 		x := cmdn.ExtractFeatures(f)
 		f.Release()
@@ -245,8 +243,8 @@ func RunLabelled(src video.Source, opt Options, plan SamplePlan, trainScores, ho
 	if proxyCfg.Procs == 0 {
 		proxyCfg.Procs = opt.Procs
 	}
-	train := Samples(src, opt.Proxy.Arch, plan.TrainIdx, trainScores, opt.Procs, opt.Pool)
-	hold := Samples(src, opt.Proxy.Arch, plan.HoldIdx, holdScores, opt.Procs, opt.Pool)
+	train := Samples(src, opt.Proxy.Arch, plan.TrainIdx, trainScores, opt.Procs, nil)
+	hold := Samples(src, opt.Proxy.Arch, plan.HoldIdx, holdScores, opt.Procs, nil)
 	proxy, _, err := cmdn.Train(train, hold, proxyCfg, clock, opt.Cost)
 	if err != nil {
 		return nil, err
@@ -299,9 +297,6 @@ func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan Sample
 			// own knob is set explicitly.
 			dopt.Procs = opt.Procs
 		}
-		if dopt.Pool == nil {
-			dopt.Pool = opt.Pool
-		}
 		mixes = make([]uncertain.Mixture, n)
 		diff, err = diffdet.RunVisit(src, dopt, clock, opt.Cost, simclock.PhasePopulateD0, func() func(video.Frame, bool) {
 			p := proxy.CloneForInference()
@@ -323,7 +318,6 @@ func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan Sample
 		Labeled: labeled,
 		mixes:   mixes,
 		procs:   opt.Procs,
-		pool:    opt.Pool,
 		Info: Info{
 			TotalFrames:    n,
 			TrainSamples:   len(plan.TrainIdx),
@@ -359,7 +353,7 @@ func (s *State) mixtureOn(p *cmdn.Proxy, i int) uncertain.Mixture {
 // configured workers. No cost is charged; charging happens where
 // inference volume is decided.
 func (s *State) InferMixtures(ids []int) []uncertain.Mixture {
-	return workpool.MapWithOn(s.pool, s.procs, len(ids), s.Proxy.CloneForInference,
+	return workpool.MapWith(s.procs, len(ids), s.Proxy.CloneForInference,
 		func(p *cmdn.Proxy, k int) uncertain.Mixture { return s.mixtureOn(p, ids[k]) })
 }
 

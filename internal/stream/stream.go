@@ -48,7 +48,6 @@ import (
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
-	"github.com/everest-project/everest/internal/workpool"
 	"github.com/everest-project/everest/internal/xrand"
 )
 
@@ -135,7 +134,6 @@ type Ingestor struct {
 
 	art   *engine.Artifact
 	clock *simclock.Clock
-	pool  *workpool.Pool
 	cache *labelstore.SharedCache
 	sched *engine.Scheduler
 
@@ -208,15 +206,11 @@ func newIngestor(art *engine.Artifact, src video.Source, udf vision.UDF, cfg Con
 		cache: labelstore.NewSharedCache(),
 	}
 	g.sched = engine.NewCacheScheduler(g.cache)
-	if workpool.Procs(cfg.Ingest.Procs) > 1 {
-		g.pool = workpool.NewPool(cfg.Ingest.Procs)
-	}
 	if art != nil {
 		g.frontier = art.TotalFrames
 		g.ingested = art.TotalFrames
 	}
 	if err := g.openSegment(); err != nil {
-		g.Close()
 		return nil, err
 	}
 	return g, nil
@@ -240,21 +234,11 @@ func (g *Ingestor) PhaseMS(ph simclock.Phase) float64 { return g.clock.PhaseMS(p
 // Stats returns the ingestion counters.
 func (g *Ingestor) Stats() Stats { return g.stats }
 
-// Close releases the resident worker pool. The artifact stays valid.
-func (g *Ingestor) Close() {
-	if g.pool != nil {
-		g.pool.Close()
-		g.pool = nil
-	}
-}
-
 // optFor is the segment's Phase 1 configuration: the base options with
-// the per-segment seed derivation Index.Extend uses (Seed^lo), running
-// on the resident pool.
+// the per-segment seed derivation Index.Extend uses (Seed^lo).
 func (g *Ingestor) optFor(lo int) phase1.Options {
 	opt := g.cfg.Ingest
 	opt.Seed = opt.Seed ^ uint64(lo)
-	opt.Pool = g.pool
 	return opt
 }
 
@@ -474,7 +458,7 @@ func (g *Ingestor) segmentState(view video.Source, opt phase1.Options, plan phas
 	warm := g.prevProxy != nil && g.cfg.Refresh != RefreshFull
 	var hold []cmdn.Sample
 	if warm {
-		hold = phase1.Samples(view, opt.Proxy.Arch, plan.HoldIdx, holdScores, opt.Procs, g.pool)
+		hold = phase1.Samples(view, opt.Proxy.Arch, plan.HoldIdx, holdScores, opt.Procs, nil)
 		tol := g.cfg.DriftNLL
 		if tol == 0 {
 			tol = 0.5
@@ -490,7 +474,7 @@ func (g *Ingestor) segmentState(view video.Source, opt phase1.Options, plan phas
 		return st, hold, err
 	}
 
-	train := phase1.Samples(view, opt.Proxy.Arch, plan.TrainIdx, trainScores, opt.Procs, g.pool)
+	train := phase1.Samples(view, opt.Proxy.Arch, plan.TrainIdx, trainScores, opt.Procs, nil)
 	calib := make([]cmdn.Sample, 0, len(g.reservoir)+len(hold))
 	calib = append(calib, g.reservoir...)
 	calib = append(calib, hold...)

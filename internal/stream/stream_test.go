@@ -61,7 +61,6 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	for delivered := 0; delivered < n; {
 		chunk := 1 + delivered%13
 		if delivered+chunk > n {
@@ -111,7 +110,6 @@ func TestSealedShortSegmentIsPure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	for i := 0; i < n/100; i++ {
 		if err := g.Append(100); err != nil {
 			t.Fatal(err)
@@ -140,7 +138,6 @@ func TestWarmRefreshCheaperThanFull(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		defer g.Close()
 		for i := 0; i < n/seg; i++ {
 			if err := g.Append(seg); err != nil {
 				return nil, err
@@ -185,7 +182,6 @@ func TestDriftFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	for i := 0; i < n/seg; i++ {
 		if err := g.Append(seg); err != nil {
 			t.Fatal(err)
@@ -211,7 +207,6 @@ func TestReservoirBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	for i := 0; i < n/seg; i++ {
 		if err := g.Append(seg); err != nil {
 			t.Fatal(err)
@@ -240,7 +235,6 @@ func TestFollowerDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 
 	plan := engine.Plan{K: 3, Threshold: 0.9, Seed: 5, Cost: simclock.Default()}
 	var seen []Delta
@@ -301,7 +295,6 @@ func TestFollowerStalenessBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	plan := engine.Plan{K: 3, Threshold: 0.9, Seed: 5, Cost: simclock.Default()}
 	f, err := g.Follow(FollowConfig{Plan: plan, MaxLagChunks: 2})
 	if err != nil {
@@ -339,7 +332,6 @@ func TestSharedConfirmations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	plan := engine.Plan{K: 3, Threshold: 0.9, Seed: 5, Cost: simclock.Default()}
 	f1, err := g.Follow(FollowConfig{Plan: plan})
 	if err != nil {
@@ -424,6 +416,5 @@ func TestSegmentCloseRenderBudget(t *testing.T) {
 		if st := g.Stats(); tc.name == "warm" && st.WarmRefreshes != 2 || tc.name == "drift-fallback" && st.DriftFallbacks != 2 {
 			t.Errorf("%s: closes did not take the path under test: %+v", tc.name, st)
 		}
-		g.Close()
 	}
 }

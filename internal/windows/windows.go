@@ -56,10 +56,6 @@ type Options struct {
 	// exceeds 1, scoreOf must be safe for concurrent calls (a read of
 	// immutable state, e.g. a map populated before the call).
 	Procs int
-	// Pool, when non-nil, aggregates the windows on a caller-owned
-	// resident worker pool instead of transient goroutines. Never
-	// affects results.
-	Pool *workpool.Pool
 }
 
 func (o Options) stride() int {
@@ -196,7 +192,7 @@ type failure struct {
 func (s shape) run(scoreOf func(rep int) FrameScore, diff diffdet.Result, opt Options, m int, window func(i int) int, put func(i int, d uncertain.Dist)) []failure {
 	var mu sync.Mutex
 	var failed []failure
-	workpool.ForEachOn(opt.Pool, opt.Procs, m, func(_, i int) {
+	workpool.ForEach(opt.Procs, m, func(_, i int) {
 		d, err := s.aggregate(scoreOf, diff, window(i))
 		if err != nil {
 			mu.Lock()

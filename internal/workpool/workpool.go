@@ -1,6 +1,7 @@
 // Package workpool is the deterministic parallel-execution substrate of
 // the real-CPU hot paths: CMDN grid training, Phase 1 feature extraction
-// and D0 population, and proxy inference sweeps all fan out through it.
+// and D0 population, window aggregation and proxy inference sweeps all
+// fan out through it.
 //
 // Determinism contract: every helper assigns work by item index, collects
 // results into index-ordered slots, and reduces in ascending index order.
@@ -9,6 +10,13 @@
 // property the engine's "same Config.Seed ⇒ same Result" guarantee rests
 // on. The scheduling (which worker runs which index, in what real-time
 // order) is intentionally unobservable.
+//
+// There is one substrate: ForEach's transient workers, at most Procs of
+// them per call, claiming items by index and gone when the call returns.
+// There is no resident pool. Every cost is charged to the simulated
+// clock, so workers change the wall clock only, and a pool that outlives
+// its call saves a goroutine spawn per fan-out while holding goroutines
+// for as long as its owner forgets to Close it.
 //
 // All helpers run the caller's function on the calling goroutine when the
 // effective worker count is 1 or the item count is small, so the serial
@@ -128,3 +136,14 @@ func Sum(procs, n int, fn func(worker, i int) float64) float64 {
 	}
 	return total
 }
+
+// Pool is inert: it starts no goroutine, and nothing in the library
+// reads one. It remains only because the benchmark driver still builds
+// pools and passes them through fields the library ignores.
+type Pool struct{}
+
+// NewPool returns an inert Pool; procs is ignored.
+func NewPool(procs int) *Pool { return &Pool{} }
+
+// Close releases nothing.
+func (p *Pool) Close() {}

@@ -110,7 +110,6 @@ func OpenLive(src video.Source, udf vision.UDF, cfg Config, live LiveConfig) (*L
 	}
 	ls := &LiveStream{ing: ing}
 	if ls.primary, err = ls.Follow(cfg, live.MaxLagChunks, live.OnDelta); err != nil {
-		ing.Close()
 		return nil, err
 	}
 	return ls, nil
@@ -192,9 +191,9 @@ func (ls *LiveStream) Append(frames int) error { return ls.ing.Append(frames) }
 // the final frontier. No Append may follow.
 func (ls *LiveStream) Seal() error { return ls.ing.Seal() }
 
-// Close releases the stream's worker pool. The stream and its deltas
-// stay readable.
-func (ls *LiveStream) Close() { ls.ing.Close() }
+// Close releases nothing: a stream holds no goroutine between calls.
+// It remains only for the benchmark driver, which still calls it.
+func (ls *LiveStream) Close() {}
 
 // Frontier is how many frames of the feed have arrived.
 func (ls *LiveStream) Frontier() int { return ls.ing.Frontier() }

@@ -25,7 +25,6 @@ func TestLiveStreamIsItsPrimaryFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ls.Close()
 	if ls.Answer() != nil || len(ls.Deltas()) != 0 {
 		t.Fatal("answer before any footage arrived")
 	}

@@ -1,8 +1,12 @@
 package everest
 
 import (
+	"bytes"
+	"math"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
@@ -119,4 +123,126 @@ func TestBuildIndexProcsBitIdentical(t *testing.T) {
 			t.Fatalf("query result %d diverged", i)
 		}
 	}
+}
+
+// TestExtendProcsBitIdentical covers the append path: the same index
+// extended at Procs 1 and at Procs 8 must save to identical bytes and
+// answer identically.
+func TestExtendProcsBitIdentical(t *testing.T) {
+	udf := vision.CountUDF{Class: video.ClassCar}
+	day1, full := growableSources(t, 4000, 8000, 113)
+	base, err := BuildIndex(day1, udf, smallCfg(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved [][]byte
+	var answers []goldenResult
+	for _, procs := range []int{1, 8} {
+		ix := &Index{art: base.art.Clone(), info: base.info, ingestMS: base.ingestMS}
+		cfg := smallCfg(5)
+		cfg.Procs = procs
+		if _, err := ix.Extend(full, udf, cfg); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		res, err := ix.Query(full, udf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved = append(saved, buf.Bytes())
+		answers = append(answers, goldenOf(res))
+	}
+	if !bytes.Equal(saved[0], saved[1]) {
+		t.Fatal("index extended at Procs 8 saves to different bytes than at Procs 1")
+	}
+	if !reflect.DeepEqual(answers[0], answers[1]) {
+		t.Fatalf("extended index answers differ across Procs:\n 1: %+v\n 8: %+v", answers[0], answers[1])
+	}
+}
+
+// TestLiveProcsBitIdentical covers live ingestion with the warm refresh
+// always taken (DriftNLL +Inf): the deltas, the ingest charges and the
+// counters at Procs 8 must equal those at Procs 1.
+func TestLiveProcsBitIdentical(t *testing.T) {
+	udf := vision.CountUDF{Class: video.ClassCar}
+	type run struct {
+		deltas   []LiveDelta
+		ingestMS float64
+		stats    LiveStats
+	}
+	var runs []run
+	for _, procs := range []int{1, 8} {
+		src := testSource(t, 6000, 59)
+		cfg := smallCfg(3)
+		cfg.Procs = procs
+		ls, err := OpenLive(src, udf, cfg, LiveConfig{SegmentFrames: 1000, Warm: true, DriftNLL: math.Inf(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sent := 0; sent < src.NumFrames(); sent += 500 {
+			if err := ls.Append(500); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ls.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{ls.Deltas(), ls.IngestMS(), ls.Stats()})
+	}
+	if runs[0].stats.WarmRefreshes == 0 {
+		t.Fatalf("no warm refresh ran: %+v", runs[0].stats)
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("live stream diverged across Procs:\n 1: %+v\n 8: %+v", runs[0], runs[1])
+	}
+}
+
+// TestDroppedIndexAndStreamHoldNoGoroutines: an index extended at
+// Procs 4, and a live stream at Procs 4 that closed a segment, hold no
+// goroutine once their calls return, so dropping them without Close
+// leaks nothing.
+func TestDroppedIndexAndStreamHoldNoGoroutines(t *testing.T) {
+	udf := vision.CountUDF{Class: video.ClassCar}
+	cfg := smallCfg(5)
+	cfg.Procs = 4
+	// dropped runs use, which drops what it built, and requires the
+	// goroutine count to settle back to where it was before.
+	dropped := func(what string, use func()) {
+		baseline := runtime.NumGoroutine()
+		use()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Errorf("dropped %s left %d goroutines behind", what, runtime.NumGoroutine()-baseline)
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	dropped("extended index", func() {
+		day1, full := growableSources(t, 3000, 6000, 131)
+		ix, err := BuildIndex(day1, udf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ix.Extend(full, udf, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	dropped("live stream", func() {
+		ls, err := OpenLive(testSource(t, 2000, 61), udf, cfg, LiveConfig{SegmentFrames: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.Append(1000); err != nil {
+			t.Fatal(err)
+		}
+		if ls.Stats().Segments != 1 {
+			t.Fatalf("closed %d segments, want 1", ls.Stats().Segments)
+		}
+	})
 }

@@ -16,7 +16,6 @@ import (
 func TestSegmentCloseAllocationFlat(t *testing.T) {
 	const closes = 100
 	g := closeStream(t, closes)
-	defer g.Close()
 	perClose := make([]uint64, closes)
 	var ms runtime.MemStats
 	for i := range perClose {
