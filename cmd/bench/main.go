@@ -75,8 +75,8 @@ type Report struct {
 func main() {
 	var (
 		out       = flag.String("out", "BENCH_engine.json", "output JSON path (empty to skip writing)")
-		pattern   = flag.String("bench", "Fig4Overall|CMDNGridTrain|ProxyPredict|TrainGridPoint|SelectBatch|EngineRun|Prepare|Start|Execute|FrameRelation|WindowRelation|Quantize|OracleMux|StreamingIngest|FollowDeltas|SegmentClose|ParseScript|BindScript|ChooseSet|ExecWarm|NewSynthetic|Timeline|ExtractFeatures|CountUDFScore|Render|Fit|Publish|Recover", "benchmark regexp")
-		pkgs      = flag.String("pkg", ".,./internal/cmdn,./internal/core,./internal/engine,./internal/uncertain,./internal/eql,./internal/video,./internal/vision,./internal/nn,./internal/labelstore,./internal/durable", "comma-separated packages")
+		pattern   = flag.String("bench", "Fig4Overall|CMDNGridTrain|ProxyPredict|TrainGridPoint|SelectBatch|EngineRun|Prepare|Start|Execute|FrameRelation|WindowRelation|Quantize|OracleMux|StreamingIngest|FollowDeltas|SegmentClose|ParseScript|BindScript|ChooseSet|ExecWarm|NewSynthetic|Timeline|ExtractFeatures|CountUDFScore|Render|Fit|Publish|Recover|ClipPass|FeaturizeSamples|InferMixtures", "benchmark regexp")
+		pkgs      = flag.String("pkg", ".,./internal/cmdn,./internal/core,./internal/engine,./internal/uncertain,./internal/eql,./internal/video,./internal/vision,./internal/nn,./internal/labelstore,./internal/durable,./internal/phase1", "comma-separated packages")
 		benchtime = flag.String("benchtime", "", "passed to -benchtime when non-empty (e.g. 1x, 2s)")
 		cpu       = flag.String("cpu", defaultCPU(), "passed to -cpu: comma-separated GOMAXPROCS values per benchmark (empty for the go test default); with -compare, defaults to the baseline's")
 		compare   = flag.String("compare", "", "baseline JSON to diff the fresh run against (e.g. the committed BENCH_engine.json)")

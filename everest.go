@@ -110,10 +110,11 @@ type Config struct {
 	Cost simclock.CostModel
 	// Seed drives all randomness; queries are bit-reproducible.
 	Seed uint64
-	// Procs bounds the real CPU workers used by the execution engine
-	// (CMDN grid training, holdout evaluation, feature extraction, D0
-	// proxy-inference sweeps, the difference detector and window
-	// aggregation). Zero or negative means GOMAXPROCS. The knob trades
+	// Procs bounds the real CPU workers of Phase 1's four fan-outs: the
+	// difference detector's clip pass, CMDN grid training, sample
+	// featurization and DisableDiff's proxy-inference sweep. Phase 2
+	// runs on the calling goroutine. Zero or negative means
+	// GOMAXPROCS. The knob trades
 	// wall-clock only: results are bit-identical for every value, and
 	// simulated (simclock) charges do not change.
 	Procs int

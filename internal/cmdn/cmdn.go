@@ -70,9 +70,9 @@ type Config struct {
 	// FrameW, FrameH are the source resolution, which fixes the feature
 	// width (FeatureSize); zero means 64.
 	FrameW, FrameH int
-	// Procs bounds the worker count for grid training, holdout NLL
-	// evaluation and calibration; ≤ 0 means GOMAXPROCS. Results are
-	// bit-identical for every value.
+	// Procs bounds the workers the grid trains on (Phase 1 sets it);
+	// ≤ 0 means GOMAXPROCS. Holdout evaluation and calibration are
+	// serial. Results are bit-identical for every value.
 	Procs int
 }
 
@@ -333,9 +333,8 @@ func Train(train, holdout []Sample, cfg Config, clock *simclock.Clock, cost simc
 		order[gi] = gi
 	}
 	sort.SliceStable(order, func(a, b int) bool { return weight[order[a]] > weight[order[b]] })
-	procs := workpool.Procs(cfg.Procs)
 	fitErrs := make([]error, len(cfg.Grid))
-	workpool.ForEach(procs, len(order), func(_, k int) {
+	workpool.ForEach(cfg.Procs, len(order), func(_, k int) {
 		gi := order[k]
 		_, fitErrs[gi] = models[gi].Fit(xs, ys, nn.TrainConfig{
 			Epochs:       cfg.Epochs,
@@ -349,76 +348,39 @@ func Train(train, holdout []Sample, cfg Config, clock *simclock.Clock, cost simc
 		}
 	}
 
-	nlls := holdoutNLLs(models, hx, hy, procs)
 	var best *Proxy
 	reports := make([]CandidateReport, 0, len(cfg.Grid))
 	for gi, hyp := range cfg.Grid {
-		reports = append(reports, CandidateReport{Hyper: hyp, HoldoutNLL: nlls[gi]})
-		if best == nil || nlls[gi] < best.holdoutNLL {
-			best = &Proxy{model: models[gi], hyper: hyp, yMean: mean, yStd: std, holdoutNLL: nlls[gi]}
+		nll := models[gi].MeanNLL(hx, hy)
+		reports = append(reports, CandidateReport{Hyper: hyp, HoldoutNLL: nll})
+		if best == nil || nll < best.holdoutNLL {
+			best = &Proxy{model: models[gi], hyper: hyp, yMean: mean, yStd: std, holdoutNLL: nll}
 		}
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].HoldoutNLL < reports[j].HoldoutNLL })
-	best.calibrate(hx, hy, procs)
+	best.calibrate(hx, hy)
 	if clock != nil {
 		clock.Charge(simclock.PhaseTrainCMDN, cost.ProxyTrainSampleMS*float64(len(train)+len(holdout)))
 	}
 	return best, reports, nil
 }
 
-// holdoutNLLs evaluates every candidate's mean holdout NLL, parallelized
-// over (candidate, holdout sample) pairs with weight-sharing inference
-// clones. Per-candidate terms are reduced in sample order, so each mean
-// is bit-identical to nn.Model.MeanNLL's serial loop.
-func holdoutNLLs(models []*nn.Model, hx [][]float64, hy []float64, procs int) []float64 {
-	nModels, nSamples := len(models), len(hx)
-	if nSamples == 0 {
-		// Mirror nn.Model.MeanNLL's empty-input guard (0, not 0/0 = NaN).
-		return make([]float64, nModels)
-	}
-	newClones := func() map[int]*nn.Model { return make(map[int]*nn.Model, nModels) }
-	terms := workpool.MapWith(procs, nModels*nSamples, newClones, func(clones map[int]*nn.Model, idx int) float64 {
-		gi, i := idx/nSamples, idx%nSamples
-		m := clones[gi]
-		if m == nil {
-			m = models[gi].CloneForInference()
-			clones[gi] = m
-		}
-		return m.NLL(hx[i], hy[i])
-	})
-	nlls := make([]float64, nModels)
-	for gi := 0; gi < nModels; gi++ {
-		total := 0.0
-		for _, t := range terms[gi*nSamples : (gi+1)*nSamples] {
-			total += t
-		}
-		nlls[gi] = total / float64(nSamples)
-	}
-	return nlls
-}
-
 // calibrate computes the holdout RMS of standardized residuals
 // z = (y − μ̂)/σ̂ and stores max(1, RMS) as the σ inflation factor.
-// Residuals are computed in parallel on weight-sharing clones and reduced
-// in sample order, matching the serial loop bit for bit.
-func (p *Proxy) calibrate(hx [][]float64, hy []float64, procs int) {
+func (p *Proxy) calibrate(hx [][]float64, hy []float64) {
 	p.calib = 1
 	if len(hx) == 0 {
 		return
 	}
-	terms := workpool.MapWith(procs, len(hx), p.model.CloneForInference, func(m *nn.Model, i int) float64 {
-		mix := m.Predict(hx[i])
+	sumSq := 0.0
+	for i, x := range hx {
+		mix := p.model.Predict(x)
 		sd := math.Sqrt(mix.Variance())
 		if sd < 1e-9 {
 			sd = 1e-9
 		}
 		z := (hy[i] - mix.Mean()) / sd
-		return z * z
-	})
-	// Index-ordered reduction: same rounding as the serial loop.
-	sumSq := 0.0
-	for _, t := range terms {
-		sumSq += t
+		sumSq += z * z
 	}
 	rms := math.Sqrt(sumSq / float64(len(hx)))
 	if rms > 1 {

@@ -13,7 +13,6 @@ import (
 
 	"github.com/everest-project/everest/internal/nn"
 	"github.com/everest-project/everest/internal/simclock"
-	"github.com/everest-project/everest/internal/workpool"
 	"github.com/everest-project/everest/internal/xrand"
 )
 
@@ -30,8 +29,9 @@ const (
 type RefreshConfig struct {
 	// Seed drives the fine-tune shuffling.
 	Seed uint64
-	// Procs bounds the calibration workers; ≤ 0 means GOMAXPROCS.
-	// Never affects results.
+	// Procs is ignored: a refresh fine-tunes one model and calibrates
+	// it on the calling goroutine. The field remains only for the
+	// benchmark driver, which still sets it.
 	Procs int
 }
 
@@ -127,7 +127,7 @@ func Refresh(prev *Proxy, train, holdout, calib []Sample, cfg RefreshConfig, ful
 		cx[i] = s.X
 		cy[i] = (s.Y - prev.yMean) / prev.yStd
 	}
-	next.calibrate(cx, cy, workpool.Procs(cfg.Procs))
+	next.calibrate(cx, cy)
 
 	if clock != nil {
 		frac := float64(refreshEpochs) / float64(full.Epochs) / float64(len(full.Grid))

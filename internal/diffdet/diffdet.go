@@ -32,8 +32,8 @@ type Options struct {
 	// ClipSize is c; zero means 30 (the paper's setting).
 	ClipSize int
 	// Procs bounds concurrent clip workers, following the engine-wide
-	// Config.Procs convention: zero or negative means GOMAXPROCS. Results
-	// are bit-identical for every value.
+	// Config.Procs convention: zero or negative means GOMAXPROCS (Phase
+	// 1 sets it). Results are bit-identical for every value.
 	Procs int
 	// Pool is ignored: the clips always run on transient workers bounded
 	// by Procs. The field remains only for the benchmark driver, which

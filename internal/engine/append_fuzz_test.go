@@ -201,7 +201,7 @@ func FuzzMemoExtend(f *testing.F) {
 			}
 			views := map[string]held{}
 			for name, key := range keys {
-				v, err := a.memo(key, 1)
+				v, err := a.memo(key)
 				if err != nil {
 					continue // no complete window yet
 				}
@@ -232,8 +232,8 @@ func FuzzMemoExtend(f *testing.F) {
 			}
 			fresh := a.Clone()
 			for name, key := range keys {
-				got, gerr := a.memo(key, 1)
-				want, werr := fresh.memo(key, 1)
+				got, gerr := a.memo(key)
+				want, werr := fresh.memo(key)
 				if (gerr == nil) != (werr == nil) || gerr == nil && (!reflect.DeepEqual(got.rel, want.rel) || !slices.Equal(got.failed, want.failed)) {
 					t.Fatalf("step %d: the extended %s memo differs from a fresh build (errors %v, %v)", step, name, gerr, werr)
 				}

@@ -36,9 +36,9 @@ type Binding struct {
 	// clock. Entrypoints that ingest and query in one call (everest.Run)
 	// pass the ingest clock so the Result carries the full breakdown.
 	Clock *simclock.Clock
-	// Pool is ignored: window aggregation runs on transient workers
-	// bounded by Plan.Procs. The field remains only for the benchmark
-	// driver, which still sets it.
+	// Pool is ignored: Execute runs on the calling goroutine and fans
+	// nothing out. The field remains only for the benchmark driver,
+	// which still sets it.
 	Pool *workpool.Pool
 	// Dispatch, when non-nil, routes the plan's oracle confirmation
 	// batches through this multiplexer instead of invoking the UDF
@@ -94,9 +94,9 @@ type Outcome struct {
 // a binding. The plan must be normalized and validated (NewPlan); the
 // binding's artifact must match its source and UDF.
 //
-// The outcome is a pure function of (plan, artifact, overlay snapshot):
-// Procs changes wall-clock only, and a nil overlay behaves as a
-// frozen empty cache.
+// The outcome is a pure function of (plan, artifact, overlay snapshot),
+// and a nil overlay behaves as a frozen empty cache. Execute runs on the
+// calling goroutine; it does not read p.Procs.
 func Execute(p Plan, b Binding) (*Outcome, error) {
 	ctx := b.Ctx
 	if ctx == nil {
@@ -199,7 +199,7 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 	// windows its overlay touches, re-aggregated in its own copy of the
 	// relation. The iterator over those windows is built here, not
 	// returned by the view, so it stays on the stack.
-	v, err := b.Artifact.memo(p.Window.d0Key(qopt), p.Procs)
+	v, err := b.Artifact.memo(p.Window.d0Key(qopt))
 	if err != nil {
 		return nil, err
 	}

@@ -23,10 +23,10 @@
 // from different callers into one engine run (see scheduler.go).
 //
 // Determinism: an Outcome is a pure function of (Plan, Artifact, overlay
-// snapshot). Procs trades wall-clock only: every fan-out runs on
-// transient workers bounded by it, and simulated charges and results
-// are bit-identical for every worker count, the property the golden
-// suite locks.
+// snapshot). Procs trades wall-clock only: it bounds Ingest's Phase 1
+// workers, while Execute runs on the calling goroutine. Simulated
+// charges and results are bit-identical for every worker count, the
+// property the golden suite locks.
 package engine
 
 import (
@@ -88,8 +88,9 @@ type Plan struct {
 	// ForceUnionBound requests the Bonferroni bound even for independent
 	// tuples (ablation A7). Overlapping windows use it regardless.
 	ForceUnionBound bool
-	// Procs bounds the real CPU workers; ≤ 0 means GOMAXPROCS. Never
-	// affects results.
+	// Procs is the worker budget RunSharded splits across its shards'
+	// ingest; ≤ 0 means GOMAXPROCS. Execute ignores it. Never affects
+	// results.
 	Procs int
 	// Seed drives window-confirmation sampling (and, through Ingest, all
 	// Phase 1 randomness).
@@ -279,7 +280,6 @@ func (p Plan) Knobs() []Knob {
 }
 
 // WorkerPool returns an inert workpool.Pool: nothing in the library
-// reads one, and every fan-out runs on transient workers bounded by
-// p.Procs. It remains only for the benchmark driver, which still calls
-// it.
+// reads one, and every fan-out runs on transient workers. It remains
+// only for the benchmark driver, which still calls it.
 func (p Plan) WorkerPool() *workpool.Pool { return workpool.NewPool(p.Procs) }

@@ -86,8 +86,7 @@ type d0Entry struct {
 // d0View is what one query reads of a memo entry, taken under a.mu:
 // the entry's relation and failed windows, the frame table and segment
 // structure they were built from, the span D, and the window
-// aggregation options (the query's workers; Size 0 for the frame
-// relation).
+// aggregation options (Size 0 for the frame relation).
 type d0View struct {
 	entry  *d0Entry
 	rel    uncertain.Relation
@@ -98,10 +97,9 @@ type d0View struct {
 	opt    windows.Options
 }
 
-// memo returns the view of key's entry, building the entry — on the
-// given workers — if it is new, and extending it over the tuples
-// appended since it was built.
-func (a *Artifact) memo(key d0Key, procs int) (d0View, error) {
+// memo returns the view of key's entry, building the entry if it is
+// new, and extending it over the tuples appended since it was built.
+func (a *Artifact) memo(key d0Key) (d0View, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	scores, err := a.frameScores()
@@ -117,7 +115,7 @@ func (a *Artifact) memo(key d0Key, procs int) (d0View, error) {
 		scores: scores,
 		diff:   diffdet.Result{RepOf: a.RepOf},
 		span:   a.span,
-		opt:    windows.Options{Size: key.size, Stride: key.stride, Step: key.qopt.Step, MaxLevel: maxLevel, Procs: procs},
+		opt:    windows.Options{Size: key.size, Stride: key.stride, Step: key.qopt.Step, MaxLevel: maxLevel},
 	}
 	fresh := v.entry == nil
 	if fresh {
@@ -335,7 +333,7 @@ func positionFrom(rel uncertain.Relation, from, id int) (int, bool) {
 // over the prepared relation under the same overrides — but callers
 // that want the relation itself do.
 func (a *Artifact) FrameRelation(qopt uncertain.QuantizeOptions, labels *labelstore.Overlay) (uncertain.Relation, error) {
-	v, err := a.memo(WindowSpec{}.d0Key(qopt), 0)
+	v, err := a.memo(WindowSpec{}.d0Key(qopt))
 	if err != nil {
 		return nil, err
 	}
@@ -452,14 +450,14 @@ func (v d0View) runStart(labels *labelstore.Overlay) (uncertain.Relation, []int,
 // re-aggregated — a window query's run relation whenever the overlay
 // touches a window. labels, when non-nil, supplies exact scores
 // confirmed by earlier queries over the same cache; it must not be
-// mutated while this runs. procs bounds the transient workers the
-// shape's first build and the re-aggregation fan out on. The pool
-// argument is ignored; it remains for the benchmark driver.
-func (a *Artifact) WindowRelation(w WindowSpec, qopt uncertain.QuantizeOptions, labels *labelstore.Overlay, procs int, _ *workpool.Pool) (uncertain.Relation, error) {
+// mutated while this runs. The build runs on the calling goroutine; the
+// procs and pool arguments are ignored and remain for the benchmark
+// driver.
+func (a *Artifact) WindowRelation(w WindowSpec, qopt uncertain.QuantizeOptions, labels *labelstore.Overlay, _ int, _ *workpool.Pool) (uncertain.Relation, error) {
 	if !w.Enabled() {
 		return nil, fmt.Errorf("everest: window size must be positive, got %d", w.Size)
 	}
-	v, err := a.memo(w.d0Key(qopt), procs)
+	v, err := a.memo(w.d0Key(qopt))
 	if err != nil {
 		return nil, err
 	}

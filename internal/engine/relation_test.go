@@ -70,7 +70,7 @@ func referenceWindowRelation(a *Artifact, w WindowSpec, qopt uncertain.QuantizeO
 			return windows.FrameScore{Mix: a.Mixtures[i]}
 		}
 		return windows.FrameScore{}
-	}, diff, windows.Options{Size: w.Size, Stride: w.Stride, Step: qopt.Step, MaxLevel: maxLevel, Procs: 1})
+	}, diff, windows.Options{Size: w.Size, Stride: w.Stride, Step: qopt.Step, MaxLevel: maxLevel})
 }
 
 // randomArtifact makes a structurally valid artifact of n frames

@@ -10,11 +10,12 @@ import (
 
 // Run is the one-shot entrypoint: Ingest then Execute, sharing one
 // clock (so the outcome carries the full Phase 1 + Phase 2 cost
-// breakdown). Both stages fan out on transient workers bounded by
-// p.Procs. The returned artifact is the ingest product; callers that
-// want to reuse it for further plans may keep it. A non-nil ctx bounds
-// the Phase 2 loop (cancellation returns ctx.Err()); Phase 1 ingestion
-// runs to completion — it is the reusable artifact, not per-query work.
+// breakdown). Ingest fans out on transient workers bounded by
+// p.Ingest.Procs; Execute runs on the calling goroutine. The returned
+// artifact is the ingest product; callers that want to reuse it for
+// further plans may keep it. A non-nil ctx bounds the Phase 2 loop
+// (cancellation returns ctx.Err()); Phase 1 ingestion runs to
+// completion — it is the reusable artifact, not per-query work.
 func Run(ctx context.Context, src video.Source, udf vision.UDF, p Plan) (*Artifact, *Outcome, error) {
 	clock := simclock.NewClock()
 	art, err := Ingest(src, udf, p.Ingest, clock)

@@ -253,9 +253,9 @@ func TestNextGroupTakesLeadingCompatibleRun(t *testing.T) {
 
 // TestSchedulerMixedProcsMatchesSerial locks the mixed-worker-count
 // binding rule: a group whose members request different Procs — here
-// serial, wide and narrow — runs each member in the mode it asked for
-// (each window plan fans out on transient workers bounded by its own
-// Procs), and every member's outcome (results AND simulated charges) is
+// serial, wide and narrow — runs each member exactly as it would run
+// alone (Phase 2 on the calling goroutine, whatever its Procs), and
+// every member's outcome (results AND simulated charges) is
 // bit-identical to its own serial baseline, i.e. the plan executed
 // alone with its own Procs over the label state its predecessors left
 // behind. Runs under the race gate.

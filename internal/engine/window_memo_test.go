@@ -128,7 +128,7 @@ func assertWindowExecuteMatchesReference(t *testing.T, when string, a *Artifact,
 // re-aggregates.
 func touchedUnder(t *testing.T, a *Artifact, w WindowSpec, qopt uncertain.QuantizeOptions, labels *labelstore.Overlay) []int {
 	t.Helper()
-	v, err := a.memo(w.d0Key(qopt), 1)
+	v, err := a.memo(w.d0Key(qopt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestMemoBound(t *testing.T) {
 	capped := uncertain.QuantizeOptions{Step: 0.5, MinLevel: 0, MaxLevel: 12, TruncSigma: 2}
 	relOf := func(w WindowSpec, qopt uncertain.QuantizeOptions) uncertain.Relation {
 		t.Helper()
-		v, err := a.memo(w.d0Key(qopt), 1)
+		v, err := a.memo(w.d0Key(qopt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,8 +402,8 @@ func TestMemoBound(t *testing.T) {
 // frame plan, and builds window and frame relations, on one cold
 // artifact from 8 goroutines at once — each entry's first build, its
 // preparation and its joint CDF's first build race with their first
-// readers, all under the artifact's one lock; run under -race — some on
-// two transient workers: every execution, uncached or over its own copy
+// readers, all under the artifact's one lock; run under -race — some
+// asking for two workers, which Phase 2 ignores: every execution, uncached or over its own copy
 // of a warm overlay, answers the reference outcome, and every relation
 // is the reference relation.
 func TestWindowMemoConcurrent(t *testing.T) {

@@ -17,7 +17,8 @@
 //	          overshoots the stopping point by half a batch.
 //	procs     real CPU workers. Wall-clock only — simulated charges and
 //	          results are bit-identical for every value — so it is a
-//	          workload-size heuristic, never a cost term.
+//	          workload-size heuristic, never a cost term. Only ingest
+//	          fans out now; the reasons stay as the transcripts pin them.
 //	serving   Coalesce / UseMux. Pure scheduling: they
 //	          change who shares a run and what the device pays, never a
 //	          single query's results or charges, so they switch on

@@ -10,9 +10,9 @@ import (
 
 // ScriptOptions tunes script execution.
 type ScriptOptions struct {
-	// Procs pins the engine worker count for every unit (0 = engine
-	// default). Wall-clock only: results and simulated charges are
-	// bit-identical for any value.
+	// Procs pins the worker count of each relation's ingest and of every
+	// EXPLAIN ANALYZE (0 = engine default). Wall-clock only: results and
+	// simulated charges are bit-identical for any value.
 	Procs int
 }
 
@@ -317,9 +317,6 @@ func runRelation(rel *Relation, ent *scriptEntry, res *ScriptResult, setPlan pla
 		cfgs := make([]everest.Config, len(pending))
 		for i, u := range pending {
 			cfg := u.Config
-			if opt.Procs > 0 {
-				cfg.Procs = opt.Procs
-			}
 			// The group is pre-formed, so Coalesce routes it through
 			// SubmitGroup. UseMux is the set's one budget.
 			cfg.Coalesce = true

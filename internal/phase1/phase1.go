@@ -41,9 +41,9 @@ type Options struct {
 	Cost simclock.CostModel
 	// Seed drives sampling and training.
 	Seed uint64
-	// Procs bounds the worker count for feature extraction, CMDN grid
-	// training and D0 proxy-inference sweeps; ≤ 0 means GOMAXPROCS.
-	// Results are bit-identical for every value.
+	// Procs bounds the workers of all four fan-outs (Samples, the grid,
+	// the clip pass, InferMixtures), overriding Proxy.Procs and
+	// Diff.Procs; ≤ 0 means GOMAXPROCS. Never affects results.
 	Procs int
 	// Pool is ignored: every fan-out runs on transient workers bounded
 	// by Procs. The field remains only for the benchmark driver, which
@@ -240,9 +240,7 @@ func RunLabelled(src video.Source, opt Options, plan SamplePlan, trainScores, ho
 		// here is bit-identical to deriving it alongside the sample draw).
 		proxyCfg.Seed = xrand.New(opt.Seed).Split("everest/phase1").Split("cmdn").Uint64()
 	}
-	if proxyCfg.Procs == 0 {
-		proxyCfg.Procs = opt.Procs
-	}
+	proxyCfg.Procs = opt.Procs
 	train := Samples(src, opt.Proxy.Arch, plan.TrainIdx, trainScores, opt.Procs, nil)
 	hold := Samples(src, opt.Proxy.Arch, plan.HoldIdx, holdScores, opt.Procs, nil)
 	proxy, _, err := cmdn.Train(train, hold, proxyCfg, clock, opt.Cost)
@@ -292,11 +290,7 @@ func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan Sample
 		clock.Charge(simclock.PhasePopulateD0, float64(n)*opt.Cost.DecodeMS)
 	} else {
 		dopt := opt.Diff
-		if dopt.Procs == 0 {
-			// The detector follows the engine-wide worker bound unless its
-			// own knob is set explicitly.
-			dopt.Procs = opt.Procs
-		}
+		dopt.Procs = opt.Procs
 		mixes = make([]uncertain.Mixture, n)
 		diff, err = diffdet.RunVisit(src, dopt, clock, opt.Cost, simclock.PhasePopulateD0, func() func(video.Frame, bool) {
 			p := proxy.CloneForInference()

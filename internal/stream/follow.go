@@ -110,8 +110,13 @@ func (g *Ingestor) evaluateFollowers(force bool) error {
 			continue
 		}
 		// A plan the footage cannot satisfy yet (window longer than the
-		// stream, K larger than the frame count) waits for more chunks.
-		if err := f.plan.ValidateFor(n); err != nil {
+		// stream, fewer windows than K, or for a frame plan fewer
+		// retained frames than K) waits for more chunks.
+		err := f.plan.ValidateFor(n)
+		if r := len(g.art.Retained); err == nil && !f.plan.Window.Enabled() && f.plan.K > r {
+			err = fmt.Errorf("everest: only %d retained frames but K=%d", r, f.plan.K)
+		}
+		if err != nil {
 			if force {
 				return fmt.Errorf("stream: follower plan at sealed frontier %d: %w", n, err)
 			}

@@ -479,7 +479,7 @@ func (g *Ingestor) segmentState(view video.Source, opt phase1.Options, plan phas
 	calib = append(calib, g.reservoir...)
 	calib = append(calib, hold...)
 	proxy, err := cmdn.Refresh(g.prevProxy, train, hold, calib,
-		cmdn.RefreshConfig{Seed: opt.Seed, Procs: opt.Procs},
+		cmdn.RefreshConfig{Seed: opt.Seed},
 		opt.Proxy, g.clock, opt.Cost)
 	if err != nil {
 		return nil, nil, fmt.Errorf("stream: warm refresh at frame %d: %w", g.segLo, err)

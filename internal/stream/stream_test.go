@@ -321,6 +321,77 @@ func TestFollowerStalenessBound(t *testing.T) {
 	}
 }
 
+// TestFollowerWaitsForRetainedFrames: a frame follower whose K exceeds
+// the frames the artifact has retained waits for footage instead of
+// failing the Append that closes the segment, answers once enough
+// frames are retained, and at Seal reports the shortfall as an error.
+func TestFollowerWaitsForRetainedFrames(t *testing.T) {
+	const n, seg, chunk = 1200, 600, 300
+	src := feed(t, n)
+	cfg := Config{SegmentFrames: seg, Refresh: RefreshFull, Ingest: testIngest(5)}
+	// The retained counts after each close, from a follower-free run.
+	var retained []int
+	probe, err := NewIngestor(src, countUDF(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n/seg; i++ {
+		if err := probe.Append(seg); err != nil {
+			t.Fatal(err)
+		}
+		retained = append(retained, len(probe.Artifact().Retained))
+	}
+	if retained[0] >= retained[1] {
+		t.Fatalf("retained counts %v do not grow", retained)
+	}
+
+	follow := func(k int) (*Ingestor, *Follower) {
+		g, err := NewIngestor(src, countUDF(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := engine.Plan{K: k, Threshold: 0.9, Seed: 5, Cost: simclock.Default()}
+		f, err := g.Follow(FollowConfig{Plan: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, f
+	}
+
+	t.Run("answers_once_retained", func(t *testing.T) {
+		g, f := follow(retained[0] + 1)
+		for frontier := chunk; frontier <= n; frontier += chunk {
+			if err := g.Append(chunk); err != nil {
+				t.Fatalf("Append to frame %d: %v", frontier, err)
+			}
+			if frontier < n && len(f.Deltas()) != 0 {
+				t.Fatalf("frame %d: a delta before K=%d frames were retained", frontier, retained[0]+1)
+			}
+		}
+		if d := f.Deltas(); len(d) != 1 || d[0].Frontier != n || len(d[0].IDs) != retained[0]+1 {
+			t.Fatalf("deltas %+v, want one answer of %d frames at frontier %d", d, retained[0]+1, n)
+		}
+		if err := g.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("seal_errors_above_retained", func(t *testing.T) {
+		g, f := follow(retained[1] + 1)
+		for frontier := chunk; frontier <= n; frontier += chunk {
+			if err := g.Append(chunk); err != nil {
+				t.Fatalf("Append to frame %d: %v", frontier, err)
+			}
+		}
+		if err := g.Seal(); err == nil {
+			t.Fatalf("Seal with K=%d above the %d retained frames succeeded", retained[1]+1, retained[1])
+		}
+		if len(f.Deltas()) != 0 {
+			t.Fatalf("a follower with K above the retained frames answered: %+v", f.Deltas())
+		}
+	})
+}
+
 // TestSharedConfirmations: two identical followers due at one close run
 // as one scheduler group — the second rides the first's confirmations
 // and is charged less.

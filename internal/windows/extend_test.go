@@ -4,13 +4,14 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/everest-project/everest/internal/uncertain"
 )
 
-// mixedScore is a concurrency-safe scoreOf with both exact and mixture
-// frames, deterministic in the representative index.
+// mixedScore is a scoreOf with both exact and mixture frames,
+// deterministic in the representative index.
 func mixedScore(rep int) FrameScore {
 	if rep%5 == 0 {
 		return FrameScore{IsExact: true, Exact: float64(rep % 11)}
@@ -21,62 +22,31 @@ func mixedScore(rep int) FrameScore {
 	}}
 }
 
-// TestBuildRelationProcsBitIdentical is the package-level determinism
-// contract for the parallel window aggregation: tumbling and sliding
-// relations must match the serial scan bit for bit at every worker count.
-// Run under -race it also proves the fan-out is data-race free.
-func TestBuildRelationProcsBitIdentical(t *testing.T) {
-	const n = 6000
-	diff := segDiff(n, 7)
-	for _, base := range []Options{
-		{Size: 30, Step: 0.5},
-		{Size: 50, Stride: 10, Step: 0.5, MaxLevel: 40},
-	} {
-		opt := base
-		opt.Procs = 1
-		serial, err := BuildRelation(mixedScore, diff, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, procs := range []int{0, 2, 8} {
-			opt := base
-			opt.Procs = procs
-			par, err := BuildRelation(mixedScore, diff, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("size=%d stride=%d procs=%d: relation diverged from serial",
-					base.Size, base.Stride, procs)
-			}
-		}
-	}
-}
-
-// TestBuildRelationParallelErrorMatchesSerial checks that the parallel
-// path reports the same (lowest-window) error the serial scan would.
-func TestBuildRelationParallelErrorMatchesSerial(t *testing.T) {
-	// A NaN-sigma mixture fails quantization for every window touching
-	// rep 3; serial and parallel must both report the lowest one.
+// TestBuildRelationReportsLowestFailingWindow: a frame whose mixture
+// fails quantization fails every window that reads it, and
+// BuildRelation reports the lowest of them, for tumbling and sliding
+// windows alike.
+func TestBuildRelationReportsLowestFailingWindow(t *testing.T) {
 	bad := func(rep int) FrameScore {
-		if rep == 3 {
+		if rep == 40 {
 			return FrameScore{Mix: uncertain.Mixture{{Weight: 1, Mean: 1, Sigma: math.NaN()}}}
 		}
 		return mixedScore(rep)
 	}
-	diff := flatDiff(300)
-	opt := Options{Size: 10, Step: 0.5, Procs: 1}
-	_, serialErr := BuildRelation(bad, diff, opt)
-	if serialErr == nil {
-		t.Fatal("NaN sigma did not fail quantization")
-	}
-	opt.Procs = 8
-	_, parErr := BuildRelation(bad, diff, opt)
-	if parErr == nil {
-		t.Fatal("parallel path swallowed the error")
-	}
-	if parErr.Error() != serialErr.Error() {
-		t.Fatalf("parallel error %q != serial %q", parErr, serialErr)
+	for _, c := range []struct {
+		opt  Options
+		want string
+	}{
+		{Options{Size: 10, Step: 0.5}, "windows: window 4: "},
+		{Options{Size: 10, Stride: 1, Step: 0.5}, "windows: window 31: "},
+	} {
+		rel, err := BuildRelation(bad, flatDiff(300), c.opt)
+		if err == nil || rel != nil {
+			t.Fatalf("stride %d: NaN sigma gave relation of %d, err %v", c.opt.Stride, len(rel), err)
+		}
+		if !strings.HasPrefix(err.Error(), c.want) {
+			t.Fatalf("stride %d: error %q, want prefix %q", c.opt.Stride, err, c.want)
+		}
 	}
 }
 
@@ -94,7 +64,7 @@ func TestExtendAndReaggregateMatchBuildRelation(t *testing.T) {
 		}
 		return mixedScore(rep)
 	}
-	for _, opt := range []Options{{Size: 30, Step: 0.5}, {Size: 40, Stride: 15, Step: 0.5, MaxLevel: 12, Procs: 4}} {
+	for _, opt := range []Options{{Size: 30, Step: 0.5}, {Size: 40, Stride: 15, Step: 0.5, MaxLevel: 12}} {
 		short, err := BuildRelation(mixedScore, segDiff(200, 7), opt)
 		if err != nil {
 			t.Fatal(err)

@@ -11,18 +11,16 @@
 // share frames, so their scores are correlated and the x-tuple
 // independence assumption of §2 no longer holds; such relations must be
 // processed with core.BoundUnion, the dependence-safe Bonferroni bound.
-// Stride == Size recovers tumbling windows exactly.
+// Stride == Size recovers tumbling windows exactly. Every builder
+// aggregates on the calling goroutine, in window order.
 package windows
 
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sync"
 
 	"github.com/everest-project/everest/internal/diffdet"
 	"github.com/everest-project/everest/internal/uncertain"
-	"github.com/everest-project/everest/internal/workpool"
 	"github.com/everest-project/everest/internal/xrand"
 )
 
@@ -37,7 +35,8 @@ type FrameScore struct {
 	IsExact bool
 }
 
-// Options configures window construction.
+// Options configures window construction; scoreOf is never called
+// concurrently.
 type Options struct {
 	// Size is L, the frames per window.
 	Size int
@@ -49,13 +48,6 @@ type Options struct {
 	// MaxLevel clamps window levels (use the UDF's bound); zero means
 	// unbounded.
 	MaxLevel int
-	// Procs bounds the workers BuildRelation, Extend and Reaggregate
-	// aggregate windows on, following the engine-wide Config.Procs
-	// convention: zero or negative means GOMAXPROCS. Results are
-	// bit-identical for every value. When the effective worker count
-	// exceeds 1, scoreOf must be safe for concurrent calls (a read of
-	// immutable state, e.g. a map populated before the call).
-	Procs int
 }
 
 func (o Options) stride() int {
@@ -84,20 +76,15 @@ func (o Options) Overlapping() bool { return o.stride() < o.Size }
 //
 // Per Eq. 9, window w with segments s_1..s_l represented by frames
 // r_1..r_l gets S_w ~ N(1/L Σ|s_t|·μ̄_rt, 1/L Σ|s_t|·σ̄²_rt). Windows whose
-// segments are all exact become certain tuples.
-//
-// Every window is a pure function of its index (diff and scoreOf are
-// read-only during the call), so the aggregation fans out over opt.Procs
-// workers with index-ordered emission; the relation — and the reported
-// error, always the lowest failing window's — are bit-identical to the
-// serial scan for every worker count.
+// segments are all exact become certain tuples. The reported error is
+// the lowest failing window's.
 func BuildRelation(scoreOf func(rep int) FrameScore, diff diffdet.Result, opt Options) (uncertain.Relation, error) {
 	s, err := shapeOf(diff, opt)
 	if err != nil {
 		return nil, err
 	}
 	rel := make(uncertain.Relation, s.n)
-	failed := s.run(scoreOf, diff, opt, s.n, func(i int) int { return i }, func(i int, d uncertain.Dist) {
+	failed := s.run(scoreOf, diff, s.n, func(i int) int { return i }, func(i int, d uncertain.Dist) {
 		rel[i] = uncertain.XTuple{ID: i, Dist: d}
 	})
 	if len(failed) > 0 {
@@ -128,7 +115,7 @@ func Extend(rel uncertain.Relation, done int, scoreOf func(rep int) FrameScore, 
 	for w := done; w < s.n; w++ {
 		rel[w] = uncertain.XTuple{ID: w}
 	}
-	for _, f := range s.run(scoreOf, diff, opt, s.n-done, func(i int) int { return done + i }, func(i int, d uncertain.Dist) {
+	for _, f := range s.run(scoreOf, diff, s.n-done, func(i int) int { return done + i }, func(i int, d uncertain.Dist) {
 		rel[done+i].Dist = d
 	}) {
 		failed = append(failed, done+f.i)
@@ -145,7 +132,7 @@ func Reaggregate(rel uncertain.Relation, ids []int, scoreOf func(rep int) FrameS
 	if err != nil {
 		return err
 	}
-	failed := s.run(scoreOf, diff, opt, len(ids), func(i int) int { return ids[i] }, func(i int, d uncertain.Dist) {
+	failed := s.run(scoreOf, diff, len(ids), func(i int) int { return ids[i] }, func(i int, d uncertain.Dist) {
 		rel[ids[i]].Dist = d
 	})
 	if len(failed) > 0 {
@@ -186,23 +173,18 @@ type failure struct {
 	err error
 }
 
-// run aggregates the windows window(0) .. window(m-1), fanned out over
-// opt's workers, handing the i-th window's distribution to put (each i
-// once, from any worker). It returns the failures in ascending i.
-func (s shape) run(scoreOf func(rep int) FrameScore, diff diffdet.Result, opt Options, m int, window func(i int) int, put func(i int, d uncertain.Dist)) []failure {
-	var mu sync.Mutex
-	var failed []failure
-	workpool.ForEach(opt.Procs, m, func(_, i int) {
+// run aggregates the windows window(0) .. window(m-1) in order, handing
+// the i-th window's distribution to put. It returns the failures in
+// ascending i.
+func (s shape) run(scoreOf func(rep int) FrameScore, diff diffdet.Result, m int, window func(i int) int, put func(i int, d uncertain.Dist)) (failed []failure) {
+	for i := range m {
 		d, err := s.aggregate(scoreOf, diff, window(i))
 		if err != nil {
-			mu.Lock()
 			failed = append(failed, failure{i, err})
-			mu.Unlock()
-			return
+			continue
 		}
 		put(i, d)
-	})
-	slices.SortFunc(failed, func(a, b failure) int { return a.i - b.i })
+	}
 	return failed
 }
 

@@ -1,7 +1,7 @@
 // Package workpool is the deterministic parallel-execution substrate of
-// the real-CPU hot paths: CMDN grid training, Phase 1 feature extraction
-// and D0 population, window aggregation and proxy inference sweeps all
-// fan out through it.
+// Phase 1's real-CPU hot paths — the difference detector's clip pass,
+// CMDN grid training, sample featurization and DisableDiff's inference
+// sweep — and of engine.RunSharded's shards. Phase 2 fans out nothing.
 //
 // Determinism contract: every helper assigns work by item index, collects
 // results into index-ordered slots, and reduces in ascending index order.

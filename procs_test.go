@@ -15,15 +15,22 @@ import (
 // TestRunProcsBitIdentical is the engine-level determinism guarantee: the
 // multi-core execution engine must produce byte-identical results to the
 // serial path for every worker count — same Top-K IDs, scores,
-// confidence, Phase 2 counters and simulated charges.
+// confidence, Phase 2 counters and simulated charges. The DisableDiff
+// input is the one where InferMixtures decodes and predicts every
+// retained frame on the workers.
 func TestRunProcsBitIdentical(t *testing.T) {
 	udf := vision.CountUDF{Class: video.ClassCar}
 	// 8 forces multi-worker scheduling even on small CI machines;
 	// NumCPU covers the documented default.
 	workerCounts := []int{8, runtime.NumCPU()}
-	for _, seed := range []uint64{7, 29, 101} {
+	for _, in := range []struct {
+		seed        uint64
+		disableDiff bool
+	}{{7, false}, {29, false}, {101, false}, {7, true}} {
+		seed := in.seed
 		cfg := smallCfg(5)
 		cfg.Seed = seed
+		cfg.DisableDiff = in.disableDiff
 		cfg.Procs = 1
 		src := testSource(t, 6000, seed)
 		serial, err := Run(src, udf, cfg)
@@ -38,29 +45,30 @@ func TestRunProcsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if par.Confidence != serial.Confidence {
-				t.Fatalf("seed %d procs %d: confidence %v != serial %v", seed, procs, par.Confidence, serial.Confidence)
+				t.Fatalf("seed %d DisableDiff %v procs %d: confidence %v != serial %v", seed, in.disableDiff, procs, par.Confidence, serial.Confidence)
 			}
 			if par.EngineStats != serial.EngineStats {
-				t.Fatalf("seed %d procs %d: stats %+v != serial %+v", seed, procs, par.EngineStats, serial.EngineStats)
+				t.Fatalf("seed %d DisableDiff %v procs %d: stats %+v != serial %+v", seed, in.disableDiff, procs, par.EngineStats, serial.EngineStats)
 			}
 			if par.Phase1 != serial.Phase1 {
-				t.Fatalf("seed %d procs %d: phase1 %+v != serial %+v", seed, procs, par.Phase1, serial.Phase1)
+				t.Fatalf("seed %d DisableDiff %v procs %d: phase1 %+v != serial %+v", seed, in.disableDiff, procs, par.Phase1, serial.Phase1)
 			}
 			if par.Clock.TotalMS() != serial.Clock.TotalMS() {
-				t.Fatalf("seed %d procs %d: simulated cost %v != serial %v", seed, procs, par.Clock.TotalMS(), serial.Clock.TotalMS())
+				t.Fatalf("seed %d DisableDiff %v procs %d: simulated cost %v != serial %v", seed, in.disableDiff, procs, par.Clock.TotalMS(), serial.Clock.TotalMS())
 			}
 			for i := range serial.IDs {
 				if par.IDs[i] != serial.IDs[i] || par.Scores[i] != serial.Scores[i] {
-					t.Fatalf("seed %d procs %d: result %d (%d, %v) != serial (%d, %v)",
-						seed, procs, i, par.IDs[i], par.Scores[i], serial.IDs[i], serial.Scores[i])
+					t.Fatalf("seed %d DisableDiff %v procs %d: result %d (%d, %v) != serial (%d, %v)",
+						seed, in.disableDiff, procs, i, par.IDs[i], par.Scores[i], serial.IDs[i], serial.Scores[i])
 				}
 			}
 		}
 	}
 }
 
-// TestWindowQueryProcsBitIdentical covers the window-relation path, whose
-// parallel D0 population precomputes the representative set.
+// TestWindowQueryProcsBitIdentical covers a window query end to end:
+// Phase 1 fans out over the workers, and the window relation, built on
+// the calling goroutine, must come out of its output bit-identical.
 func TestWindowQueryProcsBitIdentical(t *testing.T) {
 	udf := vision.CountUDF{Class: video.ClassCar}
 	cfg := smallCfg(5)

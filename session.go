@@ -11,7 +11,6 @@ import (
 	"github.com/everest-project/everest/internal/labelstore"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
-	"github.com/everest-project/everest/internal/workpool"
 )
 
 // Session runs many queries against one Index while sharing oracle work
@@ -139,10 +138,7 @@ func (s *Session) QueryCtx(ctx context.Context, cfg Config) (*Result, error) {
 // snapshot and the overlays merge in query order after all complete, so
 // the results — and the labels published — are bit-identical for every
 // interleaving and worker count, unlike free-running concurrent Query
-// calls (whose snapshots depend on arrival order). Each query's worker
-// budget (Config.Procs) is divided by the batch width, mirroring the
-// scale-out shard convention, so a wide batch does not oversubscribe
-// the cores; Procs never affects results.
+// calls (whose snapshots depend on arrival order).
 //
 // When any member sets Config.Coalesce, the whole batch instead runs as
 // one pre-formed coalesced group on the cache's scheduler: the queries
@@ -262,8 +258,7 @@ func (s *Session) QueryBatchCtx(ctx context.Context, cfgs []Config) (_ []*Result
 // for coalesced groups). The plans are one admission unit under the
 // strictest positive AdmissionLimit among them, waited for at the
 // cancellable gate; a cancellation there fails every member. Each
-// member's worker budget is its Procs divided by the width, so a wide
-// batch does not oversubscribe the cores. Overlays publish in input
+// member runs Phase 2 on its own goroutine. Overlays publish in input
 // order after all members finish, a failed member's included: only
 // successful oracle dispatches ever enter an overlay, so that is
 // paid-for exact work, never speculation.
@@ -286,7 +281,6 @@ func (s *Session) runIndependent(ctx context.Context, plans []engine.Plan, binds
 	var wg sync.WaitGroup
 	for i := range plans {
 		binds[i].Labels = labelstore.NewOverlay(snap)
-		plans[i].Procs = max(1, workpool.Procs(plans[i].Procs)/len(plans))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
