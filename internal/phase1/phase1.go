@@ -4,6 +4,23 @@
 // is built from the resulting State by engine.Capture and the Artifact's
 // relation builders. Shared by the Everest engine and by the baselines
 // that reuse parts of the pipeline (CMDN-only, Select-and-Topk).
+//
+// Phase 1 runs in one of two orders, and both produce the same State and
+// the same charges in the same order:
+//
+//   - Train first (Run, RunLabelled, AssembleState): the labelled
+//     samples are decoded and featurized (Samples), the proxy trains
+//     (TrainProxy), and then the detector's pass decodes every frame and
+//     predicts the retained ones as it goes. The samples are decoded
+//     twice, but no frame's features outlive its decode. The batch
+//     entrypoints take this order: a 4,000-frame video would otherwise
+//     buffer ≈ 3.1 MB of features to save 700 of 4,700 decodes.
+//   - Pass first (RunPass, Pass.Samples, Pass.Assemble): the detector's
+//     pass comes first and keeps the features of every planned or
+//     retained frame in a caller-owned block; the proxy trains on views
+//     of its rows and the retained frames are predicted from theirs.
+//     Each frame is decoded once. The streaming ingestor takes this
+//     order, reusing one block across its segment closes.
 package phase1
 
 import (
@@ -41,9 +58,10 @@ type Options struct {
 	Cost simclock.CostModel
 	// Seed drives sampling and training.
 	Seed uint64
-	// Procs bounds the workers of all four fan-outs (Samples, the grid,
-	// the clip pass, InferMixtures), overriding Proxy.Procs and
-	// Diff.Procs; ≤ 0 means GOMAXPROCS. Never affects results.
+	// Procs bounds the workers of every fan-out (Samples, the grid, the
+	// clip pass or RunPass's decode, InferMixtures and Pass.Assemble's
+	// predictions), overriding Proxy.Procs and Diff.Procs; ≤ 0 means
+	// GOMAXPROCS. Never affects results.
 	Procs int
 	// Pool is ignored: every fan-out runs on transient workers bounded
 	// by Procs. The field remains only for the benchmark driver, which
@@ -202,11 +220,12 @@ func Samples(src video.Source, _ cmdn.Arch, idx []int, scores []float64, procs i
 	})
 }
 
-// Run executes Phase 1: plan the samples, label them, train the CMDN
-// grid, run the difference detector and assemble the State. It is the
-// composition PlanSamples → Label → RunLabelled, exported separately so
-// the streaming ingestor can interleave the stages with chunk arrival
-// and still produce bit-identical output.
+// Run executes Phase 1 in the train-first order: plan the samples, label
+// them, train the CMDN grid, run the difference detector and assemble
+// the State. It is the composition PlanSamples → Label → RunLabelled;
+// the streaming ingestor composes PlanSamples → Label → RunPass →
+// TrainProxy (or cmdn.Refresh) → Pass.Assemble instead, interleaving
+// the labelling with chunk arrival, and produces bit-identical output.
 func Run(src video.Source, udf vision.UDF, opt Options, clock *simclock.Clock) (*State, error) {
 	opt = opt.withDefaults()
 	if clock == nil {
@@ -231,9 +250,22 @@ func RunLabelled(src video.Source, opt Options, plan SamplePlan, trainScores, ho
 	if clock == nil {
 		clock = simclock.NewClock()
 	}
+	train := Samples(src, opt.Proxy.Arch, plan.TrainIdx, trainScores, opt.Procs, nil)
+	hold := Samples(src, opt.Proxy.Arch, plan.HoldIdx, holdScores, opt.Procs, nil)
+	proxy, err := TrainProxy(src, opt, train, hold, clock)
+	if err != nil {
+		return nil, err
+	}
+	return AssembleState(src, proxy, opt, plan, trainScores, holdScores, clock)
+}
+
+// TrainProxy runs the full CMDN grid specialize over featurized samples
+// of src — the one place Phase 1 derives the proxy configuration: src's
+// resolution, opt.Procs workers and, unless opt.Proxy sets one, the seed
+// drawn from opt.Seed. Training cost is charged to clock.
+func TrainProxy(src video.Source, opt Options, train, hold []cmdn.Sample, clock *simclock.Clock) (*cmdn.Proxy, error) {
 	proxyCfg := opt.Proxy
-	w, h := src.Resolution()
-	proxyCfg.FrameW, proxyCfg.FrameH = w, h
+	proxyCfg.FrameW, proxyCfg.FrameH = src.Resolution()
 	if proxyCfg.Seed == 0 {
 		// Derived exactly as in the pre-split Run: the "cmdn" child of the
 		// phase-1 stream (Split never advances its parent, so deriving it
@@ -241,19 +273,13 @@ func RunLabelled(src video.Source, opt Options, plan SamplePlan, trainScores, ho
 		proxyCfg.Seed = xrand.New(opt.Seed).Split("everest/phase1").Split("cmdn").Uint64()
 	}
 	proxyCfg.Procs = opt.Procs
-	train := Samples(src, opt.Proxy.Arch, plan.TrainIdx, trainScores, opt.Procs, nil)
-	hold := Samples(src, opt.Proxy.Arch, plan.HoldIdx, holdScores, opt.Procs, nil)
 	proxy, _, err := cmdn.Train(train, hold, proxyCfg, clock, opt.Cost)
-	if err != nil {
-		return nil, err
-	}
-	return AssembleState(src, proxy, opt, plan, trainScores, holdScores, clock)
+	return proxy, err
 }
 
 // AssembleState runs the difference detector and packages a trained
 // proxy with its labelled samples into the State Phase 2 consumes — the
-// shared tail of Run and of warm-start streaming ingestion, whose proxy
-// came from cmdn.Refresh instead of a full grid train.
+// tail of the train-first order. Pass.Assemble is its pass-first twin.
 //
 // The detector's pass is the one decode of every frame, so proxy
 // inference rides it: each retained frame without a Phase 1 label is
@@ -267,26 +293,13 @@ func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan Sample
 		clock = simclock.NewClock()
 	}
 	n := src.NumFrames()
-
-	labeled := make(map[int]float64, len(plan.TrainIdx)+len(plan.HoldIdx))
-	for k, i := range plan.TrainIdx {
-		labeled[i] = trainScores[k]
-	}
-	for k, i := range plan.HoldIdx {
-		labeled[i] = holdScores[k]
-	}
+	labeled := labeledOf(plan, trainScores, holdScores)
 
 	var diff diffdet.Result
 	var mixes []uncertain.Mixture
 	var err error
 	if opt.DisableDiff {
-		rep := make([]int32, n)
-		retained := make([]int, n)
-		for i := range rep {
-			rep[i] = int32(i)
-			retained[i] = i
-		}
-		diff = diffdet.Result{Retained: retained, RepOf: rep}
+		diff = keepAll(n)
 		clock.Charge(simclock.PhasePopulateD0, float64(n)*opt.Cost.DecodeMS)
 	} else {
 		dopt := opt.Diff
@@ -304,23 +317,52 @@ func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan Sample
 			return nil, err
 		}
 	}
+	return newState(src, proxy, plan, diff, labeled, mixes, opt.Procs), nil
+}
 
+// labeledOf maps every planned frame to its oracle score.
+func labeledOf(plan SamplePlan, trainScores, holdScores []float64) map[int]float64 {
+	labeled := make(map[int]float64, len(plan.TrainIdx)+len(plan.HoldIdx))
+	for k, i := range plan.TrainIdx {
+		labeled[i] = trainScores[k]
+	}
+	for k, i := range plan.HoldIdx {
+		labeled[i] = holdScores[k]
+	}
+	return labeled
+}
+
+// keepAll is the DisableDiff detector result: every frame retained,
+// each its own representative.
+func keepAll(n int) diffdet.Result {
+	rep := make([]int32, n)
+	retained := make([]int, n)
+	for i := range rep {
+		rep[i] = int32(i)
+		retained[i] = i
+	}
+	return diffdet.Result{Retained: retained, RepOf: rep}
+}
+
+// newState packages Phase 1's outputs; mixes holds the mixtures the
+// pass already predicted (nil where it did not).
+func newState(src video.Source, proxy *cmdn.Proxy, plan SamplePlan, diff diffdet.Result, labeled map[int]float64, mixes []uncertain.Mixture, procs int) *State {
 	return &State{
 		Src:     src,
 		Proxy:   proxy,
 		Diff:    diff,
 		Labeled: labeled,
 		mixes:   mixes,
-		procs:   opt.Procs,
+		procs:   procs,
 		Info: Info{
-			TotalFrames:    n,
+			TotalFrames:    src.NumFrames(),
 			TrainSamples:   len(plan.TrainIdx),
 			HoldoutSamples: len(plan.HoldIdx),
 			Retained:       len(diff.Retained),
 			Hyper:          proxy.Hyper(),
 			HoldoutNLL:     proxy.HoldoutNLL(),
 		},
-	}, nil
+	}
 }
 
 // MixtureOf returns the proxy's score mixture of one frame (not

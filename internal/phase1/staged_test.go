@@ -1,6 +1,7 @@
 package phase1
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -65,6 +66,73 @@ func TestStagedMatchesRun(t *testing.T) {
 		b := staged.MixtureOf(f)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("proxy mixtures diverged at frame %d", f)
+		}
+	}
+}
+
+// TestPassFirstMatchesRun: the pass-first order — RunPass, TrainProxy on
+// views of its rows, Pass.Assemble — produces a State, mixtures and
+// charges (to the bit, in the same order) identical to Run's, with and
+// without the difference detector, at any worker count, and in a reused
+// block whose rows a previous pass over other footage left dirty.
+func TestPassFirstMatchesRun(t *testing.T) {
+	src := testSource(t, 2000)
+	udf := vision.CountUDF{Class: video.ClassCar}
+	for _, disable := range []bool{false, true} {
+		for _, procs := range []int{1, 3} {
+			opt := testOpts()
+			opt.DisableDiff, opt.Procs = disable, procs
+
+			runClock := simclock.NewClock()
+			want, err := Run(src, udf, opt, runClock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantIDs, wantMixes := want.InferRetainedMixtures()
+
+			// Dirty a block with another plan's pass over the same frames.
+			other := opt
+			other.Seed++
+			otherPlan, err := PlanSamples(src.NumFrames(), other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirty, err := RunPass(src, other, otherPlan, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			clock := simclock.NewClock()
+			plan, err := PlanSamples(src.NumFrames(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trainScores := Label(src, udf, plan.TrainIdx, opt, clock)
+			holdScores := Label(src, udf, plan.HoldIdx, opt, clock)
+			pass, err := RunPass(src, opt, plan, dirty.Block())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &pass.Block()[0] != &dirty.Block()[0] {
+				t.Fatal("RunPass did not reuse a block large enough")
+			}
+			proxy, err := TrainProxy(src, opt, pass.Samples(plan.TrainIdx, trainScores), pass.Samples(plan.HoldIdx, holdScores), clock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := pass.Assemble(proxy, plan, trainScores, holdScores, clock)
+			gotIDs, gotMixes := got.InferRetainedMixtures()
+
+			name := fmt.Sprintf("disable-diff=%v procs=%d", disable, procs)
+			if !reflect.DeepEqual(want.Info, got.Info) || !reflect.DeepEqual(want.Labeled, got.Labeled) || !reflect.DeepEqual(want.Diff, got.Diff) {
+				t.Fatalf("%s: state diverged from Run's", name)
+			}
+			if !reflect.DeepEqual(wantIDs, gotIDs) || !reflect.DeepEqual(wantMixes, gotMixes) {
+				t.Fatalf("%s: retained mixtures diverged from Run's", name)
+			}
+			if runClock.TotalMS() != clock.TotalMS() || !reflect.DeepEqual(runClock.Breakdown(), clock.Breakdown()) {
+				t.Fatalf("%s: charges diverged:\n Run        %v\n pass first %v", name, runClock.Breakdown(), clock.Breakdown())
+			}
 		}
 	}
 }

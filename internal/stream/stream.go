@@ -34,6 +34,15 @@
 //     group over the ingestor's private label cache, so concurrent
 //     followers share confirmation batches and each oracle-confirmed
 //     frame is paid for once.
+//
+// A segment close decodes each of its frames once. It runs Phase 1 in
+// the pass-first order (phase1.RunPass): the difference detector's pass
+// comes first and writes the features of every planned or retained
+// frame into the ingestor's feature block, one row per frame. The drift
+// check, the warm refresh or the full train read their samples as views
+// of the block, and the retained frames are predicted from their rows.
+// The block is grown once, reused by every close and released at Seal;
+// a reservoir sample copies its features out of it.
 package stream
 
 import (
@@ -151,6 +160,11 @@ type Ingestor struct {
 	eager   map[int]float64
 	wanted  []int // plan frames ascending; wantPos is the labelling cursor
 	wantPos int
+
+	// block is the segment close's feature scratch (phase1.RunPass):
+	// one row per frame of the segment, grown once, reused at every
+	// close and released at Seal.
+	block []float64
 
 	prevProxy *cmdn.Proxy
 	reservoir []cmdn.Sample
@@ -364,20 +378,35 @@ func (g *Ingestor) staleFollower() bool {
 	return false
 }
 
-// Seal ends the stream: the final partial segment (if any) is ingested
-// and every follower is brought to the converged answer. The ingestor
-// accepts no more chunks.
+// ErrTailNotIngested marks a Seal that left footage out of the
+// artifact: the frames past the last segment boundary were too few for
+// Phase 1 to plan a labelled sample from (phase1.SampleCounts).
+var ErrTailNotIngested = errors.New("tail not ingested")
+
+// Seal ends the stream: the final partial segment (if any) is ingested,
+// every follower is brought to the converged answer over the ingested
+// frames, and the close's feature block is released. The ingestor
+// accepts no more chunks. A tail too short for Phase 1 is left out:
+// the stream seals at its last closed segment, the followers converge
+// over the frames before the tail, and the error — ErrTailNotIngested,
+// naming the tail's frames — reports what was dropped.
 func (g *Ingestor) Seal() error {
 	if g.sealed {
 		return errors.New("stream: ingestor already sealed")
 	}
+	var tailErr error
 	if g.frontier > g.ingested {
-		if err := g.closeSegment(g.frontier - g.segLo); err != nil {
+		tail := g.frontier - g.segLo
+		if _, _, err := phase1.SampleCounts(tail, g.optFor(g.segLo)); err != nil {
+			tailErr = fmt.Errorf("stream: sealed at frame %d: %w: frames [%d, %d): %w",
+				g.ingested, ErrTailNotIngested, g.segLo, g.frontier, err)
+		} else if err := g.closeSegment(tail); err != nil {
 			return err
 		}
 	}
 	g.sealed = true
-	return g.evaluateFollowers(true)
+	g.block = nil
+	return errors.Join(tailErr, g.evaluateFollowers(true))
 }
 
 // closeSegment ingests the open segment at length spanL (the planned
@@ -450,15 +479,27 @@ func (g *Ingestor) finishSegment(view video.Source, opt phase1.Options, plan pha
 	return g.evaluateFollowers(false)
 }
 
-// segmentState produces the segment's phase1.State: a warm refresh of
-// the previous segment's model when allowed, a full grid train
-// otherwise. Returns the holdout samples when they were materialized
-// (warm paths) so the reservoir can reuse them.
+// segmentState produces the segment's phase1.State in the pass-first
+// order: one detector pass decodes every frame of the segment and
+// writes the features of its planned and retained frames into the
+// ingestor's block; the drift check, the warm refresh or the full grid
+// train read their samples as views of it, and the retained frames are
+// predicted from their rows. A warm refresh of the previous segment's
+// model is taken when allowed, a full grid train otherwise. Returns the
+// holdout samples when a warm start was attempted, so the reservoir can
+// keep them; they are views of the block, valid until the next close.
 func (g *Ingestor) segmentState(view video.Source, opt phase1.Options, plan phase1.SamplePlan, trainScores, holdScores []float64) (*phase1.State, []cmdn.Sample, error) {
-	warm := g.prevProxy != nil && g.cfg.Refresh != RefreshFull
-	var hold []cmdn.Sample
+	pass, err := phase1.RunPass(view, opt, plan, g.block)
+	if err != nil {
+		return nil, nil, err
+	}
+	g.block = pass.Block()
+	train := pass.Samples(plan.TrainIdx, trainScores)
+	hold := pass.Samples(plan.HoldIdx, holdScores)
+
+	attempted := g.prevProxy != nil && g.cfg.Refresh != RefreshFull
+	warm := attempted
 	if warm {
-		hold = phase1.Samples(view, opt.Proxy.Arch, plan.HoldIdx, holdScores, opt.Procs, nil)
 		tol := g.cfg.DriftNLL
 		if tol == 0 {
 			tol = 0.5
@@ -468,41 +509,50 @@ func (g *Ingestor) segmentState(view video.Source, opt phase1.Options, plan phas
 			g.stats.DriftFallbacks++
 		}
 	}
-	if !warm {
+	var proxy *cmdn.Proxy
+	if warm {
+		calib := make([]cmdn.Sample, 0, len(g.reservoir)+len(hold))
+		calib = append(calib, g.reservoir...)
+		calib = append(calib, hold...)
+		proxy, err = cmdn.Refresh(g.prevProxy, train, hold, calib,
+			cmdn.RefreshConfig{Seed: opt.Seed},
+			opt.Proxy, g.clock, opt.Cost)
+		if err != nil {
+			return nil, nil, fmt.Errorf("stream: warm refresh at frame %d: %w", g.segLo, err)
+		}
+		g.stats.WarmRefreshes++
+	} else {
 		g.stats.FullTrains++
-		st, err := phase1.RunLabelled(view, opt, plan, trainScores, holdScores, g.clock)
-		return st, hold, err
+		if proxy, err = phase1.TrainProxy(view, opt, train, hold, g.clock); err != nil {
+			return nil, nil, err
+		}
 	}
-
-	train := phase1.Samples(view, opt.Proxy.Arch, plan.TrainIdx, trainScores, opt.Procs, nil)
-	calib := make([]cmdn.Sample, 0, len(g.reservoir)+len(hold))
-	calib = append(calib, g.reservoir...)
-	calib = append(calib, hold...)
-	proxy, err := cmdn.Refresh(g.prevProxy, train, hold, calib,
-		cmdn.RefreshConfig{Seed: opt.Seed},
-		opt.Proxy, g.clock, opt.Cost)
-	if err != nil {
-		return nil, nil, fmt.Errorf("stream: warm refresh at frame %d: %w", g.segLo, err)
+	st := pass.Assemble(proxy, plan, trainScores, holdScores, g.clock)
+	if !attempted {
+		hold = nil
 	}
-	g.stats.WarmRefreshes++
-	st, err := phase1.AssembleState(view, proxy, opt, plan, trainScores, holdScores, g.clock)
-	return st, hold, err
+	return st, hold, nil
 }
 
 // updateReservoir folds a closed segment's holdout samples into the
 // calibration reservoir with classic reservoir sampling, randomized by
 // a stream derived from the base seed and the segment index — the
-// reservoir contents are a pure function of the segment sequence.
+// reservoir contents are a pure function of the segment sequence. An
+// admitted sample's features are copied out of the block, which the
+// next close overwrites — into the storage of the sample it evicts, so
+// a full reservoir allocates nothing — and its frame index is made
+// feed-global.
 func (g *Ingestor) updateReservoir(hold []cmdn.Sample) {
 	r := xrand.New(g.cfg.Ingest.Seed).Split("stream/reservoir").SplitIndex(uint64(g.segIdx))
 	for _, s := range hold {
 		g.resSeen++
-		if len(g.reservoir) < g.cfg.ReservoirCap {
-			g.reservoir = append(g.reservoir, s)
+		j := len(g.reservoir)
+		if j < g.cfg.ReservoirCap {
+			g.reservoir = append(g.reservoir, cmdn.Sample{})
+		} else if j = r.Intn(g.resSeen); j >= g.cfg.ReservoirCap {
 			continue
 		}
-		if j := r.Intn(g.resSeen); j < g.cfg.ReservoirCap {
-			g.reservoir[j] = s
-		}
+		dst := &g.reservoir[j]
+		dst.Frame, dst.X, dst.Y = g.segLo+s.Frame, append(dst.X[:0], s.X...), s.Y
 	}
 }

@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -220,6 +222,100 @@ func TestReservoirBounded(t *testing.T) {
 	}
 	if g.resSeen <= 50 {
 		t.Fatalf("reservoir saw only %d samples", g.resSeen)
+	}
+}
+
+// TestReservoirOwnsFeatures: a reservoir sample keeps its own copy of
+// its features. The closes' samples are views of the ingestor's feature
+// block, which every close overwrites; after enough closes to fill and
+// churn the reservoir, every sample's features must still be those of
+// its frame, decoded afresh.
+func TestReservoirOwnsFeatures(t *testing.T) {
+	const n, seg, capacity = 3000, 600, 50
+	src := feed(t, n)
+	cfg := Config{SegmentFrames: seg, DriftNLL: math.Inf(1), ReservoirCap: capacity, Ingest: testIngest(5)}
+	g, err := NewIngestor(src, countUDF(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n/seg; i++ {
+		if err := g.Append(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(g.reservoir) != capacity || g.resSeen < 3*capacity {
+		t.Fatalf("reservoir holds %d of %d seen: not filled and churned", len(g.reservoir), g.resSeen)
+	}
+	segs := map[int]bool{}
+	for k, s := range g.reservoir {
+		segs[s.Frame/seg] = true
+		f := src.Render(s.Frame)
+		want := cmdn.ExtractFeatures(f)
+		f.Release()
+		if !reflect.DeepEqual(s.X, want) {
+			t.Fatalf("reservoir sample %d (frame %d) holds features other than its frame's", k, s.Frame)
+		}
+	}
+	if len(segs) < 2 {
+		t.Fatalf("reservoir spans %d segment(s), want several", len(segs))
+	}
+}
+
+// TestSealShortTail: a tail past the last segment boundary too short for
+// Phase 1's sampling plan does not wedge the stream. Seal seals at the
+// last closed segment, the follower holds its answer over the ingested
+// frames, the error names the tail that was dropped, and a second Seal
+// reports the stream sealed.
+func TestSealShortTail(t *testing.T) {
+	const n, seg = 1205, 600
+	src := feed(t, n)
+	udf := countUDF()
+	g, err := NewIngestor(src, udf, Config{SegmentFrames: seg, Refresh: RefreshFull, Ingest: testIngest(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := engine.Plan{K: 3, Threshold: 0.9, Seed: 5, Cost: simclock.Default()}
+	f, err := g.Follow(FollowConfig{Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Append(n); err != nil {
+		t.Fatal(err)
+	}
+	err = g.Seal()
+	if !errors.Is(err, ErrTailNotIngested) {
+		t.Fatalf("Seal error %v, want ErrTailNotIngested", err)
+	}
+	if !strings.Contains(err.Error(), "[1200, 1205)") {
+		t.Fatalf("Seal error %q does not name the tail frames [1200, 1205)", err)
+	}
+	if got := g.Artifact().TotalFrames; got != 2*seg {
+		t.Fatalf("artifact covers %d frames, want %d", got, 2*seg)
+	}
+	d := f.Deltas()
+	if len(d) == 0 || d[len(d)-1].Frontier != 2*seg {
+		t.Fatalf("follower deltas %+v do not end at frontier %d", d, 2*seg)
+	}
+	prefix, err := video.Prefix(src, 2*seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := engine.NewPlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.Execute(p, engine.Binding{Src: prefix, UDF: udf, Artifact: g.Artifact()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Answer(); !reflect.DeepEqual(got.IDs, want.IDs) || !reflect.DeepEqual(got.Scores, want.Scores) {
+		t.Fatalf("answer %v/%v, want %v/%v", got.IDs, got.Scores, want.IDs, want.Scores)
+	}
+	if err := g.Seal(); err == nil || errors.Is(err, ErrTailNotIngested) || !strings.Contains(err.Error(), "already sealed") {
+		t.Fatalf("second Seal: %v, want the already-sealed error", err)
+	}
+	if err := g.Append(1); err == nil {
+		t.Fatal("Append after Seal succeeded")
 	}
 }
 
@@ -446,12 +542,12 @@ func (s *countedSource) Render(i int) video.Frame {
 	return s.Source.Render(i)
 }
 
-// TestSegmentCloseRenderBudget: every segment close decodes its span
-// once (the difference detector's pass, which proxy inference rides)
-// plus one decode per labelled sample for its features — on full-train
-// and warm closes alike. A drift fallback featurizes the holdout set
-// for the drift check and again inside the full train, and adds exactly
-// that.
+// TestSegmentCloseRenderBudget: every segment close decodes each frame
+// of its span exactly once — the pass that runs the difference detector,
+// featurizes the labelled samples and the retained frames, and that the
+// drift check, the training and the proxy inference all read from — on
+// full-train, warm, drift-fallback and DisableDiff closes alike, and
+// with the pass's rows written from four workers at once.
 func TestSegmentCloseRenderBudget(t *testing.T) {
 	const n, seg = 1800, 600
 	for _, tc := range []struct {
@@ -461,31 +557,35 @@ func TestSegmentCloseRenderBudget(t *testing.T) {
 		{"full", Config{Refresh: RefreshFull}},
 		{"warm", Config{Refresh: RefreshAuto, DriftNLL: math.Inf(1)}},
 		{"drift-fallback", Config{Refresh: RefreshAuto, DriftNLL: -1}},
+		{"disable-diff", Config{Refresh: RefreshAuto, DriftNLL: math.Inf(1), Ingest: phase1.Options{DisableDiff: true}}},
+		{"procs-4", Config{Refresh: RefreshAuto, DriftNLL: math.Inf(1), Ingest: phase1.Options{Procs: 4}}},
 	} {
 		src := &countedSource{Source: feed(t, n)}
+		ingest := testIngest(5)
+		ingest.DisableDiff, ingest.Procs = tc.cfg.Ingest.DisableDiff, tc.cfg.Ingest.Procs
 		tc.cfg.SegmentFrames = seg
-		tc.cfg.Ingest = testIngest(5)
+		tc.cfg.Ingest = ingest
 		g, err := NewIngestor(src, countUDF(), tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var renders, train, hold, fallbacks int
+		renders := 0
 		for i := 0; i < n/seg; i++ {
 			if err := g.Append(seg); err != nil {
 				t.Fatal(err)
 			}
-			info, st := g.Artifact().Info, g.Stats()
-			dTrain, dHold := info.TrainSamples-train, info.HoldoutSamples-hold
-			want := seg + dTrain + dHold + (st.DriftFallbacks-fallbacks)*dHold
-			got := int(src.renders.Load()) - renders
-			if got != want {
-				t.Errorf("%s close %d: %d renders, want %d (%d frames, %d+%d labelled samples, %d drift fallbacks)",
-					tc.name, i, got, want, seg, dTrain, dHold, st.DriftFallbacks-fallbacks)
+			if got := int(src.renders.Load()) - renders; got != seg {
+				t.Errorf("%s close %d: %d renders, want %d (one per frame)", tc.name, i, got, seg)
 			}
-			renders, train, hold, fallbacks = renders+got, info.TrainSamples, info.HoldoutSamples, st.DriftFallbacks
+			renders = int(src.renders.Load())
 		}
-		if st := g.Stats(); tc.name == "warm" && st.WarmRefreshes != 2 || tc.name == "drift-fallback" && st.DriftFallbacks != 2 {
+		st := g.Stats()
+		if tc.name == "full" && st.FullTrains != 3 || tc.name == "drift-fallback" && st.DriftFallbacks != 2 ||
+			tc.name != "full" && tc.name != "drift-fallback" && st.WarmRefreshes != 2 {
 			t.Errorf("%s: closes did not take the path under test: %+v", tc.name, st)
+		}
+		if tc.name == "disable-diff" && len(g.Artifact().Retained) != n {
+			t.Errorf("disable-diff: %d of %d frames retained", len(g.Artifact().Retained), n)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package workpool is the deterministic parallel-execution substrate of
 // Phase 1's real-CPU hot paths — the difference detector's clip pass,
-// CMDN grid training, sample featurization and DisableDiff's inference
-// sweep — and of engine.RunSharded's shards. Phase 2 fans out nothing.
+// CMDN grid training, sample featurization and the inference sweeps
+// (DisableDiff's, and a streaming close's predictions from feature
+// rows) — and of engine.RunSharded's shards. Phase 2 fans out nothing.
 //
 // Determinism contract: every helper assigns work by item index, collects
 // results into index-ordered slots, and reduces in ascending index order.

@@ -188,8 +188,16 @@ func (ls *LiveStream) Append(frames int) error { return ls.ing.Append(frames) }
 
 // Seal ends the feed: a partial open segment closes (re-planned for its
 // actual span, reusing eager labels), and the follower is brought to
-// the final frontier. No Append may follow.
+// the final frontier. No Append may follow. A partial segment too short
+// for Phase 1 to sample (under 10 frames) is left out: the stream seals
+// at the last closed segment, the followers answer over the frames
+// before it, and the error (wrapping ErrTailNotIngested) names the
+// dropped frames.
 func (ls *LiveStream) Seal() error { return ls.ing.Seal() }
+
+// ErrTailNotIngested is returned (wrapped) by LiveStream.Seal when the
+// footage past the last segment boundary was too short to ingest.
+var ErrTailNotIngested = stream.ErrTailNotIngested
 
 // Close releases nothing: a stream holds no goroutine between calls.
 // It remains only for the benchmark driver, which still calls it.
