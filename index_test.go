@@ -610,10 +610,11 @@ func uncachedQueryBytes(t *testing.T, frames, window int) (float64, int) {
 }
 
 // TestUncachedQueryCopiesNoRelation: an uncached query reads the index's
-// prepared D0 in place. What it allocates grows by at most 24 bytes per
-// retained frame between two video lengths — a live flag and a 16-byte
-// ψ entry per uncertain frame; a per-query copy of the 64-byte tuples
-// would exceed it.
+// prepared D0 in place. What it allocates grows by at most 8 bytes per
+// retained frame between two video lengths (4.7 logged) — a live flag
+// per frame, and a 16-byte ψ entry only per frame whose top level can
+// still beat S_k; a ψ entry per uncertain frame (19.7 B in all) or a
+// per-query copy of the 64-byte tuples would exceed it.
 func TestUncachedQueryCopiesNoRelation(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's own allocations are counted")
@@ -622,8 +623,8 @@ func TestUncachedQueryCopiesNoRelation(t *testing.T) {
 	longB, longN := uncachedQueryBytes(t, 8000, 0)
 	perFrame := (longB - shortB) / float64(longN-shortN)
 	t.Logf("%d → %d retained frames: %.0f → %.0f B per query, %.1f B per added frame", shortN, longN, shortB, longB, perFrame)
-	if perFrame > 24 {
-		t.Fatalf("an uncached query allocates %.1f B per retained frame, budget 24", perFrame)
+	if perFrame > 8 {
+		t.Fatalf("an uncached query allocates %.1f B per retained frame, budget 8", perFrame)
 	}
 }
 
@@ -650,8 +651,9 @@ func TestUncachedWindowQueryBuildsNoRelation(t *testing.T) {
 
 // TestQueryAllocationBudget: a query against a warm index pays for the
 // Phase 2 loop, not for re-deriving or copying D0 — an uncached frame
-// query over 4,000 frames (about 3,800 retained) stays under 0.08 MB and
-// 130 allocations (0.07 MB in 113 to 118). Re-quantizing every mixture
+// query over 4,000 frames (about 3,800 retained) stays under 0.03 MB and
+// 130 allocations (0.02 MB in 113 to 118); a ψ entry per uncertain
+// frame took 0.07 MB. Re-quantizing every mixture
 // and re-hashing every tuple per query took about 1.5 MB in 11,000;
 // copying the base per query, 0.57 MB in 496; building a scene and its
 // detections per confirmed frame, 0.34 MB in 484. An uncached query of
@@ -687,7 +689,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 		mb     float64
 		allocs uint64
 	}{
-		{"frame", 0, 0.08, 130},
+		{"frame", 0, 0.03, 130},
 		{"window", 30, 0.05, 400},
 	} {
 		cfg.Window = c.window

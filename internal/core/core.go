@@ -34,6 +34,11 @@
 // only from the first S_k up, the levels a run reads. Either way the run
 // is bit-identical to Prepare and Start with no override over that
 // materialized relation.
+//
+// The base also indexes its uncertain tuples by top level, extended in
+// place with the rest of it, so that a run pays per ψ re-sort only for
+// the frames that can still beat S_k: a frame whose top level is at or
+// below S_k has ψ = 0, and S_k only grows.
 package core
 
 import (
@@ -42,6 +47,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -195,13 +201,14 @@ var ErrEmptyRelation = errors.New("core: empty relation")
 var ErrDeadline = errors.New("core: simulated deadline exceeded")
 
 // Base is D0 prepared for Phase 2: in strictly ascending ID order, with
-// its uncertain positions marked, its certain tuples ranked in the
-// certain set's order (level descending, ID ascending) and its level
-// range. It is immutable once prepared and safe to share between
-// goroutines; the relation it was prepared from must not be written
-// afterwards, though it may grow past its length (Extend). The
-// no-exceed accumulator over every uncertain tuple is the one thing
-// built later: once, by the first Start the overlay leaves untouched.
+// its uncertain positions marked and indexed by top level, its certain
+// tuples ranked in the certain set's order (level descending, ID
+// ascending) and its level range. It is immutable once prepared and
+// safe to share between goroutines; the relation it was prepared from
+// must not be written afterwards, though it may grow past its length
+// (Extend). The no-exceed accumulator over every uncertain tuple is the
+// one thing built later: once, by the first Start the overlay leaves
+// untouched.
 type Base struct {
 	rel    uncertain.Relation
 	bound  BoundKind
@@ -209,6 +216,12 @@ type Base struct {
 	nLive  int
 	ranked []certEntry
 	lo, hi int
+	// byMax[l-maxLo] holds the positions of the uncertain tuples whose
+	// top level Dist.Max() is l, ascending: a ψ re-sort reads only the
+	// buckets above S_k. An extension appends to each bucket in place,
+	// as it grows live.
+	byMax [][]int32
+	maxLo int
 
 	accOnce sync.Once
 	acc     noExceed
@@ -232,19 +245,21 @@ func Prepare(rel uncertain.Relation, bound BoundKind) (*Base, error) {
 // Extend returns the base of rel, a relation whose first b.Len() tuples
 // are b's, indexing only the tail: the tail must continue the strictly
 // ascending IDs, its live bits go into the spare capacity of b's mask
-// when it has enough, and its certain tuples, sorted, are merged with
-// b's into a new ranking — exactly what Prepare(rel) gives. b is never
-// written: it stays valid for the runs that hold it, and on an error
-// nothing but spare capacity is touched. An extension writes past b's
-// mask, so only the latest base of a line of extensions may be
-// extended.
+// when it has enough, its uncertain positions are appended to the
+// top-level buckets the same way, and its certain tuples, sorted, are
+// merged with b's into a new ranking — exactly what Prepare(rel) gives.
+// b is never written: it stays valid for the runs that hold it, and on
+// an error nothing but spare capacity is touched. An extension writes
+// past b's mask and buckets, so only the latest base of a line of
+// extensions may be extended.
 func (b *Base) Extend(rel uncertain.Relation) (*Base, error) {
 	done := len(b.rel)
 	if len(rel) < done {
 		return nil, fmt.Errorf("core: extending a base of %d tuples to a relation of %d", done, len(rel))
 	}
-	e := &Base{rel: rel, bound: b.bound, live: growTo(b.live, len(rel)), nLive: b.nLive, lo: b.lo, hi: b.hi}
+	e := &Base{rel: rel, bound: b.bound, live: growTo(b.live, len(rel)), nLive: b.nLive, lo: b.lo, hi: b.hi, byMax: b.byMax, maxLo: b.maxLo}
 	var tail []certEntry
+	tailLo, tailHi := math.MaxInt, math.MinInt // the tail's uncertain top levels
 	for i := done; i < len(rel); i++ {
 		x := rel[i]
 		if i > 0 && x.ID == rel[i-1].ID {
@@ -258,11 +273,55 @@ func (b *Base) Extend(rel uncertain.Relation) (*Base, error) {
 		} else {
 			e.live[i] = true
 			e.nLive++
+			tailLo, tailHi = min(tailLo, x.Dist.Max()), max(tailHi, x.Dist.Max())
 		}
+	}
+	if e.nLive > b.nLive {
+		e.index(done, tailLo, tailHi)
 	}
 	slices.SortFunc(tail, compareRank)
 	e.ranked = mergeRanked(b.ranked, tail)
 	return e, nil
+}
+
+// index adds the live positions from done on, whose top levels span
+// [lo, hi], to the buckets of b, an extension that still holds its
+// parent's bucket table. The table is copied, widened to those levels,
+// and each bucket grows past the parent's length, so the parent's table
+// and its view of every bucket stay as they were.
+func (b *Base) index(done, lo, hi int) {
+	if len(b.byMax) > 0 {
+		lo, hi = min(lo, b.maxLo), max(hi, b.maxLo+len(b.byMax)-1)
+	}
+	byMax := make([][]int32, hi-lo+1)
+	if len(b.byMax) > 0 {
+		copy(byMax[b.maxLo-lo:], b.byMax)
+	}
+	// Each bucket grows once, by what the tail adds to it, as the live
+	// mask does (growTo); next[l] is where bucket l's next position goes.
+	next := make([]int, len(byMax))
+	for i := done; i < len(b.rel); i++ {
+		if b.live[i] {
+			next[b.rel[i].Dist.Max()-lo]++
+		}
+	}
+	for l, n := range next {
+		next[l] = len(byMax[l])
+		byMax[l] = growTo(byMax[l], next[l]+n)
+	}
+	for i := done; i < len(b.rel); i++ {
+		if b.live[i] {
+			l := b.rel[i].Dist.Max() - lo
+			byMax[l][next[l]] = int32(i)
+			next[l]++
+		}
+	}
+	b.byMax, b.maxLo = byMax, lo
+}
+
+// above returns the top-level buckets over level sk, lowest first.
+func (b *Base) above(sk int) [][]int32 {
+	return b.byMax[min(max(sk+1-b.maxLo, 0), len(b.byMax)):]
 }
 
 // mergeRanked merges two rankings in compareRank order — a total order
@@ -325,9 +384,17 @@ type Engine struct {
 	// a tuple's distribution only while its position is live. live[i] is
 	// true while rel[i] is uncertain and not yet cleaned — never for a
 	// tuple an override made certain; nLive counts them.
-	rel     uncertain.Relation
-	live    []bool
-	nLive   int
+	rel   uncertain.Relation
+	live  []bool
+	nLive int
+	// base is the prepared D0 the run started from, whose top-level
+	// buckets a ψ re-sort walks. marked, nil without overrides, holds a
+	// bit for every overridden position but a certain one of a base-live
+	// tuple (see overrides): the buckets do not index the run's
+	// distribution there, so a re-sort skips those positions in them and
+	// reads the live ones from the bitset instead.
+	base    *Base
+	marked  bitset
 	prob    noExceed
 	certain *certainSet
 	sel     *selector
@@ -374,6 +441,7 @@ func (b *Base) Start(cfg Config, rel uncertain.Relation, over iter.Seq2[int, unc
 		rel:     rel,
 		live:    slices.Clone(b.live),
 		nLive:   b.nLive,
+		base:    b,
 		certain: newCertainSet(),
 	}
 	e.certain.reserve(cfg.K)
@@ -384,6 +452,7 @@ func (b *Base) Start(cfg Config, rel uncertain.Relation, over iter.Seq2[int, unc
 	} else if v.n == 0 {
 		e.startBase(b)
 	} else {
+		e.marked = v.marked
 		e.startView(b, v)
 	}
 	e.sel = newSelector(e)
@@ -398,14 +467,25 @@ func (b *Base) Start(cfg Config, rel uncertain.Relation, over iter.Seq2[int, unc
 // uncertain overrides; and the first malformed pair's error.
 type overrides struct {
 	n         int
-	marked    []uint64
+	marked    bitset
 	nReplaced int
 	lo, hi    int
 	err       error
 }
 
-func (v *overrides) isMarked(pos int) bool {
-	return v.marked != nil && v.marked[pos/64]&(1<<(pos%64)) != 0
+// bitset is a set of positions, one bit each; nil is the empty set.
+type bitset []uint64
+
+func (s bitset) has(pos int) bool {
+	return s != nil && s[pos/64]&(1<<(pos%64)) != 0
+}
+
+func (s bitset) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // override makes the one pass over the run's overrides. A certain one
@@ -422,7 +502,7 @@ func (e *Engine) override(b *Base, over iter.Seq2[int, uncertain.Dist]) override
 			v.err = fmt.Errorf("core: override position %d outside [0, %d)", pos, len(b.rel))
 		case len(d.P) == 0:
 			v.err = fmt.Errorf("core: empty distribution overrides position %d", pos)
-		case v.isMarked(pos) || b.live[pos] && !e.live[pos]:
+		case v.marked.has(pos) || b.live[pos] && !e.live[pos]:
 			v.err = fmt.Errorf("core: position %d overridden twice", pos)
 		case !d.IsCertain() && (e.rel[pos].ID != b.rel[pos].ID || e.rel[pos].Dist.Min != d.Min ||
 			len(e.rel[pos].Dist.P) != len(d.P) || &e.rel[pos].Dist.P[0] != &d.P[0]):
@@ -442,7 +522,7 @@ func (e *Engine) override(b *Base, over iter.Seq2[int, uncertain.Dist]) override
 			e.nLive--
 		} else {
 			if v.marked == nil {
-				v.marked = make([]uint64, (len(b.rel)+63)/64)
+				v.marked = make(bitset, (len(b.rel)+63)/64)
 			}
 			v.marked[pos/64] |= 1 << (pos % 64)
 		}
@@ -484,7 +564,7 @@ func (e *Engine) startView(b *Base, v overrides) {
 	if v.nReplaced > 0 {
 		skip = func(id int) bool {
 			pos, _ := e.position(id)
-			return v.isMarked(pos)
+			return v.marked.has(pos)
 		}
 	}
 	e.certain.merge(b.ranked, v.nReplaced, skip)

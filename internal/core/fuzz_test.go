@@ -14,8 +14,10 @@ import (
 // with the run relation the base's (nil), a copy, or a copy of another
 // length — returns an error exactly when the input is malformed.
 // Otherwise the run is bit-identical to Prepare + Start with no override
-// over the materialized relation. Either way the base serves an uncached
-// run unchanged afterwards.
+// over the materialized relation, and the selector picks, under the
+// overrides, the batches referenceSelector picks, with the same stats
+// and select charges. Either way the base serves an uncached run
+// unchanged afterwards.
 //
 // ops is read three bytes at a time: an override kind, a position and a
 // parameter. flags holds the bound (bit 0), a nil run relation (bit 1),
@@ -128,6 +130,11 @@ func FuzzStartOverrides(f *testing.F) {
 			})
 			if got != want {
 				t.Fatalf("run under overrides:\n got %s\nwant %s", got, want)
+			}
+			if _, diff := againstReference(t, func(clock *simclock.Clock) (*Engine, error) {
+				return b.Start(cfg, runRel, pairs(over...), oracle, clock, simclock.Default())
+			}, nil); diff != "" {
+				t.Fatalf("the selector under overrides against the reference: %s", diff)
 			}
 		}
 		if after := uncached(); after != before {

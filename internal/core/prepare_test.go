@@ -483,6 +483,8 @@ func sameBase(got, want *Base) string {
 		return fmt.Sprintf("ranked %v, want %v", got.ranked, want.ranked)
 	case got.lo != want.lo || got.hi != want.hi:
 		return fmt.Sprintf("range [%d, %d], want [%d, %d]", got.lo, got.hi, want.lo, want.hi)
+	case got.maxLo != want.maxLo || !slices.EqualFunc(got.byMax, want.byMax, slices.Equal):
+		return fmt.Sprintf("top-level buckets from %d %v, want from %d %v", got.maxLo, got.byMax, want.maxLo, want.byMax)
 	}
 	return ""
 }
@@ -492,10 +494,11 @@ func sameBase(got, want *Base) string {
 // after every step exactly the fields Prepare gives that prefix, and
 // runs over it are bit-identical, under both bounds — including an
 // empty tail, an all-certain tail and a tail that widens the level
-// range. A tail out of ID order (or repeating the last
-// ID) is an error that leaves the base untouched, and a valid retry
-// then equals Prepare although the failed attempt wrote live bits into
-// the spare capacity the retry reuses.
+// range (and the top-level buckets' range below). Every base of the
+// line stays what Prepare gives its prefix. A tail out of ID order (or
+// repeating the last ID) is an error that leaves the base untouched,
+// and a valid retry then equals Prepare although the failed attempt
+// wrote live bits into the spare capacity the retry reuses.
 func TestBaseExtendMatchesPrepare(t *testing.T) {
 	cost := simclock.Default()
 	check := func(t *testing.T, what string, got *Base, rel uncertain.Relation, oracle *trueWorldOracle, bound BoundKind) {
@@ -531,6 +534,8 @@ func TestBaseExtendMatchesPrepare(t *testing.T) {
 					oracle.levels[rel[i].ID] = rel[i].ID % 17
 				}
 			case 2: // a tail reaching below and above the prefix's levels
+				rel[n-3].Dist = uncertain.MustDist(-3, []float64{1, 1})
+				oracle.levels[rel[n-3].ID] = -2
 				rel[n-2].Dist = uncertain.Certain(0)
 				oracle.levels[rel[n-2].ID] = 0
 				rel[n-1].Dist = uncertain.MustDist(20, []float64{1, 1, 1})
@@ -549,18 +554,25 @@ func TestBaseExtendMatchesPrepare(t *testing.T) {
 					check(t, fmt.Sprintf("bound %v seed %d empty tail at %d", bound, seed, cut), base, rel[:cut], oracle, bound)
 				}
 				next := cut + 1 + r.Intn(n-cut)
+				prev := base
 				if base, err = base.Extend(rel[:next]); err != nil {
 					t.Fatal(err)
 				}
 				check(t, fmt.Sprintf("bound %v seed %d [0, %d)", bound, seed, next), base, rel[:next], oracle, bound)
+				if want, err := Prepare(rel[:cut], bound); err != nil {
+					t.Fatal(err)
+				} else if d := sameBase(prev, want); d != "" {
+					t.Fatalf("bound %v seed %d: extending to %d changed the base of [0, %d): %s", bound, seed, next, cut, d)
+				}
 				cut = next
 			}
 			// The initial prefix ends by n/2, so the widening tuples came
 			// in a tail.
-			if narrow, err := Prepare(rel[:n-2], bound); err != nil {
+			if narrow, err := Prepare(rel[:n-3], bound); err != nil {
 				t.Fatal(err)
-			} else if seed%4 == 2 && (base.lo >= narrow.lo || base.hi <= narrow.hi) {
-				t.Fatalf("seed %d: the tail did not widen [%d, %d] (got [%d, %d])", seed, narrow.lo, narrow.hi, base.lo, base.hi)
+			} else if seed%4 == 2 && (base.lo >= narrow.lo || base.hi <= narrow.hi || base.maxLo >= narrow.maxLo) {
+				t.Fatalf("seed %d: the tail did not widen [%d, %d] and top levels from %d (got [%d, %d] from %d)",
+					seed, narrow.lo, narrow.hi, narrow.maxLo, base.lo, base.hi, base.maxLo)
 			}
 		}
 	}
@@ -585,7 +597,11 @@ func TestBaseExtendMatchesPrepare(t *testing.T) {
 	if cap(base.live) < 18 {
 		t.Fatalf("the extended mask has capacity %d, want slack for the rejected tail", cap(base.live))
 	}
-	snap := &Base{rel: base.rel, bound: base.bound, live: slices.Clone(base.live), nLive: base.nLive, ranked: slices.Clone(base.ranked), lo: base.lo, hi: base.hi}
+	snap := &Base{rel: base.rel, bound: base.bound, live: slices.Clone(base.live), nLive: base.nLive, ranked: slices.Clone(base.ranked), lo: base.lo, hi: base.hi,
+		byMax: slices.Clone(base.byMax), maxLo: base.maxLo}
+	for l, bucket := range snap.byMax {
+		snap.byMax[l] = slices.Clone(bucket)
+	}
 	for _, badID := range []int{rel[10].ID + 6, rel[3].ID} {
 		bad := slices.Clone(rel[:11])
 		for i := 0; i < 6; i++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -21,26 +22,32 @@ import (
 // recomputed every 10 iterations; afterwards it is recomputed whenever S_k
 // or S_p changes.
 //
-// A re-sort does not sort: it heapifies the live positions with ψ > 0
-// in O(n), leaving those with ψ = 0 — frames that cannot exceed S_k —
-// behind the heap in position order, which is their stable order
-// already; a scan pops the heap only as far as it reaches, a few
-// dozen entries when the bound prunes early.
+// A re-sort does not sort, and does not visit every live frame: a frame
+// whose top level is at most S_k has ψ = 0, so it walks only the
+// prepared base's top-level buckets above S_k (and the overridden
+// positions, whose run distribution the buckets do not index) and
+// heapifies the entries with ψ > 0 in O(n); a scan pops the heap only as
+// far as it reaches, a few dozen entries when the bound prunes early.
+// The ψ = 0 frames follow the heap in position order, which is their
+// stable order already; they are listed only when a scan first runs
+// past the heap, once per sort epoch.
 type selector struct {
 	e *Engine
 
-	// order holds one entry per position uncertain at the last re-sort,
-	// those with ψ > 0 first. order[:heapLen] is a max-heap over (ψ
-	// descending, position ascending); order[heapLen:positive] holds the
-	// entries popped from it, the first popped last. Read from
-	// positive−1 backwards, popping on reaching the heap, and then
-	// order[positive:] — the ψ = 0 entries (frames that cannot reach S_k),
-	// kept in ascending position — it is the order a stable sort by ψ
-	// gives (ties in ascending position, which is ascending ID).
+	// order holds the current sort epoch's scan order. Its first
+	// positive entries are the live positions with ψ > 0 at the last
+	// re-sort: order[:heapLen] is a max-heap over (ψ descending,
+	// position ascending), order[heapLen:positive] holds the entries
+	// popped from it, the first popped last. Behind them, once zeros is
+	// set, come the ψ = 0 entries (frames that cannot reach S_k) in
+	// ascending position. Read from positive−1 backwards, popping on
+	// reaching the heap, and then order[positive:], it is the order a
+	// stable sort by ψ gives (ties in ascending position, which is
+	// ascending ID).
 	order    []psiEntry
 	heapLen  int
 	positive int
-	zeros    int // ψ = 0 entries placed so far during a re-sort
+	zeros    bool
 	sorted   bool
 
 	lastSortIter int
@@ -100,22 +107,82 @@ func psiOf(d uncertain.Dist, sk, sp int, bound BoundKind) float64 {
 	return num / den
 }
 
+// resort starts a sort epoch at thresholds (sk, sp): it heapifies the
+// live positions with ψ > 0, reading the base's buckets above sk —
+// skipping positions cleaned or overridden since the base was prepared
+// — and the overridden live positions. Its scratch holds those
+// candidates, never more than nLive: the buckets also count base tuples
+// a cleaning or an override made certain.
 func (s *selector) resort(sk, sp int) {
-	if cap(s.order) < s.e.nLive {
-		s.order = make([]psiEntry, 0, s.e.nLive)
+	e := s.e
+	above := e.base.above(sk)
+	n := e.marked.count()
+	for _, bucket := range above {
+		n += len(bucket)
 	}
-	s.order = s.order[:s.e.nLive]
-	s.positive, s.zeros = 0, 0
-	for pos, live := range s.e.live {
-		if live {
-			s.place(psiEntry{psi: psiOf(s.e.rel[pos].Dist, sk, sp, s.e.cfg.Bound), pos: pos})
+	if n = min(n, e.nLive); cap(s.order) < n {
+		s.order = make([]psiEntry, 0, n)
+	}
+	s.order = s.order[:0]
+	for _, bucket := range above {
+		for _, pos := range bucket {
+			if e.live[pos] && !e.marked.has(int(pos)) {
+				s.add(int(pos), sk, sp)
+			}
 		}
 	}
+	for w, word := range e.marked {
+		for ; word != 0; word &= word - 1 {
+			if pos := w*64 + bits.TrailingZeros64(word); e.live[pos] {
+				s.add(pos, sk, sp)
+			}
+		}
+	}
+	s.positive, s.zeros = len(s.order), false
 	s.heapify()
 	s.sorted = true
-	s.lastSortIter = s.e.stats.Iterations
+	s.lastSortIter = e.stats.Iterations
 	s.sortSk, s.sortSp = sk, sp
-	s.e.stats.Resorts++
+	e.stats.Resorts++
+}
+
+// add enters the live position pos into a re-sort's heap when its ψ is
+// positive.
+func (s *selector) add(pos, sk, sp int) {
+	if psi := psiOf(s.e.rel[pos].Dist, sk, sp, s.e.cfg.Bound); psi > 0 {
+		s.order = append(s.order, psiEntry{psi: psi, pos: pos})
+	}
+}
+
+// appendZeros lists the epoch's ψ = 0 entries behind the heap, in
+// ascending position: every live position the re-sort left out. A scan
+// calls it when it first runs past the heap — a batch larger than the
+// positive entries still live, or early stop off — and later scans of
+// the epoch read the list again instead of walking the relation.
+func (s *selector) appendZeros() {
+	e := s.e
+	// Every live position is in the heap or in the tail: the tail is
+	// the live ones less those the heap still holds, and grows once.
+	zeros := e.nLive
+	for _, it := range s.order[:s.positive] {
+		if e.live[it.pos] {
+			zeros--
+		}
+	}
+	s.order = slices.Grow(s.order, zeros)
+	for pos, live := range e.live {
+		if !live {
+			continue
+		}
+		psi := 0.0
+		if d := e.rel[pos].Dist; d.Max() > s.sortSk {
+			psi = psiOf(d, s.sortSk, s.sortSp, e.cfg.Bound)
+		}
+		if !(psi > 0) {
+			s.order = append(s.order, psiEntry{psi: psi, pos: pos})
+		}
+	}
+	s.zeros = true
 }
 
 // psiEntry is an uncertain position with its sort factor ψ.
@@ -133,24 +200,9 @@ func (a psiEntry) before(b psiEntry) bool {
 	return a.pos < b.pos
 }
 
-// place adds one entry to a re-sort's order, entries arriving in
-// ascending position: ψ > 0 ones fill it from the front, ψ = 0 ones from
-// the back, so those end up in descending position until heapify.
-func (s *selector) place(e psiEntry) {
-	if e.psi > 0 {
-		s.order[s.positive] = e
-		s.positive++
-		return
-	}
-	s.zeros++
-	s.order[len(s.order)-s.zeros] = e
-}
-
-// heapify turns the placed entries into the scan order's start state:
-// the ψ = 0 ones in ascending position, the ψ > 0 ones the heap, nothing
-// popped.
+// heapify turns the re-sort's entries into the scan order's start
+// state: all of them the heap, nothing popped.
 func (s *selector) heapify() {
-	slices.Reverse(s.order[s.positive:])
 	s.heapLen = s.positive
 	for i := s.heapLen/2 - 1; i >= 0; i-- {
 		s.siftDown(i)
@@ -316,7 +368,13 @@ func (s *selector) selectBatch() []int {
 	}
 	h := s.heap[:0]
 	examined := 0
-	for j := range len(s.order) {
+	for j := 0; ; j++ {
+		if j == s.positive && !s.zeros {
+			s.appendZeros()
+		}
+		if j == len(s.order) {
+			break
+		}
 		it := s.at(j)
 		if !e.live[it.pos] {
 			continue // cleaned since the last re-sort

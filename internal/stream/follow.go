@@ -16,12 +16,13 @@ type FollowConfig struct {
 	Plan engine.Plan
 	// MaxLagChunks is the staleness bound: when this many chunks arrive
 	// without the follower seeing a new answer, the ingestor closes the
-	// open segment early so the next evaluation reflects the frontier.
-	// Zero means no bound — the follower updates at the segment cadence
-	// only. Forced closes change segment boundaries, so a stream with a
-	// lag bound is NOT bit-identical to batch ingestion of the same
-	// footage (the converged scores still agree; membership tie-breaks
-	// may not).
+	// open segment early so the next evaluation reflects the frontier,
+	// as soon as the segment holds the 10 frames Phase 1 needs (until
+	// then the follower waits). Zero means no bound — the follower
+	// updates at the segment cadence only. Forced closes change segment
+	// boundaries, so a stream with a lag bound is NOT bit-identical to
+	// batch ingestion of the same footage (the converged scores still
+	// agree; membership tie-breaks may not).
 	MaxLagChunks int
 	// OnDelta, when set, is called synchronously with each delta.
 	OnDelta func(Delta)

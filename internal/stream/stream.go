@@ -128,7 +128,9 @@ type Stats struct {
 	// re-plan did not reuse.
 	EagerLabels, WastedLabels int
 	// ForcedCloses counts segments closed early by a follower's
-	// staleness bound rather than at their planned span.
+	// staleness bound rather than at their planned span: closes that
+	// happened, not the chunks a stale follower waited through while
+	// the open segment was under Phase 1's 10-frame minimum.
 	ForcedCloses int
 	// Evaluations counts follower evaluation groups submitted.
 	Evaluations int
@@ -359,12 +361,13 @@ func (g *Ingestor) Append(frames int) error {
 	}
 	// Bounded staleness: a follower too many chunks behind the frontier
 	// forces the open segment closed early so its next answer reflects
-	// the footage that already arrived.
-	if g.staleFollower() && g.frontier > g.ingested {
-		g.stats.ForcedCloses++
+	// the footage that already arrived — once the segment holds
+	// minForcedSegment frames; until then the follower waits.
+	if g.staleFollower() && g.frontier-g.segLo >= minForcedSegment {
 		if err := g.closeSegment(g.frontier - g.segLo); err != nil {
 			return err
 		}
+		g.stats.ForcedCloses++
 	}
 	return nil
 }
@@ -377,6 +380,11 @@ func (g *Ingestor) staleFollower() bool {
 	}
 	return false
 }
+
+// minForcedSegment is the floor of a segment a follower's staleness
+// bound closes early: phase1's minimum (phase1.SampleCounts labels half
+// of a short segment and needs five labels), whatever the options.
+const minForcedSegment = 10
 
 // ErrTailNotIngested marks a Seal that left footage out of the
 // artifact: the frames past the last segment boundary were too few for

@@ -417,6 +417,47 @@ func TestFollowerStalenessBound(t *testing.T) {
 	}
 }
 
+// TestForcedCloseWaitsForPhase1Minimum: a follower's staleness bound
+// forces a close only once the open segment holds phase1's minimum
+// (minForcedSegment frames, pinned here against phase1.SampleCounts):
+// the short chunks that arrive before that are valid Appends, and
+// ForcedCloses counts the closes that happened — at 600, 610 and 715
+// frames for chunks of 600, 5, 5, 5 and 100.
+func TestForcedCloseWaitsForPhase1Minimum(t *testing.T) {
+	if _, _, err := phase1.SampleCounts(minForcedSegment-1, testIngest(5)); err == nil {
+		t.Fatalf("phase1 plans a segment of %d frames: the forced-close floor is above its minimum", minForcedSegment-1)
+	}
+	if _, _, err := phase1.SampleCounts(minForcedSegment, testIngest(5)); err != nil {
+		t.Fatalf("the forced-close floor is below phase1's minimum: %v", err)
+	}
+	g, err := NewIngestor(feed(t, 1200), countUDF(), Config{SegmentFrames: 1200, Ingest: testIngest(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := engine.Plan{K: 3, Threshold: 0.9, Seed: 5, Cost: simclock.Default()}
+	f, err := g.Follow(FollowConfig{Plan: plan, MaxLagChunks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var closedAt []int
+	for _, chunk := range []int{600, 5, 5, 5, 100} {
+		if err := g.Append(chunk); err != nil {
+			t.Fatalf("Append(%d) at frontier %d: %v", chunk, g.Frontier()-chunk, err)
+		}
+		if st := g.Stats(); st.ForcedCloses != st.Segments {
+			t.Fatalf("after Append(%d): %d forced closes, %d segments", chunk, st.ForcedCloses, st.Segments)
+		} else if st.Segments > len(closedAt) {
+			closedAt = append(closedAt, g.Artifact().TotalFrames)
+		}
+	}
+	if want := []int{600, 610, 715}; !reflect.DeepEqual(closedAt, want) {
+		t.Fatalf("segments closed at %v, want %v", closedAt, want)
+	}
+	if d := f.Deltas(); len(d) == 0 || d[len(d)-1].Frontier != 715 {
+		t.Fatalf("follower deltas %+v do not end at frontier 715", d)
+	}
+}
+
 // TestFollowerWaitsForRetainedFrames: a frame follower whose K exceeds
 // the frames the artifact has retained waits for footage instead of
 // failing the Append that closes the segment, answers once enough
