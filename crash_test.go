@@ -1,6 +1,9 @@
 package everest
 
 import (
+	"errors"
+	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -42,35 +45,68 @@ func flatten(m labelstore.Map) map[int]float64 {
 	return out
 }
 
-// crashReference replays crashScript once against a full-history store
-// (no checkpoint truncation) and returns the exact label state at
-// every version of the sequence — the ground truth each crash point's
-// recovery is judged against.
+// historyWAL is a labelstore.WAL that keeps no log: it applies each
+// logged publish and eviction to a plain map copy of the last state,
+// so states[v] is the label state the cache's version v named.
+type historyWAL struct {
+	states []map[int]float64
+	err    error
+}
+
+func (h *historyWAL) Dir() string { return "history" }
+
+func (h *historyWAL) AppendPublish(version uint64, frames []int, scores []float64) error {
+	next := h.next(version)
+	for i, f := range frames {
+		next[f] = scores[i]
+	}
+	return nil
+}
+
+func (h *historyWAL) AppendEvict(version uint64, frames []int) error {
+	next := h.next(version)
+	for _, f := range frames {
+		delete(next, f)
+	}
+	return nil
+}
+
+// next appends a copy of the last state as version's and returns it.
+func (h *historyWAL) next(version uint64) map[int]float64 {
+	if version != uint64(len(h.states)) && h.err == nil {
+		h.err = fmt.Errorf("version %d logged after %d states", version, len(h.states))
+	}
+	next := maps.Clone(h.states[len(h.states)-1])
+	h.states = append(h.states, next)
+	return next
+}
+
+func (h *historyWAL) Adopt(labelstore.Map, uint64) error {
+	return errors.New("historyWAL: adopt unsupported")
+}
+
+func (h *historyWAL) Recovered() (labelstore.Map, uint64) { return labelstore.Map{}, 0 }
+
+// crashReference runs crashScript once against a historyWAL and
+// returns the exact label state at every version of the sequence — the
+// ground truth each crash point's recovery is judged against, derived
+// from the logged batches alone.
 func crashReference(t *testing.T) (expected []map[int]float64, final uint64) {
 	t.Helper()
-	store, err := durable.Open(t.TempDir(), durable.Options{CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
+	h := &historyWAL{states: []map[int]float64{{}}}
 	cache := labelstore.NewSharedCache()
-	if err := cache.EnableDurable(store); err != nil {
+	if err := cache.EnableDurable(h); err != nil {
 		t.Fatal(err)
 	}
 	crashScript(cache)
-	if err := cache.DurableErr(); err != nil {
-		t.Fatal(err)
+	if h.err != nil {
+		t.Fatal(h.err)
 	}
 	final = cache.Version()
-	expected = make([]map[int]float64, final+1)
-	for v := uint64(0); v <= final; v++ {
-		m, err := store.StateAt(v)
-		if err != nil {
-			t.Fatalf("reference StateAt(%d): %v", v, err)
-		}
-		expected[v] = flatten(m)
+	if uint64(len(h.states)) != final+1 {
+		t.Fatalf("reference logged %d states for version %d", len(h.states), final)
 	}
-	return expected, final
+	return h.states, final
 }
 
 // TestCrashEveryPrefixConsistent kills the durable store at every
@@ -304,45 +340,5 @@ func TestCrashRecoveryGoldenDeterminism(t *testing.T) {
 				procs, goldenOf(got), goldenOf(want))
 		}
 		closeDurableForTest(dir)
-	}
-}
-
-// TestCrashPinnedVersionNeverRebinds: a version pinned before the
-// crash either resolves to the exact pre-crash labels after recovery
-// or fails closed with a typed *labelstore.VersionError — in
-// particular when the crash tore the tail those versions lived in.
-func TestCrashPinnedVersionNeverRebinds(t *testing.T) {
-	dir := t.TempDir()
-	store, err := durable.Open(dir, durable.Options{CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := labelstore.NewSharedCache()
-	if err := cache.EnableDurable(store); err != nil {
-		t.Fatal(err)
-	}
-	crashScript(cache)
-	pinned := cache.Version() - 2
-	want, err := cache.SnapshotAt(pinned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Close()
-
-	recovered := labelstore.NewSharedCache()
-	rstore, err := durable.Open(dir, durable.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rstore.Close()
-	if err := recovered.EnableDurable(rstore); err != nil {
-		t.Fatal(err)
-	}
-	got, err := recovered.SnapshotAt(pinned)
-	if err != nil {
-		t.Fatalf("pinned version %d after crash: %v", pinned, err)
-	}
-	if !reflect.DeepEqual(flatten(got), flatten(want)) {
-		t.Fatalf("pinned version %d rebound to different labels after recovery", pinned)
 	}
 }

@@ -217,18 +217,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize == 0 {
 		c.BatchSize = 8
 	}
-	if c.SampleFrac == 0 {
-		c.SampleFrac = 0.02
-	}
-	if c.SampleCap == 0 {
-		c.SampleCap = 30000
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 600
-	}
-	if c.HoldoutFrac == 0 {
-		c.HoldoutFrac = 0.1
-	}
 	if c.Cost == (simclock.CostModel{}) {
 		c.Cost = simclock.Default()
 	}

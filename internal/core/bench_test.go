@@ -50,7 +50,8 @@ func BenchmarkEngineRun(b *testing.B) {
 func BenchmarkPrepare(b *testing.B) {
 	rel, _ := benchRelation(4000, 500)
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := Prepare(rel, BoundIndependent); err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func BenchmarkStart(b *testing.B) {
 	for _, v := range views {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for b.Loop() {
+			for i := 0; i < b.N; i++ {
 				if _, err := base.Start(cfg, v.rel, v.over, oracle, nil, simclock.Default()); err != nil {
 					b.Fatal(err)
 				}

@@ -187,7 +187,7 @@ func TestUnionResultHonestAgainstBruteForce(t *testing.T) {
 				unc = append(unc, x)
 			}
 		}
-		exact := uncertain.BruteTopkProb(unc, sk)
+		exact := bruteTopkProb(unc, sk)
 		return res.Confidence <= exact+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -201,7 +201,7 @@ func TestUnionBoundWithManyTuples(t *testing.T) {
 	// underflow or cancellation trouble at this scale.
 	rel := make(uncertain.Relation, 0, 100001)
 	rel = append(rel, uncertain.XTuple{ID: 0, Dist: uncertain.Certain(0)})
-	d := uncertain.MustDist(0, []float64{1 - 1e-6, 1e-6})
+	d := mustDist(0, []float64{1 - 1e-6, 1e-6})
 	for i := 1; i <= 100000; i++ {
 		rel = append(rel, uncertain.XTuple{ID: i, Dist: d})
 	}

@@ -49,7 +49,7 @@ func randomRelation(r *xrand.RNG, n, nCertain, maxSupport, maxMin int) (uncertai
 			for k := range probs {
 				probs[k] = 0.05 + r.Float64()
 			}
-			d = uncertain.MustDist(r.Intn(maxMin+1), probs)
+			d = mustDist(r.Intn(maxMin+1), probs)
 		}
 		rel = append(rel, uncertain.XTuple{ID: i, Dist: d})
 		oracle.levels[i] = sampleLevel(r, d)
@@ -187,7 +187,7 @@ func TestEngineConfidenceMatchesBruteForce(t *testing.T) {
 	for id, d := range liveDists(e) {
 		unc = append(unc, uncertain.XTuple{ID: id, Dist: d})
 	}
-	want := uncertain.BruteTopkProb(unc, sk)
+	want := bruteTopkProb(unc, sk)
 	if math.Abs(res.Confidence-want) > 1e-9 {
 		t.Fatalf("confidence %v, brute force %v", res.Confidence, want)
 	}

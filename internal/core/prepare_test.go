@@ -107,7 +107,7 @@ func randomDist(r *xrand.RNG, min int) uncertain.Dist {
 	for k := range probs {
 		probs[k] = 0.05 + r.Float64()
 	}
-	return uncertain.MustDist(min, probs)
+	return mustDist(min, probs)
 }
 
 // viewsFor returns the views the bit-identity test runs under.
@@ -459,7 +459,7 @@ func mixedRelation(r *xrand.RNG, n int, pCertain float64, minLo int) (uncertain.
 			for k := range probs {
 				probs[k] = 0.05 + r.Float64()
 			}
-			d = uncertain.MustDist(minLo+r.Intn(11), probs)
+			d = mustDist(minLo+r.Intn(11), probs)
 		}
 		rel = append(rel, uncertain.XTuple{ID: id, Dist: d})
 		oracle.levels[id] = sampleLevel(r, d)
@@ -534,11 +534,11 @@ func TestBaseExtendMatchesPrepare(t *testing.T) {
 					oracle.levels[rel[i].ID] = rel[i].ID % 17
 				}
 			case 2: // a tail reaching below and above the prefix's levels
-				rel[n-3].Dist = uncertain.MustDist(-3, []float64{1, 1})
+				rel[n-3].Dist = mustDist(-3, []float64{1, 1})
 				oracle.levels[rel[n-3].ID] = -2
 				rel[n-2].Dist = uncertain.Certain(0)
 				oracle.levels[rel[n-2].ID] = 0
-				rel[n-1].Dist = uncertain.MustDist(20, []float64{1, 1, 1})
+				rel[n-1].Dist = mustDist(20, []float64{1, 1, 1})
 				oracle.levels[rel[n-1].ID] = 21
 			}
 			cut := 1 + r.Intn(n/2)
@@ -605,7 +605,7 @@ func TestBaseExtendMatchesPrepare(t *testing.T) {
 	for _, badID := range []int{rel[10].ID + 6, rel[3].ID} {
 		bad := slices.Clone(rel[:11])
 		for i := 0; i < 6; i++ {
-			bad = append(bad, uncertain.XTuple{ID: rel[10].ID + 1 + i, Dist: uncertain.MustDist(5, []float64{1, 1})})
+			bad = append(bad, uncertain.XTuple{ID: rel[10].ID + 1 + i, Dist: mustDist(5, []float64{1, 1})})
 		}
 		bad = append(bad, uncertain.XTuple{ID: badID, Dist: uncertain.Certain(1)})
 		if _, err := base.Extend(bad); err == nil {

@@ -40,11 +40,11 @@ func randomTestDist(r *xrand.RNG) uncertain.Dist {
 	for i := range probs {
 		probs[i] = 0.05 + r.Float64()
 	}
-	return uncertain.MustDist(r.Intn(6), probs)
+	return mustDist(r.Intn(6), probs)
 }
 
 func TestPsiEdgeCases(t *testing.T) {
-	d := uncertain.MustDist(3, []float64{0.5, 0.5}) // support {3,4}
+	d := mustDist(3, []float64{0.5, 0.5}) // support {3,4}
 	// Fully below S_k: no chance of entering Top-K → ψ = 0.
 	if got := psiOf(d, 4, 5, BoundIndependent); got != 0 {
 		t.Fatalf("ψ for hopeless frame = %v, want 0", got)
@@ -98,9 +98,9 @@ func TestSelectBatchPrefersHighImpactFrames(t *testing.T) {
 	rel := uncertain.Relation{
 		{ID: 0, Dist: uncertain.Certain(5)},
 		{ID: 1, Dist: uncertain.Certain(4)},
-		{ID: 2, Dist: uncertain.MustDist(8, []float64{0.5, 0.5})}, // sure contender
-		{ID: 3, Dist: uncertain.MustDist(0, []float64{0.9, 0.1})}, // hopeless
-		{ID: 4, Dist: uncertain.MustDist(3, []float64{0.5, 0.5})}, // marginal
+		{ID: 2, Dist: mustDist(8, []float64{0.5, 0.5})}, // sure contender
+		{ID: 3, Dist: mustDist(0, []float64{0.9, 0.1})}, // hopeless
+		{ID: 4, Dist: mustDist(3, []float64{0.5, 0.5})}, // marginal
 	}
 	oracle := &trueWorldOracle{levels: map[int]int{2: 9, 3: 0, 4: 3}}
 	e, err := newEngine(rel, Config{K: 2, Threshold: 0.99, BatchSize: 1}, oracle, nil, simclock.Default())

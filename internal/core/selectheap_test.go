@@ -430,7 +430,7 @@ func TestSelectorMatchesReference(t *testing.T) {
 			rel := slices.Clone(s.base.rel)
 			for i, x := range rel {
 				if !x.Dist.IsCertain() && i%3 == 0 {
-					rel[i].Dist = uncertain.MustDist(x.Dist.Min, []float64{1, 1, 1e-20})
+					rel[i].Dist = mustDist(x.Dist.Min, []float64{1, 1, 1e-20})
 				}
 			}
 			b, err := Prepare(rel, bound)
@@ -520,9 +520,9 @@ func TestResortScratchBoundedByCandidates(t *testing.T) {
 		d := uncertain.Certain(10)
 		switch {
 		case id >= nCertain+nHigh:
-			d = uncertain.MustDist(0, []float64{1, 1, 1, 1})
+			d = mustDist(0, []float64{1, 1, 1, 1})
 		case id >= nCertain:
-			d = uncertain.MustDist(8, []float64{1, 1, 1, 1, 1, 1})
+			d = mustDist(8, []float64{1, 1, 1, 1, 1, 1})
 		}
 		rel = append(rel, uncertain.XTuple{ID: id, Dist: d})
 		oracle.levels[id] = d.Min

@@ -20,7 +20,7 @@ func smallRelation(r *xrand.RNG, n int) uncertain.Relation {
 		for k := range probs {
 			probs[k] = 0.1 + r.Float64()
 		}
-		rel[i] = uncertain.XTuple{ID: i, Dist: uncertain.MustDist(r.Intn(5), probs)}
+		rel[i] = uncertain.XTuple{ID: i, Dist: mustDist(r.Intn(5), probs)}
 	}
 	return rel
 }
@@ -29,7 +29,7 @@ func smallRelation(r *xrand.RNG, n int) uncertain.Relation {
 // defined by the number of strictly greater scores.
 func bruteMembership(rel uncertain.Relation, k int) []float64 {
 	out := make([]float64, len(rel))
-	uncertain.EnumerateWorlds(rel, func(w uncertain.World) {
+	enumerateWorlds(rel, func(w world) {
 		for i := range rel {
 			beat := 0
 			for j := range rel {
@@ -79,7 +79,7 @@ func TestUKRanksMatchesBruteForce(t *testing.T) {
 		for i := range probs {
 			probs[i] = make([]float64, k)
 		}
-		uncertain.EnumerateWorlds(rel, func(w uncertain.World) {
+		enumerateWorlds(rel, func(w world) {
 			for i := range rel {
 				beat := 0
 				for j := range rel {
@@ -122,8 +122,8 @@ func TestPTkThresholding(t *testing.T) {
 	// never is.
 	rel := uncertain.Relation{
 		{ID: 0, Dist: uncertain.Certain(10)},
-		{ID: 1, Dist: uncertain.MustDist(0, []float64{0.9, 0.1})},
-		{ID: 2, Dist: uncertain.MustDist(4, []float64{0.5, 0.5})},
+		{ID: 1, Dist: mustDist(0, []float64{0.9, 0.1})},
+		{ID: 2, Dist: mustDist(4, []float64{0.5, 0.5})},
 	}
 	ids := PTk(rel, 1, 0.99)
 	if len(ids) != 1 || ids[0] != 0 {
@@ -131,8 +131,8 @@ func TestPTkThresholding(t *testing.T) {
 	}
 	// PT-k can return an empty set — the failure mode the paper notes.
 	relTied := uncertain.Relation{
-		{ID: 0, Dist: uncertain.MustDist(0, []float64{0.5, 0.5})},
-		{ID: 1, Dist: uncertain.MustDist(0, []float64{0.5, 0.5})},
+		{ID: 0, Dist: mustDist(0, []float64{0.5, 0.5})},
+		{ID: 1, Dist: mustDist(0, []float64{0.5, 0.5})},
 	}
 	if got := PTk(relTied, 1, 0.95); len(got) != 0 {
 		t.Fatalf("PTk on symmetric relation = %v, want empty", got)
@@ -142,9 +142,9 @@ func TestPTkThresholding(t *testing.T) {
 func TestUTopKOnPaperExample(t *testing.T) {
 	// Table 1a: the most probable Top-1 set.
 	rel := uncertain.Relation{
-		{ID: 0, Dist: uncertain.MustDist(0, []float64{0.78, 0.21, 0.01})},
-		{ID: 1, Dist: uncertain.MustDist(0, []float64{0.49, 0.42, 0.09})},
-		{ID: 2, Dist: uncertain.MustDist(0, []float64{0.16, 0.48, 0.36})},
+		{ID: 0, Dist: mustDist(0, []float64{0.78, 0.21, 0.01})},
+		{ID: 1, Dist: mustDist(0, []float64{0.49, 0.42, 0.09})},
+		{ID: 2, Dist: mustDist(0, []float64{0.16, 0.48, 0.36})},
 	}
 	ids, p := UTopK(rel, 1)
 	if len(ids) != 1 || ids[0] != 2 {
@@ -184,7 +184,7 @@ func TestSemanticsComparisonShowsEverestAdvantage(t *testing.T) {
 		for k := range probs {
 			probs[k] = 0.1 + r.Float64()
 		}
-		rel[i] = uncertain.XTuple{ID: i, Dist: uncertain.MustDist(r.Intn(8), probs)}
+		rel[i] = uncertain.XTuple{ID: i, Dist: mustDist(r.Intn(8), probs)}
 		oracle.levels[i] = sampleLevel(r, rel[i].Dist)
 	}
 	// A few certain tuples so the engine can bootstrap cheaply.
@@ -259,7 +259,7 @@ func UTopK(rel uncertain.Relation, k int) ([]int, float64) {
 	type key string
 	setProb := make(map[key]float64)
 	setIDs := make(map[key][]int)
-	uncertain.EnumerateWorlds(rel, func(w uncertain.World) {
+	enumerateWorlds(rel, func(w world) {
 		// Top-K of this world: k largest levels, ties by ascending ID.
 		idx := make([]int, len(rel))
 		for i := range idx {

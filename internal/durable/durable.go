@@ -24,8 +24,7 @@
 //     tail is physically truncated and later segments removed.
 //   - Version continuity: the recovered version counter continues where
 //     the prefix ended, so version numbers never repeat with different
-//     contents and pinned versions resolve identically or fail closed
-//     (labelstore.VersionError) — never silently rebind.
+//     contents.
 package durable
 
 import (
@@ -80,16 +79,15 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu          sync.Mutex
-	fs          FS
-	labels      labelstore.Map
-	version     uint64
-	ckptVersion uint64 // newest durable checkpoint's version
-	segSeq      uint64 // active segment sequence number
-	seg         File   // nil until the first append after open/rotate
-	segBytes    int
-	recsSince   int   // records appended since the last checkpoint
-	sticky      error // first fatal I/O failure; all later ops fail with it
+	mu        sync.Mutex
+	fs        FS
+	labels    labelstore.Map
+	version   uint64
+	segSeq    uint64 // active segment sequence number
+	seg       File   // nil until the first append after open/rotate
+	segBytes  int
+	recsSince int   // records appended since the last checkpoint
+	sticky    error // first fatal I/O failure; all later ops fail with it
 }
 
 const (
@@ -165,16 +163,12 @@ func (s *Store) listing() (ckpts []uint64, segs []uint64, err error) {
 	return ckpts, segs, nil
 }
 
-// loadBase returns the newest checkpoint whose version is ≤ limit and
-// that validates, or the empty version-0 state. Invalid checkpoints are
-// skipped (recovery falls back to the next older one); they are swept
-// by the next checkpoint's cleanup, not here — recovery mutates nothing
-// but the torn tail.
-func (s *Store) loadBase(ckpts []uint64, limit uint64) (labelstore.Map, uint64) {
+// loadBase returns the newest checkpoint that validates, or the empty
+// version-0 state. Invalid checkpoints are skipped (recovery falls back
+// to the next older one); they are swept by the next checkpoint's
+// cleanup, not here — recovery mutates nothing but the torn tail.
+func (s *Store) loadBase(ckpts []uint64) (labelstore.Map, uint64) {
 	for _, v := range ckpts {
-		if v > limit {
-			continue
-		}
 		data, err := s.fs.ReadFile(s.path(ckptName(v)))
 		if err != nil {
 			continue
@@ -189,12 +183,11 @@ func (s *Store) loadBase(ckpts []uint64, limit uint64) (labelstore.Map, uint64) 
 }
 
 // replay applies segment records on top of (labels, version), stopping
-// — and, when fix is true, truncating the torn tail and removing the
-// unreachable later segments — at the first corrupt or discontinuous
-// record. Records at or below the starting version are stale segments'
-// leftovers and are skipped; limit bounds how far to apply (MaxUint64
-// for "everything valid").
-func (s *Store) replay(segs []uint64, labels labelstore.Map, version, limit uint64, fix bool) (labelstore.Map, uint64, error) {
+// at the first corrupt or discontinuous record — truncating the torn
+// tail there and removing the unreachable later segments. Records at or
+// below the starting version are stale segments' leftovers and are
+// skipped.
+func (s *Store) replay(segs []uint64, labels labelstore.Map, version uint64) (labelstore.Map, uint64, error) {
 	for si, seq := range segs {
 		name := s.path(segName(seq))
 		data, err := s.fs.ReadFile(name)
@@ -211,9 +204,6 @@ func (s *Store) replay(segs []uint64, labels labelstore.Map, version, limit uint
 				derr = fmt.Errorf("durable: version gap (%d after %d) in %s", rec.Version, version, name)
 			}
 			if derr != nil {
-				if !fix {
-					return labels, version, nil
-				}
 				// Torn tail: cut this segment at the last valid record and
 				// drop every later segment — they are beyond the first
 				// corruption and therefore not part of the consistent prefix.
@@ -228,9 +218,6 @@ func (s *Store) replay(segs []uint64, labels labelstore.Map, version, limit uint
 				if err := s.fs.SyncDir(s.dir); err != nil {
 					return labels, version, fmt.Errorf("durable: syncing %s: %w", s.dir, err)
 				}
-				return labels, version, nil
-			}
-			if rec.Version > limit {
 				return labels, version, nil
 			}
 			if rec.Version == version+1 {
@@ -249,9 +236,8 @@ func (s *Store) recover() error {
 	if err != nil {
 		return err
 	}
-	labels, version := s.loadBase(ckpts, ^uint64(0))
-	s.ckptVersion = version
-	labels, version, err = s.replay(segs, labels, version, ^uint64(0), true)
+	labels, version := s.loadBase(ckpts)
+	labels, version, err = s.replay(segs, labels, version)
 	if err != nil {
 		return err
 	}
@@ -417,7 +403,6 @@ func (s *Store) checkpointLocked() error {
 	if err := s.fs.SyncDir(s.dir); err != nil {
 		return s.fail(fmt.Errorf("durable: syncing checkpoint: %w", err))
 	}
-	s.ckptVersion = s.version
 	s.recsSince = 0
 	// The WAL behind the checkpoint is now redundant: every record in
 	// every existing segment is ≤ the checkpointed version (appends and
@@ -469,47 +454,6 @@ func (s *Store) Adopt(labels labelstore.Map, version uint64) error {
 	}
 	s.labels, s.version = labels, version
 	return s.checkpointLocked()
-}
-
-// StateAt reconstructs the exact label map at a historical version by
-// replaying the on-disk log up to it. It fails closed with a typed
-// *labelstore.VersionError when the version is ahead of the store,
-// below the truncation horizon (no remaining checkpoint precedes it),
-// or not reconstructible from the surviving records — never returning
-// a different label set under the requested version number.
-func (s *Store) StateAt(version uint64) (labelstore.Map, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if version == s.version {
-		return s.labels, nil
-	}
-	if version > s.version {
-		return labelstore.Map{}, &labelstore.VersionError{
-			Version: version, Newest: s.version,
-			Reason: "version is ahead of the durable store",
-		}
-	}
-	ckpts, segs, err := s.listing()
-	if err != nil {
-		return labelstore.Map{}, &labelstore.VersionError{Version: version, Newest: s.version, Reason: err.Error()}
-	}
-	// Base from the newest checkpoint at or below the requested version.
-	// When none survives (the WAL behind the newest checkpoint was
-	// truncated), the replay from version 0 below succeeds only if the
-	// raw log still reaches the request — otherwise it is beyond the
-	// truncation horizon and fails closed.
-	labels, base := s.loadBase(ckpts, version)
-	labels, got, err := s.replay(segs, labels, base, version, false)
-	if err != nil || got != version {
-		reason := "version predates the truncation horizon"
-		if err != nil {
-			reason = err.Error()
-		}
-		return labelstore.Map{}, &labelstore.VersionError{
-			Version: version, Oldest: s.ckptVersion, Newest: s.version, Reason: reason,
-		}
-	}
-	return labels, nil
 }
 
 // Version returns the store's current version counter.

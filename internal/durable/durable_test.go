@@ -265,69 +265,6 @@ func TestStoreCorruptCheckpointFallsBack(t *testing.T) {
 	}
 }
 
-func TestStoreStateAt(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	publishN(t, s, 1, 6)
-
-	for _, v := range []uint64{1, 3, 6} {
-		m, err := s.StateAt(v)
-		if err != nil {
-			t.Fatalf("StateAt(%d): %v", v, err)
-		}
-		assertState(t, m, v, int(v))
-	}
-	// Version 0 is the empty store.
-	m, err := s.StateAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 0 {
-		t.Fatalf("StateAt(0) has %d labels", m.Len())
-	}
-	// Ahead of the store: fail closed.
-	var verr *labelstore.VersionError
-	if _, err := s.StateAt(7); !errors.As(err, &verr) {
-		t.Fatalf("StateAt(7) = %v, want *labelstore.VersionError", err)
-	}
-}
-
-func TestStoreStateAtHorizonFailsClosed(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{CheckpointEvery: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	publishN(t, s, 1, 8) // checkpoints at 3 and 6; WAL now holds 7,8 only
-
-	// v6 (exact checkpoint) and v7, v8 (checkpoint + surviving WAL) work.
-	for _, v := range []uint64{6, 7, 8} {
-		m, err := s.StateAt(v)
-		if err != nil {
-			t.Fatalf("StateAt(%d): %v", v, err)
-		}
-		assertState(t, m, v, int(v))
-	}
-	// v3 still works: its checkpoint file is one of the two kept.
-	if _, err := s.StateAt(3); err != nil {
-		t.Fatalf("StateAt(3): %v", err)
-	}
-	// v4 is beyond reconstruction: records 4,5 were truncated at the v6
-	// checkpoint and no kept checkpoint lands on it. Fail closed.
-	var verr *labelstore.VersionError
-	if _, err := s.StateAt(4); !errors.As(err, &verr) {
-		t.Fatalf("StateAt(4) = %v, want *labelstore.VersionError", err)
-	}
-	if verr.Version != 4 || verr.Newest != 8 {
-		t.Fatalf("VersionError fields off: %+v", verr)
-	}
-}
-
 func TestStoreAdopt(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})

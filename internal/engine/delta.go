@@ -16,11 +16,6 @@ type AnswerDelta struct {
 	Reordered []int
 }
 
-// Empty reports whether the two answers were identical.
-func (d AnswerDelta) Empty() bool {
-	return len(d.Entered) == 0 && len(d.Left) == 0 && len(d.Reordered) == 0
-}
-
 // DiffOutcome computes the answer delta from prev to next. A nil prev
 // means no answer yet: every frame of next enters. Only membership and
 // rank are compared; score refinements that leave the ranking intact

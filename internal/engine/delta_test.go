@@ -25,8 +25,5 @@ func TestDiffOutcome(t *testing.T) {
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
 		}
-		if got.Empty() != (len(c.want.Entered)+len(c.want.Left)+len(c.want.Reordered) == 0) {
-			t.Errorf("%s: Empty() inconsistent", c.name)
-		}
 	}
 }

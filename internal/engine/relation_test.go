@@ -650,7 +650,7 @@ func BenchmarkExecute(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for b.Loop() {
+			for i := 0; i < b.N; i++ {
 				var labels *labelstore.Overlay
 				if c.overlay {
 					labels = labelstore.NewOverlay(snapshot)

@@ -20,7 +20,7 @@ type AblationRow struct {
 	Dataset string
 	Variant string
 	MS      float64
-	Quality Quality
+	Quality metrics.Quality
 	Note    string
 }
 
@@ -56,7 +56,7 @@ func ablate(scale Scale, k int, thres float64, note func(*everest.Result) string
 		return nil, err
 	}
 	k = boundK(k, src.NumFrames()/10)
-	truth := frameTruth(src, udf)
+	truth := metrics.FrameTruth(src, udf)
 	top := metrics.TrueTopK(truth, k)
 	rows := make([]AblationRow, 0, len(variants))
 	for _, v := range variants {
@@ -72,7 +72,7 @@ func ablate(scale Scale, k int, thres float64, note func(*everest.Result) string
 			Dataset: src.Name(),
 			Variant: v.name,
 			MS:      res.Clock.TotalMS(),
-			Quality: evalIDs(res.IDs, func(i int) float64 { return truth[i].Score }, top),
+			Quality: metrics.Evaluate(res.IDs, func(i int) float64 { return truth[i].Score }, top),
 			Note:    note(res),
 		})
 	}
@@ -136,7 +136,7 @@ func AblationSemantics(scale Scale, k int, thres float64) ([]AblationRow, error)
 		return nil, err
 	}
 	kk := boundK(k, src.NumFrames()/20)
-	truth := frameTruth(src, udf)
+	truth := metrics.FrameTruth(src, udf)
 	top := metrics.TrueTopK(truth, kk)
 	trueScore := func(i int) float64 { return truth[i].Score }
 
@@ -149,7 +149,7 @@ func AblationSemantics(scale Scale, k int, thres float64) ([]AblationRow, error)
 	rows = append(rows, AblationRow{
 		Dataset: src.Name(), Variant: "everest",
 		MS:      res.Clock.TotalMS(),
-		Quality: evalIDs(res.IDs, trueScore, top),
+		Quality: metrics.Evaluate(res.IDs, trueScore, top),
 		Note:    fmt.Sprintf("conf=%.3f", res.Confidence),
 	})
 
@@ -170,14 +170,14 @@ func AblationSemantics(scale Scale, k int, thres float64) ([]AblationRow, error)
 	uk := core.UKRanks(rel, kk)
 	rows = append(rows, AblationRow{
 		Dataset: src.Name(), Variant: "u-kranks(no-oracle)",
-		Quality: evalIDs(dedupe(uk), trueScore, top),
+		Quality: metrics.Evaluate(dedupe(uk), trueScore, top),
 		Note:    "per-rank winners; no guarantee, no oracle",
 	})
 	for _, p := range []float64{0.3, 0.5} {
 		pt := core.PTk(rel, kk, p)
 		rows = append(rows, AblationRow{
 			Dataset: src.Name(), Variant: fmt.Sprintf("pt-k(p=%.1f)", p),
-			Quality: evalIDs(pt, trueScore, top),
+			Quality: metrics.Evaluate(pt, trueScore, top),
 			Note:    fmt.Sprintf("returned %d tuples (K=%d)", len(pt), kk),
 		})
 	}

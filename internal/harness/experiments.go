@@ -19,7 +19,7 @@ type SystemRow struct {
 	System  string
 	MS      float64
 	Speedup float64
-	Quality Quality
+	Quality metrics.Quality
 	Note    string
 }
 
@@ -30,7 +30,7 @@ type SweepRow struct {
 	X       float64
 	MS      float64
 	Speedup float64
-	Quality Quality
+	Quality metrics.Quality
 	Note    string
 }
 
@@ -58,7 +58,7 @@ func Fig4(scale Scale, k int, thres float64) ([]SystemRow, error) {
 		}
 		kk := boundK(k, src.NumFrames()/10)
 		udf := vision.CountUDF{Class: src.TargetClass()}
-		truth := frameTruth(src, udf)
+		truth := metrics.FrameTruth(src, udf)
 		topTruth := metrics.TrueTopK(truth, kk)
 		trueScore := func(i int) float64 { return truth[i].Score }
 		scan := baselines.ScanAndTest(src, udf, kk, cost)
@@ -69,7 +69,7 @@ func Fig4(scale Scale, k int, thres float64) ([]SystemRow, error) {
 				System:  system,
 				MS:      ms,
 				Speedup: metrics.Speedup(scan.MS, ms),
-				Quality: evalIDs(ids, trueScore, topTruth),
+				Quality: metrics.Evaluate(ids, trueScore, topTruth),
 				Note:    note,
 			})
 		}
@@ -119,7 +119,7 @@ func pickBestSelectTopk(outs []baselines.SelectTopkOutcome, trueScore func(int) 
 		if o.Failed {
 			continue
 		}
-		p := evalIDs(o.IDs, trueScore, truth).Precision
+		p := metrics.Evaluate(o.IDs, trueScore, truth).Precision
 		if p >= 0.9 && (qualified == nil || o.MS < qualified.MS) {
 			qualified = o
 		}
@@ -196,16 +196,16 @@ func runCountingPoint(src *video.Synthetic, cfg everest.Config, x float64) (Swee
 		return SweepRow{}, err
 	}
 	scanMS := scanCostMS(src.NumFrames(), udf, cost)
-	var q Quality
+	var q metrics.Quality
 	var note string
 	if cfg.Window > 0 {
-		truth := slidingWindowTruth(src, udf, cfg.Window, cfg.Window)
+		truth := metrics.SlidingWindowTruth(src, udf, cfg.Window, cfg.Window)
 		top := metrics.TrueTopK(truth, cfg.K)
-		q = evalIDs(res.IDs, func(w int) float64 { return truth[w].Score }, top)
+		q = metrics.Evaluate(res.IDs, func(w int) float64 { return truth[w].Score }, top)
 	} else {
-		truth := frameTruth(src, udf)
+		truth := metrics.FrameTruth(src, udf)
 		top := metrics.TrueTopK(truth, cfg.K)
-		q = evalIDs(res.IDs, func(i int) float64 { return truth[i].Score }, top)
+		q = metrics.Evaluate(res.IDs, func(i int) float64 { return truth[i].Score }, top)
 	}
 	note = fmt.Sprintf("conf=%.3f cleaned=%d", res.Confidence, res.EngineStats.Cleaned)
 	return SweepRow{
@@ -355,15 +355,15 @@ func Fig9(scale Scale) ([]SystemRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			var q Quality
+			var q metrics.Quality
 			if sc.window > 0 {
-				truth := slidingWindowTruth(src, udf, sc.window, sc.window)
+				truth := metrics.SlidingWindowTruth(src, udf, sc.window, sc.window)
 				top := metrics.TrueTopK(truth, cfg.K)
-				q = evalIDs(res.IDs, func(w int) float64 { return truth[w].Score }, top)
+				q = metrics.Evaluate(res.IDs, func(w int) float64 { return truth[w].Score }, top)
 			} else {
-				truth := frameTruth(src, udf)
+				truth := metrics.FrameTruth(src, udf)
 				top := metrics.TrueTopK(truth, cfg.K)
-				q = evalIDs(res.IDs, func(i int) float64 { return truth[i].Score }, top)
+				q = metrics.Evaluate(res.IDs, func(i int) float64 { return truth[i].Score }, top)
 			}
 			rows = append(rows, SystemRow{
 				Dataset: spec.Name,
@@ -388,7 +388,7 @@ type LambdaRow struct {
 	Candidates int
 	MS         float64
 	Speedup    float64
-	Quality    Quality
+	Quality    metrics.Quality
 	Failed     bool
 }
 
@@ -404,7 +404,7 @@ func SelectTopkSensitivity(scale Scale, k int) ([]LambdaRow, error) {
 		}
 		kk := boundK(k, src.NumFrames()/10)
 		udf := vision.CountUDF{Class: src.TargetClass()}
-		truth := frameTruth(src, udf)
+		truth := metrics.FrameTruth(src, udf)
 		topTruth := metrics.TrueTopK(truth, kk)
 		trueScore := func(i int) float64 { return truth[i].Score }
 		scanMS := scanCostMS(src.NumFrames(), udf, cost)
@@ -424,7 +424,7 @@ func SelectTopkSensitivity(scale Scale, k int) ([]LambdaRow, error) {
 				Failed:     o.Failed,
 			}
 			if !o.Failed {
-				row.Quality = evalIDs(o.IDs, trueScore, topTruth)
+				row.Quality = metrics.Evaluate(o.IDs, trueScore, topTruth)
 			}
 			rows = append(rows, row)
 		}

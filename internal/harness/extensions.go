@@ -25,7 +25,7 @@ type ScaleRow struct {
 	Speedup float64
 	// ScaleEfficiency is Wall(1)/(P·Wall(P)), filled by the sweep.
 	ScaleEfficiency float64
-	Quality         Quality
+	Quality         metrics.Quality
 }
 
 // ScaleoutScalability sweeps the worker count on the default workload and
@@ -44,7 +44,7 @@ func ScaleoutScalability(scale Scale, k int, thres float64) ([]ScaleRow, error) 
 		return nil, err
 	}
 	udf := vision.CountUDF{Class: src.TargetClass()}
-	truth := frameTruth(src, udf)
+	truth := metrics.FrameTruth(src, udf)
 	k = boundK(k, src.NumFrames()/10)
 	top := metrics.TrueTopK(truth, k)
 	scan := scanCostMS(src.NumFrames(), udf, simclock.Default())
@@ -68,7 +68,7 @@ func ScaleoutScalability(scale Scale, k int, thres float64) ([]ScaleRow, error) 
 			BillMS:          res.WorkerSumMS + phase2*float64(p),
 			Speedup:         scan / wall,
 			ScaleEfficiency: wall1 / (float64(p) * wall),
-			Quality:         evalIDs(res.IDs, func(i int) float64 { return truth[i].Score }, top),
+			Quality:         metrics.Evaluate(res.IDs, func(i int) float64 { return truth[i].Score }, top),
 		})
 	}
 	return rows, nil
@@ -99,7 +99,7 @@ type SessionRow struct {
 	Cleaned int
 	// CacheSize is the cumulative label cache after the query.
 	CacheSize int
-	Quality   Quality
+	Quality   metrics.Quality
 }
 
 // SessionAmortization runs a realistic analyst session — the default
@@ -117,7 +117,7 @@ func SessionAmortization(scale Scale, k int, thres float64) ([]SessionRow, error
 		return nil, err
 	}
 	udf := vision.CountUDF{Class: src.TargetClass()}
-	truth := frameTruth(src, udf)
+	truth := metrics.FrameTruth(src, udf)
 	k = boundK(k, src.NumFrames()/10)
 
 	ix, err := everest.BuildIndex(src, udf, scale.everestConfig(k, thres))
@@ -155,14 +155,14 @@ func SessionAmortization(scale Scale, k int, thres float64) ([]SessionRow, error
 		if err != nil {
 			return nil, err
 		}
-		var q Quality
+		var q metrics.Quality
 		if st.cfg.Window > 0 {
-			wTruth := slidingWindowTruth(src, udf, st.cfg.Window, st.cfg.Window)
+			wTruth := metrics.SlidingWindowTruth(src, udf, st.cfg.Window, st.cfg.Window)
 			top := metrics.TrueTopK(wTruth, st.cfg.K)
-			q = evalIDs(res.IDs, func(w int) float64 { return wTruth[w].Score }, top)
+			q = metrics.Evaluate(res.IDs, func(w int) float64 { return wTruth[w].Score }, top)
 		} else {
 			top := metrics.TrueTopK(truth, st.cfg.K)
-			q = evalIDs(res.IDs, func(i int) float64 { return truth[i].Score }, top)
+			q = metrics.Evaluate(res.IDs, func(i int) float64 { return truth[i].Score }, top)
 		}
 		rows = append(rows, SessionRow{
 			Dataset:   spec.Name,
@@ -190,7 +190,7 @@ type SlidingRow struct {
 	Cleaned int
 	// MS is the end-to-end simulated cost.
 	MS      float64
-	Quality Quality
+	Quality metrics.Quality
 }
 
 // SlidingWindows compares tumbling windows against overlapping sliding
@@ -228,7 +228,7 @@ func SlidingWindows(scale Scale, k int, thres float64) ([]SlidingRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("harness: sliding %s: %w", v.name, err)
 		}
-		wTruth := slidingWindowTruth(src, udf, size, v.stride)
+		wTruth := metrics.SlidingWindowTruth(src, udf, size, v.stride)
 		top := metrics.TrueTopK(wTruth, cfg.K)
 		rows = append(rows, SlidingRow{
 			Dataset: spec.Name,
@@ -237,26 +237,10 @@ func SlidingWindows(scale Scale, k int, thres float64) ([]SlidingRow, error) {
 			Bound:   res.Bound.String(),
 			Cleaned: res.EngineStats.Cleaned,
 			MS:      res.Clock.TotalMS(),
-			Quality: evalIDs(res.IDs, func(w int) float64 { return wTruth[w].Score }, top),
+			Quality: metrics.Evaluate(res.IDs, func(w int) float64 { return wTruth[w].Score }, top),
 		})
 	}
 	return rows, nil
-}
-
-// slidingWindowTruth computes ground-truth mean scores for strided
-// windows (stride == size gives tumbling truth).
-func slidingWindowTruth(src video.Source, udf vision.UDF, size, stride int) []metrics.Ranked {
-	frames := frameTruth(src, udf)
-	nw := windows.NumSlidingWindows(len(frames), size, stride)
-	out := make([]metrics.Ranked, nw)
-	for w := 0; w < nw; w++ {
-		sum := 0.0
-		for f := w * stride; f < w*stride+size; f++ {
-			sum += frames[f].Score
-		}
-		out[w] = metrics.Ranked{ID: w, Score: sum / float64(size)}
-	}
-	return out
 }
 
 // AblationBound (A7) compares the exact independent-product confidence

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"github.com/everest-project/everest/internal/video"
-	"github.com/everest-project/everest/internal/vision"
 )
 
 func TestScaleoutScalabilityShape(t *testing.T) {
@@ -101,35 +98,6 @@ func TestSlidingWindowsShape(t *testing.T) {
 	WriteSlidingRows(&buf, rows)
 	if !strings.Contains(buf.String(), "bound") {
 		t.Fatal("WriteSlidingRows output incomplete")
-	}
-}
-
-// TestSlidingWindowTruthTumbling: with stride equal to size the truth is
-// the tumbling one the window sweeps rank against — n/size windows in ID
-// order, each the mean of its own frames, a partial tail dropped.
-func TestSlidingWindowTruthTumbling(t *testing.T) {
-	src, err := video.NewSynthetic(video.Config{
-		Name: "truth", Kind: video.KindTraffic, Class: video.ClassCar,
-		Frames: 1000, FPS: 30, Seed: 3, MeanPopulation: 3, BurstRate: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	udf := vision.CountUDF{Class: video.ClassCar}
-	frames := frameTruth(src, udf)
-	const size = 30
-	truth := slidingWindowTruth(src, udf, size, size)
-	if len(truth) != 1000/size {
-		t.Fatalf("%d tumbling windows, want %d", len(truth), 1000/size)
-	}
-	for w, r := range truth {
-		sum := 0.0
-		for _, f := range frames[w*size : (w+1)*size] {
-			sum += f.Score
-		}
-		if r.ID != w || r.Score != sum/size {
-			t.Fatalf("window %d = %+v, want ID %d score %v", w, r, w, sum/size)
-		}
 	}
 }
 

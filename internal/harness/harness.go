@@ -10,7 +10,6 @@ import (
 
 	everest "github.com/everest-project/everest"
 	"github.com/everest-project/everest/internal/cmdn"
-	"github.com/everest-project/everest/internal/metrics"
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
@@ -70,45 +69,6 @@ func (s Scale) everestConfig(k int, thres float64) everest.Config {
 		Proxy:     s.proxyConfig(),
 		Seed:      s.Seed,
 	}
-}
-
-// Quality bundles the paper's three result-quality metrics.
-type Quality struct {
-	Precision    float64
-	RankDistance float64
-	ScoreError   float64
-}
-
-// evalIDs computes Quality for a claimed result against ground truth.
-func evalIDs(ids []int, trueScore func(int) float64, truth []metrics.Ranked) Quality {
-	scores := make(map[int]float64, len(ids))
-	exact := make([]float64, len(ids))
-	for i, id := range ids {
-		s := trueScore(id)
-		scores[id] = s
-		exact[i] = s
-	}
-	return Quality{
-		Precision:    metrics.Precision(ids, truth, scores),
-		RankDistance: metrics.RankDistance(ids, truth),
-		ScoreError:   metrics.ScoreError(exact, truth),
-	}
-}
-
-// frameTruth computes ground-truth frame scores (no cost charged: this is
-// evaluation machinery, not part of any system under test).
-func frameTruth(src video.Source, udf vision.UDF) []metrics.Ranked {
-	n := src.NumFrames()
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	scores := udf.Score(src, ids)
-	out := make([]metrics.Ranked, n)
-	for i := range out {
-		out[i] = metrics.Ranked{ID: i, Score: scores[i]}
-	}
-	return out
 }
 
 func scanCostMS(n int, udf vision.UDF, cost simclock.CostModel) float64 {

@@ -38,7 +38,7 @@ func IngestionAmortization(scale Scale, thres float64) ([]IngestRow, error) {
 			return nil, err
 		}
 		udf := vision.CountUDF{Class: src.TargetClass()}
-		truth := frameTruth(src, udf)
+		truth := metrics.FrameTruth(src, udf)
 
 		var freshMS float64
 		for _, k := range ks {
@@ -65,7 +65,7 @@ func IngestionAmortization(scale Scale, thres float64) ([]IngestRow, error) {
 			indexedMS += res.Clock.TotalMS()
 			// The guarantee must survive the indexing path.
 			top := metrics.TrueTopK(truth, cfg.K)
-			q := evalIDs(res.IDs, func(i int) float64 { return truth[i].Score }, top)
+			q := metrics.Evaluate(res.IDs, func(i int) float64 { return truth[i].Score }, top)
 			if q.ScoreError > 3 {
 				return nil, fmt.Errorf("harness: indexed query on %s K=%d degraded (score error %.2f)",
 					spec.Name, cfg.K, q.ScoreError)

@@ -24,32 +24,6 @@ type WAL interface {
 	Adopt(labels Map, version uint64) error
 	// Recovered returns the state recovered when the store was opened.
 	Recovered() (Map, uint64)
-	// StateAt reconstructs the label map at a historical version, or
-	// fails closed with a *VersionError.
-	StateAt(version uint64) (Map, error)
-}
-
-// VersionError is the fail-closed answer to a version that cannot be
-// resolved to exactly the label set it originally named: it is ahead of
-// the store, behind the WAL-truncation horizon, or the cache is not
-// durable and the version is no longer current. Callers holding a
-// pinned version across a crash get this error — never a silently
-// different label set under the same number.
-type VersionError struct {
-	// Version is the requested version.
-	Version uint64
-	// Oldest and Newest bound what the store can still reconstruct
-	// (Oldest is the newest checkpoint's version — the truncation
-	// horizon; zero when unknown).
-	Oldest, Newest uint64
-	// Reason says why the version is unresolvable.
-	Reason string
-}
-
-// Error implements error.
-func (e *VersionError) Error() string {
-	return fmt.Sprintf("labelstore: version %d not resolvable (reconstructible range ~[%d,%d]): %s",
-		e.Version, e.Oldest, e.Newest, e.Reason)
 }
 
 // EnableDurable attaches a write-ahead log to the cache. On a cold
@@ -104,32 +78,6 @@ func (c *SharedCache) DurableErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.walErr
-}
-
-// SnapshotAt resolves a pinned version to exactly the label map that
-// version named when it was issued. The current version resolves from
-// RAM; historical versions are reconstructed from the durable log. When
-// the cache is not durable, or the version is outside what the log can
-// still reconstruct, it fails closed with a typed *VersionError — a
-// pinned version never silently rebinds to a different label set (the
-// determinism contract's recovery clause; see DESIGN.md "Durability &
-// crash recovery").
-func (c *SharedCache) SnapshotAt(version uint64) (Map, error) {
-	c.mu.Lock()
-	wal, cur, labels := c.wal, c.version, c.labels
-	c.mu.Unlock()
-	if version == cur {
-		return labels, nil
-	}
-	if wal == nil {
-		return Map{}, &VersionError{
-			Version: version, Newest: cur,
-			Reason: "cache is not durable; only the current version is resolvable",
-		}
-	}
-	// The store serializes against concurrent publishes internally; the
-	// cache lock is NOT held across the disk replay.
-	return wal.StateAt(version)
 }
 
 // logPublish forwards a publish to the WAL (caller holds c.mu and has

@@ -1,6 +1,7 @@
 // Package metrics implements the paper's result-quality metrics (§4):
 // precision, normalized footrule rank distance, and score error, plus the
-// speedup ratio over scan-and-test.
+// speedup ratio over scan-and-test, and the exhaustive ground truth they
+// are measured against.
 package metrics
 
 import (

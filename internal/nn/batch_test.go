@@ -391,7 +391,7 @@ func BenchmarkFit(b *testing.B) {
 	for _, epochs := range []int{5, 35} {
 		b.Run(fmt.Sprintf("epochs=%d", epochs), func(b *testing.B) {
 			b.ReportAllocs()
-			for b.Loop() {
+			for i := 0; i < b.N; i++ {
 				m := pooledModel(97, 40, 12, 2)
 				if _, err := m.Fit(xs, ys, TrainConfig{Epochs: epochs, Seed: 3}); err != nil {
 					b.Fatal(err)

@@ -62,13 +62,6 @@ func newParam(n int) *Param {
 	return &Param{W: make([]float64, n), G: make([]float64, n)}
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.G {
-		p.G[i] = 0
-	}
-}
-
 // clone returns a deep copy: fresh tensors with the weights copied and
 // the gradient accumulator cleared.
 func (p *Param) clone() *Param {

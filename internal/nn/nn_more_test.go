@@ -31,19 +31,6 @@ func TestAdamStepClearsGradients(t *testing.T) {
 	}
 }
 
-func TestZeroGrad(t *testing.T) {
-	p := newParam(3)
-	for i := range p.G {
-		p.G[i] = float64(i + 1)
-	}
-	p.ZeroGrad()
-	for _, g := range p.G {
-		if g != 0 {
-			t.Fatal("ZeroGrad incomplete")
-		}
-	}
-}
-
 func TestDenseInputSizePanic(t *testing.T) {
 	d := NewDense(3, 2, xrand.New(1))
 	defer func() {

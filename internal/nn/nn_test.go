@@ -33,7 +33,7 @@ func gradCheck(t *testing.T, layer layerUnderTest, n int, seed uint64, tol float
 	// Analytic gradients.
 	loss()
 	for _, p := range layer.params {
-		p.ZeroGrad()
+		clear(p.G)
 	}
 	dx := append([]float64(nil), layer.backward(wOut, true)...)
 
@@ -129,7 +129,7 @@ func TestMDNGradients(t *testing.T) {
 		}
 		loss()
 		for _, p := range mdn.dense.params() {
-			p.ZeroGrad()
+			clear(p.G)
 		}
 		dx := append([]float64(nil), mdn.Backward(ys)...)
 		const h = 1e-5

@@ -194,7 +194,7 @@ func (a *refAdam) step() {
 			vhat := a.v[i][j] / c2
 			p.W[j] -= a.lr * mhat / (math.Sqrt(vhat) + a.eps)
 		}
-		p.ZeroGrad()
+		clear(p.G)
 	}
 }
 

@@ -18,7 +18,9 @@ func TestInferMixturesMatchesSerial(t *testing.T) {
 	ids := []int{1, 77, 402, 1333, 1999}
 	got := st.InferMixtures(ids)
 	for k, id := range ids {
-		want := st.MixtureOf(id)
+		f := st.Src.Render(id)
+		want := st.Proxy.PredictFrame(f)
+		f.Release()
 		if len(want) != len(got[k]) {
 			t.Fatalf("frame %d: mixture size %d vs %d", id, len(got[k]), len(want))
 		}

@@ -365,12 +365,6 @@ func newState(src video.Source, proxy *cmdn.Proxy, plan SamplePlan, diff diffdet
 	}
 }
 
-// MixtureOf returns the proxy's score mixture of one frame (not
-// charged; charging happens where inference volume is decided).
-func (s *State) MixtureOf(i int) uncertain.Mixture {
-	return s.mixtureOn(s.Proxy, i)
-}
-
 // mixtureOn serves frame i's mixture from the detector pass when it was
 // computed there, and otherwise decodes the frame and predicts it on p
 // (DisableDiff, labelled or discarded frames a baseline asks for).
@@ -384,10 +378,10 @@ func (s *State) mixtureOn(p *cmdn.Proxy, i int) uncertain.Mixture {
 }
 
 // InferMixtures returns the proxy's score mixtures of the given frames
-// in input order, identical to calling MixtureOf serially; frames the
-// detector pass did not predict are decoded and predicted on all
-// configured workers. No cost is charged; charging happens where
-// inference volume is decided.
+// in input order, identical to the proxy's PredictFrame of each decoded
+// frame; frames the detector pass did not predict are decoded and
+// predicted on all configured workers. No cost is charged; charging
+// happens where inference volume is decided.
 func (s *State) InferMixtures(ids []int) []uncertain.Mixture {
 	return workpool.MapWith(s.procs, len(ids), s.Proxy.CloneForInference,
 		func(p *cmdn.Proxy, k int) uncertain.Mixture { return s.mixtureOn(p, ids[k]) })

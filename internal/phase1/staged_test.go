@@ -61,12 +61,9 @@ func TestStagedMatchesRun(t *testing.T) {
 		t.Fatalf("charges diverged:\n batch  %v\n staged %v", batchClock.Breakdown(), stagedClock.Breakdown())
 	}
 	// Proxies must predict identically, not just score identically.
-	for _, f := range []int{0, 17, 2999, 5999} {
-		a := batch.MixtureOf(f)
-		b := staged.MixtureOf(f)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("proxy mixtures diverged at frame %d", f)
-		}
+	frames := []int{0, 17, 2999, 5999}
+	if !reflect.DeepEqual(batch.InferMixtures(frames), staged.InferMixtures(frames)) {
+		t.Fatalf("proxy mixtures diverged at frames %v", frames)
 	}
 }
 

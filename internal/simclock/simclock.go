@@ -217,14 +217,6 @@ func (c *Clock) String() string {
 	return b.String()
 }
 
-// Reset clears all accumulated charges.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	c.total = 0
-	c.byPh = make(map[Phase]float64)
-	c.mu.Unlock()
-}
-
 // ChargeParallelMax folds a parallel stage into this clock under a
 // bulk-synchronous (BSP) model: the stage's workers run each phase
 // concurrently with a barrier between phases, so the stage's wall-clock

@@ -85,15 +85,6 @@ func TestConcurrentCharge(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := NewClock()
-	c.Charge(PhaseSelect, 42)
-	c.Reset()
-	if c.TotalMS() != 0 || c.PhaseMS(PhaseSelect) != 0 {
-		t.Fatal("Reset did not clear charges")
-	}
-}
-
 func TestStringContainsPhases(t *testing.T) {
 	c := NewClock()
 	c.Charge(PhaseTrainCMDN, 5)

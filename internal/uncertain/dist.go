@@ -68,16 +68,6 @@ func NewDist(min int, probs []float64) (Dist, error) {
 	return d, nil
 }
 
-// MustDist is NewDist that panics on error, for literals in tests and
-// examples.
-func MustDist(min int, probs []float64) Dist {
-	d, err := NewDist(min, probs)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // pointMass is the read-only table (P, CDF, log CDF) every point mass
 // shares: nothing writes a built Dist; only NewDist fills fresh tables.
 var pointMass = [...]float64{1, 1, 0}

@@ -3,7 +3,16 @@ package uncertain
 // This file implements possible-world semantics (§3, Eq. 1) by exhaustive
 // enumeration. It is exponential in the number of uncertain tuples and
 // exists as an independent test oracle for the closed-form Phase 2
-// computations (Eq. 2–6); production code paths never call it.
+// computations (Eq. 2–6).
+
+// MustDist is NewDist that panics on error, for literals in tests.
+func MustDist(min int, probs []float64) Dist {
+	d, err := NewDist(min, probs)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
 
 // World is one instantiation of an uncertain relation: a level per tuple
 // and the world's probability (the product of the chosen alternatives).

@@ -147,9 +147,3 @@ type Source interface {
 	// Resolution returns the rendered width and height.
 	Resolution() (w, h int)
 }
-
-// TrueCount returns the ground-truth target-class count of frame i; it is
-// the score the default object-counting UDF computes via the oracle.
-func TrueCount(s Source, i int) int {
-	return s.CountObjects(i, s.TargetClass())
-}

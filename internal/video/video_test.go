@@ -45,8 +45,8 @@ func TestSceneCountsMatchPrecomputed(t *testing.T) {
 			if got := s.TrueCountFast(i); got != want {
 				t.Fatalf("%s frame %d: TrueCountFast = %d, scene lists %d", s.Name(), i, got, want)
 			}
-			if got := TrueCount(s, i); got != want {
-				t.Fatalf("%s frame %d: TrueCount = %d, scene lists %d", s.Name(), i, got, want)
+			if got := s.CountObjects(i, s.TargetClass()); got != want {
+				t.Fatalf("%s frame %d: CountObjects = %d, scene lists %d", s.Name(), i, got, want)
 			}
 		}
 	}

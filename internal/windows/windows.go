@@ -78,6 +78,11 @@ func (o Options) Overlapping() bool { return o.stride() < o.Size }
 // r_1..r_l gets S_w ~ N(1/L Σ|s_t|·μ̄_rt, 1/L Σ|s_t|·σ̄²_rt). Windows whose
 // segments are all exact become certain tuples. The reported error is
 // the lowest failing window's.
+//
+// The engine builds by Extend from empty and memoizes the result;
+// BuildRelation is the from-scratch reference that memo is tested
+// against (engine's referenceWindowRelation,
+// TestExtendAndReaggregateMatchBuildRelation).
 func BuildRelation(scoreOf func(rep int) FrameScore, diff diffdet.Result, opt Options) (uncertain.Relation, error) {
 	s, err := shapeOf(diff, opt)
 	if err != nil {
