@@ -405,3 +405,80 @@ func checkpointBytes(version uint64, deltas []int, scores []float64) []byte {
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
+
+// TestStoreReplayAppliesOverwritesInOrder: a frame republished in every
+// batch recovers with its last score. With one record per segment, the
+// replay must apply segments in version order, not in directory order
+// or by first write.
+func TestStoreReplayAppliesOverwritesInOrder(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{SegmentBytes: 1, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= 12; v++ {
+		if err := s.AppendPublish(uint64(v), []int{7, 100 + v}, []float64{float64(v) / 8, float64(v)}); err != nil {
+			t.Fatalf("publish %d: %v", v, err)
+		}
+	}
+	s.Close()
+
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	m, v := r.Recovered()
+	if v != 12 {
+		t.Fatalf("recovered version %d, want 12", v)
+	}
+	got := stateMap(m)
+	if len(got) != 13 {
+		t.Fatalf("recovered %d labels, want 13", len(got))
+	}
+	if got[7] != 1.5 {
+		t.Fatalf("frame 7 recovered with score %v, want its last write 1.5", got[7])
+	}
+}
+
+// TestStoreEvictionSurvivesCheckpoint: an eviction before a checkpoint
+// stays in force through the checkpoint, one after it is replayed from
+// the WAL tail, and a frame republished after its eviction comes back.
+func TestStoreEvictionSurvivesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{CheckpointEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []func(v uint64) error{
+		func(v uint64) error { return s.AppendPublish(v, []int{1, 2, 3}, []float64{1, 2, 3}) },
+		func(v uint64) error { return s.AppendEvict(v, []int{2}) },
+		func(v uint64) error { return s.AppendPublish(v, []int{4}, []float64{4}) }, // checkpoint at v3
+		func(v uint64) error { return s.AppendEvict(v, []int{1, 3}) },
+		func(v uint64) error { return s.AppendPublish(v, []int{3}, []float64{3.5}) },
+	}
+	for i, step := range steps {
+		if err := step(uint64(i + 1)); err != nil {
+			t.Fatalf("record %d: %v", i+1, err)
+		}
+	}
+	s.Close()
+	if _, err := os.Stat(filepath.Join(dir, ckptName(3))); err != nil {
+		t.Fatalf("no checkpoint at v3, so recovery never starts from one: %v", err)
+	}
+
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	m, v := r.Recovered()
+	if v != 5 {
+		t.Fatalf("recovered version %d, want 5", v)
+	}
+	got := stateMap(m)
+	want := map[int]float64{3: 3.5, 4: 4}
+	if len(got) != len(want) || got[3] != want[3] || got[4] != want[4] {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+}

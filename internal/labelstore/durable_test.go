@@ -1,6 +1,7 @@
 package labelstore_test
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/everest-project/everest/internal/durable"
@@ -139,5 +140,50 @@ func TestEvictionLoggedDurably(t *testing.T) {
 	m, _ := recovered.Snapshot()
 	if _, ok := m.Get(1); ok {
 		t.Fatal("evicted frame 1 resurrected by replay")
+	}
+}
+
+// failingWAL refuses every append, numbering its refusals.
+type failingWAL struct{ refusals int }
+
+func (w *failingWAL) Dir() string { return "failing" }
+func (w *failingWAL) AppendPublish(version uint64, frames []int, scores []float64) error {
+	w.refusals++
+	return fmt.Errorf("refusal %d (publish v%d)", w.refusals, version)
+}
+func (w *failingWAL) AppendEvict(version uint64, frames []int) error {
+	w.refusals++
+	return fmt.Errorf("refusal %d (evict v%d)", w.refusals, version)
+}
+func (w *failingWAL) Adopt(labels labelstore.Map, version uint64) error { return nil }
+func (w *failingWAL) Recovered() (labelstore.Map, uint64)               { return labelstore.Map{}, 0 }
+
+// TestDurableErrLatchesFirstFailure: when the log refuses a record the
+// cache keeps serving from RAM — the publish is visible and the version
+// advances — and DurableErr reports the first refusal, not a later one.
+func TestDurableErrLatchesFirstFailure(t *testing.T) {
+	c := labelstore.NewSharedCache()
+	w := &failingWAL{}
+	if err := c.EnableDurable(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DurableErr(); err != nil {
+		t.Fatalf("DurableErr before any append: %v", err)
+	}
+	c.Publish(map[int]float64{1: 1})
+	c.Publish(map[int]float64{2: 2})
+	if w.refusals != 2 {
+		t.Fatalf("the log saw %d appends, want 2", w.refusals)
+	}
+	err := c.DurableErr()
+	if err == nil || err.Error() != "refusal 1 (publish v1)" {
+		t.Fatalf("DurableErr = %v, want the first refusal", err)
+	}
+	snap, v := c.Snapshot()
+	if v != 2 {
+		t.Fatalf("version %d after two publishes, want 2", v)
+	}
+	if got := mapOf(snap); len(got) != 2 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("snapshot %v, want both publishes served from RAM", got)
 	}
 }
