@@ -56,12 +56,13 @@ crash:
 	$(GO) test -race -run 'Durable|Recovery|Evict' ./internal/labelstore/
 
 # The paper's guarantee, measured end to end against ground truth:
-# oneshot_run's query (K 10, Threshold 0.9) on 40 fresh 4,000-frame
-# videos per counting dataset, a one-sided binomial test of each
-# dataset's exact rate against 0.9 at α = 0.01, and a check that the
-# mean reported confidence stays inside the exact rate's binomial band.
-# About two minutes on two cores. It fails today on Archie, Irish-Center
-# and Taipei-bus (ROADMAP item 2), so it is in neither tier-1 nor CI.
+# oneshot_run's query (Threshold 0.9) on 40 fresh videos per counting
+# dataset in each cell of the grid — K 10 on 4,000 frames, K 10 on 640
+# frames (tiny n) and K 50 on 4,000 frames (heavy ties) — a one-sided
+# binomial test of each row's exact rate against 0.9 at α = 0.01, and a
+# check that the mean reported confidence stays inside the exact rate's
+# binomial band. About five minutes on two cores. It fails today
+# (ROADMAP item 2), so it is in neither tier-1 nor CI.
 guarantee:
 	$(GO) test -tags guarantee -run TestGuarantee -count=1 -timeout 30m -v ./internal/metrics/
 

@@ -619,7 +619,7 @@ func TestChaosParallelSharesDispatchBoundary(t *testing.T) {
 		}
 		// Confirmation costs ⌈misses/workers⌉ inferences per batch plus
 		// the launch overhead; only unhidden decode adds a per-frame term.
-		cost := cfg.withDefaults().Cost
+		cost := cfg.Plan().Cost
 		perBatch := math.Ceil(float64(cfg.BatchSize)/workers)*udf.OracleCostMS(cost) + cost.OracleCallMS
 		prefetched := float64(st.OracleCalls) * perBatch
 		if got := got.Clock.PhaseMS(simclock.PhaseConfirm) - prefetched; math.Abs(got-float64(st.Cleaned)*cost.DecodeMS) > 1e-6 {

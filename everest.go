@@ -54,7 +54,6 @@ package everest
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"github.com/everest-project/everest/internal/cmdn"
 	"github.com/everest-project/everest/internal/core"
@@ -207,46 +206,20 @@ type Config struct {
 	UnionBound bool
 }
 
-func (c Config) withDefaults() Config {
+// Plan compiles the Config to the engine plan that Run, RunParallel,
+// Index.Query, Extend's tail ingest, Session and live queries execute
+// and that EXPLAIN reports: every entrypoint goes through this one
+// translation, so the pipeline semantics live in internal/engine
+// alone. It is where a zero Threshold (0.9, the paper's default) and a
+// zero Cost (simclock.OrDefault) take their meaning; Normalize resolves
+// the window stride, the window sampling fraction and the batch size.
+// The plan is not validated: engine.NewPlan and Plan.ValidateFor do
+// that.
+func (c Config) Plan() engine.Plan {
 	if c.Threshold == 0 {
 		c.Threshold = 0.9
 	}
-	if c.WindowSampleFrac == 0 {
-		c.WindowSampleFrac = 0.1
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 8
-	}
-	if c.Cost == (simclock.CostModel{}) {
-		c.Cost = simclock.Default()
-	}
-	return c
-}
-
-// phase1Options maps the user-facing Config onto Phase 1's options. The
-// seed is supplied by the caller because the append path derives its
-// own per-tail stream.
-func (c Config) phase1Options(seed uint64) phase1.Options {
-	return phase1.Options{
-		SampleFrac:  c.SampleFrac,
-		SampleCap:   c.SampleCap,
-		MinSamples:  c.MinSamples,
-		HoldoutFrac: c.HoldoutFrac,
-		Diff:        c.Diff,
-		DisableDiff: c.DisableDiff,
-		Proxy:       c.Proxy,
-		Cost:        c.Cost,
-		Seed:        seed,
-		Procs:       c.Procs,
-	}
-}
-
-// plan compiles the (defaulted) Config down to the engine's explicit
-// query plan: every entrypoint — Run, Index.Query, Extend's tail
-// ingest, Session queries — goes through this one translation, so the
-// pipeline semantics live in internal/engine alone. The caller
-// validates via engine.NewPlan / Plan.ValidateFor.
-func (c Config) plan() engine.Plan {
+	c.Cost = simclock.OrDefault(c.Cost)
 	return engine.Plan{
 		K:         c.K,
 		Threshold: c.Threshold,
@@ -269,21 +242,19 @@ func (c Config) plan() engine.Plan {
 		Retries:          c.Retries,
 		RetryBackoffMS:   c.RetryBackoffMS,
 		DegradedOK:       c.DegradedOK,
-		Ingest:           c.phase1Options(c.Seed),
+		Ingest: phase1.Options{
+			SampleFrac:  c.SampleFrac,
+			SampleCap:   c.SampleCap,
+			MinSamples:  c.MinSamples,
+			HoldoutFrac: c.HoldoutFrac,
+			Diff:        c.Diff,
+			DisableDiff: c.DisableDiff,
+			Proxy:       c.Proxy,
+			Cost:        c.Cost,
+			Seed:        c.Seed,
+			Procs:       c.Procs,
+		},
 	}.Normalize()
-}
-
-// PlanKnob is one engine setting of a compiled Config, rendered for
-// plan introspection (EXPLAIN / EXPLAIN ANALYZE reports).
-type PlanKnob = engine.Knob
-
-// PlanKnobs renders the engine knob settings this Config compiles to,
-// in a fixed deterministic order. Coalesce is prepended because it
-// lives on Config (it selects the Session submission path) rather than
-// on the engine plan itself.
-func (c Config) PlanKnobs() []PlanKnob {
-	c = c.withDefaults()
-	return append([]PlanKnob{{Name: "coalesce", Value: fmt.Sprintf("%t", c.Coalesce)}}, c.plan().Knobs()...)
 }
 
 // Phase1Info reports what Phase 1 did.
@@ -374,10 +345,6 @@ func phase1InfoOf(in phase1.Info) Phase1Info {
 // resultOf converts an engine outcome into the public Result.
 func resultOf(out *engine.Outcome, p engine.Plan, info Phase1Info) *Result {
 	info.Tuples = out.Tuples
-	stride := 0
-	if p.Window.Enabled() {
-		stride = p.Window.Stride
-	}
 	return &Result{
 		IDs:            out.IDs,
 		Scores:         out.Scores,
@@ -385,7 +352,7 @@ func resultOf(out *engine.Outcome, p engine.Plan, info Phase1Info) *Result {
 		Bound:          out.Bound,
 		IsWindow:       p.Window.Enabled(),
 		WindowSize:     p.Window.Size,
-		WindowStride:   stride,
+		WindowStride:   p.Window.Stride,
 		Clock:          out.Clock,
 		EngineStats:    out.Stats,
 		Phase1:         info,
@@ -410,8 +377,7 @@ func RunCtx(ctx context.Context, src video.Source, udf vision.UDF, cfg Config) (
 	if src == nil || udf == nil {
 		return nil, errors.New("everest: nil source or UDF")
 	}
-	cfg = cfg.withDefaults()
-	plan, err := engine.NewPlan(cfg.plan())
+	plan, err := engine.NewPlan(cfg.Plan())
 	if err != nil {
 		return nil, err
 	}

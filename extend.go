@@ -41,8 +41,6 @@ func (ix *Index) Extend(src video.Source, udf vision.UDF, cfg Config) (tailMS fl
 		return 0, fmt.Errorf("everest: source has %d frames, index already covers %d — nothing to append",
 			n, ix.art.TotalFrames)
 	}
-	cfg = cfg.withDefaults()
-
 	lo := ix.art.TotalFrames
 	tail, err := video.Slice(src, lo, n)
 	if err != nil {
@@ -50,7 +48,9 @@ func (ix *Index) Extend(src video.Source, udf vision.UDF, cfg Config) (tailMS fl
 	}
 	clock := simclock.NewClock()
 	// cfg.Seed ^ lo: a fresh stream per append.
-	tailArt, err := engine.Ingest(tail, udf, cfg.phase1Options(cfg.Seed^uint64(lo)), clock)
+	ingest := cfg.Plan().Ingest
+	ingest.Seed = cfg.Seed ^ uint64(lo)
+	tailArt, err := engine.Ingest(tail, udf, ingest, clock)
 	if err != nil {
 		return 0, fmt.Errorf("everest: extending index: %w", err)
 	}

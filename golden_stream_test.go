@@ -67,7 +67,7 @@ func TestGoldenStreamingMatchesBatch(t *testing.T) {
 			scfg := stream.Config{
 				SegmentFrames: long - short,
 				Refresh:       stream.RefreshFull,
-				Ingest:        cfg.withDefaults().phase1Options(cfg.Seed),
+				Ingest:        cfg.Plan().Ingest,
 			}
 			g, err := stream.NewIngestorFrom(art, full, udf, scfg)
 			if err != nil {
@@ -127,7 +127,7 @@ func TestGoldenStreamingMultiSegment(t *testing.T) {
 	g, err := stream.NewIngestorFrom(art, full, udf, stream.Config{
 		SegmentFrames: seg,
 		Refresh:       stream.RefreshFull,
-		Ingest:        cfg.withDefaults().phase1Options(cfg.Seed),
+		Ingest:        cfg.Plan().Ingest,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestGoldenFollowerConvergesToBatch(t *testing.T) {
 		g, err := stream.NewIngestorFrom(art, full, udf, stream.Config{
 			SegmentFrames: long - short,
 			Refresh:       stream.RefreshFull,
-			Ingest:        cfg.withDefaults().phase1Options(cfg.Seed),
+			Ingest:        cfg.Plan().Ingest,
 		})
 		if err != nil {
 			t.Fatal(err)

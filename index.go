@@ -68,9 +68,8 @@ func BuildIndex(src video.Source, udf vision.UDF, cfg Config) (*Index, error) {
 	if src == nil || udf == nil {
 		return nil, errors.New("everest: nil source or UDF")
 	}
-	cfg = cfg.withDefaults()
 	clock := simclock.NewClock()
-	art, err := engine.Ingest(src, udf, cfg.plan().Ingest, clock)
+	art, err := engine.Ingest(src, udf, cfg.Plan().Ingest, clock)
 	if err != nil {
 		return nil, err
 	}
@@ -117,8 +116,7 @@ func (ix *Index) planFor(src video.Source, udf vision.UDF, cfg Config) (engine.P
 	if err := ix.validateFor(src, udf); err != nil {
 		return engine.Plan{}, engine.Binding{}, err
 	}
-	cfg = cfg.withDefaults()
-	plan, err := engine.NewPlan(cfg.plan())
+	plan, err := engine.NewPlan(cfg.Plan())
 	if err != nil {
 		return engine.Plan{}, engine.Binding{}, err
 	}

@@ -95,7 +95,8 @@ func DetectorScan(src video.Source, det vision.Detector, class string, k int, co
 }
 
 // CMDNOnly runs Everest's Phase 1 and ranks frames by the mean of their
-// CMDN score distribution, with no oracle verification (§4.1).
+// CMDN score distribution, with no oracle verification (§4.1). opt.Cost
+// must be resolved (simclock.OrDefault).
 func CMDNOnly(src video.Source, udf vision.UDF, k int, opt phase1.Options) (Outcome, error) {
 	clock := simclock.NewClock()
 	st, err := phase1.Run(src, udf, opt, clock)
@@ -138,7 +139,8 @@ type SelectTopkOutcome struct {
 // Mirroring the paper's generosity to this baseline, the returned cost
 // counts only oracle time on candidates (training and the cheap scan are
 // free), and one outcome per λ is returned so the harness can pick the
-// best λ per dataset, as the paper's authors did by hand.
+// best λ per dataset, as the paper's authors did by hand. opt.Cost must
+// be resolved (simclock.OrDefault).
 func SelectAndTopk(src video.Source, udf vision.UDF, k int, opt phase1.Options, lambdas []float64) ([]SelectTopkOutcome, error) {
 	if len(lambdas) == 0 {
 		lambdas = []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
@@ -147,10 +149,6 @@ func SelectAndTopk(src video.Source, udf vision.UDF, k int, opt phase1.Options, 
 	st, err := phase1.Run(src, udf, opt, clock)
 	if err != nil {
 		return nil, err
-	}
-	cost := opt.Cost
-	if cost == (simclock.CostModel{}) {
-		cost = simclock.Default()
 	}
 
 	// NoScope's specialized model is a *shallow binary CNN* trained per
@@ -210,7 +208,7 @@ func SelectAndTopk(src video.Source, udf vision.UDF, k int, opt phase1.Options, 
 			Candidates: len(candidates),
 		}
 		o.Name = fmt.Sprintf("select-and-topk(λ=%.1f)", lambda)
-		o.MS = float64(len(candidates)) * udf.OracleCostMS(cost)
+		o.MS = float64(len(candidates)) * udf.OracleCostMS(opt.Cost)
 		if len(candidates) < k {
 			o.Failed = true
 			out = append(out, o)

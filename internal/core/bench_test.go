@@ -76,7 +76,7 @@ func BenchmarkStart(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{K: 10, Threshold: 0.9}
+	cfg := Config{K: 10, Threshold: 0.9, BatchSize: 8}
 	overridesOf := func(run uncertain.Relation, keep func(pos int) bool) iter.Seq2[int, uncertain.Dist] {
 		var ps []int
 		for pos := range run {
@@ -131,7 +131,7 @@ func BenchmarkStart(b *testing.B) {
 
 func BenchmarkTopkProb(b *testing.B) {
 	rel, oracle := benchRelation(50000, 500)
-	e, err := newEngine(rel, Config{K: 50, Threshold: 0.9}, oracle, nil, simclock.Default())
+	e, err := newEngine(rel, Config{K: 50, Threshold: 0.9, BatchSize: 8}, oracle, nil, simclock.Default())
 	if err != nil {
 		b.Fatal(err)
 	}

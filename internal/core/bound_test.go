@@ -21,7 +21,7 @@ func TestBoundKindString(t *testing.T) {
 
 func TestUnknownBoundKindRejected(t *testing.T) {
 	rel := uncertain.Relation{{ID: 0, Dist: uncertain.Certain(1)}}
-	_, err := newEngine(rel, Config{K: 1, Threshold: 0.9, Bound: BoundKind(42)},
+	_, err := newEngine(rel, Config{K: 1, Threshold: 0.9, BatchSize: 8, Bound: BoundKind(42)},
 		OracleFunc(func(ids []int) ([]int, error) { return nil, nil }), nil, simclock.Default())
 	if err == nil {
 		t.Fatal("unknown bound kind must be rejected")
@@ -38,7 +38,7 @@ func TestUnionConfidenceNeverExceedsIndependent(t *testing.T) {
 		k := 1 + r.Intn(3)
 		rel, _ := randomRelation(r, n, k+2, 4, 6)
 		mk := func(b BoundKind) *Engine {
-			e, err := newEngine(rel, Config{K: k, Threshold: 0.9, Bound: b},
+			e, err := newEngine(rel, Config{K: k, Threshold: 0.9, BatchSize: 8, Bound: b},
 				OracleFunc(func(ids []int) ([]int, error) { return nil, nil }), nil, simclock.Default())
 			if err != nil {
 				t.Fatal(err)
@@ -128,7 +128,7 @@ func TestUnionUpperBoundDominatesExpectedConfidence(t *testing.T) {
 		n := 6 + r.Intn(8)
 		k := 1 + r.Intn(3)
 		rel, oracle := randomRelation(r, n, k+2, 4, 6)
-		e, err := newEngine(rel, Config{K: k, Threshold: 0.99, Bound: BoundUnion}, oracle, nil, simclock.Default())
+		e, err := newEngine(rel, Config{K: k, Threshold: 0.99, BatchSize: 8, Bound: BoundUnion}, oracle, nil, simclock.Default())
 		if err != nil {
 			return false
 		}
@@ -205,7 +205,7 @@ func TestUnionBoundWithManyTuples(t *testing.T) {
 	for i := 1; i <= 100000; i++ {
 		rel = append(rel, uncertain.XTuple{ID: i, Dist: d})
 	}
-	e, err := newEngine(rel, Config{K: 1, Threshold: 0.85, Bound: BoundUnion},
+	e, err := newEngine(rel, Config{K: 1, Threshold: 0.85, BatchSize: 8, Bound: BoundUnion},
 		OracleFunc(func(ids []int) ([]int, error) {
 			out := make([]int, len(ids))
 			return out, nil

@@ -76,7 +76,8 @@ type Config struct {
 	K int
 	// Threshold is thres: the required probability that R̂ is exact.
 	Threshold float64
-	// BatchSize is b (§3.5 Batch Inference); 0 means 8, the paper default.
+	// BatchSize is b (§3.5 Batch Inference); it must be positive
+	// (engine.Plan.Normalize resolves an unset one to the paper's 8).
 	BatchSize int
 	// DisableEarlyStop turns off the ψ-bound pruning so Select-candidate
 	// evaluates E[X_f] for every uncertain frame (ablation A1).
@@ -123,14 +124,10 @@ func (c Config) validate(n int) error {
 	if c.Threshold <= 0 || c.Threshold > 1 {
 		return fmt.Errorf("core: threshold must be in (0,1], got %v", c.Threshold)
 	}
-	return c.Bound.validate()
-}
-
-func (c Config) batch() int {
 	if c.BatchSize <= 0 {
-		return 8
+		return fmt.Errorf("core: batch size must be positive, got %d", c.BatchSize)
 	}
-	return c.BatchSize
+	return c.Bound.validate()
 }
 
 // Stats reports Phase 2 execution counters (Table 8b).

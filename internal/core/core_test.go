@@ -89,10 +89,11 @@ func TestEngineValidation(t *testing.T) {
 	rel := uncertain.Relation{{ID: 0, Dist: uncertain.Certain(1)}}
 	oracle := OracleFunc(func(ids []int) ([]int, error) { return nil, nil })
 	cases := []Config{
-		{K: 0, Threshold: 0.9},
-		{K: 2, Threshold: 0.9},  // K > n
-		{K: 1, Threshold: 0},    // bad threshold
-		{K: 1, Threshold: 1.01}, // bad threshold
+		{K: 0, Threshold: 0.9, BatchSize: 8},
+		{K: 2, Threshold: 0.9, BatchSize: 8},  // K > n
+		{K: 1, Threshold: 0, BatchSize: 8},    // bad threshold
+		{K: 1, Threshold: 1.01, BatchSize: 8}, // bad threshold
+		{K: 1, Threshold: 0.9},                // unset batch size
 	}
 	for _, cfg := range cases {
 		if _, err := newEngine(rel, cfg, oracle, nil, simclock.Default()); err == nil {

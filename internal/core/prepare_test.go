@@ -403,7 +403,7 @@ func TestStartRejectsAnotherBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := base.Start(Config{K: 2, Threshold: 0.9, Bound: BoundUnion}, nil, nil, oracle, nil, simclock.Default()); err == nil {
+	if _, err := base.Start(Config{K: 2, Threshold: 0.9, BatchSize: 8, Bound: BoundUnion}, nil, nil, oracle, nil, simclock.Default()); err == nil {
 		t.Fatal("a union-bound run over an independent-bound base was accepted")
 	}
 }

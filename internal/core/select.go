@@ -328,7 +328,7 @@ func (h batchHeap) siftDown(i int) {
 	}
 }
 
-// selectBatch returns up to cfg.batch() uncertain tuple IDs with the
+// selectBatch returns up to cfg.BatchSize uncertain tuple IDs with the
 // highest E[X_f]. It returns an empty slice when no uncertain tuples
 // remain.
 func (s *selector) selectBatch() []int {
@@ -359,7 +359,7 @@ func (s *selector) selectBatch() []int {
 		}
 	}
 
-	b := min(e.cfg.batch(), e.nLive)
+	b := min(e.cfg.BatchSize, e.nLive)
 	// The running batch is a min-heap over (E, slot): peeking the worst
 	// member and replacing it are O(1)/O(log b) instead of the old O(b)
 	// scans, and the heap storage is selector-owned scratch.

@@ -66,7 +66,7 @@ func TestUpperBoundDominatesExpectedConfidence(t *testing.T) {
 		n := 6 + r.Intn(8)
 		k := 1 + r.Intn(3)
 		rel, oracle := randomRelation(r, n, k+2, 4, 6)
-		e, err := newEngine(rel, Config{K: k, Threshold: 0.99}, oracle, nil, simclock.Default())
+		e, err := newEngine(rel, Config{K: k, Threshold: 0.99, BatchSize: 8}, oracle, nil, simclock.Default())
 		if err != nil {
 			return false
 		}

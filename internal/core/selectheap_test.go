@@ -249,7 +249,7 @@ func (s *referenceSelector) selectBatch() []int {
 			gamma = e.prob.Prob(sp)
 		}
 	}
-	b := min(e.cfg.batch(), e.nLive)
+	b := min(e.cfg.BatchSize, e.nLive)
 	var h batchHeap
 	examined := 0
 	for i, pos := range s.order {

@@ -49,11 +49,6 @@ type Options struct {
 	// WAL) every this many appended records; 0 means 64, negative
 	// disables automatic checkpoints.
 	CheckpointEvery int
-	// NoSync skips the per-append fsync. Throughput over durability:
-	// a crash may then lose records an Append already acknowledged,
-	// but recovery still yields a consistent prefix. The checkpoint
-	// path always syncs regardless.
-	NoSync bool
 }
 
 func (o Options) withDefaults() Options {
@@ -323,10 +318,8 @@ func (s *Store) appendLocked(rec Record) error {
 	if _, err := s.seg.Write(buf); err != nil {
 		return s.fail(fmt.Errorf("durable: appending record: %w", err))
 	}
-	if !s.opts.NoSync {
-		if err := s.seg.Sync(); err != nil {
-			return s.fail(fmt.Errorf("durable: syncing segment: %w", err))
-		}
+	if err := s.seg.Sync(); err != nil {
+		return s.fail(fmt.Errorf("durable: syncing segment: %w", err))
 	}
 	s.segBytes += len(buf)
 	s.recsSince++

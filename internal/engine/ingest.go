@@ -79,13 +79,11 @@ func (a *Artifact) Clone() *Artifact {
 // Ingest runs Phase 1 over src and captures its outputs. Proxy inference
 // for unlabeled retained frames runs on the configured workers and is
 // charged to clock (PhasePopulateD0), exactly like the lazy relation
-// build it replaces.
+// build it replaces. opt.Cost must be resolved (simclock.OrDefault):
+// Capture charges it as given.
 func Ingest(src video.Source, udf vision.UDF, opt phase1.Options, clock *simclock.Clock) (*Artifact, error) {
 	if src == nil || udf == nil {
 		return nil, errors.New("everest: nil source or UDF")
-	}
-	if opt.Cost == (simclock.CostModel{}) {
-		opt.Cost = simclock.Default()
 	}
 	st, err := phase1.Run(src, udf, opt, clock)
 	if err != nil {

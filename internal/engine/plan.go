@@ -56,7 +56,8 @@ type WindowSpec struct {
 	// Size (tumbling) when the plan is windowed and the stride is unset.
 	Stride int
 	// SampleFrac is the fraction of a window's frames the oracle scores
-	// when confirming it.
+	// when confirming it; Normalize resolves zero to
+	// windows.SampleFracOrDefault's 0.1.
 	SampleFrac float64
 }
 
@@ -78,7 +79,8 @@ type Plan struct {
 	Threshold float64
 	// Window is the window spec; zero Size means a frame query.
 	Window WindowSpec
-	// BatchSize is the Phase 2 cleaning batch b.
+	// BatchSize is the Phase 2 cleaning batch b; Normalize sets an
+	// unset (zero or negative) one to 8 (§3.5).
 	BatchSize int
 	// DisableEarlyStop, ResortOnce and DisablePrefetch are the §4.3
 	// ablation knobs, forwarded to the Phase 2 loop.
@@ -95,7 +97,8 @@ type Plan struct {
 	// Seed drives window-confirmation sampling (and, through Ingest, all
 	// Phase 1 randomness).
 	Seed uint64
-	// Cost is the simulated cost model.
+	// Cost is the simulated cost model, resolved by the caller
+	// (simclock.OrDefault): the engine charges it as given.
 	Cost simclock.CostModel
 	// AdmissionLimit caps concurrent oracle-heavy units on one label
 	// cache; scheduling only, never results. A coalesced group applies
@@ -137,11 +140,12 @@ type Plan struct {
 	Ingest phase1.Options
 }
 
-// Normalize resolves derived fields: a windowed plan with an unset
-// (zero or negative) stride becomes tumbling, a frame plan's negative
-// "unset" stride is cleared so equal plans compare equal, and negative
-// deadline, retry and backoff knobs (meaning "none") become zero.
-// Idempotent.
+// Normalize resolves defaults and derived fields, and is the one owner
+// of three defaults: a windowed plan with an unset (zero or negative)
+// stride becomes tumbling, a zero window sampling fraction becomes
+// 0.1 and an unset batch size 8. A frame plan's negative "unset" stride
+// is cleared so equal plans compare equal, and negative deadline, retry
+// and backoff knobs (meaning "none") become zero. Idempotent.
 func (p Plan) Normalize() Plan {
 	if p.Window.Enabled() {
 		if p.Window.Stride <= 0 {
@@ -149,6 +153,10 @@ func (p Plan) Normalize() Plan {
 		}
 	} else if p.Window.Stride < 0 {
 		p.Window.Stride = 0
+	}
+	p.Window.SampleFrac = windows.SampleFracOrDefault(p.Window.SampleFrac)
+	if p.BatchSize <= 0 {
+		p.BatchSize = 8
 	}
 	if p.DeadlineMS < 0 {
 		p.DeadlineMS = 0

@@ -59,6 +59,15 @@ func TestPlanNormalizeTumblingAndIdempotence(t *testing.T) {
 	if n.Window.Stride != 30 {
 		t.Fatalf("tumbling stride not normalized: %d", n.Window.Stride)
 	}
+	// Normalize owns the batch-size and sampling-fraction defaults too:
+	// the paper's b = 8 (§3.5) and 10% of a window's frames (§3.4).
+	if n.BatchSize != 8 || n.Window.SampleFrac != 0.1 {
+		t.Fatalf("unset batch size / sample fraction normalized to %d / %v, want 8 / 0.1", n.BatchSize, n.Window.SampleFrac)
+	}
+	p.BatchSize, p.Window.SampleFrac = -2, 0.25
+	if n := p.Normalize(); n.BatchSize != 8 || n.Window.SampleFrac != 0.25 {
+		t.Fatalf("negative batch / set fraction normalized to %d / %v, want 8 / 0.25", n.BatchSize, n.Window.SampleFrac)
+	}
 	if again := n.Normalize(); !reflect.DeepEqual(again, n) {
 		t.Fatalf("Normalize not idempotent: %+v vs %+v", again, n)
 	}
@@ -107,6 +116,28 @@ func TestPlanBoundKind(t *testing.T) {
 	p.ForceUnionBound = true
 	if p.Bound() != core.BoundUnion {
 		t.Fatal("ForceUnionBound ignored")
+	}
+}
+
+// TestWindowSpecOverlapping: after Normalize only a stride below the
+// size overlaps — an unset stride is tumbling, and gapped windows share
+// no frame.
+func TestWindowSpecOverlapping(t *testing.T) {
+	for _, c := range []struct {
+		w    WindowSpec
+		want bool
+	}{
+		{WindowSpec{Size: 10, Stride: 5}, true},
+		{WindowSpec{Size: 10, Stride: 10}, false},
+		{WindowSpec{Size: 10}, false},
+		{WindowSpec{Size: 10, Stride: 15}, false},
+		{WindowSpec{}, false},
+	} {
+		p := validPlan()
+		p.Window = c.w
+		if got := p.Normalize().Window.Overlapping(); got != c.want {
+			t.Fatalf("%+v: Overlapping = %v, want %v", c.w, got, c.want)
+		}
 	}
 }
 

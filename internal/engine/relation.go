@@ -56,13 +56,10 @@ type d0Key struct {
 }
 
 // d0Key is the key of a query's D0: the frame relation's when w is the
-// zero WindowSpec, else the window shape's.
+// zero WindowSpec, else the window shape's (w normalized, its stride
+// resolved).
 func (w WindowSpec) d0Key(qopt uncertain.QuantizeOptions) d0Key {
-	k := d0Key{size: w.Size, stride: w.Stride, qopt: qopt}
-	if k.stride <= 0 {
-		k.stride = k.size
-	}
-	return k
+	return d0Key{size: w.Size, stride: w.Stride, qopt: qopt}
 }
 
 // d0Entry is one memo entry. rel is D0 with no overlay — a tuple per
@@ -445,7 +442,8 @@ func (v d0View) runStart(labels *labelstore.Overlay) (uncertain.Relation, []int,
 	return rel, ids, nil
 }
 
-// WindowRelation builds the window-level D0 (Eq. 9): a copy of the
+// WindowRelation builds the window-level D0 (Eq. 9) of the normalized
+// window spec w (Plan.Normalize resolves its stride): a copy of the
 // shape's memoized relation with the windows the overlay touches
 // re-aggregated — a window query's run relation whenever the overlay
 // touches a window. labels, when non-nil, supplies exact scores

@@ -159,7 +159,7 @@ func TestWindowMemoMatchesReference(t *testing.T) {
 		assertWindowExecuteMatchesReference(t, name+" cold", a, nil, tableUDF{counting}, r.Uint64())
 		assertWindowExecuteMatchesReference(t, name+" warm", a, nil, tableUDF{counting}, r.Uint64())
 		for appends := 1; appends <= 3; appends++ {
-			before, err := a.WindowRelation(WindowSpec{Size: 30}, counting, nil, 1, nil)
+			before, err := a.WindowRelation(WindowSpec{Size: 30, Stride: 30}, counting, nil, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestWindowMemoMatchesReference(t *testing.T) {
 			// very distributions aggregated before the append. (Every
 			// point mass shares one table, so a certain window's table
 			// says nothing about when it was built.)
-			after, err := a.WindowRelation(WindowSpec{Size: 30}, counting, nil, 1, nil)
+			after, err := a.WindowRelation(WindowSpec{Size: 30, Stride: 30}, counting, nil, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,7 +232,7 @@ func TestExecuteLeavesPointMassTable(t *testing.T) {
 func TestWindowMemoTouchesOnlyWhatTheOverlayChanges(t *testing.T) {
 	a := randomArtifactClips(xrand.New(41).Split("window-memo"), 400, 7)
 	qopt := uncertain.DefaultCountingOptions()
-	w := WindowSpec{Size: 30}
+	w := WindowSpec{Size: 30, Stride: 30}
 	overlays := windowOverlays(42, a)
 	for _, name := range []string{"nil", "empty", "phase 1 only"} {
 		if got := touchedUnder(t, a, w, qopt, overlays[name]); got != nil {
@@ -332,20 +332,20 @@ func TestMemoBound(t *testing.T) {
 	}
 	frame := WindowSpec{}
 	for size := 10; size < 10+3*maxMemos; size++ {
-		recent := relOf(WindowSpec{Size: size}, counting)
+		recent := relOf(WindowSpec{Size: size, Stride: size}, counting)
 		if n := len(a.memos); n > maxMemos {
 			t.Fatalf("after shape %d the memo holds %d entries, bound %d", size, n, maxMemos)
 		}
 		// The previous shape is still held: asking it again is a hit
 		// that makes it the most recent, and the shape before stays too.
 		if size > 10 {
-			prev := relOf(WindowSpec{Size: size - 1}, counting)
-			if !held(WindowSpec{Size: size - 1}, counting, prev) {
+			prev := relOf(WindowSpec{Size: size - 1, Stride: size - 1}, counting)
+			if !held(WindowSpec{Size: size - 1, Stride: size - 1}, counting, prev) {
 				t.Fatalf("shape %d was rebuilt while held", size-1)
 			}
 		}
-		if !held(WindowSpec{Size: size, Stride: size}, counting, recent) {
-			t.Fatalf("shape %d (stride resolved) was rebuilt while held", size)
+		if !held(Plan{Window: WindowSpec{Size: size}}.Normalize().Window, counting, recent) {
+			t.Fatalf("shape %d (stride resolved by Normalize) was rebuilt while held", size)
 		}
 		// The frame relation, asked between shapes, stays held too.
 		rel := relOf(frame, counting)
@@ -361,13 +361,13 @@ func TestMemoBound(t *testing.T) {
 	// it, and the next one evicts it.
 	rel := relOf(frame, counting)
 	for size := 100; size < 100+maxMemos-1; size++ {
-		relOf(WindowSpec{Size: size}, counting)
+		relOf(WindowSpec{Size: size, Stride: size}, counting)
 	}
 	if !held(frame, counting, rel) {
 		t.Fatalf("the frame relation was evicted by %d other entries", maxMemos-1)
 	}
 	for size := 200; size < 200+maxMemos; size++ {
-		relOf(WindowSpec{Size: size}, counting)
+		relOf(WindowSpec{Size: size, Stride: size}, counting)
 	}
 	if held(frame, counting, rel) {
 		t.Fatalf("the frame relation outlived %d other entries", maxMemos)
@@ -375,7 +375,7 @@ func TestMemoBound(t *testing.T) {
 
 	// Warm, the frame relation and the benchmark's shapes are all held,
 	// whatever order they are asked in.
-	keys := []WindowSpec{frame, {Size: 30}, {Size: 60}, {Size: 30, Stride: 15}}
+	keys := []WindowSpec{frame, {Size: 30, Stride: 30}, {Size: 60, Stride: 60}, {Size: 30, Stride: 15}}
 	rels := make([]uncertain.Relation, len(keys))
 	for i, w := range keys {
 		rels[i] = relOf(w, counting)

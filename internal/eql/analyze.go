@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	everest "github.com/everest-project/everest"
+	"github.com/everest-project/everest/internal/engine"
 	"github.com/everest-project/everest/internal/eql/planner"
 	"github.com/everest-project/everest/internal/simclock"
 )
@@ -62,7 +63,10 @@ func (r *AnalyzeReport) String() string {
 	}
 	fmt.Fprintf(&b, "%s\n", stmt)
 	b.WriteString("  chosen knobs:\n")
-	for _, k := range r.Config.PlanKnobs() {
+	// Coalesce leads: it lives on Config, selecting the Session
+	// submission path, not on the engine plan.
+	knobs := append([]engine.Knob{{Name: "coalesce", Value: fmt.Sprintf("%t", r.Config.Coalesce)}}, r.Config.Plan().Knobs()...)
+	for _, k := range knobs {
 		fmt.Fprintf(&b, "    %-20s %s\n", k.Name, k.Value)
 	}
 	b.WriteString("  reasons:\n")

@@ -6,36 +6,27 @@ import (
 
 	"github.com/everest-project/everest/internal/eql/planner"
 	"github.com/everest-project/everest/internal/phase1"
-	"github.com/everest-project/everest/internal/simclock"
-	"github.com/everest-project/everest/internal/windows"
 )
 
-// plannerInput assembles the planner's view of a bound unit. The
-// planned label count is Phase 1's own sizing, so cost predictions price
-// the label bill the engine will actually pay (a video too short to
-// ingest plans zero labels; running it reports the error). Callers
-// holding an index refine the input with measured Phase 1 statistics.
+// plannerInput assembles the planner's view of a bound unit from the
+// plan its Config compiles to, defaults resolved as the engine will run
+// them. The planned label count is Phase 1's own sizing, so cost
+// predictions price the label bill the engine will actually pay (a
+// video too short to ingest plans zero labels; running it reports the
+// error). Callers holding an index refine the input with measured
+// Phase 1 statistics.
 func plannerInput(u *Unit) planner.Input {
-	cfg := u.Config
-	cost := cfg.Cost
-	if cost == (simclock.CostModel{}) {
-		cost = simclock.Default()
-	}
+	p := u.Config.Plan()
 	n := u.Source.NumFrames()
-	train, hold, _ := phase1.SampleCounts(n, phase1.Options{
-		SampleFrac:  cfg.SampleFrac,
-		SampleCap:   cfg.SampleCap,
-		MinSamples:  cfg.MinSamples,
-		HoldoutFrac: cfg.HoldoutFrac,
-	})
+	train, hold, _ := phase1.SampleCounts(n, p.Ingest)
 	return planner.Input{
 		Frames:           n,
-		K:                cfg.K,
-		Window:           cfg.Window,
-		Stride:           cfg.Stride,
-		WindowSampleFrac: cfg.WindowSampleFrac,
-		UDFFrameMS:       u.UDF.OracleCostMS(cost),
-		Cost:             cost,
+		K:                p.K,
+		Window:           p.Window.Size,
+		Stride:           p.Window.Stride,
+		WindowSampleFrac: p.Window.SampleFrac,
+		UDFFrameMS:       u.UDF.OracleCostMS(p.Cost),
+		Cost:             p.Cost,
 		TrainSamples:     train + hold,
 	}
 }
@@ -89,15 +80,12 @@ func explainUnit(q *Statement, u *Unit, concurrency int) string {
 	chosen := planner.Choose(in)
 	cands := planner.Enumerate(in)
 
+	p := u.Config.Plan()
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan: everest top-%d", q.K)
-	if q.Window > 0 {
-		stride := q.Stride
-		if stride == 0 {
-			stride = q.Window
-		}
-		fmt.Fprintf(&b, " windows(size=%d stride=%d", q.Window, stride)
-		if (windows.Options{Size: q.Window, Stride: stride}).Overlapping() {
+	if p.Window.Enabled() {
+		fmt.Fprintf(&b, " windows(size=%d stride=%d", p.Window.Size, p.Window.Stride)
+		if p.Window.Overlapping() {
 			b.WriteString(" overlapping → union bound")
 		}
 		b.WriteString(")")
@@ -107,11 +95,7 @@ func explainUnit(q *Statement, u *Unit, concurrency int) string {
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "  dataset   %s (%d frames, %d fps)\n", u.Source.Name(), in.Frames, u.Source.FPS())
 	fmt.Fprintf(&b, "  rank by   %s\n", u.UDF.Name())
-	thres := q.Threshold
-	if thres == 0 {
-		thres = 0.9
-	}
-	fmt.Fprintf(&b, "  guarantee Pr(result = exact top-k) ≥ %.2f, certain-result condition\n", thres)
+	fmt.Fprintf(&b, "  guarantee Pr(result = exact top-k) ≥ %.2f, certain-result condition\n", p.Threshold)
 	if u.Workers > 1 {
 		fmt.Fprintf(&b, "  scale-out %d workers (partitioned phase 1, parallel cleaning)\n", u.Workers)
 	}

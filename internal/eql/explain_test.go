@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/everest-project/everest/internal/engine"
 	"github.com/everest-project/everest/internal/phase1"
+	"github.com/everest-project/everest/internal/simclock"
 )
 
 func TestParseSlidingWindowClause(t *testing.T) {
@@ -164,5 +166,44 @@ func TestExplainSampleEstimateMatchesPhase1(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("%d frames: EXPLAIN does not say %q:\n%s", n, want, out)
 		}
+	}
+}
+
+// TestPlannerInputIsTheCompiledPlan: for every transcript statement
+// that binds, each unit's planner input carries the K, window, stride,
+// sample fraction and cost model of the plan the engine compiles the
+// unit's Config to — EXPLAIN prices the defaults the engine runs, with
+// a tumbling window's stride and the unset sample fraction and cost
+// model already resolved.
+func TestPlannerInputIsTheCompiledPlan(t *testing.T) {
+	units := 0
+	for _, c := range goldenStatements {
+		script, err := ParseScript(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := BindScript(script)
+		if err != nil {
+			continue // the unknown-dataset and wrong-udf statements
+		}
+		for _, u := range sp.Units {
+			p, err := engine.NewPlan(u.Config.Plan())
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			in := plannerInput(u)
+			got := [5]any{in.K, in.Window, in.Stride, in.WindowSampleFrac, in.Cost}
+			want := [5]any{p.K, p.Window.Size, p.Window.Stride, p.Window.SampleFrac, p.Cost}
+			if got != want {
+				t.Fatalf("%s: planner input (K, window, stride, sample, cost) = %v, compiled plan %v", c.name, got, want)
+			}
+			if in.Cost != simclock.Default() || in.WindowSampleFrac == 0 || in.Window > 0 && in.Stride <= 0 {
+				t.Fatalf("%s: planner input left a default unresolved: %+v", c.name, in)
+			}
+			units++
+		}
+	}
+	if units < 10 {
+		t.Fatalf("only %d units checked", units)
 	}
 }

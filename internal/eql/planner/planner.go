@@ -22,8 +22,7 @@
 //	serving   Coalesce / UseMux. Pure scheduling: they
 //	          change who shares a run and what the device pays, never a
 //	          single query's results or charges, so they switch on
-//	          expected concurrency, with the amortized per-query cost
-//	          and device savings reported as predictions.
+//	          expected concurrency alone.
 //
 // Every prediction uses the same pricing rules the engine charges its
 // simclock with (see the cost-prediction helpers in internal/simclock),
@@ -73,10 +72,11 @@ type Input struct {
 	Frames int
 	// K is the result size. Required.
 	K int
-	// Window and Stride describe a window query (zero Window = frames).
+	// Window and Stride describe a window query (zero Window = frames);
+	// a window query's Stride is resolved (positive), as in the
+	// compiled engine plan.
 	Window, Stride int
-	// WindowSampleFrac is the per-window confirmation sampling fraction
-	// (zero = the 0.1 default).
+	// WindowSampleFrac is the per-window confirmation sampling fraction.
 	WindowSampleFrac float64
 	// UDFFrameMS is the oracle's per-frame inference cost for the bound
 	// UDF under Cost.
@@ -138,20 +138,8 @@ type Prediction struct {
 	TotalMS float64
 	// Cleaned is the expected number of tuples confirmed.
 	Cleaned int
-	// ConfirmFrames is the expected number of frames the oracle scores
-	// (== Cleaned for frame queries; Cleaned × samples-per-window for
-	// window queries).
-	ConfirmFrames int
 	// Launches is the expected number of oracle invocations.
 	Launches int
-	// PerQueryMS is the amortized per-query cost at Input.Concurrency
-	// when coalescing shares the confirmation bill (== TotalMS for a
-	// lone query).
-	PerQueryMS float64
-	// MuxSavedMS is the device-side launch overhead the oracle
-	// multiplexer is predicted to save by consolidating the concurrent
-	// queries' confirmation batches.
-	MuxSavedMS float64
 }
 
 // Candidate is one priced knob setting.
@@ -170,11 +158,7 @@ type Candidate struct {
 // minus the already-exact labels.
 func (in Input) uncertainTuples(disableDiff bool) int {
 	if in.Window > 0 {
-		stride := in.Stride
-		if stride <= 0 {
-			stride = in.Window
-		}
-		return windows.NumSlidingWindows(in.Frames, in.Window, stride)
+		return windows.NumSlidingWindows(in.Frames, in.Window, in.Stride)
 	}
 	retained := in.Retained
 	if retained == 0 {
@@ -246,32 +230,14 @@ func Predict(in Input, kn Knobs) Prediction {
 	if !in.HasIndex {
 		phase1MS = in.ingestMS(kn.DisableDiff)
 	}
-	total := phase1MS + selectMS + confirmMS
-	perQuery := total
-	muxSaved := 0.0
-	if in.Concurrency > 1 {
-		if kn.Coalesce {
-			// The group's first member pays the confirmations; the rest
-			// ride the shared overlay.
-			perQuery = phase1MS + selectMS + confirmMS/float64(in.Concurrency)
-		}
-		if kn.UseMux {
-			// Each cleaning round's concurrent batches consolidate into
-			// one device launch.
-			muxSaved = in.Cost.LaunchOverheadMS(launches * (in.Concurrency - 1))
-		}
-	}
 	return Prediction{
-		Phase1MS:      phase1MS,
-		SelectMS:      selectMS,
-		ConfirmMS:     confirmMS,
-		LaunchMS:      launchMS,
-		TotalMS:       total,
-		Cleaned:       cleaned,
-		ConfirmFrames: confirmFrames,
-		Launches:      launches,
-		PerQueryMS:    perQuery,
-		MuxSavedMS:    muxSaved,
+		Phase1MS:  phase1MS,
+		SelectMS:  selectMS,
+		ConfirmMS: confirmMS,
+		LaunchMS:  launchMS,
+		TotalMS:   phase1MS + selectMS + confirmMS,
+		Cleaned:   cleaned,
+		Launches:  launches,
 	}
 }
 

@@ -74,15 +74,11 @@ func TestEnumerateMarksExactlyOneChosen(t *testing.T) {
 }
 
 // TestServingKnobsFollowConcurrency: coalesce/mux are scheduling-only
-// knobs — on under expected concurrency (with amortized per-query cost
-// and device savings predicted), off for a lone query.
+// knobs — on under expected concurrency, off for a lone query.
 func TestServingKnobsFollowConcurrency(t *testing.T) {
 	lone := Choose(servedInput())
 	if lone.Knobs.Coalesce || lone.Knobs.UseMux {
 		t.Fatalf("lone query chose serving knobs: %+v", lone.Knobs)
-	}
-	if lone.Pred.PerQueryMS != lone.Pred.TotalMS || lone.Pred.MuxSavedMS != 0 {
-		t.Fatalf("lone query predicted sharing: %+v", lone.Pred)
 	}
 
 	in := servedInput()
@@ -90,12 +86,6 @@ func TestServingKnobsFollowConcurrency(t *testing.T) {
 	shared := Choose(in)
 	if !shared.Knobs.Coalesce || !shared.Knobs.UseMux {
 		t.Fatalf("concurrency 4 left serving knobs off: %+v", shared.Knobs)
-	}
-	if shared.Pred.PerQueryMS >= shared.Pred.TotalMS {
-		t.Fatalf("coalesced per-query cost %v not below total %v", shared.Pred.PerQueryMS, shared.Pred.TotalMS)
-	}
-	if shared.Pred.MuxSavedMS <= 0 {
-		t.Fatal("mux predicted no device savings at concurrency 4")
 	}
 	// Serving knobs must never change the single-query cost prediction.
 	if shared.Pred.TotalMS != lone.Pred.TotalMS {
@@ -170,19 +160,20 @@ func TestProcsHeuristicIsWorkloadSized(t *testing.T) {
 }
 
 // TestWindowQueryPricesSampledConfirmation: window tuples confirm via
-// per-window sampling, so predicted confirmation frames are cleaned ×
-// samples-per-window.
+// per-window sampling, so the predicted confirmation bill prices
+// cleaned × samples-per-window oracle frames.
 func TestWindowQueryPricesSampledConfirmation(t *testing.T) {
 	in := servedInput()
-	in.Window, in.Stride = 300, 30
+	in.Window, in.Stride, in.WindowSampleFrac = 300, 30, 0.1
 	chosen := Choose(in)
 	spw := in.samplesPerWindow()
 	if spw != 30 {
 		t.Fatalf("samplesPerWindow = %d, want 30 (ceil(0.1×300))", spw)
 	}
-	if chosen.Pred.ConfirmFrames != chosen.Pred.Cleaned*spw {
-		t.Fatalf("window confirm frames = %d, want cleaned %d × %d",
-			chosen.Pred.ConfirmFrames, chosen.Pred.Cleaned, spw)
+	want := in.Cost.ConfirmMS(chosen.Pred.Cleaned*spw, chosen.Pred.Launches, in.UDFFrameMS)
+	if chosen.Pred.ConfirmMS != want {
+		t.Fatalf("window ConfirmMS = %v, want %v for cleaned %d × %d frames",
+			chosen.Pred.ConfirmMS, want, chosen.Pred.Cleaned, spw)
 	}
 }
 

@@ -54,7 +54,8 @@ type Options struct {
 	DisableDiff bool
 	// Proxy configures CMDN training.
 	Proxy cmdn.Config
-	// Cost is the simulated cost model.
+	// Cost is the simulated cost model; zero means simclock.Default()
+	// (simclock.OrDefault).
 	Cost simclock.CostModel
 	// Seed drives sampling and training.
 	Seed uint64
@@ -82,9 +83,7 @@ func (o Options) withDefaults() Options {
 	if o.HoldoutFrac == 0 {
 		o.HoldoutFrac = 0.1
 	}
-	if o.Cost == (simclock.CostModel{}) {
-		o.Cost = simclock.Default()
-	}
+	o.Cost = simclock.OrDefault(o.Cost)
 	return o
 }
 

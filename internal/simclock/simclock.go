@@ -87,6 +87,17 @@ func Default() CostModel {
 	}
 }
 
+// OrDefault returns c, or Default() when c is the zero CostModel. It is
+// the one place a zero model takes its meaning, called only where
+// outside input enters (everest.Config and phase1.Options); every layer
+// below receives the resolved model.
+func OrDefault(c CostModel) CostModel {
+	if c == (CostModel{}) {
+		return Default()
+	}
+	return c
+}
+
 // Cost-prediction helpers: the arithmetic a planner (or EXPLAIN) uses
 // to price work on this model BEFORE running it. They mirror how the
 // pipeline charges its clock — per-frame inference plus a per-invocation

@@ -97,7 +97,8 @@ type Config struct {
 	// seed: the segment opening at global frame lo derives its stream
 	// as Seed^lo, exactly like Index.Extend, so a RefreshFull stream
 	// and a sequence of batch Extends at the same boundaries draw
-	// identical samples.
+	// identical samples. Ingest.Cost must be resolved
+	// (simclock.OrDefault).
 	Ingest phase1.Options
 }
 
@@ -107,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReservoirCap == 0 {
 		c.ReservoirCap = 256
-	}
-	if c.Ingest.Cost == (simclock.CostModel{}) {
-		c.Ingest.Cost = simclock.Default()
 	}
 	return c
 }

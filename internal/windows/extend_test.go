@@ -37,7 +37,7 @@ func TestBuildRelationReportsLowestFailingWindow(t *testing.T) {
 		opt  Options
 		want string
 	}{
-		{Options{Size: 10, Step: 0.5}, "windows: window 4: "},
+		{Options{Size: 10, Stride: 10, Step: 0.5}, "windows: window 4: "},
 		{Options{Size: 10, Stride: 1, Step: 0.5}, "windows: window 31: "},
 	} {
 		rel, err := BuildRelation(bad, flatDiff(300), c.opt)
@@ -64,14 +64,14 @@ func TestExtendAndReaggregateMatchBuildRelation(t *testing.T) {
 		}
 		return mixedScore(rep)
 	}
-	for _, opt := range []Options{{Size: 30, Step: 0.5}, {Size: 40, Stride: 15, Step: 0.5, MaxLevel: 12}} {
+	for _, opt := range []Options{{Size: 30, Stride: 30, Step: 0.5}, {Size: 40, Stride: 15, Step: 0.5, MaxLevel: 12}} {
 		short, err := BuildRelation(mixedScore, segDiff(200, 7), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		long := segDiff(500, 7)
 		kept := slices.Clone(short)
-		n := NumSlidingWindows(long.NumFrames(), opt.Size, opt.stride())
+		n := NumSlidingWindows(long.NumFrames(), opt.Size, opt.Stride)
 		if _, err := Extend(short, len(short), bad, long, opt); err == nil {
 			t.Fatalf("%+v: Extend of a relation of %d of %d windows succeeded", opt, len(short), n)
 		}
@@ -87,7 +87,7 @@ func TestExtendAndReaggregateMatchBuildRelation(t *testing.T) {
 		for w := len(short); w < len(ext); w++ {
 			// A bad representative stands for itself and the six frames
 			// after it, and no window of these shapes starts among them.
-			lo := w * opt.stride()
+			lo := w * opt.Stride
 			if (lo <= 140 && 140 < lo+opt.Size) || (lo <= 350 && 350 < lo+opt.Size) {
 				wantFailed = append(wantFailed, w)
 			}

@@ -48,37 +48,6 @@ func TestNumSlidingWindowsMatchesEnumeration(t *testing.T) {
 	}
 }
 
-func TestStrideEqualsSizeIsTumbling(t *testing.T) {
-	score := func(rep int) FrameScore {
-		if rep%3 == 0 {
-			return FrameScore{IsExact: true, Exact: float64(rep % 5)}
-		}
-		return FrameScore{Mix: testMixture(float64(rep%5), 0.8)}
-	}
-	tumbling, err := BuildRelation(score, segDiff(120, 4), Options{Size: 10, Step: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strided, err := BuildRelation(score, segDiff(120, 4), Options{Size: 10, Stride: 10, Step: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tumbling) != len(strided) {
-		t.Fatalf("sizes differ: %d vs %d", len(tumbling), len(strided))
-	}
-	for i := range tumbling {
-		a, b := tumbling[i].Dist, strided[i].Dist
-		if a.Min != b.Min || len(a.P) != len(b.P) {
-			t.Fatalf("window %d distributions differ", i)
-		}
-		for j := range a.P {
-			if math.Abs(a.P[j]-b.P[j]) > 1e-12 {
-				t.Fatalf("window %d probability %d differs", i, j)
-			}
-		}
-	}
-}
-
 func TestSlidingWindowsCoverStridedRanges(t *testing.T) {
 	// With stride 5 and size 10 over 30 frames there are 5 windows; window
 	// w must aggregate frames [5w, 5w+10). We verify via exact scores:
@@ -100,21 +69,6 @@ func TestSlidingWindowsCoverStridedRanges(t *testing.T) {
 		if math.Abs(got-wantMean) > 0.5 {
 			t.Fatalf("window %d mean %v, want %v", w, got, wantMean)
 		}
-	}
-}
-
-func TestOverlappingDetection(t *testing.T) {
-	if (Options{Size: 10, Stride: 5}).Overlapping() != true {
-		t.Fatal("stride < size must report overlapping")
-	}
-	if (Options{Size: 10, Stride: 10}).Overlapping() != false {
-		t.Fatal("tumbling is not overlapping")
-	}
-	if (Options{Size: 10}).Overlapping() != false {
-		t.Fatal("zero stride defaults to tumbling")
-	}
-	if (Options{Size: 10, Stride: 15}).Overlapping() != false {
-		t.Fatal("gapped windows are not overlapping")
 	}
 }
 

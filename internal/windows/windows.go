@@ -40,21 +40,15 @@ type FrameScore struct {
 type Options struct {
 	// Size is L, the frames per window.
 	Size int
-	// Stride is the offset between consecutive window starts; zero means
-	// Size (tumbling). Stride < Size produces overlapping windows.
+	// Stride is the offset between consecutive window starts; it must be
+	// positive (engine.Plan.Normalize resolves an unset one to Size,
+	// tumbling). Stride < Size produces overlapping windows.
 	Stride int
 	// Step is the quantization step for window mean scores.
 	Step float64
 	// MaxLevel clamps window levels (use the UDF's bound); zero means
 	// unbounded.
 	MaxLevel int
-}
-
-func (o Options) stride() int {
-	if o.Stride <= 0 {
-		return o.Size
-	}
-	return o.Stride
 }
 
 // NumSlidingWindows returns the number of complete windows of the given
@@ -65,10 +59,6 @@ func NumSlidingWindows(n, size, stride int) int {
 	}
 	return (n-size)/stride + 1
 }
-
-// Overlapping reports whether the options describe overlapping windows
-// (requiring the union-bound engine).
-func (o Options) Overlapping() bool { return o.stride() < o.Size }
 
 // BuildRelation constructs the window uncertain relation. scoreOf must
 // return the Phase 1 knowledge for any retained frame index; diff supplies
@@ -157,10 +147,13 @@ func shapeOf(diff diffdet.Result, opt Options) (shape, error) {
 	if opt.Size <= 0 {
 		return shape{}, fmt.Errorf("windows: size must be positive, got %d", opt.Size)
 	}
+	if opt.Stride <= 0 {
+		return shape{}, fmt.Errorf("windows: stride must be positive, got %d", opt.Stride)
+	}
 	if opt.Step <= 0 {
 		return shape{}, fmt.Errorf("windows: step must be positive, got %v", opt.Step)
 	}
-	s := shape{size: opt.Size, stride: opt.stride(), maxLevel: opt.MaxLevel}
+	s := shape{size: opt.Size, stride: opt.Stride, maxLevel: opt.MaxLevel}
 	n := diff.NumFrames()
 	if s.n = NumSlidingWindows(n, s.size, s.stride); s.n == 0 {
 		return shape{}, fmt.Errorf("windows: no complete window of %d frames in %d", opt.Size, n)
@@ -232,10 +225,10 @@ type Oracle struct {
 	ScoreFrames func(ids []int) ([]float64, error)
 	// Size is L.
 	Size int
-	// Stride is the window start offset; zero means Size (tumbling).
+	// Stride is the window start offset; it must be positive.
 	Stride int
-	// SampleFrac is the fraction of window frames scored; zero means 0.1
-	// (the paper's 10%).
+	// SampleFrac is the fraction of window frames scored; zero means the
+	// default (SampleFracOrDefault).
 	SampleFrac float64
 	// Step quantizes the sample mean to a level.
 	Step float64
@@ -243,13 +236,19 @@ type Oracle struct {
 	Seed uint64
 }
 
+// SampleFracOrDefault returns frac, or 0.1 — the paper's 10% (§3.4) —
+// when frac is zero: the one place the window sampling fraction's
+// default is decided (engine.Plan.Normalize resolves plans with it).
+func SampleFracOrDefault(frac float64) float64 {
+	if frac == 0 {
+		return 0.1
+	}
+	return frac
+}
+
 // SamplesPerWindow returns how many frames one confirmation scores.
 func (o *Oracle) SamplesPerWindow() int {
-	frac := o.SampleFrac
-	if frac == 0 {
-		frac = 0.1
-	}
-	k := int(math.Ceil(frac * float64(o.Size)))
+	k := int(math.Ceil(SampleFracOrDefault(o.SampleFrac) * float64(o.Size)))
 	if k < 1 {
 		k = 1
 	}
@@ -261,11 +260,10 @@ func (o *Oracle) SamplesPerWindow() int {
 
 // CleanBatch implements core.Oracle over window IDs.
 func (o *Oracle) CleanBatch(ids []int) ([]int, error) {
-	k := o.SamplesPerWindow()
-	stride := o.Stride
-	if stride <= 0 {
-		stride = o.Size
+	if o.Stride <= 0 {
+		return nil, fmt.Errorf("windows: stride must be positive, got %d", o.Stride)
 	}
+	k := o.SamplesPerWindow()
 	out := make([]int, len(ids))
 	root := xrand.New(o.Seed).Split("windows/oracle")
 	for j, w := range ids {
@@ -273,7 +271,7 @@ func (o *Oracle) CleanBatch(ids []int) ([]int, error) {
 		offsets := r.SampleK(o.Size, k)
 		frames := make([]int, k)
 		for i, off := range offsets {
-			frames[i] = w*stride + off
+			frames[i] = w*o.Stride + off
 		}
 		scores, err := o.ScoreFrames(frames)
 		if err != nil {

@@ -32,17 +32,20 @@ func TestBuildRelationValidation(t *testing.T) {
 	if _, err := BuildRelation(score, flatDiff(10), Options{Size: 0, Step: 1}); err == nil {
 		t.Fatal("zero size should fail")
 	}
-	if _, err := BuildRelation(score, flatDiff(10), Options{Size: 5, Step: 0}); err == nil {
+	if _, err := BuildRelation(score, flatDiff(10), Options{Size: 5, Step: 1}); err == nil {
+		t.Fatal("zero stride should fail")
+	}
+	if _, err := BuildRelation(score, flatDiff(10), Options{Size: 5, Stride: 5, Step: 0}); err == nil {
 		t.Fatal("zero step should fail")
 	}
-	if _, err := BuildRelation(score, flatDiff(3), Options{Size: 5, Step: 1}); err == nil {
+	if _, err := BuildRelation(score, flatDiff(3), Options{Size: 5, Stride: 5, Step: 1}); err == nil {
 		t.Fatal("no complete window should fail")
 	}
 }
 
 func TestAllExactWindowsAreCertain(t *testing.T) {
 	score := func(rep int) FrameScore { return FrameScore{IsExact: true, Exact: float64(rep % 7)} }
-	rel, err := BuildRelation(score, flatDiff(20), Options{Size: 5, Step: 1})
+	rel, err := BuildRelation(score, flatDiff(20), Options{Size: 5, Stride: 5, Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,7 @@ func TestEq9MeanAndVariance(t *testing.T) {
 		}
 		return FrameScore{Mix: mixB}
 	}
-	rel, err := BuildRelation(score, segDiff(10, 5), Options{Size: 10, Step: 0.25})
+	rel, err := BuildRelation(score, segDiff(10, 5), Options{Size: 10, Stride: 10, Step: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func TestMixedExactAndUncertainSegments(t *testing.T) {
 		}
 		return FrameScore{Mix: mix}
 	}
-	rel, err := BuildRelation(score, segDiff(10, 5), Options{Size: 10, Step: 0.5})
+	rel, err := BuildRelation(score, segDiff(10, 5), Options{Size: 10, Stride: 10, Step: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +114,7 @@ func TestMixedExactAndUncertainSegments(t *testing.T) {
 func TestWindowLevelsClamped(t *testing.T) {
 	mix := uncertain.Mixture{{Weight: 1, Mean: 95, Sigma: 10}}
 	score := func(int) FrameScore { return FrameScore{Mix: mix} }
-	rel, err := BuildRelation(score, flatDiff(10), Options{Size: 5, Step: 1, MaxLevel: 100})
+	rel, err := BuildRelation(score, flatDiff(10), Options{Size: 5, Stride: 5, Step: 1, MaxLevel: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +136,7 @@ func TestOracleSampleMean(t *testing.T) {
 			}
 			return out, nil
 		},
-		Size: 10, SampleFrac: 0.5, Step: 0.5, Seed: 1,
+		Size: 10, Stride: 10, SampleFrac: 0.5, Step: 0.5, Seed: 1,
 	}
 	levels, err := o.CleanBatch([]int{2})
 	if err != nil {
@@ -155,7 +158,7 @@ func TestOracleFullSampling(t *testing.T) {
 			}
 			return out, nil
 		},
-		Size: 10, SampleFrac: 1.0, Step: 0.1, Seed: 2,
+		Size: 10, Stride: 10, SampleFrac: 1.0, Step: 0.1, Seed: 2,
 	}
 	levels, err := o.CleanBatch([]int{0, 3})
 	if err != nil {
@@ -194,7 +197,7 @@ func TestOracleDeterministic(t *testing.T) {
 				}
 				return out, nil
 			},
-			Size: 20, Step: 1, Seed: 7,
+			Size: 20, Stride: 20, Step: 1, Seed: 7,
 		}
 	}
 	a, err := mk().CleanBatch([]int{1, 2, 3})
@@ -216,9 +219,13 @@ func TestOracleErrorPropagates(t *testing.T) {
 	boom := errors.New("decode failed")
 	o := &Oracle{
 		ScoreFrames: func([]int) ([]float64, error) { return nil, boom },
-		Size:        10, Step: 1,
+		Size:        10, Stride: 10, Step: 1,
 	}
 	if _, err := o.CleanBatch([]int{0}); !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want propagated", err)
+	}
+	o.Stride = 0
+	if _, err := o.CleanBatch([]int{0}); err == nil || errors.Is(err, boom) {
+		t.Fatalf("zero stride: error = %v, want it rejected before any frame is scored", err)
 	}
 }

@@ -94,7 +94,6 @@ func OpenLive(src video.Source, udf vision.UDF, cfg Config, live LiveConfig) (*L
 	if src == nil || udf == nil {
 		return nil, errors.New("everest: nil source or UDF")
 	}
-	cfg = cfg.withDefaults()
 	mode := stream.RefreshFull
 	if live.Warm {
 		mode = stream.RefreshAuto
@@ -103,7 +102,7 @@ func OpenLive(src video.Source, udf vision.UDF, cfg Config, live LiveConfig) (*L
 		SegmentFrames: live.SegmentFrames,
 		Refresh:       mode,
 		DriftNLL:      live.DriftNLL,
-		Ingest:        cfg.phase1Options(cfg.Seed),
+		Ingest:        cfg.Plan().Ingest,
 	})
 	if err != nil {
 		return nil, err
@@ -165,13 +164,12 @@ func (lf *LiveFollower) Answer() *LiveDelta {
 // other follower; all followers due at a segment close evaluate as one
 // coalesced group. Follow fails once the stream is sealed.
 func (ls *LiveStream) Follow(cfg Config, maxLagChunks int, onDelta func(LiveDelta)) (*LiveFollower, error) {
-	cfg = cfg.withDefaults()
 	var cb func(stream.Delta)
 	if onDelta != nil {
 		cb = func(d stream.Delta) { onDelta(liveDeltaOf(d)) }
 	}
 	fol, err := ls.ing.Follow(stream.FollowConfig{
-		Plan:         cfg.plan(),
+		Plan:         cfg.Plan(),
 		MaxLagChunks: maxLagChunks,
 		OnDelta:      cb,
 	})

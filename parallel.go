@@ -31,8 +31,7 @@ type ParallelResult struct {
 // workers == 1 is semantically equivalent to Run up to sampling
 // randomness.
 func RunParallel(src video.Source, udf vision.UDF, cfg Config, workers int) (*ParallelResult, error) {
-	cfg = cfg.withDefaults()
-	plan := cfg.plan()
+	plan := cfg.Plan()
 	sh, err := engine.RunSharded(src, udf, plan, workers)
 	if err != nil {
 		return nil, err

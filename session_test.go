@@ -226,7 +226,7 @@ func TestBatchAdmissionLimit(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			got := 0
 			for _, cfg := range c.cfgs {
-				got = engine.TighterLimit(got, cfg.plan().AdmissionLimit)
+				got = engine.TighterLimit(got, cfg.Plan().AdmissionLimit)
 			}
 			if got != c.want {
 				t.Fatalf("admission limit of %v = %d, want %d", c.cfgs, got, c.want)
