@@ -58,11 +58,13 @@ crash:
 # The paper's guarantee, measured end to end against ground truth:
 # oneshot_run's query (Threshold 0.9) on 40 fresh videos per counting
 # dataset in each cell of the grid — K 10 on 4,000 frames, K 10 on 640
-# frames (tiny n) and K 50 on 4,000 frames (heavy ties) — a one-sided
-# binomial test of each row's exact rate against 0.9 at α = 0.01, and a
-# check that the mean reported confidence stays inside the exact rate's
-# binomial band. About five minutes on two cores. It fails today
-# (ROADMAP item 2), so it is in neither tier-1 nor CI.
+# frames (tiny n), K 50 on 4,000 frames (heavy ties), and K 5 over
+# 30-frame windows of 4,000 frames, tumbling and every 15 frames (union
+# bound) — a one-sided binomial test of each row's exact rate against
+# 0.9 at α = 0.01, and a check that the mean reported confidence stays
+# inside the exact rate's binomial band. About seven minutes on two
+# cores. It fails today (ROADMAP item 2), so it is in neither tier-1
+# nor CI.
 guarantee:
 	$(GO) test -tags guarantee -run TestGuarantee -count=1 -timeout 30m -v ./internal/metrics/
 
@@ -116,7 +118,8 @@ bench-diff:
 # means bind reads no frame) and a warm execution; the core/engine line
 # is Phase 2's start — preparing D0, starting a run with and without an
 # overlay, and a frame and a window query's Execute, uncached and under
-# an overlay; the next is the frame-level kernels — a Fit at 5 and
+# an overlay (the window one also with its quantization memo emptied
+# first) — and a warm window relation under an overlay; the next is the frame-level kernels — a Fit at 5 and
 # 35 epochs, one grid point, one proxy prediction from a decoded frame
 # (features, then the model's Predict: what every retained frame pays at
 # ingest), one decoded frame (0 allocs) and one counting-oracle call over
@@ -126,7 +129,7 @@ bench-diff:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SessionConcurrent|SessionSharedCache|SessionCoalesced|OracleMux|StreamingIngest|FollowDeltas|SegmentClose|EQLScript' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BindScript|ExecWarm' -benchtime 1x -benchmem ./internal/eql
-	$(GO) test -run '^$$' -bench 'Prepare|Start|Execute' -benchtime 1x -benchmem ./internal/core ./internal/engine
+	$(GO) test -run '^$$' -bench 'Prepare|Start|Execute|WindowRelation' -benchtime 1x -benchmem ./internal/core ./internal/engine
 	$(GO) test -run '^$$' -bench 'Fit$$|TrainGridPoint|ProxyPredict|Render$$|CountUDFScore' -benchtime 1x -benchmem ./internal/nn ./internal/cmdn ./internal/video ./internal/vision
 	$(GO) test -run '^$$' -bench 'Publish|Recover' -benchtime 1x -benchmem ./internal/labelstore ./internal/durable
 

@@ -69,15 +69,21 @@ func (w WindowSpec) d0Key(qopt uncertain.QuantizeOptions) d0Key {
 // lowest failing window under its own overlay); prep is rel, or a
 // prefix of it, prepared for Phase 2 under bound: nil until a query
 // asks, and extended over the tail by the first query after rel is.
-// Guarded by the artifact's mu. rel and failed grow in place (growTo), so an
-// extension costs what it adds: a query holds a prefix of each, and an
-// extension writes only past it — a published prefix is never written.
+// quantized memoizes a window shape's re-aggregation: the distribution
+// of each distinct window Gaussian a query's overlay produced, keyed by
+// its moments (windows.Memo, under its own lock, never invalidated).
+// The other fields are guarded by the artifact's mu. rel and failed
+// grow in place (growTo), so an extension costs what it adds: a query
+// holds a prefix of each, and an extension writes only past it — a
+// published prefix is never written.
 type d0Entry struct {
 	key    d0Key
 	rel    uncertain.Relation
 	failed []int
 	prep   *core.Base
 	bound  core.BoundKind
+
+	quantized windows.Memo
 }
 
 // d0View is what one query reads of a memo entry, taken under a.mu:
@@ -124,7 +130,7 @@ func (a *Artifact) memo(key d0Key) (d0View, error) {
 		n = windows.NumSlidingWindows(a.TotalFrames, key.size, key.stride)
 	}
 	if fresh || len(e.rel) < n {
-		rel, failed, err := v.extend(a.Retained, n)
+		rel, failed, err := v.extend(a.Retained, a.Mixtures, n)
 		if err != nil {
 			return d0View{}, err
 		}
@@ -139,12 +145,13 @@ func (a *Artifact) memo(key d0Key) (d0View, error) {
 }
 
 // extend returns the view's entry's relation grown in place to its n
-// tuples — the Retained tail quantized, or the new windows aggregated
+// tuples — the Retained tail's mixtures (mixtures is parallel to
+// retained) quantized, or the new windows aggregated
 // (one that ends within the old frames reads only old frames and old
 // representatives, so it is unchanged) — with the new windows whose
 // aggregation failed. Only the tail is written, past every prefix a
 // query holds.
-func (v d0View) extend(retained []int32, n int) (uncertain.Relation, []int, error) {
+func (v d0View) extend(retained []int32, mixtures []uncertain.Mixture, n int) (uncertain.Relation, []int, error) {
 	old, scores := v.entry.rel, v.scores
 	done, rel := len(old), growTo(old, n)
 	if v.opt.Size != 0 {
@@ -157,9 +164,9 @@ func (v d0View) extend(retained []int32, n int) (uncertain.Relation, []int, erro
 		var d uncertain.Dist
 		var err error
 		if fs.IsExact {
-			d = certainAt(fs.Exact, qopt)
-		} else if d, err = uncertain.Quantize(fs.Mix, qopt); err != nil {
-			d = certainAt(fs.Mix.Mean(), qopt)
+			d = certainAt(fs.Mean, qopt)
+		} else if d, err = uncertain.Quantize(mixtures[done+i], qopt); err != nil {
+			d = certainAt(fs.Mean, qopt)
 		}
 		rel[done+i] = uncertain.XTuple{ID: int(f), Dist: d}
 	}
@@ -179,8 +186,10 @@ func (a *Artifact) entry(key d0Key) *d0Entry {
 	return nil
 }
 
-// frameScores returns Phase 1's knowledge of every retained frame,
-// indexed by frame (the zero FrameScore elsewhere), extending the
+// frameScores returns Phase 1's knowledge of every retained frame as
+// Eq. 9 reads it — its label, or its mixture's mean and variance,
+// computed once here — indexed by frame (the zero FrameScore
+// elsewhere), extending the
 // memoized table in place (growTo) — and the span D = max |i − RepOf[i]|,
 // the farthest any frame lies from its representative — over frames
 // appended since it was built. A retained frame with neither a label
@@ -197,9 +206,9 @@ func (a *Artifact) frameScores() ([]windows.FrameScore, error) {
 	tail := sort.Search(len(a.Retained), func(i int) bool { return int(a.Retained[i]) >= done })
 	for i, f := range a.Retained[tail:] {
 		if s, ok := a.Exact[f]; ok {
-			scores[f] = windows.FrameScore{IsExact: true, Exact: s}
+			scores[f] = windows.FrameScore{Mean: s, IsExact: true}
 		} else if mix := a.Mixtures[tail+i]; len(mix) > 0 {
-			scores[f] = windows.FrameScore{Mix: mix}
+			scores[f] = windows.FrameScore{Mean: mix.Mean(), Variance: mix.Variance()}
 		} else {
 			return nil, missingScore(f)
 		}
@@ -416,7 +425,9 @@ func (v d0View) touched(labels *labelstore.Overlay) []int {
 // with the overlay's exact scores on the representatives it labels and
 // Phase 1 did not — and the touched windows, ascending (a window's
 // position is its ID); else nil and nil, the run reading the base's
-// relation (a frame view under frameOverrides).
+// relation (a frame view under frameOverrides). The window Gaussians
+// are quantized through the entry's memo, so a window aggregated under
+// the same moments by any earlier query is a lookup.
 func (v d0View) runStart(labels *labelstore.Overlay) (uncertain.Relation, []int, error) {
 	if v.opt.Size == 0 {
 		return nil, nil, nil
@@ -427,15 +438,17 @@ func (v d0View) runStart(labels *labelstore.Overlay) (uncertain.Relation, []int,
 	}
 	rel := slices.Clone(v.rel)
 	scores := v.scores
+	opt := v.opt
+	opt.Memo = &v.entry.quantized
 	err := windows.Reaggregate(rel, ids, func(rep int) windows.FrameScore {
 		fs := scores[rep]
 		if !fs.IsExact {
 			if s, ok := labels.Get(rep); ok {
-				return windows.FrameScore{IsExact: true, Exact: s}
+				return windows.FrameScore{Mean: s, IsExact: true}
 			}
 		}
 		return fs
-	}, v.diff, v.opt)
+	}, v.diff, opt)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -61,13 +61,14 @@ func referenceWindowRelation(a *Artifact, w WindowSpec, qopt uncertain.QuantizeO
 	}
 	return windows.BuildRelation(func(rep int) windows.FrameScore {
 		if s, ok := a.Exact[int32(rep)]; ok {
-			return windows.FrameScore{IsExact: true, Exact: s}
+			return windows.FrameScore{IsExact: true, Mean: s}
 		}
 		if s, ok := labels.Get(rep); ok {
-			return windows.FrameScore{IsExact: true, Exact: s}
+			return windows.FrameScore{IsExact: true, Mean: s}
 		}
 		if i, ok := slices.BinarySearch(a.Retained, int32(rep)); ok {
-			return windows.FrameScore{Mix: a.Mixtures[i]}
+			mix := a.Mixtures[i]
+			return windows.FrameScore{Mean: mix.Mean(), Variance: mix.Variance()}
 		}
 		return windows.FrameScore{}
 	}, diff, windows.Options{Size: w.Size, Stride: w.Stride, Step: qopt.Step, MaxLevel: maxLevel})
@@ -617,7 +618,10 @@ func benchArtifact() (*Artifact, labelstore.Map) {
 // 30-frame window query reads the shape's prepared relation as it is
 // (window_uncached) or under the windows the overlay touches
 // (window_overlay): those re-aggregated in a copy of the relation and
-// passed as the run's overrides.
+// passed as the run's overrides, each window Gaussian read from the
+// shape's quantization memo. window_overlay_cold empties that memo
+// before each query, with the timer stopped, so every touched window
+// is quantized: the miss path.
 func BenchmarkExecute(b *testing.B) {
 	a, snapshot := benchArtifact()
 	udf := tableUDF{uncertain.DefaultCountingOptions()}
@@ -631,26 +635,40 @@ func BenchmarkExecute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The first query of each kind memoizes its D0 and prepares it; every
-	// case times the warm path.
+	// The first query of each kind memoizes its D0 and prepares it, and a
+	// window query under the overlay fills the shape's quantization memo;
+	// every case but window_overlay_cold times the warm path.
 	for _, plan := range []Plan{frame, window} {
 		if _, err := Execute(plan, Binding{UDF: udf, Artifact: a}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	if _, err := Execute(window, Binding{UDF: udf, Artifact: a, Labels: labelstore.NewOverlay(snapshot)}); err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range []struct {
-		name    string
-		plan    Plan
-		overlay bool
+		name          string
+		plan          Plan
+		overlay, cold bool
 	}{
-		{"uncached", frame, false},
-		{"overlay", frame, true},
-		{"window_uncached", window, false},
-		{"window_overlay", window, true},
+		{"uncached", frame, false, false},
+		{"overlay", frame, true, false},
+		{"window_uncached", window, false, false},
+		{"window_overlay", window, true, false},
+		{"window_overlay_cold", window, true, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				if c.cold {
+					b.StopTimer()
+					a.mu.Lock()
+					for _, e := range a.memos {
+						e.quantized = windows.Memo{}
+					}
+					a.mu.Unlock()
+					b.StartTimer()
+				}
 				var labels *labelstore.Overlay
 				if c.overlay {
 					labels = labelstore.NewOverlay(snapshot)

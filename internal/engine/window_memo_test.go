@@ -469,3 +469,115 @@ func TestWindowMemoConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestWindowMemoSharedAcrossOverlays: eight goroutines run window
+// queries of a tumbling and a sliding shape over one artifact, three
+// rounds each, every goroutine under an overlay of its own — label sets
+// that overlap, and that two goroutines share, so each shape's
+// quantization memo is filled and read by concurrent queries (run
+// under -race): every relation is referenceWindowRelation's and every
+// Execute answers the reference outcome. The artifact is a random one,
+// and one whose every score has mean 5 — its windows' Gaussians differ
+// only in variance, which a memo keyed on the mean alone would confuse.
+// Afterwards a window two equal overlays re-aggregate is read from the
+// memo, not quantized again.
+func TestWindowMemoSharedAcrossOverlays(t *testing.T) {
+	a := randomArtifactClips(xrand.New(47).Split("window-memo"), 900, 13)
+	oneMean := a.Clone()
+	for i, mix := range oneMean.Mixtures {
+		if len(mix) > 0 {
+			oneMean.Mixtures[i] = uncertain.Mixture{{Weight: 1, Mean: 5, Sigma: 1 + float64(i%3)}}
+		}
+	}
+	for f := range oneMean.Exact {
+		oneMean.Exact[f] = 5
+	}
+	assertMemoSharedAcrossOverlays(t, "random", a, func(f int) float64 { return float64(7*f%11) + 0.5 })
+	assertMemoSharedAcrossOverlays(t, "one mean", oneMean, func(int) float64 { return 5 })
+}
+
+// assertMemoSharedAcrossOverlays is TestWindowMemoSharedAcrossOverlays
+// over one artifact, labelling frame f with score(f).
+func assertMemoSharedAcrossOverlays(t *testing.T, name string, a *Artifact, score func(f int) float64) {
+	t.Helper()
+	udf := tableUDF{uncertain.DefaultCountingOptions()}
+	qopt := udf.Quantize()
+	shapes := []WindowSpec{{Size: 30, Stride: 30}, {Size: 40, Stride: 15}}
+	reps := unlabelledReps(a)
+	const goroutines = 8
+	// Goroutine g labels every (g%4+2)-th unlabelled representative, so
+	// goroutines g and g+4 share a label set and the others share some
+	// windows' labels.
+	sets := make([]labelstore.Map, goroutines)
+	for g := range sets {
+		for i, f := range reps {
+			if i%(g%4+2) == 0 {
+				sets[g] = sets[g].Set(f, score(f))
+			}
+		}
+	}
+	overlay := func(g int) *labelstore.Overlay { return labelstore.NewOverlay(sets[g]) }
+	plans := make([]Plan, len(shapes))
+	wantRel := make([][]uncertain.Relation, len(shapes))
+	wantOut := make([][]string, len(shapes))
+	for s, w := range shapes {
+		p := testPlan(5)
+		p.Window = w
+		plan, err := NewPlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[s] = plan
+		wantRel[s] = make([]uncertain.Relation, goroutines)
+		wantOut[s] = make([]string, goroutines)
+		for g := range goroutines {
+			if wantRel[s][g], err = referenceWindowRelation(a, w, qopt, overlay(g)); err != nil {
+				t.Fatal(err)
+			}
+			labels := overlay(g)
+			out, err := referenceExecute(plan, a, nil, udf, labels)
+			wantOut[s][g] = outcomeBits(out, err, labels)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := range 3 {
+				s := (g + round) % len(shapes)
+				if rel, err := a.WindowRelation(shapes[s], qopt, overlay(g), 1, nil); err != nil || !reflect.DeepEqual(rel, wantRel[s][g]) {
+					t.Errorf("%s, goroutine %d, round %d: relation %+v differs from the reference (err %v)", name, g, round, shapes[s], err)
+				}
+				labels := overlay(g)
+				out, err := Execute(plans[s], Binding{UDF: udf, Artifact: a, Labels: labels})
+				if got := outcomeBits(out, err, labels); got != wantOut[s][g] {
+					t.Errorf("%s, goroutine %d, round %d, shape %+v: Execute differs from the reference:\n got %s\nwant %s", name, g, round, shapes[s], got, wantOut[s][g])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, w := range shapes {
+		first, err := a.WindowRelation(w, qopt, overlay(0), 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := a.WindowRelation(w, qopt, overlay(4), 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := 0
+		for _, i := range touchedUnder(t, a, w, qopt, overlay(0)) {
+			if len(first[i].Dist.P) > 1 {
+				if &first[i].Dist.P[0] != &second[i].Dist.P[0] {
+					t.Fatalf("%s, shape %+v: window %d was quantized again under an equal overlay", name, w, i)
+				}
+				shared++
+			}
+		}
+		if shared == 0 {
+			t.Fatalf("%s, shape %+v: no touched window is uncertain; the check is vacuous", name, w)
+		}
+	}
+}

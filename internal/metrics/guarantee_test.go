@@ -16,6 +16,21 @@ import (
 	"github.com/everest-project/everest/internal/vision"
 )
 
+const (
+	guaranteeVideos = 40
+	guaranteeAlpha  = 0.01
+	firstN          = 20 // the prefix the sweep was first recorded at
+)
+
+// guaranteeBase is oneshot_run's query: Threshold 0.9 over the 4-point
+// CMDN grid at Procs 2; each cell sets K and, for windows, the shape.
+var guaranteeBase = everest.Config{
+	Threshold: 0.9,
+	Proxy:     cmdn.Config{Grid: []cmdn.Hyper{{G: 5, H: 20}, {G: 5, H: 30}, {G: 8, H: 30}, {G: 12, H: 40}}},
+	Seed:      1,
+	Procs:     2,
+}
+
 // TestGuarantee measures the paper's contract (§3.3) end to end, with
 // the real proxy: Pr(returned Top-K = exact Top-K) ≥ Threshold. Each
 // cell of the grid is one choke point; per cell and counting dataset it
@@ -28,18 +43,14 @@ import (
 //   - ties: K 50 on 4,000-frame videos, where many frames share the
 //     K-th quantized level.
 //
-// Each cell seeds its videos apart from the others'. A row fails when
-// a one-sided binomial test rejects "exact rate ≥ Threshold" at
-// guaranteeAlpha, or when the mean reported confidence lies above the
-// exact rate's one-sided Clopper-Pearson upper bound at the same level
-// (the answers claim more than they deliver). Run it with
-// `make guarantee`; it is not part of the default test run.
+// TestGuaranteeWindows adds the window cells. Each cell seeds its
+// videos apart from the others'. A row fails when a one-sided binomial
+// test rejects "exact rate ≥ Threshold" at guaranteeAlpha, or when the
+// mean reported confidence lies above the exact rate's one-sided
+// Clopper-Pearson upper bound at the same level (the answers claim more
+// than they deliver). Run it with `make guarantee`; it is not part of
+// the default test run.
 func TestGuarantee(t *testing.T) {
-	const (
-		guaranteeVideos = 40
-		guaranteeAlpha  = 0.01
-		firstN          = 20 // the prefix the sweep was first recorded at
-	)
 	cells := []struct {
 		name      string
 		frames, k int
@@ -49,21 +60,13 @@ func TestGuarantee(t *testing.T) {
 		{"tiny-n", 640, 10, 2000},
 		{"ties", 4000, 50, 3000},
 	}
-	base := everest.Config{
-		Threshold: 0.9,
-		Proxy:     cmdn.Config{Grid: []cmdn.Hyper{{G: 5, H: 20}, {G: 5, H: 30}, {G: 8, H: 30}, {G: 12, H: 40}}},
-		Seed:      1,
-		Procs:     2,
-	}
-	var table strings.Builder
-	fmt.Fprintf(&table, "%-7s %5s %3s %-16s %9s %9s %6s %9s %9s %10s  %s\n",
-		"cell", "n", "K", "dataset", "exact@20", "exact@N", "rate", "mean-conf", "p-value", "conf-bound", "verdict")
+	table := newTable()
 	for _, cell := range cells {
-		cfg := base
+		cfg := guaranteeBase
 		cfg.K = cell.k
 		for _, spec := range video.CountingDatasets() {
 			udf := vision.CountUDF{Class: spec.Config.Class}
-			exact, exactFirst, confSum := 0, 0, 0.0
+			var row tally
 			for i := 0; i < guaranteeVideos; i++ {
 				vc := spec.Config
 				vc.Name = fmt.Sprintf("g-%s-%d", spec.Name, i)
@@ -80,38 +83,125 @@ func TestGuarantee(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", vc.Name, err)
 				}
-				confSum += res.Confidence
-				if exactTopK(res.IDs, metrics.FrameTruth(src, udf), cfg.K) {
-					exact++
-					if i < firstN {
-						exactFirst++
-					}
-				}
+				row.add(i, res, metrics.FrameTruth(src, udf), cfg.K)
 			}
-			n := guaranteeVideos
-			rate := float64(exact) / float64(n)
-			meanConf := confSum / float64(n)
-			pValue := binomCDF(exact, n, cfg.Threshold)
-			bound := upperBound(exact, n, guaranteeAlpha)
-			var why []string
-			if pValue < guaranteeAlpha {
-				why = append(why, fmt.Sprintf("exact rate below %.2f", cfg.Threshold))
-			}
-			if meanConf > bound {
-				why = append(why, "overconfident")
-			}
-			verdict := "ok"
-			if len(why) > 0 {
-				verdict = "FAIL: " + strings.Join(why, ", ")
-				t.Errorf("%s/%s: %d/%d exact (p = %.3g), mean confidence %.3f against bound %.3f",
-					cell.name, spec.Name, exact, n, pValue, meanConf, bound)
-			}
-			fmt.Fprintf(&table, "%-7s %5d %3d %-16s %6d/%-2d %6d/%-2d %6.3f %9.3f %9.3g %10.3f  %s\n",
-				cell.name, cell.frames, cell.k, spec.Name, exactFirst, firstN, exact, n, rate, meanConf, pValue, bound, verdict)
+			row.judge(t, table, cell.name, cell.frames, cfg.K, spec.Name)
 		}
 	}
+	logTable(t, table)
+}
+
+// TestGuaranteeWindows is the grid's window cells, on 40 fresh
+// 4,000-frame videos per counting dataset (catalog Seed + 4000 + i),
+// each indexed once and asked two queries: K 5 over 30-frame tumbling
+// windows (windows), and K 5 over the same windows every 15 frames
+// (sliding: they overlap, so the union bound). An answer is exact
+// against metrics.SlidingWindowTruth, the windows' mean true scores;
+// the rows are judged as TestGuarantee's.
+func TestGuaranteeWindows(t *testing.T) {
+	const frames, size = 4000, 30
+	cells := []struct {
+		name   string
+		stride int
+	}{{"windows", size}, {"sliding", size / 2}}
+	cfg := guaranteeBase
+	cfg.K, cfg.Window = 5, size
+	rows := make([][]tally, len(cells))
+	specs := video.CountingDatasets()
+	for c := range rows {
+		rows[c] = make([]tally, len(specs))
+	}
+	for d, spec := range specs {
+		udf := vision.CountUDF{Class: spec.Config.Class}
+		for i := 0; i < guaranteeVideos; i++ {
+			vc := spec.Config
+			vc.Name = fmt.Sprintf("g-windows-%s-%d", spec.Name, i)
+			vc.Seed += 4000 + uint64(i)
+			vc.Frames = frames
+			src, err := video.NewSynthetic(vc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := everest.BuildIndex(src, udf, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", vc.Name, err)
+			}
+			for c, cell := range cells {
+				qcfg := cfg
+				qcfg.Stride = cell.stride
+				res, err := ix.Query(src, udf, qcfg)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", vc.Name, cell.name, err)
+				}
+				rows[c][d].add(i, res, metrics.SlidingWindowTruth(src, udf, size, cell.stride), cfg.K)
+			}
+		}
+	}
+	table := newTable()
+	for c, cell := range cells {
+		for d, spec := range specs {
+			rows[c][d].judge(t, table, cell.name, frames, cfg.K, spec.Name)
+		}
+	}
+	logTable(t, table)
+}
+
+// tally counts one row's answers: exact ones, those among the first
+// firstN videos, and the reported confidences.
+type tally struct {
+	exact, exactFirst int
+	confSum           float64
+}
+
+// add counts the answer on video i against its ground truth.
+func (r *tally) add(i int, res *everest.Result, truth []metrics.Ranked, k int) {
+	r.confSum += res.Confidence
+	if exactTopK(res.IDs, truth, k) {
+		r.exact++
+		if i < firstN {
+			r.exactFirst++
+		}
+	}
+}
+
+// judge tests the row, fails t if it fails, and writes it to table.
+func (r tally) judge(t *testing.T, table *strings.Builder, cell string, frames, k int, dataset string) {
+	t.Helper()
+	n := guaranteeVideos
+	thres := guaranteeBase.Threshold
+	rate := float64(r.exact) / float64(n)
+	meanConf := r.confSum / float64(n)
+	pValue := binomCDF(r.exact, n, thres)
+	bound := upperBound(r.exact, n, guaranteeAlpha)
+	var why []string
+	if pValue < guaranteeAlpha {
+		why = append(why, fmt.Sprintf("exact rate below %.2f", thres))
+	}
+	if meanConf > bound {
+		why = append(why, "overconfident")
+	}
+	verdict := "ok"
+	if len(why) > 0 {
+		verdict = "FAIL: " + strings.Join(why, ", ")
+		t.Errorf("%s/%s: %d/%d exact (p = %.3g), mean confidence %.3f against bound %.3f",
+			cell, dataset, r.exact, n, pValue, meanConf, bound)
+	}
+	fmt.Fprintf(table, "%-7s %5d %3d %-16s %6d/%-2d %6d/%-2d %6.3f %9.3f %9.3g %10.3f  %s\n",
+		cell, frames, k, dataset, r.exactFirst, firstN, r.exact, n, rate, meanConf, pValue, bound, verdict)
+}
+
+// newTable starts a table with its header.
+func newTable() *strings.Builder {
+	var table strings.Builder
+	fmt.Fprintf(&table, "%-7s %5s %3s %-16s %9s %9s %6s %9s %9s %10s  %s\n",
+		"cell", "n", "K", "dataset", "exact@20", "exact@N", "rate", "mean-conf", "p-value", "conf-bound", "verdict")
+	return &table
+}
+
+// logTable logs a finished table under its test.
+func logTable(t *testing.T, table *strings.Builder) {
 	t.Logf("Threshold %.2f, %d videos per cell and dataset, α = %.2f:\n%s",
-		base.Threshold, guaranteeVideos, guaranteeAlpha, table.String())
+		guaranteeBase.Threshold, guaranteeVideos, guaranteeAlpha, table.String())
 }
 
 // exactTopK reports whether the answer's true scores equal the true

@@ -14,12 +14,12 @@ import (
 // deterministic in the representative index.
 func mixedScore(rep int) FrameScore {
 	if rep%5 == 0 {
-		return FrameScore{IsExact: true, Exact: float64(rep % 11)}
+		return FrameScore{IsExact: true, Mean: float64(rep % 11)}
 	}
-	return FrameScore{Mix: uncertain.Mixture{
+	return mixScore(uncertain.Mixture{
 		{Weight: 0.6, Mean: float64(rep%9) + 1, Sigma: 1.2},
 		{Weight: 0.4, Mean: float64(rep%13) / 2, Sigma: 0.7},
-	}}
+	})
 }
 
 // TestBuildRelationReportsLowestFailingWindow: a frame whose mixture
@@ -29,7 +29,7 @@ func mixedScore(rep int) FrameScore {
 func TestBuildRelationReportsLowestFailingWindow(t *testing.T) {
 	bad := func(rep int) FrameScore {
 		if rep == 40 {
-			return FrameScore{Mix: uncertain.Mixture{{Weight: 1, Mean: 1, Sigma: math.NaN()}}}
+			return mixScore(uncertain.Mixture{{Weight: 1, Mean: 1, Sigma: math.NaN()}})
 		}
 		return mixedScore(rep)
 	}
@@ -60,7 +60,7 @@ func TestBuildRelationReportsLowestFailingWindow(t *testing.T) {
 func TestExtendAndReaggregateMatchBuildRelation(t *testing.T) {
 	bad := func(rep int) FrameScore {
 		if rep == 140 || rep == 350 {
-			return FrameScore{Mix: uncertain.Mixture{{Weight: 1, Mean: 1, Sigma: math.NaN()}}}
+			return mixScore(uncertain.Mixture{{Weight: 1, Mean: 1, Sigma: math.NaN()}})
 		}
 		return mixedScore(rep)
 	}

@@ -52,7 +52,7 @@ func TestSlidingWindowsCoverStridedRanges(t *testing.T) {
 	// With stride 5 and size 10 over 30 frames there are 5 windows; window
 	// w must aggregate frames [5w, 5w+10). We verify via exact scores:
 	// frame i scores i, so window w's mean is 5w + 4.5.
-	score := func(rep int) FrameScore { return FrameScore{IsExact: true, Exact: float64(rep)} }
+	score := func(rep int) FrameScore { return FrameScore{IsExact: true, Mean: float64(rep)} }
 	rel, err := BuildRelation(score, flatDiff(30), Options{Size: 10, Stride: 5, Step: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +110,9 @@ func TestSlidingRelationSharesFrameInfluence(t *testing.T) {
 	// its variance — the correlation the union bound exists for.
 	score := func(rep int) FrameScore {
 		if rep == 8 {
-			return FrameScore{Mix: testMixture(5, 2)}
+			return mixScore(testMixture(5, 2))
 		}
-		return FrameScore{IsExact: true, Exact: 1}
+		return FrameScore{IsExact: true, Mean: 1}
 	}
 	rel, err := BuildRelation(score, flatDiff(20), Options{Size: 10, Stride: 4, Step: 1})
 	if err != nil {

@@ -12,26 +12,32 @@
 // independence assumption of §2 no longer holds; such relations must be
 // processed with core.BoundUnion, the dependence-safe Bonferroni bound.
 // Stride == Size recovers tumbling windows exactly. Every builder
-// aggregates on the calling goroutine, in window order.
+// aggregates on the calling goroutine, in window order, from each
+// frame's two moments (FrameScore); through a Memo, each distinct
+// window Gaussian is quantized once.
 package windows
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/everest-project/everest/internal/diffdet"
 	"github.com/everest-project/everest/internal/uncertain"
 	"github.com/everest-project/everest/internal/xrand"
 )
 
-// FrameScore is what Phase 1 knows about one retained frame: either the
-// proxy's mixture or an exact oracle label.
+// FrameScore is what Eq. 9 reads of one retained frame: the two moments
+// of the proxy's mixture, or an exact oracle label.
 type FrameScore struct {
-	// Mix is the CMDN mixture (nil when exact).
-	Mix uncertain.Mixture
-	// Exact is the oracle score, valid when IsExact.
-	Exact float64
-	// IsExact marks frames labelled during Phase 1 sampling.
+	// Mean is the mixture mean (uncertain.Mixture.Mean), or the oracle
+	// score when IsExact.
+	Mean float64
+	// Variance is the mixture's total variance
+	// (uncertain.Mixture.Variance); unread when IsExact.
+	Variance float64
+	// IsExact marks frames with an oracle label: Phase 1's, or a cache
+	// label a query re-aggregates under.
 	IsExact bool
 }
 
@@ -49,6 +55,55 @@ type Options struct {
 	// MaxLevel clamps window levels (use the UDF's bound); zero means
 	// unbounded.
 	MaxLevel int
+	// Memo, when non-nil, quantizes each distinct window Gaussian once:
+	// every Options that carries one Memo must agree on Step and
+	// MaxLevel.
+	Memo *Memo
+}
+
+// memoCap bounds a Memo's entries: a store into a full memo clears it
+// first.
+const memoCap = 8192
+
+// Memo maps the exact bits of a window's Eq. 9 moments (mean,
+// variance) to the distribution QuantizeNormal gives them under one
+// quantization. QuantizeNormal is a pure function of those bits, so a
+// hit is bit-identical to a fresh quantization and no entry ever goes
+// stale; a failed quantization is never stored. It holds at most
+// memoCap entries, is safe for concurrent use, and its zero value is
+// empty and ready.
+type Memo struct {
+	mu sync.Mutex
+	m  map[[2]uint64]uncertain.Dist
+}
+
+// quantize is QuantizeNormal(mean, √variance, qopt), read from the memo
+// when it holds the moments and stored there when it did not. A nil
+// memo quantizes every call.
+func (m *Memo) quantize(mean, variance float64, qopt uncertain.QuantizeOptions) (uncertain.Dist, error) {
+	if m == nil {
+		return uncertain.QuantizeNormal(mean, math.Sqrt(variance), qopt)
+	}
+	key := [2]uint64{math.Float64bits(mean), math.Float64bits(variance)}
+	m.mu.Lock()
+	d, ok := m.m[key]
+	m.mu.Unlock()
+	if ok {
+		return d, nil
+	}
+	d, err := uncertain.QuantizeNormal(mean, math.Sqrt(variance), qopt)
+	if err != nil {
+		return d, err
+	}
+	m.mu.Lock()
+	if m.m == nil {
+		m.m = make(map[[2]uint64]uncertain.Dist)
+	} else if len(m.m) >= memoCap {
+		clear(m.m)
+	}
+	m.m[key] = d
+	m.mu.Unlock()
+	return d, nil
 }
 
 // NumSlidingWindows returns the number of complete windows of the given
@@ -140,6 +195,7 @@ func Reaggregate(rel uncertain.Relation, ids []int, scoreOf func(rep int) FrameS
 type shape struct {
 	size, stride, maxLevel int
 	qopt                   uncertain.QuantizeOptions
+	memo                   *Memo
 	n                      int // complete windows
 }
 
@@ -153,7 +209,7 @@ func shapeOf(diff diffdet.Result, opt Options) (shape, error) {
 	if opt.Step <= 0 {
 		return shape{}, fmt.Errorf("windows: step must be positive, got %v", opt.Step)
 	}
-	s := shape{size: opt.Size, stride: opt.Stride, maxLevel: opt.MaxLevel}
+	s := shape{size: opt.Size, stride: opt.Stride, maxLevel: opt.MaxLevel, memo: opt.Memo}
 	n := diff.NumFrames()
 	if s.n = NumSlidingWindows(n, s.size, s.stride); s.n == 0 {
 		return shape{}, fmt.Errorf("windows: no complete window of %d frames in %d", opt.Size, n)
@@ -194,21 +250,19 @@ func (s shape) aggregate(scoreOf func(rep int) FrameScore, diff diffdet.Result, 
 	diff.EachSegment(lo, hi, func(seg diffdet.Segment) {
 		fs := scoreOf(seg.Rep)
 		frac := float64(seg.Size) / float64(s.size)
-		if fs.IsExact {
-			mean += frac * fs.Exact
-			return
+		mean += frac * fs.Mean
+		if !fs.IsExact {
+			allExact = false
+			// Eq. 9 uses (1/L)·Σ|s_t|·σ̄², i.e. segment-weighted total
+			// variance (conservative vs. the independent-average 1/L²).
+			variance += frac * fs.Variance
 		}
-		allExact = false
-		mean += frac * fs.Mix.Mean()
-		// Eq. 9 uses (1/L)·Σ|s_t|·σ̄², i.e. segment-weighted total
-		// variance (conservative vs. the independent-average 1/L²).
-		variance += frac * fs.Mix.Variance()
 	})
 	if allExact {
 		lvl := uncertain.LevelOf(mean, s.qopt.Step)
 		return uncertain.Certain(min(max(lvl, 0), s.maxLevel)), nil
 	}
-	d, err := uncertain.QuantizeNormal(mean, math.Sqrt(variance), s.qopt)
+	d, err := s.memo.quantize(mean, variance, s.qopt)
 	if err != nil {
 		return uncertain.Dist{}, fmt.Errorf("windows: window %d: %w", w, err)
 	}

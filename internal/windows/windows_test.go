@@ -18,6 +18,11 @@ func flatDiff(n int) diffdet.Result {
 	return diffdet.Result{RepOf: rep}
 }
 
+// mixScore is the FrameScore of a frame the proxy scores with m.
+func mixScore(m uncertain.Mixture) FrameScore {
+	return FrameScore{Mean: m.Mean(), Variance: m.Variance()}
+}
+
 // segDiff builds a diff result with fixed-size segments.
 func segDiff(n, seg int) diffdet.Result {
 	rep := make([]int32, n)
@@ -28,7 +33,7 @@ func segDiff(n, seg int) diffdet.Result {
 }
 
 func TestBuildRelationValidation(t *testing.T) {
-	score := func(int) FrameScore { return FrameScore{IsExact: true, Exact: 1} }
+	score := func(int) FrameScore { return FrameScore{IsExact: true, Mean: 1} }
 	if _, err := BuildRelation(score, flatDiff(10), Options{Size: 0, Step: 1}); err == nil {
 		t.Fatal("zero size should fail")
 	}
@@ -44,7 +49,7 @@ func TestBuildRelationValidation(t *testing.T) {
 }
 
 func TestAllExactWindowsAreCertain(t *testing.T) {
-	score := func(rep int) FrameScore { return FrameScore{IsExact: true, Exact: float64(rep % 7)} }
+	score := func(rep int) FrameScore { return FrameScore{IsExact: true, Mean: float64(rep % 7)} }
 	rel, err := BuildRelation(score, flatDiff(20), Options{Size: 5, Stride: 5, Step: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +74,9 @@ func TestEq9MeanAndVariance(t *testing.T) {
 	mixB := uncertain.Mixture{{Weight: 1, Mean: 8, Sigma: 2}}
 	score := func(rep int) FrameScore {
 		if rep == 0 {
-			return FrameScore{Mix: mixA}
+			return mixScore(mixA)
 		}
-		return FrameScore{Mix: mixB}
+		return mixScore(mixB)
 	}
 	rel, err := BuildRelation(score, segDiff(10, 5), Options{Size: 10, Stride: 10, Step: 0.25})
 	if err != nil {
@@ -93,9 +98,9 @@ func TestMixedExactAndUncertainSegments(t *testing.T) {
 	mix := uncertain.Mixture{{Weight: 1, Mean: 10, Sigma: 1}}
 	score := func(rep int) FrameScore {
 		if rep == 0 {
-			return FrameScore{IsExact: true, Exact: 2}
+			return FrameScore{IsExact: true, Mean: 2}
 		}
-		return FrameScore{Mix: mix}
+		return mixScore(mix)
 	}
 	rel, err := BuildRelation(score, segDiff(10, 5), Options{Size: 10, Stride: 10, Step: 0.5})
 	if err != nil {
@@ -113,7 +118,7 @@ func TestMixedExactAndUncertainSegments(t *testing.T) {
 
 func TestWindowLevelsClamped(t *testing.T) {
 	mix := uncertain.Mixture{{Weight: 1, Mean: 95, Sigma: 10}}
-	score := func(int) FrameScore { return FrameScore{Mix: mix} }
+	score := func(int) FrameScore { return mixScore(mix) }
 	rel, err := BuildRelation(score, flatDiff(10), Options{Size: 5, Stride: 5, Step: 1, MaxLevel: 100})
 	if err != nil {
 		t.Fatal(err)
