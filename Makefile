@@ -24,14 +24,15 @@ testbuild:
 	$(GO) test -tags guarantee -run '^$$' -count=1 ./internal/metrics/
 
 # Race-check the concurrency packages (internal/video among them: every
-# worker renders into and releases to its sources' buffer pools) and the
-# engine determinism tests; the full suite under -race is too slow for a
+# worker renders into and releases to its sources' buffer pools;
+# internal/simclock, whose clock every worker charges) and the engine
+# determinism tests; the full suite under -race is too slow for a
 # quick gate. internal/eql is not listed: it has no goroutines of its own,
 # and under -race its suite still takes ~16 min here (969 s; ~45 s
 # without), past go test's 10-minute timeout — every ingest pays the
 # same fixed labelling and CMDN-training bill however short the video.
 race:
-	$(GO) test -race ./internal/workpool/ ./internal/labelstore/ ./internal/engine/ ./internal/oraclemux/ ./internal/faultinject/ ./internal/durable/ ./internal/cmdn/ ./internal/phase1/ ./internal/nn/ ./internal/diffdet/ ./internal/windows/ ./internal/core/ ./internal/stream/ ./internal/video/
+	$(GO) test -race ./internal/workpool/ ./internal/labelstore/ ./internal/engine/ ./internal/oraclemux/ ./internal/faultinject/ ./internal/durable/ ./internal/cmdn/ ./internal/phase1/ ./internal/nn/ ./internal/diffdet/ ./internal/windows/ ./internal/core/ ./internal/stream/ ./internal/video/ ./internal/simclock/
 	$(GO) test -race -run 'ProcsBitIdentical|GoldenConcurrent|GoldenCoalesced|SessionConcurrent|QueryBatch|SharedSession|AdmissionLimit|Coalesced|OracleMux|DroppedIndexAndStreamHoldNoGoroutines' .
 
 # The fault-tolerance suite under the race detector: chaos-injected
@@ -59,12 +60,13 @@ crash:
 # oneshot_run's query (Threshold 0.9) on 40 fresh videos per counting
 # dataset in each cell of the grid — K 10 on 4,000 frames, K 10 on 640
 # frames (tiny n), K 50 on 4,000 frames (heavy ties), and K 5 over
-# 30-frame windows of 4,000 frames, tumbling and every 15 frames (union
-# bound) — a one-sided binomial test of each row's exact rate against
-# 0.9 at α = 0.01, and a check that the mean reported confidence stays
-# inside the exact rate's binomial band. About seven minutes on two
-# cores. It fails today (ROADMAP item 2), so it is in neither tier-1
-# nor CI.
+# 30-frame windows of 4,000 frames, tumbling, every 15 frames (union
+# bound) and tumbling with one sampled frame per window
+# (WindowSampleFrac 0.02) — a one-sided binomial test of each row's
+# exact rate against 0.9 at α = 0.01, and a check that the mean reported
+# confidence stays inside the exact rate's binomial band. About seven
+# minutes on two cores. It fails today (ROADMAP item 2), so it is in
+# neither tier-1 nor CI.
 guarantee:
 	$(GO) test -tags guarantee -run TestGuarantee -count=1 -timeout 30m -v ./internal/metrics/
 

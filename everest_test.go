@@ -1,7 +1,9 @@
 package everest
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/everest-project/everest/internal/cmdn"
@@ -53,6 +55,10 @@ func TestRunValidation(t *testing.T) {
 		{K: 5, Threshold: 2},
 		{K: 5, Window: -1},
 		{K: 500, Window: 100}, // only 10 windows
+		{K: 5, Threshold: math.NaN()},
+		{K: 5, DeadlineMS: math.NaN()},
+		{K: 5, DeadlineMS: math.Inf(1)},
+		{K: 5, Retries: 1, RetryBackoffMS: math.Inf(-1)},
 	}
 	for _, cfg := range cases {
 		if _, err := Run(src, udf, cfg); err == nil {
@@ -75,6 +81,60 @@ func TestNegativeClipSizeIsAnError(t *testing.T) {
 	cfg.Diff = diffdet.Options{ClipSize: -5}
 	if _, err := Run(testSource(t, 1000, 1), vision.CountUDF{Class: video.ClassCar}, cfg); err == nil {
 		t.Fatal("Diff.ClipSize -5 should be rejected")
+	}
+}
+
+// TestInvalidCostIsAnError: a cost model with a negative or non-finite
+// field comes back from every entrypoint as an everest: error — not as
+// the clock's panic, and not as an *OracleError recovered from one.
+func TestInvalidCostIsAnError(t *testing.T) {
+	src := testSource(t, 600, 3)
+	udf := vision.CountUDF{Class: video.ClassCar}
+	ix, err := BuildIndex(src, udf, smallCfg(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(ix, src, udf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longer := testSource(t, 900, 3)
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		cfg := smallCfg(3)
+		cfg.Cost = simclock.Default()
+		cfg.Cost.OracleMS = bad
+		entries := []struct {
+			name string
+			call func() error
+		}{
+			{"Run", func() error { _, err := Run(src, udf, cfg); return err }},
+			{"RunParallel", func() error { _, err := RunParallel(src, udf, cfg, 2); return err }},
+			{"BuildIndex", func() error { _, err := BuildIndex(src, udf, cfg); return err }},
+			{"Index.Extend", func() error { _, err := ix.Extend(longer, udf, cfg); return err }},
+			{"Index.Query", func() error { _, err := ix.Query(src, udf, cfg); return err }},
+			{"Session.QueryBatch", func() error { _, err := sess.QueryBatch([]Config{cfg}); return err }},
+			{"OpenLive", func() error {
+				_, err := OpenLive(src, udf, cfg, LiveConfig{SegmentFrames: 300})
+				return err
+			}},
+		}
+		for _, e := range entries {
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s with OracleMS %v panicked: %v", e.name, bad, r)
+					}
+				}()
+				return e.call()
+			}()
+			var oe *OracleError
+			if err == nil || !strings.HasPrefix(err.Error(), "everest:") || errors.As(err, &oe) {
+				t.Fatalf("%s with OracleMS %v: error %v (%T), want an everest: error", e.name, bad, err, err)
+			}
+		}
+	}
+	if got := ix.Info().TotalFrames; got != src.NumFrames() {
+		t.Fatalf("a rejected Extend grew the index to %d frames", got)
 	}
 }
 

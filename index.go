@@ -71,7 +71,7 @@ func BuildIndex(src video.Source, udf vision.UDF, cfg Config) (*Index, error) {
 	clock := simclock.NewClock()
 	art, err := engine.Ingest(src, udf, cfg.Plan().Ingest, clock)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("everest: building index: %w", err)
 	}
 	return &Index{
 		art:      art,

@@ -359,9 +359,7 @@ func Train(train, holdout []Sample, cfg Config, clock *simclock.Clock, cost simc
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].HoldoutNLL < reports[j].HoldoutNLL })
 	best.calibrate(hx, hy)
-	if clock != nil {
-		clock.Charge(simclock.PhaseTrainCMDN, cost.ProxyTrainSampleMS*float64(len(train)+len(holdout)))
-	}
+	clock.Charge(simclock.PhaseTrainCMDN, cost.ProxyTrainSampleMS*float64(len(train)+len(holdout)))
 	return best, reports, nil
 }
 

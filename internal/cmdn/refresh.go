@@ -129,10 +129,7 @@ func Refresh(prev *Proxy, train, holdout, calib []Sample, cfg RefreshConfig, ful
 	}
 	next.calibrate(cx, cy)
 
-	if clock != nil {
-		frac := float64(refreshEpochs) / float64(full.Epochs) / float64(len(full.Grid))
-		clock.Charge(simclock.PhaseTrainCMDN,
-			cost.ProxyTrainSampleMS*float64(len(train)+len(holdout))*frac)
-	}
+	frac := float64(refreshEpochs) / float64(full.Epochs) / float64(len(full.Grid))
+	clock.Charge(simclock.PhaseTrainCMDN, cost.ProxyTrainSampleMS*float64(len(train)+len(holdout))*frac)
 	return next, nil
 }

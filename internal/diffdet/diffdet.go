@@ -166,9 +166,7 @@ func RunVisit(src video.Source, opt Options, clock *simclock.Clock, cost simcloc
 			return Result{}, err
 		}
 	}
-	if clock != nil {
-		clock.Charge(phase, float64(n)*(cost.DecodeMS+cost.DiffMS))
-	}
+	clock.Charge(phase, float64(n)*(cost.DecodeMS+cost.DiffMS))
 	for i, keep := range retained {
 		if keep {
 			res.Retained = append(res.Retained, i)

@@ -31,6 +31,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/everest-project/everest/internal/core"
 	"github.com/everest-project/everest/internal/phase1"
@@ -145,7 +146,8 @@ type Plan struct {
 // stride becomes tumbling, a zero window sampling fraction becomes
 // 0.1 and an unset batch size 8. A frame plan's negative "unset" stride
 // is cleared so equal plans compare equal, and negative deadline, retry
-// and backoff knobs (meaning "none") become zero. Idempotent.
+// and backoff knobs (meaning "none") become zero; a non-finite deadline
+// or backoff is left for Validate to reject. Idempotent.
 func (p Plan) Normalize() Plan {
 	if p.Window.Enabled() {
 		if p.Window.Stride <= 0 {
@@ -158,17 +160,20 @@ func (p Plan) Normalize() Plan {
 	if p.BatchSize <= 0 {
 		p.BatchSize = 8
 	}
-	if p.DeadlineMS < 0 {
+	if p.DeadlineMS < 0 && finite(p.DeadlineMS) {
 		p.DeadlineMS = 0
 	}
 	if p.Retries < 0 {
 		p.Retries = 0
 	}
-	if p.RetryBackoffMS < 0 {
+	if p.RetryBackoffMS < 0 && finite(p.RetryBackoffMS) {
 		p.RetryBackoffMS = 0
 	}
 	return p
 }
+
+// finite reports whether ms is neither NaN nor infinite.
+func finite(ms float64) bool { return !math.IsNaN(ms) && !math.IsInf(ms, 0) }
 
 // Bound selects the Phase 2 confidence computation: the paper's exact
 // independent product unless the tuples are correlated (overlapping
@@ -187,8 +192,14 @@ func (p Plan) Validate() error {
 	if p.K <= 0 {
 		return fmt.Errorf("everest: K must be positive, got %d", p.K)
 	}
-	if p.Threshold <= 0 || p.Threshold > 1 {
+	if !(p.Threshold > 0 && p.Threshold <= 1) {
 		return fmt.Errorf("everest: threshold must be in (0,1], got %v", p.Threshold)
+	}
+	if !finite(p.DeadlineMS) || !finite(p.RetryBackoffMS) {
+		return fmt.Errorf("everest: deadline %v ms and retry backoff %v ms must be finite", p.DeadlineMS, p.RetryBackoffMS)
+	}
+	if err := p.Cost.Validate(); err != nil {
+		return fmt.Errorf("everest: %w", err)
 	}
 	if p.Window.Size < 0 {
 		return fmt.Errorf("everest: negative window %d", p.Window.Size)

@@ -163,23 +163,20 @@ func Table8(scale Scale, k int, thres float64) ([]Table8Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		total := res.Clock.TotalMS()
-		share := func(ph simclock.Phase) float64 {
-			if total == 0 {
-				return 0
-			}
-			return res.Clock.PhaseMS(ph) / total
+		share := make(map[simclock.Phase]float64)
+		for _, ps := range res.Clock.Breakdown() {
+			share[ps.Phase] = ps.Share
 		}
 		rows = append(rows, Table8Row{
 			Dataset:       spec.Name,
-			LabelShare:    share(simclock.PhaseLabelSamples),
-			TrainShare:    share(simclock.PhaseTrainCMDN),
-			PopulateShare: share(simclock.PhasePopulateD0),
-			SelectShare:   share(simclock.PhaseSelect),
-			ConfirmShare:  share(simclock.PhaseConfirm),
+			LabelShare:    share[simclock.PhaseLabelSamples],
+			TrainShare:    share[simclock.PhaseTrainCMDN],
+			PopulateShare: share[simclock.PhasePopulateD0],
+			SelectShare:   share[simclock.PhaseSelect],
+			ConfirmShare:  share[simclock.PhaseConfirm],
 			Iterations:    res.EngineStats.Iterations,
 			CleanedFrac:   float64(res.EngineStats.Cleaned) / float64(res.Phase1.TotalFrames),
-			TotalMS:       total,
+			TotalMS:       res.Clock.TotalMS(),
 			Confidence:    res.Confidence,
 		})
 	}

@@ -93,17 +93,20 @@ func TestGuarantee(t *testing.T) {
 
 // TestGuaranteeWindows is the grid's window cells, on 40 fresh
 // 4,000-frame videos per counting dataset (catalog Seed + 4000 + i),
-// each indexed once and asked two queries: K 5 over 30-frame tumbling
-// windows (windows), and K 5 over the same windows every 15 frames
-// (sliding: they overlap, so the union bound). An answer is exact
-// against metrics.SlidingWindowTruth, the windows' mean true scores;
-// the rows are judged as TestGuarantee's.
+// each indexed once and asked three queries: K 5 over 30-frame tumbling
+// windows (windows), K 5 over the same windows every 15 frames
+// (sliding: they overlap, so the union bound), and the tumbling windows
+// again at WindowSampleFrac 0.02, which confirms a window from
+// ceil(0.6) = 1 sampled frame (1-frame). An answer is exact against
+// metrics.SlidingWindowTruth, the windows' mean true scores; the rows
+// are judged as TestGuarantee's.
 func TestGuaranteeWindows(t *testing.T) {
 	const frames, size = 4000, 30
 	cells := []struct {
-		name   string
-		stride int
-	}{{"windows", size}, {"sliding", size / 2}}
+		name       string
+		stride     int
+		sampleFrac float64 // zero: the default 0.1
+	}{{"windows", size, 0}, {"sliding", size / 2, 0}, {"1-frame", size, 0.02}}
 	cfg := guaranteeBase
 	cfg.K, cfg.Window = 5, size
 	rows := make([][]tally, len(cells))
@@ -128,7 +131,7 @@ func TestGuaranteeWindows(t *testing.T) {
 			}
 			for c, cell := range cells {
 				qcfg := cfg
-				qcfg.Stride = cell.stride
+				qcfg.Stride, qcfg.WindowSampleFrac = cell.stride, cell.sampleFrac
 				res, err := ix.Query(src, udf, qcfg)
 				if err != nil {
 					t.Fatalf("%s, %s: %v", vc.Name, cell.name, err)

@@ -21,7 +21,6 @@ type Pass struct {
 	diff  diffdet.Result
 	rows  []float64
 	width int
-	ms    float64 // the pass's PhasePopulateD0 charge, landed by Assemble
 	procs int
 }
 
@@ -30,10 +29,9 @@ type Pass struct {
 // workers, writing the features of each retained or planned frame into
 // its row of block. block is reused when it holds NumFrames × FeatureSize
 // values and replaced by a new one otherwise; Block returns whichever the
-// pass wrote, for the caller to pass again. Nothing is charged: the pass's
-// decode cost lands in Assemble, after the caller's training charge, in
-// the order Run charges them.
-func RunPass(src video.Source, opt Options, plan SamplePlan, block []float64) (*Pass, error) {
+// pass wrote, for the caller to pass again. The pass's decode cost is
+// charged to clock's PhasePopulateD0.
+func RunPass(src video.Source, opt Options, plan SamplePlan, block []float64, clock *simclock.Clock) (*Pass, error) {
 	opt = opt.withDefaults()
 	n := src.NumFrames()
 	w, h := src.Resolution()
@@ -47,13 +45,12 @@ func RunPass(src video.Source, opt Options, plan SamplePlan, block []float64) (*
 	}
 
 	if opt.DisableDiff {
-		p.diff = keepAll(n)
 		workpool.ForEach(opt.Procs, n, func(_, i int) {
 			f := src.Render(i)
 			write(i, f)
 			f.Release()
 		})
-		p.ms = float64(n) * opt.Cost.DecodeMS
+		p.diff = keepAll(n, opt, clock)
 		return p, nil
 	}
 
@@ -64,12 +61,7 @@ func RunPass(src video.Source, opt Options, plan SamplePlan, block []float64) (*
 	for _, i := range plan.HoldIdx {
 		planned[i] = true
 	}
-	dopt := opt.Diff
-	dopt.Procs = opt.Procs
-	// The detector prices its own pass; a private clock holds the charge
-	// until Assemble lands it.
-	passClock := simclock.NewClock()
-	diff, err := diffdet.RunVisit(src, dopt, passClock, opt.Cost, simclock.PhasePopulateD0, func() func(video.Frame, bool) {
+	diff, err := diffdet.RunVisit(src, opt.Diff, clock, opt.Cost, simclock.PhasePopulateD0, func() func(video.Frame, bool) {
 		return func(f video.Frame, retained bool) {
 			if retained || planned[f.Index] {
 				write(f.Index, f)
@@ -79,7 +71,7 @@ func RunPass(src video.Source, opt Options, plan SamplePlan, block []float64) (*
 	if err != nil {
 		return nil, err
 	}
-	p.diff, p.ms = diff, passClock.TotalMS()
+	p.diff = diff
 	return p, nil
 }
 
@@ -108,14 +100,10 @@ func (p *Pass) Samples(idx []int, scores []float64) []cmdn.Sample {
 
 // Assemble packages the pass and a proxy trained on its samples into the
 // State Phase 2 consumes, bit-identical to AssembleState's over the same
-// proxy: it charges the pass's decode cost to PhasePopulateD0 and
-// predicts every retained frame without a Phase 1 label from its row, on
-// up to Procs inference clones of the proxy. Like AssembleState it
-// charges nothing for the inference; Capture does.
-func (p *Pass) Assemble(proxy *cmdn.Proxy, plan SamplePlan, trainScores, holdScores []float64, clock *simclock.Clock) *State {
-	if clock != nil {
-		clock.Charge(simclock.PhasePopulateD0, p.ms)
-	}
+// proxy: it predicts every retained frame without a Phase 1 label from
+// its row, on up to Procs inference clones of the proxy. Like
+// AssembleState it charges nothing for the inference; Capture does.
+func (p *Pass) Assemble(proxy *cmdn.Proxy, plan SamplePlan, trainScores, holdScores []float64) *State {
 	labeled := labeledOf(plan, trainScores, holdScores)
 	mixes := make([]uncertain.Mixture, len(p.diff.RepOf))
 	clones := make([]*cmdn.Proxy, workpool.Procs(p.procs))

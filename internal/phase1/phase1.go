@@ -6,7 +6,7 @@
 // that reuse parts of the pipeline (CMDN-only, Select-and-Topk).
 //
 // Phase 1 runs in one of two orders, and both produce the same State and
-// the same charges in the same order:
+// the same charges:
 //
 //   - Train first (Run, RunLabelled, AssembleState): the labelled
 //     samples are decoded and featurized (Samples), the proxy trains
@@ -84,6 +84,7 @@ func (o Options) withDefaults() Options {
 		o.HoldoutFrac = 0.1
 	}
 	o.Cost = simclock.OrDefault(o.Cost)
+	o.Diff.Procs = o.Procs
 	return o
 }
 
@@ -138,6 +139,9 @@ type SamplePlan struct {
 // cost predictions price the label bill the engine will actually pay.
 func SampleCounts(n int, opt Options) (train, hold int, err error) {
 	opt = opt.withDefaults()
+	if err := opt.Cost.Validate(); err != nil {
+		return 0, 0, fmt.Errorf("phase1: %w", err)
+	}
 	train = int(opt.SampleFrac * float64(n))
 	if train < opt.MinSamples {
 		train = opt.MinSamples
@@ -197,9 +201,7 @@ func Label(src video.Source, udf vision.UDF, ids []int, opt Options, clock *simc
 	}
 	opt = opt.withDefaults()
 	scores := udf.Score(src, ids)
-	if clock != nil {
-		clock.Charge(simclock.PhaseLabelSamples, float64(len(ids))*(udf.OracleCostMS(opt.Cost)+opt.Cost.DecodeMS))
-	}
+	clock.Charge(simclock.PhaseLabelSamples, float64(len(ids))*(udf.OracleCostMS(opt.Cost)+opt.Cost.DecodeMS))
 	return scores
 }
 
@@ -227,9 +229,6 @@ func Samples(src video.Source, _ cmdn.Arch, idx []int, scores []float64, procs i
 // the labelling with chunk arrival, and produces bit-identical output.
 func Run(src video.Source, udf vision.UDF, opt Options, clock *simclock.Clock) (*State, error) {
 	opt = opt.withDefaults()
-	if clock == nil {
-		clock = simclock.NewClock()
-	}
 	plan, err := PlanSamples(src.NumFrames(), opt)
 	if err != nil {
 		return nil, err
@@ -246,9 +245,6 @@ func Run(src video.Source, udf vision.UDF, opt Options, clock *simclock.Clock) (
 // returns a bit-identical State with bit-identical remaining charges.
 func RunLabelled(src video.Source, opt Options, plan SamplePlan, trainScores, holdScores []float64, clock *simclock.Clock) (*State, error) {
 	opt = opt.withDefaults()
-	if clock == nil {
-		clock = simclock.NewClock()
-	}
 	train := Samples(src, opt.Proxy.Arch, plan.TrainIdx, trainScores, opt.Procs, nil)
 	hold := Samples(src, opt.Proxy.Arch, plan.HoldIdx, holdScores, opt.Procs, nil)
 	proxy, err := TrainProxy(src, opt, train, hold, clock)
@@ -288,33 +284,22 @@ func TrainProxy(src video.Source, opt Options, train, hold []cmdn.Sample, clock 
 // is charged for it here; Capture charges the inference it collects.
 func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan SamplePlan, trainScores, holdScores []float64, clock *simclock.Clock) (*State, error) {
 	opt = opt.withDefaults()
-	if clock == nil {
-		clock = simclock.NewClock()
-	}
 	n := src.NumFrames()
 	labeled := labeledOf(plan, trainScores, holdScores)
-
-	var diff diffdet.Result
-	var mixes []uncertain.Mixture
-	var err error
 	if opt.DisableDiff {
-		diff = keepAll(n)
-		clock.Charge(simclock.PhasePopulateD0, float64(n)*opt.Cost.DecodeMS)
-	} else {
-		dopt := opt.Diff
-		dopt.Procs = opt.Procs
-		mixes = make([]uncertain.Mixture, n)
-		diff, err = diffdet.RunVisit(src, dopt, clock, opt.Cost, simclock.PhasePopulateD0, func() func(video.Frame, bool) {
-			p := proxy.CloneForInference()
-			return func(f video.Frame, retained bool) {
-				if _, exact := labeled[f.Index]; retained && !exact {
-					mixes[f.Index] = p.PredictFrame(f)
-				}
+		return newState(src, proxy, plan, keepAll(n, opt, clock), labeled, nil, opt.Procs), nil
+	}
+	mixes := make([]uncertain.Mixture, n)
+	diff, err := diffdet.RunVisit(src, opt.Diff, clock, opt.Cost, simclock.PhasePopulateD0, func() func(video.Frame, bool) {
+		p := proxy.CloneForInference()
+		return func(f video.Frame, retained bool) {
+			if _, exact := labeled[f.Index]; retained && !exact {
+				mixes[f.Index] = p.PredictFrame(f)
 			}
-		})
-		if err != nil {
-			return nil, err
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return newState(src, proxy, plan, diff, labeled, mixes, opt.Procs), nil
 }
@@ -332,8 +317,9 @@ func labeledOf(plan SamplePlan, trainScores, holdScores []float64) map[int]float
 }
 
 // keepAll is the DisableDiff detector result: every frame retained,
-// each its own representative.
-func keepAll(n int) diffdet.Result {
+// each its own representative, and its charge: one decode per frame.
+func keepAll(n int, opt Options, clock *simclock.Clock) diffdet.Result {
+	clock.Charge(simclock.PhasePopulateD0, float64(n)*opt.Cost.DecodeMS)
 	rep := make([]int32, n)
 	retained := make([]int, n)
 	for i := range rep {

@@ -69,7 +69,7 @@ func TestStagedMatchesRun(t *testing.T) {
 
 // TestPassFirstMatchesRun: the pass-first order — RunPass, TrainProxy on
 // views of its rows, Pass.Assemble — produces a State, mixtures and
-// charges (to the bit, in the same order) identical to Run's, with and
+// charges (to the bit) identical to Run's, with and
 // without the difference detector, at any worker count, and in a reused
 // block whose rows a previous pass over other footage left dirty.
 func TestPassFirstMatchesRun(t *testing.T) {
@@ -94,7 +94,7 @@ func TestPassFirstMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dirty, err := RunPass(src, other, otherPlan, nil)
+			dirty, err := RunPass(src, other, otherPlan, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestPassFirstMatchesRun(t *testing.T) {
 			}
 			trainScores := Label(src, udf, plan.TrainIdx, opt, clock)
 			holdScores := Label(src, udf, plan.HoldIdx, opt, clock)
-			pass, err := RunPass(src, opt, plan, dirty.Block())
+			pass, err := RunPass(src, opt, plan, dirty.Block(), clock)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestPassFirstMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := pass.Assemble(proxy, plan, trainScores, holdScores, clock)
+			got := pass.Assemble(proxy, plan, trainScores, holdScores)
 			gotIDs, gotMixes := got.InferRetainedMixtures()
 
 			name := fmt.Sprintf("disable-diff=%v procs=%d", disable, procs)

@@ -19,6 +19,8 @@ package simclock
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -98,6 +100,18 @@ func OrDefault(c CostModel) CostModel {
 	return c
 }
 
+// Validate rejects a negative or non-finite cost, which no clock can
+// charge: engine.Plan.Validate and phase1.SampleCounts (every ingest) call it.
+func (m CostModel) Validate() error {
+	v := reflect.ValueOf(m)
+	for i := range v.NumField() {
+		if ms := v.Field(i).Float(); !(ms >= 0) || math.IsInf(ms, 1) {
+			return fmt.Errorf("cost %s is %v, want a finite value ≥ 0", v.Type().Field(i).Name, ms)
+		}
+	}
+	return nil
+}
+
 // Cost-prediction helpers: the arithmetic a planner (or EXPLAIN) uses
 // to price work on this model BEFORE running it. They mirror how the
 // pipeline charges its clock — per-frame inference plus a per-invocation
@@ -156,27 +170,42 @@ func (m CostModel) CascadeMS(frames, retained int, disableDiff bool) float64 {
 	return ms + float64(frames)*m.DiffMS + float64(retained)*m.ProxyMS
 }
 
-// Clock accumulates simulated milliseconds per phase. It is safe for
-// concurrent use.
+// Clock accumulates simulated milliseconds per phase. It counts whole
+// nanosecond ticks, so its totals are exact integer sums: the same
+// charges give the same bits in any order and from any goroutine. It is
+// safe for concurrent use.
 type Clock struct {
 	mu    sync.Mutex
-	total float64
-	byPh  map[Phase]float64
+	total int64
+	byPh  map[Phase]int64
 }
+
+const ticksPerMS = 1e6 // the clock's resolution: one tick is a nanosecond
+
+func msOf(ticks int64) float64 { return float64(ticks) / ticksPerMS }
 
 // NewClock returns an empty clock.
 func NewClock() *Clock {
-	return &Clock{byPh: make(map[Phase]float64)}
+	return &Clock{byPh: make(map[Phase]int64)}
 }
 
-// Charge adds ms simulated milliseconds to the given phase.
+// Charge adds ms simulated milliseconds to the given phase, rounded to
+// the nearest tick — the clock's only rounding. A nil clock discards
+// the charge. A negative or non-finite charge panics: a CostModel that
+// passes Validate never makes one.
 func (c *Clock) Charge(ph Phase, ms float64) {
-	if ms < 0 {
-		panic(fmt.Sprintf("simclock: negative charge %v to %s", ms, ph))
+	if !(ms >= 0) || math.IsInf(ms, 1) {
+		panic(fmt.Sprintf("simclock: negative or non-finite charge %v to %s", ms, ph))
 	}
+	if c != nil {
+		c.add(ph, int64(math.Round(ms*ticksPerMS)))
+	}
+}
+
+func (c *Clock) add(ph Phase, ticks int64) {
 	c.mu.Lock()
-	c.total += ms
-	c.byPh[ph] += ms
+	c.total += ticks
+	c.byPh[ph] += ticks
 	c.mu.Unlock()
 }
 
@@ -184,14 +213,14 @@ func (c *Clock) Charge(ph Phase, ms float64) {
 func (c *Clock) TotalMS() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.total
+	return msOf(c.total)
 }
 
 // PhaseMS returns the simulated milliseconds charged to a phase.
 func (c *Clock) PhaseMS(ph Phase) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.byPh[ph]
+	return msOf(c.byPh[ph])
 }
 
 // Breakdown returns each phase's share of the total, in deterministic
@@ -200,12 +229,12 @@ func (c *Clock) Breakdown() []PhaseShare {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]PhaseShare, 0, len(c.byPh))
-	for ph, ms := range c.byPh {
+	for ph, ticks := range c.byPh {
 		share := 0.0
 		if c.total > 0 {
-			share = ms / c.total
+			share = float64(ticks) / float64(c.total)
 		}
-		out = append(out, PhaseShare{Phase: ph, MS: ms, Share: share})
+		out = append(out, PhaseShare{Phase: ph, MS: msOf(ticks), Share: share})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Phase < out[j].Phase })
 	return out
@@ -237,26 +266,21 @@ func (c *Clock) String() string {
 // elapsed time) is the sum of the workers' totals and is returned for
 // reporting.
 func (c *Clock) ChargeParallelMax(workers []*Clock) (sumMS float64) {
-	maxByPh := make(map[Phase]float64)
+	var sum int64
+	maxByPh := make(map[Phase]int64)
 	for _, w := range workers {
 		if w == nil {
 			continue
 		}
-		sumMS += w.TotalMS()
-		for _, ps := range w.Breakdown() {
-			if ps.MS > maxByPh[ps.Phase] {
-				maxByPh[ps.Phase] = ps.MS
-			}
+		w.mu.Lock()
+		sum += w.total
+		for ph, ticks := range w.byPh {
+			maxByPh[ph] = max(maxByPh[ph], ticks)
 		}
+		w.mu.Unlock()
 	}
-	// Deterministic charge order.
-	phases := make([]Phase, 0, len(maxByPh))
-	for ph := range maxByPh {
-		phases = append(phases, ph)
+	for ph, ticks := range maxByPh {
+		c.add(ph, ticks)
 	}
-	sort.Slice(phases, func(i, j int) bool { return phases[i] < phases[j] })
-	for _, ph := range phases {
-		c.Charge(ph, maxByPh[ph])
-	}
-	return sumMS
+	return msOf(sum)
 }

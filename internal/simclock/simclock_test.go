@@ -2,6 +2,9 @@ package simclock
 
 import (
 	"math"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,12 +24,144 @@ func TestChargeAccumulates(t *testing.T) {
 }
 
 func TestNegativeChargePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative charge did not panic")
+	for _, ms := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("charge %v did not panic", ms)
+				}
+			}()
+			NewClock().Charge(PhaseSelect, ms)
+		}()
+	}
+}
+
+func TestValidateRejectsNegativeAndNonFiniteCosts(t *testing.T) {
+	if err := Default().Validate(); err != nil {
+		t.Fatalf("default model rejected: %v", err)
+	}
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := Default()
+		m.SelectPerFrameMS = bad
+		if m.Validate() == nil {
+			t.Fatalf("SelectPerFrameMS %v accepted", bad)
 		}
-	}()
-	NewClock().Charge(PhaseSelect, -1)
+	}
+}
+
+// TestDefaultCostsAreWholeTicks: every default cost is a whole number of
+// the clock's ticks, so charging one never rounds.
+func TestDefaultCostsAreWholeTicks(t *testing.T) {
+	m := reflect.ValueOf(Default())
+	for i := 0; i < m.NumField(); i++ {
+		ms := m.Field(i).Float()
+		if ticks := ms * ticksPerMS; ticks != math.Round(ticks) {
+			t.Fatalf("%s = %v ms is %v ticks", m.Type().Field(i).Name, ms, ticks)
+		}
+	}
+}
+
+// clockBits is every value a clock reports, as float bits: TotalMS, each
+// phase's PhaseMS and the Breakdown's MS and Share.
+func clockBits(c *Clock) []uint64 {
+	out := []uint64{math.Float64bits(c.TotalMS())}
+	for _, ps := range c.Breakdown() {
+		out = append(out, math.Float64bits(c.PhaseMS(ps.Phase)), math.Float64bits(ps.MS), math.Float64bits(ps.Share))
+	}
+	return out
+}
+
+type charge struct {
+	ph Phase
+	ms float64
+}
+
+// nonRoundCharges is a multiset of costs with no short binary expansion,
+// whose float sum depends on the order it is taken in.
+func nonRoundCharges() []charge {
+	phases := []Phase{PhaseLabelSamples, PhaseTrainCMDN, PhasePopulateD0, PhaseConfirm}
+	var out []charge
+	for i, ms := range []float64{0.1, 0.2, 0.3, 0.47, 191.31, 17.47, 5.51, 2.9} {
+		for j := 0; j < 25; j++ {
+			out = append(out, charge{phases[(i+j)%len(phases)], ms})
+		}
+	}
+	for n := 1; n <= 50; n++ {
+		out = append(out, charge{PhaseSelect, float64(n) * 1e-4})
+	}
+	return out
+}
+
+// TestChargeOrderIndependent: one multiset of non-round charges, charged
+// in 100 seeded orders and split across 8 goroutines, gives bit-identical
+// TotalMS, PhaseMS and Breakdown every time.
+func TestChargeOrderIndependent(t *testing.T) {
+	charges := nonRoundCharges()
+	ref := NewClock()
+	for _, ch := range charges {
+		ref.Charge(ch.ph, ch.ms)
+	}
+	want := clockBits(ref)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 100; trial++ {
+		rng.Shuffle(len(charges), func(i, j int) { charges[i], charges[j] = charges[j], charges[i] })
+		serial := NewClock()
+		for _, ch := range charges {
+			serial.Charge(ch.ph, ch.ms)
+		}
+		if got := clockBits(serial); !slices.Equal(got, want) {
+			t.Fatalf("order %d: clock bits %x, want %x", trial, got, want)
+		}
+		shared := NewClock()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := g; k < len(charges); k += 8 {
+					shared.Charge(charges[k].ph, charges[k].ms)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := clockBits(shared); !slices.Equal(got, want) {
+			t.Fatalf("order %d on 8 goroutines: clock bits %x, want %x", trial, got, want)
+		}
+	}
+}
+
+// TestChargeParallelMaxOrderIndependent: folding the same workers in
+// every order gives the same clock bits and the same returned sum.
+func TestChargeParallelMaxOrderIndependent(t *testing.T) {
+	charges := nonRoundCharges()
+	workers := make([]*Clock, 4)
+	for w := range workers {
+		workers[w] = NewClock()
+		for k := w; k < len(charges); k += 3 {
+			workers[w].Charge(charges[k].ph, charges[k].ms)
+		}
+	}
+	var want []uint64
+	var wantSum float64
+	var permute func(int)
+	permute = func(i int) {
+		if i == len(workers) {
+			c := NewClock()
+			sum := c.ChargeParallelMax(workers)
+			if want == nil {
+				want, wantSum = clockBits(c), sum
+			} else if got := clockBits(c); !slices.Equal(got, want) || math.Float64bits(sum) != math.Float64bits(wantSum) {
+				t.Fatalf("workers folded in another order: bits %x sum %v, want %x sum %v", got, sum, want, wantSum)
+			}
+			return
+		}
+		for j := i; j < len(workers); j++ {
+			workers[i], workers[j] = workers[j], workers[i]
+			permute(i + 1)
+			workers[i], workers[j] = workers[j], workers[i]
+		}
+	}
+	permute(0)
 }
 
 func TestBreakdownSharesSumToOne(t *testing.T) {

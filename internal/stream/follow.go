@@ -157,9 +157,7 @@ func (f *Follower) deliver(out *engine.Outcome, frames, chunk int) {
 		IDs:        out.IDs,
 		Scores:     out.Scores,
 		Confidence: out.Confidence,
-	}
-	if out.Clock != nil {
-		d.QueryMS = out.Clock.TotalMS()
+		QueryMS:    out.Clock.TotalMS(),
 	}
 	f.prev = out
 	f.prevFrames = frames

@@ -73,14 +73,14 @@ func deltaLines(name string, d Delta) string {
 // close, and a calibration reservoir small enough to fill and churn.
 // Each close records the counters, the simulated ingest and training
 // charges, a hash of the artifact and every follower delta it produced,
-// so a change to the warm path's numerics, its charge order or the
+// so a change to the warm path's numerics, its charges or the
 // reservoir rule shows up as a diff of exactly the closes it moved.
 func TestWarmStreamGolden(t *testing.T) {
 	const n, seg = 3000, 500
 	opt := testIngest(7)
 	opt.Procs = 2
-	// Costs with no short binary expansion: the running float total then
-	// depends on the order of the charges, which the transcript pins too.
+	// Costs with no short binary expansion: a float running total would
+	// depend on the order of the charges; the clock's whole ticks do not.
 	opt.Cost.OracleMS, opt.Cost.DecodeMS, opt.Cost.DiffMS = 191.31, 5.51, 0.47
 	opt.Cost.ProxyMS, opt.Cost.ProxyTrainSampleMS = 2.9, 17.47
 	g, err := NewIngestor(feed(t, n), countUDF(), Config{

@@ -16,10 +16,9 @@
 //   - Eager labelling. A segment's labelling plan (phase1.PlanSamples)
 //     is fixed the moment the segment opens, so sampled frames are
 //     labelled chunk by chunk as they arrive instead of in one burst at
-//     the segment close. The oracle is deterministic per frame and the
-//     per-sample charge is constant, so for a segment that closes at
-//     its planned span both the labels and the simulated charges are
-//     bit-identical to the batch path.
+//     the segment close. For a segment that closes at its planned span
+//     both the labels and the simulated charges are bit-identical to the
+//     batch path.
 //
 //   - Warm CMDN refresh. At a segment close the previous segment's
 //     selected model is fine-tuned on the new samples (cmdn.Refresh) at
@@ -495,7 +494,7 @@ func (g *Ingestor) finishSegment(view video.Source, opt phase1.Options, plan pha
 // holdout samples when a warm start was attempted, so the reservoir can
 // keep them; they are views of the block, valid until the next close.
 func (g *Ingestor) segmentState(view video.Source, opt phase1.Options, plan phase1.SamplePlan, trainScores, holdScores []float64) (*phase1.State, []cmdn.Sample, error) {
-	pass, err := phase1.RunPass(view, opt, plan, g.block)
+	pass, err := phase1.RunPass(view, opt, plan, g.block, g.clock)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -533,7 +532,7 @@ func (g *Ingestor) segmentState(view video.Source, opt phase1.Options, plan phas
 			return nil, nil, err
 		}
 	}
-	st := pass.Assemble(proxy, plan, trainScores, holdScores, g.clock)
+	st := pass.Assemble(proxy, plan, trainScores, holdScores)
 	if !attempted {
 		hold = nil
 	}

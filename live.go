@@ -2,6 +2,7 @@ package everest
 
 import (
 	"errors"
+	"fmt"
 
 	"github.com/everest-project/everest/internal/stream"
 	"github.com/everest-project/everest/internal/video"
@@ -105,7 +106,7 @@ func OpenLive(src video.Source, udf vision.UDF, cfg Config, live LiveConfig) (*L
 		Ingest:        cfg.Plan().Ingest,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("everest: opening live stream: %w", err)
 	}
 	ls := &LiveStream{ing: ing}
 	if ls.primary, err = ls.Follow(cfg, live.MaxLagChunks, live.OnDelta); err != nil {
