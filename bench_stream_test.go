@@ -41,11 +41,11 @@ func streamBenchOptions() phase1.Options {
 
 // runStream ingests the whole feed in fixed chunks and returns the
 // sealed ingestor.
-func runStream(b *testing.B, src video.Source, mode stream.RefreshMode, seg, chunk int) *stream.Ingestor {
+func runStream(b *testing.B, src video.Source, warm bool, seg, chunk int) *stream.Ingestor {
 	b.Helper()
 	g, err := stream.NewIngestor(src, vision.CountUDF{Class: video.ClassCar}, stream.Config{
 		SegmentFrames: seg,
-		Refresh:       mode,
+		Warm:          warm,
 		DriftNLL:      math.Inf(1), // "warm" never falls back to a full train
 		Ingest:        streamBenchOptions(),
 	})
@@ -79,14 +79,14 @@ func BenchmarkStreamingIngest(b *testing.B) {
 	const frames, seg, chunk = 2400, 600, 100
 	for _, mode := range []struct {
 		name string
-		m    stream.RefreshMode
-	}{{"full", stream.RefreshFull}, {"warm", stream.RefreshAuto}} {
+		warm bool
+	}{{"full", false}, {"warm", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			src := streamBenchFeed(b, frames)
 			b.ReportAllocs()
 			var simPerFrame, trainPerFrame float64
 			for i := 0; i < b.N; i++ {
-				g := runStream(b, src, mode.m, seg, chunk)
+				g := runStream(b, src, mode.warm, seg, chunk)
 				simPerFrame = g.IngestMS() / float64(frames)
 				trainPerFrame = g.PhaseMS(simclock.PhaseTrainCMDN) / float64(frames)
 			}
@@ -108,6 +108,7 @@ func BenchmarkFollowDeltas(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g, err := stream.NewIngestor(src, vision.CountUDF{Class: video.ClassCar}, stream.Config{
 			SegmentFrames: seg,
+			Warm:          true,
 			DriftNLL:      math.Inf(1), // always warm-start
 			Ingest:        streamBenchOptions(),
 		})
@@ -151,6 +152,7 @@ func closeStream(tb testing.TB, segments int) *stream.Ingestor {
 	tb.Helper()
 	g, err := stream.NewIngestor(streamBenchFeed(tb, segments*closeSegmentFrames), vision.CountUDF{Class: video.ClassCar}, stream.Config{
 		SegmentFrames: closeSegmentFrames,
+		Warm:          true,
 		DriftNLL:      math.Inf(1), // always warm-start
 		Ingest:        streamBenchOptions(),
 	})

@@ -24,6 +24,9 @@
 //	everest -script queries.eql -explain                   # whole-script plan: units, shared relations, one-budget cost table
 //	everest -repl
 //	everest -list
+//
+// -cpuprofile and -memprofile write a CPU profile and an allocation
+// profile of the whole invocation (read them with go tool pprof).
 package main
 
 import (
@@ -31,6 +34,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"sync"
 
@@ -79,8 +84,14 @@ func main() {
 		lag          = flag.Int("lag", 0, "with -follow: staleness bound in chunks — close the open segment early once the answer falls this many chunks behind the frontier (0 = update at segment closes only)")
 		coldStart    = flag.Bool("cold", false, "with -follow: retrain the full CMDN grid at every segment close instead of warm-refreshing the previous segment's model")
 		drift        = flag.Float64("drift", 0, "with -follow: warm-refresh drift tolerance in holdout NLL (0 = default 0.5); raise for feeds whose score distribution cycles")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile   = flag.String("memprofile", "", "write an allocation profile of the run to this file at exit")
 	)
 	flag.Parse()
+	if err := startProfiles(*cpuProfile, *memProfile); err != nil {
+		fatal(err)
+	}
+	defer stopProfiles()
 
 	if *shell {
 		if err := repl.New(os.Stdout).Run(os.Stdin); err != nil {
@@ -286,7 +297,7 @@ func runFollow(src video.Source, udf vision.UDF, cfg everest.Config, segment, ch
 
 	st := ls.Stats()
 	fmt.Printf("\nfeed sealed at frame %d: %d chunks, %d segments (%d warm refreshes, %d full trains, %d drift fallbacks), %d eager labels, %d answer updates\n",
-		ls.Frontier(), st.Chunks, st.Segments, st.WarmRefreshes, st.FullTrains, st.DriftFallbacks, st.EagerLabels, st.Deltas)
+		ls.Frontier(), st.Chunks, st.Segments, st.WarmRefreshes, st.FullTrains, st.DriftFallbacks, st.EagerLabels, len(ls.Deltas()))
 	if st.ForcedCloses > 0 {
 		fmt.Printf("staleness bound forced %d early segment closes\n", st.ForcedCloses)
 	}
@@ -625,6 +636,57 @@ func runQuery(w io.Writer, query string, explainOnly bool) error {
 }
 
 func fatal(err error) {
+	stopProfiles()
 	fmt.Fprintln(os.Stderr, "everest:", err)
 	os.Exit(1)
+}
+
+// stopProfiles finishes the profiles startProfiles began; main defers
+// it and fatal calls it before exiting, so every exit path writes them.
+var stopProfiles = func() {}
+
+// startProfiles starts a CPU profile into cpuPath and arranges for an
+// allocation profile to be written to memPath when stopProfiles runs.
+// An empty path writes no file.
+func startProfiles(cpuPath, memPath string) error {
+	var cpu *os.File
+	if cpuPath != "" {
+		var err error
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return err
+		}
+	}
+	stopProfiles = func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "everest: cpuprofile:", err)
+			}
+		}
+		if memPath != "" {
+			if err := writeAllocProfile(memPath); err != nil {
+				fmt.Fprintln(os.Stderr, "everest: memprofile:", err)
+			}
+		}
+	}
+	return nil
+}
+
+// writeAllocProfile writes the allocation profile (allocated and
+// in-use space) after a GC, so in-use counts are current.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -26,6 +26,12 @@ import (
 //
 // The returned cost is the tail's simulated ingestion time; it is also
 // added to IngestMS.
+//
+// No query may be in flight on the index while it extends: the merge
+// (engine.Artifact.Append) rewrites the artifact's RepOf, Retained,
+// Mixtures and Exact without taking the artifact's lock, so a
+// concurrent Query, Session or ScriptSession read of the same index
+// races with it. Serialize Extend against every reader of the index.
 func (ix *Index) Extend(src video.Source, udf vision.UDF, cfg Config) (tailMS float64, err error) {
 	if src == nil || udf == nil {
 		return 0, errors.New("everest: nil source or UDF")

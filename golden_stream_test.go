@@ -66,7 +66,6 @@ func TestGoldenStreamingMatchesBatch(t *testing.T) {
 			art := base.art.Clone()
 			scfg := stream.Config{
 				SegmentFrames: long - short,
-				Refresh:       stream.RefreshFull,
 				Ingest:        cfg.Plan().Ingest,
 			}
 			g, err := stream.NewIngestorFrom(art, full, udf, scfg)
@@ -94,7 +93,7 @@ func TestGoldenStreamingMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestGoldenStreamingMultiSegment: a RefreshFull stream closing several
+// TestGoldenStreamingMultiSegment: a stream without Warm closing several
 // segments is bit-identical — artifact and charges — to repeated batch
 // Extends at the same boundaries.
 func TestGoldenStreamingMultiSegment(t *testing.T) {
@@ -126,7 +125,6 @@ func TestGoldenStreamingMultiSegment(t *testing.T) {
 	art := base.art.Clone()
 	g, err := stream.NewIngestorFrom(art, full, udf, stream.Config{
 		SegmentFrames: seg,
-		Refresh:       stream.RefreshFull,
 		Ingest:        cfg.Plan().Ingest,
 	})
 	if err != nil {
@@ -173,7 +171,6 @@ func TestGoldenFollowerConvergesToBatch(t *testing.T) {
 		art := base.art.Clone()
 		g, err := stream.NewIngestorFrom(art, full, udf, stream.Config{
 			SegmentFrames: long - short,
-			Refresh:       stream.RefreshFull,
 			Ingest:        cfg.Plan().Ingest,
 		})
 		if err != nil {

@@ -143,7 +143,8 @@ func (a *Artifact) ValidateFor(src video.Source, udf vision.UDF) error {
 // append). The difference detector never links across the append
 // boundary, so the merge is a pure coordinate translation. The tail's
 // invariants are validated before a is touched: on error a is
-// unchanged.
+// unchanged. Append writes RepOf, Retained, Mixtures and Exact without
+// taking a's lock: no query may be in flight on a while it runs.
 func (a *Artifact) Append(tail *Artifact, lo int) error {
 	if tail == nil {
 		return errors.New("everest: append of nil artifact")

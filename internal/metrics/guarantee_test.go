@@ -5,6 +5,7 @@ package metrics_test
 import (
 	"fmt"
 	"math"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -31,6 +32,49 @@ var guaranteeBase = everest.Config{
 	Procs:     2,
 }
 
+// frameCell is one of TestGuarantee's cells: K over videos of the
+// given length, seeded apart from the other cells'.
+type frameCell struct {
+	name      string
+	frames, k int
+	seed      uint64 // added to the catalog seed, plus the video's index
+}
+
+var frameCells = []frameCell{
+	{"base", 4000, 10, 1000},
+	{"tiny-n", 640, 10, 2000},
+	{"ties", 4000, 50, 3000},
+}
+
+// tally runs the cell's query on guaranteeVideos fresh videos of the
+// dataset and counts the answers.
+func (cell frameCell) tally(t *testing.T, spec video.DatasetSpec) tally {
+	t.Helper()
+	cfg := guaranteeBase
+	cfg.K = cell.k
+	udf := vision.CountUDF{Class: spec.Config.Class}
+	var row tally
+	for i := 0; i < guaranteeVideos; i++ {
+		vc := spec.Config
+		vc.Name = fmt.Sprintf("g-%s-%d", spec.Name, i)
+		if cell.name != "base" {
+			vc.Name = fmt.Sprintf("g-%s-%s-%d", cell.name, spec.Name, i)
+		}
+		vc.Seed += cell.seed + uint64(i)
+		vc.Frames = cell.frames
+		src, err := video.NewSynthetic(vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := everest.Run(src, udf, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", vc.Name, err)
+		}
+		row.add(i, res, metrics.FrameTruth(src, udf), cfg.K)
+	}
+	return row
+}
+
 // TestGuarantee measures the paper's contract (§3.3) end to end, with
 // the real proxy: Pr(returned Top-K = exact Top-K) ≥ Threshold. Each
 // cell of the grid is one choke point; per cell and counting dataset it
@@ -51,44 +95,61 @@ var guaranteeBase = everest.Config{
 // than they deliver). Run it with `make guarantee`; it is not part of
 // the default test run.
 func TestGuarantee(t *testing.T) {
-	cells := []struct {
-		name      string
-		frames, k int
-		seed      uint64 // added to the catalog seed, plus the video's index
-	}{
-		{"base", 4000, 10, 1000},
-		{"tiny-n", 640, 10, 2000},
-		{"ties", 4000, 50, 3000},
-	}
 	table := newTable()
-	for _, cell := range cells {
-		cfg := guaranteeBase
-		cfg.K = cell.k
+	for _, cell := range frameCells {
 		for _, spec := range video.CountingDatasets() {
-			udf := vision.CountUDF{Class: spec.Config.Class}
-			var row tally
-			for i := 0; i < guaranteeVideos; i++ {
-				vc := spec.Config
-				vc.Name = fmt.Sprintf("g-%s-%d", spec.Name, i)
-				if cell.name != "base" {
-					vc.Name = fmt.Sprintf("g-%s-%s-%d", cell.name, spec.Name, i)
-				}
-				vc.Seed += cell.seed + uint64(i)
-				vc.Frames = cell.frames
-				src, err := video.NewSynthetic(vc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := everest.Run(src, udf, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", vc.Name, err)
-				}
-				row.add(i, res, metrics.FrameTruth(src, udf), cfg.K)
-			}
-			row.judge(t, table, cell.name, cell.frames, cfg.K, spec.Name)
+			cell.tally(t, spec).judge(t, table, cell.name, cell.frames, cell.k, spec.Name)
 		}
 	}
 	logTable(t, table)
+}
+
+// windowCell is one of TestGuaranteeWindows' cells: K windowK over
+// windowSize-frame windows at the stride, confirmed from the sampled
+// fraction of each window's frames.
+type windowCell struct {
+	name       string
+	stride     int
+	sampleFrac float64 // zero: the default 0.1
+}
+
+const windowFrames, windowSize, windowK = 4000, 30, 5
+
+var windowCells = []windowCell{{"windows", windowSize, 0}, {"sliding", windowSize / 2, 0}, {"1-frame", windowSize, 0.02}}
+
+// windowTallies indexes guaranteeVideos fresh videos of the dataset
+// once each, asks every window cell's query of each index, and counts
+// the answers: one tally per cell, in windowCells order.
+func windowTallies(t *testing.T, spec video.DatasetSpec) []tally {
+	t.Helper()
+	cfg := guaranteeBase
+	cfg.K, cfg.Window = windowK, windowSize
+	udf := vision.CountUDF{Class: spec.Config.Class}
+	rows := make([]tally, len(windowCells))
+	for i := 0; i < guaranteeVideos; i++ {
+		vc := spec.Config
+		vc.Name = fmt.Sprintf("g-windows-%s-%d", spec.Name, i)
+		vc.Seed += 4000 + uint64(i)
+		vc.Frames = windowFrames
+		src, err := video.NewSynthetic(vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := everest.BuildIndex(src, udf, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", vc.Name, err)
+		}
+		for c, cell := range windowCells {
+			qcfg := cfg
+			qcfg.Stride, qcfg.WindowSampleFrac = cell.stride, cell.sampleFrac
+			res, err := ix.Query(src, udf, qcfg)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", vc.Name, cell.name, err)
+			}
+			rows[c].add(i, res, metrics.SlidingWindowTruth(src, udf, windowSize, cell.stride), cfg.K)
+		}
+	}
+	return rows
 }
 
 // TestGuaranteeWindows is the grid's window cells, on 40 fresh
@@ -101,50 +162,68 @@ func TestGuarantee(t *testing.T) {
 // metrics.SlidingWindowTruth, the windows' mean true scores; the rows
 // are judged as TestGuarantee's.
 func TestGuaranteeWindows(t *testing.T) {
-	const frames, size = 4000, 30
-	cells := []struct {
-		name       string
-		stride     int
-		sampleFrac float64 // zero: the default 0.1
-	}{{"windows", size, 0}, {"sliding", size / 2, 0}, {"1-frame", size, 0.02}}
-	cfg := guaranteeBase
-	cfg.K, cfg.Window = 5, size
-	rows := make([][]tally, len(cells))
 	specs := video.CountingDatasets()
-	for c := range rows {
-		rows[c] = make([]tally, len(specs))
-	}
+	rows := make([][]tally, len(specs))
 	for d, spec := range specs {
-		udf := vision.CountUDF{Class: spec.Config.Class}
-		for i := 0; i < guaranteeVideos; i++ {
-			vc := spec.Config
-			vc.Name = fmt.Sprintf("g-windows-%s-%d", spec.Name, i)
-			vc.Seed += 4000 + uint64(i)
-			vc.Frames = frames
-			src, err := video.NewSynthetic(vc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix, err := everest.BuildIndex(src, udf, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", vc.Name, err)
-			}
-			for c, cell := range cells {
-				qcfg := cfg
-				qcfg.Stride, qcfg.WindowSampleFrac = cell.stride, cell.sampleFrac
-				res, err := ix.Query(src, udf, qcfg)
-				if err != nil {
-					t.Fatalf("%s, %s: %v", vc.Name, cell.name, err)
-				}
-				rows[c][d].add(i, res, metrics.SlidingWindowTruth(src, udf, size, cell.stride), cfg.K)
-			}
-		}
+		rows[d] = windowTallies(t, spec)
 	}
 	table := newTable()
-	for c, cell := range cells {
+	for c, cell := range windowCells {
 		for d, spec := range specs {
-			rows[c][d].judge(t, table, cell.name, frames, cfg.K, spec.Name)
+			rows[d][c].judge(t, table, cell.name, windowFrames, windowK, spec.Name)
 		}
+	}
+	logTable(t, table)
+}
+
+// TestGuaranteeHolds is the ratchet over the grid: it runs exactly the
+// rows named in testdata/guarantee_holds.txt (one "cell dataset" pair a
+// line; '#' starts a comment), each on the same videos and judged as
+// in TestGuarantee or TestGuaranteeWindows, and fails if any listed row
+// fails either check. A row joins the list when a change makes it
+// pass; it leaves only with a recorded reason. Run it with `make
+// guarantee-holds`.
+func TestGuaranteeHolds(t *testing.T) {
+	data, err := os.ReadFile("testdata/guarantee_holds.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make(map[string]video.DatasetSpec)
+	for _, spec := range video.CountingDatasets() {
+		specs[spec.Name] = spec
+	}
+	windows := make(map[string][]tally) // per dataset, computed once
+	seen := make(map[string]bool)
+	table := newTable()
+	for n, line := range strings.Split(string(data), "\n") {
+		line, _, _ = strings.Cut(line, "#")
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		if len(fields) != 2 || seen[line] {
+			t.Fatalf("guarantee_holds.txt:%d: %q is not a new \"cell dataset\" row", n+1, line)
+		}
+		seen[line] = true
+		cellName, dataset := fields[0], fields[1]
+		spec, ok := specs[dataset]
+		if !ok {
+			t.Fatalf("guarantee_holds.txt:%d: %q is not a counting dataset", n+1, dataset)
+		}
+		if c := slices.IndexFunc(frameCells, func(c frameCell) bool { return c.name == cellName }); c >= 0 {
+			cell := frameCells[c]
+			cell.tally(t, spec).judge(t, table, cell.name, cell.frames, cell.k, dataset)
+		} else if c := slices.IndexFunc(windowCells, func(c windowCell) bool { return c.name == cellName }); c >= 0 {
+			if windows[dataset] == nil {
+				windows[dataset] = windowTallies(t, spec)
+			}
+			windows[dataset][c].judge(t, table, cellName, windowFrames, windowK, dataset)
+		} else {
+			t.Fatalf("guarantee_holds.txt:%d: no cell %q", n+1, cellName)
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatal("guarantee_holds.txt lists no row")
 	}
 	logTable(t, table)
 }

@@ -28,21 +28,20 @@ type FollowConfig struct {
 	OnDelta func(Delta)
 }
 
-// Delta is one continuous-query update: how the follower's top-K answer
-// changed when the artifact advanced.
+// Delta is one continuous top-K update: how a follower's answer
+// changed when the ingested footage advanced.
 type Delta struct {
-	// Seq numbers the follower's deltas from 0.
-	Seq int
-	// Frontier is the frame count the answer covers.
-	Frontier int
-	// Change is the membership/rank difference from the previous
-	// answer; empty when footage arrived but the answer stood.
-	Change engine.AnswerDelta
-	// IDs and Scores snapshot the full answer (oracle-confirmed).
-	IDs []int
-	// Scores holds the confirmed score of each answer frame.
-	Scores []float64
-	// Confidence is the result's probabilistic guarantee.
+	// Seq numbers the follower's deltas from 0; Frontier is the frame
+	// count the answer covers.
+	Seq, Frontier int
+	// Entered and Reordered list frames in new-rank order; Left in
+	// former-rank order. All empty when footage arrived but the answer
+	// stood.
+	Entered, Left, Reordered []int
+	// IDs and Scores snapshot the full oracle-confirmed answer;
+	// Confidence is its probabilistic guarantee.
+	IDs        []int
+	Scores     []float64
 	Confidence float64
 	// QueryMS is this evaluation's simulated Phase 2 cost.
 	QueryMS float64
@@ -57,8 +56,6 @@ type Follower struct {
 	maxLag  int
 	onDelta func(Delta)
 
-	prev          *engine.Outcome
-	prevFrames    int
 	lastEvalChunk int
 	deltas        []Delta
 }
@@ -89,17 +86,23 @@ func (g *Ingestor) Follow(cfg FollowConfig) (*Follower, error) {
 	return f, nil
 }
 
-// Deltas returns every delta emitted so far, oldest first.
+// Deltas returns every delta emitted so far, oldest first. The slice is
+// the follower's own; callers must not modify it.
 func (f *Follower) Deltas() []Delta { return f.deltas }
 
-// Answer returns the follower's latest full answer (nil before the
-// first evaluation).
-func (f *Follower) Answer() *engine.Outcome { return f.prev }
+// Answer returns the follower's latest delta, whose IDs, Scores and
+// Confidence are its full answer (nil before the first evaluation).
+func (f *Follower) Answer() *Delta {
+	if len(f.deltas) == 0 {
+		return nil
+	}
+	return &f.deltas[len(f.deltas)-1]
+}
 
 // evaluateFollowers runs every follower whose answer is behind the
-// artifact as one scheduler group. With force (Seal), followers that
-// have never evaluated run even if no footage was ingested since they
-// registered.
+// artifact (or that has never answered) as one scheduler group. With
+// force (Seal), a follower whose plan the sealed footage cannot satisfy
+// is an error rather than a wait.
 func (g *Ingestor) evaluateFollowers(force bool) error {
 	if g.art == nil {
 		return nil
@@ -107,7 +110,7 @@ func (g *Ingestor) evaluateFollowers(force bool) error {
 	n := g.art.TotalFrames
 	var due []*Follower
 	for _, f := range g.followers {
-		if f.prevFrames == n && !(force && f.prev == nil) {
+		if a := f.Answer(); a != nil && a.Frontier == n {
 			continue
 		}
 		// A plan the footage cannot satisfy yet (window longer than the
@@ -153,17 +156,47 @@ func (f *Follower) deliver(out *engine.Outcome, frames, chunk int) {
 	d := Delta{
 		Seq:        len(f.deltas),
 		Frontier:   frames,
-		Change:     engine.DiffOutcome(f.prev, out),
 		IDs:        out.IDs,
 		Scores:     out.Scores,
 		Confidence: out.Confidence,
 		QueryMS:    out.Clock.TotalMS(),
 	}
-	f.prev = out
-	f.prevFrames = frames
+	var prev []int
+	if a := f.Answer(); a != nil {
+		prev = a.IDs
+	}
+	d.Entered, d.Left, d.Reordered = diffAnswers(prev, out.IDs)
 	f.lastEvalChunk = chunk
 	f.deltas = append(f.deltas, d)
 	if f.onDelta != nil {
 		f.onDelta(d)
 	}
+}
+
+// diffAnswers compares two ranked answers by membership and rank only:
+// Entered lists the frames of next not in prev and Reordered those in
+// both whose rank changed, both in next's rank order; Left lists the
+// frames of prev not in next, in prev's rank order. Score refinements
+// that leave the ranking intact produce no change. A nil prev means no
+// answer yet: every frame of next enters.
+func diffAnswers(prev, next []int) (entered, left, reordered []int) {
+	rankNext := make(map[int]int, len(next))
+	for r, f := range next {
+		rankNext[f] = r
+	}
+	rankPrev := make(map[int]int, len(prev))
+	for r, f := range prev {
+		rankPrev[f] = r
+		if _, ok := rankNext[f]; !ok {
+			left = append(left, f)
+		}
+	}
+	for r, f := range next {
+		if pr, ok := rankPrev[f]; !ok {
+			entered = append(entered, f)
+		} else if pr != r {
+			reordered = append(reordered, f)
+		}
+	}
+	return entered, left, reordered
 }

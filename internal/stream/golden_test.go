@@ -59,7 +59,7 @@ func artifactHash(a *engine.Artifact) uint64 {
 func deltaLines(name string, d Delta) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s seq %d frontier %d entered %v left %v reordered %v\n",
-		name, d.Seq, d.Frontier, d.Change.Entered, d.Change.Left, d.Change.Reordered)
+		name, d.Seq, d.Frontier, d.Entered, d.Left, d.Reordered)
 	fmt.Fprintf(&b, "  ids %v\n", d.IDs)
 	for i, s := range d.Scores {
 		fmt.Fprintf(&b, "  score %d %s\n", i, bits(s))
@@ -68,7 +68,7 @@ func deltaLines(name string, d Delta) string {
 	return b.String()
 }
 
-// TestWarmStreamGolden pins a RefreshAuto stream to the bit: warm
+// TestWarmStreamGolden pins a Warm stream to the bit: warm
 // closes, one drift fallback forced by a negative tolerance on its
 // close, and a calibration reservoir small enough to fill and churn.
 // Each close records the counters, the simulated ingest and training
@@ -84,7 +84,7 @@ func TestWarmStreamGolden(t *testing.T) {
 	opt.Cost.OracleMS, opt.Cost.DecodeMS, opt.Cost.DiffMS = 191.31, 5.51, 0.47
 	opt.Cost.ProxyMS, opt.Cost.ProxyTrainSampleMS = 2.9, 17.47
 	g, err := NewIngestor(feed(t, n), countUDF(), Config{
-		SegmentFrames: seg, Refresh: RefreshAuto, DriftNLL: math.Inf(1),
+		SegmentFrames: seg, Warm: true, DriftNLL: math.Inf(1),
 		ReservoirCap: 150, Ingest: opt,
 	})
 	if err != nil {

@@ -47,6 +47,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/everest-project/everest/internal/cmdn"
@@ -59,21 +60,6 @@ import (
 	"github.com/everest-project/everest/internal/xrand"
 )
 
-// RefreshMode selects how a segment close obtains its CMDN.
-type RefreshMode int
-
-const (
-	// RefreshAuto warm-starts from the previous segment's model when
-	// the drift pre-check passes, and falls back to a full grid train
-	// when it does not. The default.
-	RefreshAuto RefreshMode = iota
-	// RefreshFull runs a full grid specialize every segment — batch
-	// Extend semantics at streaming granularity. A RefreshFull stream
-	// is bit-identical (results and charges) to repeated Index.Extend
-	// calls at the same segment boundaries.
-	RefreshFull
-)
-
 // Config parameterizes an Ingestor.
 type Config struct {
 	// SegmentFrames is the model-refresh granularity: every this many
@@ -81,20 +67,27 @@ type Config struct {
 	// warm-refreshed), the difference detector runs, and the frames
 	// join the artifact. Zero means 1800 (one minute at 30 fps).
 	SegmentFrames int
-	// Refresh selects warm-start behaviour at segment closes.
-	Refresh RefreshMode
-	// DriftNLL is the RefreshAuto tolerance: warm-start only while the
+	// Warm enables the incremental CMDN refresh at segment closes: the
+	// previous segment's model is fine-tuned on the new samples when the
+	// drift pre-check passes, and a full grid train runs when it does
+	// not. Off (the zero value), every segment trains the full grid —
+	// batch Extend semantics at streaming granularity, bit-identical
+	// (results and charges) to repeated Index.Extend calls at the same
+	// segment boundaries.
+	Warm bool
+	// DriftNLL is the Warm tolerance: warm-start only while the
 	// previous model's mean NLL on the new segment's holdout samples
 	// stays within this margin of its selection-time holdout NLL. Zero
-	// means 0.5; negative disables warm starts entirely (every auto
+	// means 0.5; negative disables warm starts entirely (every warm
 	// close counts as a drift fallback), +Inf disables the fallback.
+	// NaN is rejected.
 	DriftNLL float64
 	// ReservoirCap bounds the cross-segment calibration reservoir of
 	// held-out samples; zero means 256.
 	ReservoirCap int
 	// Ingest is the Phase 1 configuration. Ingest.Seed is the base
 	// seed: the segment opening at global frame lo derives its stream
-	// as Seed^lo, exactly like Index.Extend, so a RefreshFull stream
+	// as Seed^lo, exactly like Index.Extend, so a stream without Warm
 	// and a sequence of batch Extends at the same boundaries draw
 	// identical samples. Ingest.Cost must be resolved
 	// (simclock.OrDefault).
@@ -117,8 +110,7 @@ type Stats struct {
 	Chunks, Segments int
 	// WarmRefreshes, FullTrains and DriftFallbacks break down segment
 	// closes: warm starts taken, full grid trains run, and how many of
-	// the full trains were RefreshAuto closes rejected by the drift
-	// pre-check.
+	// the full trains were Warm closes rejected by the drift pre-check.
 	WarmRefreshes, FullTrains, DriftFallbacks int
 	// EagerLabels counts frames labelled chunk-granularly before their
 	// segment closed; WastedLabels the subset a sealed-short segment's
@@ -209,6 +201,9 @@ func newIngestor(art *engine.Artifact, src video.Source, udf vision.UDF, cfg Con
 	cfg = cfg.withDefaults()
 	if cfg.SegmentFrames < 0 {
 		return nil, fmt.Errorf("stream: negative segment size %d", cfg.SegmentFrames)
+	}
+	if math.IsNaN(cfg.DriftNLL) {
+		return nil, errors.New("stream: drift tolerance is NaN")
 	}
 	g := &Ingestor{
 		src:   src,
@@ -502,7 +497,7 @@ func (g *Ingestor) segmentState(view video.Source, opt phase1.Options, plan phas
 	train := pass.Samples(plan.TrainIdx, trainScores)
 	hold := pass.Samples(plan.HoldIdx, holdScores)
 
-	attempted := g.prevProxy != nil && g.cfg.Refresh != RefreshFull
+	attempted := g.prevProxy != nil && g.cfg.Warm
 	warm := attempted
 	if warm {
 		tol := g.cfg.DriftNLL

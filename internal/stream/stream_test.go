@@ -129,13 +129,13 @@ func TestSealedShortSegmentIsPure(t *testing.T) {
 }
 
 // TestWarmRefreshCheaperThanFull: on a stationary feed, warm-started
-// (RefreshAuto with the drift fallback off) segments charge less simulated training time than RefreshFull at the
+// (Warm with the drift fallback off) segments charge less simulated training time than full trains at the
 // same boundaries, and the counters record the modes.
 func TestWarmRefreshCheaperThanFull(t *testing.T) {
 	const n, seg = 1800, 600
-	run := func(mode RefreshMode) (*Ingestor, error) {
+	run := func(warm bool) (*Ingestor, error) {
 		src := feed(t, n)
-		cfg := Config{SegmentFrames: seg, Refresh: mode, DriftNLL: math.Inf(1), Ingest: testIngest(5)}
+		cfg := Config{SegmentFrames: seg, Warm: warm, DriftNLL: math.Inf(1), Ingest: testIngest(5)}
 		g, err := NewIngestor(src, countUDF(), cfg)
 		if err != nil {
 			return nil, err
@@ -148,11 +148,11 @@ func TestWarmRefreshCheaperThanFull(t *testing.T) {
 		return g, g.Seal()
 	}
 
-	full, err := run(RefreshFull)
+	full, err := run(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := run(RefreshAuto)
+	warm, err := run(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestWarmRefreshCheaperThanFull(t *testing.T) {
 func TestDriftFallback(t *testing.T) {
 	const n, seg = 1200, 600
 	src := feed(t, n)
-	cfg := Config{SegmentFrames: seg, Refresh: RefreshAuto, DriftNLL: -1, Ingest: testIngest(5)}
+	cfg := Config{SegmentFrames: seg, Warm: true, DriftNLL: -1, Ingest: testIngest(5)}
 	g, err := NewIngestor(src, countUDF(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestDriftFallback(t *testing.T) {
 func TestReservoirBounded(t *testing.T) {
 	const n, seg = 2400, 600
 	src := feed(t, n)
-	cfg := Config{SegmentFrames: seg, DriftNLL: math.Inf(1), ReservoirCap: 50, Ingest: testIngest(5)}
+	cfg := Config{SegmentFrames: seg, Warm: true, DriftNLL: math.Inf(1), ReservoirCap: 50, Ingest: testIngest(5)}
 	g, err := NewIngestor(src, countUDF(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestReservoirBounded(t *testing.T) {
 func TestReservoirOwnsFeatures(t *testing.T) {
 	const n, seg, capacity = 3000, 600, 50
 	src := feed(t, n)
-	cfg := Config{SegmentFrames: seg, DriftNLL: math.Inf(1), ReservoirCap: capacity, Ingest: testIngest(5)}
+	cfg := Config{SegmentFrames: seg, Warm: true, DriftNLL: math.Inf(1), ReservoirCap: capacity, Ingest: testIngest(5)}
 	g, err := NewIngestor(src, countUDF(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestSealShortTail(t *testing.T) {
 	const n, seg = 1205, 600
 	src := feed(t, n)
 	udf := countUDF()
-	g, err := NewIngestor(src, udf, Config{SegmentFrames: seg, Refresh: RefreshFull, Ingest: testIngest(5)})
+	g, err := NewIngestor(src, udf, Config{SegmentFrames: seg, Ingest: testIngest(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestFollowerDeltas(t *testing.T) {
 	const n, seg = 1200, 600
 	src := feed(t, n)
 	udf := countUDF()
-	cfg := Config{SegmentFrames: seg, Refresh: RefreshFull, Ingest: testIngest(5)}
+	cfg := Config{SegmentFrames: seg, Ingest: testIngest(5)}
 	g, err := NewIngestor(src, udf, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -351,8 +351,8 @@ func TestFollowerDeltas(t *testing.T) {
 		t.Fatalf("callback saw %d deltas, accumulator %d", len(seen), len(f.Deltas()))
 	}
 	first := seen[0]
-	if len(first.Change.Entered) != 3 || len(first.Change.Left) != 0 {
-		t.Fatalf("first delta %+v is not an all-entered answer", first.Change)
+	if len(first.Entered) != 3 || len(first.Left) != 0 || len(first.Reordered) != 0 {
+		t.Fatalf("first delta %+v is not an all-entered answer", first)
 	}
 	for i, d := range seen {
 		if d.Seq != i {
@@ -386,7 +386,7 @@ func TestFollowerDeltas(t *testing.T) {
 func TestFollowerStalenessBound(t *testing.T) {
 	const n = 1200
 	src := feed(t, n)
-	cfg := Config{SegmentFrames: n, Refresh: RefreshFull, Ingest: testIngest(5)}
+	cfg := Config{SegmentFrames: n, Ingest: testIngest(5)}
 	g, err := NewIngestor(src, countUDF(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +430,7 @@ func TestForcedCloseWaitsForPhase1Minimum(t *testing.T) {
 	if _, _, err := phase1.SampleCounts(minForcedSegment, testIngest(5)); err != nil {
 		t.Fatalf("the forced-close floor is below phase1's minimum: %v", err)
 	}
-	g, err := NewIngestor(feed(t, 1200), countUDF(), Config{SegmentFrames: 1200, Ingest: testIngest(5)})
+	g, err := NewIngestor(feed(t, 1200), countUDF(), Config{SegmentFrames: 1200, Warm: true, Ingest: testIngest(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestForcedCloseWaitsForPhase1Minimum(t *testing.T) {
 func TestFollowerWaitsForRetainedFrames(t *testing.T) {
 	const n, seg, chunk = 1200, 600, 300
 	src := feed(t, n)
-	cfg := Config{SegmentFrames: seg, Refresh: RefreshFull, Ingest: testIngest(5)}
+	cfg := Config{SegmentFrames: seg, Ingest: testIngest(5)}
 	// The retained counts after each close, from a follower-free run.
 	var retained []int
 	probe, err := NewIngestor(src, countUDF(), cfg)
@@ -535,7 +535,7 @@ func TestFollowerWaitsForRetainedFrames(t *testing.T) {
 func TestSharedConfirmations(t *testing.T) {
 	const n = 900
 	src := feed(t, n)
-	cfg := Config{SegmentFrames: n, Refresh: RefreshFull, Ingest: testIngest(5)}
+	cfg := Config{SegmentFrames: n, Ingest: testIngest(5)}
 	g, err := NewIngestor(src, countUDF(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -595,11 +595,11 @@ func TestSegmentCloseRenderBudget(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"full", Config{Refresh: RefreshFull}},
-		{"warm", Config{Refresh: RefreshAuto, DriftNLL: math.Inf(1)}},
-		{"drift-fallback", Config{Refresh: RefreshAuto, DriftNLL: -1}},
-		{"disable-diff", Config{Refresh: RefreshAuto, DriftNLL: math.Inf(1), Ingest: phase1.Options{DisableDiff: true}}},
-		{"procs-4", Config{Refresh: RefreshAuto, DriftNLL: math.Inf(1), Ingest: phase1.Options{Procs: 4}}},
+		{"full", Config{}},
+		{"warm", Config{Warm: true, DriftNLL: math.Inf(1)}},
+		{"drift-fallback", Config{Warm: true, DriftNLL: -1}},
+		{"disable-diff", Config{Warm: true, DriftNLL: math.Inf(1), Ingest: phase1.Options{DisableDiff: true}}},
+		{"procs-4", Config{Warm: true, DriftNLL: math.Inf(1), Ingest: phase1.Options{Procs: 4}}},
 	} {
 		src := &countedSource{Source: feed(t, n)}
 		ingest := testIngest(5)
@@ -627,6 +627,21 @@ func TestSegmentCloseRenderBudget(t *testing.T) {
 		}
 		if tc.name == "disable-diff" && len(g.Artifact().Retained) != n {
 			t.Errorf("disable-diff: %d of %d frames retained", len(g.Artifact().Retained), n)
+		}
+	}
+}
+
+// TestDriftNaNRejected: a NaN drift tolerance would fail every
+// comparison and so never fall back; NewIngestor rejects it, while +Inf
+// (never fall back) and a negative tolerance (always fall back) stand.
+func TestDriftNaNRejected(t *testing.T) {
+	src := feed(t, 600)
+	if _, err := NewIngestor(src, countUDF(), Config{Warm: true, DriftNLL: math.NaN(), Ingest: testIngest(5)}); err == nil {
+		t.Fatal("NewIngestor accepted a NaN drift tolerance")
+	}
+	for _, drift := range []float64{math.Inf(1), -1} {
+		if _, err := NewIngestor(src, countUDF(), Config{Warm: true, DriftNLL: drift, Ingest: testIngest(5)}); err != nil {
+			t.Fatalf("drift tolerance %v: %v", drift, err)
 		}
 	}
 }

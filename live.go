@@ -35,47 +35,21 @@ type LiveConfig struct {
 	// stays within this margin of its selection-time holdout NLL. Zero
 	// means 0.5; raise it for feeds whose score distribution cycles
 	// (the calibration reservoir keeps the guarantee honest), or set it
-	// negative to force a full train at every close even with Warm on.
+	// negative to force a full train at every close even with Warm on;
+	// +Inf never falls back. NaN is rejected.
 	DriftNLL float64
 	// OnDelta, when set, is called synchronously with each answer delta.
 	OnDelta func(LiveDelta)
 }
 
 // LiveDelta is one continuous top-K update: how the answer changed when
-// the ingested footage advanced.
-type LiveDelta struct {
-	// Seq numbers the deltas from 0; Frontier is the frame count the
-	// answer covers.
-	Seq, Frontier int
-	// Entered and Reordered list frames in new-rank order; Left in
-	// former-rank order. All empty when footage arrived but the answer
-	// stood.
-	Entered, Left, Reordered []int
-	// IDs and Scores snapshot the full oracle-confirmed answer;
-	// Confidence is its probabilistic guarantee.
-	IDs        []int
-	Scores     []float64
-	Confidence float64
-	// QueryMS is this evaluation's simulated Phase 2 cost.
-	QueryMS float64
-}
+// the ingested footage advanced (see stream.Delta).
+type LiveDelta = stream.Delta
 
-// LiveStats counts what a live stream has done.
-type LiveStats struct {
-	// Chunks and Segments count Append calls and closed segments.
-	Chunks, Segments int
-	// WarmRefreshes, FullTrains and DriftFallbacks break down segment
-	// closes: warm starts taken, full grid trains, and full trains
-	// forced by the drift pre-check.
-	WarmRefreshes, FullTrains, DriftFallbacks int
-	// EagerLabels counts frames labelled chunk by chunk before their
-	// segment closed; WastedLabels the subset a sealed-short segment's
-	// re-plan did not reuse.
-	EagerLabels, WastedLabels int
-	// ForcedCloses counts segments closed early by the staleness bound;
-	// Deltas counts answer updates delivered.
-	ForcedCloses, Deltas int
-}
+// LiveStats counts what a live stream has done: chunks, segment closes
+// and how each obtained its CMDN, eager and wasted labels, forced closes
+// and follower evaluation groups (see stream.Stats).
+type LiveStats = stream.Stats
 
 // LiveStream is the public face of live ingestion: an append-only
 // camera feed ingested chunk by chunk with one continuous top-K
@@ -95,13 +69,9 @@ func OpenLive(src video.Source, udf vision.UDF, cfg Config, live LiveConfig) (*L
 	if src == nil || udf == nil {
 		return nil, errors.New("everest: nil source or UDF")
 	}
-	mode := stream.RefreshFull
-	if live.Warm {
-		mode = stream.RefreshAuto
-	}
 	ing, err := stream.NewIngestor(src, udf, stream.Config{
 		SegmentFrames: live.SegmentFrames,
-		Refresh:       mode,
+		Warm:          live.Warm,
 		DriftNLL:      live.DriftNLL,
 		Ingest:        cfg.Plan().Ingest,
 	})
@@ -115,48 +85,13 @@ func OpenLive(src video.Source, udf vision.UDF, cfg Config, live LiveConfig) (*L
 	return ls, nil
 }
 
-func liveDeltaOf(d stream.Delta) LiveDelta {
-	return LiveDelta{
-		Seq:        d.Seq,
-		Frontier:   d.Frontier,
-		Entered:    d.Change.Entered,
-		Left:       d.Change.Left,
-		Reordered:  d.Change.Reordered,
-		IDs:        d.IDs,
-		Scores:     d.Scores,
-		Confidence: d.Confidence,
-		QueryMS:    d.QueryMS,
-	}
-}
-
-// LiveFollower is an additional continuous query registered on a
-// LiveStream with Follow: its own top-K plan kept answered as the one
-// shared feed advances. Followers due at the same segment close
-// evaluate as one coalesced scheduler group, sharing confirmations.
-type LiveFollower struct {
-	fol *stream.Follower
-}
-
-// Deltas returns every answer update the follower has received.
-func (lf *LiveFollower) Deltas() []LiveDelta {
-	ds := lf.fol.Deltas()
-	out := make([]LiveDelta, len(ds))
-	for i, d := range ds {
-		out[i] = liveDeltaOf(d)
-	}
-	return out
-}
-
-// Answer is the follower's most recent full answer, or nil before its
-// first evaluation.
-func (lf *LiveFollower) Answer() *LiveDelta {
-	ds := lf.fol.Deltas()
-	if len(ds) == 0 {
-		return nil
-	}
-	d := liveDeltaOf(ds[len(ds)-1])
-	return &d
-}
+// LiveFollower is a continuous query registered on a LiveStream with
+// Follow (the stream's own query is its primary follower): its own
+// top-K plan kept answered as the one shared feed advances. Followers
+// due at the same segment close evaluate as one coalesced scheduler
+// group, sharing confirmations. Deltas returns every answer update so
+// far and Answer the latest (see stream.Follower).
+type LiveFollower = stream.Follower
 
 // Follow registers an additional continuous top-K query on the live
 // stream — the `SELECT STREAM TOP K …` EQL statement compiles to
@@ -165,19 +100,11 @@ func (lf *LiveFollower) Answer() *LiveDelta {
 // other follower; all followers due at a segment close evaluate as one
 // coalesced group. Follow fails once the stream is sealed.
 func (ls *LiveStream) Follow(cfg Config, maxLagChunks int, onDelta func(LiveDelta)) (*LiveFollower, error) {
-	var cb func(stream.Delta)
-	if onDelta != nil {
-		cb = func(d stream.Delta) { onDelta(liveDeltaOf(d)) }
-	}
-	fol, err := ls.ing.Follow(stream.FollowConfig{
+	return ls.ing.Follow(stream.FollowConfig{
 		Plan:         cfg.Plan(),
 		MaxLagChunks: maxLagChunks,
-		OnDelta:      cb,
+		OnDelta:      onDelta,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &LiveFollower{fol: fol}, nil
 }
 
 // Append delivers the next chunk of the feed: frames more frames of the
@@ -208,25 +135,13 @@ func (ls *LiveStream) Frontier() int { return ls.ing.Frontier() }
 // IngestMS is the total simulated Phase 1 cost charged so far.
 func (ls *LiveStream) IngestMS() float64 { return ls.ing.IngestMS() }
 
-// Deltas returns every answer update delivered so far, in order.
+// Deltas returns every answer update delivered so far, in order. The
+// slice is the stream's own, not a copy; callers must not modify it.
 func (ls *LiveStream) Deltas() []LiveDelta { return ls.primary.Deltas() }
 
-// Answer is the most recent full answer as a LiveDelta snapshot, or nil
-// before the first evaluation.
+// Answer is the most recent delta, whose IDs, Scores and Confidence are
+// the full answer, or nil before the first evaluation.
 func (ls *LiveStream) Answer() *LiveDelta { return ls.primary.Answer() }
 
 // Stats reports the stream's ingestion counters.
-func (ls *LiveStream) Stats() LiveStats {
-	st := ls.ing.Stats()
-	return LiveStats{
-		Chunks:         st.Chunks,
-		Segments:       st.Segments,
-		WarmRefreshes:  st.WarmRefreshes,
-		FullTrains:     st.FullTrains,
-		DriftFallbacks: st.DriftFallbacks,
-		EagerLabels:    st.EagerLabels,
-		WastedLabels:   st.WastedLabels,
-		ForcedCloses:   st.ForcedCloses,
-		Deltas:         len(ls.primary.fol.Deltas()),
-	}
-}
+func (ls *LiveStream) Stats() LiveStats { return ls.ing.Stats() }

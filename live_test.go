@@ -1,7 +1,9 @@
 package everest
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/everest-project/everest/internal/video"
@@ -9,8 +11,9 @@ import (
 )
 
 // TestLiveStreamIsItsPrimaryFollower: the stream's own query is a
-// follower like any other. The OnDelta callback, Deltas, Answer and
-// Stats().Deltas report one and the same sequence, and a second
+// follower like any other. The OnDelta callback, Deltas and Answer
+// report one and the same sequence, one delta per evaluation group
+// (Stats().Evaluations), and a second
 // follower registered with the same config sees the same answers, each
 // meeting the threshold.
 func TestLiveStreamIsItsPrimaryFollower(t *testing.T) {
@@ -48,8 +51,8 @@ func TestLiveStreamIsItsPrimaryFollower(t *testing.T) {
 	if !reflect.DeepEqual(got, seen) {
 		t.Fatalf("Deltas() and the OnDelta callback disagree:\n%+v\nvs\n%+v", got, seen)
 	}
-	if n := ls.Stats().Deltas; n != len(got) {
-		t.Fatalf("Stats().Deltas = %d, %d deltas delivered", n, len(got))
+	if n := ls.Stats().Evaluations; n != len(got) {
+		t.Fatalf("Stats().Evaluations = %d, %d deltas delivered", n, len(got))
 	}
 	if a := ls.Answer(); a == nil || !reflect.DeepEqual(*a, got[len(got)-1]) {
 		t.Fatalf("Answer() %+v is not the last delta %+v", a, got[len(got)-1])
@@ -68,6 +71,63 @@ func TestLiveStreamIsItsPrimaryFollower(t *testing.T) {
 		}
 		if d.Confidence < cfg.Threshold || tw[i].Confidence < cfg.Threshold {
 			t.Fatalf("delta %d: confidence %v / %v below threshold %v", i, d.Confidence, tw[i].Confidence, cfg.Threshold)
+		}
+	}
+}
+
+// TestLiveDeltasAllocateNothing: reading a stream's or a follower's
+// deltas hands out the follower's own history, not a copy of it, and
+// Answer is the last of those deltas, not a snapshot.
+func TestLiveDeltasAllocateNothing(t *testing.T) {
+	src := testSource(t, 1000, 11)
+	cfg := smallCfg(3)
+	ls, err := OpenLive(src, vision.CountUDF{Class: video.ClassCar}, cfg, LiveConfig{SegmentFrames: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fol, err := ls.Follow(cfg, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if err := ls.Append(500); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var n int
+	for name, deltas := range map[string]func() []LiveDelta{"stream": ls.Deltas, "follower": fol.Deltas} {
+		if a := testing.AllocsPerRun(100, func() { n += len(deltas()) }); a != 0 {
+			t.Errorf("%s: Deltas() allocates %v times per call, want 0", name, a)
+		}
+	}
+	for name, f := range map[string]*LiveFollower{"stream": ls.primary, "follower": fol} {
+		ds := f.Deltas()
+		if len(ds) != 2 {
+			t.Fatalf("%s: %d deltas after two closes, want 2", name, len(ds))
+		}
+		if f.Answer() != &ds[len(ds)-1] {
+			t.Errorf("%s: Answer() %p is not the last delta %p", name, f.Answer(), &ds[len(ds)-1])
+		}
+	}
+	if ls.Answer() != ls.primary.Answer() {
+		t.Error("the stream's Answer is not its primary follower's")
+	}
+}
+
+// TestOpenLiveRejectsNaNDrift: a NaN drift tolerance fails every
+// comparison, so it would silently disable the drift fallback; OpenLive
+// refuses it. +Inf (never fall back) and a negative value (always fall
+// back) keep their meanings.
+func TestOpenLiveRejectsNaNDrift(t *testing.T) {
+	src := testSource(t, 1000, 11)
+	udf := vision.CountUDF{Class: video.ClassCar}
+	_, err := OpenLive(src, udf, smallCfg(3), LiveConfig{SegmentFrames: 500, Warm: true, DriftNLL: math.NaN()})
+	if err == nil || !strings.Contains(err.Error(), "opening live stream") {
+		t.Fatalf("OpenLive with a NaN drift tolerance: %v, want an opening-live-stream error", err)
+	}
+	for _, drift := range []float64{math.Inf(1), -1} {
+		if _, err := OpenLive(src, udf, smallCfg(3), LiveConfig{SegmentFrames: 500, Warm: true, DriftNLL: drift}); err != nil {
+			t.Fatalf("OpenLive with drift tolerance %v: %v", drift, err)
 		}
 	}
 }
