@@ -37,6 +37,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
+	"strings"
 	"sync"
 
 	everest "github.com/everest-project/everest"
@@ -637,8 +638,18 @@ func runQuery(w io.Writer, query string, explainOnly bool) error {
 
 func fatal(err error) {
 	stopProfiles()
-	fmt.Fprintln(os.Stderr, "everest:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
+}
+
+// errorLine is the line fatal prints for err: its message under one
+// "everest: " prefix, which the library's own errors already carry.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "everest: ") {
+		return msg
+	}
+	return "everest: " + msg
 }
 
 // stopProfiles finishes the profiles startProfiles began; main defers

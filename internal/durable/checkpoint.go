@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-
-	"github.com/everest-project/everest/internal/labelstore"
+	"slices"
 )
 
 // Checkpoint file format — a full materialization of the label store at
@@ -24,75 +23,84 @@ import (
 // and scores are raw IEEE-754 bits for bit-exact recovery.
 var ckptMagic = [8]byte{'E', 'V', 'C', 'K', 'P', 'T', '0', '1'}
 
-// encodeCheckpoint renders (labels, version) into the checkpoint wire
-// form.
-func encodeCheckpoint(labels labelstore.Map, version uint64) []byte {
-	buf := make([]byte, 0, 16+labels.Len()*10)
+// sortedFrames refills frames with the frames labels holds, ascending,
+// and returns it.
+func sortedFrames(frames []int, labels map[int]float64) []int {
+	frames = frames[:0]
+	for f := range labels {
+		frames = append(frames, f)
+	}
+	slices.Sort(frames)
+	return frames
+}
+
+// appendCheckpoint appends the checkpoint wire form of (labels,
+// version) to buf; frames is sortedFrames of labels, the order the
+// format requires.
+func appendCheckpoint(buf []byte, frames []int, labels map[int]float64, version uint64) []byte {
+	start := len(buf)
 	buf = append(buf, ckptMagic[:]...)
 	buf = binary.AppendUvarint(buf, version)
-	buf = binary.AppendUvarint(buf, uint64(labels.Len()))
+	buf = binary.AppendUvarint(buf, uint64(len(frames)))
 	prev := 0
-	labels.Range(func(f int, v float64) bool {
+	for _, f := range frames {
 		buf = binary.AppendUvarint(buf, uint64(f-prev))
 		prev = f
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		return true
-	})
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(labels[f]))
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
 // decodeCheckpoint validates and decodes a checkpoint file's bytes. Any
 // failure — magic, framing, checksum — returns an error; recovery then
 // falls back to the next-older checkpoint.
-func decodeCheckpoint(data []byte) (labelstore.Map, uint64, error) {
+func decodeCheckpoint(data []byte) (map[int]float64, uint64, error) {
 	if len(data) < len(ckptMagic)+4 {
-		return labelstore.Map{}, 0, fmt.Errorf("durable: checkpoint too short (%d bytes)", len(data))
+		return nil, 0, fmt.Errorf("durable: checkpoint too short (%d bytes)", len(data))
 	}
 	if string(data[:len(ckptMagic)]) != string(ckptMagic[:]) {
-		return labelstore.Map{}, 0, fmt.Errorf("durable: bad checkpoint magic")
+		return nil, 0, fmt.Errorf("durable: bad checkpoint magic")
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return labelstore.Map{}, 0, fmt.Errorf("durable: checkpoint checksum mismatch")
+		return nil, 0, fmt.Errorf("durable: checkpoint checksum mismatch")
 	}
 	p := body[len(ckptMagic):]
 	version, n := binary.Uvarint(p)
 	if n <= 0 {
-		return labelstore.Map{}, 0, fmt.Errorf("durable: bad checkpoint version field")
+		return nil, 0, fmt.Errorf("durable: bad checkpoint version field")
 	}
 	p = p[n:]
 	count, n := binary.Uvarint(p)
 	// Each label takes at least 9 bytes, so a count the body cannot hold
-	// is rejected before sizing the batch by it.
+	// is rejected before sizing the map by it.
 	if n <= 0 || count > uint64(len(p)-n)/9 {
-		return labelstore.Map{}, 0, fmt.Errorf("durable: bad checkpoint label count")
+		return nil, 0, fmt.Errorf("durable: bad checkpoint label count")
 	}
 	p = p[n:]
-	frames := make([]int, count)
-	scores := make([]float64, count)
+	labels := make(map[int]float64, count)
 	prev := uint64(0)
-	for i := range frames {
+	for i := range count {
 		delta, n := binary.Uvarint(p)
 		if n <= 0 {
-			return labelstore.Map{}, 0, fmt.Errorf("durable: bad checkpoint frame delta")
+			return nil, 0, fmt.Errorf("durable: bad checkpoint frame delta")
 		}
 		p = p[n:]
 		if i > 0 && delta == 0 {
-			return labelstore.Map{}, 0, fmt.Errorf("durable: duplicate checkpoint frame %d", prev)
+			return nil, 0, fmt.Errorf("durable: duplicate checkpoint frame %d", prev)
 		}
 		if delta > math.MaxInt32-prev {
-			return labelstore.Map{}, 0, fmt.Errorf("durable: checkpoint frame index out of range")
+			return nil, 0, fmt.Errorf("durable: checkpoint frame index out of range")
 		}
 		prev += delta
 		if len(p) < 8 {
-			return labelstore.Map{}, 0, fmt.Errorf("durable: truncated checkpoint score")
+			return nil, 0, fmt.Errorf("durable: truncated checkpoint score")
 		}
-		frames[i] = int(prev)
-		scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(p))
+		labels[int(prev)] = math.Float64frombits(binary.LittleEndian.Uint64(p))
 		p = p[8:]
 	}
 	if len(p) != 0 {
-		return labelstore.Map{}, 0, fmt.Errorf("durable: %d trailing checkpoint bytes", len(p))
+		return nil, 0, fmt.Errorf("durable: %d trailing checkpoint bytes", len(p))
 	}
-	return labelstore.Map{}.SetSorted(frames, scores), version, nil
+	return labels, version, nil
 }

@@ -70,14 +70,23 @@ func (o Options) withDefaults() Options {
 // and recovers the newest consistent prefix when reopened. It
 // implements labelstore.WAL. Safe for concurrent use, though the cache
 // already serializes calls under its own lock.
+//
+// The materialized state is a plain map that each record updates in
+// place: nothing snapshots it, so the cache's persistent trie is
+// converted to and from it only at attach time (Adopt, Recovered). A
+// record and a checkpoint are encoded into buf, a checkpoint's frames
+// sorted in keys; both are the store's own and reused, so appending a
+// record costs what the record holds.
 type Store struct {
 	dir  string
 	opts Options
 
 	mu        sync.Mutex
 	fs        FS
-	labels    labelstore.Map
+	labels    map[int]float64
 	version   uint64
+	buf       []byte // encode buffer of the record or checkpoint being written
+	keys      []int  // a checkpoint's frames, ascending
 	segSeq    uint64 // active segment sequence number
 	seg       File   // nil until the first append after open/rotate
 	segBytes  int
@@ -162,7 +171,7 @@ func (s *Store) listing() (ckpts []uint64, segs []uint64, err error) {
 // version-0 state. Invalid checkpoints are skipped (recovery falls back
 // to the next older one); they are swept by the next checkpoint's
 // cleanup, not here — recovery mutates nothing but the torn tail.
-func (s *Store) loadBase(ckpts []uint64) (labelstore.Map, uint64) {
+func (s *Store) loadBase(ckpts []uint64) (map[int]float64, uint64) {
 	for _, v := range ckpts {
 		data, err := s.fs.ReadFile(s.path(ckptName(v)))
 		if err != nil {
@@ -174,55 +183,54 @@ func (s *Store) loadBase(ckpts []uint64) (labelstore.Map, uint64) {
 		}
 		return labels, version
 	}
-	return labelstore.Map{}, 0
+	return map[int]float64{}, 0
 }
 
-// replay applies segment records on top of (labels, version), stopping
-// at the first corrupt or discontinuous record — truncating the torn
-// tail there and removing the unreachable later segments. Records at or
-// below the starting version are stale segments' leftovers and are
-// skipped.
-func (s *Store) replay(segs []uint64, labels labelstore.Map, version uint64) (labelstore.Map, uint64, error) {
+// replay applies segment records to the store's labels and version,
+// stopping at the first corrupt or discontinuous record — truncating
+// the torn tail there and removing the unreachable later segments.
+// Records at or below the starting version are stale segments'
+// leftovers and are skipped.
+func (s *Store) replay(segs []uint64) error {
 	for si, seq := range segs {
 		name := s.path(segName(seq))
 		data, err := s.fs.ReadFile(name)
 		if err != nil {
-			return labels, version, fmt.Errorf("durable: reading %s: %w", name, err)
+			return fmt.Errorf("durable: reading %s: %w", name, err)
 		}
 		off := 0
 		for off < len(data) {
 			rec, next, derr := decodeRecord(data, off)
-			if derr == nil && rec.Version > version+1 {
+			if derr == nil && rec.Version > s.version+1 {
 				// A version gap means the contiguous history ends here:
 				// whatever produced this record, the records before it are
 				// gone, so it is unreachable — same treatment as corruption.
-				derr = fmt.Errorf("durable: version gap (%d after %d) in %s", rec.Version, version, name)
+				derr = fmt.Errorf("durable: version gap (%d after %d) in %s", rec.Version, s.version, name)
 			}
 			if derr != nil {
 				// Torn tail: cut this segment at the last valid record and
 				// drop every later segment — they are beyond the first
 				// corruption and therefore not part of the consistent prefix.
 				if err := s.fs.Truncate(name, int64(off)); err != nil {
-					return labels, version, fmt.Errorf("durable: truncating torn tail of %s: %w", name, err)
+					return fmt.Errorf("durable: truncating torn tail of %s: %w", name, err)
 				}
 				for _, later := range segs[si+1:] {
 					if err := s.fs.Remove(s.path(segName(later))); err != nil {
-						return labels, version, fmt.Errorf("durable: removing unreachable segment: %w", err)
+						return fmt.Errorf("durable: removing unreachable segment: %w", err)
 					}
 				}
 				if err := s.fs.SyncDir(s.dir); err != nil {
-					return labels, version, fmt.Errorf("durable: syncing %s: %w", s.dir, err)
+					return fmt.Errorf("durable: syncing %s: %w", s.dir, err)
 				}
-				return labels, version, nil
+				return nil
 			}
-			if rec.Version == version+1 {
-				labels = rec.apply(labels)
-				version = rec.Version
+			if rec.Version == s.version+1 {
+				s.fold(rec)
 			}
 			off = next
 		}
 	}
-	return labels, version, nil
+	return nil
 }
 
 // recover loads the newest valid checkpoint and replays the WAL.
@@ -231,12 +239,10 @@ func (s *Store) recover() error {
 	if err != nil {
 		return err
 	}
-	labels, version := s.loadBase(ckpts)
-	labels, version, err = s.replay(segs, labels, version)
-	if err != nil {
+	s.labels, s.version = s.loadBase(ckpts)
+	if err := s.replay(segs); err != nil {
 		return err
 	}
-	s.labels, s.version = labels, version
 	if n := len(segs); n > 0 {
 		s.segSeq = segs[n-1] + 1
 	} else {
@@ -248,12 +254,18 @@ func (s *Store) recover() error {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Recovered returns the state recovered at Open (or adopted since):
-// the label map and the version counter the cache should resume from.
+// Recovered returns the store's state — recovered at Open, or adopted
+// or appended since — as the label map and the version counter a cache
+// resumes from. It builds the map afresh from the store's labels.
 func (s *Store) Recovered() (labelstore.Map, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.labels, s.version
+	frames := sortedFrames(make([]int, 0, len(s.labels)), s.labels)
+	scores := make([]float64, len(frames))
+	for i, f := range frames {
+		scores[i] = s.labels[f]
+	}
+	return labelstore.Map{}.SetSorted(frames, scores), s.version
 }
 
 // Err returns the store's sticky fatal error, if any: the first append
@@ -280,16 +292,30 @@ func (s *Store) AppendEvict(version uint64, frames []int) error {
 	return s.append(Record{Type: recEvict, Version: version, Frames: frames})
 }
 
-// append logs rec, then folds it into the mirror state as one batch.
+// append logs rec, then folds it into the mirror state.
 func (s *Store) append(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.appendLocked(rec); err != nil {
 		return err
 	}
-	s.labels = rec.apply(s.labels)
-	s.version = rec.Version
+	s.fold(rec)
 	return s.maybeCheckpointLocked()
+}
+
+// fold applies a record to the store's labels in place and advances the
+// version to the one it produced. Caller holds s.mu, or is recovering.
+func (s *Store) fold(rec Record) {
+	if rec.Type == recPublish {
+		for i, f := range rec.Frames {
+			s.labels[f] = rec.Scores[i]
+		}
+	} else {
+		for _, f := range rec.Frames {
+			delete(s.labels, f)
+		}
+	}
+	s.version = rec.Version
 }
 
 // appendLocked validates continuity and the record's frames, encodes
@@ -314,14 +340,14 @@ func (s *Store) appendLocked(rec Record) error {
 		s.seg = seg
 		s.segBytes = 0
 	}
-	buf := appendRecord(nil, rec)
-	if _, err := s.seg.Write(buf); err != nil {
+	s.buf = appendRecord(s.buf[:0], rec)
+	if _, err := s.seg.Write(s.buf); err != nil {
 		return s.fail(fmt.Errorf("durable: appending record: %w", err))
 	}
 	if err := s.seg.Sync(); err != nil {
 		return s.fail(fmt.Errorf("durable: syncing segment: %w", err))
 	}
-	s.segBytes += len(buf)
+	s.segBytes += len(s.buf)
 	s.recsSince++
 	if s.segBytes >= s.opts.SegmentBytes {
 		s.rotateLocked()
@@ -380,7 +406,9 @@ func (s *Store) checkpointLocked() error {
 	if err != nil {
 		return s.fail(fmt.Errorf("durable: creating checkpoint temp: %w", err))
 	}
-	_, werr := f.Write(encodeCheckpoint(s.labels, s.version))
+	s.keys = sortedFrames(s.keys, s.labels)
+	s.buf = appendCheckpoint(s.buf[:0], s.keys, s.labels, s.version)
+	_, werr := f.Write(s.buf)
 	if werr == nil {
 		werr = f.Sync()
 	}
@@ -442,10 +470,15 @@ func (s *Store) Adopt(labels labelstore.Map, version uint64) error {
 	if s.sticky != nil {
 		return s.sticky
 	}
-	if s.version != 0 || s.labels.Len() != 0 {
+	if s.version != 0 || len(s.labels) != 0 {
 		return fmt.Errorf("durable: %s already holds state at version %d; cannot adopt a different cache", s.dir, s.version)
 	}
-	s.labels, s.version = labels, version
+	s.labels = make(map[int]float64, labels.Len())
+	labels.Range(func(f int, v float64) bool {
+		s.labels[f] = v
+		return true
+	})
+	s.version = version
 	return s.checkpointLocked()
 }
 

@@ -1,6 +1,8 @@
 package durable
 
 import (
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -114,12 +116,11 @@ func FuzzWALReplay(f *testing.F) {
 
 // FuzzCheckpointDecode feeds arbitrary bytes to the checkpoint decoder:
 // it must never panic, and anything it accepts must survive a semantic
-// re-encode/decode round trip.
+// re-encode/decode round trip, every score to the bit.
 func FuzzCheckpointDecode(f *testing.F) {
-	var m labelstore.Map
-	m = m.Set(4, 0.5).Set(9, 0.75)
-	f.Add(encodeCheckpoint(m, 3))
-	f.Add(encodeCheckpoint(labelstore.Map{}, 0))
+	two := map[int]float64{4: 0.5, 9: 0.75}
+	f.Add(appendCheckpoint(nil, sortedFrames(nil, two), two, 3))
+	f.Add(appendCheckpoint(nil, nil, nil, 0))
 	f.Add([]byte("EVCKPT01 but then junk"))
 	f.Add([]byte{})
 	// Header count 2, one distinct frame: a duplicate, rejected.
@@ -130,13 +131,15 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		labels2, version2, err := decodeCheckpoint(encodeCheckpoint(labels, version))
+		again := appendCheckpoint(nil, sortedFrames(nil, labels), labels, version)
+		labels2, version2, err := decodeCheckpoint(again)
 		if err != nil {
 			t.Fatalf("re-encoded accepted checkpoint does not decode: %v", err)
 		}
-		if !sameState(labels, version, labels2, version2) {
+		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if version != version2 || !maps.EqualFunc(labels, labels2, sameBits) {
 			t.Fatalf("checkpoint round trip drifted: v%d/%d labels → v%d/%d labels",
-				version, labels.Len(), version2, labels2.Len())
+				version, len(labels), version2, len(labels2))
 		}
 	})
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-
-	"github.com/everest-project/everest/internal/labelstore"
 )
 
 // WAL record wire format. Each record is self-delimiting and
@@ -65,35 +63,28 @@ func (r Record) validate() error {
 	return nil
 }
 
-// apply folds the record into labels as one sorted batch.
-func (r Record) apply(labels labelstore.Map) labelstore.Map {
-	if r.Type == recPublish {
-		return labels.SetSorted(r.Frames, r.Scores)
-	}
-	return labels.DeleteSorted(r.Frames)
-}
-
-// appendRecord encodes r onto buf and returns the extended slice.
+// appendRecord encodes r onto buf and returns the extended slice: the
+// header's room first, then the payload, then the header filled in. The
+// length field and the payload are adjacent, so one checksum covers
+// both, and a caller that passes a reused buffer allocates nothing.
 func appendRecord(buf []byte, r Record) []byte {
-	payload := make([]byte, 0, 16+len(r.Frames)*10)
-	payload = append(payload, r.Type)
-	payload = binary.AppendUvarint(payload, r.Version)
-	payload = binary.AppendUvarint(payload, uint64(len(r.Frames)))
+	start := len(buf)
+	var hdr [recHeaderLen]byte
+	buf = append(buf, hdr[:]...)
+	buf = append(buf, r.Type)
+	buf = binary.AppendUvarint(buf, r.Version)
+	buf = binary.AppendUvarint(buf, uint64(len(r.Frames)))
 	prev := 0
 	for i, f := range r.Frames {
-		payload = binary.AppendUvarint(payload, uint64(f-prev))
+		buf = binary.AppendUvarint(buf, uint64(f-prev))
 		prev = f
 		if r.Type == recPublish {
-			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(r.Scores[i]))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Scores[i]))
 		}
 	}
-	var hdr [recHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	crc := crc32.ChecksumIEEE(hdr[4:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(hdr[:4], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	binary.LittleEndian.PutUint32(buf[start+4:], uint32(len(buf)-start-recHeaderLen))
+	binary.LittleEndian.PutUint32(buf[start:], crc32.ChecksumIEEE(buf[start+4:]))
+	return buf
 }
 
 // decodeRecord reads the record starting at data[off]. It returns the

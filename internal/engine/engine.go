@@ -196,16 +196,22 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 
 	// Both query kinds start from their D0's prepared memo: a frame
 	// query under its labels as point masses, a window query under the
-	// windows its overlay touches, re-aggregated in its own copy of the
-	// relation. The iterator over those windows is built here, not
-	// returned by the view, so it stays on the stack.
+	// windows its overlay touches, re-aggregated in a pooled copy of the
+	// relation that goes back to the pool when the run is over (the
+	// Outcome holds nothing of it). The iterator over those windows is
+	// built here, not returned by the view, so it stays on the stack.
 	v, err := b.Artifact.memo(p.Window.d0Key(qopt))
 	if err != nil {
 		return nil, err
 	}
-	rel, touched, err := v.runStart(b.Labels)
+	run, touched, err := v.runStart(b.Labels)
 	if err != nil {
 		return nil, err
+	}
+	var rel uncertain.Relation
+	if run != nil {
+		defer v.release(run)
+		rel = *run
 	}
 	base, err := b.Artifact.prepared(v, p.Bound())
 	if err != nil {

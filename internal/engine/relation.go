@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/everest-project/everest/internal/core"
 	"github.com/everest-project/everest/internal/diffdet"
@@ -37,9 +38,9 @@ import (
 // starts its run from the prepared relation under its labels as point
 // masses; a window query re-aggregates only the windows its overlay
 // touches — those with a representative the overlay labels and Phase 1
-// did not — with the very function that built the memo, in its own
-// copy of the relation, and starts from the prepared relation under
-// them.
+// did not — with the very function that built the memo, in a copy of
+// the relation that it borrows from the entry's pool and hands back
+// when its run ends, and starts from the prepared relation under them.
 
 // maxMemos bounds the memo: the most recently used relations stay, the
 // least recently used is dropped. An artifact serves one UDF, so it has
@@ -72,6 +73,9 @@ func (w WindowSpec) d0Key(qopt uncertain.QuantizeOptions) d0Key {
 // quantized memoizes a window shape's re-aggregation: the distribution
 // of each distinct window Gaussian a query's overlay produced, keyed by
 // its moments (windows.Memo, under its own lock, never invalidated).
+// runs pools a window shape's run relations (*uncertain.Relation): a
+// query that re-aggregates windows copies rel into one, and returns it
+// when its run is over, so a warm query allocates no relation.
 // The other fields are guarded by the artifact's mu. rel and failed
 // grow in place (growTo), so an extension costs what it adds: a query
 // holds a prefix of each, and an extension writes only past it — a
@@ -84,6 +88,7 @@ type d0Entry struct {
 	bound  core.BoundKind
 
 	quantized windows.Memo
+	runs      sync.Pool
 }
 
 // d0View is what one query reads of a memo entry, taken under a.mu:
@@ -421,14 +426,14 @@ func (v d0View) touched(labels *labelstore.Overlay) []int {
 
 // runStart returns what a run over the view starts from besides the
 // prepared base: for a window view whose overlay touches windows, a
-// copy of the relation with those re-aggregated under labels — Eq. 9
-// with the overlay's exact scores on the representatives it labels and
-// Phase 1 did not — and the touched windows, ascending (a window's
-// position is its ID); else nil and nil, the run reading the base's
-// relation (a frame view under frameOverrides). The window Gaussians
-// are quantized through the entry's memo, so a window aggregated under
-// the same moments by any earlier query is a lookup.
-func (v d0View) runStart(labels *labelstore.Overlay) (uncertain.Relation, []int, error) {
+// copy of the relation from the entry's pool with those re-aggregated
+// under labels, and the touched windows, ascending (a window's position
+// is its ID); else nil and nil, the run reading the base's relation (a
+// frame view under frameOverrides). The caller hands a non-nil copy
+// back with release once nothing reads it: no later query sees what
+// this one wrote, because the next one to take it copies the whole
+// relation over it.
+func (v d0View) runStart(labels *labelstore.Overlay) (*uncertain.Relation, []int, error) {
 	if v.opt.Size == 0 {
 		return nil, nil, nil
 	}
@@ -436,11 +441,32 @@ func (v d0View) runStart(labels *labelstore.Overlay) (uncertain.Relation, []int,
 	if ids == nil {
 		return nil, nil, nil
 	}
-	rel := slices.Clone(v.rel)
+	run, _ := v.entry.runs.Get().(*uncertain.Relation)
+	if run == nil {
+		run = new(uncertain.Relation)
+	}
+	*run = append((*run)[:0], v.rel...)
+	if err := v.reaggregate(*run, ids, labels); err != nil {
+		v.release(run)
+		return nil, nil, err
+	}
+	return run, ids, nil
+}
+
+// release returns a run relation runStart handed out to the entry's
+// pool.
+func (v d0View) release(run *uncertain.Relation) { v.entry.runs.Put(run) }
+
+// reaggregate re-aggregates the windows ids of rel, a copy of the
+// view's relation, under labels — Eq. 9 with the overlay's exact scores
+// on the representatives it labels and Phase 1 did not. The window
+// Gaussians are quantized through the entry's memo, so a window
+// aggregated under the same moments by any earlier query is a lookup.
+func (v d0View) reaggregate(rel uncertain.Relation, ids []int, labels *labelstore.Overlay) error {
 	scores := v.scores
 	opt := v.opt
 	opt.Memo = &v.entry.quantized
-	err := windows.Reaggregate(rel, ids, func(rep int) windows.FrameScore {
+	return windows.Reaggregate(rel, ids, func(rep int) windows.FrameScore {
 		fs := scores[rep]
 		if !fs.IsExact {
 			if s, ok := labels.Get(rep); ok {
@@ -449,17 +475,14 @@ func (v d0View) runStart(labels *labelstore.Overlay) (uncertain.Relation, []int,
 		}
 		return fs
 	}, v.diff, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rel, ids, nil
 }
 
 // WindowRelation builds the window-level D0 (Eq. 9) of the normalized
 // window spec w (Plan.Normalize resolves its stride): a copy of the
 // shape's memoized relation with the windows the overlay touches
-// re-aggregated — a window query's run relation whenever the overlay
-// touches a window. labels, when non-nil, supplies exact scores
+// re-aggregated — what a window query's run relation holds whenever the
+// overlay touches a window, in a fresh slice the caller keeps. labels,
+// when non-nil, supplies exact scores
 // confirmed by earlier queries over the same cache; it must not be
 // mutated while this runs. The build runs on the calling goroutine; the
 // procs and pool arguments are ignored and remain for the benchmark
@@ -472,9 +495,11 @@ func (a *Artifact) WindowRelation(w WindowSpec, qopt uncertain.QuantizeOptions, 
 	if err != nil {
 		return nil, err
 	}
-	rel, _, err := v.runStart(labels)
-	if rel == nil && err == nil {
-		rel = slices.Clone(v.rel)
+	rel := slices.Clone(v.rel)
+	if ids := v.touched(labels); ids != nil {
+		if err := v.reaggregate(rel, ids, labels); err != nil {
+			return nil, err
+		}
 	}
-	return rel, err
+	return rel, nil
 }

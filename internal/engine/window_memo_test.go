@@ -581,3 +581,83 @@ func assertMemoSharedAcrossOverlays(t *testing.T, name string, a *Artifact, scor
 		}
 	}
 }
+
+// TestWindowRunBufferNeverLeaks: eight goroutines run tumbling and
+// sliding window queries on one artifact, three rounds each, every
+// goroutine under an overlay of its own whose labels no other goroutine
+// sets — so the windows one query re-aggregates in a pooled run
+// relation are windows the next query to take that buffer does not
+// touch (run under -race). Every answer is referenceExecute's. Then a
+// caller writes every tuple of the relations WindowRelation handed it
+// with no overlay (no window touched) and under one, and
+// later queries and relations are still the reference's: what
+// WindowRelation returns is the caller's, neither the memo nor a pooled
+// buffer.
+func TestWindowRunBufferNeverLeaks(t *testing.T) {
+	a := randomArtifactClips(xrand.New(48).Split("window-memo"), 900, 13)
+	udf := tableUDF{uncertain.DefaultCountingOptions()}
+	qopt := udf.Quantize()
+	shapes := []WindowSpec{{Size: 30, Stride: 30}, {Size: 40, Stride: 15}}
+	const goroutines = 8
+	sets := make([]labelstore.Map, goroutines)
+	for i, f := range unlabelledReps(a) {
+		g := i % goroutines
+		sets[g] = sets[g].Set(f, float64(5*f%13)+0.5)
+	}
+	overlay := func(g int) *labelstore.Overlay { return labelstore.NewOverlay(sets[g]) }
+	plans := make([]Plan, len(shapes))
+	want := make([][]string, len(shapes))
+	for s, w := range shapes {
+		p := testPlan(5)
+		p.Window = w
+		plan, err := NewPlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[s] = plan
+		want[s] = make([]string, goroutines)
+		for g := range goroutines {
+			labels := overlay(g)
+			out, err := referenceExecute(plan, a, nil, udf, labels)
+			want[s][g] = outcomeBits(out, err, labels)
+		}
+	}
+	check := func(when string, g, s int) {
+		labels := overlay(g)
+		out, err := Execute(plans[s], Binding{UDF: udf, Artifact: a, Labels: labels})
+		if got := outcomeBits(out, err, labels); got != want[s][g] {
+			t.Errorf("%s, overlay %d, shape %+v: Execute differs from the reference:\n got %s\nwant %s", when, g, shapes[s], got, want[s][g])
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := range 3 {
+				check(fmt.Sprintf("goroutine %d, round %d", g, round), g, (g+round)%len(shapes))
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	for s, w := range shapes {
+		for _, labels := range []*labelstore.Overlay{nil, overlay(0)} {
+			rel, err := a.WindowRelation(w, qopt, labels, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range rel {
+				rel[i] = uncertain.XTuple{ID: rel[i].ID, Dist: uncertain.Certain(40)}
+			}
+		}
+		for g := range goroutines {
+			check("after a WindowRelation caller wrote its relation", g, s)
+		}
+		got, err := a.WindowRelation(w, qopt, overlay(1), 1, nil)
+		wantRel, werr := referenceWindowRelation(a, w, qopt, overlay(1))
+		if err != nil || werr != nil || !reflect.DeepEqual(got, wantRel) {
+			t.Fatalf("shape %+v: after a caller wrote its relation, WindowRelation differs from the reference (errors %v, %v)", w, err, werr)
+		}
+	}
+}

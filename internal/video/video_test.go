@@ -272,6 +272,31 @@ func TestAllDatasetsBuild(t *testing.T) {
 	}
 }
 
+// TestDatasetCatalogCopies: the accessors hand out copies, so a caller
+// that writes the slice it got changes no later lookup, and a lookup by
+// name allocates nothing.
+func TestDatasetCatalogCopies(t *testing.T) {
+	want, err := DatasetByName("Archie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range [][]DatasetSpec{Datasets(), CountingDatasets()} {
+		got[0].Name, got[0].Config.Seed = "mutated", 1
+		_ = append(got[:1], DatasetSpec{Name: "appended"})
+	}
+	dashcam := DashcamDatasets()
+	_ = append(dashcam[:0], DatasetSpec{Name: "appended"})
+	if again, err := DatasetByName("Archie"); err != nil || again != want {
+		t.Fatalf("after callers wrote their copies, Archie reads %+v (err %v), want %+v", again, err, want)
+	}
+	if all := Datasets(); all[1].Name != "Daxi-old-street" || all[5].Name != "Dashcam-California" {
+		t.Fatalf("after callers appended to their copies, the catalog reads %s, %s", all[1].Name, all[5].Name)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = DatasetByName("Dashcam-Greenport") }); n != 0 {
+		t.Fatalf("DatasetByName allocated %.0f times", n)
+	}
+}
+
 func TestDefaultScaleBuild(t *testing.T) {
 	spec, _ := DatasetByName("Archie")
 	s, err := spec.Build(0)
