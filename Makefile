@@ -25,14 +25,15 @@ testbuild:
 
 # Race-check the concurrency packages (internal/video among them: every
 # worker renders into and releases to its sources' buffer pools;
-# internal/simclock, whose clock every worker charges) and the engine
-# determinism tests; the full suite under -race is too slow for a
-# quick gate. internal/eql is not listed: it has no goroutines of its own,
+# internal/simclock, whose clock every worker charges; internal/uncertain,
+# whose accumulators every Phase 2 start builds from a live mask) and
+# the engine determinism tests; the full suite under -race is too slow
+# for a quick gate. internal/eql is not listed: it has no goroutines of its own,
 # and under -race its suite still takes ~16 min here (969 s; ~45 s
 # without), past go test's 10-minute timeout — every ingest pays the
 # same fixed labelling and CMDN-training bill however short the video.
 race:
-	$(GO) test -race ./internal/workpool/ ./internal/labelstore/ ./internal/engine/ ./internal/oraclemux/ ./internal/faultinject/ ./internal/durable/ ./internal/cmdn/ ./internal/phase1/ ./internal/nn/ ./internal/diffdet/ ./internal/windows/ ./internal/core/ ./internal/stream/ ./internal/video/ ./internal/simclock/
+	$(GO) test -race ./internal/workpool/ ./internal/labelstore/ ./internal/engine/ ./internal/oraclemux/ ./internal/faultinject/ ./internal/durable/ ./internal/cmdn/ ./internal/phase1/ ./internal/nn/ ./internal/diffdet/ ./internal/windows/ ./internal/core/ ./internal/stream/ ./internal/video/ ./internal/simclock/ ./internal/uncertain/
 	$(GO) test -race -run 'ProcsBitIdentical|GoldenConcurrent|GoldenCoalesced|SessionConcurrent|QueryBatch|SharedSession|AdmissionLimit|Coalesced|OracleMux|DroppedIndexAndStreamHoldNoGoroutines' .
 
 # The fault-tolerance suite under the race detector: chaos-injected

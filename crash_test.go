@@ -23,17 +23,21 @@ import (
 // crashScript drives a deterministic publish/evict history against a
 // cache: 10 publish batches of 3 frames with a MaxLabels policy tight
 // enough that evictions interleave. Every crash-run cache and the
-// reference cache execute exactly this sequence.
-func crashScript(c *labelstore.SharedCache) {
+// reference cache execute exactly this sequence. It returns the
+// versions a caller could observe: the one TightenPolicy leaves and
+// each one Publish returns — after its eviction, when it made one.
+func crashScript(c *labelstore.SharedCache) (observed []uint64) {
 	c.TightenPolicy(labelstore.Policy{MaxLabels: 9})
+	observed = append(observed, c.Version())
 	for i := 1; i <= 10; i++ {
-		c.Publish(map[int]float64{
+		observed = append(observed, c.Publish(map[int]float64{
 			10 * i:     float64(i),
 			10*i + 1:   float64(i) + 0.5,
 			10*i + 2:   float64(i) + 0.25,
 			10*i%7 + 3: float64(i) + 0.125, // overlap across batches
-		})
+		}))
 	}
+	return observed
 }
 
 func flatten(m labelstore.Map) map[int]float64 {
@@ -81,6 +85,8 @@ func (h *historyWAL) next(version uint64) map[int]float64 {
 	return next
 }
 
+func (h *historyWAL) Commit() error { return nil }
+
 func (h *historyWAL) Adopt(labelstore.Map, uint64) error {
 	return errors.New("historyWAL: adopt unsupported")
 }
@@ -90,15 +96,20 @@ func (h *historyWAL) Recovered() (labelstore.Map, uint64) { return labelstore.Ma
 // crashReference runs crashScript once against a historyWAL and
 // returns the exact label state at every version of the sequence — the
 // ground truth each crash point's recovery is judged against, derived
-// from the logged batches alone.
-func crashReference(t *testing.T) (expected []map[int]float64, final uint64) {
+// from the logged batches alone — and the versions a caller observed,
+// the initial version 0 among them. A publish that evicts bumps the
+// version twice, so the version between is one no caller observed.
+func crashReference(t *testing.T) (expected []map[int]float64, observed map[uint64]bool, final uint64) {
 	t.Helper()
 	h := &historyWAL{states: []map[int]float64{{}}}
 	cache := labelstore.NewSharedCache()
 	if err := cache.EnableDurable(h); err != nil {
 		t.Fatal(err)
 	}
-	crashScript(cache)
+	observed = map[uint64]bool{0: true}
+	for _, v := range crashScript(cache) {
+		observed[v] = true
+	}
 	if h.err != nil {
 		t.Fatal(h.err)
 	}
@@ -106,7 +117,10 @@ func crashReference(t *testing.T) (expected []map[int]float64, final uint64) {
 	if uint64(len(h.states)) != final+1 {
 		t.Fatalf("reference logged %d states for version %d", len(h.states), final)
 	}
-	return h.states, final
+	if len(observed) == int(final)+1 {
+		t.Fatal("no publish evicted, so every version was observed; the harness needs one that was not")
+	}
+	return h.states, observed, final
 }
 
 // TestCrashEveryPrefixConsistent kills the durable store at every
@@ -114,10 +128,12 @@ func crashReference(t *testing.T) (expected []map[int]float64, final uint64) {
 // segment rotations, checkpoint temp writes, renames, sweeps — and
 // asserts that (a) the cache keeps serving the complete history from
 // RAM (availability over durability), and (b) a process restart
-// recovers exactly the state at some version of the history: a
-// consistent prefix, whole batches only.
+// recovers exactly the state at some version of the history that a
+// Publish or TightenPolicy returned (or the initial one): a consistent
+// prefix of whole commits, never a publish without the eviction its
+// lock hold made.
 func TestCrashEveryPrefixConsistent(t *testing.T) {
-	expected, final := crashReference(t)
+	expected, observed, final := crashReference(t)
 
 	// Fault-free run through the fault layer counts the crash points.
 	// CheckpointEvery 4 puts checkpoint writes, renames and sweeps into
@@ -177,10 +193,17 @@ func TestCrashEveryPrefixConsistent(t *testing.T) {
 			t.Fatalf("crash@%d: recovered state at version %d is not the history's state at %d:\n got %v\nwant %v",
 				k, v, v, got, expected[v])
 		}
+		if !observed[v] {
+			t.Fatalf("crash@%d: recovered version %d, which no Publish or TightenPolicy returned", k, v)
+		}
 		// The recovered prefix accepts the continuation: version v+1
-		// appends cleanly (continuity, no repeated-version ambiguity).
+		// commits cleanly (continuity, no repeated-version ambiguity).
 		if v < final {
-			if err := recovered.AppendPublish(v+1, []int{9999}, []float64{1}); err != nil {
+			err := recovered.AppendPublish(v+1, []int{9999}, []float64{1})
+			if err == nil {
+				err = recovered.Commit()
+			}
+			if err != nil {
 				t.Fatalf("crash@%d: recovered store refuses continuation at %d: %v", k, v+1, err)
 			}
 		}
@@ -191,10 +214,11 @@ func TestCrashEveryPrefixConsistent(t *testing.T) {
 // TestCrashDuringRecoveryStillConsistent crashes the process AGAIN
 // while recovery is repairing the first crash's damage (truncating the
 // torn tail, removing unreachable segments, syncing), then recovers
-// cleanly: every double-crash must still land on a consistent prefix —
-// recovery is idempotent and its own writes are crash-safe.
+// cleanly: every double-crash must still land on a consistent prefix
+// at a version some caller observed — recovery is idempotent and its
+// own writes are crash-safe.
 func TestCrashDuringRecoveryStillConsistent(t *testing.T) {
-	expected, final := crashReference(t)
+	expected, observed, final := crashReference(t)
 
 	// tornDir rebuilds the first crash's directory state from scratch
 	// (each recovery attempt mutates it, so every (k, j) pair needs a
@@ -254,6 +278,9 @@ func TestCrashDuringRecoveryStillConsistent(t *testing.T) {
 			}
 			if got := flatten(m); !reflect.DeepEqual(got, expected[v]) {
 				t.Fatalf("crash@%d, recovery-crash@%d: state at recovered version %d inconsistent", k, j, v)
+			}
+			if !observed[v] {
+				t.Fatalf("crash@%d, recovery-crash@%d: recovered version %d, which no Publish or TightenPolicy returned", k, j, v)
 			}
 			recovered.Close()
 			doubles++

@@ -651,19 +651,21 @@ func TestUncachedWindowQueryBuildsNoRelation(t *testing.T) {
 
 // TestQueryAllocationBudget: a query against a warm index pays for the
 // Phase 2 loop, not for re-deriving or copying D0 — an uncached frame
-// query over 4,000 frames (about 3,800 retained) stays under 0.03 MB and
-// 130 allocations (0.02 MB in 113 to 118); a ψ entry per uncertain
-// frame took 0.07 MB. Re-quantizing every mixture
+// query over 4,000 frames (about 3,800 retained) stays under 0.017 MB
+// and 125 allocations (0.0149 MB in 113 to 116; a bool per tuple for
+// the run's live mask, 0.0183 MB); a ψ entry per uncertain frame took
+// 0.07 MB. Re-quantizing every mixture
 // and re-hashing every tuple per query took about 1.5 MB in 11,000;
 // copying the base per query, 0.57 MB in 496; building a scene and its
 // detections per confirmed frame, 0.34 MB in 484. An uncached query of
 // 30-frame windows (133 of them) reads the shape's memoized relation
-// prepared, and stays under 0.05 MB and 400 allocations; aggregating
+// prepared, and stays under 0.016 MB and 360 allocations (0.0141 MB in
+// 343); aggregating
 // every window and preparing the result per query took 0.23 MB in
 // 1,027, building the confirmations' scenes 0.19 MB in 751. A frame
-// query in a session whose cache holds 512 labels stays under 0.015 MB
-// and 45 allocations, and a window query in that session, whose labels
-// touch about a third of the windows, under 0.02 MB and 290.
+// query in a session whose cache holds 512 labels stays under 0.005 MB
+// and 40 allocations, and a window query in that session, whose labels
+// touch about a third of the windows, under 0.016 MB and 200.
 func TestQueryAllocationBudget(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's own allocations are counted")
@@ -689,8 +691,8 @@ func TestQueryAllocationBudget(t *testing.T) {
 		mb     float64
 		allocs uint64
 	}{
-		{"frame", 0, 0.03, 130},
-		{"window", 30, 0.05, 400},
+		{"frame", 0, 0.017, 125},
+		{"window", 30, 0.016, 360},
 	} {
 		cfg.Window = c.window
 		if _, err := ix.Query(src, udf, cfg); err != nil { // builds the D0 base
@@ -704,17 +706,18 @@ func TestQueryAllocationBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 		n := after.Mallocs - before.Mallocs
-		t.Logf("%s query, %d retained frames: %.2f MB in %d allocations", c.name, len(ix.art.Retained), mb, n)
+		t.Logf("%s query, %d retained frames: %.4f MB in %d allocations", c.name, len(ix.art.Retained), mb, n)
 		if mb >= c.mb || n >= c.allocs {
-			t.Fatalf("a warm %s query allocated %.2f MB in %d allocations, budget %v MB in %d", c.name, mb, n, c.mb, c.allocs)
+			t.Fatalf("a warm %s query allocated %.4f MB in %d allocations, budget %v MB in %d", c.name, mb, n, c.mb, c.allocs)
 		}
 	}
 
 	// A frame query under a session overlay of 512 labels starts from
 	// the overlay's overrides: it walks them once, allocating nothing per
-	// label or per tuple — 0.007 MB in 36 allocations, the cache already
-	// holding every label it confirms. Materializing the overrides as a
-	// slice would add about 0.016 MB in 10 allocations.
+	// label or per tuple — 0.0039 MB in 36 allocations, the cache already
+	// holding every label it confirms (0.0073 MB with a bool per tuple
+	// for the live mask). Materializing the overrides as a slice would
+	// add about 0.016 MB in 10 allocations.
 	sess, err := NewSession(ix, src, udf)
 	if err != nil {
 		t.Fatal(err)
@@ -737,19 +740,19 @@ func TestQueryAllocationBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 		n := after.Mallocs - before.Mallocs
-		t.Logf("session %s query over %d cached labels: %.3f MB in %d allocations", name, sess.CachedLabels(), mb, n)
+		t.Logf("session %s query over %d cached labels: %.4f MB in %d allocations", name, sess.CachedLabels(), mb, n)
 		if mb >= budgetMB || n >= budgetAllocs {
-			t.Fatalf("a session %s query over %d cached labels allocated %.3f MB in %d allocations, budget %v MB in %d",
+			t.Fatalf("a session %s query over %d cached labels allocated %.4f MB in %d allocations, budget %v MB in %d",
 				name, sess.CachedLabels(), mb, n, budgetMB, budgetAllocs)
 		}
 	}
-	sessionQuery("frame", cfg, 0.015, 45)
+	sessionQuery("frame", cfg, 0.005, 40)
 
 	// A window query in the same session: the cache labels
 	// representatives, so the overlay touches windows (47 of 133). The
 	// query re-aggregates them in a pooled copy of the shape's relation
 	// and starts from the shape's prepared base with them as overrides —
-	// 0.015 MB in 191 allocations; a fresh copy per query took 0.024 MB,
+	// 0.0143 MB in 191 allocations; a fresh copy per query took 0.024 MB,
 	// and preparing that copy per query 0.028 MB in 258. The first
 	// window query builds and prepares the shape's memo and leaves a run
 	// relation in its pool.
@@ -758,7 +761,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 	if _, err := sess.Query(win); err != nil {
 		t.Fatal(err)
 	}
-	sessionQuery("window", win, 0.02, 290)
+	sessionQuery("window", win, 0.016, 200)
 }
 
 func raceEnabled() bool {

@@ -45,7 +45,7 @@ func BenchmarkEngineRun(b *testing.B) {
 
 // BenchmarkPrepare is the once-per-index cost of preparing D0 at a
 // served index's size (4,000 tuples, an eighth already certain): the
-// ascending-ID check, the live table, the top-level buckets and the
+// ascending-ID check, the live mask, the top-level buckets and the
 // certain tuples' ranking.
 func BenchmarkPrepare(b *testing.B) {
 	rel, _ := benchRelation(4000, 500)
@@ -61,10 +61,10 @@ func BenchmarkPrepare(b *testing.B) {
 // BenchmarkStart is the per-query cost of starting a run over that
 // prepared D0: base is a run with no overrides (a clone of the memoized
 // joint CDF, the top-K prefix of the certain tuples, a copy of the live
-// table); overlay one whose overrides make every fourth tuple certain,
-// an eighth of them certain in the base already; overlay_live the frame
-// query's shape, overrides on about a tenth of the uncertain tuples
-// only; window_overlay a window query's, a run relation with every
+// mask, a bit per tuple); overlay one whose overrides make every fourth
+// tuple certain, an eighth of them certain in the base already;
+// overlay_live the frame query's shape, overrides on about a tenth of
+// the uncertain tuples only; window_overlay a window query's, a run relation with every
 // other tuple re-distributed — the certain ones to another point mass,
 // the uncertain ones to a fresh distribution in place — all of them
 // overrides. An overlay run walks its overrides once, merges the ranked

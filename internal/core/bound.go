@@ -105,7 +105,7 @@ func clamp01(x float64) float64 {
 // level's sum is the same position-order fold whatever the range, and
 // every level at or above lo reads the same bits (see JointCDF and
 // TailSum). A hi above every live tuple's Max is exact too.
-func newNoExceed(rel uncertain.Relation, live []bool, lo, hi int, kind BoundKind) noExceed {
+func newNoExceed(rel uncertain.Relation, live bitset, lo, hi int, kind BoundKind) noExceed {
 	switch kind {
 	case BoundUnion:
 		return unionProb{uncertain.NewTailSumFromRelation(rel, live, lo, hi)}

@@ -209,7 +209,7 @@ var ErrDeadline = errors.New("core: simulated deadline exceeded")
 type Base struct {
 	rel    uncertain.Relation
 	bound  BoundKind
-	live   []bool
+	live   bitset
 	nLive  int
 	ranked []certEntry
 	lo, hi int
@@ -241,20 +241,22 @@ func Prepare(rel uncertain.Relation, bound BoundKind) (*Base, error) {
 
 // Extend returns the base of rel, a relation whose first b.Len() tuples
 // are b's, indexing only the tail: the tail must continue the strictly
-// ascending IDs, its live bits go into the spare capacity of b's mask
-// when it has enough, its uncertain positions are appended to the
-// top-level buckets the same way, and its certain tuples, sorted, are
-// merged with b's into a new ranking — exactly what Prepare(rel) gives.
-// b is never written: it stays valid for the runs that hold it, and on
-// an error nothing but spare capacity is touched. An extension writes
-// past b's mask and buckets, so only the latest base of a line of
-// extensions may be extended.
+// ascending IDs, its live bits go into a copy of b's mask (a bit per
+// tuple: the tail's first bits may share b's last word, which runs over
+// b read), its uncertain positions are appended to the spare capacity
+// of the top-level buckets when they have enough, and its certain
+// tuples, sorted, are merged with b's into a new ranking — exactly what
+// Prepare(rel) gives. b is never written: it stays valid for the runs
+// that hold it, and on an error nothing but spare capacity is touched.
+// An extension writes past b's buckets, so only the latest base of a
+// line of extensions may be extended.
 func (b *Base) Extend(rel uncertain.Relation) (*Base, error) {
 	done := len(b.rel)
 	if len(rel) < done {
 		return nil, fmt.Errorf("core: extending a base of %d tuples to a relation of %d", done, len(rel))
 	}
-	e := &Base{rel: rel, bound: b.bound, live: growTo(b.live, len(rel)), nLive: b.nLive, lo: b.lo, hi: b.hi, byMax: b.byMax, maxLo: b.maxLo}
+	e := &Base{rel: rel, bound: b.bound, live: make(bitset, words(len(rel))), nLive: b.nLive, lo: b.lo, hi: b.hi, byMax: b.byMax, maxLo: b.maxLo}
+	copy(e.live, b.live)
 	var tail []certEntry
 	tailLo, tailHi := math.MaxInt, math.MinInt // the tail's uncertain top levels
 	for i := done; i < len(rel); i++ {
@@ -268,7 +270,7 @@ func (b *Base) Extend(rel uncertain.Relation) (*Base, error) {
 		if x.Dist.IsCertain() {
 			tail = append(tail, certEntry{id: x.ID, level: x.Dist.Min})
 		} else {
-			e.live[i] = true
+			e.live.set(i)
 			e.nLive++
 			tailLo, tailHi = min(tailLo, x.Dist.Max()), max(tailHi, x.Dist.Max())
 		}
@@ -294,11 +296,11 @@ func (b *Base) index(done, lo, hi int) {
 	if len(b.byMax) > 0 {
 		copy(byMax[b.maxLo-lo:], b.byMax)
 	}
-	// Each bucket grows once, by what the tail adds to it, as the live
-	// mask does (growTo); next[l] is where bucket l's next position goes.
+	// Each bucket grows once, by what the tail adds to it (growTo);
+	// next[l] is where bucket l's next position goes.
 	next := make([]int, len(byMax))
 	for i := done; i < len(b.rel); i++ {
-		if b.live[i] {
+		if b.live.has(i) {
 			next[b.rel[i].Dist.Max()-lo]++
 		}
 	}
@@ -307,7 +309,7 @@ func (b *Base) index(done, lo, hi int) {
 		byMax[l] = growTo(byMax[l], next[l]+n)
 	}
 	for i := done; i < len(b.rel); i++ {
-		if b.live[i] {
+		if b.live.has(i) {
 			l := b.rel[i].Dist.Max() - lo
 			byMax[l][next[l]] = int32(i)
 			next[l]++
@@ -378,11 +380,12 @@ type Engine struct {
 	cost   simclock.CostModel
 
 	// rel is the run's relation, shared and read only; the engine reads
-	// a tuple's distribution only while its position is live. live[i] is
-	// true while rel[i] is uncertain and not yet cleaned — never for a
-	// tuple an override made certain; nLive counts them.
+	// a tuple's distribution only while its position is live. live has
+	// bit i set while rel[i] is uncertain and not yet cleaned — never
+	// for a tuple an override made certain; nLive counts them. It starts
+	// as a copy of the base's mask: a word per 64 tuples.
 	rel   uncertain.Relation
-	live  []bool
+	live  bitset
 	nLive int
 	// base is the prepared D0 the run started from, whose top-level
 	// buckets a ψ re-sort walks. marked, nil without overrides, holds a
@@ -473,9 +476,16 @@ type overrides struct {
 // bitset is a set of positions, one bit each; nil is the empty set.
 type bitset []uint64
 
+// words returns the length of a bitset over n positions.
+func words(n int) int { return (n + 63) / 64 }
+
 func (s bitset) has(pos int) bool {
 	return s != nil && s[pos/64]&(1<<(pos%64)) != 0
 }
+
+func (s bitset) set(pos int) { s[pos/64] |= 1 << (pos % 64) }
+
+func (s bitset) unset(pos int) { s[pos/64] &^= 1 << (pos % 64) }
 
 func (s bitset) count() int {
 	n := 0
@@ -499,7 +509,7 @@ func (e *Engine) override(b *Base, over iter.Seq2[int, uncertain.Dist]) override
 			v.err = fmt.Errorf("core: override position %d outside [0, %d)", pos, len(b.rel))
 		case len(d.P) == 0:
 			v.err = fmt.Errorf("core: empty distribution overrides position %d", pos)
-		case v.marked.has(pos) || b.live[pos] && !e.live[pos]:
+		case v.marked.has(pos) || b.live.has(pos) && !e.live.has(pos):
 			v.err = fmt.Errorf("core: position %d overridden twice", pos)
 		case !d.IsCertain() && (e.rel[pos].ID != b.rel[pos].ID || e.rel[pos].Dist.Min != d.Min ||
 			len(e.rel[pos].Dist.P) != len(d.P) || &e.rel[pos].Dist.P[0] != &d.P[0]):
@@ -508,25 +518,25 @@ func (e *Engine) override(b *Base, over iter.Seq2[int, uncertain.Dist]) override
 		if v.err != nil {
 			return false
 		}
-		baseLive, certain := b.live[pos], d.IsCertain()
+		baseLive, certain := b.live.has(pos), d.IsCertain()
 		if certain {
 			e.certain.add(b.rel[pos].ID, d.Min)
 		} else {
 			v.lo, v.hi = min(v.lo, d.Min), max(v.hi, d.Max())
 		}
 		if baseLive && certain {
-			e.live[pos] = false
+			e.live.unset(pos)
 			e.nLive--
 		} else {
 			if v.marked == nil {
-				v.marked = make(bitset, (len(b.rel)+63)/64)
+				v.marked = make(bitset, words(len(b.rel)))
 			}
-			v.marked[pos/64] |= 1 << (pos % 64)
+			v.marked.set(pos)
 		}
 		if !baseLive {
 			v.nReplaced++
 			if !certain {
-				e.live[pos] = true
+				e.live.set(pos)
 				e.nLive++
 			}
 		}
@@ -669,7 +679,7 @@ func (e *Engine) bootstrap() error {
 	}
 	cands := make([]cand, 0, e.nLive)
 	for i, x := range e.rel {
-		if e.live[i] {
+		if e.live.has(i) {
 			cands = append(cands, cand{x.ID, x.Dist.Mean()})
 		}
 	}
@@ -709,11 +719,11 @@ func (e *Engine) clean(ids []int) error {
 	e.stats.OracleCalls++
 	for i, id := range ids {
 		pos, ok := e.position(id)
-		if !ok || !e.live[pos] {
+		if !ok || !e.live.has(pos) {
 			return fmt.Errorf("core: cleaning unknown or already-certain tuple %d", id)
 		}
 		e.prob.Remove(e.rel[pos].Dist)
-		e.live[pos] = false
+		e.live.unset(pos)
 		e.nLive--
 		e.certain.add(id, levels[i])
 	}
@@ -745,7 +755,7 @@ func (e *Engine) finishDegraded(reason string) Result {
 		cands = append(cands, cand{id: c.id, level: c.level, confirmed: true})
 	}
 	for i, x := range e.rel {
-		if e.live[i] {
+		if e.live.has(i) {
 			cands = append(cands, cand{id: x.ID, level: int(math.Round(x.Dist.Mean()))})
 		}
 	}

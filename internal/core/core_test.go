@@ -577,7 +577,7 @@ func TestPrepareRejectsUnorderedRelation(t *testing.T) {
 func liveDists(e *Engine) map[int]uncertain.Dist {
 	m := make(map[int]uncertain.Dist, e.nLive)
 	for i, x := range e.rel {
-		if e.live[i] {
+		if e.live.has(i) {
 			m[x.ID] = x.Dist
 		}
 	}

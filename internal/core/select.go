@@ -126,14 +126,14 @@ func (s *selector) resort(sk, sp int) {
 	s.order = s.order[:0]
 	for _, bucket := range above {
 		for _, pos := range bucket {
-			if e.live[pos] && !e.marked.has(int(pos)) {
+			if e.live.has(int(pos)) && !e.marked.has(int(pos)) {
 				s.add(int(pos), sk, sp)
 			}
 		}
 	}
 	for w, word := range e.marked {
 		for ; word != 0; word &= word - 1 {
-			if pos := w*64 + bits.TrailingZeros64(word); e.live[pos] {
+			if pos := w*64 + bits.TrailingZeros64(word); e.live.has(pos) {
 				s.add(pos, sk, sp)
 			}
 		}
@@ -165,21 +165,21 @@ func (s *selector) appendZeros() {
 	// the live ones less those the heap still holds, and grows once.
 	zeros := e.nLive
 	for _, it := range s.order[:s.positive] {
-		if e.live[it.pos] {
+		if e.live.has(it.pos) {
 			zeros--
 		}
 	}
 	s.order = slices.Grow(s.order, zeros)
-	for pos, live := range e.live {
-		if !live {
-			continue
-		}
-		psi := 0.0
-		if d := e.rel[pos].Dist; d.Max() > s.sortSk {
-			psi = psiOf(d, s.sortSk, s.sortSp, e.cfg.Bound)
-		}
-		if !(psi > 0) {
-			s.order = append(s.order, psiEntry{psi: psi, pos: pos})
+	for w, word := range e.live {
+		for ; word != 0; word &= word - 1 {
+			pos := w*64 + bits.TrailingZeros64(word)
+			psi := 0.0
+			if d := e.rel[pos].Dist; d.Max() > s.sortSk {
+				psi = psiOf(d, s.sortSk, s.sortSp, e.cfg.Bound)
+			}
+			if !(psi > 0) {
+				s.order = append(s.order, psiEntry{psi: psi, pos: pos})
+			}
 		}
 	}
 	s.zeros = true
@@ -376,7 +376,7 @@ func (s *selector) selectBatch() []int {
 			break
 		}
 		it := s.at(j)
-		if !e.live[it.pos] {
+		if !e.live.has(it.pos) {
 			continue // cleaned since the last re-sort
 		}
 		id, d := e.rel[it.pos].ID, e.rel[it.pos].Dist

@@ -203,8 +203,8 @@ func (s *referenceSelector) needResort(sk, sp int) bool {
 
 func (s *referenceSelector) resort(sk, sp int) {
 	s.order, s.psi = s.order[:0], s.psi[:0]
-	for pos, live := range s.e.live {
-		if live {
+	for pos := range s.e.rel {
+		if s.e.live.has(pos) {
 			s.order = append(s.order, pos)
 			s.psi = append(s.psi, psiOf(s.e.rel[pos].Dist, sk, sp, s.e.cfg.Bound))
 		}
@@ -253,12 +253,12 @@ func (s *referenceSelector) selectBatch() []int {
 	var h batchHeap
 	examined := 0
 	for i, pos := range s.order {
-		if !e.live[pos] {
+		if !e.live.has(pos) {
 			continue
 		}
 		if !e.cfg.DisableEarlyStop && len(h) == b && base+gamma*s.psi[i] <= h[0].e {
 			for _, rest := range s.order[i:] {
-				if e.live[rest] {
+				if e.live.has(rest) {
 					e.stats.Pruned++
 				}
 			}

@@ -7,11 +7,12 @@ import (
 	"github.com/everest-project/everest/internal/labelstore"
 )
 
-// BenchmarkRecover times Open on a directory a capped serving cache left
-// behind: ~96-frame publishes over 20,000 frames into a cache capped at
-// 4,000 labels, checkpointed every 64 records, so recovery decodes a
-// 4,000-label checkpoint and replays the publish and evict records
-// logged after it.
+// BenchmarkRecover times the attach path a restart pays, Open plus
+// Recovered, on a directory a capped serving cache left behind: ~96-frame
+// publishes over 20,000 frames into a cache capped at 4,000 labels,
+// checkpointed every 64 records, so recovery decodes a 4,000-label
+// checkpoint, replays the publish and evict records logged after it,
+// and builds the cache's label map from the result.
 func BenchmarkRecover(b *testing.B) {
 	const frames, batch, maxLabels, publishes = 20000, 96, 4000, 150
 	dir := b.TempDir()
@@ -44,8 +45,8 @@ func BenchmarkRecover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Version() != want {
-			b.Fatalf("recovered version %d, want %d", r.Version(), want)
+		if _, v := r.Recovered(); v != want {
+			b.Fatalf("recovered version %d, want %d", v, want)
 		}
 		r.Close()
 	}

@@ -12,14 +12,22 @@
 // incremental maintenance: recovery does not recompute, it replays a
 // log of updates on top of the newest checkpoint.
 //
+// A commit is what one lock hold of the cache changed: a publish and
+// the eviction it triggered, or a tightening's eviction. The cache
+// stages each of its records (AppendPublish, AppendEvict) and ends the
+// hold with Commit, which writes them with one write and one fsync.
+//
 // Invariants (locked by the root crash_test.go harness and
 // FuzzWALReplay):
 //
-//   - Atomic records: a publish or eviction is one WAL record; recovery
-//     applies it entirely or not at all — never a partial batch.
+//   - Atomic commits: a publish or eviction is one WAL record, and a
+//     commit a run of them; recovery applies a commit entirely or not at
+//     all — never a partial batch, never a publish without the eviction
+//     its lock hold made.
 //   - Consistent prefix: whatever bytes a crash leaves behind, recovery
-//     yields the state after some prefix of the logged operations, with
-//     the version counter equal to that prefix's length.
+//     yields the state after some prefix of the committed operations
+//     that ends at a commit boundary — a version some caller could have
+//     observed — with the version counter equal to that prefix's length.
 //   - Torn-tail truncation: the first corrupt record ends the log; the
 //     tail is physically truncated and later segments removed.
 //   - Version continuity: the recovered version counter continues where
@@ -46,7 +54,7 @@ type Options struct {
 	// many bytes; 0 means 1 MiB.
 	SegmentBytes int
 	// CheckpointEvery writes an atomic checkpoint (and truncates the
-	// WAL) every this many appended records; 0 means 64, negative
+	// WAL) every this many committed records; 0 means 64, negative
 	// disables automatic checkpoints.
 	CheckpointEvery int
 }
@@ -65,32 +73,35 @@ func (o Options) withDefaults() Options {
 }
 
 // Store is a durable mirror of one labelstore.SharedCache: it receives
-// every publish and eviction (with the version each produced), appends
-// them to the WAL, maintains the materialized state for checkpointing,
-// and recovers the newest consistent prefix when reopened. It
-// implements labelstore.WAL. Safe for concurrent use, though the cache
-// already serializes calls under its own lock.
+// every publish and eviction (with the version each produced), stages
+// them until the cache's Commit, appends each commit to the WAL,
+// maintains the materialized state for checkpointing, and recovers the
+// newest consistent prefix when reopened. It implements labelstore.WAL.
+// Safe for concurrent use, though the cache already serializes calls
+// under its own lock.
 //
-// The materialized state is a plain map that each record updates in
-// place: nothing snapshots it, so the cache's persistent trie is
-// converted to and from it only at attach time (Adopt, Recovered). A
-// record and a checkpoint are encoded into buf, a checkpoint's frames
-// sorted in keys; both are the store's own and reused, so appending a
-// record costs what the record holds.
+// The materialized state is a plain map that each committed record
+// updates in place: nothing snapshots it, so the cache's persistent
+// trie is converted to and from it only at attach time (Adopt,
+// Recovered). A commit and a checkpoint are encoded into buf, a
+// checkpoint's frames sorted in keys, and the staged records wait in
+// pending; all three are the store's own and reused, so committing
+// costs what the records hold.
 type Store struct {
 	dir  string
 	opts Options
 
 	mu        sync.Mutex
 	fs        FS
-	labels    map[int]float64
+	labels    map[int]float64 // the state at version, the last commit
 	version   uint64
-	buf       []byte // encode buffer of the record or checkpoint being written
-	keys      []int  // a checkpoint's frames, ascending
-	segSeq    uint64 // active segment sequence number
-	seg       File   // nil until the first append after open/rotate
+	pending   []Record // staged since the last commit, versions version+1…
+	buf       []byte   // encode buffer of the commit or checkpoint being written
+	keys      []int    // a checkpoint's frames, ascending
+	segSeq    uint64   // active segment sequence number
+	seg       File     // nil until the first commit after open/rotate
 	segBytes  int
-	recsSince int   // records appended since the last checkpoint
+	recsSince int   // records committed since the last checkpoint
 	sticky    error // first fatal I/O failure; all later ops fail with it
 }
 
@@ -186,49 +197,66 @@ func (s *Store) loadBase(ckpts []uint64) (map[int]float64, uint64) {
 	return map[int]float64{}, 0
 }
 
-// replay applies segment records to the store's labels and version,
-// stopping at the first corrupt or discontinuous record — truncating
-// the torn tail there and removing the unreachable later segments.
-// Records at or below the starting version are stale segments'
-// leftovers and are skipped.
+// replay applies segment records to the store's labels and version a
+// commit at a time, stopping at the first corrupt or discontinuous
+// record, or at a commit its segment does not finish: the log ends
+// where that commit began, so the torn tail is truncated there and the
+// unreachable later segments removed. Records at or below the starting
+// version are stale segments' leftovers and are skipped.
 func (s *Store) replay(segs []uint64) error {
+	var commit []Record // the open commit's records
 	for si, seq := range segs {
 		name := s.path(segName(seq))
 		data, err := s.fs.ReadFile(name)
 		if err != nil {
 			return fmt.Errorf("durable: reading %s: %w", name, err)
 		}
-		off := 0
+		off, start := 0, 0 // start: where the open commit began
 		for off < len(data) {
-			rec, next, derr := decodeRecord(data, off)
-			if derr == nil && rec.Version > s.version+1 {
-				// A version gap means the contiguous history ends here:
-				// whatever produced this record, the records before it are
-				// gone, so it is unreachable — same treatment as corruption.
-				derr = fmt.Errorf("durable: version gap (%d after %d) in %s", rec.Version, s.version, name)
+			if len(commit) == 0 {
+				start = off
 			}
-			if derr != nil {
-				// Torn tail: cut this segment at the last valid record and
-				// drop every later segment — they are beyond the first
-				// corruption and therefore not part of the consistent prefix.
-				if err := s.fs.Truncate(name, int64(off)); err != nil {
-					return fmt.Errorf("durable: truncating torn tail of %s: %w", name, err)
-				}
-				for _, later := range segs[si+1:] {
-					if err := s.fs.Remove(s.path(segName(later))); err != nil {
-						return fmt.Errorf("durable: removing unreachable segment: %w", err)
-					}
-				}
-				if err := s.fs.SyncDir(s.dir); err != nil {
-					return fmt.Errorf("durable: syncing %s: %w", s.dir, err)
-				}
-				return nil
+			rec, next, err := decodeRecord(data, off)
+			if err == nil && len(commit) == 0 && rec.Version <= s.version {
+				off = next
+				continue
 			}
-			if rec.Version == s.version+1 {
-				s.fold(rec)
+			// A version gap means the contiguous history ends here:
+			// whatever produced this record, the records before it are
+			// gone, so it is unreachable — same treatment as corruption.
+			if err != nil || rec.Version != s.version+uint64(len(commit))+1 {
+				return s.cut(name, start, segs[si+1:])
 			}
+			commit = append(commit, rec)
 			off = next
+			if !rec.More {
+				for _, r := range commit {
+					s.fold(r)
+				}
+				commit = commit[:0]
+			}
 		}
+		if len(commit) > 0 {
+			return s.cut(name, start, segs[si+1:])
+		}
+	}
+	return nil
+}
+
+// cut ends the log at off in segment name — the torn tail truncated
+// and every later segment removed: they lie beyond the first corruption
+// and are therefore not part of the consistent prefix.
+func (s *Store) cut(name string, off int, later []uint64) error {
+	if err := s.fs.Truncate(name, int64(off)); err != nil {
+		return fmt.Errorf("durable: truncating torn tail of %s: %w", name, err)
+	}
+	for _, seq := range later {
+		if err := s.fs.Remove(s.path(segName(seq))); err != nil {
+			return fmt.Errorf("durable: removing unreachable segment: %w", err)
+		}
+	}
+	if err := s.fs.SyncDir(s.dir); err != nil {
+		return fmt.Errorf("durable: syncing %s: %w", s.dir, err)
 	}
 	return nil
 }
@@ -255,7 +283,7 @@ func (s *Store) recover() error {
 func (s *Store) Dir() string { return s.dir }
 
 // Recovered returns the store's state — recovered at Open, or adopted
-// or appended since — as the label map and the version counter a cache
+// or committed since — as the label map and the version counter a cache
 // resumes from. It builds the map afresh from the store's labels.
 func (s *Store) Recovered() (labelstore.Map, uint64) {
 	s.mu.Lock()
@@ -278,28 +306,88 @@ func (s *Store) Err() error {
 	return s.sticky
 }
 
-// AppendPublish logs one publish batch as the record that produced
-// version. Frames must be non-negative and strictly ascending
-// (labelstore publishes in sorted fold order), parallel to scores;
-// version must be exactly one past the store's.
+// AppendPublish stages one publish batch as the record that produced
+// version, for the next Commit. Frames must be non-negative and strictly
+// ascending (labelstore publishes in sorted fold order), parallel to
+// scores; version must be exactly one past the last staged or committed
+// one. The store keeps the slices, uncopied, until Commit.
 func (s *Store) AppendPublish(version uint64, frames []int, scores []float64) error {
-	return s.append(Record{Type: recPublish, Version: version, Frames: frames, Scores: scores})
+	return s.stage(Record{Type: recPublish, Version: version, Frames: frames, Scores: scores})
 }
 
-// AppendEvict logs one eviction pass as the record that produced
+// AppendEvict stages one eviction pass as the record that produced
 // version. Frames must be non-negative and strictly ascending.
 func (s *Store) AppendEvict(version uint64, frames []int) error {
-	return s.append(Record{Type: recEvict, Version: version, Frames: frames})
+	return s.stage(Record{Type: recEvict, Version: version, Frames: frames})
 }
 
-// append logs rec, then folds it into the mirror state.
-func (s *Store) append(rec Record) error {
+// stage validates continuity and the record's frames and queues it for
+// the next Commit. A record that fails validation is not staged.
+func (s *Store) stage(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(rec); err != nil {
+	if s.sticky != nil {
+		return s.sticky
+	}
+	if last := s.version + uint64(len(s.pending)); rec.Version != last+1 {
+		return fmt.Errorf("durable: version discontinuity: appending %d onto %d", rec.Version, last)
+	}
+	if err := rec.validate(); err != nil {
 		return err
 	}
-	s.fold(rec)
+	s.pending = append(s.pending, rec)
+	return nil
+}
+
+// Commit writes the records staged since the last commit to the active
+// segment as one commit — one write, one fsync — then folds them into
+// the store's labels and runs the checkpoint cadence. With nothing
+// staged it does nothing. A failed write or sync latches the sticky
+// error and drops the staged records: recovery ends the log before a
+// commit it finds cut short.
+func (s *Store) Commit() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.pending) == 0 {
+		return nil
+	}
+	err := s.commitLocked()
+	clear(s.pending) // the caller's slices
+	s.pending = s.pending[:0]
+	return err
+}
+
+// commitLocked encodes and writes the staged records, every one but
+// the last marked as continued, and syncs the segment. Caller holds
+// s.mu.
+func (s *Store) commitLocked() error {
+	if s.seg == nil {
+		seg, err := s.fs.OpenAppend(s.path(segName(s.segSeq)))
+		if err != nil {
+			return s.fail(fmt.Errorf("durable: opening segment: %w", err))
+		}
+		s.seg = seg
+		s.segBytes = 0
+	}
+	s.buf = s.buf[:0]
+	for i, rec := range s.pending {
+		rec.More = i < len(s.pending)-1
+		s.buf = appendRecord(s.buf, rec)
+	}
+	if _, err := s.seg.Write(s.buf); err != nil {
+		return s.fail(fmt.Errorf("durable: appending records: %w", err))
+	}
+	if err := s.seg.Sync(); err != nil {
+		return s.fail(fmt.Errorf("durable: syncing segment: %w", err))
+	}
+	for _, rec := range s.pending {
+		s.fold(rec)
+	}
+	s.segBytes += len(s.buf)
+	s.recsSince += len(s.pending)
+	if s.segBytes >= s.opts.SegmentBytes {
+		s.rotateLocked()
+	}
 	return s.maybeCheckpointLocked()
 }
 
@@ -316,43 +404,6 @@ func (s *Store) fold(rec Record) {
 		}
 	}
 	s.version = rec.Version
-}
-
-// appendLocked validates continuity and the record's frames, encodes
-// and writes one record to the active segment, syncing per the
-// options. A record that fails validation is rejected before anything
-// is written. Caller holds s.mu.
-func (s *Store) appendLocked(rec Record) error {
-	if s.sticky != nil {
-		return s.sticky
-	}
-	if rec.Version != s.version+1 {
-		return fmt.Errorf("durable: version discontinuity: appending %d onto %d", rec.Version, s.version)
-	}
-	if err := rec.validate(); err != nil {
-		return err
-	}
-	if s.seg == nil {
-		seg, err := s.fs.OpenAppend(s.path(segName(s.segSeq)))
-		if err != nil {
-			return s.fail(fmt.Errorf("durable: opening segment: %w", err))
-		}
-		s.seg = seg
-		s.segBytes = 0
-	}
-	s.buf = appendRecord(s.buf[:0], rec)
-	if _, err := s.seg.Write(s.buf); err != nil {
-		return s.fail(fmt.Errorf("durable: appending record: %w", err))
-	}
-	if err := s.seg.Sync(); err != nil {
-		return s.fail(fmt.Errorf("durable: syncing segment: %w", err))
-	}
-	s.segBytes += len(s.buf)
-	s.recsSince++
-	if s.segBytes >= s.opts.SegmentBytes {
-		s.rotateLocked()
-	}
-	return nil
 }
 
 // fail records the first fatal error and returns it.
@@ -382,8 +433,9 @@ func (s *Store) maybeCheckpointLocked() error {
 	return s.checkpointLocked()
 }
 
-// Checkpoint forces an atomic checkpoint of the current state and
-// truncates the WAL behind it.
+// Checkpoint forces an atomic checkpoint of the state at the last
+// commit and truncates the WAL behind it; records staged since stay
+// staged, for the next Commit.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -470,7 +522,7 @@ func (s *Store) Adopt(labels labelstore.Map, version uint64) error {
 	if s.sticky != nil {
 		return s.sticky
 	}
-	if s.version != 0 || len(s.labels) != 0 {
+	if s.version != 0 || len(s.labels) != 0 || len(s.pending) != 0 {
 		return fmt.Errorf("durable: %s already holds state at version %d; cannot adopt a different cache", s.dir, s.version)
 	}
 	s.labels = make(map[int]float64, labels.Len())
@@ -482,15 +534,15 @@ func (s *Store) Adopt(labels labelstore.Map, version uint64) error {
 	return s.checkpointLocked()
 }
 
-// Version returns the store's current version counter.
+// Version returns the store's version counter: the last commit's.
 func (s *Store) Version() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.version
 }
 
-// Close closes the active segment handle. The store's contents are
-// already durable per the sync policy; Close is hygiene, not a flush.
+// Close closes the active segment handle. Every commit is already
+// durable; Close is hygiene, not a flush, and writes no staged record.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -13,14 +13,30 @@ import (
 	"github.com/everest-project/everest/internal/labelstore"
 )
 
-// publishN appends n publish batches, batch i (1-based version) holding
+// publishOne and evictOne stage one record and commit it on its own,
+// as a lone publish or eviction's lock hold of the cache does.
+func publishOne(s *Store, version uint64, frames []int, scores []float64) error {
+	if err := s.AppendPublish(version, frames, scores); err != nil {
+		return err
+	}
+	return s.Commit()
+}
+
+func evictOne(s *Store, version uint64, frames []int) error {
+	if err := s.AppendEvict(version, frames); err != nil {
+		return err
+	}
+	return s.Commit()
+}
+
+// publishN commits n publish batches, batch i (1-based version) holding
 // frames {10i, 10i+1} with scores derived from the frame.
 func publishN(t *testing.T, s *Store, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
 		frames := []int{10 * i, 10*i + 1}
 		scores := []float64{float64(10 * i), float64(10*i + 1)}
-		if err := s.AppendPublish(uint64(i), frames, scores); err != nil {
+		if err := publishOne(s, uint64(i), frames, scores); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
@@ -82,10 +98,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	m, v := r.Recovered()
 	assertState(t, m, v, 7)
 	// Version continuity: the reopened store accepts exactly version 8.
-	if err := r.AppendPublish(9, []int{1}, []float64{1}); err == nil {
+	if err := publishOne(r, 9, []int{1}, []float64{1}); err == nil {
 		t.Fatal("version gap accepted")
 	}
-	if err := r.AppendPublish(8, []int{80}, []float64{80}); err != nil {
+	if err := publishOne(r, 8, []int{80}, []float64{80}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -97,7 +113,7 @@ func TestStoreEvictionReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	publishN(t, s, 1, 3) // versions 1..3
-	if err := s.AppendEvict(4, []int{10, 11}); err != nil {
+	if err := evictOne(s, 4, []int{10, 11}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -276,7 +292,7 @@ func TestStoreAdopt(t *testing.T) {
 	if err := s.Adopt(warm, 12); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendPublish(13, []int{20}, []float64{2}); err != nil {
+	if err := publishOne(s, 13, []int{20}, []float64{2}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -322,7 +338,7 @@ func TestStoreGarbageDirectoryNeverPanics(t *testing.T) {
 		t.Fatalf("garbage directory recovered v%d / %d labels, want empty", v, m.Len())
 	}
 	// And the store still works.
-	if err := s.AppendPublish(1, []int{1}, []float64{1}); err != nil {
+	if err := publishOne(s, 1, []int{1}, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -366,6 +382,9 @@ func TestAppendRejectsUnsortedFrames(t *testing.T) {
 	}
 	if err := s.Err(); err != nil {
 		t.Fatalf("a rejected batch latched a sticky error: %v", err)
+	}
+	if err := s.Commit(); err != nil || size() != before {
+		t.Fatalf("a commit after rejected appends: %v, segment %d bytes, want nothing staged and %d", err, size(), before)
 	}
 	publishN(t, s, 3, 2)
 	s.Close()
@@ -417,7 +436,7 @@ func TestStoreReplayAppliesOverwritesInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 1; v <= 12; v++ {
-		if err := s.AppendPublish(uint64(v), []int{7, 100 + v}, []float64{float64(v) / 8, float64(v)}); err != nil {
+		if err := publishOne(s, uint64(v), []int{7, 100 + v}, []float64{float64(v) / 8, float64(v)}); err != nil {
 			t.Fatalf("publish %d: %v", v, err)
 		}
 	}
@@ -451,11 +470,11 @@ func TestStoreEvictionSurvivesCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := []func(v uint64) error{
-		func(v uint64) error { return s.AppendPublish(v, []int{1, 2, 3}, []float64{1, 2, 3}) },
-		func(v uint64) error { return s.AppendEvict(v, []int{2}) },
-		func(v uint64) error { return s.AppendPublish(v, []int{4}, []float64{4}) }, // checkpoint at v3
-		func(v uint64) error { return s.AppendEvict(v, []int{1, 3}) },
-		func(v uint64) error { return s.AppendPublish(v, []int{3}, []float64{3.5}) },
+		func(v uint64) error { return publishOne(s, v, []int{1, 2, 3}, []float64{1, 2, 3}) },
+		func(v uint64) error { return evictOne(s, v, []int{2}) },
+		func(v uint64) error { return publishOne(s, v, []int{4}, []float64{4}) }, // checkpoint at v3
+		func(v uint64) error { return evictOne(s, v, []int{1, 3}) },
+		func(v uint64) error { return publishOne(s, v, []int{3}, []float64{3.5}) },
 	}
 	for i, step := range steps {
 		if err := step(uint64(i + 1)); err != nil {

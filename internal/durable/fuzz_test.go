@@ -12,32 +12,43 @@ import (
 
 // refReplay is an independent reference for what recovery must produce
 // from one segment's raw bytes: walk records greedily from the empty
-// version-0 state, apply each contiguous record, and stop at the first
-// framing/checksum failure or version gap. Recovery over arbitrary
-// bytes must agree with this prefix exactly.
+// version-0 state, collect each commit's contiguous records, apply a
+// commit once its last record (one without the continuation bit) has
+// decoded, and stop at the first framing/checksum failure or version
+// gap, or at the end of the bytes — a commit still open there is
+// dropped. Recovery over arbitrary bytes must agree with this prefix
+// exactly.
 func refReplay(data []byte) (labelstore.Map, uint64) {
 	var labels labelstore.Map
 	version := uint64(0)
+	var commit []Record
 	off := 0
 	for off < len(data) {
 		rec, next, err := decodeRecord(data, off)
-		if err != nil || rec.Version > version+1 {
+		if err != nil {
 			break
 		}
-		if rec.Version == version+1 {
-			switch rec.Type {
-			case recPublish:
-				for i, f := range rec.Frames {
-					labels = labels.Set(f, rec.Scores[i])
-				}
-			case recEvict:
-				for _, f := range rec.Frames {
+		off = next
+		if len(commit) == 0 && rec.Version <= version {
+			continue // a stale record
+		}
+		if rec.Version != version+uint64(len(commit))+1 {
+			break
+		}
+		if commit = append(commit, rec); rec.More {
+			continue
+		}
+		for _, r := range commit {
+			for i, f := range r.Frames {
+				if r.Type == recPublish {
+					labels = labels.Set(f, r.Scores[i])
+				} else {
 					labels = labels.Delete(f)
 				}
 			}
-			version = rec.Version
+			version = r.Version
 		}
-		off = next
+		commit = nil
 	}
 	return labels, version
 }
@@ -59,9 +70,9 @@ func sameState(a labelstore.Map, av uint64, b labelstore.Map, bv uint64) bool {
 
 // FuzzWALReplay drops arbitrary bytes into a segment file and recovers.
 // Whatever the bytes, Open must not panic, must yield exactly the
-// checksum-valid contiguous prefix, and — because recovery physically
-// truncates the torn tail — a second Open must reproduce the first
-// recovery bit-for-bit.
+// checksum-valid contiguous prefix of whole commits, and — because
+// recovery physically truncates the torn tail — a second Open must
+// reproduce the first recovery bit-for-bit.
 func FuzzWALReplay(f *testing.F) {
 	// Seed corpus: a clean two-record log, a publish-then-evict log, a
 	// truncated tail, a bit-flipped payload, garbage, an empty file, and
@@ -81,6 +92,15 @@ func FuzzWALReplay(f *testing.F) {
 	// before it, keeping the clean prefix.
 	f.Add(appendRecord(append([]byte(nil), clean...), Record{Type: recPublish, Version: 3, Frames: []int{5, 5}, Scores: []float64{1, 2}}))
 	f.Add(appendRecord(append([]byte(nil), clean...), Record{Type: recEvict, Version: 3, Frames: []int{3, 3}}))
+	// A publish and its eviction as one commit, then the same commit
+	// torn before its last record ends, and one cut after its first
+	// record: recovery keeps the clean prefix without the publish.
+	commit := appendRecord(append([]byte(nil), clean...), Record{Type: recPublish, Version: 3, Frames: []int{30, 31}, Scores: []float64{3, 3.5}, More: true})
+	first := len(commit)
+	commit = appendRecord(commit, Record{Type: recEvict, Version: 4, Frames: []int{3, 7}})
+	f.Add(append([]byte(nil), commit...))
+	f.Add(append([]byte(nil), commit[:len(commit)-3]...))
+	f.Add(append([]byte(nil), commit[:first]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

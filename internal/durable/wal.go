@@ -15,7 +15,8 @@ import (
 //	uint32  CRC32 (IEEE) of the length field and the payload
 //	uint32  payload length (little-endian)
 //	payload:
-//	  byte     record type (1 = publish, 2 = evict)
+//	  byte     record type (1 = publish, 2 = evict), plus 0x80 when a
+//	           later record of the same commit follows
 //	  uvarint  version — the cache version this record produced
 //	  uvarint  count   — number of frames in the record
 //	  publish: count × (uvarint frame delta, 8-byte score bits)
@@ -27,9 +28,18 @@ import (
 // any other order and the decoder treats a zero gap after the first
 // frame as corruption. Scores are raw IEEE-754 bits, so replay
 // reproduces them bit-exactly.
+//
+// A commit — what one cache lock hold staged, a publish and the
+// eviction it triggered — is a run of records in one segment, written
+// by one write: every record but the last carries the continuation bit
+// (recMore). Recovery applies a commit only once its last record has
+// decoded; a commit cut short by a crash ends the log where it began. A
+// log written before commits were marked has no continuation bits, so
+// each of its records is a commit of its own, as it was.
 const (
 	recPublish byte = 1
 	recEvict   byte = 2
+	recMore    byte = 0x80
 
 	recHeaderLen = 8
 	// maxRecordLen bounds a single record's payload so an adversarial or
@@ -44,6 +54,7 @@ type Record struct {
 	Version uint64
 	Frames  []int
 	Scores  []float64 // publish records only, parallel to Frames
+	More    bool      // a later record of the same commit follows
 }
 
 // validate checks what the encoder trusts: frames non-negative,
@@ -71,7 +82,11 @@ func appendRecord(buf []byte, r Record) []byte {
 	start := len(buf)
 	var hdr [recHeaderLen]byte
 	buf = append(buf, hdr[:]...)
-	buf = append(buf, r.Type)
+	if r.More {
+		buf = append(buf, r.Type|recMore)
+	} else {
+		buf = append(buf, r.Type)
+	}
 	buf = binary.AppendUvarint(buf, r.Version)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Frames)))
 	prev := 0
@@ -119,7 +134,7 @@ func parsePayload(p []byte) (Record, error) {
 	if len(p) < 1 {
 		return Record{}, fmt.Errorf("empty record payload")
 	}
-	rec := Record{Type: p[0]}
+	rec := Record{Type: p[0] &^ recMore, More: p[0]&recMore != 0}
 	if rec.Type != recPublish && rec.Type != recEvict {
 		return Record{}, fmt.Errorf("unknown record type %d", rec.Type)
 	}

@@ -259,7 +259,7 @@ func (a *Artifact) prepared(v d0View, bound core.BoundKind) (*core.Base, error) 
 // O(tail) and leaves at most as much slack as s holds. s's own elements
 // are never written, so a reader holding s is unaffected; the tail is
 // zeroed because a failed extension may have written it. (core keeps
-// the same rule for a prepared base's live mask.)
+// the same rule for a prepared base's top-level buckets.)
 func growTo[S ~[]E, E any](s S, n int) S {
 	if n <= cap(s) {
 		t := s[:n]

@@ -21,8 +21,14 @@ func writeHistory(fs durable.FS, dir string) error {
 		if err := s.AppendPublish(uint64(i), []int{10 * i, 10*i + 1}, []float64{1, 2}); err != nil {
 			return err
 		}
+		if err := s.Commit(); err != nil {
+			return err
+		}
 	}
-	return s.AppendEvict(7, []int{10, 11})
+	if err := s.AppendEvict(7, []int{10, 11}); err != nil {
+		return err
+	}
+	return s.Commit()
 }
 
 // TestFaultFSDeterministicOps: the same workload against the same
@@ -86,7 +92,7 @@ func TestFaultFSCrashIsSticky(t *testing.T) {
 // process — and the FS — keep working.
 func TestFaultFSSyncErrIsNonFatal(t *testing.T) {
 	dir := t.TempDir()
-	// Op layout for the first append on a fresh dir: 0 MkdirAll,
+	// Op layout for the first commit on a fresh dir: 0 MkdirAll,
 	// 1 OpenAppend, 2 Write, 3 Sync.
 	fs := NewFaultFS(durable.OSFS{}, 1).SyncErrAt(3)
 	s, err := durable.Open(dir, durable.Options{FS: fs})
@@ -94,9 +100,11 @@ func TestFaultFSSyncErrIsNonFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	err = s.AppendPublish(1, []int{1}, []float64{1})
-	if !errors.Is(err, ErrInjectedIO) {
-		t.Fatalf("append with failed fsync = %v, want ErrInjectedIO", err)
+	if err := s.AppendPublish(1, []int{1}, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); !errors.Is(err, ErrInjectedIO) {
+		t.Fatalf("commit with failed fsync = %v, want ErrInjectedIO", err)
 	}
 	if s.Err() == nil {
 		t.Fatal("store did not latch the fsync failure")
@@ -115,7 +123,7 @@ func TestFaultFSSyncErrIsNonFatal(t *testing.T) {
 func TestFaultFSShortWriteTruncatedOnRecovery(t *testing.T) {
 	dir := t.TempDir()
 	// Op layout: 0 MkdirAll, 1 OpenAppend, 2 Write, 3 Sync (first
-	// append), 4 Write (second append — the segment handle stays open).
+	// commit), 4 Write (second commit — the segment handle stays open).
 	fs := NewFaultFS(durable.OSFS{}, 3).ShortWriteAt(4)
 	s, err := durable.Open(dir, durable.Options{FS: fs})
 	if err != nil {
@@ -124,7 +132,13 @@ func TestFaultFSShortWriteTruncatedOnRecovery(t *testing.T) {
 	if err := s.AppendPublish(1, []int{1}, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
-	err = s.AppendPublish(2, []int{2}, []float64{2})
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendPublish(2, []int{2}, []float64{2}); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Commit()
 	if !errors.Is(err, ErrInjectedIO) {
 		t.Fatalf("short write surfaced as %v", err)
 	}

@@ -3,6 +3,7 @@ package labelstore
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -12,10 +13,12 @@ import (
 // refSet and refDelete are the per-key path copy the batch passes
 // replace, kept here as the reference they must match node for node:
 // grow at the top, copy the root→leaf path once per key, and keep empty
-// leaves in place on delete.
+// leaves in place on delete. A leaf is rebuilt through refLeaf, which
+// unpacks it into its 32 slots, so the reference shares none of the
+// packed merge the batch passes use.
 func refSet(m Map, f int, v float64) Map {
 	if m.root == nil {
-		m.root, m.depth = newLeaf(), 0
+		m.root, m.depth = newLeaf(0), 0
 	}
 	for f >= capacity(m.depth) {
 		r := newBranch()
@@ -32,21 +35,22 @@ func refSet(m Map, f int, v float64) Map {
 }
 
 func refSetAt(n *node, depth, f int, v float64) (*node, bool) {
-	var c *node
-	switch {
-	case n != nil:
-		c = n.clone()
-	case depth == 0:
-		c = newLeaf()
-	default:
-		c = newBranch()
-	}
 	if depth == 0 {
+		var slots [fanout]float64
+		var occ uint32
+		if n != nil {
+			slots, occ = unpack(n)
+		}
 		i := f & levelMask
-		added := c.bits&(1<<i) == 0
-		c.vals[i] = v
-		c.bits |= 1 << i
-		return c, added
+		added := occ&(1<<i) == 0
+		slots[i] = v
+		return refLeaf(slots, occ|1<<i), added
+	}
+	var c *node
+	if n != nil {
+		c = n.clone()
+	} else {
+		c = newBranch()
 	}
 	i := (f >> (bitsPerLevel * depth)) & levelMask
 	var added bool
@@ -71,13 +75,11 @@ func refDeleteAt(n *node, depth, f int) (*node, bool) {
 	}
 	if depth == 0 {
 		i := f & levelMask
-		if n.bits&(1<<i) == 0 {
+		slots, occ := unpack(n)
+		if occ&(1<<i) == 0 {
 			return n, false
 		}
-		c := n.clone()
-		c.bits &^= 1 << i
-		c.vals[i] = 0
-		return c, true
+		return refLeaf(slots, occ&^(1<<i)), true
 	}
 	i := (f >> (bitsPerLevel * depth)) & levelMask
 	kid, removed := refDeleteAt(n.kids[i], depth-1, f)
@@ -89,10 +91,40 @@ func refDeleteAt(n *node, depth, f int) (*node, bool) {
 	return c, true
 }
 
+// unpack spreads a packed leaf over its 32 slots by probing each one.
+func unpack(n *node) (slots [fanout]float64, occ uint32) {
+	k := 0
+	for i := 0; i < fanout; i++ {
+		if n.bits&(1<<i) != 0 {
+			slots[i] = n.vals[k]
+			k++
+		}
+	}
+	if k != len(n.vals) {
+		panic(fmt.Sprintf("leaf holds %d scores for %d set bits", len(n.vals), k))
+	}
+	return slots, n.bits
+}
+
+// refLeaf packs the occupied slots into a fresh leaf, in slot order.
+func refLeaf(slots [fanout]float64, occ uint32) *node {
+	var vals []float64
+	for i := 0; i < fanout; i++ {
+		if occ&(1<<i) != 0 {
+			vals = append(vals, slots[i])
+		}
+	}
+	c := newLeaf(len(vals))
+	copy(c.vals, vals)
+	c.bits = occ
+	return c
+}
+
 // sameShape reports the first difference between two tries: a node
 // present in one and not the other, a leaf/branch mismatch, or a leaf's
-// occupancy or any of its 32 value slots. The error names the path of
-// child slots from the root.
+// occupancy or any of its scores — a leaf holds exactly one per set
+// bit, so equal bitmaps and equal packed scores are equal slots. The
+// error names the path of child slots from the root.
 func sameShape(a, b *node, depth int) error {
 	if (a == nil) != (b == nil) {
 		return fmt.Errorf(": node present in one trie only (%v vs %v)", a != nil, b != nil)
@@ -100,10 +132,13 @@ func sameShape(a, b *node, depth int) error {
 	if a == nil {
 		return nil
 	}
-	if (a.kids == nil) != (b.kids == nil) || (a.vals == nil) != (b.vals == nil) {
-		return fmt.Errorf(": leaf/branch role differs")
+	if (a.kids == nil) != (depth == 0) || (b.kids == nil) != (depth == 0) {
+		return fmt.Errorf(": leaf/branch role differs from the depth")
 	}
 	if depth == 0 {
+		if len(a.vals) != bits.OnesCount32(a.bits) || len(b.vals) != bits.OnesCount32(b.bits) {
+			return fmt.Errorf(": a leaf's scores do not match its bitmap")
+		}
 		if a.bits != b.bits || !slices.Equal(a.vals, b.vals) {
 			return fmt.Errorf(": leaf differs: bits %032b vs %032b", a.bits, b.bits)
 		}
@@ -130,7 +165,7 @@ func sameMap(got, want Map) error {
 // frozenNode is a deep copy of one node's fields, taken before an
 // operation to prove afterwards that the node was never written.
 type frozenNode struct {
-	kids []*node
+	kids [fanout]*node
 	vals []float64
 	bits uint32
 }
@@ -142,10 +177,14 @@ func freeze(m Map) map[*node]frozenNode {
 		if n == nil {
 			return
 		}
-		out[n] = frozenNode{kids: slices.Clone(n.kids), vals: slices.Clone(n.vals), bits: n.bits}
-		for _, k := range n.kids {
-			walk(k)
+		f := frozenNode{vals: slices.Clone(n.vals), bits: n.bits}
+		if n.kids != nil {
+			f.kids = *n.kids
+			for _, k := range n.kids {
+				walk(k)
+			}
 		}
+		out[n] = f
 	}
 	walk(m.root)
 	return out
@@ -154,7 +193,7 @@ func freeze(m Map) map[*node]frozenNode {
 func assertFrozen(t *testing.T, frozen map[*node]frozenNode, what string) {
 	t.Helper()
 	for n, f := range frozen {
-		if n.bits != f.bits || !slices.Equal(n.kids, f.kids) || !slices.Equal(n.vals, f.vals) {
+		if n.bits != f.bits || n.kids != nil && *n.kids != f.kids || !slices.Equal(n.vals, f.vals) {
 			t.Fatalf("%s wrote a node reachable from its input map", what)
 		}
 	}
@@ -274,8 +313,9 @@ func TestBatchPanics(t *testing.T) {
 
 // FuzzMapBatch decodes the input into a sequence of set and delete
 // batches and checks every intermediate map against a Go map
-// reference (Len, Get, ascending Range) and against the per-key fold
-// node for node; earlier maps must stay exactly as they were.
+// reference (Len, Get of present and just-deleted keys, ascending
+// Range) and against the per-key fold node for node; earlier maps must
+// stay exactly as they were.
 func FuzzMapBatch(f *testing.F) {
 	f.Add([]byte{0x10, 1, 2, 3, 4, 0x11, 2, 3})
 	f.Add([]byte{0x2e, 0xff, 0x00, 0x7f, 0x80, 0x01, 0x13, 0x00, 0xff})
@@ -329,6 +369,13 @@ func FuzzMapBatch(f *testing.F) {
 			}
 			if err := matches(m, ref); err != nil {
 				t.Fatalf("step %d: %v", step, err)
+			}
+			for _, k := range keys {
+				if _, ok := ref[k]; !ok {
+					if v, ok := m.Get(k); ok {
+						t.Fatalf("step %d: Get(%d) = %v after its delete", step, k, v)
+					}
+				}
 			}
 		}
 		for i, s := range snaps {

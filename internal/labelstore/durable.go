@@ -5,20 +5,32 @@ import "fmt"
 // WAL is the durability hook a SharedCache logs through when durable
 // mode is enabled (internal/durable.Store implements it; the interface
 // lives here so labelstore does not depend on the storage layer).
-// Append calls happen under the cache lock, after the cache has applied
-// the operation and bumped its version — so by the time any other
-// goroutine can observe version v, the record that produced v is on
-// disk (per the store's sync policy). Versions arrive strictly
-// contiguously: one Append per version bump, in order.
+//
+// One lock hold of the cache that changes its version — a Publish, and
+// the eviction pass it may trigger, or a TightenPolicy's eviction — is
+// one commit. Each version bump stages one record (AppendPublish,
+// AppendEvict), after the cache has applied the operation, and the hold
+// ends with one Commit, still under the cache lock: by the time any
+// other goroutine can observe a version, every record of its commit is
+// on disk (per the store's sync policy), and the log marks where the
+// commit ends so recovery lands only on versions that could have been
+// observed. Versions arrive strictly contiguously: one staged record
+// per version bump, in order.
 type WAL interface {
 	// Dir identifies the backing directory (idempotent-attach checks).
 	Dir() string
-	// AppendPublish logs the publish batch that produced version.
-	// Frames are sorted ascending, parallel to scores.
+	// AppendPublish stages the publish batch that produced version.
+	// Frames are sorted ascending, parallel to scores. The slices stay
+	// unchanged until Commit returns, so a WAL may keep them, uncopied,
+	// until then.
 	AppendPublish(version uint64, frames []int, scores []float64) error
-	// AppendEvict logs the eviction pass that produced version.
-	// Frames are sorted ascending.
+	// AppendEvict stages the eviction pass that produced version.
+	// Frames are sorted ascending and, like a publish's, unchanged until
+	// Commit returns.
 	AppendEvict(version uint64, frames []int) error
+	// Commit makes the records staged since the last Commit durable as
+	// one unit, or does nothing when none is staged.
+	Commit() error
 	// Adopt installs a warm cache's current state as the store baseline
 	// (only valid on a store with no recovered state).
 	Adopt(labels Map, version uint64) error
@@ -33,8 +45,8 @@ type WAL interface {
 // into the store as a baseline checkpoint instead (only a fresh store
 // can accept that). Attaching the same directory twice is a no-op;
 // attaching a second, different directory is an error. From the attach
-// on, every publish and eviction is logged before its version becomes
-// observable.
+// on, every publish and eviction is committed to the log before its
+// version becomes observable.
 func (c *SharedCache) EnableDurable(w WAL) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -80,23 +92,35 @@ func (c *SharedCache) DurableErr() error {
 	return c.walErr
 }
 
-// logPublish forwards a publish to the WAL (caller holds c.mu and has
+// logPublish stages a publish with the WAL (caller holds c.mu and has
 // already bumped the version). Failures latch into walErr.
 func (c *SharedCache) logPublish(version uint64, frames []int, scores []float64) {
 	if c.wal == nil {
 		return
 	}
-	if err := c.wal.AppendPublish(version, frames, scores); err != nil && c.walErr == nil {
-		c.walErr = err
-	}
+	c.latch(c.wal.AppendPublish(version, frames, scores))
 }
 
-// logEvict forwards an eviction pass to the WAL (caller holds c.mu).
+// logEvict stages an eviction pass with the WAL (caller holds c.mu).
 func (c *SharedCache) logEvict(version uint64, frames []int) {
 	if c.wal == nil {
 		return
 	}
-	if err := c.wal.AppendEvict(version, frames); err != nil && c.walErr == nil {
+	c.latch(c.wal.AppendEvict(version, frames))
+}
+
+// commit ends a lock hold that staged records: one WAL Commit for all
+// of them (caller holds c.mu).
+func (c *SharedCache) commit() {
+	if c.wal == nil {
+		return
+	}
+	c.latch(c.wal.Commit())
+}
+
+// latch keeps the first WAL failure in walErr.
+func (c *SharedCache) latch(err error) {
+	if err != nil && c.walErr == nil {
 		c.walErr = err
 	}
 }

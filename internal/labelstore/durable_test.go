@@ -143,7 +143,8 @@ func TestEvictionLoggedDurably(t *testing.T) {
 	}
 }
 
-// failingWAL refuses every append, numbering its refusals.
+// failingWAL refuses every append and every commit, numbering its
+// refusals.
 type failingWAL struct{ refusals int }
 
 func (w *failingWAL) Dir() string { return "failing" }
@@ -154,6 +155,10 @@ func (w *failingWAL) AppendPublish(version uint64, frames []int, scores []float6
 func (w *failingWAL) AppendEvict(version uint64, frames []int) error {
 	w.refusals++
 	return fmt.Errorf("refusal %d (evict v%d)", w.refusals, version)
+}
+func (w *failingWAL) Commit() error {
+	w.refusals++
+	return fmt.Errorf("refusal %d (commit)", w.refusals)
 }
 func (w *failingWAL) Adopt(labels labelstore.Map, version uint64) error { return nil }
 func (w *failingWAL) Recovered() (labelstore.Map, uint64)               { return labelstore.Map{}, 0 }
@@ -172,8 +177,8 @@ func TestDurableErrLatchesFirstFailure(t *testing.T) {
 	}
 	c.Publish(map[int]float64{1: 1})
 	c.Publish(map[int]float64{2: 2})
-	if w.refusals != 2 {
-		t.Fatalf("the log saw %d appends, want 2", w.refusals)
+	if w.refusals != 4 {
+		t.Fatalf("the log saw %d appends and commits, want 4", w.refusals)
 	}
 	err := c.DurableErr()
 	if err == nil || err.Error() != "refusal 1 (publish v1)" {

@@ -16,7 +16,10 @@
 // costs in proportion to the update. Labels therefore move a batch at a
 // time: a publish or an eviction is one sorted batch (SetSorted,
 // DeleteSorted) that path-copies each trie node it touches once, not
-// once per label; Set and Delete are the one-key batches.
+// once per label; Set and Delete are the one-key batches. A leaf is
+// packed — its occupancy bitmap plus only the scores it holds — so a
+// leaf's copy moves its labels, not its 32 slots, and reading or
+// walking it visits set bits only.
 package labelstore
 
 import (
@@ -26,30 +29,27 @@ import (
 
 // Trie geometry: 5 key bits per level, 32-way fan-out. Frame indices
 // are dense non-negative ints, so the trie is effectively a chunked
-// copy-on-write array: a leaf holds 32 consecutive frames' scores and
-// a full path for a multi-million-frame video is 4–5 nodes deep.
+// copy-on-write array: a leaf covers 32 consecutive frames and a full
+// path for a multi-million-frame video is 4–5 nodes deep.
 const (
 	bitsPerLevel = 5
 	fanout       = 1 << bitsPerLevel
 	levelMask    = fanout - 1
 )
 
-// node is one trie node. At depth 0 it is a leaf: vals/bits hold up to
-// 32 scores for consecutive frame indices. Above depth 0 it is a
-// branch: kids point at subtries. Only the slice its level uses is
-// allocated, in the same allocation as the node itself (leafBox,
-// branchBox), so a path copy moves 32 words per node in one
-// allocation. Nodes are immutable once published into a Map; a batch
-// copies each node along its keys' paths once.
+// node is one trie node. At depth 0 it is a leaf: bits marks which of
+// its 32 frames hold a score, and vals holds exactly those scores in
+// slot order — slot i's score is vals[popcount(bits below i)]. Above
+// depth 0 it is a branch: kids point at subtries. Each node is one
+// allocation: a branch with its kid array (branchBox), a leaf with room
+// for its scores (newLeaf), so a path copy moves what the node holds and
+// a leaf's copy grows with its labels, not with its 32 slots. Nodes are
+// immutable once published into a Map; a batch copies each node along
+// its keys' paths once.
 type node struct {
-	kids []*node   // len fanout at branch levels, nil at leaves
-	vals []float64 // len fanout at leaves, nil at branch levels
-	bits uint32    // leaf occupancy
-}
-
-type leafBox struct {
-	n    node
-	vals [fanout]float64
+	kids *[fanout]*node // nil at leaves
+	vals []float64      // leaves only: len(vals) == popcount(bits)
+	bits uint32         // leaf occupancy
 }
 
 type branchBox struct {
@@ -57,29 +57,70 @@ type branchBox struct {
 	kids [fanout]*node
 }
 
-func newLeaf() *node {
-	b := new(leafBox)
-	b.n.vals = b.vals[:]
-	return &b.n
+// leafBox is a leaf and its score array in one allocation; A is a
+// [c]float64 for one of newLeaf's capacities.
+type leafBox[A any] struct {
+	n    node
+	vals A
 }
 
 func newBranch() *node {
 	b := new(branchBox)
-	b.n.kids = b.kids[:]
+	b.n.kids = &b.kids
 	return &b.n
 }
 
-// clone copies a node's occupied role for a path copy.
-func (n *node) clone() *node {
-	if n.kids != nil {
-		c := newBranch()
-		copy(c.kids, n.kids)
-		return c
+// newLeaf returns an empty leaf with room for n scores and len(vals)
+// == n. The capacities are the largest each fits in its size class of
+// the Go allocator (node plus scores: 48 to 320 bytes), so the rounding
+// the allocator does anyway is all the slack a leaf carries.
+func newLeaf(n int) *node {
+	var l *node
+	var vals []float64
+	switch {
+	case n <= 1:
+		b := new(leafBox[[1]float64])
+		l, vals = &b.n, b.vals[:]
+	case n <= 3:
+		b := new(leafBox[[3]float64])
+		l, vals = &b.n, b.vals[:]
+	case n <= 5:
+		b := new(leafBox[[5]float64])
+		l, vals = &b.n, b.vals[:]
+	case n <= 7:
+		b := new(leafBox[[7]float64])
+		l, vals = &b.n, b.vals[:]
+	case n <= 11:
+		b := new(leafBox[[11]float64])
+		l, vals = &b.n, b.vals[:]
+	case n <= 15:
+		b := new(leafBox[[15]float64])
+		l, vals = &b.n, b.vals[:]
+	case n <= 19:
+		b := new(leafBox[[19]float64])
+		l, vals = &b.n, b.vals[:]
+	case n <= 25:
+		b := new(leafBox[[25]float64])
+		l, vals = &b.n, b.vals[:]
+	default:
+		b := new(leafBox[[fanout]float64])
+		l, vals = &b.n, b.vals[:]
 	}
-	c := newLeaf()
-	copy(c.vals, n.vals)
-	c.bits = n.bits
+	l.vals = vals[:n:n]
+	return l
+}
+
+// clone copies a branch for a path copy; leaves are rebuilt instead
+// (setLeaf, deleteLeaf), at the size of what they will hold.
+func (n *node) clone() *node {
+	c := newBranch()
+	*c.kids = *n.kids
 	return c
+}
+
+// slot returns the index in vals of leaf slot i, which must be set.
+func (n *node) slot(i int) int {
+	return bits.OnesCount32(n.bits & (1<<i - 1))
 }
 
 // Map is a persistent frame→score map. The zero value is the empty
@@ -114,7 +155,7 @@ func (m Map) Get(f int) (float64, bool) {
 	if n.bits&(1<<i) == 0 {
 		return 0, false
 	}
-	return n.vals[i], true
+	return n.vals[n.slot(i)], true
 }
 
 // Set returns a map holding every entry of m plus f→v. m itself — and
@@ -143,7 +184,7 @@ func (m Map) SetSorted(keys []int, vals []float64) Map {
 	}
 	mustAscend(keys)
 	if m.root == nil {
-		m.root = newLeaf()
+		m.root = newLeaf(0)
 		m.depth = 0
 	}
 	// Grow the trie upward until the largest key fits: the old root
@@ -165,26 +206,16 @@ func (m Map) SetSorted(keys []int, vals []float64) Map {
 // vals[i]; all keys fall under n. It returns the copy and how many keys
 // were new.
 func setSorted(n *node, depth int, keys []int, vals []float64) (*node, int) {
+	if depth == 0 {
+		return setLeaf(n, keys, vals)
+	}
 	var c *node
 	if n != nil {
 		c = n.clone()
-	} else if depth == 0 {
-		c = newLeaf()
 	} else {
 		c = newBranch()
 	}
 	added := 0
-	if depth == 0 {
-		for j, f := range keys {
-			i := f & levelMask
-			if c.bits&(1<<i) == 0 {
-				added++
-			}
-			c.vals[i] = vals[j]
-			c.bits |= 1 << i
-		}
-		return c, added
-	}
 	shift := bitsPerLevel * depth
 	for len(keys) > 0 {
 		i, j := slotRun(keys, shift)
@@ -194,6 +225,39 @@ func setSorted(n *node, depth int, keys []int, vals []float64) (*node, int) {
 		keys, vals = keys[j:], vals[j:]
 	}
 	return c, added
+}
+
+// setLeaf returns a new leaf holding n's scores (nil: none) overwritten
+// and extended by keys[i]→vals[i], and how many keys were new. It walks
+// the union's slots once, in order, taking each score from the batch
+// when the batch sets that slot and from n otherwise.
+func setLeaf(n *node, keys []int, vals []float64) (*node, int) {
+	var old uint32
+	var oldVals []float64
+	if n != nil {
+		old, oldVals = n.bits, n.vals
+	}
+	var set uint32
+	for _, f := range keys {
+		set |= 1 << (f & levelMask)
+	}
+	c := newLeaf(bits.OnesCount32(old | set))
+	c.bits = old | set
+	j, o := 0, 0 // next batch score, next score of n
+	for k, rest := 0, c.bits; rest != 0; k, rest = k+1, rest&(rest-1) {
+		bit := rest & -rest
+		if set&bit != 0 {
+			c.vals[k] = vals[j]
+			j++
+			if old&bit != 0 {
+				o++
+			}
+		} else {
+			c.vals[k] = oldVals[o]
+			o++
+		}
+	}
+	return c, bits.OnesCount32(set &^ old)
 }
 
 // Delete returns a map holding every entry of m except f. m itself —
@@ -236,19 +300,7 @@ func deleteSorted(n *node, depth int, keys []int) (*node, int) {
 		return nil, 0
 	}
 	if depth == 0 {
-		var drop uint32
-		for _, f := range keys {
-			drop |= 1 << (f & levelMask)
-		}
-		if drop &= n.bits; drop == 0 {
-			return n, 0
-		}
-		c := n.clone()
-		c.bits &^= drop
-		for d := drop; d != 0; d &= d - 1 {
-			c.vals[bits.TrailingZeros32(d)] = 0
-		}
-		return c, bits.OnesCount32(drop)
+		return deleteLeaf(n, keys)
 	}
 	var c *node
 	removed := 0
@@ -268,6 +320,28 @@ func deleteSorted(n *node, depth int, keys []int) (*node, int) {
 		return n, 0
 	}
 	return c, removed
+}
+
+// deleteLeaf returns a new leaf holding n's scores but those of keys,
+// and how many it dropped; n itself when it held none of them.
+func deleteLeaf(n *node, keys []int) (*node, int) {
+	var drop uint32
+	for _, f := range keys {
+		drop |= 1 << (f & levelMask)
+	}
+	if drop &= n.bits; drop == 0 {
+		return n, 0
+	}
+	c := newLeaf(bits.OnesCount32(n.bits &^ drop))
+	c.bits = n.bits &^ drop
+	k := 0
+	for o, rest := 0, n.bits; rest != 0; o, rest = o+1, rest&(rest-1) {
+		if drop&(rest&-rest) == 0 {
+			c.vals[k] = n.vals[o]
+			k++
+		}
+	}
+	return c, bits.OnesCount32(drop)
 }
 
 // slotRun returns the child slot of keys[0] at the level whose slot
@@ -302,15 +376,15 @@ func (m Map) Range(fn func(f int, v float64) bool) {
 
 func rangeAt(n *node, depth, prefix int, fn func(f int, v float64) bool) bool {
 	if depth == 0 {
-		for i := 0; i < fanout; i++ {
-			if n.bits&(1<<i) != 0 && !fn(prefix|i, n.vals[i]) {
+		for k, rest := 0, n.bits; rest != 0; k, rest = k+1, rest&(rest-1) {
+			if !fn(prefix|bits.TrailingZeros32(rest), n.vals[k]) {
 				return false
 			}
 		}
 		return true
 	}
-	for i := 0; i < fanout; i++ {
-		if kid := n.kids[i]; kid != nil {
+	for i, kid := range n.kids {
+		if kid != nil {
 			if !rangeAt(kid, depth-1, prefix|i<<(bitsPerLevel*depth), fn) {
 				return false
 			}

@@ -2,6 +2,7 @@ package labelstore
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -38,7 +39,10 @@ func pathNodes(keys []int, depth int) int {
 // cache capped at 400 labels, a ~96-frame publish plus the eviction it
 // triggers allocates one node per trie node the two batches touch, plus
 // a few slices of bookkeeping — not one root→leaf path per label. A
-// twin cache replays the same publishes to count the touched nodes.
+// twin cache replays the same publishes to count the touched nodes. A
+// copied leaf holds only its labels, one to five here, so the pair
+// allocates under 16 KB (14.9 KB measured; leaves of 32 slots took
+// 47.0 KB).
 func TestPublishAllocationBudget(t *testing.T) {
 	const runs, warm = 50, 20
 	batches := publishBatches(3, warm+runs+1, 96, 4000)
@@ -82,6 +86,16 @@ func TestPublishAllocationBudget(t *testing.T) {
 		c.Publish(batches[next])
 		next++
 	})
+	c = newCache()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range batches[warm : warm+runs] {
+		c.Publish(b)
+	}
+	runtime.ReadMemStats(&after)
+	if perPub := float64(after.TotalAlloc-before.TotalAlloc) / runs; perPub >= 16<<10 {
+		t.Fatalf("publish+evict allocated %.0f B, budget 16 KB", perPub)
+	}
 	nodes := float64(touched) / runs
 	// Bookkeeping per publish: the sorted key and score slices, the
 	// evicted-frame list and the publish log's amortized growth —

@@ -40,10 +40,11 @@ type SharedCache struct {
 	pubSeq  uint64
 
 	// Durability hook (nil for RAM-only caches): every publish and
-	// eviction is logged, with the version it produced, before the
+	// eviction is staged, with the version it produced, and each lock
+	// hold that changed the version ends with one commit, before the
 	// version becomes observable outside the lock. walErr latches the
-	// first append failure — the cache then keeps serving from RAM with
-	// a frozen durable horizon. See durable.go.
+	// first log failure — the cache then keeps serving from RAM with a
+	// frozen durable horizon. See durable.go.
 	wal    WAL
 	walErr error
 
@@ -148,6 +149,7 @@ func (c *SharedCache) Publish(fresh map[int]float64) uint64 {
 		}
 		c.evictLocked()
 	}
+	c.commit()
 	return c.version
 }
 
@@ -158,13 +160,15 @@ func (c *SharedCache) Publish(fresh map[int]float64) uint64 {
 // the sound resolution for a cache shared by sessions with conflicting
 // knobs: any limit a user was promised still holds, because concurrent
 // tightenings commute to the minimum regardless of arrival order. A
-// tighter cap evicts the oldest logged batches right away.
+// tighter cap evicts the oldest logged batches right away, committed
+// to an attached WAL before TightenPolicy returns.
 func (c *SharedCache) TightenPolicy(p Policy) Policy {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p.MaxLabels > 0 && (c.policy.MaxLabels == 0 || p.MaxLabels < c.policy.MaxLabels) {
 		c.policy.MaxLabels = p.MaxLabels
 		c.evictLocked()
+		c.commit()
 	}
 	return c.policy
 }

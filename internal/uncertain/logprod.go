@@ -2,6 +2,7 @@ package uncertain
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -45,13 +46,14 @@ func NewJointCDF(lo, hi int) *JointCDF {
 	}
 }
 
-// NewJointCDFFromRelation builds H over the tuples rel[i] with live[i]
-// set, in position order, covering levels [lo, hi].
-func NewJointCDFFromRelation(rel Relation, live []bool, lo, hi int) *JointCDF {
+// NewJointCDFFromRelation builds H over the tuples rel[i] whose
+// bit i is set in live (bit i%64 of word i/64), in position order,
+// covering levels [lo, hi]. It visits the set bits only.
+func NewJointCDFFromRelation(rel Relation, live []uint64, lo, hi int) *JointCDF {
 	j := NewJointCDF(lo, hi)
-	for i, x := range rel {
-		if live[i] {
-			j.Add(x.Dist)
+	for w, word := range live {
+		for ; word != 0; word &= word - 1 {
+			j.Add(rel[w*64+bits.TrailingZeros64(word)].Dist)
 		}
 	}
 	return j

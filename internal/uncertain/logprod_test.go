@@ -94,7 +94,7 @@ func TestJointCDFFromRelationReadsLiveOnly(t *testing.T) {
 		{ID: 2, Dist: Certain(7)},
 		{ID: 3, Dist: MustDist(0, []float64{0.25, 0.75})},
 	}
-	j := NewJointCDFFromRelation(rel, []bool{false, true, false, false}, 0, 7)
+	j := NewJointCDFFromRelation(rel, []uint64{0b0010}, 0, 7)
 	if j.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (only live tuples)", j.Len())
 	}
@@ -128,10 +128,11 @@ func TestJointCDFPropertyAgainstEnumeration(t *testing.T) {
 		}
 		// H covers only the uncertain tuples (D_u0 in the paper); compare
 		// against enumeration over that same subset.
-		live := make([]bool, n)
+		live := make([]uint64, 1)
 		var unc Relation
 		for i, x := range rel {
-			if live[i] = !x.Dist.IsCertain(); live[i] {
+			if !x.Dist.IsCertain() {
+				live[0] |= 1 << i
 				unc = append(unc, x)
 			}
 		}
@@ -241,5 +242,33 @@ func TestPaperTable1Example(t *testing.T) {
 	}
 	if math.Abs(after-0.38) > 0.005 {
 		t.Fatalf("post-clean confidence = %v, want ≈0.38 (paper)", after)
+	}
+}
+
+// TestFromRelationSpansWords: over a relation of 150 tuples whose live
+// bits fall in all three words of the mask, both builders add exactly
+// the live tuples in position order — the same bits as adding them one
+// by one.
+func TestFromRelationSpansWords(t *testing.T) {
+	r := xrand.New(17)
+	rel := make(Relation, 150)
+	live := make([]uint64, 3)
+	j, ts := NewJointCDF(0, 10), NewTailSum(0, 10)
+	for i := range rel {
+		rel[i] = XTuple{ID: i, Dist: randomDist(r, 4, 6)}
+		if i%7 == 3 || i == 63 || i == 64 || i == 149 {
+			live[i/64] |= 1 << (i % 64)
+			j.Add(rel[i].Dist)
+			ts.Add(rel[i].Dist)
+		}
+	}
+	gotJ, gotT := NewJointCDFFromRelation(rel, live, 0, 10), NewTailSumFromRelation(rel, live, 0, 10)
+	if gotJ.Len() != j.Len() || gotT.Len() != ts.Len() {
+		t.Fatalf("built over %d and %d tuples, want %d", gotJ.Len(), gotT.Len(), j.Len())
+	}
+	for lvl := -1; lvl <= 11; lvl++ {
+		if math.Float64bits(gotJ.At(lvl)) != math.Float64bits(j.At(lvl)) || math.Float64bits(gotT.At(lvl)) != math.Float64bits(ts.At(lvl)) {
+			t.Fatalf("level %d: built H %v T %v, added one by one H %v T %v", lvl, gotJ.At(lvl), gotT.At(lvl), j.At(lvl), ts.At(lvl))
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package uncertain
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // TailSum maintains T(t) = Σ_{f ∈ U} (1 − F_f(t)) over a mutable set U of
 // uncertain tuples. It is the Bonferroni (union-bound) counterpart of
@@ -48,13 +51,14 @@ func NewTailSum(lo, hi int) *TailSum {
 	}
 }
 
-// NewTailSumFromRelation builds T over the tuples rel[i] with live[i]
-// set, in position order, covering levels [lo, hi].
-func NewTailSumFromRelation(rel Relation, live []bool, lo, hi int) *TailSum {
+// NewTailSumFromRelation builds T over the tuples rel[i] whose
+// bit i is set in live (bit i%64 of word i/64), in position order,
+// covering levels [lo, hi]. It visits the set bits only.
+func NewTailSumFromRelation(rel Relation, live []uint64, lo, hi int) *TailSum {
 	ts := NewTailSum(lo, hi)
-	for i, x := range rel {
-		if live[i] {
-			ts.Add(x.Dist)
+	for w, word := range live {
+		for ; word != 0; word &= word - 1 {
+			ts.Add(rel[w*64+bits.TrailingZeros64(word)].Dist)
 		}
 	}
 	return ts

@@ -87,7 +87,7 @@ func TestTailSumFromRelationReadsLiveOnly(t *testing.T) {
 		{ID: 2, Dist: Certain(7)},
 		{ID: 3, Dist: MustDist(0, []float64{0.25, 0.75})},
 	}
-	ts := NewTailSumFromRelation(rel, []bool{false, true, false, false}, 0, 7)
+	ts := NewTailSumFromRelation(rel, []uint64{0b0010}, 0, 7)
 	if ts.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (only live tuples)", ts.Len())
 	}
@@ -130,10 +130,11 @@ func TestUnionBoundIsValidLowerBound(t *testing.T) {
 		for i := range rel {
 			rel[i] = XTuple{ID: i, Dist: randomDist(r, 4, 6)}
 		}
-		live := make([]bool, n)
+		live := make([]uint64, 1)
 		var unc Relation
 		for i, x := range rel {
-			if live[i] = !x.Dist.IsCertain(); live[i] {
+			if !x.Dist.IsCertain() {
+				live[0] |= 1 << i
 				unc = append(unc, x)
 			}
 		}
