@@ -16,11 +16,19 @@
 // fresh run uses the baseline's recorded -cpu, so the two reports hold
 // the same benchmark names.
 //
+// A capture into an existing report replaces only the rows it measured,
+// keyed by (package, name), so re-capturing a subset leaves the rest of
+// the baseline as it was; a row whose benchmark left the suite stays
+// until removed by hand (-compare then reports it missing). A capture
+// that parses no benchmark — a -bench pattern matching nothing — exits
+// non-zero and writes nothing.
+//
 // Usage:
 //
 //	go run ./cmd/bench                        # engine-relevant defaults
 //	go run ./cmd/bench -bench . -pkg ./...    # everything (slow)
 //	go run ./cmd/bench -out BENCH_engine.json -benchtime 1x
+//	go run ./cmd/bench -bench 'Publish|Recover' -pkg ./internal/labelstore,./internal/durable -cpu 1
 //	go run ./cmd/bench -compare BENCH_engine.json   # fresh run vs committed
 //	make bench                                # first form
 //	make bench-diff                           # compare form
@@ -30,8 +38,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"runtime"
@@ -59,12 +70,14 @@ type Benchmark struct {
 
 // Report is the document written to the output file.
 type Report struct {
-	// Generated is the capture timestamp (RFC 3339).
+	// Generated is the timestamp of the latest capture (RFC 3339).
 	Generated string `json:"generated"`
-	// GoVersion and GOMAXPROCS stamp the environment.
+	// GoVersion and GOMAXPROCS stamp the latest capture's environment.
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	// BenchPattern, Benchtime and CPU echo the capture parameters.
+	// BenchPattern, Benchtime and CPU echo the parameters of the capture
+	// that created the report; a merged capture keeps them, since they
+	// describe the suite the report covers.
 	BenchPattern string `json:"bench_pattern"`
 	Benchtime    string `json:"benchtime"`
 	CPU          string `json:"cpu,omitempty"`
@@ -139,22 +152,74 @@ func main() {
 		report.Benchmarks = append(report.Benchmarks, parseBenchOutput(pkg, buf.String())...)
 	}
 
-	if *out != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
+	if err := emit(*out, report, baseline, os.Stdout); err != nil {
+		fatalf("%v", err)
+	}
+}
+
+// emit hands a fresh capture on: merged into the report at out (when
+// out is set) and diffed against baseline (when set). A capture with no
+// benchmark is an error, and nothing is written.
+func emit(out string, fresh Report, baseline *Report, w io.Writer) error {
+	if len(fresh.Benchmarks) == 0 {
+		return fmt.Errorf("-bench %q parsed no benchmark; nothing written (go test matches the function name, BenchmarkX)", fresh.BenchPattern)
+	}
+	if out != "" {
+		written, err := save(out, fresh)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "bench: wrote %d results to %s\n", len(report.Benchmarks), *out)
+		fmt.Fprintf(os.Stderr, "bench: wrote %d results to %s (%d rows in all)\n",
+			len(fresh.Benchmarks), out, len(written.Benchmarks))
 	}
 	if baseline != nil {
-		if err := diff(os.Stdout, baseline, &report); err != nil {
-			fatalf("%v", err)
-		}
+		return diff(w, baseline, &fresh)
 	}
+	return nil
+}
+
+// save merges fresh into the report at path, or writes fresh alone when
+// there is none, and returns what it wrote. A file that exists but does
+// not parse as a report is an error, not overwritten.
+func save(path string, fresh Report) (Report, error) {
+	report := fresh
+	data, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		var base Report
+		if err := json.Unmarshal(data, &base); err != nil {
+			return Report{}, fmt.Errorf("merging into %s: %v", path, err)
+		}
+		report = merge(base, fresh)
+	case !errors.Is(err, fs.ErrNotExist):
+		return Report{}, err
+	}
+	if data, err = json.MarshalIndent(report, "", "  "); err != nil {
+		return Report{}, err
+	}
+	return report, os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// merge returns base with each row fresh measured replaced in place and
+// the rows new to it appended in fresh's order; the environment stamp
+// is fresh's.
+func merge(base, fresh Report) Report {
+	out := base
+	out.Generated, out.GoVersion, out.GOMAXPROCS = fresh.Generated, fresh.GoVersion, fresh.GOMAXPROCS
+	out.Benchmarks = append([]Benchmark(nil), base.Benchmarks...)
+	at := make(map[string]int, len(out.Benchmarks))
+	for i, b := range out.Benchmarks {
+		at[benchKey(b)] = i
+	}
+	for _, b := range fresh.Benchmarks {
+		if i, ok := at[benchKey(b)]; ok {
+			out.Benchmarks[i] = b
+			continue
+		}
+		at[benchKey(b)] = len(out.Benchmarks)
+		out.Benchmarks = append(out.Benchmarks, b)
+	}
+	return out
 }
 
 // defaultCPU is "1,N" for N = runtime.NumCPU(), or "1" on one core.
@@ -184,7 +249,7 @@ var headlineMetrics = []string{"ns/op", "B/op", "allocs/op"}
 // missing one fails loudly, because a silently dropped benchmark is
 // how serving-path regressions slip through. Fresh-only benchmarks are
 // listed as new, without failing.
-func diff(w *os.File, baseline, fresh *Report) error {
+func diff(w io.Writer, baseline, fresh *Report) error {
 	freshBy := make(map[string]Benchmark, len(fresh.Benchmarks))
 	for _, b := range fresh.Benchmarks {
 		freshBy[benchKey(b)] = b

@@ -72,7 +72,7 @@ func ScanAndTest(src video.Source, udf vision.UDF, k int, cost simclock.CostMode
 		Name:   "scan-and-test",
 		IDs:    ids,
 		Scores: top,
-		MS:     float64(n) * (udf.OracleCostMS(cost) + cost.DecodeMS),
+		MS:     cost.LabelMS(n, udf.OracleCostMS(cost)),
 	}
 }
 
@@ -90,7 +90,7 @@ func DetectorScan(src video.Source, det vision.Detector, class string, k int, co
 		Name:   det.Name() + "-only",
 		IDs:    ids,
 		Scores: top,
-		MS:     float64(n) * (det.FrameCostMS(cost) + cost.DecodeMS),
+		MS:     cost.LabelMS(n, det.FrameCostMS(cost)),
 	}
 }
 
@@ -114,7 +114,7 @@ func CMDNOnly(src video.Source, udf vision.UDF, k int, opt phase1.Options) (Outc
 	for j, i := range inferIDs {
 		means[i] = mixes[j].Mean()
 	}
-	clock.Charge(simclock.PhasePopulateD0, float64(len(inferIDs))*opt.Cost.ProxyMS)
+	clock.Charge(simclock.PhasePopulateD0, opt.Cost.InferMS(len(inferIDs)))
 	ids, top := topKBy(st.Diff.Retained, func(i int) float64 { return means[i] }, k)
 	return Outcome{Name: "cmdn-only", IDs: ids, Scores: top, MS: clock.TotalMS()}, nil
 }

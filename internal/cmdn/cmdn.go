@@ -252,6 +252,18 @@ func checkWidth(what string, samples []Sample, in int) error {
 	return nil
 }
 
+// standardize splits samples into their feature vectors and their
+// targets in the standardized space (Y − mean) / std the MDN works in.
+func standardize(samples []Sample, mean, std float64) ([][]float64, []float64) {
+	xs := make([][]float64, len(samples))
+	ys := make([]float64, len(samples))
+	for i, s := range samples {
+		xs[i] = s.X
+		ys[i] = (s.Y - mean) / std
+	}
+	return xs, ys
+}
+
 // Train fits one model per grid point on the training samples, evaluates
 // each on the holdout set, and returns the model with the smallest holdout
 // NLL (§3.2). Every sample's feature vector must be
@@ -293,18 +305,8 @@ func Train(train, holdout []Sample, cfg Config, clock *simclock.Clock, cost simc
 		std = 1
 	}
 
-	xs := make([][]float64, len(train))
-	ys := make([]float64, len(train))
-	for i, s := range train {
-		xs[i] = s.X
-		ys[i] = (s.Y - mean) / std
-	}
-	hx := make([][]float64, len(holdout))
-	hy := make([]float64, len(holdout))
-	for i, s := range holdout {
-		hx[i] = s.X
-		hy[i] = (s.Y - mean) / std
-	}
+	xs, ys := standardize(train, mean, std)
+	hx, hy := standardize(holdout, mean, std)
 
 	// Each grid point draws from an independent RNG stream keyed by its
 	// index (SplitIndex does not advance the parent) — first its initial
@@ -359,7 +361,7 @@ func Train(train, holdout []Sample, cfg Config, clock *simclock.Clock, cost simc
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].HoldoutNLL < reports[j].HoldoutNLL })
 	best.calibrate(hx, hy)
-	clock.Charge(simclock.PhaseTrainCMDN, cost.ProxyTrainSampleMS*float64(len(train)+len(holdout)))
+	clock.Charge(simclock.PhaseTrainCMDN, cost.TrainMS(len(train)+len(holdout)))
 	return best, reports, nil
 }
 

@@ -45,12 +45,7 @@ func (p *Proxy) DriftNLL(holdout []Sample) float64 {
 	if len(holdout) == 0 {
 		return 0
 	}
-	hx := make([][]float64, len(holdout))
-	hy := make([]float64, len(holdout))
-	for i, s := range holdout {
-		hx[i] = s.X
-		hy[i] = (s.Y - p.yMean) / p.yStd
-	}
+	hx, hy := standardize(holdout, p.yMean, p.yStd)
 	return p.model.CloneForInference().MeanNLL(hx, hy)
 }
 
@@ -94,12 +89,7 @@ func Refresh(prev *Proxy, train, holdout, calib []Sample, cfg RefreshConfig, ful
 		return nil, err
 	}
 
-	xs := make([][]float64, len(train))
-	ys := make([]float64, len(train))
-	for i, s := range train {
-		xs[i] = s.X
-		ys[i] = (s.Y - prev.yMean) / prev.yStd
-	}
+	xs, ys := standardize(train, prev.yMean, prev.yStd)
 	model := prev.model.Clone()
 	if _, err := model.Fit(xs, ys, nn.TrainConfig{
 		Epochs:       refreshEpochs,
@@ -109,27 +99,16 @@ func Refresh(prev *Proxy, train, holdout, calib []Sample, cfg RefreshConfig, ful
 		return nil, err
 	}
 
-	hx := make([][]float64, len(holdout))
-	hy := make([]float64, len(holdout))
-	for i, s := range holdout {
-		hx[i] = s.X
-		hy[i] = (s.Y - prev.yMean) / prev.yStd
-	}
+	hx, hy := standardize(holdout, prev.yMean, prev.yStd)
 	next := &Proxy{
 		model: model, hyper: prev.hyper,
 		yMean: prev.yMean, yStd: prev.yStd,
 		holdoutNLL: model.MeanNLL(hx, hy),
 	}
 
-	cx := make([][]float64, len(calib))
-	cy := make([]float64, len(calib))
-	for i, s := range calib {
-		cx[i] = s.X
-		cy[i] = (s.Y - prev.yMean) / prev.yStd
-	}
-	next.calibrate(cx, cy)
+	next.calibrate(standardize(calib, prev.yMean, prev.yStd))
 
 	frac := float64(refreshEpochs) / float64(full.Epochs) / float64(len(full.Grid))
-	clock.Charge(simclock.PhaseTrainCMDN, cost.ProxyTrainSampleMS*float64(len(train)+len(holdout))*frac)
+	clock.Charge(simclock.PhaseTrainCMDN, cost.TrainMS(len(train)+len(holdout))*frac)
 	return next, nil
 }

@@ -85,10 +85,10 @@ type Config struct {
 	// ResortOnce freezes the ψ sort at j = 0 instead of the paper's
 	// adaptive schedule (ablation A2).
 	ResortOnce bool
-	// UnhiddenDecodeMS is the per-frame decode cost charged on cleaning
-	// when prefetching (§3.5) is disabled; with prefetching the decode of
-	// upcoming candidates overlaps oracle compute and costs nothing extra.
-	UnhiddenDecodeMS float64
+	// DisablePrefetch charges each cleaned frame's decode on cleaning
+	// (ablation A6); with prefetching (§3.5) the decode of upcoming
+	// candidates overlaps oracle compute and costs nothing extra.
+	DisablePrefetch bool
 	// Bound selects the confidence computation: the paper's exact
 	// independent product (default) or the dependence-safe union bound
 	// required for overlapping sliding windows.
@@ -714,8 +714,12 @@ func (e *Engine) clean(ids []int) error {
 	if len(levels) != len(ids) {
 		return fmt.Errorf("core: oracle returned %d levels for %d ids", len(levels), len(ids))
 	}
-	e.clock.Charge(simclock.PhaseConfirm,
-		float64(len(ids))*(e.cost.OracleMS+e.cfg.UnhiddenDecodeMS)+e.cost.OracleCallMS)
+	// The oracle charges its own inference; cleaning adds the launch.
+	ms := e.cost.LaunchOverheadMS(1)
+	if e.cfg.DisablePrefetch {
+		ms += e.cost.PassMS(len(ids), true)
+	}
+	e.clock.Charge(simclock.PhaseConfirm, ms)
 	e.stats.OracleCalls++
 	for i, id := range ids {
 		pos, ok := e.position(id)
@@ -733,7 +737,7 @@ func (e *Engine) clean(ids []int) error {
 
 func (e *Engine) finish(phat float64) Result {
 	ids, levels := e.certain.topK(e.cfg.K)
-	e.clock.Charge(simclock.PhaseTopkProb, 1e-3*float64(e.stats.Iterations+1))
+	e.clock.Charge(simclock.PhaseTopkProb, e.cost.TopkProbMS(e.stats.Iterations+1))
 	return Result{IDs: ids, Levels: levels, Confidence: phat, Bound: e.cfg.Bound, Stats: e.stats}
 }
 

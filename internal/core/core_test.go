@@ -462,8 +462,8 @@ func TestEngineChargesClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantConfirm := float64(res.Stats.Cleaned)*cost.OracleMS +
-		float64(res.Stats.OracleCalls)*cost.OracleCallMS
+	// The oracle charges its own inference; cleaning charges the launches.
+	wantConfirm := cost.LaunchOverheadMS(res.Stats.OracleCalls)
 	if got := clock.PhaseMS(simclock.PhaseConfirm); math.Abs(got-wantConfirm) > 1e-9 {
 		t.Fatalf("confirm charge %v, want %v", got, wantConfirm)
 	}

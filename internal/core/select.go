@@ -401,7 +401,7 @@ func (s *selector) selectBatch() []int {
 	}
 	s.heap = h
 	e.stats.Examined += examined
-	e.clock.Charge(simclock.PhaseSelect, float64(examined)*e.cost.SelectPerFrameMS)
+	e.clock.Charge(simclock.PhaseSelect, e.cost.SelectMS(examined))
 
 	ids := make([]int, len(h))
 	for i, it := range h {

@@ -166,7 +166,7 @@ func RunVisit(src video.Source, opt Options, clock *simclock.Clock, cost simcloc
 			return Result{}, err
 		}
 	}
-	clock.Charge(phase, float64(n)*(cost.DecodeMS+cost.DiffMS))
+	clock.Charge(phase, cost.PassMS(n, false))
 	for i, keep := range retained {
 		if keep {
 			res.Retained = append(res.Retained, i)

@@ -227,10 +227,6 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 			}
 		}
 	}
-	// The frame-level oracle above charges its own per-frame cost, so the
-	// engine charges only the per-call overhead (and unhidden decode).
-	engineCost := p.Cost
-	engineCost.OracleMS = 0
 	var oracle core.Oracle
 	if p.Window.Enabled() {
 		oracle = &windows.Oracle{
@@ -268,11 +264,9 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 		Ctx:              ctx,
 		BudgetMS:         p.DeadlineMS,
 		DegradedOK:       p.DegradedOK,
+		DisablePrefetch:  p.DisablePrefetch,
 	}
-	if p.DisablePrefetch {
-		coreCfg.UnhiddenDecodeMS = p.Cost.DecodeMS
-	}
-	eng, err := base.Start(coreCfg, rel, over, oracle, clock, engineCost)
+	eng, err := base.Start(coreCfg, rel, over, oracle, clock, p.Cost)
 	if err != nil {
 		return nil, err
 	}

@@ -118,7 +118,7 @@ func Capture(st *phase1.State, udf vision.UDF, cost simclock.CostModel, clock *s
 			a.Mixtures[i], mixes = mixes[0], mixes[1:]
 		}
 	}
-	clock.Charge(simclock.PhasePopulateD0, float64(len(inferIDs))*cost.ProxyMS)
+	clock.Charge(simclock.PhasePopulateD0, cost.InferMS(len(inferIDs)))
 	return a
 }
 

@@ -104,7 +104,7 @@ func explainUnit(q *Statement, u *Unit, concurrency int) string {
 	fmt.Fprintf(&b, "  phase 2   batch %d → ≈%d confirmations in %d launches ≈ %.0f ms (bill depends on score skew; typically <2%% of frames)\n",
 		chosen.Knobs.BatchSize, chosen.Pred.Cleaned, chosen.Pred.Launches, chosen.Pred.ConfirmMS)
 	fmt.Fprintf(&b, "  baseline  scan-and-test would cost %.0f ms\n",
-		float64(in.Frames)*(in.UDFFrameMS+in.Cost.DecodeMS))
+		in.Cost.LabelMS(in.Frames, in.UDFFrameMS))
 	candidateTable(&b, cands)
 	b.WriteString("  reasons:\n")
 	for _, w := range chosen.Why {

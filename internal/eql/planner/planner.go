@@ -225,7 +225,7 @@ func Predict(in Input, kn Knobs) Prediction {
 	confirmMS := in.Cost.ConfirmMS(confirmFrames, launches, in.UDFFrameMS)
 	// Each cleaning iteration makes a select-candidate pass and a
 	// topk-prob pass over the uncertain relation.
-	selectMS := 2 * float64(launches) * float64(uncertain) * in.Cost.SelectPerFrameMS
+	selectMS := in.Cost.SelectMS(2 * launches * uncertain)
 	phase1MS := 0.0
 	if !in.HasIndex {
 		phase1MS = in.ingestMS(kn.DisableDiff)

@@ -192,7 +192,7 @@ func runCountingPoint(src *video.Synthetic, cfg everest.Config, x float64) (Swee
 	if err != nil {
 		return SweepRow{}, err
 	}
-	scanMS := scanCostMS(src.NumFrames(), udf, cost)
+	scanMS := cost.LabelMS(src.NumFrames(), udf.OracleCostMS(cost))
 	var q metrics.Quality
 	var note string
 	if cfg.Window > 0 {
@@ -340,7 +340,7 @@ func Fig9(scale Scale) ([]SystemRow, error) {
 			return nil, err
 		}
 		udf := vision.TailgateUDF{}
-		scanMS := scanCostMS(src.NumFrames(), udf, cost)
+		scanMS := cost.LabelMS(src.NumFrames(), udf.OracleCostMS(cost))
 		for _, sc := range scenarios {
 			maxK := src.NumFrames() / 10
 			if sc.window > 0 {
@@ -404,7 +404,7 @@ func SelectTopkSensitivity(scale Scale, k int) ([]LambdaRow, error) {
 		truth := metrics.FrameTruth(src, udf)
 		topTruth := metrics.TrueTopK(truth, kk)
 		trueScore := func(i int) float64 { return truth[i].Score }
-		scanMS := scanCostMS(src.NumFrames(), udf, cost)
+		scanMS := cost.LabelMS(src.NumFrames(), udf.OracleCostMS(cost))
 
 		p1opt := phase1.Options{Proxy: scale.proxyConfig(), Cost: cost, Seed: scale.Seed}
 		outs, err := baselines.SelectAndTopk(src, udf, kk, p1opt, nil)

@@ -47,7 +47,8 @@ func ScaleoutScalability(scale Scale, k int, thres float64) ([]ScaleRow, error) 
 	truth := metrics.FrameTruth(src, udf)
 	k = boundK(k, src.NumFrames()/10)
 	top := metrics.TrueTopK(truth, k)
-	scan := scanCostMS(src.NumFrames(), udf, simclock.Default())
+	cost := simclock.Default()
+	scan := cost.LabelMS(src.NumFrames(), udf.OracleCostMS(cost))
 
 	var rows []ScaleRow
 	var wall1 float64

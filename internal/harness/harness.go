@@ -10,9 +10,7 @@ import (
 
 	everest "github.com/everest-project/everest"
 	"github.com/everest-project/everest/internal/cmdn"
-	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/video"
-	"github.com/everest-project/everest/internal/vision"
 )
 
 // Scale sizes the experiments.
@@ -69,10 +67,6 @@ func (s Scale) everestConfig(k int, thres float64) everest.Config {
 		Proxy:     s.proxyConfig(),
 		Seed:      s.Seed,
 	}
-}
-
-func scanCostMS(n int, udf vision.UDF, cost simclock.CostModel) float64 {
-	return float64(n) * (udf.OracleCostMS(cost) + cost.DecodeMS)
 }
 
 // buildDataset instantiates a Table 7 dataset at the scale's size.

@@ -6,7 +6,7 @@
 //
 // Without the mux, every plan-level oracle call is its own device
 // launch: N concurrent queries over M videos pay N×(calls per query)
-// launch overheads (simclock.CostModel.OracleCallMS each), even though
+// launch overheads (simclock.CostModel.LaunchOverheadMS each), even though
 // the device could have scored their frames in far fewer invocations.
 // The mux extends the paper's §3.5 batch-inference observation from
 // within one query to across the whole process: requests that are in
@@ -79,7 +79,7 @@ type Stats struct {
 	Launches int
 	// Frames counts frames scored across all launches.
 	Frames int
-	// DeviceMS is the simulated device time: one OracleCallMS launch
+	// DeviceMS is the simulated device time: one LaunchOverheadMS launch
 	// overhead per consolidated batch plus every request's per-frame
 	// inference cost.
 	DeviceMS float64
@@ -238,7 +238,7 @@ func (m *Mux) dispatch(mine *request) {
 // completed).
 func (m *Mux) launch(batch []*request) {
 	frames := 0
-	deviceMS := batch[0].cost.OracleCallMS
+	deviceMS := batch[0].cost.LaunchOverheadMS(1)
 	for _, r := range batch {
 		r.scores, r.err = vision.SafeScore(r.udf, r.src, r.ids)
 		if r.err != nil {
@@ -252,7 +252,7 @@ func (m *Mux) launch(batch []*request) {
 	m.stats.Launches++
 	m.stats.Frames += frames
 	m.stats.DeviceMS = m.clock.TotalMS()
-	m.stats.SavedMS += float64(len(batch)-1) * batch[0].cost.OracleCallMS
+	m.stats.SavedMS += batch[0].cost.LaunchOverheadMS(len(batch) - 1)
 	m.mu.Unlock()
 	for _, r := range batch {
 		close(r.done)

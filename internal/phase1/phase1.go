@@ -201,7 +201,7 @@ func Label(src video.Source, udf vision.UDF, ids []int, opt Options, clock *simc
 	}
 	opt = opt.withDefaults()
 	scores := udf.Score(src, ids)
-	clock.Charge(simclock.PhaseLabelSamples, float64(len(ids))*(udf.OracleCostMS(opt.Cost)+opt.Cost.DecodeMS))
+	clock.Charge(simclock.PhaseLabelSamples, opt.Cost.LabelMS(len(ids), udf.OracleCostMS(opt.Cost)))
 	return scores
 }
 
@@ -319,7 +319,7 @@ func labeledOf(plan SamplePlan, trainScores, holdScores []float64) map[int]float
 // keepAll is the DisableDiff detector result: every frame retained,
 // each its own representative, and its charge: one decode per frame.
 func keepAll(n int, opt Options, clock *simclock.Clock) diffdet.Result {
-	clock.Charge(simclock.PhasePopulateD0, float64(n)*opt.Cost.DecodeMS)
+	clock.Charge(simclock.PhasePopulateD0, opt.Cost.PassMS(n, true))
 	rep := make([]int32, n)
 	retained := make([]int, n)
 	for i := range rep {

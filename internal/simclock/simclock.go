@@ -112,11 +112,16 @@ func (m CostModel) Validate() error {
 	return nil
 }
 
-// Cost-prediction helpers: the arithmetic a planner (or EXPLAIN) uses
-// to price work on this model BEFORE running it. They mirror how the
-// pipeline charges its clock — per-frame inference plus a per-invocation
-// launch overhead — so a prediction and the actual charge differ only by
-// how well the tuple counts were estimated, never by the pricing rule.
+// The price list: one method per priced operation, the only code that
+// does arithmetic on a CostModel's fields. Every clock charge and every
+// prediction (the planner, EXPLAIN, the scan baselines) calls these, so
+// a prediction and the charge it predicts differ only by how well the
+// counts were estimated, never by the pricing rule.
+
+// topkProbPassMS is the price of one top-k-probability pass over the
+// certain set. It is a fixed price, not a CostModel field, because a
+// caller-supplied model would leave a new field at zero.
+const topkProbPassMS = 1e-3
 
 // Batches returns how many oracle invocations confirming items tuples
 // takes at batch size batch (ceil division; §3.5's b). Zero items need
@@ -131,43 +136,70 @@ func Batches(items, batch int) int {
 	return (items + batch - 1) / batch
 }
 
+// LabelMS prices decoding frames frames and scoring each with a model
+// that costs frameMS per frame (vision.UDF.OracleCostMS,
+// vision.Detector.FrameCostMS): Phase 1's sample labelling and the scan
+// baselines.
+func (m CostModel) LabelMS(frames int, frameMS float64) float64 {
+	return float64(frames) * (frameMS + m.DecodeMS)
+}
+
+// PassMS prices Phase 1's pass over frames frames: each is decoded and
+// compared by the difference detector, or only decoded when disableDiff
+// is set. Phase 2 charges the decode-only price for cleaned frames whose
+// decode prefetching does not hide.
+func (m CostModel) PassMS(frames int, disableDiff bool) float64 {
+	if disableDiff {
+		return float64(frames) * m.DecodeMS
+	}
+	return float64(frames) * (m.DecodeMS + m.DiffMS)
+}
+
+// InferMS prices CMDN inference over frames frames.
+func (m CostModel) InferMS(frames int) float64 {
+	return float64(frames) * m.ProxyMS
+}
+
+// TrainMS prices CMDN grid training over samples: ProxyTrainSampleMS
+// per sample, with the epoch and hyperparameter-grid factors baked into
+// the constant.
+func (m CostModel) TrainMS(samples int) float64 {
+	return float64(samples) * m.ProxyTrainSampleMS
+}
+
 // LaunchOverheadMS prices the fixed per-invocation overhead of the given
 // number of oracle launches — the cost §3.5's batching amortizes.
 func (m CostModel) LaunchOverheadMS(launches int) float64 {
 	return float64(launches) * m.OracleCallMS
 }
 
-// ConfirmMS prices a Phase 2 confirmation workload: frames scored by an
-// oracle charging udfFrameMS per frame, dispatched in the given number
-// of launches.
-func (m CostModel) ConfirmMS(frames, launches int, udfFrameMS float64) float64 {
-	return float64(frames)*udfFrameMS + m.LaunchOverheadMS(launches)
+// SelectMS prices Select-candidate (Eq. 6) scoring examined candidates.
+func (m CostModel) SelectMS(examined int) float64 {
+	return float64(examined) * m.SelectPerFrameMS
 }
 
-// LabelMS prices Phase 1 sample labelling: each sample is decoded and
-// scored by the oracle.
-func (m CostModel) LabelMS(samples int, udfFrameMS float64) float64 {
-	return float64(samples) * (udfFrameMS + m.DecodeMS)
+// TopkProbMS prices the given number of top-k-probability passes.
+func (CostModel) TopkProbMS(passes int) float64 {
+	return topkProbPassMS * float64(passes)
 }
 
-// TrainMS prices CMDN grid training over samples, mirroring the charge
-// cmdn.Train makes: ProxyTrainSampleMS per sample, with the epoch and
-// hyperparameter-grid factors baked into the constant.
-func (m CostModel) TrainMS(samples int) float64 {
-	return float64(samples) * m.ProxyTrainSampleMS
-}
-
-// CascadeMS prices the ingest proxy cascade over a video of frames
+// CascadeMS predicts the ingest proxy cascade over a video of frames
 // frames, of which retained survive the difference detector. Depth 3
 // (decode → diff → proxy, disableDiff false) diff-filters every decoded
 // frame and proxy-scores only the retained; depth 2 (decode → proxy)
 // skips the filter and proxy-scores everything.
 func (m CostModel) CascadeMS(frames, retained int, disableDiff bool) float64 {
-	ms := float64(frames) * m.DecodeMS
 	if disableDiff {
-		return ms + float64(frames)*m.ProxyMS
+		retained = frames
 	}
-	return ms + float64(frames)*m.DiffMS + float64(retained)*m.ProxyMS
+	return m.PassMS(frames, disableDiff) + m.InferMS(retained)
+}
+
+// ConfirmMS predicts a Phase 2 confirmation workload: frames scored by
+// an oracle charging udfFrameMS per frame, dispatched in the given
+// number of launches.
+func (m CostModel) ConfirmMS(frames, launches int, udfFrameMS float64) float64 {
+	return float64(frames)*udfFrameMS + m.LaunchOverheadMS(launches)
 }
 
 // Clock accumulates simulated milliseconds per phase. It counts whole

@@ -302,47 +302,34 @@ func TestBatchesCeilDivision(t *testing.T) {
 	}
 }
 
-// TestConfirmMSMatchesCleanCharge pins the prediction helpers to the
-// pricing rule the Phase 2 loop actually charges: per-frame inference
-// plus one launch overhead per invocation.
-func TestConfirmMSMatchesCleanCharge(t *testing.T) {
+// TestPriceList pins each price under the default model to its value,
+// and the predictors to the prices they sum.
+func TestPriceList(t *testing.T) {
 	m := Default()
-	frames, batch := 23, 8
-	launches := Batches(frames, batch)
-	want := float64(frames)*m.OracleMS + float64(launches)*m.OracleCallMS
-	if got := m.ConfirmMS(frames, launches, m.OracleMS); got != want {
-		t.Fatalf("ConfirmMS = %v, want %v", got, want)
-	}
-	if got := m.LaunchOverheadMS(launches); got != float64(launches)*m.OracleCallMS {
-		t.Fatalf("LaunchOverheadMS = %v", got)
-	}
-}
-
-func TestCascadeMSDepths(t *testing.T) {
-	m := Default()
-	frames, retained := 1000, 600
-	depth3 := m.CascadeMS(frames, retained, false)
-	depth2 := m.CascadeMS(frames, retained, true)
-	if want := 1000*m.DecodeMS + 1000*m.DiffMS + 600*m.ProxyMS; depth3 != want {
-		t.Fatalf("depth-3 cascade = %v, want %v", depth3, want)
-	}
-	if want := 1000 * (m.DecodeMS + m.ProxyMS); depth2 != want {
-		t.Fatalf("depth-2 cascade = %v, want %v", depth2, want)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"LabelMS", m.LabelMS(120, 200), 24720},
+		{"PassMS", m.PassMS(1000, false), 6400},
+		{"PassMS without the detector", m.PassMS(1000, true), 6000},
+		{"InferMS", m.InferMS(600), 1800},
+		{"TrainMS", m.TrainMS(660), 11880},
+		{"LaunchOverheadMS", m.LaunchOverheadMS(3), 480},
+		{"SelectMS", m.SelectMS(5000), 0.5},
+		{"TopkProbMS", m.TopkProbMS(4), 0.004},
+		{"depth-3 CascadeMS", m.CascadeMS(1000, 600, false), m.PassMS(1000, false) + m.InferMS(600)},
+		{"depth-2 CascadeMS", m.CascadeMS(1000, 600, true), m.PassMS(1000, true) + m.InferMS(1000)},
+		{"ConfirmMS", m.ConfirmMS(23, 3, 200), 4600 + m.LaunchOverheadMS(3)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 	// Under the default model the diff filter pays for itself whenever it
 	// prunes frames: diffing everything is cheaper than proxy-scoring the
 	// pruned share.
-	if depth3 >= depth2 {
+	if depth3, depth2 := m.CascadeMS(1000, 600, false), m.CascadeMS(1000, 600, true); depth3 >= depth2 {
 		t.Fatalf("diff filter should win at 60%% retention: depth3 %v vs depth2 %v", depth3, depth2)
-	}
-}
-
-func TestLabelAndTrainMS(t *testing.T) {
-	m := Default()
-	if got, want := m.LabelMS(120, m.OracleMS), 120*(m.OracleMS+m.DecodeMS); got != want {
-		t.Fatalf("LabelMS = %v, want %v", got, want)
-	}
-	if got, want := m.TrainMS(660), 660.0*m.ProxyTrainSampleMS; got != want {
-		t.Fatalf("TrainMS = %v, want %v", got, want)
 	}
 }

@@ -98,6 +98,9 @@ func (c Config) withDefaults() Config {
 	if c.SegmentFrames == 0 {
 		c.SegmentFrames = 1800
 	}
+	if c.DriftNLL == 0 {
+		c.DriftNLL = 0.5
+	}
 	if c.ReservoirCap == 0 {
 		c.ReservoirCap = 256
 	}
@@ -500,11 +503,7 @@ func (g *Ingestor) segmentState(view video.Source, opt phase1.Options, plan phas
 	attempted := g.prevProxy != nil && g.cfg.Warm
 	warm := attempted
 	if warm {
-		tol := g.cfg.DriftNLL
-		if tol == 0 {
-			tol = 0.5
-		}
-		if tol < 0 || g.prevProxy.DriftNLL(hold) > g.prevProxy.HoldoutNLL()+tol {
+		if g.cfg.DriftNLL < 0 || g.prevProxy.DriftNLL(hold) > g.prevProxy.HoldoutNLL()+g.cfg.DriftNLL {
 			warm = false
 			g.stats.DriftFallbacks++
 		}

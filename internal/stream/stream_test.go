@@ -645,3 +645,17 @@ func TestDriftNaNRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestDriftDefaultResolvedOnce: withDefaults resolves a zero drift
+// tolerance to 0.5 beside the other defaults, and leaves a negative
+// tolerance, +Inf and NaN (which NewIngestor rejects) as given.
+func TestDriftDefaultResolvedOnce(t *testing.T) {
+	for _, c := range []struct{ in, want float64 }{{0, 0.5}, {-1, -1}, {0.25, 0.25}, {math.Inf(1), math.Inf(1)}} {
+		if got := (Config{DriftNLL: c.in}).withDefaults().DriftNLL; got != c.want {
+			t.Fatalf("DriftNLL %v resolves to %v, want %v", c.in, got, c.want)
+		}
+	}
+	if got := (Config{DriftNLL: math.NaN()}).withDefaults().DriftNLL; !math.IsNaN(got) {
+		t.Fatalf("NaN DriftNLL resolves to %v", got)
+	}
+}

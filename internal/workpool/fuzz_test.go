@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzMapOrdering fuzzes the two halves of the determinism contract over
-// arbitrary item and worker counts: Map must emit results in index order
-// (out[i] is fn's value for item i, never a neighbour's), and Sum must
-// reduce bit-identically to the naive serial loop — the index-ordered
-// serial reduction is exactly what makes parallel floating-point
-// aggregation safe to use on the engine's hot paths.
+// FuzzMapOrdering fuzzes the determinism contract over arbitrary item
+// and worker counts: Map must emit results in index order (out[i] is
+// fn's value for item i, never a neighbour's), which is what lets a
+// caller reduce parallel floating-point terms serially in index order
+// and get the serial loop's bits.
 func FuzzMapOrdering(f *testing.F) {
 	f.Add(0, 1, uint64(1))
 	f.Add(1, 64, uint64(2))
@@ -26,8 +25,8 @@ func FuzzMapOrdering(f *testing.F) {
 		if procs > 128 {
 			procs %= 128
 		}
-		// Deterministic per-index values at wildly different magnitudes,
-		// so any reordering of the reduction changes the rounding.
+		// Deterministic, distinct per-index values, so an item emitted at
+		// a neighbour's index shows.
 		term := func(i int) float64 {
 			x := seed + uint64(i)*0x9e3779b97f4a7c15
 			x ^= x >> 29
@@ -46,16 +45,6 @@ func FuzzMapOrdering(f *testing.F) {
 				t.Fatalf("n=%d procs=%d: out[%d] = %v, want %v (index-ordered emission violated)",
 					n, procs, i, v, want)
 			}
-		}
-
-		want := 0.0
-		for i := 0; i < n; i++ {
-			want += term(i)
-		}
-		got := Sum(procs, n, func(_, i int) float64 { return term(i) })
-		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("n=%d procs=%d: Sum = %v, serial loop = %v (serial-reduction equivalence violated)",
-				n, procs, got, want)
 		}
 	})
 }

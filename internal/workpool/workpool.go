@@ -125,19 +125,6 @@ func MapWith[S, T any](procs, n int, newScratch func() S, fn func(scratch S, i i
 	return out
 }
 
-// Sum computes Σ fn(worker, i) for i in [0, n). Per-item terms are
-// computed in parallel but reduced serially in ascending index order, so
-// the floating-point rounding — and therefore the result bits — match the
-// naive serial loop exactly, for every worker count.
-func Sum(procs, n int, fn func(worker, i int) float64) float64 {
-	terms := Map(procs, n, fn)
-	total := 0.0
-	for _, t := range terms {
-		total += t
-	}
-	return total
-}
-
 // Pool is inert: it starts no goroutine, and nothing in the library
 // reads one. It remains only because the benchmark driver still builds
 // pools and passes them through fields the library ignores.

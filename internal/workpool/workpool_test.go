@@ -1,7 +1,6 @@
 package workpool
 
 import (
-	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -69,25 +68,6 @@ func TestMapOrdered(t *testing.T) {
 			if v != i*i {
 				t.Fatalf("procs=%d: out[%d] = %d", procs, i, v)
 			}
-		}
-	}
-}
-
-func TestSumBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	// Sums of values at wildly different magnitudes expose any change in
-	// reduction order; all worker counts must agree bit-for-bit with the
-	// serial loop.
-	const n = 4096
-	term := func(_, i int) float64 {
-		return math.Sin(float64(i)) * math.Pow(10, float64(i%30)-15)
-	}
-	want := 0.0
-	for i := 0; i < n; i++ {
-		want += term(0, i)
-	}
-	for _, procs := range []int{1, 2, 5, 32} {
-		if got := Sum(procs, n, term); got != want {
-			t.Fatalf("procs=%d: sum %v != serial %v", procs, got, want)
 		}
 	}
 }
