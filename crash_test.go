@@ -51,7 +51,9 @@ func flatten(m labelstore.Map) map[int]float64 {
 
 // historyWAL is a labelstore.WAL that keeps no log: it applies each
 // logged publish and eviction to a plain map copy of the last state,
-// so states[v] is the label state the cache's version v named.
+// so states[v] is the label state the cache's version v named, and
+// checks at every Commit that the cache's map flattens to the state its
+// staged records produced.
 type historyWAL struct {
 	states []map[int]float64
 	err    error
@@ -85,7 +87,14 @@ func (h *historyWAL) next(version uint64) map[int]float64 {
 	return next
 }
 
-func (h *historyWAL) Commit() error { return nil }
+func (h *historyWAL) Commit(labels labelstore.Map) error {
+	last := len(h.states) - 1
+	if got := flatten(labels); !reflect.DeepEqual(got, h.states[last]) && h.err == nil {
+		h.err = fmt.Errorf("commit at version %d: the cache's map (%d labels) is not the state its records produced (%d labels)",
+			last, len(got), len(h.states[last]))
+	}
+	return nil
+}
 
 func (h *historyWAL) Adopt(labelstore.Map, uint64) error {
 	return errors.New("historyWAL: adopt unsupported")
@@ -201,7 +210,7 @@ func TestCrashEveryPrefixConsistent(t *testing.T) {
 		if v < final {
 			err := recovered.AppendPublish(v+1, []int{9999}, []float64{1})
 			if err == nil {
-				err = recovered.Commit()
+				err = recovered.Commit(m.Set(9999, 1))
 			}
 			if err != nil {
 				t.Fatalf("crash@%d: recovered store refuses continuation at %d: %v", k, v+1, err)

@@ -62,7 +62,7 @@ func ensureDurable(cache *labelstore.SharedCache, dir string) error {
 // closeDurableForTest closes and forgets the store open in dir — the
 // process-exit half of a crash/restart simulation. Tests pair it with
 // labelstore.ResetForTest; production code has no reason to call it
-// (stores live for the process, like the caches they mirror).
+// (stores live for the process, like the caches they log).
 func closeDurableForTest(dir string) {
 	durableReg.mu.Lock()
 	defer durableReg.mu.Unlock()

@@ -208,7 +208,7 @@ func SelectAndTopk(src video.Source, udf vision.UDF, k int, opt phase1.Options, 
 			Candidates: len(candidates),
 		}
 		o.Name = fmt.Sprintf("select-and-topk(λ=%.1f)", lambda)
-		o.MS = float64(len(candidates)) * udf.OracleCostMS(opt.Cost)
+		o.MS = opt.Cost.ScoreMS(len(candidates), 1, udf.OracleCostMS(opt.Cost))
 		if len(candidates) < k {
 			o.Failed = true
 			out = append(out, o)

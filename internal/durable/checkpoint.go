@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
+
+	"github.com/everest-project/everest/internal/labelstore"
 )
 
 // Checkpoint file format — a full materialization of the label store at
@@ -23,31 +24,21 @@ import (
 // and scores are raw IEEE-754 bits for bit-exact recovery.
 var ckptMagic = [8]byte{'E', 'V', 'C', 'K', 'P', 'T', '0', '1'}
 
-// sortedFrames refills frames with the frames labels holds, ascending,
-// and returns it.
-func sortedFrames(frames []int, labels map[int]float64) []int {
-	frames = frames[:0]
-	for f := range labels {
-		frames = append(frames, f)
-	}
-	slices.Sort(frames)
-	return frames
-}
-
 // appendCheckpoint appends the checkpoint wire form of (labels,
-// version) to buf; frames is sortedFrames of labels, the order the
+// version) to buf. Map.Range walks the frames ascending, the order the
 // format requires.
-func appendCheckpoint(buf []byte, frames []int, labels map[int]float64, version uint64) []byte {
+func appendCheckpoint(buf []byte, labels labelstore.Map, version uint64) []byte {
 	start := len(buf)
 	buf = append(buf, ckptMagic[:]...)
 	buf = binary.AppendUvarint(buf, version)
-	buf = binary.AppendUvarint(buf, uint64(len(frames)))
+	buf = binary.AppendUvarint(buf, uint64(labels.Len()))
 	prev := 0
-	for _, f := range frames {
+	labels.Range(func(f int, v float64) bool {
 		buf = binary.AppendUvarint(buf, uint64(f-prev))
 		prev = f
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(labels[f]))
-	}
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		return true
+	})
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 

@@ -37,6 +37,7 @@ package durable
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,32 +73,30 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Store is a durable mirror of one labelstore.SharedCache: it receives
+// Store is the durable log of one labelstore.SharedCache: it receives
 // every publish and eviction (with the version each produced), stages
-// them until the cache's Commit, appends each commit to the WAL,
-// maintains the materialized state for checkpointing, and recovers the
-// newest consistent prefix when reopened. It implements labelstore.WAL.
-// Safe for concurrent use, though the cache already serializes calls
-// under its own lock.
+// them until the cache's Commit, appends each commit to the WAL, keeps
+// the committed state for checkpointing, and recovers the newest
+// consistent prefix when reopened. It implements labelstore.WAL. Safe
+// for concurrent use, though the cache already serializes calls under
+// its own lock.
 //
-// The materialized state is a plain map that each committed record
-// updates in place: nothing snapshots it, so the cache's persistent
-// trie is converted to and from it only at attach time (Adopt,
-// Recovered). A commit and a checkpoint are encoded into buf, a
-// checkpoint's frames sorted in keys, and the staged records wait in
-// pending; all three are the store's own and reused, so committing
-// costs what the records hold.
+// The committed state is the cache's own label map: Commit hands it
+// over once its records are on disk, and the store keeps the reference
+// (a Map is immutable), so no label is held twice. A commit and a
+// checkpoint are encoded into buf and the staged records wait in
+// pending; both are the store's own and reused, so committing costs
+// what the records hold.
 type Store struct {
 	dir  string
 	opts Options
 
 	mu        sync.Mutex
 	fs        FS
-	labels    map[int]float64 // the state at version, the last commit
+	labels    labelstore.Map // the state at version, the last commit
 	version   uint64
 	pending   []Record // staged since the last commit, versions version+1…
 	buf       []byte   // encode buffer of the commit or checkpoint being written
-	keys      []int    // a checkpoint's frames, ascending
 	segSeq    uint64   // active segment sequence number
 	seg       File     // nil until the first commit after open/rotate
 	segBytes  int
@@ -197,13 +196,13 @@ func (s *Store) loadBase(ckpts []uint64) (map[int]float64, uint64) {
 	return map[int]float64{}, 0
 }
 
-// replay applies segment records to the store's labels and version a
+// replay applies segment records to labels and the store's version a
 // commit at a time, stopping at the first corrupt or discontinuous
 // record, or at a commit its segment does not finish: the log ends
 // where that commit began, so the torn tail is truncated there and the
 // unreachable later segments removed. Records at or below the starting
 // version are stale segments' leftovers and are skipped.
-func (s *Store) replay(segs []uint64) error {
+func (s *Store) replay(segs []uint64, labels map[int]float64) error {
 	var commit []Record // the open commit's records
 	for si, seq := range segs {
 		name := s.path(segName(seq))
@@ -231,8 +230,9 @@ func (s *Store) replay(segs []uint64) error {
 			off = next
 			if !rec.More {
 				for _, r := range commit {
-					s.fold(r)
+					fold(labels, r)
 				}
+				s.version = rec.Version
 				commit = commit[:0]
 			}
 		}
@@ -261,16 +261,21 @@ func (s *Store) cut(name string, off int, later []uint64) error {
 	return nil
 }
 
-// recover loads the newest valid checkpoint and replays the WAL.
+// recover loads the newest valid checkpoint and replays the WAL. The
+// replay folds each record into a plain map, in place, and the store's
+// Map is built from it once at the end: replaying into the persistent
+// trie record by record would path-copy per record.
 func (s *Store) recover() error {
 	ckpts, segs, err := s.listing()
 	if err != nil {
 		return err
 	}
-	s.labels, s.version = s.loadBase(ckpts)
-	if err := s.replay(segs); err != nil {
+	labels, version := s.loadBase(ckpts)
+	s.version = version
+	if err := s.replay(segs, labels); err != nil {
 		return err
 	}
+	s.labels = trieOf(labels)
 	if n := len(segs); n > 0 {
 		s.segSeq = segs[n-1] + 1
 	} else {
@@ -284,26 +289,11 @@ func (s *Store) Dir() string { return s.dir }
 
 // Recovered returns the store's state — recovered at Open, or adopted
 // or committed since — as the label map and the version counter a cache
-// resumes from. It builds the map afresh from the store's labels.
+// resumes from. The map is the one the last commit or Adopt handed in.
 func (s *Store) Recovered() (labelstore.Map, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	frames := sortedFrames(make([]int, 0, len(s.labels)), s.labels)
-	scores := make([]float64, len(frames))
-	for i, f := range frames {
-		scores[i] = s.labels[f]
-	}
-	return labelstore.Map{}.SetSorted(frames, scores), s.version
-}
-
-// Err returns the store's sticky fatal error, if any: the first append
-// or checkpoint I/O failure. A store with a sticky error keeps failing
-// every later operation — the in-RAM cache stays available, but
-// durability has stopped at a known prefix.
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sticky
+	return s.labels, s.version
 }
 
 // AppendPublish stages one publish batch as the record that produced
@@ -322,7 +312,10 @@ func (s *Store) AppendEvict(version uint64, frames []int) error {
 }
 
 // stage validates continuity and the record's frames and queues it for
-// the next Commit. A record that fails validation is not staged.
+// the next Commit. A record that fails validation is not staged. Once
+// an I/O failure has latched, every staging call returns it: the
+// in-RAM cache stays available, but durability has stopped at a known
+// prefix.
 func (s *Store) stage(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -340,27 +333,28 @@ func (s *Store) stage(rec Record) error {
 }
 
 // Commit writes the records staged since the last commit to the active
-// segment as one commit — one write, one fsync — then folds them into
-// the store's labels and runs the checkpoint cadence. With nothing
-// staged it does nothing. A failed write or sync latches the sticky
-// error and drops the staged records: recovery ends the log before a
-// commit it finds cut short.
-func (s *Store) Commit() error {
+// segment as one commit — one write, one fsync — then keeps labels, the
+// cache's state after those records, as the store's own and runs the
+// checkpoint cadence. With nothing staged it does nothing. A failed
+// write or sync latches the sticky error and drops the staged records,
+// keeping the last durable commit's state: recovery ends the log before
+// a commit it finds cut short.
+func (s *Store) Commit(labels labelstore.Map) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.pending) == 0 {
 		return nil
 	}
-	err := s.commitLocked()
+	err := s.commitLocked(labels)
 	clear(s.pending) // the caller's slices
 	s.pending = s.pending[:0]
 	return err
 }
 
 // commitLocked encodes and writes the staged records, every one but
-// the last marked as continued, and syncs the segment. Caller holds
-// s.mu.
-func (s *Store) commitLocked() error {
+// the last marked as continued, syncs the segment and takes labels as
+// the state at the last record's version. Caller holds s.mu.
+func (s *Store) commitLocked(labels labelstore.Map) error {
 	if s.seg == nil {
 		seg, err := s.fs.OpenAppend(s.path(segName(s.segSeq)))
 		if err != nil {
@@ -380,9 +374,7 @@ func (s *Store) commitLocked() error {
 	if err := s.seg.Sync(); err != nil {
 		return s.fail(fmt.Errorf("durable: syncing segment: %w", err))
 	}
-	for _, rec := range s.pending {
-		s.fold(rec)
-	}
+	s.labels, s.version = labels, s.pending[len(s.pending)-1].Version
 	s.segBytes += len(s.buf)
 	s.recsSince += len(s.pending)
 	if s.segBytes >= s.opts.SegmentBytes {
@@ -391,19 +383,32 @@ func (s *Store) commitLocked() error {
 	return s.maybeCheckpointLocked()
 }
 
-// fold applies a record to the store's labels in place and advances the
-// version to the one it produced. Caller holds s.mu, or is recovering.
-func (s *Store) fold(rec Record) {
+// trieOf builds the Map holding labels: one SetSorted over its frames,
+// sorted ascending.
+func trieOf(labels map[int]float64) labelstore.Map {
+	frames := make([]int, 0, len(labels))
+	for f := range labels {
+		frames = append(frames, f)
+	}
+	slices.Sort(frames)
+	scores := make([]float64, len(frames))
+	for i, f := range frames {
+		scores[i] = labels[f]
+	}
+	return labelstore.Map{}.SetSorted(frames, scores)
+}
+
+// fold applies a replayed record to labels in place.
+func fold(labels map[int]float64, rec Record) {
 	if rec.Type == recPublish {
 		for i, f := range rec.Frames {
-			s.labels[f] = rec.Scores[i]
+			labels[f] = rec.Scores[i]
 		}
 	} else {
 		for _, f := range rec.Frames {
-			delete(s.labels, f)
+			delete(labels, f)
 		}
 	}
-	s.version = rec.Version
 }
 
 // fail records the first fatal error and returns it.
@@ -445,7 +450,7 @@ func (s *Store) Checkpoint() error {
 	return s.checkpointLocked()
 }
 
-// checkpointLocked writes the materialized state atomically — temp
+// checkpointLocked writes the committed state atomically — temp
 // file, fsync, rename, directory fsync — then rotates the WAL and
 // removes the segments and older checkpoints the new one supersedes.
 // The deletions run only after the rename is durable, so a crash at any
@@ -458,8 +463,7 @@ func (s *Store) checkpointLocked() error {
 	if err != nil {
 		return s.fail(fmt.Errorf("durable: creating checkpoint temp: %w", err))
 	}
-	s.keys = sortedFrames(s.keys, s.labels)
-	s.buf = appendCheckpoint(s.buf[:0], s.keys, s.labels, s.version)
+	s.buf = appendCheckpoint(s.buf[:0], s.labels, s.version)
 	_, werr := f.Write(s.buf)
 	if werr == nil {
 		werr = f.Sync()
@@ -515,30 +519,19 @@ func (s *Store) checkpointLocked() error {
 // cache attach path, where a cache that already holds published state
 // becomes durable. Only an empty store (fresh directory, no recovered
 // state) can adopt: adopting over existing durable history would let
-// the version counter regress, breaking the continuity rule.
+// the version counter regress, breaking the continuity rule. The store
+// keeps labels as its state, uncopied.
 func (s *Store) Adopt(labels labelstore.Map, version uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sticky != nil {
 		return s.sticky
 	}
-	if s.version != 0 || len(s.labels) != 0 || len(s.pending) != 0 {
+	if s.version != 0 || s.labels.Len() != 0 || len(s.pending) != 0 {
 		return fmt.Errorf("durable: %s already holds state at version %d; cannot adopt a different cache", s.dir, s.version)
 	}
-	s.labels = make(map[int]float64, labels.Len())
-	labels.Range(func(f int, v float64) bool {
-		s.labels[f] = v
-		return true
-	})
-	s.version = version
+	s.labels, s.version = labels, version
 	return s.checkpointLocked()
-}
-
-// Version returns the store's version counter: the last commit's.
-func (s *Store) Version() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version
 }
 
 // Close closes the active segment handle. Every commit is already

@@ -14,19 +14,22 @@ import (
 )
 
 // publishOne and evictOne stage one record and commit it on its own,
-// as a lone publish or eviction's lock hold of the cache does.
+// as a lone publish or eviction's lock hold of the cache does, handing
+// Commit the store's state with the record applied, as the cache would.
 func publishOne(s *Store, version uint64, frames []int, scores []float64) error {
 	if err := s.AppendPublish(version, frames, scores); err != nil {
 		return err
 	}
-	return s.Commit()
+	m, _ := s.Recovered()
+	return s.Commit(m.SetSorted(frames, scores))
 }
 
 func evictOne(s *Store, version uint64, frames []int) error {
 	if err := s.AppendEvict(version, frames); err != nil {
 		return err
 	}
-	return s.Commit()
+	m, _ := s.Recovered()
+	return s.Commit(m.DeleteSorted(frames))
 }
 
 // publishN commits n publish batches, batch i (1-based version) holding
@@ -375,17 +378,17 @@ func TestAppendRejectsUnsortedFrames(t *testing.T) {
 		if err := fn(); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
-		if s.Version() != 2 || size() != before {
+		if _, v := s.Recovered(); v != 2 || size() != before {
 			t.Fatalf("%s: version %d and segment %d bytes after a rejected append, want 2 and %d",
-				name, s.Version(), size(), before)
+				name, v, size(), before)
 		}
 	}
-	if err := s.Err(); err != nil {
-		t.Fatalf("a rejected batch latched a sticky error: %v", err)
-	}
-	if err := s.Commit(); err != nil || size() != before {
+	m, _ := s.Recovered()
+	if err := s.Commit(m); err != nil || size() != before {
 		t.Fatalf("a commit after rejected appends: %v, segment %d bytes, want nothing staged and %d", err, size(), before)
 	}
+	// A rejected batch latched no sticky error: the next valid appends
+	// are accepted.
 	publishN(t, s, 3, 2)
 	s.Close()
 	r, err := Open(dir, Options{})

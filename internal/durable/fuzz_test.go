@@ -136,11 +136,11 @@ func FuzzWALReplay(f *testing.F) {
 
 // FuzzCheckpointDecode feeds arbitrary bytes to the checkpoint decoder:
 // it must never panic, and anything it accepts must survive a semantic
-// re-encode/decode round trip, every score to the bit.
+// round trip — built into the Map recovery builds, re-encoded from it
+// and decoded again — every score to the bit.
 func FuzzCheckpointDecode(f *testing.F) {
-	two := map[int]float64{4: 0.5, 9: 0.75}
-	f.Add(appendCheckpoint(nil, sortedFrames(nil, two), two, 3))
-	f.Add(appendCheckpoint(nil, nil, nil, 0))
+	f.Add(appendCheckpoint(nil, labelstore.Map{}.SetSorted([]int{4, 9}, []float64{0.5, 0.75}), 3))
+	f.Add(appendCheckpoint(nil, labelstore.Map{}, 0))
 	f.Add([]byte("EVCKPT01 but then junk"))
 	f.Add([]byte{})
 	// Header count 2, one distinct frame: a duplicate, rejected.
@@ -151,7 +151,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again := appendCheckpoint(nil, sortedFrames(nil, labels), labels, version)
+		again := appendCheckpoint(nil, trieOf(labels), version)
 		labels2, version2, err := decodeCheckpoint(again)
 		if err != nil {
 			t.Fatalf("re-encoded accepted checkpoint does not decode: %v", err)

@@ -75,12 +75,12 @@ func TestMirrorEqualsCache(t *testing.T) {
 
 // TestDurablePublishAllocationBudget: with a store attached, a publish
 // and the eviction it triggers allocate no more than the same publishes
-// into a RAM-only cache, plus one and a half per WAL record — the store
-// stages both records in a slice it reuses, encodes the commit into a
-// buffer it reuses and folds each record into its map in place, so
-// logging costs no trie path-copies of its own. The cadence is the
-// default one checkpoint per 64 records, whose file operations the
-// per-record allowance amortizes: one per record is measured.
+// into a RAM-only cache, plus one and a quarter per WAL record — the
+// store stages both records in a slice it reuses, encodes the commit
+// into a buffer it reuses and keeps the cache's map as its state, so
+// logging costs no label copies of its own. The cadence is the default
+// one checkpoint per 64 records, whose file operations the per-record
+// allowance amortizes: one per record is measured.
 func TestDurablePublishAllocationBudget(t *testing.T) {
 	const frames, batch, maxLabels, warm, runs = 4000, 96, 400, 20, 50
 	rng := rand.New(rand.NewSource(3))
@@ -129,7 +129,7 @@ func TestDurablePublishAllocationBudget(t *testing.T) {
 	if records < 1.5 {
 		t.Fatalf("%.2f records per publish; the budget must cover evictions", records)
 	}
-	const perRecord = 1.5
+	const perRecord = 1.25
 	budget := ram + perRecord*records
 	t.Logf("%.1f allocs per durable publish+evict, %.1f RAM-only, %.2f records", durable, ram, records)
 	if durable > budget {

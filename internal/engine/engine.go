@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/everest-project/everest/internal/core"
 	"github.com/everest-project/everest/internal/labelstore"
@@ -119,7 +118,6 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 	}
 
 	qopt := b.UDF.Quantize()
-	lanes := float64(max(1, b.lanes))
 	// dispatchScore is the single oracle dispatch boundary — every Phase 2
 	// confirmation, mux-routed or direct, passes through here with the
 	// error-returning contract (vision.SafeScore: a panicking UDF becomes
@@ -189,7 +187,7 @@ func Execute(p Plan, b Binding) (*Outcome, error) {
 				scores[i] = fresh[j]
 				b.Labels.Set(missIDs[j], fresh[j])
 			}
-			clock.Charge(simclock.PhaseConfirm, math.Ceil(float64(len(missIDs))/lanes)*b.UDF.OracleCostMS(p.Cost))
+			clock.Charge(simclock.PhaseConfirm, p.Cost.ScoreMS(len(missIDs), b.lanes, b.UDF.OracleCostMS(p.Cost)))
 		}
 		return scores, nil
 	}

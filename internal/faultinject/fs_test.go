@@ -5,30 +5,34 @@ import (
 	"testing"
 
 	"github.com/everest-project/everest/internal/durable"
+	"github.com/everest-project/everest/internal/labelstore"
 )
 
 // writeHistory runs a fixed publish/evict sequence against a store on
-// the given FS and returns the per-version expected states. Version i
-// of the sequence is: publishes 1..6, then one eviction of the first
-// batch's frames at version 7.
+// the given FS, each commit handed the state its record leaves, as a
+// cache would. Version i of the sequence is: publishes 1..6, then one
+// eviction of the first batch's frames at version 7.
 func writeHistory(fs durable.FS, dir string) error {
 	s, err := durable.Open(dir, durable.Options{FS: fs, CheckpointEvery: 3})
 	if err != nil {
 		return err
 	}
 	defer s.Close()
+	var labels labelstore.Map
 	for i := 1; i <= 6; i++ {
-		if err := s.AppendPublish(uint64(i), []int{10 * i, 10*i + 1}, []float64{1, 2}); err != nil {
+		frames, scores := []int{10 * i, 10*i + 1}, []float64{1, 2}
+		if err := s.AppendPublish(uint64(i), frames, scores); err != nil {
 			return err
 		}
-		if err := s.Commit(); err != nil {
+		labels = labels.SetSorted(frames, scores)
+		if err := s.Commit(labels); err != nil {
 			return err
 		}
 	}
 	if err := s.AppendEvict(7, []int{10, 11}); err != nil {
 		return err
 	}
-	return s.Commit()
+	return s.Commit(labels.DeleteSorted([]int{10, 11}))
 }
 
 // TestFaultFSDeterministicOps: the same workload against the same
@@ -103,13 +107,14 @@ func TestFaultFSSyncErrIsNonFatal(t *testing.T) {
 	if err := s.AppendPublish(1, []int{1}, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(); !errors.Is(err, ErrInjectedIO) {
+	if err := s.Commit(labelstore.Map{}.Set(1, 1)); !errors.Is(err, ErrInjectedIO) {
 		t.Fatalf("commit with failed fsync = %v, want ErrInjectedIO", err)
 	}
-	if s.Err() == nil {
-		t.Fatal("store did not latch the fsync failure")
+	if m, v := s.Recovered(); v != 0 || m.Len() != 0 {
+		t.Fatalf("store holds %d labels at version %d after a failed commit, want the empty version 0", m.Len(), v)
 	}
-	if !errors.Is(s.AppendPublish(2, []int{2}, []float64{2}), ErrInjectedIO) {
+	// The store latched the failure: a later append returns it.
+	if !errors.Is(s.AppendPublish(1, []int{2}, []float64{2}), ErrInjectedIO) {
 		t.Fatal("sticky error not returned on later appends")
 	}
 	if fs.Stats().Crashed {
@@ -129,16 +134,17 @@ func TestFaultFSShortWriteTruncatedOnRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	one := labelstore.Map{}.Set(1, 1)
 	if err := s.AppendPublish(1, []int{1}, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(); err != nil {
+	if err := s.Commit(one); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendPublish(2, []int{2}, []float64{2}); err != nil {
 		t.Fatal(err)
 	}
-	err = s.Commit()
+	err = s.Commit(one.Set(2, 2))
 	if !errors.Is(err, ErrInjectedIO) {
 		t.Fatalf("short write surfaced as %v", err)
 	}

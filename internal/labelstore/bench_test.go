@@ -12,7 +12,7 @@ import (
 // it: ~96-frame publishes over a 4,000-frame video into a cache capped
 // at 400 labels, so each publish also evicts an older batch, with a
 // durable store attached (a no-op File.Sync, a checkpoint every 64
-// records) that logs both and mirrors them into its own map.
+// records) that logs both and keeps the cache's map as its state.
 func BenchmarkPublish(b *testing.B) {
 	const frames, batch, maxLabels = 4000, 96, 400
 	rng := rand.New(rand.NewSource(1))

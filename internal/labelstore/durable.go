@@ -29,12 +29,16 @@ type WAL interface {
 	// Commit returns.
 	AppendEvict(version uint64, frames []int) error
 	// Commit makes the records staged since the last Commit durable as
-	// one unit, or does nothing when none is staged.
-	Commit() error
+	// one unit, or does nothing when none is staged. labels is the
+	// cache's state after those records; a Map is immutable, so a WAL
+	// may keep it as its own state.
+	Commit(labels Map) error
 	// Adopt installs a warm cache's current state as the store baseline
-	// (only valid on a store with no recovered state).
+	// (only valid on a store with no recovered state); like Commit's, a
+	// WAL may keep the Map.
 	Adopt(labels Map, version uint64) error
-	// Recovered returns the state recovered when the store was opened.
+	// Recovered returns the store's state: the one recovered when it was
+	// opened, or the last adopted or committed since.
 	Recovered() (Map, uint64)
 }
 
@@ -115,7 +119,7 @@ func (c *SharedCache) commit() {
 	if c.wal == nil {
 		return
 	}
-	c.latch(c.wal.Commit())
+	c.latch(c.wal.Commit(c.labels))
 }
 
 // latch keeps the first WAL failure in walErr.

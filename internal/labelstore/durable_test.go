@@ -156,7 +156,7 @@ func (w *failingWAL) AppendEvict(version uint64, frames []int) error {
 	w.refusals++
 	return fmt.Errorf("refusal %d (evict v%d)", w.refusals, version)
 }
-func (w *failingWAL) Commit() error {
+func (w *failingWAL) Commit(labelstore.Map) error {
 	w.refusals++
 	return fmt.Errorf("refusal %d (commit)", w.refusals)
 }

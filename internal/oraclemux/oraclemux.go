@@ -245,7 +245,7 @@ func (m *Mux) launch(batch []*request) {
 			continue
 		}
 		frames += len(r.ids)
-		deviceMS += float64(len(r.ids)) * r.udf.OracleCostMS(r.cost)
+		deviceMS += r.cost.ScoreMS(len(r.ids), 1, r.udf.OracleCostMS(r.cost))
 	}
 	m.clock.Charge(simclock.PhaseConfirm, deviceMS)
 	m.mu.Lock()

@@ -16,7 +16,9 @@ import (
 // benchmark/ names a CostModel price field, so every charge and every
 // prediction goes through the price list's methods. The only exemption
 // is internal/vision's per-model accessors (OracleCostMS, FrameCostMS),
-// which say which field prices a model's frame.
+// which say which field prices a model's frame. Nor does any such file
+// multiply an accessor's result (ScoreMS and LabelMS price a model's
+// frames), so a per-frame cost is priced here, not at its call site.
 func TestPricesHaveOneOwner(t *testing.T) {
 	fields := map[string]bool{}
 	for typ, i := reflect.TypeFor[CostModel](), 0; i < typ.NumField(); i++ {
@@ -25,6 +27,18 @@ func TestPricesHaveOneOwner(t *testing.T) {
 	root := filepath.Join("..", "..")
 	var reads []string             // file:line, in walk order
 	named := map[string][]string{} // the fields each line names
+	var products []string          // file:line (accessor) of each multiplied accessor call
+	multiplied := func(fset *token.FileSet, rel string, operands ...ast.Expr) {
+		for _, x := range operands {
+			call, ok := ast.Unparen(x).(*ast.CallExpr)
+			if !ok {
+				continue
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "OracleCostMS" || sel.Sel.Name == "FrameCostMS") {
+				products = append(products, fmt.Sprintf("%s:%d (%s)", rel, fset.Position(call.Pos()).Line, sel.Sel.Name))
+			}
+		}
+	}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -47,6 +61,14 @@ func TestPricesHaveOneOwner(t *testing.T) {
 			case *ast.FuncDecl:
 				accessor := n.Name.Name == "OracleCostMS" || n.Name.Name == "FrameCostMS"
 				return !(accessor && strings.HasPrefix(rel, "internal/vision/"))
+			case *ast.BinaryExpr:
+				if n.Op == token.MUL {
+					multiplied(fset, rel, n.X, n.Y)
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.MUL_ASSIGN {
+					multiplied(fset, rel, n.Rhs...)
+				}
 			case *ast.SelectorExpr:
 				if fields[n.Sel.Name] {
 					at := fmt.Sprintf("%s:%d", rel, fset.Position(n.Sel.Pos()).Line)
@@ -67,7 +89,11 @@ func TestPricesHaveOneOwner(t *testing.T) {
 		for i, at := range reads {
 			reads[i] = fmt.Sprintf("%s (%s)", at, strings.Join(named[at], ", "))
 		}
-		t.Fatalf("%d lines read a CostModel price field outside simclock; call a price method instead:\n  %s",
+		t.Errorf("%d lines read a CostModel price field outside simclock; call a price method instead:\n  %s",
 			len(reads), strings.Join(reads, "\n  "))
+	}
+	if len(products) > 0 {
+		t.Errorf("%d lines multiply a model's per-frame cost outside simclock; call ScoreMS or LabelMS instead:\n  %s",
+			len(products), strings.Join(products, "\n  "))
 	}
 }

@@ -144,6 +144,15 @@ func (m CostModel) LabelMS(frames int, frameMS float64) float64 {
 	return float64(frames) * (frameMS + m.DecodeMS)
 }
 
+// ScoreMS prices a model's inference over frames frames spread across
+// lanes accelerators (a non-positive lanes is one): ⌈frames/lanes⌉
+// serial inferences at frameMS each (vision.UDF.OracleCostMS). Phase
+// 2's oracle: the frame oracle in engine.Execute, the mux's device
+// batches and the Select-and-Topk baseline.
+func (CostModel) ScoreMS(frames, lanes int, frameMS float64) float64 {
+	return float64(Batches(frames, lanes)) * frameMS
+}
+
 // PassMS prices Phase 1's pass over frames frames: each is decoded and
 // compared by the difference detector, or only decoded when disableDiff
 // is set. Phase 2 charges the decode-only price for cleaned frames whose
@@ -199,7 +208,7 @@ func (m CostModel) CascadeMS(frames, retained int, disableDiff bool) float64 {
 // an oracle charging udfFrameMS per frame, dispatched in the given
 // number of launches.
 func (m CostModel) ConfirmMS(frames, launches int, udfFrameMS float64) float64 {
-	return float64(frames)*udfFrameMS + m.LaunchOverheadMS(launches)
+	return m.ScoreMS(frames, 1, udfFrameMS) + m.LaunchOverheadMS(launches)
 }
 
 // Clock accumulates simulated milliseconds per phase. It counts whole

@@ -314,6 +314,9 @@ func TestPriceList(t *testing.T) {
 		{"PassMS", m.PassMS(1000, false), 6400},
 		{"PassMS without the detector", m.PassMS(1000, true), 6000},
 		{"InferMS", m.InferMS(600), 1800},
+		{"ScoreMS on one lane", m.ScoreMS(23, 1, 200), 4600},
+		{"ScoreMS on four lanes", m.ScoreMS(23, 4, 200), 1200},
+		{"ScoreMS on no lanes", m.ScoreMS(23, 0, 200), 4600},
 		{"TrainMS", m.TrainMS(660), 11880},
 		{"LaunchOverheadMS", m.LaunchOverheadMS(3), 480},
 		{"SelectMS", m.SelectMS(5000), 0.5},
