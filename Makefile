@@ -134,7 +134,11 @@ bench-diff:
 # 35 epochs, one grid point, one proxy prediction from a decoded frame
 # (features, then the model's Predict: what every retained frame pays at
 # ingest), one decoded frame (0 allocs) and one counting-oracle call over
-# 32 frames (1 alloc: its output); the last is
+# 32 frames (1 alloc: its output); the next is the batch ingest's Phase 1
+# tables — one mixture quantized into its Dist (1 alloc), the labelled
+# samples featurized into one block, the detector pass with its fused
+# inference, the DisableDiff inference sweep into a caller's table, and
+# the frame relation built and copied; the last is
 # the label cache's write path — a capped, durable publish plus its
 # eviction — and a recovery from a checkpoint and a WAL tail.
 bench-smoke:
@@ -142,6 +146,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BindScript|ExecWarm' -benchtime 1x -benchmem ./internal/eql
 	$(GO) test -run '^$$' -bench 'Prepare|Start|Execute|WindowRelation' -benchtime 1x -benchmem ./internal/core ./internal/engine
 	$(GO) test -run '^$$' -bench 'Fit$$|TrainGridPoint|ProxyPredict|Render$$|CountUDFScore' -benchtime 1x -benchmem ./internal/nn ./internal/cmdn ./internal/video ./internal/vision
+	$(GO) test -run '^$$' -bench 'Quantize|FeaturizeSamples|ClipPass|InferMixtures|FrameRelation' -benchtime 1x -benchmem ./internal/uncertain ./internal/phase1 ./internal/engine
 	$(GO) test -run '^$$' -bench 'Publish|Recover' -benchtime 1x -benchmem ./internal/labelstore ./internal/durable
 
 # Live-camera smoke run: replay a bounded feed through the streaming

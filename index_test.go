@@ -322,6 +322,10 @@ func TestLoadIndexRejectsInconsistentArtifact(t *testing.T) {
 		"mixtures longer than Retained":       func(a *engine.Artifact) { a.Mixtures = append(a.Mixtures, a.Mixtures[unlabelled]) },
 		"exact label on a non-retained frame": func(a *engine.Artifact) { a.Exact[notRetained] = 1 },
 		"empty mixture on a non-exact frame":  func(a *engine.Artifact) { a.Mixtures[unlabelled] = nil },
+		"mixture on an exact frame": func(a *engine.Artifact) {
+			labelled := slices.IndexFunc(a.Retained, func(f int32) bool { _, ok := a.Exact[f]; return ok })
+			a.Mixtures[labelled] = a.Mixtures[unlabelled]
+		},
 	}
 	for name, corrupt := range cases {
 		bad := &Index{art: ix.art.Clone(), info: ix.info, ingestMS: ix.ingestMS}

@@ -15,6 +15,7 @@ import (
 
 	"github.com/everest-project/everest/internal/phase1"
 	"github.com/everest-project/everest/internal/simclock"
+	"github.com/everest-project/everest/internal/uncertain"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
 )
@@ -103,18 +104,18 @@ func CMDNOnly(src video.Source, udf vision.UDF, k int, opt phase1.Options) (Outc
 	if err != nil {
 		return Outcome{}, err
 	}
+	// Proxy inference over the retained set runs on all configured workers.
+	mixes := make([]uncertain.Mixture, len(st.Diff.Retained))
+	inferred := st.FillRetainedMixtures(mixes)
 	means := make(map[int]float64, len(st.Diff.Retained))
-	for _, i := range st.Diff.Retained {
+	for j, i := range st.Diff.Retained {
 		if s, ok := st.Labeled[i]; ok {
 			means[i] = s
+		} else {
+			means[i] = mixes[j].Mean()
 		}
 	}
-	// Proxy inference over the retained set runs on all configured workers.
-	inferIDs, mixes := st.InferRetainedMixtures()
-	for j, i := range inferIDs {
-		means[i] = mixes[j].Mean()
-	}
-	clock.Charge(simclock.PhasePopulateD0, opt.Cost.InferMS(len(inferIDs)))
+	clock.Charge(simclock.PhasePopulateD0, opt.Cost.InferMS(inferred))
 	ids, top := topKBy(st.Diff.Retained, func(i int) float64 { return means[i] }, k)
 	return Outcome{Name: "cmdn-only", IDs: ids, Scores: top, MS: clock.TotalMS()}, nil
 }

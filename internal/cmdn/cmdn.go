@@ -404,7 +404,15 @@ func (p *Proxy) Predict(x []float64) uncertain.Mixture {
 	if calib < 1 {
 		calib = 1
 	}
-	out := make(uncertain.Mixture, 0, len(mix))
+	// Count the kept components first so the mixture is allocated at the
+	// size it keeps: a pruned MDN of G = 5–15 components keeps about two.
+	keep := 0
+	for _, c := range mix {
+		if c.Weight >= pruneWeight {
+			keep++
+		}
+	}
+	out := make(uncertain.Mixture, 0, keep)
 	kept := 0.0
 	for _, c := range mix {
 		if c.Weight < pruneWeight {

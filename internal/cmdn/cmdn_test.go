@@ -262,3 +262,31 @@ func pearson(x, y []float64) float64 {
 	}
 	return (sxy - sx*sy/n) / den
 }
+
+// TestPredictAllocatesWhatItKeeps: a pruned mixture is allocated at the
+// size it keeps — the proxy predicts one for every retained frame, and
+// most of a G-component head is pruned away.
+func TestPredictAllocatesWhatItKeeps(t *testing.T) {
+	src := trafficSource(t, 1200)
+	train := makeSamples(src, sampleEvery(1200, 4))
+	holdout := makeSamples(src, offsetEvery(1200, 7, 2))
+	const g = 12
+	proxy, _, err := Train(train, holdout, Config{Grid: []Hyper{{G: g, H: 20}}, Epochs: 5, Seed: 4}, nil, simclock.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := false
+	for i := 0; i < 1200; i += 37 {
+		mix := proxy.PredictFrame(src.Render(i))
+		if cap(mix) != len(mix) {
+			t.Fatalf("frame %d: mixture of %d components has capacity %d", i, len(mix), cap(mix))
+		}
+		if err := mix.Validate(); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		pruned = pruned || len(mix) < g
+	}
+	if !pruned {
+		t.Fatal("no prediction pruned a component; the test measures nothing")
+	}
+}

@@ -167,6 +167,13 @@ func RunVisit(src video.Source, opt Options, clock *simclock.Clock, cost simcloc
 		}
 	}
 	clock.Charge(phase, cost.PassMS(n, false))
+	kept := 0
+	for _, keep := range retained {
+		if keep {
+			kept++
+		}
+	}
+	res.Retained = make([]int, 0, kept)
 	for i, keep := range retained {
 		if keep {
 			res.Retained = append(res.Retained, i)

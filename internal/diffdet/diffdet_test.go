@@ -247,3 +247,12 @@ func (s *countedSource) Render(i int) video.Frame {
 	s.renders.Add(1)
 	return s.Source.Render(i)
 }
+
+// TestRetainedIsSizedToFit: the retained list is allocated once, at the
+// length it ends with.
+func TestRetainedIsSizedToFit(t *testing.T) {
+	res := mustRun(t, testSource(t, 3000), Options{})
+	if len(res.Retained) == 0 || cap(res.Retained) != len(res.Retained) {
+		t.Fatalf("%d retained frames in a list of capacity %d", len(res.Retained), cap(res.Retained))
+	}
+}

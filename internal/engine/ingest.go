@@ -13,6 +13,7 @@ import (
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
 	"github.com/everest-project/everest/internal/windows"
+	"github.com/everest-project/everest/internal/workpool"
 )
 
 // Artifact is the captured product of the Ingest stage: everything Phase
@@ -45,12 +46,13 @@ type Artifact struct {
 	// query that asks and extended over the tail after an Append: scores
 	// is Phase 1's knowledge per frame and span the largest distance from
 	// a frame to its representative, both over the first len(scores)
-	// frames; memos the relations of the most recently used D0 keys — the
-	// frame relation and window shapes, each under one quantization, with
-	// its prepared base — most recent first. mu guards these fields, never
-	// the data above — concurrent queries share one artifact, and Append
-	// keeps its "no query in flight" contract. An Artifact must not be
-	// copied by value; use Clone.
+	// frames and built only for window shapes (the frame relation reads
+	// Exact and Mixtures); memos the relations of the most recently used
+	// D0 keys — the frame relation and window shapes, each under one
+	// quantization, with its prepared base — most recent first. mu guards
+	// these fields, never the data above — concurrent queries share one
+	// artifact, and Append keeps its "no query in flight" contract. An
+	// Artifact must not be copied by value; use Clone.
 	mu     sync.Mutex
 	scores []windows.FrameScore
 	span   int
@@ -89,7 +91,9 @@ func Ingest(src video.Source, udf vision.UDF, opt phase1.Options, clock *simcloc
 	if err != nil {
 		return nil, err
 	}
-	return Capture(st, udf, opt.Cost, clock), nil
+	var a *Artifact
+	workpool.Stage("engine", "capture", func() { a = Capture(st, udf, opt.Cost, clock) })
+	return a, nil
 }
 
 // Capture assembles an Artifact from a completed Phase 1 State —
@@ -108,17 +112,14 @@ func Capture(st *phase1.State, udf vision.UDF, cost simclock.CostModel, clock *s
 		Mixtures:    make([]uncertain.Mixture, len(st.Diff.Retained)),
 		Info:        st.Info,
 	}
-	// mixes serves the unlabelled retained frames in retained order.
-	inferIDs, mixes := st.InferRetainedMixtures()
+	inferred := st.FillRetainedMixtures(a.Mixtures)
 	for i, f := range st.Diff.Retained {
 		a.Retained[i] = int32(f)
 		if s, ok := st.Labeled[f]; ok {
 			a.Exact[int32(f)] = s
-		} else {
-			a.Mixtures[i], mixes = mixes[0], mixes[1:]
 		}
 	}
-	clock.Charge(simclock.PhasePopulateD0, cost.InferMS(len(inferIDs)))
+	clock.Charge(simclock.PhasePopulateD0, cost.InferMS(inferred))
 	return a
 }
 
@@ -182,9 +183,10 @@ func (a *Artifact) Append(tail *Artifact, lo int) error {
 // pass before any query indexes into it: RepOf covers every frame and
 // maps it to a frame that represents itself, Retained is strictly
 // ascending and in range, Mixtures is parallel to Retained, every
-// labelled frame is retained, and every retained frame has a Phase 1
-// label or a non-empty mixture (the relation builders' error, if a
-// later mutation breaks that).
+// labelled frame is retained, and every retained frame has either a
+// Phase 1 label or a non-empty mixture, never both (a missing score is
+// the relation builders' error, if a later mutation breaks that; the
+// frame relation tells a labelled frame by its empty mixture).
 func (a *Artifact) Validate() error {
 	n := a.TotalFrames
 	if n < 0 {
@@ -221,8 +223,12 @@ func (a *Artifact) Validate() error {
 		}
 	}
 	for i, f := range a.Retained {
-		if _, ok := a.Exact[f]; !ok && len(a.Mixtures[i]) == 0 {
+		_, exact := a.Exact[f]
+		if !exact && len(a.Mixtures[i]) == 0 {
 			return missingScore(f)
+		}
+		if exact && len(a.Mixtures[i]) > 0 {
+			return fmt.Errorf("frame %d has both a Phase 1 label and a mixture", f)
 		}
 	}
 	return nil

@@ -92,17 +92,21 @@ type d0Entry struct {
 }
 
 // d0View is what one query reads of a memo entry, taken under a.mu:
-// the entry's relation and failed windows, the frame table and segment
-// structure they were built from, the span D, and the window
-// aggregation options (Size 0 for the frame relation).
+// the entry's relation and failed windows, Phase 1's labels and
+// mixtures, the segment structure, and the window aggregation options
+// (Size 0 for the frame relation); a window view also holds the frame
+// table it was aggregated from and the span D, which a frame view never
+// reads.
 type d0View struct {
-	entry  *d0Entry
-	rel    uncertain.Relation
-	failed []int
-	scores []windows.FrameScore
-	diff   diffdet.Result
-	span   int
-	opt    windows.Options
+	entry    *d0Entry
+	rel      uncertain.Relation
+	failed   []int
+	exact    map[int32]float64
+	mixtures []uncertain.Mixture
+	scores   []windows.FrameScore
+	diff     diffdet.Result
+	span     int
+	opt      windows.Options
 }
 
 // memo returns the view of key's entry, building the entry if it is
@@ -110,32 +114,33 @@ type d0View struct {
 func (a *Artifact) memo(key d0Key) (d0View, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	scores, err := a.frameScores()
-	if err != nil {
-		return d0View{}, err
-	}
 	maxLevel := 0
 	if key.qopt.MaxLevel > 0 && key.qopt.MaxLevel < math.MaxInt {
 		maxLevel = key.qopt.MaxLevel
 	}
 	v := d0View{
-		entry:  a.entry(key),
-		scores: scores,
-		diff:   diffdet.Result{RepOf: a.RepOf},
-		span:   a.span,
-		opt:    windows.Options{Size: key.size, Stride: key.stride, Step: key.qopt.Step, MaxLevel: maxLevel},
+		entry:    a.entry(key),
+		exact:    a.Exact,
+		mixtures: a.Mixtures,
+		diff:     diffdet.Result{RepOf: a.RepOf},
+		opt:      windows.Options{Size: key.size, Stride: key.stride, Step: key.qopt.Step, MaxLevel: maxLevel},
+	}
+	n := len(a.Retained)
+	if key.size != 0 {
+		scores, err := a.frameScores()
+		if err != nil {
+			return d0View{}, err
+		}
+		v.scores, v.span = scores, a.span
+		n = windows.NumSlidingWindows(a.TotalFrames, key.size, key.stride)
 	}
 	fresh := v.entry == nil
 	if fresh {
 		v.entry = &d0Entry{key: key}
 	}
 	e := v.entry
-	n := len(a.Retained)
-	if key.size != 0 {
-		n = windows.NumSlidingWindows(a.TotalFrames, key.size, key.stride)
-	}
 	if fresh || len(e.rel) < n {
-		rel, failed, err := v.extend(a.Retained, a.Mixtures, n)
+		rel, failed, err := v.extend(a.Retained, n)
 		if err != nil {
 			return d0View{}, err
 		}
@@ -150,13 +155,14 @@ func (a *Artifact) memo(key d0Key) (d0View, error) {
 }
 
 // extend returns the view's entry's relation grown in place to its n
-// tuples — the Retained tail's mixtures (mixtures is parallel to
-// retained) quantized, or the new windows aggregated
-// (one that ends within the old frames reads only old frames and old
-// representatives, so it is unchanged) — with the new windows whose
-// aggregation failed. Only the tail is written, past every prefix a
-// query holds.
-func (v d0View) extend(retained []int32, mixtures []uncertain.Mixture, n int) (uncertain.Relation, []int, error) {
+// tuples — the Retained tail's mixtures quantized and labels as point
+// masses, or the new windows aggregated (one that ends within the old
+// frames reads only old frames and old representatives, so it is
+// unchanged) — with the new windows whose aggregation failed. Only the
+// tail is written, past every prefix a query holds. A retained frame
+// with neither a mixture nor a label is an error (an artifact mutated
+// after Validate).
+func (v d0View) extend(retained []int32, n int) (uncertain.Relation, []int, error) {
 	old, scores := v.entry.rel, v.scores
 	done, rel := len(old), growTo(old, n)
 	if v.opt.Size != 0 {
@@ -165,13 +171,16 @@ func (v d0View) extend(retained []int32, mixtures []uncertain.Mixture, n int) (u
 	}
 	qopt := v.entry.key.qopt
 	for i, f := range retained[done:] {
-		fs := scores[f]
 		var d uncertain.Dist
-		var err error
-		if fs.IsExact {
-			d = certainAt(fs.Mean, qopt)
-		} else if d, err = uncertain.Quantize(mixtures[done+i], qopt); err != nil {
-			d = certainAt(fs.Mean, qopt)
+		if mix := v.mixtures[done+i]; len(mix) > 0 {
+			var err error
+			if d, err = uncertain.Quantize(mix, qopt); err != nil {
+				d = certainAt(mix.Mean(), qopt)
+			}
+		} else if s, ok := v.exact[f]; ok {
+			d = certainAt(s, qopt)
+		} else {
+			return nil, nil, missingScore(f)
 		}
 		rel[done+i] = uncertain.XTuple{ID: int(f), Dist: d}
 	}
@@ -194,8 +203,8 @@ func (a *Artifact) entry(key d0Key) *d0Entry {
 // frameScores returns Phase 1's knowledge of every retained frame as
 // Eq. 9 reads it — its label, or its mixture's mean and variance,
 // computed once here — indexed by frame (the zero FrameScore
-// elsewhere), extending the
-// memoized table in place (growTo) — and the span D = max |i − RepOf[i]|,
+// elsewhere), extending the memoized table in place (growTo); only
+// window shapes read it. It also extends the span D = max |i − RepOf[i]|,
 // the farthest any frame lies from its representative — over frames
 // appended since it was built. A retained frame with neither a label
 // nor a mixture is an error (an artifact mutated after Validate), after
@@ -279,7 +288,8 @@ func certainAt(score float64, qopt uncertain.QuantizeOptions) uncertain.Dist {
 // frameOverrides enumerates the label overlay as overrides of a frame
 // view's relation (in Retained order, which is ascending ID, as Prepare
 // requires): for every cache label on a retained frame Phase 1 did not
-// label — the precedence rule above — the frame's position in the
+// label — the precedence rule above; a frame has a mixture exactly when
+// it has no Phase 1 label (Validate) — the frame's position in the
 // relation and the point mass at the label's level. It walks the
 // overlay once, |labels| steps, each finding its frame by a search
 // forward from the last one found (the snapshot's labels come in
@@ -291,16 +301,13 @@ func (v d0View) frameOverrides(labels *labelstore.Overlay) iter.Seq2[int, uncert
 	if labels == nil || v.opt.Size != 0 {
 		return nil
 	}
-	rel, scores, qopt := v.rel, v.scores, v.entry.key.qopt
+	rel, mixtures, qopt := v.rel, v.mixtures, v.entry.key.qopt
 	return func(yield func(int, uncertain.Dist) bool) {
 		next := 0
 		labels.Range(func(f int, s float64) bool {
-			if f < 0 || f >= len(scores) || scores[f].IsExact {
-				return true
-			}
 			pos, ok := positionFrom(rel, next, f)
 			next = pos
-			return !ok || yield(pos, certainAt(s, qopt))
+			return !ok || len(mixtures[pos]) == 0 || yield(pos, certainAt(s, qopt))
 		})
 	}
 }

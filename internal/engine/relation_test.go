@@ -594,6 +594,66 @@ func TestWindowRelationMissingMixtureIsAnError(t *testing.T) {
 	}
 }
 
+// TestFrameRelationMissingMixtureFailsExecute: the frame relation reads
+// the artifact's labels and mixtures itself, and still refuses a
+// retained frame with neither — through FrameRelation and through a
+// frame query's Execute alike.
+func TestFrameRelationMissingMixtureFailsExecute(t *testing.T) {
+	qopt := uncertain.DefaultCountingOptions()
+	plan, err := NewPlan(testPlan(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() (*Artifact, int32) {
+		a := randomArtifact(xrand.New(27).Split("relation-test"), 150)
+		for i, f := range a.Retained {
+			if len(a.Mixtures[i]) > 0 {
+				a.Mixtures[i] = nil
+				return a, f
+			}
+		}
+		t.Fatal("no retained frame has a mixture")
+		return nil, 0
+	}
+	a, victim := build()
+	want := missingScore(victim).Error()
+	if _, err := a.FrameRelation(qopt, nil); err == nil || err.Error() != want {
+		t.Fatalf("FrameRelation over a scoreless frame: %v, want %q", err, want)
+	}
+	a, _ = build()
+	if _, err := Execute(plan, Binding{UDF: tableUDF{qopt}, Artifact: a}); err == nil || err.Error() != want {
+		t.Fatalf("Execute over a scoreless frame: %v, want %q", err, want)
+	}
+}
+
+// TestFrameQueryBuildsNoFrameTable: a frame query reads Phase 1's labels
+// and mixtures where they are; the per-frame score table (and the span)
+// exists for window shapes, and the first window query builds it.
+func TestFrameQueryBuildsNoFrameTable(t *testing.T) {
+	a := randomArtifact(xrand.New(28).Split("relation-test"), 200)
+	qopt := uncertain.DefaultCountingOptions()
+	labels := overlaysFor(xrand.New(29), a)["base-and-fresh"]
+	plan, err := NewPlan(testPlan(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.FrameRelation(qopt, labels); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Execute(plan, Binding{UDF: tableUDF{qopt}, Artifact: a, Labels: labels}); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.scores) != 0 || a.span != 0 {
+		t.Fatalf("frame queries built a %d-frame score table (span %d)", len(a.scores), a.span)
+	}
+	if _, err := a.WindowRelation(testWindows[0], qopt, labels, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.scores) != a.TotalFrames {
+		t.Fatalf("a window query built a score table of %d frames, want %d", len(a.scores), a.TotalFrames)
+	}
+}
+
 var relationSink uncertain.Relation
 
 // benchArtifact is a 4,000-frame random artifact (about 1,600 retained

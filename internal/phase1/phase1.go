@@ -60,7 +60,7 @@ type Options struct {
 	// Seed drives sampling and training.
 	Seed uint64
 	// Procs bounds the workers of every fan-out (Samples, the grid, the
-	// clip pass or RunPass's decode, InferMixtures and Pass.Assemble's
+	// clip pass or RunPass's decode, FillRetainedMixtures and Pass.Assemble's
 	// predictions), overriding Proxy.Procs and Diff.Procs; ≤ 0 means
 	// GOMAXPROCS. Never affects results.
 	Procs int
@@ -116,7 +116,8 @@ type State struct {
 
 	// mixes holds, per frame, the proxy's score mixture when the
 	// difference detector's pass already computed it (retained frames
-	// without a Phase 1 label); nil elsewhere.
+	// without a Phase 1 label); nil elsewhere, and nil as a whole under
+	// DisableDiff.
 	mixes []uncertain.Mixture
 	procs int
 }
@@ -207,18 +208,27 @@ func Label(src video.Source, udf vision.UDF, ids []int, opt Options, clock *simc
 
 // Samples renders and featurizes the given labelled frames into CMDN
 // training samples, fanned out over the configured workers with
-// index-ordered emission — a pure function of (src, idx, scores). No
-// cost is charged: labelling cost was charged where the scores were
-// obtained, and feature extraction rides the training charge. The Arch
-// argument is unused: the feature pyramid is the one backbone. The pool
-// argument is ignored too; it remains for the benchmark driver.
+// index-ordered emission — a pure function of (src, idx, scores). The
+// samples' features are adjacent rows of one block, each capped at its
+// own end as a Pass's rows are. No cost is charged: labelling cost was
+// charged where the scores were obtained, and feature extraction rides
+// the training charge. The Arch argument is unused: the feature pyramid
+// is the one backbone. The pool argument is ignored too; it remains for
+// the benchmark driver.
 func Samples(src video.Source, _ cmdn.Arch, idx []int, scores []float64, procs int, _ *workpool.Pool) []cmdn.Sample {
-	return workpool.Map(procs, len(idx), func(_, k int) cmdn.Sample {
-		f := src.Render(idx[k])
-		x := cmdn.ExtractFeatures(f)
-		f.Release()
-		return cmdn.Sample{Frame: idx[k], X: x, Y: scores[k]}
+	out := make([]cmdn.Sample, len(idx))
+	workpool.Stage("phase1", "featurize", func() {
+		w, h := src.Resolution()
+		width := cmdn.FeatureSize(w, h)
+		block := make([]float64, len(idx)*width)
+		workpool.ForEach(procs, len(idx), func(_, k int) {
+			f := src.Render(idx[k])
+			row := block[k*width : k*width : (k+1)*width]
+			out[k] = cmdn.Sample{Frame: idx[k], X: cmdn.AppendFeatures(row, f), Y: scores[k]}
+			f.Release()
+		})
 	})
+	return out
 }
 
 // Run executes Phase 1 in the train-first order: plan the samples, label
@@ -233,8 +243,11 @@ func Run(src video.Source, udf vision.UDF, opt Options, clock *simclock.Clock) (
 	if err != nil {
 		return nil, err
 	}
-	trainScores := Label(src, udf, plan.TrainIdx, opt, clock)
-	holdScores := Label(src, udf, plan.HoldIdx, opt, clock)
+	var trainScores, holdScores []float64
+	workpool.Stage("phase1", "label", func() {
+		trainScores = Label(src, udf, plan.TrainIdx, opt, clock)
+		holdScores = Label(src, udf, plan.HoldIdx, opt, clock)
+	})
 	return RunLabelled(src, opt, plan, trainScores, holdScores, clock)
 }
 
@@ -247,7 +260,9 @@ func RunLabelled(src video.Source, opt Options, plan SamplePlan, trainScores, ho
 	opt = opt.withDefaults()
 	train := Samples(src, opt.Proxy.Arch, plan.TrainIdx, trainScores, opt.Procs, nil)
 	hold := Samples(src, opt.Proxy.Arch, plan.HoldIdx, holdScores, opt.Procs, nil)
-	proxy, err := TrainProxy(src, opt, train, hold, clock)
+	var proxy *cmdn.Proxy
+	var err error
+	workpool.Stage("phase1", "grid-fit", func() { proxy, err = TrainProxy(src, opt, train, hold, clock) })
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +295,7 @@ func TrainProxy(src video.Source, opt Options, train, hold []cmdn.Sample, clock 
 // inference rides it: each retained frame without a Phase 1 label is
 // predicted while its pixels are decoded (on per-worker inference
 // clones, whose predictions are bit-identical to the proxy's) and the
-// mixture kept in the State for InferRetainedMixtures to serve. Nothing
+// mixture kept in the State for FillRetainedMixtures to serve. Nothing
 // is charged for it here; Capture charges the inference it collects.
 func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan SamplePlan, trainScores, holdScores []float64, clock *simclock.Clock) (*State, error) {
 	opt = opt.withDefaults()
@@ -290,13 +305,17 @@ func AssembleState(src video.Source, proxy *cmdn.Proxy, opt Options, plan Sample
 		return newState(src, proxy, plan, keepAll(n, opt, clock), labeled, nil, opt.Procs), nil
 	}
 	mixes := make([]uncertain.Mixture, n)
-	diff, err := diffdet.RunVisit(src, opt.Diff, clock, opt.Cost, simclock.PhasePopulateD0, func() func(video.Frame, bool) {
-		p := proxy.CloneForInference()
-		return func(f video.Frame, retained bool) {
-			if _, exact := labeled[f.Index]; retained && !exact {
-				mixes[f.Index] = p.PredictFrame(f)
+	var diff diffdet.Result
+	var err error
+	workpool.Stage("phase1", "detector-pass", func() {
+		diff, err = diffdet.RunVisit(src, opt.Diff, clock, opt.Cost, simclock.PhasePopulateD0, func() func(video.Frame, bool) {
+			p := proxy.CloneForInference()
+			return func(f video.Frame, retained bool) {
+				if _, exact := labeled[f.Index]; retained && !exact {
+					mixes[f.Index] = p.PredictFrame(f)
+				}
 			}
-		}
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -350,39 +369,42 @@ func newState(src video.Source, proxy *cmdn.Proxy, plan SamplePlan, diff diffdet
 	}
 }
 
-// mixtureOn serves frame i's mixture from the detector pass when it was
-// computed there, and otherwise decodes the frame and predicts it on p
-// (DisableDiff, labelled or discarded frames a baseline asks for).
-func (s *State) mixtureOn(p *cmdn.Proxy, i int) uncertain.Mixture {
-	if i < len(s.mixes) && s.mixes[i] != nil {
-		return s.mixes[i]
-	}
-	f := s.Src.Render(i)
-	defer f.Release()
-	return p.PredictFrame(f)
-}
-
-// InferMixtures returns the proxy's score mixtures of the given frames
-// in input order, identical to the proxy's PredictFrame of each decoded
-// frame; frames the detector pass did not predict are decoded and
-// predicted on all configured workers. No cost is charged; charging
-// happens where inference volume is decided.
-func (s *State) InferMixtures(ids []int) []uncertain.Mixture {
-	return workpool.MapWith(s.procs, len(ids), s.Proxy.CloneForInference,
-		func(p *cmdn.Proxy, k int) uncertain.Mixture { return s.mixtureOn(p, ids[k]) })
-}
-
-// InferRetainedMixtures returns every retained frame without an exact
-// Phase 1 label with its score mixture, in retained order. No cost is
-// charged; callers charge where the inference volume is decided.
-func (s *State) InferRetainedMixtures() ([]int, []uncertain.Mixture) {
-	ids := make([]int, 0, len(s.Diff.Retained))
-	for _, f := range s.Diff.Retained {
-		if _, ok := s.Labeled[f]; !ok {
-			ids = append(ids, f)
+// FillRetainedMixtures writes into mixes, which is parallel to
+// Diff.Retained, the proxy's score mixture of every retained frame
+// without an exact Phase 1 label, and leaves the labelled frames'
+// entries as they are. A mixture the detector pass predicted is served
+// from the pass; every other one (all of them under DisableDiff) is
+// decoded and predicted on the configured workers, identical to the
+// proxy's PredictFrame of the decoded frame. It returns how many
+// mixtures it wrote: the inference volume a caller charges. No cost is
+// charged here; charging happens where inference volume is decided.
+func (s *State) FillRetainedMixtures(mixes []uncertain.Mixture) int {
+	var todo []int // positions in Retained the pass did not predict
+	n := 0
+	for k, f := range s.Diff.Retained {
+		if _, exact := s.Labeled[f]; exact {
+			continue
+		}
+		n++
+		if f < len(s.mixes) && s.mixes[f] != nil {
+			mixes[k] = s.mixes[f]
+		} else {
+			todo = append(todo, k)
 		}
 	}
-	return ids, s.InferMixtures(ids)
+	if len(todo) > 0 {
+		clones := make([]*cmdn.Proxy, workpool.Procs(s.procs))
+		workpool.ForEach(len(clones), len(todo), func(w, j int) {
+			if clones[w] == nil {
+				clones[w] = s.Proxy.CloneForInference()
+			}
+			k := todo[j]
+			f := s.Src.Render(s.Diff.Retained[k])
+			mixes[k] = clones[w].PredictFrame(f)
+			f.Release()
+		})
+	}
+	return n
 }
 
 // ClampLevel clips a level into the quantization bounds.

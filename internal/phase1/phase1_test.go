@@ -1,7 +1,9 @@
 package phase1
 
 import (
+	"math"
 	"testing"
+	"unsafe"
 
 	"github.com/everest-project/everest/internal/cmdn"
 	"github.com/everest-project/everest/internal/simclock"
@@ -102,5 +104,39 @@ func TestDisableDiffRetainsAll(t *testing.T) {
 	}
 	if st.Info.Retained != 1000 {
 		t.Fatalf("retained %d, want all 1000", st.Info.Retained)
+	}
+}
+
+// TestSamplesShareOneBlock: Samples writes every sample's features into
+// one block — row k right after row k−1, each capped at its own end so
+// no append runs into the next — and each row is bit-identical to
+// cmdn.ExtractFeatures of the frame, at any worker count.
+func TestSamplesShareOneBlock(t *testing.T) {
+	src := testSource(t, 600)
+	idx := []int{5, 93, 94, 310, 599, 0, 222}
+	scores := []float64{1, 2, 3, 4, 5, 6, 7}
+	w, h := src.Resolution()
+	width := cmdn.FeatureSize(w, h)
+	for _, procs := range []int{1, 3} {
+		samples := Samples(src, cmdn.ArchPooled, idx, scores, procs, nil)
+		for k, s := range samples {
+			if s.Frame != idx[k] || s.Y != scores[k] {
+				t.Fatalf("procs %d sample %d: frame %d score %v, want %d %v", procs, k, s.Frame, s.Y, idx[k], scores[k])
+			}
+			if len(s.X) != width || cap(s.X) != width {
+				t.Fatalf("procs %d sample %d: row of length %d capacity %d, want %d", procs, k, len(s.X), cap(s.X), width)
+			}
+			if prev := samples[max(k-1, 0)].X; k > 0 && unsafe.Add(unsafe.Pointer(&prev[width-1]), 8) != unsafe.Pointer(&s.X[0]) {
+				t.Fatalf("procs %d: row %d does not follow row %d in one block", procs, k, k-1)
+			}
+			f := src.Render(idx[k])
+			want := cmdn.ExtractFeatures(f)
+			f.Release()
+			for j := range want {
+				if math.Float64bits(s.X[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("procs %d frame %d feature %d: %v, ExtractFeatures %v", procs, idx[k], j, s.X[j], want[j])
+				}
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/everest-project/everest/internal/simclock"
+	"github.com/everest-project/everest/internal/uncertain"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
 )
@@ -61,9 +62,13 @@ func TestStagedMatchesRun(t *testing.T) {
 		t.Fatalf("charges diverged:\n batch  %v\n staged %v", batchClock.Breakdown(), stagedClock.Breakdown())
 	}
 	// Proxies must predict identically, not just score identically.
-	frames := []int{0, 17, 2999, 5999}
-	if !reflect.DeepEqual(batch.InferMixtures(frames), staged.InferMixtures(frames)) {
-		t.Fatalf("proxy mixtures diverged at frames %v", frames)
+	for _, i := range []int{0, 17, 2999, 5999} {
+		f := src.Render(i)
+		b, s := batch.Proxy.PredictFrame(f), staged.Proxy.PredictFrame(f)
+		f.Release()
+		if !reflect.DeepEqual(b, s) {
+			t.Fatalf("proxy mixtures diverged at frame %d", i)
+		}
 	}
 }
 
@@ -85,7 +90,8 @@ func TestPassFirstMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantIDs, wantMixes := want.InferRetainedMixtures()
+			wantMixes := make([]uncertain.Mixture, len(want.Diff.Retained))
+			wantN := want.FillRetainedMixtures(wantMixes)
 
 			// Dirty a block with another plan's pass over the same frames.
 			other := opt
@@ -118,13 +124,14 @@ func TestPassFirstMatchesRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := pass.Assemble(proxy, plan, trainScores, holdScores)
-			gotIDs, gotMixes := got.InferRetainedMixtures()
+			gotMixes := make([]uncertain.Mixture, len(got.Diff.Retained))
+			gotN := got.FillRetainedMixtures(gotMixes)
 
 			name := fmt.Sprintf("disable-diff=%v procs=%d", disable, procs)
 			if !reflect.DeepEqual(want.Info, got.Info) || !reflect.DeepEqual(want.Labeled, got.Labeled) || !reflect.DeepEqual(want.Diff, got.Diff) {
 				t.Fatalf("%s: state diverged from Run's", name)
 			}
-			if !reflect.DeepEqual(wantIDs, gotIDs) || !reflect.DeepEqual(wantMixes, gotMixes) {
+			if wantN != gotN || !reflect.DeepEqual(wantMixes, gotMixes) {
 				t.Fatalf("%s: retained mixtures diverged from Run's", name)
 			}
 			if runClock.TotalMS() != clock.TotalMS() || !reflect.DeepEqual(runClock.Breakdown(), clock.Breakdown()) {

@@ -57,6 +57,7 @@ import (
 	"github.com/everest-project/everest/internal/simclock"
 	"github.com/everest-project/everest/internal/video"
 	"github.com/everest-project/everest/internal/vision"
+	"github.com/everest-project/everest/internal/workpool"
 	"github.com/everest-project/everest/internal/xrand"
 )
 
@@ -461,14 +462,21 @@ func (g *Ingestor) closeSegment(spanL int) error {
 // finishSegment trains or refreshes the segment's CMDN, captures the
 // segment artifact, merges it, and rolls the stream state forward.
 func (g *Ingestor) finishSegment(view video.Source, opt phase1.Options, plan phase1.SamplePlan, trainScores, holdScores []float64, spanL int) error {
-	st, hold, err := g.segmentState(view, opt, plan, trainScores, holdScores)
+	var st *phase1.State
+	var hold []cmdn.Sample
+	var err error
+	workpool.Stage("stream", "segment-close", func() {
+		if st, hold, err = g.segmentState(view, opt, plan, trainScores, holdScores); err != nil {
+			return
+		}
+		art := engine.Capture(st, g.udf, opt.Cost, g.clock)
+		if g.art == nil {
+			g.art = art
+		} else {
+			err = g.art.Append(art, g.segLo)
+		}
+	})
 	if err != nil {
-		return err
-	}
-	art := engine.Capture(st, g.udf, opt.Cost, g.clock)
-	if g.art == nil {
-		g.art = art
-	} else if err := g.art.Append(art, g.segLo); err != nil {
 		return err
 	}
 	g.ingested = g.segLo + spanL

@@ -39,7 +39,20 @@ type Dist struct {
 // It returns an error if probs contains a negative or non-finite value or
 // sums to zero.
 func NewDist(min int, probs []float64) (Dist, error) {
-	lo, hi := 0, len(probs)
+	back := make([]float64, 3*len(probs))
+	copy(back, probs)
+	return settle(min, back, len(probs))
+}
+
+// settle finishes a distribution in the array that will hold it:
+// back[:n] holds the unnormalized masses of levels min, …, min+n−1 and
+// back is 3n long. It checks and sums the masses, trims the zero head
+// and tail by moving the rest to the front, divides it by the sum in
+// place and fills the CDF and log-CDF tables behind it, so P and its
+// tables are one array: a Dist costs one allocation and stays 56 bytes
+// however many tables it carries.
+func settle(min int, back []float64, n int) (Dist, error) {
+	probs := back[:n]
 	var sum float64
 	for _, p := range probs {
 		if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
@@ -50,26 +63,24 @@ func NewDist(min int, probs []float64) (Dist, error) {
 	if sum <= 0 {
 		return Dist{}, fmt.Errorf("uncertain: distribution sums to %v", sum)
 	}
+	lo, hi := 0, n
 	for lo < hi && probs[lo] == 0 {
 		lo++
 	}
 	for hi > lo && probs[hi-1] == 0 {
 		hi--
 	}
-	// P and the cum/log tables are one array: a Dist costs one allocation
-	// and stays 56 bytes however many tables it carries.
-	n := hi - lo
-	back := make([]float64, 3*n)
-	d := Dist{Min: min + lo, P: back[:n:n], cum: back[n:]}
+	n = copy(back, probs[lo:hi])
+	d := Dist{Min: min + lo, P: back[:n:n], cum: back[n : 3*n : 3*n]}
 	for i := range d.P {
-		d.P[i] = probs[lo+i] / sum
+		d.P[i] /= sum
 	}
 	d.buildCum()
 	return d, nil
 }
 
 // pointMass is the read-only table (P, CDF, log CDF) every point mass
-// shares: nothing writes a built Dist; only NewDist fills fresh tables.
+// shares: nothing writes a built Dist; only settle fills fresh tables.
 var pointMass = [...]float64{1, 1, 0}
 
 // Certain returns a point-mass distribution at the given level, without

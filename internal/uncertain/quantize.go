@@ -107,16 +107,7 @@ func Quantize(m Mixture, opt QuantizeOptions) (Dist, error) {
 		trunc = 3
 	}
 
-	// Determine the level range spanned by any component after truncation.
-	lo, hi := math.MaxInt, math.MinInt
-	for _, c := range m {
-		l := levelOf(c.Mean-trunc*c.Sigma, opt.Step)
-		h := levelOf(c.Mean+trunc*c.Sigma, opt.Step)
-		lo = min(lo, l)
-		hi = max(hi, h)
-	}
-	lo = max(lo, opt.MinLevel)
-	hi = min(hi, opt.MaxLevel)
+	lo, hi := levelRange(m, opt, trunc)
 	if lo > hi {
 		// The whole truncated mixture lies outside the clamp; collapse to
 		// the nearest boundary level.
@@ -127,15 +118,40 @@ func Quantize(m Mixture, opt QuantizeOptions) (Dist, error) {
 		return Certain(b), nil
 	}
 
-	probs := make([]float64, hi-lo+1)
+	// The bucket masses accumulate in the front third of the array that
+	// becomes the Dist's P, CDF and log-CDF tables (settle).
+	n := hi - lo + 1
+	back := make([]float64, 3*n)
+	addMasses(back[:n], lo, m, opt.Step, trunc)
+	return settle(lo, back, n)
+}
+
+// levelRange returns the levels spanned by any component of m after
+// truncation at ±trunc·σ, clamped to [MinLevel, MaxLevel]; lo > hi when
+// the clamp excludes them all.
+func levelRange(m Mixture, opt QuantizeOptions, trunc float64) (lo, hi int) {
+	lo, hi = math.MaxInt, math.MinInt
 	for _, c := range m {
-		cl := max(levelOf(c.Mean-trunc*c.Sigma, opt.Step), lo)
-		ch := min(levelOf(c.Mean+trunc*c.Sigma, opt.Step), hi)
+		l := levelOf(c.Mean-trunc*c.Sigma, opt.Step)
+		h := levelOf(c.Mean+trunc*c.Sigma, opt.Step)
+		lo = min(lo, l)
+		hi = max(hi, h)
+	}
+	return max(lo, opt.MinLevel), min(hi, opt.MaxLevel)
+}
+
+// addMasses accumulates the truncated bucket masses of m's components
+// into probs, the levels lo, …, lo+len(probs)−1 of levelRange.
+func addMasses(probs []float64, lo int, m Mixture, step, trunc float64) {
+	hi := lo + len(probs) - 1
+	for _, c := range m {
+		cl := max(levelOf(c.Mean-trunc*c.Sigma, step), lo)
+		ch := min(levelOf(c.Mean+trunc*c.Sigma, step), hi)
 		if cl > ch {
 			// Component entirely clamped away: dump its mass on the nearest
 			// retained boundary so weight is conserved.
 			b := lo
-			if levelOf(c.Mean, opt.Step) > hi {
+			if levelOf(c.Mean, step) > hi {
 				b = hi
 			}
 			probs[b-lo] += c.Weight
@@ -149,8 +165,8 @@ func Quantize(m Mixture, opt QuantizeOptions) (Dist, error) {
 			// Mass of bucket b: Gaussian mass in [(b-0.5)step, (b+0.5)step],
 			// clipped to the truncation interval. Boundary buckets absorb
 			// everything beyond them inside the truncation radius.
-			loX := (float64(b) - 0.5) * opt.Step
-			hiX := (float64(b) + 0.5) * opt.Step
+			loX := (float64(b) - 0.5) * step
+			hiX := (float64(b) + 0.5) * step
 			zLo := (loX - c.Mean) / c.Sigma
 			zHi := (hiX - c.Mean) / c.Sigma
 			if b == cl {
@@ -168,7 +184,6 @@ func Quantize(m Mixture, opt QuantizeOptions) (Dist, error) {
 			probs[b-lo] += c.Weight * (mass + even)
 		}
 	}
-	return NewDist(lo, probs)
 }
 
 // QuantizeNormal quantizes a single Gaussian; used for window score

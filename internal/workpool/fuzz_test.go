@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzMapOrdering fuzzes the determinism contract over arbitrary item
-// and worker counts: Map must emit results in index order (out[i] is
+// and worker counts: MapWith must emit results in index order (out[i] is
 // fn's value for item i, never a neighbour's), which is what lets a
 // caller reduce parallel floating-point terms serially in index order
 // and get the serial loop's bits.
@@ -36,9 +36,9 @@ func FuzzMapOrdering(f *testing.F) {
 			return math.Ldexp(float64(int32(x>>32)), mag)
 		}
 
-		out := Map(procs, n, func(_, i int) float64 { return term(i) })
+		out := MapWith(procs, n, func() struct{} { return struct{}{} }, func(_ struct{}, i int) float64 { return term(i) })
 		if len(out) != n {
-			t.Fatalf("Map emitted %d results for %d items", len(out), n)
+			t.Fatalf("MapWith emitted %d results for %d items", len(out), n)
 		}
 		for i, v := range out {
 			if want := term(i); v != want {

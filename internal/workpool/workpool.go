@@ -25,7 +25,9 @@
 package workpool
 
 import (
+	"context"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 )
@@ -95,21 +97,13 @@ func ForEach(procs, n int, fn func(worker, i int)) {
 	}
 }
 
-// Map runs fn(worker, i) for every i in [0, n) and returns the results in
-// index order. The output is identical for every worker count as long as
-// fn(_, i) is a pure function of i.
-func Map[T any](procs, n int, fn func(worker, i int) T) []T {
-	out := make([]T, n)
-	ForEach(procs, n, func(worker, i int) {
-		out[i] = fn(worker, i)
-	})
-	return out
-}
-
-// MapWith is Map for workers that need private mutable scratch (model
+// MapWith runs fn for every i in [0, n) and returns the results in
+// index order, giving each worker private mutable scratch (model
 // clones, buffers): newScratch runs at most once per worker, lazily, on
 // that worker's goroutine, and fn receives the worker's own instance.
-// The scratch must not influence fn's result value, only its speed.
+// The output is identical for every worker count as long as fn's
+// result is a pure function of i: the scratch must not influence it,
+// only its speed.
 func MapWith[S, T any](procs, n int, newScratch func() S, fn func(scratch S, i int) T) []T {
 	p := Procs(procs)
 	scratch := make([]S, p)
@@ -123,6 +117,16 @@ func MapWith[S, T any](procs, n int, newScratch func() S, fn func(scratch S, i i
 		out[i] = fn(scratch[worker], i)
 	})
 	return out
+}
+
+// Stage runs f under the profiler labels layer and stage, so a CPU or
+// goroutine profile attributes f's work — and that of the workers its
+// fan-outs start, which inherit the labels — to the stage. Stages do not
+// nest: the labels are cleared when f returns. Each call costs a few
+// small allocations, so stages mark Phase 1's boundaries (and a stream's
+// segment close), never a per-query path.
+func Stage(layer, stage string, f func()) {
+	pprof.Do(context.Background(), pprof.Labels("layer", layer, "stage", stage), func(context.Context) { f() })
 }
 
 // Pool is inert: it starts no goroutine, and nothing in the library

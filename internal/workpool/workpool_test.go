@@ -63,7 +63,7 @@ func TestForEachZeroAndNegativeN(t *testing.T) {
 
 func TestMapOrdered(t *testing.T) {
 	for _, procs := range []int{1, 3, 16} {
-		got := Map(procs, 500, func(_, i int) int { return i * i })
+		got := MapWith(procs, 500, func() struct{} { return struct{}{} }, func(_ struct{}, i int) int { return i * i })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("procs=%d: out[%d] = %d", procs, i, v)
