@@ -8,8 +8,12 @@ build:
 	$(GO) build ./...
 
 # go vet, plus formatting as a gate: any file gofmt would rewrite fails.
+# On amd64, vet's asmdecl check covers internal/nn's assembly frames; the
+# arm64 line vets the portable kernels that every other architecture
+# builds instead (the standard library compiles from GOROOT, offline).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn ./internal/cmdn
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; fi
 
 test:
@@ -28,7 +32,9 @@ testbuild:
 # internal/simclock, whose clock every worker charges; internal/uncertain,
 # whose accumulators every Phase 2 start builds from a live mask) and
 # the engine determinism tests; the full suite under -race is too slow
-# for a quick gate. internal/eql is not listed: it has no goroutines of its own,
+# for a quick gate. Under -race internal/nn builds its portable Go
+# kernels, not the amd64 assembly the detector cannot see, so the weight
+# reads that inference clones share stay checked. internal/eql is not listed: it has no goroutines of its own,
 # and under -race its suite still takes ~16 min here (969 s; ~45 s
 # without), past go test's 10-minute timeout — every ingest pays the
 # same fixed labelling and CMDN-training bill however short the video.
@@ -94,8 +100,11 @@ guarantee-holds:
 # its relations and answers equal to a fresh build's, every view and
 # base taken before an Append unchanged), and the index file loader
 # (never panics, fails only typed, and what it accepts is valid and
-# re-saves to bytes that load and save again unchanged).
+# re-saves to bytes that load and save again unchanged), and the
+# trainer's amd64 kernels against the portable Go kernels (the same bits
+# on every output, NaN for NaN).
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzKernels -fuzztime 30s ./internal/nn/
 	$(GO) test -run '^$$' -fuzz FuzzMapOrdering -fuzztime 30s ./internal/workpool/
 	$(GO) test -run '^$$' -fuzz FuzzStartOverrides -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzPlanNormalize -fuzztime 30s ./internal/engine/

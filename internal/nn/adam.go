@@ -12,13 +12,17 @@ type Adam struct {
 
 // NewAdam creates an optimizer with the usual defaults (β1=0.9, β2=0.999).
 func NewAdam(params []*Param, lr float64) *Adam {
-	a := &Adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, params: params}
 	total := 0
 	for _, p := range params {
 		total += len(p.W)
 	}
-	// One block holds every moment; a.m[i] and a.v[i] are views of it.
-	moments := make([]float64, 2*total)
+	return newAdam(params, make([]float64, 2*total), lr)
+}
+
+// newAdam is NewAdam over moments, a zeroed block of twice the
+// parameters' total length: a.m[i] and a.v[i] are views of it.
+func newAdam(params []*Param, moments []float64, lr float64) *Adam {
+	a := &Adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, params: params}
 	views := make([][]float64, 2*len(params))
 	a.m, a.v = views[:len(params)], views[len(params):]
 	for i, p := range params {
@@ -29,32 +33,23 @@ func NewAdam(params []*Param, lr float64) *Adam {
 }
 
 // Step applies one update from the accumulated gradients and clears each
-// gradient as it consumes it. Every parameter is updated independently by
-// the expression below, exactly as written — three divisions and a square
-// root, which is what bounds the step (≈ 18 cycles per parameter, the
-// divider's throughput); only the slice headers are hoisted. From the
-// step on which the first bias correction c1 = 1 − β1^t rounds to exactly
-// 1 (t = 356 for β1 = 0.9), mj / c1 is mj for every float64 and is not
-// computed.
+// gradient as it consumes it: one adamUpdate kernel call per parameter
+// tensor (a Model trains one tensor, Fit's view of its whole block).
+// Every parameter is updated independently, by three divisions and a
+// square root — what bounds the step, which is why the amd64 kernel takes
+// two parameters per instruction. From the step on which the first bias
+// correction c1 = 1 − β1^t rounds to exactly 1 (t = 356 for β1 = 0.9),
+// mj / c1 is mj for every float64 and is not computed.
 func (a *Adam) Step() {
 	a.t++
-	c1 := 1 - math.Pow(a.beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.beta2, float64(a.t))
-	lr, beta1, beta2, eps := a.lr, a.beta1, a.beta2, a.eps
+	k := adamCoef{
+		lr: a.lr, beta1: a.beta1, ob1: 1 - a.beta1, beta2: a.beta2, ob2: 1 - a.beta2, eps: a.eps,
+		c1: 1 - math.Pow(a.beta1, float64(a.t)),
+		c2: 1 - math.Pow(a.beta2, float64(a.t)),
+	}
+	k.divC1 = k.c1 != 1
 	for i, p := range a.params {
-		grad := p.G
-		w, m, v := p.W[:len(grad)], a.m[i][:len(grad)], a.v[i][:len(grad)]
-		for j, g := range grad {
-			mj := beta1*m[j] + (1-beta1)*g
-			vj := beta2*v[j] + (1-beta2)*g*g
-			m[j], v[j] = mj, vj
-			mhat := mj
-			if c1 != 1 {
-				mhat = mj / c1
-			}
-			vhat := vj / c2
-			w[j] -= lr * mhat / (math.Sqrt(vhat) + eps)
-			grad[j] = 0
-		}
+		g := p.G
+		adamUpdate(p.W[:len(g)], g, a.m[i][:len(g)], a.v[i][:len(g)], &k)
 	}
 }

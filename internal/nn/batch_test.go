@@ -38,6 +38,23 @@ func sameParams(t *testing.T, what string, got, want []*Param) {
 	}
 }
 
+// clone returns a deep copy: fresh tensors with the weights copied and
+// the gradient accumulator cleared.
+func (p *Param) clone() *Param {
+	c := newParam(len(p.W))
+	copy(c.W, p.W)
+	return c
+}
+
+// params lists the layer's weights and biases.
+func (d *Dense) params() []*Param { return []*Param{d.w, d.b} }
+
+// params lists the model's parameters, hidden layer first: views of
+// m.all, in its order.
+func (m *Model) params() []*Param {
+	return append(m.hidden.params(), m.head.dense.params()...)
+}
+
 // pooledModel is the CMDN's shape, Dense → ReLU → MDN, drawn from a seed.
 func pooledModel(in, h, g int, seed uint64) *Model { return NewModel(in, h, g, xrand.New(seed)) }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/everest-project/everest/internal/uncertain"
@@ -86,5 +87,33 @@ func TestCloneTrainsIndependently(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("clone's weights did not change under Fit")
+	}
+}
+
+// TestParamsViewOneBlock: a model's four tensors are consecutive views of
+// one weight block and one gradient block, so Fit's optimizer steps every
+// parameter in one kernel call over m.all; Clone copies the weights into
+// a block of its own, and CloneForInference shares them.
+func TestParamsViewOneBlock(t *testing.T) {
+	m := cloneTestModel(1)
+	off := 0
+	for i, p := range m.params() {
+		if &p.W[0] != &m.all.W[off] || &p.G[0] != &m.all.G[off] {
+			t.Fatalf("tensor %d is not the block's values from %d", i, off)
+		}
+		off += len(p.W)
+	}
+	if off != len(m.all.W) || m.NumParams() != off {
+		t.Fatalf("tensors cover %d values, block %d, NumParams %d", off, len(m.all.W), m.NumParams())
+	}
+	c := m.Clone()
+	if &c.all.W[0] == &m.all.W[0] || !slices.Equal(c.all.W, m.all.W) {
+		t.Fatal("Clone must copy the weight block")
+	}
+	if &c.hidden.w.W[0] != &c.all.W[0] {
+		t.Fatal("a clone's layers must view its own block")
+	}
+	if inf := m.CloneForInference(); &inf.hidden.w.W[0] != &m.all.W[0] || &inf.head.dense.b.W[0] != &m.head.dense.b.W[0] {
+		t.Fatal("CloneForInference must share the weights")
 	}
 }

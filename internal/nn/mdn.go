@@ -41,17 +41,22 @@ var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
 // NewMDN creates a head with g mixture components over featIn features.
 func NewMDN(featIn, g int, r *xrand.RNG) *MDN {
 	m := newMDN(g, NewDense(featIn, 3*g, r))
-	// Bias the initial log-sigmas to a moderate spread so early training
-	// does not saturate, and spread the initial means across the
-	// standardized-target range (roughly [-1.5, 4.5] for skewed counts)
-	// so components specialize without parking at out-of-range values.
+	m.initBiases()
+	return m
+}
+
+// initBiases biases the initial log-sigmas to a moderate spread so early
+// training does not saturate, and spreads the initial means across the
+// standardized-target range (roughly [-1.5, 4.5] for skewed counts) so
+// components specialize without parking at out-of-range values.
+func (m *MDN) initBiases() {
+	g := m.g
 	for j := 0; j < g; j++ {
 		m.dense.b.W[2*g+j] = 0.5
 		if g > 1 {
 			m.dense.b.W[g+j] = -1.5 + 6*float64(j)/float64(g-1)
 		}
 	}
-	return m
 }
 
 // newMDN wraps a dense layer of 3g outputs with private scratch.
@@ -67,11 +72,6 @@ func newMDN(g int, dense *Dense) *MDN {
 // cloneForInference returns a head sharing m's trained weights with
 // private scratch, safe for concurrent Forward/NLL against the original.
 func (m *MDN) cloneForInference() *MDN { return newMDN(m.g, m.dense.shared()) }
-
-// clone returns a deep copy of the head: fresh dense parameters with
-// the trained weights copied, private scratch. The clone may keep
-// training independently of the original.
-func (m *MDN) clone() *MDN { return newMDN(m.g, m.dense.clone()) }
 
 // Forward computes the predicted mixtures for n rows of features and
 // returns the first row's — the whole answer for Predict's n = 1. The

@@ -31,6 +31,17 @@
 // licence the kernels here use. Nothing is re-associated, fused (no FMA)
 // or narrowed to float32.
 //
+// On amd64 the trainer's three hot loops are SSE2 assembly
+// (kernels_amd64.s): Adam's update, the backward's accumulate of four
+// scaled rows into a gradient row, and the forward over four batch rows.
+// A packed instruction works on two lanes, and each lane is a sum the Go
+// loop already computes on its own — Adam's parameter j and j+1, gradient
+// elements i and i+1, or output o of two batch rows — fed the same
+// operands in the same order. Packing adds lanes, not terms, so the bits
+// are the Go loop's; the Go loops in kernels.go are the portable kernels
+// (other architectures, and amd64 under -race, whose detector does not
+// see assembly) and the reference FuzzKernels holds the assembly to.
+//
 // Memory discipline: layers own reusable scratch buffers sized by the
 // largest batch seen, so the steady-state forward/backward hot path
 // allocates nothing. The slices returned by Forward and Backward are owned
@@ -58,16 +69,18 @@ type Param struct {
 	G []float64
 }
 
+// newParam returns n zero weights and their gradients, in one allocation.
 func newParam(n int) *Param {
-	return &Param{W: make([]float64, n), G: make([]float64, n)}
+	buf := make([]float64, 2*n)
+	return &Param{W: buf[:n:n], G: buf[n:]}
 }
 
-// clone returns a deep copy: fresh tensors with the weights copied and
-// the gradient accumulator cleared.
-func (p *Param) clone() *Param {
-	c := newParam(len(p.W))
-	copy(c.W, p.W)
-	return c
+// take returns a Param over p's first n weights and gradients and
+// advances p past them.
+func (p *Param) take(n int) *Param {
+	v := &Param{W: p.W[:n:n], G: p.G[:n:n]}
+	p.W, p.G = p.W[n:], p.G[n:]
+	return v
 }
 
 // scratch returns buf resized to n, reusing its backing array when able.
@@ -106,22 +119,46 @@ type Dense struct {
 
 // NewDense creates a dense layer with He-initialized weights.
 func NewDense(in, out int, r *xrand.RNG) *Dense {
-	d := &Dense{in: in, out: out, w: newParam(in * out), b: newParam(out)}
-	std := math.Sqrt(2 / float64(in))
-	for i := range d.w.W {
-		d.w.W[i] = std * r.Norm()
-	}
+	d := denseOver(in, out, newParam(denseSize(in, out)))
+	d.heInit(r)
 	return d
 }
 
-// Forward maps a batch of rows to their activations: one affine kernel
-// call per row, for training batches and for Predict's single row alike.
+// denseSize is how many parameters a dense layer holds: its weights, then
+// its biases.
+func denseSize(in, out int) int { return (in + 1) * out }
+
+// denseOver lays a dense layer's weights and then its biases over the
+// front of block, which it advances past them.
+func denseOver(in, out int, block *Param) *Dense {
+	w := block.take(in * out)
+	return &Dense{in: in, out: out, w: w, b: block.take(out)}
+}
+
+// heInit draws the weights from r in index order, scaled for He
+// initialization.
+func (d *Dense) heInit(r *xrand.RNG) {
+	std := math.Sqrt(2 / float64(d.in))
+	for i := range d.w.W {
+		d.w.W[i] = std * r.Norm()
+	}
+}
+
+// Forward maps a batch of rows to their activations: four rows at a time
+// through affine4 (on amd64 each of its registers holds one output of two
+// rows), then one affine call per row left over — Predict's single row
+// among them.
 func (d *Dense) Forward(x []float64) []float64 {
-	n := rows("Dense", x, d.in)
+	in, out := d.in, d.out
+	n := rows("Dense", x, in)
 	d.x = x
-	d.fwd = scratch(d.fwd, n*d.out)
-	for s := 0; s < n; s++ {
-		affine(d.fwd[s*d.out:(s+1)*d.out], d.w.W, d.b.W, x[s*d.in:(s+1)*d.in])
+	d.fwd = scratch(d.fwd, n*out)
+	s := 0
+	for ; s+4 <= n; s += 4 {
+		affine4(d.fwd[s*out:(s+4)*out], d.w.W[:out*in], d.b.W[:out], x[s*in:(s+4)*in])
+	}
+	for ; s < n; s++ {
+		affine(d.fwd[s*out:(s+1)*out], d.w.W, d.b.W, x[s*in:(s+1)*in])
 	}
 	return d.fwd
 }
@@ -200,25 +237,11 @@ func (d *Dense) Backward(grad []float64, wantInput bool) []float64 {
 		j := 0
 		for ; j+4 <= len(nz); j += 4 {
 			s0, s1, s2, s3 := nz[j], nz[j+1], nz[j+2], nz[j+3]
-			g0, g1, g2, g3 := grad[s0*out+o], grad[s1*out+o], grad[s2*out+o], grad[s3*out+o]
-			x0 := x[s0*in:][:len(acc)]
-			x1 := x[s1*in:][:len(acc)]
-			x2 := x[s2*in:][:len(acc)]
-			x3 := x[s3*in:][:len(acc)]
-			for i, a := range acc {
-				a += g0 * x0[i]
-				a += g1 * x1[i]
-				a += g2 * x2[i]
-				a += g3 * x3[i]
-				acc[i] = a
-			}
+			accum4(acc, x[s0*in:][:len(acc)], x[s1*in:][:len(acc)], x[s2*in:][:len(acc)], x[s3*in:][:len(acc)],
+				grad[s0*out+o], grad[s1*out+o], grad[s2*out+o], grad[s3*out+o])
 		}
 		for _, s := range nz[j:] {
-			g := grad[s*out+o]
-			xs := x[s*in:][:len(acc)]
-			for i := range acc {
-				acc[i] += g * xs[i]
-			}
+			accum1(acc, x[s*in:][:len(acc)], grad[s*out+o])
 		}
 	}
 	if !wantInput {
@@ -231,41 +254,18 @@ func (d *Dense) Backward(grad []float64, wantInput bool) []float64 {
 		g := grad[s*out : (s+1)*out]
 		o := 0
 		for ; o+4 <= out; o += 4 {
-			g0, g1, g2, g3 := g[o], g[o+1], g[o+2], g[o+3]
-			w0 := w[o*in:][:len(dx)]
-			w1 := w[(o+1)*in:][:len(dx)]
-			w2 := w[(o+2)*in:][:len(dx)]
-			w3 := w[(o+3)*in:][:len(dx)]
-			for i, a := range dx {
-				a += g0 * w0[i]
-				a += g1 * w1[i]
-				a += g2 * w2[i]
-				a += g3 * w3[i]
-				dx[i] = a
-			}
+			accum4(dx, w[o*in:][:len(dx)], w[(o+1)*in:][:len(dx)], w[(o+2)*in:][:len(dx)], w[(o+3)*in:][:len(dx)],
+				g[o], g[o+1], g[o+2], g[o+3])
 		}
 		for ; o < out; o++ {
-			gv := g[o]
-			row := w[o*in:][:len(dx)]
-			for i := range dx {
-				dx[i] += gv * row[i]
-			}
+			accum1(dx, w[o*in:][:len(dx)], g[o])
 		}
 	}
 	return d.dx
 }
 
-// params lists the layer's weights and biases.
-func (d *Dense) params() []*Param { return []*Param{d.w, d.b} }
-
 // shared returns a layer over d's parameters with private scratch.
 func (d *Dense) shared() *Dense { return &Dense{in: d.in, out: d.out, w: d.w, b: d.b} }
-
-// clone returns a layer over fresh copies of d's parameters (gradients
-// cleared) with private scratch.
-func (d *Dense) clone() *Dense {
-	return &Dense{in: d.in, out: d.out, w: d.w.clone(), b: d.b.clone()}
-}
 
 // ReLU is the rectified linear activation. It is elementwise, so a batch
 // is just a longer vector.

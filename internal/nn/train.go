@@ -14,13 +14,36 @@ type Model struct {
 	hidden *Dense
 	relu   *ReLU
 	head   *MDN
+	// all holds every weight in one block and every gradient in another:
+	// the hidden layer's weights and biases, then the head's. The layers'
+	// Params are views of it, and Fit's optimizer steps it as one tensor.
+	all *Param
+	// moments is room for Fit's Adam moments, twice len(all.W), cut from
+	// all's allocation (and shared, like it, by inference clones). Fit
+	// clears it first: no optimizer state outlives a Fit.
+	moments []float64
 }
 
 // NewModel builds Dense(in→h) → ReLU → MDN(h, g), drawing the hidden
 // layer's initial weights from r before the head's.
 func NewModel(in, h, g int, r *xrand.RNG) *Model {
-	hidden := NewDense(in, h, r)
-	return &Model{hidden: hidden, relu: &ReLU{}, head: NewMDN(h, g, r)}
+	m := modelOf(in, h, g)
+	m.hidden.heInit(r)
+	m.head.dense.heInit(r)
+	m.head.initBiases()
+	return m
+}
+
+// modelOf lays a zero model of the given shape over one allocation: the
+// weights, their gradients, and the moments.
+func modelOf(in, h, g int) *Model {
+	n := denseSize(in, h) + denseSize(h, 3*g)
+	buf := make([]float64, 4*n)
+	all := &Param{W: buf[:n:n], G: buf[n : 2*n : 2*n]}
+	rest := *all
+	hidden := denseOver(in, h, &rest)
+	head := newMDN(g, denseOver(h, 3*g, &rest))
+	return &Model{hidden: hidden, relu: &ReLU{}, head: head, all: all, moments: buf[2*n:]}
 }
 
 // InputSize is the length of one input row.
@@ -49,7 +72,7 @@ func (m *Model) NLL(x []float64, y float64) float64 {
 // goroutine per clone) as long as no goroutine trains the shared weights
 // at the same time.
 func (m *Model) CloneForInference() *Model {
-	return &Model{hidden: m.hidden.shared(), relu: &ReLU{}, head: m.head.cloneForInference()}
+	return &Model{hidden: m.hidden.shared(), relu: &ReLU{}, head: m.head.cloneForInference(), all: m.all, moments: m.moments}
 }
 
 // Clone returns a deep copy of the model: fresh parameter tensors with
@@ -60,23 +83,14 @@ func (m *Model) CloneForInference() *Model {
 // state is not part of a Model; a subsequent Fit starts fresh Adam
 // moments, as any Fit does.
 func (m *Model) Clone() *Model {
-	return &Model{hidden: m.hidden.clone(), relu: &ReLU{}, head: m.head.clone()}
-}
-
-// params lists the trainable parameters, hidden layer first.
-func (m *Model) params() []*Param {
-	return append(m.hidden.params(), m.head.dense.params()...)
+	c := modelOf(m.hidden.in, m.hidden.out, m.head.g)
+	copy(c.all.W, m.all.W)
+	return c
 }
 
 // NumParams is the model's trainable-parameter count — what one sample's
 // forward and backward pass, and one optimizer step, cost in proportion to.
-func (m *Model) NumParams() int {
-	n := 0
-	for _, p := range m.params() {
-		n += len(p.W)
-	}
-	return n
-}
+func (m *Model) NumParams() int { return len(m.all.W) }
 
 // TrainConfig controls Fit.
 type TrainConfig struct {
@@ -115,8 +129,9 @@ func (c TrainConfig) withDefaults() TrainConfig {
 // every gradient accumulator receives its terms in row order, so the
 // weights are bit for bit those of visiting the permutation one sample at
 // a time (reference_test.go keeps that loop and compares). A row whose
-// length is not InputSize is an error, not a misread. The permutation,
-// the batch block and the Adam moments are allocated once per Fit.
+// length is not InputSize is an error, not a misread. The permutation
+// and the batch block are allocated once per Fit; the Adam moments are
+// the model's own block, cleared.
 func (m *Model) Fit(xs [][]float64, ys []float64, cfg TrainConfig) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("nn: %d inputs but %d targets", len(xs), len(ys))
@@ -131,7 +146,8 @@ func (m *Model) Fit(xs [][]float64, ys []float64, cfg TrainConfig) (float64, err
 			return 0, fmt.Errorf("nn: input %d has %d values, the model takes %d", i, len(x), in)
 		}
 	}
-	opt := NewAdam(m.params(), cfg.LearningRate)
+	clear(m.moments)
+	opt := newAdam([]*Param{m.all}, m.moments, cfg.LearningRate)
 	r := xrand.New(cfg.Seed).Split("nn/fit")
 	perm := make([]int, len(xs))
 	batch := min(cfg.BatchSize, len(xs))
